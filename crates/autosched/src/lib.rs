@@ -21,7 +21,7 @@
 //!      reduction variable, fixing tensors to faces of the processor grid
 //!      and folding partial outputs at the end.
 //! 2. [`search`] compiles every candidate through the unified
-//!    `Problem` → backend → `Artifact` pipeline and scores the backend's
+//!    `Problem` → `Backend` → `Plan` → `Instance` pipeline and scores the backend's
 //!    normalized report. The default backend is the runtime's cost-model
 //!    simulator (`Mode::Model`); [`AutoScheduler::search_with`] /
 //!    [`AutoScheduler::score_with`] accept any other

@@ -11,13 +11,12 @@
 
 use crate::space::{enumerate_candidates, AutoschedError, Candidate, SpaceOptions};
 use distal_core::{
-    Backend, CacheStats, DistalMachine, Lint, LintConfig, PlanCache, Problem, RuntimeBackend,
-    TensorSpec,
+    Backend, CacheStats, DistalMachine, Lint, LintConfig, Problem, RuntimeBackend,
+    ShardedPlanCache, TensorSpec,
 };
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
 
 /// What machine the search targets and how it scores candidates.
 #[derive(Clone, Debug)]
@@ -140,43 +139,27 @@ impl SearchResult {
 /// Automatic schedule and format selection (paper §9).
 ///
 /// The scheduler scores candidates through an internal
-/// [`PlanCache`]: each candidate's (grid, formats, schedule) bundle is
-/// planned once and the plan reused on every later scoring with the same
-/// key — so re-running a search, or sweeping overlapping candidate sets,
-/// never re-lowers a candidate it has already seen.
+/// [`ShardedPlanCache`]: each candidate's (grid, formats, schedule) bundle
+/// is planned once — also when several threads score it at the same time
+/// — and the plan reused on every later scoring with the same key, so
+/// re-running a search, or sweeping overlapping candidate sets, never
+/// re-lowers a candidate it has already seen.
+#[derive(Debug)]
 pub struct AutoScheduler {
     config: SearchConfig,
-    cache: Mutex<PlanCache>,
+    cache: ShardedPlanCache,
 }
 
 /// Candidate spaces are tens of entries; a few searches' worth fit
 /// comfortably.
 const SCORE_CACHE_CAPACITY: usize = 256;
 
-impl Clone for AutoScheduler {
-    fn clone(&self) -> Self {
-        AutoScheduler {
-            config: self.config.clone(),
-            cache: Mutex::new(self.lock_cache().clone()),
-        }
-    }
-}
-
-impl fmt::Debug for AutoScheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AutoScheduler")
-            .field("config", &self.config)
-            .field("cache", &self.lock_cache().stats())
-            .finish()
-    }
-}
-
 impl AutoScheduler {
     /// A scheduler for the given target.
     pub fn new(config: SearchConfig) -> Self {
         AutoScheduler {
             config,
-            cache: Mutex::new(PlanCache::new(SCORE_CACHE_CAPACITY)),
+            cache: ShardedPlanCache::new(SCORE_CACHE_CAPACITY, 1),
         }
     }
 
@@ -188,11 +171,7 @@ impl AutoScheduler {
     /// The internal plan cache's counters (hits = candidates scored
     /// without re-lowering).
     pub fn cache_stats(&self) -> CacheStats {
-        self.lock_cache().stats()
-    }
-
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, PlanCache> {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+        self.cache.stats()
     }
 
     /// Enumerates and scores every candidate for `expr` under the default
@@ -252,9 +231,9 @@ impl AutoScheduler {
 
     /// Scores one candidate on an explicit backend: builds the candidate's
     /// [`Problem`] (its grid + formats over the shared spec), fetches its
-    /// plan from the internal [`PlanCache`] (planning only on the first
-    /// encounter of the key), binds the problem's data, and reads the
-    /// score off the backend's normalized report.
+    /// plan from the internal [`ShardedPlanCache`] (planning only on the
+    /// first encounter of the key), binds the problem's data, and reads
+    /// the score off the backend's normalized report.
     pub fn score_with(
         &self,
         backend: &dyn Backend,
@@ -262,29 +241,48 @@ impl AutoScheduler {
         dims: &BTreeMap<String, Vec<i64>>,
         candidate: Candidate,
     ) -> Evaluation {
-        let infeasible = |candidate: Candidate, reason: String| Evaluation {
-            candidate,
-            makespan_s: f64::INFINITY,
-            comm_bytes: 0,
-            infeasible: Some(reason),
-            pruned: false,
-        };
+        match self.cost(backend, expr, dims, &candidate) {
+            Ok((makespan_s, comm_bytes)) => Evaluation {
+                candidate,
+                makespan_s,
+                comm_bytes,
+                infeasible: None,
+                pruned: false,
+            },
+            Err((reason, pruned)) => Evaluation {
+                candidate,
+                makespan_s: f64::INFINITY,
+                comm_bytes: 0,
+                infeasible: Some(reason),
+                pruned,
+            },
+        }
+    }
+
+    /// The (makespan, compute bytes) of one candidate — or why it has
+    /// none, and whether the admission linter pruned it before costing.
+    fn cost(
+        &self,
+        backend: &dyn Backend,
+        expr: &str,
+        dims: &BTreeMap<String, Vec<i64>>,
+        candidate: &Candidate,
+    ) -> Result<(f64, u64), (String, bool)> {
+        fn failed(e: impl ToString) -> (String, bool) {
+            (e.to_string(), false)
+        }
         let machine = DistalMachine::flat(candidate.grid.clone(), self.config.proc_kind);
         let mut problem = Problem::new(self.config.spec.clone(), machine);
-        if let Err(e) = problem.statement(expr) {
-            return infeasible(candidate, e.to_string());
-        }
+        problem.statement(expr).map_err(failed)?;
         for (name, shape) in dims {
-            let format = match candidate.formats.get(name) {
-                Some(f) => f.clone(),
-                None => return infeasible(candidate, format!("no format for tensor '{name}'")),
-            };
-            if let Err(e) = problem.tensor(TensorSpec::new(name.clone(), shape.clone(), format)) {
-                return infeasible(candidate, e.to_string());
-            }
-            if let Err(e) = problem.fill(name, 0.0) {
-                return infeasible(candidate, e.to_string());
-            }
+            let format = candidate
+                .formats
+                .get(name)
+                .ok_or_else(|| failed(format!("no format for tensor '{name}'")))?;
+            problem
+                .tensor(TensorSpec::new(name.clone(), shape.clone(), format.clone()))
+                .map_err(failed)?;
+            problem.fill(name, 0.0).map_err(failed)?;
         }
         // Pre-cost pruning: run the admission linter's passes over the
         // candidate. A denied finding means the schedule cannot lower (or
@@ -292,55 +290,24 @@ impl AutoScheduler {
         // evaluation is spent on it.
         let lint = distal_core::lint_schedule(&problem, &candidate.schedule, &self.config.lint);
         if let Some(first) = lint.iter().find(|d| d.is_error()) {
-            let reason = format!("lint: {first}");
-            return Evaluation {
-                pruned: true,
-                ..infeasible(candidate, reason)
-            };
+            return Err((format!("lint: {first}"), true));
         }
-        // Look up under the lock, but plan *outside* it: a cache miss
-        // must not serialize concurrent scorers on this lowering.
-        let key = distal_core::PlanKey::new(backend, &problem, &candidate.schedule);
-        // Bind the lookup to its own statement so the guard drops here —
-        // a `match self.lock_cache().get(..)` scrutinee would hold the
-        // lock across the whole match, deadlocking the miss arm's
-        // re-lock.
-        let cached = self.lock_cache().get(&key);
-        let plan = match cached {
-            Some(p) => p,
-            None => match problem.plan(backend, &candidate.schedule) {
-                Ok(p) => {
-                    let p: std::sync::Arc<dyn distal_core::Plan> = std::sync::Arc::from(p);
-                    self.lock_cache()
-                        .insert_planned(key, std::sync::Arc::clone(&p));
-                    p
-                }
-                Err(e) => return infeasible(candidate, e.to_string()),
-            },
-        };
-        let mut artifact = match plan.bind(&problem.bindings()) {
-            Ok(a) => a,
-            Err(e) => return infeasible(candidate, e.to_string()),
-        };
-        let placement = match artifact.place() {
-            Ok(r) => r,
-            Err(e) => return infeasible(candidate, format!("placement: {e}")),
-        };
-        let compute = match artifact.execute() {
-            Ok(r) => r,
-            Err(e) => return infeasible(candidate, format!("compute: {e}")),
-        };
+        let plan = self
+            .cache
+            .get_or_plan(backend, &problem, &candidate.schedule)
+            .map_err(failed)?;
+        let mut instance = plan.bind(&problem.bindings()).map_err(failed)?;
+        let placement = instance
+            .place()
+            .map_err(|e| failed(format!("placement: {e}")))?;
+        let compute = instance
+            .execute()
+            .map_err(|e| failed(format!("compute: {e}")))?;
         let mut makespan = compute.critical_path_s;
         if self.config.include_placement {
             makespan += placement.critical_path_s;
         }
-        Evaluation {
-            candidate,
-            makespan_s: makespan,
-            comm_bytes: compute.bytes_moved,
-            infeasible: None,
-            pruned: false,
-        }
+        Ok((makespan, compute.bytes_moved))
     }
 }
 
@@ -465,6 +432,43 @@ mod tests {
             assert_eq!(a.makespan_s, b.makespan_s);
             assert_eq!(a.comm_bytes, b.comm_bytes);
         }
+    }
+
+    #[test]
+    fn concurrent_scorers_of_one_candidate_plan_once() {
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        let scheduler = AutoScheduler::new(SearchConfig::cpu(MachineSpec::small(2)));
+        let backend = distal_spmd::CostBackend::alpha_beta(distal_spmd::AlphaBeta::default());
+        let (expr, dims) = ("A(i,j) = B(i,k) * C(k,j)", matmul_dims(64));
+        let tiles = distal_format::Format::parse("xy->xy", MemKind::Sys).unwrap();
+        let candidate = Candidate {
+            name: "summa".into(),
+            grid: distal_machine::grid::Grid::grid2(2, 2),
+            formats: dims.keys().map(|t| (t.clone(), tiles.clone())).collect(),
+            schedule: distal_core::Schedule::summa(2, 2, 16),
+        };
+        let barrier = Barrier::new(THREADS);
+        // `lower_count` is thread-local: summing each thread's delta
+        // counts every lowering wherever it ran.
+        let lowered: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let before = distal_spmd::lower_count();
+                        barrier.wait();
+                        let e = scheduler.score_with(&backend, expr, &dims, candidate.clone());
+                        assert!(e.feasible(), "{e}");
+                        distal_spmd::lower_count() - before
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let stats = scheduler.cache_stats();
+        assert_eq!(stats.misses, 1, "one candidate, one plan");
+        assert_eq!(stats.hits, THREADS as u64 - 1);
+        assert_eq!(lowered, 1, "single-flight must lower exactly once");
     }
 
     #[test]

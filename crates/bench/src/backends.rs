@@ -2,8 +2,8 @@
 //! the dynamic runtime's model-mode simulator and by the static SPMD
 //! backend's α-β model, for SUMMA and Cannon at p ∈ {4, 9, 16}.
 //!
-//! Both estimates flow through the unified `Problem` → target →
-//! `Artifact` pipeline (`distal_spmd::CostBackend`), so this sweep is
+//! Both estimates flow through the unified `Problem` → `Backend` →
+//! `Plan` → `Instance` pipeline (`distal_spmd::CostBackend`), so this sweep is
 //! also an end-to-end exercise of the backend abstraction: one problem
 //! definition, two cost models, one normalized `Report` schema. The two
 //! models price different machines abstractions (simulated channels +

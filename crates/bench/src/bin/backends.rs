@@ -7,7 +7,7 @@
 //! For SUMMA and Cannon at each processor count, the same `Problem` +
 //! schedule is priced by (1) the dynamic runtime's model-mode simulator
 //! and (2) the static SPMD backend's α-β model — both through
-//! `distal_spmd::CostBackend` behind the unified `Artifact` surface.
+//! `distal_spmd::CostBackend` behind the unified `Instance` surface.
 //! `--assert-finite` is the CI gate: every cell must compile and price
 //! finite, positive makespans with nonzero static communication.
 

@@ -7,8 +7,8 @@
 //! * **recompile** — every request runs `Problem::compile` (full
 //!   schedule application + lowering) and then executes;
 //! * **plan cache** — every request goes through a keyed
-//!   [`PlanCache`]: after the first miss the stream is 100% hits, each
-//!   request paying only `Plan::bind` (data seeding, no lowering).
+//!   [`ShardedPlanCache`]: after the first miss the stream is 100% hits,
+//!   each request paying only `Plan::bind` (data seeding, no lowering).
 //!
 //! Both paths verify bit-identical outputs per request. The row reports
 //! amortized per-request compile time on both paths, end-to-end
@@ -33,7 +33,7 @@
 //!   total lowering work == one plan's worth per key.
 
 use distal_core::{
-    Backend, Bindings, CacheStats, DistalMachine, PlanCache, Problem, RuntimeBackend, Schedule,
+    Backend, Bindings, CacheStats, DistalMachine, Problem, RuntimeBackend, Schedule,
     ShardedPlanCache, TensorSpec,
 };
 use distal_format::Format;
@@ -139,7 +139,7 @@ pub fn serve_one(backend: &dyn Backend, requests: u64, n: i64) -> ServingBenchRo
     let recompile_wall_s = recompile_start.elapsed().as_secs_f64();
 
     // --- Plan-cache path: keyed plan reuse + per-request bind. ----------
-    let mut cache = PlanCache::new(8);
+    let cache = ShardedPlanCache::new(8, 1);
     let mut cached_outputs = Vec::new();
     let mut cached_compile_s = 0.0;
     let mut lowerings_after_warmup = 0;

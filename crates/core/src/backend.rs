@@ -12,14 +12,13 @@
 //!   model-mode simulator or the SPMD α-β model).
 //! * [`Plan`] — what [`Backend::plan`] compiles to: a **data-independent**
 //!   lowered object (launch domain, programs, cost model — no operand
-//!   values). Plans are cacheable ([`crate::cache::PlanCache`]) and
-//!   reusable: serving many requests over the same shapes pays for
+//!   values). Plans are cacheable ([`crate::cache::ShardedPlanCache`])
+//!   and reusable: serving many requests over the same shapes pays for
 //!   lowering once.
 //! * [`Instance`] — a plan bound to per-request [`Bindings`] via
 //!   [`Plan::bind`]. Every instance exposes the same surface (`place`,
 //!   `execute`, `read`, [`Report`]s), so callers never special-case the
-//!   backend they run on. `Artifact` is the pre-split name of this trait
-//!   and remains as an alias.
+//!   backend they run on.
 //!
 //! [`Backend::compile`] (and [`Problem::compile`]) is the one-shot shim:
 //! exactly `plan(...)` then `bind(problem's own initializers)`.
@@ -39,9 +38,9 @@
 //! }
 //! problem.fill_random("B", 1)?.fill_random("C", 2)?;
 //!
-//! let mut artifact = problem.compile(&RuntimeBackend::functional(), &Schedule::summa(2, 2, 4))?;
-//! let report = artifact.run()?;
-//! assert_eq!(artifact.read("A")?.len(), 64);
+//! let mut instance = problem.compile(&RuntimeBackend::functional(), &Schedule::summa(2, 2, 4))?;
+//! let report = instance.run()?;
+//! assert_eq!(instance.read("A")?.len(), 64);
 //! assert!(report.flops > 0.0);
 //! # Ok(())
 //! # }
@@ -52,18 +51,16 @@ use crate::lint::LintConfig;
 use crate::lower::{CompileOptions, CompiledKernel};
 use crate::plan::{init_nnz, Bindings, Instance, Plan};
 use crate::problem::Problem;
+use crate::problem::TensorSpec;
 use crate::report::{Provenance, Report};
 use crate::schedule::Schedule;
-use crate::session::{Session, TensorSpec};
+use crate::session::Session;
 use distal_runtime::exec::{Mode, RuntimeError};
 use distal_runtime::executor::ExecutorKind;
 use distal_runtime::region::RegionId;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Pre-split name of [`Instance`], re-exported where it always lived.
-pub use crate::plan::Instance as Artifact;
 
 /// Errors from compiling or running a problem on a backend.
 #[derive(Clone, Debug, PartialEq)]
@@ -399,7 +396,7 @@ impl Plan for RuntimePlan {
 }
 
 /// A [`RuntimeBackend`] instance: a private session + shared compiled
-/// kernel. (`RuntimeArtifact` is the pre-split alias.)
+/// kernel.
 pub struct RuntimeInstance {
     session: Session,
     kernel: Arc<CompiledKernel>,
@@ -414,9 +411,6 @@ impl std::fmt::Debug for RuntimeInstance {
             .finish_non_exhaustive()
     }
 }
-
-/// Pre-split name of [`RuntimeInstance`].
-pub type RuntimeArtifact = RuntimeInstance;
 
 impl RuntimeInstance {
     /// The compiled kernel (launch domain, programs, flops).
@@ -476,7 +470,7 @@ impl Instance for RuntimeInstance {
 mod tests {
     use super::*;
     use crate::machine::DistalMachine;
-    use crate::session::TensorSpec;
+    use crate::problem::TensorSpec;
     use distal_format::Format;
     use distal_machine::grid::Grid;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};

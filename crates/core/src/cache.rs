@@ -1,5 +1,5 @@
-//! Keyed plan reuse: [`PlanKey`], a bounded LRU [`PlanCache`], and its
-//! concurrent sharded front [`ShardedPlanCache`].
+//! Keyed plan reuse: [`PlanKey`] and the bounded, concurrent, sharded LRU
+//! [`ShardedPlanCache`].
 //!
 //! Serving workloads compile the *same* (statement, shapes + formats,
 //! machine, schedule) bundle over and over with fresh operand values.
@@ -7,7 +7,7 @@
 //! such request: the cache canonicalizes the compile-relevant inputs into
 //! a [`PlanKey`], hands back a shared `Arc<dyn Plan>` on a hit, and
 //! plans-and-inserts on a miss. Hit/miss/eviction statistics are
-//! surfaced through [`CacheStats`], which [`PlanCache::annotate`]
+//! surfaced through [`CacheStats`], which [`ShardedPlanCache::annotate`]
 //! attaches to any [`Report`].
 //!
 //! # What a key covers
@@ -138,13 +138,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hit/miss/eviction counters of a [`PlanCache`] or
-/// [`ShardedPlanCache`], surfaced in [`Report::cache`].
+/// Hit/miss/eviction counters of a [`ShardedPlanCache`], surfaced in
+/// [`Report::cache`].
 ///
 /// A snapshot is *coherent*: `hits + misses == requests()` always holds,
-/// even when taken from a [`ShardedPlanCache`] under concurrent traffic
-/// (counters there are atomics, but snapshots are validated — a torn
-/// read is never returned).
+/// even under concurrent traffic (the counters are atomics, but snapshots
+/// are validated — a torn read is never returned).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that reused a cached plan.
@@ -198,166 +197,9 @@ impl fmt::Display for CacheStats {
     }
 }
 
-#[derive(Clone)]
 struct Entry {
     plan: Arc<dyn Plan>,
     last_used: u64,
-}
-
-/// A bounded LRU cache of [`Plan`]s keyed by [`PlanKey`].
-///
-/// The cache owns no backend: [`PlanCache::get_or_plan`] takes the
-/// backend per call, so one cache can serve plans for several targets
-/// (keys embed the backend name, so they never collide).
-#[derive(Clone)]
-pub struct PlanCache {
-    entries: HashMap<PlanKey, Entry>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    requests: u64,
-}
-
-impl PlanCache {
-    /// A cache holding at most `capacity` plans (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            entries: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            requests: 0,
-        }
-    }
-
-    /// The plan for (backend, problem, schedule): cached if present,
-    /// freshly planned and inserted otherwise. This is the serving front
-    /// door — on a hit, zero schedule-application or lowering work runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Backend::plan`] errors; nothing is inserted then and
-    /// neither counter moves (a plan-failing key retried N times is N
-    /// errors, not N misses).
-    pub fn get_or_plan(
-        &mut self,
-        backend: &dyn Backend,
-        problem: &Problem,
-        schedule: &Schedule,
-    ) -> Result<Arc<dyn Plan>, BackendError> {
-        let key = PlanKey::new(backend, problem, schedule);
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.last_used = tick;
-            self.hits += 1;
-            self.requests += 1;
-            return Ok(Arc::clone(&e.plan));
-        }
-        let plan: Arc<dyn Plan> = Arc::from(backend.plan(problem, schedule)?);
-        self.misses += 1;
-        self.requests += 1;
-        self.insert_entry(key, Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// Looks up a key without planning on miss. A found plan counts as a
-    /// hit (a not-found key counts nothing — the caller may or may not
-    /// go on to plan it).
-    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<dyn Plan>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let e = self.entries.get_mut(key)?;
-        e.last_used = tick;
-        self.hits += 1;
-        self.requests += 1;
-        Some(Arc::clone(&e.plan))
-    }
-
-    /// Inserts a plan under a key (evicting the least-recently-used entry
-    /// when full). Does not touch the hit/miss counters.
-    pub fn insert(&mut self, key: PlanKey, plan: Arc<dyn Plan>) {
-        self.tick += 1;
-        self.insert_entry(key, plan);
-    }
-
-    /// Records a successful out-of-band planning: counts the miss and
-    /// inserts the plan. With [`PlanCache::get`], this is the
-    /// lock-friendly split of [`PlanCache::get_or_plan`] — look up under
-    /// the lock, plan *outside* it, then record — so concurrent callers
-    /// never serialize on each other's lowering.
-    pub fn insert_planned(&mut self, key: PlanKey, plan: Arc<dyn Plan>) {
-        self.misses += 1;
-        self.requests += 1;
-        self.insert(key, plan);
-    }
-
-    fn insert_entry(&mut self, key: PlanKey, plan: Arc<dyn Plan>) {
-        let tick = self.tick;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&lru);
-                self.evictions += 1;
-            }
-        }
-        self.entries.insert(
-            key,
-            Entry {
-                plan,
-                last_used: tick,
-            },
-        );
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            len: self.entries.len(),
-            capacity: self.capacity,
-            requests: self.requests,
-        }
-    }
-
-    /// Attaches the cache's counters to a report
-    /// ([`Report::cache`]).
-    pub fn annotate(&self, report: &mut Report) {
-        report.cache = Some(self.stats());
-    }
-
-    /// Plans currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every cached plan (counters keep accumulating).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-impl fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("stats", &self.stats())
-            .finish()
-    }
 }
 
 /// One in-flight planning: the leader publishes its result here and
@@ -395,18 +237,62 @@ impl Flight {
     }
 }
 
+/// One shard: a bounded LRU plus its in-flight plannings. It keeps no
+/// counters — hits, misses, evictions and len live once, on the cache.
 struct Shard {
-    lru: PlanCache,
+    entries: HashMap<PlanKey, Entry>,
+    tick: u64,
+    capacity: usize,
     inflight: HashMap<PlanKey, Arc<Flight>>,
 }
 
-/// A concurrent, sharded front of [`PlanCache`] for serving traffic.
+impl Shard {
+    fn get(&mut self, key: &PlanKey) -> Option<Arc<dyn Plan>> {
+        self.tick += 1;
+        let e = self.entries.get_mut(key)?;
+        e.last_used = self.tick;
+        Some(Arc::clone(&e.plan))
+    }
+
+    /// Inserts a plan, evicting the least-recently-used entry when full.
+    /// Returns `(evictions, len delta)` for the cache's counters.
+    fn insert(&mut self, key: PlanKey, plan: Arc<dyn Plan>) -> (u64, i64) {
+        self.tick += 1;
+        let mut evicted = 0;
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+            if let Some(lru) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+            {
+                self.entries.remove(&lru);
+                evicted = 1;
+            }
+        }
+        let entry = Entry {
+            plan,
+            last_used: self.tick,
+        };
+        let grew = self.entries.insert(key, entry).is_none();
+        (evicted, i64::from(grew) - evicted as i64)
+    }
+}
+
+/// A bounded LRU cache of [`Plan`]s keyed by [`PlanKey`], safe to share
+/// across threads.
+///
+/// The cache owns no backend: [`ShardedPlanCache::get_or_plan`] takes the
+/// backend per call, so one cache can serve plans for several targets
+/// (keys embed the backend name and configuration, so they never
+/// collide).
 ///
 /// Keys land on one of N shards by [`PlanKey::digest`]; each shard is an
-/// independent bounded-LRU [`PlanCache`] behind its own mutex, so
-/// lookups of unrelated keys never contend. Global counters are atomics
-/// but every update happens while a shard lock is held, which makes a
-/// *coherent* snapshot possible (see [`ShardedPlanCache::stats`]).
+/// independent bounded LRU behind its own mutex, so lookups of unrelated
+/// keys never contend (`new(capacity, 1)` is the strict single-LRU case).
+/// Global counters are atomics but every update happens while a shard
+/// lock is held, which makes a *coherent* snapshot possible (see
+/// [`ShardedPlanCache::stats`]).
 ///
 /// # Single-flight
 ///
@@ -432,19 +318,22 @@ pub struct ShardedPlanCache {
 }
 
 impl ShardedPlanCache {
-    /// A cache of `shards` independent LRU shards (minimum 1) holding at
-    /// most `capacity` plans in total. The per-shard bound is
-    /// `ceil(capacity / shards)`, so the enforced total —
-    /// [`CacheStats::capacity`] — is `shards * ceil(capacity / shards)`,
-    /// which may round up slightly from the requested figure.
+    /// A cache of `shards` independent LRU shards holding `capacity`
+    /// plans (minimum 1) in total. `shards` is clamped to `1..=capacity`
+    /// and the per-shard bound is `ceil(capacity / shards)`, so the
+    /// enforced total — [`CacheStats::capacity`] — exceeds the requested
+    /// figure by at most `shards - 1`.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard_capacity = capacity.max(1).div_ceil(shards);
+        let capacity = capacity.max(1);
+        let shards = shards.clamp(1, capacity);
+        let per_shard_capacity = capacity.div_ceil(shards);
         ShardedPlanCache {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(Shard {
-                        lru: PlanCache::new(per_shard_capacity),
+                        entries: HashMap::new(),
+                        tick: 0,
+                        capacity: per_shard_capacity,
                         inflight: HashMap::new(),
                     })
                 })
@@ -492,15 +381,15 @@ impl ShardedPlanCache {
 
     /// The plan for (backend, problem, schedule): cached if present,
     /// planned once otherwise — even under a stampede (see the type-level
-    /// docs). Lock-hold discipline matches
-    /// [`PlanCache::get`]/[`PlanCache::insert_planned`]: the shard lock
-    /// covers only lookup and bookkeeping, never `Backend::plan`.
+    /// docs). This is the serving front door: on a hit, zero
+    /// schedule-application or lowering work runs. The shard lock covers
+    /// only lookup and bookkeeping, never `Backend::plan`.
     ///
     /// # Errors
     ///
     /// Propagates [`Backend::plan`] errors (followers of a failed flight
-    /// receive a clone). Nothing is inserted and no counter moves, same
-    /// as [`PlanCache::get_or_plan`].
+    /// receive a clone). Nothing is inserted then and no counter moves: a
+    /// plan-failing key retried N times is N errors, not N misses.
     pub fn get_or_plan(
         &self,
         backend: &dyn Backend,
@@ -522,7 +411,7 @@ impl ShardedPlanCache {
         let shard = self.shard_of(key);
         let flight = {
             let mut s = shard.lock().expect("poisoned cache shard");
-            if let Some(found) = s.lru.get(key) {
+            if let Some(found) = s.get(key) {
                 self.record(1, 0, 0, 0);
                 return Ok(found);
             }
@@ -560,16 +449,17 @@ impl ShardedPlanCache {
     /// pathological contention it falls back to locking every shard,
     /// which quiesces updates entirely.
     pub fn stats(&self) -> CacheStats {
+        let read = || CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            len: self.len.load(Ordering::Relaxed) as usize,
+            capacity: self.capacity(),
+            requests: self.requests.load(Ordering::Relaxed),
+        };
         for _ in 0..64 {
             let v1 = self.version.load(Ordering::Acquire);
-            let snapshot = CacheStats {
-                hits: self.hits.load(Ordering::Relaxed),
-                misses: self.misses.load(Ordering::Relaxed),
-                evictions: self.evictions.load(Ordering::Relaxed),
-                len: self.len.load(Ordering::Relaxed) as usize,
-                capacity: self.capacity(),
-                requests: self.requests.load(Ordering::Relaxed),
-            };
+            let snapshot = read();
             let v2 = self.version.load(Ordering::Acquire);
             if v1 == v2 && snapshot.hits + snapshot.misses == snapshot.requests {
                 return snapshot;
@@ -582,14 +472,7 @@ impl ShardedPlanCache {
             .iter()
             .map(|s| s.lock().expect("poisoned cache shard"))
             .collect();
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.len.load(Ordering::Relaxed) as usize,
-            capacity: self.capacity(),
-            requests: self.requests.load(Ordering::Relaxed),
-        }
+        read()
     }
 
     /// Attaches a coherent stats snapshot to a report ([`Report::cache`]).
@@ -612,8 +495,8 @@ impl ShardedPlanCache {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut s = shard.lock().expect("poisoned cache shard");
-            let dropped = s.lru.len() as i64;
-            s.lru.clear();
+            let dropped = s.entries.len() as i64;
+            s.entries.clear();
             self.record(0, 0, 0, -dropped);
         }
     }
@@ -645,15 +528,8 @@ impl FlightGuard<'_> {
         let mut s = self.shard.lock().expect("poisoned cache shard");
         s.inflight.remove(self.key);
         if let Ok(plan) = &result {
-            let before = s.lru.stats();
-            s.lru.insert_planned(self.key.clone(), Arc::clone(plan));
-            let after = s.lru.stats();
-            self.cache.record(
-                0,
-                1,
-                after.evictions - before.evictions,
-                after.len as i64 - before.len as i64,
-            );
+            let (evictions, len_delta) = s.insert(self.key.clone(), Arc::clone(plan));
+            self.cache.record(0, 1, evictions, len_delta);
         }
         drop(s);
         self.flight.publish(result);
@@ -682,51 +558,79 @@ mod tests {
     use crate::backend::RuntimeBackend;
     use crate::machine::DistalMachine;
     use crate::plan::Bindings;
-    use crate::session::TensorSpec;
+    use crate::problem::TensorSpec;
     use distal_format::Format;
     use distal_machine::grid::Grid;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 
-    fn problem(n: i64) -> Problem {
+    /// No statement -> `RuntimeBackend::plan` errors.
+    fn broken_problem() -> Problem {
         let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let mut p = Problem::new(MachineSpec::small(2), machine);
+        Problem::new(MachineSpec::small(2), machine)
+    }
+
+    /// An `n x n` matmul over tensors of one format.
+    fn problem_in(n: i64, f: Format) -> Problem {
+        let mut p = broken_problem();
         p.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
-        let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
         for t in ["A", "B", "C"] {
             p.tensor(TensorSpec::new(t, vec![n, n], f.clone())).unwrap();
         }
         p
     }
 
+    fn problem(n: i64) -> Problem {
+        problem_in(n, Format::parse("xy->xy", MemKind::Sys).unwrap())
+    }
+
+    /// Every case below runs on the strict single-LRU shape and on a
+    /// sharded one.
+    const SHAPES: [(usize, usize); 2] = [(8, 1), (8, 4)];
+
+    /// Holds after every case that never calls `clear`: snapshots are
+    /// coherent, the bound is respected, and every miss either still sits
+    /// in the cache or was evicted.
+    fn check_invariants(cache: &ShardedPlanCache) {
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, stats.requests());
+        assert_eq!(stats.misses, stats.evictions + stats.len as u64);
+        assert_eq!(stats.len, cache.len());
+        assert!(stats.len <= cache.capacity());
+    }
+
     #[test]
     fn keys_ignore_data_but_see_compile_inputs() {
+        let key = |b: &RuntimeBackend, p: &Problem, s: &Schedule| PlanKey::new(b, p, s);
         let mut p1 = problem(8);
         let mut p2 = problem(8);
         p1.fill_random("B", 1).unwrap();
         p2.fill_random("B", 999).unwrap(); // data only — same key
         let s = Schedule::summa(2, 2, 4);
         let functional = RuntimeBackend::functional();
-        assert_eq!(
-            PlanKey::new(&functional, &p1, &s),
-            PlanKey::new(&functional, &p2, &s)
-        );
+        assert_eq!(key(&functional, &p1, &s), key(&functional, &p2, &s));
         // Shapes, schedules, and backend configuration all split keys.
-        let p3 = problem(16);
         assert_ne!(
-            PlanKey::new(&functional, &p1, &s),
-            PlanKey::new(&functional, &p3, &s)
+            key(&functional, &p1, &s),
+            key(&functional, &problem(16), &s)
         );
         let s2 = Schedule::summa(2, 2, 8);
-        assert_ne!(
-            PlanKey::new(&functional, &p1, &s),
-            PlanKey::new(&functional, &p1, &s2)
-        );
+        assert_ne!(key(&functional, &p1, &s), key(&functional, &p1, &s2));
         // Same backend name, different configuration: a model-mode plan
         // must never be served to a functional caller (or vice versa).
-        assert_ne!(
-            PlanKey::new(&functional, &p1, &s),
-            PlanKey::new(&RuntimeBackend::model(), &p1, &s)
-        );
+        let model = RuntimeBackend::model();
+        assert_ne!(key(&functional, &p1, &s), key(&model, &p1, &s));
+
+        // `levels: []` and an explicit all-dense string describe the same
+        // storage, so the key must not split them; a genuinely compressed
+        // level still does.
+        let levels = |l| Format::parse_levels("xy->xy", l, MemKind::Sys).unwrap();
+        let dense = problem_in(8, levels("dd"));
+        assert_eq!(key(&functional, &p1, &s), key(&functional, &dense, &s));
+        let mut compressed = problem(8);
+        compressed
+            .tensor(TensorSpec::new("B", vec![8, 8], levels("ds")))
+            .unwrap();
+        assert_ne!(key(&functional, &p1, &s), key(&functional, &compressed, &s));
     }
 
     #[test]
@@ -734,116 +638,65 @@ mod tests {
         let p = problem(8);
         let s = Schedule::summa(2, 2, 4);
         let backend = RuntimeBackend::functional();
-        let mut cache = PlanCache::new(4);
-        let plan1 = cache.get_or_plan(&backend, &p, &s).unwrap();
-        let plan2 = cache.get_or_plan(&backend, &p, &s).unwrap();
-        assert!(Arc::ptr_eq(&plan1, &plan2));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        for (capacity, shards) in SHAPES {
+            let cache = ShardedPlanCache::new(capacity, shards);
+            let plan1 = cache.get_or_plan(&backend, &p, &s).unwrap();
+            let plan2 = cache.get_or_plan(&backend, &p, &s).unwrap();
+            assert!(Arc::ptr_eq(&plan1, &plan2));
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
+            assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
 
-        let mut b = Bindings::new();
-        b.fill_random("B", 1).fill_random("C", 2);
-        let mut inst = plan2.bind(&b).unwrap();
-        inst.run().unwrap();
-        assert_eq!(inst.read("A").unwrap().len(), 64);
+            let mut b = Bindings::new();
+            b.fill_random("B", 1).fill_random("C", 2);
+            let mut inst = plan2.bind(&b).unwrap();
+            inst.run().unwrap();
+            assert_eq!(inst.read("A").unwrap().len(), 64);
 
-        let mut report = Report::empty("runtime", crate::report::Provenance::Measured);
-        cache.annotate(&mut report);
-        assert_eq!(report.cache.unwrap().hits, 1);
+            let mut report = Report::empty("runtime", crate::report::Provenance::Measured);
+            cache.annotate(&mut report);
+            assert_eq!(report.cache.unwrap().hits, 1);
+            check_invariants(&cache);
+        }
     }
 
     #[test]
-    fn equivalent_dense_level_spellings_share_a_key() {
-        // `levels: []` and an explicit all-dense string describe the
-        // same storage; the key must not split them.
-        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let mut implicit = Problem::new(MachineSpec::small(2), machine.clone());
-        let mut explicit = Problem::new(MachineSpec::small(2), machine);
-        for p in [&mut implicit, &mut explicit] {
-            p.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
-        }
-        let bare = Format::parse("xy->xy", MemKind::Sys).unwrap();
-        let spelled = distal_format::Format::parse_levels("xy->xy", "dd", MemKind::Sys).unwrap();
-        for t in ["A", "B", "C"] {
-            implicit
-                .tensor(TensorSpec::new(t, vec![8, 8], bare.clone()))
-                .unwrap();
-            explicit
-                .tensor(TensorSpec::new(t, vec![8, 8], spelled.clone()))
-                .unwrap();
-        }
-        let s = Schedule::summa(2, 2, 4);
-        let backend = RuntimeBackend::functional();
-        assert_eq!(
-            PlanKey::new(&backend, &implicit, &s),
-            PlanKey::new(&backend, &explicit, &s)
-        );
-        // A genuinely compressed level still splits the key.
-        let mut compressed = implicit.clone();
-        let ds = distal_format::Format::parse_levels("xy->xy", "ds", MemKind::Sys).unwrap();
-        compressed
-            .tensor(TensorSpec::new("B", vec![8, 8], ds))
-            .unwrap();
-        assert_ne!(
-            PlanKey::new(&backend, &implicit, &s),
-            PlanKey::new(&backend, &compressed, &s)
-        );
-    }
-
-    #[test]
-    fn failed_plans_move_no_counters_and_cache_nothing() {
-        // No statement -> RuntimeBackend::plan errors. Retrying must not
-        // inflate misses or depress the hit rate.
-        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let broken = Problem::new(MachineSpec::small(2), machine);
-        let backend = RuntimeBackend::functional();
-        let mut cache = PlanCache::new(4);
-        let s = Schedule::summa(2, 2, 4);
-        for _ in 0..3 {
-            assert!(cache.get_or_plan(&backend, &broken, &s).is_err());
-        }
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 0));
-        assert_eq!(stats.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn lru_evicts_oldest() {
+    fn lru_evicts_oldest_within_a_shard() {
         let backend = RuntimeBackend::model();
-        let mut cache = PlanCache::new(2);
-        let s4 = Schedule::summa(2, 2, 4);
-        let s8 = Schedule::summa(2, 2, 8);
-        let s2 = Schedule::summa(2, 2, 2);
         let p = problem(16);
-        cache.get_or_plan(&backend, &p, &s4).unwrap();
-        cache.get_or_plan(&backend, &p, &s8).unwrap();
-        // Touch s4 so s8 is the LRU victim.
-        cache.get_or_plan(&backend, &p, &s4).unwrap();
-        cache.get_or_plan(&backend, &p, &s2).unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&PlanKey::new(&backend, &p, &s4)).is_some());
-        assert!(cache.get(&PlanKey::new(&backend, &p, &s8)).is_none());
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn requests_counts_hits_plus_misses_never_failures() {
-        let backend = RuntimeBackend::model();
-        let mut cache = PlanCache::new(4);
-        let p = problem(8);
-        let s = Schedule::summa(2, 2, 4);
-        cache.get_or_plan(&backend, &p, &s).unwrap(); // miss
-        cache.get_or_plan(&backend, &p, &s).unwrap(); // hit
-        cache.get(&PlanKey::new(&backend, &p, &s)).unwrap(); // hit
-        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let broken = Problem::new(MachineSpec::small(2), machine);
-        assert!(cache.get_or_plan(&backend, &broken, &s).is_err());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.requests()), (2, 1, 3));
-        assert_eq!(stats.hits + stats.misses, stats.requests());
+        // Two plans per shard: 2 x 1 and 8 over 4.
+        for (capacity, shards) in [(2, 1), (8, 4)] {
+            let cache = ShardedPlanCache::new(capacity, shards);
+            // Three keys of one shard (on a single shard: the first three).
+            let mut same_shard: Vec<Schedule> = Vec::new();
+            for chunk in 1..=16 {
+                let s = Schedule::summa(2, 2, chunk);
+                let digest = PlanKey::new(&backend, &p, &s).digest();
+                if digest.is_multiple_of(cache.shards() as u64) {
+                    same_shard.push(s);
+                }
+            }
+            let [a, b, c] = &same_shard[..3] else {
+                panic!("16 keys over {shards} shards put fewer than 3 on shard 0");
+            };
+            cache.get_or_plan(&backend, &p, a).unwrap();
+            cache.get_or_plan(&backend, &p, b).unwrap();
+            // Touch `a` so `b` is the LRU victim.
+            cache.get_or_plan(&backend, &p, a).unwrap();
+            cache.get_or_plan(&backend, &p, c).unwrap();
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 3, 1));
+            assert_eq!(cache.len(), 2);
+            check_invariants(&cache);
+            // `a` survived, `b` did not.
+            cache.get_or_plan(&backend, &p, a).unwrap();
+            assert_eq!(cache.stats().hits, 2);
+            cache.get_or_plan(&backend, &p, b).unwrap();
+            assert_eq!(cache.stats().misses, 4);
+            check_invariants(&cache);
+            cache.clear();
+            assert!(cache.is_empty());
+        }
     }
 
     #[test]
@@ -876,68 +729,81 @@ mod tests {
         assert_eq!(stats.misses, 1, "misses == distinct keys");
         assert_eq!(stats.hits, THREADS as u64 - 1);
         assert_eq!(stats.requests(), THREADS as u64);
-        assert_eq!(stats.hits + stats.misses, stats.requests());
-        assert_eq!(cache.len(), 1);
+        check_invariants(&cache);
     }
 
     #[test]
     fn sharded_eviction_stays_bounded_under_concurrent_insert() {
+        // The enforced bound never exceeds the request by more than
+        // `shards - 1`; asking for more shards than plans clamps.
+        for (capacity, shards) in [(4, 8), (4, 3), (5, 2), (1, 4), (0, 0)] {
+            let cache = ShardedPlanCache::new(capacity, shards);
+            assert!(cache.shards() <= capacity.max(1));
+            assert!(cache.capacity() >= capacity);
+            assert!(cache.capacity() < capacity.max(1) + cache.shards());
+        }
+        assert_eq!(ShardedPlanCache::new(4, 8).capacity(), 4);
+
         let cache = ShardedPlanCache::new(4, 2);
+        assert_eq!(cache.capacity(), 4);
         let backend = RuntimeBackend::model();
         let p = problem(16);
         // 12 distinct keys (chunk sizes) racing into a 2-shard cache that
         // holds 4 plans total.
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let cache = &cache;
-                let backend = &backend;
-                let p = &p;
-                scope.spawn(move || {
+                scope.spawn(|| {
                     for chunk in 1..=12 {
                         let s = Schedule::summa(2, 2, chunk);
-                        cache.get_or_plan(backend, p, &s).unwrap();
+                        cache.get_or_plan(&backend, &p, &s).unwrap();
                     }
                 });
             }
         });
         let stats = cache.stats();
-        assert!(stats.len <= cache.capacity());
-        assert_eq!(stats.len, cache.len());
-        assert_eq!(stats.hits + stats.misses, stats.requests());
+        assert!(stats.len <= 4);
         assert_eq!(stats.requests(), 48);
-        // Every miss either still sits in the cache or was evicted.
-        assert_eq!(stats.misses, stats.evictions + stats.len as u64);
+        check_invariants(&cache);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().evictions, stats.evictions);
     }
 
     #[test]
-    fn sharded_failed_plans_fail_followers_and_count_nothing() {
+    fn failed_plans_fail_followers_cache_nothing_and_count_nothing() {
         use std::sync::Barrier;
         const THREADS: usize = 8;
-        let cache = ShardedPlanCache::new(4, 2);
         let backend = RuntimeBackend::functional();
-        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let broken = Problem::new(MachineSpec::small(2), machine);
+        let broken = broken_problem();
         let s = Schedule::summa(2, 2, 4);
-        let barrier = Barrier::new(THREADS);
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                let cache = &cache;
-                let backend = &backend;
-                let broken = &broken;
-                let s = &s;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    assert!(cache.get_or_plan(backend, broken, s).is_err());
-                });
+        for (capacity, shards) in SHAPES {
+            let cache = ShardedPlanCache::new(capacity, shards);
+            // Retrying must not inflate misses or depress the hit rate...
+            for _ in 0..3 {
+                assert!(cache.get_or_plan(&backend, &broken, &s).is_err());
             }
-        });
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.requests()), (0, 0, 0));
-        assert!(cache.is_empty());
+            // ...and neither must a stampede on the failing key.
+            let barrier = Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        assert!(cache.get_or_plan(&backend, &broken, &s).is_err());
+                    });
+                }
+            });
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses, stats.requests()), (0, 0, 0));
+            assert_eq!(stats.hit_rate(), 0.0);
+            assert!(cache.is_empty());
+            // `requests` counts hits plus misses, never the failures.
+            for _ in 0..3 {
+                cache.get_or_plan(&backend, &problem(8), &s).unwrap();
+            }
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses, stats.requests()), (2, 1, 3));
+            check_invariants(&cache);
+        }
     }
 
     #[test]
@@ -949,10 +815,7 @@ mod tests {
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for t in 0..2 {
-                let cache = &cache;
-                let backend = &backend;
-                let p = &p;
-                let stop = &stop;
+                let (cache, backend, p, stop) = (&cache, &backend, &p, &stop);
                 scope.spawn(move || {
                     let mut chunk = 1 + t;
                     while !stop.load(Ordering::Relaxed) {

@@ -3,9 +3,11 @@
 //! DISTAL lowers the loops *below* the distribution/communication levels
 //! into leaf kernels that run on one processor (paper §6.2 follows TACO's
 //! single-node lowering; Figure 2 substitutes a vendor GEMM at the leaves).
-//! Here the default leaf is a generic dense-loop interpreter able to execute
-//! any tensor index notation statement; matrix-multiply leaves use a blocked
-//! specialization for speed in functional tests.
+//! This module holds the *reference* leaves the generated kernels of
+//! [`crate::kernelgen`] are checked against — a generic dense-loop
+//! interpreter able to execute any tensor index notation statement and a
+//! blocked GEMM — plus the statement-shape guards lowering and kernel
+//! generation dispatch on.
 
 use distal_ir::expr::{Assignment, Expr, IndexVar};
 use distal_runtime::kernel::{Kernel, KernelCtx};
@@ -232,51 +234,6 @@ pub(crate) fn rhs_is_access_product(a: &Assignment) -> bool {
     pure(&a.rhs)
 }
 
-/// Chooses a leaf kernel for a statement: the blocked GEMM for canonical
-/// matrix multiplies (pure access products only — literal factors fall
-/// back to the interpreter, which evaluates the full expression), the
-/// interpreter otherwise.
-pub fn leaf_kernel_for(assignment: &Assignment) -> Box<dyn Kernel> {
-    if is_matmul(assignment) && rhs_is_access_product(assignment) {
-        Box::new(GemmKernel)
-    } else {
-        Box::new(InterpreterKernel::new(assignment.clone()))
-    }
-}
-
-/// Chooses a *sparse* leaf kernel when the statement shape and the
-/// operands' level formats admit one. `compressed` flags each input
-/// access (in [`Assignment::input_accesses`] order) whose tensor has a
-/// compressed level format.
-///
-/// The supported shapes mirror SpDISTAL's core workloads, each with the
-/// *first* input compressed:
-///
-/// * SpMV — `a(i) = B(i,j) * c(j)`;
-/// * SpMM — matmul-shaped `A(i,j) = B(i,k) * C(k,j)`;
-/// * SDDMM — `A(i,j) = B(i,j) * C(i,k) * D(k,j)`.
-///
-/// Returns `None` otherwise — compressed formats outside these shapes
-/// fall back to the dense leaves, which remain numerically correct
-/// (buffers are dense underneath; compression then only drives the
-/// byte/cost accounting).
-pub fn sparse_leaf_for(assignment: &Assignment, compressed: &[bool]) -> Option<Box<dyn Kernel>> {
-    let first_only =
-        compressed.first().copied().unwrap_or(false) && compressed.iter().skip(1).all(|c| !c);
-    if !first_only || !rhs_is_access_product(assignment) {
-        return None;
-    }
-    if is_spmv(assignment) {
-        Some(Box::new(distal_sparse::SpmvLeaf))
-    } else if is_matmul(assignment) {
-        Some(Box::new(distal_sparse::SpmmLeaf))
-    } else if is_sddmm(assignment) {
-        Some(Box::new(distal_sparse::SddmmLeaf))
-    } else {
-        None
-    }
-}
-
 /// True for `A(i,j) = B(i,k) * C(k,j)`-shaped statements (any var names).
 pub fn is_matmul(a: &Assignment) -> bool {
     if a.lhs.indices.len() != 2 {
@@ -446,63 +403,30 @@ mod tests {
     }
 
     #[test]
-    fn literal_factors_disable_specialized_leaves() {
-        // The shape guards only look at the access list, so a trailing
-        // literal factor still matches them — but the specialized leaves
-        // compute only the access product and would silently drop it.
-        // Both the GEMM and sparse substitutions must refuse.
-        let spmv = distal_ir::expr::Assignment::parse("a(i) = B(i,j) * c(j) * 3.0").unwrap();
-        assert!(is_spmv(&spmv), "shape guard still matches");
-        assert!(sparse_leaf_for(&spmv, &[true, false]).is_none());
-
-        let mm = distal_ir::expr::Assignment::parse("A(i,j) = B(i,k) * C(k,j) * 2.0").unwrap();
-        assert!(is_matmul(&mm), "shape guard still matches");
-        assert!(sparse_leaf_for(&mm, &[true, false]).is_none());
-        assert_eq!(leaf_kernel_for(&mm).name(), "interpreter");
-
-        // Pure products keep their specialized leaves.
-        let pure = distal_ir::expr::kernels::matmul();
-        assert_eq!(leaf_kernel_for(&pure).name(), "gemm");
-        assert!(sparse_leaf_for(&pure, &[true, false]).is_some());
-    }
-
-    #[test]
-    fn sparse_leaf_selection_by_shape_and_compression() {
-        let spmv = distal_ir::expr::Assignment::parse("a(i) = B(i,j) * c(j)").unwrap();
-        assert!(is_spmv(&spmv));
-        assert_eq!(
-            sparse_leaf_for(&spmv, &[true, false]).map(|k| k.name().to_string()),
-            Some("spmv".into())
-        );
-        // Compression elsewhere than the first input falls back to dense.
-        assert!(sparse_leaf_for(&spmv, &[false, true]).is_none());
-        assert!(sparse_leaf_for(&spmv, &[false, false]).is_none());
-
-        let sddmm =
-            distal_ir::expr::Assignment::parse("A(i,j) = B(i,j) * C(i,k) * D(k,j)").unwrap();
-        assert!(is_sddmm(&sddmm));
-        assert!(!is_sddmm(&distal_ir::expr::kernels::matmul()));
-        assert_eq!(
-            sparse_leaf_for(&sddmm, &[true, false, false]).map(|k| k.name().to_string()),
-            Some("sddmm".into())
-        );
-
-        let mm = distal_ir::expr::kernels::matmul();
-        assert_eq!(
-            sparse_leaf_for(&mm, &[true, false]).map(|k| k.name().to_string()),
-            Some("spmm".into())
-        );
-    }
-
-    #[test]
-    fn matmul_detection() {
-        assert!(is_matmul(&distal_ir::expr::kernels::matmul()));
+    fn shape_detection() {
+        let parse = |s| distal_ir::expr::Assignment::parse(s).unwrap();
+        let matmul = distal_ir::expr::kernels::matmul();
+        assert!(is_matmul(&matmul));
         assert!(!is_matmul(&distal_ir::expr::kernels::ttv()));
         assert!(!is_matmul(&distal_ir::expr::kernels::mttkrp()));
         assert!(!is_matmul(&distal_ir::expr::kernels::innerprod()));
         // Same shape, different names, still a matmul.
-        let a = distal_ir::expr::Assignment::parse("X(p,q) = Y(p,r) * Z(r,q)").unwrap();
-        assert!(is_matmul(&a));
+        assert!(is_matmul(&parse("X(p,q) = Y(p,r) * Z(r,q)")));
+        assert!(is_spmv(&parse("a(i) = B(i,j) * c(j)")) && !is_spmv(&matmul));
+        assert!(is_sddmm(&parse("A(i,j) = B(i,j) * C(i,k) * D(k,j)")) && !is_sddmm(&matmul));
+        // The guards only look at the access list, so a trailing literal
+        // factor still matches them — `rhs_is_access_product` is what
+        // keeps the specialized leaves (which compute only the access
+        // product) from silently dropping it.
+        for with_literal in [
+            "a(i) = B(i,j) * c(j) * 3.0",
+            "A(i,j) = B(i,k) * C(k,j) * 2.0",
+        ] {
+            let a = parse(with_literal);
+            assert!(is_spmv(&a) || is_matmul(&a), "shape guard still matches");
+            assert!(!rhs_is_access_product(&a));
+        }
+        assert!(rhs_is_access_product(&matmul));
     }
 
     #[test]

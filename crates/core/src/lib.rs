@@ -26,8 +26,9 @@
 //! * [`Problem`] — statement + registered tensors + abstract machine, the
 //!   target-agnostic front door: one problem compiles onto any
 //!   [`Backend`] (the dynamic [`RuntimeBackend`] here, the static SPMD
-//!   and cost backends in `distal-spmd`) into an [`Artifact`] with a
-//!   common `place`/`execute`/`read`/[`Report`] surface;
+//!   and cost backends in `distal-spmd`) into a cacheable [`Plan`],
+//!   which binds per-request data into an [`Instance`] with a common
+//!   `place`/`execute`/`read`/[`Report`] surface;
 //! * [`Schedule`] — the chainable scheduling language of Figure 2
 //!   (`divide`, `split`, `reorder`, `distribute`, `communicate`, `rotate`);
 //! * [`Session`] — a mutable convenience over [`Problem`] +
@@ -54,9 +55,9 @@
 //! problem.fill_random("B", 1)?.fill_random("C", 2)?;
 //!
 //! let schedule = Schedule::summa(2, 2, 4);
-//! let mut artifact = problem.compile(&RuntimeBackend::functional(), &schedule)?;
-//! let report = artifact.run()?;
-//! let a = artifact.read("A")?;
+//! let mut instance = problem.compile(&RuntimeBackend::functional(), &schedule)?;
+//! let report = instance.run()?;
+//! let a = instance.read("A")?;
 //! assert_eq!(a.len(), 64);
 //! assert!(report.flops > 0.0);
 //! # Ok(())
@@ -73,6 +74,7 @@ pub mod lint;
 pub mod lower;
 pub mod machine;
 pub mod mapper;
+pub mod nest;
 pub mod oracle;
 pub mod plan;
 pub mod problem;
@@ -80,24 +82,16 @@ pub mod report;
 pub mod schedule;
 pub mod session;
 
-/// `Target` is the pipeline-vocabulary alias for [`Backend`]: a `Problem`
-/// compiles against a target into a `Plan`, then binds into an `Instance`.
-pub use backend::Backend as Target;
-pub use backend::{
-    Backend, BackendError, RuntimeArtifact, RuntimeBackend, RuntimeInstance, RuntimePlan,
-};
-pub use cache::{CacheStats, PlanCache, PlanKey, ShardedPlanCache};
+pub use backend::{Backend, BackendError, RuntimeBackend, RuntimeInstance, RuntimePlan};
+pub use cache::{CacheStats, PlanKey, ShardedPlanCache};
 pub use diagnostic::{verified_clean, Diagnostic, DiagnosticKind, Severity};
 pub use error::CompileError;
 pub use lint::{admit, lint_schedule, Lint, LintConfig, LintLevel};
 pub use lower::{compile, CompileOptions, CompiledKernel};
 pub use machine::DistalMachine;
 pub use mapper::GridMapper;
-/// `Artifact` is the pre-split name of [`Instance`] (a plan bound to
-/// data); kept as an alias so existing callers read unchanged.
-pub use plan::Instance as Artifact;
 pub use plan::{init_nnz, Bindings, Instance, Plan};
-pub use problem::{random_data, sparse_random_data, Problem, TensorInit};
+pub use problem::{random_data, sparse_random_data, Problem, TensorInit, TensorSpec};
 pub use report::{Provenance, Report};
 pub use schedule::{LeafKind, SchedCmd, Schedule};
-pub use session::{Session, TensorSpec};
+pub use session::Session;

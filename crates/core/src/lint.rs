@@ -27,7 +27,7 @@
 //! diagnostics into [`crate::report::Report::diagnostics`]. The config's
 //! [`LintConfig::fingerprint`] is part of every backend's
 //! `config_fingerprint`, so differently-configured plans never alias in
-//! the [`crate::cache::PlanCache`]. The autoscheduler runs the same
+//! the [`crate::cache::ShardedPlanCache`]. The autoscheduler runs the same
 //! analysis as a pre-cost pruner: candidates with denied findings are
 //! dropped before any lowering or α-β costing.
 
@@ -175,7 +175,7 @@ impl fmt::Display for Lint {
 /// The config participates in plan identity: every backend appends
 /// [`LintConfig::fingerprint`] to its `config_fingerprint`, so plans
 /// admitted under different configurations never alias in the
-/// [`crate::cache::PlanCache`].
+/// [`crate::cache::ShardedPlanCache`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LintConfig {
     levels: BTreeMap<Lint, LintLevel>,
@@ -909,7 +909,7 @@ fn live_vars(vars: &BTreeMap<String, VarState>) -> String {
 mod tests {
     use super::*;
     use crate::machine::DistalMachine;
-    use crate::session::TensorSpec;
+    use crate::problem::TensorSpec;
     use distal_machine::grid::Grid;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 

@@ -23,17 +23,18 @@ use crate::error::CompileError;
 use crate::kernels::{is_matmul, is_streaming};
 use crate::machine::DistalMachine;
 use crate::mapper::GridMapper;
+use crate::nest::Nest;
 use crate::schedule::Schedule;
 use distal_format::semantics::hierarchical_pieces;
 use distal_format::Format;
 use distal_ir::cin::ConcreteNotation;
-use distal_ir::expr::{Assignment, IndexVar};
+use distal_ir::expr::Assignment;
 use distal_machine::geom::{Point, Rect};
 use distal_runtime::kernel::NoopKernel;
 use distal_runtime::program::{IndexLaunch, Op, Privilege, Program, RegionReq, TaskDesc};
 use distal_runtime::region::RegionId;
 use distal_runtime::topology::PhysicalMachine;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 thread_local! {
@@ -142,77 +143,27 @@ pub fn compile(
     options: &CompileOptions,
 ) -> Result<CompiledKernel, CompileError> {
     COMPILATIONS.with(|c| c.set(c.get() + 1));
-    // Extents from tensor dims. Every access is resolved and arity-checked
-    // here, so the body below can look tensors up infallibly.
-    let mut dims_map = BTreeMap::new();
-    for acc in assignment.accesses() {
-        let b = binding(tensors, &acc.tensor)?;
-        if acc.indices.len() != b.dims.len() {
-            return Err(CompileError::Format(format!(
-                "tensor '{}' is {}-dimensional but accessed with {} indices",
-                acc.tensor,
-                b.dims.len(),
-                acc.indices.len()
-            )));
-        }
-        dims_map.insert(acc.tensor.clone(), b.dims.clone());
-    }
-    let extents = assignment
-        .infer_extents(&dims_map)
-        .ok_or(CompileError::InconsistentExtents)?;
-
-    // Lower to CIN and apply the schedule.
-    let mut cin = ConcreteNotation::from_assignment(assignment.clone(), &extents)
-        .map_err(|e| CompileError::Expression(e.to_string()))?;
-    schedule.apply(&mut cin)?;
+    // The nest analysis resolves and arity-checks every access.
+    let dims = tensors
+        .iter()
+        .map(|(name, b)| (name.clone(), b.dims.clone()))
+        .collect();
+    let nest = Nest::new(assignment, &dims, schedule)?;
 
     let mapper = GridMapper::new(machine, phys)?;
-
-    // Split the nest: distributed prefix / sequential program loops / leaf.
-    let n_dist = cin.distributed_prefix().map_or(0, |p| p.len());
-    let launch_domain: Vec<i64> = cin.loops[..n_dist]
-        .iter()
-        .map(|l| cin.solver.extent(&l.var))
-        .collect();
-    let domain_size: i64 = launch_domain.iter().product::<i64>().max(1);
+    let domain_size: i64 = nest.launch_domain.iter().product::<i64>().max(1);
     if domain_size > mapper.len() as i64 {
         return Err(CompileError::GridTooLarge {
             required: domain_size,
             available: mapper.len() as i64,
         });
     }
-    // The cut: deepest loop carrying a communicate tag (distributed loops
-    // are always above the cut). Loops past the cut form the leaf kernel.
-    let mut cut = n_dist;
-    for (pos, l) in cin.loops.iter().enumerate() {
-        if !l.communicate.is_empty() {
-            cut = cut.max(pos + 1);
-        }
-    }
-    let seq_loops: Vec<IndexVar> = cin.loops[n_dist..cut]
-        .iter()
-        .map(|l| l.var.clone())
-        .collect();
-    let seq_extents: Vec<i64> = seq_loops.iter().map(|v| cin.solver.extent(v)).collect();
 
     // Output privilege.
-    let reduction_roots: BTreeSet<IndexVar> = assignment.reduction_vars().into_iter().collect();
-    let dist_reduces = cin.loops[..n_dist].iter().any(|l| {
-        cin.solver
-            .roots_of(&l.var)
-            .iter()
-            .any(|r| reduction_roots.contains(r))
-    });
-    let seq_reduces = seq_loops.iter().any(|v| {
-        cin.solver
-            .roots_of(v)
-            .iter()
-            .any(|r| reduction_roots.contains(r))
-    });
     let leaf_reduces = assignment.is_reduction();
-    let out_priv = if dist_reduces {
+    let out_priv = if nest.dist_reduces {
         Privilege::Reduce
-    } else if seq_reduces {
+    } else if nest.seq_reduces {
         Privilege::ReadWrite
     } else {
         Privilege::Write
@@ -232,11 +183,9 @@ pub fn compile(
     // sequential program loop. Communicate tags may name tensors the
     // statement never accesses, so resolve them to regions now.
     let mut seq_comm_regions: BTreeMap<String, RegionId> = BTreeMap::new();
-    for l in cin.loops[n_dist..cut].iter() {
-        for t in &l.communicate {
-            if *t != assignment.lhs.tensor {
-                seq_comm_regions.insert(t.clone(), binding(tensors, t)?.region);
-            }
+    for t in nest.seq_communicated() {
+        if *t != assignment.lhs.tensor {
+            seq_comm_regions.insert(t.clone(), binding(tensors, t)?.region);
         }
     }
 
@@ -258,10 +207,19 @@ pub fn compile(
     // generated dense GEMM for pure matmul products, and a tape-compiled
     // einsum otherwise. `compile` runs at plan time, so a cached plan
     // re-binds without ever re-specializing.
+    let inputs = assignment.input_accesses();
     let mut compressed_inputs: Vec<bool> = Vec::new();
-    for acc in assignment.input_accesses() {
+    for acc in &inputs {
         compressed_inputs.push(binding(tensors, &acc.tensor)?.format.has_compressed());
     }
+    let generated = |accumulate| {
+        crate::kernelgen::specialize(&distal_runtime::kernelgen::LeafRequest {
+            assignment: assignment.clone(),
+            compressed: compressed_inputs.clone(),
+            accumulate,
+            skip_zero: false,
+        })
+    };
     let leaf_kernel: Arc<dyn distal_runtime::kernel::Kernel> = match schedule.leaf_choice() {
         Some((_, crate::schedule::LeafKind::Gemm)) => {
             if !is_matmul(assignment) || !crate::kernels::rhs_is_access_product(assignment) {
@@ -273,108 +231,55 @@ pub fn compile(
             // The substitution asks for the optimized leaf; compression
             // still routes to the CSR-specialized SpMM when the stored
             // operand admits it (a strictly better "vendor kernel").
-            crate::kernelgen::specialize(&distal_runtime::kernelgen::LeafRequest {
-                assignment: assignment.clone(),
-                compressed: compressed_inputs.clone(),
-                accumulate: true,
-                skip_zero: false,
-            })
+            generated(true)
         }
         Some((_, crate::schedule::LeafKind::Interpreter)) => {
             Arc::new(crate::kernels::InterpreterKernel::new(assignment.clone()))
         }
-        Some((_, crate::schedule::LeafKind::Auto)) | None => {
-            crate::kernelgen::specialize(&distal_runtime::kernelgen::LeafRequest {
-                assignment: assignment.clone(),
-                compressed: compressed_inputs.clone(),
-                accumulate: assignment.is_reduction(),
-                skip_zero: false,
-            })
-        }
+        Some((_, crate::schedule::LeafKind::Auto)) | None => generated(assignment.is_reduction()),
     };
     let leaf = compute.register_kernel(leaf_kernel);
-    let all_vars = assignment.all_vars();
     let flops_per_point = assignment.flops_per_point();
 
-    let domain_rect = Rect::sized(&if launch_domain.is_empty() {
-        vec![1]
-    } else {
-        launch_domain.clone()
-    });
-    let seq_rect = Rect::sized(&if seq_extents.is_empty() {
-        vec![1]
-    } else {
-        seq_extents.clone()
-    });
+    // Discards every stepped tensor's stale scratch (a no-op when no
+    // sequential loop communicates).
+    let retire_scratch = |compute: &mut Program| {
+        for region in seq_comm_regions.values() {
+            compute.push(Op::DiscardScratch {
+                region: *region,
+                keep_recent: options.discard_keep,
+            });
+        }
+    };
+    let domain_rect = nest.domain_rect();
     let mut total_flops = 0.0;
-    for seq_point in seq_rect.points() {
+    for seq_point in nest.seq_rect().points() {
         // Retire stale forwarding buffers *before* the launch: instances
         // fetched this iteration then carry a strictly newer generation
         // than home tiles, which steers systolic schedules to pull from
         // their neighbours' buffers (Figure 12) rather than the owners.
-        if !seq_extents.is_empty() {
-            for region in seq_comm_regions.values() {
-                compute.push(Op::DiscardScratch {
-                    region: *region,
-                    keep_recent: options.discard_keep,
-                });
-            }
-        }
+        retire_scratch(&mut compute);
         let mut tasks = Vec::new();
         for point in domain_rect.points() {
-            let mut env: BTreeMap<IndexVar, i64> = BTreeMap::new();
-            for (d, l) in cin.loops[..n_dist].iter().enumerate() {
-                env.insert(l.var.clone(), point[d]);
-            }
-            for (d, v) in seq_loops.iter().enumerate() {
-                env.insert(v.clone(), seq_point[d]);
-            }
-            let rank = if launch_domain.is_empty() {
-                0
-            } else {
-                domain_rect.linearize(&point) as i64
-            };
-            // Leaf bounds per original variable.
-            let mut scalars = Vec::with_capacity(all_vars.len() * 2);
-            let mut iter_points = 1.0f64;
-            let mut empty = false;
-            for v in &all_vars {
-                let iv = cin.solver.interval(v, &env);
-                scalars.push(iv.lo);
-                scalars.push(iv.hi);
-                if iv.is_empty() {
-                    empty = true;
-                }
-                iter_points *= iv.len() as f64;
-            }
-            if empty {
+            let env = nest.env(&seq_point, &point);
+            let rank = domain_rect.linearize(&point) as i64;
+            // Leaf bounds per original variable, flattened to `[lo, hi]`
+            // scalar pairs.
+            let Some((bounds, iter_points)) = nest.leaf_bounds(&env) else {
                 continue;
-            }
+            };
+            let scalars = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
             // Region requirements: destination first, then inputs.
             let mut reqs = Vec::new();
             let mut bytes = 0.0f64;
-            {
-                let rect = access_rect(&assignment.lhs.indices, &cin, &env, &out_binding.dims);
-                bytes += rect.volume() as f64 * 8.0;
-                let mem_kind = options.compute_mem.unwrap_or(out_binding.format.mem);
-                reqs.push(RegionReq::new(
-                    out_binding.region,
-                    rect,
-                    out_priv,
-                    mapper.mem_for(rank, mem_kind),
-                ));
-            }
-            for acc in assignment.input_accesses() {
+            let reads = inputs.iter().map(|acc| (*acc, Privilege::Read));
+            for (acc, privilege) in std::iter::once((&assignment.lhs, out_priv)).chain(reads) {
                 let b = binding(tensors, &acc.tensor)?;
-                let rect = access_rect(&acc.indices, &cin, &env, &b.dims);
+                let rect = nest.access_rect(&acc.indices, &env, &b.dims);
                 bytes += rect.volume() as f64 * 8.0;
                 let mem_kind = options.compute_mem.unwrap_or(b.format.mem);
-                reqs.push(RegionReq::new(
-                    b.region,
-                    rect,
-                    Privilege::Read,
-                    mapper.mem_for(rank, mem_kind),
-                ));
+                let mem = mapper.mem_for(rank, mem_kind);
+                reqs.push(RegionReq::new(b.region, rect, privilege, mem));
             }
             let flops = flops_per_point * iter_points;
             total_flops += flops;
@@ -393,21 +298,14 @@ pub fn compile(
         }
     }
     // Retire the final iteration's buffers.
-    if !seq_extents.is_empty() {
-        for region in seq_comm_regions.values() {
-            compute.push(Op::DiscardScratch {
-                region: *region,
-                keep_recent: options.discard_keep,
-            });
-        }
-    }
+    retire_scratch(&mut compute);
 
     // Final gather: fold distributed reductions into the output's placed
     // tiles (Johnson's "sum reduces A_ijk to P_ij0").
     if out_priv == Privilege::Reduce && options.final_gather {
         let gather = compute.register_kernel(Arc::new(NoopKernel));
         let tasks = if out_binding.format.is_distributed() {
-            placement_tasks(gather, out_binding, machine, &mapper, Privilege::Read, true)
+            placement_tasks(gather, out_binding, machine, &mapper, Privilege::Read)
         } else {
             // Undistributed (e.g. scalar) output: a single owner on rank 0
             // folds all reduction contributions.
@@ -434,44 +332,25 @@ pub fn compile(
     }
 
     // ---- Placement program ----
-    let mut placement = Program::new();
-    let place = placement.register_kernel(Arc::new(NoopKernel));
-    let mut placed: BTreeSet<String> = BTreeSet::new();
+    // Each tensor is placed once. Output-only tensors are placed with
+    // Write (no data to move); inputs (and increment outputs) are pulled
+    // with pinned reads.
+    let mut names: Vec<(&str, bool)> = Vec::new();
     for acc in assignment.accesses() {
-        let name = &acc.tensor;
-        if !placed.insert(name.clone()) {
-            continue; // each tensor is placed once
-        }
-        let b = binding(tensors, name)?;
-        if !b.format.is_distributed() {
-            continue;
-        }
-        // Output-only tensors are placed with Write (no data to move);
-        // inputs (and increment outputs) are pulled with pinned reads.
-        let is_input = assignment
-            .input_accesses()
-            .iter()
-            .any(|a| &a.tensor == name)
-            || (name == &assignment.lhs.tensor && assignment.increment);
-        let privilege = if is_input {
-            Privilege::Read
-        } else {
-            Privilege::Write
-        };
-        let tasks = placement_tasks(place, b, machine, &mapper, privilege, true);
-        if !tasks.is_empty() {
-            placement.push(Op::IndexLaunch(IndexLaunch {
-                name: format!("place-{name}"),
-                tasks,
-            }));
+        let name = acc.tensor.as_str();
+        if names.iter().all(|(placed, _)| *placed != name) {
+            let is_input = inputs.iter().any(|a| a.tensor == name)
+                || (name == assignment.lhs.tensor && assignment.increment);
+            names.push((name, is_input));
         }
     }
+    let placement = place_tensors(tensors, &names, machine, &mapper)?;
 
     Ok(CompiledKernel {
-        cin,
+        cin: nest.cin,
         placement,
         compute,
-        launch_domain,
+        launch_domain: nest.launch_domain,
         total_flops,
         output: assignment.lhs.tensor.clone(),
         assignment: assignment.clone(),
@@ -489,23 +368,6 @@ fn binding<'a>(
         .ok_or_else(|| CompileError::UnknownTensor(name.to_string()))
 }
 
-/// The rectangle an access touches under a loop-variable environment.
-fn access_rect(
-    indices: &[IndexVar],
-    cin: &ConcreteNotation,
-    env: &BTreeMap<IndexVar, i64>,
-    dims: &[i64],
-) -> Rect {
-    let mut lo = Vec::with_capacity(indices.len());
-    let mut hi = Vec::with_capacity(indices.len());
-    for (d, v) in indices.iter().enumerate() {
-        let iv = cin.solver.interval(v, env).clamp_extent(dims[d]);
-        lo.push(iv.lo);
-        hi.push(iv.hi);
-    }
-    Rect::new(Point::new(lo), Point::new(hi))
-}
-
 /// Builds a standalone placement program for a set of tensors: inputs are
 /// pulled into their format's distribution with pinned reads, outputs are
 /// established with writes. Used by baselines whose pipelines place user
@@ -513,20 +375,28 @@ fn access_rect(
 ///
 /// # Errors
 ///
-/// Propagates mapper construction failures (oversized grids).
+/// Unknown tensors and mapper construction failures (oversized grids).
 pub fn placement_program(
     tensors: &BTreeMap<String, TensorBinding>,
     names: &[(&str, bool)],
     machine: &DistalMachine,
     phys: &PhysicalMachine,
 ) -> Result<Program, CompileError> {
-    let mapper = GridMapper::new(machine, phys)?;
+    place_tensors(tensors, names, machine, &GridMapper::new(machine, phys)?)
+}
+
+/// One `place-<tensor>` launch per distributed tensor of `names`
+/// (`(tensor, is_input)` pairs).
+fn place_tensors(
+    tensors: &BTreeMap<String, TensorBinding>,
+    names: &[(&str, bool)],
+    machine: &DistalMachine,
+    mapper: &GridMapper,
+) -> Result<Program, CompileError> {
     let mut program = Program::new();
     let kernel = program.register_kernel(Arc::new(NoopKernel));
     for (name, is_input) in names {
-        let b = tensors
-            .get(*name)
-            .ok_or_else(|| CompileError::UnknownTensor(name.to_string()))?;
+        let b = binding(tensors, name)?;
         if !b.format.is_distributed() {
             continue;
         }
@@ -535,7 +405,7 @@ pub fn placement_program(
         } else {
             Privilege::Write
         };
-        let tasks = placement_tasks(kernel, b, machine, &mapper, privilege, true);
+        let tasks = placement_tasks(kernel, b, machine, mapper, privilege);
         if !tasks.is_empty() {
             program.push(Op::IndexLaunch(IndexLaunch {
                 name: format!("place-{name}"),
@@ -555,7 +425,6 @@ fn placement_tasks(
     machine: &DistalMachine,
     mapper: &GridMapper,
     privilege: Privilege,
-    pin: bool,
 ) -> Vec<TaskDesc> {
     let rect = Rect::sized(&binding.dims);
     let mut tasks = Vec::new();
@@ -575,7 +444,7 @@ fn placement_tasks(
             .into_iter()
             .map(|piece| {
                 let mut req = RegionReq::new(binding.region, piece, privilege, mem);
-                req.pin = pin;
+                req.pin = true;
                 req
             })
             .collect();
@@ -655,28 +524,6 @@ mod tests {
             compile(&a, &bindings(8), &machine, &phys, &Schedule::new(), &CompileOptions::default()),
             Err(CompileError::UnknownTensor(t)) if t == "Z"
         ));
-    }
-
-    #[test]
-    fn access_arity_mismatch_is_a_typed_error() {
-        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let phys = PhysicalMachine::new(MachineSpec::small(2));
-        let a = distal_ir::expr::kernels::matmul();
-        let mut b = bindings(8);
-        b.get_mut("B").unwrap().dims = vec![8]; // B(i,k) accessed 2-d
-        let err = compile(
-            &a,
-            &b,
-            &machine,
-            &phys,
-            &Schedule::new(),
-            &CompileOptions::default(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, CompileError::Format(ref m) if m.contains("1-dimensional")),
-            "{err:?}"
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`Plan`] — what [`Backend::plan`](crate::backend::Backend::plan)
 //!   produces: the lowered launch domain / programs / cost model, with
 //!   **no operand values**. Plans are immutable, shareable (`Send + Sync`,
-//!   cacheable behind `Arc` in a [`PlanCache`](crate::cache::PlanCache)),
+//!   cacheable behind `Arc` in a [`crate::cache::ShardedPlanCache`]),
 //!   and reusable: binding a plan never re-runs scheduling or lowering.
 //! * [`Bindings`] — the per-request payload: one
 //!   [`TensorInit`] per tensor. Cheap to build, validated against the
@@ -61,9 +61,9 @@
 
 use crate::backend::BackendError;
 use crate::error::CompileError;
+use crate::problem::TensorSpec;
 use crate::problem::{Problem, TensorInit};
 use crate::report::Report;
-use crate::session::TensorSpec;
 use std::collections::BTreeMap;
 
 /// Per-request tensor data: one [`TensorInit`] per tensor name, attached
@@ -233,7 +233,7 @@ pub trait Plan: Send + Sync {
 }
 
 /// A plan bound to data: the common executable surface every backend
-/// exposes (previously named `Artifact`, which remains as an alias).
+/// exposes.
 ///
 /// Instances are `Send` so a serving worker can bind on one thread and
 /// hand the instance elsewhere; they are deliberately *not* required to

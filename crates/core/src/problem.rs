@@ -15,7 +15,7 @@ use crate::error::CompileError;
 use crate::machine::DistalMachine;
 use crate::plan::{Bindings, Instance, Plan};
 use crate::schedule::Schedule;
-use crate::session::TensorSpec;
+use distal_format::Format;
 use distal_ir::expr::Assignment;
 use distal_machine::spec::MachineSpec;
 use std::collections::BTreeMap;
@@ -66,6 +66,37 @@ pub fn sparse_random_data(n: usize, seed: u64, density: f64) -> Vec<f64> {
         }
     }
     vals
+}
+
+/// Declares a tensor: name, dimension sizes, and format.
+#[derive(Clone, Debug)]
+pub struct TensorSpec {
+    /// Tensor name, as used in expressions.
+    pub name: String,
+    /// Dimension sizes (empty = scalar).
+    pub dims: Vec<i64>,
+    /// Distribution + memory kind.
+    pub format: Format,
+}
+
+impl TensorSpec {
+    /// Creates a spec.
+    pub fn new(name: impl Into<String>, dims: Vec<i64>, format: Format) -> Self {
+        TensorSpec {
+            name: name.into(),
+            dims,
+            format,
+        }
+    }
+
+    /// A scalar tensor (order 0), undistributed.
+    pub fn scalar(name: impl Into<String>) -> Self {
+        TensorSpec {
+            name: name.into(),
+            dims: Vec::new(),
+            format: Format::undistributed(),
+        }
+    }
 }
 
 /// How a registered tensor's initial contents are defined.
@@ -350,7 +381,7 @@ impl Problem {
 
     /// Compiles this problem's data-independent part for a schedule onto
     /// a target backend, producing a reusable [`Plan`] (see
-    /// [`Backend::plan`] and [`crate::cache::PlanCache`]).
+    /// [`Backend::plan`] and [`crate::cache::ShardedPlanCache`]).
     ///
     /// # Errors
     ///
@@ -368,7 +399,7 @@ impl Problem {
     /// producing an executable [`Instance`]. This is the single-shot
     /// front door — exactly [`Problem::plan`] followed by [`Plan::bind`]
     /// on [`Problem::bindings`]; serving paths that reuse shapes should
-    /// hold the plan (or a [`crate::cache::PlanCache`]) and bind
+    /// hold the plan (or a [`crate::cache::ShardedPlanCache`]) and bind
     /// per-request data instead.
     ///
     /// # Errors

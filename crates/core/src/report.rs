@@ -1,6 +1,6 @@
 //! The backend-neutral execution report.
 //!
-//! Every [`Artifact`](crate::backend::Artifact) — dynamic runtime, static
+//! Every [`Instance`](crate::plan::Instance) — dynamic runtime, static
 //! SPMD, pure cost estimation — reports its placement and compute phases
 //! in this one schema, so examples, tests, benches, and the autoscheduler
 //! can compare backends without knowing which one produced the numbers.
@@ -51,9 +51,10 @@ pub struct Report {
     /// Peak transient memory attributable to the phase (scratch or
     /// instance buffers), in bytes. Backends that don't track it report 0.
     pub peak_bytes: u64,
-    /// Plan-cache counters, when a [`crate::cache::PlanCache`] served the
-    /// plan behind this report (see `PlanCache::annotate`). `None` for
-    /// uncached compilations.
+    /// Plan-cache counters, when a [`crate::cache::ShardedPlanCache`]
+    /// served the plan behind this report (see
+    /// [`crate::cache::ShardedPlanCache::annotate`]). `None` for uncached
+    /// compilations.
     pub cache: Option<CacheStats>,
     /// Work executed per leaf-kernel variant (`tape`, `gemm.gen`,
     /// `interpreter`, …), when the backend tracks it. Empty otherwise.

@@ -14,7 +14,7 @@
 use crate::error::CompileError;
 use crate::lower::{compile, CompileOptions, CompiledKernel, TensorBinding};
 use crate::machine::DistalMachine;
-use crate::problem::Problem;
+use crate::problem::{Problem, TensorSpec};
 use crate::schedule::Schedule;
 use distal_format::Format;
 use distal_ir::expr::Assignment;
@@ -26,37 +26,6 @@ use distal_runtime::region::RegionId;
 use distal_runtime::stats::RunStats;
 use distal_runtime::topology::PhysicalMachine;
 use std::collections::BTreeMap;
-
-/// Declares a tensor: name, dimension sizes, and format.
-#[derive(Clone, Debug)]
-pub struct TensorSpec {
-    /// Tensor name, as used in expressions.
-    pub name: String,
-    /// Dimension sizes (empty = scalar).
-    pub dims: Vec<i64>,
-    /// Distribution + memory kind.
-    pub format: Format,
-}
-
-impl TensorSpec {
-    /// Creates a spec.
-    pub fn new(name: impl Into<String>, dims: Vec<i64>, format: Format) -> Self {
-        TensorSpec {
-            name: name.into(),
-            dims,
-            format,
-        }
-    }
-
-    /// A scalar tensor (order 0), undistributed.
-    pub fn scalar(name: impl Into<String>) -> Self {
-        TensorSpec {
-            name: name.into(),
-            dims: Vec::new(),
-            format: Format::undistributed(),
-        }
-    }
-}
 
 /// A session: a runtime instance plus registered tensors on an abstract
 /// machine. See the crate-level example.

@@ -32,9 +32,9 @@
 //! }
 //! problem.fill("B", 1.0)?.fill("C", 2.0)?;
 //!
-//! let mut artifact = problem.compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))?;
-//! let report = artifact.run()?;
-//! assert!(artifact.read("A")?.iter().all(|&v| (v - 16.0).abs() < 1e-9));
+//! let mut instance = problem.compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))?;
+//! let report = instance.run()?;
+//! assert!(instance.read("A")?.iter().all(|&v| (v - 16.0).abs() < 1e-9));
 //! assert!(report.messages > 0);
 //! # Ok(())
 //! # }
@@ -59,15 +59,11 @@ use std::sync::Arc;
 /// including each initialized tensor's nnz (the input to nnz-sized
 /// message accounting for compressed level formats).
 pub fn problem_tensors(problem: &Problem) -> Vec<SpmdTensor> {
-    problem
-        .tensors()
-        .values()
-        .map(|s| {
-            let mut t = SpmdTensor::new(s.name.clone(), s.dims.clone(), s.format.clone());
-            t.nnz = problem.nnz_of(&s.name);
-            t
-        })
-        .collect()
+    let mut tensors = problem_tensor_shapes(problem);
+    for t in &mut tensors {
+        t.nnz = problem.nnz_of(&t.name);
+    }
+    tensors
 }
 
 /// The *data-independent* SPMD tensor descriptions of a problem's
@@ -275,17 +271,11 @@ fn program_report(
     }
 }
 
-/// Runs the static verifier over a freshly lowered plan program (unless
-/// the backend opted out). Error-severity findings reject the plan —
-/// executing it would hang, corrupt data, or index out of bounds — and
-/// warnings ride along on the plan for reports to surface.
-fn verify_plan_program(
-    verify: bool,
-    program: &SpmdProgram,
-) -> Result<Vec<Diagnostic>, BackendError> {
-    if !verify {
-        return Ok(Vec::new());
-    }
+/// Runs the static verifier over a freshly lowered plan program.
+/// Error-severity findings reject the plan — executing it would hang,
+/// corrupt data, or index out of bounds — and warnings ride along on the
+/// plan for reports to surface.
+fn verify_plan_program(program: &SpmdProgram) -> Result<Vec<Diagnostic>, BackendError> {
     let diags = crate::verify::verify_program(program);
     if diags.iter().any(|d| d.is_error()) {
         return Err(BackendError::Verification(diags));
@@ -296,9 +286,11 @@ fn verify_plan_program(
 /// The static SPMD target (§8's "MPI-based backend for DISTAL"): lowers to
 /// explicit per-rank send/recv programs with compile-time-exact
 /// communication, recognizes and tree/ring-lowers collectives per
-/// [`CollectiveConfig`], executes on the deterministic rank VM, and prices
-/// the critical path under the α-β model.
-#[derive(Clone, Debug)]
+/// [`CollectiveConfig`], statically verifies every lowered plan
+/// (communication matching, deadlock freedom, buffer hazards, bounds),
+/// executes on the deterministic rank VM, and prices the critical path
+/// under the α-β model.
+#[derive(Clone, Debug, Default)]
 pub struct SpmdBackend {
     /// Collective recognition/lowering configuration.
     pub collectives: CollectiveConfig,
@@ -313,27 +305,10 @@ pub struct SpmdBackend {
     /// simulation (default) or real rank threads (see
     /// [`crate::transport`]).
     pub transport: Transport,
-    /// Statically verify every lowered plan (communication matching,
-    /// deadlock freedom, buffer hazards, bounds). On by default; see
-    /// [`SpmdBackend::with_unverified`].
-    pub verify: bool,
     /// Schedule-admission lint configuration (`distal_core::lint`):
     /// denied findings reject the plan before lowering, warned findings
     /// ride on the plan and its reports.
     pub lint: LintConfig,
-}
-
-impl Default for SpmdBackend {
-    fn default() -> Self {
-        SpmdBackend {
-            collectives: CollectiveConfig::default(),
-            model: AlphaBeta::default(),
-            interpreted_leaves: false,
-            transport: Transport::default(),
-            verify: true,
-            lint: LintConfig::default(),
-        }
-    }
 }
 
 impl SpmdBackend {
@@ -350,13 +325,6 @@ impl SpmdBackend {
         self
     }
 
-    /// Overrides the α-β model.
-    #[must_use]
-    pub fn with_model(mut self, model: AlphaBeta) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Runs leaves through the per-point interpreter instead of the
     /// generated kernels.
     #[must_use]
@@ -369,23 +337,6 @@ impl SpmdBackend {
     #[must_use]
     pub fn with_transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Shorthand for the threaded transport with an explicit rank-pool
-    /// width (`0` = auto: `DISTAL_THREADS` or one worker per host core).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.transport = Transport::threaded_with(threads);
-        self
-    }
-
-    /// Skips plan-time static verification. The opt-out is part of the
-    /// plan fingerprint, so verified and unverified plans never share a
-    /// cache entry.
-    #[must_use]
-    pub fn with_unverified(mut self) -> Self {
-        self.verify = false;
         self
     }
 
@@ -407,12 +358,11 @@ impl Backend for SpmdBackend {
         // prices every bound instance's reports; the leaf-execution mode
         // and transport change what a bound instance runs.
         format!(
-            "{:?};{:?};interpreted_leaves={};transport={};verify={};lint={}",
+            "{:?};{:?};interpreted_leaves={};transport={};lint={}",
             self.collectives,
             self.model,
             self.interpreted_leaves,
             self.transport.label(),
-            self.verify,
             self.lint.fingerprint()
         )
     }
@@ -423,7 +373,7 @@ impl Backend for SpmdBackend {
         let mut diagnostics = distal_core::lint::admit(problem, schedule, &self.lint)?;
         let mut program = plan_program(problem, schedule, &self.collectives)?;
         program.interpreted_leaves = self.interpreted_leaves;
-        diagnostics.extend(verify_plan_program(self.verify, &program)?);
+        diagnostics.extend(verify_plan_program(&program)?);
         Ok(Box::new(SpmdPlan {
             tensors: problem.tensors().clone(),
             program: Arc::new(program),
@@ -504,7 +454,6 @@ impl Plan for SpmdPlan {
 }
 
 /// A bound SPMD program plus its inputs and (after execution) result.
-/// (`SpmdArtifact` is the pre-split alias.)
 pub struct SpmdInstance {
     program: Arc<SpmdProgram>,
     inputs: BTreeMap<String, Vec<f64>>,
@@ -524,9 +473,6 @@ impl std::fmt::Debug for SpmdInstance {
             .finish_non_exhaustive()
     }
 }
-
-/// Pre-split name of [`SpmdInstance`].
-pub type SpmdArtifact = SpmdInstance;
 
 impl SpmdInstance {
     /// The lowered per-rank program (messages, collectives, cost), with
@@ -641,47 +587,33 @@ pub struct CostBackend {
     pub model: CostModel,
     /// Collective configuration for [`CostModel::AlphaBeta`] lowerings.
     pub collectives: CollectiveConfig,
-    /// Statically verify every α-β lowering (on by default; see
-    /// [`CostBackend::with_unverified`]). The runtime-sim path has no
-    /// message schedule to verify.
-    pub verify: bool,
     /// Schedule-admission lint configuration (`distal_core::lint`).
     pub lint: LintConfig,
 }
 
 impl CostBackend {
-    /// Estimation via the runtime's model-mode simulator.
-    pub fn runtime_sim() -> Self {
+    fn new(model: CostModel) -> Self {
         CostBackend {
-            model: CostModel::RuntimeSim,
+            model,
             collectives: CollectiveConfig::default(),
-            verify: true,
             lint: LintConfig::default(),
         }
     }
 
+    /// Estimation via the runtime's model-mode simulator.
+    pub fn runtime_sim() -> Self {
+        CostBackend::new(CostModel::RuntimeSim)
+    }
+
     /// Estimation via the SPMD α-β model.
     pub fn alpha_beta(model: AlphaBeta) -> Self {
-        CostBackend {
-            model: CostModel::AlphaBeta(model),
-            collectives: CollectiveConfig::default(),
-            verify: true,
-            lint: LintConfig::default(),
-        }
+        CostBackend::new(CostModel::AlphaBeta(model))
     }
 
     /// Overrides the collective configuration (α-β lowerings only).
     #[must_use]
     pub fn with_collectives(mut self, collectives: CollectiveConfig) -> Self {
         self.collectives = collectives;
-        self
-    }
-
-    /// Skips plan-time static verification (part of the plan fingerprint,
-    /// like [`SpmdBackend::with_unverified`]).
-    #[must_use]
-    pub fn with_unverified(mut self) -> Self {
-        self.verify = false;
         self
     }
 
@@ -703,10 +635,9 @@ impl Backend for CostBackend {
         // sim vs a lowered program), and the collectives shape the α-β
         // lowering.
         format!(
-            "{:?};{:?};verify={};lint={}",
+            "{:?};{:?};lint={}",
             self.model,
             self.collectives,
-            self.verify,
             self.lint.fingerprint()
         )
     }
@@ -724,7 +655,7 @@ impl Backend for CostBackend {
             CostModel::AlphaBeta(model) => {
                 let mut diagnostics = distal_core::lint::admit(problem, schedule, &self.lint)?;
                 let program = plan_program(problem, schedule, &self.collectives)?;
-                diagnostics.extend(verify_plan_program(self.verify, &program)?);
+                diagnostics.extend(verify_plan_program(&program)?);
                 Ok(Box::new(CostPlan::AlphaBeta {
                     tensors: problem.tensors().clone(),
                     program: Arc::new(program),
@@ -809,7 +740,6 @@ impl Plan for CostPlan {
 }
 
 /// A [`CostBackend`] instance: estimation only, no numerics.
-/// (`CostArtifact` is the pre-split alias.)
 pub enum CostInstance {
     /// Wraps a model-mode runtime instance.
     Sim(Box<dyn Instance>),
@@ -821,9 +751,6 @@ pub enum CostInstance {
         model: AlphaBeta,
     },
 }
-
-/// Pre-split name of [`CostInstance`].
-pub type CostArtifact = CostInstance;
 
 impl std::fmt::Debug for CostInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -962,13 +889,13 @@ mod tests {
         let schedule = Schedule::summa(2, 2, 4);
         let tree = SpmdBackend::new();
         let naive = SpmdBackend::new().with_collectives(CollectiveConfig::point_to_point());
-        let mut cache = distal_core::PlanCache::new(8);
+        let cache = distal_core::ShardedPlanCache::new(8, 1);
         cache.get_or_plan(&tree, &p, &schedule).unwrap();
         cache.get_or_plan(&naive, &p, &schedule).unwrap();
         assert_eq!(cache.stats().misses, 2, "configs must split keys");
         assert_eq!(cache.stats().hits, 0);
         // And runtime functional vs model likewise.
-        let mut cache = distal_core::PlanCache::new(8);
+        let cache = distal_core::ShardedPlanCache::new(8, 1);
         cache
             .get_or_plan(&RuntimeBackend::functional(), &p, &schedule)
             .unwrap();
@@ -1001,28 +928,8 @@ mod tests {
     }
 
     #[test]
-    fn verification_is_on_by_default_and_fingerprinted() {
-        let verified = SpmdBackend::new();
-        assert!(verified.verify);
-        assert!(verified.config_fingerprint().contains("verify=true"));
-        let unverified = SpmdBackend::new().with_unverified();
-        assert!(unverified.config_fingerprint().contains("verify=false"));
-        assert!(CostBackend::alpha_beta(AlphaBeta::default())
-            .config_fingerprint()
-            .contains("verify=true"));
-        // The two settings must never share a cached plan.
-        let p = matmul_problem(8);
-        let schedule = Schedule::summa(2, 2, 4);
-        let mut cache = distal_core::PlanCache::new(8);
-        cache.get_or_plan(&verified, &p, &schedule).unwrap();
-        cache.get_or_plan(&unverified, &p, &schedule).unwrap();
-        assert_eq!(cache.stats().misses, 2, "verify flag must split keys");
-    }
-
-    #[test]
     fn corrupted_program_is_a_verification_error() {
-        // A dropped send must reject the plan with structured diagnostics
-        // — and the opt-out must let the same corruption through.
+        // A dropped send must reject the plan with structured diagnostics.
         let p = matmul_problem(8);
         let mut program =
             lower_problem(&p, &Schedule::summa(2, 2, 4), &CollectiveConfig::default()).unwrap();
@@ -1032,7 +939,7 @@ mod tests {
             ops.retain(|op| !dropped(op));
         }
         program.global.retain(|(_, op)| !dropped(op));
-        match verify_plan_program(true, &program) {
+        match verify_plan_program(&program) {
             Err(BackendError::Verification(diags)) => {
                 assert!(diags.iter().any(|d| d.is_error()));
                 let shown = format!("{}", BackendError::Verification(diags));
@@ -1040,7 +947,6 @@ mod tests {
             }
             other => panic!("expected a verification rejection, got {other:?}"),
         }
-        assert!(verify_plan_program(false, &program).unwrap().is_empty());
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //!    threads exchanging tagged messages over channels, which measures
 //!    wall-clock makespans the α-β model can be validated against.
 //! 5. [`backend`] plugs all of it into the unified compile pipeline:
-//!    [`SpmdBackend`] compiles a `distal_core::Problem` to an SPMD
-//!    artifact behind the shared `Backend`/`Artifact` traits (deriving
+//!    [`SpmdBackend`] compiles a `distal_core::Problem` to an SPMD plan
+//!    behind the shared `Backend`/`Plan`/`Instance` traits (deriving
 //!    tensors and grid from the problem registry), and [`CostBackend`]
 //!    prices candidates — model-mode sim or α-β — without numerics.
 //!
@@ -76,9 +76,9 @@
 //! }
 //! problem.fill("B", 1.0)?.fill("C", 2.0)?;
 //!
-//! let mut artifact = problem.compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))?;
-//! let report = artifact.run()?;
-//! assert!(artifact.read("A")?.iter().all(|&v| (v - 16.0).abs() < 1e-9));
+//! let mut instance = problem.compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))?;
+//! let report = instance.run()?;
+//! assert!(instance.read("A")?.iter().all(|&v| (v - 16.0).abs() < 1e-9));
 //! assert!(report.messages > 0);
 //! # Ok(())
 //! # }
@@ -96,8 +96,8 @@ pub mod verify;
 pub mod vm;
 
 pub use backend::{
-    lower_problem, problem_tensors, CostArtifact, CostBackend, CostInstance, CostModel, CostPlan,
-    SpmdArtifact, SpmdBackend, SpmdInstance, SpmdPlan,
+    lower_problem, problem_tensors, CostBackend, CostInstance, CostModel, CostPlan, SpmdBackend,
+    SpmdInstance, SpmdPlan,
 };
 pub use collective::{Collective, CollectiveConfig, CollectiveKind, Topology};
 pub use cost::{AlphaBeta, CostReport};

@@ -1,10 +1,10 @@
 //! Static lowering: from (statement, formats, machine, schedule) to
 //! per-rank SPMD programs with exact compile-time communication.
 //!
-//! The analysis mirrors the Legion-style backend's nest split (distributed
-//! prefix → sequential communicate loops → leaf), but instead of emitting
-//! region requirements for a dynamic runtime to analyze, it *solves* the
-//! communication statically:
+//! The nest split (distributed prefix → sequential communicate loops →
+//! leaf) is [`distal_core::nest::Nest`], shared with the Legion-style
+//! backend; but instead of emitting region requirements for a dynamic
+//! runtime to analyze, this lowering *solves* the communication statically:
 //!
 //! * The bounds analysis of [`distal_ir::provenance`] gives the exact
 //!   rectangle of each tensor every rank touches at every sequential step.
@@ -21,10 +21,10 @@
 use crate::collective::{self, CollectiveConfig};
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
-use distal_core::Schedule;
+use distal_core::nest::Nest;
+use distal_core::{CompileError, Schedule};
 use distal_format::Format;
-use distal_ir::cin::ConcreteNotation;
-use distal_ir::expr::{Assignment, IndexVar};
+use distal_ir::expr::Assignment;
 use distal_machine::geom::{Point, Rect, RectSet};
 use distal_machine::grid::Grid;
 use std::collections::{BTreeMap, BTreeSet};
@@ -221,21 +221,18 @@ pub fn torus_distance(grid: &Grid, a: &Point, b: &Point) -> i64 {
         .sum()
 }
 
-/// The rectangle an access touches under a loop-variable environment.
-fn access_rect(
-    indices: &[IndexVar],
-    cin: &ConcreteNotation,
-    env: &BTreeMap<IndexVar, i64>,
-    dims: &[i64],
-) -> Rect {
-    let mut lo = Vec::with_capacity(indices.len());
-    let mut hi = Vec::with_capacity(indices.len());
-    for (d, v) in indices.iter().enumerate() {
-        let iv = cin.solver.interval(v, env).clamp_extent(dims[d]);
-        lo.push(iv.lo);
-        hi.push(iv.hi);
+/// Maps the shared nest analysis' errors onto this backend's. A mis-ranked
+/// access reports as before the analysis moved: a shape disagreement.
+fn nest_err(e: CompileError) -> SpmdError {
+    match e {
+        CompileError::UnknownTensor(t) => SpmdError::UnknownTensor(t),
+        CompileError::InconsistentExtents | CompileError::Format(_) => {
+            SpmdError::InconsistentExtents
+        }
+        CompileError::Expression(m) => SpmdError::Schedule(m),
+        CompileError::Schedule(e) => SpmdError::Schedule(e.to_string()),
+        other => SpmdError::Schedule(other.to_string()),
     }
-    Rect::new(Point::new(lo), Point::new(hi))
 }
 
 /// Per-(tensor, rank) scratch holdings valid at the current step.
@@ -290,80 +287,39 @@ pub fn lower_with(
     LOWERINGS.with(|c| c.set(c.get() + 1));
     let by_name: BTreeMap<&str, &SpmdTensor> =
         tensors.iter().map(|t| (t.name.as_str(), t)).collect();
-    let mut dims_map = BTreeMap::new();
-    for acc in assignment.accesses() {
-        let t = by_name
-            .get(acc.tensor.as_str())
-            .ok_or_else(|| SpmdError::UnknownTensor(acc.tensor.clone()))?;
-        dims_map.insert(acc.tensor.clone(), t.dims.clone());
-    }
-    let extents = assignment
-        .infer_extents(&dims_map)
-        .ok_or(SpmdError::InconsistentExtents)?;
-
-    let mut cin = ConcreteNotation::from_assignment(assignment.clone(), &extents)
-        .map_err(|e| SpmdError::Schedule(e.to_string()))?;
-    schedule
-        .apply(&mut cin)
-        .map_err(|e| SpmdError::Schedule(e.to_string()))?;
-
-    // Nest split (same cut rule as the Legion-style backend).
-    let n_dist = cin.distributed_prefix().map_or(0, |p| p.len());
-    let launch_domain: Vec<i64> = cin.loops[..n_dist]
+    let dims = tensors
         .iter()
-        .map(|l| cin.solver.extent(&l.var))
+        .map(|t| (t.name.clone(), t.dims.clone()))
         .collect();
-    if n_dist > 0 && launch_domain != grid.dims() {
+    let nest = Nest::new(assignment, &dims, schedule).map_err(nest_err)?;
+    // The tensors the statement touches (every per-tensor table below is
+    // keyed by these).
+    let accessed: BTreeSet<&str> = assignment
+        .accesses()
+        .iter()
+        .map(|acc| acc.tensor.as_str())
+        .collect();
+
+    if !nest.launch_domain.is_empty() && nest.launch_domain != grid.dims() {
         return Err(SpmdError::Unsupported(format!(
-            "distributed launch domain {launch_domain:?} must match the machine grid {:?} \
+            "distributed launch domain {:?} must match the machine grid {:?} \
              (the SPMD backend identifies ranks with grid points)",
+            nest.launch_domain,
             grid.dims()
         )));
     }
     let ranks = grid.size() as usize;
-    let mut cut = n_dist;
-    for (pos, l) in cin.loops.iter().enumerate() {
-        if !l.communicate.is_empty() {
-            cut = cut.max(pos + 1);
-        }
-    }
-    let seq_loops: Vec<IndexVar> = cin.loops[n_dist..cut]
-        .iter()
-        .map(|l| l.var.clone())
-        .collect();
-    let seq_extents: Vec<i64> = seq_loops.iter().map(|v| cin.solver.extent(v)).collect();
 
     // Ownership tables.
     let mut owners: BTreeMap<String, Ownership> = BTreeMap::new();
-    for name in dims_map.keys() {
-        owners.insert(name.clone(), ownership(by_name[name.as_str()], grid)?);
+    for name in &accessed {
+        owners.insert(name.to_string(), ownership(by_name[name], grid)?);
     }
 
-    // Output reduction classification (distributed reductions fold at the
-    // end; sequential reductions accumulate rank-locally).
-    let reduction_roots: BTreeSet<IndexVar> = assignment.reduction_vars().into_iter().collect();
-    let dist_reduces = cin.loops[..n_dist].iter().any(|l| {
-        cin.solver
-            .roots_of(&l.var)
-            .iter()
-            .any(|r| reduction_roots.contains(r))
-    });
-
-    let all_vars = assignment.all_vars();
     let flops_per_point = assignment.flops_per_point();
     let out_name = assignment.lhs.tensor.clone();
-    let out_dims = dims_map[&out_name].clone();
-
-    let domain_rect = Rect::sized(&if launch_domain.is_empty() {
-        vec![1]
-    } else {
-        launch_domain.clone()
-    });
-    let seq_rect = Rect::sized(&if seq_extents.is_empty() {
-        vec![1]
-    } else {
-        seq_extents.clone()
-    });
+    let out_dims = &by_name[out_name.as_str()].dims;
+    let domain_rect = nest.domain_rect();
 
     let mut programs: Vec<Vec<SpmdOp>> = vec![Vec::new(); ranks];
     let mut global: Vec<(usize, SpmdOp)> = Vec::new();
@@ -377,54 +333,33 @@ pub fn lower_with(
     };
 
     // Scratch holdings valid at the current sequential step.
-    let mut scratch: Holdings = dims_map
-        .keys()
-        .map(|n| (n.clone(), vec![RectSet::new(); ranks]))
+    let mut scratch: Holdings = accessed
+        .iter()
+        .map(|n| (n.to_string(), vec![RectSet::new(); ranks]))
         .collect();
     let mut out_written: Vec<RectSet> = vec![RectSet::new(); ranks];
     let mut total_flops = 0.0f64;
 
-    for seq_point in seq_rect.points() {
+    for seq_point in nest.seq_rect().points() {
         // Receives of this step become valid holdings for the *next* step.
-        let mut received: BTreeMap<String, Vec<Vec<Rect>>> = dims_map
-            .keys()
-            .map(|n| (n.clone(), vec![Vec::new(); ranks]))
+        let mut received: BTreeMap<String, Vec<Vec<Rect>>> = accessed
+            .iter()
+            .map(|n| (n.to_string(), vec![Vec::new(); ranks]))
             .collect();
 
         for point in domain_rect.points() {
-            let rank = if launch_domain.is_empty() {
-                0
-            } else {
-                grid.linearize(&point) as usize
-            };
-            let mut env: BTreeMap<IndexVar, i64> = BTreeMap::new();
-            for (d, l) in cin.loops[..n_dist].iter().enumerate() {
-                env.insert(l.var.clone(), point[d]);
-            }
-            for (d, v) in seq_loops.iter().enumerate() {
-                env.insert(v.clone(), seq_point[d]);
-            }
-
-            // Leaf bounds per original variable.
-            let mut bounds = Vec::with_capacity(all_vars.len());
-            let mut iter_points = 1.0f64;
-            let mut empty = false;
-            for v in &all_vars {
-                let iv = cin.solver.interval(v, &env);
-                bounds.push((iv.lo, iv.hi));
-                if iv.is_empty() {
-                    empty = true;
-                }
-                iter_points *= iv.len() as f64;
-            }
-            if empty {
+            // The launch domain is the grid (checked above) or the single
+            // point 0, so a point's row-major index is its rank.
+            let rank = domain_rect.linearize(&point);
+            let env = nest.env(&seq_point, &point);
+            let Some((bounds, iter_points)) = nest.leaf_bounds(&env) else {
                 continue;
-            }
+            };
 
             // Source every input rectangle not already held locally.
             for acc in assignment.input_accesses() {
                 let t = by_name[acc.tensor.as_str()];
-                let need_rect = access_rect(&acc.indices, &cin, &env, &t.dims);
+                let need_rect = nest.access_rect(&acc.indices, &env, &t.dims);
                 if need_rect.is_empty() {
                     continue;
                 }
@@ -487,7 +422,7 @@ pub fn lower_with(
             }
 
             // Record output coverage and emit the leaf.
-            let out_rect = access_rect(&assignment.lhs.indices, &cin, &env, &out_dims);
+            let out_rect = nest.access_rect(&assignment.lhs.indices, &env, out_dims);
             if !out_rect.is_empty() {
                 out_written[rank].add(out_rect);
             }
@@ -502,7 +437,7 @@ pub fn lower_with(
         }
 
         // Step boundary: retire old scratch, promote this step's receives.
-        if !seq_extents.is_empty() {
+        if !nest.seq_extents.is_empty() {
             for rank in 0..ranks {
                 push(
                     &mut programs,
@@ -541,7 +476,7 @@ pub fn lower_with(
                     rect: piece,
                 };
                 tag += 1;
-                if dist_reduces {
+                if nest.dist_reduces {
                     push(
                         &mut programs,
                         &mut global,
@@ -557,9 +492,9 @@ pub fn lower_with(
         }
     }
 
-    let sparsity: BTreeMap<String, TensorSparsity> = dims_map
-        .keys()
-        .map(|n| (n.clone(), sparsity_of(by_name[n.as_str()])))
+    let sparsity: BTreeMap<String, TensorSparsity> = accessed
+        .iter()
+        .map(|n| (n.to_string(), sparsity_of(by_name[n])))
         .collect();
     // Specialize the leaf kernel now, at lowering (= plan) time: the rank
     // VM always *adds* into a zeroed accumulator, and prunes compressed
@@ -587,9 +522,9 @@ pub fn lower_with(
         global,
         out_written,
         owners: owners.into_iter().collect(),
-        all_vars,
+        all_vars: assignment.all_vars(),
         total_flops,
-        dist_reduces,
+        dist_reduces: nest.dist_reduces,
         collectives: Vec::new(),
         sparsity,
         leaf,

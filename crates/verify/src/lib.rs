@@ -7,7 +7,7 @@
 //! invariant was only enforced dynamically, by the threaded transport's
 //! watchdog turning a lost message into an `SpmdError::Timeout` after 60
 //! seconds. This crate makes the invariant (and three more) *checkable at
-//! plan time*, once per `PlanCache` entry, free per bind:
+//! plan time*, once per plan-cache entry, free per bind:
 //!
 //! 1. **Communication matching** ([`comm`]) — every tagged receive has
 //!    exactly one matching send with identical (tensor, rect, endpoints,

@@ -3,12 +3,12 @@
 //!
 //! ```text
 //!   Problem (statement + tensors + machine)
-//!     └─ compile(&Target)           Target = any Backend impl
-//!          └─ Artifact: place() / execute() / read() / Report
+//!     └─ compile(&backend, &schedule)   = Backend::plan + Plan::bind
+//!          └─ Instance: place() / execute() / read() / Report
 //! ```
 //!
 //! The *same* problem and schedule run on the dynamic (Legion-style)
-//! runtime and on the static SPMD (MPI-style) backend — switching targets
+//! runtime and on the static SPMD (MPI-style) backend — switching backends
 //! is one line — and the results are bit-identical.
 //!
 //! Run with `cargo run --release --example quickstart`.
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // optimized GEMM kernel (Figure 2 line 40, `CuBLAS::GeMM`).
         .substitute(&["ii", "ji", "ki"], LeafKind::Gemm);
 
-    // Target 1: the dynamic runtime (tasks + region coherence).
+    // Backend 1: the dynamic runtime (tasks + region coherence).
     // Functional numerics run on the work-stealing parallel executor by
     // default; DISTAL_EXECUTOR=serial forces the serial walk (results are
     // bit-identical — see tests/executor_parity.rs).
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = dynamic.run()?;
     println!("dynamic runtime:  {report}");
 
-    // Target 2: the static SPMD backend (explicit per-rank send/recv) —
+    // Backend 2: the static SPMD backend (explicit per-rank send/recv) —
     // the *only* change is the backend passed to compile().
     let mut statik = problem.compile(&SpmdBackend::new(), &schedule)?;
     let report = statik.run()?;

@@ -8,13 +8,13 @@
 //! ```text
 //!   Backend::plan(&Problem, &Schedule)  ->  Plan      (lowered once)
 //!   Plan::bind(&Bindings)               ->  Instance  (per request, cheap)
-//!   PlanCache::get_or_plan(...)         ->  Arc<Plan> (keyed reuse)
+//!   ShardedPlanCache::get_or_plan(...)  ->  Arc<Plan> (keyed reuse)
 //!   ServingEngine::submit(request)      ->  Ticket    (concurrent front)
 //! ```
 //!
 //! This example serves a stream of matmul "requests" (fresh random
 //! operands over fixed shapes) four ways — recompiling per request,
-//! binding one held plan, going through a keyed `PlanCache`, and
+//! binding one held plan, going through a keyed `ShardedPlanCache`, and
 //! submitting to a multi-worker `ServingEngine` — and verifies all four
 //! produce bit-identical answers while the plan paths do zero
 //! re-lowering.
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("held plan     : served {requests} requests with zero re-lowerings");
 
     // --- Path 2: a keyed cache, as a multi-workload server would use. ---
-    let mut cache = PlanCache::new(16);
+    let cache = ShardedPlanCache::new(16, 1);
     let mut cached_outputs = Vec::new();
     for r in 0..requests {
         // Every request re-derives its key from the problem — the cache

@@ -5,7 +5,7 @@
 //! recognizer found (SUMMA's row/column fans become binomial-tree
 //! broadcasts; Cannon stays systolic), and the α-β makespan of each
 //! schedule — then verify both against the sequential oracle via the
-//! shared `Artifact` surface.
+//! shared `Instance` surface.
 //!
 //! Run with: `cargo run --example spmd_static`
 
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cost.critical_messages
         );
 
-        // Execute through the shared Artifact surface and verify.
+        // Execute through the shared Instance surface and verify.
         let mut artifact = problem.compile(&SpmdBackend::new(), &schedule)?;
         let report = artifact.run()?;
         let got = artifact.read("A")?;

@@ -14,8 +14,8 @@
 //! | [`ir`] | `distal-ir` | tensor index notation, concrete index notation, scheduling rewrites |
 //! | [`mod@format`] | `distal-format` | tensor distribution notation (`T xy ↦ xy0 M`) + per-dimension level formats |
 //! | [`sparse`] | `distal-sparse` | CSR-style compressed storage and sparse leaf kernels (SpMV/SpMM/SDDMM) |
-//! | [`core`] | `distal-core` | the compiler: sessions, schedules, lowering |
-//! | [`lint`] | `distal-lint` | schedule admission: legality typechecker + performance lints |
+//! | [`core`] | `distal-core` | the compiler: problems, schedules, the nest analysis, lowering, plans and the plan cache |
+//! | [`lint`] | `distal-core` (`distal_core::lint`) | schedule admission: legality typechecker + performance lints |
 //! | [`algs`] | `distal-algs` | Figure 9 algorithms + §7.2 higher-order kernels |
 //! | [`baselines`] | `distal-baselines` | ScaLAPACK / CTF / COSMA re-implementations |
 //! | [`spmd`] | `distal-spmd` | static SPMD/MPI-style backend with compile-time communication (§8) |
@@ -26,7 +26,7 @@
 //!
 //! One [`Problem`](distal_core::Problem) — statement + tensors + machine —
 //! compiles onto any backend and runs behind the same
-//! [`Artifact`](distal_core::Artifact) surface:
+//! [`Instance`](distal_core::Instance) surface:
 //!
 //! ```
 //! use distal::prelude::*;
@@ -61,9 +61,9 @@ pub use distal_algs as algs;
 pub use distal_autosched as autosched;
 pub use distal_baselines as baselines;
 pub use distal_core as core;
+pub use distal_core::lint;
 pub use distal_format as format;
 pub use distal_ir as ir;
-pub use distal_lint as lint;
 pub use distal_machine as machine;
 pub use distal_runtime as runtime;
 pub use distal_serve as serve;
@@ -76,10 +76,10 @@ pub mod prelude {
     pub use distal_algs::matmul::MatmulAlgorithm;
     pub use distal_algs::setup::RunConfig;
     pub use distal_core::{
-        Artifact, Backend, BackendError, Bindings, CacheStats, CompileError, CompiledKernel,
-        Diagnostic, DiagnosticKind, DistalMachine, Instance, LeafKind, Lint, LintConfig, LintLevel,
-        Plan, PlanCache, PlanKey, Problem, Provenance, Report, RuntimeBackend, Schedule, Session,
-        Severity, ShardedPlanCache, TensorInit, TensorSpec,
+        Backend, BackendError, Bindings, CacheStats, CompileError, CompiledKernel, Diagnostic,
+        DiagnosticKind, DistalMachine, Instance, LeafKind, Lint, LintConfig, LintLevel, Plan,
+        PlanKey, Problem, Provenance, Report, RuntimeBackend, Schedule, Session, Severity,
+        ShardedPlanCache, TensorInit, TensorSpec,
     };
     pub use distal_format::{Format, LevelFormat, TensorDistribution};
     pub use distal_ir::expr::Assignment;

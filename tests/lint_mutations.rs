@@ -4,9 +4,11 @@
 //! Figure 9 algorithm and the sparse SpMV suite must stay lint-clean even
 //! with every lint promoted to an error.
 
-use distal_core::{BackendError, DistalMachine, Problem, Schedule, TensorSpec};
+use distal_core::lint::{admit, lint_schedule, LintConfig};
+use distal_core::{
+    BackendError, Diagnostic, DiagnosticKind, DistalMachine, Problem, Schedule, TensorSpec,
+};
 use distal_format::{Format, LevelFormat};
-use distal_lint::{admit, lint_schedule, Diagnostic, DiagnosticKind, LintConfig};
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 

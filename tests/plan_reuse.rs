@@ -230,7 +230,7 @@ fn plan_cache_serves_identical_results() {
     shapes.fill_random("B", 71).unwrap();
     shapes.fill_random("C", 72).unwrap();
     let backend = RuntimeBackend::functional();
-    let mut cache = distal_core::PlanCache::new(4);
+    let cache = distal_core::ShardedPlanCache::new(4, 1);
 
     let miss_plan = cache.get_or_plan(&backend, &shapes, &schedule).unwrap();
     let hit_plan = cache.get_or_plan(&backend, &shapes, &schedule).unwrap();

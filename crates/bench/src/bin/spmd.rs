@@ -3,7 +3,8 @@
 //!
 //! Usage: `cargo run --release -p distal-bench --bin spmd
 //! [--assert-depth log|N] [--threads N] [--assert-parity]
-//! [--assert-verified] [--assert-lint-overhead] [gx gy n]`
+//! [--assert-verified] [--assert-lint-overhead]
+//! [--assert-vm-overhead RATIO] [gx gy n]`
 //! (defaults: 4 4 32, threads auto-sized to the host).
 //!
 //! `--assert-verified` is the static-analysis CI gate: every lowered
@@ -27,6 +28,15 @@
 //! pool; `--assert-parity` is the CI gate requiring the threaded run
 //! to be bit-identical to the sequential VM on every row.
 //!
+//! `--assert-vm-overhead RATIO` is the data-movement CI gate: a 4×4
+//! SUMMA at n = 512 (fixed, whatever `gx gy n` say — the toy sweep sizes
+//! are all fixed cost) must execute on the threaded SPMD backend within
+//! `RATIO` × the runtime backend's execute time. Both run the same
+//! generated GEMM leaf over the same tiles, so the ratio isolates what
+//! the rank VM and the transport spend moving data: 1.15 with rectangle
+//! copies, 6.05 when the VM still moved tensors one point at a time
+//! (2-core host).
+//!
 //! `--assert-depth log` is the CI gate: on a SUMMA over `gx · gy` ranks
 //! (lowered on the algorithm's near-square grid of width `g`) it
 //! requires (1) every lowered broadcast to reach depth ≤ ⌈log₂ g⌉ + 1
@@ -49,6 +59,7 @@ fn main() {
     let mut assert_parity = false;
     let mut assert_verified = false;
     let mut assert_lint_overhead = false;
+    let mut assert_vm_overhead: Option<f64> = None;
     let mut threads: usize = 0; // 0 = auto-size to the host
     let mut dims: Vec<i64> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -68,6 +79,14 @@ fn main() {
                 Ok(t) => threads = t,
                 Err(_) => {
                     eprintln!("--threads requires an integer worker count, got '{v}'");
+                    std::process::exit(2);
+                }
+            }
+        } else if a == "--assert-vm-overhead" {
+            match args.next().as_deref().map(str::parse::<f64>) {
+                Some(Ok(r)) if r > 0.0 => assert_vm_overhead = Some(r),
+                other => {
+                    eprintln!("--assert-vm-overhead requires a positive ratio, got {other:?}");
                     std::process::exit(2);
                 }
             }
@@ -198,6 +217,23 @@ fn main() {
              sequential VM on all {} configurations",
             rows.len()
         );
+    }
+    if let Some(bound) = assert_vm_overhead {
+        let v = spmd::vm_overhead(16, 512, threads);
+        println!(
+            "4x4 SUMMA n=512 execute: spmd threaded {:.1} ms, runtime {:.1} ms, ratio {:.2}",
+            v.spmd_s * 1e3,
+            v.runtime_s * 1e3,
+            v.ratio()
+        );
+        if v.ratio() > bound {
+            fail(&format!(
+                "threaded SPMD execute is {:.2}x the runtime backend's, over the {bound}x bound \
+                 — the rank VM is moving data slower than rectangle copies would",
+                v.ratio()
+            ));
+        }
+        println!("vm overhead gate passed: ratio {:.2} <= {bound}", v.ratio());
     }
     let Some(depth_bound) = assert_depth else {
         return;

@@ -17,15 +17,19 @@
 //! wall-clock makespan, the modeled-over-measured ratio, and whether the
 //! threaded output was bit-identical to the sequential reference (the
 //! `--assert-parity` CI gate).
+//!
+//! [`vm_overhead`] is the sweep's one cross-backend timing: the same
+//! SUMMA executed by the threaded rank VM and by the runtime backend,
+//! whose ratio the `--assert-vm-overhead` CI gate bounds.
 
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
-use distal_core::oracle;
+use distal_core::{oracle, Backend, Bindings, RuntimeBackend};
 use distal_ir::expr::Assignment;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_spmd::{
-    collective, lower_problem, AlphaBeta, CollectiveConfig, CommStats, Message, SpmdProgram,
-    Transport,
+    collective, lower_problem, AlphaBeta, CollectiveConfig, CommStats, Message, SpmdBackend,
+    SpmdProgram, Transport,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -83,6 +87,10 @@ pub struct SpmdBenchRow {
     /// Whether the threaded output was bit-identical to the sequential
     /// transport's (the `--assert-parity` gate).
     pub parity: bool,
+}
+
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn deterministic_data(n: usize, seed: u64) -> Vec<f64> {
@@ -220,13 +228,7 @@ pub fn measure(
         .execute_with(inputs, &Transport::threaded_with(threads))
         .ok();
     let parity = match (&sequential, &threaded) {
-        (Some(s), Some(t)) => {
-            s.output.len() == t.output.len()
-                && s.output
-                    .iter()
-                    .zip(t.output.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        }
+        (Some(s), Some(t)) => bits_equal(&s.output, &t.output),
         _ => false,
     };
     let measured = threaded.as_ref().and_then(|t| t.measured.as_ref());
@@ -332,6 +334,86 @@ pub fn cannon_steady_stats(program: &SpmdProgram) -> CommStats {
         .collect();
     let refs: Vec<&Message> = steady.iter().collect();
     CommStats::from_messages(&program.grid, program.ranks(), &refs)
+}
+
+/// Execute wall time of one SUMMA on the two executable backends (the
+/// `--assert-vm-overhead` gate).
+#[derive(Clone, Copy, Debug)]
+pub struct VmOverhead {
+    /// Fastest `Instance::execute` on `SpmdBackend` over the threaded
+    /// transport, seconds.
+    pub spmd_s: f64,
+    /// Fastest `Instance::execute` on the functional `RuntimeBackend`,
+    /// seconds.
+    pub runtime_s: f64,
+}
+
+impl VmOverhead {
+    /// `spmd_s / runtime_s`: both backends run the same generated leaf
+    /// over the same tiles, so what exceeds 1 is the rank VM's and the
+    /// transport's own data movement.
+    pub fn ratio(&self) -> f64 {
+        self.spmd_s / self.runtime_s
+    }
+}
+
+/// Times `execute()` of a SUMMA over `p` ranks at size `n` on both
+/// executable backends: one plan each, seven fresh bindings, fastest
+/// execute kept (other tenants of the host only ever add time).
+/// `threads` sizes the rank pool (`0` = auto).
+///
+/// # Panics
+///
+/// Panics when planning, binding or execution fails, or when the two
+/// backends' outputs differ in any bit.
+pub fn vm_overhead(p: i64, n: i64, threads: usize) -> VmOverhead {
+    let (mut problem, schedule) = matmul_problem_on(
+        MatmulAlgorithm::Summa,
+        MachineSpec::small(8),
+        ProcKind::Cpu,
+        MemKind::Sys,
+        p,
+        n,
+        (n / 4).max(1),
+    )
+    .unwrap_or_else(|e| panic!("SUMMA p={p} n={n}: {e}"));
+    problem.fill_random("B", 11).unwrap();
+    problem.fill_random("C", 13).unwrap();
+    let bindings = Bindings::from_problem(&problem);
+
+    let fastest_execute = |backend: &dyn Backend| -> (f64, Vec<f64>) {
+        let name = backend.name().to_string();
+        let plan = backend
+            .plan(&problem, &schedule)
+            .unwrap_or_else(|e| panic!("{name} plan: {e}"));
+        let mut best = f64::INFINITY;
+        let mut output = Vec::new();
+        for _ in 0..7 {
+            let mut instance = plan
+                .bind(&bindings)
+                .unwrap_or_else(|e| panic!("{name} bind: {e}"));
+            instance
+                .place()
+                .unwrap_or_else(|e| panic!("{name} place: {e}"));
+            let start = std::time::Instant::now();
+            instance
+                .execute()
+                .unwrap_or_else(|e| panic!("{name} execute: {e}"));
+            best = best.min(start.elapsed().as_secs_f64());
+            output = instance
+                .read("A")
+                .unwrap_or_else(|e| panic!("{name} read: {e}"));
+        }
+        (best, output)
+    };
+    let spmd = SpmdBackend::new().with_transport(Transport::threaded_with(threads));
+    let (spmd_s, spmd_out) = fastest_execute(&spmd);
+    let (runtime_s, runtime_out) = fastest_execute(&RuntimeBackend::functional());
+    assert!(
+        bits_equal(&spmd_out, &runtime_out),
+        "SPMD and runtime outputs differ"
+    );
+    VmOverhead { spmd_s, runtime_s }
 }
 
 /// Renders the sweep as a table.

@@ -364,6 +364,152 @@ pub fn div_ceil(a: i64, b: i64) -> i64 {
     (a + b - 1) / b
 }
 
+/// The walk shared by [`copy_rect`] and [`fill_rect`]: visits `rect` as
+/// contiguous runs of two row-major allocations at once.
+struct RunWalk<'a> {
+    rect: &'a Rect,
+    a_alloc: &'a Rect,
+    b_alloc: &'a Rect,
+    /// Dimensions `[0, outer)` are stepped one index at a time; the rest
+    /// form one contiguous run of `run` elements in both allocations.
+    outer: usize,
+    run: usize,
+}
+
+impl RunWalk<'_> {
+    /// Calls `f(a_offset, b_offset, len)` once per run, in row-major order
+    /// of `rect`. Empty rectangles yield no runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either allocation does not cover `rect`.
+    fn for_each(
+        rect: &Rect,
+        a_alloc: &Rect,
+        b_alloc: &Rect,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
+        if rect.is_empty() {
+            return;
+        }
+        assert!(
+            a_alloc.contains_rect(rect) && b_alloc.contains_rect(rect),
+            "{rect} outside allocation {a_alloc} or {b_alloc}"
+        );
+        if rect.dim() == 0 {
+            // Order-0 rectangles hold exactly one element.
+            return f(0, 0, 1);
+        }
+        // A run grows outwards from the last dimension for as long as the
+        // dimensions inside it span whole rows of both allocations.
+        let mut outer = rect.dim() - 1;
+        let mut inner = 1usize;
+        while outer > 0
+            && rect.extent(outer) == a_alloc.extent(outer)
+            && rect.extent(outer) == b_alloc.extent(outer)
+        {
+            inner *= rect.extent(outer) as usize;
+            outer -= 1;
+        }
+        let walk = RunWalk {
+            rect,
+            a_alloc,
+            b_alloc,
+            outer,
+            run: inner * rect.extent(outer) as usize,
+        };
+        // Where the run starts along its own outermost dimension; the
+        // dimensions inside begin at their allocations' origin.
+        let a0 = (rect.lo[outer] - a_alloc.lo[outer]) as usize * inner;
+        let b0 = (rect.lo[outer] - b_alloc.lo[outer]) as usize * inner;
+        let (a_vol, b_vol) = (a_alloc.volume() as usize, b_alloc.volume() as usize);
+        walk.step(0, (a0, a_vol), (b0, b_vol), &mut f);
+    }
+
+    /// Steps dimension `d`. Each side carries `(offset, span)`: the running
+    /// offset of the indices fixed so far and the element count one index
+    /// of dimension `d - 1` spans, so strides fall out by division and
+    /// nothing is allocated.
+    fn step(
+        &self,
+        d: usize,
+        (a_off, a_span): (usize, usize),
+        (b_off, b_span): (usize, usize),
+        f: &mut impl FnMut(usize, usize, usize),
+    ) {
+        if d == self.outer {
+            return f(a_off, b_off, self.run);
+        }
+        let a_stride = a_span / self.a_alloc.extent(d) as usize;
+        let b_stride = b_span / self.b_alloc.extent(d) as usize;
+        let a = a_off + (self.rect.lo[d] - self.a_alloc.lo[d]) as usize * a_stride;
+        let b = b_off + (self.rect.lo[d] - self.b_alloc.lo[d]) as usize * b_stride;
+        for i in 0..self.rect.extent(d) as usize {
+            self.step(
+                d + 1,
+                (a + i * a_stride, a_stride),
+                (b + i * b_stride, b_stride),
+                f,
+            );
+        }
+    }
+}
+
+/// Copies `rect` between two row-major buffers — the one primitive dense
+/// data moves through, in the runtime and the rank VM alike.
+///
+/// `src_alloc`/`dst_alloc` are the rectangles the buffers are laid out
+/// over; both must cover `rect`. `reduce` folds with `+=` instead of
+/// overwriting. The copy walks running offsets, one contiguous run at a
+/// time: a rectangle spanning whole rows of both allocations is a single
+/// `copy_from_slice`.
+///
+/// # Panics
+///
+/// Panics when an allocation does not cover `rect` or a buffer is shorter
+/// than its allocation.
+///
+/// # Example
+///
+/// ```
+/// use distal_machine::geom::{copy_rect, Point, Rect};
+/// let whole = Rect::sized(&[3, 3]);
+/// let src: Vec<f64> = (0..9).map(f64::from).collect();
+/// let tile = Rect::new(Point::new(vec![1, 1]), Point::new(vec![2, 2]));
+/// let mut dst = vec![0.0; 4];
+/// copy_rect(&whole, &src, &tile, &mut dst, &tile, false);
+/// assert_eq!(dst, [4.0, 5.0, 7.0, 8.0]);
+/// ```
+pub fn copy_rect(
+    src_alloc: &Rect,
+    src: &[f64],
+    dst_alloc: &Rect,
+    dst: &mut [f64],
+    rect: &Rect,
+    reduce: bool,
+) {
+    RunWalk::for_each(rect, src_alloc, dst_alloc, |s, d, len| {
+        let (from, to) = (&src[s..s + len], &mut dst[d..d + len]);
+        if reduce {
+            for (t, v) in to.iter_mut().zip(from) {
+                *t += v;
+            }
+        } else {
+            to.copy_from_slice(from);
+        }
+    });
+}
+
+/// Sets every element of `rect` to `value` in a row-major buffer laid out
+/// over `alloc`, one contiguous run at a time.
+///
+/// # Panics
+///
+/// Panics when `alloc` does not cover `rect`.
+pub fn fill_rect(alloc: &Rect, data: &mut [f64], rect: &Rect, value: f64) {
+    RunWalk::for_each(rect, alloc, alloc, |o, _, len| data[o..o + len].fill(value));
+}
+
 /// Iterator over the points of a [`Rect`] in lexicographic order.
 #[derive(Debug)]
 pub struct PointIter {
@@ -620,6 +766,73 @@ mod tests {
             assert_eq!(r.linearize(&p), i);
             assert_eq!(r.delinearize(i as i64), p);
         }
+    }
+
+    #[test]
+    fn copy_rect_full_and_sub() {
+        let r = Rect::sized(&[4, 4]);
+        let src: Vec<f64> = (0..16).map(|x| x as f64).collect();
+        let mut dst = vec![0.0; 16];
+        copy_rect(&r, &src, &r, &mut dst, &r, false);
+        assert_eq!(dst, src);
+
+        // Sub-rectangle copy into a buffer with different bounds.
+        let sub = Rect::new(Point::new(vec![1, 1]), Point::new(vec![2, 2]));
+        let mut small = vec![0.0; 4];
+        copy_rect(&r, &src, &sub, &mut small, &sub, false);
+        assert_eq!(small, [5.0, 6.0, 9.0, 10.0]);
+    }
+
+    #[test]
+    fn copy_rect_reduce_accumulates() {
+        let r = Rect::sized(&[2, 2]);
+        let src = vec![1.0; 4];
+        let mut dst = vec![2.0; 4];
+        copy_rect(&r, &src, &r, &mut dst, &r, true);
+        assert_eq!(dst, vec![3.0; 4]);
+    }
+
+    #[test]
+    fn copy_rect_1d_and_scalar() {
+        let r = Rect::sized(&[5]);
+        let src: Vec<f64> = (0..5).map(|x| x as f64).collect();
+        let mut dst = vec![0.0; 5];
+        let sub = Rect::new(Point::new(vec![1]), Point::new(vec![3]));
+        copy_rect(&r, &src, &r, &mut dst, &sub, false);
+        assert_eq!(dst, vec![0.0, 1.0, 2.0, 3.0, 0.0]);
+
+        // Order-0 regions hold exactly one element.
+        let s = Rect::sized(&[]);
+        let mut one = vec![1.0];
+        copy_rect(&s, &[4.0], &s, &mut one, &s, true);
+        assert_eq!(one, vec![5.0]);
+    }
+
+    #[test]
+    fn copy_rect_merges_whole_rows_into_one_run() {
+        // Rows 1..=2 of a 4x3 buffer are contiguous in both allocations:
+        // the walk must visit them as a single 6-element run.
+        let whole = Rect::sized(&[4, 3]);
+        let rows = Rect::new(Point::new(vec![1, 0]), Point::new(vec![2, 2]));
+        let mut runs = Vec::new();
+        RunWalk::for_each(&rows, &whole, &rows, |a, b, len| runs.push((a, b, len)));
+        assert_eq!(runs, vec![(3, 0, 6)]);
+        // A column strip is one run per row.
+        let strip = Rect::new(Point::new(vec![1, 1]), Point::new(vec![2, 2]));
+        runs.clear();
+        RunWalk::for_each(&strip, &whole, &strip, |a, b, len| runs.push((a, b, len)));
+        assert_eq!(runs, vec![(4, 0, 2), (7, 2, 2)]);
+    }
+
+    #[test]
+    fn fill_rect_touches_only_the_rectangle() {
+        let whole = Rect::sized(&[3, 3]);
+        let mut data = vec![1.0; 9];
+        let sub = Rect::new(Point::new(vec![1, 0]), Point::new(vec![2, 1]));
+        fill_rect(&whole, &mut data, &sub, 0.0);
+        assert_eq!(data, [1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
+        fill_rect(&whole, &mut data, &Rect::empty(2), 7.0);
+        assert!(!data.contains(&7.0));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::region::{
 };
 use crate::stats::RunStats;
 use crate::topology::{MemId, PhysicalMachine};
-use distal_machine::geom::{Rect, RectSet};
+use distal_machine::geom::{copy_rect, Rect, RectSet};
 use distal_machine::spec::MemKind;
 use std::fmt;
 use std::sync::RwLock;
@@ -419,31 +419,30 @@ impl Runtime {
             return Err(RuntimeError::NotFunctional);
         }
         let lr = self.store.region(region);
-        let rect = lr.rect.clone();
+        let rect = &lr.rect;
         let mut out = vec![0.0; rect.volume() as usize];
         let mut covered = RectSet::new();
         for id in &self.store.by_region[region.0 as usize] {
             let inst = self.store.instance(*id);
             let cell = self.store.buffer(*id).read().expect("poisoned buffer lock");
-            for vr in inst.valid.rects().to_vec() {
+            for vr in inst.valid.rects() {
+                // The part of this valid piece no earlier instance supplied.
                 let mut fresh = RectSet::from_rect(vr.clone());
-                for c in covered.rects().to_vec() {
-                    fresh.subtract(&c);
+                for c in covered.rects() {
+                    fresh.subtract(c);
                 }
-                for piece in fresh.rects().to_vec() {
+                for piece in fresh.rects() {
                     if let Some(data) = cell.as_ref() {
-                        for p in piece.points() {
-                            out[rect.linearize(&p)] = data[inst.rect.linearize(&p)];
-                        }
+                        copy_rect(&inst.rect, data, rect, &mut out, piece, false);
                     }
-                    covered.add(piece);
+                    covered.add(piece.clone());
                 }
             }
         }
-        if !covered.covers(&rect) {
+        if !covered.covers(rect) {
             return Err(RuntimeError::UninitializedData {
                 region: lr.name.clone(),
-                rect,
+                rect: rect.clone(),
             });
         }
         // Fold pending reductions.
@@ -451,9 +450,7 @@ impl Runtime {
             let inst = self.store.instance(*id);
             let cell = self.store.buffer(*id).read().expect("poisoned buffer lock");
             if let Some(data) = cell.as_ref() {
-                for p in inst.rect.points() {
-                    out[rect.linearize(&p)] += data[inst.rect.linearize(&p)];
-                }
+                copy_rect(&inst.rect, data, rect, &mut out, &inst.rect, true);
             }
         }
         Ok(out)

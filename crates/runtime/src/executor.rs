@@ -34,10 +34,11 @@ use crate::exec::Store;
 use crate::graph::{CopyNode, GNode, GNodeKind, Graph, TaskNode};
 use crate::kernel::{Kernel, KernelArg, KernelCtx};
 use crate::program::Privilege;
-use crate::region::{copy_rect, InstanceId};
+use crate::region::InstanceId;
 use crate::sim::schedule_graph;
 use crate::stats::RunStats;
 use crate::topology::PhysicalMachine;
+use distal_machine::geom::{copy_rect, fill_rect, Rect};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -389,9 +390,7 @@ fn apply_copy(store: &Store, c: &CopyNode) {
     }
     if c.reduce {
         if let Some(src_data) = src_guard.data_mut() {
-            for p in c.rect.points() {
-                src_data[src_alloc.linearize(&p)] = 0.0;
-            }
+            fill_rect(src_alloc, src_data, &c.rect, 0.0);
         }
     }
 }
@@ -475,7 +474,7 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclu
             args.push(KernelArg {
                 privilege: *privilege,
                 rect: rect.clone(),
-                alloc: distal_machine::geom::Rect::empty(rect.dim()),
+                alloc: Rect::empty(rect.dim()),
                 data: Vec::new(),
             });
             continue;

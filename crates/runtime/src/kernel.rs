@@ -67,12 +67,6 @@ impl KernelArg {
         }
         idx as usize
     }
-
-    /// Row stride of the last dimension (for blocked inner loops).
-    #[inline]
-    pub fn last_dim_stride(&self) -> usize {
-        1
-    }
 }
 
 /// The context handed to a kernel: one [`KernelArg`] per region requirement

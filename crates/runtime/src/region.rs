@@ -7,7 +7,7 @@
 //! current data.
 
 use crate::topology::MemId;
-use distal_machine::geom::{Point, Rect, RectSet};
+use distal_machine::geom::{Rect, RectSet};
 use std::fmt;
 
 /// Identifier of a logical region.
@@ -124,68 +124,6 @@ impl Instance {
     }
 }
 
-/// Copies `rect` between row-major buffers element-wise (functional mode).
-///
-/// `src_alloc`/`dst_alloc` are the allocation bounds the buffers are laid
-/// out over; both must cover `rect`. `reduce` folds with `+=` instead of
-/// overwriting (used when applying reduction buffers).
-pub fn copy_rect(
-    src_alloc: &Rect,
-    src_data: &[f64],
-    dst_alloc: &Rect,
-    dst_data: &mut [f64],
-    rect: &Rect,
-    reduce: bool,
-) {
-    debug_assert!(src_alloc.contains_rect(rect));
-    debug_assert!(dst_alloc.contains_rect(rect));
-    // Fast path: copy contiguous runs along the last dimension.
-    let dim = rect.dim();
-    if rect.is_empty() {
-        return;
-    }
-    if dim == 0 {
-        // Scalar (0-dimensional) regions hold exactly one element.
-        let v = src_data[0];
-        let d = &mut dst_data[0];
-        if reduce {
-            *d += v;
-        } else {
-            *d = v;
-        }
-        return;
-    }
-    let row_len = rect.extent(dim - 1) as usize;
-    // Iterate over all but the last dimension.
-    let outer_rect = if dim == 1 {
-        Rect::sized(&[1])
-    } else {
-        Rect::new(
-            Point::new(rect.lo().coords()[..dim - 1].to_vec()),
-            Point::new(rect.hi().coords()[..dim - 1].to_vec()),
-        )
-    };
-    for prefix in outer_rect.points() {
-        let mut start = Vec::with_capacity(dim);
-        if dim == 1 {
-            start.push(rect.lo()[0]);
-        } else {
-            start.extend_from_slice(prefix.coords());
-            start.push(rect.lo()[dim - 1]);
-        }
-        let start = Point::new(start);
-        let s_off = src_alloc.linearize(&start);
-        let d_off = dst_alloc.linearize(&start);
-        if reduce {
-            for i in 0..row_len {
-                dst_data[d_off + i] += src_data[s_off + i];
-            }
-        } else {
-            dst_data[d_off..d_off + row_len].copy_from_slice(&src_data[s_off..s_off + row_len]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,49 +145,5 @@ mod tests {
     fn instance_bytes() {
         let i = inst(0, Rect::sized(&[2, 3]));
         assert_eq!(i.bytes(), 48);
-    }
-
-    #[test]
-    fn copy_rect_full_and_sub() {
-        let r = Rect::sized(&[4, 4]);
-        let src: Vec<f64> = (0..16).map(|x| x as f64).collect();
-        let mut dst = vec![0.0; 16];
-        copy_rect(&r, &src, &r, &mut dst, &r, false);
-        assert_eq!(dst, src);
-
-        // Sub-rectangle copy into a buffer with different bounds.
-        let sub = Rect::new(Point::new(vec![1, 1]), Point::new(vec![2, 2]));
-        let mut small = vec![0.0; 4];
-        copy_rect(&r, &src, &sub, &mut small, &sub, false);
-        assert_eq!(small[sub.linearize(&Point::new(vec![1, 1]))], 5.0);
-        assert_eq!(small[sub.linearize(&Point::new(vec![2, 2]))], 10.0);
-    }
-
-    #[test]
-    fn copy_rect_reduce_accumulates() {
-        let r = Rect::sized(&[2, 2]);
-        let src = vec![1.0; 4];
-        let mut dst = vec![2.0; 4];
-        copy_rect(&r, &src, &r, &mut dst, &r, true);
-        assert_eq!(dst, vec![3.0; 4]);
-    }
-
-    #[test]
-    fn copy_rect_1d() {
-        let r = Rect::sized(&[5]);
-        let src: Vec<f64> = (0..5).map(|x| x as f64).collect();
-        let mut dst = vec![0.0; 5];
-        let sub = Rect::new(Point::new(vec![1]), Point::new(vec![3]));
-        copy_rect(&r, &src, &r, &mut dst, &sub, false);
-        assert_eq!(dst, vec![0.0, 1.0, 2.0, 3.0, 0.0]);
-    }
-
-    #[test]
-    fn copy_rect_scalar() {
-        let r = Rect::sized(&[]);
-        let src = vec![4.0];
-        let mut dst = vec![1.0];
-        copy_rect(&r, &src, &r, &mut dst, &r, true);
-        assert_eq!(dst, vec![5.0]);
     }
 }

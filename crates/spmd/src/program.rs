@@ -7,7 +7,7 @@ use crate::ops::{Message, SpmdOp};
 use crate::stats::CommStats;
 use crate::vm::{Buf, RankStore};
 use distal_ir::expr::{Assignment, Expr, IndexVar};
-use distal_machine::geom::{Point, Rect, RectSet};
+use distal_machine::geom::{copy_rect, Point, Rect, RectSet};
 use distal_machine::grid::Grid;
 use distal_runtime::kernel::{Kernel, KernelArg, KernelCtx};
 use distal_runtime::program::Privilege;
@@ -270,13 +270,13 @@ impl SpmdProgram {
 
         let mut pending: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
         let mut peak_scratch = 0u64;
-        let mut sent: Vec<(Message, u64)> = Vec::new();
+        let mut sent: Vec<(&Message, u64)> = Vec::new();
         for (rank, op) in &self.global {
             let rank = *rank;
             match op {
                 SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
                     let payload = self.read_payload(&stores[rank], m, out_name)?;
-                    sent.push((m.clone(), self.exact_message_bytes(m, &payload)));
+                    sent.push((m, self.exact_message_bytes(m, &payload)));
                     pending.insert(m.tag, payload);
                 }
                 SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => {
@@ -296,10 +296,9 @@ impl SpmdProgram {
         }
 
         let output = self.finalize_output(&mut stores)?;
-        let weighted: Vec<(&Message, u64)> = sent.iter().map(|(m, b)| (m, *b)).collect();
         Ok(SpmdResult {
             output,
-            stats: CommStats::from_weighted(&self.grid, ranks, &weighted),
+            stats: CommStats::from_weighted(&self.grid, ranks, &sent),
             peak_scratch_bytes: peak_scratch,
             measured: None,
         })
@@ -336,9 +335,7 @@ impl SpmdProgram {
                 for piece in pieces {
                     let mut buf = Buf::zeros(piece.clone());
                     if let Some(d) = data {
-                        for (i, p) in piece.points().enumerate() {
-                            buf.data[i] = d[rect.linearize(&p)];
-                        }
+                        copy_rect(&rect, d, piece, &mut buf.data, piece, false);
                     }
                     stores[rank].add_home(&t.name, buf);
                 }
@@ -362,13 +359,15 @@ impl SpmdProgram {
     /// Applies a received payload to a rank store. Output-tensor (gather)
     /// messages fold into home output pieces — reduce-tree relays with no
     /// home piece here fold into the accumulator and forward — while
-    /// input-tensor payloads land in scratch.
+    /// an input-tensor payload becomes a scratch buffer as is (no copy).
     pub(crate) fn apply_recv(&self, store: &mut RankStore, m: &Message, payload: Vec<f64>) {
         if m.tensor == self.assignment.lhs.tensor {
             store.fold_output(&m.tensor, &m.rect, &payload);
         } else {
-            let mut buf = Buf::zeros(m.rect.clone());
-            buf.data = payload;
+            let buf = Buf {
+                rect: m.rect.clone(),
+                data: payload,
+            };
             store.receive(&m.tensor, buf);
         }
     }
@@ -379,21 +378,20 @@ impl SpmdProgram {
     pub(crate) fn finalize_output(&self, stores: &mut [RankStore]) -> Result<Vec<f64>, SpmdError> {
         let out_name = &self.assignment.lhs.tensor;
         for store in stores.iter_mut() {
-            let accs: Vec<Buf> = store.acc_bufs().to_vec();
-            for acc in accs {
+            for acc in store.take_acc() {
                 store.fold_into_home(out_name, &acc.rect, &acc.data);
             }
         }
         let out_t = self.tensor(out_name)?;
         let out_rect = Rect::sized(&out_t.dims);
         let mut output = vec![0.0; out_rect.volume().max(1) as usize];
-        for (rank, pieces) in self.owners[out_name].pieces.iter().enumerate() {
+        for (store, pieces) in stores.iter().zip(&self.owners[out_name].pieces) {
             for piece in pieces {
-                for p in piece.points() {
-                    if let Some(v) = stores[rank].lookup(out_name, &p) {
-                        output[out_rect.linearize(&p)] = v;
-                    }
-                }
+                store
+                    .gather_into(out_name, piece, &out_rect, &mut output)
+                    .map_err(|missing| {
+                        SpmdError::Data(format!("output {out_name}{missing} has no home copy"))
+                    })?;
             }
         }
         Ok(output)
@@ -417,7 +415,7 @@ impl SpmdProgram {
         }
     }
 
-    /// Reads a message payload from the sender's store: output-tensor
+    /// Gathers a message payload out of the sender's store: output-tensor
     /// payloads come from the local accumulator, input payloads from
     /// scratch/home.
     pub(crate) fn read_payload(
@@ -426,18 +424,18 @@ impl SpmdProgram {
         m: &Message,
         out_name: &str,
     ) -> Result<Vec<f64>, SpmdError> {
-        let mut payload = Vec::with_capacity(m.rect.volume().max(0) as usize);
-        for p in m.rect.points() {
-            let v = if m.tensor == out_name {
-                store.acc_lookup(&p)
-            } else {
-                store.lookup(&m.tensor, &p)
-            };
-            payload.push(v.ok_or_else(|| {
-                SpmdError::Data(format!("send of {m}: no valid local copy at {p}"))
-            })?);
+        let mut payload = vec![0.0; m.rect.volume().max(0) as usize];
+        let gathered = if m.tensor == out_name {
+            store.gather_acc(&m.rect, &mut payload)
+        } else {
+            store.gather(&m.tensor, &m.rect, &mut payload)
+        };
+        match gathered {
+            Ok(()) => Ok(payload),
+            Err(missing) => Err(SpmdError::Data(format!(
+                "send of {m}: no valid local copy of {missing}"
+            ))),
         }
-        Ok(payload)
     }
 
     /// Runs the leaf over the iteration sub-box `bounds` (inclusive
@@ -458,9 +456,10 @@ impl SpmdProgram {
     }
 
     /// Generated-kernel leaf execution: gathers each operand's *face* of
-    /// the iteration sub-box into a dense buffer (for a reduction this is
-    /// far smaller than the box itself — SUMMA's leaves look up `n²`
-    /// values per operand instead of `n³`), exposes the rank accumulator
+    /// the iteration sub-box into a dense buffer with row copies
+    /// ([`RankStore::gather`]; for a reduction the face is far smaller
+    /// than the box itself — SUMMA's leaves read `n²` values per operand
+    /// instead of `n³`), exposes the rank accumulator
     /// as the output argument, and runs the plan-time specialized kernel
     /// over contiguous data. Zero-skipping for compressed operands is
     /// baked into the kernel (`skip_zero` in the request mirrors the
@@ -501,15 +500,15 @@ impl SpmdProgram {
         });
         for acc in a.input_accesses() {
             let rect = rect_of(&acc.indices);
-            let mut data = Vec::with_capacity(rect.volume().max(0) as usize);
-            for p in rect.points() {
-                data.push(store.lookup(&acc.tensor, &p).ok_or_else(|| {
+            let mut data = vec![0.0; rect.volume().max(0) as usize];
+            store
+                .gather(&acc.tensor, &rect, &mut data)
+                .map_err(|missing| {
                     SpmdError::Data(format!(
-                        "compute reads {}{p} with no valid local copy",
+                        "compute reads {}{missing} with no valid local copy",
                         acc.tensor
                     ))
-                })?);
-            }
+                })?;
             args.push(KernelArg {
                 privilege: Privilege::Read,
                 rect: rect.clone(),

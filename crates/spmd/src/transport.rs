@@ -12,13 +12,21 @@
 //! * [`Transport::Threaded`] — real concurrency: each rank becomes a
 //!   state machine advanced by a worker thread of a bounded *rank pool*
 //!   ([`ThreadedConfig::threads`] workers multiplex the ranks, so `p = 16`
-//!   runs fine on a 2-core host). Every rank owns an inbound
+//!   runs fine on a 2-core host). Every *worker* owns one inbound
 //!   [`std::sync::mpsc`] channel; sends are nonblocking channel pushes of
-//!   `(tag, payload)` packets, receives match on the tag — packets that
-//!   arrive early are stashed per-rank until their `Recv` retires. A rank
-//!   keeps computing and sending while messages it has not yet asked for
-//!   are in flight, which is exactly the comm/compute overlap the paper's
-//!   generated programs get from Legion's deferred execution.
+//!   `(destination rank, tag, payload)` packets to the worker owning the
+//!   destination, receives match on the tag — the worker files arrivals
+//!   into per-rank stashes until their `Recv` retires. A rank keeps
+//!   computing and sending while messages it has not yet asked for are in
+//!   flight, which is exactly the comm/compute overlap the paper's
+//!   generated programs get from Legion's deferred execution. A worker
+//!   whose ranks are all blocked parks on that one inbox, so a packet for
+//!   *any* rank it owns wakes it.
+//!
+//! Payloads are whole rectangles: a send gathers its tile out of the
+//! sender's store with strided row copies
+//! ([`RankStore::gather`](crate::vm::RankStore::gather)) and the packet's
+//! vector becomes the receiver's scratch buffer as is.
 //!
 //! # Why the threaded path is bit-identical to the sequential one
 //!
@@ -35,7 +43,9 @@
 //! a receive. The global order itself is a linearization in which every
 //! send precedes its matching receive and per-rank order is respected;
 //! its existence means the dependency graph is acyclic, so some rank can
-//! always make progress. The watchdog ([`ThreadedConfig::watchdog`],
+//! always make progress — and a parked worker cannot sleep through the
+//! packet that unblocks it, because every packet for its ranks arrives on
+//! the channel it parks on. The watchdog ([`ThreadedConfig::watchdog`],
 //! surfacing as [`SpmdError::Timeout`]) is a backstop against lowering
 //! bugs, not a scheduling necessity.
 
@@ -153,15 +163,88 @@ impl Default for ThreadedConfig {
 
 /// A tagged message in flight between two rank threads.
 struct Packet {
+    /// Destination rank (selects the stash on the receiving worker).
+    to: usize,
     tag: u64,
     data: Vec<f64>,
 }
 
-/// What one rank hands back after running to completion.
-struct RankOutcome {
+/// How long a worker with every owned rank blocked sleeps on its inbox
+/// before re-checking the abort flag and the watchdog. Packets cut the
+/// sleep short; the slice only bounds how late an abort is noticed.
+const PARK_SLICE: Duration = Duration::from_micros(500);
+
+/// One worker's receive side: the single channel every packet for its
+/// ranks arrives on, and the early arrivals filed per owned rank.
+struct Inbox {
+    rx: Receiver<Packet>,
+    /// Pool width: worker `w` owns ranks `w, w + workers, …`, so rank `r`
+    /// is its `r / workers`-th.
+    workers: usize,
+    /// Per owned rank: payloads keyed by tag until their `Recv` retires
+    /// them.
+    stashes: Vec<BTreeMap<u64, Vec<f64>>>,
+}
+
+impl Inbox {
+    fn new(rx: Receiver<Packet>, workers: usize, owned: usize) -> Self {
+        Inbox {
+            rx,
+            workers,
+            stashes: vec![BTreeMap::new(); owned],
+        }
+    }
+
+    fn file(&mut self, p: Packet) {
+        self.stashes[p.to / self.workers].insert(p.tag, p.data);
+    }
+
+    /// The payload `rank` is waiting for under `tag`, if it has arrived.
+    /// The channel is only drained when the stash misses.
+    fn take(&mut self, rank: usize, tag: u64) -> Option<Vec<f64>> {
+        let slot = rank / self.workers;
+        if let Some(data) = self.stashes[slot].remove(&tag) {
+            return Some(data);
+        }
+        while let Ok(p) = self.rx.try_recv() {
+            self.file(p);
+        }
+        self.stashes[slot].remove(&tag)
+    }
+
+    /// Sleeps until a packet for any owned rank arrives or `slice`
+    /// elapses, filing the packet.
+    fn park(&mut self, slice: Duration) -> Result<(), SpmdError> {
+        match self.rx.recv_timeout(slice) {
+            Ok(p) => self.file(p),
+            Err(RecvTimeoutError::Timeout) => {}
+            // All sender clones dropped: impossible while the spawning
+            // scope holds the originals; treat as an abort signal.
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(SpmdError::Timeout("channel disconnected".into()));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What the workers of one execution share.
+struct Shared<'p> {
+    program: &'p SpmdProgram,
+    skip_mask: Vec<bool>,
+    /// When the ranks were released; finish times count from here.
+    start: Instant,
+    /// The watchdog's deadline.
+    deadline: Instant,
+    abort: AbortCell,
+}
+
+/// What one rank hands back after running to completion. The send log
+/// borrows its messages from the program.
+struct RankOutcome<'p> {
     rank: usize,
     store: RankStore,
-    sent: Vec<(Message, u64)>,
+    sent: Vec<(&'p Message, u64)>,
     peak_scratch: u64,
     finish_s: f64,
 }
@@ -172,10 +255,7 @@ struct RankTask<'p> {
     ops: &'p [SpmdOp],
     pc: usize,
     store: RankStore,
-    rx: Receiver<Packet>,
-    /// Early arrivals, keyed by tag until their `Recv` retires them.
-    stash: BTreeMap<u64, Vec<f64>>,
-    sent: Vec<(Message, u64)>,
+    sent: Vec<(&'p Message, u64)>,
     peak_scratch: u64,
     finish_s: Option<f64>,
 }
@@ -185,23 +265,16 @@ impl<'p> RankTask<'p> {
         self.finish_s.is_some()
     }
 
-    /// Moves everything already queued on the inbound channel into the
-    /// tag-keyed stash without blocking.
-    fn drain(&mut self) {
-        while let Ok(p) = self.rx.try_recv() {
-            self.stash.insert(p.tag, p.data);
-        }
-    }
-
     /// Runs ops until the rank finishes or blocks on a receive whose
     /// packet has not arrived. Returns whether any op retired.
+    /// `senders[w]` feeds worker `w`'s inbox.
     fn advance(
         &mut self,
-        program: &SpmdProgram,
+        shared: &Shared<'p>,
         senders: &[Sender<Packet>],
-        skip_mask: &[bool],
-        start: Instant,
+        inbox: &mut Inbox,
     ) -> Result<bool, SpmdError> {
+        let program = shared.program;
         let out_name = &program.assignment.lhs.tensor;
         let mut progressed = false;
         while self.pc < self.ops.len() {
@@ -209,24 +282,22 @@ impl<'p> RankTask<'p> {
                 SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
                     let payload = program.read_payload(&self.store, m, out_name)?;
                     self.sent
-                        .push((m.clone(), program.exact_message_bytes(m, &payload)));
+                        .push((m, program.exact_message_bytes(m, &payload)));
                     // Nonblocking injection. A send can only fail if the
-                    // receiving rank's task was dropped, i.e. another
-                    // worker already hit an error — that error wins.
-                    let _ = senders[m.to].send(Packet {
+                    // receiving worker already returned, i.e. it hit an
+                    // error — that error wins.
+                    let _ = senders[m.to % senders.len()].send(Packet {
+                        to: m.to,
                         tag: m.tag,
                         data: payload,
                     });
                 }
-                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => {
-                    self.drain();
-                    match self.stash.remove(&m.tag) {
-                        Some(payload) => program.apply_recv(&mut self.store, m, payload),
-                        None => return Ok(progressed),
-                    }
-                }
+                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => match inbox.take(self.rank, m.tag) {
+                    Some(payload) => program.apply_recv(&mut self.store, m, payload),
+                    None => return Ok(progressed),
+                },
                 SpmdOp::Compute { bounds, .. } => {
-                    program.compute(&mut self.store, bounds, skip_mask)?;
+                    program.compute(&mut self.store, bounds, &shared.skip_mask)?;
                     self.peak_scratch = self.peak_scratch.max(self.store.scratch_bytes());
                 }
                 SpmdOp::RetireScratch { keep } => {
@@ -236,11 +307,11 @@ impl<'p> RankTask<'p> {
             self.pc += 1;
             progressed = true;
         }
-        self.finish_s = Some(start.elapsed().as_secs_f64());
+        self.finish_s = Some(shared.start.elapsed().as_secs_f64());
         Ok(true)
     }
 
-    fn into_outcome(self) -> RankOutcome {
+    fn into_outcome(self) -> RankOutcome<'p> {
         RankOutcome {
             rank: self.rank,
             store: self.store,
@@ -251,17 +322,15 @@ impl<'p> RankTask<'p> {
     }
 }
 
-/// One pool worker: round-robins its owned ranks, parking briefly on a
-/// blocked rank's channel only when none of them can progress.
-fn run_worker(
-    program: &SpmdProgram,
-    mut tasks: Vec<RankTask<'_>>,
+/// One pool worker: round-robins its owned ranks, parking on its inbox
+/// only when none of them can progress.
+fn run_worker<'p>(
+    shared: &Shared<'p>,
     senders: &[Sender<Packet>],
-    skip_mask: &[bool],
-    start: Instant,
-    deadline: Instant,
-    abort: &AbortCell,
-) -> Result<Vec<RankOutcome>, SpmdError> {
+    mut tasks: Vec<RankTask<'p>>,
+    mut inbox: Inbox,
+) -> Result<Vec<RankOutcome<'p>>, SpmdError> {
+    let abort = &shared.abort;
     loop {
         let mut progressed = false;
         let mut all_done = true;
@@ -269,7 +338,7 @@ fn run_worker(
             if t.done() {
                 continue;
             }
-            match t.advance(program, senders, skip_mask, start) {
+            match t.advance(shared, senders, &mut inbox) {
                 Ok(p) => progressed |= p,
                 Err(e) => {
                     // Annotate with the failing rank before publishing:
@@ -291,12 +360,11 @@ fn run_worker(
             continue;
         }
         // Every owned rank is blocked on a tag that hasn't arrived: park
-        // on the first blocked rank's channel for a slice, then re-sweep
-        // (another owned rank's packet may have landed meanwhile).
+        // until the next packet for any of them, at most a slice.
         if abort.tripped() {
             return Err(abort.cause());
         }
-        if Instant::now() >= deadline {
+        if Instant::now() >= shared.deadline {
             let t = tasks.iter().find(|t| !t.done()).expect("a rank is blocked");
             let tag = match &t.ops[t.pc] {
                 SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => m.tag,
@@ -312,18 +380,7 @@ fn run_worker(
             abort.trip(&e);
             return Err(e);
         }
-        let t = tasks.iter_mut().find(|t| !t.done()).expect("not all done");
-        match t.rx.recv_timeout(Duration::from_micros(500)) {
-            Ok(p) => {
-                t.stash.insert(p.tag, p.data);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            // All sender clones dropped: impossible while the spawning
-            // scope holds the originals; treat as an abort signal.
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(SpmdError::Timeout("channel disconnected".into()));
-            }
-        }
+        inbox.park(PARK_SLICE)?;
     }
 }
 
@@ -340,51 +397,48 @@ pub(crate) fn execute_threaded(
 ) -> Result<SpmdResult, SpmdError> {
     let ranks = program.ranks();
     let stores = program.seed_stores(inputs)?;
-    let skip_mask = program.skip_mask();
     let workers = distal_runtime::executor::host_worker_count(cfg.threads)
         .min(ranks)
         .max(1);
 
-    // One inbound channel per rank; all ranks share clones of the send
-    // sides. The originals stay alive in this scope, so a worker never
-    // observes a disconnect while peers are still running.
-    let mut senders: Vec<Sender<Packet>> = Vec::with_capacity(ranks);
-    let mut receivers: Vec<Receiver<Packet>> = Vec::with_capacity(ranks);
-    for _ in 0..ranks {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(rx);
-    }
+    // One inbound channel per worker; every worker holds clones of all
+    // the send sides. The originals stay alive in this scope, so a worker
+    // never observes a disconnect while peers are still running.
+    let (senders, receivers): (Vec<Sender<Packet>>, Vec<Receiver<Packet>>) =
+        (0..workers).map(|_| channel()).unzip();
 
     // Deterministic round-robin partition: worker w owns ranks
     // w, w + workers, w + 2·workers, …
     let mut partitions: Vec<Vec<RankTask<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (rank, (store, rx)) in stores.into_iter().zip(receivers).enumerate() {
+    for (rank, store) in stores.into_iter().enumerate() {
         partitions[rank % workers].push(RankTask {
             rank,
             ops: &program.programs[rank],
             pc: 0,
             store,
-            rx,
-            stash: BTreeMap::new(),
             sent: Vec::new(),
             peak_scratch: 0,
             finish_s: None,
         });
     }
 
-    let abort = AbortCell::new();
     let start = Instant::now();
-    let deadline = start + cfg.watchdog;
-    let results: Vec<Result<Vec<RankOutcome>, SpmdError>> = std::thread::scope(|scope| {
+    let shared = Shared {
+        program,
+        skip_mask: program.skip_mask(),
+        start,
+        deadline: start + cfg.watchdog,
+        abort: AbortCell::new(),
+    };
+    let results: Vec<Result<Vec<RankOutcome<'_>>, SpmdError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = partitions
             .into_iter()
-            .map(|tasks| {
+            .zip(receivers)
+            .map(|(tasks, rx)| {
                 let senders = senders.clone();
-                let (skip_mask, abort) = (&skip_mask, &abort);
-                scope.spawn(move || {
-                    run_worker(program, tasks, &senders, skip_mask, start, deadline, abort)
-                })
+                let inbox = Inbox::new(rx, workers, tasks.len());
+                let shared = &shared;
+                scope.spawn(move || run_worker(shared, &senders, tasks, inbox))
             })
             .collect();
         handles
@@ -400,7 +454,7 @@ pub(crate) fn execute_threaded(
     // abort flag reports a generic message, so a specific failure from
     // any other worker takes precedence over it.
     let mut first_err: Option<SpmdError> = None;
-    let mut outcomes: Vec<RankOutcome> = Vec::with_capacity(ranks);
+    let mut outcomes: Vec<RankOutcome<'_>> = Vec::with_capacity(ranks);
     for r in results {
         match r {
             Ok(o) => outcomes.extend(o),
@@ -427,9 +481,11 @@ pub(crate) fn execute_threaded(
     // Aggregate statistics are order-independent sums, so concatenating
     // per-rank send logs in rank order reproduces the sequential
     // transport's CommStats exactly.
-    let sent: Vec<(Message, u64)> = outcomes.iter().flat_map(|o| o.sent.clone()).collect();
-    let weighted: Vec<(&Message, u64)> = sent.iter().map(|(m, b)| (m, *b)).collect();
-    let stats = CommStats::from_weighted(&program.grid, ranks, &weighted);
+    let sent: Vec<(&Message, u64)> = outcomes
+        .iter()
+        .flat_map(|o| o.sent.iter().copied())
+        .collect();
+    let stats = CommStats::from_weighted(&program.grid, ranks, &sent);
 
     let mut stores: Vec<RankStore> = outcomes.into_iter().map(|o| o.store).collect();
     let output = program.finalize_output(&mut stores)?;
@@ -443,4 +499,53 @@ pub(crate) fn execute_threaded(
             threads: workers,
         }),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_packet_for_any_owned_rank_wakes_a_parked_worker() {
+        // Worker 0 of a 2-wide pool owns ranks 0 and 2, both blocked; the
+        // only packet in flight is for rank 2. Parking must end with that
+        // packet, not wait out the slice — which is set far beyond what
+        // the test would tolerate, so sleeping through it fails.
+        let (tx, rx) = channel();
+        let mut inbox = Inbox::new(rx, 2, 2);
+        assert_eq!(inbox.take(0, 7), None);
+        assert_eq!(inbox.take(2, 7), None);
+        tx.send(Packet {
+            to: 2,
+            tag: 7,
+            data: vec![1.5],
+        })
+        .unwrap();
+        let parked = Instant::now();
+        inbox.park(Duration::from_secs(600)).unwrap();
+        assert!(parked.elapsed() < Duration::from_secs(60));
+        // Filed under its destination rank only.
+        assert_eq!(inbox.take(0, 7), None);
+        assert_eq!(inbox.take(2, 7), Some(vec![1.5]));
+        assert_eq!(inbox.take(2, 7), None);
+    }
+
+    #[test]
+    fn take_drains_the_channel_when_the_stash_misses() {
+        let (tx, rx) = channel();
+        let mut inbox = Inbox::new(rx, 3, 2);
+        // Ranks 1 and 4 live on worker 1 of 3; arrivals come out of order.
+        for (to, tag) in [(4, 11), (1, 10), (4, 12)] {
+            let data = vec![tag as f64];
+            tx.send(Packet { to, tag, data }).unwrap();
+        }
+        assert_eq!(inbox.take(1, 10), Some(vec![10.0]));
+        assert_eq!(inbox.take(4, 12), Some(vec![12.0]));
+        assert_eq!(inbox.take(4, 11), Some(vec![11.0]));
+        drop(tx);
+        assert!(matches!(
+            inbox.park(Duration::from_millis(1)),
+            Err(SpmdError::Timeout(_))
+        ));
+    }
 }

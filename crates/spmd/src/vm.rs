@@ -12,6 +12,17 @@
 //! * an *accumulator* for locally computed output contributions, folded
 //!   into home pieces (locally or through reduce messages) at the end.
 //!
+//! Data moves in and out of the store a rectangle at a time, as in the
+//! paper's runtime (§6), never a point at a time: seeding, message
+//! payloads, the operand tiles of a leaf, reduction folds and the final
+//! output assembly are all strided row copies through
+//! [`distal_machine::geom::copy_rect`]. [`RankStore::gather`] resolves
+//! *which* buffer supplies each part of a rectangle — the same
+//! newest-scratch-then-home priority [`RankStore::lookup`] applies to one
+//! point — once per buffer instead of once per element. `lookup` itself
+//! survives only as the per-point oracle the interpreted leaves read
+//! through.
+//!
 //! The store is transport-agnostic: the sequential VM mutates one
 //! `RankStore` per rank inside a single loop, while the threaded
 //! transport ([`crate::transport`]) gives each rank thread exclusive
@@ -19,9 +30,10 @@
 //! same buffer semantics, which is the root of the transports'
 //! bit-parity guarantee.
 
-use distal_machine::geom::{Point, Rect};
+use distal_machine::geom::{copy_rect, Point, Rect};
 use distal_machine::ELEM_BYTES;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 
 /// A rectangular buffer: `rect` in tensor space, row-major `data`.
 #[derive(Clone, Debug)]
@@ -66,10 +78,57 @@ impl Buf {
         let o = self.offset(p);
         self.data[o] += v;
     }
+}
 
-    /// Extracts the values of `rect ⊆ self.rect`, row-major.
-    pub fn read_rect(&self, rect: &Rect) -> Vec<f64> {
-        rect.points().map(|p| self.get(&p)).collect()
+/// Walks `bufs` in priority order, handing `visit` each buffer together
+/// with every part of `unclaimed` it covers that no earlier buffer
+/// claimed — the rectangle-level form of "the first buffer containing the
+/// point wins". Returns what no buffer claimed.
+fn claim<B: Deref<Target = Buf>>(
+    bufs: impl IntoIterator<Item = B>,
+    mut unclaimed: Vec<Rect>,
+    mut visit: impl FnMut(&mut B, &Rect),
+) -> Vec<Rect> {
+    unclaimed.retain(|r| !r.is_empty());
+    for mut buf in bufs {
+        if unclaimed.is_empty() {
+            break;
+        }
+        let mut rest = Vec::new();
+        for piece in unclaimed {
+            let part = piece.intersection(&buf.rect);
+            if part.is_empty() {
+                rest.push(piece);
+            } else {
+                visit(&mut buf, &part);
+                rest.extend(piece.difference(&buf.rect));
+            }
+        }
+        unclaimed = rest;
+    }
+    unclaimed
+}
+
+/// Copies `rect` out of `bufs` (priority order) into `dst`, row-major over
+/// `dst_alloc`; `Err` names the first part of `rect` no buffer holds.
+fn gather_from<'a>(
+    bufs: impl IntoIterator<Item = &'a Buf>,
+    rect: &Rect,
+    dst_alloc: &Rect,
+    dst: &mut [f64],
+) -> Result<(), Rect> {
+    let missing = claim(bufs, vec![rect.clone()], |buf, part| {
+        copy_rect(&buf.rect, &buf.data, dst_alloc, dst, part, false)
+    });
+    missing.into_iter().next().map_or(Ok(()), Err)
+}
+
+/// Adds `values` (row-major over `rect`) into every buffer of `bufs`
+/// where it overlaps `rect`.
+fn fold_into(bufs: &mut [Buf], rect: &Rect, values: &[f64]) {
+    for buf in bufs {
+        let part = rect.intersection(&buf.rect);
+        copy_rect(rect, values, &buf.rect, &mut buf.data, &part, true);
     }
 }
 
@@ -92,21 +151,18 @@ impl RankStore {
         self.home.get(tensor).map_or(&[], Vec::as_slice)
     }
 
-    /// Mutable home buffers of `tensor`.
-    pub fn home_mut(&mut self, tensor: &str) -> &mut Vec<Buf> {
-        self.home.entry(tensor.to_string()).or_default()
-    }
-
     /// Pushes a received buffer into the current scratch generation.
     pub fn receive(&mut self, tensor: &str, buf: Buf) {
-        let gens = self
-            .scratch
-            .entry(tensor.to_string())
-            .or_insert_with(|| VecDeque::from([Vec::new()]));
-        if gens.is_empty() {
-            gens.push_front(Vec::new());
+        match self.scratch.get_mut(tensor) {
+            Some(gens) => match gens.front_mut() {
+                Some(newest) => newest.push(buf),
+                None => gens.push_front(vec![buf]),
+            },
+            None => {
+                let gens = VecDeque::from([vec![buf]]);
+                self.scratch.insert(tensor.to_string(), gens);
+            }
         }
-        gens[0].push(buf);
     }
 
     /// Retires scratch: keeps the newest `keep` generations of every tensor
@@ -127,30 +183,59 @@ impl RankStore {
             .sum()
     }
 
+    /// The buffers holding `tensor`, in read priority order: newest
+    /// scratch generation first, then home pieces.
+    fn bufs<'a>(&'a self, tensor: &str) -> impl Iterator<Item = &'a Buf> {
+        let scratch = self.scratch.get(tensor).into_iter().flatten().flatten();
+        scratch.chain(self.home(tensor))
+    }
+
     /// Looks up the value of `tensor` at `p`: newest scratch first, then
-    /// home pieces.
+    /// home pieces. Per-point, so only the interpreted-leaf parity oracle
+    /// reads through it; data moves through [`RankStore::gather`].
     pub fn lookup(&self, tensor: &str, p: &Point) -> Option<f64> {
-        if let Some(gens) = self.scratch.get(tensor) {
-            for gen in gens {
-                for buf in gen {
-                    if buf.rect.contains_point(p) {
-                        return Some(buf.get(p));
-                    }
-                }
-            }
-        }
-        self.home(tensor)
-            .iter()
+        self.bufs(tensor)
             .find(|b| b.rect.contains_point(p))
             .map(|b| b.get(p))
     }
 
-    /// Looks up an output value in the accumulator.
-    pub fn acc_lookup(&self, p: &Point) -> Option<f64> {
-        self.acc
-            .iter()
-            .find(|b| b.rect.contains_point(p))
-            .map(|b| b.get(p))
+    /// Copies `rect` of `tensor` into `out` (row-major over `rect`), every
+    /// point from the buffer [`RankStore::lookup`] would read it from: each
+    /// buffer, in priority order, supplies its intersection with the part
+    /// of `rect` still uncovered.
+    ///
+    /// # Errors
+    ///
+    /// The first uncovered rectangle, when the rank holds no valid copy of
+    /// part of `rect`.
+    pub fn gather(&self, tensor: &str, rect: &Rect, out: &mut [f64]) -> Result<(), Rect> {
+        self.gather_into(tensor, rect, rect, out)
+    }
+
+    /// [`RankStore::gather`] into a buffer laid out over the larger
+    /// `dst_alloc` — assembling a tensor from its pieces in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`RankStore::gather`].
+    pub fn gather_into(
+        &self,
+        tensor: &str,
+        rect: &Rect,
+        dst_alloc: &Rect,
+        dst: &mut [f64],
+    ) -> Result<(), Rect> {
+        gather_from(self.bufs(tensor), rect, dst_alloc, dst)
+    }
+
+    /// Copies `rect` of the output accumulator into `out` (row-major over
+    /// `rect`); the first accumulator buffer holding a point supplies it.
+    ///
+    /// # Errors
+    ///
+    /// The first rectangle of `rect` nothing was accumulated for.
+    pub fn gather_acc(&self, rect: &Rect, out: &mut [f64]) -> Result<(), Rect> {
+        gather_from(&self.acc, rect, rect, out)
     }
 
     /// The accumulator buffer covering `rect`, created on first use.
@@ -162,21 +247,17 @@ impl RankStore {
         self.acc.last_mut().expect("just pushed")
     }
 
-    /// All accumulator buffers.
-    pub fn acc_bufs(&self) -> &[Buf] {
-        &self.acc
+    /// Moves the accumulator buffers out (the final local fold consumes
+    /// them).
+    pub fn take_acc(&mut self) -> Vec<Buf> {
+        std::mem::take(&mut self.acc)
     }
 
     /// Folds `values` over `rect` into the home buffers of `tensor`
     /// (elementwise add); points outside every home piece are ignored.
     pub fn fold_into_home(&mut self, tensor: &str, rect: &Rect, values: &[f64]) {
-        let bufs = self.home_mut(tensor);
-        for (i, p) in rect.points().enumerate() {
-            for buf in bufs.iter_mut() {
-                if buf.rect.contains_point(&p) {
-                    buf.add(&p, values[i]);
-                }
-            }
+        if let Some(home) = self.home.get_mut(tensor) {
+            fold_into(home, rect, values);
         }
     }
 
@@ -185,39 +266,24 @@ impl RankStore {
     /// fold into the accumulator, so a relay of a reduce tree carries the
     /// partial onward in its own next `ReduceSend`.
     pub fn fold_output(&mut self, tensor: &str, rect: &Rect, values: &[f64]) {
-        let mut leftover: Vec<(Point, f64)> = Vec::new();
-        {
-            let bufs = self.home_mut(tensor);
-            for (i, p) in rect.points().enumerate() {
-                let mut hit = false;
-                for buf in bufs.iter_mut() {
-                    if buf.rect.contains_point(&p) {
-                        buf.add(&p, values[i]);
-                        hit = true;
-                    }
-                }
-                if !hit {
-                    leftover.push((p, values[i]));
-                }
+        let home = self
+            .home
+            .get_mut(tensor)
+            .map_or(&mut [][..], Vec::as_mut_slice);
+        fold_into(home, rect, values);
+        let relayed = claim(home.iter(), vec![rect.clone()], |_, _| {});
+        // Accumulator folds must hit the buffer `gather_acc` reads (the
+        // first holding the point); what none holds gets a fresh buffer
+        // over `rect`, appended last so existing entries keep priority.
+        let fresh = claim(self.acc.iter_mut(), relayed, |buf, part| {
+            copy_rect(rect, values, &buf.rect, &mut buf.data, part, true)
+        });
+        if !fresh.is_empty() {
+            let mut buf = Buf::zeros(rect.clone());
+            for part in &fresh {
+                copy_rect(rect, values, rect, &mut buf.data, part, true);
             }
-        }
-        if leftover.is_empty() {
-            return;
-        }
-        // Accumulator folds must hit the same buffer `acc_lookup` reads
-        // (first containing the point); uncovered points get a fresh
-        // buffer over `rect`, appended last so existing entries keep
-        // priority.
-        if leftover
-            .iter()
-            .any(|(p, _)| !self.acc.iter().any(|b| b.rect.contains_point(p)))
-        {
-            self.acc.push(Buf::zeros(rect.clone()));
-        }
-        for (p, v) in leftover {
-            if let Some(buf) = self.acc.iter_mut().find(|b| b.rect.contains_point(&p)) {
-                buf.add(&p, v);
-            }
+            self.acc.push(buf);
         }
     }
 }
@@ -272,6 +338,95 @@ mod tests {
         assert_eq!(s.lookup("B", &pt(&[0])), Some(5.0));
         assert_eq!(s.lookup("B", &pt(&[1])), Some(9.0));
         assert_eq!(s.lookup("Z", &pt(&[0])), None);
+    }
+
+    fn buf(lo: &[i64], hi: &[i64], fill: f64) -> Buf {
+        let mut b = Buf::zeros(Rect::new(pt(lo), pt(hi)));
+        b.data.fill(fill);
+        b
+    }
+
+    #[test]
+    fn gather_reads_newer_scratch_over_older_scratch_over_home() {
+        // Three overlapping layers of a 4x4 tensor: home everywhere (1),
+        // an old scratch tile over rows 0..=2 (2), a newer one over
+        // columns 2..=3 of rows 1..=3 (3).
+        let mut s = RankStore::default();
+        s.add_home("B", buf(&[0, 0], &[3, 3], 1.0));
+        s.receive("B", buf(&[0, 0], &[2, 3], 2.0));
+        s.retire_scratch(1);
+        s.receive("B", buf(&[1, 2], &[3, 3], 3.0));
+        let rect = Rect::sized(&[4, 4]);
+        let mut got = vec![0.0; 16];
+        assert_eq!(s.gather("B", &rect, &mut got), Ok(()));
+        #[rustfmt::skip]
+        assert_eq!(got, [
+            2.0, 2.0, 2.0, 2.0,
+            2.0, 2.0, 3.0, 3.0,
+            2.0, 2.0, 3.0, 3.0,
+            1.0, 1.0, 3.0, 3.0,
+        ]);
+        // Point for point what the oracle's lookup reads.
+        for (i, p) in rect.points().enumerate() {
+            assert_eq!(s.lookup("B", &p), Some(got[i]), "{p}");
+        }
+        // A sub-rectangle lands row-major over itself.
+        let sub = Rect::new(pt(&[2, 1]), pt(&[3, 2]));
+        let mut got = vec![0.0; 4];
+        assert_eq!(s.gather("B", &sub, &mut got), Ok(()));
+        assert_eq!(got, [2.0, 3.0, 1.0, 3.0]);
+    }
+
+    #[test]
+    fn gather_names_the_uncovered_part() {
+        let mut s = RankStore::default();
+        s.add_home("B", buf(&[0, 0], &[1, 3], 1.0));
+        let mut out = vec![0.0; 16];
+        // Rows 2..=3 have no local copy; the covered rows still land.
+        assert_eq!(
+            s.gather("B", &Rect::sized(&[4, 4]), &mut out),
+            Err(Rect::new(pt(&[2, 0]), pt(&[3, 3])))
+        );
+        assert_eq!(out[..8], [1.0; 8]);
+        // Unknown tensors are uncovered everywhere; empty rects never are.
+        let all = Rect::sized(&[4, 4]);
+        assert_eq!(s.gather("Z", &all, &mut out), Err(all));
+        assert_eq!(s.gather("Z", &Rect::empty(2), &mut []), Ok(()));
+    }
+
+    #[test]
+    fn gather_acc_reads_the_first_accumulator_holding_a_point() {
+        let mut s = RankStore::default();
+        s.acc_buf(&Rect::new(pt(&[0]), pt(&[1]))).data.fill(4.0);
+        s.acc_buf(&Rect::new(pt(&[1]), pt(&[3]))).data.fill(5.0);
+        let mut out = vec![0.0; 4];
+        assert_eq!(s.gather_acc(&Rect::sized(&[4]), &mut out), Ok(()));
+        assert_eq!(out, [4.0, 4.0, 5.0, 5.0]);
+        assert_eq!(
+            s.gather_acc(&Rect::sized(&[6]), &mut [0.0; 6]),
+            Err(Rect::new(pt(&[4]), pt(&[5])))
+        );
+    }
+
+    #[test]
+    fn fold_output_splits_between_home_and_accumulator() {
+        // Home owns columns 0..=1; an accumulator already holds column 2.
+        let mut s = RankStore::default();
+        s.add_home("A", Buf::zeros(Rect::new(pt(&[0]), pt(&[1]))));
+        s.acc_buf(&Rect::new(pt(&[2]), pt(&[2])));
+        s.fold_output("A", &Rect::sized(&[4]), &[1.0, 2.0, 3.0, 4.0]);
+        s.fold_output("A", &Rect::sized(&[4]), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(s.home("A")[0].data, [2.0, 4.0]);
+        // Column 2 folds into the existing accumulator, column 3 into a
+        // fresh one over the payload's rectangle, appended behind it.
+        let mut relayed = vec![0.0; 2];
+        let tail = Rect::new(pt(&[2]), pt(&[3]));
+        assert_eq!(s.gather_acc(&tail, &mut relayed), Ok(()));
+        assert_eq!(relayed, [6.0, 8.0]);
+        let accs = s.take_acc();
+        assert_eq!(accs.len(), 2);
+        assert_eq!(accs[1].rect, Rect::sized(&[4]));
+        assert_eq!(accs[1].data, [0.0, 0.0, 0.0, 8.0]);
     }
 
     #[test]

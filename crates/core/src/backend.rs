@@ -365,8 +365,10 @@ impl Plan for RuntimePlan {
         for (name, init) in bindings.iter() {
             let dims = &self.tensors[name.as_str()].dims;
             match self.backend.mode {
+                // The bound copy drops with the session's store, which
+                // hands its buffers back to the pool this one comes from.
                 Mode::Functional => {
-                    session.set_data(name, init.materialize(dims))?;
+                    session.set_data(name, init.materialize_pooled(dims))?;
                 }
                 // Model mode holds no data; filling marks regions valid.
                 // Compressed-format tensors still get nnz-aware byte

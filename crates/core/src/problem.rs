@@ -129,6 +129,23 @@ impl TensorInit {
             TensorInit::RandomSparse { seed, density } => sparse_random_data(n, *seed, *density),
         }
     }
+
+    /// [`TensorInit::materialize`] into a recycled buffer
+    /// ([`distal_runtime::pool`]): the per-request copy an instance binds,
+    /// and hands back to the pool when it drops.
+    pub fn materialize_pooled(&self, dims: &[i64]) -> Vec<f64> {
+        let owned;
+        let src = match self {
+            TensorInit::Data(data) => data,
+            other => {
+                owned = other.materialize(dims);
+                &owned
+            }
+        };
+        let mut data = distal_runtime::pool::take(src.len());
+        data.copy_from_slice(src);
+        data
+    }
 }
 
 /// A statement + registered tensors + abstract machine, ready to compile

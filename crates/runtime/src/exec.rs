@@ -2,6 +2,7 @@
 
 use crate::executor::{ExecCtx, Executor, ExecutorKind, ParallelExecutor, SerialExecutor};
 use crate::graph::GraphBuilder;
+use crate::pool;
 use crate::program::Program;
 use crate::region::{
     DataCell, Instance, InstanceId, InstanceRole, LogicalRegion, RegionId, ELEM_BYTES,
@@ -94,7 +95,7 @@ impl std::error::Error for RuntimeError {}
 /// the backing *buffers* live beside it in per-instance [`DataCell`] locks,
 /// so executors can share `&Store` across worker threads and mutate buffers
 /// concurrently where the dependence DAG allows it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Store {
     pub(crate) regions: Vec<LogicalRegion>,
     pub(crate) instances: Vec<Instance>,
@@ -113,6 +114,19 @@ pub struct Store {
 }
 
 impl Store {
+    fn new(mems: usize) -> Self {
+        Store {
+            regions: Vec::new(),
+            instances: Vec::new(),
+            buffers: Vec::new(),
+            by_region: Vec::new(),
+            reductions_by_region: Vec::new(),
+            scratch_gen: Vec::new(),
+            used_bytes: vec![0; mems],
+            peak_bytes: vec![0; mems],
+        }
+    }
+
     pub(crate) fn region(&self, id: RegionId) -> &LogicalRegion {
         &self.regions[id.0 as usize]
     }
@@ -163,11 +177,13 @@ impl Store {
         let peak = &mut self.peak_bytes[mem.0 as usize];
         *peak = (*peak).max(self.used_bytes[mem.0 as usize]);
         let id = InstanceId(self.instances.len() as u32);
-        let data = if functional {
-            Some(vec![0.0; rect.volume() as usize])
-        } else {
-            None
-        };
+        // Scratch instances exist to be filled by copies over their whole
+        // rectangle before anything reads them; every other role starts
+        // from zeros (outputs, reduction buffers).
+        let data = functional.then(|| match role {
+            InstanceRole::Scratch => pool::take(rect.volume() as usize),
+            _ => pool::take_zeroed(rect.volume() as usize),
+        });
         self.instances.push(Instance {
             id,
             region,
@@ -200,6 +216,17 @@ impl Store {
     }
 }
 
+impl Drop for Store {
+    /// Instance buffers go back to the pool the next store takes them from.
+    fn drop(&mut self) {
+        pool::give_all(
+            self.buffers
+                .drain(..)
+                .filter_map(|cell| cell.into_inner().ok().flatten()),
+        );
+    }
+}
+
 /// The runtime: a physical machine plus persistent region state.
 ///
 /// See the crate-level docs for an overview and example.
@@ -223,11 +250,7 @@ impl Runtime {
             record_copies: false,
             executor: ExecutorKind::default(),
             executor_threads: 0,
-            store: Store {
-                used_bytes: vec![0; mems],
-                peak_bytes: vec![0; mems],
-                ..Store::default()
-            },
+            store: Store::new(mems),
         }
     }
 

@@ -33,6 +33,7 @@
 use crate::exec::Store;
 use crate::graph::{CopyNode, GNode, GNodeKind, Graph, TaskNode};
 use crate::kernel::{Kernel, KernelArg, KernelCtx};
+use crate::pool;
 use crate::program::Privilege;
 use crate::region::InstanceId;
 use crate::sim::schedule_graph;
@@ -488,7 +489,7 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclu
             let alloc = store.instance(*inst).rect.clone();
             let data = match guards[slot].1.data() {
                 Some(src) => {
-                    let mut out = vec![0.0; rect.volume() as usize];
+                    let mut out = pool::take(rect.volume() as usize);
                     copy_rect(&alloc, src, rect, &mut out, rect, false);
                     out
                 }
@@ -538,9 +539,11 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclu
     };
     kernels[task.kernel.0 as usize].execute(&mut ctx);
 
+    // Moved buffers go back under their guards; snapshots back to the pool.
     for (arg, slot) in ctx.args.into_iter().zip(first_use) {
-        if let Some(s) = slot {
-            guards[s].1.restore(arg.data);
+        match slot {
+            Some(s) => guards[s].1.restore(arg.data),
+            None => pool::give(arg.data),
         }
     }
 }

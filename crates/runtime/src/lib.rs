@@ -51,6 +51,7 @@ pub mod executor;
 pub mod graph;
 pub mod kernel;
 pub mod kernelgen;
+pub mod pool;
 pub mod program;
 pub mod region;
 pub(crate) mod sim;

@@ -10,6 +10,7 @@ use distal_ir::expr::{Assignment, Expr, IndexVar};
 use distal_machine::geom::{copy_rect, Point, Rect, RectSet};
 use distal_machine::grid::Grid;
 use distal_runtime::kernel::{Kernel, KernelArg, KernelCtx};
+use distal_runtime::pool;
 use distal_runtime::program::Privilege;
 use distal_sparse::csr_payload_bytes;
 use std::collections::BTreeMap;
@@ -333,10 +334,14 @@ impl SpmdProgram {
             };
             for (rank, pieces) in self.owners[&t.name].pieces.iter().enumerate() {
                 for piece in pieces {
-                    let mut buf = Buf::zeros(piece.clone());
-                    if let Some(d) = data {
-                        copy_rect(&rect, d, piece, &mut buf.data, piece, false);
-                    }
+                    let buf = match data {
+                        Some(d) => {
+                            let mut buf = Buf::stale(piece.clone());
+                            copy_rect(&rect, d, piece, &mut buf.data, piece, false);
+                            buf
+                        }
+                        None => Buf::zeros(piece.clone()),
+                    };
                     stores[rank].add_home(&t.name, buf);
                 }
             }
@@ -363,6 +368,7 @@ impl SpmdProgram {
     pub(crate) fn apply_recv(&self, store: &mut RankStore, m: &Message, payload: Vec<f64>) {
         if m.tensor == self.assignment.lhs.tensor {
             store.fold_output(&m.tensor, &m.rect, &payload);
+            pool::give(payload);
         } else {
             let buf = Buf {
                 rect: m.rect.clone(),
@@ -380,6 +386,7 @@ impl SpmdProgram {
         for store in stores.iter_mut() {
             for acc in store.take_acc() {
                 store.fold_into_home(out_name, &acc.rect, &acc.data);
+                pool::give(acc.data);
             }
         }
         let out_t = self.tensor(out_name)?;
@@ -424,7 +431,7 @@ impl SpmdProgram {
         m: &Message,
         out_name: &str,
     ) -> Result<Vec<f64>, SpmdError> {
-        let mut payload = vec![0.0; m.rect.volume().max(0) as usize];
+        let mut payload = pool::take(m.rect.volume().max(0) as usize);
         let gathered = if m.tensor == out_name {
             store.gather_acc(&m.rect, &mut payload)
         } else {
@@ -500,7 +507,7 @@ impl SpmdProgram {
         });
         for acc in a.input_accesses() {
             let rect = rect_of(&acc.indices);
-            let mut data = vec![0.0; rect.volume().max(0) as usize];
+            let mut data = pool::take(rect.volume().max(0) as usize);
             store
                 .gather(&acc.tensor, &rect, &mut data)
                 .map_err(|missing| {
@@ -527,7 +534,9 @@ impl SpmdProgram {
             scalars,
         };
         self.leaf.0.execute(&mut kctx);
-        store.acc_buf(&out_rect).data = kctx.args.swap_remove(0).data;
+        let mut args = kctx.args.into_iter().map(|arg| arg.data);
+        store.acc_buf(&out_rect).data = args.next().expect("the output argument");
+        pool::give_all(args);
         Ok(())
     }
 

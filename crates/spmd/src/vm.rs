@@ -32,6 +32,7 @@
 
 use distal_machine::geom::{copy_rect, Point, Rect};
 use distal_machine::ELEM_BYTES;
+use distal_runtime::pool;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;
 
@@ -50,7 +51,17 @@ impl Buf {
         let n = rect.volume().max(0) as usize;
         Buf {
             rect,
-            data: vec![0.0; n],
+            data: pool::take_zeroed(n),
+        }
+    }
+
+    /// A buffer covering `rect` with unspecified contents, for a caller
+    /// about to overwrite all of it.
+    pub fn stale(rect: Rect) -> Self {
+        let n = rect.volume().max(0) as usize;
+        Buf {
+            rect,
+            data: pool::take(n),
         }
     }
 
@@ -169,7 +180,8 @@ impl RankStore {
     /// and opens a fresh accumulating generation.
     pub fn retire_scratch(&mut self, keep: usize) {
         for gens in self.scratch.values_mut() {
-            gens.truncate(keep);
+            let retired = gens.drain(keep.min(gens.len())..);
+            pool::give_all(retired.flatten().map(|b| b.data));
             gens.push_front(Vec::new());
         }
     }
@@ -285,6 +297,20 @@ impl RankStore {
             }
             self.acc.push(buf);
         }
+    }
+}
+
+impl Drop for RankStore {
+    /// Every buffer goes back to the pool the next run takes them from.
+    fn drop(&mut self) {
+        let home = std::mem::take(&mut self.home).into_values().flatten();
+        let scratch = std::mem::take(&mut self.scratch).into_values();
+        let acc = std::mem::take(&mut self.acc);
+        pool::give_all(
+            home.chain(scratch.flatten().flatten())
+                .chain(acc)
+                .map(|b| b.data),
+        );
     }
 }
 

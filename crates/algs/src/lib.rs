@@ -9,8 +9,8 @@
 //!   notation + schedule;
 //! * [`higher_order`] — the §7.2 kernels (TTV, Innerprod, TTM, MTTKRP) with
 //!   the communication-minimizing schedules the paper describes;
-//! * [`setup`] — helpers that build ready-to-run [`distal_core::Session`]s
-//!   for either family.
+//! * [`setup`] — helpers that build the ready-to-compile
+//!   [`distal_core::Problem`] + [`distal_core::Schedule`] of either family.
 
 pub mod higher_order;
 pub mod matmul;

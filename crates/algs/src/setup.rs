@@ -1,10 +1,8 @@
-//! Session and problem builders for the algorithm case studies.
+//! Problem builders for the algorithm case studies.
 
 use crate::higher_order::HigherOrderKernel;
 use crate::matmul::MatmulAlgorithm;
-use distal_core::{
-    CompileError, CompiledKernel, DistalMachine, Problem, Schedule, Session, TensorSpec,
-};
+use distal_core::{CompileError, DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec};
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::{ExecutorKind, Mode};
 
@@ -53,45 +51,16 @@ impl RunConfig {
             ProcKind::Gpu => self.spec.total_gpus() as i64,
         }
     }
-}
 
-/// Builds a session + compiled kernel for a Figure 9 matmul algorithm on
-/// `n × n` matrices.
-///
-/// In functional mode the inputs are seeded with deterministic random data;
-/// in model mode they are marked valid.
-///
-/// # Errors
-///
-/// Propagates compile errors (oversized grids, bad formats).
-pub fn matmul_session(
-    alg: MatmulAlgorithm,
-    config: &RunConfig,
-    n: i64,
-    chunk: i64,
-) -> Result<(Session, CompiledKernel), CompileError> {
-    let p = config.processors();
-    let grid = alg.grid(p);
-    let machine = DistalMachine::flat(grid, config.proc_kind);
-    let mut session = Session::new(config.spec.clone(), machine, config.mode);
-    session.set_executor(config.executor);
-    let formats = alg.formats(config.mem);
-    for (name, format) in ["A", "B", "C"].iter().zip(formats) {
-        session.tensor(TensorSpec::new(*name, vec![n, n], format))?;
+    /// The runtime backend this configuration runs problems on: its mode
+    /// and executor selection, default options and lints.
+    pub fn backend(&self) -> RuntimeBackend {
+        let backend = match self.mode {
+            Mode::Functional => RuntimeBackend::functional(),
+            Mode::Model => RuntimeBackend::model(),
+        };
+        backend.with_executor(self.executor)
     }
-    match config.mode {
-        Mode::Functional => {
-            session.fill_random("B", 0xB)?;
-            session.fill_random("C", 0xC)?;
-        }
-        Mode::Model => {
-            session.fill("B", 0.0)?;
-            session.fill("C", 0.0)?;
-        }
-    }
-    let schedule = alg.schedule(p, n, chunk);
-    let kernel = session.compile("A(i,j) = B(i,k) * C(k,j)", &schedule)?;
-    Ok((session, kernel))
 }
 
 /// The low-level builder behind [`matmul_problem`]: grid, formats,
@@ -123,8 +92,9 @@ pub fn matmul_problem_on(
 
 /// Builds the target-agnostic [`Problem`] + [`Schedule`] of a Figure 9
 /// matmul algorithm on `n × n` matrices: grid, formats, statement, and
-/// deterministic random inputs (seeds `0xB`/`0xC`), ready for
-/// `Problem::compile` on any backend.
+/// deterministic random inputs (seeds `0xB`/`0xC`; model-mode backends
+/// only mark them valid), ready for `Problem::compile` on any backend —
+/// [`RunConfig::backend`] is the one the configuration describes.
 ///
 /// # Errors
 ///
@@ -174,60 +144,38 @@ pub fn higher_order_problem(
     Ok((problem, kernel.schedule(p)))
 }
 
-/// Builds a session + compiled kernel for a §7.2 higher-order kernel with
-/// side length `n`.
-///
-/// # Errors
-///
-/// Propagates compile errors.
-pub fn higher_order_session(
-    kernel: HigherOrderKernel,
-    config: &RunConfig,
-    n: i64,
-) -> Result<(Session, CompiledKernel), CompileError> {
-    let p = config.processors();
-    let machine = DistalMachine::flat(kernel.grid(p), config.proc_kind);
-    let mut session = Session::new(config.spec.clone(), machine, config.mode);
-    session.set_executor(config.executor);
-    let shapes = kernel.shapes(n);
-    let formats = kernel.formats(config.mem);
-    for ((name, dims), format) in shapes.iter().zip(formats) {
-        session.tensor(TensorSpec::new(*name, dims.clone(), format))?;
-    }
-    for (idx, (name, _)) in shapes.iter().enumerate().skip(1) {
-        match config.mode {
-            Mode::Functional => session.fill_random(name, 0x51ED + idx as u64)?,
-            Mode::Model => session.fill(name, 0.0)?,
-        }
-    }
-    let schedule = kernel.schedule(p);
-    let compiled = session.compile(kernel.expression(), &schedule)?;
-    Ok((session, compiled))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use distal_core::oracle;
     use std::collections::BTreeMap;
 
+    /// Runs a problem on the configuration's backend and checks its
+    /// output against the sequential oracle.
+    fn check(config: &RunConfig, problem: &Problem, schedule: &Schedule, tol: f64, what: &str) {
+        let mut instance = problem.compile(&config.backend(), schedule).unwrap();
+        instance.run().unwrap();
+        let assignment = problem.assignment().unwrap();
+        let got = instance.read(&assignment.lhs.tensor).unwrap();
+        let inputs: BTreeMap<String, Vec<f64>> = assignment
+            .input_accesses()
+            .iter()
+            .map(|acc| (acc.tensor.clone(), instance.read(&acc.tensor).unwrap()))
+            .collect();
+        let want = oracle::evaluate(assignment, &problem.dims_map(), &inputs).unwrap();
+        for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            assert!(
+                (g - w).abs() < tol * (1.0 + w.abs()),
+                "{what} at {idx}: {g} vs {w}"
+            );
+        }
+    }
+
     fn check_matmul(alg: MatmulAlgorithm, nodes: usize, n: i64) {
         let mut config = RunConfig::cpu(nodes, Mode::Functional);
         config.spec = MachineSpec::small(nodes);
-        let (mut session, kernel) = matmul_session(alg, &config, n, (n / 2).max(1)).unwrap();
-        session.run(&kernel).unwrap();
-        let got = session.read("A").unwrap();
-        let mut dims = BTreeMap::new();
-        for t in ["A", "B", "C"] {
-            dims.insert(t.to_string(), vec![n, n]);
-        }
-        let mut inputs = BTreeMap::new();
-        inputs.insert("B".to_string(), session.read("B").unwrap());
-        inputs.insert("C".to_string(), session.read("C").unwrap());
-        let want = oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-        for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-            assert!((g - w).abs() < 1e-9, "{alg:?} at {idx}: {g} vs {w}");
-        }
+        let (problem, schedule) = matmul_problem(alg, &config, n, (n / 2).max(1)).unwrap();
+        check(&config, &problem, &schedule, 1e-9, &alg.name());
     }
 
     #[test]
@@ -263,24 +211,8 @@ mod tests {
     fn check_higher_order(k: HigherOrderKernel, nodes: usize, n: i64) {
         let mut config = RunConfig::cpu(nodes, Mode::Functional);
         config.spec = MachineSpec::small(nodes);
-        let (mut session, kernel) = higher_order_session(k, &config, n).unwrap();
-        session.run(&kernel).unwrap();
-        let got = session.read(&kernel.output).unwrap();
-        let mut dims = BTreeMap::new();
-        let mut inputs = BTreeMap::new();
-        for (name, d) in k.shapes(n) {
-            dims.insert(name.to_string(), d);
-            if name != kernel.output {
-                inputs.insert(name.to_string(), session.read(name).unwrap());
-            }
-        }
-        let want = oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-        for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-6 * (1.0 + w.abs()),
-                "{k:?} at {idx}: {g} vs {w}"
-            );
-        }
+        let (problem, schedule) = higher_order_problem(k, &config, n).unwrap();
+        check(&config, &problem, &schedule, 1e-6, k.name());
     }
 
     #[test]

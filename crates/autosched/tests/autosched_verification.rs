@@ -5,9 +5,8 @@
 //! heavy candidates go infeasible on small framebuffers).
 
 use distal_autosched::{AutoScheduler, Candidate, SearchConfig};
-use distal_core::{oracle, DistalMachine, Session, TensorSpec};
+use distal_core::{oracle, DistalMachine, Problem, RuntimeBackend, TensorSpec};
 use distal_machine::spec::{MachineSpec, ProcKind};
-use distal_runtime::Mode;
 use std::collections::BTreeMap;
 
 fn matmul_dims(n: i64) -> BTreeMap<String, Vec<i64>> {
@@ -26,9 +25,10 @@ fn run_functional(
     out: &str,
 ) {
     let machine = DistalMachine::flat(candidate.grid.clone(), proc_kind);
-    let mut session = Session::new(MachineSpec::small(4), machine, Mode::Functional);
+    let mut problem = Problem::new(MachineSpec::small(4), machine);
+    problem.statement(expr).unwrap();
     for (name, shape) in dims {
-        session
+        problem
             .tensor(TensorSpec::new(
                 name.clone(),
                 shape.clone(),
@@ -36,18 +36,20 @@ fn run_functional(
             ))
             .unwrap();
         if name != out {
-            session.fill_random(name, 0xAB + name.len() as u64).unwrap();
+            problem.fill_random(name, 0xAB + name.len() as u64).unwrap();
         }
     }
-    let kernel = session.compile(expr, &candidate.schedule).unwrap();
-    session.run(&kernel).unwrap();
-    let got = session.read(out).unwrap();
+    let mut instance = problem
+        .compile(&RuntimeBackend::functional(), &candidate.schedule)
+        .unwrap();
+    instance.run().unwrap();
+    let got = instance.read(out).unwrap();
 
     let mut inputs = BTreeMap::new();
     for name in dims.keys().filter(|n| *n != out) {
-        inputs.insert(name.clone(), session.read(name).unwrap());
+        inputs.insert(name.clone(), instance.read(name).unwrap());
     }
-    let want = oracle::evaluate(&kernel.assignment, dims, &inputs).unwrap();
+    let want = oracle::evaluate(problem.assignment().unwrap(), dims, &inputs).unwrap();
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
         assert!(
             (g - w).abs() < 1e-9 * (1.0 + w.abs()),

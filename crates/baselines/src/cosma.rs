@@ -15,59 +15,34 @@
 //!   costs DISTAL ~15% at 256 nodes. It also never exhausts the 16 GB
 //!   framebuffer, unlike replication-heavy 3D algorithms.
 
+use crate::common::PhasedRun;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::RunConfig;
 use distal_core::lower::CompileOptions;
-use distal_core::{CompileError, CompiledKernel, DistalMachine, Session, TensorSpec};
-use distal_ir::expr::Assignment;
+use distal_core::BackendError;
 use distal_machine::spec::{MemKind, ProcKind};
-use distal_runtime::Mode;
 
-/// Builds the COSMA GEMM session.
+/// Builds the COSMA GEMM run.
 ///
 /// `restricted_cpus` models the paper's "COSMA (Restricted CPUs)" line
 /// (36 of 40 cores).
 ///
 /// # Errors
 ///
-/// Propagates compile errors.
-pub fn gemm(
-    config: &RunConfig,
-    n: i64,
-    restricted_cpus: bool,
-) -> Result<(Session, CompiledKernel), CompileError> {
+/// Propagates compile and seeding errors.
+pub fn gemm(config: &RunConfig, n: i64, restricted_cpus: bool) -> Result<PhasedRun, BackendError> {
     let p = config.processors();
     let alg = MatmulAlgorithm::Cosma;
-    let mut spec = config.spec.clone();
+    let mut config = config.clone();
     if config.proc_kind == ProcKind::Cpu {
         // COSMA dedicates every core to computation.
-        spec.cpu_worker_fraction = if restricted_cpus { 36.0 / 40.0 } else { 1.0 };
+        config.spec.cpu_worker_fraction = if restricted_cpus { 36.0 / 40.0 } else { 1.0 };
     }
-    let machine = DistalMachine::flat(alg.grid(p), config.proc_kind);
-    let mut session = Session::new(spec, machine, config.mode);
-
     // GPU out-of-core: tensors live in host memory; compute stages into FB.
     let out_of_core = config.proc_kind == ProcKind::Gpu;
-    let mem = if out_of_core {
-        MemKind::Sys
-    } else {
-        config.mem
-    };
-    for (name, format) in ["A", "B", "C"].iter().zip(alg.formats(mem)) {
-        session.tensor(TensorSpec::new(*name, vec![n, n], format))?;
+    if out_of_core {
+        config.mem = MemKind::Sys;
     }
-    match config.mode {
-        Mode::Functional => {
-            session.fill_random("B", 0xB)?;
-            session.fill_random("C", 0xC)?;
-        }
-        Mode::Model => {
-            session.fill("B", 0.0)?;
-            session.fill("C", 0.0)?;
-        }
-    }
-    let assignment = Assignment::parse("A(i,j) = B(i,k) * C(k,j)")
-        .map_err(|e| CompileError::Expression(e.to_string()))?;
     let options = CompileOptions {
         // The out-of-core GEMM (Tiled-MM) achieves roughly half of cuBLAS
         // peak — the 2x single-node gap of Figure 15b. CPU COSMA runs at
@@ -82,60 +57,41 @@ pub fn gemm(
     let grid = alg.grid(p);
     let (gx, gy, gz) = (grid.extent(0), grid.extent(1), grid.extent(2));
     let steps = if out_of_core {
-        let budget = (session.runtime().machine().spec.node.fb_bytes as f64 * 0.9) as u64;
+        let budget = (config.spec.node.fb_bytes as f64 * 0.9) as u64;
         distal_algs::matmul::cosma_steps_for_memory(n, gx, gy, gz, budget).unwrap_or(1)
     } else {
         1
     };
     let schedule = distal_algs::matmul::cosma_schedule(gx, gy, gz, steps.max(1));
-    let kernel = session.compile_assignment(&assignment, &schedule, &options)?;
-    Ok((session, kernel))
+    PhasedRun::gemm(&config, alg, n, &schedule, &options, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use distal_machine::spec::MachineSpec;
+    use distal_runtime::Mode;
 
     #[test]
     fn cosma_gemm_correct() {
         let mut config = RunConfig::cpu(2, Mode::Functional);
         config.spec = MachineSpec::small(2);
-        let (mut session, kernel) = gemm(&config, 8, false).unwrap();
-        session.run(&kernel).unwrap();
-        let a = session.read("A").unwrap();
-        let mut dims = std::collections::BTreeMap::new();
-        for t in ["A", "B", "C"] {
-            dims.insert(t.to_string(), vec![8, 8]);
-        }
-        let mut inputs = std::collections::BTreeMap::new();
-        inputs.insert("B".to_string(), session.read("B").unwrap());
-        inputs.insert("C".to_string(), session.read("C").unwrap());
-        let want = distal_core::oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-        for (g, w) in a.iter().zip(want.iter()) {
-            assert!((g - w).abs() < 1e-9);
-        }
+        crate::common::assert_gemm_matches_oracle(&mut gemm(&config, 8, false).unwrap(), 8);
     }
 
     #[test]
     fn restricted_variant_is_slower_on_cpu() {
         let config = RunConfig::cpu(1, Mode::Model);
         let n = 8192;
-        let (mut s_full, k_full) = gemm(&config, n, false).unwrap();
-        s_full.place(&k_full).unwrap();
-        let full = s_full.execute(&k_full).unwrap();
-        let (mut s_r, k_r) = gemm(&config, n, true).unwrap();
-        s_r.place(&k_r).unwrap();
-        let restricted = s_r.execute(&k_r).unwrap();
+        let full = gemm(&config, n, false).unwrap().run().unwrap();
+        let restricted = gemm(&config, n, true).unwrap().run().unwrap();
         assert!(restricted.makespan_s > full.makespan_s * 1.05);
     }
 
     #[test]
     fn gpu_variant_stages_through_host() {
         let config = RunConfig::gpu(1, Mode::Model);
-        let (mut s, k) = gemm(&config, 2048, false).unwrap();
-        s.place(&k).unwrap();
-        let stats = s.execute(&k).unwrap();
+        let stats = gemm(&config, 2048, false).unwrap().run().unwrap();
         // Host-device traffic must appear (out-of-core staging).
         let hd = stats
             .bytes_by_class

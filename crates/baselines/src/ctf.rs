@@ -12,54 +12,33 @@
 //! it lies. This module reproduces the pipeline faithfully enough that its
 //! functional results are bit-checked against the oracle in tests.
 
-use crate::common::{make_bulk_synchronous, Phase, PhasedRun};
+use crate::common::{make_bulk_synchronous, Phase, PhasedRun, Workspace};
 use distal_algs::higher_order::HigherOrderKernel;
 use distal_algs::matmul::{best_c, MatmulAlgorithm};
 use distal_algs::setup::RunConfig;
 use distal_core::lower::CompileOptions;
 use distal_core::{
-    CompileError, CompiledKernel, DistalMachine, GridMapper, Schedule, Session, TensorSpec,
+    BackendError, CompileError, CompiledKernel, DistalMachine, GridMapper, Schedule,
 };
 use distal_format::Format;
-use distal_ir::expr::Assignment;
 use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use distal_runtime::kernel::{Kernel, KernelCtx};
 use distal_runtime::program::{IndexLaunch, Op, Privilege, Program, RegionReq, TaskDesc};
-use distal_runtime::Mode;
 
 /// CTF's GEMM: the 2.5D algorithm, bulk-synchronous.
 ///
 /// # Errors
 ///
-/// Propagates compile errors.
-pub fn gemm(config: &RunConfig, n: i64) -> Result<(Session, CompiledKernel), CompileError> {
+/// Propagates compile and seeding errors.
+pub fn gemm(config: &RunConfig, n: i64) -> Result<PhasedRun, BackendError> {
     let p = config.processors();
     let alg = MatmulAlgorithm::Solomonik { c: best_c(p) };
-    let machine = DistalMachine::flat(alg.grid(p), config.proc_kind);
-    let mut session = Session::new(config.spec.clone(), machine, config.mode);
-    for (name, format) in ["A", "B", "C"].iter().zip(alg.formats(config.mem)) {
-        session.tensor(TensorSpec::new(*name, vec![n, n], format))?;
-    }
-    match config.mode {
-        Mode::Functional => {
-            session.fill_random("B", 0xB)?;
-            session.fill_random("C", 0xC)?;
-        }
-        Mode::Model => {
-            session.fill("B", 0.0)?;
-            session.fill("C", 0.0)?;
-        }
-    }
-    let assignment = Assignment::parse("A(i,j) = B(i,k) * C(k,j)")
-        .map_err(|e| CompileError::Expression(e.to_string()))?;
     let options = CompileOptions {
         leaf_efficiency: Some(0.92),
         ..CompileOptions::default()
     };
-    let mut kernel = session.compile_assignment(&assignment, &alg.schedule(p, n, 1), &options)?;
-    make_bulk_synchronous(&mut kernel.compute);
-    Ok((session, kernel))
+    PhasedRun::gemm(config, alg, n, &alg.schedule(p, n, 1), &options, true)
 }
 
 /// A reshape between two tensors whose row-major linearizations agree
@@ -192,20 +171,14 @@ fn src_rect_for(dst_tile: &Rect, src_dims: &[i64], dst_dims: &[i64]) -> Rect {
 /// Builds a program that redistributes `src` into the matricized tensor
 /// `dst` (tiled on `dst_machine`), reading across the network as needed.
 fn reshape_program(
-    session: &Session,
+    ws: &Workspace,
     src: &str,
     dst: &str,
     dst_machine: &DistalMachine,
 ) -> Result<Program, CompileError> {
-    let src_b = session
-        .binding(src)
-        .ok_or_else(|| CompileError::UnknownTensor(src.into()))?
-        .clone();
-    let dst_b = session
-        .binding(dst)
-        .ok_or_else(|| CompileError::UnknownTensor(dst.into()))?
-        .clone();
-    let mapper = GridMapper::new(dst_machine, session.runtime().machine())?;
+    let src_b = ws.binding(src)?;
+    let dst_b = ws.binding(dst)?;
+    let mapper = GridMapper::new(dst_machine, ws.phys())?;
     let mut program = Program::new();
     let kernel = program.register_kernel(std::sync::Arc::new(ReshapeKernel {
         src_dims: src_b.dims.clone(),
@@ -269,27 +242,24 @@ fn reshape_program(
 ///
 /// # Errors
 ///
-/// Propagates compile errors from any phase.
+/// Propagates compile errors from any phase, and seeding errors.
 pub fn higher_order(
     kernel: HigherOrderKernel,
     config: &RunConfig,
     n: i64,
-) -> Result<PhasedRun, CompileError> {
+) -> Result<PhasedRun, BackendError> {
     let p = config.processors();
     // User tensors start in the same at-rest distributions DISTAL uses
     // (§7.2: inputs distributed to match the chosen schedule).
     let user_machine = DistalMachine::flat(kernel.grid(p), config.proc_kind);
-    let mut session = Session::new(config.spec.clone(), user_machine.clone(), config.mode);
+    let mut ws = Workspace::new(config.spec.clone(), config.mode);
     let shapes = kernel.shapes(n);
     let formats = kernel.formats(config.mem);
     for ((name, dims), format) in shapes.iter().zip(formats) {
-        session.tensor_for_machine(TensorSpec::new(*name, dims.clone(), format), &user_machine)?;
+        ws.tensor(name, dims.clone(), format);
     }
     for (idx, (name, _)) in shapes.iter().enumerate().skip(1) {
-        match config.mode {
-            Mode::Functional => session.fill_random(name, 0x51ED + idx as u64)?,
-            Mode::Model => session.fill(name, 0.0)?,
-        }
+        ws.seed(name, 0x51ED + idx as u64)?;
     }
 
     // Internal matrix dimensions (M, N, K) per kernel.
@@ -333,116 +303,80 @@ pub fn higher_order(
         .map(|(name, _)| (*name, true))
         .collect();
     phases.push(Phase::Untimed(
-        session.placement_program(&placement_names, &user_machine)?,
+        ws.placement(&placement_names, &user_machine)?,
     ));
-    let register = |session: &mut Session, name: &str, dims: Vec<i64>, internal: &DistalMachine| {
-        session.tensor_for_machine(TensorSpec::new(name, dims, tiled.clone()), internal)
-    };
 
     match kernel {
         HigherOrderKernel::Ttv => {
-            register(&mut session, "Bm", vec![m_rows, k_contr], &internal)?;
-            register(&mut session, "Cm", vec![k_contr, n_cols], &internal)?;
-            register(&mut session, "Am", vec![m_rows, n_cols], &internal)?;
-            phases.push(Phase::Raw(reshape_program(&session, "B", "Bm", &internal)?));
-            phases.push(Phase::Raw(reshape_program(&session, "c", "Cm", &internal)?));
+            ws.tensor("Bm", vec![m_rows, k_contr], tiled.clone());
+            ws.tensor("Cm", vec![k_contr, n_cols], tiled.clone());
+            ws.tensor("Am", vec![m_rows, n_cols], tiled.clone());
+            phases.push(Phase::Raw(reshape_program(&ws, "B", "Bm", &internal)?));
+            phases.push(Phase::Raw(reshape_program(&ws, "c", "Cm", &internal)?));
             phases.push(Phase::Kernel(internal_matmul(
-                &session,
+                &ws,
                 &internal,
                 &g2,
                 ("Am", "Bm", "Cm"),
                 k_contr,
             )?));
-            phases.push(Phase::Raw(reshape_program(
-                &session,
-                "Am",
-                "A",
-                &user_machine,
-            )?));
+            phases.push(Phase::Raw(reshape_program(&ws, "Am", "A", &user_machine)?));
         }
         HigherOrderKernel::Innerprod => {
             // Folded vectors, distributed by rows (aligned with the user
             // layout); the dot is k-distributed with a final allreduce.
             let vec_fmt = Format::parse("x->x", config.mem).unwrap();
-            session.tensor_for_machine(
-                TensorSpec::new("Bm", vec![k_contr], vec_fmt.clone()),
-                &internal,
-            )?;
-            session.tensor_for_machine(TensorSpec::new("Cm", vec![k_contr], vec_fmt), &internal)?;
-            session.tensor_for_machine(TensorSpec::scalar("am"), &internal)?;
-            phases.push(Phase::Raw(reshape_program(&session, "B", "Bm", &internal)?));
-            phases.push(Phase::Raw(reshape_program(&session, "C", "Cm", &internal)?));
-            phases.push(Phase::Kernel(internal_dot(&session, &internal, p)?));
-            phases.push(Phase::Raw(reshape_program(
-                &session,
-                "am",
-                "a",
-                &user_machine,
-            )?));
+            ws.tensor("Bm", vec![k_contr], vec_fmt.clone());
+            ws.tensor("Cm", vec![k_contr], vec_fmt);
+            ws.tensor("am", Vec::new(), Format::undistributed());
+            phases.push(Phase::Raw(reshape_program(&ws, "B", "Bm", &internal)?));
+            phases.push(Phase::Raw(reshape_program(&ws, "C", "Cm", &internal)?));
+            phases.push(Phase::Kernel(internal_dot(&ws, &internal, p)?));
+            phases.push(Phase::Raw(reshape_program(&ws, "am", "a", &user_machine)?));
         }
         HigherOrderKernel::Ttm => {
-            register(&mut session, "Bm", vec![m_rows, k_contr], &internal)?;
-            register(&mut session, "Cm", vec![k_contr, n_cols], &internal)?;
-            register(&mut session, "Am", vec![m_rows, n_cols], &internal)?;
-            phases.push(Phase::Raw(reshape_program(&session, "B", "Bm", &internal)?));
-            phases.push(Phase::Raw(reshape_program(&session, "C", "Cm", &internal)?));
+            ws.tensor("Bm", vec![m_rows, k_contr], tiled.clone());
+            ws.tensor("Cm", vec![k_contr, n_cols], tiled.clone());
+            ws.tensor("Am", vec![m_rows, n_cols], tiled.clone());
+            phases.push(Phase::Raw(reshape_program(&ws, "B", "Bm", &internal)?));
+            phases.push(Phase::Raw(reshape_program(&ws, "C", "Cm", &internal)?));
             phases.push(Phase::Kernel(internal_matmul(
-                &session,
+                &ws,
                 &internal,
                 &g2,
                 ("Am", "Bm", "Cm"),
                 k_contr,
             )?));
-            phases.push(Phase::Raw(reshape_program(
-                &session,
-                "Am",
-                "A",
-                &user_machine,
-            )?));
+            phases.push(Phase::Raw(reshape_program(&ws, "Am", "A", &user_machine)?));
         }
         HigherOrderKernel::Mttkrp => {
             // Bm (n x n²) 2D-tiled; Km k-sliced along the grid's second
             // dimension (replicated over the first); Am reduced onto the
             // first grid column.
-            register(&mut session, "Bm", vec![m_rows, k_contr], &internal)?;
-            session.tensor_for_machine(
-                TensorSpec::new(
-                    "Km",
-                    vec![k_contr, n_cols],
-                    Format::parse("xy->*x", config.mem).unwrap(),
-                ),
-                &internal,
-            )?;
-            session.tensor_for_machine(
-                TensorSpec::new(
-                    "Am",
-                    vec![m_rows, n_cols],
-                    Format::parse("xy->x0", config.mem).unwrap(),
-                ),
-                &internal,
-            )?;
-            phases.push(Phase::Raw(reshape_program(&session, "B", "Bm", &internal)?));
-            phases.push(Phase::Raw(krp_program(&session, n, &internal)?));
+            ws.tensor("Bm", vec![m_rows, k_contr], tiled.clone());
+            ws.tensor(
+                "Km",
+                vec![k_contr, n_cols],
+                Format::parse("xy->*x", config.mem).unwrap(),
+            );
+            ws.tensor(
+                "Am",
+                vec![m_rows, n_cols],
+                Format::parse("xy->x0", config.mem).unwrap(),
+            );
+            phases.push(Phase::Raw(reshape_program(&ws, "B", "Bm", &internal)?));
+            phases.push(Phase::Raw(krp_program(&ws, n, &internal)?));
             phases.push(Phase::Kernel(internal_kdist_matmul(
-                &session,
+                &ws,
                 &internal,
                 &g2,
                 ("Am", "Bm", "Km"),
             )?));
-            phases.push(Phase::Raw(reshape_program(
-                &session,
-                "Am",
-                "A",
-                &user_machine,
-            )?));
+            phases.push(Phase::Raw(reshape_program(&ws, "Am", "A", &user_machine)?));
         }
     }
 
-    Ok(PhasedRun {
-        session,
-        phases,
-        output: shapes[0].0.to_string(),
-    })
+    Ok(PhasedRun::new(ws, phases, shapes[0].0))
 }
 
 /// A divisor of `p` no larger than `cap` (largest such).
@@ -453,12 +387,10 @@ fn divisor_at_most(p: i64, cap: i64) -> i64 {
 /// CTF's k-distributed dot product with a final allreduce (its path for
 /// full contractions like innerprod, which need no matricized GEMM).
 fn internal_dot(
-    session: &Session,
+    ws: &Workspace,
     internal: &DistalMachine,
     p: i64,
 ) -> Result<CompiledKernel, CompileError> {
-    let assignment = Assignment::parse("am = Bm(k) * Cm(k)")
-        .map_err(|e| CompileError::Expression(e.to_string()))?;
     let schedule = Schedule::new()
         .distribute_onto(&["k"], &["ko"], &["ki"], &[p])
         .communicate(&["am", "Bm", "Cm"], "ko");
@@ -466,7 +398,7 @@ fn internal_dot(
         leaf_efficiency: Some(0.55),
         ..CompileOptions::default()
     };
-    let mut kernel = session.compile_on(internal, &assignment, &schedule, &options)?;
+    let mut kernel = ws.compile(internal, "am = Bm(k) * Cm(k)", &schedule, &options)?;
     make_bulk_synchronous(&mut kernel.compute);
     Ok(kernel)
 }
@@ -475,15 +407,13 @@ fn internal_dot(
 /// dominates (MTTKRP): tiles of `Bm` and slices of `Km` stay put, partial
 /// outputs reduce across the grid's second dimension.
 fn internal_kdist_matmul(
-    session: &Session,
+    ws: &Workspace,
     internal: &DistalMachine,
     grid: &Grid,
     names: (&str, &str, &str),
 ) -> Result<CompiledKernel, CompileError> {
     let (am, bm, cm) = names;
     let expr = format!("{am}(i,j) = {bm}(i,k) * {cm}(k,j)");
-    let assignment =
-        Assignment::parse(&expr).map_err(|e| CompileError::Expression(e.to_string()))?;
     let (gi, gk) = (grid.extent(0), grid.extent(1));
     let schedule = Schedule::new()
         .divide("i", "io", "ii", gi)
@@ -495,14 +425,14 @@ fn internal_kdist_matmul(
         leaf_efficiency: Some(0.55),
         ..CompileOptions::default()
     };
-    let mut kernel = session.compile_on(internal, &assignment, &schedule, &options)?;
+    let mut kernel = ws.compile(internal, &expr, &schedule, &options)?;
     make_bulk_synchronous(&mut kernel.compute);
     Ok(kernel)
 }
 
 /// The internal bulk-synchronous SUMMA the matricized contraction runs on.
 fn internal_matmul(
-    session: &Session,
+    ws: &Workspace,
     internal: &DistalMachine,
     grid: &Grid,
     names: (&str, &str, &str),
@@ -510,8 +440,6 @@ fn internal_matmul(
 ) -> Result<CompiledKernel, CompileError> {
     let (am, bm, cm) = names;
     let expr = format!("{am}(i,j) = {bm}(i,k) * {cm}(k,j)");
-    let assignment =
-        Assignment::parse(&expr).map_err(|e| CompileError::Expression(e.to_string()))?;
     let (gx, gy) = (grid.extent(0), grid.extent(1));
     // Pipeline over at most 16 chunks: barriered micro-steps would be
     // latency-bound on row-aligned (p, 1) grids.
@@ -528,30 +456,15 @@ fn internal_matmul(
         leaf_efficiency: Some(0.55),
         ..CompileOptions::default()
     };
-    let mut kernel = session.compile_on(internal, &assignment, &schedule, &options)?;
+    let mut kernel = ws.compile(internal, &expr, &schedule, &options)?;
     make_bulk_synchronous(&mut kernel.compute);
     Ok(kernel)
 }
 
 /// Builds `Km(s, l) = C(s/n, l) * D(s%n, l)` tiles on the internal grid.
-fn krp_program(
-    session: &Session,
-    n: i64,
-    internal: &DistalMachine,
-) -> Result<Program, CompileError> {
-    let km = session
-        .binding("Km")
-        .ok_or_else(|| CompileError::UnknownTensor("Km".into()))?
-        .clone();
-    let c = session
-        .binding("C")
-        .ok_or_else(|| CompileError::UnknownTensor("C".into()))?
-        .clone();
-    let d = session
-        .binding("D")
-        .ok_or_else(|| CompileError::UnknownTensor("D".into()))?
-        .clone();
-    let mapper = GridMapper::new(internal, session.runtime().machine())?;
+fn krp_program(ws: &Workspace, n: i64, internal: &DistalMachine) -> Result<Program, CompileError> {
+    let (km, c, d) = (ws.binding("Km")?, ws.binding("C")?, ws.binding("D")?);
+    let mapper = GridMapper::new(internal, ws.phys())?;
     let mut program = Program::new();
     let kernel = program.register_kernel(std::sync::Arc::new(KrpKernel { n }));
     let km_rect = Rect::sized(&km.dims);
@@ -599,7 +512,9 @@ fn krp_program(
 mod tests {
     use super::*;
     use distal_core::oracle;
+    use distal_ir::expr::Assignment;
     use distal_machine::spec::MachineSpec;
+    use distal_runtime::Mode;
     use std::collections::BTreeMap;
 
     #[test]
@@ -637,13 +552,13 @@ mod tests {
         config.spec = MachineSpec::small(nodes);
         let mut run = higher_order(kernel, &config, n).unwrap();
         run.run().unwrap();
-        let got = run.session.read(&run.output).unwrap();
+        let got = run.read(&run.output).unwrap();
         let mut dims = BTreeMap::new();
         let mut inputs = BTreeMap::new();
         for (name, d) in kernel.shapes(n) {
             dims.insert(name.to_string(), d);
             if name != run.output {
-                inputs.insert(name.to_string(), run.session.read(name).unwrap());
+                inputs.insert(name.to_string(), run.read(name).unwrap());
             }
         }
         let a = Assignment::parse(kernel.expression()).unwrap();
@@ -680,20 +595,7 @@ mod tests {
     fn ctf_gemm_matches_oracle() {
         let mut config = RunConfig::cpu(2, Mode::Functional);
         config.spec = MachineSpec::small(2);
-        let (mut session, kernel) = gemm(&config, 8).unwrap();
-        session.run(&kernel).unwrap();
-        let a = session.read("A").unwrap();
-        let mut dims = BTreeMap::new();
-        for t in ["A", "B", "C"] {
-            dims.insert(t.to_string(), vec![8, 8]);
-        }
-        let mut inputs = BTreeMap::new();
-        inputs.insert("B".to_string(), session.read("B").unwrap());
-        inputs.insert("C".to_string(), session.read("C").unwrap());
-        let want = oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-        for (g, w) in a.iter().zip(want.iter()) {
-            assert!((g - w).abs() < 1e-9);
-        }
+        crate::common::assert_gemm_matches_oracle(&mut gemm(&config, 8).unwrap(), 8);
     }
 
     #[test]
@@ -704,10 +606,11 @@ mod tests {
         let n = 128;
         let mut ctf = higher_order(HigherOrderKernel::Ttv, &config, n).unwrap();
         let ctf_stats = ctf.run().unwrap();
-        let (mut s, k) =
-            distal_algs::setup::higher_order_session(HigherOrderKernel::Ttv, &config, n).unwrap();
-        s.place(&k).unwrap();
-        let ours = s.execute(&k).unwrap();
+        let (problem, schedule) =
+            distal_algs::setup::higher_order_problem(HigherOrderKernel::Ttv, &config, n).unwrap();
+        let mut ours = config.backend().compile_typed(&problem, &schedule).unwrap();
+        ours.place_stats().unwrap();
+        let ours = ours.execute_stats().unwrap();
         assert_eq!(ours.inter_node_bytes(), 0, "DISTAL TTV should move nothing");
         assert!(
             ctf_stats.inter_node_bytes() > (n * n * n) as u64, // at least ~B/8

@@ -5,105 +5,65 @@
 //! is not hidden behind computation — the paper measures it at ≤80% of
 //! DISTAL/COSMA at 256 nodes, with variability on non-square grids.
 
-use crate::common::make_bulk_synchronous;
+use crate::common::PhasedRun;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::RunConfig;
 use distal_core::lower::CompileOptions;
-use distal_core::{CompileError, CompiledKernel, DistalMachine, Session, TensorSpec};
-use distal_ir::expr::Assignment;
-use distal_runtime::Mode;
+use distal_core::BackendError;
 
-/// Builds a bulk-synchronous SUMMA GEMM session (ScaLAPACK's algorithm).
+/// Builds a bulk-synchronous SUMMA GEMM run (ScaLAPACK's algorithm).
 ///
 /// # Errors
 ///
-/// Propagates compile errors.
-pub fn gemm(
-    config: &RunConfig,
-    n: i64,
-    chunk: i64,
-) -> Result<(Session, CompiledKernel), CompileError> {
-    let p = config.processors();
+/// Propagates compile and seeding errors.
+pub fn gemm(config: &RunConfig, n: i64, chunk: i64) -> Result<PhasedRun, BackendError> {
     let alg = MatmulAlgorithm::Summa;
-    let machine = DistalMachine::flat(alg.grid(p), config.proc_kind);
-    let mut session = Session::new(config.spec.clone(), machine, config.mode);
-    for (name, format) in ["A", "B", "C"].iter().zip(alg.formats(config.mem)) {
-        session.tensor(TensorSpec::new(*name, vec![n, n], format))?;
-    }
-    match config.mode {
-        Mode::Functional => {
-            session.fill_random("B", 0xB)?;
-            session.fill_random("C", 0xC)?;
-        }
-        Mode::Model => {
-            session.fill("B", 0.0)?;
-            session.fill("C", 0.0)?;
-        }
-    }
-    let assignment = Assignment::parse("A(i,j) = B(i,k) * C(k,j)")
-        .map_err(|e| CompileError::Expression(e.to_string()))?;
     let options = CompileOptions {
         // MPI ranks use the full node (no cores reserved for a runtime), but
         // the rank-per-socket decomposition costs a little leaf efficiency.
         leaf_efficiency: Some(0.92),
         ..CompileOptions::default()
     };
-    let mut kernel =
-        session.compile_assignment(&assignment, &alg.schedule(p, n, chunk), &options)?;
-    make_bulk_synchronous(&mut kernel.compute);
-    Ok((session, kernel))
+    let schedule = alg.schedule(config.processors(), n, chunk);
+    PhasedRun::gemm(config, alg, n, &schedule, &options, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Phase;
     use distal_machine::spec::MachineSpec;
     use distal_runtime::program::Op;
+    use distal_runtime::Mode;
 
     #[test]
     fn scalapack_gemm_is_correct_and_synchronous() {
         let mut config = RunConfig::cpu(2, Mode::Functional);
         config.spec = MachineSpec::small(2);
-        let (mut session, kernel) = gemm(&config, 8, 4).unwrap();
-        let barriers = kernel
-            .compute
+        let mut run = gemm(&config, 8, 4).unwrap();
+        let Some(Phase::Raw(compute)) = run.phases.last() else {
+            panic!("expected the compute program last, got {:?}", run.phases);
+        };
+        let barriers = compute
             .ops
             .iter()
             .filter(|o| matches!(o, Op::Barrier))
             .count();
         assert!(barriers >= 2, "expected per-step barriers, got {barriers}");
-        session.run(&kernel).unwrap();
-        let a = session.read("A").unwrap();
-        // Oracle check.
-        let mut dims = std::collections::BTreeMap::new();
-        for t in ["A", "B", "C"] {
-            dims.insert(t.to_string(), vec![8, 8]);
-        }
-        let mut inputs = std::collections::BTreeMap::new();
-        inputs.insert("B".to_string(), session.read("B").unwrap());
-        inputs.insert("C".to_string(), session.read("C").unwrap());
-        let want = distal_core::oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-        for (g, w) in a.iter().zip(want.iter()) {
-            assert!((g - w).abs() < 1e-9);
-        }
+        crate::common::assert_gemm_matches_oracle(&mut run, 8);
     }
 
     #[test]
     fn barriers_slow_the_model_down() {
         let config = RunConfig::cpu(4, Mode::Model);
         let n = 4096;
-        let (mut s1, k1) = gemm(&config, n, n / 8).unwrap();
-        let sync = {
-            s1.place(&k1).unwrap();
-            s1.execute(&k1).unwrap()
-        };
+        let sync = gemm(&config, n, n / 8).unwrap().run().unwrap();
         // DISTAL's own SUMMA on the same machine, no barriers.
-        let (mut s2, k2) =
-            distal_algs::setup::matmul_session(MatmulAlgorithm::Summa, &config, n, n / 8).unwrap();
-        let free = {
-            s2.place(&k2).unwrap();
-            s2.execute(&k2).unwrap()
-        };
+        let (problem, schedule) =
+            distal_algs::setup::matmul_problem(MatmulAlgorithm::Summa, &config, n, n / 8).unwrap();
+        let mut ours = config.backend().compile_typed(&problem, &schedule).unwrap();
+        ours.place_stats().unwrap();
+        let free = ours.execute_stats().unwrap();
         assert!(
             sync.makespan_s > free.makespan_s,
             "bulk-synchronous {} should be slower than overlapped {}",

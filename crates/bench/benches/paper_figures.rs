@@ -8,9 +8,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use distal_algs::higher_order::HigherOrderKernel;
 use distal_algs::matmul::MatmulAlgorithm;
-use distal_algs::setup::{higher_order_session, matmul_session, RunConfig};
+use distal_algs::setup::{higher_order_problem, matmul_problem, RunConfig};
 use distal_bench::{fig15, fig16, fig9};
+use distal_core::{Problem, Schedule};
 use distal_runtime::Mode;
+
+/// Modeled compute makespan of a problem on the configuration's backend.
+fn makespan(config: &RunConfig, (problem, schedule): (Problem, Schedule)) -> f64 {
+    let mut instance = config.backend().compile_typed(&problem, &schedule).unwrap();
+    instance.place_stats().unwrap();
+    instance.execute_stats().unwrap().makespan_s
+}
 
 fn bench_fig9(c: &mut Criterion) {
     c.bench_function("fig9_comm_profile_cannon_16nodes", |b| {
@@ -29,9 +37,7 @@ fn bench_fig15a(c: &mut Criterion) {
         group.bench_function(alg.name().replace(' ', "_"), |b| {
             b.iter(|| {
                 let config = RunConfig::cpu(8, Mode::Model);
-                let (mut s, k) = matmul_session(alg, &config, 16384, 1024).unwrap();
-                s.place(&k).unwrap();
-                s.execute(&k).unwrap().makespan_s
+                makespan(&config, matmul_problem(alg, &config, 16384, 1024).unwrap())
             })
         });
     }
@@ -47,9 +53,8 @@ fn bench_fig15b(c: &mut Criterion) {
     group.bench_function("Our_Cannon_8nodes", |b| {
         b.iter(|| {
             let config = RunConfig::gpu(8, Mode::Model);
-            let (mut s, k) = matmul_session(MatmulAlgorithm::Cannon, &config, 20000, 2500).unwrap();
-            s.place(&k).unwrap();
-            s.execute(&k).unwrap().makespan_s
+            let cannon = matmul_problem(MatmulAlgorithm::Cannon, &config, 20000, 2500);
+            makespan(&config, cannon.unwrap())
         })
     });
     group.finish();
@@ -62,9 +67,7 @@ fn bench_fig16(c: &mut Criterion) {
         group.bench_function(kernel.name(), |b| {
             b.iter(|| {
                 let config = RunConfig::cpu(8, Mode::Model);
-                let (mut s, k) = higher_order_session(kernel, &config, 512).unwrap();
-                s.place(&k).unwrap();
-                s.execute(&k).unwrap().makespan_s
+                makespan(&config, higher_order_problem(kernel, &config, 512).unwrap())
             })
         });
     }
@@ -79,8 +82,10 @@ fn bench_compiler(c: &mut Criterion) {
     c.bench_function("compile_summa_128nodes", |b| {
         b.iter(|| {
             let config = RunConfig::cpu(128, Mode::Model);
-            let (s, k) = matmul_session(MatmulAlgorithm::Summa, &config, 92681, 5792).unwrap();
-            let _ = (s, k.compute.task_count());
+            let (problem, schedule) =
+                matmul_problem(MatmulAlgorithm::Summa, &config, 92681, 5792).unwrap();
+            let plan = config.backend().plan_typed(&problem, &schedule).unwrap();
+            plan.kernel().compute.task_count()
         })
     });
 }
@@ -91,9 +96,11 @@ fn bench_functional(c: &mut Criterion) {
         b.iter(|| {
             let mut config = RunConfig::cpu(2, Mode::Functional);
             config.spec = distal_machine::spec::MachineSpec::small(2);
-            let (mut s, k) = matmul_session(MatmulAlgorithm::Summa, &config, 16, 8).unwrap();
-            s.run(&k).unwrap();
-            s.read("A").unwrap()
+            let (problem, schedule) =
+                matmul_problem(MatmulAlgorithm::Summa, &config, 16, 8).unwrap();
+            let mut instance = problem.compile(&config.backend(), &schedule).unwrap();
+            instance.run().unwrap();
+            instance.read("A").unwrap()
         })
     });
 }

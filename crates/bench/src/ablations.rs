@@ -7,12 +7,10 @@
 //! otherwise-identical schedule and measures the damage.
 
 use distal_algs::matmul::MatmulAlgorithm;
-use distal_algs::setup::{matmul_session, RunConfig};
+use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_baselines::common::make_bulk_synchronous;
-use distal_core::lower::CompileOptions;
-use distal_core::Schedule;
-use distal_ir::expr::Assignment;
-use distal_runtime::Mode;
+use distal_core::{Problem, RuntimeInstance, Schedule};
+use distal_runtime::{Mode, RunStats};
 use std::fmt::Write as _;
 
 /// One ablation measurement.
@@ -24,6 +22,34 @@ pub struct Ablation {
     pub makespan_s: f64,
     /// Inter-node traffic, bytes.
     pub inter_node_bytes: u64,
+}
+
+impl Ablation {
+    fn new(label: impl Into<String>, stats: &RunStats) -> Self {
+        Ablation {
+            label: label.into(),
+            makespan_s: stats.makespan_s,
+            inter_node_bytes: stats.inter_node_bytes(),
+        }
+    }
+}
+
+/// Binds a problem on the configuration's backend and places its tensors.
+fn placed(config: &RunConfig, problem: &Problem, schedule: &Schedule) -> RuntimeInstance {
+    let mut instance = config
+        .backend()
+        .compile_typed(problem, schedule)
+        .expect("compile");
+    instance.place_stats().expect("place");
+    instance
+}
+
+/// The compute-phase statistics of a Figure 9 algorithm's own schedule.
+fn matmul_stats(alg: MatmulAlgorithm, config: &RunConfig, n: i64, chunk: i64) -> RunStats {
+    let (problem, schedule) = matmul_problem(alg, config, n, chunk).expect("setup");
+    placed(config, &problem, &schedule)
+        .execute_stats()
+        .expect("execute")
 }
 
 /// `rotate` ablation: Cannon's schedule with and without the rotation
@@ -48,19 +74,11 @@ pub fn ablate_rotate(nodes: usize, n: i64) -> Vec<Ablation> {
         ("Cannon (with rotate)", with_rotate),
         ("Cannon minus rotate", without_rotate),
     ] {
-        let (mut session, _) =
-            matmul_session(MatmulAlgorithm::Cannon, &config, n, 1).expect("setup");
-        let assignment = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
-        let kernel = session
-            .compile_assignment(&assignment, &schedule, &CompileOptions::default())
-            .expect("compile");
-        session.place(&kernel).expect("place");
-        let stats = session.execute(&kernel).expect("execute");
-        out.push(Ablation {
-            label: label.into(),
-            makespan_s: stats.makespan_s,
-            inter_node_bytes: stats.inter_node_bytes(),
-        });
+        let (problem, _) = matmul_problem(MatmulAlgorithm::Cannon, &config, n, 1).expect("setup");
+        let stats = placed(&config, &problem, &schedule)
+            .execute_stats()
+            .expect("execute");
+        out.push(Ablation::new(label, &stats));
     }
     out
 }
@@ -73,15 +91,8 @@ pub fn ablate_communicate_granularity(nodes: usize, n: i64) -> Vec<Ablation> {
     let mut out = Vec::new();
     for divisor in [1i64, 4, 16, 64] {
         let chunk = (n / divisor).max(1);
-        let (mut session, kernel) =
-            matmul_session(MatmulAlgorithm::Summa, &config, n, chunk).expect("setup");
-        session.place(&kernel).expect("place");
-        let stats = session.execute(&kernel).expect("execute");
-        out.push(Ablation {
-            label: format!("SUMMA chunk = k/{divisor}"),
-            makespan_s: stats.makespan_s,
-            inter_node_bytes: stats.inter_node_bytes(),
-        });
+        let stats = matmul_stats(MatmulAlgorithm::Summa, &config, n, chunk);
+        out.push(Ablation::new(format!("SUMMA chunk = k/{divisor}"), &stats));
     }
     out
 }
@@ -93,22 +104,20 @@ pub fn ablate_overlap(nodes: usize, n: i64) -> Vec<Ablation> {
     let config = RunConfig::gpu(nodes, Mode::Model);
     let mut out = Vec::new();
     for barriers in [false, true] {
-        let (mut session, mut kernel) =
-            matmul_session(MatmulAlgorithm::Summa, &config, n, (n / 16).max(1)).expect("setup");
+        let (problem, schedule) =
+            matmul_problem(MatmulAlgorithm::Summa, &config, n, (n / 16).max(1)).expect("setup");
+        let mut instance = placed(&config, &problem, &schedule);
+        let mut compute = instance.kernel().compute.clone();
         if barriers {
-            make_bulk_synchronous(&mut kernel.compute);
+            make_bulk_synchronous(&mut compute);
         }
-        session.place(&kernel).expect("place");
-        let stats = session.execute(&kernel).expect("execute");
-        out.push(Ablation {
-            label: if barriers {
-                "SUMMA bulk-synchronous".into()
-            } else {
-                "SUMMA overlapped".into()
-            },
-            makespan_s: stats.makespan_s,
-            inter_node_bytes: stats.inter_node_bytes(),
-        });
+        let stats = instance.runtime_mut().run(&compute).expect("execute");
+        let label = if barriers {
+            "SUMMA bulk-synchronous"
+        } else {
+            "SUMMA overlapped"
+        };
+        out.push(Ablation::new(label, &stats));
     }
     out
 }
@@ -122,7 +131,7 @@ pub fn ablate_overlap(nodes: usize, n: i64) -> Vec<Ablation> {
 /// placement into per-element pieces, which is as pathological in the
 /// simulator as on a real machine.)
 pub fn ablate_data_layout(nodes: usize, n: i64) -> Vec<Ablation> {
-    use distal_core::{DistalMachine, Session, TensorSpec};
+    use distal_core::{DistalMachine, TensorSpec};
     use distal_format::Format;
     use distal_machine::grid::Grid;
 
@@ -142,29 +151,26 @@ pub fn ablate_data_layout(nodes: usize, n: i64) -> Vec<Ablation> {
     let mut out = Vec::new();
     for (label, notation) in layouts {
         let machine = DistalMachine::flat(grid.clone(), config.proc_kind);
-        let mut session = Session::new(config.spec.clone(), machine, config.mode);
+        let mut problem = Problem::new(config.spec.clone(), machine);
+        problem
+            .statement("A(i,j) = B(i,k) * C(k,j)")
+            .expect("statement");
         let tiled = Format::parse("xy->xy", config.mem).unwrap();
         let input = Format::parse(notation, config.mem).unwrap();
-        session
+        problem
             .tensor(TensorSpec::new("A", vec![n, n], tiled))
             .expect("tensor A");
         for t in ["B", "C"] {
-            session
+            problem
                 .tensor(TensorSpec::new(t, vec![n, n], input.clone()))
                 .expect("tensor");
-            session.fill(t, 0.0).expect("fill");
+            problem.fill(t, 0.0).expect("fill");
         }
         let schedule = MatmulAlgorithm::Summa.schedule(p, n, (n / gx.max(gy)).max(1));
-        let kernel = session
-            .compile("A(i,j) = B(i,k) * C(k,j)", &schedule)
-            .expect("compile");
-        session.place(&kernel).expect("place");
-        let stats = session.execute(&kernel).expect("execute");
-        out.push(Ablation {
-            label: label.into(),
-            makespan_s: stats.makespan_s,
-            inter_node_bytes: stats.inter_node_bytes(),
-        });
+        let stats = placed(&config, &problem, &schedule)
+            .execute_stats()
+            .expect("execute");
+        out.push(Ablation::new(label, &stats));
     }
     out
 }
@@ -196,15 +202,8 @@ pub fn ablate_autoschedule(nodes: usize, n: i64) -> Vec<Ablation> {
     // Hand schedules through the model for comparison.
     let config = RunConfig::cpu(nodes, Mode::Model);
     for alg in [MatmulAlgorithm::Summa, MatmulAlgorithm::Cannon] {
-        let (mut session, kernel) =
-            matmul_session(alg, &config, n, (n / 16).max(1)).expect("setup");
-        session.place(&kernel).expect("place");
-        let stats = session.execute(&kernel).expect("execute");
-        out.push(Ablation {
-            label: format!("hand: {}", alg.name()),
-            makespan_s: stats.makespan_s,
-            inter_node_bytes: stats.inter_node_bytes(),
-        });
+        let stats = matmul_stats(alg, &config, n, (n / 16).max(1));
+        out.push(Ablation::new(format!("hand: {}", alg.name()), &stats));
     }
     out
 }

@@ -14,7 +14,7 @@
 
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
-use distal_core::{Problem, Report, Schedule};
+use distal_core::{Backend, Problem, Report, RuntimeBackend, Schedule};
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_spmd::{AlphaBeta, CostBackend};
 use std::fmt::Write as _;
@@ -63,7 +63,7 @@ fn problem_for(alg: MatmulAlgorithm, p: i64, n: i64) -> (Problem, Schedule) {
 }
 
 /// Prices one problem on one cost backend, returning the compute report.
-fn price(problem: &Problem, backend: &CostBackend, schedule: &Schedule) -> Report {
+fn price(problem: &Problem, backend: &dyn Backend, schedule: &Schedule) -> Report {
     let mut artifact = problem
         .compile(backend, schedule)
         .unwrap_or_else(|e| panic!("cost compile failed: {e}"));
@@ -85,7 +85,7 @@ pub fn backends_bench(n: i64, ps: &[i64]) -> Vec<BackendBenchRow> {
             // simulator prices, so the models disagree only where their
             // abstractions do.
             let ab_model = AlphaBeta::from_spec(problem.spec());
-            let sim = price(&problem, &CostBackend::runtime_sim(), &schedule);
+            let sim = price(&problem, &RuntimeBackend::model(), &schedule);
             let ab = price(&problem, &CostBackend::alpha_beta(ab_model), &schedule);
             rows.push(BackendBenchRow {
                 algorithm: alg.name(),

@@ -11,7 +11,8 @@
 //! results is asserted on every row (bit-identical output, equal stats).
 
 use distal_algs::matmul::MatmulAlgorithm;
-use distal_algs::setup::{matmul_session, RunConfig};
+use distal_algs::setup::{matmul_problem, RunConfig};
+use distal_core::Instance;
 use distal_machine::spec::MachineSpec;
 use distal_runtime::{ExecutorKind, Mode, ParallelExecutor, RunStats};
 use std::fmt::Write as _;
@@ -45,13 +46,16 @@ fn timed_run(
     let mut config = RunConfig::cpu(nodes, Mode::Functional);
     config.spec = MachineSpec::small(nodes);
     config.executor = kind;
-    let (mut session, kernel) =
-        matmul_session(alg, &config, n, (n / 4).max(1)).expect("bench session");
-    session.place(&kernel).expect("placement");
+    let (problem, schedule) = matmul_problem(alg, &config, n, (n / 4).max(1)).expect("problem");
+    let mut instance = config
+        .backend()
+        .compile_typed(&problem, &schedule)
+        .expect("bench instance");
+    instance.place_stats().expect("placement");
     let t0 = Instant::now();
-    let stats = session.execute(&kernel).expect("compute");
+    let stats = instance.execute_stats().expect("compute");
     let elapsed = t0.elapsed().as_secs_f64();
-    (elapsed, session.read("A").expect("output"), stats)
+    (elapsed, instance.read("A").expect("output"), stats)
 }
 
 /// Benchmarks one algorithm at one size, verifying executor parity.

@@ -8,8 +8,10 @@
 
 use crate::series::{paper_node_counts, weak_scale_2d, FigureData, SamplePoint, Series};
 use distal_algs::matmul::MatmulAlgorithm;
-use distal_algs::setup::{matmul_session, RunConfig};
+use distal_algs::setup::{matmul_problem, RunConfig};
+use distal_baselines::PhasedRun;
 use distal_baselines::{cosma, ctf, scalapack};
+use distal_core::BackendError;
 use distal_machine::spec::ProcKind;
 use distal_runtime::{Mode, RuntimeError};
 
@@ -41,10 +43,14 @@ fn config_for(panel: Panel, nodes: usize) -> RunConfig {
 /// OOM sample, mirroring the truncated lines of Figure 15b.
 fn run_distal(alg: MatmulAlgorithm, config: &RunConfig, n: i64) -> Result<SamplePoint, String> {
     let chunk = (n / 16).max(256).min(n);
-    let (mut session, kernel) = matmul_session(alg, config, n, chunk).map_err(|e| e.to_string())?;
-    match session
-        .place(&kernel)
-        .and_then(|_| session.execute(&kernel))
+    let (problem, schedule) = matmul_problem(alg, config, n, chunk).map_err(|e| e.to_string())?;
+    let mut instance = config
+        .backend()
+        .compile_typed(&problem, &schedule)
+        .map_err(|e| e.to_string())?;
+    match instance
+        .place_stats()
+        .and_then(|_| instance.execute_stats())
     {
         Ok(stats) => Ok(SamplePoint::Value(stats.gflops_per_node(config.spec.nodes))),
         Err(RuntimeError::OutOfMemory { .. }) => Ok(SamplePoint::Oom),
@@ -95,29 +101,26 @@ pub fn figure15(panel: Panel, max_nodes: usize, base_n: i64) -> FigureData {
             let config = config_for(panel, nodes);
             let n = weak_scale_2d(base_n, nodes);
             // COSMA.
-            let sample = cosma::gemm(&config, n, false)
-                .map_err(|e| e.to_string())
-                .and_then(|(mut s, k)| match s.place(&k).and_then(|_| s.execute(&k)) {
-                    Ok(stats) => Ok(SamplePoint::Value(stats.gflops_per_node(nodes))),
-                    Err(RuntimeError::OutOfMemory { .. }) => Ok(SamplePoint::Oom),
-                    Err(e) => Err(e.to_string()),
-                })
-                .expect("COSMA run failed");
-            cosma_s.push(nodes, sample);
+            // One baseline sample; only COSMA's GPU panel may run out of
+            // memory.
+            let sample = |run: Result<PhasedRun, BackendError>, what: &str| match run
+                .unwrap_or_else(|e| panic!("{what}: {e}"))
+                .run()
+            {
+                Ok(stats) => SamplePoint::Value(stats.gflops_per_node(nodes)),
+                Err(RuntimeError::OutOfMemory { .. }) => SamplePoint::Oom,
+                Err(e) => panic!("{what} run failed: {e}"),
+            };
+            cosma_s.push(nodes, sample(cosma::gemm(&config, n, false), "COSMA"));
             if panel == Panel::Cpu {
-                let (mut s, k) = cosma::gemm(&config, n, true).expect("COSMA restricted");
-                s.place(&k).expect("place");
-                let stats = s.execute(&k).expect("execute");
-                cosma_r.push(nodes, SamplePoint::Value(stats.gflops_per_node(nodes)));
+                cosma_r.push(
+                    nodes,
+                    sample(cosma::gemm(&config, n, true), "COSMA restricted"),
+                );
                 // CTF and ScaLAPACK are CPU-only in the paper's comparison.
-                let (mut s, k) = ctf::gemm(&config, n).expect("CTF gemm");
-                s.place(&k).expect("place");
-                let stats = s.execute(&k).expect("execute");
-                ctf_s.push(nodes, SamplePoint::Value(stats.gflops_per_node(nodes)));
-                let (mut s, k) = scalapack::gemm(&config, n, (n / 16).max(256)).expect("ScaLAPACK");
-                s.place(&k).expect("place");
-                let stats = s.execute(&k).expect("execute");
-                scala_s.push(nodes, SamplePoint::Value(stats.gflops_per_node(nodes)));
+                ctf_s.push(nodes, sample(ctf::gemm(&config, n), "CTF gemm"));
+                let scalapack = scalapack::gemm(&config, n, (n / 16).max(256));
+                scala_s.push(nodes, sample(scalapack, "ScaLAPACK"));
             } else {
                 cosma_r.push(nodes, SamplePoint::Skipped);
                 ctf_s.push(nodes, SamplePoint::Skipped);

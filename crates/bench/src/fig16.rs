@@ -6,7 +6,7 @@
 
 use crate::series::{paper_node_counts, weak_scale_3d, FigureData, SamplePoint, Series};
 use distal_algs::higher_order::HigherOrderKernel;
-use distal_algs::setup::{higher_order_session, RunConfig};
+use distal_algs::setup::{higher_order_problem, RunConfig};
 use distal_baselines::ctf;
 use distal_runtime::{Mode, RuntimeError};
 
@@ -79,18 +79,19 @@ pub fn figure16(
     for &nodes in &nodes_list {
         let config = config_for(panel, nodes);
         let n = weak_scale_3d(base_n, nodes);
-        let sample = match higher_order_session(kernel, &config, n) {
-            Ok((mut session, compiled)) => {
-                match session
-                    .place(&compiled)
-                    .and_then(|_| session.execute(&compiled))
-                {
-                    Ok(stats) => SamplePoint::Value(metric(kernel, &stats, n, nodes)),
-                    Err(RuntimeError::OutOfMemory { .. }) => SamplePoint::Oom,
-                    Err(e) => panic!("ours {kernel:?} @{nodes}: {e}"),
-                }
-            }
-            Err(e) => panic!("compile ours {kernel:?} @{nodes}: {e}"),
+        let (problem, schedule) = higher_order_problem(kernel, &config, n)
+            .unwrap_or_else(|e| panic!("problem {kernel:?} @{nodes}: {e}"));
+        let mut instance = config
+            .backend()
+            .compile_typed(&problem, &schedule)
+            .unwrap_or_else(|e| panic!("compile ours {kernel:?} @{nodes}: {e}"));
+        let sample = match instance
+            .place_stats()
+            .and_then(|_| instance.execute_stats())
+        {
+            Ok(stats) => SamplePoint::Value(metric(kernel, &stats, n, nodes)),
+            Err(RuntimeError::OutOfMemory { .. }) => SamplePoint::Oom,
+            Err(e) => panic!("ours {kernel:?} @{nodes}: {e}"),
         };
         ours.push(nodes, sample);
         if panel == Panel::Cpu {

@@ -8,7 +8,7 @@
 //! output.
 
 use distal_algs::matmul::MatmulAlgorithm;
-use distal_algs::setup::{matmul_session, RunConfig};
+use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_machine::spec::MachineSpec;
 use distal_runtime::stats::CopyKind;
 use distal_runtime::Mode;
@@ -51,10 +51,14 @@ pub fn profile(alg: MatmulAlgorithm, nodes: usize, n: i64) -> CommProfile {
         },
         other => other,
     };
-    let (mut session, kernel) = matmul_session(alg, &config, n, (n / 8).max(1)).expect("compile");
-    session.runtime_mut().record_copies(true);
-    session.place(&kernel).expect("place");
-    let stats = session.execute(&kernel).expect("execute");
+    let (problem, schedule) = matmul_problem(alg, &config, n, (n / 8).max(1)).expect("problem");
+    let mut instance = config
+        .backend()
+        .compile_typed(&problem, &schedule)
+        .expect("compile");
+    instance.runtime_mut().record_copies(true);
+    instance.place_stats().expect("place");
+    let stats = instance.execute_stats().expect("execute");
 
     // Fan-out: how many distinct destination nodes each source node serves
     // per compute run (broadcasts produce hot senders; systolic shifts are

@@ -205,7 +205,6 @@ pub fn kernels_bench(gemm_n: i64, einsum_n: i64, spmv_n: i64, reps: usize) -> Ve
 pub fn calibrate(measured_core_gflops: f64) -> Calibration {
     use distal_algs::matmul::MatmulAlgorithm;
     use distal_algs::setup::matmul_problem_on;
-    use distal_spmd::CostBackend;
     let (p, n) = (4i64, 64i64);
     let default_spec = MachineSpec::small(p as usize);
     let cores = default_spec.node.cores_per_socket as f64;
@@ -227,7 +226,7 @@ pub fn calibrate(measured_core_gflops: f64) -> Calibration {
             problem.fill(t, 0.0).unwrap();
         }
         let mut art = problem
-            .compile(&CostBackend::runtime_sim(), &schedule)
+            .compile(&RuntimeBackend::model(), &schedule)
             .expect("cost compile");
         art.run().expect("cost run").critical_path_s
     };

@@ -46,18 +46,21 @@
 //! # }
 //! ```
 
+use crate::diagnostic::Diagnostic;
 use crate::error::CompileError;
 use crate::lint::LintConfig;
-use crate::lower::{CompileOptions, CompiledKernel};
+use crate::lower::{registry_bindings, CompileOptions, CompiledKernel};
 use crate::plan::{init_nnz, Bindings, Instance, Plan};
-use crate::problem::Problem;
-use crate::problem::TensorSpec;
+use crate::problem::{Problem, TensorSpec};
 use crate::report::{Provenance, Report};
 use crate::schedule::Schedule;
-use crate::session::Session;
-use distal_runtime::exec::{Mode, RuntimeError};
+use distal_machine::geom::Rect;
+use distal_machine::spec::MachineSpec;
+use distal_runtime::exec::{Mode, Runtime, RuntimeError};
 use distal_runtime::executor::ExecutorKind;
 use distal_runtime::region::RegionId;
+use distal_runtime::stats::RunStats;
+use distal_runtime::topology::PhysicalMachine;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -226,23 +229,55 @@ impl RuntimeBackend {
         self
     }
 
-    /// A fresh session with the given tensors registered, in the
-    /// deterministic registry order the plan's kernel was compiled
-    /// against.
-    fn session_for(
+    /// [`Backend::plan`] with the concrete plan type: admission, then one
+    /// lowering against bindings whose region ids are registry positions
+    /// — no runtime exists yet.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Backend::plan`].
+    pub fn plan_typed(
         &self,
-        spec: &distal_machine::spec::MachineSpec,
-        machine: &crate::machine::DistalMachine,
-        tensors: &BTreeMap<String, TensorSpec>,
-    ) -> Result<Session, BackendError> {
-        let mut session = Session::new(spec.clone(), machine.clone(), self.mode);
-        if let Some(kind) = self.executor {
-            session.set_executor(kind);
-        }
-        for spec in tensors.values() {
-            session.tensor(spec.clone())?;
-        }
-        Ok(session)
+        problem: &Problem,
+        schedule: &Schedule,
+    ) -> Result<RuntimePlan, BackendError> {
+        let assignment = problem.assignment().ok_or_else(|| {
+            BackendError::Compile(CompileError::Expression("problem has no statement".into()))
+        })?;
+        // Schedule admission: denied findings reject the plan before any
+        // lowering; warned findings ride on the plan and its reports.
+        let diagnostics = crate::lint::admit(problem, schedule, &self.lint)?;
+        let kernel = crate::lower::compile(
+            assignment,
+            &registry_bindings(problem.tensors()),
+            problem.machine(),
+            &PhysicalMachine::new(problem.spec().clone()),
+            schedule,
+            &self.options,
+        )?;
+        Ok(RuntimePlan {
+            backend: self.clone(),
+            spec: problem.spec().clone(),
+            tensors: problem.tensors().clone(),
+            kernel: Arc::new(kernel),
+            diagnostics,
+        })
+    }
+
+    /// [`Backend::compile`] with the concrete instance type:
+    /// [`RuntimeBackend::plan_typed`] then [`RuntimePlan::bind_typed`] on
+    /// the problem's own initializers.
+    ///
+    /// # Errors
+    ///
+    /// Errors from either half.
+    pub fn compile_typed(
+        &self,
+        problem: &Problem,
+        schedule: &Schedule,
+    ) -> Result<RuntimeInstance, BackendError> {
+        self.plan_typed(problem, schedule)?
+            .bind_typed(&problem.bindings())
     }
 }
 
@@ -253,7 +288,7 @@ impl Backend for RuntimeBackend {
 
     fn config_fingerprint(&self) -> String {
         // Mode decides functional vs model plans, the executor is baked
-        // into bound sessions, and the options steer the lowering — all
+        // into bound instances, and the options steer the lowering — all
         // plan-relevant. The lint fingerprint keeps differently-configured
         // admissions from aliasing in the plan cache.
         format!(
@@ -266,57 +301,23 @@ impl Backend for RuntimeBackend {
     }
 
     fn plan(&self, problem: &Problem, schedule: &Schedule) -> Result<Box<dyn Plan>, BackendError> {
-        let assignment = problem
-            .assignment()
-            .ok_or_else(|| {
-                BackendError::Compile(CompileError::Expression("problem has no statement".into()))
-            })?
-            .clone();
-        // Schedule admission: denied findings reject the plan before any
-        // lowering; warned findings ride on the plan and its reports.
-        let diagnostics = crate::lint::admit(problem, schedule, &self.lint)?;
-        let tensors = problem.tensors().clone();
-        // A throwaway planning session: registers the tensors (allocating
-        // the region ids the kernel's programs will reference) and runs
-        // schedule application + lowering exactly once. Bind-time
-        // sessions re-register in the same deterministic order, so their
-        // region ids coincide — asserted in `bind`.
-        let session = self.session_for(problem.spec(), problem.machine(), &tensors)?;
-        let regions = tensors
-            .keys()
-            .map(|name| {
-                let region = session.region(name).expect("registered above");
-                (name.clone(), region)
-            })
-            .collect();
-        let kernel = session.compile_assignment(&assignment, schedule, &self.options)?;
-        Ok(Box::new(RuntimePlan {
-            backend: self.clone(),
-            spec: problem.spec().clone(),
-            machine: problem.machine().clone(),
-            tensors,
-            regions,
-            kernel: Arc::new(kernel),
-            diagnostics,
-        }))
+        Ok(Box::new(self.plan_typed(problem, schedule)?))
     }
 }
 
 /// A [`RuntimeBackend`] plan: the compiled kernel + the immutable
-/// registry it was lowered against. Binding creates a fresh session
+/// registry it was lowered against. Binding creates a fresh runtime
 /// seeded with the request's data; the kernel is shared, never
 /// recompiled.
 pub struct RuntimePlan {
     backend: RuntimeBackend,
-    spec: distal_machine::spec::MachineSpec,
-    machine: crate::machine::DistalMachine,
+    spec: MachineSpec,
     tensors: BTreeMap<String, TensorSpec>,
-    regions: BTreeMap<String, RegionId>,
     // Shared with every instance the plan binds — binding never copies
     // the lowered programs.
     kernel: Arc<CompiledKernel>,
     // Admission warnings (denied findings never produce a plan).
-    diagnostics: Vec<crate::diagnostic::Diagnostic>,
+    diagnostics: Vec<Diagnostic>,
 }
 
 impl std::fmt::Debug for RuntimePlan {
@@ -332,6 +333,68 @@ impl RuntimePlan {
     pub fn kernel(&self) -> &CompiledKernel {
         &self.kernel
     }
+
+    /// [`Plan::bind`] with the concrete instance type: a fresh runtime
+    /// whose regions are created in registry order — the ids the kernel
+    /// was lowered against — then seeded from `bindings`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Plan::bind`].
+    pub fn bind_typed(&self, bindings: &Bindings) -> Result<RuntimeInstance, BackendError> {
+        bindings.validate(&self.tensors)?;
+        let mode = self.backend.mode;
+        let mut runtime = Runtime::new(PhysicalMachine::new(self.spec.clone()), mode);
+        if let Some(kind) = self.backend.executor {
+            runtime.set_executor(kind);
+        }
+        let mut regions = BTreeMap::new();
+        for (position, (name, spec)) in self.tensors.iter().enumerate() {
+            let region = runtime.create_region(name.clone(), Rect::sized(&spec.dims));
+            // Guard the invariant `registry_bindings` states rather than
+            // assuming it.
+            if region != RegionId(position as u32) {
+                return Err(BackendError::Backend(format!(
+                    "internal: region id drift for tensor '{name}' between plan and bind"
+                )));
+            }
+            regions.insert(name.clone(), region);
+        }
+        for (name, init) in bindings.iter() {
+            let spec = &self.tensors[name.as_str()];
+            let region = regions[name.as_str()];
+            let compressed = spec.format.has_compressed();
+            let nnz = match mode {
+                // The bound copy drops with the runtime's store, which
+                // hands its buffers back to the pool this one comes from.
+                Mode::Functional => {
+                    let data = init.materialize_pooled(&spec.dims);
+                    let nnz = compressed.then(|| crate::plan::data_nnz(&data));
+                    runtime.set_region_data(region, data)?;
+                    nnz
+                }
+                // Model mode holds no data; filling marks regions valid.
+                Mode::Model => {
+                    runtime.fill_region(region, 0.0)?;
+                    compressed.then(|| init_nnz(init, &spec.dims))
+                }
+            };
+            // Compressed-format tensors get nnz-aware byte accounting,
+            // derived from this binding's nnz (never an earlier
+            // instance's): copies charge `pos`/`crd`/`vals` bytes instead
+            // of dense volume.
+            if let Some(nnz) = nnz {
+                let scale = distal_sparse::csr_payload_scale(&spec.dims, nnz);
+                runtime.set_region_payload_scale(region, scale);
+            }
+        }
+        Ok(RuntimeInstance {
+            runtime,
+            regions,
+            kernel: Arc::clone(&self.kernel),
+            diagnostics: self.diagnostics.clone(),
+        })
+    }
 }
 
 impl Plan for RuntimePlan {
@@ -343,73 +406,31 @@ impl Plan for RuntimePlan {
         &self.tensors
     }
 
-    fn diagnostics(&self) -> &[crate::diagnostic::Diagnostic] {
+    fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
     }
 
     fn bind(&self, bindings: &Bindings) -> Result<Box<dyn Instance>, BackendError> {
-        bindings.validate(&self.tensors)?;
-        let mut session = self
-            .backend
-            .session_for(&self.spec, &self.machine, &self.tensors)?;
-        // The kernel's programs reference the planning session's region
-        // ids; identical registration order makes the fresh session's ids
-        // identical. Guard the invariant rather than assuming it.
-        for (name, expected) in &self.regions {
-            if session.region(name) != Some(*expected) {
-                return Err(BackendError::Backend(format!(
-                    "internal: region id drift for tensor '{name}' between plan and bind"
-                )));
-            }
-        }
-        for (name, init) in bindings.iter() {
-            let dims = &self.tensors[name.as_str()].dims;
-            match self.backend.mode {
-                // The bound copy drops with the session's store, which
-                // hands its buffers back to the pool this one comes from.
-                Mode::Functional => {
-                    session.set_data(name, init.materialize_pooled(dims))?;
-                }
-                // Model mode holds no data; filling marks regions valid.
-                // Compressed-format tensors still get nnz-aware byte
-                // accounting, derived from this binding's nnz (never an
-                // earlier instance's).
-                Mode::Model => {
-                    session.fill(name, 0.0)?;
-                    let spec = &self.tensors[name.as_str()];
-                    if spec.format.has_compressed() {
-                        let scale = distal_sparse::csr_payload_scale(dims, init_nnz(init, dims));
-                        if let Some(region) = session.region(name) {
-                            session
-                                .runtime_mut()
-                                .set_region_payload_scale(region, scale);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(Box::new(RuntimeInstance {
-            session,
-            kernel: Arc::clone(&self.kernel),
-            mode: self.backend.mode,
-            diagnostics: self.diagnostics.clone(),
-        }))
+        Ok(Box::new(self.bind_typed(bindings)?))
     }
 }
 
-/// A [`RuntimeBackend`] instance: a private session + shared compiled
-/// kernel.
+/// A [`RuntimeBackend`] instance: the live runtime (one region per
+/// registered tensor) + the shared compiled kernel. Beyond the
+/// [`Instance`] surface it exposes the runtime's own statistics and
+/// knobs, which the communication-pattern tests and figure benches read.
 pub struct RuntimeInstance {
-    session: Session,
+    runtime: Runtime,
+    regions: BTreeMap<String, RegionId>,
     kernel: Arc<CompiledKernel>,
-    mode: Mode,
-    diagnostics: Vec<crate::diagnostic::Diagnostic>,
+    diagnostics: Vec<Diagnostic>,
 }
 
 impl std::fmt::Debug for RuntimeInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuntimeInstance")
-            .field("mode", &self.mode)
+            .field("mode", &self.runtime.mode())
+            .field("regions", &self.regions.keys().collect::<Vec<_>>())
             .finish_non_exhaustive()
     }
 }
@@ -420,21 +441,48 @@ impl RuntimeInstance {
         &self.kernel
     }
 
-    /// The underlying session (runtime, regions, statistics).
-    pub fn session(&self) -> &Session {
-        &self.session
+    /// The underlying runtime.
+    pub fn runtime(&self) -> &Runtime {
+        &self.runtime
     }
 
-    /// The underlying session, mutably (tracing, executor knobs).
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
+    /// The underlying runtime, mutably (copy logging, executor threads,
+    /// running hand-modified programs against the bound regions).
+    pub fn runtime_mut(&mut self) -> &mut Runtime {
+        &mut self.runtime
     }
 
-    fn provenance(&self) -> Provenance {
-        match self.mode {
+    /// The backing region of a registered tensor.
+    pub fn region(&self, name: &str) -> Option<RegionId> {
+        self.regions.get(name).copied()
+    }
+
+    /// Runs the kernel's placement program (moves tensors into their
+    /// formats' distributions), returning the runtime's own statistics.
+    ///
+    /// # Errors
+    ///
+    /// Runtime errors (OOM, uninitialized data).
+    pub fn place_stats(&mut self) -> Result<RunStats, RuntimeError> {
+        self.runtime.run(&self.kernel.placement)
+    }
+
+    /// Runs the kernel's compute program, returning the runtime's own
+    /// statistics.
+    ///
+    /// # Errors
+    ///
+    /// Runtime errors (OOM, uninitialized data).
+    pub fn execute_stats(&mut self) -> Result<RunStats, RuntimeError> {
+        self.runtime.run(&self.kernel.compute)
+    }
+
+    fn report(&self, stats: &RunStats) -> Report {
+        let provenance = match self.runtime.mode() {
             Mode::Functional => Provenance::Measured,
             Mode::Model => Provenance::Modeled,
-        }
+        };
+        Report::from_run_stats("runtime", provenance, stats)
     }
 }
 
@@ -444,27 +492,27 @@ impl Instance for RuntimeInstance {
     }
 
     fn place(&mut self) -> Result<Report, BackendError> {
-        let stats = self.session.place(&self.kernel)?;
-        Ok(Report::from_run_stats("runtime", self.provenance(), &stats))
+        let stats = self.place_stats()?;
+        Ok(self.report(&stats))
     }
 
     fn execute(&mut self) -> Result<Report, BackendError> {
-        let stats = self.session.execute(&self.kernel)?;
-        let mut report = Report::from_run_stats("runtime", self.provenance(), &stats);
+        let stats = self.execute_stats()?;
+        let mut report = self.report(&stats);
         report.diagnostics = self.diagnostics.clone();
         Ok(report)
     }
 
     fn read(&self, tensor: &str) -> Result<Vec<f64>, BackendError> {
-        if self.session.region(tensor).is_none() {
-            return Err(BackendError::UnknownTensor(tensor.into()));
-        }
-        if self.mode == Mode::Model {
+        let region = self
+            .region(tensor)
+            .ok_or_else(|| BackendError::UnknownTensor(tensor.into()))?;
+        if self.runtime.mode() == Mode::Model {
             return Err(BackendError::NoData(format!(
                 "model-mode instances hold no numerics; '{tensor}' cannot be read"
             )));
         }
-        self.session.read(tensor).map_err(BackendError::from)
+        Ok(self.runtime.read_region(region)?)
     }
 }
 
@@ -472,7 +520,7 @@ impl Instance for RuntimeInstance {
 mod tests {
     use super::*;
     use crate::machine::DistalMachine;
-    use crate::problem::TensorSpec;
+    use crate::problem::TensorInit;
     use distal_format::Format;
     use distal_machine::grid::Grid;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
@@ -491,33 +539,117 @@ mod tests {
     }
 
     #[test]
-    fn functional_artifact_runs_and_reads() {
+    fn functional_instance_runs_reads_and_matches_oracle() {
         let p = matmul_problem(8);
-        let mut art = p
+        let mut inst = p
             .compile(&RuntimeBackend::functional(), &Schedule::summa(2, 2, 4))
             .unwrap();
-        let report = art.run().unwrap();
+        let report = inst.run().unwrap();
         assert_eq!(report.backend, "runtime");
         assert_eq!(report.provenance, Provenance::Measured);
         assert!(report.flops > 0.0);
         assert!(report.tasks > 0);
-        assert_eq!(art.read("A").unwrap().len(), 64);
+        let inputs = ["B", "C"]
+            .map(|t| (t.to_string(), inst.read(t).unwrap()))
+            .into();
+        let want = crate::oracle::evaluate(p.assignment().unwrap(), &p.dims_map(), &inputs);
+        for (g, w) in inst.read("A").unwrap().iter().zip(want.unwrap()) {
+            assert!((g - w).abs() < 1e-9, "{g} vs {w}");
+        }
         assert!(matches!(
-            art.read("Z"),
+            inst.read("Z"),
             Err(BackendError::UnknownTensor(t)) if t == "Z"
         ));
     }
 
     #[test]
-    fn model_artifact_reports_but_holds_no_data() {
+    fn model_instance_reports_but_holds_no_data() {
         let p = matmul_problem(16);
-        let mut art = p
+        let mut inst = p
             .compile(&RuntimeBackend::model(), &Schedule::summa(2, 2, 8))
             .unwrap();
-        let report = art.run().unwrap();
+        let report = inst.run().unwrap();
         assert_eq!(report.provenance, Provenance::Modeled);
         assert!(report.critical_path_s > 0.0);
-        assert!(matches!(art.read("A"), Err(BackendError::NoData(_))));
+        assert!(matches!(inst.read("A"), Err(BackendError::NoData(_))));
+    }
+
+    #[test]
+    fn region_ids_are_registry_positions() {
+        use distal_runtime::program::Op;
+        // Registered out of order; the registry sorts by name.
+        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
+        let mut p = Problem::new(MachineSpec::small(2), machine);
+        p.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
+        let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
+        p.tensor(TensorSpec::new("C", vec![8, 8], f.clone()))
+            .unwrap();
+        p.tensor(TensorSpec::new("A", vec![8, 8], f.clone()))
+            .unwrap();
+        p.tensor(TensorSpec::scalar("a")).unwrap();
+        p.tensor(TensorSpec::new("B", vec![8, 8], f)).unwrap();
+        p.fill_random("B", 1).unwrap();
+        p.fill_random("C", 2).unwrap();
+        p.set_data("a", vec![3.5]).unwrap();
+
+        let plan = RuntimeBackend::functional()
+            .plan_typed(&p, &Schedule::summa(2, 2, 4))
+            .unwrap();
+        // Compute tasks name their regions destination first, then inputs.
+        let launch = plan.kernel().compute.ops.iter().find_map(|op| match op {
+            Op::IndexLaunch(l) => Some(l),
+            _ => None,
+        });
+        let reqs = &launch.expect("a compute launch").tasks[0].reqs;
+        let lowered: Vec<RegionId> = reqs.iter().map(|r| r.region).collect();
+        assert_eq!(lowered, [RegionId(0), RegionId(1), RegionId(2)]);
+
+        let mut inst = plan.bind_typed(&p.bindings()).unwrap();
+        for (position, name) in p.tensors().keys().enumerate() {
+            assert_eq!(inst.region(name), Some(RegionId(position as u32)), "{name}");
+        }
+        assert_eq!(inst.region("nope"), None);
+        inst.run().unwrap();
+        // A scalar is a one-element region like any other.
+        assert_eq!(inst.read("a").unwrap(), vec![3.5]);
+    }
+
+    #[test]
+    fn compressed_seeding_paths_account_identically() {
+        // A fully dense CSR operand: seeded as `Random`, as `RandomSparse`
+        // at density 1, or as the same explicit data, its copies must
+        // charge the same pos/crd/vals payload in both modes.
+        let machine = DistalMachine::flat(Grid::line(2), ProcKind::Cpu);
+        let mut p = Problem::new(MachineSpec::small(1), machine);
+        p.statement("a(i) = B(i,j) * c(j)").unwrap();
+        let csr = Format::parse_levels("xy->x", "ds", MemKind::Sys).unwrap();
+        let blocked = Format::parse("x->x", MemKind::Sys).unwrap();
+        p.tensor(TensorSpec::new("B", vec![16, 16], csr)).unwrap();
+        p.tensor(TensorSpec::new("a", vec![16], blocked.clone()))
+            .unwrap();
+        p.tensor(TensorSpec::new("c", vec![16], blocked)).unwrap();
+        p.fill_random("c", 3).unwrap();
+        let schedule = Schedule::new()
+            .divide("i", "io", "ii", 2)
+            .reorder(&["io", "ii", "j"])
+            .distribute(&["io"]);
+        for backend in [RuntimeBackend::functional(), RuntimeBackend::model()] {
+            let plan = backend.plan_typed(&p, &schedule).unwrap();
+            let bytes = |init: TensorInit| {
+                let mut b = p.bindings();
+                b.set_init("B", init);
+                plan.bind(&b).unwrap().run().unwrap().bytes_moved
+            };
+            let random = bytes(TensorInit::Random(7));
+            let sparse = bytes(TensorInit::RandomSparse {
+                seed: 7,
+                density: 1.0,
+            });
+            let data = bytes(TensorInit::Data(crate::problem::random_data(256, 7)));
+            assert!(random > 0);
+            assert_eq!(random, sparse, "{:?}", backend.mode);
+            assert_eq!(random, data, "{:?}", backend.mode);
+        }
     }
 
     #[test]

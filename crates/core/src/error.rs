@@ -24,8 +24,13 @@ pub enum CompileError {
     },
     /// A format's notation doesn't match its tensor or machine.
     Format(String),
-    /// The session has no tensor data where it was required.
-    Session(String),
+    /// A sparse initializer's density lies outside `[0, 1]`.
+    Density {
+        /// The tensor being seeded.
+        tensor: String,
+        /// The rejected density.
+        density: f64,
+    },
     /// Explicit tensor data whose length doesn't match the registered
     /// shape (caught at registration/bind, never silently materialized).
     DataSize {
@@ -58,7 +63,10 @@ impl fmt::Display for CompileError {
                 "launch domain needs {required} processors but only {available} are available"
             ),
             CompileError::Format(e) => write!(f, "format error: {e}"),
-            CompileError::Session(e) => write!(f, "session error: {e}"),
+            CompileError::Density { tensor, density } => write!(
+                f,
+                "tensor '{tensor}': density must be in [0, 1], got {density}"
+            ),
             CompileError::DataSize {
                 tensor,
                 expected,

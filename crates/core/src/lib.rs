@@ -31,8 +31,6 @@
 //!   `place`/`execute`/`read`/[`Report`] surface;
 //! * [`Schedule`] — the chainable scheduling language of Figure 2
 //!   (`divide`, `split`, `reorder`, `distribute`, `communicate`, `rotate`);
-//! * [`Session`] — a mutable convenience over [`Problem`] +
-//!   [`RuntimeBackend`] for incremental/multi-kernel pipelines;
 //! * [`compile`] — lowers a scheduled statement to placement + compute
 //!   [`distal_runtime::Program`]s.
 //!
@@ -80,7 +78,6 @@ pub mod plan;
 pub mod problem;
 pub mod report;
 pub mod schedule;
-pub mod session;
 
 pub use backend::{Backend, BackendError, RuntimeBackend, RuntimeInstance, RuntimePlan};
 pub use cache::{CacheStats, PlanKey, ShardedPlanCache};
@@ -94,4 +91,3 @@ pub use plan::{init_nnz, Bindings, Instance, Plan};
 pub use problem::{random_data, sparse_random_data, Problem, TensorInit, TensorSpec};
 pub use report::{Provenance, Report};
 pub use schedule::{LeafKind, SchedCmd, Schedule};
-pub use session::Session;

@@ -24,6 +24,7 @@ use crate::kernels::{is_matmul, is_streaming};
 use crate::machine::DistalMachine;
 use crate::mapper::GridMapper;
 use crate::nest::Nest;
+use crate::problem::TensorSpec;
 use crate::schedule::Schedule;
 use distal_format::semantics::hierarchical_pieces;
 use distal_format::Format;
@@ -61,6 +62,27 @@ pub struct TensorBinding {
     pub format: Format,
     /// The backing runtime region.
     pub region: RegionId,
+}
+
+/// The bindings a tensor registry compiles against before any runtime
+/// exists: every tensor's [`RegionId`] is its position in the registry's
+/// (name-sorted) order, which is the id a fresh runtime hands out when
+/// the regions are created in that order.
+pub(crate) fn registry_bindings(
+    tensors: &BTreeMap<String, TensorSpec>,
+) -> BTreeMap<String, TensorBinding> {
+    tensors
+        .iter()
+        .enumerate()
+        .map(|(position, (name, spec))| {
+            let binding = TensorBinding {
+                dims: spec.dims.clone(),
+                format: spec.format.clone(),
+                region: RegionId(position as u32),
+            };
+            (name.clone(), binding)
+        })
+        .collect()
 }
 
 /// Compile-time options.

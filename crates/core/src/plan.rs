@@ -186,12 +186,14 @@ pub fn init_nnz(init: &TensorInit, dims: &[i64]) -> u64 {
             }
         }
         TensorInit::Random(_) => volume,
-        TensorInit::Data(d) => d.iter().filter(|v| v.to_bits() != 0).count() as u64,
-        init @ TensorInit::RandomSparse { .. } => {
-            let data = init.materialize(dims);
-            data.iter().filter(|v| v.to_bits() != 0).count() as u64
-        }
+        TensorInit::Data(d) => data_nnz(d),
+        init @ TensorInit::RandomSparse { .. } => data_nnz(&init.materialize(dims)),
     }
+}
+
+/// Counts stored (nonzero-bit-pattern) entries of materialized data.
+pub(crate) fn data_nnz(data: &[f64]) -> u64 {
+    data.iter().filter(|v| v.to_bits() != 0).count() as u64
 }
 
 /// A data-independent compiled object: the product of
@@ -287,7 +289,7 @@ impl TensorInit {
     /// # Errors
     ///
     /// [`CompileError::DataSize`] for mis-sized [`TensorInit::Data`];
-    /// [`CompileError::Session`] for out-of-range densities.
+    /// [`CompileError::Density`] for out-of-range densities.
     pub fn validate(&self, name: &str, dims: &[i64]) -> Result<(), CompileError> {
         match self {
             TensorInit::Data(d) => {
@@ -303,9 +305,10 @@ impl TensorInit {
             }
             TensorInit::RandomSparse { density, .. } => {
                 if !(0.0..=1.0).contains(density) {
-                    return Err(CompileError::Session(format!(
-                        "density must be in [0, 1], got {density}"
-                    )));
+                    return Err(CompileError::Density {
+                        tensor: name.to_string(),
+                        density: *density,
+                    });
                 }
                 Ok(())
             }
@@ -359,7 +362,8 @@ mod tests {
         dense.fill_random_sparse("B", 1, 1.5);
         assert!(matches!(
             dense.validate(&tensors),
-            Err(BackendError::Compile(CompileError::Session(_)))
+            Err(BackendError::Compile(CompileError::Density { tensor, density }))
+                if tensor == "B" && density == 1.5
         ));
     }
 

@@ -133,7 +133,7 @@ impl TensorInit {
     /// [`TensorInit::materialize`] into a recycled buffer
     /// ([`distal_runtime::pool`]): the per-request copy an instance binds,
     /// and hands back to the pool when it drops.
-    pub fn materialize_pooled(&self, dims: &[i64]) -> Vec<f64> {
+    pub(crate) fn materialize_pooled(&self, dims: &[i64]) -> Vec<f64> {
         let owned;
         let src = match self {
             TensorInit::Data(data) => data,
@@ -210,23 +210,7 @@ impl Problem {
     /// Rejects formats whose notation arity doesn't match the tensor order
     /// or the machine's hierarchy levels.
     pub fn tensor(&mut self, spec: TensorSpec) -> Result<&mut Self, CompileError> {
-        let machine = self.machine.clone();
-        self.tensor_for_machine(spec, &machine)
-    }
-
-    /// Registers a tensor whose format targets a *different* abstract
-    /// machine than the problem default (the CTF baseline's internal
-    /// matricized tensors live on per-contraction grids).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::tensor`], validated against the given machine.
-    pub fn tensor_for_machine(
-        &mut self,
-        spec: TensorSpec,
-        machine: &DistalMachine,
-    ) -> Result<&mut Self, CompileError> {
-        validate_format(&spec, machine)?;
+        validate_format(&spec, &self.machine)?;
         self.tensors.insert(spec.name.clone(), spec);
         Ok(self)
     }
@@ -311,20 +295,14 @@ impl Problem {
         seed: u64,
         density: f64,
     ) -> Result<&mut Self, CompileError> {
-        self.require(name)?;
-        if !(0.0..=1.0).contains(&density) {
-            return Err(CompileError::Session(format!(
-                "density must be in [0, 1], got {density}"
-            )));
-        }
-        self.init
-            .insert(name.into(), TensorInit::RandomSparse { seed, density });
+        let spec = self
+            .tensors
+            .get(name)
+            .ok_or_else(|| CompileError::UnknownTensor(name.into()))?;
+        let init = TensorInit::RandomSparse { seed, density };
+        init.validate(name, &spec.dims)?;
+        self.init.insert(name.into(), init);
         Ok(self)
-    }
-
-    /// The declared initializer of a tensor, if any.
-    pub fn init_of(&self, name: &str) -> Option<&TensorInit> {
-        self.init.get(name)
     }
 
     /// The number of stored (nonzero-bit-pattern) elements of a tensor's
@@ -352,24 +330,6 @@ impl Problem {
         Some(self.nnz_of(name)? as f64 / volume)
     }
 
-    /// Wire-payload bytes per dense byte for a tensor: `1.0` for dense
-    /// level formats; for compressed formats, the ratio of the CSR
-    /// `pos`/`crd`/`vals` payload (at the initializer's nnz) to the flat
-    /// dense size. Tensors without an initializer (e.g. outputs)
-    /// conservatively report `1.0`.
-    pub fn payload_scale(&self, name: &str) -> f64 {
-        let Some(spec) = self.tensors.get(name) else {
-            return 1.0;
-        };
-        if !spec.format.has_compressed() {
-            return 1.0;
-        }
-        let Some(nnz) = self.nnz_of(name) else {
-            return 1.0;
-        };
-        distal_sparse::csr_payload_scale(&spec.dims, nnz)
-    }
-
     /// All declared initializers.
     pub fn inits(&self) -> &BTreeMap<String, TensorInit> {
         &self.init
@@ -388,6 +348,95 @@ impl Problem {
         } else {
             Err(CompileError::UnknownTensor(name.into()))
         }
+    }
+
+    /// The `precompute` transformation (paper §2) as a pure split: the
+    /// product of the tensors named in `factors` is hoisted into a
+    /// workspace tensor `workspace(ws_vars)` (registered with `ws_format`,
+    /// dimensions inferred from the statement). Returns the workspace
+    /// stage and the remainder stage consuming it — two problems, each
+    /// over the tensors its own statement names, with this problem's
+    /// initializers for them. Run them in order on any
+    /// backend: read `workspace` from the first stage's instance and seed
+    /// it into the second ([`Problem::set_data`] or a binding).
+    ///
+    /// # Errors
+    ///
+    /// A missing statement, invalid splits (escaped reductions, trivial
+    /// factor sets, a workspace name the statement already uses),
+    /// unregistered tensors, and workspace format errors.
+    ///
+    /// # Example
+    ///
+    /// The matrix triple product drops from `O(n⁴)` fused to `O(n³)`
+    /// through a workspace:
+    ///
+    /// ```
+    /// # use distal_core::{DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec};
+    /// # use distal_format::Format;
+    /// # use distal_machine::{Grid, spec::{MachineSpec, MemKind, ProcKind}};
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let machine = DistalMachine::flat(Grid::line(2), ProcKind::Cpu);
+    /// let mut fused = Problem::new(MachineSpec::small(1), machine);
+    /// fused.statement("A(i,l) = B(i,j) * C(j,k) * D(k,l)")?;
+    /// let rows = Format::parse("xy->x", MemKind::Sys)?;
+    /// for t in ["A", "B", "C", "D"] {
+    ///     fused.tensor(TensorSpec::new(t, vec![8, 8], rows.clone()))?;
+    /// }
+    /// fused.fill_random("B", 7)?.fill_random("C", 8)?.fill_random("D", 9)?;
+    /// let (ws, mut rest) = fused.precompute(&["B", "C"], "T", &["i", "k"], rows)?;
+    /// let dist = Schedule::new()
+    ///     .divide("i", "io", "ii", 2)
+    ///     .reorder(&["io", "ii"])
+    ///     .distribute(&["io"]);
+    /// let backend = RuntimeBackend::functional();
+    /// let mut first = ws.compile(&backend, &dist)?;
+    /// let mut flops = first.run()?.flops;
+    /// rest.set_data("T", first.read("T")?)?;
+    /// let mut second = rest.compile(&backend, &dist)?;
+    /// flops += second.run()?.flops;
+    /// assert!(flops < 2.0 * 8f64.powi(4));
+    /// assert_eq!(second.read("A")?.len(), 64);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn precompute(
+        &self,
+        factors: &[&str],
+        workspace: &str,
+        ws_vars: &[&str],
+        ws_format: Format,
+    ) -> Result<(Problem, Problem), CompileError> {
+        let assignment = self
+            .statement
+            .as_ref()
+            .ok_or_else(|| CompileError::Expression("problem has no statement".into()))?;
+        let (ws_stmt, rest_stmt) =
+            distal_ir::precompute::precompute_product(assignment, factors, workspace, ws_vars)
+                .map_err(|e| CompileError::Expression(e.to_string()))?;
+        // Workspace dimensions from the statement's inferred extents.
+        for acc in assignment.accesses() {
+            self.require(&acc.tensor)?;
+        }
+        let extents = assignment
+            .infer_extents(&self.dims_map())
+            .ok_or(CompileError::InconsistentExtents)?;
+        let ws_dims = ws_stmt.lhs.indices.iter().map(|v| extents[v]).collect();
+        let ws_spec = TensorSpec::new(workspace, ws_dims, ws_format);
+        // Each stage registers exactly the tensors its statement names.
+        let stage = |stmt: Assignment| -> Result<Problem, CompileError> {
+            let mut stage = Problem::new(self.spec.clone(), self.machine.clone());
+            for acc in stmt.accesses() {
+                let spec = self.tensors.get(&acc.tensor).unwrap_or(&ws_spec);
+                stage.tensor(spec.clone())?;
+                if let Some(init) = self.init.get(&acc.tensor) {
+                    stage.init.insert(acc.tensor.clone(), init.clone());
+                }
+            }
+            stage.statement = Some(stmt);
+            Ok(stage)
+        };
+        Ok((stage(ws_stmt)?, stage(rest_stmt)?))
     }
 
     /// The bindings this problem's own initializers describe — what
@@ -433,11 +482,8 @@ impl Problem {
 }
 
 /// Validates a tensor's format notation against a machine (arity per
-/// hierarchy level). Shared by [`Problem`] and `Session`.
-pub(crate) fn validate_format(
-    spec: &TensorSpec,
-    machine: &DistalMachine,
-) -> Result<(), CompileError> {
+/// hierarchy level).
+fn validate_format(spec: &TensorSpec, machine: &DistalMachine) -> Result<(), CompileError> {
     let levels = machine.hierarchy.levels();
     if spec.format.is_distributed() {
         if spec.format.distributions.len() != levels.len() {
@@ -547,33 +593,15 @@ mod tests {
         for (s, d) in data.iter().zip(dense.iter()) {
             assert!(*s == 0.0 || s.to_bits() == d.to_bits());
         }
-        // Bad densities are rejected.
-        assert!(p.fill_random_sparse("B", 7, 1.5).is_err());
+        // Bad densities are rejected, naming the tensor.
+        assert!(matches!(
+            p.fill_random_sparse("B", 7, 1.5),
+            Err(CompileError::Density { tensor, density }) if tensor == "B" && density == 1.5
+        ));
         assert!(matches!(
             p.fill_random_sparse("nope", 1, 0.5),
             Err(CompileError::UnknownTensor(_))
         ));
-    }
-
-    #[test]
-    fn payload_scale_reflects_compression() {
-        let mut p = problem();
-        let sparse = distal_format::Format::parse_levels("xy->xy", "ds", MemKind::Sys).unwrap();
-        let dense = Format::parse("xy->xy", MemKind::Sys).unwrap();
-        p.tensor(TensorSpec::new("B", vec![8, 8], sparse)).unwrap();
-        p.tensor(TensorSpec::new("C", vec![8, 8], dense)).unwrap();
-        p.fill_random_sparse("B", 3, 0.0).unwrap();
-        p.fill_random("C", 3).unwrap();
-        // Dense formats always report flat accounting.
-        assert_eq!(p.payload_scale("C"), 1.0);
-        // Empty compressed tensor: just the pos array.
-        let pos_only = (8 + 1) * 8;
-        assert!((p.payload_scale("B") - pos_only as f64 / (64.0 * 8.0)).abs() < 1e-12);
-        // Full compressed tensor costs more than dense (crd overhead).
-        p.fill_random_sparse("B", 3, 1.0).unwrap();
-        assert!(p.payload_scale("B") > 1.0);
-        // Unknown / uninitialized tensors are conservatively flat.
-        assert_eq!(p.payload_scale("nope"), 1.0);
     }
 
     #[test]

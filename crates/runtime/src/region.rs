@@ -42,7 +42,7 @@ pub struct LogicalRegion {
     /// Wire-payload bytes per dense byte moved out of this region
     /// (`1.0` = flat dense data). Tensors stored in a compressed level
     /// format ship `pos`/`crd`/`vals` payloads instead of dense tiles;
-    /// the owning session sets this to `payload / dense` so copy byte
+    /// the binding plan sets this to `payload / dense` so copy byte
     /// accounting (and model-mode copy timing) charges nnz-sized
     /// transfers. Functional buffers stay dense either way — only the
     /// communication accounting is scaled.

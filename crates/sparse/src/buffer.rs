@@ -148,7 +148,7 @@ pub fn estimated_payload_bytes(volume: u64, rows: u64, density: f64) -> u64 {
 
 /// Wire-payload bytes per dense byte of a `dims`-shaped tensor holding
 /// `nnz` stored entries under innermost-CSR compression — the
-/// `payload_scale` every layer (problem registry, session regions, copy
+/// `payload_scale` every layer (problem registry, runtime regions, copy
 /// accounting) derives from one place so the formula cannot drift.
 pub fn csr_payload_scale(dims: &[i64], nnz: u64) -> f64 {
     let volume = dims.iter().product::<i64>().max(1) as u64;

@@ -49,8 +49,7 @@ use crate::transport::Transport;
 use distal_core::backend::{Backend, BackendError};
 use distal_core::plan::{init_nnz, Bindings, Instance, Plan};
 use distal_core::{
-    Diagnostic, LintConfig, Problem, Provenance, Report, RuntimeBackend, Schedule, TensorInit,
-    TensorSpec,
+    Diagnostic, LintConfig, Problem, Provenance, Report, Schedule, TensorInit, TensorSpec,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -558,41 +557,34 @@ impl Instance for SpmdInstance {
         if self.program.tensors.iter().any(|t| t.name == tensor) {
             // Registered but neither the output nor a seeded input.
             return Err(BackendError::NoData(format!(
-                "'{tensor}' has no initializer on this artifact"
+                "'{tensor}' has no initializer on this instance"
             )));
         }
         Err(BackendError::UnknownTensor(tensor.into()))
     }
 }
 
-/// How [`CostBackend`] prices a candidate.
-#[derive(Clone, Debug)]
-pub enum CostModel {
-    /// The dynamic runtime's model-mode simulator (tasks, channels,
-    /// coherence-discovered copies).
-    RuntimeSim,
-    /// The SPMD α-β model over the statically lowered message schedule.
-    AlphaBeta(AlphaBeta),
-}
-
-/// A pure estimation target: compiles the problem but never touches
+/// A pure estimation target: lowers the problem to its static message
+/// schedule and prices it under the SPMD α-β model without touching
 /// numerics — `execute()` returns a modeled [`Report`], `read()` always
 /// fails with [`BackendError::NoData`]. This is the backend the
-/// autoscheduler's `search_with` path plugs in to rank candidates under
-/// either cost model (through its plan cache: candidates re-scored under
-/// the same key reuse their lowering).
+/// autoscheduler's `search_with` path plugs in to rank candidates
+/// (through its plan cache: candidates re-scored under the same key reuse
+/// their lowering). The other cost model — the dynamic runtime's
+/// model-mode simulator — is `RuntimeBackend::model()`.
 #[derive(Clone, Debug)]
 pub struct CostBackend {
-    /// The pricing model.
-    pub model: CostModel,
-    /// Collective configuration for [`CostModel::AlphaBeta`] lowerings.
+    /// The α-β parameters.
+    pub model: AlphaBeta,
+    /// Collective recognition/lowering configuration.
     pub collectives: CollectiveConfig,
     /// Schedule-admission lint configuration (`distal_core::lint`).
     pub lint: LintConfig,
 }
 
 impl CostBackend {
-    fn new(model: CostModel) -> Self {
+    /// Estimation via the SPMD α-β model.
+    pub fn alpha_beta(model: AlphaBeta) -> Self {
         CostBackend {
             model,
             collectives: CollectiveConfig::default(),
@@ -600,17 +592,7 @@ impl CostBackend {
         }
     }
 
-    /// Estimation via the runtime's model-mode simulator.
-    pub fn runtime_sim() -> Self {
-        CostBackend::new(CostModel::RuntimeSim)
-    }
-
-    /// Estimation via the SPMD α-β model.
-    pub fn alpha_beta(model: AlphaBeta) -> Self {
-        CostBackend::new(CostModel::AlphaBeta(model))
-    }
-
-    /// Overrides the collective configuration (α-β lowerings only).
+    /// Overrides the collective configuration.
     #[must_use]
     pub fn with_collectives(mut self, collectives: CollectiveConfig) -> Self {
         self.collectives = collectives;
@@ -631,9 +613,8 @@ impl Backend for CostBackend {
     }
 
     fn config_fingerprint(&self) -> String {
-        // The pricing model decides what a plan *is* (a wrapped runtime
-        // sim vs a lowered program), and the collectives shape the α-β
-        // lowering.
+        // The α-β parameters price every report and the collectives shape
+        // the lowering.
         format!(
             "{:?};{:?};lint={}",
             self.model,
@@ -643,58 +624,35 @@ impl Backend for CostBackend {
     }
 
     fn plan(&self, problem: &Problem, schedule: &Schedule) -> Result<Box<dyn Plan>, BackendError> {
-        match &self.model {
-            CostModel::RuntimeSim => {
-                // The wrapped runtime backend runs admission itself, under
-                // this backend's configuration — lint runs exactly once.
-                let inner = RuntimeBackend::model()
-                    .with_lints(self.lint.clone())
-                    .plan(problem, schedule)?;
-                Ok(Box::new(CostPlan::Sim(inner)))
-            }
-            CostModel::AlphaBeta(model) => {
-                let mut diagnostics = distal_core::lint::admit(problem, schedule, &self.lint)?;
-                let program = plan_program(problem, schedule, &self.collectives)?;
-                diagnostics.extend(verify_plan_program(&program)?);
-                Ok(Box::new(CostPlan::AlphaBeta {
-                    tensors: problem.tensors().clone(),
-                    program: Arc::new(program),
-                    model: *model,
-                    diagnostics,
-                }))
-            }
-        }
+        let mut diagnostics = distal_core::lint::admit(problem, schedule, &self.lint)?;
+        let program = plan_program(problem, schedule, &self.collectives)?;
+        diagnostics.extend(verify_plan_program(&program)?);
+        Ok(Box::new(CostPlan {
+            tensors: problem.tensors().clone(),
+            program: Arc::new(program),
+            model: self.model,
+            diagnostics,
+        }))
     }
 }
 
-/// A [`CostBackend`] plan: either a wrapped model-mode runtime plan or a
-/// statically lowered program awaiting per-binding nnz accounting.
-pub enum CostPlan {
-    /// Wraps a model-mode runtime plan.
-    Sim(Box<dyn Plan>),
-    /// A lowered program priced without running the VM.
-    AlphaBeta {
-        /// The registry the program was lowered against.
-        tensors: BTreeMap<String, TensorSpec>,
-        /// The shared lowered program (instances with compressed
-        /// bindings get a per-instance copy; see `bound_program`).
-        program: Arc<SpmdProgram>,
-        /// The α-β parameters.
-        model: AlphaBeta,
-        /// Warning-severity verifier findings (errors rejected the plan).
-        diagnostics: Vec<Diagnostic>,
-    },
+/// A [`CostBackend`] plan: a statically lowered program awaiting
+/// per-binding nnz accounting.
+pub struct CostPlan {
+    tensors: BTreeMap<String, TensorSpec>,
+    // Shared; instances with compressed bindings get a per-instance copy
+    // (see `bound_program`).
+    program: Arc<SpmdProgram>,
+    model: AlphaBeta,
+    // Warning-severity verifier findings (errors rejected the plan).
+    diagnostics: Vec<Diagnostic>,
 }
 
 impl std::fmt::Debug for CostPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CostPlan::Sim(_) => f.write_str("CostPlan::Sim"),
-            CostPlan::AlphaBeta { program, .. } => f
-                .debug_struct("CostPlan::AlphaBeta")
-                .field("ranks", &program.ranks())
-                .finish_non_exhaustive(),
-        }
+        f.debug_struct("CostPlan")
+            .field("ranks", &self.program.ranks())
+            .finish_non_exhaustive()
     }
 }
 
@@ -704,63 +662,37 @@ impl Plan for CostPlan {
     }
 
     fn tensors(&self) -> &BTreeMap<String, TensorSpec> {
-        match self {
-            CostPlan::Sim(inner) => inner.tensors(),
-            CostPlan::AlphaBeta { tensors, .. } => tensors,
-        }
+        &self.tensors
     }
 
     fn diagnostics(&self) -> &[Diagnostic] {
-        match self {
-            CostPlan::Sim(inner) => inner.diagnostics(),
-            CostPlan::AlphaBeta { diagnostics, .. } => diagnostics,
-        }
+        &self.diagnostics
     }
 
     fn bind(&self, bindings: &Bindings) -> Result<Box<dyn Instance>, BackendError> {
-        match self {
-            CostPlan::Sim(inner) => Ok(Box::new(CostInstance::Sim(inner.bind(bindings)?))),
-            CostPlan::AlphaBeta {
-                tensors,
-                program,
-                model,
-                ..
-            } => {
-                bindings.validate(tensors)?;
-                let program = bound_program(program, tensors, |name, spec| {
-                    bindings.get(name).map(|init| init_nnz(init, &spec.dims))
-                });
-                Ok(Box::new(CostInstance::AlphaBeta {
-                    program,
-                    model: *model,
-                }))
-            }
-        }
+        bindings.validate(&self.tensors)?;
+        let program = bound_program(&self.program, &self.tensors, |name, spec| {
+            bindings.get(name).map(|init| init_nnz(init, &spec.dims))
+        });
+        Ok(Box::new(CostInstance {
+            program,
+            model: self.model,
+        }))
     }
 }
 
-/// A [`CostBackend`] instance: estimation only, no numerics.
-pub enum CostInstance {
-    /// Wraps a model-mode runtime instance.
-    Sim(Box<dyn Instance>),
-    /// Prices a statically lowered program without running the VM.
-    AlphaBeta {
-        /// The lowered program (this binding's nnz accounting applied).
-        program: Arc<SpmdProgram>,
-        /// The α-β parameters.
-        model: AlphaBeta,
-    },
+/// A [`CostBackend`] instance: prices its lowered program (this
+/// binding's nnz accounting applied) without running the VM.
+pub struct CostInstance {
+    program: Arc<SpmdProgram>,
+    model: AlphaBeta,
 }
 
 impl std::fmt::Debug for CostInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CostInstance::Sim(_) => f.write_str("CostInstance::Sim"),
-            CostInstance::AlphaBeta { program, .. } => f
-                .debug_struct("CostInstance::AlphaBeta")
-                .field("ranks", &program.ranks())
-                .finish_non_exhaustive(),
-        }
+        f.debug_struct("CostInstance")
+            .field("ranks", &self.program.ranks())
+            .finish_non_exhaustive()
     }
 }
 
@@ -770,50 +702,26 @@ impl Instance for CostInstance {
     }
 
     fn place(&mut self) -> Result<Report, BackendError> {
-        match self {
-            CostInstance::Sim(inner) => {
-                let mut r = inner.place()?;
-                r.backend = "cost".into();
-                r.provenance = Provenance::Modeled;
-                Ok(r)
-            }
-            CostInstance::AlphaBeta { .. } => Ok(Report::empty("cost", Provenance::Modeled)),
-        }
+        Ok(Report::empty("cost", Provenance::Modeled))
     }
 
     fn execute(&mut self) -> Result<Report, BackendError> {
-        match self {
-            CostInstance::Sim(inner) => {
-                let mut r = inner.execute()?;
-                r.backend = "cost".into();
-                r.provenance = Provenance::Modeled;
-                Ok(r)
-            }
-            CostInstance::AlphaBeta { program, model } => Ok(program_report(
-                "cost",
-                Provenance::Modeled,
-                program,
-                model,
-                0,
-                None,
-            )),
-        }
+        Ok(program_report(
+            "cost",
+            Provenance::Modeled,
+            &self.program,
+            &self.model,
+            0,
+            None,
+        ))
     }
 
     fn read(&self, tensor: &str) -> Result<Vec<f64>, BackendError> {
         // Honor the Instance contract: unknown names are unknown-tensor
         // errors; only registered tensors report no-data.
-        let known = match self {
-            // The model-mode runtime instance already distinguishes the
-            // two; its NoData message is as good as ours.
-            CostInstance::Sim(inner) => return inner.read(tensor),
-            CostInstance::AlphaBeta { program, .. } => {
-                program.tensors.iter().any(|t| t.name == tensor)
-            }
-        };
-        if known {
+        if self.program.tensors.iter().any(|t| t.name == tensor) {
             Err(BackendError::NoData(format!(
-                "cost artifacts hold no numerics; '{tensor}' cannot be read"
+                "cost instances hold no numerics; '{tensor}' cannot be read"
             )))
         } else {
             Err(BackendError::UnknownTensor(tensor.into()))
@@ -824,7 +732,7 @@ impl Instance for CostInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distal_core::{DistalMachine, TensorSpec};
+    use distal_core::{DistalMachine, RuntimeBackend, TensorSpec};
     use distal_format::Format;
     use distal_machine::grid::Grid;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
@@ -843,20 +751,20 @@ mod tests {
     }
 
     #[test]
-    fn spmd_artifact_executes_and_reads() {
+    fn spmd_instance_executes_and_reads() {
         let p = matmul_problem(8);
-        let mut art = p
+        let mut inst = p
             .compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))
             .unwrap();
-        assert!(matches!(art.read("A"), Err(BackendError::NoData(_))));
-        let report = art.run().unwrap();
+        assert!(matches!(inst.read("A"), Err(BackendError::NoData(_))));
+        let report = inst.run().unwrap();
         assert_eq!(report.backend, "spmd");
         assert!(report.messages > 0);
         assert!(report.critical_path_s > 0.0);
-        assert_eq!(art.read("A").unwrap().len(), 64);
-        assert_eq!(art.read("B").unwrap(), p.initial_data("B").unwrap());
+        assert_eq!(inst.read("A").unwrap().len(), 64);
+        assert_eq!(inst.read("B").unwrap(), p.initial_data("B").unwrap());
         assert!(matches!(
-            art.read("Z"),
+            inst.read("Z"),
             Err(BackendError::UnknownTensor(t)) if t == "Z"
         ));
     }
@@ -909,19 +817,18 @@ mod tests {
     fn cost_backends_estimate_without_numerics() {
         let p = matmul_problem(16);
         let schedule = Schedule::summa(2, 2, 8);
-        for backend in [
-            CostBackend::runtime_sim(),
-            CostBackend::alpha_beta(AlphaBeta::default()),
-        ] {
-            let mut art = p.compile(&backend, &schedule).unwrap();
-            let report = art.run().unwrap();
-            assert_eq!(report.backend, "cost");
+        let sim = RuntimeBackend::model();
+        let alpha_beta = CostBackend::alpha_beta(AlphaBeta::default());
+        for backend in [&sim as &dyn Backend, &alpha_beta] {
+            let mut inst = p.compile(backend, &schedule).unwrap();
+            let report = inst.run().unwrap();
+            assert_eq!(report.backend, backend.name());
             assert_eq!(report.provenance, Provenance::Modeled);
-            assert!(report.critical_path_s > 0.0, "{:?}", backend.model);
+            assert!(report.critical_path_s > 0.0, "{}", backend.name());
             assert!(report.bytes_moved > 0);
-            assert!(matches!(art.read("A"), Err(BackendError::NoData(_))));
+            assert!(matches!(inst.read("A"), Err(BackendError::NoData(_))));
             assert!(matches!(
-                art.read("Z"),
+                inst.read("Z"),
                 Err(BackendError::UnknownTensor(t)) if t == "Z"
             ));
         }
@@ -956,10 +863,10 @@ mod tests {
             .plan(&p, &Schedule::summa(2, 2, 4))
             .unwrap();
         assert!(plan.diagnostics().is_empty());
-        let mut art = p
+        let mut inst = p
             .compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))
             .unwrap();
-        let report = art.run().unwrap();
+        let report = inst.run().unwrap();
         assert!(distal_core::verified_clean(&report.diagnostics));
     }
 
@@ -975,10 +882,10 @@ mod tests {
             p.tensor(TensorSpec::new(t, vec![8, 8], f.clone())).unwrap();
         }
         p.fill_random("B", 1).unwrap(); // C left uninitialized
-        let mut art = p
+        let mut inst = p
             .compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))
             .unwrap();
-        assert!(matches!(art.execute(), Err(BackendError::NoData(m)) if m.contains("'C'")));
+        assert!(matches!(inst.execute(), Err(BackendError::NoData(m)) if m.contains("'C'")));
     }
 
     #[test]

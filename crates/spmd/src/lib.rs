@@ -96,8 +96,8 @@ pub mod verify;
 pub mod vm;
 
 pub use backend::{
-    lower_problem, problem_tensors, CostBackend, CostInstance, CostModel, CostPlan, SpmdBackend,
-    SpmdInstance, SpmdPlan,
+    lower_problem, problem_tensors, CostBackend, CostInstance, CostPlan, SpmdBackend, SpmdInstance,
+    SpmdPlan,
 };
 pub use collective::{Collective, CollectiveConfig, CollectiveKind, Topology};
 pub use cost::{AlphaBeta, CostReport};

@@ -5,12 +5,11 @@
 use distal_algs::higher_order::HigherOrderKernel;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_core::oracle;
-use distal_core::{DistalMachine, Problem, Schedule, Session, TensorSpec};
+use distal_core::{DistalMachine, Instance, Problem, RuntimeBackend, Schedule, TensorSpec};
 use distal_format::Format;
 use distal_ir::expr::Assignment;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
-use distal_runtime::Mode;
 use distal_spmd::{lower_problem, CollectiveConfig, SpmdOp};
 use std::collections::BTreeMap;
 
@@ -216,25 +215,19 @@ fn summa_volume_matches_dynamic_runtime() {
     // output pre-fill: the SPMD model starts accumulators at zero locally,
     // and the dynamic fill would otherwise invalidate the placed A tiles
     // and re-fetch them from the staging fill instance.
-    let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-    let mut session = Session::new(MachineSpec::small(4), machine, Mode::Functional);
-    for name in ["A", "B", "C"] {
-        session
-            .tensor(TensorSpec::new(name, vec![n, n], tiled.clone()))
-            .unwrap();
-    }
-    session.fill_random("B", 1).unwrap();
-    session.fill_random("C", 2).unwrap();
-    let parsed = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
+    let mut problem = problem;
+    problem.fill_random("B", 1).unwrap();
+    problem.fill_random("C", 2).unwrap();
     let options = distal_core::CompileOptions {
         fill_output: Some(false),
         ..Default::default()
     };
-    let kernel = session
-        .compile_assignment(&parsed, &schedule, &options)
+    let mut dynamic = RuntimeBackend::functional()
+        .with_options(options)
+        .compile_typed(&problem, &schedule)
         .unwrap();
-    session.place(&kernel).unwrap();
-    let stats = session.execute(&kernel).unwrap();
+    dynamic.place_stats().unwrap();
+    let stats = dynamic.execute_stats().unwrap();
     let dynamic_bytes: u64 = stats.bytes_by_class.values().sum();
 
     assert_eq!(
@@ -243,9 +236,9 @@ fn summa_volume_matches_dynamic_runtime() {
     );
 
     // Both backends produce the oracle answer on the same inputs.
-    let b = session.read("B").unwrap();
-    let c = session.read("C").unwrap();
-    let a_dynamic = session.read("A").unwrap();
+    let b = dynamic.read("B").unwrap();
+    let c = dynamic.read("C").unwrap();
+    let a_dynamic = dynamic.read("A").unwrap();
     let mut inputs = BTreeMap::new();
     inputs.insert("B".to_string(), b);
     inputs.insert("C".to_string(), c);

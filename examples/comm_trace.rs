@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example comm_trace > cannon_trace.json`.
 
 use distal::algs::matmul::MatmulAlgorithm;
-use distal::algs::setup::{matmul_session, RunConfig};
+use distal::algs::setup::{matmul_problem, RunConfig};
 use distal::prelude::*;
 use distal::runtime::trace::chrome_trace;
 
@@ -14,10 +14,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.spec = MachineSpec::lassen(9);
     config.spec.node.cpu_sockets = 1;
     let n = 4096;
-    let (mut session, kernel) = matmul_session(MatmulAlgorithm::Cannon, &config, n, n / 3)?;
-    session.runtime_mut().record_copies(true);
-    session.place(&kernel)?;
-    let stats = session.execute(&kernel)?;
+    let (problem, schedule) = matmul_problem(MatmulAlgorithm::Cannon, &config, n, n / 3)?;
+    let mut instance = config.backend().compile_typed(&problem, &schedule)?;
+    instance.runtime_mut().record_copies(true);
+    instance.place_stats()?;
+    let stats = instance.execute_stats()?;
     eprintln!(
         "Cannon on 3x3: {} copies, {:.1} MB inter-node, makespan {:.3} ms",
         stats.copies,

@@ -13,20 +13,20 @@ fn run_with_format(
     n: i64,
 ) -> Result<(f64, f64, Vec<f64>), Box<dyn std::error::Error>> {
     let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-    let mut session = Session::new(MachineSpec::small(2), machine, Mode::Functional);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem.statement("A(i,j) = B(i,k) * C(k,j)")?;
     let f = Format::parse(notation, MemKind::Sys)?;
     for name in ["A", "B", "C"] {
-        session.tensor(TensorSpec::new(name, vec![n, n], f.clone()))?;
+        problem.tensor(TensorSpec::new(name, vec![n, n], f.clone()))?;
     }
-    session.fill_random("B", 1)?;
-    session.fill_random("C", 2)?;
-    let kernel = session.compile("A(i,j) = B(i,k) * C(k,j)", schedule)?;
-    let place = session.place(&kernel)?;
-    let compute = session.execute(&kernel)?;
+    problem.fill_random("B", 1)?.fill_random("C", 2)?;
+    let mut instance = RuntimeBackend::functional().compile_typed(&problem, schedule)?;
+    let place = instance.place_stats()?;
+    let compute = instance.execute_stats()?;
     Ok((
         (place.inter_node_bytes() + place.intra_node_bytes()) as f64,
         (compute.inter_node_bytes() + compute.intra_node_bytes()) as f64,
-        session.read("A")?,
+        instance.read("A")?,
     ))
 }
 

@@ -28,31 +28,29 @@ fn run_layer(
     grid: Grid,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let machine = DistalMachine::flat(grid, ProcKind::Cpu);
-    let mut session = Session::new(MachineSpec::small(2), machine, Mode::Functional);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem.statement(expr)?;
     let fmap: BTreeMap<&str, &str> = formats.iter().copied().collect();
     let out = shapes[0].0;
     for (name, dims) in shapes {
         let format = Format::parse(fmap[name], MemKind::Sys)?;
-        session.tensor(TensorSpec::new(*name, dims.clone(), format))?;
+        problem.tensor(TensorSpec::new(*name, dims.clone(), format))?;
         if *name != out {
-            session.fill_random(name, name.len() as u64 + 1)?;
+            problem.fill_random(name, name.len() as u64 + 1)?;
         }
     }
-    let kernel = session.compile(expr, schedule)?;
-    let (_, compute) = session.run(&kernel)?;
+    let mut instance = RuntimeBackend::functional().compile_typed(&problem, schedule)?;
+    instance.place_stats()?;
+    let compute = instance.execute_stats()?;
 
     // Verify against the oracle.
-    let mut dims = BTreeMap::new();
     let mut inputs = BTreeMap::new();
-    for (name, shape) in shapes {
-        dims.insert(name.to_string(), shape.clone());
-        if *name != out {
-            inputs.insert(name.to_string(), session.read(name)?);
-        }
+    for (name, _) in shapes.iter().filter(|(name, _)| *name != out) {
+        inputs.insert(name.to_string(), instance.read(name)?);
     }
-    let got = session.read(out)?;
-    let want =
-        oracle::evaluate(&kernel.assignment, &dims, &inputs).map_err(std::io::Error::other)?;
+    let got = instance.read(out)?;
+    let want = oracle::evaluate(&instance.kernel().assignment, &problem.dims_map(), &inputs)
+        .map_err(std::io::Error::other)?;
     let max_err = got
         .iter()
         .zip(want.iter())

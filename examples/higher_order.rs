@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example higher_order`.
 
-use distal::algs::setup::{higher_order_session, RunConfig};
+use distal::algs::setup::{higher_order_problem, RunConfig};
 use distal::baselines::ctf;
 use distal::prelude::*;
 
@@ -19,9 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let n = 384;
         let config = RunConfig::cpu(nodes, Mode::Model);
 
-        let (mut session, compiled) = higher_order_session(kernel, &config, n)?;
-        session.place(&compiled)?;
-        let ours = session.execute(&compiled)?;
+        let (problem, schedule) = higher_order_problem(kernel, &config, n)?;
+        let mut instance = config.backend().compile_typed(&problem, &schedule)?;
+        instance.place_stats()?;
+        let ours = instance.execute_stats()?;
 
         let mut run = ctf::higher_order(kernel, &config, n)?;
         let theirs = run.run()?;

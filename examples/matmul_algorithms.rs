@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example matmul_algorithms`.
 
 use distal::algs::matmul::MatmulAlgorithm;
-use distal::algs::setup::{matmul_session, RunConfig};
+use distal::algs::setup::{matmul_problem, RunConfig};
 use distal::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,11 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut reference: Option<Vec<f64>> = None;
     for alg in MatmulAlgorithm::all(p) {
-        let (mut session, kernel) = matmul_session(alg, &config, n, (n / 4).max(1))?;
-        session.runtime_mut().record_copies(true);
-        session.place(&kernel)?;
-        let stats = session.execute(&kernel)?;
-        let a = session.read("A")?;
+        let (problem, schedule) = matmul_problem(alg, &config, n, (n / 4).max(1))?;
+        let mut instance = config.backend().compile_typed(&problem, &schedule)?;
+        instance.runtime_mut().record_copies(true);
+        instance.place_stats()?;
+        let stats = instance.execute_stats()?;
+        let a = instance.read("A")?;
         match &reference {
             None => reference = Some(a),
             Some(r) => {

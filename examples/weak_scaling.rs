@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example weak_scaling`.
 
 use distal::algs::matmul::MatmulAlgorithm;
-use distal::algs::setup::{matmul_session, RunConfig};
+use distal::algs::setup::{matmul_problem, RunConfig};
 use distal::baselines::{cosma, ctf, scalapack};
 use distal::prelude::*;
 
@@ -28,9 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for nodes in node_counts {
             let config = RunConfig::cpu(nodes, Mode::Model);
             let n = ((base_n as f64) * (nodes as f64).sqrt()).round() as i64;
-            let (mut s, k) = matmul_session(alg, &config, n, n / 16)?;
-            s.place(&k)?;
-            let stats = s.execute(&k)?;
+            let (problem, schedule) = matmul_problem(alg, &config, n, n / 16)?;
+            let mut instance = config.backend().compile_typed(&problem, &schedule)?;
+            instance.place_stats()?;
+            let stats = instance.execute_stats()?;
             print!(" {:>8.1}", stats.gflops_per_node(nodes));
         }
         println!();
@@ -40,13 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for nodes in node_counts {
             let config = RunConfig::cpu(nodes, Mode::Model);
             let n = ((base_n as f64) * (nodes as f64).sqrt()).round() as i64;
-            let (mut s, k) = match which {
+            let mut run = match which {
                 0 => scalapack::gemm(&config, n, n / 16)?,
                 1 => ctf::gemm(&config, n)?,
                 _ => cosma::gemm(&config, n, false)?,
             };
-            s.place(&k)?;
-            let stats = s.execute(&k)?;
+            let stats = run.run()?;
             print!(" {:>8.1}", stats.gflops_per_node(nodes));
         }
         println!();

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use distal_core::{
         Backend, BackendError, Bindings, CacheStats, CompileError, CompiledKernel, Diagnostic,
         DiagnosticKind, DistalMachine, Instance, LeafKind, Lint, LintConfig, LintLevel, Plan,
-        PlanKey, Problem, Provenance, Report, RuntimeBackend, Schedule, Session, Severity,
+        PlanKey, Problem, Provenance, Report, RuntimeBackend, RuntimeInstance, Schedule, Severity,
         ShardedPlanCache, TensorInit, TensorSpec,
     };
     pub use distal_format::{Format, LevelFormat, TensorDistribution};

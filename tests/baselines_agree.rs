@@ -4,8 +4,8 @@
 
 use distal::algs::higher_order::HigherOrderKernel;
 use distal::algs::matmul::MatmulAlgorithm;
-use distal::algs::setup::{higher_order_session, matmul_session, RunConfig};
-use distal::baselines::{cosma, ctf, scalapack};
+use distal::algs::setup::{higher_order_problem, matmul_problem, RunConfig};
+use distal::baselines::{cosma, ctf, scalapack, PhasedRun};
 use distal::prelude::*;
 
 fn config(nodes: usize) -> RunConfig {
@@ -14,32 +14,37 @@ fn config(nodes: usize) -> RunConfig {
     c
 }
 
+/// DISTAL's own answer: the problem's output on the configuration's
+/// runtime backend.
+fn ours(cfg: &RunConfig, (problem, schedule): (Problem, Schedule)) -> Vec<f64> {
+    let mut instance = problem.compile(&cfg.backend(), &schedule).unwrap();
+    instance.run().unwrap();
+    instance
+        .read(&problem.assignment().unwrap().lhs.tensor)
+        .unwrap()
+}
+
+/// A baseline's answer.
+fn theirs(mut run: PhasedRun) -> Vec<f64> {
+    run.run().unwrap();
+    run.read(&run.output).unwrap()
+}
+
 #[test]
 fn all_gemm_systems_agree() {
     let n = 16;
     let cfg = config(4);
-    let (mut s0, k0) = matmul_session(MatmulAlgorithm::Cannon, &cfg, n, 4).unwrap();
-    s0.run(&k0).unwrap();
-    let reference = s0.read("A").unwrap();
-
-    let runs: Vec<(&str, Vec<f64>)> = vec![
-        ("scalapack", {
-            let (mut s, k) = scalapack::gemm(&cfg, n, 4).unwrap();
-            s.run(&k).unwrap();
-            s.read("A").unwrap()
-        }),
-        ("ctf", {
-            let (mut s, k) = ctf::gemm(&cfg, n).unwrap();
-            s.run(&k).unwrap();
-            s.read("A").unwrap()
-        }),
-        ("cosma", {
-            let (mut s, k) = cosma::gemm(&cfg, n, false).unwrap();
-            s.run(&k).unwrap();
-            s.read("A").unwrap()
-        }),
+    let reference = ours(
+        &cfg,
+        matmul_problem(MatmulAlgorithm::Cannon, &cfg, n, 4).unwrap(),
+    );
+    let runs = [
+        ("scalapack", scalapack::gemm(&cfg, n, 4)),
+        ("ctf", ctf::gemm(&cfg, n)),
+        ("cosma", cosma::gemm(&cfg, n, false)),
     ];
-    for (name, got) in runs {
+    for (name, run) in runs {
+        let got = theirs(run.unwrap());
         for (idx, (g, w)) in got.iter().zip(reference.iter()).enumerate() {
             assert!((g - w).abs() < 1e-9, "{name} differs at {idx}: {g} vs {w}");
         }
@@ -51,13 +56,8 @@ fn ctf_higher_order_agrees_with_distal() {
     for kernel in HigherOrderKernel::all() {
         let n = 8;
         let cfg = config(2);
-        let (mut ours, compiled) = higher_order_session(kernel, &cfg, n).unwrap();
-        ours.run(&compiled).unwrap();
-        let want = ours.read(&compiled.output).unwrap();
-
-        let mut theirs = ctf::higher_order(kernel, &cfg, n).unwrap();
-        theirs.run().unwrap();
-        let got = theirs.session.read(&theirs.output).unwrap();
+        let want = ours(&cfg, higher_order_problem(kernel, &cfg, n).unwrap());
+        let got = theirs(ctf::higher_order(kernel, &cfg, n).unwrap());
         for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
             assert!(
                 (g - w).abs() < 1e-6 * (1.0 + w.abs()),
@@ -72,15 +72,14 @@ fn cosma_gpu_out_of_core_agrees() {
     let n = 16;
     let mut cfg = RunConfig::gpu(2, Mode::Functional);
     cfg.spec = MachineSpec::small(2);
-    let (mut s, k) = cosma::gemm(&cfg, n, false).unwrap();
-    s.run(&k).unwrap();
-    let got = s.read("A").unwrap();
-    // Reference on CPU sockets.
-    let (mut s0, k0) = matmul_session(MatmulAlgorithm::Summa, &config(2), n, 8).unwrap();
-    // Reseed with the same deterministic inputs (fill_random is seeded by
-    // name, so both sessions hold identical B and C).
-    s0.run(&k0).unwrap();
-    let want = s0.read("A").unwrap();
+    let got = theirs(cosma::gemm(&cfg, n, false).unwrap());
+    // Reference on CPU sockets: inputs are seeded by name, so both hold
+    // identical B and C.
+    let cpu = config(2);
+    let want = ours(
+        &cpu,
+        matmul_problem(MatmulAlgorithm::Summa, &cpu, n, 8).unwrap(),
+    );
     for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
         assert!(
             (g - w).abs() < 1e-9,

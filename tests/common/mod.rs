@@ -2,12 +2,46 @@
 //! generator feeds both the oracle-agreement suite
 //! (`random_einsums.rs`) and the executor parity suite
 //! (`executor_parity.rs`), so the two validate the same case
-//! distribution and cannot drift apart.
+//! distribution and cannot drift apart. Plus the one oracle check every
+//! runtime-backend suite shares.
 #![allow(dead_code)] // each test binary uses a subset
 
 use distal::prelude::*;
 use distal_format::notation::{DimName, TensorDistribution};
 use std::collections::BTreeMap;
+
+/// Runs `problem` under `schedule` on a functional runtime backend and
+/// asserts its output agrees with the sequential oracle (evaluated on the
+/// inputs the instance itself holds) to `tol`, relative to magnitude.
+/// Returns the executed instance and its (placement, compute) statistics.
+pub fn run_against_oracle(
+    backend: &RuntimeBackend,
+    problem: &Problem,
+    schedule: &Schedule,
+    tol: f64,
+) -> (RuntimeInstance, RunStats, RunStats) {
+    let assignment = problem.assignment().expect("a statement");
+    let mut instance = backend
+        .compile_typed(problem, schedule)
+        .unwrap_or_else(|e| panic!("{assignment}: compile: {e}"));
+    let place = instance.place_stats().expect("place");
+    let compute = instance.execute_stats().expect("execute");
+    let inputs: BTreeMap<String, Vec<f64>> = assignment
+        .input_accesses()
+        .iter()
+        .map(|acc| (acc.tensor.clone(), instance.read(&acc.tensor).unwrap()))
+        .collect();
+    let want = distal::core::oracle::evaluate(assignment, &problem.dims_map(), &inputs).unwrap();
+    let got = instance.read(&assignment.lhs.tensor).unwrap();
+    assert_eq!(got.len(), want.len(), "{assignment}");
+    for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+        assert!(
+            (g - w).abs() <= tol * (1.0 + w.abs()),
+            "{assignment}: mismatch at {idx}: {g} vs {w}"
+        );
+    }
+    (instance, place, compute)
+}
 
 /// Small deterministic xorshift64* generator.
 pub struct Rng(pub u64);

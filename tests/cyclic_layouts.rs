@@ -12,30 +12,20 @@
 use distal::prelude::*;
 use std::collections::BTreeMap;
 
-fn oracle_matmul(n: i64, b: &[f64], c: &[f64]) -> Vec<f64> {
-    let n = n as usize;
-    let mut a = vec![0.0; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let bik = b[i * n + k];
-            for j in 0..n {
-                a[i * n + j] += bik * c[k * n + j];
-            }
-        }
-    }
-    a
-}
+mod common;
+use common::run_against_oracle;
 
-fn session_with_formats(n: i64, formats: &BTreeMap<&str, Format>) -> Session {
+fn problem_with_formats(n: i64, formats: &BTreeMap<&str, Format>) -> Problem {
     let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-    let mut s = Session::new(MachineSpec::small(4), machine, Mode::Functional);
+    let mut p = Problem::new(MachineSpec::small(4), machine);
+    p.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
     for (name, f) in formats {
-        s.tensor(TensorSpec::new(*name, vec![n, n], f.clone()))
+        p.tensor(TensorSpec::new(*name, vec![n, n], f.clone()))
             .unwrap();
     }
-    s.fill_random("B", 3).unwrap();
-    s.fill_random("C", 5).unwrap();
-    s
+    p.fill_random("B", 3).unwrap();
+    p.fill_random("C", 5).unwrap();
+    p
 }
 
 #[test]
@@ -43,46 +33,34 @@ fn summa_on_block_cyclic_inputs_matches_oracle() {
     // Inputs arrive in a ScaLAPACK-flavored 2-D block-cyclic layout; the
     // output uses plain tiles. The compute schedule is unchanged SUMMA —
     // schedules affect performance, not correctness (§3.3).
-    let n = 16;
     let mut formats = BTreeMap::new();
     formats.insert("A", Format::parse("xy->xy", MemKind::Sys).unwrap());
     formats.insert("B", Format::parse("xy->xy @bc2", MemKind::Sys).unwrap());
     formats.insert("C", Format::parse("xy->xy @cyclic", MemKind::Sys).unwrap());
-    let mut s = session_with_formats(n, &formats);
-    let b = s.read("B").unwrap();
-    let c = s.read("C").unwrap();
-    let k = s
-        .compile("A(i,j) = B(i,k) * C(k,j)", &Schedule::summa(2, 2, 8))
-        .unwrap();
-    s.run(&k).unwrap();
-    let got = s.read("A").unwrap();
-    let want = oracle_matmul(n, &b, &c);
-    for (g, w) in got.iter().zip(want.iter()) {
-        assert!((g - w).abs() < 1e-9, "{g} vs {w}");
-    }
+    let p = problem_with_formats(16, &formats);
+    run_against_oracle(
+        &RuntimeBackend::functional(),
+        &p,
+        &Schedule::summa(2, 2, 8),
+        1e-9,
+    );
 }
 
 #[test]
 fn cyclic_output_layout_matches_oracle() {
     // Even the *output* may live in a cyclic layout: the final gather runs
     // per-piece and must reassemble stripes correctly.
-    let n = 12;
     let mut formats = BTreeMap::new();
     formats.insert("A", Format::parse("xy->xy @cyclic", MemKind::Sys).unwrap());
     formats.insert("B", Format::parse("xy->xy", MemKind::Sys).unwrap());
     formats.insert("C", Format::parse("xy->xy", MemKind::Sys).unwrap());
-    let mut s = session_with_formats(n, &formats);
-    let b = s.read("B").unwrap();
-    let c = s.read("C").unwrap();
-    let k = s
-        .compile("A(i,j) = B(i,k) * C(k,j)", &Schedule::summa(2, 2, 6))
-        .unwrap();
-    s.run(&k).unwrap();
-    let got = s.read("A").unwrap();
-    let want = oracle_matmul(n, &b, &c);
-    for (g, w) in got.iter().zip(want.iter()) {
-        assert!((g - w).abs() < 1e-9);
-    }
+    let p = problem_with_formats(12, &formats);
+    run_against_oracle(
+        &RuntimeBackend::functional(),
+        &p,
+        &Schedule::summa(2, 2, 6),
+        1e-9,
+    );
 }
 
 #[test]
@@ -101,11 +79,12 @@ fn matching_layout_moves_less_than_mismatched() {
         formats.insert("A", tiled.clone());
         formats.insert("B", input_fmt.clone());
         formats.insert("C", input_fmt.clone());
-        let mut s = session_with_formats(n, &formats);
-        let k = s
-            .compile("A(i,j) = B(i,k) * C(k,j)", &Schedule::summa(2, 2, 16))
+        let p = problem_with_formats(n, &formats);
+        let mut instance = RuntimeBackend::functional()
+            .compile_typed(&p, &Schedule::summa(2, 2, 16))
             .unwrap();
-        let (_place, compute) = s.run(&k).unwrap();
+        instance.place_stats().unwrap();
+        let compute = instance.execute_stats().unwrap();
         compute.bytes_by_class.values().sum::<u64>() as f64
     };
 
@@ -123,20 +102,18 @@ fn cyclic_placement_piece_counts() {
     // Structural check on the compiled placement program: a cyclic format
     // on a 2x2 grid stripes a 16x16 matrix into 8x8 single-row-group
     // pieces per processor.
-    let n = 16i64;
-    let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-    let mut s = Session::new(MachineSpec::small(4), machine, Mode::Functional);
     let cyclic = Format::parse("xy->xy @cyclic", MemKind::Sys).unwrap();
-    let tiled = Format::parse("xy->xy", MemKind::Sys).unwrap();
-    s.tensor(TensorSpec::new("A", vec![n, n], tiled)).unwrap();
-    s.tensor(TensorSpec::new("B", vec![n, n], cyclic.clone()))
+    let mut formats = BTreeMap::new();
+    formats.insert("A", Format::parse("xy->xy", MemKind::Sys).unwrap());
+    formats.insert("B", cyclic.clone());
+    formats.insert("C", cyclic);
+    let plan = RuntimeBackend::functional()
+        .plan_typed(
+            &problem_with_formats(16, &formats),
+            &Schedule::summa(2, 2, 8),
+        )
         .unwrap();
-    s.tensor(TensorSpec::new("C", vec![n, n], cyclic)).unwrap();
-    s.fill_random("B", 1).unwrap();
-    s.fill_random("C", 2).unwrap();
-    let k = s
-        .compile("A(i,j) = B(i,k) * C(k,j)", &Schedule::summa(2, 2, 8))
-        .unwrap();
+    let k = plan.kernel();
     // Placement: still one task per (tensor, processor)...
     assert_eq!(k.placement.task_count(), 12);
     // ...but the cyclic tensors' tasks carry 8x8 = 64 stripe requirements.

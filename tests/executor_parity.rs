@@ -10,7 +10,7 @@
 //! change a single bit of the result.
 
 use distal::algs::matmul::MatmulAlgorithm;
-use distal::algs::setup::{matmul_session, RunConfig};
+use distal::algs::setup::{matmul_problem, RunConfig};
 use distal::prelude::*;
 
 mod common;
@@ -37,12 +37,26 @@ fn run_matmul(
     let mut config = RunConfig::cpu(nodes, Mode::Functional);
     config.spec = MachineSpec::small(nodes);
     config.executor = kind;
-    let (mut session, kernel) = matmul_session(alg, &config, n, (n / 4).max(1)).unwrap();
-    session.runtime_mut().set_executor_threads(4);
-    session.runtime_mut().record_copies(true);
-    let place = session.place(&kernel).unwrap();
-    let compute = session.execute(&kernel).unwrap();
-    (session.read("A").unwrap(), place, compute)
+    let (problem, schedule) = matmul_problem(alg, &config, n, (n / 4).max(1)).unwrap();
+    run_logged(&config.backend(), &problem, &schedule)
+}
+
+/// Binds a problem, then places and executes it on four worker threads
+/// with copy logging on; returns the output and both phases' statistics.
+fn run_logged(
+    backend: &RuntimeBackend,
+    problem: &Problem,
+    schedule: &Schedule,
+) -> (Vec<f64>, RunStats, RunStats) {
+    let mut instance = backend
+        .compile_typed(problem, schedule)
+        .unwrap_or_else(|e| panic!("{}: {e}", problem.assignment().unwrap()));
+    instance.runtime_mut().set_executor_threads(4);
+    instance.runtime_mut().record_copies(true);
+    let place = instance.place_stats().unwrap();
+    let compute = instance.execute_stats().unwrap();
+    let out = &problem.assignment().unwrap().lhs.tensor;
+    (instance.read(out).unwrap(), place, compute)
 }
 
 #[test]
@@ -90,8 +104,12 @@ fn reduction_heavy_runs_are_executor_invariant() {
 /// Runs one generated case under an executor kind and returns the output
 /// plus placement/compute statistics.
 fn run_case(case: &Case, kind: ExecutorKind, p: i64) -> (Vec<f64>, RunStats, RunStats) {
-    let assignment = distal::ir::expr::Assignment::parse(&case.expr)
+    let machine = DistalMachine::flat(Grid::line(p), ProcKind::Cpu);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem
+        .statement(&case.expr)
         .unwrap_or_else(|e| panic!("generated invalid expression '{}': {e}", case.expr));
+    let assignment = problem.assignment().unwrap();
     let all_vars: Vec<String> = assignment.all_vars().iter().map(|v| v.0.clone()).collect();
     let dist_var = case
         .out_vars
@@ -100,11 +118,6 @@ fn run_case(case: &Case, kind: ExecutorKind, p: i64) -> (Vec<f64>, RunStats, Run
         .unwrap_or_else(|| all_vars[0].clone());
     let schedule = schedule_1d(case, &all_vars, &dist_var, p);
 
-    let machine = DistalMachine::flat(Grid::line(p), ProcKind::Cpu);
-    let mut session = Session::new(MachineSpec::small(2), machine, Mode::Functional);
-    session.set_executor(kind);
-    session.runtime_mut().set_executor_threads(4);
-    session.runtime_mut().record_copies(true);
     // Seed data deterministically per case (same for both executors).
     let mut data_rng = Rng(0x5EED ^ case.expr.len() as u64);
     for (name, dims) in &case.dims {
@@ -116,20 +129,16 @@ fn run_case(case: &Case, kind: ExecutorKind, p: i64) -> (Vec<f64>, RunStats, Run
             let idx = if name == "B" { 0 } else { 1 };
             format_1d(&case.input_vars[idx], &dist_var)
         };
-        session
+        problem
             .tensor(TensorSpec::new(name.clone(), dims.clone(), format))
             .unwrap_or_else(|e| panic!("{}: {e}", case.expr));
         if name != &case.out {
             let len = dims.iter().product::<i64>().max(1) as usize;
-            session.set_data(name, data_rng.data(len)).unwrap();
+            problem.set_data(name, data_rng.data(len)).unwrap();
         }
     }
-    let kernel = session
-        .compile(&case.expr, &schedule)
-        .unwrap_or_else(|e| panic!("{}: {e}", case.expr));
-    let place = session.place(&kernel).unwrap();
-    let compute = session.execute(&kernel).unwrap();
-    (session.read(&case.out).unwrap(), place, compute)
+    let backend = RuntimeBackend::functional().with_executor(kind);
+    run_logged(&backend, &problem, &schedule)
 }
 
 #[test]

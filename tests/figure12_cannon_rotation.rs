@@ -7,23 +7,29 @@
 //! to the right (systolic shift).
 
 use distal::algs::matmul::MatmulAlgorithm;
-use distal::algs::setup::{matmul_session, RunConfig};
+use distal::algs::setup::{matmul_problem, RunConfig};
 use distal::prelude::*;
 use distal::runtime::stats::CopyKind;
 
-#[test]
-fn cannon_b_tiles_shift_from_right_neighbours() {
-    // 9 nodes, one CPU socket each -> node id == grid rank.
+/// The compute-phase statistics (with the copy log) of an algorithm on a
+/// 3×3 grid of single-socket nodes — node id == grid rank — plus `B`'s
+/// region.
+fn logged_run(alg: MatmulAlgorithm) -> (RunStats, distal::runtime::RegionId) {
     let mut config = RunConfig::cpu(9, Mode::Model);
     config.spec = MachineSpec::lassen(9);
     config.spec.node.cpu_sockets = 1;
     let n = 27;
-    let (mut session, kernel) = matmul_session(MatmulAlgorithm::Cannon, &config, n, n / 3).unwrap();
-    session.runtime_mut().record_copies(true);
-    session.place(&kernel).unwrap();
-    let stats = session.execute(&kernel).unwrap();
+    let (problem, schedule) = matmul_problem(alg, &config, n, n / 3).unwrap();
+    let mut instance = config.backend().compile_typed(&problem, &schedule).unwrap();
+    instance.runtime_mut().record_copies(true);
+    instance.place_stats().unwrap();
+    let stats = instance.execute_stats().unwrap();
+    (stats, instance.region("B").unwrap())
+}
 
-    let b_region = session.binding("B").unwrap().region;
+#[test]
+fn cannon_b_tiles_shift_from_right_neighbours() {
+    let (stats, b_region) = logged_run(MatmulAlgorithm::Cannon);
     let grid = |node: usize| ((node / 3) as i64, (node % 3) as i64);
     let mut neighbour = 0usize;
     let mut home = 0usize;
@@ -64,15 +70,7 @@ fn cannon_b_tiles_shift_from_right_neighbours() {
 fn summa_b_chunks_broadcast_within_rows() {
     // Contrast: SUMMA moves B chunks within grid rows only (row broadcast,
     // Figure 10), with no rotation.
-    let mut config = RunConfig::cpu(9, Mode::Model);
-    config.spec = MachineSpec::lassen(9);
-    config.spec.node.cpu_sockets = 1;
-    let n = 27;
-    let (mut session, kernel) = matmul_session(MatmulAlgorithm::Summa, &config, n, n / 3).unwrap();
-    session.runtime_mut().record_copies(true);
-    session.place(&kernel).unwrap();
-    let stats = session.execute(&kernel).unwrap();
-    let b_region = session.binding("B").unwrap().region;
+    let (stats, b_region) = logged_run(MatmulAlgorithm::Summa);
     for c in stats.copy_log.as_ref().unwrap() {
         if c.region != b_region || c.kind != CopyKind::Data {
             continue;

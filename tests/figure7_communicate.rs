@@ -6,16 +6,20 @@
 //! stays comparable while peak memory shrinks with finer granularity.
 
 use distal::algs::matmul::MatmulAlgorithm;
-use distal::algs::setup::{matmul_session, RunConfig};
+use distal::algs::setup::{matmul_problem, RunConfig};
 use distal::prelude::*;
 
 fn run_with_chunk(chunk: i64) -> (u64, u64, u64) {
     let config = RunConfig::cpu(4, Mode::Model);
     let n = 4096;
-    let (mut session, kernel) =
-        matmul_session(MatmulAlgorithm::Summa, &config, n, chunk).expect("setup");
-    session.place(&kernel).expect("place");
-    let stats = session.execute(&kernel).expect("execute");
+    let (problem, schedule) =
+        matmul_problem(MatmulAlgorithm::Summa, &config, n, chunk).expect("setup");
+    let mut instance = config
+        .backend()
+        .compile_typed(&problem, &schedule)
+        .expect("compile");
+    instance.place_stats().expect("place");
+    let stats = instance.execute_stats().expect("execute");
     let peak_sys = *stats.peak_mem_bytes.get("SYS_MEM").unwrap_or(&0);
     (stats.copies, stats.inter_node_bytes(), peak_sys)
 }
@@ -51,24 +55,23 @@ fn default_aggregation_is_at_task_level() {
     // default, which only changes the naive bound, not scheduled behaviour).
     let config = RunConfig::cpu(2, Mode::Model);
     let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-    let mut session = Session::new(config.spec.clone(), machine, Mode::Model);
+    let mut problem = Problem::new(config.spec.clone(), machine);
+    problem.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
     let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
     for name in ["A", "B", "C"] {
-        session
+        problem
             .tensor(TensorSpec::new(name, vec![64, 64], f.clone()))
             .unwrap();
     }
-    session.fill("B", 0.0).unwrap();
-    session.fill("C", 0.0).unwrap();
+    problem.fill("B", 0.0).unwrap();
+    problem.fill("C", 0.0).unwrap();
     let schedule =
         Schedule::new().distribute_onto(&["i", "j"], &["io", "jo"], &["ii", "ji"], &[2, 2]);
-    let kernel = session
-        .compile("A(i,j) = B(i,k) * C(k,j)", &schedule)
-        .unwrap();
+    let mut instance = config.backend().compile_typed(&problem, &schedule).unwrap();
     // One launch, no sequential loops: 4 point tasks.
-    assert_eq!(kernel.compute.task_count(), 4);
-    session.place(&kernel).unwrap();
-    let stats = session.execute(&kernel).unwrap();
+    assert_eq!(instance.kernel().compute.task_count(), 4);
+    instance.place_stats().unwrap();
+    let stats = instance.execute_stats().unwrap();
     // Each task fetches each operand's needed rectangle at most once per
     // source tile: with 2x2 tiles, B row-fetches carve into 2 pieces per
     // task and likewise for C; well below per-element messaging.

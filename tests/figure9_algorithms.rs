@@ -2,41 +2,18 @@
 //! on square and awkward (non-dividing) sizes and machine shapes.
 
 use distal::algs::matmul::MatmulAlgorithm;
-use distal::algs::setup::{matmul_session, RunConfig};
+use distal::algs::setup::{matmul_problem, RunConfig};
 use distal::prelude::*;
 
-fn reference_product(session: &Session, n: i64) -> Vec<f64> {
-    let b = session.read("B").unwrap();
-    let c = session.read("C").unwrap();
-    let n = n as usize;
-    let mut a = vec![0.0; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let bv = b[i * n + k];
-            for j in 0..n {
-                a[i * n + j] += bv * c[k * n + j];
-            }
-        }
-    }
-    a
-}
+mod common;
 
 fn check(alg: MatmulAlgorithm, nodes: usize, n: i64, chunk: i64) {
     let mut config = RunConfig::cpu(nodes, Mode::Functional);
     config.spec = MachineSpec::small(nodes);
-    let (mut session, kernel) =
-        matmul_session(alg, &config, n, chunk).unwrap_or_else(|e| panic!("{alg:?} compile: {e}"));
-    session
-        .run(&kernel)
-        .unwrap_or_else(|e| panic!("{alg:?} run: {e}"));
-    let got = session.read("A").unwrap();
-    let want = reference_product(&session, n);
-    for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!(
-            (g - w).abs() < 1e-9,
-            "{alg:?} nodes={nodes} n={n}: mismatch at {idx}: {g} vs {w}"
-        );
-    }
+    let (problem, schedule) =
+        matmul_problem(alg, &config, n, chunk).unwrap_or_else(|e| panic!("{alg:?} problem: {e}"));
+    println!("{alg:?} nodes={nodes} n={n}");
+    common::run_against_oracle(&config.backend(), &problem, &schedule, 1e-9);
 }
 
 #[test]

@@ -3,14 +3,16 @@
 //! with per-level tensor distributions.
 
 use distal::prelude::*;
-use std::collections::BTreeMap;
+
+mod common;
 
 #[test]
 fn two_level_format_places_and_computes() {
     // 4 nodes in a 2x2 grid, 4 GPUs per node in a line: 2x2x4 flattened.
     let machine =
         DistalMachine::hierarchical(vec![Grid::grid2(2, 2), Grid::line(4)], ProcKind::Gpu);
-    let mut session = Session::new(MachineSpec::small(4), machine, Mode::Functional);
+    let mut problem = Problem::new(MachineSpec::small(4), machine);
+    problem.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
     let n = 32;
     // Outer level: 2D tiles across nodes. Inner level: row-partition each
     // node tile across the node's GPUs (the paper's Lassen modelling).
@@ -22,12 +24,12 @@ fn two_level_format_places_and_computes() {
         MemKind::Fb,
     );
     for name in ["A", "B", "C"] {
-        session
+        problem
             .tensor(TensorSpec::new(name, vec![n, n], format.clone()))
             .unwrap();
     }
-    session.fill_random("B", 21).unwrap();
-    session.fill_random("C", 22).unwrap();
+    problem.fill_random("B", 21).unwrap();
+    problem.fill_random("C", 22).unwrap();
 
     // Schedule over the flattened 2x2x4 grid: distribute i by (2*4) and j
     // by 2, mirroring the hierarchical tiling (nodes x GPUs on rows).
@@ -38,26 +40,14 @@ fn two_level_format_places_and_computes() {
         .reorder(&["ino", "jo", "ig", "il", "ji", "k"])
         .distribute(&["ino", "jo", "ig"])
         .communicate(&["A", "B", "C"], "ig");
-    let kernel = session
-        .compile("A(i,j) = B(i,k) * C(k,j)", &schedule)
-        .unwrap();
-    assert_eq!(kernel.launch_domain, vec![2, 2, 4]);
-
-    let (place, _compute) = session.run(&kernel).unwrap();
+    // `i` is deliberately distributed twice, once per machine level, which
+    // the flat-machine redistribution lint would reject.
+    let backend =
+        RuntimeBackend::functional().with_lints(LintConfig::default().allow(Lint::Redistribution));
+    let (instance, place, _compute) =
+        common::run_against_oracle(&backend, &problem, &schedule, 1e-9);
+    assert_eq!(instance.kernel().launch_domain, vec![2, 2, 4]);
     assert!(place.tasks > 0);
-
-    let got = session.read("A").unwrap();
-    let mut dims = BTreeMap::new();
-    for t in ["A", "B", "C"] {
-        dims.insert(t.to_string(), vec![n, n]);
-    }
-    let mut inputs = BTreeMap::new();
-    inputs.insert("B".to_string(), session.read("B").unwrap());
-    inputs.insert("C".to_string(), session.read("C").unwrap());
-    let want = distal::core::oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-    for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!((g - w).abs() < 1e-9, "mismatch at {idx}: {g} vs {w}");
-    }
 }
 
 #[test]
@@ -65,7 +55,7 @@ fn hierarchical_placement_respects_levels() {
     // Placement tiles across the flattened hierarchy partition the tensor.
     let machine =
         DistalMachine::hierarchical(vec![Grid::grid2(2, 2), Grid::line(4)], ProcKind::Gpu);
-    let mut session = Session::new(MachineSpec::small(4), machine, Mode::Model);
+    let mut problem = Problem::new(MachineSpec::small(4), machine);
     let format = Format::hierarchical(
         vec![
             TensorDistribution::parse("xy->xy").unwrap(),
@@ -73,27 +63,17 @@ fn hierarchical_placement_respects_levels() {
         ],
         MemKind::Fb,
     );
-    session
-        .tensor(TensorSpec::new("T", vec![64, 64], format))
+    // Plan a trivial element-wise statement to obtain a placement program
+    // for T.
+    problem.statement("U(x,y) = T(x,y)").unwrap();
+    for name in ["T", "U"] {
+        problem
+            .tensor(TensorSpec::new(name, vec![64, 64], format.clone()))
+            .unwrap();
+    }
+    let plan = RuntimeBackend::model()
+        .plan_typed(&problem, &Schedule::new())
         .unwrap();
-    session.fill("T", 0.0).unwrap();
-    // Compile a trivial element-wise statement to obtain a placement
-    // program for T.
-    session
-        .tensor(TensorSpec::new(
-            "U",
-            vec![64, 64],
-            Format::hierarchical(
-                vec![
-                    TensorDistribution::parse("xy->xy").unwrap(),
-                    TensorDistribution::parse("xy->x").unwrap(),
-                ],
-                MemKind::Fb,
-            ),
-        ))
-        .unwrap();
-    let schedule = Schedule::new();
-    let kernel = session.compile("U(x,y) = T(x,y)", &schedule).unwrap();
     // One placement task per leaf processor per tensor: 16 GPUs x 2.
-    assert_eq!(kernel.placement.task_count(), 32);
+    assert_eq!(plan.kernel().placement.task_count(), 32);
 }

@@ -2,25 +2,31 @@
 //! agrees with the sequential oracle, across randomized shapes, grids,
 //! schedules, and distribution notations.
 
-use distal::core::oracle;
 use distal::prelude::*;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
-fn oracle_inputs(
-    session: &Session,
-    assignment: &Assignment,
-    dims: &[(&str, Vec<i64>)],
-) -> (BTreeMap<String, Vec<i64>>, BTreeMap<String, Vec<f64>>) {
-    let mut d = BTreeMap::new();
-    let mut inputs = BTreeMap::new();
-    for (name, dd) in dims {
-        d.insert(name.to_string(), dd.clone());
-        if *name != assignment.lhs.tensor {
-            inputs.insert(name.to_string(), session.read(name).unwrap());
+mod common;
+use common::run_against_oracle;
+
+/// A problem for `expr` on `machine`: `(name, dims, notation)` per
+/// tensor, output first, inputs seeded from `seed` upwards.
+fn problem(
+    machine: DistalMachine,
+    expr: &str,
+    tensors: &[(&str, Vec<i64>, &str)],
+    seed: u64,
+) -> Problem {
+    let mut p = Problem::new(MachineSpec::small(4), machine);
+    p.statement(expr).unwrap();
+    for (idx, (name, dims, notation)) in tensors.iter().enumerate() {
+        let format = Format::parse(notation, MemKind::Sys).unwrap();
+        p.tensor(TensorSpec::new(*name, dims.clone(), format))
+            .unwrap();
+        if idx > 0 {
+            p.fill_random(name, seed + idx as u64 - 1).unwrap();
         }
     }
-    (d, inputs)
+    p
 }
 
 proptest! {
@@ -37,57 +43,30 @@ proptest! {
         gy in 1i64..3,
         chunk in 1i64..8,
     ) {
-        let machine = DistalMachine::flat(Grid::grid2(gx, gy), ProcKind::Cpu);
-        let mut session = Session::new(MachineSpec::small(2), machine, Mode::Functional);
-        let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
-        session.tensor(TensorSpec::new("A", vec![m, n], f.clone())).unwrap();
-        session.tensor(TensorSpec::new("B", vec![m, k], f.clone())).unwrap();
-        session.tensor(TensorSpec::new("C", vec![k, n], f)).unwrap();
-        session.fill_random("B", 3).unwrap();
-        session.fill_random("C", 4).unwrap();
-        let schedule = Schedule::summa(gx, gy, chunk);
-        let kernel = session.compile("A(i,j) = B(i,k) * C(k,j)", &schedule).unwrap();
-        session.run(&kernel).unwrap();
-        let got = session.read("A").unwrap();
-        let (dims, inputs) = oracle_inputs(
-            &session,
-            &kernel.assignment,
-            &[("A", vec![m, n]), ("B", vec![m, k]), ("C", vec![k, n])],
+        let p = problem(
+            DistalMachine::flat(Grid::grid2(gx, gy), ProcKind::Cpu),
+            "A(i,j) = B(i,k) * C(k,j)",
+            &[("A", vec![m, n], "xy->xy"), ("B", vec![m, k], "xy->xy"), ("C", vec![k, n], "xy->xy")],
+            3,
         );
-        let want = oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert!((g - w).abs() < 1e-9, "{g} vs {w}");
-        }
+        run_against_oracle(&RuntimeBackend::functional(), &p, &Schedule::summa(gx, gy, chunk), 1e-9);
     }
 
     /// TTV with random extents and processor counts moves no inter-node
     /// bytes and matches the oracle.
     #[test]
     fn ttv_random_extents(n in 2i64..8, procs in 1i64..5) {
-        let machine = DistalMachine::flat(Grid::line(procs), ProcKind::Cpu);
-        let mut session = Session::new(MachineSpec::small(4), machine, Mode::Functional);
-        session.tensor(TensorSpec::new("A", vec![n, n], Format::parse("xy->x", MemKind::Sys).unwrap())).unwrap();
-        session.tensor(TensorSpec::new("B", vec![n, n, n], Format::parse("xyz->x", MemKind::Sys).unwrap())).unwrap();
-        session.tensor(TensorSpec::new("c", vec![n], Format::parse("x->*", MemKind::Sys).unwrap())).unwrap();
-        session.fill_random("B", 5).unwrap();
-        session.fill_random("c", 6).unwrap();
+        let p = problem(
+            DistalMachine::flat(Grid::line(procs), ProcKind::Cpu),
+            "A(i,j) = B(i,j,k) * c(k)",
+            &[("A", vec![n, n], "xy->x"), ("B", vec![n, n, n], "xyz->x"), ("c", vec![n], "x->*")],
+            5,
+        );
         let schedule = Schedule::new()
             .distribute_onto(&["i"], &["io"], &["ii"], &[procs])
             .communicate(&["A", "B", "c"], "io");
-        let kernel = session.compile("A(i,j) = B(i,j,k) * c(k)", &schedule).unwrap();
-        session.place(&kernel).unwrap();
-        let stats = session.execute(&kernel).unwrap();
+        let (_, _, stats) = run_against_oracle(&RuntimeBackend::functional(), &p, &schedule, 1e-9);
         prop_assert_eq!(stats.inter_node_bytes(), 0);
-        let got = session.read("A").unwrap();
-        let (dims, inputs) = oracle_inputs(
-            &session,
-            &kernel.assignment,
-            &[("A", vec![n, n]), ("B", vec![n, n, n]), ("c", vec![n])],
-        );
-        let want = oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert!((g - w).abs() < 1e-9);
-        }
     }
 
     /// Random valid distribution notations partition the tensor exactly:
@@ -124,14 +103,12 @@ proptest! {
     #[test]
     fn leaf_substitution_is_semantically_inert(n in 2i64..12, chunk in 1i64..6) {
         let run = |leaf: LeafKind| -> Vec<f64> {
-            let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-            let mut session = Session::new(MachineSpec::small(2), machine, Mode::Functional);
-            let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
-            for name in ["A", "B", "C"] {
-                session.tensor(TensorSpec::new(name, vec![n, n], f.clone())).unwrap();
-            }
-            session.fill_random("B", 9).unwrap();
-            session.fill_random("C", 10).unwrap();
+            let p = problem(
+                DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu),
+                "A(i,j) = B(i,k) * C(k,j)",
+                &[("A", vec![n, n], "xy->xy"), ("B", vec![n, n], "xy->xy"), ("C", vec![n, n], "xy->xy")],
+                9,
+            );
             let schedule = Schedule::new()
                 .distribute_onto(&["i", "j"], &["io", "jo"], &["ii", "ji"], &[2, 2])
                 .split("k", "ko", "ki", chunk)
@@ -139,9 +116,9 @@ proptest! {
                 .communicate(&["A"], "jo")
                 .communicate(&["B", "C"], "ko")
                 .substitute(&["ii", "ji", "ki"], leaf);
-            let kernel = session.compile("A(i,j) = B(i,k) * C(k,j)", &schedule).unwrap();
-            session.run(&kernel).unwrap();
-            session.read("A").unwrap()
+            let mut instance = p.compile(&RuntimeBackend::functional(), &schedule).unwrap();
+            instance.run().unwrap();
+            instance.read("A").unwrap()
         };
         let gemm = run(LeafKind::Gemm);
         let interp = run(LeafKind::Interpreter);
@@ -156,30 +133,17 @@ proptest! {
     /// expressions with add and mul.
     #[test]
     fn elementwise_expressions_match_oracle(n in 2i64..10, use_add in proptest::bool::ANY) {
-        let machine = DistalMachine::flat(Grid::line(2), ProcKind::Cpu);
-        let mut session = Session::new(MachineSpec::small(2), machine, Mode::Functional);
-        let f = Format::parse("x->x", MemKind::Sys).unwrap();
-        for name in ["A", "B", "C"] {
-            session.tensor(TensorSpec::new(name, vec![n], f.clone())).unwrap();
-        }
-        session.fill_random("B", 7).unwrap();
-        session.fill_random("C", 8).unwrap();
         let expr = if use_add { "A(i) = B(i) + C(i)" } else { "A(i) = B(i) * C(i)" };
+        let p = problem(
+            DistalMachine::flat(Grid::line(2), ProcKind::Cpu),
+            expr,
+            &[("A", vec![n], "x->x"), ("B", vec![n], "x->x"), ("C", vec![n], "x->x")],
+            7,
+        );
         let schedule = Schedule::new()
             .distribute_onto(&["i"], &["io"], &["ii"], &[2])
             .communicate(&["A", "B", "C"], "io");
-        let kernel = session.compile(expr, &schedule).unwrap();
-        session.run(&kernel).unwrap();
-        let got = session.read("A").unwrap();
-        let (dims, inputs) = oracle_inputs(
-            &session,
-            &kernel.assignment,
-            &[("A", vec![n]), ("B", vec![n]), ("C", vec![n])],
-        );
-        let want = oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert!((g - w).abs() < 1e-12);
-        }
+        run_against_oracle(&RuntimeBackend::functional(), &p, &schedule, 1e-12);
     }
 }
 
@@ -187,17 +151,22 @@ proptest! {
 fn gemm_substitution_on_non_matmul_is_rejected() {
     // Figure 2's CuBLAS substitution is only legal for matmul-shaped
     // statements; the compiler must refuse it elsewhere.
-    let machine = DistalMachine::flat(Grid::line(2), ProcKind::Cpu);
-    let mut session = Session::new(MachineSpec::small(1), machine, Mode::Functional);
-    let f = Format::parse("xy->x", MemKind::Sys).unwrap();
-    for name in ["A", "B", "C"] {
-        session
-            .tensor(TensorSpec::new(name, vec![4, 4], f.clone()))
-            .unwrap();
-    }
+    let p = problem(
+        DistalMachine::flat(Grid::line(2), ProcKind::Cpu),
+        "A(i,j) = B(i,j) + C(i,j)",
+        &[
+            ("A", vec![4, 4], "xy->x"),
+            ("B", vec![4, 4], "xy->x"),
+            ("C", vec![4, 4], "xy->x"),
+        ],
+        1,
+    );
     let schedule = Schedule::new().substitute(&["i", "j"], LeafKind::Gemm);
-    let err = session
-        .compile("A(i,j) = B(i,j) + C(i,j)", &schedule)
+    let err = RuntimeBackend::functional()
+        .plan_typed(&p, &schedule)
         .unwrap_err();
-    assert!(matches!(err, CompileError::BadSubstitution(_)), "{err}");
+    assert!(
+        matches!(err, BackendError::Compile(CompileError::BadSubstitution(_))),
+        "{err}"
+    );
 }

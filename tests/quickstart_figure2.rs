@@ -2,21 +2,23 @@
 //! scheduling language, compilation, placement, execution, and numerics.
 
 use distal::prelude::*;
-use std::collections::BTreeMap;
+
+mod common;
 
 #[test]
 fn figure2_summa_on_gpus_matches_oracle() {
     let machine = DistalMachine::flat(Grid::grid2(2, 4), ProcKind::Gpu);
-    let mut session = Session::new(MachineSpec::small(2), machine, Mode::Functional);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
     let n = 32;
     let tiles = Format::parse("xy->xy", MemKind::Fb).unwrap();
     for name in ["A", "B", "C"] {
-        session
+        problem
             .tensor(TensorSpec::new(name, vec![n, n], tiles.clone()))
             .unwrap();
     }
-    session.fill_random("B", 1).unwrap();
-    session.fill_random("C", 2).unwrap();
+    problem.fill_random("B", 1).unwrap();
+    problem.fill_random("C", 2).unwrap();
 
     let schedule = Schedule::new()
         .distribute_onto(&["i", "j"], &["io", "jo"], &["ii", "ji"], &[2, 4])
@@ -24,9 +26,9 @@ fn figure2_summa_on_gpus_matches_oracle() {
         .reorder(&["io", "jo", "ko", "ii", "ji", "ki"])
         .communicate(&["A"], "jo")
         .communicate(&["B", "C"], "ko");
-    let kernel = session
-        .compile("A(i,j) = B(i,k) * C(k,j)", &schedule)
-        .unwrap();
+    let (instance, place, compute) =
+        common::run_against_oracle(&RuntimeBackend::functional(), &problem, &schedule, 1e-9);
+    let kernel = instance.kernel();
 
     // The scheduled statement reads like the paper's concrete index
     // notation, with the s.t. relation trail.
@@ -38,24 +40,10 @@ fn figure2_summa_on_gpus_matches_oracle() {
     // 8 launch points over the GPU grid.
     assert_eq!(kernel.launch_domain, vec![2, 4]);
 
-    let (place, compute) = session.run(&kernel).unwrap();
     // Placement moves data from staging; compute communicates per chunk.
     assert!(place.tasks > 0);
     assert!(compute.tasks > 0);
     assert_eq!(compute.total_flops, 2.0 * (n as f64).powi(3));
-
-    let got = session.read("A").unwrap();
-    let mut dims = BTreeMap::new();
-    for t in ["A", "B", "C"] {
-        dims.insert(t.to_string(), vec![n, n]);
-    }
-    let mut inputs = BTreeMap::new();
-    inputs.insert("B".to_string(), session.read("B").unwrap());
-    inputs.insert("C".to_string(), session.read("C").unwrap());
-    let want = distal::core::oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-    for (g, w) in got.iter().zip(want.iter()) {
-        assert!((g - w).abs() < 1e-9);
-    }
 }
 
 #[test]

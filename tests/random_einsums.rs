@@ -91,14 +91,15 @@ fn addition_expression_matches_oracle() {
     // Additions lower through the same pipeline (§2 allows + of accesses).
     let p = 2i64;
     let machine = DistalMachine::flat(Grid::line(p), ProcKind::Cpu);
-    let mut session = Session::new(MachineSpec::small(1), machine, Mode::Functional);
+    let mut problem = Problem::new(MachineSpec::small(1), machine);
+    problem.statement("A(i,j) = B(i,j) + C(i,j)").unwrap();
     let rows = Format::parse("xy->x", MemKind::Sys).unwrap();
     for t in ["A", "B", "C"] {
-        session
+        problem
             .tensor(TensorSpec::new(t, vec![6, 5], rows.clone()))
             .unwrap();
         if t != "A" {
-            session.fill_random(t, t.len() as u64).unwrap();
+            problem.fill_random(t, t.len() as u64).unwrap();
         }
     }
     let schedule = Schedule::new()
@@ -106,20 +107,5 @@ fn addition_expression_matches_oracle() {
         .reorder(&["io", "ii", "j"])
         .distribute(&["io"])
         .communicate(&["A", "B", "C"], "io");
-    let kernel = session
-        .compile("A(i,j) = B(i,j) + C(i,j)", &schedule)
-        .unwrap();
-    session.run(&kernel).unwrap();
-    let got = session.read("A").unwrap();
-    let mut dims = BTreeMap::new();
-    for t in ["A", "B", "C"] {
-        dims.insert(t.to_string(), vec![6, 5]);
-    }
-    let mut inputs = BTreeMap::new();
-    inputs.insert("B".to_string(), session.read("B").unwrap());
-    inputs.insert("C".to_string(), session.read("C").unwrap());
-    let want = oracle::evaluate(&kernel.assignment, &dims, &inputs).unwrap();
-    for (g, w) in got.iter().zip(want.iter()) {
-        assert!((g - w).abs() < 1e-9);
-    }
+    common::run_against_oracle(&RuntimeBackend::functional(), &problem, &schedule, 1e-9);
 }

@@ -369,7 +369,7 @@ impl RuntimePlan {
                 // hands its buffers back to the pool this one comes from.
                 Mode::Functional => {
                     let data = init.materialize_pooled(&spec.dims);
-                    let nnz = compressed.then(|| crate::plan::data_nnz(&data));
+                    let nnz = compressed.then(|| distal_sparse::stored_entries(&data));
                     runtime.set_region_data(region, data)?;
                     nnz
                 }

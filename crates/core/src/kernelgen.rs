@@ -1,5 +1,12 @@
-//! The compiler's [`KernelGen`] implementation: statements become
+//! Plan-time leaf-kernel selection and generation: statements become
 //! monomorphized leaf kernels at plan time.
+//!
+//! [`leaf_for`] is the one place a leaf kernel is chosen. Both lowerings
+//! (`crate::lower::compile` and the SPMD backend's `lower_with`) call it
+//! with the schedule's `substitute` command, so the command means the same
+//! on every backend: `LeafKind::Interpreter` runs the reference
+//! [`InterpreterKernel`], `LeafKind::Gemm` insists on a matmul-shaped
+//! statement, and the automatic choice [`specialize`]s the request.
 //!
 //! Three layers of specialization, tried in order:
 //!
@@ -26,7 +33,7 @@
 //!    stride 1.
 //!
 //! Every generated kernel is **bit-identical** to
-//! [`crate::kernels::InterpreterKernel`] over the same request: fast
+//! [`InterpreterKernel`] over the same request: fast
 //! paths reorder only independent output elements, never the
 //! accumulation order within one output element, and zero-skipping
 //! follows the `±0.0` argument documented in `distal-sparse`.
@@ -37,10 +44,12 @@
 //! on the calling thread; `tests/plan_reuse.rs` asserts it stays flat
 //! across `bind`/`run` of an existing plan.
 
-use crate::kernels::{is_matmul, is_sddmm, is_spmv, rhs_is_access_product};
-use distal_ir::expr::{Expr, IndexVar};
+use crate::error::CompileError;
+use crate::kernels::{is_matmul, is_sddmm, is_spmv, rhs_is_access_product, InterpreterKernel};
+use crate::schedule::{LeafKind, Schedule};
+use distal_ir::expr::{Assignment, Expr, IndexVar};
 use distal_runtime::kernel::{Kernel, KernelCtx};
-use distal_runtime::kernelgen::{KernelGen, LeafRequest};
+use distal_runtime::kernelgen::LeafRequest;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -65,9 +74,56 @@ static CACHE: OnceLock<Mutex<HashMap<String, Arc<dyn Kernel>>>> = OnceLock::new(
 
 const CACHE_CAP: usize = 256;
 
+/// Chooses the leaf kernel of `assignment` under `schedule`'s
+/// `substitute` command (Figure 2 line 40 substitutes a vendor GEMM at the
+/// leaves) — at plan time; `bind` never reaches it.
+///
+/// `compressed` flags the right-hand-side operands stored in a compressed
+/// level format, `accumulate` and `skip_zero` are the executing backend's
+/// discipline (see [`LeafRequest`]). Without a command, or with
+/// `LeafKind::Auto`, the request is [`specialize`]d. `LeafKind::Gemm` asks
+/// for the optimized leaf of a matmul; compression still routes it to the
+/// CSR-specialized SpMM when the stored operand admits one (a strictly
+/// better "vendor kernel"). `LeafKind::Interpreter` runs the per-point
+/// reference, which never skips: over finite data that is bit-identical to
+/// a skipping kernel (the `±0.0` argument in `distal-sparse`).
+///
+/// # Errors
+///
+/// [`CompileError::BadSubstitution`] when `LeafKind::Gemm` names a
+/// statement that is not a pure product of two matmul-shaped accesses.
+pub fn leaf_for(
+    assignment: &Assignment,
+    schedule: &Schedule,
+    compressed: Vec<bool>,
+    accumulate: bool,
+    skip_zero: bool,
+) -> Result<Arc<dyn Kernel>, CompileError> {
+    match schedule.leaf_choice().map(|(_, kind)| kind) {
+        Some(LeafKind::Interpreter) => {
+            return Ok(Arc::new(InterpreterKernel::new(
+                assignment.clone(),
+                accumulate,
+            )));
+        }
+        Some(LeafKind::Gemm) if !is_matmul(assignment) || !rhs_is_access_product(assignment) => {
+            return Err(CompileError::BadSubstitution(format!(
+                "the GEMM leaf requires a matmul-shaped statement \
+                 (a pure product of two accesses), got `{assignment}`"
+            )));
+        }
+        Some(LeafKind::Gemm | LeafKind::Auto) | None => {}
+    }
+    Ok(specialize(&LeafRequest {
+        assignment: assignment.clone(),
+        compressed,
+        accumulate,
+        skip_zero,
+    }))
+}
+
 /// Specializes a leaf request into a kernel, serving repeats from the
-/// process-wide cache. This is the entry point both backends call at
-/// plan time; `bind` never reaches it.
+/// process-wide cache.
 pub fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
     let key = req.fingerprint();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
@@ -82,22 +138,6 @@ pub fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
     }
     map.insert(key, Arc::clone(&kernel));
     kernel
-}
-
-/// The compiler's kernel generator as a [`KernelGen`] trait object (for
-/// callers that take the runtime-crate abstraction rather than this
-/// crate's [`specialize`] directly).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Generator;
-
-impl KernelGen for Generator {
-    fn name(&self) -> &str {
-        "distal-kernelgen"
-    }
-
-    fn specialize(&self, req: &LeafRequest) -> Arc<dyn Kernel> {
-        specialize(req)
-    }
 }
 
 /// Uncached specialization: shape dispatch per the module docs.
@@ -377,11 +417,10 @@ impl std::fmt::Debug for TapeKernel {
     }
 }
 
-/// The generated dense GEMM: `A(i,j) += B(i,k) * C(k,j)` in the same
-/// `(i, ascending k, contiguous j)` order as the blocked
-/// [`crate::kernels::GemmKernel`] — bit-identical to it and to the
-/// interpreter — but with the inner loop over bounds-check-free row
-/// slices.
+/// The generated dense GEMM: `A(i,j) += B(i,k) * C(k,j)` in
+/// `(i, ascending k, contiguous j)` order — per output element the
+/// interpreter's ascending-`k` accumulation, so bit-identical to it — with
+/// the inner loop over bounds-check-free row slices.
 #[derive(Debug)]
 pub struct GemmGenKernel;
 
@@ -422,8 +461,6 @@ impl Kernel for GemmGenKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{GemmKernel, InterpreterKernel};
-    use distal_ir::expr::Assignment;
     use distal_machine::geom::{Point, Rect};
     use distal_runtime::kernel::KernelArg;
     use distal_runtime::program::Privilege;
@@ -491,7 +528,7 @@ mod tests {
             "A(i,j) = B(j,i)",
         ] {
             let a = Assignment::parse(stmt).unwrap();
-            let interp = InterpreterKernel::new(a.clone());
+            let interp = InterpreterKernel::new(a.clone(), a.is_reduction());
             let req = LeafRequest::dense(a.clone(), a.is_reduction());
             let tape = TapeKernel::new(&req);
             let want = run(&interp, &a, 5, 11);
@@ -520,14 +557,39 @@ mod tests {
     }
 
     #[test]
-    fn generated_gemm_matches_blocked_gemm_and_interpreter() {
+    fn generated_gemm_matches_interpreter() {
         let a = distal_ir::expr::kernels::matmul();
-        let blocked = run(&GemmKernel, &a, 7, 3);
         let gen = run(&GemmGenKernel, &a, 7, 3);
-        let interp = run(&InterpreterKernel::new(a.clone()), &a, 7, 3);
-        for ((g, b), i) in gen.iter().zip(blocked.iter()).zip(interp.iter()) {
-            assert_eq!(g.to_bits(), b.to_bits());
+        let interp = run(&InterpreterKernel::new(a.clone(), true), &a, 7, 3);
+        for (g, i) in gen.iter().zip(interp.iter()) {
             assert_eq!(g.to_bits(), i.to_bits());
+        }
+    }
+
+    #[test]
+    fn leaf_for_honours_the_substitute_command() {
+        let leaf = |a: &Assignment, kind: Option<LeafKind>, compressed: [bool; 2]| {
+            let s = kind.map_or_else(Schedule::new, |k| Schedule::new().substitute(&["i"], k));
+            leaf_for(a, &s, compressed.to_vec(), true, true).map(|k| k.name().to_string())
+        };
+        let mm = distal_ir::expr::kernels::matmul();
+        let (dense, csr) = ([false, false], [true, false]);
+        for (kind, compressed, want) in [
+            (None, dense, "gemm.gen"),
+            (Some(LeafKind::Auto), dense, "gemm.gen"),
+            (Some(LeafKind::Gemm), dense, "gemm.gen"),
+            // Compression routes the GEMM substitution to the CSR SpMM.
+            (Some(LeafKind::Gemm), csr, "spmm.gen"),
+            (Some(LeafKind::Interpreter), csr, "interpreter"),
+        ] {
+            assert_eq!(leaf(&mm, kind, compressed).unwrap(), want, "{kind:?}");
+        }
+        let lit = Assignment::parse("A(i,j) = B(i,k) * C(k,j) * 2.0").unwrap();
+        for not_a_matmul in [distal_ir::expr::kernels::ttv(), lit] {
+            assert!(matches!(
+                leaf(&not_a_matmul, Some(LeafKind::Gemm), dense),
+                Err(CompileError::BadSubstitution(m)) if m.contains("matmul-shaped")
+            ));
         }
     }
 

@@ -3,11 +3,10 @@
 //! DISTAL lowers the loops *below* the distribution/communication levels
 //! into leaf kernels that run on one processor (paper §6.2 follows TACO's
 //! single-node lowering; Figure 2 substitutes a vendor GEMM at the leaves).
-//! This module holds the *reference* leaves the generated kernels of
+//! This module holds the *reference* leaf the generated kernels of
 //! [`crate::kernelgen`] are checked against — a generic dense-loop
-//! interpreter able to execute any tensor index notation statement and a
-//! blocked GEMM — plus the statement-shape guards lowering and kernel
-//! generation dispatch on.
+//! interpreter able to execute any tensor index notation statement — plus
+//! the statement-shape guards lowering and kernel generation dispatch on.
 
 use distal_ir::expr::{Assignment, Expr, IndexVar};
 use distal_runtime::kernel::{Kernel, KernelCtx};
@@ -52,8 +51,10 @@ pub struct InterpreterKernel {
 }
 
 impl InterpreterKernel {
-    /// Builds an interpreter for a statement.
-    pub fn new(assignment: Assignment) -> Self {
+    /// Builds an interpreter for a statement that *adds* into the output
+    /// when `accumulate` is set (reductions, and the SPMD rank VM, which
+    /// always accumulates into a zeroed buffer) and overwrites it otherwise.
+    pub fn new(assignment: Assignment, accumulate: bool) -> Self {
         let vars = assignment.all_vars();
         let pos = |v: &IndexVar| vars.iter().position(|x| x == v).expect("unknown var");
         let mut access_maps: Vec<Vec<usize>> = Vec::new();
@@ -68,7 +69,6 @@ impl InterpreterKernel {
             total += m.len();
         }
         coord_starts.push(total);
-        let accumulate = assignment.is_reduction();
         InterpreterKernel {
             assignment,
             vars,
@@ -76,11 +76,6 @@ impl InterpreterKernel {
             coord_starts,
             accumulate,
         }
-    }
-
-    /// The statement this kernel executes.
-    pub fn assignment(&self) -> &Assignment {
-        &self.assignment
     }
 }
 
@@ -172,47 +167,6 @@ fn eval_expr(e: &Expr, values: &mut impl Iterator<Item = f64>) -> f64 {
             let a = eval_expr(l, values);
             let b = eval_expr(r, values);
             a * b
-        }
-    }
-}
-
-/// A blocked dense GEMM leaf: `A(i,j) += B(i,k) * C(k,j)` over the bounds in
-/// the task scalars (`[ilo, ihi, jlo, jhi, klo, khi]`). Substituted for the
-/// interpreter on matmul leaves (the `CuBLAS::GeMM` substitution of
-/// Figure 2 line 40).
-#[derive(Debug)]
-pub struct GemmKernel;
-
-impl Kernel for GemmKernel {
-    fn name(&self) -> &str {
-        "gemm"
-    }
-
-    fn execute(&self, ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 6, "gemm bounds mismatch");
-        let (ilo, ihi, jlo, jhi, klo, khi) = (s[0], s[1], s[2], s[3], s[4], s[5]);
-        if ihi < ilo || jhi < jlo || khi < klo {
-            return;
-        }
-        // Views: 0 = A (accumulate), 1 = B, 2 = C.
-        let a_cols = ctx.args[0].alloc.extent(1);
-        let b_cols = ctx.args[1].alloc.extent(1);
-        let c_cols = ctx.args[2].alloc.extent(1);
-        let a_base = ctx.args[0].offset(&[ilo, jlo]) as i64;
-        let b_base = ctx.args[1].offset(&[ilo, klo]) as i64;
-        let c_base = ctx.args[2].offset(&[klo, jlo]) as i64;
-        let (nj, nk) = ((jhi - jlo + 1) as usize, (khi - klo + 1) as usize);
-        for i in 0..=(ihi - ilo) {
-            for k in 0..nk as i64 {
-                let b = ctx.args[1].data[(b_base + i * b_cols + k) as usize];
-                let a_row = (a_base + i * a_cols) as usize;
-                let c_row = (c_base + k * c_cols) as usize;
-                for j in 0..nj {
-                    let c = ctx.args[2].data[c_row + j];
-                    ctx.args[0].data[a_row + j] += b * c;
-                }
-            }
         }
     }
 }
@@ -353,12 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_matches_gemm_kernel() {
-        let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul());
+    fn interpreter_matches_hand_computation() {
+        let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul(), true);
         let a1 = run_matmul(&interp, 6);
-        let a2 = run_matmul(&GemmKernel, 6);
-        assert_eq!(a1, a2);
-        // Spot check one entry against a hand computation.
         // A[0][0] = sum_k B[0][k] * C[k][0] with B[0][k]=k, C[k][0]=(6k)%7.
         let expect: f64 = (0..6).map(|k| (k as f64) * ((6 * k % 7) as f64)).sum();
         assert_eq!(a1[0], expect);
@@ -367,7 +318,7 @@ mod tests {
     #[test]
     fn interpreter_partial_bounds() {
         // Only the sub-block [1,2]x[1,2]x[0,2] of a 4x4 matmul.
-        let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul());
+        let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul(), true);
         let sq = Rect::sized(&[4, 4]);
         let ones = vec![1.0; 16];
         let mut ctx = KernelCtx {
@@ -387,7 +338,7 @@ mod tests {
 
     #[test]
     fn interpreter_handles_empty_bounds() {
-        let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul());
+        let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul(), true);
         let sq = Rect::sized(&[2, 2]);
         let mut ctx = KernelCtx {
             args: vec![
@@ -441,7 +392,7 @@ mod tests {
     fn interpreter_scalar_output() {
         // a = B(i) * C(i): scalar (0-dim) destination.
         let a = distal_ir::expr::Assignment::parse("a = B(i) * C(i)").unwrap();
-        let interp = InterpreterKernel::new(a);
+        let interp = InterpreterKernel::new(a, true);
         let scalar_rect = Rect::sized(&[]);
         let vec_rect = Rect::sized(&[4]);
         let mut ctx = KernelCtx {

@@ -365,6 +365,7 @@ impl Linter<'_> {
             .collect();
         let machine_dims: Vec<i64> = problem.machine().grid().dims().to_vec();
         let machine_size = problem.machine().size();
+        let machine_levels = problem.machine().hierarchy.levels().len();
 
         for (idx, cmd) in schedule.commands().iter().enumerate() {
             match cmd {
@@ -408,7 +409,7 @@ impl Linter<'_> {
                             self.unknown_var(&vars, idx, v);
                             continue;
                         }
-                        self.check_redistribution(&vars, idx, v);
+                        self.check_redistribution(&vars, idx, v, machine_levels);
                         vars.get_mut(v).expect("checked above").distributed = true;
                     }
                     self.check_distributed_volume(&vars, idx, machine_size);
@@ -464,7 +465,7 @@ impl Linter<'_> {
                     }
                     for i in 0..targets.len() {
                         if vars.contains_key(&targets[i]) {
-                            self.check_redistribution(&vars, idx, &targets[i]);
+                            self.check_redistribution(&vars, idx, &targets[i], machine_levels);
                         }
                         self.check_derive(
                             &mut vars,
@@ -699,7 +700,13 @@ impl Linter<'_> {
         );
     }
 
-    fn check_redistribution(&mut self, vars: &BTreeMap<String, VarState>, idx: usize, v: &str) {
+    fn check_redistribution(
+        &mut self,
+        vars: &BTreeMap<String, VarState>,
+        idx: usize,
+        v: &str,
+        machine_levels: usize,
+    ) {
         let Some(state) = vars.get(v) else { return };
         if state.distributed {
             let root = state.roots.iter().cloned().collect::<Vec<_>>().join(",");
@@ -714,22 +721,27 @@ impl Linter<'_> {
             );
             return;
         }
-        // A sibling loop derived from the same statement dimension that is
-        // already distributed: the dimension would be distributed twice.
-        for (other, o) in vars {
-            if other != v && o.distributed && o.roots.intersection(&state.roots).next().is_some() {
-                let root = state.roots.iter().cloned().collect::<Vec<_>>().join(",");
-                self.emit(
-                    Lint::Redistribution,
-                    format!("'{v}' derives from '{root}', which '{other}' already distributes"),
-                    |d| {
-                        d.with_command(idx)
-                            .with_var(v.to_string())
-                            .with_fixit(format!("distribute '{root}' once"))
-                    },
-                );
+        // Sibling loops derived from the same statement dimension that are
+        // already distributed. A dimension may be distributed once per
+        // machine level (nodes, then the GPUs of a node); one more would
+        // distribute it twice over the same level.
+        let mut siblings = vars.iter().filter(|(other, o)| {
+            *other != v && o.distributed && o.roots.intersection(&state.roots).next().is_some()
+        });
+        if let Some((other, _)) = siblings.next() {
+            if 1 + siblings.count() < machine_levels {
                 return;
             }
+            let root = state.roots.iter().cloned().collect::<Vec<_>>().join(",");
+            self.emit(
+                Lint::Redistribution,
+                format!("'{v}' derives from '{root}', which '{other}' already distributes"),
+                |d| {
+                    d.with_command(idx)
+                        .with_var(v.to_string())
+                        .with_fixit(format!("distribute '{root}' once"))
+                },
+            );
         }
     }
 

@@ -220,46 +220,21 @@ pub fn compile(
             value: 0.0,
         });
     }
-    // Leaf kernel: a `substitute` command overrides the automatic choice
-    // (Figure 2 line 40 substitutes a vendor GEMM at the leaves). The
-    // automatic choice asks the kernel generator (`crate::kernelgen`) to
-    // specialize the statement + formats into a monomorphized kernel —
-    // CSR-specialized SpMV/SpMM/SDDMM when the shape admits one and the
-    // first input operand's format carries a compressed level, the
-    // generated dense GEMM for pure matmul products, and a tape-compiled
-    // einsum otherwise. `compile` runs at plan time, so a cached plan
-    // re-binds without ever re-specializing.
+    // Leaf kernel, chosen once at plan time (a cached plan re-binds
+    // without re-specializing): the runtime's leaves accumulate only for
+    // reductions and never prune compressed operands' unstored points.
     let inputs = assignment.input_accesses();
     let mut compressed_inputs: Vec<bool> = Vec::new();
     for acc in &inputs {
         compressed_inputs.push(binding(tensors, &acc.tensor)?.format.has_compressed());
     }
-    let generated = |accumulate| {
-        crate::kernelgen::specialize(&distal_runtime::kernelgen::LeafRequest {
-            assignment: assignment.clone(),
-            compressed: compressed_inputs.clone(),
-            accumulate,
-            skip_zero: false,
-        })
-    };
-    let leaf_kernel: Arc<dyn distal_runtime::kernel::Kernel> = match schedule.leaf_choice() {
-        Some((_, crate::schedule::LeafKind::Gemm)) => {
-            if !is_matmul(assignment) || !crate::kernels::rhs_is_access_product(assignment) {
-                return Err(CompileError::BadSubstitution(format!(
-                    "the GEMM leaf requires a matmul-shaped statement \
-                     (a pure product of two accesses), got `{assignment}`"
-                )));
-            }
-            // The substitution asks for the optimized leaf; compression
-            // still routes to the CSR-specialized SpMM when the stored
-            // operand admits it (a strictly better "vendor kernel").
-            generated(true)
-        }
-        Some((_, crate::schedule::LeafKind::Interpreter)) => {
-            Arc::new(crate::kernels::InterpreterKernel::new(assignment.clone()))
-        }
-        Some((_, crate::schedule::LeafKind::Auto)) | None => generated(assignment.is_reduction()),
-    };
+    let leaf_kernel = crate::kernelgen::leaf_for(
+        assignment,
+        schedule,
+        compressed_inputs,
+        assignment.is_reduction(),
+        false,
+    )?;
     let leaf = compute.register_kernel(leaf_kernel);
     let flops_per_point = assignment.flops_per_point();
 

@@ -64,6 +64,7 @@ use crate::error::CompileError;
 use crate::problem::TensorSpec;
 use crate::problem::{Problem, TensorInit};
 use crate::report::Report;
+use distal_sparse::stored_entries;
 use std::collections::BTreeMap;
 
 /// Per-request tensor data: one [`TensorInit`] per tensor name, attached
@@ -186,14 +187,9 @@ pub fn init_nnz(init: &TensorInit, dims: &[i64]) -> u64 {
             }
         }
         TensorInit::Random(_) => volume,
-        TensorInit::Data(d) => data_nnz(d),
-        init @ TensorInit::RandomSparse { .. } => data_nnz(&init.materialize(dims)),
+        TensorInit::Data(d) => stored_entries(d),
+        init @ TensorInit::RandomSparse { .. } => stored_entries(&init.materialize(dims)),
     }
-}
-
-/// Counts stored (nonzero-bit-pattern) entries of materialized data.
-pub(crate) fn data_nnz(data: &[f64]) -> u64 {
-    data.iter().filter(|v| v.to_bits() != 0).count() as u64
 }
 
 /// A data-independent compiled object: the product of

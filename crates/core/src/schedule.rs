@@ -118,13 +118,13 @@ pub enum SchedCmd {
 /// The leaf kernel named by a `substitute` command.
 ///
 /// The original system substitutes vendor kernels (`CuBLAS::GeMM`); this
-/// reproduction substitutes its native blocked GEMM, with the generic
-/// dense-loop interpreter as the no-substitution default.
+/// reproduction substitutes its generated GEMM. `crate::kernelgen::leaf_for`
+/// turns the choice into a kernel for every backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LeafKind {
     /// Pick automatically from the statement's shape (the default).
     Auto,
-    /// The blocked dense GEMM (the `CuBLAS::GeMM` stand-in). Only valid
+    /// The generated dense GEMM (the `CuBLAS::GeMM` stand-in). Only valid
     /// for matmul-shaped statements.
     Gemm,
     /// The generic dense-loop interpreter.

@@ -1,20 +1,20 @@
-//! `KernelGen`: plan-time specialization of leaf statements into
-//! monomorphized [`Kernel`]s.
+//! [`LeafRequest`]: what a plan-time specialization of a leaf statement
+//! into a monomorphized [`Kernel`](crate::kernel::Kernel) is asked for.
 //!
 //! DISTAL's leaves are vendor-grade kernels — Figure 2 of the paper
 //! substitutes `CuBLAS::GeMM` for the inner loop nest — while a generic
-//! interpreter walks the expression tree point by point. This trait is the
-//! seam between the two: the compiler (in `distal-core`) implements it,
-//! and calls it at **plan time** (`Backend::plan`), so the cost of
-//! specialization is paid once per plan and every `bind` of that plan
-//! reuses the same generated kernel.
+//! interpreter walks the expression tree point by point. The compiler
+//! (`distal_core::kernelgen::specialize`) turns a request into a kernel at
+//! **plan time** (`Backend::plan`), so the cost of specialization is paid
+//! once per plan and every `bind` of that plan reuses the same generated
+//! kernel.
 //!
 //! Where this sits in the `Problem -> Plan -> Instance` pipeline:
 //!
 //! ```text
 //! Problem + Schedule ──► Backend::plan ──► Plan (cacheable, data-free)
 //!                          │                 │
-//!                          │ KernelGen::specialize(LeafRequest)
+//!                          │ kernelgen::specialize(&LeafRequest)
 //!                          ▼                 ▼
 //!                     Arc<dyn Kernel>   Plan::bind(Bindings) ──► Instance
 //!                     (tape / gemm /      (shares the Arc; never
@@ -23,20 +23,18 @@
 //!
 //! A [`LeafRequest`] carries everything that decides the generated code:
 //! the statement, which inputs are stored compressed, and the accumulation
-//! discipline of the executing backend. Generators return a kernel that is
+//! discipline of the executing backend. The generated kernel is
 //! **bit-identical** to the interpreter over the same request — fast paths
 //! may reorder *independent* output elements but never the floating-point
 //! accumulation order within one output element.
 //!
-//! Adding a new kernel class means adding a shape test + emitter inside
-//! the implementation of this trait; callers (the runtime lowering, the
-//! SPMD rank VM) are oblivious — they just execute whatever `specialize`
-//! returned, and the kernel's [`Kernel::name`] surfaces the chosen variant
-//! in run statistics and traces.
+//! Adding a new kernel class means adding a shape test + emitter behind
+//! `specialize`; callers (the runtime lowering, the SPMD rank VM) are
+//! oblivious — they just execute whatever kernel they were handed, and its
+//! `Kernel::name` surfaces the chosen variant in run statistics and
+//! traces.
 
-use crate::kernel::Kernel;
 use distal_ir::expr::Assignment;
-use std::sync::Arc;
 
 /// One leaf statement to specialize: the inputs to kernel generation that
 /// change what code should run.
@@ -84,18 +82,6 @@ impl LeafRequest {
             self.assignment, self.compressed, self.accumulate, self.skip_zero
         )
     }
-}
-
-/// A leaf-kernel generator: compiles a [`LeafRequest`] into a specialized
-/// [`Kernel`] at plan time. See the [module docs](self).
-pub trait KernelGen: Send + Sync {
-    /// Generator name (diagnostics).
-    fn name(&self) -> &str;
-
-    /// Specializes the request into an executable kernel. Total: requests
-    /// with no matching fast path still get at least a tape-compiled
-    /// kernel, so callers never fall back themselves.
-    fn specialize(&self, req: &LeafRequest) -> Arc<dyn Kernel>;
 }
 
 #[cfg(test)]

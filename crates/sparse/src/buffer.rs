@@ -131,6 +131,13 @@ impl SparseBuffer {
     }
 }
 
+/// Stored entries of dense-materialized data: the values a compressed
+/// level keeps, i.e. those whose bit pattern is nonzero (`-0.0` is stored;
+/// see [`SparseBuffer::from_dense`]).
+pub fn stored_entries(data: &[f64]) -> u64 {
+    data.iter().filter(|v| v.to_bits() != 0).count() as u64
+}
+
 /// Exact CSR payload size for `rows` dense-linearized rows holding `nnz`
 /// stored entries: `(rows + 1)` pos entries plus `(crd, val)` per entry.
 pub fn csr_payload_bytes(rows: u64, nnz: u64) -> u64 {
@@ -201,6 +208,10 @@ mod tests {
         assert_eq!(s.to_dense(), vec![7.0]);
         let z = SparseBuffer::from_dense(&[2, 2], &[0.0; 4]);
         assert_eq!(z.nnz(), 0);
+        // The free-standing counter agrees with the buffer's, -0.0 included.
+        let data = [0.0, -0.0, 3.0, 0.0];
+        assert_eq!(stored_entries(&data), 2);
+        assert_eq!(SparseBuffer::from_dense(&[4], &data).nnz(), 2);
         assert_eq!(z.to_dense(), vec![0.0; 4]);
     }
 

@@ -1,21 +1,19 @@
 //! Sparse leaf kernels: SpMV, SpMM, and SDDMM over [`SparseBuffer`]s.
 //!
-//! Three surfaces:
+//! Two surfaces:
 //!
 //! * pure functions ([`spmv`], [`spmm`], [`sddmm`]) over whole buffers —
 //!   the reference kernels used by tests and benches;
-//! * [`distal_runtime::kernel::Kernel`] implementations ([`SpmvLeaf`],
-//!   [`SpmmLeaf`], [`SddmmLeaf`]) that build a CSR view of the compressed
-//!   operand's *tile* (the task's bounds box) per execute and then iterate
-//!   only the stored coordinates;
 //! * **generated** leaves ([`SpmvGenLeaf`], [`SpmmGenLeaf`],
-//!   [`SddmmGenLeaf`]) — the kernel-generation replacements the compiler's
-//!   `KernelGen` emits at plan time. They visit the same stored entries in
-//!   the same order as the CSR-building leaves (a dense tile row scanned
-//!   left-to-right, skipping zero bit patterns, is exactly the stored-entry
-//!   sequence `SparseBuffer::from_dense` would produce), but with **no
-//!   per-execute allocation**: row base offsets are hoisted out of the
-//!   inner loop and the inner loop runs over contiguous row slices.
+//!   [`SddmmGenLeaf`]) — the [`distal_runtime::kernel::Kernel`]s the
+//!   compiler's kernel generation picks at plan time. Over the compressed
+//!   operand's *tile* (the task's bounds box) they visit the same stored
+//!   entries in the same order as the reference functions over a CSR view
+//!   of that tile (a dense tile row scanned left-to-right, skipping zero
+//!   bit patterns, is exactly the stored-entry sequence
+//!   `SparseBuffer::from_dense` would produce), but with **no per-execute
+//!   allocation**: row base offsets are hoisted out of the inner loop and
+//!   the inner loop runs over contiguous row slices.
 //!
 //! # Bit-parity with the dense leaves
 //!
@@ -29,7 +27,7 @@
 //! asserted across backends in the workspace's `backend_parity` suite.
 
 use crate::buffer::SparseBuffer;
-use distal_runtime::kernel::{Kernel, KernelArg, KernelCtx};
+use distal_runtime::kernel::{Kernel, KernelCtx};
 
 /// `y(i) += Σ_j B(i,j) · x(j)` iterating only B's stored entries.
 pub fn spmv(y: &mut [f64], b: &SparseBuffer, x: &[f64]) {
@@ -77,128 +75,11 @@ pub fn sddmm(a: &mut [f64], b: &SparseBuffer, c: &[f64], d: &[f64], k_extent: us
     }
 }
 
-/// Builds a CSR view of a 2-D kernel argument's tile
-/// `[ilo..=ihi] × [jlo..=jhi]` (coordinates relative to the tile origin).
-fn tile2(arg: &KernelArg, ilo: i64, ihi: i64, jlo: i64, jhi: i64) -> SparseBuffer {
-    let (ni, nj) = (ihi - ilo + 1, jhi - jlo + 1);
-    let mut data = Vec::with_capacity((ni * nj) as usize);
-    for i in ilo..=ihi {
-        for j in jlo..=jhi {
-            data.push(arg.at(&[i, j]));
-        }
-    }
-    SparseBuffer::from_dense(&[ni, nj], &data)
-}
-
-/// Sparse SpMV leaf for `a(i) = B(i,j) * c(j)` with B compressed.
-///
-/// Task scalars carry `[ilo, ihi, jlo, jhi]` (`all_vars` order `[i, j]`);
-/// args are `[a, B, c]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpmvLeaf;
-
-impl Kernel for SpmvLeaf {
-    fn name(&self) -> &str {
-        "spmv"
-    }
-
-    fn execute(&self, ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 4, "spmv bounds mismatch");
-        let (ilo, ihi, jlo, jhi) = (s[0], s[1], s[2], s[3]);
-        if ihi < ilo || jhi < jlo {
-            return;
-        }
-        let b = tile2(&ctx.args[1], ilo, ihi, jlo, jhi);
-        for r in 0..b.rows() {
-            let i = ilo + r as i64;
-            let (lo, hi) = b.row_range(r);
-            for e in lo..hi {
-                let j = jlo + b.crd[e];
-                let v = b.vals[e] * ctx.args[2].at(&[j]);
-                ctx.args[0].add(&[i], v);
-            }
-        }
-    }
-}
-
-/// Sparse SpMM leaf for matmul-shaped statements
-/// `A(i,j) = B(i,k) * C(k,j)` with B compressed.
-///
-/// Task scalars carry `[ilo, ihi, jlo, jhi, klo, khi]` (`all_vars` order
-/// `[i, j, k]`, same as the dense GEMM leaf); args are `[A, B, C]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpmmLeaf;
-
-impl Kernel for SpmmLeaf {
-    fn name(&self) -> &str {
-        "spmm"
-    }
-
-    fn execute(&self, ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 6, "spmm bounds mismatch");
-        let (ilo, ihi, jlo, jhi, klo, khi) = (s[0], s[1], s[2], s[3], s[4], s[5]);
-        if ihi < ilo || jhi < jlo || khi < klo {
-            return;
-        }
-        let b = tile2(&ctx.args[1], ilo, ihi, klo, khi);
-        for r in 0..b.rows() {
-            let i = ilo + r as i64;
-            let (lo, hi) = b.row_range(r);
-            for e in lo..hi {
-                let bv = b.vals[e];
-                let k = klo + b.crd[e];
-                for j in jlo..=jhi {
-                    let cv = ctx.args[2].at(&[k, j]);
-                    ctx.args[0].add(&[i, j], bv * cv);
-                }
-            }
-        }
-    }
-}
-
-/// Sparse SDDMM leaf for `A(i,j) = B(i,j) * C(i,k) * D(k,j)` with B
-/// compressed (the sampled dense-dense matrix multiply).
-///
-/// Task scalars carry `[ilo, ihi, jlo, jhi, klo, khi]` (`all_vars` order
-/// `[i, j, k]`); args are `[A, B, C, D]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SddmmLeaf;
-
-impl Kernel for SddmmLeaf {
-    fn name(&self) -> &str {
-        "sddmm"
-    }
-
-    fn execute(&self, ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 6, "sddmm bounds mismatch");
-        let (ilo, ihi, jlo, jhi, klo, khi) = (s[0], s[1], s[2], s[3], s[4], s[5]);
-        if ihi < ilo || jhi < jlo || khi < klo {
-            return;
-        }
-        let b = tile2(&ctx.args[1], ilo, ihi, jlo, jhi);
-        for r in 0..b.rows() {
-            let i = ilo + r as i64;
-            let (lo, hi) = b.row_range(r);
-            for e in lo..hi {
-                let bv = b.vals[e];
-                let j = jlo + b.crd[e];
-                for k in klo..=khi {
-                    let v = (bv * ctx.args[2].at(&[i, k])) * ctx.args[3].at(&[k, j]);
-                    ctx.args[0].add(&[i, j], v);
-                }
-            }
-        }
-    }
-}
-
-/// Generated SpMV leaf for `a(i) = B(i,j) * c(j)` with B compressed:
-/// the plan-time specialization of [`SpmvLeaf`]. Scans B's tile rows
-/// directly (no CSR build), skipping entries with a zero bit pattern —
-/// the exact stored-entry sequence of the CSR leaf — with the row base
-/// and the output element hoisted out of the inner loop.
+/// Generated SpMV leaf for `a(i) = B(i,j) * c(j)` with B compressed.
+/// Scans B's tile rows directly (no CSR build), skipping entries with a
+/// zero bit pattern — the exact stored-entry sequence of [`spmv`] over the
+/// tile — with the row base and the output element hoisted out of the
+/// inner loop.
 ///
 /// Task scalars carry `[ilo, ihi, jlo, jhi]`; args are `[a, B, c]`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -236,9 +117,10 @@ impl Kernel for SpmvGenLeaf {
     }
 }
 
-/// Generated SpMM leaf for `A(i,j) = B(i,k) * C(k,j)` with B compressed:
-/// the plan-time specialization of [`SpmmLeaf`]. Loop order
-/// `(i, stored k, j)` with contiguous row slices and no CSR build.
+/// Generated SpMM leaf for matmul-shaped statements
+/// `A(i,j) = B(i,k) * C(k,j)` with B compressed. Loop order
+/// `(i, stored k, j)` as in [`spmm`], with contiguous row slices and no
+/// CSR build.
 ///
 /// Task scalars carry `[ilo, ihi, jlo, jhi, klo, khi]`; args `[A, B, C]`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -282,9 +164,9 @@ impl Kernel for SpmmGenLeaf {
 }
 
 /// Generated SDDMM leaf for `A(i,j) = B(i,j) * C(i,k) * D(k,j)` with B
-/// compressed: the plan-time specialization of [`SddmmLeaf`]. Iterates
-/// B's stored `(i,j)` entries with left-associated products, hoisting the
-/// output element and C's row out of the `k` loop.
+/// compressed (the sampled dense-dense matrix multiply). Iterates B's
+/// stored `(i,j)` entries with left-associated products as [`sddmm`] does,
+/// hoisting the output element and C's row out of the `k` loop.
 ///
 /// Task scalars carry `[ilo, ihi, jlo, jhi, klo, khi]`; args
 /// `[A, B, C, D]`.
@@ -336,6 +218,7 @@ impl Kernel for SddmmGenLeaf {
 mod tests {
     use super::*;
     use distal_machine::geom::{Point, Rect};
+    use distal_runtime::kernel::KernelArg;
     use distal_runtime::program::Privilege;
 
     fn arg(rect: Rect, data: Vec<f64>) -> KernelArg {
@@ -449,7 +332,7 @@ mod tests {
             point: Point::zeros(2),
             scalars: vec![1, 2, 1, 2, 0, 2],
         };
-        SpmmLeaf.execute(&mut ctx);
+        SpmmGenLeaf.execute(&mut ctx);
         let a = &ctx.args[0].data;
         assert_eq!(a[5], 2.0); // (1,1): k=0..2 minus the pruned (1,1) entry
         assert_eq!(a[10], 3.0); // (2,2): all three k
@@ -476,7 +359,7 @@ mod tests {
             point: Point::zeros(1),
             scalars: vec![0, 2, 0, 3],
         };
-        SpmvLeaf.execute(&mut ctx);
+        SpmvGenLeaf.execute(&mut ctx);
         assert_eq!(ctx.args[0].data, vec![2001.0, 0.0, 30.0]);
     }
 
@@ -504,34 +387,63 @@ mod tests {
         }
     }
 
+    /// The dense values of a 2-D (or, with `cols = None`, 1-D) argument's
+    /// tile `[rows] × [cols]`, row-major.
+    fn tile(arg: &KernelArg, rows: (i64, i64), cols: Option<(i64, i64)>) -> Vec<f64> {
+        let mut out = Vec::new();
+        for i in rows.0..=rows.1 {
+            match cols {
+                Some((lo, hi)) => out.extend((lo..=hi).map(|j| arg.at(&[i, j]))),
+                None => out.push(arg.at(&[i])),
+            }
+        }
+        out
+    }
+
+    /// Asserts `got`'s tile `[rows] × [cols]` equals `want` bitwise.
+    fn assert_tile(got: &KernelArg, rows: (i64, i64), cols: Option<(i64, i64)>, want: &[f64]) {
+        let got = tile(got, rows, cols);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+
     #[test]
     fn generated_leaves_match_csr_leaves_bitwise() {
+        // Each generated leaf against the reference function over a CSR
+        // view of the same tile.
         for density in [0.05, 0.5, 1.0] {
             // SpMV over a partial tile.
             let shapes: &[&[i64]] = &[&[6], &[6, 8], &[8]];
-            let mut old = ctx_from(shapes, &[0, 21, 22], density, vec![1, 4, 2, 7]);
-            let mut gen = ctx_from(shapes, &[0, 21, 22], density, vec![1, 4, 2, 7]);
-            SpmvLeaf.execute(&mut old);
+            let (i, j) = ((1, 4), (2, 7));
+            let mut gen = ctx_from(shapes, &[0, 21, 22], density, vec![i.0, i.1, j.0, j.1]);
+            let b = SparseBuffer::from_dense(&[4, 6], &tile(&gen.args[1], i, Some(j)));
+            let mut want = vec![0.0; 4];
+            spmv(&mut want, &b, &tile(&gen.args[2], j, None));
             SpmvGenLeaf.execute(&mut gen);
-            assert_eq!(old.args[0].data, gen.args[0].data);
+            assert_tile(&gen.args[0], i, None, &want);
             // SpMM over a partial tile.
             let shapes: &[&[i64]] = &[&[5, 6], &[5, 7], &[7, 6]];
-            let mut old = ctx_from(shapes, &[0, 31, 32], density, vec![1, 3, 0, 5, 2, 6]);
-            let mut gen = ctx_from(shapes, &[0, 31, 32], density, vec![1, 3, 0, 5, 2, 6]);
-            SpmmLeaf.execute(&mut old);
+            let (i, j, k) = ((1, 3), (0, 5), (2, 6));
+            let scalars = vec![i.0, i.1, j.0, j.1, k.0, k.1];
+            let mut gen = ctx_from(shapes, &[0, 31, 32], density, scalars);
+            let b = SparseBuffer::from_dense(&[3, 5], &tile(&gen.args[1], i, Some(k)));
+            let mut want = vec![0.0; 3 * 6];
+            spmm(&mut want, &b, &tile(&gen.args[2], k, Some(j)), 6);
             SpmmGenLeaf.execute(&mut gen);
-            for (o, g) in old.args[0].data.iter().zip(gen.args[0].data.iter()) {
-                assert_eq!(o.to_bits(), g.to_bits());
-            }
+            assert_tile(&gen.args[0], i, Some(j), &want);
             // SDDMM over a partial tile.
             let shapes: &[&[i64]] = &[&[5, 6], &[5, 6], &[5, 4], &[4, 6]];
-            let mut old = ctx_from(shapes, &[0, 41, 42, 43], density, vec![0, 4, 1, 5, 0, 3]);
-            let mut gen = ctx_from(shapes, &[0, 41, 42, 43], density, vec![0, 4, 1, 5, 0, 3]);
-            SddmmLeaf.execute(&mut old);
+            let (i, j, k) = ((0, 4), (1, 5), (0, 3));
+            let scalars = vec![i.0, i.1, j.0, j.1, k.0, k.1];
+            let mut gen = ctx_from(shapes, &[0, 41, 42, 43], density, scalars);
+            let b = SparseBuffer::from_dense(&[5, 5], &tile(&gen.args[1], i, Some(j)));
+            let mut want = vec![0.0; 5 * 5];
+            let c = tile(&gen.args[2], i, Some(k));
+            sddmm(&mut want, &b, &c, &tile(&gen.args[3], k, Some(j)), 4);
             SddmmGenLeaf.execute(&mut gen);
-            for (o, g) in old.args[0].data.iter().zip(gen.args[0].data.iter()) {
-                assert_eq!(o.to_bits(), g.to_bits());
-            }
+            assert_tile(&gen.args[0], i, Some(j), &want);
         }
     }
 
@@ -548,22 +460,6 @@ mod tests {
             scalars: vec![0, 1, 0, 1, 1, 0],
         };
         SpmmGenLeaf.execute(&mut ctx);
-        assert_eq!(ctx.args[0].data, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn empty_bounds_are_noops() {
-        let sq = Rect::sized(&[2, 2]);
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(sq.clone(), vec![0.0; 4]),
-                arg(sq.clone(), vec![1.0; 4]),
-                arg(sq, vec![1.0; 4]),
-            ],
-            point: Point::zeros(2),
-            scalars: vec![0, 1, 0, 1, 1, 0],
-        };
-        SpmmLeaf.execute(&mut ctx);
         assert_eq!(ctx.args[0].data, vec![0.0; 4]);
     }
 }

@@ -14,22 +14,24 @@
 //!   arrays over the innermost dimension) with lossless dense↔sparse
 //!   conversion and exact payload-byte accounting;
 //! * [`kernels`] — sparse leaf kernels for SpMV, SpMM, and SDDMM, both as
-//!   pure functions over [`SparseBuffer`]s and as
-//!   [`distal_runtime::kernel::Kernel`] implementations the compiler
-//!   substitutes at leaves whose operands are compressed. The kernels
+//!   pure functions over [`SparseBuffer`]s (the reference) and as the
+//!   generated [`distal_runtime::kernel::Kernel`] implementations the
+//!   compiler picks for leaves whose first operand is compressed. The kernels
 //!   iterate only stored coordinates and are bit-identical to the dense
 //!   leaves on the same data (skipped entries are exact zeros, whose
 //!   products contribute `±0.0` that never changes an accumulator that is
 //!   itself never `-0.0`);
-//! * payload-size helpers ([`csr_payload_bytes`],
+//! * accounting helpers ([`stored_entries`], [`csr_payload_bytes`],
 //!   [`estimated_payload_bytes`]) shared by the runtime's copy accounting
 //!   and the SPMD backend's nnz-sized messages.
 
 pub mod buffer;
 pub mod kernels;
 
-pub use buffer::{csr_payload_bytes, csr_payload_scale, estimated_payload_bytes, SparseBuffer};
-pub use kernels::{SddmmGenLeaf, SddmmLeaf, SpmmGenLeaf, SpmmLeaf, SpmvGenLeaf, SpmvLeaf};
+pub use buffer::{
+    csr_payload_bytes, csr_payload_scale, estimated_payload_bytes, stored_entries, SparseBuffer,
+};
+pub use kernels::{SddmmGenLeaf, SpmmGenLeaf, SpmvGenLeaf};
 
 /// Bytes of one `pos` array entry (row offsets, `u64`-sized on the wire).
 pub const POS_BYTES: u64 = 8;

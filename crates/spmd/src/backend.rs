@@ -108,6 +108,7 @@ fn backend_err(e: SpmdError) -> BackendError {
     match e {
         SpmdError::UnknownTensor(t) => BackendError::UnknownTensor(t),
         SpmdError::Unsupported(m) => BackendError::Unsupported(m),
+        SpmdError::Leaf(e) => BackendError::Compile(e),
         SpmdError::Data(m) => BackendError::Backend(format!("data error: {m}")),
         other => BackendError::Backend(other.to_string()),
     }
@@ -177,11 +178,6 @@ fn bound_program(
     Arc::new(program)
 }
 
-/// Counts stored (nonzero-bit-pattern) entries of materialized data.
-fn data_nnz(data: &[f64]) -> u64 {
-    data.iter().filter(|v| v.to_bits() != 0).count() as u64
-}
-
 /// Gathers the VM inputs for every right-hand-side tensor from the
 /// bindings. Tensors without one are reported back so the instance can
 /// fail at `execute()` — exactly where the dynamic runtime surfaces
@@ -211,8 +207,7 @@ fn vm_inputs(
 
 fn count_tasks(program: &SpmdProgram) -> u64 {
     program
-        .global
-        .iter()
+        .in_order()
         .filter(|(_, op)| matches!(op, SpmdOp::Compute { .. }))
         .count() as u64
 }
@@ -240,13 +235,8 @@ fn program_report(
     let tasks = count_tasks(program);
     let mut kernel_classes = std::collections::BTreeMap::new();
     if tasks > 0 {
-        let variant = if program.interpreted_leaves {
-            "interpreter".to_string()
-        } else {
-            program.leaf.0.name().to_string()
-        };
         kernel_classes.insert(
-            variant,
+            program.leaf.0.name().to_string(),
             distal_runtime::stats::KernelClassStats {
                 tasks,
                 flops: program.total_flops,
@@ -297,9 +287,6 @@ pub struct SpmdBackend {
     /// transport) or [`Report::modeled_s`] (threaded transport, where the
     /// headline number is measured wall clock).
     pub model: AlphaBeta,
-    /// Execute leaves through the per-point interpreter instead of the
-    /// generated kernels (parity/benchmark escape hatch).
-    pub interpreted_leaves: bool,
     /// How bound instances run the rank programs: the sequential
     /// simulation (default) or real rank threads (see
     /// [`crate::transport`]).
@@ -321,14 +308,6 @@ impl SpmdBackend {
     #[must_use]
     pub fn with_collectives(mut self, collectives: CollectiveConfig) -> Self {
         self.collectives = collectives;
-        self
-    }
-
-    /// Runs leaves through the per-point interpreter instead of the
-    /// generated kernels.
-    #[must_use]
-    pub fn with_interpreted_leaves(mut self) -> Self {
-        self.interpreted_leaves = true;
         self
     }
 
@@ -354,13 +333,12 @@ impl Backend for SpmdBackend {
 
     fn config_fingerprint(&self) -> String {
         // Collectives shape the lowered message schedule; the α-β model
-        // prices every bound instance's reports; the leaf-execution mode
-        // and transport change what a bound instance runs.
+        // prices every bound instance's reports; the transport changes
+        // how a bound instance runs.
         format!(
-            "{:?};{:?};interpreted_leaves={};transport={};lint={}",
+            "{:?};{:?};transport={};lint={}",
             self.collectives,
             self.model,
-            self.interpreted_leaves,
             self.transport.label(),
             self.lint.fingerprint()
         )
@@ -370,8 +348,7 @@ impl Backend for SpmdBackend {
         // Schedule admission first: denied findings reject the plan
         // before any lowering happens.
         let mut diagnostics = distal_core::lint::admit(problem, schedule, &self.lint)?;
-        let mut program = plan_program(problem, schedule, &self.collectives)?;
-        program.interpreted_leaves = self.interpreted_leaves;
+        let program = plan_program(problem, schedule, &self.collectives)?;
         diagnostics.extend(verify_plan_program(&program)?);
         Ok(Box::new(SpmdPlan {
             tensors: problem.tensors().clone(),
@@ -435,7 +412,7 @@ impl Plan for SpmdPlan {
         // possible — materializing a RandomSparse stream once, not twice.
         let program = bound_program(&self.program, &self.tensors, |name, spec| {
             if let Some(data) = inputs.get(name) {
-                Some(data_nnz(data))
+                Some(distal_sparse::stored_entries(data))
             } else {
                 bindings.get(name).map(|init| init_nnz(init, &spec.dims))
             }
@@ -842,10 +819,7 @@ mod tests {
             lower_problem(&p, &Schedule::summa(2, 2, 4), &CollectiveConfig::default()).unwrap();
         let tag = program.messages().first().unwrap().tag;
         let dropped = |op: &SpmdOp| op.is_send() && op.message().is_some_and(|m| m.tag == tag);
-        for ops in &mut program.programs {
-            ops.retain(|op| !dropped(op));
-        }
-        program.global.retain(|(_, op)| !dropped(op));
+        program.rewrite(|stream| stream.retain(|(_, op)| !dropped(op)));
         match verify_plan_program(&program) {
             Err(BackendError::Verification(diags)) => {
                 assert!(diags.iter().any(|d| d.is_error()));

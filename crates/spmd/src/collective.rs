@@ -284,42 +284,60 @@ fn chain_rounds(g: usize) -> Vec<Vec<(usize, usize)>> {
     (0..g.saturating_sub(1)).map(|i| vec![(i, i + 1)]).collect()
 }
 
-/// Splits the global op stream into sequential-step segments (each step
-/// ends with one `RetireScratch` per rank; the final gather shares the
-/// last segment). Returns the segment index of every op. Shared with
+/// Splits a global op stream into sequential-step segments as it is
+/// walked (each step ends with one `RetireScratch` per rank; the final
+/// gather shares the last segment). Shared with
 /// [`crate::program::SpmdProgram::messages_by_step`] so the two can never
 /// disagree about step boundaries.
-pub(crate) fn segment_of(global: &[(usize, SpmdOp)], ranks: usize) -> Vec<usize> {
-    let mut seg = 0usize;
-    let mut retires = 0usize;
-    let mut out = Vec::with_capacity(global.len());
-    for (_, op) in global {
-        out.push(seg);
-        if matches!(op, SpmdOp::RetireScratch { .. }) {
-            retires += 1;
-            if retires == ranks {
-                seg += 1;
-                retires = 0;
-            }
-        }
-    }
-    out
+pub(crate) struct Segments {
+    ranks: usize,
+    segment: usize,
+    retires: usize,
 }
 
-/// Finds all fan candidates in the program, segment by segment.
+impl Segments {
+    pub(crate) fn new(ranks: usize) -> Self {
+        Segments {
+            ranks,
+            segment: 0,
+            retires: 0,
+        }
+    }
+
+    /// The segment of `op`, the next op of the stream.
+    pub(crate) fn of(&mut self, op: &SpmdOp) -> usize {
+        let segment = self.segment;
+        if matches!(op, SpmdOp::RetireScratch { .. }) {
+            self.retires += 1;
+            if self.retires == self.ranks {
+                self.segment += 1;
+                self.retires = 0;
+            }
+        }
+        segment
+    }
+}
+
+/// Finds all fan candidates in `ops` — a global-order op stream of
+/// `program`, whose metadata (output tensor, ownership) decides what may
+/// fan — segment by segment.
 ///
 /// Broadcast fans exclude the output tensor (its non-reduce gather
 /// messages are per-owner writes, not shared payloads); reduce fans
 /// additionally require that no non-root member owns home data
 /// intersecting the payload, so that relay ranks of a reduce tree fold
 /// into their accumulator rather than corrupting a home piece.
-fn find_fans(program: &SpmdProgram) -> Vec<Fan> {
+fn find_fans<'a>(
+    program: &SpmdProgram,
+    ops: impl Iterator<Item = (usize, &'a SpmdOp)>,
+) -> Vec<Fan> {
     let out_name = program.assignment.lhs.tensor.as_str();
-    let segs = segment_of(&program.global, program.ranks());
+    let mut segments = Segments::new(program.ranks());
     type Key = (usize, bool, usize, String, Vec<i64>, Vec<i64>);
     let mut by_key: BTreeMap<Key, usize> = BTreeMap::new();
     let mut fans: Vec<Fan> = Vec::new();
-    for (idx, (_, op)) in program.global.iter().enumerate() {
+    for (idx, (_, op)) in ops.enumerate() {
+        let step = segments.of(op);
         let (m, reduce) = match op {
             SpmdOp::Send(m) if m.tensor != out_name => (m, false),
             SpmdOp::ReduceSend(m) => (m, true),
@@ -328,7 +346,7 @@ fn find_fans(program: &SpmdProgram) -> Vec<Fan> {
         let root = if reduce { m.to } else { m.from };
         let peer = if reduce { m.from } else { m.to };
         let key: Key = (
-            segs[idx],
+            step,
             reduce,
             root,
             m.tensor.clone(),
@@ -338,7 +356,7 @@ fn find_fans(program: &SpmdProgram) -> Vec<Fan> {
         let fan_idx = *by_key.entry(key).or_insert_with(|| {
             fans.push(Fan {
                 reduce,
-                step: segs[idx],
+                step,
                 root,
                 tensor: m.tensor.clone(),
                 rect: m.rect.clone(),
@@ -434,10 +452,9 @@ fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
 /// [`crate::lower_with`] performs the same recognition and then rewrites
 /// the message schedule.
 pub fn recognize(program: &SpmdProgram) -> Vec<Collective> {
-    let grid = program.grid.clone();
-    merge_allgathers(find_fans(program))
+    merge_allgathers(find_fans(program, program.in_order()))
         .into_iter()
-        .map(|plan| describe(&grid, &plan, None))
+        .map(|plan| describe(&program.grid, &plan, None))
         .collect()
 }
 
@@ -509,20 +526,26 @@ fn ring_order(grid: &Grid, members: &[usize], axis: Option<usize>) -> Vec<usize>
     ordered
 }
 
-/// Recognizes collectives and rewrites the program's message schedule
-/// according to `config`, recording the lowered collectives on the
-/// program. No-op when `config.enabled` is false or nothing matches.
-pub(crate) fn apply(program: &mut SpmdProgram, config: &CollectiveConfig) {
+/// Recognizes collectives in `stream` — the freshly lowered global
+/// `(rank, op)` stream of `program`, not yet filed into it — and rewrites
+/// its message schedule according to `config`, recording the lowered
+/// collectives on the program. Returns the stream to install; unchanged
+/// when `config.enabled` is false or nothing matches.
+pub(crate) fn apply(
+    program: &mut SpmdProgram,
+    stream: Vec<(usize, SpmdOp)>,
+    config: &CollectiveConfig,
+) -> Vec<(usize, SpmdOp)> {
     if !config.enabled {
-        return;
+        return stream;
     }
-    let plans = merge_allgathers(find_fans(program));
+    let ops = stream.iter().map(|(rank, op)| (*rank, op));
+    let plans = merge_allgathers(find_fans(program, ops));
     if plans.is_empty() {
-        return;
+        return stream;
     }
     let grid = program.grid.clone();
-    let mut next_tag = program
-        .global
+    let mut next_tag = stream
         .iter()
         .filter_map(|(_, op)| op.message().map(|m| m.tag))
         .max()
@@ -625,26 +648,20 @@ pub(crate) fn apply(program: &mut SpmdProgram, config: &CollectiveConfig) {
     // the position of their first replaced send (all producer computes
     // precede it; consumer receives only move earlier within their
     // step), and the replaced point-to-point messages are dropped.
-    let old = std::mem::take(&mut program.global);
-    let mut new_global: Vec<(usize, SpmdOp)> = Vec::with_capacity(old.len());
-    for (idx, (rank, op)) in old.into_iter().enumerate() {
+    let mut rewritten: Vec<(usize, SpmdOp)> = Vec::with_capacity(stream.len());
+    for (idx, (rank, op)) in stream.into_iter().enumerate() {
         if let Some(block) = emit_at.remove(&idx) {
-            new_global.extend(block);
+            rewritten.extend(block);
         }
         if let Some(m) = op.message() {
             if replaced.contains(&m.tag) {
                 continue;
             }
         }
-        new_global.push((rank, op));
+        rewritten.push((rank, op));
     }
-    let mut programs: Vec<Vec<SpmdOp>> = vec![Vec::new(); program.ranks()];
-    for (rank, op) in &new_global {
-        programs[*rank].push(op.clone());
-    }
-    program.global = new_global;
-    program.programs = programs;
     program.collectives = records;
+    rewritten
 }
 
 #[cfg(test)]

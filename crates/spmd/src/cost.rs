@@ -126,8 +126,7 @@ pub fn evaluate(program: &SpmdProgram, model: &AlphaBeta) -> CostReport {
     let mut busy = vec![0.0f64; ranks]; // compute seconds per rank
     let mut chain = vec![0usize; ranks];
     let mut in_flight: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
-    for (rank, op) in &program.global {
-        let rank = *rank;
+    for (rank, op) in program.in_order() {
         match op {
             SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
                 // nnz-sized payloads for compressed operand tiles: this is

@@ -93,7 +93,7 @@ pub mod program;
 pub mod stats;
 pub mod transport;
 pub mod verify;
-pub mod vm;
+mod vm;
 
 pub use backend::{
     lower_problem, problem_tensors, CostBackend, CostInstance, CostPlan, SpmdBackend, SpmdInstance,

@@ -24,7 +24,7 @@ use crate::program::SpmdProgram;
 use distal_core::nest::Nest;
 use distal_core::{CompileError, Schedule};
 use distal_format::Format;
-use distal_ir::expr::Assignment;
+use distal_ir::expr::{Assignment, Expr};
 use distal_machine::geom::{Point, Rect, RectSet};
 use distal_machine::grid::Grid;
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,46 +59,12 @@ impl SpmdTensor {
         }
     }
 
-    /// Attaches the stored-entry count of the tensor's data.
-    #[must_use]
-    pub fn with_nnz(mut self, nnz: u64) -> Self {
-        self.nnz = Some(nnz);
-        self
-    }
-}
-
-/// Per-tensor sparsity metadata carried by a lowered [`SpmdProgram`]:
-/// what the static message-byte and cost accounting needs to price
-/// compressed operand tiles by nnz instead of dense volume.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TensorSparsity {
-    /// True when the tensor's format carries a compressed level.
-    pub compressed: bool,
-    /// Stored entries (= volume when unknown or dense).
-    pub nnz: u64,
-    /// Dense element count.
-    pub volume: u64,
-    /// Extent of the innermost (compressed) dimension.
-    pub inner: u64,
-}
-
-impl TensorSparsity {
-    /// Fraction of stored entries.
-    pub fn density(&self) -> f64 {
-        if self.volume == 0 {
-            return 1.0;
-        }
-        self.nnz as f64 / self.volume as f64
-    }
-}
-
-pub(crate) fn sparsity_of(tensor: &SpmdTensor) -> TensorSparsity {
-    let volume = tensor.dims.iter().product::<i64>().max(1) as u64;
-    TensorSparsity {
-        compressed: tensor.format.has_compressed(),
-        nnz: tensor.nnz.unwrap_or(volume).min(volume),
-        volume,
-        inner: tensor.dims.last().copied().unwrap_or(1).max(1) as u64,
+    /// Fraction of stored entries (1 while `nnz` is unknown) — what the
+    /// static message-byte and cost accounting prices compressed operand
+    /// tiles by, instead of dense volume.
+    pub(crate) fn density(&self) -> f64 {
+        let volume = self.dims.iter().product::<i64>().max(1) as u64;
+        self.nnz.unwrap_or(volume).min(volume) as f64 / volume as f64
     }
 }
 
@@ -117,7 +83,7 @@ pub fn lower_count() -> u64 {
 }
 
 /// Errors from SPMD lowering and execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SpmdError {
     /// A tensor in the expression has no description.
     UnknownTensor(String),
@@ -125,6 +91,10 @@ pub enum SpmdError {
     InconsistentExtents,
     /// A scheduling command failed.
     Schedule(String),
+    /// The shared leaf selection (`distal_core::kernelgen::leaf_for`)
+    /// refused the schedule's `substitute` command — the same typed error
+    /// the runtime backend reports.
+    Leaf(CompileError),
     /// The schedule/machine combination is outside this backend's scope.
     Unsupported(String),
     /// Input data missing or mis-sized at execution time.
@@ -141,6 +111,7 @@ impl fmt::Display for SpmdError {
             SpmdError::UnknownTensor(t) => write!(f, "unknown tensor '{t}'"),
             SpmdError::InconsistentExtents => write!(f, "inconsistent index extents"),
             SpmdError::Schedule(m) => write!(f, "schedule error: {m}"),
+            SpmdError::Leaf(e) => write!(f, "{e}"),
             SpmdError::Unsupported(m) => write!(f, "unsupported by the SPMD backend: {m}"),
             SpmdError::Data(m) => write!(f, "data error: {m}"),
             SpmdError::Timeout(m) => write!(f, "threaded transport watchdog: {m}"),
@@ -235,6 +206,17 @@ fn nest_err(e: CompileError) -> SpmdError {
     }
 }
 
+/// True for expressions that are pure products of accesses/literals — the
+/// precondition for pruning iteration points where a compressed operand
+/// stores no entry (a zero factor annihilates the whole term).
+fn is_pure_product(e: &Expr) -> bool {
+    match e {
+        Expr::Access(_) | Expr::Literal(_) => true,
+        Expr::Mul(l, r) => is_pure_product(l) && is_pure_product(r),
+        Expr::Add(_, _) => false,
+    }
+}
+
 /// Per-(tensor, rank) scratch holdings valid at the current step.
 type Holdings = BTreeMap<String, Vec<RectSet>>;
 
@@ -321,16 +303,10 @@ pub fn lower_with(
     let out_dims = &by_name[out_name.as_str()].dims;
     let domain_rect = nest.domain_rect();
 
-    let mut programs: Vec<Vec<SpmdOp>> = vec![Vec::new(); ranks];
-    let mut global: Vec<(usize, SpmdOp)> = Vec::new();
+    // The one copy of every op: the global `(rank, op)` stream, filed
+    // into the per-rank lists once the collective pass has rewritten it.
+    let mut stream: Vec<(usize, SpmdOp)> = Vec::new();
     let mut tag = 0u64;
-    let push = |programs: &mut Vec<Vec<SpmdOp>>,
-                global: &mut Vec<(usize, SpmdOp)>,
-                rank: usize,
-                op: SpmdOp| {
-        programs[rank].push(op.clone());
-        global.push((rank, op));
-    };
 
     // Scratch holdings valid at the current sequential step.
     let mut scratch: Holdings = accessed
@@ -409,8 +385,8 @@ pub fn lower_with(
                             rect: inter.clone(),
                         };
                         tag += 1;
-                        push(&mut programs, &mut global, q, SpmdOp::Send(msg.clone()));
-                        push(&mut programs, &mut global, rank, SpmdOp::Recv(msg));
+                        stream.push((q, SpmdOp::Send(msg.clone())));
+                        stream.push((rank, SpmdOp::Recv(msg)));
                         needs.subtract(&inter);
                         received.get_mut(&acc.tensor).unwrap()[rank].push(inter);
                     }
@@ -428,23 +404,13 @@ pub fn lower_with(
             }
             let flops = flops_per_point * iter_points;
             total_flops += flops;
-            push(
-                &mut programs,
-                &mut global,
-                rank,
-                SpmdOp::Compute { bounds, env, flops },
-            );
+            stream.push((rank, SpmdOp::Compute { bounds, flops }));
         }
 
         // Step boundary: retire old scratch, promote this step's receives.
         if !nest.seq_extents.is_empty() {
             for rank in 0..ranks {
-                push(
-                    &mut programs,
-                    &mut global,
-                    rank,
-                    SpmdOp::RetireScratch { keep: 1 },
-                );
+                stream.push((rank, SpmdOp::RetireScratch { keep: 1 }));
             }
         }
         for (tensor, per_rank) in received {
@@ -477,60 +443,47 @@ pub fn lower_with(
                 };
                 tag += 1;
                 if nest.dist_reduces {
-                    push(
-                        &mut programs,
-                        &mut global,
-                        rank,
-                        SpmdOp::ReduceSend(msg.clone()),
-                    );
-                    push(&mut programs, &mut global, owner, SpmdOp::ReduceRecv(msg));
+                    stream.push((rank, SpmdOp::ReduceSend(msg.clone())));
+                    stream.push((owner, SpmdOp::ReduceRecv(msg)));
                 } else {
-                    push(&mut programs, &mut global, rank, SpmdOp::Send(msg.clone()));
-                    push(&mut programs, &mut global, owner, SpmdOp::Recv(msg));
+                    stream.push((rank, SpmdOp::Send(msg.clone())));
+                    stream.push((owner, SpmdOp::Recv(msg)));
                 }
             }
         }
     }
 
-    let sparsity: BTreeMap<String, TensorSparsity> = accessed
-        .iter()
-        .map(|n| (n.to_string(), sparsity_of(by_name[n])))
-        .collect();
-    // Specialize the leaf kernel now, at lowering (= plan) time: the rank
-    // VM always *adds* into a zeroed accumulator, and prunes compressed
-    // operands' unstored points only for pure-product statements — the
-    // same discipline the per-point interpreter applies dynamically.
-    let pure_product = crate::program::is_pure_product(&assignment.rhs);
+    // Choose the leaf kernel now, at lowering (= plan) time: the rank VM
+    // always *adds* into a zeroed accumulator, and prunes compressed
+    // operands' unstored points only for pure-product statements.
     let leaf_compressed: Vec<bool> = assignment
         .input_accesses()
         .iter()
-        .map(|acc| sparsity.get(&acc.tensor).is_some_and(|s| s.compressed))
+        .map(|acc| by_name[acc.tensor.as_str()].format.has_compressed())
         .collect();
-    let leaf = crate::program::LeafKernel(distal_core::kernelgen::specialize(
-        &distal_runtime::kernelgen::LeafRequest {
-            assignment: assignment.clone(),
-            compressed: leaf_compressed,
-            accumulate: true,
-            skip_zero: pure_product,
-        },
-    ));
+    let leaf = distal_core::kernelgen::leaf_for(
+        assignment,
+        schedule,
+        leaf_compressed,
+        true,
+        is_pure_product(&assignment.rhs),
+    )
+    .map_err(SpmdError::Leaf)?;
     let mut program = SpmdProgram {
         assignment: assignment.clone(),
         grid: grid.clone(),
         tensors: tensors.to_vec(),
-        programs,
-        global,
-        out_written,
+        programs: vec![Vec::new(); ranks],
+        order: Vec::new(),
         owners: owners.into_iter().collect(),
         all_vars: assignment.all_vars(),
         total_flops,
         dist_reduces: nest.dist_reduces,
         collectives: Vec::new(),
-        sparsity,
-        leaf,
-        interpreted_leaves: false,
+        leaf: crate::program::LeafKernel(leaf),
     };
-    collective::apply(&mut program, collectives);
+    let stream = collective::apply(&mut program, stream, collectives);
+    program.install(stream);
     Ok(program)
 }
 
@@ -569,9 +522,10 @@ mod tests {
         )
         .unwrap();
         // 4 ranks, each computes 2 sequential chunks.
-        assert_eq!(p.programs.len(), 4);
+        assert_eq!(p.ranks(), 4);
         for r in 0..4 {
-            let computes = p.programs[r]
+            let computes = p
+                .rank_ops(r)
                 .iter()
                 .filter(|o| matches!(o, SpmdOp::Compute { .. }))
                 .count();
@@ -633,7 +587,7 @@ mod tests {
         // Rank 0 computes everything, pulling remote tiles.
         let computes: Vec<usize> = (0..4)
             .map(|r| {
-                p.programs[r]
+                p.rank_ops(r)
                     .iter()
                     .filter(|o| matches!(o, SpmdOp::Compute { .. }))
                     .count()

@@ -13,10 +13,8 @@
 //! a receiver can stash early arrivals and block on exactly the tag its
 //! program order demands next (see [`crate::transport`]).
 
-use distal_ir::expr::IndexVar;
 use distal_machine::geom::Rect;
 use distal_machine::ELEM_BYTES;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The identity of one point-to-point transfer.
@@ -75,9 +73,6 @@ pub enum SpmdOp {
         /// Inclusive `(lo, hi)` bounds per original statement variable, in
         /// `Assignment::all_vars` order.
         bounds: Vec<(i64, i64)>,
-        /// The loop-variable environment that produced the bounds (kept for
-        /// inspection and tracing).
-        env: BTreeMap<IndexVar, i64>,
         /// Floating-point work of the block.
         flops: f64,
     },

@@ -1,25 +1,25 @@
 //! The compiled SPMD program and its deterministic execution.
 
-use crate::collective::Collective;
+use crate::collective::{Collective, Segments};
 use crate::cost::{AlphaBeta, CostReport};
-use crate::lower::{Ownership, SpmdError, SpmdTensor, TensorSparsity};
+use crate::lower::{Ownership, SpmdError, SpmdTensor};
 use crate::ops::{Message, SpmdOp};
 use crate::stats::CommStats;
 use crate::vm::{Buf, RankStore};
-use distal_ir::expr::{Assignment, Expr, IndexVar};
-use distal_machine::geom::{copy_rect, Point, Rect, RectSet};
+use distal_ir::expr::{Access, Assignment, IndexVar};
+use distal_machine::geom::{copy_rect, Point, Rect};
 use distal_machine::grid::Grid;
 use distal_runtime::kernel::{Kernel, KernelArg, KernelCtx};
 use distal_runtime::pool;
 use distal_runtime::program::Privilege;
-use distal_sparse::csr_payload_bytes;
+use distal_sparse::{csr_payload_bytes, stored_entries};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// The rank VM's generated leaf kernel, shared (via `Arc`) across every
-/// clone and binding of the lowered program — plan-time specialization,
-/// never re-done at bind or execute time. The wrapper exists to give the
+/// The rank VM's leaf kernel, shared (via `Arc`) across every clone and
+/// binding of the lowered program — chosen once at plan time, never
+/// re-done at bind or execute time. The wrapper exists to give the
 /// trait object `Clone`/`Debug` so [`SpmdProgram`] keeps deriving both.
 #[derive(Clone)]
 pub struct LeafKernel(pub Arc<dyn Kernel>);
@@ -39,19 +39,10 @@ fn rect_inner_extent(rect: &Rect) -> u64 {
     }
 }
 
-/// True for expressions that are pure products of accesses/literals — the
-/// precondition for pruning iteration points where a compressed operand
-/// stores no entry (a zero factor annihilates the whole term).
-pub(crate) fn is_pure_product(e: &Expr) -> bool {
-    match e {
-        Expr::Access(_) | Expr::Literal(_) => true,
-        Expr::Mul(l, r) => is_pure_product(l) && is_pure_product(r),
-        Expr::Add(_, _) => false,
-    }
-}
-
-/// A fully lowered SPMD program: per-rank operation lists plus the global
-/// execution order and the metadata needed to run and analyze it.
+/// A fully lowered SPMD program: per-rank operation lists, the global
+/// execution order over them, and the metadata needed to run and analyze
+/// it. Every op is stored once, in its rank's list; the global order is an
+/// index over the lists ([`SpmdProgram::in_order`]).
 #[derive(Clone, Debug)]
 pub struct SpmdProgram {
     /// The statement being computed.
@@ -61,12 +52,11 @@ pub struct SpmdProgram {
     /// Tensor descriptions.
     pub tensors: Vec<SpmdTensor>,
     /// Per-rank operation lists (the "MPI program" of each rank).
-    pub programs: Vec<Vec<SpmdOp>>,
-    /// The global execution order (rank, op) — compile-time determinism
+    pub(crate) programs: Vec<Vec<SpmdOp>>,
+    /// The global execution order as a rank sequence: its `k`-th occurrence
+    /// of rank `r` stands for `programs[r][k]`. Compile-time determinism
     /// makes deadlock impossible.
-    pub global: Vec<(usize, SpmdOp)>,
-    /// Output rectangles each rank computes.
-    pub out_written: Vec<RectSet>,
+    pub(crate) order: Vec<usize>,
     pub(crate) owners: BTreeMap<String, Ownership>,
     /// Original statement variables, in leaf-bounds order.
     pub all_vars: Vec<IndexVar>,
@@ -77,16 +67,9 @@ pub struct SpmdProgram {
     /// Collectives recognized and lowered into the message schedule
     /// (empty for point-to-point programs).
     pub collectives: Vec<Collective>,
-    /// Per-tensor sparsity metadata (level-format compression + nnz),
-    /// driving nnz-sized message accounting and the α-β cost model.
-    pub sparsity: BTreeMap<String, TensorSparsity>,
-    /// The generated leaf kernel every `Compute` op runs (specialized
-    /// once, at lowering time).
+    /// The leaf kernel every `Compute` op runs (chosen once, at lowering
+    /// time, by `distal_core::kernelgen::leaf_for`).
     pub leaf: LeafKernel,
-    /// Run leaves through the per-point interpreter instead of the
-    /// generated kernel — the escape hatch parity suites use to compare
-    /// both paths. Off by default.
-    pub interpreted_leaves: bool,
 }
 
 /// The result of executing an SPMD program.
@@ -126,13 +109,57 @@ impl SpmdProgram {
         &self.programs[rank]
     }
 
+    /// Every `(rank, op)` in global execution order — a linearization in
+    /// which each send precedes its matching receive and every rank's ops
+    /// appear in that rank's program order.
+    pub fn in_order(&self) -> impl Iterator<Item = (usize, &SpmdOp)> {
+        let mut next = vec![0usize; self.ranks()];
+        self.order.iter().map(move |&rank| {
+            let op = &self.programs[rank][next[rank]];
+            next[rank] += 1;
+            (rank, op)
+        })
+    }
+
+    /// Files a global `(rank, op)` stream into the still empty per-rank
+    /// lists (each op moved, none copied) and records its order.
+    pub(crate) fn install(&mut self, stream: Vec<(usize, SpmdOp)>) {
+        debug_assert!(self.programs.iter().all(Vec::is_empty));
+        self.order = stream.iter().map(|(rank, _)| *rank).collect();
+        for (rank, op) in stream {
+            self.programs[rank].push(op);
+        }
+    }
+
+    /// Rewrites the program through its global `(rank, op)` stream: the ops
+    /// move out in global order, `edit` changes the stream, and the result
+    /// is filed back — so the rank lists and the global order cannot
+    /// disagree, whatever was dropped, added, moved or edited in place.
+    /// (How the mutation suites corrupt programs.)
+    ///
+    /// # Panics
+    ///
+    /// Panics when `edit` names a rank outside the program.
+    pub fn rewrite(&mut self, edit: impl FnOnce(&mut Vec<(usize, SpmdOp)>)) {
+        let mut lists: Vec<_> = std::mem::take(&mut self.programs)
+            .into_iter()
+            .map(Vec::into_iter)
+            .collect();
+        self.programs = vec![Vec::new(); lists.len()];
+        let mut stream = std::mem::take(&mut self.order)
+            .into_iter()
+            .map(|rank| (rank, lists[rank].next().expect("order covers every op")))
+            .collect();
+        edit(&mut stream);
+        self.install(stream);
+    }
+
     /// All messages, in global execution order (each transfer counted
     /// once). Tags are monotonic in naive programs but not after
     /// collective lowering, which splices fresh-tagged tree/ring
     /// messages in at their dependency positions.
     pub fn messages(&self) -> Vec<&Message> {
-        self.global
-            .iter()
+        self.in_order()
             .filter(|(_, op)| op.is_send())
             .filter_map(|(_, op)| op.message())
             .collect()
@@ -148,11 +175,11 @@ impl SpmdProgram {
         if m.tensor == self.assignment.lhs.tensor {
             return m.bytes();
         }
-        match self.sparsity.get(&m.tensor) {
-            Some(s) if s.compressed => {
+        match self.tensor(&m.tensor) {
+            Ok(t) if t.format.has_compressed() => {
                 let volume = m.rect.volume().max(0) as u64;
                 let rows = volume / rect_inner_extent(&m.rect);
-                distal_sparse::estimated_payload_bytes(volume, rows, s.density())
+                distal_sparse::estimated_payload_bytes(volume, rows, t.density())
             }
             _ => m.bytes(),
         }
@@ -188,27 +215,28 @@ impl SpmdProgram {
     /// `RetireScratch` per rank; the final gather shares the last
     /// segment).
     pub fn messages_by_step(&self) -> Vec<Vec<Message>> {
-        let segs = crate::collective::segment_of(&self.global, self.ranks());
-        let mut steps = vec![Vec::new(); segs.last().map_or(1, |s| s + 1)];
-        for (idx, (_, op)) in self.global.iter().enumerate() {
+        let mut segments = Segments::new(self.ranks());
+        let mut steps = vec![Vec::new()];
+        for (_, op) in self.in_order() {
+            let step = segments.of(op);
+            if steps.len() <= step {
+                steps.resize_with(step + 1, Vec::new);
+            }
             if op.is_send() {
-                steps[segs[idx]].push(op.message().expect("send carries a message").clone());
+                steps[step].push(op.message().expect("send carries a message").clone());
             }
         }
         steps
     }
 
-    /// Overrides one tensor's stored-entry count and refreshes its
-    /// [`TensorSparsity`] accordingly (`None` restores the dense
-    /// assumption). This is how plan binding attaches *per-instance*
+    /// Overrides one tensor's stored-entry count (`None` restores the
+    /// dense assumption). This is how plan binding attaches *per-instance*
     /// nnz-derived byte accounting to a shared, data-independent lowered
     /// program: the message schedule is untouched (nnz never shapes the
     /// lowering, only the pricing), so no re-lowering happens.
     pub fn set_tensor_nnz(&mut self, name: &str, nnz: Option<u64>) {
         if let Some(t) = self.tensors.iter_mut().find(|t| t.name == name) {
             t.nnz = nnz;
-            self.sparsity
-                .insert(name.to_string(), crate::lower::sparsity_of(t));
         }
     }
 
@@ -267,13 +295,11 @@ impl SpmdProgram {
         let ranks = self.ranks();
         let out_name = &self.assignment.lhs.tensor;
         let mut stores = self.seed_stores(inputs)?;
-        let skip_mask = self.skip_mask();
 
         let mut pending: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
         let mut peak_scratch = 0u64;
         let mut sent: Vec<(&Message, u64)> = Vec::new();
-        for (rank, op) in &self.global {
-            let rank = *rank;
+        for (rank, op) in self.in_order() {
             match op {
                 SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
                     let payload = self.read_payload(&stores[rank], m, out_name)?;
@@ -287,7 +313,7 @@ impl SpmdProgram {
                     self.apply_recv(&mut stores[rank], m, payload);
                 }
                 SpmdOp::Compute { bounds, .. } => {
-                    self.compute(&mut stores[rank], bounds, &skip_mask)?;
+                    self.run_leaf(&mut stores[rank], bounds)?;
                     peak_scratch = peak_scratch.max(stores[rank].scratch_bytes());
                 }
                 SpmdOp::RetireScratch { keep } => {
@@ -349,18 +375,6 @@ impl SpmdProgram {
         Ok(stores)
     }
 
-    /// Per-input flags for the leaf's zero-skipping: compressed
-    /// pure-product operands let it skip iteration points where they
-    /// store no entry; see `compute`.
-    pub(crate) fn skip_mask(&self) -> Vec<bool> {
-        let pure_product = is_pure_product(&self.assignment.rhs);
-        self.assignment
-            .input_accesses()
-            .iter()
-            .map(|acc| pure_product && self.sparsity.get(&acc.tensor).is_some_and(|s| s.compressed))
-            .collect()
-    }
-
     /// Applies a received payload to a rank store. Output-tensor (gather)
     /// messages fold into home output pieces — reduce-tree relays with no
     /// home piece here fold into the accumulator and forward — while
@@ -412,11 +426,10 @@ impl SpmdProgram {
         if m.tensor == self.assignment.lhs.tensor {
             return m.bytes();
         }
-        match self.sparsity.get(&m.tensor) {
-            Some(s) if s.compressed => {
+        match self.tensor(&m.tensor) {
+            Ok(t) if t.format.has_compressed() => {
                 let rows = payload.len() as u64 / rect_inner_extent(&m.rect).max(1);
-                let nnz = payload.iter().filter(|v| v.to_bits() != 0).count() as u64;
-                csr_payload_bytes(rows, nnz)
+                csr_payload_bytes(rows, stored_entries(payload))
             }
             _ => m.bytes(),
         }
@@ -445,68 +458,56 @@ impl SpmdProgram {
         }
     }
 
-    /// Runs the leaf over the iteration sub-box `bounds` (inclusive
-    /// per-variable): the generated kernel by default, the per-point
-    /// interpreter when [`SpmdProgram::interpreted_leaves`] is set. Both
-    /// paths are bit-identical (asserted by the parity suites).
-    pub(crate) fn compute(
-        &self,
-        store: &mut RankStore,
-        bounds: &[(i64, i64)],
-        skip_mask: &[bool],
-    ) -> Result<(), SpmdError> {
-        if self.interpreted_leaves {
-            self.compute_interpreted(store, bounds, skip_mask)
-        } else {
-            self.compute_generated(store, bounds)
-        }
-    }
-
-    /// Generated-kernel leaf execution: gathers each operand's *face* of
-    /// the iteration sub-box into a dense buffer with row copies
-    /// ([`RankStore::gather`]; for a reduction the face is far smaller
-    /// than the box itself — SUMMA's leaves read `n²` values per operand
-    /// instead of `n³`), exposes the rank accumulator
-    /// as the output argument, and runs the plan-time specialized kernel
-    /// over contiguous data. Zero-skipping for compressed operands is
-    /// baked into the kernel (`skip_zero` in the request mirrors the
-    /// interpreter's `skip_mask`).
-    fn compute_generated(
-        &self,
-        store: &mut RankStore,
-        bounds: &[(i64, i64)],
-    ) -> Result<(), SpmdError> {
+    /// The tensor rectangle each access (destination first, then the
+    /// right-hand side in order) touches in a leaf over `bounds`: the
+    /// bounds projected through the access's index variables. `None` for
+    /// clamped-away leaves (some `hi < lo`), which touch nothing.
+    pub(crate) fn leaf_rects(&self, bounds: &[(i64, i64)]) -> Option<Vec<Rect>> {
         if bounds.iter().any(|(lo, hi)| hi < lo) {
-            return Ok(());
+            return None;
         }
-        let a = &self.assignment;
-        let var_pos: BTreeMap<&IndexVar, usize> = self
-            .all_vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v, i))
-            .collect();
-        let rect_of = |indices: &[IndexVar]| {
-            let lo: Vec<i64> = indices.iter().map(|v| bounds[var_pos[v]].0).collect();
-            let hi: Vec<i64> = indices.iter().map(|v| bounds[var_pos[v]].1).collect();
+        let bound_of = |v: &IndexVar| {
+            let pos = self.all_vars.iter().position(|x| x == v);
+            bounds[pos.expect("a statement variable")]
+        };
+        let rect_of = |acc: &&Access| {
+            let (lo, hi) = acc.indices.iter().map(bound_of).unzip();
             Rect::new(Point::new(lo), Point::new(hi))
         };
-        let out_rect = rect_of(&a.lhs.indices);
+        Some(self.assignment.accesses().iter().map(rect_of).collect())
+    }
+
+    /// Runs the leaf kernel over the iteration sub-box `bounds` (inclusive
+    /// per-variable): gathers each operand's *face* of the sub-box into a
+    /// dense buffer with row copies ([`RankStore::gather`]; for a reduction
+    /// the face is far smaller than the box itself — SUMMA's leaves read
+    /// `n²` values per operand instead of `n³`), exposes the rank
+    /// accumulator as the output argument, and runs the plan-time chosen
+    /// kernel over contiguous data. Zero-skipping for compressed operands
+    /// is baked into the generated kernels (`skip_zero` in their request).
+    pub(crate) fn run_leaf(
+        &self,
+        store: &mut RankStore,
+        bounds: &[(i64, i64)],
+    ) -> Result<(), SpmdError> {
+        let Some(rects) = self.leaf_rects(bounds) else {
+            return Ok(());
+        };
+        let mut rects = rects.into_iter();
+        let out_rect = rects.next().expect("the destination access");
         // The accumulator buffer doubles as the kernel's output argument:
         // its data moves into the arg (zero-copy) and back afterwards.
         let (acc_rect, acc_data) = {
             let buf = store.acc_buf(&out_rect);
             (buf.rect.clone(), std::mem::take(&mut buf.data))
         };
-        let mut args = Vec::with_capacity(a.accesses().len());
-        args.push(KernelArg {
+        let mut args = vec![KernelArg {
             privilege: Privilege::ReadWrite,
             rect: out_rect.clone(),
             alloc: acc_rect,
             data: acc_data,
-        });
-        for acc in a.input_accesses() {
-            let rect = rect_of(&acc.indices);
+        }];
+        for (acc, rect) in self.assignment.input_accesses().into_iter().zip(rects) {
             let mut data = pool::take(rect.volume().max(0) as usize);
             store
                 .gather(&acc.tensor, &rect, &mut data)
@@ -538,79 +539,5 @@ impl SpmdProgram {
         store.acc_buf(&out_rect).data = args.next().expect("the output argument");
         pool::give_all(args);
         Ok(())
-    }
-
-    /// Per-point interpreted leaf execution (the pre-generation path,
-    /// kept as the parity reference).
-    ///
-    /// `skip_mask` flags input accesses (in `input_accesses` order) whose
-    /// tensor is compressed within a pure-product statement: points where
-    /// such an operand holds an exact `+0.0` accumulate nothing — the
-    /// sparse-leaf semantics of computing only over stored coordinates.
-    /// Skipping is bit-identical to the dense accumulation of the same
-    /// data because the skipped terms are `±0.0` products that never
-    /// change an accumulator which itself is never `-0.0`.
-    fn compute_interpreted(
-        &self,
-        store: &mut RankStore,
-        bounds: &[(i64, i64)],
-        skip_mask: &[bool],
-    ) -> Result<(), SpmdError> {
-        let a = &self.assignment;
-        let inputs = a.input_accesses();
-        // Output accumulator covering this block's output rectangle.
-        let var_pos: BTreeMap<&IndexVar, usize> = self
-            .all_vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v, i))
-            .collect();
-        let out_lo: Vec<i64> = a.lhs.indices.iter().map(|v| bounds[var_pos[v]].0).collect();
-        let out_hi: Vec<i64> = a.lhs.indices.iter().map(|v| bounds[var_pos[v]].1).collect();
-        let out_rect = Rect::new(Point::new(out_lo), Point::new(out_hi));
-
-        // Iterate the sub-box (odometer over all statement variables).
-        let mut idx: Vec<i64> = bounds.iter().map(|(lo, _)| *lo).collect();
-        let n = bounds.len();
-        let mut vals: Vec<f64> = Vec::with_capacity(inputs.len());
-        loop {
-            // Evaluate the RHS at this point.
-            vals.clear();
-            for acc in &inputs {
-                let p = Point::new(acc.indices.iter().map(|v| idx[var_pos[v]]).collect());
-                vals.push(store.lookup(&acc.tensor, &p).ok_or_else(|| {
-                    SpmdError::Data(format!(
-                        "compute reads {}{p} with no valid local copy",
-                        acc.tensor
-                    ))
-                })?);
-            }
-            let pruned = vals
-                .iter()
-                .zip(skip_mask.iter())
-                .any(|(v, skip)| *skip && v.to_bits() == 0);
-            if !pruned {
-                let mut it = vals.iter().copied();
-                let v = a.rhs.eval(&mut it);
-                let out_p = Point::new(a.lhs.indices.iter().map(|v| idx[var_pos[v]]).collect());
-                store.acc_buf(&out_rect).add(&out_p, v);
-            }
-
-            // Advance the odometer (last variable fastest).
-            let mut d = n;
-            loop {
-                if d == 0 {
-                    return Ok(());
-                }
-                d -= 1;
-                if idx[d] < bounds[d].1 {
-                    idx[d] += 1;
-                    for t in d + 1..n {
-                        idx[t] = bounds[t].0;
-                    }
-                    break;
-                }
-            }
-        }
     }
 }

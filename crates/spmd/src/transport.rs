@@ -1,7 +1,7 @@
 //! How SPMD ranks actually run: sequential simulation or real threads.
 //!
 //! A lowered [`SpmdProgram`] is a set of per-rank op lists plus a global
-//! order. Two transports execute it:
+//! order over them ([`SpmdProgram::in_order`]). Two transports execute it:
 //!
 //! * [`Transport::Sequential`] — the original single-threaded simulation:
 //!   one loop walks the global order with a tag-keyed map standing in for
@@ -24,9 +24,8 @@
 //!   *any* rank it owns wakes it.
 //!
 //! Payloads are whole rectangles: a send gathers its tile out of the
-//! sender's store with strided row copies
-//! ([`RankStore::gather`](crate::vm::RankStore::gather)) and the packet's
-//! vector becomes the receiver's scratch buffer as is.
+//! sender's store with strided row copies and the packet's vector becomes
+//! the receiver's scratch buffer as is.
 //!
 //! # Why the threaded path is bit-identical to the sequential one
 //!
@@ -231,7 +230,6 @@ impl Inbox {
 /// What the workers of one execution share.
 struct Shared<'p> {
     program: &'p SpmdProgram,
-    skip_mask: Vec<bool>,
     /// When the ranks were released; finish times count from here.
     start: Instant,
     /// The watchdog's deadline.
@@ -297,7 +295,7 @@ impl<'p> RankTask<'p> {
                     None => return Ok(progressed),
                 },
                 SpmdOp::Compute { bounds, .. } => {
-                    program.compute(&mut self.store, bounds, &shared.skip_mask)?;
+                    program.run_leaf(&mut self.store, bounds)?;
                     self.peak_scratch = self.peak_scratch.max(self.store.scratch_bytes());
                 }
                 SpmdOp::RetireScratch { keep } => {
@@ -413,7 +411,7 @@ pub(crate) fn execute_threaded(
     for (rank, store) in stores.into_iter().enumerate() {
         partitions[rank % workers].push(RankTask {
             rank,
-            ops: &program.programs[rank],
+            ops: program.rank_ops(rank),
             pc: 0,
             store,
             sent: Vec::new(),
@@ -425,7 +423,6 @@ pub(crate) fn execute_threaded(
     let start = Instant::now();
     let shared = Shared {
         program,
-        skip_mask: program.skip_mask(),
         start,
         deadline: start + cfg.watchdog,
         abort: AbortCell::new(),

@@ -11,7 +11,7 @@
 //!   legal and must not read as hazards.
 //! * `Compute` becomes a `Task` whose access rectangles project the leaf
 //!   bounds through each access's index variables, exactly the
-//!   projection `compute_generated` uses to gather operand faces.
+//!   projection `SpmdProgram::run_leaf` uses to gather operand faces.
 //! * `RetireScratch` becomes a `Fence`: landings before it are retired,
 //!   so the hazard pass's overlap window resets.
 //!
@@ -21,10 +21,8 @@
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
 use distal_core::Diagnostic;
-use distal_ir::expr::IndexVar;
-use distal_machine::geom::{Point, Rect};
+use distal_machine::geom::Rect;
 use distal_verify::{Access, Event, Msg, VerifyProgram};
-use std::collections::BTreeMap;
 
 /// Lowers an [`SpmdProgram`] into the verifier's event IR.
 pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
@@ -38,42 +36,18 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
         fold: reduce || m.tensor == *out_name,
     };
 
-    // Hoisted once per program: the accesses of the (single) assignment
-    // with each index variable resolved to its position in the leaf
-    // bounds vector. `task_accesses` then only indexes.
-    let var_pos: BTreeMap<&IndexVar, usize> = program
-        .all_vars
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v, i))
-        .collect();
-    let a = &program.assignment;
-    let mut specs: Vec<(&str, bool, Vec<usize>)> = Vec::new();
-    specs.push((
-        a.lhs.tensor.as_str(),
-        true,
-        a.lhs.indices.iter().map(|v| var_pos[v]).collect(),
-    ));
-    for acc in a.input_accesses() {
-        specs.push((
-            acc.tensor.as_str(),
-            false,
-            acc.indices.iter().map(|v| var_pos[v]).collect(),
-        ));
-    }
-
-    let ranks = program
-        .programs
-        .iter()
-        .map(|ops| {
-            ops.iter()
+    let ranks = (0..program.ranks())
+        .map(|rank| {
+            program
+                .rank_ops(rank)
+                .iter()
                 .map(|op| match op {
                     SpmdOp::Send(m) => Event::Send(msg(m, m.to, false)),
                     SpmdOp::Recv(m) => Event::Recv(msg(m, m.from, false)),
                     SpmdOp::ReduceSend(m) => Event::Send(msg(m, m.to, true)),
                     SpmdOp::ReduceRecv(m) => Event::Recv(msg(m, m.from, true)),
                     SpmdOp::Compute { bounds, .. } => Event::Task {
-                        accesses: task_accesses(&specs, bounds),
+                        accesses: task_accesses(program, bounds),
                     },
                     SpmdOp::RetireScratch { .. } => Event::Fence,
                 })
@@ -92,24 +66,20 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
     }
 }
 
-/// The tensor rectangles one leaf touches: the same bounds-through-indices
-/// projection `compute_generated` gathers operand faces with. Clamped-away
-/// leaves (any `hi < lo`) touch nothing. `specs` carries the assignment's
-/// accesses with index variables pre-resolved to bounds positions.
-fn task_accesses(specs: &[(&str, bool, Vec<usize>)], bounds: &[(i64, i64)]) -> Vec<Access> {
-    if bounds.iter().any(|(lo, hi)| hi < lo) {
-        return Vec::new();
-    }
-    specs
+/// The tensor rectangles one leaf touches — [`SpmdProgram::leaf_rects`],
+/// the projection `SpmdProgram::run_leaf` gathers operand faces with —
+/// the destination as a write, the operands as reads.
+fn task_accesses(program: &SpmdProgram, bounds: &[(i64, i64)]) -> Vec<Access> {
+    let rects = program.leaf_rects(bounds).unwrap_or_default();
+    let accesses = program.assignment.accesses();
+    accesses
         .iter()
-        .map(|(tensor, write, pos)| {
-            let lo: Vec<i64> = pos.iter().map(|&p| bounds[p].0).collect();
-            let hi: Vec<i64> = pos.iter().map(|&p| bounds[p].1).collect();
-            Access {
-                tensor: (*tensor).to_string(),
-                rect: Rect::new(Point::new(lo), Point::new(hi)),
-                write: *write,
-            }
+        .zip(rects)
+        .enumerate()
+        .map(|(i, (acc, rect))| Access {
+            tensor: acc.tensor.clone(),
+            rect,
+            write: i == 0,
         })
         .collect()
 }

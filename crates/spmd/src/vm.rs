@@ -17,11 +17,9 @@
 //! payloads, the operand tiles of a leaf, reduction folds and the final
 //! output assembly are all strided row copies through
 //! [`distal_machine::geom::copy_rect`]. [`RankStore::gather`] resolves
-//! *which* buffer supplies each part of a rectangle — the same
-//! newest-scratch-then-home priority [`RankStore::lookup`] applies to one
-//! point — once per buffer instead of once per element. `lookup` itself
-//! survives only as the per-point oracle the interpreted leaves read
-//! through.
+//! *which* buffer supplies each part of a rectangle — newest scratch
+//! generation first, then home — once per buffer instead of once per
+//! element.
 //!
 //! The store is transport-agnostic: the sequential VM mutates one
 //! `RankStore` per rank inside a single loop, while the threaded
@@ -30,7 +28,7 @@
 //! same buffer semantics, which is the root of the transports'
 //! bit-parity guarantee.
 
-use distal_machine::geom::{copy_rect, Point, Rect};
+use distal_machine::geom::{copy_rect, Rect};
 use distal_machine::ELEM_BYTES;
 use distal_runtime::pool;
 use std::collections::{BTreeMap, VecDeque};
@@ -38,16 +36,16 @@ use std::ops::Deref;
 
 /// A rectangular buffer: `rect` in tensor space, row-major `data`.
 #[derive(Clone, Debug)]
-pub struct Buf {
+pub(crate) struct Buf {
     /// The tensor-space rectangle this buffer covers.
-    pub rect: Rect,
+    pub(crate) rect: Rect,
     /// Row-major values within `rect`.
-    pub data: Vec<f64>,
+    pub(crate) data: Vec<f64>,
 }
 
 impl Buf {
     /// A zero-filled buffer covering `rect`.
-    pub fn zeros(rect: Rect) -> Self {
+    pub(crate) fn zeros(rect: Rect) -> Self {
         let n = rect.volume().max(0) as usize;
         Buf {
             rect,
@@ -57,37 +55,12 @@ impl Buf {
 
     /// A buffer covering `rect` with unspecified contents, for a caller
     /// about to overwrite all of it.
-    pub fn stale(rect: Rect) -> Self {
+    pub(crate) fn stale(rect: Rect) -> Self {
         let n = rect.volume().max(0) as usize;
         Buf {
             rect,
             data: pool::take(n),
         }
-    }
-
-    /// Row-major offset of `p` inside the buffer.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics when `p` lies outside the buffer's rectangle.
-    pub fn offset(&self, p: &Point) -> usize {
-        debug_assert!(self.rect.contains_point(p), "{p} outside {}", self.rect);
-        let mut idx = 0i64;
-        for d in 0..self.rect.dim() {
-            idx = idx * self.rect.extent(d) + (p[d] - self.rect.lo()[d]);
-        }
-        idx as usize
-    }
-
-    /// The value at tensor-space point `p`.
-    pub fn get(&self, p: &Point) -> f64 {
-        self.data[self.offset(p)]
-    }
-
-    /// Adds `v` at tensor-space point `p`.
-    pub fn add(&mut self, p: &Point, v: f64) {
-        let o = self.offset(p);
-        self.data[o] += v;
     }
 }
 
@@ -145,7 +118,7 @@ fn fold_into(bufs: &mut [Buf], rect: &Rect, values: &[f64]) {
 
 /// One rank's buffers.
 #[derive(Clone, Debug, Default)]
-pub struct RankStore {
+pub(crate) struct RankStore {
     home: BTreeMap<String, Vec<Buf>>,
     scratch: BTreeMap<String, VecDeque<Vec<Buf>>>,
     acc: Vec<Buf>,
@@ -153,17 +126,17 @@ pub struct RankStore {
 
 impl RankStore {
     /// Installs a home buffer for `tensor`.
-    pub fn add_home(&mut self, tensor: &str, buf: Buf) {
+    pub(crate) fn add_home(&mut self, tensor: &str, buf: Buf) {
         self.home.entry(tensor.to_string()).or_default().push(buf);
     }
 
     /// The home buffers of `tensor`.
-    pub fn home(&self, tensor: &str) -> &[Buf] {
+    pub(crate) fn home(&self, tensor: &str) -> &[Buf] {
         self.home.get(tensor).map_or(&[], Vec::as_slice)
     }
 
     /// Pushes a received buffer into the current scratch generation.
-    pub fn receive(&mut self, tensor: &str, buf: Buf) {
+    pub(crate) fn receive(&mut self, tensor: &str, buf: Buf) {
         match self.scratch.get_mut(tensor) {
             Some(gens) => match gens.front_mut() {
                 Some(newest) => newest.push(buf),
@@ -178,7 +151,7 @@ impl RankStore {
 
     /// Retires scratch: keeps the newest `keep` generations of every tensor
     /// and opens a fresh accumulating generation.
-    pub fn retire_scratch(&mut self, keep: usize) {
+    pub(crate) fn retire_scratch(&mut self, keep: usize) {
         for gens in self.scratch.values_mut() {
             let retired = gens.drain(keep.min(gens.len())..);
             pool::give_all(retired.flatten().map(|b| b.data));
@@ -187,7 +160,7 @@ impl RankStore {
     }
 
     /// Total bytes of live scratch (for the memory-bound assertions).
-    pub fn scratch_bytes(&self) -> u64 {
+    pub(crate) fn scratch_bytes(&self) -> u64 {
         self.scratch
             .values()
             .flat_map(|gens| gens.iter().flatten())
@@ -202,25 +175,16 @@ impl RankStore {
         scratch.chain(self.home(tensor))
     }
 
-    /// Looks up the value of `tensor` at `p`: newest scratch first, then
-    /// home pieces. Per-point, so only the interpreted-leaf parity oracle
-    /// reads through it; data moves through [`RankStore::gather`].
-    pub fn lookup(&self, tensor: &str, p: &Point) -> Option<f64> {
-        self.bufs(tensor)
-            .find(|b| b.rect.contains_point(p))
-            .map(|b| b.get(p))
-    }
-
     /// Copies `rect` of `tensor` into `out` (row-major over `rect`), every
-    /// point from the buffer [`RankStore::lookup`] would read it from: each
-    /// buffer, in priority order, supplies its intersection with the part
-    /// of `rect` still uncovered.
+    /// point from the first buffer in priority order that holds it: each
+    /// buffer supplies its intersection with the part of `rect` still
+    /// uncovered.
     ///
     /// # Errors
     ///
     /// The first uncovered rectangle, when the rank holds no valid copy of
     /// part of `rect`.
-    pub fn gather(&self, tensor: &str, rect: &Rect, out: &mut [f64]) -> Result<(), Rect> {
+    pub(crate) fn gather(&self, tensor: &str, rect: &Rect, out: &mut [f64]) -> Result<(), Rect> {
         self.gather_into(tensor, rect, rect, out)
     }
 
@@ -230,7 +194,7 @@ impl RankStore {
     /// # Errors
     ///
     /// As [`RankStore::gather`].
-    pub fn gather_into(
+    pub(crate) fn gather_into(
         &self,
         tensor: &str,
         rect: &Rect,
@@ -246,12 +210,12 @@ impl RankStore {
     /// # Errors
     ///
     /// The first rectangle of `rect` nothing was accumulated for.
-    pub fn gather_acc(&self, rect: &Rect, out: &mut [f64]) -> Result<(), Rect> {
+    pub(crate) fn gather_acc(&self, rect: &Rect, out: &mut [f64]) -> Result<(), Rect> {
         gather_from(&self.acc, rect, rect, out)
     }
 
     /// The accumulator buffer covering `rect`, created on first use.
-    pub fn acc_buf(&mut self, rect: &Rect) -> &mut Buf {
+    pub(crate) fn acc_buf(&mut self, rect: &Rect) -> &mut Buf {
         if let Some(i) = self.acc.iter().position(|b| b.rect.contains_rect(rect)) {
             return &mut self.acc[i];
         }
@@ -261,13 +225,13 @@ impl RankStore {
 
     /// Moves the accumulator buffers out (the final local fold consumes
     /// them).
-    pub fn take_acc(&mut self) -> Vec<Buf> {
+    pub(crate) fn take_acc(&mut self) -> Vec<Buf> {
         std::mem::take(&mut self.acc)
     }
 
     /// Folds `values` over `rect` into the home buffers of `tensor`
     /// (elementwise add); points outside every home piece are ignored.
-    pub fn fold_into_home(&mut self, tensor: &str, rect: &Rect, values: &[f64]) {
+    pub(crate) fn fold_into_home(&mut self, tensor: &str, rect: &Rect, values: &[f64]) {
         if let Some(home) = self.home.get_mut(tensor) {
             fold_into(home, rect, values);
         }
@@ -277,7 +241,7 @@ impl RankStore {
     /// fold there (the rank is a gather/reduce root for them); the rest
     /// fold into the accumulator, so a relay of a reduce tree carries the
     /// partial onward in its own next `ReduceSend`.
-    pub fn fold_output(&mut self, tensor: &str, rect: &Rect, values: &[f64]) {
+    pub(crate) fn fold_output(&mut self, tensor: &str, rect: &Rect, values: &[f64]) {
         let home = self
             .home
             .get_mut(tensor)
@@ -317,19 +281,18 @@ impl Drop for RankStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distal_machine::geom::Point;
 
     fn pt(c: &[i64]) -> Point {
         Point::new(c.to_vec())
     }
 
-    #[test]
-    fn buf_offsets_row_major() {
-        let r = Rect::new(pt(&[2, 4]), pt(&[3, 7]));
-        let b = Buf::zeros(r);
-        assert_eq!(b.data.len(), 8);
-        assert_eq!(b.offset(&pt(&[2, 4])), 0);
-        assert_eq!(b.offset(&pt(&[2, 7])), 3);
-        assert_eq!(b.offset(&pt(&[3, 4])), 4);
+    /// One point of `tensor`, read from the first buffer in priority order
+    /// that holds it — the per-point oracle of [`RankStore::gather`].
+    fn lookup(s: &RankStore, tensor: &str, p: &Point) -> Option<f64> {
+        s.bufs(tensor)
+            .find(|b| b.rect.contains_point(p))
+            .map(|b| b.data[b.rect.linearize(p)])
     }
 
     #[test]
@@ -343,13 +306,13 @@ mod tests {
         new.data = vec![2.0, 2.0];
         s.receive("B", new);
         // Both generations alive; newest wins.
-        assert_eq!(s.lookup("B", &pt(&[0])), Some(2.0));
+        assert_eq!(lookup(&s, "B", &pt(&[0])), Some(2.0));
         // After another retire with keep=1, the old generation is gone and
         // the newer one remains.
         s.retire_scratch(1);
-        assert_eq!(s.lookup("B", &pt(&[0])), Some(2.0));
+        assert_eq!(lookup(&s, "B", &pt(&[0])), Some(2.0));
         s.retire_scratch(0);
-        assert_eq!(s.lookup("B", &pt(&[0])), None);
+        assert_eq!(lookup(&s, "B", &pt(&[0])), None);
     }
 
     #[test]
@@ -361,9 +324,9 @@ mod tests {
         let mut recv = Buf::zeros(Rect::new(pt(&[1]), pt(&[2])));
         recv.data = vec![9.0, 9.0];
         s.receive("B", recv);
-        assert_eq!(s.lookup("B", &pt(&[0])), Some(5.0));
-        assert_eq!(s.lookup("B", &pt(&[1])), Some(9.0));
-        assert_eq!(s.lookup("Z", &pt(&[0])), None);
+        assert_eq!(lookup(&s, "B", &pt(&[0])), Some(5.0));
+        assert_eq!(lookup(&s, "B", &pt(&[1])), Some(9.0));
+        assert_eq!(lookup(&s, "Z", &pt(&[0])), None);
     }
 
     fn buf(lo: &[i64], hi: &[i64], fill: f64) -> Buf {
@@ -394,7 +357,7 @@ mod tests {
         ]);
         // Point for point what the oracle's lookup reads.
         for (i, p) in rect.points().enumerate() {
-            assert_eq!(s.lookup("B", &p), Some(got[i]), "{p}");
+            assert_eq!(lookup(&s, "B", &p), Some(got[i]), "{p}");
         }
         // A sub-rectangle lands row-major over itself.
         let sub = Rect::new(pt(&[2, 1]), pt(&[3, 2]));
@@ -460,8 +423,8 @@ mod tests {
         let mut s = RankStore::default();
         s.add_home("A", Buf::zeros(Rect::new(pt(&[0]), pt(&[1]))));
         s.fold_into_home("A", &Rect::sized(&[4]), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.lookup("A", &pt(&[1])), Some(2.0));
-        assert_eq!(s.lookup("A", &pt(&[3])), None);
+        assert_eq!(lookup(&s, "A", &pt(&[1])), Some(2.0));
+        assert_eq!(lookup(&s, "A", &pt(&[3])), None);
     }
 
     #[test]

@@ -99,31 +99,6 @@ fn figure9_non_square_grids() {
     }
 }
 
-/// Splits the message stream by sequential step: each step ends with a
-/// burst of `RetireScratch` ops (one per rank).
-fn messages_by_step(program: &distal_spmd::SpmdProgram) -> Vec<Vec<distal_spmd::Message>> {
-    let ranks = program.ranks();
-    let mut steps = vec![Vec::new()];
-    let mut retires = 0;
-    for (_, op) in &program.global {
-        match op {
-            SpmdOp::RetireScratch { .. } => {
-                retires += 1;
-                if retires == ranks {
-                    steps.push(Vec::new());
-                    retires = 0;
-                }
-            }
-            _ if op.is_send() => {
-                let last = steps.len() - 1;
-                steps[last].push(op.message().unwrap().clone());
-            }
-            _ => {}
-        }
-    }
-    steps
-}
-
 #[test]
 fn cannon_steady_state_is_neighbor_only() {
     // The emergent-systolic property (Figure 8b): after the first step
@@ -134,7 +109,7 @@ fn cannon_steady_state_is_neighbor_only() {
     // vacuous.
     let program = verify_matmul(MatmulAlgorithm::Cannon, 16, 16);
     let grid = Grid::grid2(4, 4);
-    let steps = messages_by_step(&program);
+    let steps = program.messages_by_step();
     assert!(steps.len() >= 4, "expected 4 sequential steps");
     for (s, msgs) in steps.iter().enumerate().skip(1) {
         for m in msgs {
@@ -170,7 +145,7 @@ fn figure12_cannon_pattern_is_derived_statically() {
     // (io+1, jo). The static analysis must derive exactly these partners.
     let program = verify_matmul(MatmulAlgorithm::Cannon, 9, 9);
     let grid = Grid::grid2(3, 3);
-    let steps = messages_by_step(&program);
+    let steps = program.messages_by_step();
     for (s, msgs) in steps.iter().enumerate().skip(1) {
         if msgs.is_empty() {
             continue; // trailing empty segment
@@ -339,8 +314,7 @@ fn innerprod_reduces_through_a_binomial_tree() {
                             // The last fold lands at the root; every message is a reduce-send.
     assert_eq!(program.messages().last().unwrap().to, 0);
     assert!(program
-        .global
-        .iter()
+        .in_order()
         .filter(|(_, op)| op.is_send())
         .all(|(_, op)| matches!(op, SpmdOp::ReduceSend(_))));
     assert!(program
@@ -519,8 +493,7 @@ fn johnson_folds_distributed_reduction() {
     let program = verify_matmul(MatmulAlgorithm::Johnson, 8, 8);
     let grid = Grid::grid3(2, 2, 2);
     let reduce_msgs: Vec<_> = program
-        .global
-        .iter()
+        .in_order()
         .filter_map(|(_, op)| match op {
             SpmdOp::ReduceSend(m) => Some(m.clone()),
             _ => None,

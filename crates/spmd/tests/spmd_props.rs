@@ -71,19 +71,27 @@ proptest! {
         let program = lower_problem(&problem, &schedule, &CollectiveConfig::default()).unwrap();
 
         // Structural invariant: every send has exactly one matching recv
-        // with the same tag, and vice versa.
+        // with the same tag, and vice versa — and the global order is a
+        // linearization of the rank programs (every op exactly once, each
+        // rank's ops in program order) with every send ahead of its recv.
         let mut sends = BTreeSet::new();
         let mut recvs = BTreeSet::new();
-        for (_, op) in &program.global {
+        let mut cursor = vec![0usize; program.ranks()];
+        for (rank, op) in program.in_order() {
+            prop_assert!(std::ptr::eq(op, &program.rank_ops(rank)[cursor[rank]]));
+            cursor[rank] += 1;
             if let Some(m) = op.message() {
                 if op.is_send() {
                     prop_assert!(sends.insert(m.tag), "duplicate send tag {}", m.tag);
                 } else {
+                    prop_assert!(sends.contains(&m.tag), "recv before send of tag {}", m.tag);
                     prop_assert!(recvs.insert(m.tag), "duplicate recv tag {}", m.tag);
                 }
             }
         }
         prop_assert_eq!(&sends, &recvs);
+        let listed: usize = (0..program.ranks()).map(|r| program.rank_ops(r).len()).sum();
+        prop_assert_eq!(listed, program.in_order().count());
 
         let mut inputs = BTreeMap::new();
         inputs.insert("B".to_string(), random_data((n * n) as usize, seed));

@@ -129,12 +129,9 @@ fn watchdog_catches_a_lost_send() {
         .first()
         .map(|m| m.tag)
         .expect("SUMMA communicates");
-    for ops in &mut program.programs {
-        ops.retain(|op| !(op.is_send() && op.message().is_some_and(|m| m.tag == lost_tag)));
-    }
-    program
-        .global
-        .retain(|(_, op)| !(op.is_send() && op.message().is_some_and(|m| m.tag == lost_tag)));
+    program.rewrite(|stream| {
+        stream.retain(|(_, op)| !(op.is_send() && op.message().is_some_and(|m| m.tag == lost_tag)));
+    });
     let short = Transport::Threaded(ThreadedConfig {
         threads: 4,
         watchdog: Duration::from_millis(300),
@@ -162,10 +159,7 @@ fn peers_surface_the_root_cause_of_an_abort() {
         .expect("SUMMA communicates");
     let is_lost_recv =
         |op: &distal_spmd::SpmdOp| !op.is_send() && op.message().is_some_and(|m| m.tag == lost_tag);
-    for ops in &mut program.programs {
-        ops.retain(|op| !is_lost_recv(op));
-    }
-    program.global.retain(|(_, op)| !is_lost_recv(op));
+    program.rewrite(|stream| stream.retain(|(_, op)| !is_lost_recv(op)));
     // Run wide enough that other workers sit blocked and observe the
     // abort rather than erroring themselves.
     match program.execute_with(&inputs, &watchdog(4)) {

@@ -15,7 +15,7 @@ use distal_core::{verified_clean, DiagnosticKind, DistalMachine, Problem, Schedu
 use distal_format::Format;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
-use distal_spmd::{lower_problem, verify_program, CollectiveConfig, SpmdOp, SpmdProgram};
+use distal_spmd::{lower_problem, verify_program, CollectiveConfig, Message, SpmdOp, SpmdProgram};
 
 /// One Figure 9 matmul, lowered with the given collective configuration.
 fn figure9(alg: MatmulAlgorithm, p: i64, n: i64, cfg: &CollectiveConfig) -> SpmdProgram {
@@ -94,6 +94,20 @@ fn spmm(g: i64, n: i64, cfg: &CollectiveConfig) -> SpmdProgram {
     lower_problem(&problem, &Schedule::summa(g, g, (n / g).max(1)), cfg).unwrap()
 }
 
+/// Edits every message of the program in place; `edit` is told whether
+/// the op carrying it sends.
+fn edit_messages(program: &mut SpmdProgram, mut edit: impl FnMut(bool, &mut Message)) {
+    program.rewrite(|stream| {
+        for (_, op) in stream {
+            match op {
+                SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => edit(true, m),
+                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => edit(false, m),
+                _ => {}
+            }
+        }
+    });
+}
+
 /// The three collective lowerings every program must stay clean under.
 fn lowerings() -> [(&'static str, CollectiveConfig); 3] {
     [
@@ -139,10 +153,7 @@ fn mutation_dropped_send_is_a_lost_message() {
     let mut program = figure9(MatmulAlgorithm::Summa, 4, 8, &CollectiveConfig::trees());
     let lost = program.messages().first().map(|m| (**m).clone()).unwrap();
     let drop_it = |op: &SpmdOp| op.is_send() && op.message().is_some_and(|m| m.tag == lost.tag);
-    for ops in &mut program.programs {
-        ops.retain(|op| !drop_it(op));
-    }
-    program.global.retain(|(_, op)| !drop_it(op));
+    program.rewrite(|stream| stream.retain(|(_, op)| !drop_it(op)));
 
     let diags = verify_program(&program);
     assert!(!verified_clean(&diags));
@@ -162,17 +173,14 @@ fn mutation_dropped_send_is_a_lost_message() {
 fn mutation_duplicated_send_is_a_duplicate_message() {
     let mut program = figure9(MatmulAlgorithm::Summa, 4, 8, &CollectiveConfig::trees());
     let dup_tag = program.messages().first().map(|m| m.tag).unwrap();
-    for rank in 0..program.programs.len() {
-        if let Some(op) = program.programs[rank]
+    program.rewrite(|stream| {
+        let dup = stream
             .iter()
-            .find(|op| op.is_send() && op.message().is_some_and(|m| m.tag == dup_tag))
+            .find(|(_, op)| op.is_send() && op.message().is_some_and(|m| m.tag == dup_tag))
             .cloned()
-        {
-            program.programs[rank].push(op.clone());
-            program.global.push((rank, op));
-            break;
-        }
-    }
+            .expect("the send exists");
+        stream.push(dup);
+    });
     let diags = verify_program(&program);
     assert!(diags
         .iter()
@@ -195,19 +203,12 @@ fn mutation_swapped_tags_are_a_mismatch() {
         (first.tag, other)
     };
     let mut swapped = 0;
-    for ops in program.programs.iter_mut() {
-        for op in ops.iter_mut() {
-            if let SpmdOp::Send(m) | SpmdOp::ReduceSend(m) = op {
-                if m.tag == tag_a {
-                    m.tag = tag_b;
-                    swapped += 1;
-                } else if m.tag == tag_b {
-                    m.tag = tag_a;
-                    swapped += 1;
-                }
-            }
+    edit_messages(&mut program, |send, m| {
+        if send && (m.tag == tag_a || m.tag == tag_b) {
+            m.tag = if m.tag == tag_a { tag_b } else { tag_a };
+            swapped += 1;
         }
-    }
+    });
     assert_eq!(swapped, 2, "both sends re-tagged");
     let diags = verify_program(&program);
     assert!(
@@ -236,20 +237,12 @@ fn mutation_out_of_bounds_rect_rejected() {
     let mut program = figure9(MatmulAlgorithm::Summa, 4, 8, &CollectiveConfig::trees());
     let bad_tag = program.messages().first().map(|m| m.tag).unwrap();
     let mut skewed = None;
-    for ops in program.programs.iter_mut() {
-        for op in ops.iter_mut() {
-            if let SpmdOp::Send(m)
-            | SpmdOp::Recv(m)
-            | SpmdOp::ReduceSend(m)
-            | SpmdOp::ReduceRecv(m) = op
-            {
-                if m.tag == bad_tag {
-                    m.rect = shift(&m.rect, 1000);
-                    skewed = Some((m.tensor.clone(), m.tag));
-                }
-            }
+    edit_messages(&mut program, |_, m| {
+        if m.tag == bad_tag {
+            m.rect = shift(&m.rect, 1000);
+            skewed = Some((m.tensor.clone(), m.tag));
         }
-    }
+    });
     let (tensor, tag) = skewed.expect("found the transfer to skew");
     let diags = verify_program(&program);
     let d = diags
@@ -268,13 +261,13 @@ fn mutation_out_of_bounds_rect_rejected() {
 fn mutation_aliased_output_write_is_a_hazard() {
     let mut program = figure9(MatmulAlgorithm::Summa, 4, 8, &CollectiveConfig::trees());
     assert!(!program.dist_reduces, "SUMMA reduces locally");
-    let stolen = program.programs[0]
+    let stolen = program
+        .rank_ops(0)
         .iter()
         .find(|op| matches!(op, SpmdOp::Compute { .. }))
         .cloned()
         .expect("rank 0 computes");
-    program.programs[1].push(stolen.clone());
-    program.global.push((1, stolen));
+    program.rewrite(|stream| stream.push((1, stolen)));
     let diags = verify_program(&program);
     let out = program.assignment.lhs.tensor.clone();
     assert!(
@@ -309,15 +302,18 @@ fn mutation_cyclic_wait_is_a_deadlock() {
         .expect("Cannon shifts in both directions");
     // On each endpoint rank, move the receive of the opposing message to
     // the very front of its program — before its own send.
-    for (rank, recv_tag) in [(m1.from, m2.tag), (m2.from, m1.tag)] {
-        let ops = &mut program.programs[rank];
-        let pos = ops
-            .iter()
-            .position(|op| !op.is_send() && op.message().is_some_and(|m| m.tag == recv_tag))
-            .expect("the receive exists on this rank");
-        let recv = ops.remove(pos);
-        ops.insert(0, recv);
-    }
+    program.rewrite(|stream| {
+        for (rank, recv_tag) in [(m1.from, m2.tag), (m2.from, m1.tag)] {
+            let pos = stream
+                .iter()
+                .position(|(r, op)| {
+                    *r == rank && !op.is_send() && op.message().is_some_and(|m| m.tag == recv_tag)
+                })
+                .expect("the receive exists on this rank");
+            let recv = stream.remove(pos);
+            stream.insert(0, recv);
+        }
+    });
     let diags = verify_program(&program);
     let d = diags
         .iter()

@@ -326,9 +326,11 @@ fn cost_backend_prices_density() {
     );
 }
 
-/// Runs `problem` four ways — runtime and SPMD, generated leaves and
-/// interpreter-forced leaves — and asserts all four reads of `out` are
-/// bit-identical within each backend (generated vs interpreter is the
+/// Runs `problem` six ways — the runtime, the SPMD rank VM and its
+/// threaded transport, each under `schedule` (generated leaves) and
+/// `interpreter_schedule` (its `substitute(.., LeafKind::Interpreter)`
+/// twin, which every backend must honour) — and asserts the reads of `out`
+/// are bit-identical within each backend (generated vs interpreter is the
 /// kernelgen correctness contract; cross-backend equality is asserted
 /// where the existing tests already guarantee it). Returns the generated
 /// runtime report so callers can check which kernel variant actually ran.
@@ -348,19 +350,29 @@ fn assert_generated_matches_interpreter(
             .unwrap_or_else(|e| panic!("{label} [{}]: {e}", backend.name()));
         (art.read(out).unwrap(), report)
     };
+    let threaded = SpmdBackend::new().with_transport(Transport::threaded_with(2));
     let (rt_gen, rt_report) = run(&RuntimeBackend::functional(), schedule);
     let (rt_interp, rt_interp_report) = run(&RuntimeBackend::functional(), interpreter_schedule);
     let (sp_gen, _) = run(&SpmdBackend::new(), schedule);
-    let (sp_interp, _) = run(&SpmdBackend::new().with_interpreted_leaves(), schedule);
-    assert!(
-        rt_interp_report.kernel_classes.contains_key("interpreter"),
-        "{label}: interpreter-forced runtime run dispatched {:?}",
-        rt_interp_report.kernel_classes.keys().collect::<Vec<_>>()
-    );
+    let (sp_interp, sp_interp_report) = run(&SpmdBackend::new(), interpreter_schedule);
+    let (th_gen, _) = run(&threaded, schedule);
+    let (th_interp, th_interp_report) = run(&threaded, interpreter_schedule);
+    for (which, report) in [
+        ("runtime", &rt_interp_report),
+        ("spmd", &sp_interp_report),
+        ("threaded", &th_interp_report),
+    ] {
+        // (The runtime's placement launches run a `noop` kernel.)
+        let leaves = report.kernel_classes.keys().filter(|k| *k != "noop");
+        let leaves: Vec<_> = leaves.collect();
+        assert_eq!(leaves, ["interpreter"], "{label}: {which} under substitute");
+    }
     for (which, got) in [
         ("runtime interpreter", &rt_interp),
         ("spmd generated", &sp_gen),
         ("spmd interpreter", &sp_interp),
+        ("spmd threaded generated", &th_gen),
+        ("spmd threaded interpreter", &th_interp),
     ] {
         let want = if which.starts_with("runtime") {
             &rt_gen
@@ -386,6 +398,18 @@ fn assert_generated_matches_interpreter(
         );
     }
     rt_report
+}
+
+#[test]
+fn gemm_substitution_on_a_non_matmul_is_one_error_on_both_backends() {
+    let (problem, schedule) = spmv_problem(4, 24, 1.0, false);
+    let schedule = schedule.substitute(&["ii"], LeafKind::Gemm);
+    let refusal = |backend: &dyn Backend| match backend.plan(&problem, &schedule) {
+        Err(BackendError::Compile(e @ CompileError::BadSubstitution(_))) => e,
+        other => panic!("{}: {:?}", backend.name(), other.err()),
+    };
+    let runtime = refusal(&RuntimeBackend::functional());
+    assert_eq!(runtime, refusal(&SpmdBackend::new()));
 }
 
 #[test]

@@ -40,12 +40,10 @@ fn two_level_format_places_and_computes() {
         .reorder(&["ino", "jo", "ig", "il", "ji", "k"])
         .distribute(&["ino", "jo", "ig"])
         .communicate(&["A", "B", "C"], "ig");
-    // `i` is deliberately distributed twice, once per machine level, which
-    // the flat-machine redistribution lint would reject.
-    let backend =
-        RuntimeBackend::functional().with_lints(LintConfig::default().allow(Lint::Redistribution));
+    // `i` is distributed twice, once per machine level, which admission
+    // accepts on a two-level machine.
     let (instance, place, _compute) =
-        common::run_against_oracle(&backend, &problem, &schedule, 1e-9);
+        common::run_against_oracle(&RuntimeBackend::functional(), &problem, &schedule, 1e-9);
     assert_eq!(instance.kernel().launch_domain, vec![2, 2, 4]);
     assert!(place.tasks > 0);
 }

@@ -8,7 +8,7 @@ use distal_core::lint::{admit, lint_schedule, LintConfig};
 use distal_core::{
     BackendError, Diagnostic, DiagnosticKind, DistalMachine, Problem, Schedule, TensorSpec,
 };
-use distal_format::{Format, LevelFormat};
+use distal_format::{Format, LevelFormat, TensorDistribution};
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 
@@ -193,6 +193,44 @@ fn double_distribution_is_rejected() {
     assert_eq!(d.var.as_deref(), Some("io"));
     assert_eq!(d.message, "'io' is already distributed");
     assert_eq!(d.fixit.as_deref(), Some("distribute 'i' once"));
+}
+
+#[test]
+fn a_dimension_is_distributed_at_most_once_per_machine_level() {
+    // `i` cut into three distributable loops of extent 2 beside `jo`.
+    let cuts = Schedule::new()
+        .divide("i", "ia", "ra", 2)
+        .divide("ra", "ib", "rb", 2)
+        .divide("rb", "ic", "il", 2)
+        .divide("j", "jo", "ji", 2);
+    // Flat 4x2 machine: the second loop over `i` is one too many. Nodes x
+    // GPUs take one per level (`tests/hierarchical_machine.rs` runs that),
+    // so there the third is.
+    let flat = matmul();
+    let nodes_of_gpus =
+        DistalMachine::hierarchical(vec![Grid::grid2(2, 2), Grid::line(4)], ProcKind::Cpu);
+    let mut two_level = Problem::new(MachineSpec::small(4), nodes_of_gpus);
+    two_level.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
+    let per_level = ["xy->xy", "xy->x"].map(|d| TensorDistribution::parse(d).unwrap());
+    for t in ["A", "B", "C"] {
+        let format = Format::hierarchical(per_level.to_vec(), MemKind::Sys);
+        two_level
+            .tensor(TensorSpec::new(t, vec![16, 16], format))
+            .unwrap();
+    }
+    for (problem, distributed, rejected) in [
+        (&flat, vec!["ia", "jo", "ib"], "ib"),
+        (&two_level, vec!["ia", "jo", "ib", "ic"], "ic"),
+    ] {
+        let s = cuts.clone().distribute(&distributed);
+        let diags = reject(problem, &s, &LintConfig::new());
+        let d = &diags[0];
+        assert_eq!((diags.len(), d.kind), (1, DiagnosticKind::Redistribution));
+        assert_eq!((d.command, d.var.as_deref()), (Some(4), Some(rejected)));
+        let message = format!("'{rejected}' derives from 'i', which 'ia' already distributes");
+        assert_eq!(d.message, message);
+        assert_eq!(d.fixit.as_deref(), Some("distribute 'i' once"));
+    }
 }
 
 #[test]

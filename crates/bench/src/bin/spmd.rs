@@ -4,22 +4,24 @@
 //! Usage: `cargo run --release -p distal-bench --bin spmd
 //! [--assert-depth log|N] [--threads N] [--assert-parity]
 //! [--assert-verified] [--assert-lint-overhead]
-//! [--assert-vm-overhead RATIO] [gx gy n]`
+//! [--assert-vm-overhead RATIO] [--assert-plan-scaling RATIO] [gx gy n]`
 //! (defaults: 4 4 32, threads auto-sized to the host).
 //!
 //! `--assert-verified` is the static-analysis CI gate: every lowered
 //! program must pass the plan-time verifier (no error diagnostics), and
-//! verification must stay cheap — under 5% of the lowering wall time
-//! per row, with an absolute floor declaring sub-2ms verification free
-//! (the toy plans CI lowers finish in ~1ms, where fixed per-pass costs
-//! dominate any ratio). The per-row timings land in `BENCH_spmd.json`
-//! as `plan_s` / `verify_s`.
+//! verification must stay cheap — under 2 ms per row, or failing that
+//! under 5% of the lowering wall time. On the toy plans CI lowers
+//! (0.5–0.9 ms, verified in 0.2 ms) the floor decides: the ratio is
+//! about 30% now that lowering looks holders up instead of scanning
+//! ranks. The per-row timings land in `BENCH_spmd.json` as `plan_s` /
+//! `verify_s`.
 //!
 //! `--assert-lint-overhead` is the schedule-admission CI gate: the
 //! admission linter (`distal_core::lint`, run by every `Backend::plan`
-//! before lowering) must cost under 2% of the lowering wall time per
-//! row, with an absolute floor declaring sub-0.5ms lint passes free.
-//! The per-row timing lands in `BENCH_spmd.json` as `lint_s`.
+//! before lowering) must cost under 0.5 ms per row, or failing that
+//! under 2% of the lowering wall time (20–40 µs against 0.5–0.9 ms on
+//! the toy plans: the floor decides). The per-row timing lands in
+//! `BENCH_spmd.json` as `lint_s`.
 //!
 //! Every configuration is executed twice — once on the sequential VM
 //! (the oracle) and once on the rank-per-thread channel transport —
@@ -36,6 +38,14 @@
 //! the rank VM and the transport spend moving data: 1.15 with rectangle
 //! copies, 6.05 when the VM still moved tensors one point at a time
 //! (2-core host).
+//!
+//! `--assert-plan-scaling RATIO` is the plan-time CI gate, independent of
+//! host speed: Cannon and SUMMA at the pipeline benchmark's shape (n = 512,
+//! chunk 128, trees; fixed, whatever `gx gy n` say) are planned at p = 64
+//! and p = 256, fastest of five, and `SpmdBackend::plan` time *per rank
+//! op* at p = 256 may be at most `RATIO` × the p = 64 figure. Linear-time
+//! planning scores 1; the per-need scan over all ranks that the rectangle
+//! index replaced scored 3.5 (Cannon) and 2.9 (SUMMA).
 //!
 //! `--assert-depth log` is the CI gate: on a SUMMA over `gx · gy` ranks
 //! (lowered on the algorithm's near-square grid of width `g`) it
@@ -60,6 +70,7 @@ fn main() {
     let mut assert_verified = false;
     let mut assert_lint_overhead = false;
     let mut assert_vm_overhead: Option<f64> = None;
+    let mut assert_plan_scaling: Option<f64> = None;
     let mut threads: usize = 0; // 0 = auto-size to the host
     let mut dims: Vec<i64> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -87,6 +98,14 @@ fn main() {
                 Some(Ok(r)) if r > 0.0 => assert_vm_overhead = Some(r),
                 other => {
                     eprintln!("--assert-vm-overhead requires a positive ratio, got {other:?}");
+                    std::process::exit(2);
+                }
+            }
+        } else if a == "--assert-plan-scaling" {
+            match args.next().as_deref().map(str::parse::<f64>) {
+                Some(Ok(r)) if r > 0.0 => assert_plan_scaling = Some(r),
+                other => {
+                    eprintln!("--assert-plan-scaling requires a positive ratio, got {other:?}");
                     std::process::exit(2);
                 }
             }
@@ -155,11 +174,11 @@ fn main() {
                 r.algorithm, r.lowering
             ));
         }
-        // Overhead bound: verification must stay under 5% of the lowering
-        // wall time. The toy plans this gate runs on in CI lower in about
-        // a millisecond, where fixed per-pass costs dominate the ratio,
-        // so an absolute floor declares sub-2ms verification free; the 5%
-        // ratio is what binds once plans are large enough to matter.
+        // Overhead bound: verification under 2 ms is free; past that it
+        // must stay under 5% of the lowering wall time. The toy plans
+        // this gate runs on in CI lower in under a millisecond and verify
+        // in 0.2 ms (about 30%), so there the floor decides; the ratio
+        // binds only a verifier that is no longer small in absolute terms.
         const VERIFY_FREE_S: f64 = 2e-3;
         if let Some(r) = rows
             .iter()
@@ -175,16 +194,16 @@ fn main() {
             ));
         }
         println!(
-            "verification gate passed: all {} programs proved clean statically \
-             within the 5% plan-time budget",
+            "verification gate passed: all {} programs proved clean statically, \
+             each in under 2 ms or 5% of its lowering time",
             rows.len()
         );
     }
     if assert_lint_overhead {
-        // Admission must stay effectively free next to lowering: under 2%
-        // of the plan wall time per row. Like the verifier gate, a small
-        // absolute floor keeps CI's ~1ms toy lowerings from turning fixed
-        // per-pass costs into a flaky ratio.
+        // Admission must stay effectively free: under 0.5 ms per row, or
+        // failing that under 2% of the lowering wall time. As in the
+        // verifier gate, the floor decides on CI's sub-millisecond toy
+        // lowerings (a 20-40 us lint pass is 3-4% of one).
         const LINT_FREE_S: f64 = 5e-4;
         if let Some(r) = rows
             .iter()
@@ -200,8 +219,8 @@ fn main() {
             ));
         }
         println!(
-            "lint overhead gate passed: admission cost under 2% of plan time \
-             on all {} rows",
+            "lint overhead gate passed: admission cost under 0.5 ms or 2% of \
+             lowering time on all {} rows",
             rows.len()
         );
     }
@@ -234,6 +253,47 @@ fn main() {
             ));
         }
         println!("vm overhead gate passed: ratio {:.2} <= {bound}", v.ratio());
+    }
+    if let Some(bound) = assert_plan_scaling {
+        use distal_algs::matmul::MatmulAlgorithm;
+        println!(
+            "{:<12} {:>5} {:>9} {:>10} {:>10} {:>12} {:>10} {:>10}",
+            "algorithm", "p", "rank ops", "plan", "lower", "collectives", "verify", "plan/op"
+        );
+        for alg in [MatmulAlgorithm::Cannon, MatmulAlgorithm::Summa] {
+            let [small, large] = [64, 256].map(|p| {
+                let s = spmd::plan_scaling(alg, p);
+                println!(
+                    "{:<12} {:>5} {:>9} {:>8.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>8.2}us",
+                    s.algorithm,
+                    s.ranks,
+                    s.rank_ops,
+                    s.plan_s * 1e3,
+                    s.lower_s * 1e3,
+                    s.collectives_s * 1e3,
+                    s.verify_s * 1e3,
+                    s.plan_us_per_op()
+                );
+                s
+            });
+            let ratio = large.plan_us_per_op() / small.plan_us_per_op();
+            if ratio > bound {
+                fail(&format!(
+                    "{} plans at {:.2}us per rank op on {} ranks against {:.2}us on {} — {ratio:.2}x, \
+                     over the {bound}x bound: planning is super-linear in the program it emits",
+                    large.algorithm,
+                    large.plan_us_per_op(),
+                    large.ranks,
+                    small.plan_us_per_op(),
+                    small.ranks
+                ));
+            }
+            println!(
+                "plan scaling gate passed for {}: {ratio:.2}x per rank op from p=64 to p=256 \
+                 (bound {bound}x)",
+                large.algorithm
+            );
+        }
     }
     let Some(depth_bound) = assert_depth else {
         return;

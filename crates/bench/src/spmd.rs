@@ -21,10 +21,14 @@
 //! [`vm_overhead`] is the sweep's one cross-backend timing: the same
 //! SUMMA executed by the threaded rank VM and by the runtime backend,
 //! whose ratio the `--assert-vm-overhead` CI gate bounds.
+//!
+//! [`plan_scaling`] times `SpmdBackend::plan` and its three phases at the
+//! pipeline benchmark's shape; the `--assert-plan-scaling` CI gate bounds
+//! how much the time *per rank op* may grow from p = 64 to p = 256.
 
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
-use distal_core::{oracle, Backend, Bindings, RuntimeBackend};
+use distal_core::{oracle, Backend, Bindings, Problem, RuntimeBackend, Schedule};
 use distal_ir::expr::Assignment;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_spmd::{
@@ -66,10 +70,10 @@ pub struct SpmdBenchRow {
     pub plan_s: f64,
     /// Wall-clock seconds the admission linter (`distal_core::lint`)
     /// spent on the schedule — the `--assert-lint-overhead` gate holds
-    /// it under 2% of `plan_s`.
+    /// it under 0.5 ms or 2% of `plan_s`.
     pub lint_s: f64,
     /// Wall-clock seconds the static verifier spent on this program —
-    /// the `--assert-verified` gate holds it under 5% of `plan_s`.
+    /// the `--assert-verified` gate holds it under 2 ms or 5% of `plan_s`.
     pub verify_s: f64,
     /// Whether the static verifier proved the program clean (no error
     /// diagnostics) without executing it.
@@ -105,6 +109,21 @@ fn deterministic_data(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// The `n × n` matmul problem and Figure 9 schedule of `alg` over `p` ranks
+/// (chunk `n / 4`) that every measurement in this module plans.
+fn figure9_problem(alg: MatmulAlgorithm, p: i64, n: i64) -> (Problem, Schedule) {
+    matmul_problem_on(
+        alg,
+        MachineSpec::small(8),
+        ProcKind::Cpu,
+        MemKind::Sys,
+        p,
+        n,
+        (n / 4).max(1),
+    )
+    .unwrap_or_else(|e| panic!("{alg:?} p={p} n={n}: {e}"))
+}
+
 /// Lowers `alg` for `p` ranks at size `n` under `config`.
 ///
 /// # Panics
@@ -134,16 +153,7 @@ pub fn lower_algorithm_timed(
     n: i64,
     config: &CollectiveConfig,
 ) -> (SpmdProgram, f64) {
-    let (problem, schedule) = matmul_problem_on(
-        alg,
-        MachineSpec::small(8),
-        ProcKind::Cpu,
-        MemKind::Sys,
-        p,
-        n,
-        (n / 4).max(1),
-    )
-    .unwrap_or_else(|e| panic!("{alg:?}: {e}"));
+    let (problem, schedule) = figure9_problem(alg, p, n);
     let lint_start = std::time::Instant::now();
     let diagnostics =
         distal_core::lint_schedule(&problem, &schedule, &distal_core::LintConfig::default());
@@ -367,16 +377,7 @@ impl VmOverhead {
 /// Panics when planning, binding or execution fails, or when the two
 /// backends' outputs differ in any bit.
 pub fn vm_overhead(p: i64, n: i64, threads: usize) -> VmOverhead {
-    let (mut problem, schedule) = matmul_problem_on(
-        MatmulAlgorithm::Summa,
-        MachineSpec::small(8),
-        ProcKind::Cpu,
-        MemKind::Sys,
-        p,
-        n,
-        (n / 4).max(1),
-    )
-    .unwrap_or_else(|e| panic!("SUMMA p={p} n={n}: {e}"));
+    let (mut problem, schedule) = figure9_problem(MatmulAlgorithm::Summa, p, n);
     problem.fill_random("B", 11).unwrap();
     problem.fill_random("C", 13).unwrap();
     let bindings = Bindings::from_problem(&problem);
@@ -414,6 +415,82 @@ pub fn vm_overhead(p: i64, n: i64, threads: usize) -> VmOverhead {
         "SPMD and runtime outputs differ"
     );
     VmOverhead { spmd_s, runtime_s }
+}
+
+/// Plan time of one algorithm at one rank count, at the pipeline
+/// benchmark's `plan_scale` shape (the `--assert-plan-scaling` gate). Every
+/// time is the fastest of five.
+#[derive(Clone, Debug)]
+pub struct PlanScaling {
+    /// Algorithm name (Figure 9 naming).
+    pub algorithm: String,
+    /// Rank count.
+    pub ranks: usize,
+    /// Ops over all rank programs of the tree-lowered plan.
+    pub rank_ops: usize,
+    /// `SpmdBackend::plan`: admission, lowering, collectives, verification.
+    pub plan_s: f64,
+    /// The point-to-point lowering alone (`spmd::lower_with`'s
+    /// communication solving).
+    pub lower_s: f64,
+    /// What recognizing and tree-lowering the collectives adds to it.
+    pub collectives_s: f64,
+    /// The static verifier on the tree-lowered program.
+    pub verify_s: f64,
+}
+
+impl PlanScaling {
+    /// `SpmdBackend::plan` microseconds per rank op — flat in p when
+    /// planning is linear in the program it emits.
+    pub fn plan_us_per_op(&self) -> f64 {
+        self.plan_s * 1e6 / self.rank_ops as f64
+    }
+}
+
+/// Plans `alg` over `p` ranks at n = 512, chunk 128 under the default
+/// (tree) collectives, timing the whole plan and each phase on its own.
+///
+/// # Panics
+///
+/// Panics when planning or lowering fails (a bench-harness bug, not a
+/// measurement).
+pub fn plan_scaling(alg: MatmulAlgorithm, p: i64) -> PlanScaling {
+    let (problem, schedule) = figure9_problem(alg, p, 512);
+    fn fastest<T>(mut run: impl FnMut() -> T) -> (f64, T) {
+        let mut best: Option<(f64, T)> = None;
+        for _ in 0..5 {
+            let start = std::time::Instant::now();
+            let out = run();
+            let s = start.elapsed().as_secs_f64();
+            if best.as_ref().is_none_or(|(b, _)| s < *b) {
+                best = Some((s, out));
+            }
+        }
+        best.expect("five runs")
+    }
+    let lower = |config: CollectiveConfig| {
+        lower_problem(&problem, &schedule, &config).unwrap_or_else(|e| panic!("{alg:?} p={p}: {e}"))
+    };
+    let backend = SpmdBackend::new();
+    let (plan_s, _) = fastest(|| {
+        backend
+            .plan(&problem, &schedule)
+            .unwrap_or_else(|e| panic!("{alg:?} p={p}: {e}"))
+    });
+    let (lower_s, _) = fastest(|| lower(CollectiveConfig::point_to_point()));
+    let (trees_s, program) = fastest(|| lower(CollectiveConfig::trees()));
+    let (verify_s, _) = fastest(|| distal_spmd::verify_program(&program));
+    PlanScaling {
+        algorithm: alg.name(),
+        ranks: program.ranks(),
+        rank_ops: (0..program.ranks())
+            .map(|r| program.rank_ops(r).len())
+            .sum(),
+        plan_s,
+        lower_s,
+        collectives_s: (trees_s - lower_s).max(0.0),
+        verify_s,
+    }
 }
 
 /// Renders the sweep as a table.

@@ -7,6 +7,14 @@
 //! blocked partitioning function used by tensor distribution notation
 //! (paper §3.2: "tensor dimensions partitioned across machine dimensions are
 //! divided into equal-sized contiguous pieces").
+//!
+//! Two collections sit on top of [`Rect`]. [`RectSet`] is a *mutable* set
+//! of disjoint rectangles — what is covered, with exact add/subtract — and
+//! answers every question by walking its members. [`RectIndex`] is an
+//! *immutable* look-up table from rectangles (overlapping or not) to
+//! values: built once, it answers "which entries meet this rectangle?"
+//! by visiting only the neighbourhood of the query, which is how the SPMD
+//! lowering finds the holders of a tile among thousands of pieces.
 
 use std::fmt;
 
@@ -224,9 +232,11 @@ impl Rect {
         Rect { lo, hi }
     }
 
-    /// True when the rectangles share at least one point.
+    /// True when the rectangles share at least one point (never, when
+    /// either is empty). Compares bounds in place: nothing is allocated.
     pub fn overlaps(&self, other: &Rect) -> bool {
-        !self.intersection(other).is_empty()
+        assert_eq!(self.dim(), other.dim());
+        (0..self.dim()).all(|d| self.lo[d].max(other.lo[d]) <= self.hi[d].min(other.hi[d]))
     }
 
     /// The smallest rectangle containing both inputs.
@@ -594,9 +604,17 @@ impl RectSet {
         }
         let mut pending = vec![r];
         for existing in &self.rects {
+            // Members the newcomer misses cost a bounds comparison each.
+            if !pending.iter().any(|p| p.overlaps(existing)) {
+                continue;
+            }
             let mut next = Vec::new();
             for p in pending {
-                next.extend(p.difference(existing));
+                if p.overlaps(existing) {
+                    next.extend(p.difference(existing));
+                } else {
+                    next.push(p);
+                }
             }
             pending = next;
             if pending.is_empty() {
@@ -608,12 +626,17 @@ impl RectSet {
 
     /// Removes a rectangle from the set.
     pub fn subtract(&mut self, r: &Rect) {
-        if r.is_empty() {
+        if !self.overlaps(r) {
             return;
         }
+        // Members `r` misses are moved, not re-derived.
         let mut out = Vec::with_capacity(self.rects.len());
         for existing in self.rects.drain(..) {
-            out.extend(existing.difference(r));
+            if existing.overlaps(r) {
+                out.extend(existing.difference(r));
+            } else {
+                out.push(existing);
+            }
         }
         self.rects = out;
     }
@@ -645,6 +668,172 @@ impl RectSet {
     /// Total covered volume.
     pub fn volume(&self) -> i64 {
         self.rects.iter().map(Rect::volume).sum()
+    }
+}
+
+/// An immutable index from rectangles to values: which `(Rect, T)` entries
+/// overlap a query rectangle, in the order they were inserted.
+///
+/// Entries may overlap, repeat or be empty (an empty entry is never
+/// returned). The index is a bucket grid over the entries' own lower
+/// bounds: along each dimension the distinct `lo` coordinates cut the
+/// space into slabs, every entry is filed once, in the cell of its `lo`
+/// corner, and a query visits the cells from its own `hi` corner back to
+/// as far before its `lo` corner as the widest entry reaches. For the
+/// layouts tensor distribution notation produces — blocked, block-cyclic
+/// and cyclic tilings, replicated or not — pieces do not straddle cuts, so
+/// a query touches the cells it overlaps and nothing else, and its cost is
+/// proportional to its answer. Mixed sizes degrade towards a linear scan,
+/// never past it. Building sorts the cut points and files the entries:
+/// `O(n log n)` time, `O(n)` space (cuts are thinned until there are at
+/// most `n` cells).
+///
+/// # Example
+///
+/// ```
+/// use distal_machine::geom::{Rect, RectIndex};
+/// let whole = Rect::sized(&[4, 4]);
+/// // Four row blocks, owned by ranks 0..4.
+/// let index = RectIndex::new((0..4).map(|r| (whole.block(0, 4, r), r)).collect());
+/// let rows_1_to_2 = whole.restrict(0, 1, 2);
+/// let owners: Vec<i64> = index.query(&rows_1_to_2).map(|(_, _, r)| *r).collect();
+/// assert_eq!(owners, [1, 2]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct RectIndex<T> {
+    entries: Vec<(Rect, T)>,
+    /// Per dimension, the sorted coordinates at which a slab starts (the
+    /// first slab also takes everything below its cut).
+    cuts: Vec<Vec<i64>>,
+    /// Per dimension, the most slabs any one entry reaches across.
+    reach: Vec<usize>,
+    /// Cells are numbered row-major over the slabs; the entries filed in
+    /// cell `c` are `filed[cell_start[c]..cell_start[c + 1]]`, ascending.
+    cell_start: Vec<usize>,
+    filed: Vec<usize>,
+}
+
+impl<T> Default for RectIndex<T> {
+    fn default() -> Self {
+        RectIndex::new(Vec::new())
+    }
+}
+
+/// The slab of `cuts` that coordinate `x` falls in.
+fn slab(cuts: &[i64], x: i64) -> usize {
+    cuts.partition_point(|&c| c <= x).saturating_sub(1)
+}
+
+impl<T> RectIndex<T> {
+    /// Indexes `entries`; an entry's position in the vector is its
+    /// sequence number.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the rectangles differ in dimensionality.
+    pub fn new(entries: Vec<(Rect, T)>) -> Self {
+        let dim = entries.first().map_or(0, |(r, _)| r.dim());
+        assert!(
+            entries.iter().all(|(r, _)| r.dim() == dim),
+            "indexed rects must share dimensionality"
+        );
+        let live: Vec<usize> = (0..entries.len())
+            .filter(|&i| !entries[i].0.is_empty())
+            .collect();
+        let mut cuts: Vec<Vec<i64>> = (0..dim)
+            .map(|d| {
+                let mut c: Vec<i64> = live.iter().map(|&i| entries[i].0.lo[d]).collect();
+                c.sort_unstable();
+                c.dedup();
+                c
+            })
+            .collect();
+        // At most one cell per entry: drop every other cut of the most
+        // finely cut dimension until the grid is small enough.
+        let cells = |cuts: &[Vec<i64>]| cuts.iter().fold(1usize, |n, c| n.saturating_mul(c.len()));
+        while cells(&cuts) > live.len().max(1) {
+            let finest = cuts.iter_mut().max_by_key(|c| c.len()).expect("dim > 0");
+            *finest = finest.iter().copied().step_by(2).collect();
+        }
+
+        let cell_of =
+            |r: &Rect| (0..dim).fold(0, |cell, d| cell * cuts[d].len() + slab(&cuts[d], r.lo[d]));
+        let mut reach = vec![1usize; dim];
+        let mut cell_start = vec![0usize; cells(&cuts) + 1];
+        for &i in &live {
+            let r = &entries[i].0;
+            for (d, reach) in reach.iter_mut().enumerate() {
+                let across = slab(&cuts[d], r.hi[d]) - slab(&cuts[d], r.lo[d]) + 1;
+                *reach = (*reach).max(across);
+            }
+            cell_start[cell_of(r) + 1] += 1;
+        }
+        for c in 1..cell_start.len() {
+            cell_start[c] += cell_start[c - 1];
+        }
+        // File in sequence order, so every cell's list is ascending.
+        let mut next = cell_start.clone();
+        let mut filed = vec![0usize; live.len()];
+        for &i in &live {
+            let slot = &mut next[cell_of(&entries[i].0)];
+            filed[*slot] = i;
+            *slot += 1;
+        }
+        RectIndex {
+            entries,
+            cuts,
+            reach,
+            cell_start,
+            filed,
+        }
+    }
+
+    /// The entries overlapping `rect`, as `(sequence number, rectangle,
+    /// value)` in ascending sequence — insertion — order. An empty query
+    /// meets nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rect`'s dimensionality differs from the entries'.
+    pub fn query<'a>(&'a self, rect: &Rect) -> impl Iterator<Item = (usize, &'a Rect, &'a T)> + 'a {
+        let mut hits = Vec::new();
+        if !rect.is_empty() && !self.filed.is_empty() {
+            assert_eq!(rect.dim(), self.cuts.len());
+            // Per dimension, the slabs an overlapping entry can be filed in.
+            let slabs: Vec<(usize, usize)> = (0..rect.dim())
+                .map(|d| {
+                    let first = slab(&self.cuts[d], rect.lo[d]).saturating_sub(self.reach[d] - 1);
+                    (first, slab(&self.cuts[d], rect.hi[d]))
+                })
+                .collect();
+            self.visit(&slabs, 0, 0, &mut |i| {
+                if self.entries[i].0.overlaps(rect) {
+                    hits.push(i);
+                }
+            });
+            hits.sort_unstable();
+        }
+        hits.into_iter().map(move |i| {
+            let (r, t) = &self.entries[i];
+            (i, r, t)
+        })
+    }
+
+    /// Calls `f` on every entry filed in the cells spanned by `slabs`,
+    /// having fixed the slabs of dimensions `[0, d)` at row-major offset
+    /// `base`. The cells of the last dimension are consecutive, so they
+    /// are walked as one run.
+    fn visit(&self, slabs: &[(usize, usize)], d: usize, base: usize, f: &mut impl FnMut(usize)) {
+        let (first, last) = slabs.get(d).copied().unwrap_or((0, 0));
+        let base = base * self.cuts.get(d).map_or(1, Vec::len);
+        if d + 1 >= slabs.len() {
+            let run = self.cell_start[base + first]..self.cell_start[base + last + 1];
+            self.filed[run].iter().copied().for_each(f);
+        } else {
+            for s in first..=last {
+                self.visit(slabs, d + 1, base + s, f);
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property tests for the geometry substrate: rectangle algebra must be
 //! exact, since the runtime's coherence machinery depends on it.
 
-use distal_machine::geom::{copy_rect, Point, Rect, RectSet};
+use distal_machine::geom::{copy_rect, Point, Rect, RectIndex, RectSet};
 use proptest::prelude::*;
 
 fn rect_strategy(dim: usize, max: i64) -> impl Strategy<Value = Rect> {
@@ -28,6 +28,88 @@ fn three_rects() -> impl Strategy<Value = [Rect; 3]> {
         };
         [rect(0), rect(1), rect(2)]
     })
+}
+
+/// Entry sets and queries for [`RectIndex`] over one random
+/// dimensionality (1–3): a disjoint tiling of `[0, 12)^dim` by random
+/// per-dimension cuts (single-element pieces included), then random
+/// rectangles on top — overlapping the tiles and each other, some
+/// reaching outside the tiling, some empty (`hi < lo`) — and a duplicate
+/// of every third entry. Queries are drawn like the extra rectangles, so
+/// some are empty and some leave the entries' bounding box.
+fn index_case() -> impl Strategy<Value = (Vec<Rect>, Vec<Rect>)> {
+    // (lo, hi) pairs in [-3, 15): empty about two times in five. Drawn
+    // for three dimensions and cut down to the case's own.
+    let loose = |n| prop::collection::vec(prop::collection::vec((-3i64..15, -3i64..15), 3), n);
+    let cuts = prop::collection::vec(prop::collection::vec(1i64..12, 0..5), 3);
+    (1usize..4, cuts, any::<bool>(), loose(0..6), loose(1..6)).prop_map(
+        |(dim, cuts, tiled, extra, queries)| {
+            let rect = |bounds: &Vec<(i64, i64)>| {
+                Rect::new(
+                    Point::new(bounds[..dim].iter().map(|b| b.0).collect()),
+                    Point::new(bounds[..dim].iter().map(|b| b.1).collect()),
+                )
+            };
+            let mut entries = Vec::new();
+            if tiled {
+                // Per dimension, the [start, end] intervals between cuts.
+                let intervals: Vec<Vec<(i64, i64)>> = cuts[..dim]
+                    .iter()
+                    .map(|c| {
+                        let mut c = c.clone();
+                        c.extend([0, 12]);
+                        c.sort_unstable();
+                        c.dedup();
+                        c.windows(2).map(|w| (w[0], w[1] - 1)).collect()
+                    })
+                    .collect();
+                let counts: Vec<i64> = intervals.iter().map(|i| i.len() as i64).collect();
+                for tile in Rect::sized(&counts).points() {
+                    let bounds = (0..dim).map(|d| intervals[d][tile[d] as usize]).collect();
+                    entries.push(rect(&bounds));
+                }
+            }
+            entries.extend(extra.iter().map(rect));
+            let repeats: Vec<Rect> = entries.iter().step_by(3).cloned().collect();
+            entries.extend(repeats);
+            (entries, queries.iter().map(rect).collect())
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// RectIndex::query is a linear `overlaps` filter in insertion order,
+    /// whatever the entries look like.
+    #[test]
+    fn rect_index_matches_linear_filter((entries, queries) in index_case()) {
+        let index = RectIndex::new(entries.iter().cloned().enumerate().map(|(i, r)| (r, i)).collect());
+        for q in &queries {
+            let want: Vec<usize> = (0..entries.len()).filter(|&i| entries[i].overlaps(q)).collect();
+            let got: Vec<usize> = index
+                .query(q)
+                .map(|(seq, r, value)| {
+                    assert_eq!(r, &entries[seq]);
+                    assert_eq!(*value, seq);
+                    seq
+                })
+                .collect();
+            prop_assert_eq!(got, want, "query {} over {:?}", q, entries);
+        }
+    }
+
+    /// The in-place overlap test is the intersection test, empty
+    /// operands included (an empty rectangle overlaps nothing).
+    #[test]
+    fn overlaps_is_nonempty_intersection((entries, queries) in index_case()) {
+        for a in entries.iter().chain(&queries) {
+            for b in &queries {
+                prop_assert_eq!(a.overlaps(b), !a.intersection(b).is_empty(), "{} vs {}", a, b);
+                prop_assert_eq!(a.overlaps(b), b.overlaps(a));
+            }
+        }
+    }
 }
 
 proptest! {

@@ -831,6 +831,22 @@ mod tests {
     }
 
     #[test]
+    fn an_uncovered_need_surfaces_as_a_backend_error_naming_its_cause() {
+        let err = backend_err(SpmdError::Uncovered {
+            tensor: "B".into(),
+            rank: 5,
+            step: 2,
+            rect: distal_machine::geom::Rect::sized(&[2, 2]),
+        });
+        let BackendError::Backend(shown) = &err else {
+            panic!("expected BackendError::Backend, got {err:?}");
+        };
+        for part in ["B[(0, 0)..(1, 1)]", "rank 5", "step 2"] {
+            assert!(shown.contains(part), "missing {part:?}: {shown}");
+        }
+    }
+
+    #[test]
     fn clean_plans_carry_no_diagnostics() {
         let p = matmul_problem(8);
         let plan = SpmdBackend::new()

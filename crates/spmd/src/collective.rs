@@ -373,7 +373,7 @@ fn find_fans<'a>(
     fans.retain(|f| {
         !f.reduce
             || f.peers.iter().all(|&p| {
-                program.owners[&f.tensor].pieces[p]
+                program.owners[&f.tensor].pieces()[p]
                     .iter()
                     .all(|piece| piece.intersection(&f.rect).is_empty())
             })

@@ -17,6 +17,10 @@
 //!   owners — this is the policy under which systolic schedules generate
 //!   neighbour-only traffic (Figure 8b) while broadcast schedules source
 //!   from owners (Figure 8a).
+//! * "Who holds this rectangle?" is a look-up, not a search over ranks:
+//!   home pieces are indexed once per tensor and scratch holdings once per
+//!   sequential step in a [`RectIndex`], so a need only ever sees the
+//!   holders that overlap it (`Holdings::supply`).
 
 use crate::collective::{self, CollectiveConfig};
 use crate::ops::{Message, SpmdOp};
@@ -24,8 +28,8 @@ use crate::program::SpmdProgram;
 use distal_core::nest::Nest;
 use distal_core::{CompileError, Schedule};
 use distal_format::Format;
-use distal_ir::expr::{Assignment, Expr};
-use distal_machine::geom::{Point, Rect, RectSet};
+use distal_ir::expr::{Access, Assignment, Expr};
+use distal_machine::geom::{Point, Rect, RectIndex, RectSet};
 use distal_machine::grid::Grid;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -103,6 +107,20 @@ pub enum SpmdError {
     /// receive past the deadline (a lowering bug — a well-formed program
     /// cannot deadlock; see [`crate::transport`]).
     Timeout(String),
+    /// No rank holds a valid copy of part of an input rectangle (a
+    /// lowering bug — a format's home pieces cover its whole tensor). A
+    /// program lowered past this point would compute on missing data.
+    Uncovered {
+        /// The input tensor.
+        tensor: String,
+        /// The rank that needs the data.
+        rank: usize,
+        /// The sequential step (row-major over the sequential loops) at
+        /// which it needs it.
+        step: usize,
+        /// The first rectangle nobody could supply.
+        rect: Rect,
+    },
 }
 
 impl fmt::Display for SpmdError {
@@ -115,6 +133,15 @@ impl fmt::Display for SpmdError {
             SpmdError::Unsupported(m) => write!(f, "unsupported by the SPMD backend: {m}"),
             SpmdError::Data(m) => write!(f, "data error: {m}"),
             SpmdError::Timeout(m) => write!(f, "threaded transport watchdog: {m}"),
+            SpmdError::Uncovered {
+                tensor,
+                rank,
+                step,
+                rect,
+            } => write!(
+                f,
+                "no rank holds {tensor}{rect}, which rank {rank} needs at sequential step {step}"
+            ),
         }
     }
 }
@@ -124,23 +151,35 @@ impl std::error::Error for SpmdError {}
 /// Which ranks own which home pieces of one tensor.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Ownership {
-    /// `pieces[rank]` = the home rectangles rank holds.
-    pub pieces: Vec<Vec<Rect>>,
+    pieces: Vec<Vec<Rect>>,
+    /// Every piece with its rank, in `(rank, piece)` order.
+    index: RectIndex<usize>,
 }
 
 impl Ownership {
-    /// Home owners intersecting `rect`, with the owned sub-rectangles.
+    /// `pieces[rank]` = the home rectangles `rank` holds.
+    fn new(pieces: Vec<Vec<Rect>>) -> Self {
+        let by_rank = pieces.iter().enumerate();
+        let index = RectIndex::new(
+            by_rank
+                .flat_map(|(rank, held)| held.iter().map(move |p| (p.clone(), rank)))
+                .collect(),
+        );
+        Ownership { pieces, index }
+    }
+
+    /// `pieces()[rank]` = the home rectangles `rank` holds.
+    pub fn pieces(&self) -> &[Vec<Rect>] {
+        &self.pieces
+    }
+
+    /// Home owners intersecting `rect`, with the owned sub-rectangles, in
+    /// `(rank, piece)` order.
     pub fn owners_of(&self, rect: &Rect) -> Vec<(usize, Rect)> {
-        let mut out = Vec::new();
-        for (rank, pieces) in self.pieces.iter().enumerate() {
-            for p in pieces {
-                let inter = p.intersection(rect);
-                if !inter.is_empty() {
-                    out.push((rank, inter));
-                }
-            }
-        }
-        out
+        self.index
+            .query(rect)
+            .map(|(_, piece, &rank)| (rank, piece.intersection(rect)))
+            .collect()
     }
 }
 
@@ -152,7 +191,7 @@ fn ownership(tensor: &SpmdTensor, grid: &Grid) -> Result<Ownership, SpmdError> {
     let mut pieces = vec![Vec::new(); ranks];
     if !tensor.format.is_distributed() {
         pieces[0].push(rect);
-        return Ok(Ownership { pieces });
+        return Ok(Ownership::new(pieces));
     }
     if tensor.format.distributions.len() != 1 {
         return Err(SpmdError::Unsupported(format!(
@@ -176,7 +215,7 @@ fn ownership(tensor: &SpmdTensor, grid: &Grid) -> Result<Ownership, SpmdError> {
         let rank = grid.linearize(&point) as usize;
         pieces[rank] = dist.pieces_of(&rect, grid, &point);
     }
-    Ok(Ownership { pieces })
+    Ok(Ownership::new(pieces))
 }
 
 /// Torus hop distance between two grid coordinates (systolic machines wrap
@@ -217,8 +256,166 @@ fn is_pure_product(e: &Expr) -> bool {
     }
 }
 
-/// Per-(tensor, rank) scratch holdings valid at the current step.
-type Holdings = BTreeMap<String, Vec<RectSet>>;
+/// A candidate supplier's place in the order [`Holdings::supply`] visits
+/// them in: `(torus distance to the needing rank, 0 for scratch / 1 for a
+/// home piece, supplier rank, sequence among the supplier's rectangles)`.
+type SupplierKey = (i64, u8, usize, usize);
+
+/// The holdings dataflow of one tensor: which ranks hold a valid copy of
+/// which rectangles at the current sequential step. Home pieces are always
+/// valid; what a rank received during one step is valid scratch during the
+/// next step only (double buffering).
+struct Holdings<'a> {
+    /// The tensor's name (for diagnostics).
+    tensor: &'a str,
+    grid: &'a Grid,
+    /// Every rank's grid coordinate.
+    points: &'a [Point],
+    home: &'a Ownership,
+    /// `scratch[rank]` = what `rank` received during the previous step.
+    scratch: Vec<RectSet>,
+    /// Every scratch rectangle with its holder, in `(rank, rectangle)`
+    /// order.
+    scratch_index: RectIndex<usize>,
+    /// `received[rank]` = what `rank` has received during this step.
+    received: Vec<Vec<Rect>>,
+}
+
+impl<'a> Holdings<'a> {
+    fn new(tensor: &'a str, grid: &'a Grid, points: &'a [Point], home: &'a Ownership) -> Self {
+        Holdings {
+            tensor,
+            grid,
+            points,
+            home,
+            scratch: vec![RectSet::new(); points.len()],
+            scratch_index: RectIndex::default(),
+            received: vec![Vec::new(); points.len()],
+        }
+    }
+
+    /// Sources the part of `need` that `rank` does not already hold (as a
+    /// home piece or as scratch) at sequential step `step`: the
+    /// `(supplier, rectangle)` transfers in emission order, recorded as
+    /// received by `rank`.
+    ///
+    /// The candidate suppliers are the other ranks' scratch rectangles and
+    /// home pieces that overlap `need`, visited in ascending
+    /// [`SupplierKey`] order, each supplying whatever is still missing.
+    /// Preferring a forwarded scratch copy over an
+    /// equally distant home owner is what makes systolic schedules
+    /// systolic — it spreads load off the owners, which is the paper's
+    /// stated rationale for `rotate` ("avoiding contention for the same
+    /// pieces of data", §3.3).
+    ///
+    /// # Errors
+    ///
+    /// [`SpmdError::Uncovered`] when no rank holds some part of `need`.
+    fn supply(
+        &mut self,
+        rank: usize,
+        step: usize,
+        need: &Rect,
+    ) -> Result<Vec<(usize, Rect)>, SpmdError> {
+        let mut needs = RectSet::from_rect(need.clone());
+        let mut suppliers: Vec<(SupplierKey, &Rect)> = Vec::new();
+        let home = self.home.index.query(need).map(|hit| (1, hit));
+        let scratch = self.scratch_index.query(need).map(|hit| (0, hit));
+        for (class, (seq, held, &holder)) in home.chain(scratch) {
+            if holder == rank {
+                needs.subtract(held);
+            } else {
+                let d = torus_distance(self.grid, &self.points[holder], &self.points[rank]);
+                suppliers.push(((d, class, holder, seq), held));
+            }
+        }
+        suppliers.sort_unstable_by_key(|(key, _)| *key);
+        let mut transfers = Vec::new();
+        for ((_, _, holder, _), held) in suppliers {
+            if needs.is_empty() {
+                break;
+            }
+            let parts: Vec<Rect> = needs
+                .rects()
+                .iter()
+                .filter(|missing| held.overlaps(missing))
+                .map(|missing| held.intersection(missing))
+                .collect();
+            if parts.is_empty() {
+                continue;
+            }
+            // Removes exactly `parts`: the missing rectangles are disjoint.
+            needs.subtract(held);
+            for part in parts {
+                self.received[rank].push(part.clone());
+                transfers.push((holder, part));
+            }
+        }
+        match needs.rects().first() {
+            None => Ok(transfers),
+            Some(hole) => Err(SpmdError::Uncovered {
+                tensor: self.tensor.to_string(),
+                rank,
+                step,
+                rect: hole.clone(),
+            }),
+        }
+    }
+
+    /// Step boundary: this step's receives become the next step's scratch;
+    /// the scratch of the step before retires.
+    fn advance(&mut self) {
+        for (set, rects) in self.scratch.iter_mut().zip(&mut self.received) {
+            *set = RectSet::new();
+            for r in rects.drain(..) {
+                set.add(r);
+            }
+        }
+        let by_rank = self.scratch.iter().enumerate();
+        self.scratch_index = RectIndex::new(
+            by_rank
+                .flat_map(|(rank, set)| set.rects().iter().map(move |r| (r.clone(), rank)))
+                .collect(),
+        );
+    }
+
+    /// [`Holdings::supply`] without the indexes and without recording the
+    /// receives: every other rank's every rectangle is a candidate, ordered
+    /// by a stable sort on `(distance, class, rank)`. The search the
+    /// indexed one replaced, kept as its oracle.
+    #[cfg(test)]
+    fn supply_by_scan(&self, rank: usize, need: &Rect) -> Vec<(usize, Rect)> {
+        let mut needs = RectSet::from_rect(need.clone());
+        for home in &self.home.pieces[rank] {
+            needs.subtract(home);
+        }
+        for held in self.scratch[rank].rects() {
+            needs.subtract(held);
+        }
+        let mut supplies: Vec<(i64, u8, usize, &Rect)> = Vec::new();
+        for q in (0..self.points.len()).filter(|q| *q != rank) {
+            let d = torus_distance(self.grid, &self.points[q], &self.points[rank]);
+            for s in self.scratch[q].rects() {
+                supplies.push((d, 0, q, s));
+            }
+            for s in &self.home.pieces[q] {
+                supplies.push((d, 1, q, s));
+            }
+        }
+        supplies.sort_by_key(|a| (a.0, a.1, a.2));
+        let mut transfers = Vec::new();
+        for (_, _, q, s) in supplies {
+            for missing in needs.rects().to_vec() {
+                let part = s.intersection(&missing);
+                if !part.is_empty() {
+                    needs.subtract(&part);
+                    transfers.push((q, part));
+                }
+            }
+        }
+        transfers
+    }
+}
 
 /// Lowers a scheduled statement to an [`SpmdProgram`] with statically
 /// resolved communication, then recognizes and tree/ring-lowers
@@ -308,21 +505,26 @@ pub fn lower_with(
     let mut stream: Vec<(usize, SpmdOp)> = Vec::new();
     let mut tag = 0u64;
 
-    // Scratch holdings valid at the current sequential step.
-    let mut scratch: Holdings = accessed
+    // One holdings dataflow per accessed tensor; every input access is
+    // resolved to its tensor's description and dataflow here, once.
+    let points: Vec<Point> = grid.points().collect();
+    let mut holdings: Vec<Holdings> = owners
         .iter()
-        .map(|n| (n.to_string(), vec![RectSet::new(); ranks]))
+        .map(|(name, home)| Holdings::new(name, grid, &points, home))
+        .collect();
+    let inputs: Vec<(&Access, &SpmdTensor, usize)> = assignment
+        .input_accesses()
+        .into_iter()
+        .map(|acc| {
+            let flow = holdings.iter().position(|h| h.tensor == acc.tensor);
+            let flow = flow.expect("every accessed tensor has holdings");
+            (acc, by_name[acc.tensor.as_str()], flow)
+        })
         .collect();
     let mut out_written: Vec<RectSet> = vec![RectSet::new(); ranks];
     let mut total_flops = 0.0f64;
 
-    for seq_point in nest.seq_rect().points() {
-        // Receives of this step become valid holdings for the *next* step.
-        let mut received: BTreeMap<String, Vec<Vec<Rect>>> = accessed
-            .iter()
-            .map(|n| (n.to_string(), vec![Vec::new(); ranks]))
-            .collect();
-
+    for (step, seq_point) in nest.seq_rect().points().enumerate() {
         for point in domain_rect.points() {
             // The launch domain is the grid (checked above) or the single
             // point 0, so a point's row-major index is its rank.
@@ -333,68 +535,20 @@ pub fn lower_with(
             };
 
             // Source every input rectangle not already held locally.
-            for acc in assignment.input_accesses() {
-                let t = by_name[acc.tensor.as_str()];
-                let need_rect = nest.access_rect(&acc.indices, &env, &t.dims);
-                if need_rect.is_empty() {
-                    continue;
+            for &(acc, t, flow) in &inputs {
+                let need = nest.access_rect(&acc.indices, &env, &t.dims);
+                for (from, rect) in holdings[flow].supply(rank, step, &need)? {
+                    let msg = Message {
+                        tag,
+                        from,
+                        to: rank,
+                        tensor: acc.tensor.clone(),
+                        rect,
+                    };
+                    tag += 1;
+                    stream.push((from, SpmdOp::Send(msg.clone())));
+                    stream.push((rank, SpmdOp::Recv(msg)));
                 }
-                let mut needs = RectSet::from_rect(need_rect);
-                for home in &owners[&acc.tensor].pieces[rank] {
-                    needs.subtract(home);
-                }
-                for held in scratch[&acc.tensor][rank].rects().to_vec() {
-                    needs.subtract(&held);
-                }
-                if needs.is_empty() {
-                    continue;
-                }
-                // Candidate supplies sorted by (torus distance, scratch
-                // before home, rank). Preferring a forwarded scratch copy
-                // over an equally distant home owner is what makes systolic
-                // schedules systolic — it spreads load off the owners,
-                // which is the paper's stated rationale for `rotate`
-                // ("avoiding contention for the same pieces of data",
-                // §3.3).
-                let dest_point = grid.delinearize(rank as i64);
-                let mut supplies: Vec<(i64, u8, usize, Rect)> = Vec::new();
-                for q in (0..ranks).filter(|q| *q != rank) {
-                    let d = torus_distance(grid, &grid.delinearize(q as i64), &dest_point);
-                    for s in scratch[&acc.tensor][q].rects() {
-                        supplies.push((d, 0, q, s.clone()));
-                    }
-                    for s in &owners[&acc.tensor].pieces[q] {
-                        supplies.push((d, 1, q, s.clone()));
-                    }
-                }
-                supplies.sort_by_key(|a| (a.0, a.1, a.2));
-                for (_dist, _class, q, s) in supplies {
-                    if needs.is_empty() {
-                        break;
-                    }
-                    for need in needs.rects().to_vec() {
-                        let inter = s.intersection(&need);
-                        if inter.is_empty() {
-                            continue;
-                        }
-                        let msg = Message {
-                            tag,
-                            from: q,
-                            to: rank,
-                            tensor: acc.tensor.clone(),
-                            rect: inter.clone(),
-                        };
-                        tag += 1;
-                        stream.push((q, SpmdOp::Send(msg.clone())));
-                        stream.push((rank, SpmdOp::Recv(msg)));
-                        needs.subtract(&inter);
-                        received.get_mut(&acc.tensor).unwrap()[rank].push(inter);
-                    }
-                }
-                debug_assert!(
-                    needs.is_empty(),
-                    "home pieces must cover every tensor coordinate"
-                );
             }
 
             // Record output coverage and emit the leaf.
@@ -413,24 +567,17 @@ pub fn lower_with(
                 stream.push((rank, SpmdOp::RetireScratch { keep: 1 }));
             }
         }
-        for (tensor, per_rank) in received {
-            for (rank, rects) in per_rank.into_iter().enumerate() {
-                let set = &mut scratch.get_mut(&tensor).unwrap()[rank];
-                *set = RectSet::new();
-                for r in rects {
-                    set.add(r);
-                }
-            }
-        }
+        holdings.iter_mut().for_each(Holdings::advance);
     }
+    drop(holdings);
 
     // Final gather: move computed output to its home owners. Distributed
     // reductions fold (Johnson's "sum reduces A_ijk to P_ij0"); others
     // overwrite. Local contributions fold without messages.
-    let out_owners = owners[&out_name].clone();
-    for (rank, written) in out_written.iter().enumerate().take(ranks) {
-        for rect in written.rects().to_vec() {
-            for (owner, piece) in out_owners.owners_of(&rect) {
+    let out_owners = &owners[&out_name];
+    for (rank, written) in out_written.iter().enumerate() {
+        for rect in written.rects() {
+            for (owner, piece) in out_owners.owners_of(rect) {
                 if owner == rank {
                     continue;
                 }
@@ -491,6 +638,7 @@ pub fn lower_with(
 mod tests {
     use super::*;
     use distal_machine::spec::MemKind;
+    use proptest::prelude::*;
 
     fn tiled_tensors(n: i64) -> Vec<SpmdTensor> {
         let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
@@ -604,5 +752,113 @@ mod tests {
         }));
         // 3 remote ranks x 2 input tensors + 3 output tiles returned.
         assert_eq!(msgs.len(), 9);
+    }
+
+    #[test]
+    fn a_hole_in_the_home_pieces_is_a_typed_error() {
+        // Two ranks on a line; rank 1's piece stops a row short of the
+        // tensor, so nobody holds row 3.
+        let grid = Grid::line(2);
+        let points: Vec<Point> = grid.points().collect();
+        let whole = Rect::sized(&[4, 4]);
+        let home = Ownership::new(vec![
+            vec![whole.restrict(0, 0, 1)],
+            vec![whole.restrict(0, 2, 2)],
+        ]);
+        let mut holdings = Holdings::new("B", &grid, &points, &home);
+        // What is held is still found...
+        let rows = whole.restrict(0, 1, 2);
+        assert_eq!(
+            holdings.supply(0, 0, &rows).unwrap(),
+            vec![(1, whole.restrict(0, 2, 2))]
+        );
+        // ...and the hole is named, not lowered past.
+        let err = holdings.supply(0, 3, &whole).unwrap_err();
+        assert_eq!(
+            err,
+            SpmdError::Uncovered {
+                tensor: "B".into(),
+                rank: 0,
+                step: 3,
+                rect: whole.restrict(0, 3, 3),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "no rank holds B[(3, 0)..(3, 3)], which rank 0 needs at sequential step 3"
+        );
+    }
+
+    /// Grids (line, prime line, non-square, square, two 3-d) and, per grid
+    /// dimensionality, distribution notations for a matrix: tiled,
+    /// transposed, replicated (`*`), face-fixed (`0`) and mixtures.
+    fn grids() -> Vec<Grid> {
+        vec![
+            Grid::line(4),
+            Grid::line(7),
+            Grid::grid2(2, 3),
+            Grid::grid2(3, 3),
+            Grid::grid3(2, 2, 3),
+            Grid::grid3(3, 1, 2),
+        ]
+    }
+    const NOTATIONS: [&[&str]; 3] = [
+        &["xy->x", "xy->y", "xy->*", "xy->0"],
+        &["xy->xy", "xy->yx", "xy->x*", "xy->*y", "xy->x0", "xy->0y"],
+        &[
+            "xy->xy*", "xy->xy0", "xy->x*y", "xy->0yx", "xy->*x*", "xy->y00",
+        ],
+    ];
+    const PARTITIONS: [&str; 4] = ["", " @bc2", " @bc3", " @cyclic"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The indexed supplier search is the per-rank scan it replaced:
+        /// the same `(from, to, rect)` sequence for every need, over
+        /// several sequential steps, so that forwarded scratch copies
+        /// compete with home owners.
+        #[test]
+        fn indexed_supply_matches_the_per_rank_scan(
+            grid in 0usize..6,
+            notation in 0usize..7,
+            partition in 0usize..4,
+            dims in (3i64..13, 3i64..13),
+            steps in 2usize..5,
+            needs in prop::collection::vec(((0i64..12, 0i64..8), (0i64..12, 0i64..8)), 120),
+        ) {
+            let grid = grids()[grid].clone();
+            let notations = NOTATIONS[grid.dim() - 1];
+            // One notation in seven is the undistributed format.
+            let format = match notations.get(notation % 7) {
+                Some(n) => Format::parse(&format!("{n}{}", PARTITIONS[partition]), MemKind::Sys)
+                    .unwrap(),
+                None => Format::undistributed(),
+            };
+            let tensor = SpmdTensor::new("T", vec![dims.0, dims.1], format);
+            let home = ownership(&tensor, &grid).unwrap();
+            let points: Vec<Point> = grid.points().collect();
+            let mut holdings = Holdings::new("T", &grid, &points, &home);
+            // Needs: (start, length) per dimension, clipped to the tensor;
+            // length 0 is an empty need.
+            let mut needs = needs.iter().map(|&((r0, rn), (c0, cn))| {
+                let (r0, c0) = (r0 % dims.0, c0 % dims.1);
+                Rect::new(
+                    Point::new(vec![r0, c0]),
+                    Point::new(vec![(r0 + rn).min(dims.0) - 1, (c0 + cn).min(dims.1) - 1]),
+                )
+            });
+            for step in 0..steps {
+                for rank in 0..points.len() {
+                    // Two accesses per rank and step.
+                    for need in needs.by_ref().take(2) {
+                        let want = holdings.supply_by_scan(rank, &need);
+                        let got = holdings.supply(rank, step, &need).unwrap();
+                        prop_assert_eq!(&got, &want, "rank {} step {} needs {}", rank, step, need);
+                    }
+                }
+                holdings.advance();
+            }
+        }
     }
 }

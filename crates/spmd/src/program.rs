@@ -358,7 +358,7 @@ impl SpmdProgram {
                 }
                 Some(d)
             };
-            for (rank, pieces) in self.owners[&t.name].pieces.iter().enumerate() {
+            for (rank, pieces) in self.owners[&t.name].pieces().iter().enumerate() {
                 for piece in pieces {
                     let buf = match data {
                         Some(d) => {
@@ -406,7 +406,7 @@ impl SpmdProgram {
         let out_t = self.tensor(out_name)?;
         let out_rect = Rect::sized(&out_t.dims);
         let mut output = vec![0.0; out_rect.volume().max(1) as usize];
-        for (store, pieces) in stores.iter().zip(&self.owners[out_name].pieces) {
+        for (store, pieces) in stores.iter().zip(self.owners[out_name].pieces()) {
             for piece in pieces {
                 store
                     .gather_into(out_name, piece, &out_rect, &mut output)

@@ -12,6 +12,8 @@
 //! * [`setup`] — helpers that build the ready-to-compile
 //!   [`distal_core::Problem`] + [`distal_core::Schedule`] of either family.
 
+#![forbid(unsafe_code)]
+
 pub mod higher_order;
 pub mod matmul;
 pub mod setup;

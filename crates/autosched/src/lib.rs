@@ -56,6 +56,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod search;
 pub mod space;
 

@@ -26,6 +26,8 @@
 //!   (out-of-core), avoiding the framebuffer DMA penalty but paying
 //!   host↔device transfers.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod cosma;
 pub mod ctf;

@@ -2,17 +2,22 @@
 //! `BENCH_kernels.json` at the repo root.
 //!
 //! Usage: `cargo run --release -p distal-bench --bin kernels \
-//!   [--assert-speedup X] [--gemm N] [--einsum N] [--spmv N] [--reps R]`
+//!   [--assert-speedup X] [--assert-roofline S] [--gemm N] [--einsum N]
+//!   [--spmv N] [--reps R]`
 //!
 //! `--assert-speedup X` exits nonzero unless the generated dense GEMM
 //! reaches `X`× the interpreted flop rate — the kernelgen-regression gate
-//! CI runs. Output parity (bit-identical interpreted vs generated
-//! results) is always enforced.
+//! CI runs. `--assert-roofline S` exits nonzero unless `gemm.gen`
+//! standing alone reaches `S`× the multiply-then-add peak of the
+//! instruction set it dispatched to, at both 160³ and 512³ — a ratio of
+//! two rates taken in one process, so host speed cancels. Output parity
+//! (bit-identical interpreted vs generated results) is always enforced.
 
 use distal_bench::kernels;
 
 fn main() {
     let mut assert_speedup: Option<f64> = None;
+    let mut assert_roofline: Option<f64> = None;
     let (mut gemm_n, mut einsum_n, mut spmv_n, mut reps) = (96i64, 16i64, 384i64, 3usize);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -26,6 +31,7 @@ fn main() {
         };
         match a.as_str() {
             "--assert-speedup" => assert_speedup = Some(num("--assert-speedup")),
+            "--assert-roofline" => assert_roofline = Some(num("--assert-roofline")),
             "--gemm" => gemm_n = num("--gemm") as i64,
             "--einsum" => einsum_n = num("--einsum") as i64,
             "--spmv" => spmv_n = num("--spmv") as i64,
@@ -35,14 +41,10 @@ fn main() {
     }
 
     let rows = kernels::kernels_bench(gemm_n, einsum_n, spmv_n, reps);
-    let measured = rows
-        .iter()
-        .find(|r| r.workload == "gemm")
-        .map(|r| r.generated_gflops)
-        .unwrap_or(0.0);
-    let calibration = kernels::calibrate(measured.max(1e-3));
-    print!("{}", kernels::render(&rows, &calibration));
-    let json = kernels::to_json(&rows, &calibration);
+    let pure = kernels::pure_gemm_bench(&kernels::PURE_TILES);
+    let calibration = kernels::calibrate(kernels::calibration_rate(&pure).max(1e-3));
+    print!("{}", kernels::render(&rows, &pure, &calibration));
+    let json = kernels::to_json(&rows, &pure, &calibration);
     let path = std::path::Path::new("BENCH_kernels.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {}", path.display()),
@@ -67,5 +69,22 @@ fn main() {
             std::process::exit(3);
         }
         println!("speedup assertion passed: {gemm_speedup:.2}x >= {threshold:.2}x");
+    }
+    if let Some(threshold) = assert_roofline {
+        for r in pure.iter().filter(|r| r.dispatched && r.n >= 160) {
+            let share = r.roofline_share();
+            if share < threshold {
+                eprintln!(
+                    "roofline regression: gemm.gen ({}) at {}^3 runs {:.2} GFLOP/s, {share:.2} of \
+                     the {:.2} GFLOP/s multiply+add peak, required {threshold:.2}",
+                    r.variant, r.n, r.gflops, r.peak_gflops
+                );
+                std::process::exit(4);
+            }
+            println!(
+                "roofline assertion passed: {} at {}^3 is {share:.2} of peak >= {threshold:.2}",
+                r.variant, r.n
+            );
+        }
     }
 }

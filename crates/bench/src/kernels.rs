@@ -5,19 +5,32 @@
 //! ([`distal_core::kernelgen`]): the tiled dense GEMM, the tape-compiled
 //! three-input einsum, and the CSR-specialized SpMV.
 //!
-//! Each measurement runs the full single-rank pipeline twice — once with
-//! the leaf forced to the interpreter via `substitute(.., Interpreter)`,
-//! once with the default plan-time specialization — on identical data,
-//! verifies the outputs are bit-identical (the kernelgen contract), and
-//! reports both flop rates. The dense-GEMM speedup is the CI gate
-//! (`--assert-speedup`); the measured generated rate also feeds
-//! [`MachineSpec::with_cpu_socket_gflops`] so the cost models price real
+//! Each pipeline measurement runs the full single-rank pipeline twice —
+//! once with the leaf forced to the interpreter via `substitute(..,
+//! Interpreter)`, once with the default plan-time specialization — on
+//! identical data, verifies the outputs are bit-identical (the kernelgen
+//! contract), and reports both flop rates. The dense-GEMM speedup is a CI
+//! gate (`--assert-speedup`).
+//!
+//! Those rows time `execute()` of a fresh instance — first-touch page
+//! faults, fills and snapshots included — so they are pipeline rates, not
+//! kernel rates. The pure-kernel rows ([`pure_gemm_bench`]) time the
+//! `gemm.gen` leaf alone, once per micro-kernel variant the host can run,
+//! each beside the multiply-then-add peak of the same instruction set:
+//! the ratio is the roofline gate (`--assert-roofline`), and the
+//! dispatched variant's 160³ rate is what feeds
+//! [`MachineSpec::with_cpu_socket_gflops`], so the cost models price real
 //! per-core throughput instead of the Lassen constant.
 
+use distal_core::kernelgen::{gemm_variants, specialize, MicroKernel};
 use distal_core::{DistalMachine, LeafKind, Problem, Report, RuntimeBackend, Schedule, TensorSpec};
 use distal_format::Format;
+use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
+use distal_runtime::kernel::{KernelArg, KernelCtx};
+use distal_runtime::kernelgen::LeafRequest;
+use distal_runtime::program::Privilege;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -46,10 +59,39 @@ pub struct KernelBenchRow {
     pub verified: bool,
 }
 
+/// The `gemm.gen` leaf standing alone on one `n³` tile, through one
+/// micro-kernel variant.
+#[derive(Clone, Debug)]
+pub struct PureKernelRow {
+    /// The variant's descriptor name, e.g. `avx2 4x8`.
+    pub variant: String,
+    /// Whether `gemm.gen` dispatches to this variant on this host.
+    pub dispatched: bool,
+    /// Tile side length.
+    pub n: i64,
+    /// Fastest of five timings, GFLOP/s.
+    pub gflops: f64,
+    /// The multiply-then-add chain rate of the variant's instruction
+    /// set, GFLOP/s: the roofline this row is held against.
+    pub peak_gflops: f64,
+}
+
+impl PureKernelRow {
+    /// `gflops / peak_gflops`.
+    pub fn roofline_share(&self) -> f64 {
+        self.gflops / self.peak_gflops.max(1e-12)
+    }
+}
+
+/// Tile sides of the pure-kernel rows: the small-tile/edge regime of
+/// `plan_scale`, the `dense_*` workloads' leaf, and a tile past L2 on a
+/// power-of-two stride.
+pub const PURE_TILES: [i64; 3] = [32, 160, 512];
+
 /// Cost-model recalibration from the measured generated-GEMM rate.
 #[derive(Clone, Debug)]
 pub struct Calibration {
-    /// Generated dense-GEMM rate measured on one host core, GFLOP/s.
+    /// Pure-kernel dense-GEMM rate measured on one host core, GFLOP/s.
     pub measured_core_gflops: f64,
     /// The spec's default per-socket rate (Lassen's 375.0).
     pub default_socket_gflops: f64,
@@ -199,6 +241,92 @@ pub fn kernels_bench(gemm_n: i64, einsum_n: i64, spmv_n: i64, reps: usize) -> Ve
     ]
 }
 
+/// Fastest of five timings of `run`, in seconds per call; each timing
+/// spans enough calls to cover 40 MFLOP, so a 32³ tile is not timed at
+/// clock resolution.
+fn fastest_of_5(flops_per_call: f64, mut run: impl FnMut()) -> f64 {
+    let calls = (4e7 / flops_per_call).ceil().max(1.0) as usize;
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..calls {
+                run();
+            }
+            t0.elapsed().as_secs_f64() / calls as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// One variant's multiply-then-add peak, GFLOP/s (64 flops a step).
+fn peak_gflops(variant: &MicroKernel) -> f64 {
+    const STEPS: usize = 1_000_000;
+    let secs = fastest_of_5(64.0 * STEPS as f64, || {
+        std::hint::black_box(variant.peak_chain(std::hint::black_box(STEPS)));
+    });
+    64.0 * STEPS as f64 / secs / 1e9
+}
+
+/// The `gemm.gen` leaf alone: a [`KernelCtx`] over three dense `n × n`
+/// tiles, executed in place (no compile, placement, fill or snapshot in
+/// the timed region), for every variant the host can run at every size
+/// in `tiles`. The dispatched variant is timed through the kernel
+/// [`specialize`] hands the pipeline.
+pub fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
+    let matmul = distal_ir::expr::kernels::matmul();
+    let kernel = specialize(&LeafRequest::dense(matmul, true));
+    assert_eq!(kernel.name(), "gemm.gen");
+    let variants = gemm_variants();
+    let mut rows = Vec::new();
+    for (vi, variant) in variants.iter().enumerate() {
+        let dispatched = vi + 1 == variants.len();
+        let peak = peak_gflops(variant);
+        for &n in tiles {
+            let tile = Rect::sized(&[n, n]);
+            let arg = |seed: u64| KernelArg {
+                privilege: Privilege::ReadWrite,
+                rect: tile.clone(),
+                alloc: tile.clone(),
+                data: (0..n * n)
+                    .map(|x| ((x as u64 ^ seed).wrapping_mul(0x9E37_79B9) % 1024) as f64 / 1024.0)
+                    .collect(),
+            };
+            let mut ctx = KernelCtx {
+                args: vec![arg(0xA), arg(0xB), arg(0xC)],
+                point: Point::zeros(1),
+                scalars: vec![0, n - 1, 0, n - 1, 0, n - 1],
+            };
+            let flops = 2.0 * (n * n * n) as f64;
+            let secs = fastest_of_5(flops, || {
+                if dispatched {
+                    kernel.execute(&mut ctx);
+                } else {
+                    variant.execute(&mut ctx);
+                }
+            });
+            std::hint::black_box(&ctx.args[0].data);
+            rows.push(PureKernelRow {
+                variant: variant.name.to_string(),
+                dispatched,
+                n,
+                gflops: flops / secs / 1e9,
+                peak_gflops: peak,
+            });
+        }
+    }
+    rows
+}
+
+/// The rate the cost models are calibrated from: the dispatched variant
+/// on the 160³ tile (the `dense_*` workloads' leaf), or failing that on
+/// the largest tile measured.
+pub fn calibration_rate(pure: &[PureKernelRow]) -> f64 {
+    let dispatched = || pure.iter().filter(|r| r.dispatched);
+    dispatched()
+        .find(|r| r.n == 160)
+        .or_else(|| dispatched().max_by_key(|r| r.n))
+        .map_or(0.0, |r| r.gflops)
+}
+
 /// Prices a reference SUMMA problem with the default and the
 /// measured-rate-calibrated machine specs, so the report shows the cost
 /// model following the host's real per-core throughput.
@@ -240,7 +368,11 @@ pub fn calibrate(measured_core_gflops: f64) -> Calibration {
 }
 
 /// Renders the comparison as a table.
-pub fn render(rows: &[KernelBenchRow], calibration: &Calibration) -> String {
+pub fn render(
+    rows: &[KernelBenchRow],
+    pure: &[PureKernelRow],
+    calibration: &Calibration,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -272,6 +404,23 @@ pub fn render(rows: &[KernelBenchRow], calibration: &Calibration) -> String {
     }
     let _ = writeln!(
         out,
+        "\npure kernel (gemm.gen alone, fastest of 5; * = dispatched on this host)\n\
+         {:<16} {:>6} {:>12} {:>12} {:>9}",
+        "variant", "n", "GF/s", "peak GF/s", "roofline"
+    );
+    for r in pure {
+        let _ = writeln!(
+            out,
+            "{:<16} {:>6} {:>12.3} {:>12.3} {:>9.2}",
+            format!("{}{}", r.variant, if r.dispatched { " *" } else { "" }),
+            r.n,
+            r.gflops,
+            r.peak_gflops,
+            r.roofline_share()
+        );
+    }
+    let _ = writeln!(
+        out,
         "calibration: measured {:.3} GFLOP/s/core -> socket {:.1} (default {:.1}); \
          SUMMA n=64 p=4 makespan {:.3e}s -> {:.3e}s",
         calibration.measured_core_gflops,
@@ -285,7 +434,11 @@ pub fn render(rows: &[KernelBenchRow], calibration: &Calibration) -> String {
 
 /// Serializes rows + calibration as JSON (hand-rolled; no serde in the
 /// workspace).
-pub fn to_json(rows: &[KernelBenchRow], calibration: &Calibration) -> String {
+pub fn to_json(
+    rows: &[KernelBenchRow],
+    pure: &[PureKernelRow],
+    calibration: &Calibration,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"rows\": [");
@@ -307,6 +460,22 @@ pub fn to_json(rows: &[KernelBenchRow], calibration: &Calibration) -> String {
             r.speedup,
             r.variant,
             r.verified
+        );
+    }
+    let _ = writeln!(out, "  ],");
+    let _ = writeln!(out, "  \"pure_kernel\": [");
+    for (i, r) in pure.iter().enumerate() {
+        let comma = if i + 1 < pure.len() { "," } else { "" };
+        let _ = writeln!(
+            out,
+            "    {{\"variant\": \"{}\", \"dispatched\": {}, \"n\": {}, \"gflops\": {:.4}, \
+             \"peak_gflops\": {:.4}, \"roofline_share\": {:.4}}}{comma}",
+            r.variant,
+            r.dispatched,
+            r.n,
+            r.gflops,
+            r.peak_gflops,
+            r.roofline_share()
         );
     }
     let _ = writeln!(out, "  ],");
@@ -358,6 +527,18 @@ mod tests {
     }
 
     #[test]
+    fn pure_rows_cover_every_variant_and_calibrate_from_the_dispatched_one() {
+        let pure = pure_gemm_bench(&[8, 16]);
+        assert_eq!(pure.len(), 2 * gemm_variants().len());
+        assert!(pure.iter().all(|r| r.gflops > 0.0 && r.peak_gflops > 0.0));
+        let last = pure.last().unwrap();
+        assert!(last.dispatched && pure.iter().filter(|r| r.dispatched).count() == 2);
+        // No 160³ row: the largest dispatched tile stands in.
+        assert_eq!(calibration_rate(&pure), last.gflops);
+        assert_eq!(calibration_rate(&[]), 0.0);
+    }
+
+    #[test]
     fn calibration_scales_the_cost_model() {
         // A machine 10× slower than another must price a compute-bound
         // problem no cheaper; the rates land where the builder put them.
@@ -376,9 +557,11 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let rows = kernels_bench(12, 6, 32, 1);
+        let pure = pure_gemm_bench(&[8]);
         let cal = calibrate(10.0);
-        let j = to_json(&rows, &cal);
+        let j = to_json(&rows, &pure, &cal);
         assert!(j.contains("\"workload\": \"gemm\""));
+        assert!(j.contains("\"pure_kernel\""));
         assert!(j.contains("\"calibration\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

@@ -36,6 +36,8 @@
 //! Criterion benches (`benches/paper_figures.rs`) run reduced-scale
 //! versions of the same harnesses.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod backends;
 pub mod exec;

@@ -62,6 +62,11 @@
 //! # }
 //! ```
 
+// Denied rather than forbidden: `kernelgen::gemm`'s entry into its
+// `#[target_feature]` instantiation allows it by name, the one exception in
+// the workspace (every other crate forbids it).
+#![deny(unsafe_code)]
+
 pub mod backend;
 pub mod cache;
 pub mod diagnostic;

@@ -40,6 +40,8 @@
 //! assert_eq!(owners.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod format;
 pub mod lower;
 pub mod notation;

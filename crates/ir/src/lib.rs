@@ -20,6 +20,8 @@
 //! * [`execspace`] — the execution-space model of §3.3 (Figures 6–8), used
 //!   to test `distribute` and `rotate` semantics against the paper exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod cin;
 pub mod execspace;
 pub mod expr;

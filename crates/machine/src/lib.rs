@@ -37,6 +37,8 @@
 //! assert_eq!(lassen.nodes, 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod geom;
 pub mod grid;
 pub mod spec;

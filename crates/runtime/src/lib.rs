@@ -46,6 +46,8 @@
 //! assert_eq!(rt.read_region(region).unwrap()[0], 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod exec;
 pub mod executor;
 pub mod graph;

@@ -79,6 +79,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod queue;
 

@@ -25,6 +25,8 @@
 //!   [`estimated_payload_bytes`]) shared by the runtime's copy accounting
 //!   and the SPMD backend's nnz-sized messages.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod kernels;
 

@@ -84,6 +84,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod collective;
 pub mod cost;

@@ -28,6 +28,8 @@
 //! Findings surface as structured [`Diagnostic`]s naming the offending
 //! rank/tensor/tag.
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod comm;
 pub mod hazard;

@@ -57,6 +57,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use distal_algs as algs;
 pub use distal_autosched as autosched;
 pub use distal_baselines as baselines;

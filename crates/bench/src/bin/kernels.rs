@@ -2,15 +2,20 @@
 //! `BENCH_kernels.json` at the repo root.
 //!
 //! Usage: `cargo run --release -p distal-bench --bin kernels \
-//!   [--assert-speedup X] [--assert-roofline S] [--gemm N] [--einsum N]
-//!   [--spmv N] [--reps R]`
+//!   [--assert-speedup X] [--assert-roofline S] [--assert-spmv-stream S]
+//!   [--gemm N] [--einsum N] [--spmv N] [--reps R]`
 //!
 //! `--assert-speedup X` exits nonzero unless the generated dense GEMM
 //! reaches `X`× the interpreted flop rate — the kernelgen-regression gate
 //! CI runs. `--assert-roofline S` exits nonzero unless `gemm.gen`
 //! standing alone reaches `S`× the multiply-then-add peak of the
 //! instruction set it dispatched to, at both 160³ and 512³ — a ratio of
-//! two rates taken in one process, so host speed cancels. Output parity
+//! two rates taken in one process, so host speed cancels.
+//! `--assert-spmv-stream S` is the same kind of gate for the sparse leaf:
+//! it exits nonzero unless `spmv.gen` standing alone (2048², density
+//! 0.01) moves its computed bytes at `S`× the rate of a stream-triad
+//! probe run beside it (a leaf that scanned the dense tile scored
+//! ≈ 0.001). Output parity
 //! (bit-identical interpreted vs generated results) is always enforced.
 
 use distal_bench::kernels;
@@ -18,6 +23,7 @@ use distal_bench::kernels;
 fn main() {
     let mut assert_speedup: Option<f64> = None;
     let mut assert_roofline: Option<f64> = None;
+    let mut assert_spmv_stream: Option<f64> = None;
     let (mut gemm_n, mut einsum_n, mut spmv_n, mut reps) = (96i64, 16i64, 384i64, 3usize);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -32,6 +38,7 @@ fn main() {
         match a.as_str() {
             "--assert-speedup" => assert_speedup = Some(num("--assert-speedup")),
             "--assert-roofline" => assert_roofline = Some(num("--assert-roofline")),
+            "--assert-spmv-stream" => assert_spmv_stream = Some(num("--assert-spmv-stream")),
             "--gemm" => gemm_n = num("--gemm") as i64,
             "--einsum" => einsum_n = num("--einsum") as i64,
             "--spmv" => spmv_n = num("--spmv") as i64,
@@ -42,9 +49,10 @@ fn main() {
 
     let rows = kernels::kernels_bench(gemm_n, einsum_n, spmv_n, reps);
     let pure = kernels::pure_gemm_bench(&kernels::PURE_TILES);
+    let spmv = kernels::pure_spmv_bench(2048, 0.01, kernels::TRIAD_LEN);
     let calibration = kernels::calibrate(kernels::calibration_rate(&pure).max(1e-3));
-    print!("{}", kernels::render(&rows, &pure, &calibration));
-    let json = kernels::to_json(&rows, &pure, &calibration);
+    print!("{}", kernels::render(&rows, &pure, &spmv, &calibration));
+    let json = kernels::to_json(&rows, &pure, &spmv, &calibration);
     let path = std::path::Path::new("BENCH_kernels.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {}", path.display()),
@@ -86,5 +94,18 @@ fn main() {
                 r.variant, r.n
             );
         }
+    }
+    if let Some(threshold) = assert_spmv_stream {
+        let share = spmv.stream_share();
+        if share < threshold {
+            eprintln!(
+                "sparse-leaf regression: spmv.gen moves {:.2} GB/s, {share:.3} of the {:.2} GB/s \
+                 stream triad, required {threshold:.2}",
+                spmv.kernel_gbs(),
+                spmv.triad_gbs
+            );
+            std::process::exit(5);
+        }
+        println!("spmv stream assertion passed: {share:.2} of the triad >= {threshold:.2}");
     }
 }

@@ -23,15 +23,19 @@
 //! per-core throughput instead of the Lassen constant.
 
 use distal_core::kernelgen::{gemm_variants, specialize, MicroKernel};
+use distal_core::problem::{random_data, sparse_random_data};
 use distal_core::{DistalMachine, LeafKind, Problem, Report, RuntimeBackend, Schedule, TensorSpec};
 use distal_format::Format;
+use distal_ir::expr::Assignment;
 use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
+use distal_runtime::csr::SparseBuffer;
 use distal_runtime::kernel::{KernelArg, KernelCtx};
 use distal_runtime::kernelgen::LeafRequest;
 use distal_runtime::program::Privilege;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One interpreted-vs-generated comparison.
@@ -289,6 +293,7 @@ pub fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
                 data: (0..n * n)
                     .map(|x| ((x as u64 ^ seed).wrapping_mul(0x9E37_79B9) % 1024) as f64 / 1024.0)
                     .collect(),
+                sparse: None,
             };
             let mut ctx = KernelCtx {
                 args: vec![arg(0xA), arg(0xB), arg(0xC)],
@@ -314,6 +319,112 @@ pub fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
         }
     }
     rows
+}
+
+/// The `spmv.gen` leaf standing alone beside a stream-triad probe run in
+/// the same process.
+#[derive(Clone, Debug)]
+pub struct SpmvStreamRow {
+    /// Matrix side length.
+    pub n: i64,
+    /// Stored entries of the matrix.
+    pub nnz: u64,
+    /// Fastest of five timings of the leaf alone, seconds per call.
+    pub kernel_s: f64,
+    /// `execute()` of the whole single-rank pipeline on the same problem,
+    /// seconds — what the leaf costs once graph build, fill and
+    /// first-touch faults are around it.
+    pub pipeline_s: f64,
+    /// The probe's rate: `a[i] = b[i] + s·c[i]`, 24 bytes an element.
+    pub triad_gbs: f64,
+}
+
+impl SpmvStreamRow {
+    /// Bytes one SpMV must move, computed: a value and a coordinate per
+    /// stored entry, the row offsets, one read of `c`, one update of `a`.
+    pub fn bytes(&self) -> f64 {
+        16.0 * self.nnz as f64 + 8.0 * (self.n + 1) as f64 + 16.0 * self.n as f64
+    }
+
+    /// The leaf's rate over [`SpmvStreamRow::bytes`], GB/s.
+    pub fn kernel_gbs(&self) -> f64 {
+        self.bytes() / self.kernel_s / 1e9
+    }
+
+    /// `kernel_gbs / triad_gbs` — a ratio of two rates taken in one
+    /// process, so host speed cancels.
+    pub fn stream_share(&self) -> f64 {
+        self.kernel_gbs() / self.triad_gbs.max(1e-12)
+    }
+}
+
+/// Elements per array of the triad probe (64 MiB each; three arrays) —
+/// the shape of the pipeline benchmark's own probe.
+pub const TRIAD_LEN: usize = 8 << 20;
+
+/// One core's sustainable bandwidth in GB/s over three `len`-element
+/// arrays, fastest of four passes.
+fn triad_gbs(len: usize) -> f64 {
+    let s = std::hint::black_box(3.0f64);
+    let b = vec![1.0f64; len];
+    let c = vec![2.0f64; len];
+    let mut a = vec![0.0f64; len];
+    let mut best = 0.0f64;
+    for _ in 0..4 {
+        let start = Instant::now();
+        for ((a, b), c) in a.iter_mut().zip(&b).zip(&c) {
+            *a = *b + s * *c;
+        }
+        let secs = start.elapsed().as_secs_f64();
+        std::hint::black_box(&mut a);
+        best = best.max(24.0 * len as f64 / secs / 1e9);
+    }
+    best
+}
+
+/// The `spmv.gen` leaf alone over an `n × n` matrix at `density`: a
+/// [`KernelCtx`] built directly over the specialized leaf and one CSR
+/// image (no compile, bind, placement or graph in the timed region),
+/// beside the triad probe (over `triad_len`-element arrays;
+/// [`TRIAD_LEN`] outside tests) and the pipeline's `execute()` on the same
+/// problem.
+pub fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow {
+    let statement = Assignment::parse("a(i) = B(i,j) * c(j)").expect("the SpMV statement");
+    let mut request = LeafRequest::dense(statement, true);
+    request.compressed[0] = true;
+    let kernel = specialize(&request);
+    assert_eq!(kernel.name(), "spmv.gen");
+    let volume = (n * n) as usize;
+    let image = SparseBuffer::from_dense(&[n, n], &sparse_random_data(volume, 0xB, density));
+    let nnz = image.nnz();
+    let dense = |rect: Rect, data: Vec<f64>| KernelArg {
+        privilege: Privilege::ReadWrite,
+        rect: rect.clone(),
+        alloc: rect,
+        data,
+        sparse: None,
+    };
+    let mut b = dense(Rect::sized(&[n, n]), Vec::new());
+    b.sparse = Some(Arc::new(image));
+    let mut ctx = KernelCtx {
+        args: vec![
+            dense(Rect::sized(&[n]), vec![0.0; n as usize]),
+            b,
+            dense(Rect::sized(&[n]), random_data(n as usize, 0xC)),
+        ],
+        point: Point::zeros(1),
+        scalars: vec![0, n - 1, 0, n - 1],
+    };
+    let kernel_s = fastest_of_5(2.0 * nnz as f64, || kernel.execute(&mut ctx));
+    std::hint::black_box(&ctx.args[0].data);
+    let (pipeline_s, _, _) = timed(&spmv_problem(n, density), &Schedule::new(), "a", 3);
+    SpmvStreamRow {
+        n,
+        nnz,
+        kernel_s,
+        pipeline_s,
+        triad_gbs: triad_gbs(triad_len),
+    }
 }
 
 /// The rate the cost models are calibrated from: the dispatched variant
@@ -371,6 +482,7 @@ pub fn calibrate(measured_core_gflops: f64) -> Calibration {
 pub fn render(
     rows: &[KernelBenchRow],
     pure: &[PureKernelRow],
+    spmv: &SpmvStreamRow,
     calibration: &Calibration,
 ) -> String {
     let mut out = String::new();
@@ -421,6 +533,24 @@ pub fn render(
     }
     let _ = writeln!(
         out,
+        "\npure kernel (spmv.gen alone, {n}x{n}, {} stored, fastest of 5)\n\
+         {:<16} {:>12.3} ms {:>9.3} GB/s {:>9.3} GFLOP/s\n\
+         {:<16} {:>12.3} ms\n\
+         {:<16} {:>25.3} GB/s   spmv.gen / triad = {:.2}",
+        spmv.nnz,
+        "spmv.gen",
+        spmv.kernel_s * 1e3,
+        spmv.kernel_gbs(),
+        2.0 * spmv.nnz as f64 / spmv.kernel_s / 1e9,
+        "pipeline execute",
+        spmv.pipeline_s * 1e3,
+        "stream triad",
+        spmv.triad_gbs,
+        spmv.stream_share(),
+        n = spmv.n,
+    );
+    let _ = writeln!(
+        out,
         "calibration: measured {:.3} GFLOP/s/core -> socket {:.1} (default {:.1}); \
          SUMMA n=64 p=4 makespan {:.3e}s -> {:.3e}s",
         calibration.measured_core_gflops,
@@ -437,6 +567,7 @@ pub fn render(
 pub fn to_json(
     rows: &[KernelBenchRow],
     pure: &[PureKernelRow],
+    spmv: &SpmvStreamRow,
     calibration: &Calibration,
 ) -> String {
     let mut out = String::new();
@@ -479,6 +610,18 @@ pub fn to_json(
         );
     }
     let _ = writeln!(out, "  ],");
+    let _ = writeln!(
+        out,
+        "  \"pure_spmv\": {{\"n\": {}, \"nnz\": {}, \"kernel_s\": {:.9}, \"pipeline_s\": {:.6}, \
+         \"kernel_gbs\": {:.4}, \"triad_gbs\": {:.4}, \"stream_share\": {:.4}}},",
+        spmv.n,
+        spmv.nnz,
+        spmv.kernel_s,
+        spmv.pipeline_s,
+        spmv.kernel_gbs(),
+        spmv.triad_gbs,
+        spmv.stream_share()
+    );
     let _ = writeln!(out, "  \"calibration\": {{");
     let _ = writeln!(
         out,
@@ -559,9 +702,14 @@ mod tests {
         let rows = kernels_bench(12, 6, 32, 1);
         let pure = pure_gemm_bench(&[8]);
         let cal = calibrate(10.0);
-        let j = to_json(&rows, &pure, &cal);
+        let spmv = pure_spmv_bench(64, 0.1, 1 << 12);
+        assert!(spmv.nnz > 0 && spmv.kernel_s > 0.0 && spmv.pipeline_s > spmv.kernel_s);
+        assert!(spmv.stream_share() > 0.0);
+        assert!(render(&rows, &pure, &spmv, &cal).contains("spmv.gen / triad"));
+        let j = to_json(&rows, &pure, &spmv, &cal);
         assert!(j.contains("\"workload\": \"gemm\""));
         assert!(j.contains("\"pure_kernel\""));
+        assert!(j.contains("\"pure_spmv\""));
         assert!(j.contains("\"calibration\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

@@ -364,7 +364,18 @@ impl RuntimePlan {
             let spec = &self.tensors[name.as_str()];
             let region = regions[name.as_str()];
             let compressed = spec.format.has_compressed();
+            // The tensor this plan's leaf reads as CSR, decided at plan
+            // time; every other tensor binds dense.
+            let csr = self.kernel.csr_operand.as_deref() == Some(name.as_str());
             let nnz = match mode {
+                // One pass over the caller's data, straight into the image
+                // the region holds and the leaf walks.
+                Mode::Functional if csr => {
+                    let image = init.compress(&spec.dims);
+                    let nnz = image.nnz();
+                    runtime.set_region_sparse(region, image)?;
+                    Some(nnz)
+                }
                 // The bound copy drops with the runtime's store, which
                 // hands its buffers back to the pool this one comes from.
                 Mode::Functional => {
@@ -379,13 +390,19 @@ impl RuntimePlan {
                     compressed.then(|| init_nnz(init, &spec.dims))
                 }
             };
-            // Compressed-format tensors get nnz-aware byte accounting,
-            // derived from this binding's nnz (never an earlier
-            // instance's): copies charge `pos`/`crd`/`vals` bytes instead
-            // of dense volume.
+            // Compressed-format tensors get nnz-aware accounting, derived
+            // from this binding's nnz (never an earlier instance's):
+            // copies charge `pos`/`crd`/`vals` bytes instead of dense
+            // volume, and tasks whose leaf walks the stored entries charge
+            // that share of their flops — the global density, so two
+            // bindings with equal nnz model the same makespan.
             if let Some(nnz) = nnz {
                 let scale = distal_sparse::csr_payload_scale(&spec.dims, nnz);
                 runtime.set_region_payload_scale(region, scale);
+                if csr {
+                    let volume = spec.dims.iter().product::<i64>().max(1);
+                    runtime.set_region_flops_scale(region, nnz as f64 / volume as f64);
+                }
             }
         }
         Ok(RuntimeInstance {

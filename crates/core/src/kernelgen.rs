@@ -10,11 +10,43 @@
 //!
 //! Three layers of specialization, tried in order:
 //!
-//! 1. **CSR fast paths** (`spmv.gen` / `spmm.gen` / `sddmm.gen`, in
-//!    `distal-sparse`) for the SpDISTAL shapes whose first input is
-//!    compressed: row slices are scanned directly with the row base
-//!    hoisted out of the inner loop — no per-execute CSR build, no
-//!    per-element coordinate mapping.
+//! 1. **CSR leaves** (`spmv.gen` / `spmm.gen` / `sddmm.gen`, in the
+//!    private `sparse` module) for the SpDISTAL shapes whose first input —
+//!    and only that one — is compressed, on an accumulating statement that
+//!    does not also write that tensor.
+//!
+//!    *The operand is CSR from `bind` to leaf.* The chosen leaf names the
+//!    argument it reads compressed (`Kernel::sparse_arg`); that is the
+//!    one place CSR-vs-dense is decided. `lower::compile` records the
+//!    tensor on the plan (`CompiledKernel::csr_operand`), `bind` builds
+//!    one `SparseBuffer` for it — a single pass over borrowed `Data`,
+//!    straight from the value stream of `RandomSparse`, or the caller's
+//!    own image through `Bindings::set_sparse` — and hangs it off the
+//!    runtime region. Every task then receives that one shared image
+//!    (`KernelArg::sparse`, `data` empty, `alloc` the rectangle it
+//!    covers) and walks the row slab `pos[ilo] .. pos[ihi + 1]` of it:
+//!    SpDISTAL's row partition, computed on `pos`.
+//!
+//!    *The column-restriction rule.* When the tile does not span every
+//!    column the image covers, each row's stored entries are cut to
+//!    `[lo, hi]` by two `partition_point`s on the row's ascending `crd`;
+//!    a tile that does span them pays nothing.
+//!
+//!    *The parity rule.* The leaves visit the same stored entries, in the
+//!    same ascending-column order, with the same product association, as
+//!    a left-to-right scan of the dense tile that skips `+0.0` bit
+//!    patterns — what they did before they were handed CSR, kept as a
+//!    `#[cfg(test)]` oracle, not as a second path. Hence they are
+//!    bit-identical to it, and by the `±0.0` argument in `distal-sparse`
+//!    to [`InterpreterKernel`] and the dense leaves; a 512-case property
+//!    per leaf holds them to both.
+//!
+//!    *The SPMD rank VM* keeps dense rank stores. It compresses the face
+//!    of the operand with `SparseBuffer::from_dense` — the one scan of
+//!    the face, where the buffer holding it lies when that is one
+//!    contiguous run, otherwise in the gathered copy — and passes it with
+//!    `alloc` = the face rectangle. Under `substitute(.., Interpreter)`
+//!    no leaf reads CSR and every tensor binds dense.
 //! 2. **Generated dense GEMM** (`gemm.gen`) for matmul-shaped pure
 //!    access products: one register-blocked, panel-packed driver in the
 //!    private `gemm` module. `k` runs in ascending blocks of `KC = 256`;
@@ -80,8 +112,9 @@
 //! Every generated kernel is **bit-identical** to
 //! [`InterpreterKernel`] over the same request: fast
 //! paths reorder only independent output elements, never the
-//! accumulation order within one output element, and zero-skipping
-//! follows the `±0.0` argument documented in `distal-sparse`.
+//! accumulation order within one output element, and visiting only
+//! stored entries follows the `±0.0` argument documented in
+//! `distal-sparse`.
 //!
 //! Specializations are cached process-wide by request fingerprint, so a
 //! plan bound many times — or many plans over the same statement — pays
@@ -99,6 +132,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 mod gemm;
+mod sparse;
 
 #[doc(hidden)]
 pub use gemm::{gemm_variants, MicroKernel};
@@ -196,18 +230,26 @@ fn build(req: &LeafRequest) -> Arc<dyn Kernel> {
     let pure = rhs_is_access_product(a);
     let first_only = req.compressed.first().copied().unwrap_or(false)
         && req.compressed.iter().skip(1).all(|c| !c);
-    // The CSR paths skip exactly the first operand's stored zeros, which
-    // is both the runtime's canonical sparse-leaf behaviour and the SPMD
-    // VM's pruning discipline when only that operand is compressed.
-    if pure && first_only && req.accumulate {
+    // A CSR leaf is handed its first operand as one read-only image, so
+    // that tensor must not also be the one written.
+    let read_only = a
+        .input_accesses()
+        .first()
+        .is_some_and(|first| first.tensor != a.lhs.tensor);
+    // The CSR paths visit exactly the first operand's stored entries,
+    // which is both the runtime's canonical sparse-leaf behaviour and the
+    // SPMD VM's pruning discipline when only that operand is compressed.
+    // This is the one place CSR-vs-dense is decided: the chosen leaf says
+    // so through `Kernel::sparse_arg`, and both lowerings read it there.
+    if pure && first_only && read_only && req.accumulate {
         if is_spmv(a) {
-            return Arc::new(distal_sparse::SpmvGenLeaf);
+            return Arc::new(sparse::SpmvGenLeaf);
         }
         if is_matmul(a) {
-            return Arc::new(distal_sparse::SpmmGenLeaf);
+            return Arc::new(sparse::SpmmGenLeaf);
         }
         if is_sddmm(a) {
-            return Arc::new(distal_sparse::SddmmGenLeaf);
+            return Arc::new(sparse::SddmmGenLeaf);
         }
     }
     // The dense GEMM never skips, so it is only valid when no skipping
@@ -496,6 +538,7 @@ mod tests {
             rect: rect.clone(),
             alloc: rect,
             data,
+            sparse: None,
         }
     }
 

@@ -365,6 +365,7 @@ mod tests {
             rect,
             alloc,
             data,
+            sparse: None,
         }
     }
 
@@ -404,6 +405,7 @@ mod tests {
                     rect: arg.rect.clone(),
                     alloc: arg.alloc.clone(),
                     data: arg.data.clone(),
+                    sparse: None,
                 };
                 let mut ctx = KernelCtx {
                     args: vec![copy(&a), copy(&b), copy(&c)],

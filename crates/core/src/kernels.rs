@@ -286,6 +286,7 @@ mod tests {
             rect: rect.clone(),
             alloc: rect,
             data,
+            sparse: None,
         }
     }
 

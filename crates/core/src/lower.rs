@@ -136,6 +136,11 @@ pub struct CompiledKernel {
     pub output: String,
     /// The statement being computed.
     pub assignment: Assignment,
+    /// The tensor the chosen leaf reads as CSR
+    /// ([`Kernel::sparse_arg`](distal_runtime::kernel::Kernel::sparse_arg)),
+    /// if any: `bind` seeds that tensor's region with a compressed image
+    /// instead of a dense one. Decided here, once, with the leaf.
+    pub csr_operand: Option<String>,
 }
 
 impl std::fmt::Debug for CompiledKernel {
@@ -235,6 +240,10 @@ pub fn compile(
         assignment.is_reduction(),
         false,
     )?;
+    // Kernel arguments are the destination, then the inputs in order.
+    let csr_operand = leaf_kernel
+        .sparse_arg()
+        .map(|arg| inputs[arg - 1].tensor.clone());
     let leaf = compute.register_kernel(leaf_kernel);
     let flops_per_point = assignment.flops_per_point();
 
@@ -351,6 +360,7 @@ pub fn compile(
         total_flops,
         output: assignment.lhs.tensor.clone(),
         assignment: assignment.clone(),
+        csr_operand,
     })
 }
 

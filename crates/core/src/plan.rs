@@ -27,8 +27,13 @@
 //! for the plan's lifetime: the statement, every tensor's shape, level
 //! formats and distribution, the machine spec and grid, and the schedule.
 //! What *may* vary between bindings of one plan is only the operand
-//! values — including their sparsity: nnz-derived byte accounting is
-//! recomputed per [`Instance`], never inherited from an earlier binding.
+//! values — including their sparsity: nnz-derived byte and flop
+//! accounting is recomputed per [`Instance`], never inherited from an
+//! earlier binding — and the *form* they arrive in: the same values bound
+//! dense ([`Bindings::set_data`]) or already compressed
+//! ([`Bindings::set_sparse`]) are the same request, read for read and
+//! byte for byte. Which tensor the plan's leaf reads as CSR is the
+//! plan's; a binding never changes it.
 //!
 //! ```
 //! use distal_core::{Backend, Bindings, DistalMachine, Problem, RuntimeBackend,
@@ -62,10 +67,11 @@
 use crate::backend::BackendError;
 use crate::error::CompileError;
 use crate::problem::TensorSpec;
-use crate::problem::{Problem, TensorInit};
+use crate::problem::{sparse_random_values, Problem, TensorInit};
 use crate::report::Report;
-use distal_sparse::stored_entries;
+use distal_sparse::{stored_entries, SparseBuffer};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Per-request tensor data: one [`TensorInit`] per tensor name, attached
 /// to a [`Plan`] via [`Plan::bind`]. Shapes/formats are *not* carried
@@ -95,6 +101,18 @@ impl Bindings {
     /// plan's shape at bind time).
     pub fn set_data(&mut self, name: impl Into<String>, data: Vec<f64>) -> &mut Self {
         self.init.insert(name.into(), TensorInit::Data(data));
+        self
+    }
+
+    /// Seeds a tensor with data the caller already holds compressed
+    /// ([`SparseBuffer::from_dense`] of the row-major data
+    /// [`Bindings::set_data`] would take; the shape is validated at bind
+    /// time). Every read, byte and modelled second of the request is the
+    /// same either way; what differs is `bind`, which shares the image —
+    /// O(1) — where the plan's leaf reads this tensor as CSR, instead of
+    /// compressing a dense one in a pass over it.
+    pub fn set_sparse(&mut self, name: impl Into<String>, image: Arc<SparseBuffer>) -> &mut Self {
+        self.init.insert(name.into(), TensorInit::Sparse(image));
         self
     }
 
@@ -175,7 +193,8 @@ impl Bindings {
 /// `Value` and `Random` are answered analytically (`Random` values are
 /// uniform in `[-1, 1)`; an exact `+0.0` has probability `2^-53` per
 /// element, so they count as fully dense); `Data` is scanned in place;
-/// only `RandomSparse` generates its stream to count survivors exactly.
+/// `RandomSparse` walks its stream to count survivors exactly, without
+/// storing it; `Sparse` already knows.
 pub fn init_nnz(init: &TensorInit, dims: &[i64]) -> u64 {
     let volume = dims.iter().product::<i64>().max(1) as u64;
     match init {
@@ -188,7 +207,12 @@ pub fn init_nnz(init: &TensorInit, dims: &[i64]) -> u64 {
         }
         TensorInit::Random(_) => volume,
         TensorInit::Data(d) => stored_entries(d),
-        init @ TensorInit::RandomSparse { .. } => stored_entries(&init.materialize(dims)),
+        TensorInit::RandomSparse { seed, density } => {
+            sparse_random_values(volume as usize, *seed, *density)
+                .filter(|v| v.to_bits() != 0)
+                .count() as u64
+        }
+        TensorInit::Sparse(image) => image.nnz(),
     }
 }
 
@@ -285,7 +309,9 @@ impl TensorInit {
     /// # Errors
     ///
     /// [`CompileError::DataSize`] for mis-sized [`TensorInit::Data`];
-    /// [`CompileError::Density`] for out-of-range densities.
+    /// [`CompileError::Density`] for out-of-range densities;
+    /// [`CompileError::Format`] for a [`TensorInit::Sparse`] image of
+    /// another shape.
     pub fn validate(&self, name: &str, dims: &[i64]) -> Result<(), CompileError> {
         match self {
             TensorInit::Data(d) => {
@@ -305,6 +331,15 @@ impl TensorInit {
                         tensor: name.to_string(),
                         density: *density,
                     });
+                }
+                Ok(())
+            }
+            TensorInit::Sparse(image) => {
+                if image.dims() != dims {
+                    return Err(CompileError::Format(format!(
+                        "tensor '{name}' has shape {dims:?}, its CSR binding {:?}",
+                        image.dims()
+                    )));
                 }
                 Ok(())
             }
@@ -385,6 +420,59 @@ mod tests {
             .filter(|v| v.to_bits() != 0)
             .count() as u64;
         assert_eq!(nnz, stored);
+    }
+
+    #[test]
+    fn compressing_an_initializer_is_compressing_what_it_materializes() {
+        // 256 seeded (dims, seed, density): the straight-to-CSR path —
+        // `RandomSparse` from its value stream, the others from their
+        // data — decompresses to `materialize` bit for bit, and
+        // `init_nnz` counts it without building either.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for case in 0..256 {
+            let dims: Vec<i64> = (0..next() % 4).map(|_| 1 + (next() % 9) as i64).collect();
+            let seed = next();
+            let density = [0.0, 0.01, 0.3, 0.5, 1.0][(next() % 5) as usize];
+            let sparse = TensorInit::RandomSparse { seed, density };
+            let inits = [
+                sparse.clone(),
+                TensorInit::Data(sparse.materialize(&dims)),
+                TensorInit::Sparse(sparse.compress(&dims)),
+                TensorInit::Random(seed),
+                TensorInit::Value([0.0, -0.0, 1.5][case % 3]),
+            ];
+            for init in inits {
+                init.validate("B", &dims).unwrap();
+                let image = init.compress(&dims);
+                let want = init.materialize(&dims);
+                let got = image.to_dense();
+                assert_eq!(image.dims(), &dims[..], "{init:?}");
+                assert_eq!(got.len(), want.len(), "{init:?} over {dims:?}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{init:?} over {dims:?}");
+                }
+                // `Random` is counted analytically as fully dense.
+                if !matches!(init, TensorInit::Random(_)) {
+                    assert_eq!(
+                        image.nnz(),
+                        init_nnz(&init, &dims),
+                        "{init:?} over {dims:?}"
+                    );
+                }
+            }
+        }
+        // A CSR binding of another shape is a typed error at bind time.
+        let image = TensorInit::Random(1).compress(&[2, 3]);
+        assert!(matches!(
+            TensorInit::Sparse(image).validate("B", &[3, 2]),
+            Err(CompileError::Format(m)) if m.contains("'B'")
+        ));
     }
 
     #[test]

@@ -18,7 +18,9 @@ use crate::schedule::Schedule;
 use distal_format::Format;
 use distal_ir::expr::Assignment;
 use distal_machine::spec::MachineSpec;
+use distal_sparse::SparseBuffer;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Deterministic pseudo-random tensor data in `[-1, 1)` (xorshift64*).
 ///
@@ -27,16 +29,23 @@ use std::collections::BTreeMap;
 /// values whether it is seeded into runtime regions or fed to the SPMD
 /// rank VM, which is what makes cross-backend runs bit-comparable.
 pub fn random_data(n: usize, seed: u64) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-    (0..n)
-        .map(|_| {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            (r >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        })
-        .collect()
+    random_values(seed).take(n).collect()
+}
+
+/// The endless xorshift64* stream behind the generators, uniform in
+/// `[0, 1)`.
+fn unit_stream(mut state: u64) -> impl Iterator<Item = f64> {
+    std::iter::repeat_with(move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+    })
+}
+
+/// [`random_data`] as an endless stream.
+fn random_values(seed: u64) -> impl Iterator<Item = f64> {
+    unit_stream(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1)).map(|u| u * 2.0 - 1.0)
 }
 
 /// Deterministic pseudo-random data with explicit `+0.0` entries at the
@@ -49,23 +58,25 @@ pub fn random_data(n: usize, seed: u64) -> Vec<f64> {
 /// this is shared by every backend, which is what makes sparse problems
 /// cross-backend bit-comparable.
 pub fn sparse_random_data(n: usize, seed: u64, density: f64) -> Vec<f64> {
-    let mut vals = random_data(n, seed);
-    if density >= 1.0 {
-        return vals;
-    }
-    let mut state = (seed ^ 0x5DEE_CE66_D171_9B4B)
-        .wrapping_mul(0xD1B5_4A32_D192_ED03)
-        .max(1);
-    for v in &mut vals {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        let u = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64;
-        if u >= density {
-            *v = 0.0;
+    sparse_random_values(n, seed, density).collect()
+}
+
+/// [`sparse_random_data`] as a stream: what generates straight into CSR
+/// and counts stored entries without a dense image in between.
+pub(crate) fn sparse_random_values(n: usize, seed: u64, density: f64) -> impl Iterator<Item = f64> {
+    let mut mask = unit_stream(
+        (seed ^ 0x5DEE_CE66_D171_9B4B)
+            .wrapping_mul(0xD1B5_4A32_D192_ED03)
+            .max(1),
+    );
+    let thinned = density < 1.0;
+    random_values(seed).take(n).map(move |v| {
+        if thinned && mask.next().expect("an endless stream") >= density {
+            0.0
+        } else {
+            v
         }
-    }
-    vals
+    })
 }
 
 /// Declares a tensor: name, dimension sizes, and format.
@@ -116,6 +127,11 @@ pub enum TensorInit {
         /// Expected fraction of nonzero elements, in `[0, 1]`.
         density: f64,
     },
+    /// Data the caller already holds compressed, shaped like the tensor.
+    /// Bound to the tensor a plan's leaf reads as CSR
+    /// ([`crate::lower::CompiledKernel::csr_operand`]) it is shared as
+    /// is — no pass over a dense image; anywhere else it decompresses.
+    Sparse(Arc<SparseBuffer>),
 }
 
 impl TensorInit {
@@ -127,7 +143,23 @@ impl TensorInit {
             TensorInit::Data(d) => d.clone(),
             TensorInit::Random(seed) => random_data(n, *seed),
             TensorInit::RandomSparse { seed, density } => sparse_random_data(n, *seed, *density),
+            TensorInit::Sparse(image) => image.to_dense(),
         }
+    }
+
+    /// The contents [`TensorInit::materialize`] would produce, compressed
+    /// — built in one pass over borrowed `Data`, straight from the value
+    /// stream of `RandomSparse`, and shared for `Sparse`.
+    pub(crate) fn compress(&self, dims: &[i64]) -> Arc<SparseBuffer> {
+        let n = dims.iter().product::<i64>().max(1) as usize;
+        Arc::new(match self {
+            TensorInit::Sparse(image) => return Arc::clone(image),
+            TensorInit::Data(data) => SparseBuffer::from_dense(dims, data),
+            TensorInit::RandomSparse { seed, density } => {
+                SparseBuffer::from_values(dims, sparse_random_values(n, *seed, *density))
+            }
+            dense => SparseBuffer::from_dense(dims, &dense.materialize(dims)),
+        })
     }
 
     /// [`TensorInit::materialize`] into a recycled buffer

@@ -1,5 +1,10 @@
 //! CSR-style compressed buffers with lossless dense↔sparse conversion.
 //!
+//! The one compressed storage type of the workspace. It lives in this
+//! crate because a [`crate::region::LogicalRegion`] can hold one as its
+//! data image; `distal-sparse` re-exports it under its historical paths
+//! beside the reference kernels.
+//!
 //! A [`SparseBuffer`] compresses the *innermost* dimension of a row-major
 //! tensor: all outer dimensions are linearized into "rows", and per row
 //! only the nonzero entries are stored — `pos[r]..pos[r+1]` indexes the
@@ -13,8 +18,25 @@
 //! payloads), so `to_dense(from_dense(x)) == x` bit-for-bit at any
 //! density.
 
-use crate::{CRD_BYTES, POS_BYTES};
 use distal_machine::ELEM_BYTES;
+
+/// Bytes of one `pos` array entry (row offsets, `u64`-sized on the wire).
+pub const POS_BYTES: u64 = 8;
+
+/// Bytes of one `crd` array entry (stored coordinates, `i64`-sized).
+pub const CRD_BYTES: u64 = 8;
+
+/// Width of the groups [`SparseBuffer::from_dense`] tests with one OR.
+const SKIP_GROUP: usize = 16;
+
+/// Rows [`SparseBuffer::from_dense`] scans side by side. One sequential
+/// pass keeps a single hardware prefetch stream busy, which a core
+/// out-runs as soon as the image comes from memory rather than the
+/// last-level cache (2048², density 0.01: 2.4 ms cached, 4.4 ms not);
+/// eight rows are eight streams in eight pages (2.3 ms and 3.1 ms), so
+/// what a bind costs depends less on where the caller's image happens to
+/// sit. Four lanes gain less; sixteen gain nothing more.
+const SCAN_LANES: usize = 8;
 
 /// A compressed rectangular buffer: dense-linearized outer dimensions
 /// ("rows") over a compressed innermost dimension.
@@ -39,34 +61,78 @@ impl SparseBuffer {
     ///
     /// Panics when `data` does not have `dims.iter().product()` elements.
     pub fn from_dense(dims: &[i64], data: &[f64]) -> Self {
-        let inner = dims.last().copied().unwrap_or(1).max(1);
-        let volume: i64 = dims.iter().product::<i64>().max(1);
+        let (rows, inner) = rows_and_inner(dims);
         assert_eq!(
             data.len() as i64,
-            volume,
+            volume_of(dims),
             "dense data does not match dims {dims:?}"
         );
-        let rows = (volume / inner) as usize;
-        let mut pos = Vec::with_capacity(rows + 1);
-        let mut crd = Vec::new();
-        let mut vals = Vec::new();
-        pos.push(0u64);
-        for r in 0..rows {
-            let base = r * inner as usize;
-            for j in 0..inner as usize {
-                let v = data[base + j];
-                if v.to_bits() != 0 {
-                    crd.push(j as i64);
-                    vals.push(v);
+        // Room for ≈ 1.5 % density without regrowing; denser data doubles
+        // its way up from there.
+        let mut buf = SparseBuffer::with_rows(dims, rows, data.len() / 64);
+        // `SCAN_LANES` rows are walked side by side, each into its own
+        // staging pair, and filed in row order once the block is done.
+        let mut lanes: [(Vec<i64>, Vec<f64>); SCAN_LANES] = Default::default();
+        let whole = inner - inner % SKIP_GROUP;
+        for block in data[..rows * inner].chunks(inner * SCAN_LANES) {
+            for base in (0..whole).step_by(SKIP_GROUP) {
+                for (row, (crd, vals)) in block.chunks_exact(inner).zip(&mut lanes) {
+                    // Most groups of a sparse row are all `+0.0`: one OR over
+                    // the bit patterns rules a whole group out without a
+                    // branch per element.
+                    let group = &row[base..base + SKIP_GROUP];
+                    if group.iter().fold(0u64, |bits, v| bits | v.to_bits()) != 0 {
+                        push_stored(crd, vals, base, group);
+                    }
                 }
             }
-            pos.push(crd.len() as u64);
+            for (row, (crd, vals)) in block.chunks_exact(inner).zip(&mut lanes) {
+                push_stored(crd, vals, whole, &row[whole..]);
+                buf.crd.append(crd);
+                buf.vals.append(vals);
+                buf.pos.push(buf.crd.len() as u64);
+            }
         }
+        buf
+    }
+
+    /// [`SparseBuffer::from_dense`] over a row-major value *stream*: the
+    /// buffer a generator's output compresses to, without the dense image
+    /// in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` does not yield exactly `dims.iter().product()`
+    /// elements.
+    pub fn from_values(dims: &[i64], values: impl IntoIterator<Item = f64>) -> Self {
+        let (rows, inner) = rows_and_inner(dims);
+        let mut values = values.into_iter();
+        let mut buf = SparseBuffer::with_rows(dims, rows, 0);
+        for _ in 0..rows {
+            for j in 0..inner {
+                let v = values
+                    .next()
+                    .unwrap_or_else(|| panic!("value stream shorter than dims {dims:?}"));
+                push_stored(&mut buf.crd, &mut buf.vals, j, &[v]);
+            }
+            buf.pos.push(buf.crd.len() as u64);
+        }
+        assert!(
+            values.next().is_none(),
+            "value stream longer than dims {dims:?}"
+        );
+        buf
+    }
+
+    /// An empty buffer about to receive `rows` rows.
+    fn with_rows(dims: &[i64], rows: usize, stored_hint: usize) -> Self {
+        let mut pos = Vec::with_capacity(rows + 1);
+        pos.push(0u64);
         SparseBuffer {
             dims: dims.to_vec(),
             pos,
-            crd,
-            vals,
+            crd: Vec::with_capacity(stored_hint),
+            vals: Vec::with_capacity(stored_hint),
         }
     }
 
@@ -111,7 +177,7 @@ impl SparseBuffer {
 
     /// Dense element count.
     pub fn volume(&self) -> i64 {
-        self.dims.iter().product::<i64>().max(1)
+        volume_of(&self.dims)
     }
 
     /// Fraction of stored entries (`1.0` for an empty-volume buffer).
@@ -129,6 +195,30 @@ impl SparseBuffer {
     pub fn dense_bytes(&self) -> u64 {
         self.volume() as u64 * ELEM_BYTES
     }
+}
+
+/// Appends the stored entries of `values`, which sit at innermost
+/// coordinates `base..` of the row `crd`/`vals` are building.
+#[inline]
+fn push_stored(crd: &mut Vec<i64>, vals: &mut Vec<f64>, base: usize, values: &[f64]) {
+    for (j, &v) in values.iter().enumerate() {
+        if v.to_bits() != 0 {
+            crd.push((base + j) as i64);
+            vals.push(v);
+        }
+    }
+}
+
+/// `(rows, inner extent)` of a `dims`-shaped tensor under innermost
+/// compression: every outer dimension linearizes into the rows.
+fn rows_and_inner(dims: &[i64]) -> (usize, usize) {
+    let inner = dims.last().copied().unwrap_or(1).max(1);
+    ((volume_of(dims) / inner) as usize, inner as usize)
+}
+
+/// Dense element count of a `dims`-shaped tensor (a scalar has one).
+fn volume_of(dims: &[i64]) -> i64 {
+    dims.iter().product::<i64>().max(1)
 }
 
 /// Stored entries of dense-materialized data: the values a compressed
@@ -158,9 +248,9 @@ pub fn estimated_payload_bytes(volume: u64, rows: u64, density: f64) -> u64 {
 /// `payload_scale` every layer (problem registry, runtime regions, copy
 /// accounting) derives from one place so the formula cannot drift.
 pub fn csr_payload_scale(dims: &[i64], nnz: u64) -> f64 {
-    let volume = dims.iter().product::<i64>().max(1) as u64;
-    let inner = dims.last().copied().unwrap_or(1).max(1) as u64;
-    let payload = csr_payload_bytes(volume / inner, nnz.min(volume));
+    let volume = volume_of(dims) as u64;
+    let (rows, _) = rows_and_inner(dims);
+    let payload = csr_payload_bytes(rows as u64, nnz.min(volume));
     payload as f64 / (volume * ELEM_BYTES) as f64
 }
 
@@ -237,5 +327,27 @@ mod tests {
         assert_eq!(s.pos, vec![0, 1, 1, 1, 2]);
         assert_eq!(s.crd, vec![1, 0]);
         assert_eq!(s.to_dense(), data);
+    }
+
+    #[test]
+    fn the_side_by_side_scan_files_entries_in_row_order() {
+        // `from_values` pushes element by element: an oracle for row counts
+        // on either side of a lane block and rows on either side of a group.
+        for rows in [1usize, 7, 8, 9, 16, 21] {
+            for inner in [1usize, 15, 16, 17, 40, 64] {
+                for every in [1usize, 3, 29, usize::MAX] {
+                    let data: Vec<f64> = (0..rows * inner)
+                        .map(|at| match at % every.min(rows * inner + 1) {
+                            0 => -(at as f64),
+                            _ => 0.0,
+                        })
+                        .collect();
+                    let dims = [rows as i64, inner as i64];
+                    let scanned = SparseBuffer::from_dense(&dims, &data);
+                    assert_eq!(scanned, SparseBuffer::from_values(&dims, data.clone()));
+                    assert_eq!(scanned.to_dense(), data, "{rows}x{inner} every {every}");
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! The runtime facade: owns regions and instances, runs programs.
 
+use crate::csr::SparseBuffer;
 use crate::executor::{ExecCtx, Executor, ExecutorKind, ParallelExecutor, SerialExecutor};
 use crate::graph::GraphBuilder;
 use crate::pool;
@@ -12,7 +13,7 @@ use crate::topology::{MemId, PhysicalMachine};
 use distal_machine::geom::{copy_rect, Rect, RectSet};
 use distal_machine::spec::MemKind;
 use std::fmt;
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// Execution mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,6 +64,12 @@ pub enum RuntimeError {
     },
     /// An operation required functional mode.
     NotFunctional,
+    /// A task, fill or reduction would write a region held as a CSR image
+    /// ([`Runtime::set_region_sparse`]), which is read-only.
+    SparseRegionWrite {
+        /// Region name.
+        region: String,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -82,6 +89,9 @@ impl fmt::Display for RuntimeError {
                 write!(f, "data size mismatch: expected {expected} elements, got {got}")
             }
             RuntimeError::NotFunctional => write!(f, "operation requires functional mode"),
+            RuntimeError::SparseRegionWrite { region } => {
+                write!(f, "region '{region}' is held as a read-only CSR image")
+            }
         }
     }
 }
@@ -179,7 +189,9 @@ impl Store {
         let id = InstanceId(self.instances.len() as u32);
         // Scratch instances exist to be filled by copies over their whole
         // rectangle before anything reads them; every other role starts
-        // from zeros (outputs, reduction buffers).
+        // from zeros (outputs, reduction buffers). A region held as CSR
+        // has no dense bytes to hold: its instances stay bufferless.
+        let functional = functional && self.region(region).sparse.is_none();
         let data = functional.then(|| match role {
             InstanceRole::Scratch => pool::take(rect.volume() as usize),
             _ => pool::take_zeroed(rect.volume() as usize),
@@ -298,6 +310,8 @@ impl Runtime {
             name: name.into(),
             rect,
             payload_scale: 1.0,
+            flops_scale: 1.0,
+            sparse: None,
         });
         self.store.by_region.push(Vec::new());
         self.store.reductions_by_region.push(Vec::new());
@@ -310,6 +324,42 @@ impl Runtime {
     /// clamped to be positive; `1.0` restores flat dense accounting.
     pub fn set_region_payload_scale(&mut self, region: RegionId, scale: f64) {
         self.store.regions[region.0 as usize].payload_scale = scale.max(f64::MIN_POSITIVE);
+    }
+
+    /// Sets the fraction of their nominal flops tasks reading this region
+    /// perform (see [`LogicalRegion::flops_scale`]), clamped to `[0, 1]`.
+    pub fn set_region_flops_scale(&mut self, region: RegionId, scale: f64) {
+        self.store.regions[region.0 as usize].flops_scale = scale.clamp(0.0, 1.0);
+    }
+
+    /// Seeds a region with a CSR image in global coordinates (functional
+    /// mode only): the image *is* the region's data until
+    /// [`Runtime::set_region_data`] or [`Runtime::fill_region`] replaces
+    /// it. See [`LogicalRegion::sparse`] for what changes and what does
+    /// not.
+    ///
+    /// # Errors
+    ///
+    /// Fails when not in functional mode or when the image's dimensions
+    /// are not the region's.
+    pub fn set_region_sparse(
+        &mut self,
+        region: RegionId,
+        image: Arc<SparseBuffer>,
+    ) -> Result<(), RuntimeError> {
+        if self.mode != Mode::Functional {
+            return Err(RuntimeError::NotFunctional);
+        }
+        let rect = &self.store.region(region).rect;
+        if image.dims() != rect.extents() {
+            return Err(RuntimeError::DataSizeMismatch {
+                expected: rect.volume() as usize,
+                got: image.volume() as usize,
+            });
+        }
+        self.seed_region(region, None)?;
+        self.store.regions[region.0 as usize].sparse = Some(image);
+        Ok(())
     }
 
     /// Seeds a region with row-major data in the staging memory
@@ -355,6 +405,8 @@ impl Runtime {
         data: Option<Vec<f64>>,
     ) -> Result<(), RuntimeError> {
         let rect = self.store.region(region).rect.clone();
+        // Whatever image the region held is replaced with the rest.
+        self.store.regions[region.0 as usize].sparse = None;
         // Invalidate all existing instances of the region.
         let existing: Vec<InstanceId> = self.store.by_region[region.0 as usize].clone();
         for id in existing {
@@ -442,6 +494,9 @@ impl Runtime {
             return Err(RuntimeError::NotFunctional);
         }
         let lr = self.store.region(region);
+        if let Some(image) = &lr.sparse {
+            return Ok(image.to_dense());
+        }
         let rect = &lr.rect;
         let mut out = vec![0.0; rect.volume() as usize];
         let mut covered = RectSet::new();

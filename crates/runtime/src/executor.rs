@@ -30,6 +30,7 @@
 //! (true buffer partitioning) are the known upgrade path if a workload
 //! fans out over one shared allocation.
 
+use crate::csr::SparseBuffer;
 use crate::exec::Store;
 use crate::graph::{CopyNode, GNode, GNodeKind, Graph, TaskNode};
 use crate::kernel::{Kernel, KernelArg, KernelCtx};
@@ -439,13 +440,21 @@ fn lock_buffer(store: &Store, id: InstanceId, write: bool) -> BufGuard<'_> {
     }
 }
 
+/// The CSR image behind an instance's region, when the region is held
+/// compressed (such instances carry no buffer).
+fn sparse_image(store: &Store, inst: InstanceId) -> Option<(&Arc<SparseBuffer>, &Rect)> {
+    let region = store.region(store.instance(inst).region);
+    region.sparse.as_ref().map(|image| (image, &region.rect))
+}
+
 fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclusive: bool) {
-    // Lock plan: one guard per distinct instance, write iff any requirement
-    // on it writes (or the caller is single-threaded and prefers moves over
-    // clones), acquired in ascending instance-id order.
+    // Lock plan: one guard per distinct instance that has a buffer, write
+    // iff any requirement on it writes (or the caller is single-threaded
+    // and prefers moves over clones), acquired in ascending instance-id
+    // order.
     let mut plan: Vec<(InstanceId, bool)> = Vec::with_capacity(task.args.len());
     for (inst, privilege, _) in &task.args {
-        if inst.0 == u32::MAX {
+        if inst.0 == u32::MAX || sparse_image(store, *inst).is_some() {
             continue;
         }
         let write = exclusive || !matches!(privilege, Privilege::Read);
@@ -465,7 +474,8 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclu
     // requirement's rectangle, re-based to a tight allocation — broadcast
     // instances read by many concurrent tasks cost one tile copy each, not
     // a full-instance copy. Duplicate (aliased) read-only requirements on a
-    // moved buffer clone the earlier argument's view.
+    // moved buffer clone the earlier argument's view. A CSR-held region's
+    // argument is the shared image itself: nothing to lock, move or copy.
     let mut first_use: Vec<Option<usize>> = Vec::with_capacity(task.args.len());
     let mut args: Vec<KernelArg> = Vec::with_capacity(task.args.len());
     for (idx, (inst, privilege, rect)) in task.args.iter().enumerate() {
@@ -477,6 +487,18 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclu
                 rect: rect.clone(),
                 alloc: Rect::empty(rect.dim()),
                 data: Vec::new(),
+                sparse: None,
+            });
+            continue;
+        }
+        if let Some((image, covered)) = sparse_image(store, *inst) {
+            first_use.push(None);
+            args.push(KernelArg {
+                privilege: *privilege,
+                rect: rect.clone(),
+                alloc: covered.clone(),
+                data: Vec::new(),
+                sparse: Some(Arc::clone(image)),
             });
             continue;
         }
@@ -501,6 +523,7 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclu
                 rect: rect.clone(),
                 alloc: rect.clone(),
                 data,
+                sparse: None,
             });
             continue;
         }
@@ -519,16 +542,20 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclu
                 rect: rect.clone(),
                 alloc: args[p].alloc.clone(),
                 data,
+                sparse: None,
             });
             continue;
         }
-        let guard = &mut guards[slot].1;
-        first_use.push(Some(slot));
+        // A cell without a buffer stays without one: only a buffer that
+        // was moved out is put back.
+        let moved = guards[slot].1.take();
+        first_use.push(moved.is_some().then_some(slot));
         args.push(KernelArg {
             privilege: *privilege,
             rect: rect.clone(),
             alloc: store.instance(*inst).rect.clone(),
-            data: guard.take().unwrap_or_default(),
+            data: moved.unwrap_or_default(),
+            sparse: None,
         });
     }
 
@@ -651,6 +678,141 @@ mod tests {
         assert_eq!(serial_stats.copies, parallel_stats.copies);
         assert_eq!(serial_stats.makespan_s, parallel_stats.makespan_s);
         assert_eq!(serial_stats.bytes_by_class, parallel_stats.bytes_by_class);
+    }
+
+    /// Sums each row's stored values of its CSR argument into the output.
+    struct RowSumKernel;
+    impl Kernel for RowSumKernel {
+        fn name(&self) -> &str {
+            "rowsum"
+        }
+        fn sparse_arg(&self) -> Option<usize> {
+            Some(1)
+        }
+        fn execute(&self, ctx: &mut KernelCtx) {
+            let (out, rest) = ctx.args.split_at_mut(1);
+            let b = &rest[0];
+            let image = b.sparse.as_ref().expect("the region's CSR image");
+            assert!(b.data.is_empty());
+            assert_eq!(b.alloc, Rect::sized(&[4, 3]), "global coordinates");
+            for i in b.rect.lo()[0]..=b.rect.hi()[0] {
+                let (lo, hi) = image.row_range(i as usize);
+                let sum: f64 = image.vals[lo..hi].iter().sum();
+                out[0].set(&[i], sum);
+            }
+        }
+    }
+
+    #[test]
+    fn csr_regions_reach_kernels_as_one_shared_image_under_both_executors() {
+        #[rustfmt::skip]
+        let dense = vec![
+            1.0, 0.0, 2.0,
+            0.0, 0.0, 0.0,
+            0.0, 4.0, 0.0,
+            8.0, 0.0, 16.0,
+        ];
+        let run = |executor: &dyn Executor| {
+            let m = PhysicalMachine::new(MachineSpec::small(2));
+            let mut rt = Runtime::new(m, Mode::Functional);
+            let b = rt.create_region("B", Rect::sized(&[4, 3]));
+            let y = rt.create_region("y", Rect::sized(&[4]));
+            let image = Arc::new(SparseBuffer::from_dense(&[4, 3], &dense));
+            rt.set_region_sparse(b, Arc::clone(&image)).unwrap();
+            rt.set_region_flops_scale(b, image.density());
+            let mut p = Program::new();
+            let k = p.register_kernel(Arc::new(RowSumKernel));
+            let mut tasks = Vec::new();
+            for node in 0..2 {
+                let proc = rt.machine().cpu_proc(node, 0);
+                let mem = rt.machine().proc(proc).local_mem;
+                let (lo, hi) = (node as i64 * 2, node as i64 * 2 + 1);
+                let rows = Rect::new(Point::new(vec![lo, 0]), Point::new(vec![hi, 2]));
+                let out = Rect::new(Point::new(vec![lo]), Point::new(vec![hi]));
+                let mut task = TaskDesc::new(
+                    k,
+                    proc,
+                    Point::new(vec![node as i64]),
+                    vec![
+                        RegionReq::new(y, out, Privilege::Write, mem),
+                        RegionReq::new(b, rows, Privilege::Read, mem),
+                    ],
+                );
+                task.flops = 12.0;
+                tasks.push(task);
+            }
+            p.push(Op::IndexLaunch(IndexLaunch {
+                name: "rowsum".into(),
+                tasks,
+            }));
+            // Twice: the second run reuses the instances the first left,
+            // which must still be bufferless.
+            rt.run_with(&p, executor).unwrap();
+            let stats = rt.run_with(&p, executor).unwrap();
+            // One image, shared: the region's own reference plus ours.
+            assert_eq!(Arc::strong_count(&image), 2);
+            // An input reads back as its dense image.
+            assert_eq!(rt.read_region(b).unwrap(), dense);
+            (rt.read_region(y).unwrap(), stats)
+        };
+        let (serial_out, serial_stats) = run(&SerialExecutor);
+        let (parallel_out, parallel_stats) = run(&ParallelExecutor::new(2));
+        assert_eq!(serial_out, vec![3.0, 0.0, 4.0, 24.0]);
+        assert_eq!(serial_out, parallel_out);
+        // Each task's flops carry the region's global density, 5 / 12.
+        assert_eq!(serial_stats.total_flops, 2.0 * 12.0 * (5.0 / 12.0));
+        assert_eq!(serial_stats.total_flops, parallel_stats.total_flops);
+        assert_eq!(serial_stats.makespan_s, parallel_stats.makespan_s);
+        assert_eq!(serial_stats.bytes_by_class, parallel_stats.bytes_by_class);
+    }
+
+    #[test]
+    fn csr_regions_are_read_only_until_reseeded() {
+        let m = PhysicalMachine::new(MachineSpec::small(1));
+        let mut rt = Runtime::new(m, Mode::Functional);
+        let b = rt.create_region("B", Rect::sized(&[2, 2]));
+        let image = Arc::new(SparseBuffer::from_dense(&[2, 2], &[0.0, 1.0, 0.0, 0.0]));
+        // A mis-shaped image is refused.
+        let wrong = Arc::new(SparseBuffer::from_dense(&[4], &[0.0; 4]));
+        assert!(matches!(
+            rt.set_region_sparse(b, wrong),
+            Err(crate::exec::RuntimeError::DataSizeMismatch { .. })
+        ));
+        rt.set_region_sparse(b, image).unwrap();
+        let refused = Err(crate::exec::RuntimeError::SparseRegionWrite { region: "B".into() });
+        for privilege in [Privilege::Write, Privilege::ReadWrite, Privilege::Reduce] {
+            let mut p = Program::new();
+            let k = p.register_kernel(Arc::new(NoopKernel));
+            let proc = rt.machine().cpu_proc(0, 0);
+            let mem = rt.machine().proc(proc).local_mem;
+            let req = RegionReq::new(b, Rect::sized(&[2, 2]), privilege, mem);
+            p.push(Op::SingleTask(TaskDesc::new(
+                k,
+                proc,
+                Point::zeros(1),
+                vec![req],
+            )));
+            assert_eq!(rt.run(&p).map(|_| ()), refused, "{privilege:?}");
+        }
+        let mut fill = Program::new();
+        fill.push(Op::Fill {
+            region: b,
+            value: 1.0,
+        });
+        assert_eq!(rt.run(&fill).map(|_| ()), refused);
+        // Reseeding densely drops the image; the region is writable again.
+        rt.fill_region(b, 0.0).unwrap();
+        rt.run(&fill).unwrap();
+        assert_eq!(rt.read_region(b).unwrap(), vec![1.0; 4]);
+        // Model mode holds no data of either kind.
+        let model = PhysicalMachine::new(MachineSpec::small(1));
+        let mut rt = Runtime::new(model, Mode::Model);
+        let b = rt.create_region("B", Rect::sized(&[1]));
+        let image = Arc::new(SparseBuffer::from_dense(&[1], &[1.0]));
+        assert_eq!(
+            rt.set_region_sparse(b, image),
+            Err(crate::exec::RuntimeError::NotFunctional)
+        );
     }
 
     #[test]

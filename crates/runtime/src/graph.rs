@@ -309,7 +309,19 @@ impl<'a> GraphBuilder<'a> {
         }
     }
 
+    /// A region held as a CSR image is read-only.
+    fn refuse_sparse_write(&self, region: RegionId) -> Result<(), RuntimeError> {
+        let lr = self.store.region(region);
+        match lr.sparse {
+            Some(_) => Err(RuntimeError::SparseRegionWrite {
+                region: lr.name.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     fn process_fill(&mut self, region: RegionId, value: f64) -> Result<(), RuntimeError> {
+        self.refuse_sparse_write(region)?;
         let rect = self.store.region(region).rect.clone();
         // Order after everything touching the region so far.
         let mut deps = Vec::new();
@@ -385,6 +397,9 @@ impl<'a> GraphBuilder<'a> {
                 args.push((InstanceId(u32::MAX), req.privilege, req.rect.clone()));
                 continue;
             }
+            if req.privilege != Privilege::Read {
+                self.refuse_sparse_write(req.region)?;
+            }
             match req.privilege {
                 Privilege::Read => {
                     let role = if req.pin {
@@ -455,9 +470,18 @@ impl<'a> GraphBuilder<'a> {
             }
         }
 
+        // A leaf walking a compressed operand's stored entries does that
+        // operand's share of the nominal iteration space.
+        let flops = t
+            .reqs
+            .iter()
+            .filter(|req| req.privilege == Privilege::Read)
+            .fold(t.flops, |f, req| {
+                f * self.store.region(req.region).flops_scale
+            });
         let duration = self
             .machine
-            .task_time_s(t.proc, t.flops, t.bytes, t.efficiency.max(1e-6));
+            .task_time_s(t.proc, flops, t.bytes, t.efficiency.max(1e-6));
         let node = self.add_node(
             GNodeKind::Task(TaskNode {
                 kernel: t.kernel,
@@ -466,7 +490,7 @@ impl<'a> GraphBuilder<'a> {
                 point: t.point.clone(),
                 scalars: t.scalars.clone(),
                 args,
-                flops: t.flops,
+                flops,
             }),
             duration,
             [Some(self.rmap.proc(t.proc)), None],

@@ -6,14 +6,29 @@
 //! only in [`crate::exec::Mode::Functional`]; model mode uses the cost fields
 //! of [`crate::program::TaskDesc`] instead.
 
+use crate::csr::SparseBuffer;
 use crate::program::Privilege;
 use distal_machine::geom::{Point, Rect};
+use std::sync::Arc;
 
 /// A view over one region requirement's backing instance.
 ///
 /// The view exposes the requirement rectangle (`rect`) and the instance's
 /// allocation bounds (`alloc`); elements are addressed by *global* tensor
 /// coordinates and mapped to the row-major layout over `alloc`.
+///
+/// An argument arrives in one of two forms. Dense: `data` is the buffer
+/// and `sparse` is `None`. Compressed — a region held as CSR
+/// ([`crate::region::LogicalRegion::sparse`]), or a face the SPMD rank VM
+/// has just compressed: `sparse` is the image, `data` is empty (the
+/// element accessors below must not be used) and `alloc` is the rectangle
+/// the image covers — its row `r` is outer coordinate `alloc.lo()[0] + r`
+/// and a stored `crd` value `c` is innermost coordinate
+/// `alloc.lo()[dim - 1] + c`. The image is shared and immutable; `rect`
+/// is still the part of it the task may read, so a task's slab is
+/// `pos[ilo - alloc.lo()[0]] .. pos[ihi - alloc.lo()[0] + 1]` of the
+/// shared arrays. Only a kernel that names the argument in
+/// [`Kernel::sparse_arg`] is handed this form by a compiled plan.
 #[derive(Debug)]
 pub struct KernelArg {
     /// The privilege the task holds on this argument.
@@ -23,8 +38,11 @@ pub struct KernelArg {
     /// Allocation bounds of the backing instance.
     pub alloc: Rect,
     /// The backing buffer (row-major over `alloc`), temporarily moved out of
-    /// the instance for the duration of the kernel.
+    /// the instance for the duration of the kernel. Empty when `sparse`
+    /// is set.
     pub data: Vec<f64>,
+    /// The compressed image standing in for `data` (see the type docs).
+    pub sparse: Option<Arc<SparseBuffer>>,
 }
 
 impl KernelArg {
@@ -88,6 +106,15 @@ pub trait Kernel: Send + Sync {
 
     /// Executes the kernel over the views in `ctx`.
     fn execute(&self, ctx: &mut KernelCtx);
+
+    /// The argument (a position in [`KernelCtx::args`]) this kernel reads
+    /// through [`KernelArg::sparse`] instead of `data`, if any. Whoever
+    /// runs the kernel must supply that argument compressed: the runtime
+    /// lowering records the tensor on the plan so `bind` seeds its region
+    /// as CSR, the SPMD rank VM compresses the gathered face.
+    fn sparse_arg(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// A kernel that does nothing; useful for placement launches, whose only
@@ -116,6 +143,7 @@ mod tests {
             rect: alloc.clone(),
             alloc,
             data: vec![0.0; 8],
+            sparse: None,
         };
         arg.set(&[2, 4], 1.0);
         arg.set(&[3, 7], 9.0);

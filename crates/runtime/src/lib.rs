@@ -48,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod csr;
 pub mod exec;
 pub mod executor;
 pub mod graph;

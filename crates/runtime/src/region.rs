@@ -6,9 +6,11 @@
 //! region in a concrete memory and track which of their sub-rectangles hold
 //! current data.
 
+use crate::csr::SparseBuffer;
 use crate::topology::MemId;
 use distal_machine::geom::{Rect, RectSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a logical region.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,9 +46,23 @@ pub struct LogicalRegion {
     /// format ship `pos`/`crd`/`vals` payloads instead of dense tiles;
     /// the binding plan sets this to `payload / dense` so copy byte
     /// accounting (and model-mode copy timing) charges nnz-sized
-    /// transfers. Functional buffers stay dense either way — only the
-    /// communication accounting is scaled.
+    /// transfers. Only the communication accounting is scaled.
     pub payload_scale: f64,
+    /// Fraction of a reading task's nominal flops its leaf performs
+    /// (`1.0` = every iteration point). A leaf that walks this region's
+    /// stored entries does `nnz / volume` of the dense iteration space:
+    /// the binding plan sets the tensor's *global* density, so a task's
+    /// modelled duration and [`crate::stats::RunStats::total_flops`] depend on
+    /// how many entries are stored, never on where they sit.
+    pub flops_scale: f64,
+    /// The region's data as one CSR image in global coordinates
+    /// ([`crate::Runtime::set_region_sparse`]), read-only for as long as
+    /// it is set. Instances of such a region are created without a buffer,
+    /// exactly as in model mode, so coherence, copy nodes and every byte
+    /// the simulator charges are those of a dense region; a reading task
+    /// receives the image itself ([`crate::kernel::KernelArg::sparse`])
+    /// and a writing one is refused.
+    pub sparse: Option<Arc<SparseBuffer>>,
 }
 
 pub use distal_machine::ELEM_BYTES;

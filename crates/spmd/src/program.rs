@@ -12,7 +12,7 @@ use distal_machine::grid::Grid;
 use distal_runtime::kernel::{Kernel, KernelArg, KernelCtx};
 use distal_runtime::pool;
 use distal_runtime::program::Privilege;
-use distal_sparse::{csr_payload_bytes, stored_entries};
+use distal_sparse::{csr_payload_bytes, stored_entries, SparseBuffer};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -484,7 +484,12 @@ impl SpmdProgram {
     /// `n²` values per operand instead of `n³`), exposes the rank
     /// accumulator as the output argument, and runs the plan-time chosen
     /// kernel over contiguous data. Zero-skipping for compressed operands
-    /// is baked into the generated kernels (`skip_zero` in their request).
+    /// is baked into the generated kernels (`skip_zero` in their request);
+    /// a leaf that reads an operand as CSR ([`Kernel::sparse_arg`]) gets
+    /// the face compressed — rank stores are dense, so this is the one
+    /// scan of the face, with `alloc` the face rectangle — straight out
+    /// of the buffer holding it when that is one contiguous run
+    /// ([`RankStore::slab`]), out of the gathered copy otherwise.
     pub(crate) fn run_leaf(
         &self,
         store: &mut RankStore,
@@ -506,22 +511,41 @@ impl SpmdProgram {
             rect: out_rect.clone(),
             alloc: acc_rect,
             data: acc_data,
+            sparse: None,
         }];
+        let csr_arg = self.leaf.0.sparse_arg();
         for (acc, rect) in self.assignment.input_accesses().into_iter().zip(rects) {
-            let mut data = pool::take(rect.volume().max(0) as usize);
-            store
-                .gather(&acc.tensor, &rect, &mut data)
-                .map_err(|missing| {
-                    SpmdError::Data(format!(
-                        "compute reads {}{missing} with no valid local copy",
-                        acc.tensor
-                    ))
-                })?;
+            // A compressed operand is scanned where it lies when its face
+            // is one contiguous run of one buffer; everything else is
+            // gathered into a buffer of its own first.
+            let compress = csr_arg == Some(args.len());
+            let mut data = Vec::new();
+            let face = match store.slab(&acc.tensor, &rect).filter(|_| compress) {
+                Some(face) => face,
+                None => {
+                    data = pool::take(rect.volume().max(0) as usize);
+                    store
+                        .gather(&acc.tensor, &rect, &mut data)
+                        .map_err(|missing| {
+                            SpmdError::Data(format!(
+                                "compute reads {}{missing} with no valid local copy",
+                                acc.tensor
+                            ))
+                        })?;
+                    &data
+                }
+            };
+            let sparse =
+                compress.then(|| Arc::new(SparseBuffer::from_dense(&rect.extents(), face)));
+            if sparse.is_some() {
+                pool::give(std::mem::take(&mut data));
+            }
             args.push(KernelArg {
                 privilege: Privilege::Read,
                 rect: rect.clone(),
                 alloc: rect,
                 data,
+                sparse,
             });
         }
         let mut scalars = Vec::with_capacity(bounds.len() * 2);

@@ -204,6 +204,22 @@ impl RankStore {
         gather_from(self.bufs(tensor), rect, dst_alloc, dst)
     }
 
+    /// `rect` of `tensor` as a borrowed row-major slice, when
+    /// [`RankStore::gather`] would copy all of it out of one contiguous
+    /// run of one buffer: the first buffer in priority order that overlaps
+    /// `rect` contains it, and `rect` spans that buffer in every dimension
+    /// but the outermost. `None` otherwise — the caller gathers.
+    pub(crate) fn slab(&self, tensor: &str, rect: &Rect) -> Option<&[f64]> {
+        let buf = self.bufs(tensor).find(|b| b.rect.overlaps(rect))?;
+        let spans_inner = (1..rect.dim())
+            .all(|d| rect.lo()[d] == buf.rect.lo()[d] && rect.hi()[d] == buf.rect.hi()[d]);
+        if rect.dim() == 0 || !buf.rect.contains_rect(rect) || !spans_inner {
+            return None;
+        }
+        let start = buf.rect.linearize(rect.lo());
+        Some(&buf.data[start..start + rect.volume() as usize])
+    }
+
     /// Copies `rect` of the output accumulator into `out` (row-major over
     /// `rect`); the first accumulator buffer holding a point supplies it.
     ///
@@ -313,6 +329,33 @@ mod tests {
         assert_eq!(lookup(&s, "B", &pt(&[0])), Some(2.0));
         s.retire_scratch(0);
         assert_eq!(lookup(&s, "B", &pt(&[0])), None);
+    }
+
+    #[test]
+    fn slab_borrows_exactly_what_gather_would_copy() {
+        let mut s = RankStore::default();
+        let mut home = Buf::zeros(Rect::sized(&[4, 3]));
+        home.data = (0..12).map(f64::from).collect();
+        s.add_home("B", home);
+        let rows = |lo: i64, hi: i64| Rect::new(pt(&[lo, 0]), pt(&[hi, 2]));
+        // Whole rows of the home piece are one contiguous run of it.
+        for rect in [rows(1, 2), rows(0, 3), rows(3, 3)] {
+            let mut want = vec![0.0; rect.volume() as usize];
+            s.gather("B", &rect, &mut want).unwrap();
+            assert_eq!(s.slab("B", &rect), Some(&want[..]), "{rect:?}");
+        }
+        // Part of a row, a rectangle reaching outside, an unknown tensor.
+        assert_eq!(s.slab("B", &Rect::new(pt(&[1, 1]), pt(&[2, 2]))), None);
+        assert_eq!(s.slab("B", &Rect::new(pt(&[3, 0]), pt(&[4, 2]))), None);
+        assert_eq!(s.slab("Z", &rows(0, 0)), None);
+        // A newer scratch piece over some of the rows takes priority in
+        // `gather`, so no single buffer supplies the rectangle any more...
+        let mut recv = Buf::zeros(rows(2, 2));
+        recv.data = vec![9.0; 3];
+        s.receive("B", recv);
+        assert_eq!(s.slab("B", &rows(1, 2)), None);
+        // ...unless the scratch piece holds all of it.
+        assert_eq!(s.slab("B", &rows(2, 2)), Some(&[9.0; 3][..]));
     }
 
     #[test]

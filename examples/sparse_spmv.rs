@@ -72,8 +72,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n * n
         );
 
-        // The same sparse problem on both executable backends.
-        let mut runtime = sparse.compile(&RuntimeBackend::functional(), &schedule)?;
+        // The same sparse problem on both executable backends. The runtime
+        // request binds B the way a caller that already holds CSR would:
+        // the plan's leaf reads B compressed, so `bind` shares the image
+        // instead of compressing a dense one.
+        let plan = RuntimeBackend::functional().plan(&sparse, &schedule)?;
+        let image = SparseBuffer::from_dense(&[n, n], &sparse.initial_data("B").unwrap());
+        let mut bindings = sparse.bindings();
+        bindings.set_sparse("B", std::sync::Arc::new(image));
+        let mut runtime = plan.bind(&bindings)?;
         let rt_report = runtime.run()?;
         let mut spmd = sparse.compile(&SpmdBackend::new(), &schedule)?;
         let sp_report = spmd.run()?;

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release -p distal-bench --bin kernels \
 //!   [--assert-speedup X] [--assert-roofline S] [--assert-spmv-stream S]
-//!   [--gemm N] [--einsum N] [--spmv N] [--reps R]`
+//!   [--assert-leaf-overhead R] [--gemm N] [--einsum N] [--spmv N] [--reps R]`
 //!
 //! `--assert-speedup X` exits nonzero unless the generated dense GEMM
 //! reaches `X`× the interpreted flop rate — the kernelgen-regression gate
@@ -15,7 +15,11 @@
 //! it exits nonzero unless `spmv.gen` standing alone (2048², density
 //! 0.01) moves its computed bytes at `S`× the rate of a stream-triad
 //! probe run beside it (a leaf that scanned the dense tile scored
-//! ≈ 0.001). Output parity
+//! ≈ 0.001). `--assert-leaf-overhead R` holds the sequential rank VM to
+//! its kernel: `execute()` of the pipeline benchmark's `dense_spmd`
+//! request (SUMMA, n = 640, p = 16; fastest of five) may take at most `R`×
+//! what its 64 `gemm.gen` leaves take at the 160³ pure-kernel rate this
+//! run has just measured — again one process, two rates. Output parity
 //! (bit-identical interpreted vs generated results) is always enforced.
 
 use distal_bench::kernels;
@@ -24,6 +28,7 @@ fn main() {
     let mut assert_speedup: Option<f64> = None;
     let mut assert_roofline: Option<f64> = None;
     let mut assert_spmv_stream: Option<f64> = None;
+    let mut assert_leaf_overhead: Option<f64> = None;
     let (mut gemm_n, mut einsum_n, mut spmv_n, mut reps) = (96i64, 16i64, 384i64, 3usize);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -39,6 +44,7 @@ fn main() {
             "--assert-speedup" => assert_speedup = Some(num("--assert-speedup")),
             "--assert-roofline" => assert_roofline = Some(num("--assert-roofline")),
             "--assert-spmv-stream" => assert_spmv_stream = Some(num("--assert-spmv-stream")),
+            "--assert-leaf-overhead" => assert_leaf_overhead = Some(num("--assert-leaf-overhead")),
             "--gemm" => gemm_n = num("--gemm") as i64,
             "--einsum" => einsum_n = num("--einsum") as i64,
             "--spmv" => spmv_n = num("--spmv") as i64,
@@ -107,5 +113,28 @@ fn main() {
             std::process::exit(5);
         }
         println!("spmv stream assertion passed: {share:.2} of the triad >= {threshold:.2}");
+    }
+    if let Some(threshold) = assert_leaf_overhead {
+        let v = kernels::leaf_overhead(kernels::calibration_rate(&pure));
+        println!(
+            "\nleaf overhead: sequential-VM execute {:.2} ms over {} leaves worth {:.2} ms of \
+             pure kernel = {:.2}x",
+            v.execute_s * 1e3,
+            v.leaves,
+            v.kernel_s * 1e3,
+            v.ratio()
+        );
+        if v.ratio() > threshold {
+            eprintln!(
+                "leaf-overhead regression: the rank VM spends {:.2}x its kernels' time, \
+                 allowed {threshold:.2}x",
+                v.ratio()
+            );
+            std::process::exit(6);
+        }
+        println!(
+            "leaf overhead assertion passed: {:.2}x <= {threshold:.2}x",
+            v.ratio()
+        );
     }
 }

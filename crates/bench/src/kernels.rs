@@ -31,7 +31,7 @@ use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::csr::SparseBuffer;
-use distal_runtime::kernel::{KernelArg, KernelCtx};
+use distal_runtime::kernel::{ArgData, KernelArg, KernelCtx};
 use distal_runtime::kernelgen::LeafRequest;
 use distal_runtime::program::Privilege;
 use std::fmt::Write as _;
@@ -270,6 +270,17 @@ fn peak_gflops(variant: &MicroKernel) -> f64 {
     64.0 * STEPS as f64 / secs / 1e9
 }
 
+/// A kernel argument over a buffer allocated exactly over `rect`.
+fn dense_arg(rect: Rect, data: ArgData<'_>) -> KernelArg<'_> {
+    KernelArg {
+        privilege: Privilege::ReadWrite,
+        rect: rect.clone(),
+        alloc: rect,
+        data,
+        sparse: None,
+    }
+}
+
 /// The `gemm.gen` leaf alone: a [`KernelCtx`] over three dense `n × n`
 /// tiles, executed in place (no compile, placement, fill or snapshot in
 /// the timed region), for every variant the host can run at every size
@@ -286,17 +297,16 @@ pub fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
         let peak = peak_gflops(variant);
         for &n in tiles {
             let tile = Rect::sized(&[n, n]);
-            let arg = |seed: u64| KernelArg {
-                privilege: Privilege::ReadWrite,
-                rect: tile.clone(),
-                alloc: tile.clone(),
-                data: (0..n * n)
+            let mut tiles = [0xA, 0xB, 0xC].map(|seed: u64| -> Vec<f64> {
+                (0..n * n)
                     .map(|x| ((x as u64 ^ seed).wrapping_mul(0x9E37_79B9) % 1024) as f64 / 1024.0)
-                    .collect(),
-                sparse: None,
-            };
+                    .collect()
+            });
+            let args = tiles.iter_mut();
             let mut ctx = KernelCtx {
-                args: vec![arg(0xA), arg(0xB), arg(0xC)],
+                args: args
+                    .map(|data| dense_arg(tile.clone(), ArgData::Write(data)))
+                    .collect(),
                 point: Point::zeros(1),
                 scalars: vec![0, n - 1, 0, n - 1, 0, n - 1],
             };
@@ -397,20 +407,14 @@ pub fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow 
     let volume = (n * n) as usize;
     let image = SparseBuffer::from_dense(&[n, n], &sparse_random_data(volume, 0xB, density));
     let nnz = image.nnz();
-    let dense = |rect: Rect, data: Vec<f64>| KernelArg {
-        privilege: Privilege::ReadWrite,
-        rect: rect.clone(),
-        alloc: rect,
-        data,
-        sparse: None,
-    };
-    let mut b = dense(Rect::sized(&[n, n]), Vec::new());
+    let mut b = dense_arg(Rect::sized(&[n, n]), ArgData::Read(&[]));
     b.sparse = Some(Arc::new(image));
+    let (mut a, c) = (vec![0.0; n as usize], random_data(n as usize, 0xC));
     let mut ctx = KernelCtx {
         args: vec![
-            dense(Rect::sized(&[n]), vec![0.0; n as usize]),
+            dense_arg(Rect::sized(&[n]), ArgData::Write(&mut a)),
             b,
-            dense(Rect::sized(&[n]), random_data(n as usize, 0xC)),
+            dense_arg(Rect::sized(&[n]), ArgData::Read(&c)),
         ],
         point: Point::zeros(1),
         scalars: vec![0, n - 1, 0, n - 1],
@@ -424,6 +428,71 @@ pub fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow 
         kernel_s,
         pipeline_s,
         triad_gbs: triad_gbs(triad_len),
+    }
+}
+
+/// What the sequential rank VM spends around its leaves (the
+/// `--assert-leaf-overhead` gate).
+#[derive(Clone, Debug)]
+pub struct LeafOverhead {
+    /// `execute()` of the SUMMA on the sequential transport, fastest of
+    /// five fresh bindings, seconds.
+    pub execute_s: f64,
+    /// The leaves it ran.
+    pub leaves: u64,
+    /// Those leaves' flops at the pure-kernel rate passed in: what
+    /// `execute()` would cost were it the kernel and nothing else.
+    pub kernel_s: f64,
+}
+
+impl LeafOverhead {
+    /// `execute_s / kernel_s` — both taken by one binary in one process,
+    /// so host speed cancels.
+    pub fn ratio(&self) -> f64 {
+        self.execute_s / self.kernel_s.max(1e-12)
+    }
+}
+
+/// The `dense_spmd` request of the pipeline benchmark (SUMMA, n = 640 on
+/// 16 ranks in steps of 160: 64 `gemm.gen` leaves over 160³ tiles) executed
+/// on the sequential rank VM, against the time `core_gflops` — the
+/// pure-kernel rate at that tile — says its leaves alone take. What is
+/// left in the ratio is everything the VM does around a leaf: payload
+/// copies, argument building, the output assembly, and the cache misses
+/// of operands the leaf reads where they lie.
+pub fn leaf_overhead(core_gflops: f64) -> LeafOverhead {
+    use distal_algs::matmul::MatmulAlgorithm;
+    use distal_algs::setup::matmul_problem_on;
+    use distal_core::backend::Backend as _;
+    let (mut problem, schedule) = matmul_problem_on(
+        MatmulAlgorithm::Summa,
+        MachineSpec::small(16),
+        ProcKind::Cpu,
+        MemKind::Sys,
+        16,
+        640,
+        160,
+    )
+    .expect("the SUMMA problem");
+    problem.fill_random("B", 0xB).unwrap();
+    problem.fill_random("C", 0xC).unwrap();
+    let bindings = distal_core::Bindings::from_problem(&problem);
+    let plan = distal_spmd::SpmdBackend::new()
+        .plan(&problem, &schedule)
+        .expect("the SUMMA plan");
+    let executions = (0..5).map(|_| {
+        let mut instance = plan.bind(&bindings).expect("bind");
+        let start = Instant::now();
+        let report = instance.execute().expect("execute");
+        (start.elapsed().as_secs_f64(), report)
+    });
+    let (execute_s, report) = executions
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("five executions");
+    LeafOverhead {
+        execute_s,
+        leaves: report.tasks,
+        kernel_s: report.flops / (core_gflops.max(1e-12) * 1e9),
     }
 }
 

@@ -525,22 +525,81 @@ impl Kernel for GemmGenKernel {
     }
 }
 
+/// What the leaf tests of this crate build, copy and inspect: a kernel
+/// argument that owns its buffer, lent to a leaf as the borrowed
+/// [`KernelArg`](distal_runtime::kernel::KernelArg) it runs on.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod testing {
     use distal_machine::geom::{Point, Rect};
-    use distal_runtime::kernel::KernelArg;
+    use distal_runtime::csr::SparseBuffer;
+    use distal_runtime::kernel::{ArgData, KernelArg, KernelCtx};
     use distal_runtime::program::Privilege;
+    use std::sync::Arc;
 
-    fn arg(rect: Rect, data: Vec<f64>) -> KernelArg {
-        KernelArg {
-            privilege: Privilege::ReadWrite,
-            rect: rect.clone(),
-            alloc: rect,
-            data,
-            sparse: None,
+    #[derive(Clone, Debug)]
+    pub(crate) struct OwnedArg {
+        pub privilege: Privilege,
+        pub rect: Rect,
+        pub alloc: Rect,
+        pub data: Vec<f64>,
+        pub sparse: Option<Arc<SparseBuffer>>,
+    }
+
+    impl OwnedArg {
+        /// A writable dense argument allocated exactly over `rect`.
+        pub(crate) fn dense(rect: Rect, data: Vec<f64>) -> Self {
+            OwnedArg {
+                privilege: Privilege::ReadWrite,
+                rect: rect.clone(),
+                alloc: rect,
+                data,
+                sparse: None,
+            }
+        }
+
+        /// The view a kernel gets: shared for `Read`, exclusive otherwise.
+        pub(crate) fn lend(&mut self) -> KernelArg<'_> {
+            KernelArg {
+                privilege: self.privilege,
+                rect: self.rect.clone(),
+                alloc: self.alloc.clone(),
+                data: match self.privilege {
+                    Privilege::Read => ArgData::Read(&self.data),
+                    _ => ArgData::Write(&mut self.data),
+                },
+                sparse: self.sparse.clone(),
+            }
+        }
+
+        pub(crate) fn at(&self, p: &[i64]) -> f64 {
+            self.data[self.alloc.linearize(&Point::new(p.to_vec()))]
+        }
+
+        pub(crate) fn set(&mut self, p: &[i64], v: f64) {
+            self.lend().set(p, v);
         }
     }
+
+    /// Runs `kernel` over views lent by `args`, in order.
+    pub(crate) fn run_on(
+        args: &mut [OwnedArg],
+        scalars: &[i64],
+        kernel: impl FnOnce(&mut KernelCtx<'_>),
+    ) {
+        let mut ctx = KernelCtx {
+            args: args.iter_mut().map(OwnedArg::lend).collect(),
+            point: Point::zeros(1),
+            scalars: scalars.to_vec(),
+        };
+        kernel(&mut ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{run_on, OwnedArg};
+    use super::*;
+    use distal_machine::geom::Rect;
 
     fn data(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -568,20 +627,15 @@ mod tests {
             } else {
                 data(vol, seed + idx as u64)
             };
-            args.push(arg(rect, d));
+            args.push(OwnedArg::dense(rect, d));
         }
         let mut scalars = Vec::new();
         for _ in 0..nv {
             scalars.push(0);
             scalars.push(n - 1);
         }
-        let mut ctx = KernelCtx {
-            args,
-            point: Point::zeros(1),
-            scalars,
-        };
-        kernel.execute(&mut ctx);
-        ctx.args.swap_remove(0).data
+        run_on(&mut args, &scalars, |ctx| kernel.execute(ctx));
+        args.swap_remove(0).data
     }
 
     #[test]
@@ -669,20 +723,16 @@ mod tests {
         req.skip_zero = true;
         let tape = TapeKernel::new(&req);
         let r = Rect::sized(&[3]);
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(r.clone(), vec![0.0; 3]),
-                arg(r.clone(), vec![0.0, -0.0, 2.0]),
-                arg(r, vec![5.0, 5.0, 5.0]),
-            ],
-            point: Point::zeros(1),
-            scalars: vec![0, 2],
-        };
-        tape.execute(&mut ctx);
+        let mut args = [
+            OwnedArg::dense(r.clone(), vec![0.0; 3]),
+            OwnedArg::dense(r.clone(), vec![0.0, -0.0, 2.0]),
+            OwnedArg::dense(r, vec![5.0, 5.0, 5.0]),
+        ];
+        run_on(&mut args, &[0, 2], |ctx| tape.execute(ctx));
         // +0.0 pruned; -0.0 is a *stored* entry (nonzero bits) and
         // computes -0.0 * 5.0 = -0.0 added into +0.0 -> +0.0.
-        assert_eq!(ctx.args[0].data, vec![0.0, 0.0, 10.0]);
-        assert_eq!(ctx.args[0].data[1].to_bits(), 0.0f64.to_bits());
+        assert_eq!(args[0].data, vec![0.0, 0.0, 10.0]);
+        assert_eq!(args[0].data[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

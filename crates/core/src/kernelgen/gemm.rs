@@ -283,10 +283,10 @@ fn micro<const MR: usize, const NR: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernelgen::testing::{run_on, OwnedArg};
     use crate::kernels::InterpreterKernel;
     use distal_machine::geom::{Point, Rect};
-    use distal_runtime::kernel::{Kernel, KernelArg};
-    use distal_runtime::program::Privilege;
+    use distal_runtime::kernel::Kernel;
 
     /// The row-at-a-time `(i, k, j)` loop `gemm.gen` ran before the
     /// blocked driver, kept as the second parity oracle.
@@ -345,7 +345,7 @@ mod tests {
 
     /// An argument whose allocation is wider than `rect` by a random
     /// margin on every side, so the row stride exceeds the extent.
-    fn wide_arg(rng: &mut Rng, rect: Rect, fill: impl Fn(&mut Rng) -> f64) -> KernelArg {
+    fn wide_arg(rng: &mut Rng, rect: Rect, fill: impl Fn(&mut Rng) -> f64) -> OwnedArg {
         let lo: Vec<i64> = rect
             .lo()
             .coords()
@@ -360,12 +360,9 @@ mod tests {
             .collect();
         let alloc = Rect::new(Point::new(lo), Point::new(hi));
         let data = (0..alloc.volume()).map(|_| fill(rng)).collect();
-        KernelArg {
-            privilege: Privilege::ReadWrite,
+        OwnedArg {
             rect,
-            alloc,
-            data,
-            sparse: None,
+            ..OwnedArg::dense(alloc, data)
         }
     }
 
@@ -400,20 +397,9 @@ mod tests {
             }
             let scalars = vec![ilo, ilo + ni - 1, jlo, jlo + nj - 1, klo, klo + nk - 1];
             let run = |kernel: &dyn Fn(&mut KernelCtx)| {
-                let copy = |arg: &KernelArg| KernelArg {
-                    privilege: arg.privilege,
-                    rect: arg.rect.clone(),
-                    alloc: arg.alloc.clone(),
-                    data: arg.data.clone(),
-                    sparse: None,
-                };
-                let mut ctx = KernelCtx {
-                    args: vec![copy(&a), copy(&b), copy(&c)],
-                    point: Point::zeros(1),
-                    scalars: scalars.clone(),
-                };
-                kernel(&mut ctx);
-                let bits: Vec<u64> = ctx.args[0].data.iter().map(|v| v.to_bits()).collect();
+                let mut args = [a.clone(), b.clone(), c.clone()];
+                run_on(&mut args, &scalars, kernel);
+                let bits: Vec<u64> = args[0].data.iter().map(|v| v.to_bits()).collect();
                 bits
             };
             let want = run(&|ctx| interpreter.execute(ctx));

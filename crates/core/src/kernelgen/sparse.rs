@@ -223,6 +223,7 @@ impl Kernel for SddmmGenLeaf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernelgen::testing::{run_on, OwnedArg};
     use crate::kernels::InterpreterKernel;
     use distal_ir::expr::Assignment;
     use distal_machine::geom::{copy_rect, Point, Rect};
@@ -326,21 +327,15 @@ mod tests {
         }
     }
 
-    fn arg(rect: Rect, data: Vec<f64>) -> KernelArg {
-        KernelArg {
-            privilege: Privilege::ReadWrite,
-            rect: rect.clone(),
-            alloc: rect,
-            data,
-            sparse: None,
-        }
+    fn arg(rect: Rect, data: Vec<f64>) -> OwnedArg {
+        OwnedArg::dense(rect, data)
     }
 
     /// The CSR form of the part of a dense argument inside `cover`.
-    fn compressed(dense: &KernelArg, cover: Rect) -> KernelArg {
+    fn compressed(dense: &OwnedArg, cover: Rect) -> OwnedArg {
         let mut face = vec![0.0; cover.volume() as usize];
         copy_rect(&dense.alloc, &dense.data, &cover, &mut face, &cover, false);
-        KernelArg {
+        OwnedArg {
             privilege: Privilege::Read,
             rect: dense.rect.clone(),
             sparse: Some(Arc::new(SparseBuffer::from_dense(&cover.extents(), &face))),
@@ -349,12 +344,12 @@ mod tests {
         }
     }
 
-    /// Runs a leaf over a ctx built with every argument dense: the
-    /// compressed operand is handed over as CSR, as its executors do.
-    fn run(leaf: &dyn Kernel, ctx: &mut KernelCtx) {
+    /// Runs a leaf over arguments built dense: the compressed operand is
+    /// handed over as CSR, as its executors do.
+    fn run(leaf: &dyn Kernel, args: &mut [OwnedArg], scalars: &[i64]) {
         let b = leaf.sparse_arg().expect("a CSR leaf");
-        ctx.args[b] = compressed(&ctx.args[b], ctx.args[b].alloc.clone());
-        leaf.execute(ctx);
+        args[b] = compressed(&args[b], args[b].alloc.clone());
+        run_on(args, scalars, |ctx| leaf.execute(ctx));
     }
 
     /// Deterministic data with explicit zeros at the given density.
@@ -385,17 +380,13 @@ mod tests {
         let sq = Rect::sized(&[4, 4]);
         let mut b_data = vec![1.0; 16];
         b_data[5] = 0.0; // (1,1) pruned from the sparse iteration
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(sq.clone(), vec![0.0; 16]),
-                arg(sq.clone(), b_data),
-                arg(sq, vec![1.0; 16]),
-            ],
-            point: Point::zeros(2),
-            scalars: vec![1, 2, 1, 2, 0, 2],
-        };
-        run(&SpmmGenLeaf, &mut ctx);
-        let a = &ctx.args[0].data;
+        let mut args = [
+            arg(sq.clone(), vec![0.0; 16]),
+            arg(sq.clone(), b_data),
+            arg(sq, vec![1.0; 16]),
+        ];
+        run(&SpmmGenLeaf, &mut args, &[1, 2, 1, 2, 0, 2]);
+        let a = &args[0].data;
         assert_eq!(a[5], 2.0); // (1,1): k=0..2 minus the pruned (1,1) entry
         assert_eq!(a[10], 3.0); // (2,2): all three k
         assert_eq!(a[0], 0.0); // outside bounds untouched
@@ -412,23 +403,19 @@ mod tests {
             0.0, 0.0, 0.0, 0.0,
             0.0, 3.0, 0.0, 0.0,
         ];
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(vec3, vec![0.0; 3]),
-                arg(mat, b),
-                arg(vec4, vec![1.0, 10.0, 100.0, 1000.0]),
-            ],
-            point: Point::zeros(1),
-            scalars: vec![0, 2, 0, 3],
-        };
-        run(&SpmvGenLeaf, &mut ctx);
-        assert_eq!(ctx.args[0].data, vec![2001.0, 0.0, 30.0]);
+        let mut args = [
+            arg(vec3, vec![0.0; 3]),
+            arg(mat, b),
+            arg(vec4, vec![1.0, 10.0, 100.0, 1000.0]),
+        ];
+        run(&SpmvGenLeaf, &mut args, &[0, 2, 0, 3]);
+        assert_eq!(args[0].data, vec![2001.0, 0.0, 30.0]);
     }
 
-    /// A tile-shaped ctx over dense data for a statement with `n_args`
+    /// Tile-shaped arguments over dense data for a statement with `n_args`
     /// square 2-D operands plus vectors where noted by `shapes`.
-    fn ctx_from(shapes: &[&[i64]], seeds: &[u64], density: f64, scalars: Vec<i64>) -> KernelCtx {
-        let args = shapes
+    fn args_from(shapes: &[&[i64]], seeds: &[u64], density: f64) -> Vec<OwnedArg> {
+        shapes
             .iter()
             .zip(seeds)
             .map(|(dims, &seed)| {
@@ -441,17 +428,12 @@ mod tests {
                 };
                 arg(rect, data)
             })
-            .collect();
-        KernelCtx {
-            args,
-            point: Point::zeros(1),
-            scalars,
-        }
+            .collect()
     }
 
     /// The dense values of a 2-D (or, with `cols = None`, 1-D) argument's
     /// tile `[rows] × [cols]`, row-major.
-    fn tile(arg: &KernelArg, rows: (i64, i64), cols: Option<(i64, i64)>) -> Vec<f64> {
+    fn tile(arg: &OwnedArg, rows: (i64, i64), cols: Option<(i64, i64)>) -> Vec<f64> {
         let mut out = Vec::new();
         for i in rows.0..=rows.1 {
             match cols {
@@ -463,7 +445,7 @@ mod tests {
     }
 
     /// Asserts `got`'s tile `[rows] × [cols]` equals `want` bitwise.
-    fn assert_tile(got: &KernelArg, rows: (i64, i64), cols: Option<(i64, i64)>, want: &[f64]) {
+    fn assert_tile(got: &OwnedArg, rows: (i64, i64), cols: Option<(i64, i64)>, want: &[f64]) {
         let got = tile(got, rows, cols);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want) {
@@ -479,50 +461,46 @@ mod tests {
             // SpMV over a partial tile.
             let shapes: &[&[i64]] = &[&[6], &[6, 8], &[8]];
             let (i, j) = ((1, 4), (2, 7));
-            let mut gen = ctx_from(shapes, &[0, 21, 22], density, vec![i.0, i.1, j.0, j.1]);
-            let b = SparseBuffer::from_dense(&[4, 6], &tile(&gen.args[1], i, Some(j)));
+            let mut gen = args_from(shapes, &[0, 21, 22], density);
+            let b = SparseBuffer::from_dense(&[4, 6], &tile(&gen[1], i, Some(j)));
             let mut want = vec![0.0; 4];
-            spmv(&mut want, &b, &tile(&gen.args[2], j, None));
-            run(&SpmvGenLeaf, &mut gen);
-            assert_tile(&gen.args[0], i, None, &want);
+            spmv(&mut want, &b, &tile(&gen[2], j, None));
+            run(&SpmvGenLeaf, &mut gen, &[i.0, i.1, j.0, j.1]);
+            assert_tile(&gen[0], i, None, &want);
             // SpMM over a partial tile.
             let shapes: &[&[i64]] = &[&[5, 6], &[5, 7], &[7, 6]];
             let (i, j, k) = ((1, 3), (0, 5), (2, 6));
-            let scalars = vec![i.0, i.1, j.0, j.1, k.0, k.1];
-            let mut gen = ctx_from(shapes, &[0, 31, 32], density, scalars);
-            let b = SparseBuffer::from_dense(&[3, 5], &tile(&gen.args[1], i, Some(k)));
+            let scalars = [i.0, i.1, j.0, j.1, k.0, k.1];
+            let mut gen = args_from(shapes, &[0, 31, 32], density);
+            let b = SparseBuffer::from_dense(&[3, 5], &tile(&gen[1], i, Some(k)));
             let mut want = vec![0.0; 3 * 6];
-            spmm(&mut want, &b, &tile(&gen.args[2], k, Some(j)), 6);
-            run(&SpmmGenLeaf, &mut gen);
-            assert_tile(&gen.args[0], i, Some(j), &want);
+            spmm(&mut want, &b, &tile(&gen[2], k, Some(j)), 6);
+            run(&SpmmGenLeaf, &mut gen, &scalars);
+            assert_tile(&gen[0], i, Some(j), &want);
             // SDDMM over a partial tile.
             let shapes: &[&[i64]] = &[&[5, 6], &[5, 6], &[5, 4], &[4, 6]];
             let (i, j, k) = ((0, 4), (1, 5), (0, 3));
-            let scalars = vec![i.0, i.1, j.0, j.1, k.0, k.1];
-            let mut gen = ctx_from(shapes, &[0, 41, 42, 43], density, scalars);
-            let b = SparseBuffer::from_dense(&[5, 5], &tile(&gen.args[1], i, Some(j)));
+            let scalars = [i.0, i.1, j.0, j.1, k.0, k.1];
+            let mut gen = args_from(shapes, &[0, 41, 42, 43], density);
+            let b = SparseBuffer::from_dense(&[5, 5], &tile(&gen[1], i, Some(j)));
             let mut want = vec![0.0; 5 * 5];
-            let c = tile(&gen.args[2], i, Some(k));
-            sddmm(&mut want, &b, &c, &tile(&gen.args[3], k, Some(j)), 4);
-            run(&SddmmGenLeaf, &mut gen);
-            assert_tile(&gen.args[0], i, Some(j), &want);
+            let c = tile(&gen[2], i, Some(k));
+            sddmm(&mut want, &b, &c, &tile(&gen[3], k, Some(j)), 4);
+            run(&SddmmGenLeaf, &mut gen, &scalars);
+            assert_tile(&gen[0], i, Some(j), &want);
         }
     }
 
     #[test]
     fn generated_leaves_ignore_empty_bounds() {
         let sq = Rect::sized(&[2, 2]);
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(sq.clone(), vec![0.0; 4]),
-                arg(sq.clone(), vec![1.0; 4]),
-                arg(sq, vec![1.0; 4]),
-            ],
-            point: Point::zeros(2),
-            scalars: vec![0, 1, 0, 1, 1, 0],
-        };
-        run(&SpmmGenLeaf, &mut ctx);
-        assert_eq!(ctx.args[0].data, vec![0.0; 4]);
+        let mut args = [
+            arg(sq.clone(), vec![0.0; 4]),
+            arg(sq.clone(), vec![1.0; 4]),
+            arg(sq, vec![1.0; 4]),
+        ];
+        run(&SpmmGenLeaf, &mut args, &[0, 1, 0, 1, 1, 0]);
+        assert_eq!(args[0].data, vec![0.0; 4]);
     }
 
     /// xorshift64*, the generator the sibling tests use.
@@ -579,7 +557,7 @@ mod tests {
 
     /// An argument whose allocation is wider than `rect` by a random
     /// margin on every side, so the row stride exceeds the extent.
-    fn wide_arg(rng: &mut Rng, rect: Rect, fill: impl Fn(&mut Rng) -> f64) -> KernelArg {
+    fn wide_arg(rng: &mut Rng, rect: Rect, fill: impl Fn(&mut Rng) -> f64) -> OwnedArg {
         let lo: Vec<i64> = rect
             .lo()
             .coords()
@@ -594,12 +572,9 @@ mod tests {
             .collect();
         let alloc = Rect::new(Point::new(lo), Point::new(hi));
         let data = (0..alloc.volume()).map(|_| fill(rng)).collect();
-        KernelArg {
-            privilege: Privilege::ReadWrite,
+        OwnedArg {
             rect,
-            alloc,
-            data,
-            sparse: None,
+            ..OwnedArg::dense(alloc, data)
         }
     }
 
@@ -607,16 +582,6 @@ mod tests {
     fn rect_over(ranges: impl Iterator<Item = (i64, i64)>) -> Rect {
         let (lo, hi) = ranges.unzip();
         Rect::new(Point::new(lo), Point::new(hi))
-    }
-
-    fn copy(arg: &KernelArg) -> KernelArg {
-        KernelArg {
-            privilege: arg.privilege,
-            rect: arg.rect.clone(),
-            alloc: arg.alloc.clone(),
-            data: arg.data.clone(),
-            sparse: arg.sparse.clone(),
-        }
     }
 
     /// Bit patterns, with every NaN mapped to one: when two NaNs meet in
@@ -756,7 +721,7 @@ mod tests {
                 // stored values inside it.
                 let wild = case % 4 == 3;
                 let dense_value = if wild { Rng::any } else { Rng::finite };
-                let others: Vec<KernelArg> = subject.accesses[2..]
+                let others: Vec<OwnedArg> = subject.accesses[2..]
                     .iter()
                     .map(|access| wide_arg(&mut rng, tile(access), dense_value))
                     .collect();
@@ -768,16 +733,11 @@ mod tests {
                 }
                 let scalars: Vec<i64> = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
 
-                let run = |kernel: &dyn Fn(&mut KernelCtx), b: &KernelArg| {
-                    let mut args = vec![copy(&out), copy(b)];
-                    args.extend(others.iter().map(copy));
-                    let mut ctx = KernelCtx {
-                        args,
-                        point: Point::zeros(1),
-                        scalars: scalars.clone(),
-                    };
-                    kernel(&mut ctx);
-                    bits(&ctx.args[0].data)
+                let run = |kernel: &dyn Fn(&mut KernelCtx), b: &OwnedArg| {
+                    let mut args = vec![out.clone(), b.clone()];
+                    args.extend(others.iter().cloned());
+                    run_on(&mut args, &scalars, kernel);
+                    bits(&args[0].data)
                 };
                 let got = run(&|ctx| subject.leaf.execute(ctx), &b_csr);
                 let what = format!(

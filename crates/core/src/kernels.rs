@@ -276,35 +276,25 @@ pub fn is_streaming(a: &Assignment) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distal_machine::geom::{Point, Rect};
-    use distal_runtime::kernel::KernelArg;
-    use distal_runtime::program::Privilege;
+    use crate::kernelgen::testing::{run_on, OwnedArg};
+    use distal_machine::geom::Rect;
 
-    fn arg(rect: Rect, data: Vec<f64>) -> KernelArg {
-        KernelArg {
-            privilege: Privilege::ReadWrite,
-            rect: rect.clone(),
-            alloc: rect,
-            data,
-            sparse: None,
-        }
+    fn arg(rect: Rect, data: Vec<f64>) -> OwnedArg {
+        OwnedArg::dense(rect, data)
     }
 
     fn run_matmul<K: Kernel>(kernel: &K, n: i64) -> Vec<f64> {
         let sq = Rect::sized(&[n, n]);
         let b: Vec<f64> = (0..n * n).map(|x| x as f64).collect();
         let c: Vec<f64> = (0..n * n).map(|x| (x % 7) as f64).collect();
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(sq.clone(), vec![0.0; (n * n) as usize]),
-                arg(sq.clone(), b),
-                arg(sq, c),
-            ],
-            point: Point::zeros(2),
-            scalars: vec![0, n - 1, 0, n - 1, 0, n - 1],
-        };
-        kernel.execute(&mut ctx);
-        ctx.args.swap_remove(0).data
+        let mut args = vec![
+            arg(sq.clone(), vec![0.0; (n * n) as usize]),
+            arg(sq.clone(), b),
+            arg(sq, c),
+        ];
+        let scalars = [0, n - 1, 0, n - 1, 0, n - 1];
+        run_on(&mut args, &scalars, |ctx| kernel.execute(ctx));
+        args.swap_remove(0).data
     }
 
     #[test]
@@ -322,17 +312,13 @@ mod tests {
         let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul(), true);
         let sq = Rect::sized(&[4, 4]);
         let ones = vec![1.0; 16];
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(sq.clone(), vec![0.0; 16]),
-                arg(sq.clone(), ones.clone()),
-                arg(sq, ones),
-            ],
-            point: Point::zeros(2),
-            scalars: vec![1, 2, 1, 2, 0, 2],
-        };
-        interp.execute(&mut ctx);
-        let a = &ctx.args[0].data;
+        let mut args = [
+            arg(sq.clone(), vec![0.0; 16]),
+            arg(sq.clone(), ones.clone()),
+            arg(sq, ones),
+        ];
+        run_on(&mut args, &[1, 2, 1, 2, 0, 2], |ctx| interp.execute(ctx));
+        let a = &args[0].data;
         assert_eq!(a[5], 3.0); // (1,1) accumulated over k=0..2
         assert_eq!(a[0], 0.0); // outside bounds untouched
     }
@@ -341,17 +327,14 @@ mod tests {
     fn interpreter_handles_empty_bounds() {
         let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul(), true);
         let sq = Rect::sized(&[2, 2]);
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(sq.clone(), vec![0.0; 4]),
-                arg(sq.clone(), vec![1.0; 4]),
-                arg(sq, vec![1.0; 4]),
-            ],
-            point: Point::zeros(2),
-            scalars: vec![0, 1, 0, 1, 1, 0], // empty k range
-        };
-        interp.execute(&mut ctx);
-        assert_eq!(ctx.args[0].data, vec![0.0; 4]);
+        let mut args = [
+            arg(sq.clone(), vec![0.0; 4]),
+            arg(sq.clone(), vec![1.0; 4]),
+            arg(sq, vec![1.0; 4]),
+        ];
+        // An empty k range.
+        run_on(&mut args, &[0, 1, 0, 1, 1, 0], |ctx| interp.execute(ctx));
+        assert_eq!(args[0].data, vec![0.0; 4]);
     }
 
     #[test]
@@ -396,16 +379,12 @@ mod tests {
         let interp = InterpreterKernel::new(a, true);
         let scalar_rect = Rect::sized(&[]);
         let vec_rect = Rect::sized(&[4]);
-        let mut ctx = KernelCtx {
-            args: vec![
-                arg(scalar_rect, vec![0.0]),
-                arg(vec_rect.clone(), vec![1.0, 2.0, 3.0, 4.0]),
-                arg(vec_rect, vec![1.0, 1.0, 1.0, 1.0]),
-            ],
-            point: Point::zeros(1),
-            scalars: vec![0, 3],
-        };
-        interp.execute(&mut ctx);
-        assert_eq!(ctx.args[0].data[0], 10.0);
+        let mut args = [
+            arg(scalar_rect, vec![0.0]),
+            arg(vec_rect.clone(), vec![1.0, 2.0, 3.0, 4.0]),
+            arg(vec_rect, vec![1.0, 1.0, 1.0, 1.0]),
+        ];
+        run_on(&mut args, &[0, 3], |ctx| interp.execute(ctx));
+        assert_eq!(args[0].data[0], 10.0);
     }
 }

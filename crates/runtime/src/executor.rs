@@ -33,8 +33,7 @@
 use crate::csr::SparseBuffer;
 use crate::exec::Store;
 use crate::graph::{CopyNode, GNode, GNodeKind, Graph, TaskNode};
-use crate::kernel::{Kernel, KernelArg, KernelCtx};
-use crate::pool;
+use crate::kernel::{ArgData, Kernel, KernelArg, KernelCtx};
 use crate::program::Privilege;
 use crate::region::InstanceId;
 use crate::sim::schedule_graph;
@@ -122,7 +121,7 @@ impl Executor for SerialExecutor {
         let sched = schedule_graph(ctx.machine, ctx.graph, ctx.record_copies);
         if ctx.functional {
             for &i in &sched.order {
-                apply_effect(ctx.store, ctx.kernels, &ctx.graph.nodes[i as usize], true);
+                apply_effect(ctx.store, ctx.kernels, &ctx.graph.nodes[i as usize]);
             }
         }
         sched.stats
@@ -223,7 +222,7 @@ impl Executor for ParallelExecutor {
             let workers = self.worker_count().min(ctx.graph.nodes.len().max(1));
             if workers <= 1 {
                 for &i in &sched.order {
-                    apply_effect(ctx.store, ctx.kernels, &ctx.graph.nodes[i as usize], true);
+                    apply_effect(ctx.store, ctx.kernels, &ctx.graph.nodes[i as usize]);
                 }
             } else {
                 parallel_apply(ctx.store, ctx.kernels, ctx.graph, &sched.order, workers);
@@ -285,9 +284,9 @@ fn parallel_apply(
                     continue;
                 };
                 let node = &graph.nodes[i as usize];
-                if let Err(panic) = catch_unwind(AssertUnwindSafe(|| {
-                    apply_effect(store, kernels, node, false)
-                })) {
+                if let Err(panic) =
+                    catch_unwind(AssertUnwindSafe(|| apply_effect(store, kernels, node)))
+                {
                     let mut f = failure.lock().unwrap();
                     if f.is_none() {
                         *f = Some(panic);
@@ -339,18 +338,12 @@ fn pop_node(queues: &[Mutex<VecDeque<u32>>], wid: usize) -> Option<u32> {
 }
 
 /// Applies one node's side effect (functional mode only).
-///
-/// `exclusive` marks single-threaded use: every instance lock is taken as a
-/// write lock, which lets tasks *move* read buffers out and back instead of
-/// cloning them (the locks are uncontended, so this restores the zero-copy
-/// behaviour of the pre-executor runtime). Concurrent callers pass `false`
-/// so that read requirements take shared locks.
-fn apply_effect(store: &Store, kernels: &[Arc<dyn Kernel>], node: &GNode, exclusive: bool) {
+fn apply_effect(store: &Store, kernels: &[Arc<dyn Kernel>], node: &GNode) {
     match &node.kind {
         GNodeKind::Barrier => {}
         GNodeKind::Fill { inst, value } => apply_fill(store, *inst, *value),
         GNodeKind::Copy(c) => apply_copy(store, c),
-        GNodeKind::Task(t) => apply_task(store, kernels, t, exclusive),
+        GNodeKind::Task(t) => apply_task(store, kernels, t),
     }
 }
 
@@ -399,34 +392,18 @@ fn apply_copy(store: &Store, c: &CopyNode) {
 
 impl BufGuard<'_> {
     /// The buffer behind the guard.
-    fn data(&self) -> Option<&Vec<f64>> {
+    fn data(&self) -> Option<&[f64]> {
         match self {
-            BufGuard::Read(g) => g.as_ref(),
-            BufGuard::Write(g) => g.as_ref(),
+            BufGuard::Read(g) => g.as_deref(),
+            BufGuard::Write(g) => g.as_deref(),
         }
     }
 
     /// Mutable access; panics on a read guard.
-    fn data_mut(&mut self) -> Option<&mut Vec<f64>> {
+    fn data_mut(&mut self) -> Option<&mut [f64]> {
         match self {
             BufGuard::Read(_) => panic!("mutable access through a read lock"),
-            BufGuard::Write(g) => g.as_mut(),
-        }
-    }
-
-    /// Moves the buffer out (write guards only).
-    fn take(&mut self) -> Option<Vec<f64>> {
-        match self {
-            BufGuard::Read(_) => panic!("cannot take a buffer through a read lock"),
-            BufGuard::Write(g) => g.take(),
-        }
-    }
-
-    /// Puts a buffer back (write guards only).
-    fn restore(&mut self, data: Vec<f64>) {
-        match self {
-            BufGuard::Read(_) => panic!("cannot restore a buffer through a read lock"),
-            BufGuard::Write(g) => **g = Some(data),
+            BufGuard::Write(g) => g.as_deref_mut(),
         }
     }
 }
@@ -447,132 +424,99 @@ fn sparse_image(store: &Store, inst: InstanceId) -> Option<(&Arc<SparseBuffer>, 
     region.sparse.as_ref().map(|image| (image, &region.rect))
 }
 
-fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode, exclusive: bool) {
-    // Lock plan: one guard per distinct instance that has a buffer, write
-    // iff any requirement on it writes (or the caller is single-threaded
-    // and prefers moves over clones), acquired in ascending instance-id
-    // order.
+/// What a held guard has to lend: its shared slice as often as asked, its
+/// exclusive one once.
+enum Lent<'a> {
+    Shared(&'a [f64]),
+    Exclusive(Option<&'a mut [f64]>),
+}
+
+fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
+    // Lock plan: one guard per distinct instance that has a buffer — a
+    // write guard iff any requirement on it writes — acquired in ascending
+    // instance-id order and held for the task's lifetime. A CSR-held
+    // region's argument is the shared image itself: nothing to lock.
+    let buffered = |inst: InstanceId| inst.0 != u32::MAX && sparse_image(store, inst).is_none();
     let mut plan: Vec<(InstanceId, bool)> = Vec::with_capacity(task.args.len());
-    for (inst, privilege, _) in &task.args {
-        if inst.0 == u32::MAX || sparse_image(store, *inst).is_some() {
-            continue;
-        }
-        let write = exclusive || !matches!(privilege, Privilege::Read);
+    for (inst, privilege, _) in task.args.iter().filter(|(inst, ..)| buffered(*inst)) {
+        let write = !matches!(privilege, Privilege::Read);
         match plan.iter_mut().find(|(i, _)| i == inst) {
             Some((_, w)) => *w |= write,
             None => plan.push((*inst, write)),
         }
     }
     plan.sort_unstable_by_key(|(i, _)| *i);
-    let mut guards: Vec<(InstanceId, BufGuard<'_>)> = plan
+    let mut guards: Vec<BufGuard<'_>> = plan
         .iter()
-        .map(|(i, w)| (*i, lock_buffer(store, *i, *w)))
+        .map(|(i, w)| lock_buffer(store, *i, *w))
+        .collect();
+    let slot_of = |inst: InstanceId| {
+        plan.binary_search_by_key(&inst, |(i, _)| *i)
+            .expect("instance missing from lock plan")
+    };
+
+    // The one copy left: a `Read` requirement on an instance this task
+    // also writes reads the instance as it was before the task started.
+    let before: Vec<Option<Vec<f64>>> = task
+        .args
+        .iter()
+        .map(|(inst, privilege, _)| {
+            if !buffered(*inst) || !matches!(privilege, Privilege::Read) {
+                return None;
+            }
+            match &guards[slot_of(*inst)] {
+                BufGuard::Write(g) => Some(g.as_deref().unwrap_or_default().to_vec()),
+                BufGuard::Read(_) => None,
+            }
+        })
         .collect();
 
-    // Build kernel args: write-locked instances move their buffer out of
-    // the (held) guard zero-copy; read-locked instances clone only the
-    // requirement's rectangle, re-based to a tight allocation — broadcast
-    // instances read by many concurrent tasks cost one tile copy each, not
-    // a full-instance copy. Duplicate (aliased) read-only requirements on a
-    // moved buffer clone the earlier argument's view. A CSR-held region's
-    // argument is the shared image itself: nothing to lock, move or copy.
-    let mut first_use: Vec<Option<usize>> = Vec::with_capacity(task.args.len());
-    let mut args: Vec<KernelArg> = Vec::with_capacity(task.args.len());
-    for (idx, (inst, privilege, rect)) in task.args.iter().enumerate() {
-        if inst.0 == u32::MAX {
+    // Every other argument borrows the instance where it lies, under its
+    // guard: `alloc` is the instance rectangle, `rect` the part to touch.
+    let mut lent: Vec<Lent<'_>> = guards
+        .iter_mut()
+        .map(|guard| match guard {
+            BufGuard::Read(g) => Lent::Shared(g.as_deref().unwrap_or_default()),
+            BufGuard::Write(g) => Lent::Exclusive(Some(g.as_deref_mut().unwrap_or_default())),
+        })
+        .collect();
+    let args = task.args.iter().zip(&before);
+    let args = args.map(|((inst, privilege, rect), before)| {
+        let (alloc, data, sparse) = if inst.0 == u32::MAX {
             // Empty requirement from an over-decomposed launch point.
-            first_use.push(None);
-            args.push(KernelArg {
-                privilege: *privilege,
-                rect: rect.clone(),
-                alloc: Rect::empty(rect.dim()),
-                data: Vec::new(),
-                sparse: None,
-            });
-            continue;
-        }
-        if let Some((image, covered)) = sparse_image(store, *inst) {
-            first_use.push(None);
-            args.push(KernelArg {
-                privilege: *privilege,
-                rect: rect.clone(),
-                alloc: covered.clone(),
-                data: Vec::new(),
-                sparse: Some(Arc::clone(image)),
-            });
-            continue;
-        }
-        let slot = guards
-            .binary_search_by_key(inst, |(i, _)| *i)
-            .expect("instance missing from lock plan");
-        if matches!(guards[slot].1, BufGuard::Read(_)) {
-            // Shared read: tight snapshot of just the requirement rect
-            // (duplicates of the same instance each take their own view).
-            let alloc = store.instance(*inst).rect.clone();
-            let data = match guards[slot].1.data() {
-                Some(src) => {
-                    let mut out = pool::take(rect.volume() as usize);
-                    copy_rect(&alloc, src, rect, &mut out, rect, false);
-                    out
-                }
-                None => Vec::new(),
+            let data = match privilege {
+                Privilege::Read => ArgData::Read(&[]),
+                _ => ArgData::Write(&mut []),
             };
-            first_use.push(None);
-            args.push(KernelArg {
-                privilege: *privilege,
-                rect: rect.clone(),
-                alloc: rect.clone(),
-                data,
-                sparse: None,
-            });
-            continue;
-        }
-        let prior = task.args[..idx]
-            .iter()
-            .position(|(other, _, _)| other == inst);
-        if let Some(p) = prior {
-            assert!(
-                matches!(privilege, Privilege::Read),
-                "aliased writable requirements are not supported"
-            );
-            first_use.push(None);
-            let data = args[p].data.clone();
-            args.push(KernelArg {
-                privilege: *privilege,
-                rect: rect.clone(),
-                alloc: args[p].alloc.clone(),
-                data,
-                sparse: None,
-            });
-            continue;
-        }
-        // A cell without a buffer stays without one: only a buffer that
-        // was moved out is put back.
-        let moved = guards[slot].1.take();
-        first_use.push(moved.is_some().then_some(slot));
-        args.push(KernelArg {
+            (Rect::empty(rect.dim()), data, None)
+        } else if let Some((image, covered)) = sparse_image(store, *inst) {
+            (covered.clone(), ArgData::Read(&[]), Some(Arc::clone(image)))
+        } else {
+            let data = match (before, &mut lent[slot_of(*inst)]) {
+                (Some(copy), _) => ArgData::Read(copy),
+                (None, Lent::Shared(data)) => ArgData::Read(data),
+                (None, Lent::Exclusive(data)) => ArgData::Write(
+                    data.take()
+                        .expect("aliased writable requirements are not supported"),
+                ),
+            };
+            (store.instance(*inst).rect.clone(), data, None)
+        };
+        KernelArg {
             privilege: *privilege,
             rect: rect.clone(),
-            alloc: store.instance(*inst).rect.clone(),
-            data: moved.unwrap_or_default(),
-            sparse: None,
-        });
-    }
+            alloc,
+            data,
+            sparse,
+        }
+    });
 
     let mut ctx = KernelCtx {
-        args,
+        args: args.collect(),
         point: task.point.clone(),
         scalars: task.scalars.clone(),
     };
     kernels[task.kernel.0 as usize].execute(&mut ctx);
-
-    // Moved buffers go back under their guards; snapshots back to the pool.
-    for (arg, slot) in ctx.args.into_iter().zip(first_use) {
-        match slot {
-            Some(s) => guards[s].1.restore(arg.data),
-            None => pool::give(arg.data),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -591,7 +535,7 @@ mod tests {
         fn name(&self) -> &str {
             "scale"
         }
-        fn execute(&self, ctx: &mut KernelCtx) {
+        fn execute(&self, ctx: &mut KernelCtx<'_>) {
             let arg = &mut ctx.args[0];
             let rect = arg.rect.clone();
             for p in rect.points() {
@@ -680,6 +624,131 @@ mod tests {
         assert_eq!(serial_stats.bytes_by_class, parallel_stats.bytes_by_class);
     }
 
+    /// Counts how many of its tasks are inside `execute` at once, and
+    /// records what each was lent.
+    #[derive(Default)]
+    struct OverlapKernel {
+        inside: AtomicUsize,
+        peak: AtomicUsize,
+        lent: Mutex<Vec<(Rect, Vec<f64>)>>,
+    }
+    impl Kernel for OverlapKernel {
+        fn name(&self) -> &str {
+            "overlap"
+        }
+        fn execute(&self, ctx: &mut KernelCtx<'_>) {
+            let inside = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(inside, Ordering::SeqCst);
+            let arg = &ctx.args[0];
+            assert!(matches!(arg.data, ArgData::Read(_)));
+            let seen = arg.rect.points().map(|p| arg.at(p.coords())).collect();
+            self.lent.lock().unwrap().push((arg.alloc.clone(), seen));
+            std::thread::sleep(Duration::from_millis(20));
+            self.inside.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_share_one_instance_in_place() {
+        // One task reads the whole region into a memory; sixteen more then
+        // each read four elements of that same instance. They hold its
+        // read lock together — a snapshot or a write lock would show as
+        // a tight `alloc` or as a peak of one.
+        let m = PhysicalMachine::new(MachineSpec::small(1));
+        let mut rt = Runtime::new(m, Mode::Functional);
+        let whole = Rect::sized(&[64]);
+        let r = rt.create_region("A", whole.clone());
+        rt.set_region_data(r, (0..64).map(f64::from).collect())
+            .unwrap();
+        let proc = rt.machine().cpu_proc(0, 0);
+        let mem = rt.machine().proc(proc).local_mem;
+        let mut p = Program::new();
+        let noop = p.register_kernel(Arc::new(NoopKernel));
+        let overlap = Arc::new(OverlapKernel::default());
+        let k = p.register_kernel(Arc::clone(&overlap) as Arc<dyn Kernel>);
+        let read = |rect: Rect| vec![RegionReq::new(r, rect, Privilege::Read, mem)];
+        p.push(Op::SingleTask(TaskDesc::new(
+            noop,
+            proc,
+            Point::zeros(1),
+            read(whole.clone()),
+        )));
+        let tasks = (0..16).map(|t| {
+            let part = Rect::new(Point::new(vec![4 * t]), Point::new(vec![4 * t + 3]));
+            TaskDesc::new(k, proc, Point::new(vec![t]), read(part))
+        });
+        p.push(Op::IndexLaunch(IndexLaunch {
+            name: "readers".into(),
+            tasks: tasks.collect(),
+        }));
+        rt.run_with(&p, &ParallelExecutor::new(4)).unwrap();
+        assert!(
+            overlap.peak.load(Ordering::SeqCst) >= 2,
+            "readers serialized"
+        );
+        let mut lent = overlap.lent.lock().unwrap().clone();
+        lent.sort_by(|a, b| a.1[0].total_cmp(&b.1[0]));
+        assert_eq!(lent.len(), 16);
+        for (t, (alloc, seen)) in lent.iter().enumerate() {
+            assert_eq!(alloc, &whole, "task {t} was lent a copy, not the instance");
+            let want: Vec<f64> = (4 * t..4 * t + 4).map(|x| x as f64).collect();
+            assert_eq!(seen, &want);
+        }
+    }
+
+    /// Overwrites its writable argument, then rebuilds it as twice what
+    /// its `Read` argument — the same instance — held before the task.
+    struct DoubleFromAliasKernel {
+        write: usize,
+        read: usize,
+    }
+    impl Kernel for DoubleFromAliasKernel {
+        fn name(&self) -> &str {
+            "double-from-alias"
+        }
+        fn execute(&self, ctx: &mut KernelCtx<'_>) {
+            assert_eq!(ctx.args[self.read].alloc, ctx.args[self.write].alloc);
+            let points: Vec<Point> = ctx.args[self.write].rect.points().collect();
+            for p in &points {
+                ctx.args[self.write].set(p.coords(), 100.0);
+            }
+            for p in &points {
+                let before = ctx.args[self.read].at(p.coords());
+                ctx.args[self.write].set(p.coords(), 2.0 * before);
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_aliasing_a_written_instance_sees_the_pre_task_values() {
+        // Both requirements land on one instance; whichever comes first,
+        // the `Read` one is lent a copy taken before the kernel ran.
+        for (write, read) in [(0, 1), (1, 0)] {
+            for executor in [&SerialExecutor as &dyn Executor, &ParallelExecutor::new(2)] {
+                let m = PhysicalMachine::new(MachineSpec::small(1));
+                let mut rt = Runtime::new(m, Mode::Functional);
+                let rect = Rect::sized(&[4]);
+                let r = rt.create_region("A", rect.clone());
+                rt.set_region_data(r, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+                let proc = rt.machine().cpu_proc(0, 0);
+                let mem = rt.machine().proc(proc).local_mem;
+                let mut p = Program::new();
+                let k = p.register_kernel(Arc::new(DoubleFromAliasKernel { write, read }));
+                let mut reqs = vec![RegionReq::new(r, rect.clone(), Privilege::Read, mem); 2];
+                reqs[write].privilege = Privilege::ReadWrite;
+                p.push(Op::SingleTask(TaskDesc::new(
+                    k,
+                    proc,
+                    Point::zeros(1),
+                    reqs,
+                )));
+                rt.run_with(&p, executor).unwrap();
+                let what = format!("{} with the write at {write}", executor.name());
+                assert_eq!(rt.read_region(r).unwrap(), [2.0, 4.0, 6.0, 8.0], "{what}");
+            }
+        }
+    }
+
     /// Sums each row's stored values of its CSR argument into the output.
     struct RowSumKernel;
     impl Kernel for RowSumKernel {
@@ -689,7 +758,7 @@ mod tests {
         fn sparse_arg(&self) -> Option<usize> {
             Some(1)
         }
-        fn execute(&self, ctx: &mut KernelCtx) {
+        fn execute(&self, ctx: &mut KernelCtx<'_>) {
             let (out, rest) = ctx.args.split_at_mut(1);
             let b = &rest[0];
             let image = b.sparse.as_ref().expect("the region's CSR image");
@@ -864,7 +933,7 @@ mod tests {
             fn name(&self) -> &str {
                 "panic"
             }
-            fn execute(&self, _ctx: &mut KernelCtx) {
+            fn execute(&self, _ctx: &mut KernelCtx<'_>) {
                 panic!("kernel exploded");
             }
         }
@@ -903,7 +972,7 @@ mod tests {
             fn name(&self) -> &str {
                 "panic"
             }
-            fn execute(&self, _ctx: &mut KernelCtx) {
+            fn execute(&self, _ctx: &mut KernelCtx<'_>) {
                 panic!("kernel exploded");
             }
         }
@@ -912,7 +981,7 @@ mod tests {
             fn name(&self) -> &str {
                 "slow"
             }
-            fn execute(&self, _ctx: &mut KernelCtx) {
+            fn execute(&self, _ctx: &mut KernelCtx<'_>) {
                 std::thread::sleep(Duration::from_millis(50));
             }
         }

@@ -13,9 +13,22 @@ use std::sync::Arc;
 
 /// A view over one region requirement's backing instance.
 ///
-/// The view exposes the requirement rectangle (`rect`) and the instance's
-/// allocation bounds (`alloc`); elements are addressed by *global* tensor
-/// coordinates and mapped to the row-major layout over `alloc`.
+/// The view exposes the requirement rectangle (`rect`) and the allocation
+/// bounds of the buffer it borrows (`alloc`); elements are addressed by
+/// *global* tensor coordinates and mapped to the row-major layout over
+/// `alloc`.
+///
+/// The argument *borrows* its buffer for `'a`, the lifetime of the task:
+/// whoever runs the kernel keeps the physical instance (under its lock, on
+/// the runtime; inside the rank store, on the SPMD VM) and lends it where
+/// it lies, so `alloc` is usually wider than `rect` — a kernel strides
+/// through `alloc` and touches only `rect`. A [`Privilege::Read`]
+/// argument borrows shared ([`ArgData::Read`]): many concurrent tasks may
+/// hold the same instance. Every other privilege borrows mutably
+/// ([`ArgData::Write`]), and at most one argument of a task does so per
+/// instance. The aliasing rule: a `Read` requirement on an instance the
+/// same task also writes is lent a private copy of the instance taken
+/// before the kernel starts, never the buffer being written.
 ///
 /// An argument arrives in one of two forms. Dense: `data` is the buffer
 /// and `sparse` is `None`. Compressed — a region held as CSR
@@ -30,22 +43,57 @@ use std::sync::Arc;
 /// shared arrays. Only a kernel that names the argument in
 /// [`Kernel::sparse_arg`] is handed this form by a compiled plan.
 #[derive(Debug)]
-pub struct KernelArg {
+pub struct KernelArg<'a> {
     /// The privilege the task holds on this argument.
     pub privilege: Privilege,
     /// The rectangle the task may touch.
     pub rect: Rect,
-    /// Allocation bounds of the backing instance.
+    /// Allocation bounds of the borrowed buffer.
     pub alloc: Rect,
-    /// The backing buffer (row-major over `alloc`), temporarily moved out of
-    /// the instance for the duration of the kernel. Empty when `sparse`
+    /// The borrowed buffer (row-major over `alloc`). Empty when `sparse`
     /// is set.
-    pub data: Vec<f64>,
+    pub data: ArgData<'a>,
     /// The compressed image standing in for `data` (see the type docs).
     pub sparse: Option<Arc<SparseBuffer>>,
 }
 
-impl KernelArg {
+/// The buffer a [`KernelArg`] borrows: shared for [`Privilege::Read`],
+/// exclusive for every privilege that writes. Dereferences to the slice;
+/// writing through a `Read` borrow is a bug in the kernel and panics.
+#[derive(Debug)]
+pub enum ArgData<'a> {
+    /// A shared borrow: the argument may only be read.
+    Read(&'a [f64]),
+    /// An exclusive borrow: the argument may be read and written.
+    Write(&'a mut [f64]),
+}
+
+impl std::ops::Deref for ArgData<'_> {
+    type Target = [f64];
+
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        match self {
+            ArgData::Read(data) => data,
+            ArgData::Write(data) => data,
+        }
+    }
+}
+
+impl std::ops::DerefMut for ArgData<'_> {
+    /// # Panics
+    ///
+    /// Panics on a [`ArgData::Read`] borrow.
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [f64] {
+        match self {
+            ArgData::Read(_) => panic!("a kernel wrote through a Read argument"),
+            ArgData::Write(data) => data,
+        }
+    }
+}
+
+impl KernelArg<'_> {
     /// Reads the element at global coordinates `p`.
     ///
     /// # Panics
@@ -90,9 +138,9 @@ impl KernelArg {
 /// The context handed to a kernel: one [`KernelArg`] per region requirement
 /// (in requirement order) plus the task's launch point and scalars.
 #[derive(Debug)]
-pub struct KernelCtx {
+pub struct KernelCtx<'a> {
     /// Views over the task's region requirements, in requirement order.
-    pub args: Vec<KernelArg>,
+    pub args: Vec<KernelArg<'a>>,
     /// The task's launch-domain point.
     pub point: Point,
     /// Scalar arguments from the task descriptor.
@@ -105,7 +153,7 @@ pub trait Kernel: Send + Sync {
     fn name(&self) -> &str;
 
     /// Executes the kernel over the views in `ctx`.
-    fn execute(&self, ctx: &mut KernelCtx);
+    fn execute(&self, ctx: &mut KernelCtx<'_>);
 
     /// The argument (a position in [`KernelCtx::args`]) this kernel reads
     /// through [`KernelArg::sparse`] instead of `data`, if any. Whoever
@@ -127,7 +175,7 @@ impl Kernel for NoopKernel {
         "noop"
     }
 
-    fn execute(&self, _ctx: &mut KernelCtx) {}
+    fn execute(&self, _ctx: &mut KernelCtx<'_>) {}
 }
 
 #[cfg(test)]
@@ -138,11 +186,12 @@ mod tests {
     #[test]
     fn kernel_arg_addressing() {
         let alloc = Rect::new(Point::new(vec![2, 4]), Point::new(vec![3, 7]));
+        let mut data = vec![0.0; 8];
         let mut arg = KernelArg {
             privilege: Privilege::ReadWrite,
             rect: alloc.clone(),
             alloc,
-            data: vec![0.0; 8],
+            data: ArgData::Write(&mut data),
             sparse: None,
         };
         arg.set(&[2, 4], 1.0);
@@ -152,6 +201,21 @@ mod tests {
         assert_eq!(arg.at(&[3, 7]), 10.0);
         assert_eq!(arg.offset(&[2, 4]), 0);
         assert_eq!(arg.offset(&[3, 7]), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrote through a Read argument")]
+    fn a_read_borrow_refuses_writes() {
+        let data = [1.0, 2.0];
+        let mut arg = KernelArg {
+            privilege: Privilege::Read,
+            rect: Rect::sized(&[2]),
+            alloc: Rect::sized(&[2]),
+            data: ArgData::Read(&data),
+            sparse: None,
+        };
+        assert_eq!(arg.at(&[1]), 2.0);
+        arg.set(&[0], 3.0);
     }
 
     #[test]

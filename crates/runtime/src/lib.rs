@@ -64,7 +64,7 @@ pub mod trace;
 
 pub use exec::{Mode, Runtime, RuntimeError};
 pub use executor::{ExecCtx, Executor, ExecutorKind, ParallelExecutor, SerialExecutor};
-pub use kernel::{Kernel, KernelArg, KernelCtx};
+pub use kernel::{ArgData, Kernel, KernelArg, KernelCtx};
 pub use kernelgen::LeafRequest;
 pub use program::{IndexLaunch, KernelId, Op, Privilege, Program, RegionReq, TaskDesc};
 pub use region::RegionId;

@@ -1,9 +1,11 @@
 //! A process-wide recycler for large dense buffers.
 //!
 //! Every functional-mode request allocates the same few dozen megabytes
-//! of tiles — runtime instance buffers and argument snapshots, rank-VM
-//! home/scratch buffers, message payloads, operand faces — and frees them
-//! again when its [`Runtime`](crate::Runtime) or rank stores drop. Left to
+//! of tiles — runtime instance buffers, rank-VM home/scratch/accumulator
+//! buffers, message payloads, the assembled output, and the gathered copy
+//! of an operand face that no single buffer contains (the usual face is
+//! read where it lies and has no buffer of its own) — and frees them
+//! again when its [`Runtime`](crate::Runtime), binding or rank stores drop. Left to
 //! the system allocator, whether that memory comes back mapped or has to
 //! be page-faulted in afresh depends on trim and mmap thresholds that move
 //! with the order of earlier frees — the same 640² SUMMA request then

@@ -11,8 +11,10 @@
 //! The plan/bind split maps exactly onto this backend's structure: the
 //! lowered [`SpmdProgram`] — message schedule, collectives, per-rank
 //! programs — is data-independent, so [`SpmdBackend::plan`] lowers once
-//! and [`Plan::bind`] only re-seeds the rank VM's inputs and recomputes
-//! each binding's nnz-derived byte accounting
+//! and [`Plan::bind`] only tiles the bound inputs into the ranks' home
+//! pieces (the one copy of an input element on its way to a leaf; an
+//! instance executes against them as often as asked) and recomputes each
+//! binding's nnz-derived byte accounting
 //! ([`SpmdProgram::set_tensor_nnz`]); the message schedule is shared,
 //! never re-lowered.
 //!
@@ -46,11 +48,13 @@ use crate::lower::{lower_with, SpmdError, SpmdTensor};
 use crate::ops::SpmdOp;
 use crate::program::{SpmdProgram, SpmdResult};
 use crate::transport::Transport;
+use crate::vm::Homes;
 use distal_core::backend::{Backend, BackendError};
 use distal_core::plan::{init_nnz, Bindings, Instance, Plan};
 use distal_core::{
     Diagnostic, LintConfig, Problem, Provenance, Report, Schedule, TensorInit, TensorSpec,
 };
+use distal_machine::geom::Rect;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -178,31 +182,60 @@ fn bound_program(
     Arc::new(program)
 }
 
-/// Gathers the VM inputs for every right-hand-side tensor from the
-/// bindings. Tensors without one are reported back so the instance can
-/// fail at `execute()` — exactly where the dynamic runtime surfaces
-/// uninitialized data — instead of silently zero-filling.
-fn vm_inputs(
+/// A binding's inputs, seeded: every right-hand-side tensor tiled into
+/// the ranks' home pieces straight out of the borrowed
+/// [`TensorInit::Data`] slice (any other initializer materializes once and
+/// is tiled the same way), and — for a plan with a compressed tensor —
+/// each one's stored-entry count, taken from the same slice. Tensors
+/// without a binding are reported back so the instance can fail at
+/// `execute()` — exactly where the dynamic runtime surfaces uninitialized
+/// data — instead of silently zero-filling.
+struct SeededInputs {
+    homes: Homes,
+    nnz: BTreeMap<String, u64>,
+    missing: Vec<String>,
+}
+
+fn seed_inputs(
     tensors: &BTreeMap<String, TensorSpec>,
     program: &SpmdProgram,
     bindings: &Bindings,
-) -> (BTreeMap<String, Vec<f64>>, Vec<String>) {
-    let mut inputs = BTreeMap::new();
-    let mut missing = Vec::new();
+) -> Result<SeededInputs, BackendError> {
+    let mut seeded = SeededInputs {
+        homes: Homes::new(program.ranks()),
+        nnz: BTreeMap::new(),
+        missing: Vec::new(),
+    };
+    let count_nnz = tensors.values().any(|s| s.format.has_compressed());
     for acc in program.assignment.input_accesses() {
-        if inputs.contains_key(&acc.tensor) || acc.tensor == program.assignment.lhs.tensor {
+        let name = &acc.tensor;
+        let done = seeded.homes.holds(name)
+            || seeded.missing.contains(name)
+            || *name == program.assignment.lhs.tensor;
+        let Some(spec) = tensors.get(name).filter(|_| !done) else {
             continue;
-        }
-        if let Some(spec) = tensors.get(&acc.tensor) {
-            match bindings.get(&acc.tensor) {
-                Some(init) => {
-                    inputs.insert(acc.tensor.clone(), init.materialize(&spec.dims));
-                }
-                None => missing.push(acc.tensor.clone()),
+        };
+        let Some(init) = bindings.get(name) else {
+            seeded.missing.push(name.clone());
+            continue;
+        };
+        let materialized;
+        let data = match init {
+            TensorInit::Data(data) => data,
+            other => {
+                materialized = other.materialize(&spec.dims);
+                &materialized
             }
+        };
+        program
+            .seed(&mut seeded.homes, name, data)
+            .map_err(backend_err)?;
+        if count_nnz {
+            let stored = distal_sparse::stored_entries(data);
+            seeded.nnz.insert(name.clone(), stored);
         }
     }
-    (inputs, missing)
+    Ok(seeded)
 }
 
 fn count_tasks(program: &SpmdProgram) -> u64 {
@@ -361,8 +394,9 @@ impl Backend for SpmdBackend {
 }
 
 /// A data-independent SPMD plan: the lowered per-rank message schedule +
-/// the registry it was lowered against. Binding re-seeds the rank VM and
-/// attaches per-request nnz accounting — the program is never re-lowered.
+/// the registry it was lowered against. Binding seeds the ranks' input
+/// homes and attaches per-request nnz accounting — the program is never
+/// re-lowered.
 pub struct SpmdPlan {
     tensors: BTreeMap<String, TensorSpec>,
     // Shared with every all-dense instance; compressed bindings get a
@@ -407,20 +441,17 @@ impl Plan for SpmdPlan {
     fn bind(&self, bindings: &Bindings) -> Result<Box<dyn Instance>, BackendError> {
         bindings.validate(&self.tensors)?;
         check_output_binding(&self.program.assignment.lhs.tensor, bindings)?;
-        let (inputs, missing) = vm_inputs(&self.tensors, &self.program, bindings);
-        // Count nnz from the already-materialized VM inputs where
-        // possible — materializing a RandomSparse stream once, not twice.
+        let seeded = seed_inputs(&self.tensors, &self.program, bindings)?;
+        // Seeded inputs were counted where they lay — a RandomSparse
+        // stream materializes once, not twice.
         let program = bound_program(&self.program, &self.tensors, |name, spec| {
-            if let Some(data) = inputs.get(name) {
-                Some(distal_sparse::stored_entries(data))
-            } else {
-                bindings.get(name).map(|init| init_nnz(init, &spec.dims))
-            }
+            let counted = seeded.nnz.get(name).copied();
+            counted.or_else(|| bindings.get(name).map(|init| init_nnz(init, &spec.dims)))
         });
         Ok(Box::new(SpmdInstance {
             program,
-            inputs,
-            missing_inputs: missing,
+            homes: seeded.homes,
+            missing_inputs: seeded.missing,
             model: self.model,
             transport: self.transport.clone(),
             diagnostics: self.diagnostics.clone(),
@@ -429,10 +460,11 @@ impl Plan for SpmdPlan {
     }
 }
 
-/// A bound SPMD program plus its inputs and (after execution) result.
+/// A bound SPMD program plus its inputs — tiled into the ranks' home
+/// pieces, which executions only read — and (after execution) result.
 pub struct SpmdInstance {
     program: Arc<SpmdProgram>,
-    inputs: BTreeMap<String, Vec<f64>>,
+    homes: Homes,
     missing_inputs: Vec<String>,
     model: AlphaBeta,
     transport: Transport,
@@ -444,7 +476,7 @@ impl std::fmt::Debug for SpmdInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpmdInstance")
             .field("ranks", &self.program.ranks())
-            .field("inputs", &self.inputs.keys().collect::<Vec<_>>())
+            .field("inputs", &self.homes.tensors().collect::<Vec<_>>())
             .field("executed", &self.result.is_some())
             .finish_non_exhaustive()
     }
@@ -460,6 +492,20 @@ impl SpmdInstance {
     /// The VM result, once [`Instance::execute`] ran.
     pub fn result(&self) -> Option<&SpmdResult> {
         self.result.as_ref()
+    }
+
+    /// Hands the assembled output back to the pool the next execution
+    /// assembles into.
+    fn recycle_output(&mut self) {
+        if let Some(result) = self.result.take() {
+            distal_runtime::pool::give(result.output);
+        }
+    }
+}
+
+impl Drop for SpmdInstance {
+    fn drop(&mut self) {
+        self.recycle_output();
     }
 }
 
@@ -484,10 +530,11 @@ impl Instance for SpmdInstance {
         }
         let result = self
             .program
-            .execute_with(&self.inputs, &self.transport)
+            .run(&self.homes, &self.transport)
             .map_err(backend_err)?;
         let peak = result.peak_scratch_bytes;
         let measured = result.measured.clone();
+        self.recycle_output();
         self.result = Some(result);
         // Bytes, messages, flops, and the numerics behind `read` are
         // exact properties of the executed program — compressed operand
@@ -528,16 +575,14 @@ impl Instance for SpmdInstance {
                     BackendError::NoData(format!("'{tensor}' is unavailable before execute()"))
                 });
         }
-        if let Some(data) = self.inputs.get(tensor) {
-            return Ok(data.clone());
-        }
-        if self.program.tensors.iter().any(|t| t.name == tensor) {
+        let Some(spec) = self.program.tensors.iter().find(|t| t.name == tensor) else {
+            return Err(BackendError::UnknownTensor(tensor.into()));
+        };
+        let whole = Rect::sized(&spec.dims);
+        self.homes.assemble(tensor, &whole).ok_or_else(|| {
             // Registered but neither the output nor a seeded input.
-            return Err(BackendError::NoData(format!(
-                "'{tensor}' has no initializer on this instance"
-            )));
-        }
-        Err(BackendError::UnknownTensor(tensor.into()))
+            BackendError::NoData(format!("'{tensor}' has no initializer on this instance"))
+        })
     }
 }
 

@@ -5,11 +5,12 @@ use crate::cost::{AlphaBeta, CostReport};
 use crate::lower::{Ownership, SpmdError, SpmdTensor};
 use crate::ops::{Message, SpmdOp};
 use crate::stats::CommStats;
-use crate::vm::{Buf, RankStore};
+use crate::transport::Transport;
+use crate::vm::{Buf, Homes, RankStore};
 use distal_ir::expr::{Access, Assignment, IndexVar};
-use distal_machine::geom::{copy_rect, Point, Rect};
+use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
-use distal_runtime::kernel::{Kernel, KernelArg, KernelCtx};
+use distal_runtime::kernel::{ArgData, Kernel, KernelArg, KernelCtx};
 use distal_runtime::pool;
 use distal_runtime::program::Privilege;
 use distal_sparse::{csr_payload_bytes, stored_entries, SparseBuffer};
@@ -259,7 +260,7 @@ impl SpmdProgram {
     /// [`SpmdError::Data`] for missing or mis-sized inputs, and internal
     /// consistency failures (a send whose payload is not locally valid).
     pub fn execute(&self, inputs: &BTreeMap<String, Vec<f64>>) -> Result<SpmdResult, SpmdError> {
-        self.execute_sequential(inputs)
+        self.execute_with(inputs, &Transport::Sequential)
     }
 
     /// Executes the program over the chosen [`Transport`]: the sequential
@@ -267,19 +268,71 @@ impl SpmdProgram {
     /// messages over channels. Both produce bit-identical outputs and
     /// statistics; only the threaded path reports wall-clock timings in
     /// [`SpmdResult::measured`].
-    ///
-    /// [`Transport`]: crate::transport::Transport
     pub fn execute_with(
         &self,
         inputs: &BTreeMap<String, Vec<f64>>,
-        transport: &crate::transport::Transport,
+        transport: &Transport,
+    ) -> Result<SpmdResult, SpmdError> {
+        let mut homes = Homes::new(self.ranks());
+        let out_name = &self.assignment.lhs.tensor;
+        for t in self.tensors.iter().filter(|t| &t.name != out_name) {
+            let data = inputs
+                .get(&t.name)
+                .ok_or_else(|| SpmdError::Data(format!("missing input '{}'", t.name)))?;
+            self.seed(&mut homes, &t.name, data)?;
+        }
+        self.run(&homes, transport)
+    }
+
+    /// Seeds `homes` with `tensor`'s home pieces on every rank, tiled out
+    /// of `data` (row-major over the whole tensor): data starts "at rest"
+    /// in its distribution — placement is free in the SPMD model.
+    pub(crate) fn seed(
+        &self,
+        homes: &mut Homes,
+        tensor: &str,
+        data: &[f64],
+    ) -> Result<(), SpmdError> {
+        let rect = Rect::sized(&self.tensor(tensor)?.dims);
+        if data.len() as i64 != rect.volume() {
+            return Err(SpmdError::Data(format!(
+                "input '{tensor}' has {} values, expected {}",
+                data.len(),
+                rect.volume()
+            )));
+        }
+        if let Some(owners) = self.owners.get(tensor) {
+            homes.seed(tensor, &rect, data, owners.pieces());
+        }
+        Ok(())
+    }
+
+    /// Executes the program against seeded input homes, which it only
+    /// reads: the same `homes` can run again.
+    pub(crate) fn run(
+        &self,
+        homes: &Homes,
+        transport: &Transport,
     ) -> Result<SpmdResult, SpmdError> {
         match transport {
-            crate::transport::Transport::Sequential => self.execute_sequential(inputs),
-            crate::transport::Transport::Threaded(cfg) => {
-                crate::transport::execute_threaded(self, inputs, cfg)
-            }
+            Transport::Sequential => self.execute_sequential(homes),
+            Transport::Threaded(cfg) => crate::transport::execute_threaded(self, homes, cfg),
         }
+    }
+
+    /// Every rank's store at the start of a run: the borrowed input homes,
+    /// no scratch, nothing accumulated.
+    pub(crate) fn rank_stores<'a>(&'a self, homes: &'a Homes) -> Vec<RankStore<'a>> {
+        let out_name = &self.assignment.lhs.tensor;
+        let reads_output = self
+            .assignment
+            .input_accesses()
+            .iter()
+            .any(|acc| &acc.tensor == out_name);
+        let out_pieces = self.owners[out_name].pieces();
+        (0..self.ranks())
+            .map(|rank| RankStore::new(homes.rank(rank), out_name, &out_pieces[rank], reads_output))
+            .collect()
     }
 
     /// The sequential transport: one loop over the global op order, with
@@ -288,13 +341,10 @@ impl SpmdProgram {
     /// receive. For compressed operand tensors the executed statistics
     /// charge each message its *actual* CSR payload (pos +
     /// per-stored-entry crd/vals), refining the static density estimate.
-    fn execute_sequential(
-        &self,
-        inputs: &BTreeMap<String, Vec<f64>>,
-    ) -> Result<SpmdResult, SpmdError> {
+    fn execute_sequential(&self, homes: &Homes) -> Result<SpmdResult, SpmdError> {
         let ranks = self.ranks();
         let out_name = &self.assignment.lhs.tensor;
-        let mut stores = self.seed_stores(inputs)?;
+        let mut stores = self.rank_stores(homes);
 
         let mut pending: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
         let mut peak_scratch = 0u64;
@@ -322,66 +372,21 @@ impl SpmdProgram {
             }
         }
 
-        let output = self.finalize_output(&mut stores)?;
         Ok(SpmdResult {
-            output,
+            output: self.finalize_output(&stores)?,
             stats: CommStats::from_weighted(&self.grid, ranks, &sent),
             peak_scratch_bytes: peak_scratch,
             measured: None,
         })
     }
 
-    /// Builds every rank's initial store: home pieces of inputs from the
-    /// provided data, outputs as zeros (data starts "at rest" in its
-    /// distribution — placement is free in the SPMD model).
-    pub(crate) fn seed_stores(
-        &self,
-        inputs: &BTreeMap<String, Vec<f64>>,
-    ) -> Result<Vec<RankStore>, SpmdError> {
-        let out_name = &self.assignment.lhs.tensor;
-        let mut stores: Vec<RankStore> = vec![RankStore::default(); self.ranks()];
-        for t in &self.tensors {
-            let rect = Rect::sized(&t.dims);
-            let data = if &t.name == out_name {
-                None
-            } else {
-                let d = inputs
-                    .get(&t.name)
-                    .ok_or_else(|| SpmdError::Data(format!("missing input '{}'", t.name)))?;
-                if d.len() as i64 != rect.volume() {
-                    return Err(SpmdError::Data(format!(
-                        "input '{}' has {} values, expected {}",
-                        t.name,
-                        d.len(),
-                        rect.volume()
-                    )));
-                }
-                Some(d)
-            };
-            for (rank, pieces) in self.owners[&t.name].pieces().iter().enumerate() {
-                for piece in pieces {
-                    let buf = match data {
-                        Some(d) => {
-                            let mut buf = Buf::stale(piece.clone());
-                            copy_rect(&rect, d, piece, &mut buf.data, piece, false);
-                            buf
-                        }
-                        None => Buf::zeros(piece.clone()),
-                    };
-                    stores[rank].add_home(&t.name, buf);
-                }
-            }
-        }
-        Ok(stores)
-    }
-
     /// Applies a received payload to a rank store. Output-tensor (gather)
     /// messages fold into home output pieces — reduce-tree relays with no
     /// home piece here fold into the accumulator and forward — while
     /// an input-tensor payload becomes a scratch buffer as is (no copy).
-    pub(crate) fn apply_recv(&self, store: &mut RankStore, m: &Message, payload: Vec<f64>) {
+    pub(crate) fn apply_recv(&self, store: &mut RankStore<'_>, m: &Message, payload: Vec<f64>) {
         if m.tensor == self.assignment.lhs.tensor {
-            store.fold_output(&m.tensor, &m.rect, &payload);
+            store.fold_output(&m.rect, &payload);
             pool::give(payload);
         } else {
             let buf = Buf {
@@ -392,28 +397,17 @@ impl SpmdProgram {
         }
     }
 
-    /// Folds every rank's local accumulator contributions into its own
-    /// home pieces, then assembles the global output tensor from its home
-    /// owners.
-    pub(crate) fn finalize_output(&self, stores: &mut [RankStore]) -> Result<Vec<f64>, SpmdError> {
-        let out_name = &self.assignment.lhs.tensor;
-        for store in stores.iter_mut() {
-            for acc in store.take_acc() {
-                store.fold_into_home(out_name, &acc.rect, &acc.data);
-                pool::give(acc.data);
-            }
-        }
-        let out_t = self.tensor(out_name)?;
-        let out_rect = Rect::sized(&out_t.dims);
-        let mut output = vec![0.0; out_rect.volume().max(1) as usize];
-        for (store, pieces) in stores.iter().zip(self.owners[out_name].pieces()) {
-            for piece in pieces {
-                store
-                    .gather_into(out_name, piece, &out_rect, &mut output)
-                    .map_err(|missing| {
-                        SpmdError::Data(format!("output {out_name}{missing} has no home copy"))
-                    })?;
-            }
+    /// Assembles the global output tensor: every rank writes its home
+    /// pieces — what messages folded into them plus its own accumulator
+    /// contributions ([`RankStore::write_output`]) — straight into the
+    /// one buffer, in rank order. The pieces cover the tensor (every
+    /// distribution does), so the buffer starts with whatever its last
+    /// owner left in it.
+    pub(crate) fn finalize_output(&self, stores: &[RankStore<'_>]) -> Result<Vec<f64>, SpmdError> {
+        let out_rect = Rect::sized(&self.tensor(&self.assignment.lhs.tensor)?.dims);
+        let mut output = pool::take(out_rect.volume().max(1) as usize);
+        for store in stores {
+            store.write_output(&out_rect, &mut output);
         }
         Ok(output)
     }
@@ -440,7 +434,7 @@ impl SpmdProgram {
     /// scratch/home.
     pub(crate) fn read_payload(
         &self,
-        store: &RankStore,
+        store: &RankStore<'_>,
         m: &Message,
         out_name: &str,
     ) -> Result<Vec<f64>, SpmdError> {
@@ -448,7 +442,7 @@ impl SpmdProgram {
         let gathered = if m.tensor == out_name {
             store.gather_acc(&m.rect, &mut payload)
         } else {
-            store.gather(&m.tensor, &m.rect, &mut payload)
+            store.held().gather(&m.tensor, &m.rect, &mut payload)
         };
         match gathered {
             Ok(()) => Ok(payload),
@@ -478,21 +472,23 @@ impl SpmdProgram {
     }
 
     /// Runs the leaf kernel over the iteration sub-box `bounds` (inclusive
-    /// per-variable): gathers each operand's *face* of the sub-box into a
-    /// dense buffer with row copies ([`RankStore::gather`]; for a reduction
-    /// the face is far smaller than the box itself — SUMMA's leaves read
-    /// `n²` values per operand instead of `n³`), exposes the rank
-    /// accumulator as the output argument, and runs the plan-time chosen
-    /// kernel over contiguous data. Zero-skipping for compressed operands
-    /// is baked into the generated kernels (`skip_zero` in their request);
-    /// a leaf that reads an operand as CSR ([`Kernel::sparse_arg`]) gets
-    /// the face compressed — rank stores are dense, so this is the one
-    /// scan of the face, with `alloc` the face rectangle — straight out
-    /// of the buffer holding it when that is one contiguous run
-    /// ([`RankStore::slab`]), out of the gathered copy otherwise.
+    /// per-variable) on operands that stay where they lie: each operand's
+    /// *face* of the sub-box (for a reduction far smaller than the box
+    /// itself — SUMMA's leaves read `n²` values per operand instead of
+    /// `n³`) is lent out of the one home or scratch buffer that contains
+    /// it ([`Held::view`](crate::vm::Held::view): `alloc` is that buffer's
+    /// rectangle, and the kernel strides through it), beside the rank
+    /// accumulator lent mutably as the output argument. Only a face no
+    /// single buffer contains is gathered into a buffer of its own first.
+    /// Zero-skipping for compressed operands is baked into the generated
+    /// kernels (`skip_zero` in their request); a leaf that reads an
+    /// operand as CSR ([`Kernel::sparse_arg`]) gets the face compressed —
+    /// rank stores are dense, so this is the one scan of the face, with
+    /// `alloc` the face rectangle — straight out of the view when the face
+    /// is one contiguous run of it, out of a gathered copy otherwise.
     pub(crate) fn run_leaf(
         &self,
-        store: &mut RankStore,
+        store: &mut RankStore<'_>,
         bounds: &[(i64, i64)],
     ) -> Result<(), SpmdError> {
         let Some(rects) = self.leaf_rects(bounds) else {
@@ -500,68 +496,81 @@ impl SpmdProgram {
         };
         let mut rects = rects.into_iter();
         let out_rect = rects.next().expect("the destination access");
-        // The accumulator buffer doubles as the kernel's output argument:
-        // its data moves into the arg (zero-copy) and back afterwards.
-        let (acc_rect, acc_data) = {
-            let buf = store.acc_buf(&out_rect);
-            (buf.rect.clone(), std::mem::take(&mut buf.data))
-        };
+        let (acc, held) = store.leaf_parts(&out_rect);
+        let csr_arg = self.leaf.0.sparse_arg();
+        let operands = self.assignment.input_accesses().into_iter().zip(rects);
+        let faces = operands
+            .enumerate()
+            .map(|(i, (access, rect))| {
+                let compress = csr_arg == Some(i + 1);
+                let lent = held.view(&access.tensor, &rect).filter(|(alloc, _)| {
+                    !compress || (1..rect.dim()).all(|d| rect.extent(d) == alloc.extent(d))
+                });
+                let face = match lent {
+                    Some((alloc, data)) => Face::Lent(alloc, data),
+                    None => {
+                        let mut copy = pool::take(rect.volume().max(0) as usize);
+                        held.gather(&access.tensor, &rect, &mut copy)
+                            .map_err(|missing| {
+                                SpmdError::Data(format!(
+                                    "compute reads {}{missing} with no valid local copy",
+                                    access.tensor
+                                ))
+                            })?;
+                        Face::Copied(copy)
+                    }
+                };
+                Ok((rect, face, compress))
+            })
+            .collect::<Result<Vec<_>, SpmdError>>()?;
+
         let mut args = vec![KernelArg {
             privilege: Privilege::ReadWrite,
-            rect: out_rect.clone(),
-            alloc: acc_rect,
-            data: acc_data,
+            rect: out_rect,
+            alloc: acc.rect.clone(),
+            data: ArgData::Write(&mut acc.data),
             sparse: None,
         }];
-        let csr_arg = self.leaf.0.sparse_arg();
-        for (acc, rect) in self.assignment.input_accesses().into_iter().zip(rects) {
-            // A compressed operand is scanned where it lies when its face
-            // is one contiguous run of one buffer; everything else is
-            // gathered into a buffer of its own first.
-            let compress = csr_arg == Some(args.len());
-            let mut data = Vec::new();
-            let face = match store.slab(&acc.tensor, &rect).filter(|_| compress) {
-                Some(face) => face,
-                None => {
-                    data = pool::take(rect.volume().max(0) as usize);
-                    store
-                        .gather(&acc.tensor, &rect, &mut data)
-                        .map_err(|missing| {
-                            SpmdError::Data(format!(
-                                "compute reads {}{missing} with no valid local copy",
-                                acc.tensor
-                            ))
-                        })?;
-                    &data
-                }
+        args.extend(faces.iter().map(|(rect, face, compress)| {
+            let (alloc, data) = match face {
+                Face::Lent(alloc, data) => (*alloc, *data),
+                Face::Copied(copy) => (rect, &copy[..]),
             };
-            let sparse =
-                compress.then(|| Arc::new(SparseBuffer::from_dense(&rect.extents(), face)));
-            if sparse.is_some() {
-                pool::give(std::mem::take(&mut data));
-            }
-            args.push(KernelArg {
+            let (alloc, data, sparse) = if *compress {
+                let start = alloc.linearize(rect.lo());
+                let run = &data[start..start + rect.volume().max(0) as usize];
+                let image = SparseBuffer::from_dense(&rect.extents(), run);
+                (rect, &[][..], Some(Arc::new(image)))
+            } else {
+                (alloc, data, None)
+            };
+            KernelArg {
                 privilege: Privilege::Read,
                 rect: rect.clone(),
-                alloc: rect,
-                data,
+                alloc: alloc.clone(),
+                data: ArgData::Read(data),
                 sparse,
-            });
-        }
-        let mut scalars = Vec::with_capacity(bounds.len() * 2);
-        for (lo, hi) in bounds {
-            scalars.push(*lo);
-            scalars.push(*hi);
-        }
+            }
+        }));
         let mut kctx = KernelCtx {
             args,
             point: Point::zeros(1),
-            scalars,
+            scalars: bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect(),
         };
         self.leaf.0.execute(&mut kctx);
-        let mut args = kctx.args.into_iter().map(|arg| arg.data);
-        store.acc_buf(&out_rect).data = args.next().expect("the output argument");
-        pool::give_all(args);
+        drop(kctx);
+        pool::give_all(faces.into_iter().filter_map(|(_, face, _)| match face {
+            Face::Lent(..) => None,
+            Face::Copied(copy) => Some(copy),
+        }));
         Ok(())
     }
+}
+
+/// Where a leaf reads one operand's face from.
+enum Face<'a> {
+    /// The buffer that contains it: its rectangle and data, in place.
+    Lent(&'a Rect, &'a [f64]),
+    /// A gathered copy, row-major over the face.
+    Copied(Vec<f64>),
 }

@@ -52,8 +52,9 @@ use crate::lower::SpmdError;
 use crate::ops::{Message, SpmdOp};
 use crate::program::{MeasuredRun, SpmdProgram, SpmdResult};
 use crate::stats::CommStats;
-use crate::vm::RankStore;
+use crate::vm::{Homes, RankStore};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
@@ -241,7 +242,7 @@ struct Shared<'p> {
 /// borrows its messages from the program.
 struct RankOutcome<'p> {
     rank: usize,
-    store: RankStore,
+    store: RankStore<'p>,
     sent: Vec<(&'p Message, u64)>,
     peak_scratch: u64,
     finish_s: f64,
@@ -252,7 +253,7 @@ struct RankTask<'p> {
     rank: usize,
     ops: &'p [SpmdOp],
     pc: usize,
-    store: RankStore,
+    store: RankStore<'p>,
     sent: Vec<(&'p Message, u64)>,
     peak_scratch: u64,
     finish_s: Option<f64>,
@@ -336,7 +337,21 @@ fn run_worker<'p>(
             if t.done() {
                 continue;
             }
-            match t.advance(shared, senders, &mut inbox) {
+            // A panicking leaf is the rank's failure like any other: caught
+            // here it names its rank and its message and stops the peers,
+            // instead of leaving them to the watchdog. What the leaf was
+            // lent — views into the rank's store — dies with the task.
+            let advanced =
+                catch_unwind(AssertUnwindSafe(|| t.advance(shared, senders, &mut inbox)))
+                    .unwrap_or_else(|panic| {
+                        let message = panic
+                            .downcast_ref::<&str>()
+                            .map(|m| m.to_string())
+                            .or_else(|| panic.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "a non-string payload".into());
+                        Err(SpmdError::Data(format!("panicked: {message}")))
+                    });
+            match advanced {
                 Ok(p) => progressed |= p,
                 Err(e) => {
                     // Annotate with the failing rank before publishing:
@@ -390,11 +405,11 @@ fn run_worker<'p>(
 /// finish times and the measured makespan.
 pub(crate) fn execute_threaded(
     program: &SpmdProgram,
-    inputs: &BTreeMap<String, Vec<f64>>,
+    homes: &Homes,
     cfg: &ThreadedConfig,
 ) -> Result<SpmdResult, SpmdError> {
     let ranks = program.ranks();
-    let stores = program.seed_stores(inputs)?;
+    let stores = program.rank_stores(homes);
     let workers = distal_runtime::executor::host_worker_count(cfg.threads)
         .min(ranks)
         .max(1);
@@ -484,8 +499,8 @@ pub(crate) fn execute_threaded(
         .collect();
     let stats = CommStats::from_weighted(&program.grid, ranks, &sent);
 
-    let mut stores: Vec<RankStore> = outcomes.into_iter().map(|o| o.store).collect();
-    let output = program.finalize_output(&mut stores)?;
+    let stores: Vec<RankStore<'_>> = outcomes.into_iter().map(|o| o.store).collect();
+    let output = program.finalize_output(&stores)?;
     Ok(SpmdResult {
         output,
         stats,

@@ -559,3 +559,60 @@ fn scratch_memory_stays_bounded() {
         result.peak_scratch_bytes
     );
 }
+
+#[test]
+fn executing_an_instance_twice_repeats_its_bits_and_its_report() {
+    // An instance's input homes are seeded once, by `bind`, and every
+    // execution borrows them — so nothing an execution does may write
+    // them: not SUMMA's broadcasts, not Cannon's systolic forwarding out
+    // of scratch, not the `ReduceRecv` folds of Johnson's reduction, not a
+    // cyclic layout's gathered faces. Held on both transports.
+    use distal_spmd::{SpmdBackend, Transport};
+    let cyclic = Format::parse("xy->xy @cyclic", MemKind::Sys).unwrap();
+    let tiled = Format::parse("xy->xy", MemKind::Sys).unwrap();
+    let mut cases: Vec<(String, Problem, Schedule)> = [
+        (MatmulAlgorithm::Summa, 4),
+        (MatmulAlgorithm::Cannon, 4),
+        (MatmulAlgorithm::Johnson, 8),
+    ]
+    .into_iter()
+    .map(|(alg, p)| {
+        let problem = matmul_problem(&alg.grid(p), &alg.formats(MemKind::Sys), 8);
+        (format!("{alg:?}"), problem, alg.schedule(p, 8, 4))
+    })
+    .collect();
+    cases.push((
+        "cyclic SUMMA".into(),
+        matmul_problem(&Grid::grid2(2, 2), &[tiled, cyclic.clone(), cyclic], 8),
+        Schedule::summa(2, 2, 4),
+    ));
+    for (name, mut problem, schedule) in cases {
+        problem.fill_random("B", 11).unwrap();
+        problem.fill_random("C", 13).unwrap();
+        let inputs = ["B", "C"].map(|t| problem.initial_data(t).unwrap());
+        for transport in [Transport::Sequential, Transport::threaded_with(2)] {
+            let what = format!("{name} on {}", transport.label());
+            let backend = SpmdBackend::new().with_transport(transport);
+            let mut instance = problem.compile(&backend, &schedule).unwrap();
+            let mut runs = Vec::new();
+            for _ in 0..2 {
+                let mut report = instance.execute().unwrap();
+                if report.modeled_s.is_some() {
+                    // A threaded run's headline is its measured wall clock.
+                    report.critical_path_s = 0.0;
+                }
+                let bits: Vec<u64> = instance
+                    .read("A")
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                runs.push((bits, report));
+                for (tensor, seeded) in ["B", "C"].iter().zip(&inputs) {
+                    assert_eq!(&instance.read(tensor).unwrap(), seeded, "{what}: {tensor}");
+                }
+            }
+            assert!(runs[0] == runs[1], "{what}: the second execution differs");
+        }
+    }
+}

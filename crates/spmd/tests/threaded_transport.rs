@@ -2,17 +2,22 @@
 //! schedule completes under a watchdog at p ∈ {4, 9, 16} (deadlock
 //! freedom), the result is bit-identical to the sequential reference at
 //! every rank-pool width (including a pool far narrower than the rank
-//! count), and a deliberately corrupted program — one send deleted — is
-//! caught by the watchdog instead of hanging the suite.
+//! count), a deliberately corrupted program — one send deleted — is
+//! caught by the watchdog instead of hanging the suite, and a leaf that
+//! panics mid-kernel is a typed error naming its rank and message that
+//! leaves the next request on the same program untouched.
 
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
 use distal_core::Problem;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
+use distal_runtime::kernel::{Kernel, KernelCtx};
 use distal_spmd::collective::CollectiveConfig;
 use distal_spmd::{lower_problem, SpmdError, SpmdProgram, ThreadedConfig, Transport};
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// One Figure 9 problem on `p` processors, lowered with default
 /// collectives, plus its seeded VM inputs.
@@ -172,6 +177,73 @@ fn peers_surface_the_root_cause_of_an_abort() {
         }
         other => panic!("expected the root-cause Data error, got {other:?}"),
     }
+}
+
+/// The program's own leaf until `fuse` counts down to zero; the leaf run
+/// that takes it there poisons the accumulator it was lent — every value
+/// of the allocation, not just its rectangle — and panics with the views
+/// still borrowed.
+struct ExplodingLeaf {
+    inner: Arc<dyn Kernel>,
+    fuse: AtomicIsize,
+}
+
+impl Kernel for ExplodingLeaf {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn execute(&self, ctx: &mut KernelCtx) {
+        if self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
+            ctx.args[0].data.fill(f64::NAN);
+            panic!("leaf exploded mid-tile");
+        }
+        self.inner.execute(ctx);
+    }
+}
+
+#[test]
+fn a_panicking_leaf_names_its_rank_and_leaves_the_next_request_untouched() {
+    // 64 x 64 tiles: every home, scratch, payload and accumulator buffer
+    // is large enough to recycle through the pool, so whatever the dead
+    // request left in them is what the next one is handed.
+    let (mut program, inputs) = lowered(MatmulAlgorithm::Summa, 4, 128);
+    let leaf = Arc::new(ExplodingLeaf {
+        inner: Arc::clone(&program.leaf.0),
+        fuse: AtomicIsize::new(-1),
+    });
+    program.leaf.0 = Arc::clone(&leaf) as Arc<dyn Kernel>;
+    let reference = program.execute(&inputs).unwrap();
+    let before = program.execute_with(&inputs, &watchdog(2)).unwrap();
+    assert_bits_equal("before the panic", &reference.output, &before.output);
+
+    // The fifth of the request's eight leaves: every rank already holds
+    // an accumulator, views of home pieces and scratch are out on loan.
+    leaf.fuse.store(5, Ordering::SeqCst);
+    let started = Instant::now();
+    match program.execute_with(&inputs, &watchdog(2)) {
+        Err(SpmdError::Data(msg)) => {
+            let named = msg.strip_prefix("rank ").and_then(|m| m.split(':').next());
+            assert!(
+                named.is_some_and(|r| r.parse::<usize>().is_ok_and(|r| r < 4)),
+                "the error should start with the rank that died: {msg}"
+            );
+            assert!(msg.contains("leaf exploded mid-tile"), "{msg}");
+        }
+        other => panic!("expected the leaf's panic as a Data error, got {other:?}"),
+    }
+    // The scope joined every worker before `execute_with` returned, and
+    // the peers were stopped by the abort, not by the watchdog.
+    assert!(started.elapsed() < Duration::from_secs(60));
+
+    // Same program, fuse spent: nothing the dead request wrote — not the
+    // poisoned accumulator now back in the pool, not its payloads —
+    // reaches this one, on either transport.
+    let after = program.execute_with(&inputs, &watchdog(2)).unwrap();
+    assert_bits_equal("after the panic", &reference.output, &after.output);
+    assert_eq!(reference.stats, after.stats);
+    let sequential = program.execute(&inputs).unwrap();
+    assert_bits_equal("sequential after", &reference.output, &sequential.output);
 }
 
 #[test]

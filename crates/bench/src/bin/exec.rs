@@ -1,5 +1,5 @@
 //! Serial-vs-parallel executor wall-clock comparison for functional-mode
-//! SUMMA and Cannon runs; writes `BENCH_exec.json` at the repo root.
+//! SUMMA and Cannon runs.
 //!
 //! Usage: `cargo run --release -p distal-bench --bin exec [--assert-speedup X] [sizes...]`
 //! (sizes default to 64 128 256).
@@ -34,12 +34,6 @@ fn main() {
 
     let rows = exec::exec_bench(&sizes);
     print!("{}", exec::render(&rows));
-    let json = exec::to_json(&rows);
-    let path = std::path::Path::new("BENCH_exec.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
     if rows.iter().any(|r| !r.verified) {
         eprintln!("executor parity violated; see table");
         std::process::exit(1);

@@ -1,5 +1,4 @@
-//! Interpreted-vs-generated leaf kernel flop-rate comparison; writes
-//! `BENCH_kernels.json` at the repo root.
+//! Interpreted-vs-generated leaf kernel flop-rate comparison.
 //!
 //! Usage: `cargo run --release -p distal-bench --bin kernels \
 //!   [--assert-speedup X] [--assert-roofline S] [--assert-spmv-stream S]
@@ -58,12 +57,6 @@ fn main() {
     let spmv = kernels::pure_spmv_bench(2048, 0.01, kernels::TRIAD_LEN);
     let calibration = kernels::calibrate(kernels::calibration_rate(&pure).max(1e-3));
     print!("{}", kernels::render(&rows, &pure, &spmv, &calibration));
-    let json = kernels::to_json(&rows, &pure, &spmv, &calibration);
-    let path = std::path::Path::new("BENCH_kernels.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
 
     if rows.iter().any(|r| !r.verified) {
         eprintln!("generated kernels diverged from the interpreter; see table");

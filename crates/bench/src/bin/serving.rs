@@ -1,51 +1,34 @@
-//! Serving benchmark and CI gate; writes `BENCH_serving.json` at the
-//! repo root.
+//! Serving-engine scaling gate.
 //!
 //! Usage: `cargo run --release -p distal-bench --bin serving
-//! [--requests N] [--size N] [--threads N] [--assert-cache]
-//! [--assert-scaling] [--assert-single-flight]`
+//! [--requests N] [--size N] [--threads N] [--assert-scaling]`
 //!
 //! Serves N requests (default 32) of fresh random matmul data over fixed
-//! shapes on both executable backends (dynamic runtime + static SPMD),
-//! three ways: recompile-per-request vs the keyed plan-cache path
-//! (single-threaded), a concurrent closed loop through a
+//! shapes through a runtime-backend
 //! [`ServingEngine`](distal_serve::ServingEngine) with `--threads`
-//! workers, and a cold-cache stampede straight at the
-//! `ShardedPlanCache`. All paths verify bit-identical outputs. The CI
-//! gates:
+//! workers (closed loop, every response verified bit for bit against a
+//! single-threaded reference, zero bind-path lowerings after warm-up).
 //!
-//! * `--assert-cache` — 100% cache hit rate after warm-up (exactly 1
-//!   miss), zero lowerings on the cached path after warm-up, amortized
-//!   per-request compile time on the cached path strictly below the
-//!   recompile path's;
-//! * `--assert-scaling` — the engine's req/s with `--threads` workers
-//!   must be ≥ 1.5× its single-worker req/s on the runtime backend
-//!   (skipped with a note when `--threads` < 2 or the host has < 2
-//!   cores);
-//! * `--assert-single-flight` — under a cold-cache stampede, misses ==
-//!   distinct keys and total lowering work == one plan's worth per key,
-//!   on both backends.
+//! `--assert-scaling` — the engine's req/s with `--threads` workers must
+//! be ≥ 1.5× its single-worker req/s (skipped with a note when
+//! `--threads` < 2 or the host has < 2 cores).
 
 use distal_bench::serving;
 
 fn fail(msg: &str) -> ! {
-    eprintln!("serving cache gate FAILED: {msg}");
+    eprintln!("serving gate FAILED: {msg}");
     std::process::exit(3);
 }
 
 fn main() {
-    let mut assert_cache = false;
     let mut assert_scaling = false;
-    let mut assert_single_flight = false;
     let mut requests: u64 = 32;
     let mut n: i64 = 24;
     let mut threads: usize = 0;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--assert-cache" => assert_cache = true,
             "--assert-scaling" => assert_scaling = true,
-            "--assert-single-flight" => assert_single_flight = true,
             "--requests" => {
                 let v = args.next().unwrap_or_default();
                 requests = v.parse().unwrap_or_else(|_| {
@@ -79,135 +62,42 @@ fn main() {
         std::process::exit(2);
     }
 
-    let rows = serving::serving_bench(requests, n);
+    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let scaling = assert_scaling && threads >= 2 && host_cores >= 2;
+    let mut rows = vec![serving::serve(threads, requests, n)];
+    if scaling {
+        rows.push(serving::serve(1, requests, n));
+    }
     print!("{}", serving::render(&rows));
 
-    let concurrent = serving::concurrent_serving_bench(threads, requests, n);
-    println!();
-    print!("{}", serving::render_concurrent(&concurrent));
-
-    let stampede = serving::stampede_bench(16, 3, n.min(16));
-    println!();
-    print!("{}", serving::render_stampede(&stampede));
-
-    let json = serving::to_json(&rows, &concurrent, &stampede);
-    let path = std::path::Path::new("BENCH_serving.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-
-    if let Some(bad) = rows.iter().find(|r| !r.verified) {
-        fail(&format!(
-            "plan-cache and recompile outputs diverged on the {} backend",
-            bad.backend
-        ));
-    }
-    if let Some(bad) = concurrent.iter().find(|r| !r.verified) {
-        fail(&format!(
-            "concurrent engine outputs diverged from the single-threaded reference on the {} backend",
-            bad.backend
-        ));
-    }
-    for r in &concurrent {
+    for r in &rows {
+        if !r.verified {
+            fail("engine outputs diverged from the single-threaded reference");
+        }
         if r.bind_lowerings != 0 {
             fail(&format!(
-                "{}: {} lowerings ran on the engine's bind path after warm-up",
-                r.backend, r.bind_lowerings
+                "{} lowerings ran on the engine's bind path after warm-up",
+                r.bind_lowerings
             ));
         }
-        if r.cache.hits + r.cache.misses != r.cache.requests() {
+    }
+
+    if let [multi, base] = rows.as_slice() {
+        let ratio = multi.rps / base.rps.max(f64::MIN_POSITIVE);
+        if ratio < 1.5 {
             fail(&format!(
-                "{}: incoherent engine cache snapshot: {} hits + {} misses != {} requests",
-                r.backend,
-                r.cache.hits,
-                r.cache.misses,
-                r.cache.requests()
+                "engine req/s scaled only {ratio:.2}x from 1 to {} workers \
+                 ({:.1} -> {:.1} req/s; needs >= 1.5x)",
+                multi.workers, base.rps, multi.rps
             ));
         }
-    }
-
-    if assert_cache {
-        for r in &rows {
-            if r.cache.misses != 1 || r.cache.hits != r.requests - 1 {
-                fail(&format!(
-                    "{}: expected 1 miss / {} hits after warm-up, got {} / {}",
-                    r.backend,
-                    r.requests - 1,
-                    r.cache.misses,
-                    r.cache.hits
-                ));
-            }
-            if r.lowerings_after_warmup != 0 {
-                fail(&format!(
-                    "{}: {} lowerings ran on the cached path after warm-up (bind must not lower)",
-                    r.backend, r.lowerings_after_warmup
-                ));
-            }
-            if r.cached_amortized_s >= r.recompile_amortized_s {
-                fail(&format!(
-                    "{}: cached amortized compile {:.1}us is not below recompile {:.1}us",
-                    r.backend,
-                    r.cached_amortized_s * 1e6,
-                    r.recompile_amortized_s * 1e6
-                ));
-            }
-        }
         println!(
-            "serving cache gate passed: 100% hits after warm-up, zero bind-path lowerings, \
-             amortized compile below recompile on both backends"
+            "scaling gate passed: engine req/s scaled {ratio:.2}x from 1 to {} workers",
+            multi.workers
         );
-    }
-
-    if assert_single_flight {
-        for r in &stampede {
-            if !r.single_flight_ok() {
-                fail(&format!(
-                    "{}: single-flight broke under stampede: {} lowerings (expected {}), \
-                     {} misses over {} distinct keys, cache {}",
-                    r.backend,
-                    r.lowerings,
-                    r.expected_lowerings,
-                    r.cache.misses,
-                    r.distinct_keys,
-                    r.cache
-                ));
-            }
-        }
-        println!(
-            "single-flight gate passed: misses == distinct keys and one plan's lowering \
-             work per key on both backends"
-        );
-    }
-
-    if assert_scaling {
-        let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        if threads < 2 {
-            println!("scaling assertion skipped: --threads {threads} (needs at least 2)");
-        } else if host_cores < 2 {
-            println!("scaling assertion skipped: single-core host ({host_cores} core)");
-        } else {
-            let single = serving::concurrent_serving_bench(1, requests, n);
-            let base = single
-                .iter()
-                .find(|r| r.backend == "runtime")
-                .unwrap_or_else(|| fail("no single-worker runtime row"));
-            let multi = concurrent
-                .iter()
-                .find(|r| r.backend == "runtime")
-                .unwrap_or_else(|| fail("no multi-worker runtime row"));
-            let ratio = multi.rps / base.rps.max(f64::MIN_POSITIVE);
-            if ratio < 1.5 {
-                fail(&format!(
-                    "runtime engine req/s scaled only {ratio:.2}x from 1 to {} workers \
-                     ({:.1} -> {:.1} req/s; needs >= 1.5x)",
-                    multi.workers, base.rps, multi.rps
-                ));
-            }
-            println!(
-                "scaling gate passed: runtime engine req/s scaled {ratio:.2}x from 1 to {} workers",
-                multi.workers
-            );
-        }
+    } else if assert_scaling && threads < 2 {
+        println!("scaling assertion skipped: --threads {threads} (needs at least 2)");
+    } else if assert_scaling {
+        println!("scaling assertion skipped: single-core host ({host_cores} core)");
     }
 }

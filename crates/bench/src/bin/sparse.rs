@@ -1,5 +1,4 @@
-//! Sparse-vs-dense communication benchmark and CI gate; writes
-//! `BENCH_sparse.json` at the repo root.
+//! Sparse-vs-dense communication benchmark and CI gate.
 //!
 //! Usage: `cargo run --release -p distal-bench --bin sparse
 //! [--assert-compression [PCT]]`
@@ -41,12 +40,6 @@ fn main() {
 
     let rows = sparse::sparse_bench(&[4, 16], &[0.01, 0.1, 0.5]);
     print!("{}", sparse::render(&rows));
-    let json = sparse::to_json(&rows);
-    let path = std::path::Path::new("BENCH_sparse.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
 
     if let Some(bad) = rows.iter().find(|r| !r.verified) {
         fail(&format!(

@@ -1,5 +1,4 @@
-//! SPMD collective-lowering benchmark and CI gate; writes
-//! `BENCH_spmd.json` at the repo root.
+//! SPMD collective-lowering benchmark and CI gate.
 //!
 //! Usage: `cargo run --release -p distal-bench --bin spmd
 //! [--assert-depth log|N] [--threads N] [--assert-parity]
@@ -13,20 +12,19 @@
 //! under 5% of the lowering wall time. On the toy plans CI lowers
 //! (0.5–0.9 ms, verified in 0.2 ms) the floor decides: the ratio is
 //! about 30% now that lowering looks holders up instead of scanning
-//! ranks. The per-row timings land in `BENCH_spmd.json` as `plan_s` /
-//! `verify_s`.
+//! ranks. The table prints the per-row verify time.
 //!
 //! `--assert-lint-overhead` is the schedule-admission CI gate: the
 //! admission linter (`distal_core::lint`, run by every `Backend::plan`
 //! before lowering) must cost under 0.5 ms per row, or failing that
 //! under 2% of the lowering wall time (20–40 µs against 0.5–0.9 ms on
-//! the toy plans: the floor decides). The per-row timing lands in
-//! `BENCH_spmd.json` as `lint_s`.
+//! the toy plans: the floor decides). The table prints the per-row lint
+//! time.
 //!
 //! Every configuration is executed twice — once on the sequential VM
 //! (the oracle) and once on the rank-per-thread channel transport —
-//! and the JSON gains the measured wall-clock makespan plus the
-//! modeled-vs-measured ratio per row. `--threads N` bounds the rank
+//! and the table shows the measured wall-clock makespan beside the
+//! modeled one per row. `--threads N` bounds the rank
 //! pool; `--assert-parity` is the CI gate requiring the threaded run
 //! to be bit-identical to the sequential VM on every row.
 //!
@@ -157,12 +155,6 @@ fn main() {
         );
     }
     print!("{}", spmd::render(&rows));
-    let json = spmd::to_json(&rows);
-    let path = std::path::Path::new("BENCH_spmd.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
 
     if rows.iter().any(|r| !r.verified) {
         fail("a lowered program diverged from the sequential oracle; see table");

@@ -117,30 +117,6 @@ pub fn render(rows: &[ExecBenchRow]) -> String {
     out
 }
 
-/// Serializes the rows as JSON (hand-rolled; no serde in the workspace).
-pub fn to_json(rows: &[ExecBenchRow]) -> String {
-    let workers = ParallelExecutor::new(0).worker_count();
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(out, "  \"workers\": {workers},");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"algorithm\": \"{}\", \"n\": {}, \"nodes\": {}, \"serial_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.4}, \"verified\": {}}}{comma}",
-            r.algorithm, r.n, r.nodes, r.serial_s, r.parallel_s, r.speedup, r.verified
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,22 +126,5 @@ mod tests {
         let row = bench_one(MatmulAlgorithm::Summa, 2, 32);
         assert!(row.verified, "executor parity violated in bench run");
         assert!(row.serial_s > 0.0 && row.parallel_s > 0.0);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = vec![ExecBenchRow {
-            algorithm: "SUMMA".into(),
-            n: 64,
-            nodes: 4,
-            serial_s: 0.5,
-            parallel_s: 0.25,
-            speedup: 2.0,
-            verified: true,
-        }];
-        let j = to_json(&rows);
-        assert!(j.contains("\"algorithm\": \"SUMMA\""));
-        assert!(j.trim_start().starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

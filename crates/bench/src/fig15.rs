@@ -12,7 +12,6 @@ use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_baselines::PhasedRun;
 use distal_baselines::{cosma, ctf, scalapack};
 use distal_core::BackendError;
-use distal_machine::spec::ProcKind;
 use distal_runtime::{Mode, RuntimeError};
 
 /// Which hardware Figure 15 panel to reproduce.
@@ -175,14 +174,6 @@ pub fn figure15(panel: Panel, max_nodes: usize, base_n: i64) -> FigureData {
     }
     fig.push(peak);
     fig
-}
-
-/// Processor kind of a panel (for reporting).
-pub fn panel_proc_kind(panel: Panel) -> ProcKind {
-    match panel {
-        Panel::Cpu => ProcKind::Cpu,
-        Panel::Gpu => ProcKind::Gpu,
-    }
 }
 
 #[cfg(test)]

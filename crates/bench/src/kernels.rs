@@ -631,97 +631,6 @@ pub fn render(
     out
 }
 
-/// Serializes rows + calibration as JSON (hand-rolled; no serde in the
-/// workspace).
-pub fn to_json(
-    rows: &[KernelBenchRow],
-    pure: &[PureKernelRow],
-    spmv: &SpmvStreamRow,
-    calibration: &Calibration,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"n\": {}, \"flops\": {:.1}, \
-             \"interpreted_s\": {:.6}, \"generated_s\": {:.6}, \
-             \"interpreted_gflops\": {:.4}, \"generated_gflops\": {:.4}, \
-             \"speedup\": {:.4}, \"variant\": \"{}\", \"verified\": {}}}{comma}",
-            r.workload,
-            r.n,
-            r.flops,
-            r.interpreted_s,
-            r.generated_s,
-            r.interpreted_gflops,
-            r.generated_gflops,
-            r.speedup,
-            r.variant,
-            r.verified
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"pure_kernel\": [");
-    for (i, r) in pure.iter().enumerate() {
-        let comma = if i + 1 < pure.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"variant\": \"{}\", \"dispatched\": {}, \"n\": {}, \"gflops\": {:.4}, \
-             \"peak_gflops\": {:.4}, \"roofline_share\": {:.4}}}{comma}",
-            r.variant,
-            r.dispatched,
-            r.n,
-            r.gflops,
-            r.peak_gflops,
-            r.roofline_share()
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"pure_spmv\": {{\"n\": {}, \"nnz\": {}, \"kernel_s\": {:.9}, \"pipeline_s\": {:.6}, \
-         \"kernel_gbs\": {:.4}, \"triad_gbs\": {:.4}, \"stream_share\": {:.4}}},",
-        spmv.n,
-        spmv.nnz,
-        spmv.kernel_s,
-        spmv.pipeline_s,
-        spmv.kernel_gbs(),
-        spmv.triad_gbs,
-        spmv.stream_share()
-    );
-    let _ = writeln!(out, "  \"calibration\": {{");
-    let _ = writeln!(
-        out,
-        "    \"measured_core_gflops\": {:.4},",
-        calibration.measured_core_gflops
-    );
-    let _ = writeln!(
-        out,
-        "    \"default_socket_gflops\": {:.4},",
-        calibration.default_socket_gflops
-    );
-    let _ = writeln!(
-        out,
-        "    \"calibrated_socket_gflops\": {:.4},",
-        calibration.calibrated_socket_gflops
-    );
-    let _ = writeln!(
-        out,
-        "    \"default_makespan_s\": {:.6e},",
-        calibration.default_makespan_s
-    );
-    let _ = writeln!(
-        out,
-        "    \"calibrated_makespan_s\": {:.6e}",
-        calibration.calibrated_makespan_s
-    );
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
+    fn spmv_stream_row_measures_and_renders() {
         let rows = kernels_bench(12, 6, 32, 1);
         let pure = pure_gemm_bench(&[8]);
         let cal = calibrate(10.0);
@@ -775,11 +684,5 @@ mod tests {
         assert!(spmv.nnz > 0 && spmv.kernel_s > 0.0 && spmv.pipeline_s > spmv.kernel_s);
         assert!(spmv.stream_share() > 0.0);
         assert!(render(&rows, &pure, &spmv, &cal).contains("spmv.gen / triad"));
-        let j = to_json(&rows, &pure, &spmv, &cal);
-        assert!(j.contains("\"workload\": \"gemm\""));
-        assert!(j.contains("\"pure_kernel\""));
-        assert!(j.contains("\"pure_spmv\""));
-        assert!(j.contains("\"calibration\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

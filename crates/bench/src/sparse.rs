@@ -239,39 +239,6 @@ pub fn render(rows: &[SparseBenchRow]) -> String {
     out
 }
 
-/// Serializes the rows as JSON (hand-rolled; no serde in the workspace).
-pub fn to_json(rows: &[SparseBenchRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"kernel\": \"{}\", \"p\": {}, \"n\": {}, \"density\": {}, \"nnz\": {}, \
-             \"dense_bytes\": {}, \"sparse_bytes\": {}, \
-             \"dense_b_bytes\": {}, \"sparse_b_bytes\": {}, \
-             \"dense_makespan_s\": {:.9}, \"sparse_makespan_s\": {:.9}, \
-             \"verified\": {}}}{comma}",
-            r.kernel,
-            r.p,
-            r.n,
-            r.density,
-            r.nnz,
-            r.dense_bytes,
-            r.sparse_bytes,
-            r.dense_b_bytes,
-            r.sparse_b_bytes,
-            r.dense_makespan_s,
-            r.sparse_makespan_s,
-            r.verified
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,13 +259,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = sparse_bench(&[4], &[0.1]);
-        let j = to_json(&rows);
-        assert!(j.contains("\"sparse_b_bytes\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -47,8 +47,6 @@ pub struct SpmdBenchRow {
     pub lowering: String,
     /// Matrix side length.
     pub n: i64,
-    /// Rank count.
-    pub ranks: usize,
     /// The machine grid the program was actually lowered for (the
     /// algorithm's own factorization of the rank count, which may differ
     /// from a requested shape — depth bounds must be computed from this).
@@ -59,8 +57,6 @@ pub struct SpmdBenchRow {
     pub bytes: u64,
     /// Fraction of bytes travelling exactly one torus hop.
     pub neighbor_fraction: f64,
-    /// Recognized collectives.
-    pub collectives: usize,
     /// Worst collective critical-path message depth (for `naive`: the
     /// serialized fan depth the recognizer reports).
     pub depth: usize,
@@ -80,8 +76,6 @@ pub struct SpmdBenchRow {
     pub statically_verified: bool,
     /// Whether execution matched the sequential oracle.
     pub verified: bool,
-    /// Rank-pool worker threads the threaded run used.
-    pub threads: usize,
     /// Measured wall-clock makespan of the threaded run, in seconds
     /// (0.0 when the threaded run failed).
     pub measured_s: f64,
@@ -124,24 +118,10 @@ fn figure9_problem(alg: MatmulAlgorithm, p: i64, n: i64) -> (Problem, Schedule) 
     .unwrap_or_else(|e| panic!("{alg:?} p={p} n={n}: {e}"))
 }
 
-/// Lowers `alg` for `p` ranks at size `n` under `config`.
-///
-/// # Panics
-///
-/// Panics when the lowering itself fails (a bench-harness bug, not a
-/// measurement).
-pub fn lower_algorithm(
-    alg: MatmulAlgorithm,
-    p: i64,
-    n: i64,
-    config: &CollectiveConfig,
-) -> SpmdProgram {
-    lower_algorithm_timed(alg, p, n, config).0
-}
-
-/// [`lower_algorithm`], also timing the admission linter on the same
-/// `(problem, schedule)` (the `lint_s` column of the sweep). The linter
-/// must find no errors — these are the known-good Figure 9 schedules.
+/// Lowers `alg` for `p` ranks at size `n` under `config`, also timing the
+/// admission linter on the same `(problem, schedule)` (the `lint_s` column
+/// of the sweep). The linter must find no errors — these are the
+/// known-good Figure 9 schedules.
 ///
 /// # Panics
 ///
@@ -247,12 +227,10 @@ pub fn measure(
         algorithm: alg.name(),
         lowering: lowering.to_string(),
         n,
-        ranks: program.ranks(),
         grid: program.grid.dims().to_vec(),
         messages: stats.messages,
         bytes: stats.bytes,
         neighbor_fraction: stats.neighbor_fraction(),
-        collectives: program.collectives.len(),
         depth,
         makespan_s,
         plan_s,
@@ -260,7 +238,6 @@ pub fn measure(
         verify_s,
         statically_verified,
         verified,
-        threads: measured.map_or(0, |m| m.threads),
         measured_s,
         model_ratio: if measured_s > 0.0 {
             makespan_s / measured_s
@@ -547,50 +524,6 @@ pub fn render(rows: &[SpmdBenchRow]) -> String {
     out
 }
 
-/// Serializes the rows as JSON (hand-rolled; no serde in the workspace).
-pub fn to_json(rows: &[SpmdBenchRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"algorithm\": \"{}\", \"lowering\": \"{}\", \"n\": {}, \"ranks\": {}, \
-             \"grid\": {:?}, \
-             \"messages\": {}, \"bytes\": {}, \"neighbor_fraction\": {:.4}, \
-             \"collectives\": {}, \"depth\": {}, \"makespan_s\": {:.9}, \
-             \"plan_s\": {:.9}, \"lint_s\": {:.9}, \"verify_s\": {:.9}, \"statically_verified\": {}, \
-             \"verified\": {}, \
-             \"threads\": {}, \"measured_s\": {:.9}, \"model_ratio\": {:.4}, \
-             \"parity\": {}}}{comma}",
-            r.algorithm,
-            r.lowering,
-            r.n,
-            r.ranks,
-            r.grid,
-            r.messages,
-            r.bytes,
-            r.neighbor_fraction,
-            r.collectives,
-            r.depth,
-            r.makespan_s,
-            r.plan_s,
-            r.lint_s,
-            r.verify_s,
-            r.statically_verified,
-            r.verified,
-            r.threads,
-            r.measured_s,
-            r.model_ratio,
-            r.parity
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,16 +546,5 @@ mod tests {
         assert_eq!(tree.depth, 2);
         assert_eq!(naive.bytes, tree.bytes);
         assert!(tree.makespan_s < naive.makespan_s);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = spmd_bench(2, 2, 8);
-        let j = to_json(&rows);
-        assert!(j.contains("\"lowering\": \"tree\""));
-        assert!(j.contains("\"lint_s\""));
-        assert!(j.contains("\"verify_s\""));
-        assert!(j.contains("\"statically_verified\": true"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -69,8 +69,7 @@
 //!    `is_x86_feature_detected!("avx2")` on the first leaf execution —
 //!    never in `plan`, `bind` or set-up — and there is nothing to select
 //!    it with: no option, environment variable or cargo feature. Plan
-//!    keys, the specialization cache and both lowerings see one kernel
-//!    named `gemm.gen`.
+//!    keys and both lowerings see one kernel named `gemm.gen`.
 //!
 //!    *The parity rule.* Per output element the sum starts from the
 //!    stored `A` value and adds `B(i,k)·C(k,j)` for ascending `k`, each a
@@ -116,11 +115,11 @@
 //! stored entries follows the `±0.0` argument documented in
 //! `distal-sparse`.
 //!
-//! Specializations are cached process-wide by request fingerprint, so a
-//! plan bound many times — or many plans over the same statement — pays
-//! for kernel generation once. [`specialize_count`] counts cache misses
-//! on the calling thread; `tests/plan_reuse.rs` asserts it stays flat
-//! across `bind`/`run` of an existing plan.
+//! A plan holds the kernel it was specialized to, so a plan bound many
+//! times pays for kernel generation once; the plan cache does the same
+//! for many requests over one statement. [`specialize_count`] counts the
+//! kernels built on the calling thread; `tests/plan_reuse.rs` asserts it
+//! stays flat across `bind`/`run` of an existing plan.
 
 use crate::error::CompileError;
 use crate::kernels::{is_matmul, is_sddmm, is_spmv, rhs_is_access_product, InterpreterKernel};
@@ -128,8 +127,7 @@ use crate::schedule::{LeafKind, Schedule};
 use distal_ir::expr::{Assignment, Expr, IndexVar};
 use distal_runtime::kernel::{Kernel, KernelCtx};
 use distal_runtime::kernelgen::LeafRequest;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 mod gemm;
 mod sparse;
@@ -138,25 +136,16 @@ mod sparse;
 pub use gemm::{gemm_variants, MicroKernel};
 
 thread_local! {
-    /// Per-thread count of *fresh* specializations (cache misses).
-    /// Binding or running an already-planned statement must leave this
-    /// untouched — the plan-reuse analogue of `lower::compile_count`.
+    /// Per-thread count of specializations. Binding or running an
+    /// already-planned statement must leave this untouched — the
+    /// plan-reuse analogue of `lower::compile_count`.
     static SPECIALIZATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// How many leaf kernels were generated (not served from cache) on the
-/// calling thread.
+/// How many leaf kernels were generated on the calling thread.
 pub fn specialize_count() -> u64 {
     SPECIALIZATIONS.with(|c| c.get())
 }
-
-/// Process-wide specialization cache, keyed by request fingerprint.
-/// Bounded: past [`CACHE_CAP`] entries it resets rather than growing
-/// without limit (specializations are cheap to redo; unbounded maps in a
-/// long-lived serving process are not).
-static CACHE: OnceLock<Mutex<HashMap<String, Arc<dyn Kernel>>>> = OnceLock::new();
-
-const CACHE_CAP: usize = 256;
 
 /// Chooses the leaf kernel of `assignment` under `schedule`'s
 /// `substitute` command (Figure 2 line 40 substitutes a vendor GEMM at the
@@ -206,25 +195,13 @@ pub fn leaf_for(
     }))
 }
 
-/// Specializes a leaf request into a kernel, serving repeats from the
-/// process-wide cache.
+/// Specializes a leaf request into a kernel.
 pub fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
-    let key = req.fingerprint();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(k) = cache.lock().expect("kernel cache poisoned").get(&key) {
-        return Arc::clone(k);
-    }
     SPECIALIZATIONS.with(|c| c.set(c.get() + 1));
-    let kernel = build(req);
-    let mut map = cache.lock().expect("kernel cache poisoned");
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, Arc::clone(&kernel));
-    kernel
+    build(req)
 }
 
-/// Uncached specialization: shape dispatch per the module docs.
+/// Shape dispatch per the module docs.
 fn build(req: &LeafRequest) -> Arc<dyn Kernel> {
     let a = &req.assignment;
     let pure = rhs_is_access_product(a);
@@ -761,19 +738,5 @@ mod tests {
         // Literal factor: never a specialized product kernel.
         let lit = Assignment::parse("A(i,j) = B(i,k) * C(k,j) * 2.0").unwrap();
         assert_eq!(build(&LeafRequest::dense(lit, true)).name(), "tape");
-    }
-
-    #[test]
-    fn cache_counts_only_fresh_specializations() {
-        // A statement no other test specializes, so the first call is a
-        // genuine miss on this thread.
-        let a = Assignment::parse("Zq(u,v) = Qz(u,w) * Wz(w,v) + Qz(u,v)").unwrap();
-        let req = LeafRequest::dense(a, true);
-        let before = specialize_count();
-        let k1 = specialize(&req);
-        assert_eq!(specialize_count(), before + 1);
-        let k2 = specialize(&req);
-        assert_eq!(specialize_count(), before + 1, "second call must hit");
-        assert!(Arc::ptr_eq(&k1, &k2));
     }
 }

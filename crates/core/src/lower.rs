@@ -86,7 +86,7 @@ pub(crate) fn registry_bindings(
 }
 
 /// Compile-time options.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CompileOptions {
     /// Fraction of peak the leaf kernel achieves (model mode). `None`
     /// selects 0.95 for matmul-shaped leaves and 0.85 otherwise.
@@ -94,29 +94,11 @@ pub struct CompileOptions {
     /// Zero-fill the output before computing. `None` = automatic (filled
     /// when the statement accumulates).
     pub fill_output: Option<bool>,
-    /// Generations of scratch instances kept by per-iteration discards
-    /// (1 = double buffering, matching systolic forwarding).
-    pub discard_keep: u64,
-    /// Emit a final owner-gather launch that folds distributed reductions
-    /// into the output's placed tiles.
-    pub final_gather: bool,
     /// Memory kind compute tasks materialize data in, overriding the
     /// tensors' format memory. COSMA's out-of-core GPU mode keeps tensors in
     /// host memory (`Sys` formats) and stages chunks into `Fb` per task
     /// (§7.1.2).
     pub compute_mem: Option<distal_machine::spec::MemKind>,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            leaf_efficiency: None,
-            fill_output: None,
-            discard_keep: 1,
-            final_gather: true,
-            compute_mem: None,
-        }
-    }
 }
 
 /// A compiled kernel: placement and compute programs plus metadata.
@@ -247,13 +229,14 @@ pub fn compile(
     let leaf = compute.register_kernel(leaf_kernel);
     let flops_per_point = assignment.flops_per_point();
 
-    // Discards every stepped tensor's stale scratch (a no-op when no
-    // sequential loop communicates).
+    // Discards every stepped tensor's stale scratch but the most recent
+    // generation — double buffering, matching systolic forwarding (a no-op
+    // when no sequential loop communicates).
     let retire_scratch = |compute: &mut Program| {
         for region in seq_comm_regions.values() {
             compute.push(Op::DiscardScratch {
                 region: *region,
-                keep_recent: options.discard_keep,
+                keep_recent: 1,
             });
         }
     };
@@ -308,7 +291,7 @@ pub fn compile(
 
     // Final gather: fold distributed reductions into the output's placed
     // tiles (Johnson's "sum reduces A_ijk to P_ij0").
-    if out_priv == Privilege::Reduce && options.final_gather {
+    if out_priv == Privilege::Reduce {
         let gather = compute.register_kernel(Arc::new(NoopKernel));
         let tasks = if out_binding.format.is_distributed() {
             placement_tasks(gather, out_binding, machine, &mapper, Privilege::Read)

@@ -354,14 +354,6 @@ impl Problem {
         Some(crate::plan::init_nnz(self.init.get(name)?, &spec.dims))
     }
 
-    /// Fraction of stored elements of a tensor's initial contents (`None`
-    /// when unknown or uninitialized).
-    pub fn density_of(&self, name: &str) -> Option<f64> {
-        let spec = self.tensors.get(name)?;
-        let volume = spec.dims.iter().product::<i64>().max(1) as f64;
-        Some(self.nnz_of(name)? as f64 / volume)
-    }
-
     /// All declared initializers.
     pub fn inits(&self) -> &BTreeMap<String, TensorInit> {
         &self.init
@@ -615,7 +607,6 @@ mod tests {
         // Zero density is all explicit zeros.
         p.fill_random_sparse("B", 7, 0.0).unwrap();
         assert_eq!(p.nnz_of("B"), Some(0));
-        assert_eq!(p.density_of("B"), Some(0.0));
         // Intermediate densities thin the same value stream.
         p.fill_random_sparse("B", 7, 0.5).unwrap();
         let data = p.initial_data("B").unwrap();

@@ -12,7 +12,6 @@ use crate::diagnostic::Diagnostic;
 use distal_runtime::stats::{KernelClassStats, RunStats};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// How a [`Report`]'s numbers were obtained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,9 +39,10 @@ pub struct Report {
     /// else the backend's timing model.
     pub critical_path_s: f64,
     /// The model's critical-path prediction when `critical_path_s` is a
-    /// *measured* wall clock (e.g. the SPMD α-β makespan alongside a
-    /// threaded-transport run) — `None` when the headline number is
-    /// itself the model's. See [`Report::modeled_vs_measured`].
+    /// *measured* wall clock (the simulator's makespan beside a functional
+    /// runtime run, the SPMD α-β makespan beside a threaded-transport
+    /// run) — `None` when the headline number is itself the model's. See
+    /// [`Report::modeled_vs_measured`].
     pub modeled_s: Option<f64>,
     /// Floating-point work performed (or modeled).
     pub flops: f64,
@@ -150,7 +150,8 @@ impl Report {
     /// Modeled-over-measured critical-path ratio (`modeled_s /
     /// critical_path_s`): `1.0` means the cost model predicted the
     /// measured wall clock exactly, `> 1` that it over-estimated. `None`
-    /// unless the report carries both numbers (threaded SPMD runs).
+    /// unless the report carries both numbers (functional runtime runs,
+    /// threaded SPMD runs).
     pub fn modeled_vs_measured(&self) -> Option<f64> {
         match self.modeled_s {
             Some(m) if self.critical_path_s > 0.0 => Some(m / self.critical_path_s),
@@ -164,23 +165,6 @@ impl Report {
             return 0.0;
         }
         self.flops / self.critical_path_s / 1e9
-    }
-
-    /// One line per kernel variant with its task count, flop share, and
-    /// busy-time flop rate — empty string when the backend doesn't track
-    /// variants. Feeds the bench reports and CI summaries.
-    pub fn kernel_summary(&self) -> String {
-        let mut out = String::new();
-        for (name, c) in &self.kernel_classes {
-            let _ = writeln!(
-                out,
-                "  {name}: {} tasks, {:.3e} flops, {:.2} GFLOP/s",
-                c.tasks,
-                c.flops,
-                c.gflops()
-            );
-        }
-        out
     }
 }
 

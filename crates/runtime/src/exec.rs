@@ -534,36 +534,6 @@ impl Runtime {
         Ok(out)
     }
 
-    /// A human-readable summary of a region's physical instances (memory,
-    /// role, allocation bounds, valid pieces) — for debugging placements.
-    pub fn describe_region(&self, region: RegionId) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let lr = self.store.region(region);
-        let _ = writeln!(out, "region '{}' over {:?}:", lr.name, lr.rect);
-        for id in &self.store.by_region[region.0 as usize] {
-            let inst = self.store.instance(*id);
-            let _ = writeln!(
-                out,
-                "  {:?} in {:?} ({:?}, alloc {:?}) valid {:?}",
-                inst.id,
-                inst.mem,
-                inst.role,
-                inst.rect,
-                inst.valid.rects()
-            );
-        }
-        for id in &self.store.reductions_by_region[region.0 as usize] {
-            let inst = self.store.instance(*id);
-            let _ = writeln!(
-                out,
-                "  {:?} reduction in {:?} over {:?}",
-                inst.id, inst.mem, inst.rect
-            );
-        }
-        out
-    }
-
     /// Current live bytes in a memory (for tests of the discard machinery).
     pub fn used_bytes(&self, mem: MemId) -> u64 {
         self.store.used_bytes[mem.0 as usize]

@@ -73,15 +73,6 @@ impl LeafRequest {
     pub fn any_compressed(&self) -> bool {
         self.compressed.iter().any(|&c| c)
     }
-
-    /// A stable textual identity of the request: everything that changes
-    /// the generated kernel. Used as the specialization-cache key.
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "{};compressed={:?};accumulate={};skip_zero={}",
-            self.assignment, self.compressed, self.accumulate, self.skip_zero
-        )
-    }
 }
 
 #[cfg(test)]
@@ -94,17 +85,8 @@ mod tests {
         let req = LeafRequest::dense(a, true);
         assert_eq!(req.compressed, vec![false, false]);
         assert!(!req.any_compressed());
-        assert!(req.fingerprint().contains("accumulate=true"));
-    }
-
-    #[test]
-    fn fingerprints_split_on_flags() {
-        let a = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
-        let d = LeafRequest::dense(a.clone(), true);
-        let mut s = LeafRequest::dense(a, true);
+        let mut s = req.clone();
         s.compressed[0] = true;
-        s.skip_zero = true;
         assert!(s.any_compressed());
-        assert_ne!(d.fingerprint(), s.fingerprint());
     }
 }

@@ -314,11 +314,6 @@ impl ServingEngine {
         self.cache.stats()
     }
 
-    /// Requests queued but not yet claimed (diagnostics).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Drains and stops the engine: already-queued requests are served,
     /// new submissions are rejected, workers are joined. Returns the
     /// final stats.

@@ -123,8 +123,8 @@ impl<T> JobQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Jobs currently queued (diagnostics only — stale by the time the
-    /// caller looks at it).
+    /// Jobs currently queued (stale by the time the caller looks at it).
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.state.lock().expect("poisoned job queue").jobs.len()
     }

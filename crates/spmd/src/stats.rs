@@ -84,19 +84,6 @@ impl CommStats {
     pub fn sent_by_rank(&self) -> Vec<u64> {
         self.matrix.iter().map(|row| row.iter().sum()).collect()
     }
-
-    /// Maximum over minimum per-rank sent bytes — the send imbalance
-    /// (ranks that send nothing are excluded; 1.0 when fewer than two
-    /// ranks send).
-    pub fn send_imbalance(&self) -> f64 {
-        let sent: Vec<u64> = self.sent_by_rank().into_iter().filter(|&b| b > 0).collect();
-        if sent.len() < 2 {
-            return 1.0;
-        }
-        let max = *sent.iter().max().expect("nonempty") as f64;
-        let min = *sent.iter().min().expect("nonempty") as f64;
-        max / min
-    }
 }
 
 #[cfg(test)]
@@ -136,6 +123,5 @@ mod tests {
         let s = CommStats::from_messages(&Grid::line(2), 2, &[]);
         assert_eq!(s.neighbor_fraction(), 1.0);
         assert_eq!(s.max_distance(), 0);
-        assert_eq!(s.send_imbalance(), 1.0);
     }
 }

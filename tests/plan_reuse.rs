@@ -46,6 +46,27 @@ fn seeded_bindings(b_seed: u64, c_seed: u64) -> Bindings {
     b
 }
 
+fn bits(data: &[f64]) -> Vec<u64> {
+    data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `A` of the one-shot path: a fresh `Problem::compile` of `shapes` with
+/// the data `seeded_bindings(b_seed, c_seed)` binds.
+fn fresh_output(
+    shapes: &Problem,
+    backend: &dyn Backend,
+    schedule: &Schedule,
+    b_seed: u64,
+    c_seed: u64,
+) -> Vec<u64> {
+    let mut problem = shapes.clone();
+    problem.fill_random("B", b_seed).unwrap();
+    problem.fill_random("C", c_seed).unwrap();
+    let mut fresh = problem.compile(backend, schedule).unwrap();
+    fresh.run().unwrap();
+    bits(&fresh.read("A").unwrap())
+}
+
 #[test]
 fn runtime_plan_rebinds_match_fresh_compiles() {
     let (shapes, schedule) = matmul_shapes(8);
@@ -79,17 +100,11 @@ fn runtime_plan_rebinds_match_fresh_compiles() {
         );
 
         // Bit-identical to the one-shot path with the same data.
-        let mut fresh_problem = shapes.clone();
-        fresh_problem.fill_random("B", b_seed).unwrap();
-        fresh_problem.fill_random("C", c_seed).unwrap();
-        let mut fresh = fresh_problem.compile(&backend, &schedule).unwrap();
-        fresh.run().unwrap();
-        let got = inst.read("A").unwrap();
-        let want = fresh.read("A").unwrap();
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            assert_eq!(g.to_bits(), w.to_bits(), "round {round}");
-        }
+        assert_eq!(
+            bits(&inst.read("A").unwrap()),
+            fresh_output(&shapes, &backend, &schedule, b_seed, c_seed),
+            "round {round}"
+        );
     }
 }
 
@@ -115,17 +130,10 @@ fn spmd_plan_rebinds_match_fresh_compiles() {
             "binding an SPMD plan re-specialized a leaf kernel"
         );
 
-        let mut fresh_problem = shapes.clone();
-        fresh_problem.fill_random("B", b_seed).unwrap();
-        fresh_problem.fill_random("C", c_seed).unwrap();
-        let mut fresh = fresh_problem.compile(&backend, &schedule).unwrap();
-        fresh.run().unwrap();
-        let got = inst.read("A").unwrap();
-        let want = fresh.read("A").unwrap();
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
+        assert_eq!(
+            bits(&inst.read("A").unwrap()),
+            fresh_output(&shapes, &backend, &schedule, b_seed, c_seed)
+        );
     }
 }
 
@@ -222,33 +230,91 @@ fn cost_plan_static_pricing_follows_each_binding() {
     assert!(bytes[0] < bytes[1]);
 }
 
+/// Lowering work the calling thread has done so far: runtime compilations,
+/// leaf specializations and SPMD rank lowerings (monotone per-thread
+/// counters, so an unchanged sum means none of them moved).
+fn thread_lowerings() -> u64 {
+    distal_core::lower::compile_count()
+        + distal_core::kernelgen::specialize_count()
+        + distal_spmd::lower_count()
+}
+
 #[test]
 fn plan_cache_serves_identical_results() {
-    // The cache front door: a hit plan and a miss plan bind to
-    // bit-identical instances, and stats land on annotated reports.
-    let (mut shapes, schedule) = matmul_shapes(8);
-    shapes.fill_random("B", 71).unwrap();
-    shapes.fill_random("C", 72).unwrap();
-    let backend = RuntimeBackend::functional();
-    let cache = distal_core::ShardedPlanCache::new(4, 1);
+    // The cache front door, on both executable backends: 8 fresh-data
+    // requests over fixed shapes are 1 miss and 7 hits, a hit request
+    // (look-up, bind, run) lowers nothing, and every output is the one a
+    // fresh `Problem::compile` of the same bindings produces.
+    let (shapes, schedule) = matmul_shapes(8);
+    let backends: [&dyn Backend; 2] = [&RuntimeBackend::functional(), &SpmdBackend::new()];
+    for backend in backends {
+        let name = backend.name();
+        let cache = distal_core::ShardedPlanCache::new(4, 1);
+        for r in 0..8u64 {
+            let before = thread_lowerings();
+            let plan = cache.get_or_plan(backend, &shapes, &schedule).unwrap();
+            let mut inst = plan.bind(&seeded_bindings(2 * r + 1, 2 * r + 2)).unwrap();
+            let mut report = inst.run().unwrap();
+            if r > 0 {
+                assert_eq!(thread_lowerings(), before, "{name}: request {r} lowered");
+            }
 
-    let miss_plan = cache.get_or_plan(&backend, &shapes, &schedule).unwrap();
-    let hit_plan = cache.get_or_plan(&backend, &shapes, &schedule).unwrap();
-    // Specialization is paid at plan time; binding a cached plan (and
-    // re-binding it) performs zero further kernel generation.
-    let specializations = distal_core::kernelgen::specialize_count();
-    let mut a = miss_plan.bind(&shapes.bindings()).unwrap();
-    let mut b = hit_plan.bind(&shapes.bindings()).unwrap();
-    assert_eq!(
-        distal_core::kernelgen::specialize_count() - specializations,
-        0,
-        "binding cached plans specialized kernels"
-    );
-    let mut report = a.run().unwrap();
-    b.run().unwrap();
-    assert_eq!(a.read("A").unwrap(), b.read("A").unwrap());
+            assert_eq!(
+                bits(&inst.read("A").unwrap()),
+                fresh_output(&shapes, backend, &schedule, 2 * r + 1, 2 * r + 2),
+                "{name}: request {r}"
+            );
 
-    cache.annotate(&mut report);
-    let stats = report.cache.expect("annotated");
-    assert_eq!((stats.hits, stats.misses), (1, 1));
+            // Stats land on annotated reports.
+            cache.annotate(&mut report);
+            let stats = report.cache.expect("annotated");
+            assert_eq!((stats.hits, stats.misses), (r, 1), "{name}");
+        }
+    }
+}
+
+#[test]
+fn cold_stampede_plans_each_key_once() {
+    // 16 threads race 3 keys through a cold cache, each thread asking for
+    // every key in its own rotation. Single-flight: one miss and one
+    // plan's worth of lowering per key, however the race interleaves.
+    const THREADS: usize = 16;
+    let (shapes, _) = matmul_shapes(8);
+    let schedules = [1, 2, 4].map(|chunk| Schedule::summa(2, 2, chunk));
+    let backends: [&(dyn Backend + Sync); 2] = [&RuntimeBackend::functional(), &SpmdBackend::new()];
+    for backend in backends {
+        let name = backend.name();
+        // One plan's lowering work, on a key outside the raced set.
+        let before = thread_lowerings();
+        backend.plan(&shapes, &Schedule::summa(2, 2, 8)).unwrap();
+        let per_plan = thread_lowerings() - before;
+        assert!(per_plan > 0, "{name}: planning lowered nothing");
+
+        // Capacity for every key in one shard: an eviction would re-miss.
+        let cache = distal_core::ShardedPlanCache::new(schedules.len() * 8, 8);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let lowered: u64 = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (cache, shapes, schedules, barrier) =
+                        (&cache, &shapes, &schedules, &barrier);
+                    s.spawn(move || {
+                        let before = thread_lowerings();
+                        barrier.wait();
+                        for k in 0..schedules.len() {
+                            let schedule = &schedules[(k + t) % schedules.len()];
+                            cache.get_or_plan(backend, shapes, schedule).unwrap();
+                        }
+                        thread_lowerings() - before
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).sum()
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.misses, schedules.len() as u64, "{name}: {stats}");
+        assert_eq!(stats.requests(), (THREADS * schedules.len()) as u64);
+        assert_eq!(stats.hits + stats.misses, stats.requests(), "{name}");
+        assert_eq!(lowered, per_plan * schedules.len() as u64, "{name}");
+    }
 }

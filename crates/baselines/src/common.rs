@@ -193,9 +193,12 @@ impl PhasedRun {
         let mut kernel =
             workspace.compile(&machine, "A(i,j) = B(i,k) * C(k,j)", schedule, options)?;
         if bulk_synchronous {
-            make_bulk_synchronous(&mut kernel.compute);
+            make_bulk_synchronous(kernel.compute.program_mut());
         }
-        let phases = vec![Phase::Untimed(kernel.placement), Phase::Raw(kernel.compute)];
+        let phases = vec![
+            Phase::Untimed(kernel.placement.into_program()),
+            Phase::Raw(kernel.compute.into_program()),
+        ];
         Ok(PhasedRun::new(workspace, phases, "A"))
     }
 

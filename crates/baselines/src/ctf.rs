@@ -399,7 +399,7 @@ fn internal_dot(
         ..CompileOptions::default()
     };
     let mut kernel = ws.compile(internal, "am = Bm(k) * Cm(k)", &schedule, &options)?;
-    make_bulk_synchronous(&mut kernel.compute);
+    make_bulk_synchronous(kernel.compute.program_mut());
     Ok(kernel)
 }
 
@@ -426,7 +426,7 @@ fn internal_kdist_matmul(
         ..CompileOptions::default()
     };
     let mut kernel = ws.compile(internal, &expr, &schedule, &options)?;
-    make_bulk_synchronous(&mut kernel.compute);
+    make_bulk_synchronous(kernel.compute.program_mut());
     Ok(kernel)
 }
 
@@ -457,7 +457,7 @@ fn internal_matmul(
         ..CompileOptions::default()
     };
     let mut kernel = ws.compile(internal, &expr, &schedule, &options)?;
-    make_bulk_synchronous(&mut kernel.compute);
+    make_bulk_synchronous(kernel.compute.program_mut());
     Ok(kernel)
 }
 

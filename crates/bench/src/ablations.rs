@@ -10,7 +10,7 @@ use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_baselines::common::make_bulk_synchronous;
 use distal_core::{Problem, RuntimeInstance, Schedule};
-use distal_runtime::{Mode, RunStats};
+use distal_runtime::{Mode, Program, RunStats};
 use std::fmt::Write as _;
 
 /// One ablation measurement.
@@ -107,7 +107,7 @@ pub fn ablate_overlap(nodes: usize, n: i64) -> Vec<Ablation> {
         let (problem, schedule) =
             matmul_problem(MatmulAlgorithm::Summa, &config, n, (n / 16).max(1)).expect("setup");
         let mut instance = placed(&config, &problem, &schedule);
-        let mut compute = instance.kernel().compute.clone();
+        let mut compute = Program::clone(&instance.kernel().compute);
         if barriers {
             make_bulk_synchronous(&mut compute);
         }

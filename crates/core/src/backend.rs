@@ -377,12 +377,12 @@ impl RuntimePlan {
                     runtime.set_region_sparse(region, image)?;
                     Some(nnz)
                 }
-                // The bound copy drops with the runtime's store, which
-                // hands its buffers back to the pool this one comes from.
+                // The staging instance shares the caller's vector: the
+                // one copy of a bound operand is `place`'s, into its tiles.
                 Mode::Functional => {
-                    let data = init.materialize_pooled(&spec.dims);
+                    let data = init.share(&spec.dims);
                     let nnz = compressed.then(|| distal_sparse::stored_entries(&data));
-                    runtime.set_region_data(region, data)?;
+                    runtime.set_region_shared(region, data)?;
                     nnz
                 }
                 // Model mode holds no data; filling marks regions valid.
@@ -482,7 +482,7 @@ impl RuntimeInstance {
     ///
     /// Runtime errors (OOM, uninitialized data).
     pub fn place_stats(&mut self) -> Result<RunStats, RuntimeError> {
-        self.runtime.run(&self.kernel.placement)
+        self.runtime.run_traced(&self.kernel.placement)
     }
 
     /// Runs the kernel's compute program, returning the runtime's own
@@ -492,7 +492,7 @@ impl RuntimeInstance {
     ///
     /// Runtime errors (OOM, uninitialized data).
     pub fn execute_stats(&mut self) -> Result<RunStats, RuntimeError> {
-        self.runtime.run(&self.kernel.compute)
+        self.runtime.run_traced(&self.kernel.compute)
     }
 
     /// Runs one phase and normalizes its statistics. A functional phase
@@ -684,7 +684,7 @@ mod tests {
                 seed: 7,
                 density: 1.0,
             });
-            let data = bytes(TensorInit::Data(crate::problem::random_data(256, 7)));
+            let data = bytes(TensorInit::Data(crate::problem::random_data(256, 7).into()));
             assert!(random > 0);
             assert_eq!(random, sparse, "{:?}", backend.mode);
             assert_eq!(random, data, "{:?}", backend.mode);

@@ -34,6 +34,7 @@ use distal_machine::geom::{Point, Rect};
 use distal_runtime::kernel::NoopKernel;
 use distal_runtime::program::{IndexLaunch, Op, Privilege, Program, RegionReq, TaskDesc};
 use distal_runtime::region::RegionId;
+use distal_runtime::replay::TracedProgram;
 use distal_runtime::topology::PhysicalMachine;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -102,14 +103,20 @@ pub struct CompileOptions {
 }
 
 /// A compiled kernel: placement and compute programs plus metadata.
+///
+/// Each program keeps the trace of its first run beside it
+/// ([`TracedProgram`]): every instance bound from one plan starts from the
+/// same coherence state, so the dependence analysis of a program is paid
+/// by the plan's first request and replayed by the rest. Nothing is
+/// recorded at plan time.
 #[derive(Clone)]
 pub struct CompiledKernel {
     /// The scheduled concrete index notation (inspect with `Display`).
     pub cin: ConcreteNotation,
     /// Moves tensors into their formats' distributions.
-    pub placement: Program,
+    pub placement: TracedProgram,
     /// The computation itself.
-    pub compute: Program,
+    pub compute: TracedProgram,
     /// Extents of the distributed launch domain (empty = single task).
     pub launch_domain: Vec<i64>,
     /// Total floating-point work of the compute program.
@@ -337,8 +344,8 @@ pub fn compile(
 
     Ok(CompiledKernel {
         cin: nest.cin,
-        placement,
-        compute,
+        placement: placement.into(),
+        compute: compute.into(),
         launch_domain: nest.launch_domain,
         total_flops,
         output: assignment.lhs.tensor.clone(),

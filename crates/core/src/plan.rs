@@ -98,9 +98,12 @@ impl Bindings {
     }
 
     /// Seeds a tensor with explicit row-major data (validated against the
-    /// plan's shape at bind time).
+    /// plan's shape at bind time). The vector is held shared from here on:
+    /// cloning the bindings does not copy it, and an instance bound on the
+    /// runtime backend reads it in place.
     pub fn set_data(&mut self, name: impl Into<String>, data: Vec<f64>) -> &mut Self {
-        self.init.insert(name.into(), TensorInit::Data(data));
+        self.init
+            .insert(name.into(), TensorInit::Data(Arc::new(data)));
         self
     }
 
@@ -404,7 +407,7 @@ mod tests {
         assert_eq!(init_nnz(&TensorInit::Value(2.0), &[4, 4]), 16);
         assert_eq!(init_nnz(&TensorInit::Random(7), &[4, 4]), 16);
         assert_eq!(
-            init_nnz(&TensorInit::Data(vec![0.0, 1.0, 0.0, 3.0]), &[4]),
+            init_nnz(&TensorInit::Data(vec![0.0, 1.0, 0.0, 3.0].into()), &[4]),
             2
         );
         let sparse = TensorInit::RandomSparse {
@@ -442,7 +445,7 @@ mod tests {
             let sparse = TensorInit::RandomSparse { seed, density };
             let inits = [
                 sparse.clone(),
-                TensorInit::Data(sparse.materialize(&dims)),
+                TensorInit::Data(sparse.materialize(&dims).into()),
                 TensorInit::Sparse(sparse.compress(&dims)),
                 TensorInit::Random(seed),
                 TensorInit::Value([0.0, -0.0, 1.5][case % 3]),

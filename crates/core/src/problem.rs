@@ -115,8 +115,9 @@ impl TensorSpec {
 pub enum TensorInit {
     /// Every element set to a constant.
     Value(f64),
-    /// Explicit row-major data.
-    Data(Vec<f64>),
+    /// Explicit row-major data, shared with whoever bound it: cloning the
+    /// initializer, and binding it on the runtime backend, copy nothing.
+    Data(Arc<Vec<f64>>),
     /// Deterministic pseudo-random data from a seed (see [`random_data`]).
     Random(u64),
     /// Deterministic pseudo-random data with explicit zeros: each element
@@ -140,7 +141,7 @@ impl TensorInit {
         let n = dims.iter().product::<i64>().max(1) as usize;
         match self {
             TensorInit::Value(v) => vec![*v; n],
-            TensorInit::Data(d) => d.clone(),
+            TensorInit::Data(d) => d.to_vec(),
             TensorInit::Random(seed) => random_data(n, *seed),
             TensorInit::RandomSparse { seed, density } => sparse_random_data(n, *seed, *density),
             TensorInit::Sparse(image) => image.to_dense(),
@@ -162,21 +163,26 @@ impl TensorInit {
         })
     }
 
-    /// [`TensorInit::materialize`] into a recycled buffer
-    /// ([`distal_runtime::pool`]): the per-request copy an instance binds,
-    /// and hands back to the pool when it drops.
-    pub(crate) fn materialize_pooled(&self, dims: &[i64]) -> Vec<f64> {
-        let owned;
-        let src = match self {
-            TensorInit::Data(data) => data,
-            other => {
-                owned = other.materialize(dims);
-                &owned
-            }
+    /// The contents [`TensorInit::materialize`] would produce, shared:
+    /// `Data` as the caller's own vector, anything else generated in one
+    /// pass into a recycled buffer ([`distal_runtime::pool`]) that goes
+    /// back to the pool with the store it is bound into.
+    pub(crate) fn share(&self, dims: &[i64]) -> Arc<Vec<f64>> {
+        let n = dims.iter().product::<i64>().max(1) as usize;
+        let generated = |values: &mut dyn Iterator<Item = f64>| {
+            let mut data = distal_runtime::pool::take(n);
+            data.iter_mut().zip(values).for_each(|(d, v)| *d = v);
+            data
         };
-        let mut data = distal_runtime::pool::take(src.len());
-        data.copy_from_slice(src);
-        data
+        Arc::new(match self {
+            TensorInit::Data(data) => return Arc::clone(data),
+            TensorInit::Value(v) => generated(&mut std::iter::repeat(*v)),
+            TensorInit::Random(seed) => generated(&mut random_values(*seed)),
+            TensorInit::RandomSparse { seed, density } => {
+                generated(&mut sparse_random_values(n, *seed, *density))
+            }
+            TensorInit::Sparse(image) => image.to_dense(),
+        })
     }
 }
 
@@ -275,7 +281,7 @@ impl Problem {
             .tensors
             .get(name)
             .ok_or_else(|| CompileError::UnknownTensor(name.into()))?;
-        let init = TensorInit::Data(data);
+        let init = TensorInit::Data(Arc::new(data));
         // The typed length check: a mis-sized `Data` initializer would
         // otherwise materialize silently (`d.clone()` regardless of the
         // registered shape) and fail much later, inside a backend.

@@ -2,12 +2,12 @@
 
 use crate::csr::SparseBuffer;
 use crate::executor::{ExecCtx, Executor, ExecutorKind, ParallelExecutor, SerialExecutor};
-use crate::graph::GraphBuilder;
 use crate::pool;
 use crate::program::Program;
 use crate::region::{
-    DataCell, Instance, InstanceId, InstanceRole, LogicalRegion, RegionId, ELEM_BYTES,
+    Coherence, DataCell, Instance, InstanceId, InstanceRole, LogicalRegion, RegionId,
 };
+use crate::replay::{analyse, Trace, TracedProgram};
 use crate::stats::RunStats;
 use crate::topology::{MemId, PhysicalMachine};
 use distal_machine::geom::{copy_rect, Rect, RectSet};
@@ -99,54 +99,39 @@ impl fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {}
 
 /// Persistent region/instance state (survives across program runs so that a
-/// placement phase can feed a compute phase).
+/// placement phase can feed a compute phase), in two halves.
 ///
-/// Instance *metadata* (bounds, coherence) lives in `Store::instances`;
-/// the backing *buffers* live beside it in per-instance [`DataCell`] locks,
-/// so executors can share `&Store` across worker threads and mutate buffers
-/// concurrently where the dependence DAG allows it.
+/// The [`Coherence`] half — regions, instance bounds and valid sets,
+/// accounting — is all the dependence analysis reads and writes. The
+/// *data* lies beside it: per-instance [`DataCell`] locks, so executors
+/// can share `&Store` across worker threads and mutate buffers
+/// concurrently where the dependence DAG allows it, and the CSR images of
+/// the regions held compressed.
 #[derive(Debug)]
 pub struct Store {
-    pub(crate) regions: Vec<LogicalRegion>,
-    pub(crate) instances: Vec<Instance>,
-    /// Backing buffers, indexed like `instances`.
+    pub(crate) coherence: Coherence,
+    /// Backing buffers, indexed like `coherence.instances`.
     pub(crate) buffers: Vec<DataCell>,
-    /// Data instances per region (home + scratch).
-    pub(crate) by_region: Vec<Vec<InstanceId>>,
-    /// Pending reduction instances per region.
-    pub(crate) reductions_by_region: Vec<Vec<InstanceId>>,
-    /// Scratch generation counter per region (see `Op::DiscardScratch`).
-    pub(crate) scratch_gen: Vec<u64>,
-    /// Live bytes per memory.
-    pub(crate) used_bytes: Vec<u64>,
-    /// Peak live bytes per memory.
-    pub(crate) peak_bytes: Vec<u64>,
+    /// The image of each CSR-held region ([`LogicalRegion::csr`]), indexed
+    /// like `coherence.regions`.
+    pub(crate) images: Vec<Option<Arc<SparseBuffer>>>,
 }
 
 impl Store {
     fn new(mems: usize) -> Self {
         Store {
-            regions: Vec::new(),
-            instances: Vec::new(),
+            coherence: Coherence::new(mems),
             buffers: Vec::new(),
-            by_region: Vec::new(),
-            reductions_by_region: Vec::new(),
-            scratch_gen: Vec::new(),
-            used_bytes: vec![0; mems],
-            peak_bytes: vec![0; mems],
+            images: Vec::new(),
         }
     }
 
     pub(crate) fn region(&self, id: RegionId) -> &LogicalRegion {
-        &self.regions[id.0 as usize]
+        self.coherence.region(id)
     }
 
     pub(crate) fn instance(&self, id: InstanceId) -> &Instance {
-        &self.instances[id.0 as usize]
-    }
-
-    pub(crate) fn instance_mut(&mut self, id: InstanceId) -> &mut Instance {
-        &mut self.instances[id.0 as usize]
+        self.coherence.instance(id)
     }
 
     /// The buffer cell of an instance (lock to read/write data).
@@ -154,87 +139,42 @@ impl Store {
         &self.buffers[id.0 as usize]
     }
 
-    /// Direct access to an instance's buffer (no locking; needs `&mut`).
-    pub(crate) fn buffer_mut(&mut self, id: InstanceId) -> &mut Option<Vec<f64>> {
-        self.buffers[id.0 as usize]
-            .get_mut()
-            .expect("poisoned buffer lock")
+    /// The CSR image behind a region held compressed.
+    pub(crate) fn image(&self, id: RegionId) -> Option<&Arc<SparseBuffer>> {
+        self.images[id.0 as usize].as_ref()
     }
 
-    /// Allocates an instance, enforcing memory capacity.
-    pub(crate) fn create_instance(
-        &mut self,
-        machine: &PhysicalMachine,
-        region: RegionId,
-        mem: MemId,
-        rect: Rect,
-        role: InstanceRole,
-        functional: bool,
-    ) -> Result<InstanceId, RuntimeError> {
-        let bytes = rect.volume() as u64 * ELEM_BYTES;
-        let m = machine.mem(mem);
-        let used = &mut self.used_bytes[mem.0 as usize];
-        if m.capacity != u64::MAX && *used + bytes > m.capacity {
-            return Err(RuntimeError::OutOfMemory {
-                mem_kind: m.kind,
-                node: m.node,
-                requested: bytes,
-                in_use: *used,
-                capacity: m.capacity,
+    /// Step 2 of a run: takes the state `trace` leaves behind and gives
+    /// every instance the trace created its buffer — none outside
+    /// functional mode and none for a CSR-held region, whose image is its
+    /// data. Scratch instances exist to be filled by copies over their
+    /// whole rectangle before anything reads them; every other role
+    /// starts from zeros (outputs, reduction buffers).
+    fn adopt(&mut self, trace: &Trace, functional: bool) {
+        self.coherence = trace.exit.clone();
+        for inst in &self.coherence.instances[self.buffers.len()..] {
+            let buffered = functional && self.images[inst.region.0 as usize].is_none();
+            let data = buffered.then(|| {
+                Arc::new(match inst.role {
+                    InstanceRole::Scratch => pool::take(inst.rect.volume() as usize),
+                    _ => pool::take_zeroed(inst.rect.volume() as usize),
+                })
             });
+            self.buffers.push(RwLock::new(data));
         }
-        *used += bytes;
-        let peak = &mut self.peak_bytes[mem.0 as usize];
-        *peak = (*peak).max(self.used_bytes[mem.0 as usize]);
-        let id = InstanceId(self.instances.len() as u32);
-        // Scratch instances exist to be filled by copies over their whole
-        // rectangle before anything reads them; every other role starts
-        // from zeros (outputs, reduction buffers). A region held as CSR
-        // has no dense bytes to hold: its instances stay bufferless.
-        let functional = functional && self.region(region).sparse.is_none();
-        let data = functional.then(|| match role {
-            InstanceRole::Scratch => pool::take(rect.volume() as usize),
-            _ => pool::take_zeroed(rect.volume() as usize),
-        });
-        self.instances.push(Instance {
-            id,
-            region,
-            mem,
-            rect,
-            valid: RectSet::new(),
-            role,
-            gen: self.scratch_gen[region.0 as usize],
-            depth: 0,
-        });
-        self.buffers.push(RwLock::new(data));
-        match role {
-            InstanceRole::Reduction => self.reductions_by_region[region.0 as usize].push(id),
-            _ => self.by_region[region.0 as usize].push(id),
-        }
-        Ok(id)
-    }
-
-    /// Frees an instance's accounting and hides it from coherence, keeping
-    /// its buffer alive for kernels already scheduled against it.
-    pub(crate) fn retire_instance(&mut self, id: InstanceId) {
-        let inst = &mut self.instances[id.0 as usize];
-        let bytes = inst.bytes();
-        let mem = inst.mem.0 as usize;
-        inst.valid = RectSet::new();
-        let region = inst.region.0 as usize;
-        self.used_bytes[mem] = self.used_bytes[mem].saturating_sub(bytes);
-        self.by_region[region].retain(|i| *i != id);
-        self.reductions_by_region[region].retain(|i| *i != id);
     }
 }
 
 impl Drop for Store {
-    /// Instance buffers go back to the pool the next store takes them from.
+    /// Instance buffers go back to the pool the next store takes them
+    /// from — those this store alone owns; one shared with the caller that
+    /// bound it is the caller's.
     fn drop(&mut self) {
         pool::give_all(
             self.buffers
                 .drain(..)
-                .filter_map(|cell| cell.into_inner().ok().flatten()),
+                .filter_map(|cell| cell.into_inner().ok().flatten())
+                .filter_map(|data| Arc::try_unwrap(data).ok()),
         );
     }
 }
@@ -304,18 +244,20 @@ impl Runtime {
 
     /// Creates a logical region over `rect`.
     pub fn create_region(&mut self, name: impl Into<String>, rect: Rect) -> RegionId {
-        let id = RegionId(self.store.regions.len() as u32);
-        self.store.regions.push(LogicalRegion {
+        let coherence = &mut self.store.coherence;
+        let id = RegionId(coherence.regions.len() as u32);
+        coherence.regions.push(LogicalRegion {
             id,
             name: name.into(),
             rect,
             payload_scale: 1.0,
             flops_scale: 1.0,
-            sparse: None,
+            csr: false,
         });
-        self.store.by_region.push(Vec::new());
-        self.store.reductions_by_region.push(Vec::new());
-        self.store.scratch_gen.push(0);
+        coherence.by_region.push(Vec::new());
+        coherence.reductions_by_region.push(Vec::new());
+        coherence.scratch_gen.push(0);
+        self.store.images.push(None);
         id
     }
 
@@ -323,19 +265,20 @@ impl Runtime {
     /// accounting; see [`LogicalRegion::payload_scale`]). Values are
     /// clamped to be positive; `1.0` restores flat dense accounting.
     pub fn set_region_payload_scale(&mut self, region: RegionId, scale: f64) {
-        self.store.regions[region.0 as usize].payload_scale = scale.max(f64::MIN_POSITIVE);
+        self.store.coherence.regions[region.0 as usize].payload_scale =
+            scale.max(f64::MIN_POSITIVE);
     }
 
     /// Sets the fraction of their nominal flops tasks reading this region
     /// perform (see [`LogicalRegion::flops_scale`]), clamped to `[0, 1]`.
     pub fn set_region_flops_scale(&mut self, region: RegionId, scale: f64) {
-        self.store.regions[region.0 as usize].flops_scale = scale.clamp(0.0, 1.0);
+        self.store.coherence.regions[region.0 as usize].flops_scale = scale.clamp(0.0, 1.0);
     }
 
     /// Seeds a region with a CSR image in global coordinates (functional
     /// mode only): the image *is* the region's data until
     /// [`Runtime::set_region_data`] or [`Runtime::fill_region`] replaces
-    /// it. See [`LogicalRegion::sparse`] for what changes and what does
+    /// it. See [`LogicalRegion::csr`] for what changes and what does
     /// not.
     ///
     /// # Errors
@@ -358,7 +301,8 @@ impl Runtime {
             });
         }
         self.seed_region(region, None)?;
-        self.store.regions[region.0 as usize].sparse = Some(image);
+        self.store.coherence.regions[region.0 as usize].csr = true;
+        self.store.images[region.0 as usize] = Some(image);
         Ok(())
     }
 
@@ -373,11 +317,25 @@ impl Runtime {
         region: RegionId,
         data: Vec<f64>,
     ) -> Result<(), RuntimeError> {
+        self.set_region_shared(region, Arc::new(data))
+    }
+
+    /// [`Runtime::set_region_data`] without the hand-over: the staging
+    /// instance shares `data` with the caller, and whatever writes it
+    /// copies it first.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Runtime::set_region_data`].
+    pub fn set_region_shared(
+        &mut self,
+        region: RegionId,
+        data: Arc<Vec<f64>>,
+    ) -> Result<(), RuntimeError> {
         if self.mode != Mode::Functional {
             return Err(RuntimeError::NotFunctional);
         }
-        let rect = self.store.region(region).rect.clone();
-        let expected = rect.volume() as usize;
+        let expected = self.store.region(region).rect.volume() as usize;
         if data.len() != expected {
             return Err(RuntimeError::DataSizeMismatch {
                 expected,
@@ -390,43 +348,40 @@ impl Runtime {
     /// Marks a region as holding `value` everywhere (both modes). In model
     /// mode this only establishes validity for the dependence analysis.
     pub fn fill_region(&mut self, region: RegionId, value: f64) -> Result<(), RuntimeError> {
-        let rect = self.store.region(region).rect.clone();
-        let data = if self.mode == Mode::Functional {
-            Some(vec![value; rect.volume() as usize])
-        } else {
-            None
-        };
+        let volume = self.store.region(region).rect.volume() as usize;
+        let data = (self.mode == Mode::Functional).then(|| Arc::new(vec![value; volume]));
         self.seed_region(region, data)
     }
 
     fn seed_region(
         &mut self,
         region: RegionId,
-        data: Option<Vec<f64>>,
+        data: Option<Arc<Vec<f64>>>,
     ) -> Result<(), RuntimeError> {
-        let rect = self.store.region(region).rect.clone();
+        let coherence = &mut self.store.coherence;
+        let rect = coherence.region(region).rect.clone();
         // Whatever image the region held is replaced with the rest.
-        self.store.regions[region.0 as usize].sparse = None;
+        coherence.regions[region.0 as usize].csr = false;
+        self.store.images[region.0 as usize] = None;
         // Invalidate all existing instances of the region.
-        let existing: Vec<InstanceId> = self.store.by_region[region.0 as usize].clone();
+        let existing: Vec<InstanceId> = coherence.by_region[region.0 as usize].clone();
         for id in existing {
-            self.store.instance_mut(id).valid = RectSet::new();
+            coherence.instance_mut(id).valid = RectSet::new();
         }
-        let pending: Vec<InstanceId> = self.store.reductions_by_region[region.0 as usize].clone();
+        let pending: Vec<InstanceId> = coherence.reductions_by_region[region.0 as usize].clone();
         for id in pending {
-            self.store.retire_instance(id);
+            coherence.retire_instance(id);
         }
         let global = self.machine.global_mem();
-        let id = self.store.create_instance(
+        let id = coherence.create_instance(
             &self.machine,
             region,
             global,
             rect.clone(),
             InstanceRole::Home,
-            false,
         )?;
-        *self.store.buffer_mut(id) = data;
-        self.store.instance_mut(id).valid = RectSet::from_rect(rect);
+        coherence.instance_mut(id).valid = RectSet::from_rect(rect);
+        self.store.buffers.push(RwLock::new(data));
         Ok(())
     }
 
@@ -437,15 +392,9 @@ impl Runtime {
     ///
     /// Propagates [`RuntimeError::OutOfMemory`] (the Johnson/COSMA GPU
     /// behaviour in Figure 15b), uninitialized reads, and malformed
-    /// requirements.
+    /// requirements. A run that fails leaves the runtime as it found it.
     pub fn run(&mut self, program: &Program) -> Result<RunStats, RuntimeError> {
-        match self.executor.resolve(self.mode) {
-            ExecutorKind::Parallel => {
-                let exec = ParallelExecutor::new(self.executor_threads);
-                self.run_with(program, &exec)
-            }
-            _ => self.run_with(program, &SerialExecutor),
-        }
+        self.with_executor(|rt, executor| rt.run_with(program, executor))
     }
 
     /// Runs a program under an explicit [`Executor`] (the two built-in ones
@@ -459,27 +408,49 @@ impl Runtime {
         program: &Program,
         executor: &dyn Executor,
     ) -> Result<RunStats, RuntimeError> {
+        let trace = analyse(&self.machine, &self.store.coherence, program)?;
+        Ok(self.adopt_and_apply(&trace, program, executor))
+    }
+
+    /// [`Runtime::run`] for a program that keeps the trace of its first
+    /// run: the dependence analysis and the timing pass are skipped when
+    /// this runtime's coherence state equals the one the trace was
+    /// recorded from, and the run returns and leaves behind exactly what
+    /// it would have otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Runtime::run`]; a failed analysis records nothing.
+    pub fn run_traced(&mut self, program: &TracedProgram) -> Result<RunStats, RuntimeError> {
+        let mut fresh = None;
+        let trace = program.trace(&self.machine, &self.store.coherence, &mut fresh)?;
+        Ok(self.with_executor(|rt, executor| rt.adopt_and_apply(trace, program, executor)))
+    }
+
+    fn with_executor<R>(&mut self, run: impl FnOnce(&mut Self, &dyn Executor) -> R) -> R {
+        match self.executor.resolve(self.mode) {
+            ExecutorKind::Parallel => run(self, &ParallelExecutor::new(self.executor_threads)),
+            _ => run(self, &SerialExecutor),
+        }
+    }
+
+    /// Steps 2 and 3 of a run (see [`crate::replay`]).
+    fn adopt_and_apply(
+        &mut self,
+        trace: &Trace,
+        program: &Program,
+        executor: &dyn Executor,
+    ) -> RunStats {
         let functional = self.mode == Mode::Functional;
-        let graph = GraphBuilder::build(&self.machine, &mut self.store, program, functional)?;
-        let mut ctx = ExecCtx {
+        self.store.adopt(trace, functional);
+        executor.execute(&mut ExecCtx {
             machine: &self.machine,
-            store: &mut self.store,
-            graph: &graph,
+            store: &self.store,
+            trace,
             kernels: &program.kernels,
             functional,
             record_copies: self.record_copies,
-        };
-        let mut stats = executor.execute(&mut ctx);
-        // Report peak memory by kind.
-        for mem in self.machine.mems() {
-            let peak = self.store.peak_bytes[mem.id.0 as usize];
-            let entry = stats
-                .peak_mem_bytes
-                .entry(mem.kind.to_string())
-                .or_insert(0);
-            *entry = (*entry).max(peak);
-        }
-        Ok(stats)
+        })
     }
 
     /// Gathers a region's current contents into a row-major buffer,
@@ -493,14 +464,14 @@ impl Runtime {
         if self.mode != Mode::Functional {
             return Err(RuntimeError::NotFunctional);
         }
-        let lr = self.store.region(region);
-        if let Some(image) = &lr.sparse {
+        if let Some(image) = self.store.image(region) {
             return Ok(image.to_dense());
         }
+        let lr = self.store.region(region);
         let rect = &lr.rect;
         let mut out = vec![0.0; rect.volume() as usize];
         let mut covered = RectSet::new();
-        for id in &self.store.by_region[region.0 as usize] {
+        for id in &self.store.coherence.by_region[region.0 as usize] {
             let inst = self.store.instance(*id);
             let cell = self.store.buffer(*id).read().expect("poisoned buffer lock");
             for vr in inst.valid.rects() {
@@ -524,7 +495,7 @@ impl Runtime {
             });
         }
         // Fold pending reductions.
-        for id in &self.store.reductions_by_region[region.0 as usize] {
+        for id in &self.store.coherence.reductions_by_region[region.0 as usize] {
             let inst = self.store.instance(*id);
             let cell = self.store.buffer(*id).read().expect("poisoned buffer lock");
             if let Some(data) = cell.as_ref() {
@@ -536,12 +507,18 @@ impl Runtime {
 
     /// Current live bytes in a memory (for tests of the discard machinery).
     pub fn used_bytes(&self, mem: MemId) -> u64 {
-        self.store.used_bytes[mem.0 as usize]
+        self.store.coherence.used_bytes[mem.0 as usize]
     }
 
     /// Peak live bytes observed in a memory.
     pub fn peak_bytes(&self, mem: MemId) -> u64 {
-        self.store.peak_bytes[mem.0 as usize]
+        self.store.coherence.peak_bytes[mem.0 as usize]
+    }
+
+    /// The coherence state: everything the next run's dependence analysis
+    /// depends on (see [`crate::replay`]).
+    pub fn coherence(&self) -> &Coherence {
+        &self.store.coherence
     }
 }
 
@@ -610,6 +587,59 @@ mod tests {
         rt.set_region_data(r, vec![5.0; 4]).unwrap();
         rt.fill_region(r, 1.5).unwrap();
         assert_eq!(rt.read_region(r).unwrap(), vec![1.5; 4]);
+    }
+
+    /// Sets every element of its first argument to 7.
+    struct SevenKernel;
+    impl crate::kernel::Kernel for SevenKernel {
+        fn name(&self) -> &str {
+            "seven"
+        }
+        fn execute(&self, ctx: &mut crate::kernel::KernelCtx<'_>) {
+            let rect = ctx.args[0].rect.clone();
+            for p in rect.points() {
+                ctx.args[0].set(p.coords(), 7.0);
+            }
+        }
+    }
+
+    #[test]
+    fn writing_a_shared_staging_buffer_copies_it_first() {
+        use crate::program::{Op, Privilege, RegionReq, TaskDesc};
+        use distal_machine::geom::Point;
+        // Large enough for the pool: a buffer this store does not own
+        // alone must not be handed to it when the store drops.
+        let n = pool::MIN_POOLED + 24;
+        let rect = Rect::sized(&[n as i64]);
+        let caller = Arc::new(vec![1.0; n]);
+        let mut rt = rt();
+        let r = rt.create_region("A", rect.clone());
+        rt.set_region_shared(r, Arc::clone(&caller)).unwrap();
+        assert_eq!(Arc::strong_count(&caller), 2, "bound without a copy");
+
+        // A task that writes the staging instance itself (global memory).
+        let mut p = Program::new();
+        let k = p.register_kernel(Arc::new(SevenKernel));
+        let proc = rt.machine().cpu_proc(0, 0);
+        let global = rt.machine().global_mem();
+        let req = RegionReq::new(r, rect, Privilege::ReadWrite, global);
+        p.push(Op::SingleTask(TaskDesc::new(
+            k,
+            proc,
+            Point::zeros(1),
+            vec![req],
+        )));
+        rt.run(&p).unwrap();
+        assert_eq!(rt.read_region(r).unwrap(), vec![7.0; n]);
+        assert_eq!(*caller, vec![1.0; n], "the caller's data was written");
+        assert_eq!(Arc::strong_count(&caller), 1, "the store kept its copy");
+
+        // A shared buffer is the caller's to keep when the store drops.
+        let mut rt = self::rt();
+        let r = rt.create_region("A", Rect::sized(&[n as i64]));
+        rt.set_region_shared(r, Arc::clone(&caller)).unwrap();
+        drop(rt);
+        assert_eq!(*caller, vec![1.0; n]);
     }
 
     #[test]

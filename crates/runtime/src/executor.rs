@@ -1,9 +1,9 @@
 //! Pluggable DAG executors: how the nodes of a built execution graph are
 //! actually run.
 //!
-//! `graph::GraphBuilder` produces the dependence DAG;
-//! `sim::schedule_graph` computes timing and statistics from it
-//! deterministically. What remains — applying each node's *side effect*
+//! A [`Trace`] holds the dependence DAG, the order the timing pass
+//! scheduled it in and the statistics that pass computed (see
+//! [`crate::replay`]). What remains — applying each node's *side effect*
 //! (copying bytes, filling buffers, running leaf kernels in functional
 //! mode) — is the job of an [`Executor`]:
 //!
@@ -15,8 +15,9 @@
 //!   communication and computation, §6) on the *host*: a functional-mode
 //!   SUMMA run executes its leaf GEMMs on all host cores.
 //!
-//! Both executors share the timing pass and the effect implementations, so
-//! their [`RunStats`] are identical by construction, and their numerics are
+//! Both executors are handed the same trace and share the effect
+//! implementations, so their [`RunStats`] are identical by construction —
+//! neither computes any — and their numerics are
 //! identical because the DAG already serializes every pair of conflicting
 //! accesses (the hazard edges inserted by the dependence analysis). The
 //! per-instance buffer locks in [`Store`] turn that argument into something
@@ -36,7 +37,7 @@ use crate::graph::{CopyNode, GNode, GNodeKind, Graph, TaskNode};
 use crate::kernel::{ArgData, Kernel, KernelArg, KernelCtx};
 use crate::program::Privilege;
 use crate::region::InstanceId;
-use crate::sim::schedule_graph;
+use crate::replay::Trace;
 use crate::stats::RunStats;
 use crate::topology::PhysicalMachine;
 use distal_machine::geom::{copy_rect, fill_rect, Rect};
@@ -75,15 +76,16 @@ impl ExecutorKind {
     }
 }
 
-/// Everything an executor needs for one program run.
+/// Everything an executor needs for one program run: the trace to apply
+/// and the store — which has already adopted it — to apply it to.
 ///
 /// Constructed by [`crate::Runtime::run_with`]; the fields are
 /// crate-private, so custom executors compose the built-ins rather than
 /// reimplementing effect application.
 pub struct ExecCtx<'a> {
     pub(crate) machine: &'a PhysicalMachine,
-    pub(crate) store: &'a mut Store,
-    pub(crate) graph: &'a Graph,
+    pub(crate) store: &'a Store,
+    pub(crate) trace: &'a Trace,
     pub(crate) kernels: &'a [Arc<dyn Kernel>],
     pub(crate) functional: bool,
     pub(crate) record_copies: bool,
@@ -99,12 +101,20 @@ impl std::fmt::Debug for ExecCtx<'_> {
     }
 }
 
+impl ExecCtx<'_> {
+    /// What every run of the trace reports.
+    fn stats(&self) -> RunStats {
+        self.trace.stats(self.machine, self.record_copies)
+    }
+}
+
 /// Runs a built execution DAG to completion.
 pub trait Executor: Send + Sync {
     /// Executor name (appears in benchmark output).
     fn name(&self) -> &'static str;
 
-    /// Executes the DAG and returns run statistics.
+    /// Applies the trace's node effects (functional mode) and returns the
+    /// trace's run statistics.
     fn execute(&self, ctx: &mut ExecCtx<'_>) -> RunStats;
 }
 
@@ -118,13 +128,16 @@ impl Executor for SerialExecutor {
     }
 
     fn execute(&self, ctx: &mut ExecCtx<'_>) -> RunStats {
-        let sched = schedule_graph(ctx.machine, ctx.graph, ctx.record_copies);
         if ctx.functional {
-            for &i in &sched.order {
-                apply_effect(ctx.store, ctx.kernels, &ctx.graph.nodes[i as usize]);
-            }
+            apply_in_order(ctx);
         }
-        sched.stats
+        ctx.stats()
+    }
+}
+
+fn apply_in_order(ctx: &ExecCtx<'_>) {
+    for &i in &ctx.trace.order {
+        apply_effect(ctx.store, ctx.kernels, &ctx.trace.graph.nodes[i as usize]);
     }
 }
 
@@ -217,22 +230,21 @@ impl Executor for ParallelExecutor {
     }
 
     fn execute(&self, ctx: &mut ExecCtx<'_>) -> RunStats {
-        let sched = schedule_graph(ctx.machine, ctx.graph, ctx.record_copies);
         if ctx.functional {
-            let workers = self.worker_count().min(ctx.graph.nodes.len().max(1));
+            let Trace { graph, order, .. } = ctx.trace;
+            let workers = self.worker_count().min(graph.nodes.len().max(1));
             if workers <= 1 {
-                for &i in &sched.order {
-                    apply_effect(ctx.store, ctx.kernels, &ctx.graph.nodes[i as usize]);
-                }
+                apply_in_order(ctx);
             } else {
-                parallel_apply(ctx.store, ctx.kernels, ctx.graph, &sched.order, workers);
+                parallel_apply(ctx.store, ctx.kernels, graph, order, workers);
             }
         }
-        sched.stats
+        ctx.stats()
     }
 }
 
-/// Runs all node effects on `workers` threads, honouring DAG edges.
+/// Runs all node effects on `workers` threads — the calling one and
+/// `workers - 1` spawned beside it — honouring DAG edges.
 fn parallel_apply(
     store: &Store,
     kernels: &[Arc<dyn Kernel>],
@@ -258,63 +270,68 @@ fn parallel_apply(
         }
     }
 
-    std::thread::scope(|s| {
-        for wid in 0..workers {
-            let (indeg, remaining, failed, queues, park, failure) =
-                (&indeg, &remaining, &failed, &queues, &park, &failure);
-            let done = || remaining.load(Ordering::Acquire) == 0 || failed.load(Ordering::Acquire);
-            s.spawn(move || loop {
+    // A worker catches its node's panic and parks it in `failure`, so the
+    // calling thread — worker 0, which would otherwise sleep in the scope —
+    // always comes back to rethrow it.
+    let done = || remaining.load(Ordering::Acquire) == 0 || failed.load(Ordering::Acquire);
+    let worker = |wid: usize| {
+        loop {
+            if done() {
+                park.1.notify_all();
+                return;
+            }
+            let Some(i) = pop_node(&queues, wid) else {
+                let guard = park.0.lock().unwrap();
                 if done() {
+                    drop(guard);
                     park.1.notify_all();
                     return;
                 }
-                let Some(i) = pop_node(queues, wid) else {
-                    let guard = park.0.lock().unwrap();
-                    if done() {
-                        drop(guard);
-                        park.1.notify_all();
-                        return;
-                    }
-                    // The timeout bounds any lost-wakeup window; workers
-                    // re-check the queues and the exit condition on expiry.
-                    let _ = park
-                        .1
-                        .wait_timeout(guard, Duration::from_micros(100))
-                        .unwrap();
-                    continue;
-                };
-                let node = &graph.nodes[i as usize];
-                if let Err(panic) =
-                    catch_unwind(AssertUnwindSafe(|| apply_effect(store, kernels, node)))
-                {
-                    let mut f = failure.lock().unwrap();
-                    if f.is_none() {
-                        *f = Some(panic);
-                    }
-                    drop(f);
-                    // A dedicated flag (not remaining = 0) stops the pool:
-                    // workers still mid-node will decrement `remaining`
-                    // afterwards, which must not wrap past zero.
-                    failed.store(true, Ordering::Release);
-                    park.1.notify_all();
-                    return;
+                // The timeout bounds any lost-wakeup window; workers
+                // re-check the queues and the exit condition on expiry.
+                let _ = park
+                    .1
+                    .wait_timeout(guard, Duration::from_micros(100))
+                    .unwrap();
+                continue;
+            };
+            let node = &graph.nodes[i as usize];
+            if let Err(panic) =
+                catch_unwind(AssertUnwindSafe(|| apply_effect(store, kernels, node)))
+            {
+                let mut f = failure.lock().unwrap();
+                if f.is_none() {
+                    *f = Some(panic);
                 }
-                let mut woke = false;
-                for &succ in &node.succs {
-                    if indeg[succ as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        queues[wid].lock().unwrap().push_back(succ);
-                        woke = true;
-                    }
+                drop(f);
+                // A dedicated flag (not remaining = 0) stops the pool:
+                // workers still mid-node will decrement `remaining`
+                // afterwards, which must not wrap past zero.
+                failed.store(true, Ordering::Release);
+                park.1.notify_all();
+                return;
+            }
+            let mut woke = false;
+            for &succ in &node.succs {
+                if indeg[succ as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    queues[wid].lock().unwrap().push_back(succ);
+                    woke = true;
                 }
-                if woke {
-                    park.1.notify_all();
-                }
-                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    park.1.notify_all();
-                    return;
-                }
-            });
+            }
+            if woke {
+                park.1.notify_all();
+            }
+            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                park.1.notify_all();
+                return;
+            }
         }
+    };
+    std::thread::scope(|s| {
+        for wid in 1..workers {
+            s.spawn(move || worker(wid));
+        }
+        worker(0);
     });
 
     if let Some(panic) = failure.into_inner().unwrap() {
@@ -347,25 +364,37 @@ fn apply_effect(store: &Store, kernels: &[Arc<dyn Kernel>], node: &GNode) {
     }
 }
 
+/// In functional mode every instance has a buffer unless its region is
+/// held as a CSR image. One found without is a bug in adoption, and
+/// skipping its effect would turn that bug into wrong numbers.
+fn no_buffer(store: &Store, inst: InstanceId, doing: std::fmt::Arguments<'_>) -> ! {
+    let instance = store.instance(inst);
+    let region = &store.region(instance.region).name;
+    let rect = &instance.rect;
+    panic!("{doing}: instance {inst:?} of region '{region}' over {rect:?} has no buffer")
+}
+
 fn apply_fill(store: &Store, inst: InstanceId, value: f64) {
-    let mut cell = store.buffer(inst).write().expect("poisoned buffer lock");
-    match cell.as_mut() {
+    let mut guard = lock_buffer(store, inst, true);
+    match guard.data_mut() {
         Some(data) => data.fill(value),
-        None => {
-            let vol = store.instance(inst).rect.volume() as usize;
-            *cell = Some(vec![value; vol]);
-        }
+        None => no_buffer(store, inst, format_args!("fill with {value}")),
     }
 }
 
 /// A held per-instance buffer lock.
 enum BufGuard<'a> {
-    Read(RwLockReadGuard<'a, Option<Vec<f64>>>),
-    Write(RwLockWriteGuard<'a, Option<Vec<f64>>>),
+    Read(RwLockReadGuard<'a, Option<Arc<Vec<f64>>>>),
+    Write(RwLockWriteGuard<'a, Option<Arc<Vec<f64>>>>),
 }
 
 fn apply_copy(store: &Store, c: &CopyNode) {
     assert_ne!(c.src, c.dst, "copy source and destination must differ");
+    // A CSR-held region's image is its data: copies between its
+    // (bufferless) instances are accounting only.
+    if store.image(c.region).is_some() {
+        return;
+    }
     let src_alloc = &store.instance(c.src).rect;
     let dst_alloc = &store.instance(c.dst).rect;
     // Lock in instance-id order (deadlock avoidance). The source needs a
@@ -380,30 +409,36 @@ fn apply_copy(store: &Store, c: &CopyNode) {
         let s = lock_buffer(store, c.src, c.reduce);
         (s, d)
     };
-    if let (Some(src_data), Some(dst_data)) = (src_guard.data(), dst_guard.data_mut()) {
-        copy_rect(src_alloc, src_data, dst_alloc, dst_data, &c.rect, c.reduce);
-    }
+    let doing = format_args!("copy of {:?} from {:?} to {:?}", c.rect, c.src, c.dst);
+    let Some(src_data) = src_guard.data() else {
+        no_buffer(store, c.src, doing)
+    };
+    let Some(dst_data) = dst_guard.data_mut() else {
+        no_buffer(store, c.dst, doing)
+    };
+    copy_rect(src_alloc, src_data, dst_alloc, dst_data, &c.rect, c.reduce);
     if c.reduce {
-        if let Some(src_data) = src_guard.data_mut() {
-            fill_rect(src_alloc, src_data, &c.rect, 0.0);
-        }
+        let src_data = src_guard.data_mut().expect("present above");
+        fill_rect(src_alloc, src_data, &c.rect, 0.0);
     }
 }
 
 impl BufGuard<'_> {
     /// The buffer behind the guard.
     fn data(&self) -> Option<&[f64]> {
-        match self {
-            BufGuard::Read(g) => g.as_deref(),
-            BufGuard::Write(g) => g.as_deref(),
-        }
+        let cell = match self {
+            BufGuard::Read(g) => &**g,
+            BufGuard::Write(g) => &**g,
+        };
+        cell.as_deref().map(Vec::as_slice)
     }
 
-    /// Mutable access; panics on a read guard.
+    /// Mutable access, copying first a buffer shared with the caller that
+    /// bound it; panics on a read guard.
     fn data_mut(&mut self) -> Option<&mut [f64]> {
         match self {
             BufGuard::Read(_) => panic!("mutable access through a read lock"),
-            BufGuard::Write(g) => g.as_deref_mut(),
+            BufGuard::Write(g) => g.as_mut().map(|data| Arc::make_mut(data).as_mut_slice()),
         }
     }
 }
@@ -421,7 +456,7 @@ fn lock_buffer(store: &Store, id: InstanceId, write: bool) -> BufGuard<'_> {
 /// compressed (such instances carry no buffer).
 fn sparse_image(store: &Store, inst: InstanceId) -> Option<(&Arc<SparseBuffer>, &Rect)> {
     let region = store.region(store.instance(inst).region);
-    region.sparse.as_ref().map(|image| (image, &region.rect))
+    store.image(region.id).map(|image| (image, &region.rect))
 }
 
 /// What a held guard has to lend: its shared slice as often as asked, its
@@ -465,7 +500,7 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
                 return None;
             }
             match &guards[slot_of(*inst)] {
-                BufGuard::Write(g) => Some(g.as_deref().unwrap_or_default().to_vec()),
+                guard @ BufGuard::Write(_) => guard.data().map(<[f64]>::to_vec),
                 BufGuard::Read(_) => None,
             }
         })
@@ -475,9 +510,13 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
     // guard: `alloc` is the instance rectangle, `rect` the part to touch.
     let mut lent: Vec<Lent<'_>> = guards
         .iter_mut()
-        .map(|guard| match guard {
-            BufGuard::Read(g) => Lent::Shared(g.as_deref().unwrap_or_default()),
-            BufGuard::Write(g) => Lent::Exclusive(Some(g.as_deref_mut().unwrap_or_default())),
+        .zip(&plan)
+        .map(|(guard, (inst, _))| {
+            let lent = match guard {
+                BufGuard::Read(_) => guard.data().map(Lent::Shared),
+                BufGuard::Write(_) => guard.data_mut().map(|data| Lent::Exclusive(Some(data))),
+            };
+            lent.unwrap_or_else(|| no_buffer(store, *inst, format_args!("task argument")))
         })
         .collect();
     let args = task.args.iter().zip(&before);
@@ -882,6 +921,52 @@ mod tests {
             rt.set_region_sparse(b, image),
             Err(crate::exec::RuntimeError::NotFunctional)
         );
+    }
+
+    #[test]
+    fn an_instance_found_without_its_buffer_is_a_panic_not_a_skipped_effect() {
+        // A bufferless instance is legitimate for a CSR-held region only.
+        // Take the image away from under one: the copy out of it and the
+        // task reading it must both refuse, under either executor, naming
+        // what they were doing.
+        for executor in [&SerialExecutor as &dyn Executor, &ParallelExecutor::new(2)] {
+            for (kernel, doing) in [
+                (Arc::new(NoopKernel) as Arc<dyn Kernel>, "copy of"),
+                (Arc::new(ScaleKernel(2.0)), "task argument"),
+            ] {
+                let m = PhysicalMachine::new(MachineSpec::small(1));
+                let mut rt = Runtime::new(m, Mode::Functional);
+                let b = rt.create_region("B", Rect::sized(&[2, 2]));
+                let image = SparseBuffer::from_dense(&[2, 2], &[0.0, 1.0, 0.0, 0.0]);
+                rt.set_region_sparse(b, Arc::new(image)).unwrap();
+                rt.store.coherence.regions[b.0 as usize].csr = false;
+                rt.store.images[b.0 as usize] = None;
+                let proc = rt.machine().cpu_proc(0, 0);
+                // The copy needs a destination in another memory; the task
+                // takes the staging instance itself.
+                let mem = match doing {
+                    "copy of" => rt.machine().proc(proc).local_mem,
+                    _ => rt.machine().global_mem(),
+                };
+                let mut p = Program::new();
+                let k = p.register_kernel(kernel);
+                let req = RegionReq::new(b, Rect::sized(&[2, 2]), Privilege::ReadWrite, mem);
+                p.push(Op::SingleTask(TaskDesc::new(
+                    k,
+                    proc,
+                    Point::zeros(2),
+                    vec![req],
+                )));
+                let panic =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| rt.run_with(&p, executor)))
+                        .expect_err("a missing buffer went unnoticed");
+                let message = panic.downcast_ref::<String>().expect("a formatted panic");
+                let what = executor.name();
+                assert!(message.contains(doing), "{what}: {message}");
+                assert!(message.contains("region 'B'"), "{what}: {message}");
+                assert!(message.contains("has no buffer"), "{what}: {message}");
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! receivers), and makes systolic schedules pull from their neighbours'
 //! forwarding buffers rather than hammering the owner.
 
-use crate::exec::{RuntimeError, Store};
+use crate::exec::RuntimeError;
 use crate::program::{IndexLaunch, Op, Privilege, Program, TaskDesc};
-use crate::region::{InstanceId, InstanceRole, RegionId, ELEM_BYTES};
+use crate::region::{Coherence, InstanceId, InstanceRole, RegionId, ELEM_BYTES};
 use crate::stats::ChannelClass;
 use crate::topology::{MemId, PhysicalMachine, ProcId};
 use distal_machine::geom::{Point, Rect};
@@ -182,11 +182,12 @@ fn clip(entries: &mut Vec<(Rect, u32)>, rect: &Rect) {
     *entries = out;
 }
 
-/// Builds the execution DAG for a program.
+/// Builds the execution DAG for a program. It works on coherence state
+/// alone — instances are registered, never given a buffer — so what it
+/// produces can be kept and replayed (see [`crate::replay`]).
 pub(crate) struct GraphBuilder<'a> {
     machine: &'a PhysicalMachine,
-    store: &'a mut Store,
-    functional: bool,
+    coherence: &'a mut Coherence,
     nodes: Vec<GNode>,
     meta: Vec<InstMeta>,
     /// Nodes created since the last barrier.
@@ -201,17 +202,16 @@ pub(crate) struct GraphBuilder<'a> {
 }
 
 impl<'a> GraphBuilder<'a> {
-    /// Runs the dependence analysis for `program`, mutating `store`'s
-    /// coherence state, and returns the DAG.
+    /// Runs the dependence analysis for `program`, advancing `coherence`
+    /// to the state the program leaves behind, and returns the DAG.
     pub fn build(
         machine: &'a PhysicalMachine,
-        store: &'a mut Store,
+        coherence: &'a mut Coherence,
         program: &Program,
-        functional: bool,
     ) -> Result<Graph, RuntimeError> {
         let mut b = GraphBuilder {
             rmap: ResourceMap::new(machine),
-            meta: vec![InstMeta::default(); store.instances.len()],
+            meta: vec![InstMeta::default(); coherence.instances.len()],
             planned_out: vec![0; machine.mems().len()],
             kernel_names: program
                 .kernels
@@ -219,8 +219,7 @@ impl<'a> GraphBuilder<'a> {
                 .map(|k| std::sync::Arc::from(k.name()))
                 .collect(),
             machine,
-            store,
-            functional,
+            coherence,
             nodes: Vec::new(),
             epoch: Vec::new(),
             barrier: None,
@@ -298,36 +297,36 @@ impl<'a> GraphBuilder<'a> {
 
     fn process_discard(&mut self, region: RegionId, keep_recent: u64) {
         let ridx = region.0 as usize;
-        self.store.scratch_gen[ridx] += 1;
-        let current = self.store.scratch_gen[ridx];
-        let ids: Vec<InstanceId> = self.store.by_region[ridx].clone();
+        self.coherence.scratch_gen[ridx] += 1;
+        let current = self.coherence.scratch_gen[ridx];
+        let ids: Vec<InstanceId> = self.coherence.by_region[ridx].clone();
         for id in ids {
-            let inst = self.store.instance(id);
+            let inst = self.coherence.instance(id);
             if inst.role == InstanceRole::Scratch && inst.gen + keep_recent < current {
-                self.store.retire_instance(id);
+                self.coherence.retire_instance(id);
             }
         }
     }
 
     /// A region held as a CSR image is read-only.
     fn refuse_sparse_write(&self, region: RegionId) -> Result<(), RuntimeError> {
-        let lr = self.store.region(region);
-        match lr.sparse {
-            Some(_) => Err(RuntimeError::SparseRegionWrite {
+        let lr = self.coherence.region(region);
+        if lr.csr {
+            return Err(RuntimeError::SparseRegionWrite {
                 region: lr.name.clone(),
-            }),
-            None => Ok(()),
+            });
         }
+        Ok(())
     }
 
     fn process_fill(&mut self, region: RegionId, value: f64) -> Result<(), RuntimeError> {
         self.refuse_sparse_write(region)?;
-        let rect = self.store.region(region).rect.clone();
+        let rect = self.coherence.region(region).rect.clone();
         // Order after everything touching the region so far.
         let mut deps = Vec::new();
-        let insts: Vec<InstanceId> = self.store.by_region[region.0 as usize]
+        let insts: Vec<InstanceId> = self.coherence.by_region[region.0 as usize]
             .iter()
-            .chain(self.store.reductions_by_region[region.0 as usize].iter())
+            .chain(self.coherence.reductions_by_region[region.0 as usize].iter())
             .copied()
             .collect();
         for id in &insts {
@@ -338,11 +337,11 @@ impl<'a> GraphBuilder<'a> {
         }
         // Invalidate all data instances; drop pending reductions.
         for id in &insts {
-            let inst = self.store.instance(*id);
+            let inst = self.coherence.instance(*id);
             if inst.role == InstanceRole::Reduction {
-                self.store.retire_instance(*id);
+                self.coherence.retire_instance(*id);
             } else {
-                self.store.instance_mut(*id).valid = distal_machine::geom::RectSet::new();
+                self.coherence.instance_mut(*id).valid = distal_machine::geom::RectSet::new();
                 let m = self.meta(*id);
                 m.producers.clear();
                 m.readers.clear();
@@ -350,16 +349,16 @@ impl<'a> GraphBuilder<'a> {
         }
         // Fresh staging instance holds the fill value.
         let global = self.machine.global_mem();
-        let id = self.store.create_instance(
+        let id = self.coherence.create_instance(
             self.machine,
             region,
             global,
             rect.clone(),
             InstanceRole::Home,
-            self.functional,
         )?;
         let node = self.add_node(GNodeKind::Fill { inst: id, value }, 0.0, [None, None], deps);
-        self.store.instance_mut(id).valid = distal_machine::geom::RectSet::from_rect(rect.clone());
+        self.coherence.instance_mut(id).valid =
+            distal_machine::geom::RectSet::from_rect(rect.clone());
         self.meta(id).producers = vec![(rect, node)];
         Ok(())
     }
@@ -385,10 +384,10 @@ impl<'a> GraphBuilder<'a> {
         let mut posts: Vec<Post> = Vec::new();
 
         for req in &t.reqs {
-            let region_rect = self.store.region(req.region).rect.clone();
+            let region_rect = self.coherence.region(req.region).rect.clone();
             if !region_rect.contains_rect(&req.rect) {
                 return Err(RuntimeError::InvalidRequirement {
-                    region: self.store.region(req.region).name.clone(),
+                    region: self.coherence.region(req.region).name.clone(),
                     rect: req.rect.clone(),
                 });
             }
@@ -430,7 +429,7 @@ impl<'a> GraphBuilder<'a> {
                     // hazards are tracked per physical instance and persist
                     // across invalidation, so buffer reuse stays safe.
                     let others: Vec<InstanceId> =
-                        self.store.by_region[req.region.0 as usize].clone();
+                        self.coherence.by_region[req.region.0 as usize].clone();
                     for other in others {
                         let m = self.meta(other);
                         for (r, n) in &m.producers {
@@ -446,9 +445,9 @@ impl<'a> GraphBuilder<'a> {
                     }
                     // Reductions pending on the rect must complete first.
                     let red: Vec<InstanceId> =
-                        self.store.reductions_by_region[req.region.0 as usize].clone();
+                        self.coherence.reductions_by_region[req.region.0 as usize].clone();
                     for rid in red {
-                        if self.store.instance(rid).rect.overlaps(&req.rect) {
+                        if self.coherence.instance(rid).rect.overlaps(&req.rect) {
                             let m = self.meta(rid);
                             deps.extend(m.last_reducer.iter().copied());
                         }
@@ -477,7 +476,7 @@ impl<'a> GraphBuilder<'a> {
             .iter()
             .filter(|req| req.privilege == Privilege::Read)
             .fold(t.flops, |f, req| {
-                f * self.store.region(req.region).flops_scale
+                f * self.coherence.region(req.region).flops_scale
             });
         let duration = self
             .machine
@@ -506,15 +505,16 @@ impl<'a> GraphBuilder<'a> {
                     // Invalidate all other instances over the rect. Producers
                     // are clipped with validity; readers persist (physical
                     // WAR hazards) until the instance itself is rewritten.
-                    let others: Vec<InstanceId> = self.store.by_region[region.0 as usize].clone();
+                    let others: Vec<InstanceId> =
+                        self.coherence.by_region[region.0 as usize].clone();
                     for other in others {
                         if other == inst {
                             continue;
                         }
-                        self.store.instance_mut(other).valid.subtract(&rect);
+                        self.coherence.instance_mut(other).valid.subtract(&rect);
                         clip(&mut self.meta(other).producers, &rect);
                     }
-                    let i = self.store.instance_mut(inst);
+                    let i = self.coherence.instance_mut(inst);
                     i.valid.add(rect.clone());
                     i.depth = 0; // produced here
                                  // Output data must never be retired by scratch discards.
@@ -543,12 +543,12 @@ impl<'a> GraphBuilder<'a> {
         role: InstanceRole,
     ) -> Result<InstanceId, RuntimeError> {
         let mut best: Option<InstanceId> = None;
-        for id in &self.store.by_region[region.0 as usize] {
-            let inst = self.store.instance(*id);
+        for id in &self.coherence.by_region[region.0 as usize] {
+            let inst = self.coherence.instance(*id);
             if inst.mem == mem && inst.rect.contains_rect(rect) {
                 let better = match best {
                     None => true,
-                    Some(b) => inst.rect.volume() < self.store.instance(b).rect.volume(),
+                    Some(b) => inst.rect.volume() < self.coherence.instance(b).rect.volume(),
                 };
                 if better {
                     best = Some(*id);
@@ -557,14 +557,9 @@ impl<'a> GraphBuilder<'a> {
         }
         match best {
             Some(id) => Ok(id),
-            None => self.store.create_instance(
-                self.machine,
-                region,
-                mem,
-                rect.clone(),
-                role,
-                self.functional,
-            ),
+            None => self
+                .coherence
+                .create_instance(self.machine, region, mem, rect.clone(), role),
         }
     }
 
@@ -583,7 +578,7 @@ impl<'a> GraphBuilder<'a> {
         // Copy in the missing pieces.
         let mut missing = vec![rect.clone()];
         {
-            let valid = self.store.instance(dest).valid.clone();
+            let valid = self.coherence.instance(dest).valid.clone();
             let mut next = Vec::new();
             for piece in missing {
                 let mut rem = vec![piece];
@@ -611,17 +606,17 @@ impl<'a> GraphBuilder<'a> {
                 continue;
             }
             let real_cover = self.select_source(region, &piece, dest).ok().map(|src| {
-                self.machine.mem(self.store.instance(src).mem).kind
+                self.machine.mem(self.coherence.instance(src).mem).kind
                     != distal_machine::spec::MemKind::Global
             });
             // Split off the part covered by some real instance.
             let mut carved = None;
             if real_cover != Some(true) {
-                'outer: for id in &self.store.by_region[region.0 as usize] {
+                'outer: for id in &self.coherence.by_region[region.0 as usize] {
                     if *id == dest {
                         continue;
                     }
-                    let inst = self.store.instance(*id);
+                    let inst = self.coherence.instance(*id);
                     if self.machine.mem(inst.mem).kind == distal_machine::spec::MemKind::Global {
                         continue;
                     }
@@ -646,7 +641,7 @@ impl<'a> GraphBuilder<'a> {
                 (Some(false), None) => resolved.push(piece),
                 (None, None) => {
                     return Err(RuntimeError::UninitializedData {
-                        region: self.store.region(region).name.clone(),
+                        region: self.coherence.region(region).name.clone(),
                         rect: piece,
                     })
                 }
@@ -654,8 +649,8 @@ impl<'a> GraphBuilder<'a> {
         }
         for piece in resolved {
             let src = self.select_source(region, &piece, dest)?;
-            let bytes = self.store.region(region).payload_bytes(piece.volume());
-            let (src_mem, dst_mem) = (self.store.instance(src).mem, mem);
+            let bytes = self.coherence.region(region).payload_bytes(piece.volume());
+            let (src_mem, dst_mem) = (self.coherence.instance(src).mem, mem);
             let class = self.machine.channel_class(src_mem, dst_mem);
             let duration = self.machine.copy_time_s(src_mem, dst_mem, bytes);
             let mut cdeps: Vec<u32> = Vec::new();
@@ -718,12 +713,12 @@ impl<'a> GraphBuilder<'a> {
                 self.planned_out[src_mem.0 as usize] += bytes;
             }
             self.meta(src).served += 1;
-            let src_depth = self.store.instance(src).depth;
+            let src_depth = self.coherence.instance(src).depth;
             {
-                let d = self.store.instance_mut(dest);
+                let d = self.coherence.instance_mut(dest);
                 d.depth = d.depth.max(src_depth + 1);
             }
-            self.store.instance_mut(dest).valid.add(piece.clone());
+            self.coherence.instance_mut(dest).valid.add(piece.clone());
             let m = self.meta(dest);
             clip(&mut m.producers, &piece);
             m.producers.push((piece, node));
@@ -751,9 +746,10 @@ impl<'a> GraphBuilder<'a> {
         dest: InstanceId,
         deps: &mut Vec<u32>,
     ) -> Result<(), RuntimeError> {
-        let pending: Vec<InstanceId> = self.store.reductions_by_region[region.0 as usize].clone();
+        let pending: Vec<InstanceId> =
+            self.coherence.reductions_by_region[region.0 as usize].clone();
         for rid in pending {
-            let rrect = self.store.instance(rid).rect.clone();
+            let rrect = self.coherence.instance(rid).rect.clone();
             let inter = rrect.intersection(rect);
             if inter.is_empty() {
                 continue;
@@ -762,8 +758,8 @@ impl<'a> GraphBuilder<'a> {
             // when the tensor's at-rest format is compressed — so they
             // keep flat dense accounting.
             let bytes = inter.volume() as u64 * ELEM_BYTES;
-            let src_mem = self.store.instance(rid).mem;
-            let dst_mem = self.store.instance(dest).mem;
+            let src_mem = self.coherence.instance(rid).mem;
+            let dst_mem = self.coherence.instance(dest).mem;
             let class = self.machine.channel_class(src_mem, dst_mem);
             let duration = self.machine.copy_time_s(src_mem, dst_mem, bytes)
                 + self.machine.spec.reduction_fold_overhead_s;
@@ -810,12 +806,12 @@ impl<'a> GraphBuilder<'a> {
                 cdeps,
             );
             // Other data instances holding the folded rect are now stale.
-            let others: Vec<InstanceId> = self.store.by_region[region.0 as usize].clone();
+            let others: Vec<InstanceId> = self.coherence.by_region[region.0 as usize].clone();
             for other in others {
                 if other == dest {
                     continue;
                 }
-                self.store.instance_mut(other).valid.subtract(&inter);
+                self.coherence.instance_mut(other).valid.subtract(&inter);
                 clip(&mut self.meta(other).producers, &inter);
             }
             {
@@ -828,7 +824,7 @@ impl<'a> GraphBuilder<'a> {
             // remainder pending (the simulator zeroes the folded part so it
             // cannot be double-counted).
             if rrect == inter {
-                self.store.retire_instance(rid);
+                self.coherence.retire_instance(rid);
             }
         }
         Ok(())
@@ -841,15 +837,15 @@ impl<'a> GraphBuilder<'a> {
         piece: &Rect,
         dest: InstanceId,
     ) -> Result<InstanceId, RuntimeError> {
-        let dest_mem = self.store.instance(dest).mem;
+        let dest_mem = self.coherence.instance(dest).mem;
         let dest_node = self.machine.mem(dest_mem).node;
         type Score = (u64, u64, u64, u64, u64);
         let mut best: Option<(Score, InstanceId)> = None;
-        for id in &self.store.by_region[region.0 as usize] {
+        for id in &self.coherence.by_region[region.0 as usize] {
             if *id == dest {
                 continue;
             }
-            let inst = self.store.instance(*id);
+            let inst = self.coherence.instance(*id);
             if !inst.valid.covers(piece) {
                 continue;
             }
@@ -888,7 +884,7 @@ impl<'a> GraphBuilder<'a> {
         match best {
             Some((_, id)) => Ok(id),
             None => Err(RuntimeError::UninitializedData {
-                region: self.store.region(region).name.clone(),
+                region: self.coherence.region(region).name.clone(),
                 rect: piece.clone(),
             }),
         }
@@ -901,19 +897,18 @@ impl<'a> GraphBuilder<'a> {
         rect: &Rect,
         mem: MemId,
     ) -> Result<InstanceId, RuntimeError> {
-        for id in &self.store.reductions_by_region[region.0 as usize] {
-            let inst = self.store.instance(*id);
+        for id in &self.coherence.reductions_by_region[region.0 as usize] {
+            let inst = self.coherence.instance(*id);
             if inst.mem == mem && inst.rect == *rect {
                 return Ok(*id);
             }
         }
-        self.store.create_instance(
+        self.coherence.create_instance(
             self.machine,
             region,
             mem,
             rect.clone(),
             InstanceRole::Reduction,
-            self.functional,
         )
     }
 }

@@ -57,6 +57,7 @@ pub mod kernelgen;
 pub mod pool;
 pub mod program;
 pub mod region;
+pub mod replay;
 pub(crate) mod sim;
 pub mod stats;
 pub mod topology;
@@ -67,6 +68,7 @@ pub use executor::{ExecCtx, Executor, ExecutorKind, ParallelExecutor, SerialExec
 pub use kernel::{ArgData, Kernel, KernelArg, KernelCtx};
 pub use kernelgen::LeafRequest;
 pub use program::{IndexLaunch, KernelId, Op, Privilege, Program, RegionReq, TaskDesc};
-pub use region::RegionId;
+pub use region::{Coherence, RegionId};
+pub use replay::{TraceCounters, TracedProgram};
 pub use stats::{ChannelClass, CopyKind, CopyLogEntry, RunStats};
 pub use topology::{MemId, PhysicalMachine, ProcId};

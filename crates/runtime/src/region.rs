@@ -6,8 +6,8 @@
 //! region in a concrete memory and track which of their sub-rectangles hold
 //! current data.
 
-use crate::csr::SparseBuffer;
-use crate::topology::MemId;
+use crate::exec::RuntimeError;
+use crate::topology::{MemId, PhysicalMachine};
 use distal_machine::geom::{Rect, RectSet};
 use std::fmt;
 use std::sync::Arc;
@@ -33,7 +33,7 @@ impl fmt::Debug for InstanceId {
 }
 
 /// A logical region: a named, dense, `f64`-element index space.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogicalRegion {
     /// This region's id.
     pub id: RegionId,
@@ -55,14 +55,15 @@ pub struct LogicalRegion {
     /// modelled duration and [`crate::stats::RunStats::total_flops`] depend on
     /// how many entries are stored, never on where they sit.
     pub flops_scale: f64,
-    /// The region's data as one CSR image in global coordinates
-    /// ([`crate::Runtime::set_region_sparse`]), read-only for as long as
-    /// it is set. Instances of such a region are created without a buffer,
-    /// exactly as in model mode, so coherence, copy nodes and every byte
-    /// the simulator charges are those of a dense region; a reading task
+    /// True while the region's data is one CSR image in global
+    /// coordinates ([`crate::Runtime::set_region_sparse`]; the image
+    /// itself lies with the buffers, not here), which makes the region
+    /// read-only. Instances of such a region carry no buffer, exactly as
+    /// in model mode, so coherence, copy nodes and every byte the
+    /// simulator charges are those of a dense region; a reading task
     /// receives the image itself ([`crate::kernel::KernelArg::sparse`])
     /// and a writing one is refused.
-    pub sparse: Option<Arc<SparseBuffer>>,
+    pub csr: bool,
 }
 
 pub use distal_machine::ELEM_BYTES;
@@ -99,7 +100,7 @@ pub enum InstanceRole {
 
 /// A physical instance: storage for a sub-rectangle of a region in one
 /// memory.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Instance {
     /// This instance's id.
     pub id: InstanceId,
@@ -124,14 +125,122 @@ pub struct Instance {
 }
 
 /// The interior-mutable backing buffer of one instance (functional mode;
-/// `None` in model mode or before seeding).
+/// `None` in model mode, and for instances of a CSR-held region).
 ///
 /// Buffers live in [`crate::exec::Store`] *beside* the instance metadata —
 /// rather than inside [`Instance`] — so that executors can share the store
 /// immutably across worker threads while mutating buffers under per-instance
 /// locks. The dependence DAG serializes conflicting accesses; the locks make
 /// that guarantee checkable by the type system.
-pub type DataCell = std::sync::RwLock<Option<Vec<f64>>>;
+///
+/// The buffer sits behind an `Arc` because a staging instance shares the
+/// vector its caller bound ([`crate::Runtime::set_region_shared`]): every
+/// write goes through [`Arc::make_mut`], which copies a shared vector
+/// first and costs a uniquely owned one nothing.
+pub type DataCell = std::sync::RwLock<Option<Arc<Vec<f64>>>>;
+
+/// Everything the dependence analysis reads and writes: regions,
+/// instances and their valid sets, the per-region indexes, scratch
+/// generations and the memory accounting — the whole of
+/// [`crate::exec::Store`] except the data (buffers and CSR images).
+///
+/// A program's task/copy DAG, its schedule and the state it leaves behind
+/// are a pure function of the machine, the program and this value on
+/// entry, which is what lets a [`crate::replay::Trace`] recorded by one
+/// run be replayed by every later run that starts from an equal one.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Coherence {
+    pub(crate) regions: Vec<LogicalRegion>,
+    pub(crate) instances: Vec<Instance>,
+    /// Data instances per region (home + scratch).
+    pub(crate) by_region: Vec<Vec<InstanceId>>,
+    /// Pending reduction instances per region.
+    pub(crate) reductions_by_region: Vec<Vec<InstanceId>>,
+    /// Scratch generation counter per region (see `Op::DiscardScratch`).
+    pub(crate) scratch_gen: Vec<u64>,
+    /// Live bytes per memory.
+    pub(crate) used_bytes: Vec<u64>,
+    /// Peak live bytes per memory.
+    pub(crate) peak_bytes: Vec<u64>,
+}
+
+impl Coherence {
+    pub(crate) fn new(mems: usize) -> Self {
+        Coherence {
+            used_bytes: vec![0; mems],
+            peak_bytes: vec![0; mems],
+            ..Coherence::default()
+        }
+    }
+
+    pub(crate) fn region(&self, id: RegionId) -> &LogicalRegion {
+        &self.regions[id.0 as usize]
+    }
+
+    pub(crate) fn instance(&self, id: InstanceId) -> &Instance {
+        &self.instances[id.0 as usize]
+    }
+
+    pub(crate) fn instance_mut(&mut self, id: InstanceId) -> &mut Instance {
+        &mut self.instances[id.0 as usize]
+    }
+
+    /// Registers an instance, enforcing memory capacity. Its buffer, if it
+    /// is to have one, is the store's to allocate (`exec::Store::adopt`).
+    pub(crate) fn create_instance(
+        &mut self,
+        machine: &PhysicalMachine,
+        region: RegionId,
+        mem: MemId,
+        rect: Rect,
+        role: InstanceRole,
+    ) -> Result<InstanceId, RuntimeError> {
+        let bytes = rect.volume() as u64 * ELEM_BYTES;
+        let m = machine.mem(mem);
+        let used = &mut self.used_bytes[mem.0 as usize];
+        if m.capacity != u64::MAX && *used + bytes > m.capacity {
+            return Err(RuntimeError::OutOfMemory {
+                mem_kind: m.kind,
+                node: m.node,
+                requested: bytes,
+                in_use: *used,
+                capacity: m.capacity,
+            });
+        }
+        *used += bytes;
+        let peak = &mut self.peak_bytes[mem.0 as usize];
+        *peak = (*peak).max(self.used_bytes[mem.0 as usize]);
+        let id = InstanceId(self.instances.len() as u32);
+        self.instances.push(Instance {
+            id,
+            region,
+            mem,
+            rect,
+            valid: RectSet::new(),
+            role,
+            gen: self.scratch_gen[region.0 as usize],
+            depth: 0,
+        });
+        match role {
+            InstanceRole::Reduction => self.reductions_by_region[region.0 as usize].push(id),
+            _ => self.by_region[region.0 as usize].push(id),
+        }
+        Ok(id)
+    }
+
+    /// Frees an instance's accounting and hides it from coherence; its
+    /// buffer stays for kernels already scheduled against it.
+    pub(crate) fn retire_instance(&mut self, id: InstanceId) {
+        let inst = &mut self.instances[id.0 as usize];
+        let bytes = inst.bytes();
+        let mem = inst.mem.0 as usize;
+        inst.valid = RectSet::new();
+        let region = inst.region.0 as usize;
+        self.used_bytes[mem] = self.used_bytes[mem].saturating_sub(bytes);
+        self.by_region[region].retain(|i| *i != id);
+        self.reductions_by_region[region].retain(|i| *i != id);
+    }
+}
 
 impl Instance {
     /// Allocation size in bytes.

@@ -7,13 +7,14 @@
 //!
 //! This pass is *pure*: it walks the DAG deterministically, computes every
 //! statistic in [`RunStats`], and records the order in which nodes were
-//! scheduled — but touches no instance data. Side effects (copies, fills,
-//! leaf kernels) are applied separately by an
+//! scheduled — but touches no instance data. It runs once per dependence
+//! analysis, from [`crate::replay`], and its result is part of the
+//! [`Trace`](crate::replay::Trace) that analysis yields. Side effects
+//! (copies, fills, leaf kernels) are applied separately by an
 //! [`Executor`](crate::executor::Executor), either serially in the recorded
 //! order or concurrently along the DAG; both yield identical numerics
-//! because the DAG serializes every conflicting access. Keeping the timing
-//! pass shared between executors is what makes their statistics
-//! bit-identical by construction.
+//! because the DAG serializes every conflicting access, and identical
+//! statistics because both are handed this pass's.
 
 use crate::graph::{GNodeKind, Graph, ResourceMap};
 use crate::stats::{ChannelClass, CopyKind, CopyLogEntry, RunStats, TaskLogEntry};

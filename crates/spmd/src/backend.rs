@@ -220,7 +220,7 @@ fn seed_inputs(
             continue;
         };
         let materialized;
-        let data = match init {
+        let data: &[f64] = match init {
             TensorInit::Data(data) => data,
             other => {
                 materialized = other.materialize(&spec.dims);

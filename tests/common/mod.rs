@@ -188,3 +188,41 @@ pub fn schedule_1d(case: &Case, all_vars: &[String], dist_var: &str, p: i64) -> 
         .distribute(&[&format!("{dist_var}_o")])
         .communicate(&trefs, &format!("{dist_var}_o"))
 }
+
+/// A generated case as a problem on a `p`-processor line machine, inputs
+/// seeded per case, under [`schedule_1d`] over the first output variable
+/// (or the statement's first variable, for a scalar output).
+pub fn case_problem(case: &Case, p: i64) -> (Problem, Schedule) {
+    let machine = DistalMachine::flat(Grid::line(p), ProcKind::Cpu);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem
+        .statement(&case.expr)
+        .unwrap_or_else(|e| panic!("generated invalid expression '{}': {e}", case.expr));
+    let assignment = problem.assignment().unwrap();
+    let all_vars: Vec<String> = assignment.all_vars().iter().map(|v| v.0.clone()).collect();
+    let dist_var = case
+        .out_vars
+        .first()
+        .cloned()
+        .unwrap_or_else(|| all_vars[0].clone());
+    let schedule = schedule_1d(case, &all_vars, &dist_var, p);
+    let mut data_rng = Rng(0x5EED ^ case.expr.len() as u64);
+    for (name, dims) in &case.dims {
+        let format = if name == &case.out && case.out_vars.is_empty() {
+            Format::undistributed()
+        } else if name == &case.out {
+            format_1d(&case.out_vars, &dist_var)
+        } else {
+            let idx = if name == "B" { 0 } else { 1 };
+            format_1d(&case.input_vars[idx], &dist_var)
+        };
+        problem
+            .tensor(TensorSpec::new(name.clone(), dims.clone(), format))
+            .unwrap_or_else(|e| panic!("{}: {e}", case.expr));
+        if name != &case.out {
+            let len = dims.iter().product::<i64>().max(1) as usize;
+            problem.set_data(name, data_rng.data(len)).unwrap();
+        }
+    }
+    (problem, schedule)
+}

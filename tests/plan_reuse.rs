@@ -5,7 +5,7 @@
 //! never inherit an earlier binding's sparsity.
 
 use distal_core::{
-    Backend, Bindings, DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec,
+    Backend, Bindings, DistalMachine, Plan, Problem, RuntimeBackend, Schedule, TensorSpec,
 };
 use distal_format::Format;
 use distal_machine::grid::Grid;
@@ -71,14 +71,26 @@ fn fresh_output(
 fn runtime_plan_rebinds_match_fresh_compiles() {
     let (shapes, schedule) = matmul_shapes(8);
     let backend = RuntimeBackend::functional();
-    let plan = backend.plan(&shapes, &schedule).unwrap();
+    let plan = backend.plan_typed(&shapes, &schedule).unwrap();
+    // (recorded, replayed) over the plan's two programs.
+    let traces = || {
+        let kernel = plan.kernel();
+        let counters = [kernel.placement.counters(), kernel.compute.counters()];
+        counters.iter().fold((0, 0), |(recorded, replayed), c| {
+            (recorded + c.recorded, replayed + c.replayed)
+        })
+    };
 
-    for (round, (b_seed, c_seed)) in [(11u64, 12u64), (21u64, 22u64)].into_iter().enumerate() {
+    let seeds = [(11u64, 12u64), (21u64, 22u64), (31u64, 32u64)];
+    for (round, (b_seed, c_seed)) in seeds.into_iter().enumerate() {
         let lowerings = distal_core::lower::compile_count();
         let applications = distal_core::schedule::apply_count();
         let specializations = distal_core::kernelgen::specialize_count();
         let mut inst = plan.bind(&seeded_bindings(b_seed, c_seed)).unwrap();
         inst.run().unwrap();
+        // Nor any dependence analysis after the first binding's: place
+        // and execute each replay what that one recorded.
+        assert_eq!(traces(), (2, 2 * round as u64), "bind #{round}");
         // Binding + running performs no lowering, no schedule
         // application, and no leaf-kernel specialization, on every
         // binding (the second is the acceptance gate; the first already

@@ -17,7 +17,7 @@ pub struct RunConfig {
     pub mem: MemKind,
     /// Execution mode.
     pub mode: Mode,
-    /// How the runtime executes DAG nodes (serial, parallel, or auto).
+    /// How functional runs apply node effects (serial or parallel).
     pub executor: ExecutorKind,
 }
 
@@ -29,7 +29,7 @@ impl RunConfig {
             proc_kind: ProcKind::Cpu,
             mem: MemKind::Sys,
             mode,
-            executor: ExecutorKind::Auto,
+            executor: ExecutorKind::default(),
         }
     }
 
@@ -40,7 +40,7 @@ impl RunConfig {
             proc_kind: ProcKind::Gpu,
             mem: MemKind::Fb,
             mode,
-            executor: ExecutorKind::Auto,
+            executor: ExecutorKind::default(),
         }
     }
 

@@ -1,14 +1,14 @@
 //! Serial-vs-parallel executor benchmark: host wall-clock time of
-//! functional-mode matmul runs under both executors.
+//! functional-mode matmul runs under both [`ExecutorKind`]s.
 //!
 //! The paper's performance story rests on the runtime overlapping
 //! communication and computation (§6). In this reproduction the simulated
 //! timing already models that overlap; this harness measures the *host*
 //! side — how much faster the functional numerics complete when the
-//! work-stealing [`ParallelExecutor`] runs DAG-ready leaf kernels and
-//! copies on all cores, against the [`distal_runtime::SerialExecutor`]
-//! baseline. Parity of
-//! results is asserted on every row (bit-identical output, equal stats).
+//! work-stealing pool of [`ExecutorKind::Parallel`] runs DAG-ready leaf
+//! kernels and copies on all cores, against [`ExecutorKind::Serial`].
+//! Parity of results is asserted on every row (bit-identical output,
+//! equal stats).
 //!
 //! Beside it, per row, what the runtime's trace slots save: model mode
 //! runs no kernels, so `bind → place → execute` of a plan's first instance
@@ -19,7 +19,8 @@ use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_core::{Instance, Plan};
 use distal_machine::spec::MachineSpec;
-use distal_runtime::{ExecutorKind, Mode, ParallelExecutor, RunStats};
+use distal_runtime::executor::host_worker_count;
+use distal_runtime::{ExecutorKind, Mode, RunStats};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -130,7 +131,7 @@ pub fn exec_bench(sizes: &[i64]) -> Vec<ExecBenchRow> {
 
 /// Renders the comparison as a table.
 pub fn render(rows: &[ExecBenchRow]) -> String {
-    let workers = ParallelExecutor::new(0).worker_count();
+    let workers = host_worker_count(0);
     let mut out = String::new();
     let _ = writeln!(out, "parallel executor workers: {workers}");
     let _ = writeln!(

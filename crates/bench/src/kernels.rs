@@ -22,7 +22,7 @@
 //! [`MachineSpec::with_cpu_socket_gflops`], so the cost models price real
 //! per-core throughput instead of the Lassen constant.
 
-use distal_core::kernelgen::{gemm_variants, specialize, MicroKernel};
+use distal_core::kernelgen::{gemm_variants, specialize, LeafRequest, MicroKernel};
 use distal_core::problem::{random_data, sparse_random_data};
 use distal_core::{DistalMachine, LeafKind, Problem, Report, RuntimeBackend, Schedule, TensorSpec};
 use distal_format::Format;
@@ -32,7 +32,6 @@ use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::csr::SparseBuffer;
 use distal_runtime::kernel::{ArgData, KernelArg, KernelCtx};
-use distal_runtime::kernelgen::LeafRequest;
 use distal_runtime::program::Privilege;
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -6,10 +6,10 @@
 //! Legion-style dynamic runtime. This module is that claim as an API:
 //!
 //! * [`Backend`] — a compilation target. Implementations:
-//!   [`RuntimeBackend`] (this crate: the dynamic runtime, functional or
-//!   model mode), `SpmdBackend` and `CostBackend` (in `distal-spmd`:
-//!   static MPI-style lowering, and pure cost estimation under either the
-//!   model-mode simulator or the SPMD α-β model).
+//!   [`RuntimeBackend`] (this crate: the dynamic runtime) and `SpmdBackend`
+//!   (in `distal-spmd`: static MPI-style lowering), each in functional
+//!   mode (real numerics) or model mode (estimation only: the runtime's
+//!   simulator, the SPMD α-β model).
 //! * [`Plan`] — what [`Backend::plan`] compiles to: a **data-independent**
 //!   lowered object (launch domain, programs, cost model — no operand
 //!   values). Plans are cacheable ([`crate::cache::ShardedPlanCache`])
@@ -130,7 +130,7 @@ impl From<RuntimeError> for BackendError {
 /// data-independent [`Plan`], which [`Bindings`] turn into executable
 /// [`Instance`]s. See the [module docs](self).
 pub trait Backend {
-    /// Short stable name (`"runtime"`, `"spmd"`, `"cost"`), used in
+    /// Short stable name (`"runtime"`, `"spmd"`), used in
     /// [`Report::backend`], [`crate::cache::PlanKey`]s, and diagnostics.
     fn name(&self) -> &str;
 
@@ -179,8 +179,9 @@ pub trait Backend {
 pub struct RuntimeBackend {
     /// Functional (real numerics) or model (timing only) execution.
     pub mode: Mode,
-    /// Overrides the runtime's executor selection when set.
-    pub executor: Option<ExecutorKind>,
+    /// How functional instances apply node effects (see
+    /// [`ExecutorKind`]).
+    pub executor: ExecutorKind,
     /// Compile options threaded into the lowering.
     pub options: CompileOptions,
     /// Schedule-admission lint configuration (see [`crate::lint`]):
@@ -193,7 +194,7 @@ impl RuntimeBackend {
     pub fn functional() -> Self {
         RuntimeBackend {
             mode: Mode::Functional,
-            executor: None,
+            executor: ExecutorKind::default(),
             options: CompileOptions::default(),
             lint: LintConfig::default(),
         }
@@ -203,7 +204,7 @@ impl RuntimeBackend {
     pub fn model() -> Self {
         RuntimeBackend {
             mode: Mode::Model,
-            executor: None,
+            executor: ExecutorKind::default(),
             options: CompileOptions::default(),
             lint: LintConfig::default(),
         }
@@ -219,7 +220,7 @@ impl RuntimeBackend {
     /// Overrides the executor selection.
     #[must_use]
     pub fn with_executor(mut self, kind: ExecutorKind) -> Self {
-        self.executor = Some(kind);
+        self.executor = kind;
         self
     }
 
@@ -346,9 +347,7 @@ impl RuntimePlan {
         bindings.validate(&self.tensors)?;
         let mode = self.backend.mode;
         let mut runtime = Runtime::new(PhysicalMachine::new(self.spec.clone()), mode);
-        if let Some(kind) = self.backend.executor {
-            runtime.set_executor(kind);
-        }
+        runtime.set_executor(self.backend.executor);
         let mut regions = BTreeMap::new();
         for (position, (name, spec)) in self.tensors.iter().enumerate() {
             let region = runtime.create_region(name.clone(), Rect::sized(&spec.dims));

@@ -31,7 +31,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A canonical, stable identity for one compilation: the backend, the
@@ -141,9 +140,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Hit/miss/eviction counters of a [`ShardedPlanCache`], surfaced in
 /// [`Report::cache`].
 ///
-/// A snapshot is *coherent*: `hits + misses == requests()` always holds,
-/// even under concurrent traffic (the counters are atomics, but snapshots
-/// are validated — a torn read is never returned).
+/// A snapshot is *coherent*: it is taken under the one lock every counter
+/// update holds, so no update is ever half-seen.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that reused a cached plan.
@@ -159,25 +157,21 @@ pub struct CacheStats {
     pub len: usize,
     /// Capacity bound.
     pub capacity: usize,
-    /// Counted lookups (`hits + misses`); kept as its own tracked counter
-    /// so concurrent snapshots can be *validated* against it rather than
-    /// recomputed from possibly-torn parts.
-    requests: u64,
 }
 
 impl CacheStats {
-    /// Counted lookups. Failed plannings count in neither bucket, so this
-    /// equals `hits + misses` in every coherent snapshot.
+    /// Counted lookups: `hits + misses` (failed plannings count in
+    /// neither bucket).
     pub fn requests(&self) -> u64 {
-        self.requests
+        self.hits + self.misses
     }
 
     /// Hits per lookup (0.0 when no lookups happened).
     pub fn hit_rate(&self) -> f64 {
-        if self.requests == 0 {
+        if self.requests() == 0 {
             return 0.0;
         }
-        self.hits as f64 / self.requests as f64
+        self.hits as f64 / self.requests() as f64
     }
 }
 
@@ -189,7 +183,7 @@ impl fmt::Display for CacheStats {
             self.hits,
             self.misses,
             self.evictions,
-            self.requests,
+            self.requests(),
             self.len,
             self.capacity,
             self.hit_rate() * 100.0
@@ -290,9 +284,9 @@ impl Shard {
 /// Keys land on one of N shards by [`PlanKey::digest`]; each shard is an
 /// independent bounded LRU behind its own mutex, so lookups of unrelated
 /// keys never contend (`new(capacity, 1)` is the strict single-LRU case).
-/// Global counters are atomics but every update happens while a shard
-/// lock is held, which makes a *coherent* snapshot possible (see
-/// [`ShardedPlanCache::stats`]).
+/// The counters sit behind one more mutex, taken inside a shard lock
+/// whenever they move, so a [`ShardedPlanCache::stats`] snapshot is
+/// coherent by construction.
 ///
 /// # Single-flight
 ///
@@ -306,14 +300,8 @@ impl Shard {
 /// requested, regardless of thread count.
 pub struct ShardedPlanCache {
     shards: Vec<Mutex<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    requests: AtomicU64,
-    len: AtomicU64,
-    /// Bumped (under a shard lock) after every counter update; lets
-    /// `stats` detect a snapshot raced by a concurrent update.
-    version: AtomicU64,
+    /// Hits, misses, evictions and len (`capacity` is left at 0 here).
+    counters: Mutex<CacheStats>,
     per_shard_capacity: usize,
 }
 
@@ -338,12 +326,7 @@ impl ShardedPlanCache {
                     })
                 })
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            len: AtomicU64::new(0),
-            version: AtomicU64::new(0),
+            counters: Mutex::new(CacheStats::default()),
             per_shard_capacity,
         }
     }
@@ -362,21 +345,14 @@ impl ShardedPlanCache {
         &self.shards[(key.digest() % self.shards.len() as u64) as usize]
     }
 
-    /// Records counter deltas. Callers must hold the owning shard's lock
-    /// — that discipline is what makes the lock-all fallback in `stats`
-    /// a true quiescent point.
+    /// Records counter deltas. Callers hold the owning shard's lock, so
+    /// the counters lock is only ever taken inside one.
     fn record(&self, hits: u64, misses: u64, evictions: u64, len_delta: i64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        self.evictions.fetch_add(evictions, Ordering::Relaxed);
-        self.requests.fetch_add(hits + misses, Ordering::Relaxed);
-        if len_delta >= 0 {
-            self.len.fetch_add(len_delta as u64, Ordering::Relaxed);
-        } else {
-            self.len
-                .fetch_sub(len_delta.unsigned_abs(), Ordering::Relaxed);
-        }
-        self.version.fetch_add(1, Ordering::Release);
+        let mut c = self.counters.lock().expect("poisoned cache counters");
+        c.hits += hits;
+        c.misses += misses;
+        c.evictions += evictions;
+        c.len = (c.len as i64 + len_delta) as usize;
     }
 
     /// The plan for (backend, problem, schedule): cached if present,
@@ -443,36 +419,12 @@ impl ShardedPlanCache {
         Ok(result)
     }
 
-    /// A coherent snapshot of the counters: `hits + misses ==
-    /// requests()`, always. Atomics are read optimistically and validated
-    /// against the version counter (retrying on a detected race); under
-    /// pathological contention it falls back to locking every shard,
-    /// which quiesces updates entirely.
+    /// A coherent snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let read = || CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.len.load(Ordering::Relaxed) as usize,
+        CacheStats {
             capacity: self.capacity(),
-            requests: self.requests.load(Ordering::Relaxed),
-        };
-        for _ in 0..64 {
-            let v1 = self.version.load(Ordering::Acquire);
-            let snapshot = read();
-            let v2 = self.version.load(Ordering::Acquire);
-            if v1 == v2 && snapshot.hits + snapshot.misses == snapshot.requests {
-                return snapshot;
-            }
+            ..*self.counters.lock().expect("poisoned cache counters")
         }
-        // Quiesce: counter updates only happen under shard locks, so
-        // holding all of them makes the atomics momentarily stable.
-        let _guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("poisoned cache shard"))
-            .collect();
-        read()
     }
 
     /// Attaches a coherent stats snapshot to a report ([`Report::cache`]).

@@ -1,7 +1,7 @@
 //! Structured findings from plan-time static verification.
 //!
-//! The SPMD verifier (`distal-verify`, wired into `SpmdBackend::plan` and
-//! `CostBackend::plan`) proves communication matching, deadlock freedom,
+//! The SPMD verifier (`distal-verify`, wired into `SpmdBackend::plan` in
+//! either mode) proves communication matching, deadlock freedom,
 //! buffer-hazard freedom, and shape legality over a lowered program
 //! *before* anything executes. Its findings surface through this type:
 //! every [`Diagnostic`] names the offending rank/tensor/tag where the

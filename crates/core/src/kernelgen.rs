@@ -126,7 +126,6 @@ use crate::kernels::{is_matmul, is_sddmm, is_spmv, rhs_is_access_product, Interp
 use crate::schedule::{LeafKind, Schedule};
 use distal_ir::expr::{Assignment, Expr, IndexVar};
 use distal_runtime::kernel::{Kernel, KernelCtx};
-use distal_runtime::kernelgen::LeafRequest;
 use std::sync::Arc;
 
 mod gemm;
@@ -145,6 +144,40 @@ thread_local! {
 /// How many leaf kernels were generated on the calling thread.
 pub fn specialize_count() -> u64 {
     SPECIALIZATIONS.with(|c| c.get())
+}
+
+/// One leaf statement to specialize: the inputs to kernel generation that
+/// change what code should run.
+#[derive(Clone, Debug)]
+pub struct LeafRequest {
+    /// The statement the leaf executes.
+    pub assignment: Assignment,
+    /// Per right-hand-side access (in access order): is that operand
+    /// stored in a compressed level format? Drives sparse fast paths and
+    /// zero-skipping.
+    pub compressed: Vec<bool>,
+    /// `true` when the kernel must *add* into the output (reductions, and
+    /// the SPMD rank VM which always accumulates into a zeroed buffer);
+    /// `false` when it overwrites.
+    pub accumulate: bool,
+    /// `true` when points where any compressed operand's gathered value
+    /// has a zero bit pattern must be skipped entirely (the SPMD VM's
+    /// pruning discipline for pure-product statements over dense tiles of
+    /// compressed tensors). Dense-path requests leave this `false`.
+    pub skip_zero: bool,
+}
+
+impl LeafRequest {
+    /// A dense, non-skipping request for `assignment`.
+    pub fn dense(assignment: Assignment, accumulate: bool) -> Self {
+        let n = assignment.input_accesses().len();
+        LeafRequest {
+            assignment,
+            compressed: vec![false; n],
+            accumulate,
+            skip_zero: false,
+        }
+    }
 }
 
 /// Chooses the leaf kernel of `assignment` under `schedule`'s
@@ -232,7 +265,7 @@ fn build(req: &LeafRequest) -> Arc<dyn Kernel> {
     // The dense GEMM never skips, so it is only valid when no skipping
     // was requested (compressed operands outside the canonical shapes
     // execute densely in the runtime, where skip_zero is false).
-    let skip_needed = req.skip_zero && req.any_compressed();
+    let skip_needed = req.skip_zero && req.compressed.contains(&true);
     if pure && req.accumulate && !skip_needed && is_matmul(a) {
         return Arc::new(GemmGenKernel);
     }
@@ -296,7 +329,7 @@ fn eval_tape(tape: &[TapeOp], vals: &[f64], stack: &mut Vec<f64>) -> f64 {
 
 /// A tape-compiled leaf: postfix op tape + precomputed access maps, with
 /// strength-reduced offsets along the innermost statement variable.
-pub struct TapeKernel {
+pub(crate) struct TapeKernel {
     name: &'static str,
     tape: Vec<TapeOp>,
     stack_cap: usize,
@@ -313,7 +346,7 @@ pub struct TapeKernel {
 
 impl TapeKernel {
     /// Compiles a request's statement into a tape kernel.
-    pub fn new(req: &LeafRequest) -> Self {
+    pub(crate) fn new(req: &LeafRequest) -> Self {
         let a = &req.assignment;
         let vars: Vec<IndexVar> = a.all_vars();
         let pos = |v: &IndexVar| vars.iter().position(|x| x == v).expect("unknown var");
@@ -490,7 +523,7 @@ impl std::fmt::Debug for TapeKernel {
 /// driver of layer 2, run through the micro-kernel variant dispatched for
 /// this host — bit-identical to the interpreter by the parity rule.
 #[derive(Debug)]
-pub struct GemmGenKernel;
+pub(crate) struct GemmGenKernel;
 
 impl Kernel for GemmGenKernel {
     fn name(&self) -> &str {
@@ -690,6 +723,14 @@ mod tests {
                 Err(CompileError::BadSubstitution(m)) if m.contains("matmul-shaped")
             ));
         }
+    }
+
+    #[test]
+    fn dense_request_shape() {
+        let a = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
+        let req = LeafRequest::dense(a, true);
+        assert_eq!(req.compressed, vec![false, false]);
+        assert!(req.accumulate && !req.skip_zero);
     }
 
     #[test]

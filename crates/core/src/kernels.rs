@@ -189,7 +189,7 @@ pub(crate) fn rhs_is_access_product(a: &Assignment) -> bool {
 }
 
 /// True for `A(i,j) = B(i,k) * C(k,j)`-shaped statements (any var names).
-pub fn is_matmul(a: &Assignment) -> bool {
+pub(crate) fn is_matmul(a: &Assignment) -> bool {
     if a.lhs.indices.len() != 2 {
         return false;
     }
@@ -209,7 +209,7 @@ pub fn is_matmul(a: &Assignment) -> bool {
 
 /// True for `a(i) = B(i,j) * c(j)`-shaped statements (any var names): the
 /// matrix-vector product, SpMV when B is compressed.
-pub fn is_spmv(a: &Assignment) -> bool {
+pub(crate) fn is_spmv(a: &Assignment) -> bool {
     if a.lhs.indices.len() != 1 {
         return false;
     }
@@ -229,7 +229,7 @@ pub fn is_spmv(a: &Assignment) -> bool {
 /// True for `A(i,j) = B(i,j) * C(i,k) * D(k,j)`-shaped statements (any var
 /// names): the sampled dense-dense matrix multiply, SDDMM when B is
 /// compressed.
-pub fn is_sddmm(a: &Assignment) -> bool {
+pub(crate) fn is_sddmm(a: &Assignment) -> bool {
     if a.lhs.indices.len() != 2 {
         return false;
     }
@@ -257,7 +257,7 @@ pub fn is_sddmm(a: &Assignment) -> bool {
 
 /// True when an expression is bandwidth-bound at the leaves (element-wise
 /// traversal with no data reuse): used to set the roofline `bytes` term.
-pub fn is_streaming(a: &Assignment) -> bool {
+pub(crate) fn is_streaming(a: &Assignment) -> bool {
     // Reuse exists when some input access omits a reduction variable that
     // another access carries (it gets re-read), or the output is smaller
     // than the iteration space by more than the reduction dims... A simple

@@ -229,7 +229,7 @@ pub fn init_nnz(init: &TensorInit, dims: &[i64]) -> u64 {
 /// `distal_core::lower::compile_count` and the SPMD lowering counter for
 /// the enforced invariant).
 pub trait Plan: Send + Sync {
-    /// The producing backend's name (`"runtime"`, `"spmd"`, `"cost"`).
+    /// The producing backend's name (`"runtime"`, `"spmd"`).
     fn backend(&self) -> &str;
 
     /// The tensors the plan was compiled against (shapes + formats fixed

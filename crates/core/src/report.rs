@@ -25,8 +25,7 @@ pub enum Provenance {
 /// A normalized execution report: what one backend phase moved and spent.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
-    /// The backend that produced the report (e.g. `"runtime"`, `"spmd"`,
-    /// `"cost"`).
+    /// The backend that produced the report (`"runtime"` or `"spmd"`).
     pub backend: String,
     /// Whether the numbers were measured or modeled.
     pub provenance: Provenance,

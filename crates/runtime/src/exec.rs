@@ -1,7 +1,7 @@
 //! The runtime facade: owns regions and instances, runs programs.
 
 use crate::csr::SparseBuffer;
-use crate::executor::{ExecCtx, Executor, ExecutorKind, ParallelExecutor, SerialExecutor};
+use crate::executor::{apply, host_worker_count, ExecutorKind};
 use crate::pool;
 use crate::program::Program;
 use crate::region::{
@@ -16,9 +16,10 @@ use std::fmt;
 use std::sync::{Arc, RwLock};
 
 /// Execution mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Mode {
     /// Real buffers, real copies, real leaf kernels.
+    #[default]
     Functional,
     /// Timing/communication model only — no data is touched.
     Model,
@@ -103,8 +104,8 @@ impl std::error::Error for RuntimeError {}
 ///
 /// The [`Coherence`] half — regions, instance bounds and valid sets,
 /// accounting — is all the dependence analysis reads and writes. The
-/// *data* lies beside it: per-instance [`DataCell`] locks, so executors
-/// can share `&Store` across worker threads and mutate buffers
+/// *data* lies beside it: per-instance [`DataCell`] locks, so the workers
+/// applying a trace can share `&Store` across threads and mutate buffers
 /// concurrently where the dependence DAG allows it, and the CSR images of
 /// the regions held compressed.
 #[derive(Debug)]
@@ -212,21 +213,16 @@ impl Runtime {
         self
     }
 
-    /// Selects how [`Runtime::run`] executes DAG nodes. The default,
-    /// [`ExecutorKind::Auto`], picks the parallel executor in functional
-    /// mode and the serial executor in model mode.
+    /// Selects how [`Runtime::run`] applies node effects in functional
+    /// mode: on the worker pool (the default) or on the calling thread
+    /// alone.
     pub fn set_executor(&mut self, kind: ExecutorKind) -> &mut Self {
         self.executor = kind;
         self
     }
 
-    /// The configured executor selection.
-    pub fn executor(&self) -> ExecutorKind {
-        self.executor
-    }
-
-    /// Caps the parallel executor's worker count (0 = one per host core,
-    /// or the `DISTAL_THREADS` environment variable when set).
+    /// Caps [`ExecutorKind::Parallel`]'s worker count (0 = one per host
+    /// core, or the `DISTAL_THREADS` environment variable when set).
     pub fn set_executor_threads(&mut self, threads: usize) -> &mut Self {
         self.executor_threads = threads;
         self
@@ -385,8 +381,7 @@ impl Runtime {
         Ok(())
     }
 
-    /// Runs a program under the configured executor and returns its
-    /// statistics.
+    /// Runs a program and returns its statistics.
     ///
     /// # Errors
     ///
@@ -394,22 +389,8 @@ impl Runtime {
     /// behaviour in Figure 15b), uninitialized reads, and malformed
     /// requirements. A run that fails leaves the runtime as it found it.
     pub fn run(&mut self, program: &Program) -> Result<RunStats, RuntimeError> {
-        self.with_executor(|rt, executor| rt.run_with(program, executor))
-    }
-
-    /// Runs a program under an explicit [`Executor`] (the two built-in ones
-    /// are [`SerialExecutor`] and [`ParallelExecutor`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::run`].
-    pub fn run_with(
-        &mut self,
-        program: &Program,
-        executor: &dyn Executor,
-    ) -> Result<RunStats, RuntimeError> {
         let trace = analyse(&self.machine, &self.store.coherence, program)?;
-        Ok(self.adopt_and_apply(&trace, program, executor))
+        Ok(self.adopt_and_apply(&trace, program))
     }
 
     /// [`Runtime::run`] for a program that keeps the trace of its first
@@ -424,33 +405,20 @@ impl Runtime {
     pub fn run_traced(&mut self, program: &TracedProgram) -> Result<RunStats, RuntimeError> {
         let mut fresh = None;
         let trace = program.trace(&self.machine, &self.store.coherence, &mut fresh)?;
-        Ok(self.with_executor(|rt, executor| rt.adopt_and_apply(trace, program, executor)))
+        Ok(self.adopt_and_apply(trace, program))
     }
 
-    fn with_executor<R>(&mut self, run: impl FnOnce(&mut Self, &dyn Executor) -> R) -> R {
-        match self.executor.resolve(self.mode) {
-            ExecutorKind::Parallel => run(self, &ParallelExecutor::new(self.executor_threads)),
-            _ => run(self, &SerialExecutor),
-        }
-    }
-
-    /// Steps 2 and 3 of a run (see [`crate::replay`]).
-    fn adopt_and_apply(
-        &mut self,
-        trace: &Trace,
-        program: &Program,
-        executor: &dyn Executor,
-    ) -> RunStats {
-        let functional = self.mode == Mode::Functional;
-        self.store.adopt(trace, functional);
-        executor.execute(&mut ExecCtx {
-            machine: &self.machine,
-            store: &self.store,
-            trace,
-            kernels: &program.kernels,
-            functional,
-            record_copies: self.record_copies,
-        })
+    /// Steps 2 and 3 of a run (see [`crate::replay`]): model mode has no
+    /// effects to apply, so no workers.
+    fn adopt_and_apply(&mut self, trace: &Trace, program: &Program) -> RunStats {
+        let workers = match (self.mode, self.executor) {
+            (Mode::Model, _) => 0,
+            (Mode::Functional, ExecutorKind::Serial) => 1,
+            (Mode::Functional, ExecutorKind::Parallel) => host_worker_count(self.executor_threads),
+        };
+        self.store.adopt(trace, self.mode == Mode::Functional);
+        apply(&self.store, &program.kernels, trace, workers);
+        trace.stats(&self.machine, self.record_copies)
     }
 
     /// Gathers a region's current contents into a row-major buffer,

@@ -1,28 +1,28 @@
-//! Pluggable DAG executors: how the nodes of a built execution graph are
-//! actually run.
+//! Step 3 of a run: applying a trace's node effects.
 //!
 //! A [`Trace`] holds the dependence DAG, the order the timing pass
 //! scheduled it in and the statistics that pass computed (see
 //! [`crate::replay`]). What remains — applying each node's *side effect*
 //! (copying bytes, filling buffers, running leaf kernels in functional
-//! mode) — is the job of an [`Executor`]:
+//! mode) — is `apply`'s job, on a number of workers:
 //!
-//! * [`SerialExecutor`] applies effects one at a time, in the exact order
-//!   the timing pass scheduled them — the original behaviour.
-//! * [`ParallelExecutor`] applies effects concurrently with a small
-//!   work-stealing thread pool, running every DAG-ready node at once. This
-//!   mirrors what the simulated machine is modelled to do (overlap of
-//!   communication and computation, §6) on the *host*: a functional-mode
-//!   SUMMA run executes its leaf GEMMs on all host cores.
+//! * none in model mode: there is nothing to apply;
+//! * one (`ExecutorKind::Serial`, or a host that resolves to one worker):
+//!   the effects run one at a time, in the exact order the timing pass
+//!   scheduled them;
+//! * more (`ExecutorKind::Parallel`, the default): a small work-stealing
+//!   pool runs every DAG-ready node at once. This mirrors what the
+//!   simulated machine is modelled to do (overlap of communication and
+//!   computation, §6) on the *host*: a functional-mode SUMMA run executes
+//!   its leaf GEMMs on all host cores.
 //!
-//! Both executors are handed the same trace and share the effect
-//! implementations, so their [`RunStats`] are identical by construction —
-//! neither computes any — and their numerics are
-//! identical because the DAG already serializes every pair of conflicting
-//! accesses (the hazard edges inserted by the dependence analysis). The
-//! per-instance buffer locks in [`Store`] turn that argument into something
-//! the runtime actually enforces: workers only touch buffers under a
-//! read/write lock, acquired in instance-id order to stay deadlock-free.
+//! The worker count changes nothing a run returns: the [`RunStats`] are
+//! the trace's, and the numerics are identical because the DAG already
+//! serializes every pair of conflicting accesses (the hazard edges
+//! inserted by the dependence analysis). The per-instance buffer locks in
+//! [`Store`] turn that argument into something the runtime actually
+//! enforces: workers only touch buffers under a read/write lock, acquired
+//! in instance-id order to stay deadlock-free.
 //!
 //! Lock granularity is *per instance*, not per rectangle: two tasks writing
 //! disjoint rects of the same physical instance are DAG-independent but
@@ -30,6 +30,8 @@
 //! instance per tile/memory, so this costs little; per-rect range locks
 //! (true buffer partitioning) are the known upgrade path if a workload
 //! fans out over one shared allocation.
+//!
+//! [`RunStats`]: crate::stats::RunStats
 
 use crate::csr::SparseBuffer;
 use crate::exec::Store;
@@ -38,8 +40,6 @@ use crate::kernel::{ArgData, Kernel, KernelArg, KernelCtx};
 use crate::program::Privilege;
 use crate::region::InstanceId;
 use crate::replay::Trace;
-use crate::stats::RunStats;
-use crate::topology::PhysicalMachine;
 use distal_machine::geom::{copy_rect, fill_rect, Rect};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -47,118 +47,32 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-/// Which executor [`crate::Runtime::run`] should use.
+/// How [`crate::Runtime::run`] applies a trace's effects in functional
+/// mode (model mode applies none either way).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutorKind {
-    /// Parallel in functional mode (real work to overlap), serial in model
-    /// mode (nothing to run; the timing pass is inherently sequential).
-    #[default]
-    Auto,
-    /// Always the serial executor.
+    /// On the calling thread alone, in scheduled order.
     Serial,
-    /// Always the work-stealing parallel executor.
+    /// On [`host_worker_count`] workers — the calling thread and the rest
+    /// spawned beside it — every DAG-ready node at once. With one worker
+    /// this is `Serial`.
+    #[default]
     Parallel,
 }
 
-impl ExecutorKind {
-    /// Resolves `Auto` against an execution mode.
-    pub fn resolve(self, mode: crate::exec::Mode) -> ExecutorKind {
-        match self {
-            ExecutorKind::Auto => {
-                if mode == crate::exec::Mode::Functional {
-                    ExecutorKind::Parallel
-                } else {
-                    ExecutorKind::Serial
-                }
+/// Applies `trace`'s node effects to `store`, which has already adopted
+/// it, on `workers` threads: none (model mode, or an empty graph), one in
+/// scheduled order, or more through the work-stealing pool.
+pub(crate) fn apply(store: &Store, kernels: &[Arc<dyn Kernel>], trace: &Trace, workers: usize) {
+    let Trace { graph, order, .. } = trace;
+    match workers.min(graph.nodes.len()) {
+        0 => {}
+        1 => {
+            for &i in order {
+                apply_effect(store, kernels, &graph.nodes[i as usize]);
             }
-            other => other,
         }
-    }
-}
-
-/// Everything an executor needs for one program run: the trace to apply
-/// and the store — which has already adopted it — to apply it to.
-///
-/// Constructed by [`crate::Runtime::run_with`]; the fields are
-/// crate-private, so custom executors compose the built-ins rather than
-/// reimplementing effect application.
-pub struct ExecCtx<'a> {
-    pub(crate) machine: &'a PhysicalMachine,
-    pub(crate) store: &'a Store,
-    pub(crate) trace: &'a Trace,
-    pub(crate) kernels: &'a [Arc<dyn Kernel>],
-    pub(crate) functional: bool,
-    pub(crate) record_copies: bool,
-}
-
-impl std::fmt::Debug for ExecCtx<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecCtx")
-            .field("functional", &self.functional)
-            .field("record_copies", &self.record_copies)
-            .field("kernels", &self.kernels.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ExecCtx<'_> {
-    /// What every run of the trace reports.
-    fn stats(&self) -> RunStats {
-        self.trace.stats(self.machine, self.record_copies)
-    }
-}
-
-/// Runs a built execution DAG to completion.
-pub trait Executor: Send + Sync {
-    /// Executor name (appears in benchmark output).
-    fn name(&self) -> &'static str;
-
-    /// Applies the trace's node effects (functional mode) and returns the
-    /// trace's run statistics.
-    fn execute(&self, ctx: &mut ExecCtx<'_>) -> RunStats;
-}
-
-/// Applies node effects one at a time, in scheduled order.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SerialExecutor;
-
-impl Executor for SerialExecutor {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn execute(&self, ctx: &mut ExecCtx<'_>) -> RunStats {
-        if ctx.functional {
-            apply_in_order(ctx);
-        }
-        ctx.stats()
-    }
-}
-
-fn apply_in_order(ctx: &ExecCtx<'_>) {
-    for &i in &ctx.trace.order {
-        apply_effect(ctx.store, ctx.kernels, &ctx.trace.graph.nodes[i as usize]);
-    }
-}
-
-/// Applies node effects concurrently with a work-stealing thread pool:
-/// every node whose predecessors have completed is eligible to run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParallelExecutor {
-    threads: usize,
-}
-
-impl ParallelExecutor {
-    /// Creates an executor with an explicit worker count (0 = one worker
-    /// per host core, overridable via the `DISTAL_THREADS` environment
-    /// variable).
-    pub fn new(threads: usize) -> Self {
-        ParallelExecutor { threads }
-    }
-
-    /// The worker count this executor will use.
-    pub fn worker_count(&self) -> usize {
-        host_worker_count(self.threads)
+        workers => parallel_apply(store, kernels, graph, order, workers),
     }
 }
 
@@ -170,7 +84,7 @@ std::thread_local! {
 
 /// The calling thread's worker budget (0 = uncapped). See
 /// [`with_thread_budget`].
-pub fn thread_budget() -> usize {
+fn thread_budget() -> usize {
     THREAD_BUDGET.with(|b| b.get())
 }
 
@@ -180,7 +94,7 @@ pub fn thread_budget() -> usize {
 ///
 /// This is the oversubscription fix for nested parallelism: a serving
 /// engine running W worker threads gives each a budget of
-/// `host cores / W`, so the [`ParallelExecutor`] and threaded SPMD rank
+/// `host cores / W`, so the runtime's effect pools and threaded SPMD rank
 /// pools those workers spin up while binding plans share the host
 /// instead of multiplying against it (8 serving threads × p = 16 ranks
 /// would otherwise mean 128 OS threads). The budget caps *every*
@@ -202,9 +116,9 @@ pub fn with_thread_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
 /// `requested > 0` wins, then a positive `DISTAL_THREADS` environment
 /// variable, then one worker per available core — all clamped to the
 /// calling thread's [`with_thread_budget`] scope, when one is active.
-/// Shared by the work-stealing [`ParallelExecutor`] and the SPMD
-/// backend's threaded rank transport, so `DISTAL_THREADS` and serving
-/// budgets cap both kinds of pools.
+/// Shared by [`ExecutorKind::Parallel`] and the SPMD backend's threaded
+/// rank transport, so `DISTAL_THREADS` and serving budgets cap both kinds
+/// of pools.
 pub fn host_worker_count(requested: usize) -> usize {
     let budget = thread_budget();
     let cap = |n: usize| if budget > 0 { n.min(budget) } else { n };
@@ -222,25 +136,6 @@ pub fn host_worker_count(requested: usize) -> usize {
     cap(std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1))
-}
-
-impl Executor for ParallelExecutor {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn execute(&self, ctx: &mut ExecCtx<'_>) -> RunStats {
-        if ctx.functional {
-            let Trace { graph, order, .. } = ctx.trace;
-            let workers = self.worker_count().min(graph.nodes.len().max(1));
-            if workers <= 1 {
-                apply_in_order(ctx);
-            } else {
-                parallel_apply(ctx.store, ctx.kernels, graph, order, workers);
-            }
-        }
-        ctx.stats()
-    }
 }
 
 /// Runs all node effects on `workers` threads — the calling one and
@@ -564,9 +459,21 @@ mod tests {
     use crate::exec::{Mode, Runtime};
     use crate::kernel::NoopKernel;
     use crate::program::{IndexLaunch, Op, Privilege, Program, RegionReq, TaskDesc};
+    use crate::stats::RunStats;
     use crate::topology::PhysicalMachine;
     use distal_machine::geom::{Point, Rect};
     use distal_machine::spec::MachineSpec;
+
+    /// A functional runtime on `spec` whose runs apply effects on
+    /// `workers` threads: 1 is `ExecutorKind::Serial`, more the pool.
+    fn functional(spec: MachineSpec, workers: usize) -> Runtime {
+        let mut rt = Runtime::new(PhysicalMachine::new(spec), Mode::Functional);
+        match workers {
+            1 => rt.set_executor(ExecutorKind::Serial),
+            n => rt.set_executor_threads(n),
+        };
+        rt
+    }
 
     /// A kernel that scales its first argument in place.
     struct ScaleKernel(f64);
@@ -615,13 +522,12 @@ mod tests {
     }
 
     #[test]
-    fn explicit_executors_agree_on_a_fanout_program() {
+    fn one_and_four_workers_agree_on_a_fanout_program() {
         // One writer task, then an index launch of readers across nodes,
-        // then a reducer — exercises fills, copies, tasks, and folds under
-        // both executors (the parallel one forced to multiple workers).
-        let run = |executor: &dyn Executor| -> (Vec<f64>, RunStats) {
-            let m = PhysicalMachine::new(MachineSpec::small(2));
-            let mut rt = Runtime::new(m, Mode::Functional);
+        // then a reducer — exercises fills, copies, tasks, and folds in
+        // scheduled order and on a forced multi-worker pool.
+        let run = |workers: usize| -> (Vec<f64>, RunStats) {
+            let mut rt = functional(MachineSpec::small(2), workers);
             let r = rt.create_region("A", Rect::sized(&[16]));
             let acc = rt.create_region("S", Rect::sized(&[16]));
             rt.set_region_data(r, (0..16).map(|x| x as f64).collect())
@@ -651,11 +557,11 @@ mod tests {
                 name: "scale".into(),
                 tasks,
             }));
-            let stats = rt.run_with(&p, executor).unwrap();
+            let stats = rt.run(&p).unwrap();
             (rt.read_region(acc).unwrap(), stats)
         };
-        let (serial_out, serial_stats) = run(&SerialExecutor);
-        let (parallel_out, parallel_stats) = run(&ParallelExecutor::new(4));
+        let (serial_out, serial_stats) = run(1);
+        let (parallel_out, parallel_stats) = run(4);
         assert_eq!(serial_out, parallel_out);
         assert_eq!(serial_stats.tasks, parallel_stats.tasks);
         assert_eq!(serial_stats.copies, parallel_stats.copies);
@@ -693,8 +599,7 @@ mod tests {
         // each read four elements of that same instance. They hold its
         // read lock together — a snapshot or a write lock would show as
         // a tight `alloc` or as a peak of one.
-        let m = PhysicalMachine::new(MachineSpec::small(1));
-        let mut rt = Runtime::new(m, Mode::Functional);
+        let mut rt = functional(MachineSpec::small(1), 4);
         let whole = Rect::sized(&[64]);
         let r = rt.create_region("A", whole.clone());
         rt.set_region_data(r, (0..64).map(f64::from).collect())
@@ -720,7 +625,7 @@ mod tests {
             name: "readers".into(),
             tasks: tasks.collect(),
         }));
-        rt.run_with(&p, &ParallelExecutor::new(4)).unwrap();
+        rt.run(&p).unwrap();
         assert!(
             overlap.peak.load(Ordering::SeqCst) >= 2,
             "readers serialized"
@@ -763,9 +668,8 @@ mod tests {
         // Both requirements land on one instance; whichever comes first,
         // the `Read` one is lent a copy taken before the kernel ran.
         for (write, read) in [(0, 1), (1, 0)] {
-            for executor in [&SerialExecutor as &dyn Executor, &ParallelExecutor::new(2)] {
-                let m = PhysicalMachine::new(MachineSpec::small(1));
-                let mut rt = Runtime::new(m, Mode::Functional);
+            for workers in [1, 2] {
+                let mut rt = functional(MachineSpec::small(1), workers);
                 let rect = Rect::sized(&[4]);
                 let r = rt.create_region("A", rect.clone());
                 rt.set_region_data(r, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
@@ -781,8 +685,8 @@ mod tests {
                     Point::zeros(1),
                     reqs,
                 )));
-                rt.run_with(&p, executor).unwrap();
-                let what = format!("{} with the write at {write}", executor.name());
+                rt.run(&p).unwrap();
+                let what = format!("{workers} worker(s) with the write at {write}");
                 assert_eq!(rt.read_region(r).unwrap(), [2.0, 4.0, 6.0, 8.0], "{what}");
             }
         }
@@ -812,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_regions_reach_kernels_as_one_shared_image_under_both_executors() {
+    fn csr_regions_reach_kernels_as_one_shared_image_on_one_and_two_workers() {
         #[rustfmt::skip]
         let dense = vec![
             1.0, 0.0, 2.0,
@@ -820,9 +724,8 @@ mod tests {
             0.0, 4.0, 0.0,
             8.0, 0.0, 16.0,
         ];
-        let run = |executor: &dyn Executor| {
-            let m = PhysicalMachine::new(MachineSpec::small(2));
-            let mut rt = Runtime::new(m, Mode::Functional);
+        let run = |workers: usize| {
+            let mut rt = functional(MachineSpec::small(2), workers);
             let b = rt.create_region("B", Rect::sized(&[4, 3]));
             let y = rt.create_region("y", Rect::sized(&[4]));
             let image = Arc::new(SparseBuffer::from_dense(&[4, 3], &dense));
@@ -855,16 +758,16 @@ mod tests {
             }));
             // Twice: the second run reuses the instances the first left,
             // which must still be bufferless.
-            rt.run_with(&p, executor).unwrap();
-            let stats = rt.run_with(&p, executor).unwrap();
+            rt.run(&p).unwrap();
+            let stats = rt.run(&p).unwrap();
             // One image, shared: the region's own reference plus ours.
             assert_eq!(Arc::strong_count(&image), 2);
             // An input reads back as its dense image.
             assert_eq!(rt.read_region(b).unwrap(), dense);
             (rt.read_region(y).unwrap(), stats)
         };
-        let (serial_out, serial_stats) = run(&SerialExecutor);
-        let (parallel_out, parallel_stats) = run(&ParallelExecutor::new(2));
+        let (serial_out, serial_stats) = run(1);
+        let (parallel_out, parallel_stats) = run(2);
         assert_eq!(serial_out, vec![3.0, 0.0, 4.0, 24.0]);
         assert_eq!(serial_out, parallel_out);
         // Each task's flops carry the region's global density, 5 / 12.
@@ -927,15 +830,14 @@ mod tests {
     fn an_instance_found_without_its_buffer_is_a_panic_not_a_skipped_effect() {
         // A bufferless instance is legitimate for a CSR-held region only.
         // Take the image away from under one: the copy out of it and the
-        // task reading it must both refuse, under either executor, naming
+        // task reading it must both refuse, on one worker or two, naming
         // what they were doing.
-        for executor in [&SerialExecutor as &dyn Executor, &ParallelExecutor::new(2)] {
+        for workers in [1, 2] {
             for (kernel, doing) in [
                 (Arc::new(NoopKernel) as Arc<dyn Kernel>, "copy of"),
                 (Arc::new(ScaleKernel(2.0)), "task argument"),
             ] {
-                let m = PhysicalMachine::new(MachineSpec::small(1));
-                let mut rt = Runtime::new(m, Mode::Functional);
+                let mut rt = functional(MachineSpec::small(1), workers);
                 let b = rt.create_region("B", Rect::sized(&[2, 2]));
                 let image = SparseBuffer::from_dense(&[2, 2], &[0.0, 1.0, 0.0, 0.0]);
                 rt.set_region_sparse(b, Arc::new(image)).unwrap();
@@ -957,11 +859,10 @@ mod tests {
                     Point::zeros(2),
                     vec![req],
                 )));
-                let panic =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| rt.run_with(&p, executor)))
-                        .expect_err("a missing buffer went unnoticed");
+                let panic = std::panic::catch_unwind(AssertUnwindSafe(|| rt.run(&p)))
+                    .expect_err("a missing buffer went unnoticed");
                 let message = panic.downcast_ref::<String>().expect("a formatted panic");
-                let what = executor.name();
+                let what = format!("{workers} worker(s)");
                 assert!(message.contains(doing), "{what}: {message}");
                 assert!(message.contains("region 'B'"), "{what}: {message}");
                 assert!(message.contains("has no buffer"), "{what}: {message}");
@@ -978,7 +879,6 @@ mod tests {
             // all clamped inside the scope...
             assert_eq!(host_worker_count(8), 2);
             assert!(host_worker_count(0) <= 2);
-            assert_eq!(ParallelExecutor::new(16).worker_count(), 2);
             assert_eq!(thread_budget(), 2);
             // ...and nested scopes narrow but never widen past their own.
             with_thread_budget(1, || assert_eq!(host_worker_count(8), 1));
@@ -996,23 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolution_picks_by_mode() {
-        assert_eq!(
-            ExecutorKind::Auto.resolve(Mode::Functional),
-            ExecutorKind::Parallel
-        );
-        assert_eq!(
-            ExecutorKind::Auto.resolve(Mode::Model),
-            ExecutorKind::Serial
-        );
-        assert_eq!(
-            ExecutorKind::Serial.resolve(Mode::Functional),
-            ExecutorKind::Serial
-        );
-    }
-
-    #[test]
-    fn parallel_executor_propagates_kernel_panics() {
+    fn the_worker_pool_propagates_kernel_panics() {
         struct PanicKernel;
         impl Kernel for PanicKernel {
             fn name(&self) -> &str {
@@ -1022,8 +906,7 @@ mod tests {
                 panic!("kernel exploded");
             }
         }
-        let m = PhysicalMachine::new(MachineSpec::small(1));
-        let mut rt = Runtime::new(m, Mode::Functional);
+        let mut rt = functional(MachineSpec::small(1), 2);
         let r = rt.create_region("A", Rect::sized(&[4]));
         rt.set_region_data(r, vec![0.0; 4]).unwrap();
         let mut p = Program::new();
@@ -1041,9 +924,7 @@ mod tests {
                 mem,
             )],
         )));
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            rt.run_with(&p, &ParallelExecutor::new(2))
-        }));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| rt.run(&p)));
         assert!(result.is_err());
     }
 
@@ -1070,8 +951,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
-        let m = PhysicalMachine::new(MachineSpec::small(2));
-        let mut rt = Runtime::new(m, Mode::Functional);
+        let mut rt = functional(MachineSpec::small(2), 2);
         let r0 = rt.create_region("A", Rect::sized(&[4]));
         let r1 = rt.create_region("B", Rect::sized(&[4]));
         rt.set_region_data(r0, vec![0.0; 4]).unwrap();
@@ -1096,9 +976,7 @@ mod tests {
                 )],
             )));
         }
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            rt.run_with(&p, &ParallelExecutor::new(2))
-        }));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| rt.run(&p)));
         assert!(result.is_err(), "panic must propagate, not hang");
     }
 

@@ -53,7 +53,6 @@ pub mod exec;
 pub mod executor;
 pub mod graph;
 pub mod kernel;
-pub mod kernelgen;
 pub mod pool;
 pub mod program;
 pub mod region;
@@ -64,9 +63,8 @@ pub mod topology;
 pub mod trace;
 
 pub use exec::{Mode, Runtime, RuntimeError};
-pub use executor::{ExecCtx, Executor, ExecutorKind, ParallelExecutor, SerialExecutor};
+pub use executor::ExecutorKind;
 pub use kernel::{ArgData, Kernel, KernelArg, KernelCtx};
-pub use kernelgen::LeafRequest;
 pub use program::{IndexLaunch, KernelId, Op, Privilege, Program, RegionReq, TaskDesc};
 pub use region::{Coherence, RegionId};
 pub use replay::{TraceCounters, TracedProgram};

@@ -128,8 +128,8 @@ pub struct Instance {
 /// `None` in model mode, and for instances of a CSR-held region).
 ///
 /// Buffers live in [`crate::exec::Store`] *beside* the instance metadata —
-/// rather than inside [`Instance`] — so that executors can share the store
-/// immutably across worker threads while mutating buffers under per-instance
+/// rather than inside [`Instance`] — so that the workers applying a trace
+/// can share the store immutably across threads while mutating buffers under per-instance
 /// locks. The dependence DAG serializes conflicting accesses; the locks make
 /// that guarantee checkable by the type system.
 ///

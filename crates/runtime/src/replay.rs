@@ -17,8 +17,8 @@
 //! 2. **adopt** (`exec::Store::adopt`) — the store takes the
 //!    trace's exit state and allocates a buffer for every instance the
 //!    trace created.
-//! 3. **apply** ([`crate::executor::Executor::execute`]) — node effects
-//!    run over the trace's graph in the trace's order (functional mode).
+//! 3. **apply** (`executor::apply`) — node effects run over the trace's
+//!    graph on the run's workers (functional mode; see [`crate::executor`]).
 //!
 //! A [`TracedProgram`] keeps the trace of a program's first run beside it;
 //! a later run whose entry state equals the recorded one skips step 1.

@@ -10,11 +10,10 @@
 //! scheduled — but touches no instance data. It runs once per dependence
 //! analysis, from [`crate::replay`], and its result is part of the
 //! [`Trace`](crate::replay::Trace) that analysis yields. Side effects
-//! (copies, fills, leaf kernels) are applied separately by an
-//! [`Executor`](crate::executor::Executor), either serially in the recorded
-//! order or concurrently along the DAG; both yield identical numerics
-//! because the DAG serializes every conflicting access, and identical
-//! statistics because both are handed this pass's.
+//! (copies, fills, leaf kernels) are applied separately ([`crate::executor`]),
+//! on one worker in the recorded order or on several along the DAG; both
+//! yield identical numerics because the DAG serializes every conflicting
+//! access, and identical statistics because both report this pass's.
 
 use crate::graph::{GNodeKind, Graph, ResourceMap};
 use crate::stats::{ChannelClass, CopyKind, CopyLogEntry, RunStats, TaskLogEntry};

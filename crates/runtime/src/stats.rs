@@ -33,7 +33,7 @@ pub enum CopyKind {
 /// Per-kernel-variant execution totals: how much work ran under each
 /// generated-leaf class (`interpreter`, `tape`, `gemm.gen`, `spmv.gen`,
 /// …). Accumulated in the shared timing pass, so the totals are identical
-/// across executors by construction.
+/// on any number of workers by construction.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct KernelClassStats {
     /// Tasks executed under this variant.
@@ -96,7 +96,7 @@ pub struct CopyLogEntry {
 /// Aggregate statistics for one program run.
 ///
 /// `PartialEq` compares every field (including the copy log when present):
-/// two runs of the same program under different executors must produce
+/// two runs of the same program on different worker counts must produce
 /// *equal* statistics, and the parity tests assert exactly that.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {

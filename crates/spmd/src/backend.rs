@@ -1,12 +1,14 @@
-//! [`Backend`] implementations over the static SPMD lowering: the
-//! executable [`SpmdBackend`] and the estimation-only [`CostBackend`].
+//! The [`Backend`] over the static SPMD lowering: [`SpmdBackend`], which
+//! executes on the rank VM in [`Mode::Functional`] and only prices the
+//! lowered program under its α-β model in [`Mode::Model`]
+//! ([`SpmdBackend::alpha_beta`]; [`CostBackend`] is its old name).
 //!
-//! Both derive their [`SpmdTensor`] lists and machine grid from the shared
+//! It derives its [`SpmdTensor`] lists and machine grid from the shared
 //! [`Problem`] registry — callers never hand-build tensor descriptions or
-//! rebuild grids. Together with `distal_core::RuntimeBackend` they close
+//! rebuild grids. Together with `distal_core::RuntimeBackend` it closes
 //! the paper's portability claim: the same `Problem` + `Schedule` compiles
-//! onto the dynamic runtime, the static MPI-style program, or a pure cost
-//! model, all behind one [`Plan`]/[`Instance`] surface.
+//! onto the dynamic runtime or the static MPI-style program, each run or
+//! modelled, all behind one [`Plan`]/[`Instance`] surface.
 //!
 //! The plan/bind split maps exactly onto this backend's structure: the
 //! lowered [`SpmdProgram`] — message schedule, collectives, per-rank
@@ -55,6 +57,7 @@ use distal_core::{
     Diagnostic, LintConfig, Problem, Provenance, Report, Schedule, TensorInit, TensorSpec,
 };
 use distal_machine::geom::Rect;
+use distal_runtime::Mode;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -118,9 +121,8 @@ fn backend_err(e: SpmdError) -> BackendError {
     }
 }
 
-/// The shared plan-side lowering of [`SpmdBackend`] and the α-β
-/// [`CostBackend`]: the problem's statement over its *data-independent*
-/// tensor shapes on the machine's flattened grid.
+/// The plan-side lowering: the problem's statement over its
+/// *data-independent* tensor shapes on the machine's flattened grid.
 fn plan_program(
     problem: &Problem,
     schedule: &Schedule,
@@ -189,7 +191,9 @@ fn bound_program(
 /// each one's stored-entry count, taken from the same slice. Tensors
 /// without a binding are reported back so the instance can fail at
 /// `execute()` — exactly where the dynamic runtime surfaces uninitialized
-/// data — instead of silently zero-filling.
+/// data — instead of silently zero-filling. A model-mode binding seeds
+/// nothing: it is the default.
+#[derive(Default)]
 struct SeededInputs {
     homes: Homes,
     nnz: BTreeMap<String, u64>,
@@ -249,7 +253,6 @@ fn count_tasks(program: &SpmdProgram) -> u64 {
 /// nnz-density estimate, unless the caller supplies the executed exact
 /// statistics) plus the α-β critical path.
 fn program_report(
-    backend: &str,
     provenance: Provenance,
     program: &SpmdProgram,
     model: &AlphaBeta,
@@ -278,7 +281,7 @@ fn program_report(
         );
     }
     Report {
-        backend: backend.into(),
+        backend: "spmd".into(),
         provenance,
         bytes_moved: stats.bytes,
         messages: stats.messages,
@@ -312,8 +315,18 @@ fn verify_plan_program(program: &SpmdProgram) -> Result<Vec<Diagnostic>, Backend
 /// (communication matching, deadlock freedom, buffer hazards, bounds),
 /// executes on the deterministic rank VM, and prices the critical path
 /// under the α-β model.
+///
+/// In [`Mode::Model`] ([`SpmdBackend::alpha_beta`]) it plans the same
+/// program and stops there: `bind` only validates the bindings and attaches
+/// their nnz accounting, `execute` returns the α-β report of the bound
+/// program, and `read` fails with [`BackendError::NoData`]. This is the
+/// backend the autoscheduler's `search_with` plugs in to rank candidates;
+/// the runtime's simulator is the other model (`RuntimeBackend::model()`).
 #[derive(Clone, Debug, Default)]
 pub struct SpmdBackend {
+    /// Run on the rank VM, or price the lowered program only. Part of
+    /// [`Backend::config_fingerprint`], so the two never share a plan.
+    pub mode: Mode,
     /// Collective recognition/lowering configuration.
     pub collectives: CollectiveConfig,
     /// The α-β model pricing [`Report::critical_path_s`] (sequential
@@ -330,11 +343,24 @@ pub struct SpmdBackend {
     pub lint: LintConfig,
 }
 
+/// The α-β estimation target's old name: [`SpmdBackend`] in
+/// [`Mode::Model`], built by [`SpmdBackend::alpha_beta`].
+pub type CostBackend = SpmdBackend;
+
 impl SpmdBackend {
     /// A backend with default collectives (binomial trees, ring
     /// all-gathers) and the default α-β model.
     pub fn new() -> Self {
         SpmdBackend::default()
+    }
+
+    /// Estimation only ([`Mode::Model`]) under the α-β parameters `model`.
+    pub fn alpha_beta(model: AlphaBeta) -> Self {
+        SpmdBackend {
+            mode: Mode::Model,
+            model,
+            ..SpmdBackend::default()
+        }
     }
 
     /// Overrides the collective configuration.
@@ -365,14 +391,16 @@ impl Backend for SpmdBackend {
     }
 
     fn config_fingerprint(&self) -> String {
-        // Collectives shape the lowered message schedule; the α-β model
-        // prices every bound instance's reports; the transport changes
-        // how a bound instance runs.
+        // The mode decides what an instance does; collectives shape the
+        // lowered message schedule; the α-β model prices every bound
+        // instance's reports; the transport — every field of it, the
+        // plan keeps the whole value — changes how a bound instance runs.
         format!(
-            "{:?};{:?};transport={};lint={}",
+            "{:?};{:?};{:?};{:?};lint={}",
+            self.mode,
             self.collectives,
             self.model,
-            self.transport.label(),
+            self.transport,
             self.lint.fingerprint()
         )
     }
@@ -384,6 +412,7 @@ impl Backend for SpmdBackend {
         let program = plan_program(problem, schedule, &self.collectives)?;
         diagnostics.extend(verify_plan_program(&program)?);
         Ok(Box::new(SpmdPlan {
+            mode: self.mode,
             tensors: problem.tensors().clone(),
             program: Arc::new(program),
             model: self.model,
@@ -395,9 +424,10 @@ impl Backend for SpmdBackend {
 
 /// A data-independent SPMD plan: the lowered per-rank message schedule +
 /// the registry it was lowered against. Binding seeds the ranks' input
-/// homes and attaches per-request nnz accounting — the program is never
-/// re-lowered.
+/// homes (functional mode only) and attaches per-request nnz accounting —
+/// the program is never re-lowered.
 pub struct SpmdPlan {
+    mode: Mode,
     tensors: BTreeMap<String, TensorSpec>,
     // Shared with every all-dense instance; compressed bindings get a
     // per-instance copy carrying their nnz (see `bound_program`).
@@ -411,6 +441,7 @@ pub struct SpmdPlan {
 impl std::fmt::Debug for SpmdPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpmdPlan")
+            .field("mode", &self.mode)
             .field("tensors", &self.tensors.keys().collect::<Vec<_>>())
             .field("ranks", &self.program.ranks())
             .field("diagnostics", &self.diagnostics.len())
@@ -440,8 +471,15 @@ impl Plan for SpmdPlan {
 
     fn bind(&self, bindings: &Bindings) -> Result<Box<dyn Instance>, BackendError> {
         bindings.validate(&self.tensors)?;
-        check_output_binding(&self.program.assignment.lhs.tensor, bindings)?;
-        let seeded = seed_inputs(&self.tensors, &self.program, bindings)?;
+        let seeded = match self.mode {
+            // Nothing runs, so nothing is seeded and the output's
+            // initializer cannot be dropped.
+            Mode::Model => SeededInputs::default(),
+            Mode::Functional => {
+                check_output_binding(&self.program.assignment.lhs.tensor, bindings)?;
+                seed_inputs(&self.tensors, &self.program, bindings)?
+            }
+        };
         // Seeded inputs were counted where they lay — a RandomSparse
         // stream materializes once, not twice.
         let program = bound_program(&self.program, &self.tensors, |name, spec| {
@@ -449,6 +487,7 @@ impl Plan for SpmdPlan {
             counted.or_else(|| bindings.get(name).map(|init| init_nnz(init, &spec.dims)))
         });
         Ok(Box::new(SpmdInstance {
+            mode: self.mode,
             program,
             homes: seeded.homes,
             missing_inputs: seeded.missing,
@@ -461,8 +500,10 @@ impl Plan for SpmdPlan {
 }
 
 /// A bound SPMD program plus its inputs — tiled into the ranks' home
-/// pieces, which executions only read — and (after execution) result.
+/// pieces, which executions only read — and (after execution) result. In
+/// model mode it holds the program alone.
 pub struct SpmdInstance {
+    mode: Mode,
     program: Arc<SpmdProgram>,
     homes: Homes,
     missing_inputs: Vec<String>,
@@ -475,6 +516,7 @@ pub struct SpmdInstance {
 impl std::fmt::Debug for SpmdInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpmdInstance")
+            .field("mode", &self.mode)
             .field("ranks", &self.program.ranks())
             .field("inputs", &self.homes.tensors().collect::<Vec<_>>())
             .field("executed", &self.result.is_some())
@@ -517,10 +559,24 @@ impl Instance for SpmdInstance {
     fn place(&mut self) -> Result<Report, BackendError> {
         // Data starts at rest in its distribution: home pieces are
         // installed directly from the initializers, so placement is free.
-        Ok(Report::empty("spmd", Provenance::Measured))
+        let provenance = match self.mode {
+            Mode::Functional => Provenance::Measured,
+            Mode::Model => Provenance::Modeled,
+        };
+        Ok(Report::empty("spmd", provenance))
     }
 
     fn execute(&mut self) -> Result<Report, BackendError> {
+        if self.mode == Mode::Model {
+            // The static nnz-density estimate of the bound program.
+            return Ok(program_report(
+                Provenance::Modeled,
+                &self.program,
+                &self.model,
+                0,
+                None,
+            ));
+        }
         if let Some(name) = self.missing_inputs.first() {
             // Same failure point as the dynamic runtime's uninitialized
             // regions: at execution, not as a silent zero-fill.
@@ -547,14 +603,8 @@ impl Instance for SpmdInstance {
         // moves to `modeled_s`, and `Report::modeled_vs_measured` exposes
         // the calibration ratio.
         let exact = self.result.as_ref().map(|r| &r.stats);
-        let mut report = program_report(
-            "spmd",
-            Provenance::Modeled,
-            &self.program,
-            &self.model,
-            peak,
-            exact,
-        );
+        let mut report =
+            program_report(Provenance::Modeled, &self.program, &self.model, peak, exact);
         if let Some(m) = measured {
             report.modeled_s = Some(report.critical_path_s);
             report.critical_path_s = m.wall_s;
@@ -565,8 +615,15 @@ impl Instance for SpmdInstance {
     }
 
     fn read(&self, tensor: &str) -> Result<Vec<f64>, BackendError> {
-        let out = &self.program.assignment.lhs.tensor;
-        if tensor == out {
+        let Some(spec) = self.program.tensors.iter().find(|t| t.name == tensor) else {
+            return Err(BackendError::UnknownTensor(tensor.into()));
+        };
+        if self.mode == Mode::Model {
+            return Err(BackendError::NoData(format!(
+                "model-mode instances hold no numerics; '{tensor}' cannot be read"
+            )));
+        }
+        if *tensor == self.program.assignment.lhs.tensor {
             return self
                 .result
                 .as_ref()
@@ -575,179 +632,11 @@ impl Instance for SpmdInstance {
                     BackendError::NoData(format!("'{tensor}' is unavailable before execute()"))
                 });
         }
-        let Some(spec) = self.program.tensors.iter().find(|t| t.name == tensor) else {
-            return Err(BackendError::UnknownTensor(tensor.into()));
-        };
         let whole = Rect::sized(&spec.dims);
         self.homes.assemble(tensor, &whole).ok_or_else(|| {
             // Registered but neither the output nor a seeded input.
             BackendError::NoData(format!("'{tensor}' has no initializer on this instance"))
         })
-    }
-}
-
-/// A pure estimation target: lowers the problem to its static message
-/// schedule and prices it under the SPMD α-β model without touching
-/// numerics — `execute()` returns a modeled [`Report`], `read()` always
-/// fails with [`BackendError::NoData`]. This is the backend the
-/// autoscheduler's `search_with` path plugs in to rank candidates
-/// (through its plan cache: candidates re-scored under the same key reuse
-/// their lowering). The other cost model — the dynamic runtime's
-/// model-mode simulator — is `RuntimeBackend::model()`.
-#[derive(Clone, Debug)]
-pub struct CostBackend {
-    /// The α-β parameters.
-    pub model: AlphaBeta,
-    /// Collective recognition/lowering configuration.
-    pub collectives: CollectiveConfig,
-    /// Schedule-admission lint configuration (`distal_core::lint`).
-    pub lint: LintConfig,
-}
-
-impl CostBackend {
-    /// Estimation via the SPMD α-β model.
-    pub fn alpha_beta(model: AlphaBeta) -> Self {
-        CostBackend {
-            model,
-            collectives: CollectiveConfig::default(),
-            lint: LintConfig::default(),
-        }
-    }
-
-    /// Overrides the collective configuration.
-    #[must_use]
-    pub fn with_collectives(mut self, collectives: CollectiveConfig) -> Self {
-        self.collectives = collectives;
-        self
-    }
-
-    /// Overrides the schedule-admission lint configuration.
-    #[must_use]
-    pub fn with_lints(mut self, lint: LintConfig) -> Self {
-        self.lint = lint;
-        self
-    }
-}
-
-impl Backend for CostBackend {
-    fn name(&self) -> &str {
-        "cost"
-    }
-
-    fn config_fingerprint(&self) -> String {
-        // The α-β parameters price every report and the collectives shape
-        // the lowering.
-        format!(
-            "{:?};{:?};lint={}",
-            self.model,
-            self.collectives,
-            self.lint.fingerprint()
-        )
-    }
-
-    fn plan(&self, problem: &Problem, schedule: &Schedule) -> Result<Box<dyn Plan>, BackendError> {
-        let mut diagnostics = distal_core::lint::admit(problem, schedule, &self.lint)?;
-        let program = plan_program(problem, schedule, &self.collectives)?;
-        diagnostics.extend(verify_plan_program(&program)?);
-        Ok(Box::new(CostPlan {
-            tensors: problem.tensors().clone(),
-            program: Arc::new(program),
-            model: self.model,
-            diagnostics,
-        }))
-    }
-}
-
-/// A [`CostBackend`] plan: a statically lowered program awaiting
-/// per-binding nnz accounting.
-pub struct CostPlan {
-    tensors: BTreeMap<String, TensorSpec>,
-    // Shared; instances with compressed bindings get a per-instance copy
-    // (see `bound_program`).
-    program: Arc<SpmdProgram>,
-    model: AlphaBeta,
-    // Warning-severity verifier findings (errors rejected the plan).
-    diagnostics: Vec<Diagnostic>,
-}
-
-impl std::fmt::Debug for CostPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CostPlan")
-            .field("ranks", &self.program.ranks())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Plan for CostPlan {
-    fn backend(&self) -> &str {
-        "cost"
-    }
-
-    fn tensors(&self) -> &BTreeMap<String, TensorSpec> {
-        &self.tensors
-    }
-
-    fn diagnostics(&self) -> &[Diagnostic] {
-        &self.diagnostics
-    }
-
-    fn bind(&self, bindings: &Bindings) -> Result<Box<dyn Instance>, BackendError> {
-        bindings.validate(&self.tensors)?;
-        let program = bound_program(&self.program, &self.tensors, |name, spec| {
-            bindings.get(name).map(|init| init_nnz(init, &spec.dims))
-        });
-        Ok(Box::new(CostInstance {
-            program,
-            model: self.model,
-        }))
-    }
-}
-
-/// A [`CostBackend`] instance: prices its lowered program (this
-/// binding's nnz accounting applied) without running the VM.
-pub struct CostInstance {
-    program: Arc<SpmdProgram>,
-    model: AlphaBeta,
-}
-
-impl std::fmt::Debug for CostInstance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CostInstance")
-            .field("ranks", &self.program.ranks())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Instance for CostInstance {
-    fn backend(&self) -> &str {
-        "cost"
-    }
-
-    fn place(&mut self) -> Result<Report, BackendError> {
-        Ok(Report::empty("cost", Provenance::Modeled))
-    }
-
-    fn execute(&mut self) -> Result<Report, BackendError> {
-        Ok(program_report(
-            "cost",
-            Provenance::Modeled,
-            &self.program,
-            &self.model,
-            0,
-            None,
-        ))
-    }
-
-    fn read(&self, tensor: &str) -> Result<Vec<f64>, BackendError> {
-        // Honor the Instance contract: unknown names are unknown-tensor
-        // errors; only registered tensors report no-data.
-        if self.program.tensors.iter().any(|t| t.name == tensor) {
-            Err(BackendError::NoData(format!(
-                "cost instances hold no numerics; '{tensor}' cannot be read"
-            )))
-        } else {
-            Err(BackendError::UnknownTensor(tensor.into()))
-        }
     }
 }
 
@@ -824,6 +713,27 @@ mod tests {
         cache.get_or_plan(&naive, &p, &schedule).unwrap();
         assert_eq!(cache.stats().misses, 2, "configs must split keys");
         assert_eq!(cache.stats().hits, 0);
+        // Threaded transports that differ only in their watchdog: the plan
+        // keeps the whole transport, so each needs its own.
+        let threaded = |secs| {
+            let config = crate::ThreadedConfig {
+                threads: 2,
+                watchdog: std::time::Duration::from_secs(secs),
+            };
+            SpmdBackend::new().with_transport(Transport::Threaded(config))
+        };
+        let cache = distal_core::ShardedPlanCache::new(8, 1);
+        cache.get_or_plan(&threaded(60), &p, &schedule).unwrap();
+        cache.get_or_plan(&threaded(1), &p, &schedule).unwrap();
+        assert_eq!(cache.stats().misses, 2, "watchdogs must split keys");
+        // Executing and pricing under one α-β model: the mode splits keys.
+        let cache = distal_core::ShardedPlanCache::new(8, 1);
+        cache
+            .get_or_plan(&SpmdBackend::new(), &p, &schedule)
+            .unwrap();
+        let priced = CostBackend::alpha_beta(AlphaBeta::default());
+        cache.get_or_plan(&priced, &p, &schedule).unwrap();
+        assert_eq!(cache.stats().misses, 2, "modes must split keys");
         // And runtime functional vs model likewise.
         let cache = distal_core::ShardedPlanCache::new(8, 1);
         cache
@@ -853,6 +763,48 @@ mod tests {
                 inst.read("Z"),
                 Err(BackendError::UnknownTensor(t)) if t == "Z"
             ));
+        }
+    }
+
+    /// An `n x n` matmul whose `B` is stored CSR at `density`.
+    fn csr_matmul_problem(n: i64, density: f64) -> Problem {
+        let mut p = matmul_problem(n);
+        let csr = Format::parse_levels("xy->xy", "ds", MemKind::Sys).unwrap();
+        p.tensor(TensorSpec::new("B", vec![n, n], csr)).unwrap();
+        p.fill_random_sparse("B", 1, density).unwrap();
+        p
+    }
+
+    #[test]
+    fn a_model_mode_instance_reports_its_bound_program_and_binds_nothing() {
+        let model = AlphaBeta::default();
+        let schedule = Schedule::summa(2, 2, 4);
+        for mut p in [matmul_problem(8), csr_matmul_problem(8, 0.25)] {
+            // The output's initializer is not checked: nothing runs.
+            p.fill("A", 1.0).unwrap();
+            let plan = CostBackend::alpha_beta(model).plan(&p, &schedule).unwrap();
+            let lowerings = crate::lower::lower_count();
+            let mut inst = plan.bind(&p.bindings()).unwrap();
+            assert_eq!(crate::lower::lower_count(), lowerings, "bind lowered");
+
+            // The plan's program with this binding's nnz, priced.
+            let mut program = plan_program(&p, &schedule, &CollectiveConfig::default()).unwrap();
+            if p.tensors().values().any(|s| s.format.has_compressed()) {
+                for name in p.tensors().keys() {
+                    program.set_tensor_nnz(name, p.nnz_of(name));
+                }
+            }
+            let (stats, cost) = (program.stats(), program.cost(&model));
+            assert_eq!(inst.place().unwrap().provenance, Provenance::Modeled);
+            let report = inst.execute().unwrap();
+            assert_eq!(report.backend, "spmd");
+            assert_eq!(report.provenance, Provenance::Modeled);
+            assert_eq!(report.bytes_moved, stats.bytes);
+            assert_eq!(report.messages, stats.messages);
+            assert_eq!(report.critical_path_s, cost.makespan_s);
+            assert_eq!(report.flops, program.total_flops);
+            assert_eq!(report.tasks, count_tasks(&program));
+            assert!(matches!(inst.read("A"), Err(BackendError::NoData(_))));
         }
     }
 

@@ -65,9 +65,10 @@ impl fmt::Display for CollectiveKind {
     }
 }
 
-/// How a recognized collective is expanded into point-to-point messages.
+/// How a recognized broadcast or reduction is expanded into
+/// point-to-point messages (all-gathers are always rings).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Topology {
+pub(crate) enum Topology {
     /// Binomial tree: `⌈log₂ g⌉` rounds; in round `r` every member that
     /// already has (or, reducing, still owes) the payload exchanges with
     /// the member `2^r` positions away.
@@ -77,53 +78,42 @@ pub enum Topology {
     Ring,
 }
 
-/// Per-kind topology choices for the lowering pass.
+/// Which of the three lowerings collectives get: none (the naive
+/// point-to-point program), trees, or rings. All-gathers are rings under
+/// either of the last two (bandwidth-optimal and neighbour-only, the
+/// standard choice).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CollectiveConfig {
-    /// Master switch; `false` leaves the naive point-to-point program.
-    pub enabled: bool,
-    /// Topology for broadcasts.
-    pub broadcast: Topology,
-    /// Topology for reductions.
-    pub reduce: Topology,
-    /// Topology for all-gathers (ring is bandwidth-optimal and
-    /// neighbour-only, the standard choice).
-    pub allgather: Topology,
+    /// The topology of broadcasts and reductions; `None` leaves the naive
+    /// point-to-point program.
+    fans: Option<Topology>,
 }
 
 impl Default for CollectiveConfig {
+    /// [`CollectiveConfig::trees`].
     fn default() -> Self {
-        CollectiveConfig {
-            enabled: true,
-            broadcast: Topology::BinomialTree,
-            reduce: Topology::BinomialTree,
-            allgather: Topology::Ring,
-        }
+        CollectiveConfig::trees()
     }
 }
 
 impl CollectiveConfig {
     /// Disable recognition entirely: the naive point-to-point program.
     pub fn point_to_point() -> Self {
-        CollectiveConfig {
-            enabled: false,
-            ..CollectiveConfig::default()
-        }
+        CollectiveConfig { fans: None }
     }
 
     /// Tree broadcasts/reductions, ring all-gathers (the default).
     pub fn trees() -> Self {
-        CollectiveConfig::default()
+        CollectiveConfig {
+            fans: Some(Topology::BinomialTree),
+        }
     }
 
     /// Ring schedules for every collective (all traffic neighbour-only
     /// along member lines, at linear depth).
     pub fn rings() -> Self {
         CollectiveConfig {
-            enabled: true,
-            broadcast: Topology::Ring,
-            reduce: Topology::Ring,
-            allgather: Topology::Ring,
+            fans: Some(Topology::Ring),
         }
     }
 }
@@ -530,15 +520,15 @@ fn ring_order(grid: &Grid, members: &[usize], axis: Option<usize>) -> Vec<usize>
 /// `(rank, op)` stream of `program`, not yet filed into it — and rewrites
 /// its message schedule according to `config`, recording the lowered
 /// collectives on the program. Returns the stream to install; unchanged
-/// when `config.enabled` is false or nothing matches.
+/// under [`CollectiveConfig::point_to_point`] or when nothing matches.
 pub(crate) fn apply(
     program: &mut SpmdProgram,
     stream: Vec<(usize, SpmdOp)>,
     config: &CollectiveConfig,
 ) -> Vec<(usize, SpmdOp)> {
-    if !config.enabled {
+    let Some(topology) = config.fans else {
         return stream;
-    }
+    };
     let ops = stream.iter().map(|(rank, op)| (*rank, op));
     let plans = merge_allgathers(find_fans(program, ops));
     if plans.is_empty() {
@@ -577,11 +567,6 @@ pub(crate) fn apply(
         let depth = match plan {
             Plan::Single(f) => {
                 let (members, _) = order_members(&grid, f.root, &f.peers);
-                let topology = if f.reduce {
-                    config.reduce
-                } else {
-                    config.broadcast
-                };
                 let rounds = match topology {
                     Topology::BinomialTree => binomial_rounds(members.len()),
                     Topology::Ring => chain_rounds(members.len()),

@@ -40,8 +40,9 @@
 //! 5. [`backend`] plugs all of it into the unified compile pipeline:
 //!    [`SpmdBackend`] compiles a `distal_core::Problem` to an SPMD plan
 //!    behind the shared `Backend`/`Plan`/`Instance` traits (deriving
-//!    tensors and grid from the problem registry), and [`CostBackend`]
-//!    prices candidates — model-mode sim or α-β — without numerics.
+//!    tensors and grid from the problem registry); in model mode
+//!    ([`SpmdBackend::alpha_beta`]) it prices candidates under the α-β
+//!    model without numerics.
 //!
 //! The interesting property of the source-selection policy (nearest rank
 //! currently holding a valid copy, falling back to the home owner) is that
@@ -98,10 +99,9 @@ pub mod verify;
 mod vm;
 
 pub use backend::{
-    lower_problem, problem_tensors, CostBackend, CostInstance, CostPlan, SpmdBackend, SpmdInstance,
-    SpmdPlan,
+    lower_problem, problem_tensors, CostBackend, SpmdBackend, SpmdInstance, SpmdPlan,
 };
-pub use collective::{Collective, CollectiveConfig, CollectiveKind, Topology};
+pub use collective::{Collective, CollectiveConfig, CollectiveKind};
 pub use cost::{AlphaBeta, CostReport};
 pub use lower::{lower, lower_count, lower_with, SpmdError, SpmdTensor};
 pub use ops::{Message, SpmdOp};

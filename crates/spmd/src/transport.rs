@@ -129,22 +129,14 @@ impl Transport {
             ..ThreadedConfig::default()
         })
     }
-
-    /// A short stable label for plan-cache fingerprints and reports.
-    pub fn label(&self) -> String {
-        match self {
-            Transport::Sequential => "sequential".to_string(),
-            Transport::Threaded(cfg) => format!("threaded(threads={})", cfg.threads),
-        }
-    }
 }
 
 /// Settings for [`Transport::Threaded`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ThreadedConfig {
     /// Worker threads in the rank pool. `0` resolves like the runtime's
-    /// parallel executor: `DISTAL_THREADS` if set, else one per host
-    /// core. The pool never exceeds the rank count.
+    /// effect pool (`host_worker_count`): `DISTAL_THREADS` if set, else
+    /// one per host core. The pool never exceeds the rank count.
     pub threads: usize,
     /// Abort threshold for ranks blocked on a receive — a well-formed
     /// program always completes, so firing means a lowering bug (surfaced

@@ -15,8 +15,8 @@
 //! * `RetireScratch` becomes a `Fence`: landings before it are retired,
 //!   so the hazard pass's overlap window resets.
 //!
-//! [`verify_program`] is what `SpmdBackend::plan` and `CostBackend::plan`
-//! call — once per plan, cached with it, free on every subsequent bind.
+//! [`verify_program`] is what `SpmdBackend::plan` calls, in either mode —
+//! once per plan, cached with it, free on every subsequent bind.
 
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;

@@ -78,7 +78,7 @@ type Pieces = BTreeMap<String, Vec<Buf>>;
 
 /// Every rank's home pieces of the input tensors: what a binding seeds
 /// once and its executions borrow.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Homes(Vec<Pieces>);
 
 impl Homes {

@@ -591,7 +591,7 @@ fn executing_an_instance_twice_repeats_its_bits_and_its_report() {
         problem.fill_random("C", 13).unwrap();
         let inputs = ["B", "C"].map(|t| problem.initial_data(t).unwrap());
         for transport in [Transport::Sequential, Transport::threaded_with(2)] {
-            let what = format!("{name} on {}", transport.label());
+            let what = format!("{name} on {transport:?}");
             let backend = SpmdBackend::new().with_transport(transport);
             let mut instance = problem.compile(&backend, &schedule).unwrap();
             let mut runs = Vec::new();

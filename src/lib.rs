@@ -88,9 +88,7 @@ pub mod prelude {
     pub use distal_machine::geom::{Point, Rect};
     pub use distal_machine::grid::{Grid, MachineHierarchy};
     pub use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
-    pub use distal_runtime::{
-        Executor, ExecutorKind, Mode, ParallelExecutor, RunStats, Runtime, SerialExecutor,
-    };
+    pub use distal_runtime::{ExecutorKind, Mode, RunStats, Runtime};
     pub use distal_serve::{ServeConfig, ServeRequest, ServeResponse, ServingEngine};
     pub use distal_sparse::SparseBuffer;
     pub use distal_spmd::{AlphaBeta, CostBackend, SpmdBackend, ThreadedConfig, Transport};

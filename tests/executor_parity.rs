@@ -1,8 +1,9 @@
-//! Executor determinism/parity: the work-stealing parallel executor must be
-//! observationally identical to the serial executor — bit-identical output
-//! buffers and equal `RunStats` (task/copy counts, bytes per channel class,
-//! makespan, copy log) — for every Figure 9 algorithm and for a batch of
-//! random einsums.
+//! Executor determinism/parity: applying node effects on the work-stealing
+//! pool must be observationally identical to applying them in scheduled
+//! order — bit-identical output buffers and equal `RunStats` (task/copy
+//! counts, bytes per channel class, makespan, copy log) — for every
+//! Figure 9 algorithm and for a batch of random einsums. Three arms:
+//! `Serial`, `Parallel` resolved to one worker, and `Parallel` on four.
 //!
 //! This is the safety net for the runtime's concurrency story: the
 //! dependence DAG serializes every conflicting access, so applying node
@@ -16,6 +17,27 @@ use distal::prelude::*;
 mod common;
 use common::{format_1d, generate, schedule_1d, Case, Rng};
 
+/// `(executor, set_executor_threads)`: the first arm is the reference.
+const ARMS: [(ExecutorKind, usize); 3] = [
+    (ExecutorKind::Serial, 4),
+    (ExecutorKind::Parallel, 1),
+    (ExecutorKind::Parallel, 4),
+];
+
+/// One arm's output and its placement and compute statistics.
+type Run = (Vec<f64>, RunStats, RunStats);
+
+/// Asserts every arm's run equals the first's, bit for bit.
+fn assert_arms_agree(runs: &[Run], what: &str) {
+    let (out, place, compute) = &runs[0];
+    for ((kind, threads), run) in ARMS.iter().zip(runs).skip(1) {
+        let what = format!("{what} under {kind:?} on {threads} thread(s)");
+        assert_bits_equal(out, &run.0, &what);
+        assert_eq!(place, &run.1, "{what}: placement stats differ");
+        assert_eq!(compute, &run.2, "{what}: compute stats differ");
+    }
+}
+
 fn assert_bits_equal(serial: &[f64], parallel: &[f64], what: &str) {
     assert_eq!(serial.len(), parallel.len(), "{what}: length mismatch");
     for (i, (s, p)) in serial.iter().zip(parallel).enumerate() {
@@ -26,32 +48,28 @@ fn assert_bits_equal(serial: &[f64], parallel: &[f64], what: &str) {
     }
 }
 
-/// Runs one Figure 9 algorithm under an executor kind, with enough worker
-/// threads to exercise real concurrency even on a single-core host.
-fn run_matmul(
-    alg: MatmulAlgorithm,
-    kind: ExecutorKind,
-    nodes: usize,
-    n: i64,
-) -> (Vec<f64>, RunStats, RunStats) {
+/// Runs one Figure 9 algorithm under every arm (four worker threads
+/// exercise real concurrency even on a single-core host).
+fn run_matmul(alg: MatmulAlgorithm, nodes: usize, n: i64) -> Vec<Run> {
     let mut config = RunConfig::cpu(nodes, Mode::Functional);
     config.spec = MachineSpec::small(nodes);
-    config.executor = kind;
     let (problem, schedule) = matmul_problem(alg, &config, n, (n / 4).max(1)).unwrap();
-    run_logged(&config.backend(), &problem, &schedule)
+    run_arms(&problem, &schedule)
 }
 
-/// Binds a problem, then places and executes it on four worker threads
-/// with copy logging on; returns the output and both phases' statistics.
-fn run_logged(
-    backend: &RuntimeBackend,
-    problem: &Problem,
-    schedule: &Schedule,
-) -> (Vec<f64>, RunStats, RunStats) {
+/// Binds a problem under every arm, then places and executes it with copy
+/// logging on; returns the output and both phases' statistics.
+fn run_arms(problem: &Problem, schedule: &Schedule) -> Vec<Run> {
+    ARMS.map(|(kind, threads)| run_logged(kind, threads, problem, schedule))
+        .into()
+}
+
+fn run_logged(kind: ExecutorKind, threads: usize, problem: &Problem, schedule: &Schedule) -> Run {
+    let backend = RuntimeBackend::functional().with_executor(kind);
     let mut instance = backend
         .compile_typed(problem, schedule)
         .unwrap_or_else(|e| panic!("{}: {e}", problem.assignment().unwrap()));
-    instance.runtime_mut().set_executor_threads(4);
+    instance.runtime_mut().set_executor_threads(threads);
     instance.runtime_mut().record_copies(true);
     let place = instance.place_stats().unwrap();
     let compute = instance.execute_stats().unwrap();
@@ -65,23 +83,7 @@ fn figure9_algorithms_are_executor_invariant() {
     let n = 24;
     let p = RunConfig::cpu(nodes, Mode::Functional).processors();
     for alg in MatmulAlgorithm::all(p) {
-        let (serial_a, serial_place, serial_compute) =
-            run_matmul(alg, ExecutorKind::Serial, nodes, n);
-        let (parallel_a, parallel_place, parallel_compute) =
-            run_matmul(alg, ExecutorKind::Parallel, nodes, n);
-        assert_bits_equal(&serial_a, &parallel_a, &alg.name());
-        assert_eq!(
-            serial_place,
-            parallel_place,
-            "{}: placement stats differ across executors",
-            alg.name()
-        );
-        assert_eq!(
-            serial_compute,
-            parallel_compute,
-            "{}: compute stats differ across executors",
-            alg.name()
-        );
+        assert_arms_agree(&run_matmul(alg, nodes, n), &alg.name());
     }
 }
 
@@ -89,21 +91,17 @@ fn figure9_algorithms_are_executor_invariant() {
 /// Johnson's 3-D algorithm exercises reduction instances heavily.
 #[test]
 fn reduction_heavy_runs_are_executor_invariant() {
-    let (serial_a, _, serial_stats) =
-        run_matmul(MatmulAlgorithm::Johnson, ExecutorKind::Serial, 8, 16);
-    let (parallel_a, _, parallel_stats) =
-        run_matmul(MatmulAlgorithm::Johnson, ExecutorKind::Parallel, 8, 16);
+    let runs = run_matmul(MatmulAlgorithm::Johnson, 8, 16);
     assert!(
-        serial_stats.reductions_applied > 0,
+        runs[0].2.reductions_applied > 0,
         "Johnson should fold reductions"
     );
-    assert_eq!(serial_stats, parallel_stats);
-    assert_bits_equal(&serial_a, &parallel_a, "Johnson");
+    assert_arms_agree(&runs, "Johnson");
 }
 
-/// Runs one generated case under an executor kind and returns the output
-/// plus placement/compute statistics.
-fn run_case(case: &Case, kind: ExecutorKind, p: i64) -> (Vec<f64>, RunStats, RunStats) {
+/// Runs one generated case under every arm and returns the outputs plus
+/// placement/compute statistics.
+fn run_case(case: &Case, p: i64) -> Vec<Run> {
     let machine = DistalMachine::flat(Grid::line(p), ProcKind::Cpu);
     let mut problem = Problem::new(MachineSpec::small(2), machine);
     problem
@@ -118,7 +116,7 @@ fn run_case(case: &Case, kind: ExecutorKind, p: i64) -> (Vec<f64>, RunStats, Run
         .unwrap_or_else(|| all_vars[0].clone());
     let schedule = schedule_1d(case, &all_vars, &dist_var, p);
 
-    // Seed data deterministically per case (same for both executors).
+    // Seed data deterministically per case (same for every arm).
     let mut data_rng = Rng(0x5EED ^ case.expr.len() as u64);
     for (name, dims) in &case.dims {
         let format = if name == &case.out && case.out_vars.is_empty() {
@@ -137,8 +135,7 @@ fn run_case(case: &Case, kind: ExecutorKind, p: i64) -> (Vec<f64>, RunStats, Run
             problem.set_data(name, data_rng.data(len)).unwrap();
         }
     }
-    let backend = RuntimeBackend::functional().with_executor(kind);
-    run_logged(&backend, &problem, &schedule)
+    run_arms(&problem, &schedule)
 }
 
 #[test]
@@ -147,19 +144,7 @@ fn random_einsums_are_executor_invariant() {
     let p = 3i64;
     for round in 0..24 {
         let case = generate(&mut rng);
-        let (serial_out, serial_place, serial_compute) = run_case(&case, ExecutorKind::Serial, p);
-        let (parallel_out, parallel_place, parallel_compute) =
-            run_case(&case, ExecutorKind::Parallel, p);
-        assert_bits_equal(&serial_out, &parallel_out, &case.expr);
-        assert_eq!(
-            serial_place, parallel_place,
-            "round {round} '{}': placement stats differ",
-            case.expr
-        );
-        assert_eq!(
-            serial_compute, parallel_compute,
-            "round {round} '{}': compute stats differ",
-            case.expr
-        );
+        let what = format!("round {round} '{}'", case.expr);
+        assert_arms_agree(&run_case(&case, p), &what);
     }
 }

@@ -18,7 +18,9 @@
 //! its kernel: `execute()` of the pipeline benchmark's `dense_spmd`
 //! request (SUMMA, n = 640, p = 16; fastest of five) may take at most `R`×
 //! what its 64 `gemm.gen` leaves take at the 160³ pure-kernel rate this
-//! run has just measured — again one process, two rates. Output parity
+//! run has just measured — again one process, two rates — and prints the
+//! same VM's pass over the `plan_scale` Cannon request with a no-op leaf,
+//! which is everything the VM does around its leaves. Output parity
 //! (bit-identical interpreted vs generated results) is always enforced.
 
 use distal_bench::kernels;
@@ -116,6 +118,11 @@ fn main() {
             v.leaves,
             v.kernel_s * 1e3,
             v.ratio()
+        );
+        println!(
+            "no-op-leaf VM pass: the plan_scale Cannon request (p = 64, n = 256) executed \
+             with every leaf a no-op, seeding and resolution included: {:.2} ms",
+            kernels::noop_leaf_pass() * 1e3
         );
         if v.ratio() > threshold {
             eprintln!(

@@ -31,8 +31,9 @@ use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::csr::SparseBuffer;
-use distal_runtime::kernel::{ArgData, KernelArg, KernelCtx};
+use distal_runtime::kernel::{ArgData, KernelArg, KernelCtx, NoopKernel};
 use distal_runtime::program::Privilege;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -493,6 +494,43 @@ pub fn leaf_overhead(core_gflops: f64) -> LeafOverhead {
         leaves: report.tasks,
         kernel_s: report.flops / (core_gflops.max(1e-12) * 1e9),
     }
+}
+
+/// The rank VM with nothing to compute: the `plan_scale` benchmark's
+/// Cannon request (p = 64, n = 256 in 32² tiles) run by
+/// `SpmdProgram::execute` on the sequential transport with every leaf a
+/// no-op, fastest of five. What is left is everything the VM does around
+/// its leaves: seeding the homes, resolving the program, moving payloads,
+/// building arguments and assembling the output. Seconds.
+pub fn noop_leaf_pass() -> f64 {
+    use distal_algs::matmul::MatmulAlgorithm;
+    use distal_algs::setup::matmul_problem_on;
+    let (mut problem, schedule) = matmul_problem_on(
+        MatmulAlgorithm::Cannon,
+        MachineSpec::small(32),
+        ProcKind::Cpu,
+        MemKind::Sys,
+        64,
+        256,
+        64,
+    )
+    .expect("the Cannon problem");
+    problem.fill_random("B", 0xB).unwrap();
+    problem.fill_random("C", 0xC).unwrap();
+    let collectives = distal_spmd::CollectiveConfig::default();
+    let mut program =
+        distal_spmd::lower_problem(&problem, &schedule, &collectives).expect("the Cannon program");
+    program.leaf = distal_spmd::program::LeafKernel(Arc::new(NoopKernel));
+    let inputs: BTreeMap<String, Vec<f64>> = ["B", "C"]
+        .map(|t| (t.to_string(), problem.initial_data(t).unwrap()))
+        .into_iter()
+        .collect();
+    let pass = || {
+        let start = Instant::now();
+        program.execute(&inputs).expect("the no-op pass");
+        start.elapsed().as_secs_f64()
+    };
+    (0..5).map(|_| pass()).fold(f64::INFINITY, f64::min)
 }
 
 /// The rate the cost models are calibrated from: the dispatched variant

@@ -36,12 +36,12 @@ pub enum DiagnosticKind {
     /// block forever (the case the runtime watchdog only catches after
     /// its timeout).
     LostMessage,
-    /// A send whose matching receive does not exist: the payload leaks
-    /// into the network (threaded transport) or the pending map
-    /// (sequential VM).
+    /// A send whose matching receive does not exist: nobody takes the
+    /// payload, and the run fails naming it once the ranks finish.
     OrphanMessage,
-    /// More than one send or receive on a single tag: tag-keyed stashes
-    /// silently overwrite, so delivery becomes order-dependent.
+    /// More than one send or receive on a single tag: a send feeds only
+    /// the first receive of its tag, so a payload is never taken or a
+    /// receive waits forever.
     DuplicateMessage,
     /// A matched send/receive pair that disagrees on tensor, rectangle,
     /// endpoints, byte count, or reduce semantics.

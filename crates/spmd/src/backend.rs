@@ -45,10 +45,12 @@
 //! ```
 
 use crate::collective::CollectiveConfig;
-use crate::cost::AlphaBeta;
+use crate::cost::{AlphaBeta, CostReport};
 use crate::lower::{lower_with, SpmdError, SpmdTensor};
 use crate::ops::SpmdOp;
-use crate::program::{SpmdProgram, SpmdResult};
+use crate::program::SpmdProgram;
+use crate::resolve::Resolved;
+use crate::stats::CommStats;
 use crate::transport::Transport;
 use crate::vm::Homes;
 use distal_core::backend::{Backend, BackendError};
@@ -59,7 +61,7 @@ use distal_core::{
 use distal_machine::geom::Rect;
 use distal_runtime::Mode;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Derives the SPMD tensor descriptions from a problem's registry,
 /// including each initialized tensor's nnz (the input to nnz-sized
@@ -206,14 +208,17 @@ fn seed_inputs(
     bindings: &Bindings,
 ) -> Result<SeededInputs, BackendError> {
     let mut seeded = SeededInputs {
-        homes: Homes::new(program.ranks()),
+        homes: Homes::new(program.tensors.len()),
         nnz: BTreeMap::new(),
         missing: Vec::new(),
     };
     let count_nnz = tensors.values().any(|s| s.format.has_compressed());
     for acc in program.assignment.input_accesses() {
         let name = &acc.tensor;
-        let done = seeded.homes.holds(name)
+        let seeded_already = program
+            .tensor_index(name)
+            .is_ok_and(|t| seeded.homes.holds(t));
+        let done = seeded_already
             || seeded.missing.contains(name)
             || *name == program.assignment.lhs.tensor;
         let Some(spec) = tensors.get(name).filter(|_| !done) else {
@@ -249,50 +254,71 @@ fn count_tasks(program: &SpmdProgram) -> u64 {
         .count() as u64
 }
 
-/// A report for a lowered program: message/byte counts (the static
-/// nnz-density estimate, unless the caller supplies the executed exact
-/// statistics) plus the α-β critical path.
-fn program_report(
-    provenance: Provenance,
-    program: &SpmdProgram,
-    model: &AlphaBeta,
-    peak_bytes: u64,
-    stats: Option<&crate::stats::CommStats>,
-) -> Report {
-    let static_stats;
-    let stats = match stats {
-        Some(s) => s,
-        None => {
-            static_stats = program.stats();
-            &static_stats
+/// The report fields a program fixes before it runs: its α-β pricing and
+/// its leaf count.
+#[derive(Debug)]
+struct Priced {
+    cost: CostReport,
+    tasks: u64,
+}
+
+impl Priced {
+    fn of(program: &SpmdProgram, model: &AlphaBeta) -> Self {
+        Priced {
+            cost: program.cost(model),
+            tasks: count_tasks(program),
         }
-    };
-    let cost = program.cost(model);
-    let tasks = count_tasks(program);
-    let mut kernel_classes = std::collections::BTreeMap::new();
-    if tasks > 0 {
-        kernel_classes.insert(
-            program.leaf.0.name().to_string(),
-            distal_runtime::stats::KernelClassStats {
-                tasks,
-                flops: program.total_flops,
-                busy_s: cost.compute_s,
-            },
-        );
     }
-    Report {
-        backend: "spmd".into(),
-        provenance,
-        bytes_moved: stats.bytes,
-        messages: stats.messages,
-        critical_path_s: cost.makespan_s,
-        modeled_s: None,
-        flops: program.total_flops,
-        tasks,
-        peak_bytes,
-        cache: None,
-        kernel_classes,
-        diagnostics: Vec::new(),
+
+    /// A modeled report of `program`: these prices beside message/byte
+    /// counts (`stats`: the static nnz-density estimate, or a run's exact
+    /// statistics) and the peak scratch.
+    fn report(&self, program: &SpmdProgram, stats: &CommStats, peak_bytes: u64) -> Report {
+        let mut kernel_classes = BTreeMap::new();
+        if self.tasks > 0 {
+            kernel_classes.insert(
+                program.leaf.0.name().to_string(),
+                distal_runtime::stats::KernelClassStats {
+                    tasks: self.tasks,
+                    flops: program.total_flops,
+                    busy_s: self.cost.compute_s,
+                },
+            );
+        }
+        Report {
+            backend: "spmd".into(),
+            provenance: Provenance::Modeled,
+            bytes_moved: stats.bytes,
+            messages: stats.messages,
+            critical_path_s: self.cost.makespan_s,
+            modeled_s: None,
+            flops: program.total_flops,
+            tasks: self.tasks,
+            peak_bytes,
+            cache: None,
+            kernel_classes,
+            diagnostics: Vec::new(),
+        }
+    }
+}
+
+/// What an [`SpmdPlan`] works out on its first `execute` and every later
+/// request on it reuses: the program resolved for the rank VM (functional
+/// mode; nothing runs in model mode), and — when every tensor is dense, so
+/// no binding's nnz can move a byte — its prices and static
+/// [`CommStats`], which then equal every run's exact ones.
+#[derive(Debug)]
+struct Memo {
+    resolved: Option<Resolved>,
+    dense: Option<(Priced, CommStats)>,
+}
+
+impl Memo {
+    fn new(program: &SpmdProgram, mode: Mode, model: &AlphaBeta, dense: bool) -> Self {
+        Memo {
+            resolved: (mode == Mode::Functional).then(|| Resolved::new(program)),
+            dense: dense.then(|| (Priced::of(program, model), program.stats())),
+        }
     }
 }
 
@@ -415,6 +441,7 @@ impl Backend for SpmdBackend {
             mode: self.mode,
             tensors: problem.tensors().clone(),
             program: Arc::new(program),
+            memo: Arc::default(),
             model: self.model,
             transport: self.transport.clone(),
             diagnostics,
@@ -425,13 +452,17 @@ impl Backend for SpmdBackend {
 /// A data-independent SPMD plan: the lowered per-rank message schedule +
 /// the registry it was lowered against. Binding seeds the ranks' input
 /// homes (functional mode only) and attaches per-request nnz accounting —
-/// the program is never re-lowered.
+/// the program is never re-lowered. The first `execute` of any of its
+/// instances resolves the program for the rank VM and prices its report;
+/// every later one replays both.
 pub struct SpmdPlan {
     mode: Mode,
     tensors: BTreeMap<String, TensorSpec>,
     // Shared with every all-dense instance; compressed bindings get a
     // per-instance copy carrying their nnz (see `bound_program`).
     program: Arc<SpmdProgram>,
+    // Filled by the first execute, shared with every instance.
+    memo: Arc<OnceLock<Memo>>,
     model: AlphaBeta,
     transport: Transport,
     // Warning-severity verifier findings (errors rejected the plan).
@@ -488,38 +519,44 @@ impl Plan for SpmdPlan {
         });
         Ok(Box::new(SpmdInstance {
             mode: self.mode,
+            dense: Arc::ptr_eq(&program, &self.program),
             program,
+            memo: Arc::clone(&self.memo),
             homes: seeded.homes,
             missing_inputs: seeded.missing,
             model: self.model,
             transport: self.transport.clone(),
             diagnostics: self.diagnostics.clone(),
-            result: None,
+            output: None,
         }))
     }
 }
 
 /// A bound SPMD program plus its inputs — tiled into the ranks' home
-/// pieces, which executions only read — and (after execution) result. In
+/// pieces, which executions only read — and (after execution) output. In
 /// model mode it holds the program alone.
 pub struct SpmdInstance {
     mode: Mode,
     program: Arc<SpmdProgram>,
+    /// The plan's program itself: no binding's nnz can move its bytes.
+    dense: bool,
+    memo: Arc<OnceLock<Memo>>,
     homes: Homes,
     missing_inputs: Vec<String>,
     model: AlphaBeta,
     transport: Transport,
     diagnostics: Vec<Diagnostic>,
-    result: Option<SpmdResult>,
+    output: Option<Vec<f64>>,
 }
 
 impl std::fmt::Debug for SpmdInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inputs = self.homes.seeded().map(|t| &self.program.tensors[t].name);
         f.debug_struct("SpmdInstance")
             .field("mode", &self.mode)
             .field("ranks", &self.program.ranks())
-            .field("inputs", &self.homes.tensors().collect::<Vec<_>>())
-            .field("executed", &self.result.is_some())
+            .field("inputs", &inputs.collect::<Vec<_>>())
+            .field("executed", &self.output.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -531,16 +568,26 @@ impl SpmdInstance {
         &self.program
     }
 
-    /// The VM result, once [`Instance::execute`] ran.
-    pub fn result(&self) -> Option<&SpmdResult> {
-        self.result.as_ref()
+    /// What the plan worked out on its first execute.
+    fn memo(&self) -> &Memo {
+        self.memo
+            .get_or_init(|| Memo::new(&self.program, self.mode, &self.model, self.dense))
+    }
+
+    /// The report of this binding: the one the plan priced when every
+    /// tensor is dense, else priced now beside `stats()`.
+    fn report(&self, memo: &Memo, stats: impl FnOnce() -> CommStats, peak: u64) -> Report {
+        match &memo.dense {
+            Some((priced, dense)) => priced.report(&self.program, dense, peak),
+            None => Priced::of(&self.program, &self.model).report(&self.program, &stats(), peak),
+        }
     }
 
     /// Hands the assembled output back to the pool the next execution
     /// assembles into.
     fn recycle_output(&mut self) {
-        if let Some(result) = self.result.take() {
-            distal_runtime::pool::give(result.output);
+        if let Some(output) = self.output.take() {
+            distal_runtime::pool::give(output);
         }
     }
 }
@@ -569,13 +616,7 @@ impl Instance for SpmdInstance {
     fn execute(&mut self) -> Result<Report, BackendError> {
         if self.mode == Mode::Model {
             // The static nnz-density estimate of the bound program.
-            return Ok(program_report(
-                Provenance::Modeled,
-                &self.program,
-                &self.model,
-                0,
-                None,
-            ));
+            return Ok(self.report(self.memo(), || self.program.stats(), 0));
         }
         if let Some(name) = self.missing_inputs.first() {
             // Same failure point as the dynamic runtime's uninitialized
@@ -584,17 +625,16 @@ impl Instance for SpmdInstance {
                 "input '{name}' has no initializer on the problem"
             )));
         }
-        let result = self
+        let memo = self.memo();
+        let resolved = memo.resolved.as_ref().expect("functional plans resolve");
+        let run = self
             .program
-            .run(&self.homes, &self.transport)
+            .run(resolved, &self.homes, &self.transport)
             .map_err(backend_err)?;
-        let peak = result.peak_scratch_bytes;
-        let measured = result.measured.clone();
-        self.recycle_output();
-        self.result = Some(result);
         // Bytes, messages, flops, and the numerics behind `read` are
         // exact properties of the executed program — compressed operand
-        // tiles are charged their actual per-tile pos/crd/vals payloads.
+        // tiles are charged their actual per-tile pos/crd/vals payloads;
+        // dense ones are what the plan priced on its first execute.
         // On the sequential transport the headline `critical_path_s`
         // comes from the α-β model (whose serialized-injection assumption
         // matches that transport exactly), so the phase reports as
@@ -602,20 +642,21 @@ impl Instance for SpmdInstance {
         // headline becomes the wall-clock makespan, the α-β prediction
         // moves to `modeled_s`, and `Report::modeled_vs_measured` exposes
         // the calibration ratio.
-        let exact = self.result.as_ref().map(|r| &r.stats);
-        let mut report =
-            program_report(Provenance::Modeled, &self.program, &self.model, peak, exact);
-        if let Some(m) = measured {
+        let exact = || run.stats(&self.program, resolved);
+        let mut report = self.report(memo, exact, resolved.peak_scratch_bytes);
+        if let Some(m) = &run.measured {
             report.modeled_s = Some(report.critical_path_s);
             report.critical_path_s = m.wall_s;
             report.provenance = Provenance::Measured;
         }
         report.diagnostics = self.diagnostics.clone();
+        self.recycle_output();
+        self.output = Some(run.output);
         Ok(report)
     }
 
     fn read(&self, tensor: &str) -> Result<Vec<f64>, BackendError> {
-        let Some(spec) = self.program.tensors.iter().find(|t| t.name == tensor) else {
+        let Ok(index) = self.program.tensor_index(tensor) else {
             return Err(BackendError::UnknownTensor(tensor.into()));
         };
         if self.mode == Mode::Model {
@@ -624,16 +665,12 @@ impl Instance for SpmdInstance {
             )));
         }
         if *tensor == self.program.assignment.lhs.tensor {
-            return self
-                .result
-                .as_ref()
-                .map(|r| r.output.clone())
-                .ok_or_else(|| {
-                    BackendError::NoData(format!("'{tensor}' is unavailable before execute()"))
-                });
+            return self.output.clone().ok_or_else(|| {
+                BackendError::NoData(format!("'{tensor}' is unavailable before execute()"))
+            });
         }
-        let whole = Rect::sized(&spec.dims);
-        self.homes.assemble(tensor, &whole).ok_or_else(|| {
+        let whole = Rect::sized(&self.program.tensors[index].dims);
+        self.homes.assemble(index, &whole).ok_or_else(|| {
             // Registered but neither the output nor a seeded input.
             BackendError::NoData(format!("'{tensor}' has no initializer on this instance"))
         })
@@ -805,6 +842,67 @@ mod tests {
             assert_eq!(report.flops, program.total_flops);
             assert_eq!(report.tasks, count_tasks(&program));
             assert!(matches!(inst.read("A"), Err(BackendError::NoData(_))));
+        }
+    }
+
+    #[test]
+    fn every_report_of_a_plan_is_the_one_a_fresh_execute_prices() {
+        // A plan's first execute resolves its program and prices its
+        // report; later ones reuse both. Every field must stay what the
+        // one-shot path gives the same bound program: the α-β pricing and
+        // leaf count of the program, and the statistics and peak scratch
+        // of executing it — static bytes for dense tensors, the run's
+        // exact ones for a compressed operand.
+        let model = AlphaBeta::default();
+        let schedule = Schedule::summa(2, 2, 4);
+        for p in [matmul_problem(8), csr_matmul_problem(8, 0.25)] {
+            let mut program = plan_program(&p, &schedule, &CollectiveConfig::default()).unwrap();
+            if p.tensors().values().any(|s| s.format.has_compressed()) {
+                for name in p.tensors().keys() {
+                    program.set_tensor_nnz(name, p.nnz_of(name));
+                }
+            }
+            let inputs = ["B", "C"].map(|t| (t.to_string(), p.initial_data(t).unwrap()));
+            let fresh = program.execute(&inputs.into_iter().collect()).unwrap();
+            let cost = program.cost(&model);
+            let tasks = count_tasks(&program);
+            assert!(tasks > 0);
+            for transport in [Transport::Sequential, Transport::threaded_with(2)] {
+                let backend = SpmdBackend::new().with_transport(transport.clone());
+                let plan = backend.plan(&p, &schedule).unwrap();
+                for request in 1..=5 {
+                    let what = format!("{transport:?}, request {request}");
+                    let mut inst = plan.bind(&p.bindings()).unwrap();
+                    let report = inst.execute().unwrap();
+                    assert_eq!(report.backend, "spmd");
+                    assert_eq!(report.bytes_moved, fresh.stats.bytes, "{what}");
+                    assert_eq!(report.messages, fresh.stats.messages, "{what}");
+                    assert_eq!(report.flops, program.total_flops, "{what}");
+                    assert_eq!(report.tasks, tasks, "{what}");
+                    assert_eq!(report.peak_bytes, fresh.peak_scratch_bytes, "{what}");
+                    let class = distal_runtime::stats::KernelClassStats {
+                        tasks,
+                        flops: program.total_flops,
+                        busy_s: cost.compute_s,
+                    };
+                    let classes = BTreeMap::from([(program.leaf.0.name().to_string(), class)]);
+                    assert_eq!(report.kernel_classes, classes, "{what}");
+                    assert!(report.cache.is_none());
+                    assert_eq!(report.diagnostics, plan.diagnostics(), "{what}");
+                    match transport {
+                        Transport::Sequential => {
+                            assert_eq!(report.critical_path_s, cost.makespan_s, "{what}");
+                            assert_eq!(report.modeled_s, None, "{what}");
+                            assert_eq!(report.provenance, Provenance::Modeled, "{what}");
+                        }
+                        Transport::Threaded(_) => {
+                            assert_eq!(report.modeled_s, Some(cost.makespan_s), "{what}");
+                            assert_eq!(report.provenance, Provenance::Measured, "{what}");
+                        }
+                    }
+                    assert_eq!(inst.read("A").unwrap(), fresh.output, "{what}");
+                }
+            }
         }
     }
 

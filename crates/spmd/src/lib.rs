@@ -93,6 +93,7 @@ pub mod cost;
 pub mod lower;
 pub mod ops;
 pub mod program;
+mod resolve;
 pub mod stats;
 pub mod transport;
 pub mod verify;
@@ -106,6 +107,7 @@ pub use cost::{AlphaBeta, CostReport};
 pub use lower::{lower, lower_count, lower_with, SpmdError, SpmdTensor};
 pub use ops::{Message, SpmdOp};
 pub use program::{MeasuredRun, SpmdProgram, SpmdResult};
+pub use resolve::resolve_count;
 pub use stats::CommStats;
 pub use transport::{ThreadedConfig, Transport};
 pub use verify::{to_verify_ir, verify_program};

@@ -7,11 +7,11 @@
 //! go wrong, and no deadlock is possible because the execution order is
 //! fixed at compile time.
 //!
-//! The [`Message::tag`] is the matching key at execution time on *both*
-//! transports: the sequential VM uses it to index its in-flight payload
-//! map, and the threaded transport stamps it on every channel packet so
-//! a receiver can stash early arrivals and block on exactly the tag its
-//! program order demands next (see [`crate::transport`]).
+//! The [`Message::tag`] is the matching key: before a program runs, each
+//! send is matched to the first receive of its tag at its destination, and
+//! both transports then address the payload by that receive's mailbox
+//! slot, so a receiver files early arrivals and blocks on exactly the
+//! receive its program order demands next (see [`crate::transport`]).
 
 use distal_machine::geom::Rect;
 use distal_machine::ELEM_BYTES;
@@ -20,10 +20,10 @@ use std::fmt;
 /// The identity of one point-to-point transfer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Message {
-    /// Globally unique tag (generation order). This is the only key the
-    /// transports match on: payloads carry it over the network (the
-    /// sequential VM's pending map, the threaded transport's channel
-    /// packets) and the receiver's program names the tag it needs next.
+    /// Globally unique tag (generation order). This is the only key a
+    /// send is matched to its receive by: the send feeds the first receive
+    /// of its tag at its destination, and a payload no receive takes fails
+    /// the run naming this tag.
     pub tag: u64,
     /// Source rank.
     pub from: usize,

@@ -4,16 +4,14 @@ use crate::collective::{Collective, Segments};
 use crate::cost::{AlphaBeta, CostReport};
 use crate::lower::{Ownership, SpmdError, SpmdTensor};
 use crate::ops::{Message, SpmdOp};
+use crate::resolve::Resolved;
 use crate::stats::CommStats;
 use crate::transport::Transport;
-use crate::vm::{Buf, Homes, RankStore};
+use crate::vm::{Homes, Run};
 use distal_ir::expr::{Access, Assignment, IndexVar};
 use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
-use distal_runtime::kernel::{ArgData, Kernel, KernelArg, KernelCtx};
-use distal_runtime::pool;
-use distal_runtime::program::Privilege;
-use distal_sparse::{csr_payload_bytes, stored_entries, SparseBuffer};
+use distal_runtime::kernel::Kernel;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -32,7 +30,7 @@ impl fmt::Debug for LeafKernel {
 }
 
 /// Extent of a rectangle's innermost dimension (1 for order-0 rects).
-fn rect_inner_extent(rect: &Rect) -> u64 {
+pub(crate) fn rect_inner_extent(rect: &Rect) -> u64 {
     if rect.dim() == 0 {
         1
     } else {
@@ -176,7 +174,7 @@ impl SpmdProgram {
         if m.tensor == self.assignment.lhs.tensor {
             return m.bytes();
         }
-        match self.tensor(&m.tensor) {
+        match self.tensor_index(&m.tensor).map(|t| &self.tensors[t]) {
             Ok(t) if t.format.has_compressed() => {
                 let volume = m.rect.volume().max(0) as u64;
                 let rows = volume / rect_inner_extent(&m.rect);
@@ -241,11 +239,11 @@ impl SpmdProgram {
         }
     }
 
-    /// The tensor description of `name`.
-    fn tensor(&self, name: &str) -> Result<&SpmdTensor, SpmdError> {
+    /// The index of tensor `name` in [`SpmdProgram::tensors`].
+    pub(crate) fn tensor_index(&self, name: &str) -> Result<usize, SpmdError> {
         self.tensors
             .iter()
-            .find(|t| t.name == name)
+            .position(|t| t.name == name)
             .ok_or_else(|| SpmdError::UnknownTensor(name.to_string()))
     }
 
@@ -258,22 +256,25 @@ impl SpmdProgram {
     /// # Errors
     ///
     /// [`SpmdError::Data`] for missing or mis-sized inputs, and internal
-    /// consistency failures (a send whose payload is not locally valid).
+    /// consistency failures (an op that reads data its rank does not hold,
+    /// a payload nobody receives).
     pub fn execute(&self, inputs: &BTreeMap<String, Vec<f64>>) -> Result<SpmdResult, SpmdError> {
         self.execute_with(inputs, &Transport::Sequential)
     }
 
     /// Executes the program over the chosen [`Transport`]: the sequential
-    /// single-loop simulation, or real rank threads exchanging tagged
-    /// messages over channels. Both produce bit-identical outputs and
-    /// statistics; only the threaded path reports wall-clock timings in
-    /// [`SpmdResult::measured`].
+    /// single-loop simulation, or real rank threads exchanging messages
+    /// over channels. Both produce bit-identical outputs and statistics;
+    /// only the threaded path reports wall-clock timings in
+    /// [`SpmdResult::measured`]. Every call resolves the program for the
+    /// rank VM afresh and keeps nothing (a bound `SpmdPlan` resolves once
+    /// and replays).
     pub fn execute_with(
         &self,
         inputs: &BTreeMap<String, Vec<f64>>,
         transport: &Transport,
     ) -> Result<SpmdResult, SpmdError> {
-        let mut homes = Homes::new(self.ranks());
+        let mut homes = Homes::new(self.tensors.len());
         let out_name = &self.assignment.lhs.tensor;
         for t in self.tensors.iter().filter(|t| &t.name != out_name) {
             let data = inputs
@@ -281,7 +282,14 @@ impl SpmdProgram {
                 .ok_or_else(|| SpmdError::Data(format!("missing input '{}'", t.name)))?;
             self.seed(&mut homes, &t.name, data)?;
         }
-        self.run(&homes, transport)
+        let resolved = Resolved::new(self);
+        let run = self.run(&resolved, &homes, transport)?;
+        Ok(SpmdResult {
+            stats: run.stats(self, &resolved),
+            peak_scratch_bytes: resolved.peak_scratch_bytes,
+            output: run.output,
+            measured: run.measured,
+        })
     }
 
     /// Seeds `homes` with `tensor`'s home pieces on every rank, tiled out
@@ -293,7 +301,8 @@ impl SpmdProgram {
         tensor: &str,
         data: &[f64],
     ) -> Result<(), SpmdError> {
-        let rect = Rect::sized(&self.tensor(tensor)?.dims);
+        let index = self.tensor_index(tensor)?;
+        let rect = Rect::sized(&self.tensors[index].dims);
         if data.len() as i64 != rect.volume() {
             return Err(SpmdError::Data(format!(
                 "input '{tensor}' has {} values, expected {}",
@@ -302,153 +311,24 @@ impl SpmdProgram {
             )));
         }
         if let Some(owners) = self.owners.get(tensor) {
-            homes.seed(tensor, &rect, data, owners.pieces());
+            homes.seed(index, &rect, data, owners.pieces());
         }
         Ok(())
     }
 
-    /// Executes the program against seeded input homes, which it only
-    /// reads: the same `homes` can run again.
+    /// Executes the resolved program against seeded input homes, which it
+    /// only reads: the same `homes` can run again.
     pub(crate) fn run(
         &self,
+        resolved: &Resolved,
         homes: &Homes,
         transport: &Transport,
-    ) -> Result<SpmdResult, SpmdError> {
+    ) -> Result<Run, SpmdError> {
         match transport {
-            Transport::Sequential => self.execute_sequential(homes),
-            Transport::Threaded(cfg) => crate::transport::execute_threaded(self, homes, cfg),
-        }
-    }
-
-    /// Every rank's store at the start of a run: the borrowed input homes,
-    /// no scratch, nothing accumulated.
-    pub(crate) fn rank_stores<'a>(&'a self, homes: &'a Homes) -> Vec<RankStore<'a>> {
-        let out_name = &self.assignment.lhs.tensor;
-        let reads_output = self
-            .assignment
-            .input_accesses()
-            .iter()
-            .any(|acc| &acc.tensor == out_name);
-        let out_pieces = self.owners[out_name].pieces();
-        (0..self.ranks())
-            .map(|rank| RankStore::new(homes.rank(rank), out_name, &out_pieces[rank], reads_output))
-            .collect()
-    }
-
-    /// The sequential transport: one loop over the global op order, with
-    /// a tag-keyed map standing in for the network. Payloads are
-    /// snapshotted at send time; `pending` carries them to the matching
-    /// receive. For compressed operand tensors the executed statistics
-    /// charge each message its *actual* CSR payload (pos +
-    /// per-stored-entry crd/vals), refining the static density estimate.
-    fn execute_sequential(&self, homes: &Homes) -> Result<SpmdResult, SpmdError> {
-        let ranks = self.ranks();
-        let out_name = &self.assignment.lhs.tensor;
-        let mut stores = self.rank_stores(homes);
-
-        let mut pending: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        let mut peak_scratch = 0u64;
-        let mut sent: Vec<(&Message, u64)> = Vec::new();
-        for (rank, op) in self.in_order() {
-            match op {
-                SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
-                    let payload = self.read_payload(&stores[rank], m, out_name)?;
-                    sent.push((m, self.exact_message_bytes(m, &payload)));
-                    pending.insert(m.tag, payload);
-                }
-                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => {
-                    let payload = pending
-                        .remove(&m.tag)
-                        .ok_or_else(|| SpmdError::Data(format!("recv before send: {m}")))?;
-                    self.apply_recv(&mut stores[rank], m, payload);
-                }
-                SpmdOp::Compute { bounds, .. } => {
-                    self.run_leaf(&mut stores[rank], bounds)?;
-                    peak_scratch = peak_scratch.max(stores[rank].scratch_bytes());
-                }
-                SpmdOp::RetireScratch { keep } => {
-                    stores[rank].retire_scratch(*keep);
-                }
+            Transport::Sequential => crate::vm::run_sequential(self, resolved, homes),
+            Transport::Threaded(cfg) => {
+                crate::transport::execute_threaded(self, resolved, homes, cfg)
             }
-        }
-
-        Ok(SpmdResult {
-            output: self.finalize_output(&stores)?,
-            stats: CommStats::from_weighted(&self.grid, ranks, &sent),
-            peak_scratch_bytes: peak_scratch,
-            measured: None,
-        })
-    }
-
-    /// Applies a received payload to a rank store. Output-tensor (gather)
-    /// messages fold into home output pieces — reduce-tree relays with no
-    /// home piece here fold into the accumulator and forward — while
-    /// an input-tensor payload becomes a scratch buffer as is (no copy).
-    pub(crate) fn apply_recv(&self, store: &mut RankStore<'_>, m: &Message, payload: Vec<f64>) {
-        if m.tensor == self.assignment.lhs.tensor {
-            store.fold_output(&m.rect, &payload);
-            pool::give(payload);
-        } else {
-            let buf = Buf {
-                rect: m.rect.clone(),
-                data: payload,
-            };
-            store.receive(&m.tensor, buf);
-        }
-    }
-
-    /// Assembles the global output tensor: every rank writes its home
-    /// pieces — what messages folded into them plus its own accumulator
-    /// contributions ([`RankStore::write_output`]) — straight into the
-    /// one buffer, in rank order. The pieces cover the tensor (every
-    /// distribution does), so the buffer starts with whatever its last
-    /// owner left in it.
-    pub(crate) fn finalize_output(&self, stores: &[RankStore<'_>]) -> Result<Vec<f64>, SpmdError> {
-        let out_rect = Rect::sized(&self.tensor(&self.assignment.lhs.tensor)?.dims);
-        let mut output = pool::take(out_rect.volume().max(1) as usize);
-        for store in stores {
-            store.write_output(&out_rect, &mut output);
-        }
-        Ok(output)
-    }
-
-    /// Exact wire bytes of a message given its snapshotted payload:
-    /// compressed operand tiles ship `pos` plus `(crd, val)` per stored
-    /// entry; everything else (dense tensors, output partial sums) ships
-    /// flat.
-    pub(crate) fn exact_message_bytes(&self, m: &Message, payload: &[f64]) -> u64 {
-        if m.tensor == self.assignment.lhs.tensor {
-            return m.bytes();
-        }
-        match self.tensor(&m.tensor) {
-            Ok(t) if t.format.has_compressed() => {
-                let rows = payload.len() as u64 / rect_inner_extent(&m.rect).max(1);
-                csr_payload_bytes(rows, stored_entries(payload))
-            }
-            _ => m.bytes(),
-        }
-    }
-
-    /// Gathers a message payload out of the sender's store: output-tensor
-    /// payloads come from the local accumulator, input payloads from
-    /// scratch/home.
-    pub(crate) fn read_payload(
-        &self,
-        store: &RankStore<'_>,
-        m: &Message,
-        out_name: &str,
-    ) -> Result<Vec<f64>, SpmdError> {
-        let mut payload = pool::take(m.rect.volume().max(0) as usize);
-        let gathered = if m.tensor == out_name {
-            store.gather_acc(&m.rect, &mut payload)
-        } else {
-            store.held().gather(&m.tensor, &m.rect, &mut payload)
-        };
-        match gathered {
-            Ok(()) => Ok(payload),
-            Err(missing) => Err(SpmdError::Data(format!(
-                "send of {m}: no valid local copy of {missing}"
-            ))),
         }
     }
 
@@ -470,107 +350,4 @@ impl SpmdProgram {
         };
         Some(self.assignment.accesses().iter().map(rect_of).collect())
     }
-
-    /// Runs the leaf kernel over the iteration sub-box `bounds` (inclusive
-    /// per-variable) on operands that stay where they lie: each operand's
-    /// *face* of the sub-box (for a reduction far smaller than the box
-    /// itself — SUMMA's leaves read `n²` values per operand instead of
-    /// `n³`) is lent out of the one home or scratch buffer that contains
-    /// it ([`Held::view`](crate::vm::Held::view): `alloc` is that buffer's
-    /// rectangle, and the kernel strides through it), beside the rank
-    /// accumulator lent mutably as the output argument. Only a face no
-    /// single buffer contains is gathered into a buffer of its own first.
-    /// Zero-skipping for compressed operands is baked into the generated
-    /// kernels (`skip_zero` in their request); a leaf that reads an
-    /// operand as CSR ([`Kernel::sparse_arg`]) gets the face compressed —
-    /// rank stores are dense, so this is the one scan of the face, with
-    /// `alloc` the face rectangle — straight out of the view when the face
-    /// is one contiguous run of it, out of a gathered copy otherwise.
-    pub(crate) fn run_leaf(
-        &self,
-        store: &mut RankStore<'_>,
-        bounds: &[(i64, i64)],
-    ) -> Result<(), SpmdError> {
-        let Some(rects) = self.leaf_rects(bounds) else {
-            return Ok(());
-        };
-        let mut rects = rects.into_iter();
-        let out_rect = rects.next().expect("the destination access");
-        let (acc, held) = store.leaf_parts(&out_rect);
-        let csr_arg = self.leaf.0.sparse_arg();
-        let operands = self.assignment.input_accesses().into_iter().zip(rects);
-        let faces = operands
-            .enumerate()
-            .map(|(i, (access, rect))| {
-                let compress = csr_arg == Some(i + 1);
-                let lent = held.view(&access.tensor, &rect).filter(|(alloc, _)| {
-                    !compress || (1..rect.dim()).all(|d| rect.extent(d) == alloc.extent(d))
-                });
-                let face = match lent {
-                    Some((alloc, data)) => Face::Lent(alloc, data),
-                    None => {
-                        let mut copy = pool::take(rect.volume().max(0) as usize);
-                        held.gather(&access.tensor, &rect, &mut copy)
-                            .map_err(|missing| {
-                                SpmdError::Data(format!(
-                                    "compute reads {}{missing} with no valid local copy",
-                                    access.tensor
-                                ))
-                            })?;
-                        Face::Copied(copy)
-                    }
-                };
-                Ok((rect, face, compress))
-            })
-            .collect::<Result<Vec<_>, SpmdError>>()?;
-
-        let mut args = vec![KernelArg {
-            privilege: Privilege::ReadWrite,
-            rect: out_rect,
-            alloc: acc.rect.clone(),
-            data: ArgData::Write(&mut acc.data),
-            sparse: None,
-        }];
-        args.extend(faces.iter().map(|(rect, face, compress)| {
-            let (alloc, data) = match face {
-                Face::Lent(alloc, data) => (*alloc, *data),
-                Face::Copied(copy) => (rect, &copy[..]),
-            };
-            let (alloc, data, sparse) = if *compress {
-                let start = alloc.linearize(rect.lo());
-                let run = &data[start..start + rect.volume().max(0) as usize];
-                let image = SparseBuffer::from_dense(&rect.extents(), run);
-                (rect, &[][..], Some(Arc::new(image)))
-            } else {
-                (alloc, data, None)
-            };
-            KernelArg {
-                privilege: Privilege::Read,
-                rect: rect.clone(),
-                alloc: alloc.clone(),
-                data: ArgData::Read(data),
-                sparse,
-            }
-        }));
-        let mut kctx = KernelCtx {
-            args,
-            point: Point::zeros(1),
-            scalars: bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect(),
-        };
-        self.leaf.0.execute(&mut kctx);
-        drop(kctx);
-        pool::give_all(faces.into_iter().filter_map(|(_, face, _)| match face {
-            Face::Lent(..) => None,
-            Face::Copied(copy) => Some(copy),
-        }));
-        Ok(())
-    }
-}
-
-/// Where a leaf reads one operand's face from.
-enum Face<'a> {
-    /// The buffer that contains it: its rectangle and data, in place.
-    Lent(&'a Rect, &'a [f64]),
-    /// A gathered copy, row-major over the face.
-    Copied(Vec<f64>),
 }

@@ -1,40 +1,44 @@
 //! How SPMD ranks actually run: sequential simulation or real threads.
 //!
 //! A lowered [`SpmdProgram`] is a set of per-rank op lists plus a global
-//! order over them ([`SpmdProgram::in_order`]). Two transports execute it:
+//! order over them ([`SpmdProgram::in_order`]), resolved into per-rank
+//! steps before it runs. Two transports walk those steps with the one
+//! walker, `RankRun::step` of the rank VM:
 //!
-//! * [`Transport::Sequential`] — the original single-threaded simulation:
-//!   one loop walks the global order with a tag-keyed map standing in for
-//!   the network. Deterministic by construction; this is the discipline
-//!   the α-β cost model (see [`crate::cost`]) prices with its serialized
-//!   per-rank injection assumption, and the reference the parity suites
-//!   compare everything else against.
+//! * [`Transport::Sequential`] — the single-threaded simulation: one loop
+//!   takes the next step of each rank in the global order, and a payload
+//!   is filed straight into its receiver's mailbox. Deterministic by
+//!   construction; this is the discipline the α-β cost model (see
+//!   [`crate::cost`]) prices with its serialized per-rank injection
+//!   assumption, and the reference the parity suites compare everything
+//!   else against.
 //! * [`Transport::Threaded`] — real concurrency: each rank becomes a
 //!   state machine advanced by a worker thread of a bounded *rank pool*
 //!   ([`ThreadedConfig::threads`] workers multiplex the ranks, so `p = 16`
 //!   runs fine on a 2-core host). Every *worker* owns one inbound
-//!   [`std::sync::mpsc`] channel; sends are nonblocking channel pushes of
-//!   `(destination rank, tag, payload)` packets to the worker owning the
-//!   destination, receives match on the tag — the worker files arrivals
-//!   into per-rank stashes until their `Recv` retires. A rank keeps
-//!   computing and sending while messages it has not yet asked for are in
-//!   flight, which is exactly the comm/compute overlap the paper's
-//!   generated programs get from Legion's deferred execution. A worker
-//!   whose ranks are all blocked parks on that one inbox, so a packet for
-//!   *any* rank it owns wakes it.
+//!   [`std::sync::mpsc`] channel; a send is a nonblocking push of a packet
+//!   onto the channel of the worker owning the destination, addressed by
+//!   the receive it feeds — the receiver's mailbox slot, fixed at
+//!   resolution — and the worker files arrivals into its ranks' mailboxes
+//!   until their receives take them. A rank keeps computing and sending
+//!   while messages it has not yet asked for are in flight, which is
+//!   exactly the comm/compute overlap the paper's generated programs get
+//!   from Legion's deferred execution. A worker whose ranks are all blocked
+//!   parks on that one inbox, so a packet for *any* rank it owns wakes it.
 //!
-//! Payloads are whole rectangles: a send gathers its tile out of the
-//! sender's store with strided row copies and the packet's vector becomes
-//! the receiver's scratch buffer as is.
+//! A packet carries a view, not a copy: input payloads are lent out of the
+//! buffer that holds them (home pieces and received views are never
+//! written during a run), and only output partial sums and faces several
+//! buffers hold are copied, once, into the sender's arena.
 //!
 //! # Why the threaded path is bit-identical to the sequential one
 //!
 //! Each rank's op list is a subsequence of the global order, every
-//! transfer is a 1:1 tag-matched message, and payloads are pure functions
-//! of the sender's local state — so any interleaving that respects
-//! per-rank order and send-before-receive produces the same values. The
-//! backend-parity suite asserts this bitwise over the Figure 9 algorithms
-//! and the sparse kernels.
+//! transfer is a 1:1 message feeding one receive, and payloads are pure
+//! functions of the sender's local state — so any interleaving that
+//! respects per-rank order and send-before-receive produces the same
+//! values. The backend-parity suite asserts this bitwise over the Figure 9
+//! algorithms and the sparse kernels.
 //!
 //! # Why no deadlock
 //!
@@ -49,11 +53,11 @@
 //! bugs, not a scheduling necessity.
 
 use crate::lower::SpmdError;
-use crate::ops::{Message, SpmdOp};
-use crate::program::{MeasuredRun, SpmdProgram, SpmdResult};
-use crate::stats::CommStats;
-use crate::vm::{Homes, RankStore};
-use std::collections::BTreeMap;
+use crate::program::{MeasuredRun, SpmdProgram};
+use crate::resolve::Resolved;
+use crate::vm::Tables;
+use crate::vm::{check_delivered, with_arenas, Homes, Mailboxes, Packet, Post, RankRun, Run};
+use distal_runtime::kernel::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -61,10 +65,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The shared abort signal of one threaded execution. The first failing
-/// worker *trips* the cell with the root-cause error; workers that merely
-/// observe the abort afterwards re-surface that cause instead of a
-/// generic "aborted by another rank" — so callers see *why* the run died
-/// no matter which worker's error reaches them first at join time.
+/// worker *trips* the cell with the root-cause error; every other worker
+/// that stops because of it, and the caller, report that cause — so a
+/// caller sees *why* the run died, whichever worker's join it reads first.
 struct AbortCell {
     tripped: AtomicBool,
     cause: Mutex<Option<SpmdError>>,
@@ -80,9 +83,9 @@ impl AbortCell {
 
     /// Records `err` as the root cause (first writer wins) and raises the
     /// abort flag.
-    fn trip(&self, err: &SpmdError) {
+    fn trip(&self, err: SpmdError) {
         if let Ok(mut cause) = self.cause.lock() {
-            cause.get_or_insert_with(|| err.clone());
+            cause.get_or_insert(err);
         }
         self.tripped.store(true, Ordering::Release);
     }
@@ -91,8 +94,8 @@ impl AbortCell {
         self.tripped.load(Ordering::Acquire)
     }
 
-    /// The root cause another worker tripped the cell with. The fallback
-    /// covers a poisoned mutex (the tripping worker panicked mid-store).
+    /// The root cause the cell was tripped with. The fallback covers a
+    /// poisoned mutex (the tripping worker panicked mid-store).
     fn cause(&self) -> SpmdError {
         self.cause
             .lock()
@@ -153,55 +156,50 @@ impl Default for ThreadedConfig {
     }
 }
 
-/// A tagged message in flight between two rank threads.
-struct Packet {
-    /// Destination rank (selects the stash on the receiving worker).
-    to: usize,
-    tag: u64,
-    data: Vec<f64>,
-}
-
 /// How long a worker with every owned rank blocked sleeps on its inbox
 /// before re-checking the abort flag and the watchdog. Packets cut the
 /// sleep short; the slice only bounds how late an abort is noticed.
 const PARK_SLICE: Duration = Duration::from_micros(500);
 
 /// One worker's receive side: the single channel every packet for its
-/// ranks arrives on, and the early arrivals filed per owned rank.
-struct Inbox {
-    rx: Receiver<Packet>,
+/// ranks arrives on, and its ranks' mailboxes.
+struct Inbox<'a> {
+    rx: Receiver<Packet<'a>>,
     /// Pool width: worker `w` owns ranks `w, w + workers, …`, so rank `r`
-    /// is its `r / workers`-th.
+    /// has its `r / workers`-th mailbox.
     workers: usize,
-    /// Per owned rank: payloads keyed by tag until their `Recv` retires
-    /// them.
-    stashes: Vec<BTreeMap<u64, Vec<f64>>>,
+    boxes: Mailboxes<'a>,
 }
 
-impl Inbox {
-    fn new(rx: Receiver<Packet>, workers: usize, owned: usize) -> Self {
+impl<'a> Inbox<'a> {
+    /// An inbox over `rx` for ranks with `slots` mailbox slots each.
+    fn new(
+        rx: Receiver<Packet<'a>>,
+        workers: usize,
+        slots: impl IntoIterator<Item = usize>,
+    ) -> Self {
         Inbox {
             rx,
             workers,
-            stashes: vec![BTreeMap::new(); owned],
+            boxes: Mailboxes::new(slots),
         }
     }
 
-    fn file(&mut self, p: Packet) {
-        self.stashes[p.to / self.workers].insert(p.tag, p.data);
+    fn file(&mut self, p: Packet<'a>) {
+        self.boxes.file(p.to / self.workers, p);
     }
 
-    /// The payload `rank` is waiting for under `tag`, if it has arrived.
-    /// The channel is only drained when the stash misses.
-    fn take(&mut self, rank: usize, tag: u64) -> Option<Vec<f64>> {
-        let slot = rank / self.workers;
-        if let Some(data) = self.stashes[slot].remove(&tag) {
-            return Some(data);
+    /// The payload `rank` is waiting for in slot `ordinal`, if it has
+    /// arrived. The channel is only drained when the mailbox misses.
+    fn take(&mut self, rank: usize, ordinal: usize) -> Option<Packet<'a>> {
+        let b = rank / self.workers;
+        if let Some(p) = self.boxes.take(b, ordinal) {
+            return Some(p);
         }
         while let Ok(p) = self.rx.try_recv() {
             self.file(p);
         }
-        self.stashes[slot].remove(&tag)
+        self.boxes.take(b, ordinal)
     }
 
     /// Sleeps until a packet for any owned rank arrives or `slice`
@@ -218,11 +216,40 @@ impl Inbox {
         }
         Ok(())
     }
+
+    /// Every payload no receive took, including what is still on the
+    /// channel.
+    fn into_left(mut self) -> impl Iterator<Item = Packet<'a>> {
+        while let Ok(p) = self.rx.try_recv() {
+            self.file(p);
+        }
+        self.boxes.into_left()
+    }
+}
+
+/// The threaded transport's [`Post`]: a send goes onto the channel of the
+/// worker that owns its receiver, a receive comes out of this worker's
+/// inbox.
+struct Wire<'w, 'a> {
+    senders: &'w [Sender<Packet<'a>>],
+    inbox: &'w mut Inbox<'a>,
+}
+
+impl<'a> Post<'a> for Wire<'_, 'a> {
+    fn send(&mut self, packet: Packet<'a>) {
+        // A send can only fail if the receiving worker already returned,
+        // i.e. the run aborted — that abort's cause wins.
+        let _ = self.senders[packet.to % self.senders.len()].send(packet);
+    }
+
+    fn take(&mut self, rank: usize, ordinal: usize) -> Option<Packet<'a>> {
+        self.inbox.take(rank, ordinal)
+    }
 }
 
 /// What the workers of one execution share.
 struct Shared<'p> {
-    program: &'p SpmdProgram,
+    leaf: &'p dyn Kernel,
     /// When the ranks were released; finish times count from here.
     start: Instant,
     /// The watchdog's deadline.
@@ -230,162 +257,105 @@ struct Shared<'p> {
     abort: AbortCell,
 }
 
-/// What one rank hands back after running to completion. The send log
-/// borrows its messages from the program.
-struct RankOutcome<'p> {
-    rank: usize,
-    store: RankStore<'p>,
-    sent: Vec<(&'p Message, u64)>,
-    peak_scratch: u64,
-    finish_s: f64,
-}
-
-/// One rank's execution state: a resumable cursor over its op list.
-struct RankTask<'p> {
-    rank: usize,
-    ops: &'p [SpmdOp],
-    pc: usize,
-    store: RankStore<'p>,
-    sent: Vec<(&'p Message, u64)>,
-    peak_scratch: u64,
+/// One rank's run and when it finished.
+struct RankTask<'r, 'a> {
+    run: RankRun<'r, 'a>,
     finish_s: Option<f64>,
 }
 
-impl<'p> RankTask<'p> {
-    fn done(&self) -> bool {
-        self.finish_s.is_some()
-    }
-
-    /// Runs ops until the rank finishes or blocks on a receive whose
-    /// packet has not arrived. Returns whether any op retired.
-    /// `senders[w]` feeds worker `w`'s inbox.
-    fn advance(
-        &mut self,
-        shared: &Shared<'p>,
-        senders: &[Sender<Packet>],
-        inbox: &mut Inbox,
-    ) -> Result<bool, SpmdError> {
-        let program = shared.program;
-        let out_name = &program.assignment.lhs.tensor;
+impl<'a> RankTask<'_, 'a> {
+    /// Runs steps until the rank finishes or blocks on a receive whose
+    /// packet has not arrived. Returns whether any step ran.
+    fn advance(&mut self, shared: &Shared<'_>, wire: &mut Wire<'_, 'a>) -> Result<bool, SpmdError> {
         let mut progressed = false;
-        while self.pc < self.ops.len() {
-            match &self.ops[self.pc] {
-                SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
-                    let payload = program.read_payload(&self.store, m, out_name)?;
-                    self.sent
-                        .push((m, program.exact_message_bytes(m, &payload)));
-                    // Nonblocking injection. A send can only fail if the
-                    // receiving worker already returned, i.e. it hit an
-                    // error — that error wins.
-                    let _ = senders[m.to % senders.len()].send(Packet {
-                        to: m.to,
-                        tag: m.tag,
-                        data: payload,
-                    });
-                }
-                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => match inbox.take(self.rank, m.tag) {
-                    Some(payload) => program.apply_recv(&mut self.store, m, payload),
-                    None => return Ok(progressed),
-                },
-                SpmdOp::Compute { bounds, .. } => {
-                    program.run_leaf(&mut self.store, bounds)?;
-                    self.peak_scratch = self.peak_scratch.max(self.store.scratch_bytes());
-                }
-                SpmdOp::RetireScratch { keep } => {
-                    self.store.retire_scratch(*keep);
-                }
+        while !self.run.done() {
+            if !self.run.step(shared.leaf, wire)? {
+                return Ok(progressed);
             }
-            self.pc += 1;
             progressed = true;
         }
         self.finish_s = Some(shared.start.elapsed().as_secs_f64());
         Ok(true)
     }
-
-    fn into_outcome(self) -> RankOutcome<'p> {
-        RankOutcome {
-            rank: self.rank,
-            store: self.store,
-            sent: self.sent,
-            peak_scratch: self.peak_scratch,
-            finish_s: self.finish_s.unwrap_or(0.0),
-        }
-    }
 }
 
 /// One pool worker: round-robins its owned ranks, parking on its inbox
-/// only when none of them can progress.
-fn run_worker<'p>(
-    shared: &Shared<'p>,
-    senders: &[Sender<Packet>],
-    mut tasks: Vec<RankTask<'p>>,
-    mut inbox: Inbox,
-) -> Result<Vec<RankOutcome<'p>>, SpmdError> {
+/// only when none of them can progress. Hands back its ranks and inbox
+/// when they all finish; `None` when the run aborted, with the cause in
+/// the abort cell.
+fn run_worker<'r, 'a>(
+    shared: &Shared<'_>,
+    senders: &[Sender<Packet<'a>>],
+    mut tasks: Vec<RankTask<'r, 'a>>,
+    mut inbox: Inbox<'a>,
+) -> Option<(Vec<RankTask<'r, 'a>>, Inbox<'a>)> {
     let abort = &shared.abort;
     loop {
         let mut progressed = false;
         let mut all_done = true;
         for t in tasks.iter_mut() {
-            if t.done() {
+            if t.finish_s.is_some() {
                 continue;
             }
             // A panicking leaf is the rank's failure like any other: caught
             // here it names its rank and its message and stops the peers,
             // instead of leaving them to the watchdog. What the leaf was
-            // lent — views into the rank's store — dies with the task.
-            let advanced =
-                catch_unwind(AssertUnwindSafe(|| t.advance(shared, senders, &mut inbox)))
-                    .unwrap_or_else(|panic| {
-                        let message = panic
-                            .downcast_ref::<&str>()
-                            .map(|m| m.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "a non-string payload".into());
-                        Err(SpmdError::Data(format!("panicked: {message}")))
-                    });
+            // lent — views into the rank's slots — dies with the task.
+            let mut wire = Wire {
+                senders,
+                inbox: &mut inbox,
+            };
+            let advanced = catch_unwind(AssertUnwindSafe(|| t.advance(shared, &mut wire)))
+                .unwrap_or_else(|panic| {
+                    let message = panic
+                        .downcast_ref::<&str>()
+                        .map(|m| m.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "a non-string payload".into());
+                    Err(SpmdError::Data(format!("panicked: {message}")))
+                });
             match advanced {
                 Ok(p) => progressed |= p,
                 Err(e) => {
                     // Annotate with the failing rank before publishing:
                     // peers and the caller all see who actually died.
-                    let e = match e {
-                        SpmdError::Data(m) => SpmdError::Data(format!("rank {}: {m}", t.rank)),
+                    abort.trip(match e {
+                        SpmdError::Data(m) => SpmdError::Data(format!("rank {}: {m}", t.run.rank)),
                         other => other,
-                    };
-                    abort.trip(&e);
-                    return Err(e);
+                    });
+                    return None;
                 }
             }
-            all_done &= t.done();
+            all_done &= t.finish_s.is_some();
         }
         if all_done {
-            return Ok(tasks.into_iter().map(RankTask::into_outcome).collect());
+            return Some((tasks, inbox));
         }
         if progressed {
             continue;
         }
-        // Every owned rank is blocked on a tag that hasn't arrived: park
-        // until the next packet for any of them, at most a slice.
+        // Every owned rank is blocked on a receive that hasn't arrived:
+        // park until the next packet for any of them, at most a slice.
         if abort.tripped() {
-            return Err(abort.cause());
+            return None;
         }
         if Instant::now() >= shared.deadline {
-            let t = tasks.iter().find(|t| !t.done()).expect("a rank is blocked");
-            let tag = match &t.ops[t.pc] {
-                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => m.tag,
-                _ => unreachable!("only receives block"),
-            };
-            let e = SpmdError::Timeout(format!(
-                "rank {} blocked on tag {} at op {}/{}",
-                t.rank,
-                tag,
-                t.pc,
-                t.ops.len()
-            ));
-            abort.trip(&e);
-            return Err(e);
+            let t = tasks
+                .iter()
+                .find(|t| t.finish_s.is_none())
+                .expect("a rank is blocked");
+            let (op, at, of) = t.run.at();
+            let tag = op.message().expect("only receives wait").tag;
+            let rank = t.run.rank;
+            abort.trip(SpmdError::Timeout(format!(
+                "rank {rank} blocked on tag {tag} at op {at}/{of}"
+            )));
+            return None;
         }
-        inbox.park(PARK_SLICE)?;
+        if let Err(e) = inbox.park(PARK_SLICE) {
+            abort.trip(e);
+            return None;
+        }
     }
 }
 
@@ -393,121 +363,94 @@ fn run_worker<'p>(
 /// [`Transport::Threaded`] path of [`SpmdProgram::execute_with`]).
 ///
 /// Output and statistics are bit-identical to the sequential transport;
-/// additionally [`SpmdResult::measured`] carries per-rank wall-clock
-/// finish times and the measured makespan.
+/// additionally the run carries per-rank wall-clock finish times and the
+/// measured makespan.
 pub(crate) fn execute_threaded(
     program: &SpmdProgram,
+    resolved: &Resolved,
     homes: &Homes,
     cfg: &ThreadedConfig,
-) -> Result<SpmdResult, SpmdError> {
+) -> Result<Run, SpmdError> {
     let ranks = program.ranks();
-    let stores = program.rank_stores(homes);
     let workers = distal_runtime::executor::host_worker_count(cfg.threads)
         .min(ranks)
         .max(1);
+    with_arenas(resolved, |arenas| {
+        let mut tables = Tables::new(resolved, homes, arenas);
 
-    // One inbound channel per worker; every worker holds clones of all
-    // the send sides. The originals stay alive in this scope, so a worker
-    // never observes a disconnect while peers are still running.
-    let (senders, receivers): (Vec<Sender<Packet>>, Vec<Receiver<Packet>>) =
-        (0..workers).map(|_| channel()).unzip();
+        // One inbound channel per worker; every worker holds clones of all
+        // the send sides. The originals stay alive in this scope, so a
+        // worker never observes a disconnect while peers are still running.
+        let (senders, receivers): (Vec<Sender<Packet<'_>>>, Vec<Receiver<Packet<'_>>>) =
+            (0..workers).map(|_| channel()).unzip();
 
-    // Deterministic round-robin partition: worker w owns ranks
-    // w, w + workers, w + 2·workers, …
-    let mut partitions: Vec<Vec<RankTask<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (rank, store) in stores.into_iter().enumerate() {
-        partitions[rank % workers].push(RankTask {
-            rank,
-            ops: program.rank_ops(rank),
-            pc: 0,
-            store,
-            sent: Vec::new(),
-            peak_scratch: 0,
-            finish_s: None,
-        });
-    }
-
-    let start = Instant::now();
-    let shared = Shared {
-        program,
-        start,
-        deadline: start + cfg.watchdog,
-        abort: AbortCell::new(),
-    };
-    let results: Vec<Result<Vec<RankOutcome<'_>>, SpmdError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .into_iter()
-            .zip(receivers)
-            .map(|(tasks, rx)| {
-                let senders = senders.clone();
-                let inbox = Inbox::new(rx, workers, tasks.len());
-                let shared = &shared;
-                scope.spawn(move || run_worker(shared, &senders, tasks, inbox))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(SpmdError::Data("rank worker panicked".into())),
-            })
-            .collect()
-    });
-
-    // Surface the root-cause error: a worker that merely observed the
-    // abort flag reports a generic message, so a specific failure from
-    // any other worker takes precedence over it.
-    let mut first_err: Option<SpmdError> = None;
-    let mut outcomes: Vec<RankOutcome<'_>> = Vec::with_capacity(ranks);
-    for r in results {
-        match r {
-            Ok(o) => outcomes.extend(o),
-            Err(e) => {
-                let generic = matches!(&e, SpmdError::Timeout(m) if m == "aborted by another rank");
-                match &first_err {
-                    None => first_err = Some(e),
-                    Some(SpmdError::Timeout(m)) if m == "aborted by another rank" && !generic => {
-                        first_err = Some(e)
-                    }
-                    Some(_) => {}
-                }
-            }
+        // Deterministic round-robin partition: worker w owns ranks
+        // w, w + workers, w + 2·workers, …
+        let mut partitions: Vec<Vec<RankTask<'_, '_>>> = (0..workers).map(|_| Vec::new()).collect();
+        for run in tables.runs(program, resolved) {
+            partitions[run.rank % workers].push(RankTask {
+                run,
+                finish_s: None,
+            });
         }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    outcomes.sort_by_key(|o| o.rank);
 
-    let per_rank_s: Vec<f64> = outcomes.iter().map(|o| o.finish_s).collect();
-    let wall_s = per_rank_s.iter().copied().fold(0.0, f64::max);
-    let peak_scratch = outcomes.iter().map(|o| o.peak_scratch).max().unwrap_or(0);
-    // Aggregate statistics are order-independent sums, so concatenating
-    // per-rank send logs in rank order reproduces the sequential
-    // transport's CommStats exactly.
-    let sent: Vec<(&Message, u64)> = outcomes
-        .iter()
-        .flat_map(|o| o.sent.iter().copied())
-        .collect();
-    let stats = CommStats::from_weighted(&program.grid, ranks, &sent);
+        let start = Instant::now();
+        let shared = Shared {
+            leaf: &*program.leaf.0,
+            start,
+            deadline: start + cfg.watchdog,
+            abort: AbortCell::new(),
+        };
+        let finished: Vec<Option<_>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = partitions
+                .into_iter()
+                .zip(receivers)
+                .map(|(tasks, rx)| {
+                    let senders = senders.clone();
+                    let slots = tasks.iter().map(|t| t.run.plan.mailbox);
+                    let inbox = Inbox::new(rx, workers, slots.collect::<Vec<_>>());
+                    let shared = &shared;
+                    scope.spawn(move || run_worker(shared, &senders, tasks, inbox))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| {
+                        shared
+                            .abort
+                            .trip(SpmdError::Data("rank worker panicked".into()));
+                        None
+                    })
+                })
+                .collect()
+        });
+        // A worker that stopped early stopped because the run aborted; the
+        // cell holds the first failure's own error.
+        let Some(finished) = finished.into_iter().collect::<Option<Vec<_>>>() else {
+            return Err(shared.abort.cause());
+        };
+        let (tasks, inboxes): (Vec<_>, Vec<_>) = finished.into_iter().unzip();
+        check_delivered(inboxes.into_iter().flat_map(Inbox::into_left))?;
+        let mut tasks: Vec<RankTask<'_, '_>> = tasks.into_iter().flatten().collect();
+        tasks.sort_by_key(|t| t.run.rank);
 
-    let stores: Vec<RankStore<'_>> = outcomes.into_iter().map(|o| o.store).collect();
-    let output = program.finalize_output(&stores)?;
-    Ok(SpmdResult {
-        output,
-        stats,
-        peak_scratch_bytes: peak_scratch,
-        measured: Some(MeasuredRun {
+        let per_rank_s: Vec<f64> = tasks.iter().map(|t| t.finish_s.unwrap_or(0.0)).collect();
+        let wall_s = per_rank_s.iter().copied().fold(0.0, f64::max);
+        let measured = MeasuredRun {
             wall_s,
             per_rank_s,
             threads: workers,
-        }),
+        };
+        let runs = tasks.into_iter().map(|t| t.run).collect();
+        Ok(Run::new(resolved, runs, Some(measured)))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distal_machine::geom::Rect;
 
     #[test]
     fn a_packet_for_any_owned_rank_wakes_a_parked_worker() {
@@ -515,41 +458,60 @@ mod tests {
         // only packet in flight is for rank 2. Parking must end with that
         // packet, not wait out the slice — which is set far beyond what
         // the test would tolerate, so sleeping through it fails.
+        let rect = Rect::sized(&[1]);
         let (tx, rx) = channel();
-        let mut inbox = Inbox::new(rx, 2, 2);
-        assert_eq!(inbox.take(0, 7), None);
-        assert_eq!(inbox.take(2, 7), None);
+        let mut inbox = Inbox::new(rx, 2, [1, 1]);
+        assert!(inbox.take(0, 0).is_none());
+        assert!(inbox.take(2, 0).is_none());
         tx.send(Packet {
             to: 2,
+            ordinal: 0,
+            from: 1,
             tag: 7,
-            data: vec![1.5],
+            alloc: &rect,
+            data: &[1.5],
         })
         .unwrap();
         let parked = Instant::now();
         inbox.park(Duration::from_secs(600)).unwrap();
         assert!(parked.elapsed() < Duration::from_secs(60));
         // Filed under its destination rank only.
-        assert_eq!(inbox.take(0, 7), None);
-        assert_eq!(inbox.take(2, 7), Some(vec![1.5]));
-        assert_eq!(inbox.take(2, 7), None);
+        assert!(inbox.take(0, 0).is_none());
+        assert_eq!(
+            inbox.take(2, 0).map(|p| (p.tag, p.data)),
+            Some((7, &[1.5][..]))
+        );
+        assert!(inbox.take(2, 0).is_none());
+        assert_eq!(inbox.into_left().count(), 0);
     }
 
     #[test]
-    fn take_drains_the_channel_when_the_stash_misses() {
+    fn take_drains_the_channel_when_the_mailbox_misses() {
+        let rect = Rect::sized(&[1]);
         let (tx, rx) = channel();
-        let mut inbox = Inbox::new(rx, 3, 2);
-        // Ranks 1 and 4 live on worker 1 of 3; arrivals come out of order.
-        for (to, tag) in [(4, 11), (1, 10), (4, 12)] {
-            let data = vec![tag as f64];
-            tx.send(Packet { to, tag, data }).unwrap();
+        // Ranks 1 and 4 live on worker 1 of 3; arrivals come out of order,
+        // and one is for a slot no receive takes.
+        let mut inbox = Inbox::new(rx, 3, [1, 3]);
+        for (to, ordinal, tag) in [(4, 1, 11), (1, 0, 10), (4, 2, 12), (4, 0, 13)] {
+            let p = Packet {
+                to,
+                ordinal,
+                from: 0,
+                tag,
+                alloc: &rect,
+                data: &[],
+            };
+            tx.send(p).unwrap();
         }
-        assert_eq!(inbox.take(1, 10), Some(vec![10.0]));
-        assert_eq!(inbox.take(4, 12), Some(vec![12.0]));
-        assert_eq!(inbox.take(4, 11), Some(vec![11.0]));
+        assert_eq!(inbox.take(1, 0).map(|p| p.tag), Some(10));
+        assert_eq!(inbox.take(4, 2).map(|p| p.tag), Some(12));
+        assert_eq!(inbox.take(4, 1).map(|p| p.tag), Some(11));
         drop(tx);
         assert!(matches!(
             inbox.park(Duration::from_millis(1)),
             Err(SpmdError::Timeout(_))
         ));
+        let left: Vec<u64> = inbox.into_left().map(|p| p.tag).collect();
+        assert_eq!(left, [13]);
     }
 }

@@ -6,12 +6,11 @@
 //!
 //! * `Send`/`Recv` map directly; `ReduceSend`/`ReduceRecv` map with the
 //!   `fold` flag set. Messages of the *output* tensor also fold — the
-//!   gather lands them with `+=` regardless of op kind (see
-//!   `SpmdProgram::apply_recv`) — so overlapping output payloads are
-//!   legal and must not read as hazards.
+//!   rank VM lands them with `+=` regardless of op kind — so overlapping
+//!   output payloads are legal and must not read as hazards.
 //! * `Compute` becomes a `Task` whose access rectangles project the leaf
 //!   bounds through each access's index variables, exactly the
-//!   projection `SpmdProgram::run_leaf` uses to gather operand faces.
+//!   projection the rank VM reads operand faces through.
 //! * `RetireScratch` becomes a `Fence`: landings before it are retired,
 //!   so the hazard pass's overlap window resets.
 //!
@@ -67,7 +66,7 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
 }
 
 /// The tensor rectangles one leaf touches — [`SpmdProgram::leaf_rects`],
-/// the projection `SpmdProgram::run_leaf` gathers operand faces with —
+/// the projection the rank VM reads operand faces through —
 /// the destination as a write, the operands as reads.
 fn task_accesses(program: &SpmdProgram, bounds: &[(i64, i64)]) -> Vec<Access> {
     let rects = program.leaf_rects(bounds).unwrap_or_default();

@@ -616,3 +616,68 @@ fn executing_an_instance_twice_repeats_its_bits_and_its_report() {
         }
     }
 }
+
+/// The largest scratch any rank holds at a leaf, found by replaying its
+/// op list the way the rank VM keeps received input payloads: per tensor,
+/// generations newest first, a receive adding to the newest, a retire
+/// keeping the newest `keep` and opening a fresh one for every tensor
+/// that has received. Output payloads fold and take no scratch.
+fn replayed_peak_scratch(program: &distal_spmd::SpmdProgram) -> u64 {
+    let out = &program.assignment.lhs.tensor;
+    let rank_peak = |rank: usize| {
+        let mut gens: BTreeMap<&str, std::collections::VecDeque<u64>> = BTreeMap::new();
+        let mut peak = 0;
+        for op in program.rank_ops(rank) {
+            match op {
+                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) if m.tensor != *out => {
+                    let tensor = gens.entry(m.tensor.as_str()).or_default();
+                    if tensor.is_empty() {
+                        tensor.push_front(0);
+                    }
+                    tensor[0] += m.bytes();
+                }
+                SpmdOp::RetireScratch { keep } => {
+                    for tensor in gens.values_mut() {
+                        tensor.truncate(*keep);
+                        tensor.push_front(0);
+                    }
+                }
+                SpmdOp::Compute { .. } => peak = peak.max(gens.values().flatten().sum()),
+                _ => {}
+            }
+        }
+        peak
+    };
+    (0..program.ranks()).map(rank_peak).max().unwrap_or(0)
+}
+
+#[test]
+fn peak_scratch_is_what_a_replay_of_the_scratch_generations_finds() {
+    // `peak_scratch_bytes` is fixed when a program is resolved, before
+    // any payload moves. It must be the peak the rank VM's scratch
+    // generations reach, on every Figure 9 algorithm under every
+    // collective lowering.
+    let n = 24;
+    let mut inputs = BTreeMap::new();
+    inputs.insert("B".to_string(), random_data((n * n) as usize, 7));
+    inputs.insert("C".to_string(), random_data((n * n) as usize, 9));
+    for p in [9i64, 16, 64] {
+        for alg in MatmulAlgorithm::all(p) {
+            let problem = matmul_problem(&alg.grid(p), &alg.formats(MemKind::Sys), n);
+            let schedule = alg.schedule(p, n, n / 2);
+            for collectives in [
+                CollectiveConfig::point_to_point(),
+                CollectiveConfig::default(),
+                CollectiveConfig::rings(),
+            ] {
+                let what = format!("{alg:?} p={p} {collectives:?}");
+                let program = lower_problem(&problem, &schedule, &collectives)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let result = program.execute(&inputs).unwrap();
+                let replayed = replayed_peak_scratch(&program);
+                assert_eq!(result.peak_scratch_bytes, replayed, "{what}");
+                assert!(replayed > 0 || program.stats().messages == 0, "{what}");
+            }
+        }
+    }
+}

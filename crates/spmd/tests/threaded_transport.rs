@@ -3,9 +3,10 @@
 //! freedom), the result is bit-identical to the sequential reference at
 //! every rank-pool width (including a pool far narrower than the rank
 //! count), a deliberately corrupted program — one send deleted — is
-//! caught by the watchdog instead of hanging the suite, and a leaf that
-//! panics mid-kernel is a typed error naming its rank and message that
-//! leaves the next request on the same program untouched.
+//! caught by the watchdog instead of hanging the suite, one receive
+//! deleted is a typed error naming the payload nobody took, and a leaf
+//! that panics mid-kernel is a typed error naming its rank and message
+//! that leaves the next request on the same program untouched.
 
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
@@ -13,7 +14,7 @@ use distal_core::Problem;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::kernel::{Kernel, KernelCtx};
 use distal_spmd::collective::CollectiveConfig;
-use distal_spmd::{lower_problem, SpmdError, SpmdProgram, ThreadedConfig, Transport};
+use distal_spmd::{lower_problem, SpmdError, SpmdOp, SpmdProgram, ThreadedConfig, Transport};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
@@ -177,6 +178,43 @@ fn peers_surface_the_root_cause_of_an_abort() {
         }
         other => panic!("expected the root-cause Data error, got {other:?}"),
     }
+}
+
+#[test]
+fn a_payload_nobody_receives_is_a_typed_error_on_both_transports() {
+    // Delete one reduce receive: its partial sum is still sent, but no
+    // rank folds it, so the output would silently miss it. Both
+    // transports must refuse the run instead, naming the payload.
+    let mut reducing = Vec::new();
+    for alg in MatmulAlgorithm::all(8) {
+        let (mut program, inputs) = lowered(alg, 8, 16);
+        let lost = program.in_order().find_map(|(_, op)| match op {
+            SpmdOp::ReduceRecv(m) => Some(m.clone()),
+            _ => None,
+        });
+        let Some(lost) = lost else {
+            assert!(
+                !program.dist_reduces,
+                "{alg:?} reduces without a reduce receive"
+            );
+            continue;
+        };
+        reducing.push(alg);
+        let is_lost = |op: &SpmdOp| matches!(op, SpmdOp::ReduceRecv(m) if m.tag == lost.tag);
+        program.rewrite(|stream| stream.retain(|(_, op)| !is_lost(op)));
+        let named = format!(
+            "payload #{} from rank {} to rank {} was never received",
+            lost.tag, lost.from, lost.to
+        );
+        for transport in [Transport::Sequential, watchdog(3)] {
+            match program.execute_with(&inputs, &transport) {
+                Err(SpmdError::Data(msg)) => assert_eq!(msg, named, "{alg:?} on {transport:?}"),
+                other => panic!("{alg:?} on {transport:?}: expected {named:?}, got {other:?}"),
+            }
+        }
+    }
+    // Johnson's, Solomonik's and COSMA reduce over ranks.
+    assert_eq!(reducing.len(), 3, "{reducing:?}");
 }
 
 /// The program's own leaf until `fuse` counts down to zero; the leaf run

@@ -3,12 +3,11 @@
 //! Every transfer in a well-formed program is a 1:1 tag-matched pair: one
 //! send and one receive agreeing on endpoints, tensor, rectangle, byte
 //! count, and fold semantics. Both transports rely on this literally —
-//! the sequential VM's pending map and the threaded transport's per-rank
-//! stash are keyed by tag alone, and an `insert` on an existing key
-//! silently overwrites. So a duplicate tag is not a style issue: it is a
-//! payload that vanishes. A receive without a send is the *lost message*
-//! the 60-second runtime watchdog exists for; this pass catches it before
-//! anything runs.
+//! a send feeds the first receive of its tag at its destination. So a
+//! duplicate tag is not a style issue: a second send's payload is never
+//! received and fails the run, a second receive waits forever. A receive
+//! without a send is the *lost message* the 60-second runtime watchdog
+//! exists for; this pass catches all of it before anything runs.
 
 use crate::{Event, Msg, VerifyProgram};
 use distal_core::{Diagnostic, DiagnosticKind};
@@ -104,8 +103,8 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                 );
             }
             (ns, nr) if ns > 1 || nr > 1 => {
-                // Tag-keyed stashes insert-overwrite: one of these
-                // payloads silently disappears at execution time.
+                // Matching is by tag: one of these payloads, or one of
+                // these receives, finds no partner at execution time.
                 let first = if ns > 1 { &s[0] } else { &r[0] };
                 let ranks: Vec<usize> = if ns > 1 {
                     s.iter().map(|e| e.rank).collect()
@@ -116,8 +115,8 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                     Diagnostic::error(
                         DiagnosticKind::DuplicateMessage,
                         format!(
-                            "{} {}s share tag {tag} on tensor '{}' (ranks {ranks:?}); tag-keyed \
-                             matching silently drops all but one payload",
+                            "{} {}s share tag {tag} on tensor '{}' (ranks {ranks:?}); a send \
+                             feeds only the first receive of its tag",
                             ranks.len(),
                             if ns > 1 { "send" } else { "receive" },
                             first.msg.tensor,

@@ -166,8 +166,8 @@ fn mutation_dropped_send_is_a_lost_message() {
     assert_eq!(d.tensor.as_deref(), Some(lost.tensor.as_str()));
 }
 
-/// Mutation 2 — duplicate a send: tag-keyed matching silently overwrites
-/// one payload at execution time, so the verifier must reject the tag
+/// Mutation 2 — duplicate a send: one of the two payloads is never
+/// received at execution time, so the verifier must reject the tag
 /// collision.
 #[test]
 fn mutation_duplicated_send_is_a_duplicate_message() {

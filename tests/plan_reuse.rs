@@ -11,6 +11,7 @@ use distal_format::Format;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_spmd::{AlphaBeta, CostBackend, SpmdBackend};
+use std::collections::BTreeMap;
 
 /// A SUMMA matmul problem with *no initializers*: the data arrives per
 /// request through `Bindings`.
@@ -147,6 +148,69 @@ fn spmd_plan_rebinds_match_fresh_compiles() {
             fresh_output(&shapes, &backend, &schedule, b_seed, c_seed)
         );
     }
+}
+
+#[test]
+fn an_spmd_plan_resolves_once_and_a_program_on_every_execute() {
+    // A plan resolves its program for the rank VM on its first request
+    // and every later request replays that; nothing resolves in model
+    // mode, where nothing runs. A program executed outside a plan keeps
+    // nothing, so a rewritten one runs what it now says.
+    let (shapes, schedule) = matmul_shapes(8);
+    let seeds = [(51u64, 52u64), (61, 62), (71, 72), (81, 82)];
+    let fresh: Vec<Vec<u64>> = seeds
+        .iter()
+        .map(|&(b, c)| fresh_output(&shapes, &SpmdBackend::new(), &schedule, b, c))
+        .collect();
+    let plan = SpmdBackend::new().plan(&shapes, &schedule).unwrap();
+    let before = distal_spmd::resolve_count();
+    for ((b_seed, c_seed), want) in seeds.into_iter().zip(&fresh) {
+        let mut inst = plan.bind(&seeded_bindings(b_seed, c_seed)).unwrap();
+        inst.run().unwrap();
+        assert_eq!(distal_spmd::resolve_count(), before + 1);
+        assert_eq!(&bits(&inst.read("A").unwrap()), want);
+    }
+    let priced = CostBackend::alpha_beta(AlphaBeta::default());
+    let modeled = priced.plan(&shapes, &schedule).unwrap();
+    modeled.bind(&seeded_bindings(1, 2)).unwrap().run().unwrap();
+    assert_eq!(
+        distal_spmd::resolve_count(),
+        before + 1,
+        "model mode resolved"
+    );
+
+    let mut problem = shapes.clone();
+    problem
+        .fill_random("B", 3)
+        .unwrap()
+        .fill_random("C", 4)
+        .unwrap();
+    let collectives = distal_spmd::CollectiveConfig::default();
+    let mut program = distal_spmd::lower_problem(&problem, &schedule, &collectives).unwrap();
+    let inputs: BTreeMap<String, Vec<f64>> = ["B", "C"]
+        .map(|t| (t.to_string(), problem.initial_data(t).unwrap()))
+        .into_iter()
+        .collect();
+    let whole = program.execute(&inputs).unwrap().output;
+    assert_eq!(program.execute(&inputs).unwrap().output, whole);
+    assert_eq!(distal_spmd::resolve_count(), before + 3);
+    // Without rank 0's last leaf, its part of the output is missing.
+    let dropped = program
+        .rank_ops(0)
+        .iter()
+        .rposition(|op| matches!(op, distal_spmd::SpmdOp::Compute { .. }))
+        .expect("rank 0 computes");
+    let mut seen = 0;
+    program.rewrite(|stream| {
+        stream.retain(|(rank, _)| {
+            let keep = *rank != 0 || seen != dropped;
+            seen += usize::from(*rank == 0);
+            keep
+        })
+    });
+    let rewritten = program.execute(&inputs).unwrap().output;
+    assert_eq!(distal_spmd::resolve_count(), before + 4);
+    assert_ne!(bits(&rewritten), bits(&whole));
 }
 
 #[test]

@@ -55,7 +55,7 @@ impl Kernel for ReshapeKernel {
 
     fn execute(&self, ctx: &mut KernelCtx) {
         // args[0] = dst (Write), args[1] = src (Read).
-        let rect = ctx.args[0].rect.clone();
+        let rect = ctx.args[0].rect;
         if rect.is_empty() {
             return;
         }
@@ -82,7 +82,7 @@ impl Kernel for KrpKernel {
     }
 
     fn execute(&self, ctx: &mut KernelCtx) {
-        let rect = ctx.args[0].rect.clone();
+        let rect = ctx.args[0].rect;
         if rect.is_empty() {
             return;
         }
@@ -203,19 +203,19 @@ fn reshape_program(
             .collect()
     } else {
         // Undistributed destination (e.g. the scalar `a`): rank 0 owns it.
-        vec![(dst_machine.grid().rect().lo().clone(), dst_rect.clone())]
+        vec![(*dst_machine.grid().rect().lo(), dst_rect)]
     };
     for (point, tile) in owners {
         let rank = mapper.rank(&point);
         let src_rect = src_rect_for(&tile, &src_b.dims, &dst_b.dims);
         let mem = mapper.mem_for(rank, dst_b.format.mem);
-        let mut dst_req = RegionReq::new(dst_b.region, tile.clone(), Privilege::Write, mem);
+        let mut dst_req = RegionReq::new(dst_b.region, tile, Privilege::Write, mem);
         dst_req.pin = true;
-        let src_req = RegionReq::new(src_b.region, src_rect.clone(), Privilege::Read, mem);
+        let src_req = RegionReq::new(src_b.region, src_rect, Privilege::Read, mem);
         let mut task = TaskDesc::new(
             kernel,
             mapper.proc_for_rank(rank),
-            point.clone(),
+            point,
             vec![dst_req, src_req],
         );
         task.bytes = (tile.volume() + src_rect.volume()) as f64 * 8.0;
@@ -484,12 +484,12 @@ fn krp_program(ws: &Workspace, n: i64, internal: &DistalMachine) -> Result<Progr
         // C rows s/n for s in tile rows; D rows s%n (conservatively all).
         let c_rect = Rect::sized(&c.dims).restrict(0, tile.lo()[0] / n, tile.hi()[0] / n);
         let d_rect = Rect::sized(&d.dims);
-        let mut km_req = RegionReq::new(km.region, tile.clone(), Privilege::Write, mem);
+        let mut km_req = RegionReq::new(km.region, tile, Privilege::Write, mem);
         km_req.pin = true;
         let mut task = TaskDesc::new(
             kernel,
             mapper.proc_for_rank(rank),
-            point.clone(),
+            point,
             vec![
                 km_req,
                 RegionReq::new(c.region, c_rect, Privilege::Read, mem),

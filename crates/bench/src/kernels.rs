@@ -274,7 +274,7 @@ fn peak_gflops(variant: &MicroKernel) -> f64 {
 fn dense_arg(rect: Rect, data: ArgData<'_>) -> KernelArg<'_> {
     KernelArg {
         privilege: Privilege::ReadWrite,
-        rect: rect.clone(),
+        rect,
         alloc: rect,
         data,
         sparse: None,
@@ -305,7 +305,7 @@ pub fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
             let args = tiles.iter_mut();
             let mut ctx = KernelCtx {
                 args: args
-                    .map(|data| dense_arg(tile.clone(), ArgData::Write(data)))
+                    .map(|data| dense_arg(tile, ArgData::Write(data)))
                     .collect(),
                 point: Point::zeros(1),
                 scalars: vec![0, n - 1, 0, n - 1, 0, n - 1],

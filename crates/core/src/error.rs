@@ -1,6 +1,7 @@
 //! Compiler errors.
 
 use distal_ir::transform::ScheduleError;
+use distal_machine::geom::MAX_DIM;
 use std::fmt;
 
 /// Errors from compiling a scheduled statement.
@@ -44,6 +45,27 @@ pub enum CompileError {
     /// A `substitute` command named a kernel the statement cannot use
     /// (e.g. the GEMM leaf for a non-matmul statement).
     BadSubstitution(String),
+    /// An index space with more dimensions than a coordinate holds
+    /// ([`distal_machine::geom::MAX_DIM`]): a tensor of higher order, a
+    /// machine whose flattened hierarchy is deeper, or a schedule with
+    /// more distributed or sequential loops.
+    TooManyDims {
+        /// What is too deep, e.g. `tensor 'B'` or `the machine`.
+        what: String,
+        /// Its number of dimensions.
+        dims: usize,
+    },
+}
+
+impl CompileError {
+    /// [`CompileError::TooManyDims`] when `dims` exceeds
+    /// [`MAX_DIM`]; `what` names the index space.
+    pub(crate) fn check_dims(what: impl FnOnce() -> String, dims: usize) -> Result<(), Self> {
+        if dims <= MAX_DIM {
+            return Ok(());
+        }
+        Err(CompileError::TooManyDims { what: what(), dims })
+    }
 }
 
 impl fmt::Display for CompileError {
@@ -73,6 +95,10 @@ impl fmt::Display for CompileError {
                 got,
             } => write!(f, "tensor '{tensor}' expects {expected} values, got {got}"),
             CompileError::BadSubstitution(e) => write!(f, "bad substitution: {e}"),
+            CompileError::TooManyDims { what, dims } => write!(
+                f,
+                "{what} has {dims} dimensions; coordinates hold at most {MAX_DIM}"
+            ),
         }
     }
 }

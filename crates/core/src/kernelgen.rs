@@ -560,7 +560,7 @@ pub(crate) mod testing {
         pub(crate) fn dense(rect: Rect, data: Vec<f64>) -> Self {
             OwnedArg {
                 privilege: Privilege::ReadWrite,
-                rect: rect.clone(),
+                rect,
                 alloc: rect,
                 data,
                 sparse: None,
@@ -571,8 +571,8 @@ pub(crate) mod testing {
         pub(crate) fn lend(&mut self) -> KernelArg<'_> {
             KernelArg {
                 privilege: self.privilege,
-                rect: self.rect.clone(),
-                alloc: self.alloc.clone(),
+                rect: self.rect,
+                alloc: self.alloc,
                 data: match self.privilege {
                     Privilege::Read => ArgData::Read(&self.data),
                     _ => ArgData::Write(&mut self.data),
@@ -582,7 +582,7 @@ pub(crate) mod testing {
         }
 
         pub(crate) fn at(&self, p: &[i64]) -> f64 {
-            self.data[self.alloc.linearize(&Point::new(p.to_vec()))]
+            self.data[self.alloc.linearize(&Point::from_slice(p))]
         }
 
         pub(crate) fn set(&mut self, p: &[i64], v: f64) {
@@ -742,8 +742,8 @@ mod tests {
         let tape = TapeKernel::new(&req);
         let r = Rect::sized(&[3]);
         let mut args = [
-            OwnedArg::dense(r.clone(), vec![0.0; 3]),
-            OwnedArg::dense(r.clone(), vec![0.0, -0.0, 2.0]),
+            OwnedArg::dense(r, vec![0.0; 3]),
+            OwnedArg::dense(r, vec![0.0, -0.0, 2.0]),
             OwnedArg::dense(r, vec![5.0, 5.0, 5.0]),
         ];
         run_on(&mut args, &[0, 2], |ctx| tape.execute(ctx));

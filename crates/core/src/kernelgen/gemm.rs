@@ -368,8 +368,8 @@ mod tests {
 
     fn span(lo: [i64; 2], extent: [i64; 2]) -> Rect {
         Rect::new(
-            Point::new(lo.to_vec()),
-            Point::new(vec![lo[0] + extent[0] - 1, lo[1] + extent[1] - 1]),
+            Point::from_slice(&lo),
+            Point::from_slice(&[lo[0] + extent[0] - 1, lo[1] + extent[1] - 1]),
         )
     }
 

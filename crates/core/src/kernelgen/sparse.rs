@@ -337,7 +337,7 @@ mod tests {
         copy_rect(&dense.alloc, &dense.data, &cover, &mut face, &cover, false);
         OwnedArg {
             privilege: Privilege::Read,
-            rect: dense.rect.clone(),
+            rect: dense.rect,
             sparse: Some(Arc::new(SparseBuffer::from_dense(&cover.extents(), &face))),
             alloc: cover,
             data: Vec::new(),
@@ -348,7 +348,7 @@ mod tests {
     /// handed over as CSR, as its executors do.
     fn run(leaf: &dyn Kernel, args: &mut [OwnedArg], scalars: &[i64]) {
         let b = leaf.sparse_arg().expect("a CSR leaf");
-        args[b] = compressed(&args[b], args[b].alloc.clone());
+        args[b] = compressed(&args[b], args[b].alloc);
         run_on(args, scalars, |ctx| leaf.execute(ctx));
     }
 
@@ -381,8 +381,8 @@ mod tests {
         let mut b_data = vec![1.0; 16];
         b_data[5] = 0.0; // (1,1) pruned from the sparse iteration
         let mut args = [
-            arg(sq.clone(), vec![0.0; 16]),
-            arg(sq.clone(), b_data),
+            arg(sq, vec![0.0; 16]),
+            arg(sq, b_data),
             arg(sq, vec![1.0; 16]),
         ];
         run(&SpmmGenLeaf, &mut args, &[1, 2, 1, 2, 0, 2]);
@@ -495,8 +495,8 @@ mod tests {
     fn generated_leaves_ignore_empty_bounds() {
         let sq = Rect::sized(&[2, 2]);
         let mut args = [
-            arg(sq.clone(), vec![0.0; 4]),
-            arg(sq.clone(), vec![1.0; 4]),
+            arg(sq, vec![0.0; 4]),
+            arg(sq, vec![1.0; 4]),
             arg(sq, vec![1.0; 4]),
         ];
         run(&SpmmGenLeaf, &mut args, &[0, 1, 0, 1, 1, 0]);

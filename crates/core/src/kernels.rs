@@ -287,11 +287,7 @@ mod tests {
         let sq = Rect::sized(&[n, n]);
         let b: Vec<f64> = (0..n * n).map(|x| x as f64).collect();
         let c: Vec<f64> = (0..n * n).map(|x| (x % 7) as f64).collect();
-        let mut args = vec![
-            arg(sq.clone(), vec![0.0; (n * n) as usize]),
-            arg(sq.clone(), b),
-            arg(sq, c),
-        ];
+        let mut args = vec![arg(sq, vec![0.0; (n * n) as usize]), arg(sq, b), arg(sq, c)];
         let scalars = [0, n - 1, 0, n - 1, 0, n - 1];
         run_on(&mut args, &scalars, |ctx| kernel.execute(ctx));
         args.swap_remove(0).data
@@ -312,11 +308,7 @@ mod tests {
         let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul(), true);
         let sq = Rect::sized(&[4, 4]);
         let ones = vec![1.0; 16];
-        let mut args = [
-            arg(sq.clone(), vec![0.0; 16]),
-            arg(sq.clone(), ones.clone()),
-            arg(sq, ones),
-        ];
+        let mut args = [arg(sq, vec![0.0; 16]), arg(sq, ones.clone()), arg(sq, ones)];
         run_on(&mut args, &[1, 2, 1, 2, 0, 2], |ctx| interp.execute(ctx));
         let a = &args[0].data;
         assert_eq!(a[5], 3.0); // (1,1) accumulated over k=0..2
@@ -328,8 +320,8 @@ mod tests {
         let interp = InterpreterKernel::new(distal_ir::expr::kernels::matmul(), true);
         let sq = Rect::sized(&[2, 2]);
         let mut args = [
-            arg(sq.clone(), vec![0.0; 4]),
-            arg(sq.clone(), vec![1.0; 4]),
+            arg(sq, vec![0.0; 4]),
+            arg(sq, vec![1.0; 4]),
             arg(sq, vec![1.0; 4]),
         ];
         // An empty k range.
@@ -381,7 +373,7 @@ mod tests {
         let vec_rect = Rect::sized(&[4]);
         let mut args = [
             arg(scalar_rect, vec![0.0]),
-            arg(vec_rect.clone(), vec![1.0, 2.0, 3.0, 4.0]),
+            arg(vec_rect, vec![1.0, 2.0, 3.0, 4.0]),
             arg(vec_rect, vec![1.0, 1.0, 1.0, 1.0]),
         ];
         run_on(&mut args, &[0, 3], |ctx| interp.execute(ctx));

@@ -23,7 +23,7 @@ use crate::error::CompileError;
 use crate::kernels::{is_matmul, is_streaming};
 use crate::machine::DistalMachine;
 use crate::mapper::GridMapper;
-use crate::nest::Nest;
+use crate::nest::{Env, Nest};
 use crate::problem::TensorSpec;
 use crate::schedule::Schedule;
 use distal_format::semantics::hierarchical_pieces;
@@ -249,6 +249,7 @@ pub fn compile(
     };
     let domain_rect = nest.domain_rect();
     let mut total_flops = 0.0;
+    let mut env = Env::new();
     for seq_point in nest.seq_rect().points() {
         // Retire stale forwarding buffers *before* the launch: instances
         // fetched this iteration then carry a strictly newer generation
@@ -257,7 +258,7 @@ pub fn compile(
         retire_scratch(&mut compute);
         let mut tasks = Vec::new();
         for point in domain_rect.points() {
-            let env = nest.env(&seq_point, &point);
+            nest.bind_env(&mut env, &seq_point, &point);
             let rank = domain_rect.linearize(&point) as i64;
             // Leaf bounds per original variable, flattened to `[lo, hi]`
             // scalar pairs.
@@ -279,7 +280,7 @@ pub fn compile(
             }
             let flops = flops_per_point * iter_points;
             total_flops += flops;
-            let mut task = TaskDesc::new(leaf, mapper.proc_for_rank(rank), point.clone(), reqs);
+            let mut task = TaskDesc::new(leaf, mapper.proc_for_rank(rank), point, reqs);
             task.flops = flops;
             task.bytes = if streaming { bytes } else { 0.0 };
             task.efficiency = efficiency;
@@ -448,7 +449,7 @@ fn placement_tasks(
         tasks.push(TaskDesc::new(
             kernel,
             mapper.proc_for_rank(rank),
-            point.clone(),
+            point,
             reqs,
         ));
     }

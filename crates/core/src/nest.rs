@@ -53,7 +53,9 @@ impl Nest {
     /// shape, [`CompileError::Format`] for an access whose arity differs
     /// from its tensor's order, [`CompileError::InconsistentExtents`],
     /// [`CompileError::Expression`] when the statement has no concrete
-    /// form, and [`CompileError::Schedule`] for a failing command.
+    /// form, [`CompileError::Schedule`] for a failing command, and
+    /// [`CompileError::TooManyDims`] for a tensor, launch domain or
+    /// sequential loop band past the coordinate cap.
     pub fn new(
         assignment: &Assignment,
         dims: &BTreeMap<String, Vec<i64>>,
@@ -63,6 +65,7 @@ impl Nest {
             let d = dims
                 .get(&acc.tensor)
                 .ok_or_else(|| CompileError::UnknownTensor(acc.tensor.clone()))?;
+            CompileError::check_dims(|| format!("tensor '{}'", acc.tensor), d.len())?;
             if acc.indices.len() != d.len() {
                 return Err(CompileError::Format(format!(
                     "tensor '{}' is {}-dimensional but accessed with {} indices",
@@ -80,6 +83,7 @@ impl Nest {
         schedule.apply(&mut cin)?;
 
         let n_dist = cin.distributed_prefix().map_or(0, |p| p.len());
+        CompileError::check_dims(|| "the launch domain".into(), n_dist)?;
         let launch_domain = cin.loops[..n_dist]
             .iter()
             .map(|l| cin.solver.extent(&l.var))
@@ -95,6 +99,7 @@ impl Nest {
             .iter()
             .map(|l| l.var.clone())
             .collect();
+        CompileError::check_dims(|| "the sequential loop band".into(), seq_loops.len())?;
         let seq_extents = seq_loops.iter().map(|v| cin.solver.extent(v)).collect();
 
         let reduction_roots: BTreeSet<IndexVar> = assignment.reduction_vars().into_iter().collect();
@@ -136,17 +141,23 @@ impl Nest {
             .flat_map(|l| &l.communicate)
     }
 
-    /// Binds the distributed and sequential loop variables at one
-    /// (sequential step, launch point).
-    pub fn env(&self, seq_point: &Point, point: &Point) -> Env {
-        let mut env = Env::new();
-        for (d, l) in self.cin.loops[..self.n_dist].iter().enumerate() {
-            env.insert(l.var.clone(), point[d]);
+    /// Binds the distributed and sequential loop variables of `env` at one
+    /// (sequential step, launch point). A walk over every (step, point)
+    /// passes the same `env` each time: only the first call inserts keys,
+    /// later ones overwrite values in place.
+    pub fn bind_env(&self, env: &mut Env, seq_point: &Point, point: &Point) {
+        let dist = self.cin.loops[..self.n_dist].iter().map(|l| &l.var);
+        let bound = dist
+            .zip(point.coords())
+            .chain(self.seq_loops.iter().zip(seq_point.coords()));
+        for (var, &value) in bound {
+            match env.get_mut(var) {
+                Some(slot) => *slot = value,
+                None => {
+                    env.insert(var.clone(), value);
+                }
+            }
         }
-        for (d, v) in self.seq_loops.iter().enumerate() {
-            env.insert(v.clone(), seq_point[d]);
-        }
-        env
     }
 
     /// The leaf's inclusive `(lo, hi)` bounds per original variable (in
@@ -170,14 +181,12 @@ impl Nest {
     /// The rectangle an access with these `indices` touches under `env`,
     /// clamped to the tensor's `dims`.
     pub fn access_rect(&self, indices: &[IndexVar], env: &Env, dims: &[i64]) -> Rect {
-        let mut lo = Vec::with_capacity(indices.len());
-        let mut hi = Vec::with_capacity(indices.len());
+        let (mut lo, mut hi) = (Point::zeros(indices.len()), Point::zeros(indices.len()));
         for (d, v) in indices.iter().enumerate() {
             let iv = self.cin.solver.interval(v, env).clamp_extent(dims[d]);
-            lo.push(iv.lo);
-            hi.push(iv.hi);
+            (lo[d], hi[d]) = (iv.lo, iv.hi);
         }
-        Rect::new(Point::new(lo), Point::new(hi))
+        Rect::new(lo, hi)
     }
 }
 
@@ -210,7 +219,10 @@ mod tests {
         assert!(!nest.dist_reduces && nest.seq_reduces);
         assert_eq!(nest.seq_communicated().collect::<Vec<_>>(), ["B", "C"]);
         // Point (1,0) at step 2 owns rows 8..16, columns 0..8, k 8..12.
-        let env = nest.env(&Point::new(vec![2]), &Point::new(vec![1, 0]));
+        let mut env = Env::new();
+        nest.bind_env(&mut env, &Point::new(vec![0]), &Point::new(vec![0, 1]));
+        // Rebinding overwrites every loop variable.
+        nest.bind_env(&mut env, &Point::new(vec![2]), &Point::new(vec![1, 0]));
         let (bounds, points) = nest.leaf_bounds(&env).unwrap();
         assert_eq!(bounds, vec![(8, 15), (0, 7), (8, 11)]);
         assert_eq!(points, 8.0 * 8.0 * 4.0);

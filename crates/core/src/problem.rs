@@ -246,7 +246,10 @@ impl Problem {
     /// # Errors
     ///
     /// Rejects formats whose notation arity doesn't match the tensor order
-    /// or the machine's hierarchy levels.
+    /// or the machine's hierarchy levels, and with
+    /// [`CompileError::TooManyDims`] a tensor of order above
+    /// [`distal_machine::geom::MAX_DIM`] or a machine whose flattened
+    /// hierarchy is deeper.
     pub fn tensor(&mut self, spec: TensorSpec) -> Result<&mut Self, CompileError> {
         validate_format(&spec, &self.machine)?;
         self.tensors.insert(spec.name.clone(), spec);
@@ -511,9 +514,12 @@ impl Problem {
     }
 }
 
-/// Validates a tensor's format notation against a machine (arity per
-/// hierarchy level).
+/// Validates a tensor's order and the machine's flattened depth against
+/// the coordinate cap, then the format notation against the machine
+/// (arity per hierarchy level).
 fn validate_format(spec: &TensorSpec, machine: &DistalMachine) -> Result<(), CompileError> {
+    CompileError::check_dims(|| format!("tensor '{}'", spec.name), spec.dims.len())?;
+    CompileError::check_dims(|| "the machine".into(), machine.hierarchy.flat_dim())?;
     let levels = machine.hierarchy.levels();
     if spec.format.is_distributed() {
         if spec.format.distributions.len() != levels.len() {

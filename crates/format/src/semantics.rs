@@ -113,7 +113,7 @@ impl TensorDistribution {
                 }
             }
         }
-        let mut tile = tensor_rect.clone();
+        let mut tile = *tensor_rect;
         for (ti, mi) in self.partitioned_pairs() {
             tile = tile.block(ti, machine.extent(mi), proc[mi]);
         }
@@ -173,25 +173,18 @@ impl TensorDistribution {
         for (ti, mi) in self.partitioned_pairs() {
             per_dim[ti] = self.segments(tensor_rect, ti, machine.extent(mi), proc[mi]);
         }
-        // Cartesian product of segments into rectangles.
-        let mut out: Vec<(Vec<i64>, Vec<i64>)> = vec![(Vec::new(), Vec::new())];
-        for segs in &per_dim {
+        // Cartesian product of segments into rectangles: every segment lies
+        // inside the tensor, so restricting the tensor to it is exact.
+        let mut out = vec![*tensor_rect];
+        for (ti, segs) in per_dim.iter().enumerate() {
             let mut next = Vec::with_capacity(out.len() * segs.len());
-            for (lo, hi) in &out {
-                for (s_lo, s_hi) in segs {
-                    let mut l = lo.clone();
-                    let mut h = hi.clone();
-                    l.push(*s_lo);
-                    h.push(*s_hi);
-                    next.push((l, h));
-                }
+            for rect in &out {
+                next.extend(segs.iter().map(|&(lo, hi)| rect.restrict(ti, lo, hi)));
             }
             out = next;
         }
-        out.into_iter()
-            .map(|(lo, hi)| Rect::new(Point::new(lo), Point::new(hi)))
-            .filter(|r| !r.is_empty())
-            .collect()
+        out.retain(|r| !r.is_empty());
+        out
     }
 
     /// All `(processor, piece)` pairs with non-empty pieces — the placement
@@ -201,7 +194,7 @@ impl TensorDistribution {
         let mut out = Vec::new();
         for proc in machine.points() {
             for piece in self.pieces_of(tensor_rect, machine, &proc) {
-                out.push((proc.clone(), piece));
+                out.push((proc, piece));
             }
         }
         out
@@ -226,7 +219,7 @@ pub fn hierarchical_tile(
 ) -> Rect {
     assert_eq!(distributions.len(), machine.levels().len());
     let coords = machine.split_coord(proc);
-    let mut tile = tensor_rect.clone();
+    let mut tile = *tensor_rect;
     for (level, dist) in distributions.iter().enumerate() {
         if tile.is_empty() {
             return tile;
@@ -255,7 +248,7 @@ pub fn hierarchical_pieces(
 ) -> Vec<Rect> {
     assert_eq!(distributions.len(), machine.levels().len());
     let coords = machine.split_coord(proc);
-    let mut pieces = vec![tensor_rect.clone()];
+    let mut pieces = vec![*tensor_rect];
     for (level, dist) in distributions.iter().enumerate() {
         let mut next = Vec::with_capacity(pieces.len());
         for piece in &pieces {
@@ -274,7 +267,7 @@ mod tests {
     use super::*;
 
     fn pt(coords: &[i64]) -> Point {
-        Point::new(coords.to_vec())
+        Point::from_slice(coords)
     }
 
     #[test]
@@ -447,7 +440,7 @@ mod tests {
                 for piece in d.pieces_of(&t, &m, &p) {
                     total += piece.volume();
                     for c in piece.points() {
-                        assert_eq!(d.owners_of(&t, &m, &c), vec![p.clone()], "{kind}");
+                        assert_eq!(d.owners_of(&t, &m, &c), vec![p], "{kind}");
                     }
                 }
             }

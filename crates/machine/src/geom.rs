@@ -15,10 +15,28 @@
 //! values: built once, it answers "which entries meet this rectangle?"
 //! by visiting only the neighbourhood of the query, which is how the SPMD
 //! lowering finds the holders of a tile among thousands of pieces.
+//!
+//! Coordinates live inline: a [`Point`] is a fixed array of [`MAX_DIM`]
+//! coordinates and a length, and both it and [`Rect`] are `Copy`, so
+//! intersecting, clipping or storing a rectangle never touches the heap.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A point in an n-dimensional integer space.
+/// The most dimensions a [`Point`] — and so a [`Rect`] — holds.
+///
+/// Six covers every tensor order the workspace uses and the flattened
+/// coordinates of a two-level machine of 3-D grids. Inputs past it are
+/// refused with a typed error where they enter (a tensor's registration,
+/// the nest split of a schedule); nothing admitted reaches the panic of
+/// [`Point::from_slice`].
+pub const MAX_DIM: usize = 6;
+
+/// A point in an n-dimensional integer space (`n ≤` [`MAX_DIM`]).
+///
+/// Equality, ordering and hashing follow the coordinate slice, exactly as
+/// for a `Vec<i64>` of the same coordinates.
 ///
 /// # Example
 ///
@@ -27,51 +45,121 @@ use std::fmt;
 /// let p = Point::new(vec![1, 2, 3]);
 /// assert_eq!(p.dim(), 3);
 /// assert_eq!(p[1], 2);
+/// assert_eq!(p, Point::from_slice(&[1, 2, 3]));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Point(pub Vec<i64>);
+#[derive(Clone, Copy, Default)]
+pub struct Point {
+    /// `coords[..dim]` are the coordinates; the rest are zero.
+    coords: [i64; MAX_DIM],
+    dim: usize,
+}
 
 impl Point {
     /// Creates a point from its coordinates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when there are more than [`MAX_DIM`] coordinates.
     pub fn new(coords: Vec<i64>) -> Self {
-        Point(coords)
+        Point::from_slice(&coords)
+    }
+
+    /// Creates a point from borrowed coordinates, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `coords` holds more than [`MAX_DIM`] values. Every
+    /// index space the compiler admits is checked against the cap first
+    /// (`CompileError::TooManyDims`), so only a hand-built point can.
+    pub fn from_slice(coords: &[i64]) -> Self {
+        let mut p = Point::zeros(coords.len());
+        p.coords[..coords.len()].copy_from_slice(coords);
+        p
     }
 
     /// The origin of a `dim`-dimensional space.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dim` exceeds [`MAX_DIM`].
     pub fn zeros(dim: usize) -> Self {
-        Point(vec![0; dim])
+        assert!(
+            dim <= MAX_DIM,
+            "a point holds at most {MAX_DIM} coordinates, not {dim}"
+        );
+        Point {
+            coords: [0; MAX_DIM],
+            dim,
+        }
+    }
+
+    /// The `dim`-dimensional point whose coordinate `d` is `f(d)`.
+    fn from_fn(dim: usize, mut f: impl FnMut(usize) -> i64) -> Self {
+        let mut p = Point::zeros(dim);
+        for d in 0..dim {
+            p.coords[d] = f(d);
+        }
+        p
     }
 
     /// Number of dimensions.
     pub fn dim(&self) -> usize {
-        self.0.len()
+        self.dim
     }
 
     /// Coordinates as a slice.
     pub fn coords(&self) -> &[i64] {
-        &self.0
+        &self.coords[..self.dim]
     }
 
     /// Returns a new point with `value` appended as a trailing coordinate.
     pub fn extended(&self, value: i64) -> Point {
-        let mut c = self.0.clone();
-        c.push(value);
-        Point(c)
+        let mut p = Point::zeros(self.dim + 1);
+        p.coords[..self.dim].copy_from_slice(self.coords());
+        p.coords[self.dim] = value;
+        p
     }
 
     /// Concatenates two points (used to flatten hierarchical machine
     /// coordinates).
     pub fn concat(&self, other: &Point) -> Point {
-        let mut c = self.0.clone();
-        c.extend_from_slice(&other.0);
-        Point(c)
+        let mut p = Point::zeros(self.dim + other.dim);
+        p.coords[..self.dim].copy_from_slice(self.coords());
+        p.coords[self.dim..p.dim].copy_from_slice(other.coords());
+        p
+    }
+}
+
+impl PartialEq for Point {
+    fn eq(&self, other: &Point) -> bool {
+        self.coords() == other.coords()
+    }
+}
+
+impl Eq for Point {}
+
+impl PartialOrd for Point {
+    fn partial_cmp(&self, other: &Point) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Point {
+    fn cmp(&self, other: &Point) -> Ordering {
+        self.coords().cmp(other.coords())
+    }
+}
+
+impl Hash for Point {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.coords().hash(state);
     }
 }
 
 impl fmt::Debug for Point {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, c) in self.0.iter().enumerate() {
+        for (i, c) in self.coords().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -90,19 +178,19 @@ impl fmt::Display for Point {
 impl std::ops::Index<usize> for Point {
     type Output = i64;
     fn index(&self, i: usize) -> &i64 {
-        &self.0[i]
+        &self.coords()[i]
     }
 }
 
 impl std::ops::IndexMut<usize> for Point {
     fn index_mut(&mut self, i: usize) -> &mut i64 {
-        &mut self.0[i]
+        &mut self.coords[..self.dim][i]
     }
 }
 
 impl From<Vec<i64>> for Point {
     fn from(v: Vec<i64>) -> Self {
-        Point(v)
+        Point::from_slice(&v)
     }
 }
 
@@ -120,7 +208,7 @@ impl From<Vec<i64>> for Point {
 /// assert_eq!(tile.lo().coords(), &[2, 0]);
 /// assert_eq!(tile.hi().coords(), &[3, 3]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     lo: Point,
     hi: Point,
@@ -151,16 +239,17 @@ impl Rect {
 
     /// The rectangle `[0, extents[d] - 1]` in every dimension.
     pub fn sized(extents: &[i64]) -> Self {
-        let lo = Point::zeros(extents.len());
-        let hi = Point::new(extents.iter().map(|e| e - 1).collect());
-        Rect { lo, hi }
+        Rect {
+            lo: Point::zeros(extents.len()),
+            hi: Point::from_fn(extents.len(), |d| extents[d] - 1),
+        }
     }
 
     /// A canonical empty rectangle of the given dimensionality.
     pub fn empty(dim: usize) -> Self {
         Rect {
-            lo: Point::new(vec![0; dim]),
-            hi: Point::new(vec![-1; dim]),
+            lo: Point::zeros(dim),
+            hi: Point::from_fn(dim, |_| -1),
         }
     }
 
@@ -219,17 +308,10 @@ impl Rect {
     /// Intersection of two rectangles (possibly empty).
     pub fn intersection(&self, other: &Rect) -> Rect {
         assert_eq!(self.dim(), other.dim());
-        let lo = Point::new(
-            (0..self.dim())
-                .map(|d| self.lo[d].max(other.lo[d]))
-                .collect(),
-        );
-        let hi = Point::new(
-            (0..self.dim())
-                .map(|d| self.hi[d].min(other.hi[d]))
-                .collect(),
-        );
-        Rect { lo, hi }
+        Rect {
+            lo: Point::from_fn(self.dim(), |d| self.lo[d].max(other.lo[d])),
+            hi: Point::from_fn(self.dim(), |d| self.hi[d].min(other.hi[d])),
+        }
     }
 
     /// True when the rectangles share at least one point (never, when
@@ -242,22 +324,15 @@ impl Rect {
     /// The smallest rectangle containing both inputs.
     pub fn union_bb(&self, other: &Rect) -> Rect {
         if self.is_empty() {
-            return other.clone();
+            return *other;
         }
         if other.is_empty() {
-            return self.clone();
+            return *self;
         }
-        let lo = Point::new(
-            (0..self.dim())
-                .map(|d| self.lo[d].min(other.lo[d]))
-                .collect(),
-        );
-        let hi = Point::new(
-            (0..self.dim())
-                .map(|d| self.hi[d].max(other.hi[d]))
-                .collect(),
-        );
-        Rect { lo, hi }
+        Rect {
+            lo: Point::from_fn(self.dim(), |d| self.lo[d].min(other.lo[d])),
+            hi: Point::from_fn(self.dim(), |d| self.hi[d].max(other.hi[d])),
+        }
     }
 
     /// `self \ other` as a set of disjoint rectangles.
@@ -271,26 +346,26 @@ impl Rect {
         }
         let inter = self.intersection(other);
         if inter.is_empty() {
-            return vec![self.clone()];
+            return vec![*self];
         }
         if inter == *self {
             return vec![];
         }
         let mut pieces = Vec::new();
-        let mut remaining = self.clone();
+        let mut remaining = *self;
         for d in 0..self.dim() {
             // Piece below the intersection along dimension d.
             if remaining.lo[d] < inter.lo[d] {
-                let mut hi = remaining.hi.clone();
+                let mut hi = remaining.hi;
                 hi[d] = inter.lo[d] - 1;
-                pieces.push(Rect::new(remaining.lo.clone(), hi));
+                pieces.push(Rect::new(remaining.lo, hi));
                 remaining.lo[d] = inter.lo[d];
             }
             // Piece above the intersection along dimension d.
             if remaining.hi[d] > inter.hi[d] {
-                let mut lo = remaining.lo.clone();
+                let mut lo = remaining.lo;
                 lo[d] = inter.hi[d] + 1;
-                pieces.push(Rect::new(lo, remaining.hi.clone()));
+                pieces.push(Rect::new(lo, remaining.hi));
                 remaining.hi[d] = inter.hi[d];
             }
         }
@@ -300,12 +375,8 @@ impl Rect {
     /// Lexicographic iteration over all points (last dimension fastest).
     pub fn points(&self) -> PointIter {
         PointIter {
-            rect: self.clone(),
-            next: if self.is_empty() {
-                None
-            } else {
-                Some(self.lo.clone())
-            },
+            rect: *self,
+            next: if self.is_empty() { None } else { Some(self.lo) },
         }
     }
 
@@ -326,17 +397,16 @@ impl Rect {
         );
         let extent = self.extent(d);
         let size = div_ceil(extent, parts);
-        let mut lo = self.lo.clone();
-        let mut hi = self.hi.clone();
-        lo[d] = self.lo[d] + index * size;
-        hi[d] = (self.lo[d] + (index + 1) * size - 1).min(self.hi[d]);
-        Rect::new(lo, hi)
+        let mut r = *self;
+        r.lo[d] = self.lo[d] + index * size;
+        r.hi[d] = (self.lo[d] + (index + 1) * size - 1).min(self.hi[d]);
+        r
     }
 
     /// Restricts dimension `d` to the inclusive range `[lo, hi]`, clipping to
     /// the rectangle's own bounds.
     pub fn restrict(&self, d: usize, lo: i64, hi: i64) -> Rect {
-        let mut r = self.clone();
+        let mut r = *self;
         r.lo[d] = r.lo[d].max(lo);
         r.hi[d] = r.hi[d].min(hi);
         r
@@ -358,13 +428,13 @@ impl Rect {
 
     /// Inverse of [`Rect::linearize`].
     pub fn delinearize(&self, mut idx: i64) -> Point {
-        let mut coords = vec![0; self.dim()];
+        let mut p = Point::zeros(self.dim());
         for d in (0..self.dim()).rev() {
             let e = self.extent(d);
-            coords[d] = self.lo[d] + idx % e;
+            p[d] = self.lo[d] + idx % e;
             idx /= e;
         }
-        Point::new(coords)
+        p
     }
 }
 
@@ -533,7 +603,7 @@ impl Iterator for PointIter {
     fn next(&mut self) -> Option<Point> {
         let current = self.next.take()?;
         // Advance like an odometer, last dimension fastest.
-        let mut succ = current.clone();
+        let mut succ = current;
         let dim = self.rect.dim();
         let mut d = dim;
         loop {
@@ -602,8 +672,16 @@ impl RectSet {
         if r.is_empty() {
             return;
         }
-        let mut pending = vec![r];
-        for existing in &self.rects {
+        // Members before the first one `r` meets leave it whole; members
+        // are disjoint, so only that first one can cover it.
+        let Some(first) = self.rects.iter().position(|e| e.overlaps(&r)) else {
+            return self.rects.push(r);
+        };
+        let mut pending = r.difference(&self.rects[first]);
+        if pending.is_empty() {
+            return;
+        }
+        for existing in &self.rects[first + 1..] {
             // Members the newcomer misses cost a bounds comparison each.
             if !pending.iter().any(|p| p.overlaps(existing)) {
                 continue;
@@ -624,21 +702,25 @@ impl RectSet {
         self.rects.extend(pending);
     }
 
-    /// Removes a rectangle from the set.
+    /// Empties the set, keeping its storage.
+    pub fn clear(&mut self) {
+        self.rects.clear();
+    }
+
+    /// Removes a rectangle from the set. Each member `r` meets is replaced
+    /// in place by what is left of it, so the order of the rest holds.
     pub fn subtract(&mut self, r: &Rect) {
-        if !self.overlaps(r) {
-            return;
-        }
-        // Members `r` misses are moved, not re-derived.
-        let mut out = Vec::with_capacity(self.rects.len());
-        for existing in self.rects.drain(..) {
-            if existing.overlaps(r) {
-                out.extend(existing.difference(r));
-            } else {
-                out.push(existing);
+        let mut i = 0;
+        while i < self.rects.len() {
+            if !self.rects[i].overlaps(r) {
+                i += 1;
+                continue;
             }
+            let rest = self.rects[i].difference(r);
+            let kept = rest.len();
+            self.rects.splice(i..=i, rest);
+            i += kept;
         }
-        self.rects = out;
     }
 
     /// True when every point of `r` is covered by the set.
@@ -646,7 +728,7 @@ impl RectSet {
         if r.is_empty() {
             return true;
         }
-        let mut missing = vec![r.clone()];
+        let mut missing = vec![*r];
         for existing in &self.rects {
             let mut next = Vec::new();
             for m in missing {
@@ -800,13 +882,12 @@ impl<T> RectIndex<T> {
         if !rect.is_empty() && !self.filed.is_empty() {
             assert_eq!(rect.dim(), self.cuts.len());
             // Per dimension, the slabs an overlapping entry can be filed in.
-            let slabs: Vec<(usize, usize)> = (0..rect.dim())
-                .map(|d| {
-                    let first = slab(&self.cuts[d], rect.lo[d]).saturating_sub(self.reach[d] - 1);
-                    (first, slab(&self.cuts[d], rect.hi[d]))
-                })
-                .collect();
-            self.visit(&slabs, 0, 0, &mut |i| {
+            let mut slabs = [(0, 0); MAX_DIM];
+            for (d, slabs) in slabs.iter_mut().enumerate().take(rect.dim()) {
+                let first = slab(&self.cuts[d], rect.lo[d]).saturating_sub(self.reach[d] - 1);
+                *slabs = (first, slab(&self.cuts[d], rect.hi[d]));
+            }
+            self.visit(&slabs[..rect.dim()], 0, 0, &mut |i| {
                 if self.entries[i].0.overlaps(rect) {
                     hits.push(i);
                 }
@@ -908,7 +989,7 @@ mod tests {
         let a = Rect::sized(&[4]);
         assert_eq!(
             a.difference(&Rect::new(Point::new(vec![10]), Point::new(vec![12]))),
-            vec![a.clone()]
+            vec![a]
         );
         assert!(a.difference(&a).is_empty());
     }

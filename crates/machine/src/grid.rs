@@ -221,7 +221,7 @@ impl MachineHierarchy {
         let mut out = Vec::with_capacity(self.levels.len());
         let mut off = 0;
         for g in &self.levels {
-            out.push(Point::new(p.coords()[off..off + g.dim()].to_vec()));
+            out.push(Point::from_slice(&p.coords()[off..off + g.dim()]));
             off += g.dim();
         }
         out

@@ -1,8 +1,166 @@
 //! Property tests for the geometry substrate: rectangle algebra must be
 //! exact, since the runtime's coherence machinery depends on it.
 
-use distal_machine::geom::{copy_rect, Point, Rect, RectIndex, RectSet};
+use distal_machine::geom::{copy_rect, Point, Rect, RectIndex, RectSet, MAX_DIM};
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
+// A rectangle is a plain value: copied, never cloned onto the heap, and
+// small enough to pass around by value.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Rect>();
+    assert!(std::mem::size_of::<Rect>() <= 2 * (MAX_DIM + 1) * 8);
+};
+
+/// The `Point` of before coordinates moved inline — a `Vec<i64>` with
+/// derived traits and the same rendering — kept as the oracle the inline
+/// geometry is held to.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct VecPoint(Vec<i64>);
+
+impl fmt::Debug for VecPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "(")?;
+        for (i, c) in self.0.iter().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{c}")?;
+        }
+        write!(f, ")")
+    }
+}
+
+/// The matching `Rect`, with the allocating algorithms it used to run.
+#[derive(Clone, PartialEq, Debug)]
+struct VecRect {
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+}
+
+impl VecRect {
+    fn dim(&self) -> usize {
+        self.lo.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        (0..self.dim()).any(|d| self.hi[d] < self.lo[d])
+    }
+
+    fn extent(&self, d: usize) -> i64 {
+        (self.hi[d] - self.lo[d] + 1).max(0)
+    }
+
+    fn intersection(&self, o: &VecRect) -> VecRect {
+        let lo = (0..self.dim()).map(|d| self.lo[d].max(o.lo[d])).collect();
+        let hi = (0..self.dim()).map(|d| self.hi[d].min(o.hi[d])).collect();
+        VecRect { lo, hi }
+    }
+
+    fn union_bb(&self, o: &VecRect) -> VecRect {
+        if self.is_empty() {
+            return o.clone();
+        }
+        if o.is_empty() {
+            return self.clone();
+        }
+        let lo = (0..self.dim()).map(|d| self.lo[d].min(o.lo[d])).collect();
+        let hi = (0..self.dim()).map(|d| self.hi[d].max(o.hi[d])).collect();
+        VecRect { lo, hi }
+    }
+
+    fn difference(&self, o: &VecRect) -> Vec<VecRect> {
+        if self.is_empty() {
+            return vec![];
+        }
+        let inter = self.intersection(o);
+        if inter.is_empty() {
+            return vec![self.clone()];
+        }
+        if inter == *self {
+            return vec![];
+        }
+        let (mut pieces, mut rest) = (Vec::new(), self.clone());
+        for d in 0..self.dim() {
+            if rest.lo[d] < inter.lo[d] {
+                let mut hi = rest.hi.clone();
+                hi[d] = inter.lo[d] - 1;
+                pieces.push(VecRect {
+                    lo: rest.lo.clone(),
+                    hi,
+                });
+                rest.lo[d] = inter.lo[d];
+            }
+            if rest.hi[d] > inter.hi[d] {
+                let mut lo = rest.lo.clone();
+                lo[d] = inter.hi[d] + 1;
+                pieces.push(VecRect {
+                    lo,
+                    hi: rest.hi.clone(),
+                });
+                rest.hi[d] = inter.hi[d];
+            }
+        }
+        pieces
+    }
+
+    /// Every point, last dimension fastest.
+    fn points(&self) -> Vec<VecPoint> {
+        if self.is_empty() {
+            return vec![];
+        }
+        let mut out = vec![VecPoint(self.lo.clone())];
+        loop {
+            let mut next = out.last().expect("one point").0.clone();
+            let Some(d) = (0..self.dim()).rev().find(|&d| next[d] < self.hi[d]) else {
+                return out;
+            };
+            next[d] += 1;
+            next[d + 1..].copy_from_slice(&self.lo[d + 1..]);
+            out.push(VecPoint(next));
+        }
+    }
+
+    fn linearize(&self, p: &VecPoint) -> usize {
+        (0..self.dim()).fold(0, |idx, d| idx * self.extent(d) + p.0[d] - self.lo[d]) as usize
+    }
+
+    fn delinearize(&self, mut idx: i64) -> VecPoint {
+        let mut coords = vec![0; self.dim()];
+        for d in (0..self.dim()).rev() {
+            coords[d] = self.lo[d] + idx % self.extent(d);
+            idx /= self.extent(d);
+        }
+        VecPoint(coords)
+    }
+
+    fn inline(&self) -> Rect {
+        Rect::new(Point::from_slice(&self.lo), Point::from_slice(&self.hi))
+    }
+}
+
+fn oracle(r: &Rect) -> VecRect {
+    VecRect {
+        lo: r.lo().coords().to_vec(),
+        hi: r.hi().coords().to_vec(),
+    }
+}
+
+fn hash_of(h: &impl Hash) -> u64 {
+    let mut s = DefaultHasher::new();
+    h.hash(&mut s);
+    s.finish()
+}
+
+/// Per dimension of the largest case, `(lo, extent)` for two rectangles;
+/// a case cuts out every dimensionality `0..=MAX_DIM` as a prefix. Extents
+/// of 0 make empty rectangles.
+fn bound_pairs() -> impl Strategy<Value = Vec<((i64, i64), (i64, i64))>> {
+    prop::collection::vec(((-2i64..3, 0i64..4), (-2i64..3, 0i64..4)), MAX_DIM)
+}
 
 fn rect_strategy(dim: usize, max: i64) -> impl Strategy<Value = Rect> {
     prop::collection::vec((0..max, 0..max), dim).prop_map(|bounds| {
@@ -186,7 +344,7 @@ proptest! {
     ) {
         let mut s = RectSet::new();
         for r in &rects {
-            s.add(r.clone());
+            s.add(*r);
         }
         // Volume equals the number of covered lattice points.
         let bb = rects.iter().fold(Rect::empty(2), |acc, r| acc.union_bb(r));
@@ -216,7 +374,7 @@ proptest! {
     ) {
         let mut s = RectSet::new();
         for r in &rects {
-            s.add(r.clone());
+            s.add(*r);
         }
         let pointwise = probe
             .points()
@@ -230,6 +388,54 @@ proptest! {
         for (i, p) in r.points().enumerate() {
             prop_assert_eq!(r.linearize(&p), i);
             prop_assert_eq!(r.delinearize(i as i64), p);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// At every dimensionality up to the cap, the inline point and
+    /// rectangle answer exactly as the `Vec<i64>`-backed ones they
+    /// replaced: comparison, equality, hashing, rendering, and the
+    /// rectangle algebra.
+    #[test]
+    fn inline_geometry_matches_the_vec_oracle(bounds in bound_pairs(), cut in 0usize..MAX_DIM + 1) {
+        for dim in 0..=MAX_DIM {
+            let rect = |which: usize| {
+                let spans = bounds[..dim].iter().map(|pair| [pair.0, pair.1][which]);
+                VecRect {
+                    lo: spans.clone().map(|(lo, _)| lo).collect(),
+                    hi: spans.map(|(lo, n)| lo + n - 1).collect(),
+                }
+            };
+            let (va, vb) = (rect(0), rect(1));
+            let (a, b) = (va.inline(), vb.inline());
+            prop_assert_eq!(format!("{a:?}"), format!("[{:?}..{:?}]", VecPoint(va.lo.clone()), VecPoint(va.hi.clone())));
+            prop_assert_eq!(oracle(&a.intersection(&b)), va.intersection(&vb));
+            prop_assert_eq!(oracle(&a.union_bb(&b)), va.union_bb(&vb));
+            let pieces: Vec<VecRect> = a.difference(&b).iter().map(oracle).collect();
+            prop_assert_eq!(pieces, va.difference(&vb));
+
+            let points: Vec<Point> = a.points().collect();
+            let want = va.points();
+            prop_assert_eq!(points.len(), want.len());
+            for (i, (p, v)) in points.iter().zip(&want).enumerate() {
+                prop_assert_eq!(p.coords(), &v.0[..]);
+                prop_assert_eq!(format!("{p:?}"), format!("{v:?}"));
+                prop_assert_eq!(hash_of(p), hash_of(v));
+                prop_assert_eq!(a.linearize(p), va.linearize(v));
+                prop_assert_eq!(a.linearize(p), i);
+                let back = VecPoint(a.delinearize(i as i64).coords().to_vec());
+                prop_assert_eq!(back, va.delinearize(i as i64));
+            }
+            // Points of different dimensionalities (a prefix of the other
+            // rectangle's corner, cut at random) compare as their slices.
+            let (p, q) = (*a.lo(), Point::from_slice(&b.hi().coords()[..cut.min(dim)]));
+            let (vp, vq) = (VecPoint(va.lo.clone()), VecPoint(vb.hi[..cut.min(dim)].to_vec()));
+            prop_assert_eq!(p.cmp(&q), vp.cmp(&vq));
+            prop_assert_eq!(p == q, vp == vq);
+            prop_assert_eq!(hash_of(&q), hash_of(&vq));
         }
     }
 }

@@ -46,15 +46,17 @@ pub enum RuntimeError {
     UninitializedData {
         /// Region name.
         region: String,
-        /// The rectangle that could not be sourced.
-        rect: Rect,
+        /// The rectangle that could not be sourced (boxed, like every
+        /// rectangle in this type: coordinates are inline, and every
+        /// `Result` of the runtime would carry them).
+        rect: Box<Rect>,
     },
     /// A requirement referenced coordinates outside its region.
     InvalidRequirement {
         /// Region name.
         region: String,
         /// The offending rectangle.
-        rect: Rect,
+        rect: Box<Rect>,
     },
     /// `set_region_data` was given a buffer of the wrong length.
     DataSizeMismatch {
@@ -355,7 +357,7 @@ impl Runtime {
         data: Option<Arc<Vec<f64>>>,
     ) -> Result<(), RuntimeError> {
         let coherence = &mut self.store.coherence;
-        let rect = coherence.region(region).rect.clone();
+        let rect = coherence.region(region).rect;
         // Whatever image the region held is replaced with the rest.
         coherence.regions[region.0 as usize].csr = false;
         self.store.images[region.0 as usize] = None;
@@ -369,13 +371,8 @@ impl Runtime {
             coherence.retire_instance(id);
         }
         let global = self.machine.global_mem();
-        let id = coherence.create_instance(
-            &self.machine,
-            region,
-            global,
-            rect.clone(),
-            InstanceRole::Home,
-        )?;
+        let id =
+            coherence.create_instance(&self.machine, region, global, rect, InstanceRole::Home)?;
         coherence.instance_mut(id).valid = RectSet::from_rect(rect);
         self.store.buffers.push(RwLock::new(data));
         Ok(())
@@ -444,7 +441,7 @@ impl Runtime {
             let cell = self.store.buffer(*id).read().expect("poisoned buffer lock");
             for vr in inst.valid.rects() {
                 // The part of this valid piece no earlier instance supplied.
-                let mut fresh = RectSet::from_rect(vr.clone());
+                let mut fresh = RectSet::from_rect(*vr);
                 for c in covered.rects() {
                     fresh.subtract(c);
                 }
@@ -452,14 +449,14 @@ impl Runtime {
                     if let Some(data) = cell.as_ref() {
                         copy_rect(&inst.rect, data, rect, &mut out, piece, false);
                     }
-                    covered.add(piece.clone());
+                    covered.add(*piece);
                 }
             }
         }
         if !covered.covers(rect) {
             return Err(RuntimeError::UninitializedData {
                 region: lr.name.clone(),
-                rect: rect.clone(),
+                rect: Box::new(*rect),
             });
         }
         // Fold pending reductions.
@@ -564,7 +561,7 @@ mod tests {
             "seven"
         }
         fn execute(&self, ctx: &mut crate::kernel::KernelCtx<'_>) {
-            let rect = ctx.args[0].rect.clone();
+            let rect = ctx.args[0].rect;
             for p in rect.points() {
                 ctx.args[0].set(p.coords(), 7.0);
             }
@@ -581,7 +578,7 @@ mod tests {
         let rect = Rect::sized(&[n as i64]);
         let caller = Arc::new(vec![1.0; n]);
         let mut rt = rt();
-        let r = rt.create_region("A", rect.clone());
+        let r = rt.create_region("A", rect);
         rt.set_region_shared(r, Arc::clone(&caller)).unwrap();
         assert_eq!(Arc::strong_count(&caller), 2, "bound without a copy");
 

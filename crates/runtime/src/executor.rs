@@ -424,7 +424,7 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
             };
             (Rect::empty(rect.dim()), data, None)
         } else if let Some((image, covered)) = sparse_image(store, *inst) {
-            (covered.clone(), ArgData::Read(&[]), Some(Arc::clone(image)))
+            (*covered, ArgData::Read(&[]), Some(Arc::clone(image)))
         } else {
             let data = match (before, &mut lent[slot_of(*inst)]) {
                 (Some(copy), _) => ArgData::Read(copy),
@@ -434,11 +434,11 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
                         .expect("aliased writable requirements are not supported"),
                 ),
             };
-            (store.instance(*inst).rect.clone(), data, None)
+            (store.instance(*inst).rect, data, None)
         };
         KernelArg {
             privilege: *privilege,
-            rect: rect.clone(),
+            rect: *rect,
             alloc,
             data,
             sparse,
@@ -447,7 +447,7 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
 
     let mut ctx = KernelCtx {
         args: args.collect(),
-        point: task.point.clone(),
+        point: task.point,
         scalars: task.scalars.clone(),
     };
     kernels[task.kernel.0 as usize].execute(&mut ctx);
@@ -483,7 +483,7 @@ mod tests {
         }
         fn execute(&self, ctx: &mut KernelCtx<'_>) {
             let arg = &mut ctx.args[0];
-            let rect = arg.rect.clone();
+            let rect = arg.rect;
             for p in rect.points() {
                 let v = arg.at(p.coords());
                 arg.set(p.coords(), v * self.0);
@@ -547,7 +547,7 @@ mod tests {
                         proc,
                         Point::new(vec![lo / 4]),
                         vec![
-                            RegionReq::new(acc, rect.clone(), Privilege::ReadWrite, mem),
+                            RegionReq::new(acc, rect, Privilege::ReadWrite, mem),
                             RegionReq::new(r, rect, Privilege::Read, mem),
                         ],
                     ));
@@ -587,7 +587,7 @@ mod tests {
             let arg = &ctx.args[0];
             assert!(matches!(arg.data, ArgData::Read(_)));
             let seen = arg.rect.points().map(|p| arg.at(p.coords())).collect();
-            self.lent.lock().unwrap().push((arg.alloc.clone(), seen));
+            self.lent.lock().unwrap().push((arg.alloc, seen));
             std::thread::sleep(Duration::from_millis(20));
             self.inside.fetch_sub(1, Ordering::SeqCst);
         }
@@ -601,7 +601,7 @@ mod tests {
         // a tight `alloc` or as a peak of one.
         let mut rt = functional(MachineSpec::small(1), 4);
         let whole = Rect::sized(&[64]);
-        let r = rt.create_region("A", whole.clone());
+        let r = rt.create_region("A", whole);
         rt.set_region_data(r, (0..64).map(f64::from).collect())
             .unwrap();
         let proc = rt.machine().cpu_proc(0, 0);
@@ -615,7 +615,7 @@ mod tests {
             noop,
             proc,
             Point::zeros(1),
-            read(whole.clone()),
+            read(whole),
         )));
         let tasks = (0..16).map(|t| {
             let part = Rect::new(Point::new(vec![4 * t]), Point::new(vec![4 * t + 3]));
@@ -671,13 +671,13 @@ mod tests {
             for workers in [1, 2] {
                 let mut rt = functional(MachineSpec::small(1), workers);
                 let rect = Rect::sized(&[4]);
-                let r = rt.create_region("A", rect.clone());
+                let r = rt.create_region("A", rect);
                 rt.set_region_data(r, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
                 let proc = rt.machine().cpu_proc(0, 0);
                 let mem = rt.machine().proc(proc).local_mem;
                 let mut p = Program::new();
                 let k = p.register_kernel(Arc::new(DoubleFromAliasKernel { write, read }));
-                let mut reqs = vec![RegionReq::new(r, rect.clone(), Privilege::Read, mem); 2];
+                let mut reqs = vec![RegionReq::new(r, rect, Privilege::Read, mem); 2];
                 reqs[write].privilege = Privilege::ReadWrite;
                 p.push(Op::SingleTask(TaskDesc::new(
                     k,

@@ -321,7 +321,7 @@ impl<'a> GraphBuilder<'a> {
 
     fn process_fill(&mut self, region: RegionId, value: f64) -> Result<(), RuntimeError> {
         self.refuse_sparse_write(region)?;
-        let rect = self.coherence.region(region).rect.clone();
+        let rect = self.coherence.region(region).rect;
         // Order after everything touching the region so far.
         let mut deps = Vec::new();
         let insts: Vec<InstanceId> = self.coherence.by_region[region.0 as usize]
@@ -353,12 +353,11 @@ impl<'a> GraphBuilder<'a> {
             self.machine,
             region,
             global,
-            rect.clone(),
+            rect,
             InstanceRole::Home,
         )?;
         let node = self.add_node(GNodeKind::Fill { inst: id, value }, 0.0, [None, None], deps);
-        self.coherence.instance_mut(id).valid =
-            distal_machine::geom::RectSet::from_rect(rect.clone());
+        self.coherence.instance_mut(id).valid = distal_machine::geom::RectSet::from_rect(rect);
         self.meta(id).producers = vec![(rect, node)];
         Ok(())
     }
@@ -384,16 +383,16 @@ impl<'a> GraphBuilder<'a> {
         let mut posts: Vec<Post> = Vec::new();
 
         for req in &t.reqs {
-            let region_rect = self.coherence.region(req.region).rect.clone();
+            let region_rect = self.coherence.region(req.region).rect;
             if !region_rect.contains_rect(&req.rect) {
                 return Err(RuntimeError::InvalidRequirement {
                     region: self.coherence.region(req.region).name.clone(),
-                    rect: req.rect.clone(),
+                    rect: Box::new(req.rect),
                 });
             }
             if req.rect.is_empty() {
                 // Over-decomposed launch point: nothing to touch.
-                args.push((InstanceId(u32::MAX), req.privilege, req.rect.clone()));
+                args.push((InstanceId(u32::MAX), req.privilege, req.rect));
                 continue;
             }
             if req.privilege != Privilege::Read {
@@ -407,10 +406,10 @@ impl<'a> GraphBuilder<'a> {
                         InstanceRole::Scratch
                     };
                     let inst = self.materialize(req.region, &req.rect, req.mem, &mut deps, role)?;
-                    args.push((inst, req.privilege, req.rect.clone()));
+                    args.push((inst, req.privilege, req.rect));
                     posts.push(Post::Read {
                         inst,
-                        rect: req.rect.clone(),
+                        rect: req.rect,
                     });
                 }
                 Privilege::Write | Privilege::ReadWrite => {
@@ -452,10 +451,10 @@ impl<'a> GraphBuilder<'a> {
                             deps.extend(m.last_reducer.iter().copied());
                         }
                     }
-                    args.push((inst, req.privilege, req.rect.clone()));
+                    args.push((inst, req.privilege, req.rect));
                     posts.push(Post::Write {
                         inst,
-                        rect: req.rect.clone(),
+                        rect: req.rect,
                         region: req.region,
                     });
                 }
@@ -463,7 +462,7 @@ impl<'a> GraphBuilder<'a> {
                     let inst = self.reduction_instance(req.region, &req.rect, req.mem)?;
                     let m = self.meta(inst);
                     deps.extend(m.last_reducer.iter().copied());
-                    args.push((inst, req.privilege, req.rect.clone()));
+                    args.push((inst, req.privilege, req.rect));
                     posts.push(Post::Reduce { inst });
                 }
             }
@@ -486,7 +485,7 @@ impl<'a> GraphBuilder<'a> {
                 kernel: t.kernel,
                 kernel_name: self.kernel_names[t.kernel.0 as usize].clone(),
                 proc: t.proc,
-                point: t.point.clone(),
+                point: t.point,
                 scalars: t.scalars.clone(),
                 args,
                 flops,
@@ -515,7 +514,7 @@ impl<'a> GraphBuilder<'a> {
                         clip(&mut self.meta(other).producers, &rect);
                     }
                     let i = self.coherence.instance_mut(inst);
-                    i.valid.add(rect.clone());
+                    i.valid.add(rect);
                     i.depth = 0; // produced here
                                  // Output data must never be retired by scratch discards.
                     if i.role == InstanceRole::Scratch {
@@ -559,7 +558,7 @@ impl<'a> GraphBuilder<'a> {
             Some(id) => Ok(id),
             None => self
                 .coherence
-                .create_instance(self.machine, region, mem, rect.clone(), role),
+                .create_instance(self.machine, region, mem, *rect, role),
         }
     }
 
@@ -576,7 +575,7 @@ impl<'a> GraphBuilder<'a> {
     ) -> Result<InstanceId, RuntimeError> {
         let dest = self.dest_instance(region, rect, mem, role)?;
         // Copy in the missing pieces.
-        let mut missing = vec![rect.clone()];
+        let mut missing = vec![*rect];
         {
             let valid = self.coherence.instance(dest).valid.clone();
             let mut next = Vec::new();
@@ -642,7 +641,7 @@ impl<'a> GraphBuilder<'a> {
                 (None, None) => {
                     return Err(RuntimeError::UninitializedData {
                         region: self.coherence.region(region).name.clone(),
-                        rect: piece,
+                        rect: Box::new(piece),
                     })
                 }
             }
@@ -698,7 +697,7 @@ impl<'a> GraphBuilder<'a> {
                     region,
                     src,
                     dst: dest,
-                    rect: piece.clone(),
+                    rect: piece,
                     bytes,
                     reduce: false,
                     class,
@@ -718,7 +717,7 @@ impl<'a> GraphBuilder<'a> {
                 let d = self.coherence.instance_mut(dest);
                 d.depth = d.depth.max(src_depth + 1);
             }
-            self.coherence.instance_mut(dest).valid.add(piece.clone());
+            self.coherence.instance_mut(dest).valid.add(piece);
             let m = self.meta(dest);
             clip(&mut m.producers, &piece);
             m.producers.push((piece, node));
@@ -749,7 +748,7 @@ impl<'a> GraphBuilder<'a> {
         let pending: Vec<InstanceId> =
             self.coherence.reductions_by_region[region.0 as usize].clone();
         for rid in pending {
-            let rrect = self.coherence.instance(rid).rect.clone();
+            let rrect = self.coherence.instance(rid).rect;
             let inter = rrect.intersection(rect);
             if inter.is_empty() {
                 continue;
@@ -794,7 +793,7 @@ impl<'a> GraphBuilder<'a> {
                     region,
                     src: rid,
                     dst: dest,
-                    rect: inter.clone(),
+                    rect: inter,
                     bytes,
                     reduce: true,
                     class,
@@ -817,7 +816,7 @@ impl<'a> GraphBuilder<'a> {
             {
                 let m = self.meta(dest);
                 clip(&mut m.producers, &inter);
-                m.producers.push((inter.clone(), node));
+                m.producers.push((inter, node));
             }
             deps.push(node);
             // Whole folds retire the buffer; partial folds keep the
@@ -885,7 +884,7 @@ impl<'a> GraphBuilder<'a> {
             Some((_, id)) => Ok(id),
             None => Err(RuntimeError::UninitializedData {
                 region: self.coherence.region(region).name.clone(),
-                rect: piece.clone(),
+                rect: Box::new(*piece),
             }),
         }
     }
@@ -903,13 +902,8 @@ impl<'a> GraphBuilder<'a> {
                 return Ok(*id);
             }
         }
-        self.coherence.create_instance(
-            self.machine,
-            region,
-            mem,
-            rect.clone(),
-            InstanceRole::Reduction,
-        )
+        self.coherence
+            .create_instance(self.machine, region, mem, *rect, InstanceRole::Reduction)
     }
 }
 
@@ -978,13 +972,13 @@ mod tests {
             k,
             p0,
             Point::zeros(1),
-            vec![RegionReq::new(r, rect.clone(), Privilege::Read, m0)],
+            vec![RegionReq::new(r, rect, Privilege::Read, m0)],
         )));
         p.push(Op::SingleTask(TaskDesc::new(
             k,
             p1,
             Point::zeros(1),
-            vec![RegionReq::new(r, rect.clone(), Privilege::ReadWrite, m1)],
+            vec![RegionReq::new(r, rect, Privilege::ReadWrite, m1)],
         )));
         p.push(Op::SingleTask(TaskDesc::new(
             k,

@@ -189,7 +189,7 @@ mod tests {
         let mut data = vec![0.0; 8];
         let mut arg = KernelArg {
             privilege: Privilege::ReadWrite,
-            rect: alloc.clone(),
+            rect: alloc,
             alloc,
             data: ArgData::Write(&mut data),
             sparse: None,

@@ -258,7 +258,7 @@ mod tests {
             id: InstanceId(id),
             region: RegionId(0),
             mem: MemId(0),
-            valid: RectSet::from_rect(rect.clone()),
+            valid: RectSet::from_rect(rect),
             rect,
             role: InstanceRole::Home,
             gen: 0,

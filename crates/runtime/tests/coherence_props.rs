@@ -19,7 +19,7 @@ impl Kernel for AddKernel {
         "add"
     }
     fn execute(&self, ctx: &mut KernelCtx) {
-        let rect = ctx.args[0].rect.clone();
+        let rect = ctx.args[0].rect;
         for p in rect.points() {
             let v = ctx.args[0].at(p.coords());
             ctx.args[0].set(p.coords(), v + self.0);

@@ -931,7 +931,7 @@ mod tests {
             tensor: "B".into(),
             rank: 5,
             step: 2,
-            rect: distal_machine::geom::Rect::sized(&[2, 2]),
+            rect: Box::new(distal_machine::geom::Rect::sized(&[2, 2])),
         });
         let BackendError::Backend(shown) = &err else {
             panic!("expected BackendError::Backend, got {err:?}");

@@ -39,9 +39,9 @@
 
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
-use distal_machine::geom::{Point, Rect};
+use distal_machine::geom::Rect;
 use distal_machine::grid::Grid;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 /// The collective patterns the recognizer knows.
@@ -149,6 +149,8 @@ pub struct Collective {
     pub depth: usize,
 }
 
+// Rendered into the op-stream digests the lowering fingerprint suite
+// commits: the text, doubled brackets included, must not change.
 impl fmt::Display for Collective {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -206,19 +208,40 @@ impl Plan {
             Plan::AllGather { first_idx, .. } => *first_idx,
         }
     }
+
+    /// Tags of the point-to-point messages the plan replaces.
+    fn tags(&self) -> &[u64] {
+        match self {
+            Plan::Single(f) => &f.tags,
+            Plan::AllGather { tags, .. } => tags,
+        }
+    }
+
+    /// The members in schedule order and the grid axis they form a line
+    /// along: root first, then peers by torus offset, for a fan; ring
+    /// order for an all-gather.
+    fn order(&self, grid: &Grid) -> (Vec<usize>, Option<usize>) {
+        match self {
+            Plan::Single(f) => order_members(grid, f.root, &f.peers),
+            Plan::AllGather { members, .. } => {
+                let axis = line_axis(grid, members);
+                (ring_order(grid, members, axis), axis)
+            }
+        }
+    }
 }
 
-/// The grid axis along which `members` form a line, if any.
+/// The grid axis along which `members` form a line, if any. Member order
+/// does not matter.
 fn line_axis(grid: &Grid, members: &[usize]) -> Option<usize> {
-    let coords: Vec<Point> = members
-        .iter()
-        .map(|&r| grid.delinearize(r as i64))
-        .collect();
-    let varying: Vec<usize> = (0..grid.dim())
-        .filter(|&d| coords.iter().any(|c| c[d] != coords[0][d]))
-        .collect();
-    match varying.as_slice() {
-        [d] => Some(*d),
+    let first = grid.delinearize(*members.first()? as i64);
+    let varies = |d: &usize| {
+        let coord = |&r: &usize| grid.delinearize(r as i64)[*d];
+        members.iter().any(|r| coord(r) != first[*d])
+    };
+    let mut varying = (0..grid.dim()).filter(varies);
+    match (varying.next(), varying.next()) {
+        (Some(d), None) => Some(d),
         _ => None,
     }
 }
@@ -228,50 +251,45 @@ fn line_axis(grid: &Grid, members: &[usize]) -> Option<usize> {
 /// group is a grid line), falling back to torus distance then rank id.
 /// Line ordering makes ring schedules neighbour-only on the torus.
 fn order_members(grid: &Grid, root: usize, peers: &[usize]) -> (Vec<usize>, Option<usize>) {
-    let mut members = vec![root];
-    members.extend_from_slice(peers);
-    let mut sorted_ids = members.clone();
-    sorted_ids.sort_unstable();
-    let axis = line_axis(grid, &sorted_ids);
+    let mut ordered = Vec::with_capacity(peers.len() + 1);
+    ordered.push(root);
+    ordered.extend_from_slice(peers);
+    let axis = line_axis(grid, &ordered);
     let root_p = grid.delinearize(root as i64);
-    let mut rest: Vec<usize> = peers.to_vec();
-    rest.sort_by_key(|&r| {
+    ordered[1..].sort_by_key(|&r| {
         let p = grid.delinearize(r as i64);
         match axis {
             Some(d) => ((p[d] - root_p[d]).rem_euclid(grid.extent(d)), r),
             None => (crate::lower::torus_distance(grid, &root_p, &p), r),
         }
     });
-    rest.dedup();
-    let mut ordered = vec![root];
-    ordered.extend(rest);
+    // Drop repeated peers; the root stays first whatever it equals.
+    let mut peers = ordered.split_off(1);
+    peers.dedup();
+    ordered.append(&mut peers);
     (ordered, axis)
 }
 
-/// Binomial-tree rounds over `g` ordered members: round `r` doubles the
-/// informed prefix by sending from position `i` to position `i + 2^r`.
-/// Returns `(from_pos, to_pos)` edges per round; depth = number of rounds
-/// = `⌈log₂ g⌉`.
-fn binomial_rounds(g: usize) -> Vec<Vec<(usize, usize)>> {
-    let mut rounds = Vec::new();
-    let mut reach = 1;
-    while reach < g {
-        let mut edges = Vec::new();
-        for i in 0..reach {
-            if i + reach < g {
-                edges.push((i, i + reach));
-            }
-        }
-        rounds.push(edges);
-        reach <<= 1;
+/// Rounds of `topology` over `g` ordered members: `⌈log₂ g⌉` for a
+/// binomial tree, `g - 1` for a ring (a chain rooted at position 0).
+fn round_count(topology: Topology, g: usize) -> usize {
+    match topology {
+        Topology::BinomialTree => g.next_power_of_two().trailing_zeros() as usize,
+        Topology::Ring => g.saturating_sub(1),
     }
-    rounds
 }
 
-/// Ring rounds over `g` ordered members rooted at position 0: a chain
-/// `0 → 1 → … → g-1`, one edge per round.
-fn chain_rounds(g: usize) -> Vec<Vec<(usize, usize)>> {
-    (0..g.saturating_sub(1)).map(|i| vec![(i, i + 1)]).collect()
+/// The `(from_pos, to_pos)` edges of round `r`. A binomial round doubles
+/// the informed prefix by sending from position `i` to `i + 2^r`; a ring
+/// round is the one edge `r → r + 1`.
+fn round(topology: Topology, g: usize, r: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (reach, senders) = match topology {
+        Topology::BinomialTree => (1 << r, 0..1 << r),
+        Topology::Ring => (1, r..r + 1),
+    };
+    senders
+        .filter(move |i| i + reach < g)
+        .map(move |i| (i, i + reach))
 }
 
 /// Splits a global op stream into sequential-step segments as it is
@@ -323,8 +341,15 @@ fn find_fans<'a>(
 ) -> Vec<Fan> {
     let out_name = program.assignment.lhs.tensor.as_str();
     let mut segments = Segments::new(program.ranks());
-    type Key = (usize, bool, usize, String, Vec<i64>, Vec<i64>);
-    let mut by_key: BTreeMap<Key, usize> = BTreeMap::new();
+    // Per payload identity — (segment, reduce, root, tensor, rectangle),
+    // borrowed from the stream — its first send, until a second one makes
+    // it a fan.
+    enum Seen {
+        Once { idx: usize, peer: usize, tag: u64 },
+        Fan(usize),
+    }
+    let mut seen: HashMap<(usize, bool, usize, &str, Rect), Seen> =
+        HashMap::with_capacity(ops.size_hint().0 / 2);
     let mut fans: Vec<Fan> = Vec::new();
     for (idx, (_, op)) in ops.enumerate() {
         let step = segments.of(op);
@@ -335,31 +360,41 @@ fn find_fans<'a>(
         };
         let root = if reduce { m.to } else { m.from };
         let peer = if reduce { m.from } else { m.to };
-        let key: Key = (
-            step,
-            reduce,
-            root,
-            m.tensor.clone(),
-            m.rect.lo().coords().to_vec(),
-            m.rect.hi().coords().to_vec(),
-        );
-        let fan_idx = *by_key.entry(key).or_insert_with(|| {
-            fans.push(Fan {
-                reduce,
-                step,
-                root,
-                tensor: m.tensor.clone(),
-                rect: m.rect.clone(),
-                peers: Vec::new(),
-                tags: Vec::new(),
-                first_idx: idx,
-            });
-            fans.len() - 1
-        });
-        fans[fan_idx].peers.push(peer);
-        fans[fan_idx].tags.push(m.tag);
+        match seen.entry((step, reduce, root, m.tensor.as_str(), m.rect)) {
+            Entry::Vacant(first) => {
+                first.insert(Seen::Once {
+                    idx,
+                    peer,
+                    tag: m.tag,
+                });
+            }
+            Entry::Occupied(mut known) => match *known.get() {
+                Seen::Fan(i) => {
+                    fans[i].peers.push(peer);
+                    fans[i].tags.push(m.tag);
+                }
+                Seen::Once {
+                    idx: first_idx,
+                    peer: first,
+                    tag,
+                } => {
+                    known.insert(Seen::Fan(fans.len()));
+                    fans.push(Fan {
+                        reduce,
+                        step,
+                        root,
+                        tensor: m.tensor.clone(),
+                        rect: m.rect,
+                        peers: vec![first, peer],
+                        tags: vec![tag, m.tag],
+                        first_idx,
+                    });
+                }
+            },
+        }
     }
-    fans.retain(|f| f.peers.len() >= 2);
+    // In the order of their first sends.
+    fans.sort_unstable_by_key(|f| f.first_idx);
     fans.retain(|f| {
         !f.reduce
             || f.peers.iter().all(|&p| {
@@ -375,62 +410,64 @@ fn find_fans<'a>(
 /// segment and tensor, a family of broadcasts whose member sets agree
 /// and whose roots cover the whole member set is one all-gather.
 fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
-    type GroupKey = (usize, String, Vec<usize>);
-    let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
-    for (i, f) in fans.iter().enumerate() {
-        if f.reduce {
-            continue;
-        }
-        let mut members: Vec<usize> = f.peers.clone();
-        members.push(f.root);
-        members.sort_unstable();
-        members.dedup();
-        groups
-            .entry((f.step, f.tensor.clone(), members))
-            .or_default()
-            .push(i);
-    }
-    let mut gathered: BTreeSet<usize> = BTreeSet::new();
+    // Every broadcast fan's members (peers and root), sorted and distinct.
+    let members: Vec<Vec<usize>> = fans
+        .iter()
+        .map(|f| {
+            let mut members = Vec::new();
+            if !f.reduce {
+                members.extend_from_slice(&f.peers);
+                members.push(f.root);
+                members.sort_unstable();
+                members.dedup();
+            }
+            members
+        })
+        .collect();
+    // Broadcast fans grouped on (segment, tensor, members); the stable sort
+    // keeps each group in fan order.
+    let key = |i: &usize| (fans[*i].step, fans[*i].tensor.as_str(), &members[*i][..]);
+    let mut broadcasts: Vec<usize> = (0..fans.len()).filter(|&i| !fans[i].reduce).collect();
+    broadcasts.sort_by(|a, b| key(a).cmp(&key(b)));
+    let mut gathered = vec![false; fans.len()];
     let mut plans: Vec<Plan> = Vec::new();
-    for ((step, tensor, members), idxs) in groups {
-        let roots: BTreeSet<usize> = idxs.iter().map(|&i| fans[i].root).collect();
-        let member_set: BTreeSet<usize> = members.iter().copied().collect();
-        let complete = roots == member_set
-            && idxs.iter().all(|&i| {
-                let mut dests: Vec<usize> = fans[i].peers.clone();
-                dests.sort_unstable();
-                dests.dedup();
-                dests.len() == members.len() - 1
-            });
+    for group in broadcasts.chunk_by(|a, b| key(a) == key(b)) {
+        let (step, tensor, members) = key(&group[0]);
+        let mut roots: Vec<usize> = group.iter().map(|&i| fans[i].root).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        // Complete: every member is a root, and every root fans out to
+        // all the others (it is not among its own peers).
+        let complete = roots == members
+            && group
+                .iter()
+                .all(|&i| !fans[i].peers.contains(&fans[i].root));
         if !complete {
             continue;
         }
         let mut pieces: Vec<Vec<Rect>> = vec![Vec::new(); members.len()];
         let mut tags = Vec::new();
         let mut first_idx = usize::MAX;
-        for &i in &idxs {
+        for &i in group {
             let pos = members
                 .binary_search(&fans[i].root)
                 .expect("root is member");
-            pieces[pos].push(fans[i].rect.clone());
+            pieces[pos].push(fans[i].rect);
             tags.extend_from_slice(&fans[i].tags);
             first_idx = first_idx.min(fans[i].first_idx);
-            gathered.insert(i);
+            gathered[i] = true;
         }
         plans.push(Plan::AllGather {
             step,
-            tensor,
-            members,
+            tensor: tensor.to_string(),
+            members: members.to_vec(),
             pieces,
             tags,
             first_idx,
         });
     }
-    for (i, f) in fans.into_iter().enumerate() {
-        if !gathered.contains(&i) {
-            plans.push(Plan::Single(f));
-        }
-    }
+    let singles = fans.into_iter().zip(gathered).filter(|(_, g)| !g);
+    plans.extend(singles.map(|(f, _)| Plan::Single(f)));
     plans.sort_by_key(Plan::first_idx);
     plans
 }
@@ -443,17 +480,25 @@ fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
 /// the message schedule.
 pub fn recognize(program: &SpmdProgram) -> Vec<Collective> {
     merge_allgathers(find_fans(program, program.in_order()))
-        .into_iter()
-        .map(|plan| describe(&program.grid, &plan, None))
+        .iter()
+        .map(|plan| {
+            let (members, axis) = plan.order(&program.grid);
+            describe(plan, members, axis, None)
+        })
         .collect()
 }
 
-/// Builds the `Collective` record for a plan; `depth` comes from the
-/// lowered schedule when one exists, else from the naive fan.
-fn describe(grid: &Grid, plan: &Plan, lowered_depth: Option<usize>) -> Collective {
+/// Builds the `Collective` record for a plan whose members are in
+/// schedule order; `depth` comes from the lowered schedule when one
+/// exists, else from the naive fan.
+fn describe(
+    plan: &Plan,
+    members: Vec<usize>,
+    axis: Option<usize>,
+    lowered_depth: Option<usize>,
+) -> Collective {
     match plan {
         Plan::Single(f) => {
-            let (members, axis) = order_members(grid, f.root, &f.peers);
             let naive = f.peers.len();
             Collective {
                 kind: if f.reduce {
@@ -462,7 +507,7 @@ fn describe(grid: &Grid, plan: &Plan, lowered_depth: Option<usize>) -> Collectiv
                     CollectiveKind::Broadcast
                 },
                 tensor: f.tensor.clone(),
-                rect: f.rect.clone(),
+                rect: f.rect,
                 root: f.root,
                 members,
                 step: f.step,
@@ -474,28 +519,19 @@ fn describe(grid: &Grid, plan: &Plan, lowered_depth: Option<usize>) -> Collectiv
         Plan::AllGather {
             step,
             tensor,
-            members,
             pieces,
             ..
         } => {
-            let axis = line_axis(grid, members);
-            let ordered = ring_order(grid, members, axis);
-            let mut rect = pieces
-                .iter()
-                .flatten()
-                .next()
-                .expect("allgather has pieces")
-                .clone();
-            for r in pieces.iter().flatten() {
-                rect = rect.union_bb(r);
-            }
+            let mut all = pieces.iter().flatten();
+            let first = *all.next().expect("allgather has pieces");
+            let rect = all.fold(first, |bb, r| bb.union_bb(r));
             let naive = members.len() - 1;
             Collective {
                 kind: CollectiveKind::AllGather,
                 tensor: tensor.clone(),
                 rect,
-                root: ordered[0],
-                members: ordered,
+                root: members[0],
+                members,
                 step: *step,
                 axis,
                 naive_depth: naive,
@@ -534,124 +570,124 @@ pub(crate) fn apply(
     if plans.is_empty() {
         return stream;
     }
-    let grid = program.grid.clone();
     let mut next_tag = stream
         .iter()
         .filter_map(|(_, op)| op.message().map(|m| m.tag))
         .max()
         .map_or(0, |t| t + 1);
-
-    let mut replaced: BTreeSet<u64> = BTreeSet::new();
-    let mut emit_at: BTreeMap<usize, Vec<(usize, SpmdOp)>> = BTreeMap::new();
-    let mut records: Vec<Collective> = Vec::new();
-
-    for plan in &plans {
-        let mut block: Vec<(usize, SpmdOp)> = Vec::new();
-        let mut emit = |from: usize, to: usize, tensor: &str, rect: &Rect, reduce: bool| {
-            let msg = Message {
-                tag: next_tag,
-                from,
-                to,
-                tensor: tensor.to_string(),
-                rect: rect.clone(),
-            };
-            next_tag += 1;
-            if reduce {
-                block.push((from, SpmdOp::ReduceSend(msg.clone())));
-                block.push((to, SpmdOp::ReduceRecv(msg)));
-            } else {
-                block.push((from, SpmdOp::Send(msg.clone())));
-                block.push((to, SpmdOp::Recv(msg)));
-            }
-        };
-        let depth = match plan {
-            Plan::Single(f) => {
-                let (members, _) = order_members(&grid, f.root, &f.peers);
-                let rounds = match topology {
-                    Topology::BinomialTree => binomial_rounds(members.len()),
-                    Topology::Ring => chain_rounds(members.len()),
-                };
-                let depth = rounds.len();
-                if f.reduce {
-                    // Mirror of the broadcast: leaves fold inward first,
-                    // the root's inbound edge comes last.
-                    for round in rounds.iter().rev() {
-                        for &(parent, child) in round {
-                            emit(members[child], members[parent], &f.tensor, &f.rect, true);
-                        }
-                    }
-                } else {
-                    for round in &rounds {
-                        for &(from, to) in round {
-                            emit(members[from], members[to], &f.tensor, &f.rect, false);
-                        }
-                    }
-                }
-                for t in &f.tags {
-                    replaced.insert(*t);
-                }
-                depth
-            }
-            Plan::AllGather {
-                tensor,
-                members,
-                pieces,
-                tags,
-                ..
-            } => {
-                let axis = line_axis(&grid, members);
-                let ordered = ring_order(&grid, members, axis);
-                // pieces[] is indexed by sorted-member position; re-index
-                // by ring position.
-                let piece_of: BTreeMap<usize, &Vec<Rect>> = members
-                    .iter()
-                    .zip(pieces.iter())
-                    .map(|(&m, p)| (m, p))
-                    .collect();
-                let g = ordered.len();
-                for r in 0..g - 1 {
-                    for i in 0..g {
-                        let origin = ordered[(i + g - r) % g];
-                        let from = ordered[i];
-                        let to = ordered[(i + 1) % g];
-                        for rect in piece_of[&origin] {
-                            emit(from, to, tensor, rect, false);
-                        }
-                    }
-                }
-                for t in tags {
-                    replaced.insert(*t);
-                }
-                g - 1
-            }
-        };
-        records.push(describe(&grid, plan, Some(depth)));
-        emit_at.entry(plan.first_idx()).or_default().extend(block);
+    // The lowering's tags are below `next_tag`.
+    let mut replaced = vec![false; next_tag as usize];
+    for tag in plans.iter().flat_map(Plan::tags) {
+        replaced[*tag as usize] = true;
     }
 
-    // Rebuild the global stream: collective schedules are spliced in at
-    // the position of their first replaced send (all producer computes
-    // precede it; consumer receives only move earlier within their
-    // step), and the replaced point-to-point messages are dropped.
+    // One pass rebuilds the stream: each collective's schedule is spliced
+    // in at the position of its first replaced send (all producer
+    // computes precede it; consumer receives only move earlier within
+    // their step), and the replaced point-to-point messages are dropped.
+    // Plans are in position order, so fresh tags run in plan order.
+    let grid = &program.grid;
+    let mut records: Vec<Collective> = Vec::with_capacity(plans.len());
     let mut rewritten: Vec<(usize, SpmdOp)> = Vec::with_capacity(stream.len());
+    let mut pending = plans.iter().peekable();
     for (idx, (rank, op)) in stream.into_iter().enumerate() {
-        if let Some(block) = emit_at.remove(&idx) {
-            rewritten.extend(block);
+        while let Some(plan) = pending.next_if(|plan| plan.first_idx() == idx) {
+            records.push(expand(grid, plan, topology, &mut next_tag, &mut rewritten));
         }
-        if let Some(m) = op.message() {
-            if replaced.contains(&m.tag) {
-                continue;
-            }
+        if !op.message().is_some_and(|m| replaced[m.tag as usize]) {
+            rewritten.push((rank, op));
         }
-        rewritten.push((rank, op));
     }
     program.collectives = records;
     rewritten
 }
 
+/// Appends `plan`'s point-to-point schedule under `topology` to `out`,
+/// tagging its messages from `next_tag` on, and returns its record.
+fn expand(
+    grid: &Grid,
+    plan: &Plan,
+    topology: Topology,
+    next_tag: &mut u64,
+    out: &mut Vec<(usize, SpmdOp)>,
+) -> Collective {
+    let mut emit = |from: usize, to: usize, tensor: &str, rect: &Rect, reduce: bool| {
+        let msg = Message {
+            tag: *next_tag,
+            from,
+            to,
+            tensor: tensor.to_string(),
+            rect: *rect,
+        };
+        *next_tag += 1;
+        if reduce {
+            out.push((from, SpmdOp::ReduceSend(msg.clone())));
+            out.push((to, SpmdOp::ReduceRecv(msg)));
+        } else {
+            out.push((from, SpmdOp::Send(msg.clone())));
+            out.push((to, SpmdOp::Recv(msg)));
+        }
+    };
+    let (members, axis) = plan.order(grid);
+    let g = members.len();
+    let depth = match plan {
+        Plan::Single(f) => {
+            let depth = round_count(topology, g);
+            if f.reduce {
+                // Mirror of the broadcast: leaves fold inward first, the
+                // root's inbound edge comes last.
+                for r in (0..depth).rev() {
+                    for (parent, child) in round(topology, g, r) {
+                        emit(members[child], members[parent], &f.tensor, &f.rect, true);
+                    }
+                }
+            } else {
+                for r in 0..depth {
+                    for (from, to) in round(topology, g, r) {
+                        emit(members[from], members[to], &f.tensor, &f.rect, false);
+                    }
+                }
+            }
+            depth
+        }
+        Plan::AllGather {
+            tensor,
+            members: sorted,
+            pieces,
+            ..
+        } => {
+            // pieces[] is indexed by sorted-member position.
+            for r in 0..g - 1 {
+                for i in 0..g {
+                    let origin = members[(i + g - r) % g];
+                    let pos = sorted.binary_search(&origin).expect("origin is member");
+                    for rect in &pieces[pos] {
+                        emit(members[i], members[(i + 1) % g], tensor, rect, false);
+                    }
+                }
+            }
+            g - 1
+        }
+    };
+    describe(plan, members, axis, Some(depth))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn binomial_rounds(g: usize) -> Vec<Vec<(usize, usize)>> {
+        let tree = Topology::BinomialTree;
+        (0..round_count(tree, g))
+            .map(|r| round(tree, g, r).collect())
+            .collect()
+    }
+
+    fn chain_rounds(g: usize) -> Vec<Vec<(usize, usize)>> {
+        (0..round_count(Topology::Ring, g))
+            .map(|r| round(Topology::Ring, g, r).collect())
+            .collect()
+    }
 
     #[test]
     fn binomial_rounds_double_reach() {

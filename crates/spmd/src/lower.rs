@@ -25,7 +25,7 @@
 use crate::collective::{self, CollectiveConfig};
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
-use distal_core::nest::Nest;
+use distal_core::nest::{Env, Nest};
 use distal_core::{CompileError, Schedule};
 use distal_format::Format;
 use distal_ir::expr::{Access, Assignment, Expr};
@@ -118,8 +118,10 @@ pub enum SpmdError {
         /// The sequential step (row-major over the sequential loops) at
         /// which it needs it.
         step: usize,
-        /// The first rectangle nobody could supply.
-        rect: Rect,
+        /// The first rectangle nobody could supply (boxed: a rectangle
+        /// holds its coordinates inline, and every `Result` of this error
+        /// type would carry them).
+        rect: Box<Rect>,
     },
 }
 
@@ -162,7 +164,7 @@ impl Ownership {
         let by_rank = pieces.iter().enumerate();
         let index = RectIndex::new(
             by_rank
-                .flat_map(|(rank, held)| held.iter().map(move |p| (p.clone(), rank)))
+                .flat_map(|(rank, held)| held.iter().map(move |p| (*p, rank)))
                 .collect(),
         );
         Ownership { pieces, index }
@@ -279,6 +281,11 @@ struct Holdings<'a> {
     scratch_index: RectIndex<usize>,
     /// `received[rank]` = what `rank` has received during this step.
     received: Vec<Vec<Rect>>,
+    /// Reused by every [`Holdings::supply`]: the disjoint parts of the need
+    /// still missing, the candidate suppliers, and the transfers chosen.
+    missing: RectSet,
+    suppliers: Vec<(SupplierKey, Rect)>,
+    transfers: Vec<(usize, Rect)>,
 }
 
 impl<'a> Holdings<'a> {
@@ -291,6 +298,9 @@ impl<'a> Holdings<'a> {
             scratch: vec![RectSet::new(); points.len()],
             scratch_index: RectIndex::default(),
             received: vec![Vec::new(); points.len()],
+            missing: RectSet::new(),
+            suppliers: Vec::new(),
+            transfers: Vec::new(),
         }
     }
 
@@ -316,48 +326,47 @@ impl<'a> Holdings<'a> {
         rank: usize,
         step: usize,
         need: &Rect,
-    ) -> Result<Vec<(usize, Rect)>, SpmdError> {
-        let mut needs = RectSet::from_rect(need.clone());
-        let mut suppliers: Vec<(SupplierKey, &Rect)> = Vec::new();
+    ) -> Result<&[(usize, Rect)], SpmdError> {
+        self.missing.clear();
+        self.suppliers.clear();
+        self.transfers.clear();
+        self.missing.add(*need);
         let home = self.home.index.query(need).map(|hit| (1, hit));
         let scratch = self.scratch_index.query(need).map(|hit| (0, hit));
         for (class, (seq, held, &holder)) in home.chain(scratch) {
             if holder == rank {
-                needs.subtract(held);
+                self.missing.subtract(held);
             } else {
                 let d = torus_distance(self.grid, &self.points[holder], &self.points[rank]);
-                suppliers.push(((d, class, holder, seq), held));
+                self.suppliers.push(((d, class, holder, seq), *held));
             }
         }
-        suppliers.sort_unstable_by_key(|(key, _)| *key);
-        let mut transfers = Vec::new();
-        for ((_, _, holder, _), held) in suppliers {
-            if needs.is_empty() {
+        self.suppliers.sort_unstable_by_key(|(key, _)| *key);
+        for &((_, _, holder, _), held) in &self.suppliers {
+            if self.missing.is_empty() {
                 break;
             }
-            let parts: Vec<Rect> = needs
-                .rects()
-                .iter()
-                .filter(|missing| held.overlaps(missing))
-                .map(|missing| held.intersection(missing))
-                .collect();
-            if parts.is_empty() {
+            // `held` supplies its intersection with each missing part.
+            let first = self.transfers.len();
+            let missing = self.missing.rects().iter();
+            let parts = missing.filter(|missing| held.overlaps(missing));
+            let parts = parts.map(|missing| (holder, held.intersection(missing)));
+            self.transfers.extend(parts);
+            if self.transfers.len() == first {
                 continue;
             }
-            // Removes exactly `parts`: the missing rectangles are disjoint.
-            needs.subtract(held);
-            for part in parts {
-                self.received[rank].push(part.clone());
-                transfers.push((holder, part));
-            }
+            // Removes exactly those parts: the missing rectangles are disjoint.
+            self.missing.subtract(&held);
+            let parts = self.transfers[first..].iter().map(|&(_, part)| part);
+            self.received[rank].extend(parts);
         }
-        match needs.rects().first() {
-            None => Ok(transfers),
+        match self.missing.rects().first() {
+            None => Ok(&self.transfers),
             Some(hole) => Err(SpmdError::Uncovered {
                 tensor: self.tensor.to_string(),
                 rank,
                 step,
-                rect: hole.clone(),
+                rect: Box::new(*hole),
             }),
         }
     }
@@ -374,7 +383,7 @@ impl<'a> Holdings<'a> {
         let by_rank = self.scratch.iter().enumerate();
         self.scratch_index = RectIndex::new(
             by_rank
-                .flat_map(|(rank, set)| set.rects().iter().map(move |r| (r.clone(), rank)))
+                .flat_map(|(rank, set)| set.rects().iter().map(move |r| (*r, rank)))
                 .collect(),
         );
     }
@@ -385,7 +394,7 @@ impl<'a> Holdings<'a> {
     /// indexed one replaced, kept as its oracle.
     #[cfg(test)]
     fn supply_by_scan(&self, rank: usize, need: &Rect) -> Vec<(usize, Rect)> {
-        let mut needs = RectSet::from_rect(need.clone());
+        let mut needs = RectSet::from_rect(*need);
         for home in &self.home.pieces[rank] {
             needs.subtract(home);
         }
@@ -523,13 +532,14 @@ pub fn lower_with(
         .collect();
     let mut out_written: Vec<RectSet> = vec![RectSet::new(); ranks];
     let mut total_flops = 0.0f64;
+    let mut env = Env::new();
 
     for (step, seq_point) in nest.seq_rect().points().enumerate() {
         for point in domain_rect.points() {
             // The launch domain is the grid (checked above) or the single
             // point 0, so a point's row-major index is its rank.
             let rank = domain_rect.linearize(&point);
-            let env = nest.env(&seq_point, &point);
+            nest.bind_env(&mut env, &seq_point, &point);
             let Some((bounds, iter_points)) = nest.leaf_bounds(&env) else {
                 continue;
             };
@@ -537,7 +547,7 @@ pub fn lower_with(
             // Source every input rectangle not already held locally.
             for &(acc, t, flow) in &inputs {
                 let need = nest.access_rect(&acc.indices, &env, &t.dims);
-                for (from, rect) in holdings[flow].supply(rank, step, &need)? {
+                for &(from, rect) in holdings[flow].supply(rank, step, &need)? {
                     let msg = Message {
                         tag,
                         from,
@@ -780,7 +790,7 @@ mod tests {
                 tensor: "B".into(),
                 rank: 0,
                 step: 3,
-                rect: whole.restrict(0, 3, 3),
+                rect: Box::new(whole.restrict(0, 3, 3)),
             }
         );
         assert_eq!(
@@ -853,7 +863,7 @@ mod tests {
                     // Two accesses per rank and step.
                     for need in needs.by_ref().take(2) {
                         let want = holdings.supply_by_scan(rank, &need);
-                        let got = holdings.supply(rank, step, &need).unwrap();
+                        let got = holdings.supply(rank, step, &need).unwrap().to_vec();
                         prop_assert_eq!(&got, &want, "rank {} step {} needs {}", rank, step, need);
                     }
                 }

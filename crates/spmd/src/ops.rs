@@ -43,6 +43,8 @@ impl Message {
     }
 }
 
+// Rendered into the op-stream digests the lowering fingerprint suite
+// commits: the text, doubled brackets included, must not change.
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

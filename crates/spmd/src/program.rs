@@ -332,11 +332,16 @@ impl SpmdProgram {
         }
     }
 
-    /// The tensor rectangle each access (destination first, then the
-    /// right-hand side in order) touches in a leaf over `bounds`: the
+    /// The tensor rectangle each of `accesses` — the statement's
+    /// [`Assignment::accesses`]: the destination first, then the
+    /// right-hand side in order — touches in a leaf over `bounds`: the
     /// bounds projected through the access's index variables. `None` for
     /// clamped-away leaves (some `hi < lo`), which touch nothing.
-    pub(crate) fn leaf_rects(&self, bounds: &[(i64, i64)]) -> Option<Vec<Rect>> {
+    pub(crate) fn leaf_rects<'s>(
+        &'s self,
+        accesses: &'s [&'s Access],
+        bounds: &'s [(i64, i64)],
+    ) -> Option<impl Iterator<Item = Rect> + 's> {
         if bounds.iter().any(|(lo, hi)| hi < lo) {
             return None;
         }
@@ -344,10 +349,13 @@ impl SpmdProgram {
             let pos = self.all_vars.iter().position(|x| x == v);
             bounds[pos.expect("a statement variable")]
         };
-        let rect_of = |acc: &&Access| {
-            let (lo, hi) = acc.indices.iter().map(bound_of).unzip();
-            Rect::new(Point::new(lo), Point::new(hi))
-        };
-        Some(self.assignment.accesses().iter().map(rect_of).collect())
+        Some(accesses.iter().map(move |acc| {
+            let order = acc.indices.len();
+            let (mut lo, mut hi) = (Point::zeros(order), Point::zeros(order));
+            for (d, v) in acc.indices.iter().enumerate() {
+                (lo[d], hi[d]) = bound_of(v);
+            }
+            Rect::new(lo, hi)
+        }))
     }
 }

@@ -312,9 +312,9 @@ fn claim<'s>(
 /// The gather recipe of `rect` out of `bufs`; `Err` names the first part
 /// of `rect` no buffer holds.
 fn gather<'s>(bufs: impl IntoIterator<Item = &'s Sym>, rect: &Rect) -> Result<Vec<Part>, Rect> {
-    match claim(bufs, vec![rect.clone()]) {
+    match claim(bufs, vec![*rect]) {
         (parts, missing) if missing.is_empty() => Ok(parts),
-        (_, missing) => Err(missing[0].clone()),
+        (_, missing) => Err(missing[0]),
     }
 }
 
@@ -358,7 +358,7 @@ impl<'p> Store<'p> {
     }
 
     fn new_owned(&mut self, rect: &Rect) -> usize {
-        self.plan.owned.push(rect.clone());
+        self.plan.owned.push(*rect);
         self.plan.owned.len() - 1
     }
 
@@ -366,10 +366,7 @@ impl<'p> Store<'p> {
     fn add_home(&mut self, tensor: usize, piece: usize, rect: &Rect) {
         let src = Src::View(self.new_view());
         self.plan.homes.push((tensor, piece));
-        self.home[tensor].push(Sym {
-            rect: rect.clone(),
-            src,
-        });
+        self.home[tensor].push(Sym { rect: *rect, src });
     }
 
     /// Gives every output piece its (zero) buffer up front, for a
@@ -378,10 +375,7 @@ impl<'p> Store<'p> {
         let pieces = self.out_pieces;
         for piece in pieces {
             let src = Src::Owned(self.new_owned(piece));
-            self.out_home.push(Sym {
-                rect: piece.clone(),
-                src,
-            });
+            self.out_home.push(Sym { rect: *piece, src });
         }
     }
 
@@ -404,7 +398,7 @@ impl<'p> Store<'p> {
     fn receive(&mut self, tensor: usize, rect: &Rect) -> usize {
         let view = self.new_view();
         let sym = Sym {
-            rect: rect.clone(),
+            rect: *rect,
             src: Src::View(view),
         };
         match &mut self.scratch[tensor] {
@@ -460,12 +454,11 @@ impl<'p> Store<'p> {
     fn leaf(
         &mut self,
         bounds: &[(i64, i64)],
-        rects: Vec<Rect>,
+        mut rects: impl Iterator<Item = Rect>,
         operands: &[usize],
         csr_arg: Option<usize>,
         names: &[&str],
     ) -> Result<Leaf, String> {
-        let mut rects = rects.into_iter();
         let out = rects.next().expect("the destination access");
         let acc = self.accumulator(&out);
         let mut faces = Vec::with_capacity(operands.len());
@@ -500,7 +493,7 @@ impl<'p> Store<'p> {
     /// what none holds, appended last so existing ones keep priority.
     fn fold(&mut self, rect: &Rect) -> Vec<(usize, Rect)> {
         let mut targets = Vec::new();
-        let mut relayed = vec![rect.clone()];
+        let mut relayed = vec![*rect];
         let pieces = self.out_pieces;
         for piece in pieces.iter().filter(|piece| piece.overlaps(rect)) {
             let existing = self.out_home.iter().find(|b| b.rect == *piece);
@@ -508,10 +501,7 @@ impl<'p> Store<'p> {
                 Some(buf) => buf.src,
                 None => {
                     let src = Src::Owned(self.new_owned(piece));
-                    self.out_home.push(Sym {
-                        rect: piece.clone(),
-                        src,
-                    });
+                    self.out_home.push(Sym { rect: *piece, src });
                     src
                 }
             };
@@ -523,7 +513,7 @@ impl<'p> Store<'p> {
         if !fresh.is_empty() {
             let acc = self.new_owned(rect);
             self.acc.push(Sym {
-                rect: rect.clone(),
+                rect: *rect,
                 src: Src::Owned(acc),
             });
             targets.extend(fresh.into_iter().map(|part| (acc, part)));
@@ -539,7 +529,7 @@ impl<'p> Store<'p> {
         }
         let acc = self.new_owned(out);
         self.acc.push(Sym {
-            rect: out.clone(),
+            rect: *out,
             src: Src::Owned(acc),
         });
         acc
@@ -569,7 +559,7 @@ impl<'p> Store<'p> {
                         .collect(),
                 };
                 Finish {
-                    piece: piece.clone(),
+                    piece: *piece,
                     base,
                     adds,
                 }
@@ -621,7 +611,8 @@ fn resolve_rank(
             s.add_home(t, piece, rect);
         }
     }
-    let inputs = assignment.input_accesses();
+    let accesses = assignment.accesses();
+    let inputs = &accesses[1..];
     if inputs.iter().any(|acc| acc.tensor == assignment.lhs.tensor) {
         s.add_output_homes();
     }
@@ -671,7 +662,7 @@ fn resolve_rank(
                 Step::Recv { ordinal, landing }
             }
             SpmdOp::Compute { bounds, .. } => {
-                let leaf = program.leaf_rects(bounds).map(|rects| {
+                let leaf = program.leaf_rects(&accesses, bounds).map(|rects| {
                     let leaf = s.leaf(bounds, rects, &operands, csr_arg, names);
                     leaf.map(Box::new)
                 });
@@ -702,7 +693,7 @@ mod tests {
     use distal_machine::geom::{copy_rect, Point};
 
     fn pt(c: &[i64]) -> Point {
-        Point::new(c.to_vec())
+        Point::from_slice(c)
     }
 
     fn span(lo: &[i64], hi: &[i64]) -> Rect {
@@ -982,7 +973,7 @@ mod tests {
         );
         assert_eq!(
             s.plan.owned,
-            [span(&[2], &[2]), owned[0].clone(), Rect::sized(&[4])]
+            [span(&[2], &[2]), owned[0], Rect::sized(&[4])]
         );
         // Only the home piece reaches the output, with every accumulator
         // over it added.

@@ -30,10 +30,11 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
         tag: m.tag,
         peer,
         tensor: m.tensor.clone(),
-        rect: m.rect.clone(),
+        rect: m.rect,
         bytes: program.message_bytes(m),
         fold: reduce || m.tensor == *out_name,
     };
+    let accesses = program.assignment.accesses();
 
     let ranks = (0..program.ranks())
         .map(|rank| {
@@ -46,7 +47,7 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
                     SpmdOp::ReduceSend(m) => Event::Send(msg(m, m.to, true)),
                     SpmdOp::ReduceRecv(m) => Event::Recv(msg(m, m.from, true)),
                     SpmdOp::Compute { bounds, .. } => Event::Task {
-                        accesses: task_accesses(program, bounds),
+                        accesses: task_accesses(program, &accesses, bounds),
                     },
                     SpmdOp::RetireScratch { .. } => Event::Fence,
                 })
@@ -66,11 +67,17 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
 }
 
 /// The tensor rectangles one leaf touches — [`SpmdProgram::leaf_rects`],
-/// the projection the rank VM reads operand faces through —
-/// the destination as a write, the operands as reads.
-fn task_accesses(program: &SpmdProgram, bounds: &[(i64, i64)]) -> Vec<Access> {
-    let rects = program.leaf_rects(bounds).unwrap_or_default();
-    let accesses = program.assignment.accesses();
+/// the projection the rank VM reads operand faces through — the
+/// destination as a write, the operands as reads; none for a leaf clamped
+/// to nothing.
+fn task_accesses(
+    program: &SpmdProgram,
+    accesses: &[&distal_ir::expr::Access],
+    bounds: &[(i64, i64)],
+) -> Vec<Access> {
+    let Some(rects) = program.leaf_rects(accesses, bounds) else {
+        return Vec::new();
+    };
     accesses
         .iter()
         .zip(rects)

@@ -79,7 +79,7 @@ impl Homes {
             let mut tile = pool::take(volume(piece));
             copy_rect(rect, data, piece, &mut tile, piece, false);
             Buf {
-                rect: piece.clone(),
+                rect: *piece,
                 data: tile,
             }
         };
@@ -451,9 +451,9 @@ fn exact_bytes(alloc: &Rect, data: &[f64], rect: &Rect) -> u64 {
     } else {
         let last = rect.dim() - 1;
         let width = rect.extent(last) as usize;
-        let mut starts = rect.hi().clone();
-        starts.0[last] = rect.lo()[last];
-        let starts = Rect::new(rect.lo().clone(), starts).points();
+        let mut starts = *rect.hi();
+        starts[last] = rect.lo()[last];
+        let starts = Rect::new(*rect.lo(), starts).points();
         starts
             .map(|row| {
                 let at = alloc.linearize(&row);
@@ -506,8 +506,8 @@ fn run_leaf(
         0,
         KernelArg {
             privilege: Privilege::ReadWrite,
-            rect: leaf.out.clone(),
-            alloc: plan.owned[leaf.acc].clone(),
+            rect: leaf.out,
+            alloc: plan.owned[leaf.acc],
             data: ArgData::Write(&mut *acc),
             sparse: None,
         },
@@ -548,8 +548,8 @@ fn face_arg<'x>(
     };
     Ok(KernelArg {
         privilege: Privilege::Read,
-        rect: face.rect.clone(),
-        alloc: alloc.clone(),
+        rect: face.rect,
+        alloc: *alloc,
         data: ArgData::Read(data),
         sparse,
     })
@@ -653,7 +653,7 @@ mod tests {
     use distal_machine::geom::Point;
 
     fn span(lo: &[i64], hi: &[i64]) -> Rect {
-        Rect::new(Point::new(lo.to_vec()), Point::new(hi.to_vec()))
+        Rect::new(Point::from_slice(lo), Point::from_slice(hi))
     }
 
     #[test]
@@ -661,7 +661,7 @@ mod tests {
         let whole = Rect::sized(&[2, 4]);
         let data: Vec<f64> = (0..8).map(f64::from).collect();
         let left = span(&[0, 0], &[1, 1]);
-        let pieces = [vec![left.clone()], vec![span(&[0, 2], &[1, 3])]];
+        let pieces = [vec![left], vec![span(&[0, 2], &[1, 3])]];
         let mut homes = Homes::new(2);
         assert!(!homes.holds(1));
         homes.seed(1, &whole, &data, &pieces);

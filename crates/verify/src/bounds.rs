@@ -120,8 +120,8 @@ fn check_rect(
         return vec![attach(Diagnostic::error(
             DiagnosticKind::OutOfBounds,
             format!(
-                "{what} on rank {rank} touches {tensor}[{rect}] outside the tensor's \
-                 extent [{extent}]"
+                "{what} on rank {rank} touches {tensor}{rect} outside the tensor's \
+                 extent {extent}"
             ),
         ))];
     }

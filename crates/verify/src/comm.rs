@@ -76,7 +76,7 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                     Diagnostic::error(
                         DiagnosticKind::LostMessage,
                         format!(
-                            "receive of {}[{}] on rank {} (from rank {}) has no matching send; \
+                            "receive of {}{} on rank {} (from rank {}) has no matching send; \
                              the receiver blocks forever",
                             e.msg.tensor, e.msg.rect, e.rank, e.msg.peer
                         ),
@@ -92,7 +92,7 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                     Diagnostic::error(
                         DiagnosticKind::OrphanMessage,
                         format!(
-                            "send of {}[{}] from rank {} (to rank {}) has no matching receive; \
+                            "send of {}{} from rank {} (to rank {}) has no matching receive; \
                              the payload leaks",
                             e.msg.tensor, e.msg.rect, e.rank, e.msg.peer
                         ),
@@ -166,7 +166,7 @@ fn pair_mismatch(s: &Endpoint<'_>, r: &Endpoint<'_>) -> Option<String> {
     }
     if s.msg.rect != r.msg.rect {
         return Some(format!(
-            "the rectangle: [{}] sent, [{}] expected",
+            "the rectangle: {} sent, {} expected",
             s.msg.rect, r.msg.rect
         ));
     }

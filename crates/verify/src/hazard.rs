@@ -96,8 +96,8 @@ fn cross_rank_writes(program: &VerifyProgram) -> Vec<Diagnostic> {
                     Diagnostic::error(
                         DiagnosticKind::WriteHazard,
                         format!(
-                            "ranks {a} and {b} both write {tensor}[{}] (rank {rank_a} writes \
-                             [{ra}], rank {rank_b} writes [{rb}]) without reduction semantics; \
+                            "ranks {a} and {b} both write {tensor}{} (rank {rank_a} writes \
+                             {ra}, rank {rank_b} writes {rb}) without reduction semantics; \
                              the fold double-counts",
                             ra.intersection(rb)
                         ),
@@ -122,8 +122,9 @@ fn landings(program: &VerifyProgram) -> Vec<Diagnostic> {
         for ev in events {
             match ev {
                 Event::Fence => {
-                    landed.clear();
-                    read.clear();
+                    // Emptied, not dropped: the next generation reuses them.
+                    landed.values_mut().for_each(Vec::clear);
+                    read.values_mut().for_each(Vec::clear);
                 }
                 Event::Recv(m) if !m.fold => {
                     if let Some(prev) = landed
@@ -134,8 +135,8 @@ fn landings(program: &VerifyProgram) -> Vec<Diagnostic> {
                             Diagnostic::error(
                                 DiagnosticKind::WriteHazard,
                                 format!(
-                                    "rank {rank} receives {}[{}] (tag {}) overlapping the \
-                                     [{}] landed by tag {} in the same scratch generation; \
+                                    "rank {rank} receives {}{} (tag {}) overlapping the \
+                                     {} landed by tag {} in the same scratch generation; \
                                      lookups become arrival-order dependent",
                                     m.tensor, m.rect, m.tag, prev.1, prev.0
                                 ),
@@ -153,7 +154,7 @@ fn landings(program: &VerifyProgram) -> Vec<Diagnostic> {
                             Diagnostic::warning(
                                 DiagnosticKind::ReadHazard,
                                 format!(
-                                    "rank {rank} receives {}[{}] (tag {}) over the [{shadowed}] \
+                                    "rank {rank} receives {}{} (tag {}) over the {shadowed} \
                                      a task already read this generation; later reads see \
                                      different data",
                                     m.tensor, m.rect, m.tag

@@ -170,7 +170,7 @@ pub(crate) mod fixtures {
         tensors.insert("B".to_string(), b_full);
         tensors.insert("A".to_string(), a_full);
         let r0 = vec![
-            Event::Send(msg(1, 1, "B", b_lo.clone())),
+            Event::Send(msg(1, 1, "B", b_lo)),
             Event::Task {
                 accesses: vec![
                     Access {
@@ -180,7 +180,7 @@ pub(crate) mod fixtures {
                     },
                     Access {
                         tensor: "B".into(),
-                        rect: b_lo.clone(),
+                        rect: b_lo,
                         write: false,
                     },
                 ],
@@ -188,7 +188,7 @@ pub(crate) mod fixtures {
             Event::Fence,
         ];
         let r1 = vec![
-            Event::Recv(msg(1, 0, "B", b_lo.clone())),
+            Event::Recv(msg(1, 0, "B", b_lo)),
             Event::Task {
                 accesses: vec![
                     Access {

@@ -175,11 +175,11 @@ mod tests {
         let mut p = clean_pair();
         let r = rect2((0, 0), (1, 3));
         p.ranks[0] = vec![
-            Event::Recv(msg(2, 1, "B", r.clone())),
-            Event::Send(msg(1, 1, "B", r.clone())),
+            Event::Recv(msg(2, 1, "B", r)),
+            Event::Send(msg(1, 1, "B", r)),
         ];
         p.ranks[1] = vec![
-            Event::Recv(msg(1, 0, "B", r.clone())),
+            Event::Recv(msg(1, 0, "B", r)),
             Event::Send(msg(2, 0, "B", r)),
         ];
         let diags = check(&p);
@@ -198,11 +198,11 @@ mod tests {
         let mut p = clean_pair();
         let r = rect2((0, 0), (1, 3));
         p.ranks[0] = vec![
-            Event::Recv(msg(9, 1, "B", r.clone())),
-            Event::Send(msg(1, 1, "B", r.clone())),
+            Event::Recv(msg(9, 1, "B", r)),
+            Event::Send(msg(1, 1, "B", r)),
         ];
         p.ranks[1] = vec![
-            Event::Recv(msg(1, 0, "B", r.clone())),
+            Event::Recv(msg(1, 0, "B", r)),
             Event::Send(msg(9, 0, "B", r)),
         ];
         // This *is* the crossed wait again seen from the tag's side;

@@ -6,9 +6,11 @@
 
 use distal_core::lint::{admit, lint_schedule, LintConfig};
 use distal_core::{
-    BackendError, Diagnostic, DiagnosticKind, DistalMachine, Problem, Schedule, TensorSpec,
+    BackendError, CompileError, Diagnostic, DiagnosticKind, DistalMachine, Problem, Schedule,
+    TensorSpec,
 };
 use distal_format::{Format, LevelFormat, TensorDistribution};
+use distal_machine::geom::MAX_DIM;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 
@@ -361,6 +363,64 @@ fn cyclic_fan_is_unrewritable() {
     assert_eq!(d.tensor.as_deref(), Some("B"));
     assert_eq!(d.var.as_deref(), Some("ko"));
     assert_eq!(d.fixit.as_deref(), Some("use a blocked partition for 'B'"));
+}
+
+#[test]
+fn index_spaces_past_the_coordinate_cap_are_typed_errors() {
+    let deep = MAX_DIM + 1;
+    let whole = || Format::undistributed();
+    // A tensor of higher order is refused at registration, by name and order.
+    let mut p = matmul();
+    let err = p
+        .tensor(TensorSpec::new("T", vec![2; deep], whole()))
+        .unwrap_err();
+    let too_many = |what: &str, dims| CompileError::TooManyDims {
+        what: what.into(),
+        dims,
+    };
+    assert_eq!(err, too_many("tensor 'T'", deep));
+    assert_eq!(
+        err.to_string(),
+        format!("tensor 'T' has {deep} dimensions; coordinates hold at most {MAX_DIM}")
+    );
+    p.tensor(TensorSpec::new("T", vec![2; MAX_DIM], whole()))
+        .unwrap();
+    // So is every tensor of a machine whose flattened hierarchy is deeper.
+    let on = |levels: Vec<Grid>| {
+        let machine = DistalMachine::hierarchical(levels, ProcKind::Cpu);
+        Problem::new(MachineSpec::small(8), machine).tensor(TensorSpec::new(
+            "A",
+            vec![4],
+            whole(),
+        ))?;
+        Ok::<(), CompileError>(())
+    };
+    let cube = || Grid::grid3(1, 2, 2);
+    assert_eq!(on(vec![cube(), cube()]), Ok(()));
+    let err = on(vec![cube(), cube(), Grid::line(1)]).unwrap_err();
+    assert_eq!(err, too_many("the machine", deep));
+    // A schedule with more sequential loops than the cap plans to a typed
+    // error on both backends, not a panic.
+    let (mut s, mut rest) = (Schedule::new(), "i".to_string());
+    for level in 1..=deep {
+        let inner = format!("r{level}");
+        s = s.divide(&rest, &format!("i{level}"), &inner, 1);
+        rest = inner;
+    }
+    let s = s.communicate(&["B"], &format!("i{deep}"));
+    let backends: [&dyn distal_core::Backend; 2] = [
+        &distal_core::RuntimeBackend::functional(),
+        &distal_spmd::SpmdBackend::new(),
+    ];
+    for backend in backends {
+        let err = matmul().plan(backend, &s).err().expect("refused");
+        assert!(
+            err.to_string()
+                .contains(&format!("the sequential loop band has {deep} dimensions")),
+            "{}: {err}",
+            backend.name()
+        );
+    }
 }
 
 #[test]

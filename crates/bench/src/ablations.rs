@@ -4,8 +4,19 @@
 //! communication (`communicate`), symmetry breaking (`rotate`), and
 //! overlap of communication with computation (deferred execution vs
 //! bulk-synchronous). Each ablation removes one mechanism from an
-//! otherwise-identical schedule and measures the damage.
+//! otherwise-identical schedule and measures the damage; two more compare
+//! data layouts and auto-scheduling against the hand schedules.
+//!
+//! Usage: `distal-bench ablations [--assert-pruning] [nodes] [n]`
+//! (defaults: 16 nodes, n = 40000).
+//!
+//! `--assert-pruning` is the admission-pruner CI gate: a full-space
+//! search over exhaustive grid factorizations at a small extent must
+//! prune at least one illegal candidate before costing, and the pruned
+//! candidates must cost zero lowerings (total lowerings bounded by the
+//! surviving candidate count).
 
+use crate::args::Args;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_baselines::common::make_bulk_synchronous;
@@ -15,7 +26,7 @@ use std::fmt::Write as _;
 
 /// One ablation measurement.
 #[derive(Clone, Debug)]
-pub struct Ablation {
+struct Ablation {
     /// What was measured.
     pub label: String,
     /// Simulated makespan, seconds.
@@ -55,7 +66,7 @@ fn matmul_stats(alg: MatmulAlgorithm, config: &RunConfig, n: i64, chunk: i64) ->
 /// `rotate` ablation: Cannon's schedule with and without the rotation
 /// (without it, the same divide/communicate structure broadcasts from the
 /// owners instead of shifting between neighbours).
-pub fn ablate_rotate(nodes: usize, n: i64) -> Vec<Ablation> {
+fn ablate_rotate(nodes: usize, n: i64) -> Vec<Ablation> {
     let config = RunConfig::gpu(nodes, Mode::Model);
     let p = config.processors();
     let grid = MatmulAlgorithm::Cannon.grid(p);
@@ -86,7 +97,7 @@ pub fn ablate_rotate(nodes: usize, n: i64) -> Vec<Ablation> {
 /// `communicate` granularity ablation: SUMMA with chunk sizes from
 /// whole-k (one bulk transfer) down to fine chunks (pipelined), showing
 /// the memory/pipelining trade-off of §3.3.
-pub fn ablate_communicate_granularity(nodes: usize, n: i64) -> Vec<Ablation> {
+fn ablate_communicate_granularity(nodes: usize, n: i64) -> Vec<Ablation> {
     let config = RunConfig::gpu(nodes, Mode::Model);
     let mut out = Vec::new();
     for divisor in [1i64, 4, 16, 64] {
@@ -100,7 +111,7 @@ pub fn ablate_communicate_granularity(nodes: usize, n: i64) -> Vec<Ablation> {
 /// Overlap ablation: the same SUMMA schedule executed with Legion-style
 /// deferred execution vs bulk-synchronous barriers (the ScaLAPACK/CTF
 /// handicap of §7.1.1).
-pub fn ablate_overlap(nodes: usize, n: i64) -> Vec<Ablation> {
+fn ablate_overlap(nodes: usize, n: i64) -> Vec<Ablation> {
     let config = RunConfig::gpu(nodes, Mode::Model);
     let mut out = Vec::new();
     for barriers in [false, true] {
@@ -130,7 +141,7 @@ pub fn ablate_overlap(nodes: usize, n: i64) -> Vec<Ablation> {
 /// with `n`: element-cyclic layouts of large dense matrices would shatter
 /// placement into per-element pieces, which is as pathological in the
 /// simulator as on a real machine.)
-pub fn ablate_data_layout(nodes: usize, n: i64) -> Vec<Ablation> {
+fn ablate_data_layout(nodes: usize, n: i64) -> Vec<Ablation> {
     use distal_core::{DistalMachine, TensorSpec};
     use distal_format::Format;
     use distal_machine::grid::Grid;
@@ -178,7 +189,7 @@ pub fn ablate_data_layout(nodes: usize, n: i64) -> Vec<Ablation> {
 /// Auto-scheduling ablation (§9 future work): the best schedule found by
 /// the automatic search vs the hand-written Figure 9 schedules, evaluated
 /// under the same cost model.
-pub fn ablate_autoschedule(nodes: usize, n: i64) -> Vec<Ablation> {
+fn ablate_autoschedule(nodes: usize, n: i64) -> Vec<Ablation> {
     use distal_autosched::{AutoScheduler, SearchConfig};
     use std::collections::BTreeMap;
 
@@ -211,7 +222,7 @@ pub fn ablate_autoschedule(nodes: usize, n: i64) -> Vec<Ablation> {
 /// Admission-pruning statistics of one auto-schedule search (the
 /// `--assert-pruning` CI gate).
 #[derive(Clone, Copy, Debug)]
-pub struct PruningStats {
+struct PruningStats {
     /// Candidates the search enumerated.
     pub candidates: usize,
     /// Candidates the admission linter rejected *before* costing — no
@@ -227,7 +238,7 @@ pub struct PruningStats {
 /// deliberately small extent, so the space contains over-partitioned
 /// candidates (e.g. an 8-way grid dimension over a 4-iteration loop) that
 /// the admission linter must prune before any lowering is spent on them.
-pub fn autoschedule_pruning(nodes: usize, n: i64) -> PruningStats {
+fn autoschedule_pruning(nodes: usize, n: i64) -> PruningStats {
     use distal_autosched::{AutoScheduler, SearchConfig};
     use std::collections::BTreeMap;
 
@@ -250,7 +261,7 @@ pub fn autoschedule_pruning(nodes: usize, n: i64) -> PruningStats {
 }
 
 /// Renders ablation rows.
-pub fn render(title: &str, rows: &[Ablation]) -> String {
+fn render(title: &str, rows: &[Ablation]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {title}");
     let base = rows.first().map(|r| r.makespan_s).unwrap_or(1.0);
@@ -265,6 +276,66 @@ pub fn render(title: &str, rows: &[Ablation]) -> String {
         );
     }
     out
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("ablations gate FAILED: {msg}");
+    std::process::exit(3);
+}
+
+/// The `ablations` command.
+pub(crate) fn run(mut args: Args) -> Result<(), String> {
+    let assert_pruning = args.flag("--assert-pruning");
+    let nodes = args.positional()?.unwrap_or(16);
+    let n: i64 = args.positional()?.unwrap_or(40000);
+    args.finish()?;
+    let rotate = ablate_rotate(nodes, n);
+    print!("{}", render("rotate (systolic vs broadcast)", &rotate));
+    println!();
+    let granularity = ablate_communicate_granularity(nodes, n);
+    print!("{}", render("communicate granularity", &granularity));
+    println!();
+    let overlap = ablate_overlap(nodes, n);
+    print!("{}", render("overlap vs bulk-synchronous", &overlap));
+    println!();
+    let layout = ablate_data_layout(nodes, n.min(16384));
+    print!(
+        "{}",
+        render("data layout (tiled vs cyclic inputs)", &layout)
+    );
+    println!();
+    let auto = ablate_autoschedule(nodes, n.min(16384));
+    print!("{}", render("auto-scheduling vs hand schedules", &auto));
+
+    // The pruning stats run on a fixed small configuration whose
+    // exhaustive grid space provably contains illegal candidates (8-way
+    // grid dimensions over 4-iteration loops).
+    let stats = autoschedule_pruning(4, 4);
+    println!();
+    println!(
+        "auto-scheduling admission pruning: {} of {} candidates pruned \
+         before costing ({} lowerings spent)",
+        stats.pruned_candidates, stats.candidates, stats.lowerings
+    );
+    if assert_pruning {
+        if stats.pruned_candidates == 0 {
+            fail("the exhaustive search space pruned no candidates");
+        }
+        let survivors = (stats.candidates - stats.pruned_candidates) as u64;
+        if stats.lowerings > survivors {
+            fail(&format!(
+                "{} lowerings for {survivors} surviving candidates — pruned \
+                 candidates must cost zero lowerings",
+                stats.lowerings
+            ));
+        }
+        println!(
+            "pruning gate passed: {} candidates pruned pre-cost, lowerings \
+             bounded by the {survivors} survivors",
+            stats.pruned_candidates
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -325,7 +396,7 @@ mod tests {
     fn exhaustive_space_contains_pruned_candidates() {
         // Lowering counters are process-global and other tests lower
         // concurrently, so the zero-lowerings-on-pruned bound is gated in
-        // the single-threaded `ablations` binary, not here.
+        // the single-threaded `distal-bench ablations` command, not here.
         let stats = autoschedule_pruning(4, 4);
         assert!(stats.pruned_candidates >= 1, "{stats:?}");
         assert!(stats.candidates > stats.pruned_candidates, "{stats:?}");

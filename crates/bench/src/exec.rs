@@ -14,7 +14,21 @@
 //! runs no kernels, so `bind → place → execute` of a plan's first instance
 //! is the dependence analysis and the timing pass, and the same three
 //! calls on its second instance are what is left once both are replayed.
+//!
+//! Usage: `distal-bench exec [--assert-speedup X] [--assert-replay R]
+//! [sizes...]` (sizes default to 64 128 256).
+//!
+//! `--assert-speedup X` exits nonzero unless the best SUMMA speedup at the
+//! largest benched size reaches `X` — the executor-regression gate CI runs
+//! on multi-core runners (skipped, with a note, on single-core hosts where
+//! no speedup is physically possible).
+//!
+//! `--assert-replay R` exits nonzero unless, on every row, a model-mode
+//! `bind → place → execute` of a plan's second instance (which replays the
+//! recorded dependence analysis) costs at most `R` × its first instance's
+//! (which records it) — a ratio taken on one host, like the other.
 
+use crate::args::Args;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_core::{Instance, Plan};
@@ -26,7 +40,7 @@ use std::time::Instant;
 
 /// One serial-vs-parallel comparison.
 #[derive(Clone, Debug)]
-pub struct ExecBenchRow {
+struct ExecBenchRow {
     /// Algorithm name (Figure 9 naming).
     pub algorithm: String,
     /// Matrix side length.
@@ -94,15 +108,10 @@ fn record_and_replay(alg: MatmulAlgorithm, nodes: usize, n: i64) -> (f64, f64) {
 }
 
 /// Benchmarks one algorithm at one size, verifying executor parity.
-pub fn bench_one(alg: MatmulAlgorithm, nodes: usize, n: i64) -> ExecBenchRow {
+fn bench_one(alg: MatmulAlgorithm, nodes: usize, n: i64) -> ExecBenchRow {
     let (serial_s, serial_a, serial_stats) = timed_run(alg, ExecutorKind::Serial, nodes, n);
     let (parallel_s, parallel_a, parallel_stats) = timed_run(alg, ExecutorKind::Parallel, nodes, n);
-    let verified = serial_stats == parallel_stats
-        && serial_a.len() == parallel_a.len()
-        && serial_a
-            .iter()
-            .zip(&parallel_a)
-            .all(|(s, p)| s.to_bits() == p.to_bits());
+    let verified = serial_stats == parallel_stats && crate::bits_equal(&serial_a, &parallel_a);
     let (record_s, replay_s) = record_and_replay(alg, nodes, n);
     ExecBenchRow {
         algorithm: alg.name(),
@@ -118,7 +127,7 @@ pub fn bench_one(alg: MatmulAlgorithm, nodes: usize, n: i64) -> ExecBenchRow {
 }
 
 /// The default sweep: SUMMA and Cannon at a few sizes on 4 simulated nodes.
-pub fn exec_bench(sizes: &[i64]) -> Vec<ExecBenchRow> {
+fn exec_bench(sizes: &[i64]) -> Vec<ExecBenchRow> {
     let nodes = 4;
     let mut rows = Vec::new();
     for alg in [MatmulAlgorithm::Summa, MatmulAlgorithm::Cannon] {
@@ -130,7 +139,7 @@ pub fn exec_bench(sizes: &[i64]) -> Vec<ExecBenchRow> {
 }
 
 /// Renders the comparison as a table.
-pub fn render(rows: &[ExecBenchRow]) -> String {
+fn render(rows: &[ExecBenchRow]) -> String {
     let workers = host_worker_count(0);
     let mut out = String::new();
     let _ = writeln!(out, "parallel executor workers: {workers}");
@@ -163,6 +172,61 @@ pub fn render(rows: &[ExecBenchRow]) -> String {
         );
     }
     out
+}
+
+/// The `exec` command.
+pub(crate) fn run(mut args: Args) -> Result<(), String> {
+    let assert_speedup: Option<f64> = args.value("--assert-speedup")?;
+    let assert_replay: Option<f64> = args.value("--assert-replay")?;
+    let mut sizes: Vec<i64> = args.positionals()?;
+    if sizes.is_empty() {
+        sizes = vec![64, 128, 256];
+    }
+
+    let rows = exec_bench(&sizes);
+    print!("{}", render(&rows));
+    if rows.iter().any(|r| !r.verified) {
+        eprintln!("executor parity violated; see table");
+        std::process::exit(1);
+    }
+    if let Some(threshold) = assert_replay {
+        for r in &rows {
+            let ratio = r.replay_s / r.record_s;
+            if ratio > threshold {
+                eprintln!(
+                    "trace replay regression: {} n={} replays at {ratio:.2} of its recording \
+                     run, allowed {threshold:.2}",
+                    r.algorithm, r.n
+                );
+                std::process::exit(4);
+            }
+        }
+        println!("replay assertion passed: every row within {threshold:.2} of its recording run");
+    }
+    if let Some(threshold) = assert_speedup {
+        let host_cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        if host_cores < 2 {
+            println!("speedup assertion skipped: single-core host ({host_cores} core)");
+            return Ok(());
+        }
+        let largest = rows.iter().map(|r| r.n).max().unwrap_or(0);
+        let best = rows
+            .iter()
+            .filter(|r| r.n == largest && r.algorithm.contains("SUMMA"))
+            .map(|r| r.speedup)
+            .fold(f64::MIN, f64::max);
+        if best < threshold {
+            eprintln!(
+                "parallel executor speedup regression: best SUMMA speedup at n={largest} \
+                 is {best:.2}x, required {threshold:.2}x"
+            );
+            std::process::exit(3);
+        }
+        println!("speedup assertion passed: {best:.2}x >= {threshold:.2}x at n={largest}");
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,7 +5,11 @@
 //! constant. Every DISTAL algorithm of Figure 9 is measured alongside the
 //! ScaLAPACK, CTF, and COSMA baselines, plus the machine's peak-utilization
 //! roofline.
+//!
+//! Usage: `distal-bench fig15a [max_nodes] [base_n]` (CPUs) or `fig15b`
+//! (GPUs); 256 nodes and the panel's paper base size by default.
 
+use crate::args::Args;
 use crate::series::{paper_node_counts, weak_scale_2d, FigureData, SamplePoint, Series};
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::{matmul_problem, RunConfig};
@@ -16,7 +20,7 @@ use distal_runtime::{Mode, RuntimeError};
 
 /// Which hardware Figure 15 panel to reproduce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Panel {
+pub(crate) enum Panel {
     /// Figure 15a (CPU sockets).
     Cpu,
     /// Figure 15b (GPUs).
@@ -24,7 +28,7 @@ pub enum Panel {
 }
 
 /// The paper's initial per-node problem side for a panel.
-pub fn base_problem_side(panel: Panel) -> i64 {
+pub(crate) fn base_problem_side(panel: Panel) -> i64 {
     match panel {
         Panel::Cpu => 8192,
         Panel::Gpu => 20000,
@@ -81,7 +85,7 @@ fn run_solomonik(config: &RunConfig, n: i64) -> Result<SamplePoint, String> {
 ///
 /// Panics if a configuration fails for a reason other than OOM (a bug, not
 /// a measurement).
-pub fn figure15(panel: Panel, max_nodes: usize, base_n: i64) -> FigureData {
+pub(crate) fn figure15(panel: Panel, max_nodes: usize, base_n: i64) -> FigureData {
     let nodes_list = paper_node_counts(max_nodes);
     let (title, unit) = match panel {
         Panel::Cpu => ("Figure 15a: CPU weak-scaling matrix-multiply", "GFLOP/s"),
@@ -174,6 +178,17 @@ pub fn figure15(panel: Panel, max_nodes: usize, base_n: i64) -> FigureData {
     }
     fig.push(peak);
     fig
+}
+
+/// The `fig15a` (CPU) and `fig15b` (GPU) commands.
+pub(crate) fn run(panel: Panel, mut args: Args) -> Result<(), String> {
+    let max_nodes = args.positional()?.unwrap_or(256);
+    let base_n = args
+        .positional()?
+        .unwrap_or_else(|| base_problem_side(panel));
+    args.finish()?;
+    print!("{}", figure15(panel, max_nodes, base_n).to_table());
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,7 +3,10 @@
 //! TTV and Innerprod are bandwidth-bound and reported in GB/s per node;
 //! TTM and MTTKRP in GFLOP/s per node (§7.2). CTF is CPU-only (the paper
 //! could not build its GPU backend).
+//!
+//! Usage: `distal-bench fig16 [max_nodes]` (default 256).
 
+use crate::args::Args;
 use crate::series::{paper_node_counts, weak_scale_3d, FigureData, SamplePoint, Series};
 use distal_algs::higher_order::HigherOrderKernel;
 use distal_algs::setup::{higher_order_problem, RunConfig};
@@ -12,7 +15,7 @@ use distal_runtime::{Mode, RuntimeError};
 
 /// Hardware panel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Panel {
+pub(crate) enum Panel {
     /// CPU sockets.
     Cpu,
     /// GPUs ("Ours" only; CTF has no working GPU backend, §7).
@@ -20,7 +23,7 @@ pub enum Panel {
 }
 
 /// The paper-style base problem side per node for a kernel.
-pub fn base_problem_side(panel: Panel, kernel: HigherOrderKernel) -> i64 {
+pub(crate) fn base_problem_side(panel: Panel, kernel: HigherOrderKernel) -> i64 {
     // 3-tensors sized to fill a node's memory budget comfortably.
     let base = match panel {
         Panel::Cpu => 1024,
@@ -57,7 +60,7 @@ fn metric(
 /// # Panics
 ///
 /// Panics on non-OOM failures (bugs, not measurements).
-pub fn figure16(
+pub(crate) fn figure16(
     kernel: HigherOrderKernel,
     panel: Panel,
     max_nodes: usize,
@@ -111,6 +114,20 @@ pub fn figure16(
     fig.push(ours);
     fig.push(ctf_series);
     fig
+}
+
+/// The `fig16` command: every kernel on both panels.
+pub(crate) fn run(mut args: Args) -> Result<(), String> {
+    let max_nodes = args.positional()?.unwrap_or(256);
+    args.finish()?;
+    for kernel in HigherOrderKernel::all() {
+        for panel in [Panel::Cpu, Panel::Gpu] {
+            let base = base_problem_side(panel, kernel);
+            print!("{}", figure16(kernel, panel, max_nodes, base).to_table());
+            println!();
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -6,7 +6,10 @@
 //! owners with no hot senders, broadcast algorithms (SUMMA) fan chunks out
 //! from owners, and 3D algorithms (Johnson) replicate inputs and reduce the
 //! output.
+//!
+//! Usage: `distal-bench fig9 [nodes] [n]` (defaults: 16 nodes, n = 8192).
 
+use crate::args::Args;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_machine::spec::MachineSpec;
@@ -17,7 +20,7 @@ use std::fmt::Write as _;
 
 /// Communication profile of one algorithm run.
 #[derive(Clone, Debug)]
-pub struct CommProfile {
+pub(crate) struct CommProfile {
     /// Algorithm name.
     pub name: String,
     /// Bytes crossing node boundaries during compute.
@@ -39,7 +42,7 @@ pub struct CommProfile {
 /// # Panics
 ///
 /// Panics when the run fails — Figure 9 rows must all execute.
-pub fn profile(alg: MatmulAlgorithm, nodes: usize, n: i64) -> CommProfile {
+fn profile(alg: MatmulAlgorithm, nodes: usize, n: i64) -> CommProfile {
     let mut config = RunConfig::cpu(nodes, Mode::Model);
     // One abstract processor per node keeps the fan-out analysis readable.
     config.spec = MachineSpec::lassen(nodes);
@@ -81,7 +84,7 @@ pub fn profile(alg: MatmulAlgorithm, nodes: usize, n: i64) -> CommProfile {
 }
 
 /// Profiles all Figure 9 algorithms.
-pub fn figure9(nodes: usize, n: i64) -> Vec<CommProfile> {
+pub(crate) fn figure9(nodes: usize, n: i64) -> Vec<CommProfile> {
     [
         MatmulAlgorithm::Cannon,
         MatmulAlgorithm::Pumma,
@@ -96,7 +99,7 @@ pub fn figure9(nodes: usize, n: i64) -> Vec<CommProfile> {
 }
 
 /// Renders the Figure 9 profile table.
-pub fn render(profiles: &[CommProfile]) -> String {
+pub(crate) fn render(profiles: &[CommProfile]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -116,6 +119,17 @@ pub fn render(profiles: &[CommProfile]) -> String {
         );
     }
     out
+}
+
+/// The `fig9` command.
+pub(crate) fn run(mut args: Args) -> Result<(), String> {
+    let nodes = args.positional()?.unwrap_or(16);
+    let n = args.positional()?.unwrap_or(8192);
+    args.finish()?;
+    println!("# Figure 9: matrix-multiplication algorithms on {nodes} nodes, n = {n}");
+    let profiles = figure9(nodes, n);
+    print!("{}", render(&profiles));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -4,12 +4,12 @@
 //! run the actual simulator sweeps at tiny sizes, so they double as fast
 //! regression tests for the experiment pipeline.
 
+use crate::fig15::{figure15, Panel};
+use crate::fig16::figure16;
+use crate::fig9::{figure9, render};
+use crate::headline::headlines;
+use crate::series::{paper_node_counts, weak_scale_2d, weak_scale_3d, SamplePoint, Series};
 use distal_algs::higher_order::HigherOrderKernel;
-use distal_bench::fig15::{figure15, Panel};
-use distal_bench::fig16::figure16;
-use distal_bench::fig9::{figure9, render};
-use distal_bench::headline::headlines;
-use distal_bench::series::{paper_node_counts, weak_scale_2d, weak_scale_3d, SamplePoint, Series};
 
 #[test]
 fn weak_scaling_sides_keep_memory_per_node_constant() {
@@ -111,12 +111,7 @@ fn figure15b_gpu_oom_and_single_node_gap() {
 fn figure16_ttv_outlier_direction() {
     // Figure 16a: CTF's matmul-casting of TTV collapses past one node
     // while ours stays flat — the 45.7x outlier's mechanism.
-    let fig = figure16(
-        HigherOrderKernel::Ttv,
-        distal_bench::fig16::Panel::Cpu,
-        4,
-        128,
-    );
+    let fig = figure16(HigherOrderKernel::Ttv, crate::fig16::Panel::Cpu, 4, 128);
     let ours1 = fig.series("Ours").unwrap().at(1).unwrap();
     let ours4 = fig.series("Ours").unwrap().at(4).unwrap();
     let ctf4 = fig.series("CTF").unwrap().at(4).unwrap();

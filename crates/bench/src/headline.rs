@@ -2,7 +2,10 @@
 //!
 //! * GEMM: DISTAL ≥ 1.25× ScaLAPACK and CTF, ≥ 0.95× COSMA;
 //! * higher-order kernels: 1.8×–3.7× over CTF with a 45.7× outlier (TTV).
+//!
+//! Usage: `distal-bench headline [max_nodes]` (default 64).
 
+use crate::args::Args;
 use crate::fig15::{figure15, Panel};
 use crate::fig16::figure16;
 use distal_algs::higher_order::HigherOrderKernel;
@@ -10,7 +13,7 @@ use std::fmt::Write as _;
 
 /// One headline comparison row.
 #[derive(Clone, Debug)]
-pub struct Headline {
+pub(crate) struct Headline {
     /// What is being compared (e.g. "GEMM vs CTF").
     pub label: String,
     /// DISTAL's best / competitor, at the largest common node count.
@@ -20,7 +23,7 @@ pub struct Headline {
 }
 
 /// Computes the headline table at `max_nodes` CPU nodes.
-pub fn headlines(max_nodes: usize, gemm_base_n: i64, tensor_base_n: i64) -> Vec<Headline> {
+pub(crate) fn headlines(max_nodes: usize, gemm_base_n: i64, tensor_base_n: i64) -> Vec<Headline> {
     let fig15 = figure15(Panel::Cpu, max_nodes, gemm_base_n);
     let at = |name: &str| {
         fig15
@@ -77,7 +80,7 @@ pub fn headlines(max_nodes: usize, gemm_base_n: i64, tensor_base_n: i64) -> Vec<
 }
 
 /// Renders the headline table.
-pub fn render(rows: &[Headline]) -> String {
+pub(crate) fn render(rows: &[Headline]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -88,6 +91,14 @@ pub fn render(rows: &[Headline]) -> String {
         let _ = writeln!(out, "{:<34} {:>9.2}x {:>16}", r.label, r.speedup, r.paper);
     }
     out
+}
+
+/// The `headline` command.
+pub(crate) fn run(mut args: Args) -> Result<(), String> {
+    let max_nodes = args.positional()?.unwrap_or(64);
+    args.finish()?;
+    print!("{}", render(&headlines(max_nodes, 8192, 1024)));
+    Ok(())
 }
 
 #[cfg(test)]

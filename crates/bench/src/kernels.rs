@@ -9,19 +9,37 @@
 //! once with the leaf forced to the interpreter via `substitute(..,
 //! Interpreter)`, once with the default plan-time specialization — on
 //! identical data, verifies the outputs are bit-identical (the kernelgen
-//! contract), and reports both flop rates. The dense-GEMM speedup is a CI
-//! gate (`--assert-speedup`).
+//! contract, always enforced), and reports both flop rates.
+//! `--assert-speedup X` exits nonzero unless the generated dense GEMM
+//! reaches `X`× the interpreted flop rate.
 //!
 //! Those rows time `execute()` of a fresh instance — first-touch page
 //! faults, fills and snapshots included — so they are pipeline rates, not
 //! kernel rates. The pure-kernel rows ([`pure_gemm_bench`]) time the
 //! `gemm.gen` leaf alone, once per micro-kernel variant the host can run,
-//! each beside the multiply-then-add peak of the same instruction set:
-//! the ratio is the roofline gate (`--assert-roofline`), and the
-//! dispatched variant's 160³ rate is what feeds
+//! each beside the multiply-then-add peak of the same instruction set,
+//! and the dispatched variant's 160³ rate is what feeds
 //! [`MachineSpec::with_cpu_socket_gflops`], so the cost models price real
 //! per-core throughput instead of the Lassen constant.
+//! `--assert-roofline S` exits nonzero unless the dispatched `gemm.gen`
+//! reaches `S`× that peak at both 160³ and 512³ — a ratio of two rates
+//! taken in one process, so host speed cancels.
+//!
+//! `--assert-spmv-stream S` is the same kind of gate for the sparse leaf:
+//! it exits nonzero unless `spmv.gen` standing alone (2048², density
+//! 0.01) moves its computed bytes at `S`× the rate of a stream-triad
+//! probe run beside it (a leaf that scanned the dense tile scored
+//! ≈ 0.001). `--assert-leaf-overhead R` holds the sequential rank VM to
+//! its kernel: `execute()` of the pipeline benchmark's `dense_spmd`
+//! request (SUMMA, n = 640, p = 16; fastest of five) may take at most `R`×
+//! what its 64 `gemm.gen` leaves take at the 160³ pure-kernel rate this
+//! run has just measured — again one process, two rates — and prints the
+//! same VM's pass over the `plan_scale` Cannon request with a no-op leaf,
+//! which is everything the VM does around its leaves. `--gemm`,
+//! `--einsum`, `--spmv` and `--reps` size the pipeline rows (96, 16, 384,
+//! 3 by default).
 
+use crate::args::Args;
 use distal_core::kernelgen::{gemm_variants, specialize, LeafRequest, MicroKernel};
 use distal_core::problem::{random_data, sparse_random_data};
 use distal_core::{DistalMachine, LeafKind, Problem, Report, RuntimeBackend, Schedule, TensorSpec};
@@ -40,13 +58,11 @@ use std::time::Instant;
 
 /// One interpreted-vs-generated comparison.
 #[derive(Clone, Debug)]
-pub struct KernelBenchRow {
+struct KernelBenchRow {
     /// Workload name: `gemm`, `einsum3`, or `spmv`.
     pub workload: String,
     /// Problem side length.
     pub n: i64,
-    /// Floating-point work of one execution.
-    pub flops: f64,
     /// Best wall-clock seconds through the interpreter leaf.
     pub interpreted_s: f64,
     /// Best wall-clock seconds through the generated leaf.
@@ -66,7 +82,7 @@ pub struct KernelBenchRow {
 /// The `gemm.gen` leaf standing alone on one `n³` tile, through one
 /// micro-kernel variant.
 #[derive(Clone, Debug)]
-pub struct PureKernelRow {
+struct PureKernelRow {
     /// The variant's descriptor name, e.g. `avx2 4x8`.
     pub variant: String,
     /// Whether `gemm.gen` dispatches to this variant on this host.
@@ -82,7 +98,7 @@ pub struct PureKernelRow {
 
 impl PureKernelRow {
     /// `gflops / peak_gflops`.
-    pub fn roofline_share(&self) -> f64 {
+    fn roofline_share(&self) -> f64 {
         self.gflops / self.peak_gflops.max(1e-12)
     }
 }
@@ -90,11 +106,11 @@ impl PureKernelRow {
 /// Tile sides of the pure-kernel rows: the small-tile/edge regime of
 /// `plan_scale`, the `dense_*` workloads' leaf, and a tile past L2 on a
 /// power-of-two stride.
-pub const PURE_TILES: [i64; 3] = [32, 160, 512];
+const PURE_TILES: [i64; 3] = [32, 160, 512];
 
 /// Cost-model recalibration from the measured generated-GEMM rate.
 #[derive(Clone, Debug)]
-pub struct Calibration {
+struct Calibration {
     /// Pure-kernel dense-GEMM rate measured on one host core, GFLOP/s.
     pub measured_core_gflops: f64,
     /// The spec's default per-socket rate (Lassen's 375.0).
@@ -216,16 +232,11 @@ fn bench_one(workload: &str, problem: &Problem, n: i64, out: &str, reps: usize) 
     let interpreter_schedule = Schedule::new().substitute(&["i"], LeafKind::Interpreter);
     let (interpreted_s, interp_data, _) = timed(problem, &interpreter_schedule, out, reps);
     let (generated_s, gen_data, report) = timed(problem, &generated_schedule, out, reps);
-    let verified = interp_data.len() == gen_data.len()
-        && interp_data
-            .iter()
-            .zip(&gen_data)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let verified = crate::bits_equal(&interp_data, &gen_data);
     let flops = report.flops;
     KernelBenchRow {
         workload: workload.to_string(),
         n,
-        flops,
         interpreted_s,
         generated_s,
         interpreted_gflops: flops / interpreted_s.max(1e-12) / 1e9,
@@ -237,7 +248,7 @@ fn bench_one(workload: &str, problem: &Problem, n: i64, out: &str, reps: usize) 
 }
 
 /// The default sweep: dense GEMM, the three-input einsum, and CSR SpMV.
-pub fn kernels_bench(gemm_n: i64, einsum_n: i64, spmv_n: i64, reps: usize) -> Vec<KernelBenchRow> {
+fn kernels_bench(gemm_n: i64, einsum_n: i64, spmv_n: i64, reps: usize) -> Vec<KernelBenchRow> {
     vec![
         bench_one("gemm", &gemm_problem(gemm_n), gemm_n, "A", reps),
         bench_one("einsum3", &einsum3_problem(einsum_n), einsum_n, "A", reps),
@@ -286,7 +297,7 @@ fn dense_arg(rect: Rect, data: ArgData<'_>) -> KernelArg<'_> {
 /// the timed region), for every variant the host can run at every size
 /// in `tiles`. The dispatched variant is timed through the kernel
 /// [`specialize`] hands the pipeline.
-pub fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
+fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
     let matmul = distal_ir::expr::kernels::matmul();
     let kernel = specialize(&LeafRequest::dense(matmul, true));
     assert_eq!(kernel.name(), "gemm.gen");
@@ -334,7 +345,7 @@ pub fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
 /// The `spmv.gen` leaf standing alone beside a stream-triad probe run in
 /// the same process.
 #[derive(Clone, Debug)]
-pub struct SpmvStreamRow {
+struct SpmvStreamRow {
     /// Matrix side length.
     pub n: i64,
     /// Stored entries of the matrix.
@@ -352,25 +363,25 @@ pub struct SpmvStreamRow {
 impl SpmvStreamRow {
     /// Bytes one SpMV must move, computed: a value and a coordinate per
     /// stored entry, the row offsets, one read of `c`, one update of `a`.
-    pub fn bytes(&self) -> f64 {
+    fn bytes(&self) -> f64 {
         16.0 * self.nnz as f64 + 8.0 * (self.n + 1) as f64 + 16.0 * self.n as f64
     }
 
     /// The leaf's rate over [`SpmvStreamRow::bytes`], GB/s.
-    pub fn kernel_gbs(&self) -> f64 {
+    fn kernel_gbs(&self) -> f64 {
         self.bytes() / self.kernel_s / 1e9
     }
 
     /// `kernel_gbs / triad_gbs` — a ratio of two rates taken in one
     /// process, so host speed cancels.
-    pub fn stream_share(&self) -> f64 {
+    fn stream_share(&self) -> f64 {
         self.kernel_gbs() / self.triad_gbs.max(1e-12)
     }
 }
 
 /// Elements per array of the triad probe (64 MiB each; three arrays) —
 /// the shape of the pipeline benchmark's own probe.
-pub const TRIAD_LEN: usize = 8 << 20;
+const TRIAD_LEN: usize = 8 << 20;
 
 /// One core's sustainable bandwidth in GB/s over three `len`-element
 /// arrays, fastest of four passes.
@@ -398,7 +409,7 @@ fn triad_gbs(len: usize) -> f64 {
 /// beside the triad probe (over `triad_len`-element arrays;
 /// [`TRIAD_LEN`] outside tests) and the pipeline's `execute()` on the same
 /// problem.
-pub fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow {
+fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow {
     let statement = Assignment::parse("a(i) = B(i,j) * c(j)").expect("the SpMV statement");
     let mut request = LeafRequest::dense(statement, true);
     request.compressed[0] = true;
@@ -434,7 +445,7 @@ pub fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow 
 /// What the sequential rank VM spends around its leaves (the
 /// `--assert-leaf-overhead` gate).
 #[derive(Clone, Debug)]
-pub struct LeafOverhead {
+struct LeafOverhead {
     /// `execute()` of the SUMMA on the sequential transport, fastest of
     /// five fresh bindings, seconds.
     pub execute_s: f64,
@@ -448,7 +459,7 @@ pub struct LeafOverhead {
 impl LeafOverhead {
     /// `execute_s / kernel_s` — both taken by one binary in one process,
     /// so host speed cancels.
-    pub fn ratio(&self) -> f64 {
+    fn ratio(&self) -> f64 {
         self.execute_s / self.kernel_s.max(1e-12)
     }
 }
@@ -460,7 +471,7 @@ impl LeafOverhead {
 /// left in the ratio is everything the VM does around a leaf: payload
 /// copies, argument building, the output assembly, and the cache misses
 /// of operands the leaf reads where they lie.
-pub fn leaf_overhead(core_gflops: f64) -> LeafOverhead {
+fn leaf_overhead(core_gflops: f64) -> LeafOverhead {
     use distal_algs::matmul::MatmulAlgorithm;
     use distal_algs::setup::matmul_problem_on;
     use distal_core::backend::Backend as _;
@@ -502,7 +513,7 @@ pub fn leaf_overhead(core_gflops: f64) -> LeafOverhead {
 /// no-op, fastest of five. What is left is everything the VM does around
 /// its leaves: seeding the homes, resolving the program, moving payloads,
 /// building arguments and assembling the output. Seconds.
-pub fn noop_leaf_pass() -> f64 {
+fn noop_leaf_pass() -> f64 {
     use distal_algs::matmul::MatmulAlgorithm;
     use distal_algs::setup::matmul_problem_on;
     let (mut problem, schedule) = matmul_problem_on(
@@ -536,7 +547,7 @@ pub fn noop_leaf_pass() -> f64 {
 /// The rate the cost models are calibrated from: the dispatched variant
 /// on the 160³ tile (the `dense_*` workloads' leaf), or failing that on
 /// the largest tile measured.
-pub fn calibration_rate(pure: &[PureKernelRow]) -> f64 {
+fn calibration_rate(pure: &[PureKernelRow]) -> f64 {
     let dispatched = || pure.iter().filter(|r| r.dispatched);
     dispatched()
         .find(|r| r.n == 160)
@@ -547,7 +558,7 @@ pub fn calibration_rate(pure: &[PureKernelRow]) -> f64 {
 /// Prices a reference SUMMA problem with the default and the
 /// measured-rate-calibrated machine specs, so the report shows the cost
 /// model following the host's real per-core throughput.
-pub fn calibrate(measured_core_gflops: f64) -> Calibration {
+fn calibrate(measured_core_gflops: f64) -> Calibration {
     use distal_algs::matmul::MatmulAlgorithm;
     use distal_algs::setup::matmul_problem_on;
     let (p, n) = (4i64, 64i64);
@@ -585,7 +596,7 @@ pub fn calibrate(measured_core_gflops: f64) -> Calibration {
 }
 
 /// Renders the comparison as a table.
-pub fn render(
+fn render(
     rows: &[KernelBenchRow],
     pure: &[PureKernelRow],
     spmv: &SpmvStreamRow,
@@ -668,6 +679,104 @@ pub fn render(
     out
 }
 
+/// The `kernels` command.
+pub(crate) fn run(mut args: Args) -> Result<(), String> {
+    let assert_speedup: Option<f64> = args.value("--assert-speedup")?;
+    let assert_roofline: Option<f64> = args.value("--assert-roofline")?;
+    let assert_spmv_stream: Option<f64> = args.value("--assert-spmv-stream")?;
+    let assert_leaf_overhead: Option<f64> = args.value("--assert-leaf-overhead")?;
+    let gemm_n = args.value("--gemm")?.unwrap_or(96);
+    let einsum_n = args.value("--einsum")?.unwrap_or(16);
+    let spmv_n = args.value("--spmv")?.unwrap_or(384);
+    let reps = args.value("--reps")?.unwrap_or(3);
+    args.finish()?;
+
+    let rows = kernels_bench(gemm_n, einsum_n, spmv_n, reps);
+    let pure = pure_gemm_bench(&PURE_TILES);
+    let spmv = pure_spmv_bench(2048, 0.01, TRIAD_LEN);
+    let calibration = calibrate(calibration_rate(&pure).max(1e-3));
+    print!("{}", render(&rows, &pure, &spmv, &calibration));
+
+    if rows.iter().any(|r| !r.verified) {
+        eprintln!("generated kernels diverged from the interpreter; see table");
+        std::process::exit(1);
+    }
+    if let Some(threshold) = assert_speedup {
+        let gemm_speedup = rows
+            .iter()
+            .filter(|r| r.workload == "gemm")
+            .map(|r| r.speedup)
+            .fold(f64::MIN, f64::max);
+        if gemm_speedup < threshold {
+            eprintln!(
+                "kernelgen speedup regression: generated dense GEMM is {gemm_speedup:.2}x \
+                 the interpreter, required {threshold:.2}x"
+            );
+            std::process::exit(3);
+        }
+        println!("speedup assertion passed: {gemm_speedup:.2}x >= {threshold:.2}x");
+    }
+    if let Some(threshold) = assert_roofline {
+        for r in pure.iter().filter(|r| r.dispatched && r.n >= 160) {
+            let share = r.roofline_share();
+            if share < threshold {
+                eprintln!(
+                    "roofline regression: gemm.gen ({}) at {}^3 runs {:.2} GFLOP/s, {share:.2} of \
+                     the {:.2} GFLOP/s multiply+add peak, required {threshold:.2}",
+                    r.variant, r.n, r.gflops, r.peak_gflops
+                );
+                std::process::exit(4);
+            }
+            println!(
+                "roofline assertion passed: {} at {}^3 is {share:.2} of peak >= {threshold:.2}",
+                r.variant, r.n
+            );
+        }
+    }
+    if let Some(threshold) = assert_spmv_stream {
+        let share = spmv.stream_share();
+        if share < threshold {
+            eprintln!(
+                "sparse-leaf regression: spmv.gen moves {:.2} GB/s, {share:.3} of the {:.2} GB/s \
+                 stream triad, required {threshold:.2}",
+                spmv.kernel_gbs(),
+                spmv.triad_gbs
+            );
+            std::process::exit(5);
+        }
+        println!("spmv stream assertion passed: {share:.2} of the triad >= {threshold:.2}");
+    }
+    if let Some(threshold) = assert_leaf_overhead {
+        let v = leaf_overhead(calibration_rate(&pure));
+        println!(
+            "\nleaf overhead: sequential-VM execute {:.2} ms over {} leaves worth {:.2} ms of \
+             pure kernel = {:.2}x",
+            v.execute_s * 1e3,
+            v.leaves,
+            v.kernel_s * 1e3,
+            v.ratio()
+        );
+        println!(
+            "no-op-leaf VM pass: the plan_scale Cannon request (p = 64, n = 256) executed \
+             with every leaf a no-op, seeding and resolution included: {:.2} ms",
+            noop_leaf_pass() * 1e3
+        );
+        if v.ratio() > threshold {
+            eprintln!(
+                "leaf-overhead regression: the rank VM spends {:.2}x its kernels' time, \
+                 allowed {threshold:.2}x",
+                v.ratio()
+            );
+            std::process::exit(6);
+        }
+        println!(
+            "leaf overhead assertion passed: {:.2}x <= {threshold:.2}x",
+            v.ratio()
+        );
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,7 +786,7 @@ mod tests {
         let rows = kernels_bench(24, 8, 64, 1);
         for r in &rows {
             assert!(r.verified, "{}: outputs diverged", r.workload);
-            assert!(r.flops > 0.0, "{}", r.workload);
+            assert!(r.generated_gflops > 0.0, "{}", r.workload);
         }
         assert_eq!(rows[0].variant, "gemm.gen");
         assert!(rows[1].variant.starts_with("tape"), "{}", rows[1].variant);

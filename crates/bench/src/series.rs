@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 /// One measured point of a weak-scaling series.
 #[derive(Clone, Debug, PartialEq)]
-pub enum SamplePoint {
+pub(crate) enum SamplePoint {
     /// A successful measurement.
     Value(f64),
     /// The configuration ran out of memory (reported like the paper's
@@ -16,7 +16,7 @@ pub enum SamplePoint {
 
 impl SamplePoint {
     /// The value, if measured.
-    pub fn value(&self) -> Option<f64> {
+    pub(crate) fn value(&self) -> Option<f64> {
         match self {
             SamplePoint::Value(v) => Some(*v),
             _ => None,
@@ -26,7 +26,7 @@ impl SamplePoint {
 
 /// A named series over node counts.
 #[derive(Clone, Debug)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend name.
     pub name: String,
     /// `(nodes, sample)` pairs.
@@ -35,7 +35,7 @@ pub struct Series {
 
 impl Series {
     /// Creates an empty series.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Series {
             name: name.into(),
             points: Vec::new(),
@@ -43,12 +43,12 @@ impl Series {
     }
 
     /// Appends a measurement.
-    pub fn push(&mut self, nodes: usize, sample: SamplePoint) {
+    pub(crate) fn push(&mut self, nodes: usize, sample: SamplePoint) {
         self.points.push((nodes, sample));
     }
 
     /// Value at a node count.
-    pub fn at(&self, nodes: usize) -> Option<f64> {
+    pub(crate) fn at(&self, nodes: usize) -> Option<f64> {
         self.points
             .iter()
             .find(|(n, _)| *n == nodes)
@@ -58,7 +58,7 @@ impl Series {
 
 /// A figure: titled collection of series over shared node counts.
 #[derive(Clone, Debug)]
-pub struct FigureData {
+pub(crate) struct FigureData {
     /// Figure title (e.g. "Figure 15a: CPU weak-scaling GEMM").
     pub title: String,
     /// Y-axis label (e.g. "GFLOP/s per node").
@@ -71,7 +71,11 @@ pub struct FigureData {
 
 impl FigureData {
     /// Creates an empty figure.
-    pub fn new(title: impl Into<String>, ylabel: impl Into<String>, nodes: Vec<usize>) -> Self {
+    pub(crate) fn new(
+        title: impl Into<String>,
+        ylabel: impl Into<String>,
+        nodes: Vec<usize>,
+    ) -> Self {
         FigureData {
             title: title.into(),
             ylabel: ylabel.into(),
@@ -81,18 +85,18 @@ impl FigureData {
     }
 
     /// Adds a series.
-    pub fn push(&mut self, series: Series) {
+    pub(crate) fn push(&mut self, series: Series) {
         self.series.push(series);
     }
 
     /// A series by name.
-    pub fn series(&self, name: &str) -> Option<&Series> {
+    pub(crate) fn series(&self, name: &str) -> Option<&Series> {
         self.series.iter().find(|s| s.name == name)
     }
 
     /// Renders the figure as an aligned text table (the "same rows/series
     /// the paper reports").
-    pub fn to_table(&self) -> String {
+    pub(crate) fn to_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {}", self.title);
         let _ = writeln!(out, "# {} per node vs nodes", self.ylabel);
@@ -122,49 +126,21 @@ impl FigureData {
         }
         out
     }
-
-    /// Renders the figure as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "series");
-        for n in &self.nodes {
-            let _ = write!(out, ",{n}");
-        }
-        let _ = writeln!(out);
-        for s in &self.series {
-            let _ = write!(out, "{}", s.name);
-            for n in &self.nodes {
-                match s.points.iter().find(|(pn, _)| pn == n) {
-                    Some((_, SamplePoint::Value(v))) => {
-                        let _ = write!(out, ",{v:.3}");
-                    }
-                    Some((_, SamplePoint::Oom)) => {
-                        let _ = write!(out, ",OOM");
-                    }
-                    _ => {
-                        let _ = write!(out, ",");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-        out
-    }
 }
 
 /// Weak-scaling problem side for 2-D data (matrices): memory per node
 /// constant ⇒ `n ∝ √nodes`.
-pub fn weak_scale_2d(base_n: i64, nodes: usize) -> i64 {
+pub(crate) fn weak_scale_2d(base_n: i64, nodes: usize) -> i64 {
     ((base_n as f64) * (nodes as f64).sqrt()).round() as i64
 }
 
 /// Weak-scaling problem side for 3-D data (3-tensors): `n ∝ ∛nodes`.
-pub fn weak_scale_3d(base_n: i64, nodes: usize) -> i64 {
+pub(crate) fn weak_scale_3d(base_n: i64, nodes: usize) -> i64 {
     ((base_n as f64) * (nodes as f64).cbrt()).round() as i64
 }
 
 /// The node counts of the paper's scaling studies.
-pub fn paper_node_counts(max: usize) -> Vec<usize> {
+pub(crate) fn paper_node_counts(max: usize) -> Vec<usize> {
     [1usize, 2, 4, 8, 16, 32, 64, 128, 256]
         .into_iter()
         .filter(|n| *n <= max)
@@ -186,8 +162,6 @@ mod tests {
         assert!(t.contains("Ours"));
         assert!(t.contains("100.0"));
         assert!(t.contains("OOM"));
-        let c = f.to_csv();
-        assert!(c.contains("Ours,100.000,OOM"));
     }
 
     #[test]

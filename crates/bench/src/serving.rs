@@ -1,16 +1,20 @@
 //! Serving-engine scaling measurement: a closed loop of client threads
-//! submitting fresh-data matmul requests over fixed shapes to a
-//! [`ServingEngine`] on the runtime backend, every response verified
-//! bit-for-bit against a single-threaded reference.
+//! submitting `--requests` (32) fresh-data matmul requests of side
+//! `--size` (24) to a [`ServingEngine`] on the runtime backend with
+//! `--threads` workers (auto-sized to the host by default), every response
+//! verified bit-for-bit against a single-threaded reference and no
+//! bind-path lowering allowed after warm-up.
 //!
 //! The one number kept is requests per second, because the one gate
-//! (`--assert-scaling`) is a ratio of two of them: multi-worker req/s must
-//! reach 1.5× the single-worker run (skipped on single-core hosts).
-//! Latency percentiles, batch sizes and cache counters of a served stream
-//! are the pipeline benchmark's `serve.engine.*` / `core.cache.*` metrics;
-//! the plan cache's hit, zero-lowering and single-flight properties are
-//! cases of `tests/plan_reuse.rs`.
+//! (`--assert-scaling`) is a ratio of two of them: req/s with `--threads`
+//! workers must reach 1.5× the single-worker run (skipped with a note when
+//! `--threads` < 2 or the host has < 2 cores). Latency percentiles, batch
+//! sizes and cache counters of a served stream are the pipeline
+//! benchmark's `serve.engine.*` / `core.cache.*` metrics; the plan cache's
+//! hit, zero-lowering and single-flight properties are cases of
+//! `tests/plan_reuse.rs`.
 
+use crate::args::Args;
 use distal_core::{Bindings, DistalMachine, Plan, Problem, RuntimeBackend, Schedule, TensorSpec};
 use distal_format::Format;
 use distal_machine::grid::Grid;
@@ -48,7 +52,7 @@ const SEEDS: u64 = 4;
 /// One closed-loop serving measurement: `clients` loops of submit→wait
 /// against a [`ServingEngine`] running `workers` threads.
 #[derive(Clone, Debug)]
-pub struct ServingRow {
+struct ServingRow {
     /// Engine worker threads.
     pub workers: usize,
     /// Closed-loop client threads (2× workers).
@@ -76,7 +80,7 @@ fn bind_work() -> u64 {
 /// Serves a closed-loop stream of `requests` fresh-data requests of side
 /// `n` through a runtime-backend [`ServingEngine`] with `workers` threads
 /// (`0` = one per host core).
-pub fn serve(workers: usize, requests: u64, n: i64) -> ServingRow {
+fn serve(workers: usize, requests: u64, n: i64) -> ServingRow {
     let backend = RuntimeBackend::functional();
     let (shapes, schedule) = serving_shapes(n);
     let problem = Arc::new(shapes);
@@ -127,12 +131,7 @@ pub fn serve(workers: usize, requests: u64, n: i64) -> ServingRow {
                     (0..mine).all(|r| {
                         let seed = (c as u64 + r * clients as u64) % SEEDS;
                         let response = submit(seed).wait().expect("serve request");
-                        let (got, want) = (&response.outputs["A"], &reference[seed as usize]);
-                        got.len() == want.len()
-                            && got
-                                .iter()
-                                .zip(want)
-                                .all(|(x, y)| x.to_bits() == y.to_bits())
+                        crate::bits_equal(&response.outputs["A"], &reference[seed as usize])
                     })
                 })
             })
@@ -159,7 +158,7 @@ pub fn serve(workers: usize, requests: u64, n: i64) -> ServingRow {
 }
 
 /// Renders the measurements as an aligned table.
-pub fn render(rows: &[ServingRow]) -> String {
+fn render(rows: &[ServingRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -178,6 +177,63 @@ pub fn render(rows: &[ServingRow]) -> String {
         );
     }
     out
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("serving gate FAILED: {msg}");
+    std::process::exit(3);
+}
+
+/// The `serving` command.
+pub(crate) fn run(mut args: Args) -> Result<(), String> {
+    let assert_scaling = args.flag("--assert-scaling");
+    let requests: u64 = args.positive("--requests")?.unwrap_or(32);
+    let n: i64 = args.value("--size")?.unwrap_or(24);
+    let threads: usize = args.value("--threads")?.unwrap_or(0);
+    args.finish()?;
+    if n < 2 {
+        return Err("--size must be at least 2 (the shapes tile onto a 2x2 grid)".into());
+    }
+
+    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let scaling = assert_scaling && threads >= 2 && host_cores >= 2;
+    let mut rows = vec![serve(threads, requests, n)];
+    if scaling {
+        rows.push(serve(1, requests, n));
+    }
+    print!("{}", render(&rows));
+
+    for r in &rows {
+        if !r.verified {
+            fail("engine outputs diverged from the single-threaded reference");
+        }
+        if r.bind_lowerings != 0 {
+            fail(&format!(
+                "{} lowerings ran on the engine's bind path after warm-up",
+                r.bind_lowerings
+            ));
+        }
+    }
+
+    if let [multi, base] = rows.as_slice() {
+        let ratio = multi.rps / base.rps.max(f64::MIN_POSITIVE);
+        if ratio < 1.5 {
+            fail(&format!(
+                "engine req/s scaled only {ratio:.2}x from 1 to {} workers \
+                 ({:.1} -> {:.1} req/s; needs >= 1.5x)",
+                multi.workers, base.rps, multi.rps
+            ));
+        }
+        println!(
+            "scaling gate passed: engine req/s scaled {ratio:.2}x from 1 to {} workers",
+            multi.workers
+        );
+    } else if assert_scaling && threads < 2 {
+        println!("scaling assertion skipped: --threads {threads} (needs at least 2)");
+    } else if assert_scaling {
+        println!("scaling assertion skipped: single-core host ({host_cores} core)");
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -23,7 +23,6 @@ pub struct GridMapper {
     proc_kind: ProcKind,
     /// For each node, its socket-0 system memory (host staging for GPUs).
     node_sysmem: Vec<MemId>,
-    fb_per_node: usize,
     local_mems: Vec<MemId>,
     nodes_of: Vec<usize>,
 }
@@ -54,7 +53,6 @@ impl GridMapper {
             grid_dims: machine.grid().dims().to_vec(),
             proc_kind: machine.proc_kind,
             node_sysmem,
-            fb_per_node: phys.spec.node.gpus,
             local_mems,
             nodes_of,
         })
@@ -69,19 +67,9 @@ impl GridMapper {
         idx
     }
 
-    /// Physical processor for an abstract grid point.
-    pub fn proc_for(&self, point: &Point) -> ProcId {
-        self.procs[self.rank(point) as usize]
-    }
-
     /// Physical processor for a rank.
     pub fn proc_for_rank(&self, rank: i64) -> ProcId {
         self.procs[rank as usize]
-    }
-
-    /// The node hosting an abstract grid point.
-    pub fn node_for(&self, point: &Point) -> usize {
-        self.nodes_of[self.rank(point) as usize]
     }
 
     /// The memory in which a task on `proc` wants data of kind `kind`.
@@ -107,11 +95,6 @@ impl GridMapper {
     pub fn is_empty(&self) -> bool {
         self.procs.is_empty()
     }
-
-    /// GPUs per node of the underlying machine (for locality heuristics).
-    pub fn fb_per_node(&self) -> usize {
-        self.fb_per_node
-    }
 }
 
 #[cfg(test)]
@@ -126,11 +109,13 @@ mod tests {
         let phys = PhysicalMachine::new(MachineSpec::lassen(2));
         let m = DistalMachine::flat(Grid::grid2(2, 4), ProcKind::Gpu);
         let mapper = GridMapper::new(&m, &phys).unwrap();
-        assert_eq!(mapper.node_for(&Point::new(vec![0, 3])), 0);
-        assert_eq!(mapper.node_for(&Point::new(vec![1, 0])), 1);
-        let p = mapper.proc_for(&Point::new(vec![1, 2]));
-        assert_eq!(phys.proc(p).kind, ProcKind::Gpu);
-        assert_eq!(phys.proc(p).local_index, 2);
+        let proc_at =
+            |point: Vec<i64>| phys.proc(mapper.proc_for_rank(mapper.rank(&Point::new(point))));
+        assert_eq!(proc_at(vec![0, 3]).node, 0);
+        assert_eq!(proc_at(vec![1, 0]).node, 1);
+        let p = proc_at(vec![1, 2]);
+        assert_eq!(p.kind, ProcKind::Gpu);
+        assert_eq!(p.local_index, 2);
     }
 
     #[test]

@@ -462,11 +462,6 @@ impl VarSolver {
         }
         out
     }
-
-    /// The first root of a variable (see [`VarSolver::roots_of`]).
-    pub fn root_of(&self, v: &IndexVar) -> IndexVar {
-        self.roots_of(v).remove(0)
-    }
 }
 
 #[cfg(test)]
@@ -616,10 +611,10 @@ mod tests {
         s.define_leaf(iv("io"), 3);
         s.divide(&iv("k"), iv("ko"), iv("ki"), 3).unwrap();
         s.rotate(&iv("ko"), vec![iv("io")], iv("kos")).unwrap();
-        assert_eq!(s.root_of(&iv("kos")), iv("k"));
-        assert_eq!(s.root_of(&iv("ki")), iv("k"));
-        assert_eq!(s.root_of(&iv("io")), iv("io"));
-        assert_eq!(s.root_of(&iv("k")), iv("k"));
+        assert_eq!(s.roots_of(&iv("kos")), vec![iv("k")]);
+        assert_eq!(s.roots_of(&iv("ki")), vec![iv("k")]);
+        assert_eq!(s.roots_of(&iv("io")), vec![iv("io")]);
+        assert_eq!(s.roots_of(&iv("k")), vec![iv("k")]);
     }
 
     #[test]

@@ -36,11 +36,6 @@ pub enum Privilege {
 }
 
 impl Privilege {
-    /// True for privileges that require existing data to be fetched.
-    pub fn needs_fetch(self) -> bool {
-        matches!(self, Privilege::Read | Privilege::ReadWrite)
-    }
-
     /// True for privileges that produce new data.
     pub fn writes(self) -> bool {
         !matches!(self, Privilege::Read)
@@ -291,10 +286,6 @@ mod tests {
 
     #[test]
     fn privilege_classification() {
-        assert!(Privilege::Read.needs_fetch());
-        assert!(Privilege::ReadWrite.needs_fetch());
-        assert!(!Privilege::Write.needs_fetch());
-        assert!(!Privilege::Reduce.needs_fetch());
         assert!(Privilege::Write.writes());
         assert!(Privilege::Reduce.writes());
         assert!(!Privilege::Read.writes());

@@ -217,15 +217,6 @@ impl RunStats {
                 .extend(log.iter().cloned());
         }
     }
-
-    /// Average processor utilization over the makespan.
-    pub fn avg_utilization(&self) -> f64 {
-        if self.makespan_s <= 0.0 || self.proc_busy_s.is_empty() {
-            return 0.0;
-        }
-        let busy: f64 = self.proc_busy_s.iter().sum();
-        busy / (self.makespan_s * self.proc_busy_s.len() as f64)
-    }
 }
 
 impl fmt::Display for RunStats {
@@ -262,8 +253,6 @@ mod tests {
         assert_eq!(s.intra_node_bytes(), 50);
         assert!((s.gflops_per_node(2) - 2.0).abs() < 1e-12);
         assert!((s.gbs_per_node(4_000_000_000, 2) - 1.0).abs() < 1e-12);
-        s.proc_busy_s = vec![1.0, 1.0];
-        assert!((s.avg_utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -304,7 +293,6 @@ mod tests {
     fn zero_makespan_is_safe() {
         let s = RunStats::default();
         assert_eq!(s.gflops_per_node(4), 0.0);
-        assert_eq!(s.avg_utilization(), 0.0);
         let shown = format!("{s}");
         assert!(shown.contains("makespan"));
     }

@@ -267,13 +267,6 @@ impl ServingEngine {
     /// [`Ticket::wait`].
     pub fn submit(&self, request: ServeRequest) -> Ticket {
         let key = PlanKey::new(self.backend.as_ref(), &request.problem, &request.schedule);
-        self.submit_keyed(key, request)
-    }
-
-    /// [`ServingEngine::submit`] with a caller-computed key — for clients
-    /// that submit many requests against one compilation and want to
-    /// amortize key canonicalization too.
-    pub fn submit_keyed(&self, key: PlanKey, request: ServeRequest) -> Ticket {
         let (reply, rx) = mpsc::channel();
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let entry = Keyed {

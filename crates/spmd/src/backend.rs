@@ -66,7 +66,7 @@ use std::sync::{Arc, OnceLock};
 /// Derives the SPMD tensor descriptions from a problem's registry,
 /// including each initialized tensor's nnz (the input to nnz-sized
 /// message accounting for compressed level formats).
-pub fn problem_tensors(problem: &Problem) -> Vec<SpmdTensor> {
+fn problem_tensors(problem: &Problem) -> Vec<SpmdTensor> {
     let mut tensors = problem_tensor_shapes(problem);
     for t in &mut tensors {
         t.nnz = problem.nnz_of(&t.name);
@@ -95,7 +95,9 @@ fn problem_tensor_shapes(problem: &Problem) -> Vec<SpmdTensor> {
 ///
 /// [`SpmdError::Schedule`] when the problem has no statement,
 /// [`SpmdError::UnknownTensor`] when a statement tensor is unregistered,
-/// plus the other [`lower_with`] errors.
+/// [`SpmdError::InconsistentExtents`] when tensor shapes disagree,
+/// [`SpmdError::Unsupported`] for hierarchical formats or a launch domain
+/// that does not match the machine grid.
 pub fn lower_problem(
     problem: &Problem,
     schedule: &Schedule,

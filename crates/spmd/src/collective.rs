@@ -19,7 +19,7 @@
 //!      inner-product scalar folds);
 //!    * a family of broadcasts over one member set in which *every*
 //!      member is a root becomes a [`CollectiveKind::AllGather`].
-//! 2. **Lowering** (run by [`crate::lower_with`]) replaces each
+//! 2. **Lowering** (run by [`crate::lower_problem`]) replaces each
 //!    recognized group's messages
 //!    with a binomial-tree or ring schedule of fresh point-to-point
 //!    messages over the torus. The expansion stays inside the existing
@@ -476,7 +476,7 @@ fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
 ///
 /// The returned records describe the naive program: `depth` equals
 /// `naive_depth` (the serialized fan). The lowering pass inside
-/// [`crate::lower_with`] performs the same recognition and then rewrites
+/// [`crate::lower_problem`] performs the same recognition and then rewrites
 /// the message schedule.
 pub fn recognize(program: &SpmdProgram) -> Vec<Collective> {
     merge_allgathers(find_fans(program, program.in_order()))

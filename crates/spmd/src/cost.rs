@@ -36,7 +36,7 @@
 //! [`Transport::Threaded`]: crate::transport::Transport::Threaded
 
 use crate::lower::torus_distance;
-use crate::ops::{Message, SpmdOp};
+use crate::ops::SpmdOp;
 use crate::program::SpmdProgram;
 use distal_machine::grid::Grid;
 use distal_machine::spec::MachineSpec;
@@ -75,13 +75,6 @@ impl AlphaBeta {
             beta_bytes_per_s: spec.internode_gbs * 1e9,
             flops_per_s: spec.proc_gflops(distal_machine::spec::ProcKind::Cpu) * 1e9,
         }
-    }
-
-    /// The wire time of one message carrying a flat dense payload:
-    /// `α · d + bytes / β`. Compressed-tensor messages are priced through
-    /// [`AlphaBeta::transfer_s`] with their nnz-sized payload instead.
-    pub fn message_s(&self, grid: &Grid, m: &Message) -> f64 {
-        self.transfer_s(grid, m.from, m.to, m.bytes())
     }
 
     /// The wire time of moving `bytes` between two ranks:
@@ -170,7 +163,6 @@ pub fn evaluate(program: &SpmdProgram, model: &AlphaBeta) -> CostReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distal_machine::geom::Rect;
 
     #[test]
     fn message_time_is_distance_weighted() {
@@ -180,23 +172,9 @@ mod tests {
             beta_bytes_per_s: 8.0,
             flops_per_s: 1.0,
         };
-        let near = Message {
-            tag: 0,
-            from: 0,
-            to: 1,
-            tensor: "B".into(),
-            rect: Rect::sized(&[2]),
-        };
-        let far = Message {
-            tag: 1,
-            from: 0,
-            to: 10, // (0,0) -> (2,2): 4 hops
-            tensor: "B".into(),
-            rect: Rect::sized(&[2]),
-        };
-        // 2 elements = 16 bytes = 2 s of bandwidth time.
-        assert!((model.message_s(&grid, &near) - 3.0).abs() < 1e-12);
-        assert!((model.message_s(&grid, &far) - 6.0).abs() < 1e-12);
+        // 16 bytes = 2 s of bandwidth time; rank 10 is (2,2): 4 hops.
+        assert!((model.transfer_s(&grid, 0, 1, 16) - 3.0).abs() < 1e-12);
+        assert!((model.transfer_s(&grid, 0, 10, 16) - 6.0).abs() < 1e-12);
     }
 
     #[test]

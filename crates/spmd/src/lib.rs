@@ -10,10 +10,10 @@
 //! MPI-based backend for DISTAL and are thus orthogonal to our approach".
 //! This crate builds that orthogonal backend:
 //!
-//! 1. [`lower`](lower::lower) takes the *same* inputs as the Legion-style
-//!    backend — a tensor index notation statement, tensor formats (data
-//!    distribution), a machine grid, and a schedule — and derives, entirely
-//!    at compile time, a per-rank program of explicit [`Send`]/[`Recv`]
+//! 1. [`lower_problem`] takes the *same* inputs as the Legion-style
+//!    backend — a `distal_core::Problem` (statement, tensor formats,
+//!    machine grid) and a schedule — and derives, entirely at compile
+//!    time, a per-rank program of explicit [`Send`]/[`Recv`]
 //!    pairs, leaf [`Compute`] blocks, and reduction folds. Communication
 //!    partners are exact (Bondhugula-style), not over-approximated.
 //! 2. [`collective`] recognizes collective patterns in the lowered
@@ -23,7 +23,7 @@
 //!    become an `AllGather` — and re-lowers each into a binomial-tree or
 //!    ring schedule over the torus, turning SUMMA's O(p) serialized
 //!    owner fan-outs into O(log p) critical paths at identical byte
-//!    volume. This runs by default; [`lower_with`] +
+//!    volume. This runs by default; [`lower_problem`] with
 //!    [`CollectiveConfig::point_to_point`](collective::CollectiveConfig::point_to_point)
 //!    keeps the naive program.
 //! 3. [`cost`] prices any of these programs under an α-β model
@@ -99,12 +99,10 @@ pub mod transport;
 pub mod verify;
 mod vm;
 
-pub use backend::{
-    lower_problem, problem_tensors, CostBackend, SpmdBackend, SpmdInstance, SpmdPlan,
-};
+pub use backend::{lower_problem, CostBackend, SpmdBackend, SpmdInstance, SpmdPlan};
 pub use collective::{Collective, CollectiveConfig, CollectiveKind};
 pub use cost::{AlphaBeta, CostReport};
-pub use lower::{lower, lower_count, lower_with, SpmdError, SpmdTensor};
+pub use lower::{lower_count, SpmdError, SpmdTensor};
 pub use ops::{Message, SpmdOp};
 pub use program::{MeasuredRun, SpmdProgram, SpmdResult};
 pub use resolve::resolve_count;

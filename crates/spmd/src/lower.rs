@@ -427,11 +427,11 @@ impl<'a> Holdings<'a> {
 }
 
 /// Lowers a scheduled statement to an [`SpmdProgram`] with statically
-/// resolved communication, then recognizes and tree/ring-lowers
-/// collectives with the default [`CollectiveConfig`] (binomial-tree
-/// broadcasts and reductions, ring all-gathers).
-///
-/// Use [`lower_with`] to disable or re-shape the collective pass.
+/// resolved communication, then recognizes and lowers collectives as
+/// `collectives` says. `CollectiveConfig::point_to_point()` keeps the
+/// naive per-owner fan-out program (the baseline the recognizer is
+/// verified against); other configurations choose tree or ring expansions
+/// per collective kind.
 ///
 /// # Errors
 ///
@@ -440,32 +440,7 @@ impl<'a> Holdings<'a> {
 /// * [`SpmdError::Schedule`] when a scheduling command fails;
 /// * [`SpmdError::Unsupported`] for hierarchical formats or schedules whose
 ///   distributed launch domain does not match the machine grid.
-pub fn lower(
-    assignment: &Assignment,
-    tensors: &[SpmdTensor],
-    grid: &Grid,
-    schedule: &Schedule,
-) -> Result<SpmdProgram, SpmdError> {
-    lower_with(
-        assignment,
-        tensors,
-        grid,
-        schedule,
-        &CollectiveConfig::default(),
-    )
-}
-
-/// [`lower`] with an explicit collective-lowering configuration.
-///
-/// `CollectiveConfig::point_to_point()` reproduces the naive per-owner
-/// fan-out program (useful as the baseline the recognizer is verified
-/// against); other configurations choose tree or ring expansions per
-/// collective kind.
-///
-/// # Errors
-///
-/// Same as [`lower`].
-pub fn lower_with(
+pub(crate) fn lower_with(
     assignment: &Assignment,
     tensors: &[SpmdTensor],
     grid: &Grid,
@@ -649,6 +624,21 @@ mod tests {
     use super::*;
     use distal_machine::spec::MemKind;
     use proptest::prelude::*;
+
+    fn lower(
+        assignment: &Assignment,
+        tensors: &[SpmdTensor],
+        grid: &Grid,
+        schedule: &Schedule,
+    ) -> Result<SpmdProgram, SpmdError> {
+        lower_with(
+            assignment,
+            tensors,
+            grid,
+            schedule,
+            &CollectiveConfig::default(),
+        )
+    }
 
     fn tiled_tensors(n: i64) -> Vec<SpmdTensor> {
         let f = Format::parse("xy->xy", MemKind::Sys).unwrap();

@@ -79,11 +79,6 @@ impl CommStats {
         let near = self.bytes_by_distance.get(&1).copied().unwrap_or(0);
         near as f64 / self.bytes as f64
     }
-
-    /// Per-rank sent bytes (row sums of the matrix).
-    pub fn sent_by_rank(&self) -> Vec<u64> {
-        self.matrix.iter().map(|row| row.iter().sum()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,6 @@ mod tests {
         assert_eq!(s.bytes_by_distance[&2], 16);
         assert_eq!(s.max_distance(), 2);
         assert!((s.neighbor_fraction() - 32.0 / 48.0).abs() < 1e-12);
-        assert_eq!(s.sent_by_rank(), vec![48, 0, 0, 0]);
         assert_eq!(s.bytes_by_tensor["B"], 48);
     }
 

@@ -9,7 +9,7 @@ printf '%-18s %9s %9s\n' crate pub_items src_lines
 pub_total=0 lines_total=0
 for src in crates/*/src src; do
     name=$(basename "$(dirname "$src")") && [ "$src" = src ] && name=distal
-    pub=$(grep -rhE "$items" "$src" | wc -l)
+    pub=$( (grep -rhE "$items" "$src" || true) | wc -l)
     lines=$(find "$src" -name '*.rs' -print0 | xargs -0 cat | wc -l)
     printf '%-18s %9d %9d\n' "$name" "$pub" "$lines"
     pub_total=$((pub_total + pub)) lines_total=$((lines_total + lines))

@@ -162,13 +162,8 @@ mod tests {
             .iter()
             .map(|acc| (acc.tensor.clone(), instance.read(&acc.tensor).unwrap()))
             .collect();
-        let want = oracle::evaluate(assignment, &problem.dims_map(), &inputs).unwrap();
-        for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-            assert!(
-                (g - w).abs() < tol * (1.0 + w.abs()),
-                "{what} at {idx}: {g} vs {w}"
-            );
-        }
+        oracle::check(assignment, &problem.dims_map(), &inputs, &got, tol)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
     }
 
     fn check_matmul(alg: MatmulAlgorithm, nodes: usize, n: i64) {

@@ -406,8 +406,7 @@ mod tests {
 
         // The second identical search performs ZERO new lowering work:
         // every feasible candidate is a cache hit.
-        let lowerings = distal_core::lower::compile_count();
-        let applications = distal_core::schedule::apply_count();
+        let lowerings = distal_core::lowering_count();
         let second = scheduler
             .search("A(i,j) = B(i,k) * C(k,j)", &matmul_dims(64))
             .unwrap();
@@ -419,12 +418,8 @@ mod tests {
         // add any. Bound: new lowerings <= infeasible candidates.
         let infeasible = first.evaluations.len() - feasible;
         assert!(
-            distal_core::lower::compile_count() - lowerings <= infeasible as u64,
+            distal_core::lowering_count() - lowerings <= infeasible as u64,
             "feasible candidates re-lowered on a warm cache"
-        );
-        assert!(
-            distal_core::schedule::apply_count() - applications <= infeasible as u64,
-            "feasible candidates re-applied schedules on a warm cache"
         );
         // And scoring is unchanged by the cache.
         for (a, b) in first.evaluations.iter().zip(second.evaluations.iter()) {
@@ -449,17 +444,17 @@ mod tests {
             schedule: distal_core::Schedule::summa(2, 2, 16),
         };
         let barrier = Barrier::new(THREADS);
-        // `lower_count` is thread-local: summing each thread's delta
+        // `lowering_count` is thread-local: summing each thread's delta
         // counts every lowering wherever it ran.
         let lowered: u64 = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     scope.spawn(|| {
-                        let before = distal_spmd::lower_count();
+                        let before = distal_core::lowering_count();
                         barrier.wait();
                         let e = scheduler.score_with(&backend, expr, &dims, candidate.clone());
                         assert!(e.feasible(), "{e}");
-                        distal_spmd::lower_count() - before
+                        distal_core::lowering_count() - before
                     })
                 })
                 .collect();

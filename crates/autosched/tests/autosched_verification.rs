@@ -49,14 +49,8 @@ fn run_functional(
     for name in dims.keys().filter(|n| *n != out) {
         inputs.insert(name.clone(), instance.read(name).unwrap());
     }
-    let want = oracle::evaluate(problem.assignment().unwrap(), dims, &inputs).unwrap();
-    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!(
-            (g - w).abs() < 1e-9 * (1.0 + w.abs()),
-            "{}: index {i}: {g} vs {w}",
-            candidate.name
-        );
-    }
+    oracle::check(problem.assignment().unwrap(), dims, &inputs, &got, 1e-9)
+        .unwrap_or_else(|e| panic!("{}: {e}", candidate.name));
 }
 
 #[test]

@@ -562,13 +562,7 @@ mod tests {
             }
         }
         let a = Assignment::parse(kernel.expression()).unwrap();
-        let want = oracle::evaluate(&a, &dims, &inputs).unwrap();
-        for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-            assert!(
-                (g - w).abs() < 1e-6 * (1.0 + w.abs()),
-                "{kernel:?} at {idx}: {g} vs {w}"
-            );
-        }
+        oracle::check(&a, &dims, &inputs, &got, 1e-6).unwrap_or_else(|e| panic!("{kernel:?}: {e}"));
     }
 
     #[test]

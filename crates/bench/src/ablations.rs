@@ -249,14 +249,14 @@ fn autoschedule_pruning(nodes: usize, n: i64) -> PruningStats {
         .iter()
         .map(|t| (t.to_string(), vec![n, n]))
         .collect();
-    let before = distal_core::lower::compile_count();
+    let before = distal_core::lowering_count();
     let result = scheduler
         .search("A(i,j) = B(i,k) * C(k,j)", &dims)
         .expect("search");
     PruningStats {
         candidates: result.evaluations.len(),
         pruned_candidates: result.pruned_candidates(),
-        lowerings: distal_core::lower::compile_count() - before,
+        lowerings: distal_core::lowering_count() - before,
     }
 }
 

@@ -40,7 +40,7 @@
 //! 3 by default).
 
 use crate::args::Args;
-use distal_core::kernelgen::{gemm_variants, specialize, LeafRequest, MicroKernel};
+use distal_core::kernelgen::{gemm_variants, leaf_for, MicroKernel};
 use distal_core::problem::{random_data, sparse_random_data};
 use distal_core::{DistalMachine, LeafKind, Problem, Report, RuntimeBackend, Schedule, TensorSpec};
 use distal_format::Format;
@@ -296,10 +296,11 @@ fn dense_arg(rect: Rect, data: ArgData<'_>) -> KernelArg<'_> {
 /// tiles, executed in place (no compile, placement, fill or snapshot in
 /// the timed region), for every variant the host can run at every size
 /// in `tiles`. The dispatched variant is timed through the kernel
-/// [`specialize`] hands the pipeline.
+/// [`leaf_for`] hands the pipeline.
 fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
     let matmul = distal_ir::expr::kernels::matmul();
-    let kernel = specialize(&LeafRequest::dense(matmul, true));
+    let kernel =
+        leaf_for(&matmul, &Schedule::new(), vec![false; 2], true, false).expect("the matmul leaf");
     assert_eq!(kernel.name(), "gemm.gen");
     let variants = gemm_variants();
     let mut rows = Vec::new();
@@ -411,9 +412,8 @@ fn triad_gbs(len: usize) -> f64 {
 /// problem.
 fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow {
     let statement = Assignment::parse("a(i) = B(i,j) * c(j)").expect("the SpMV statement");
-    let mut request = LeafRequest::dense(statement, true);
-    request.compressed[0] = true;
-    let kernel = specialize(&request);
+    let kernel = leaf_for(&statement, &Schedule::new(), vec![true, false], true, false)
+        .expect("the SpMV leaf");
     assert_eq!(kernel.name(), "spmv.gen");
     let volume = (n * n) as usize;
     let image = SparseBuffer::from_dense(&[n, n], &sparse_random_data(volume, 0xB, density));

@@ -68,15 +68,6 @@ struct ServingRow {
     pub verified: bool,
 }
 
-/// Bind-path work: everything a request is *not* allowed to redo once
-/// its plan is cached (runtime lowering, schedule application, leaf
-/// specialization).
-fn bind_work() -> u64 {
-    distal_core::lower::compile_count()
-        + distal_core::schedule::apply_count()
-        + distal_core::kernelgen::specialize_count()
-}
-
 /// Serves a closed-loop stream of `requests` fresh-data requests of side
 /// `n` through a runtime-backend [`ServingEngine`] with `workers` threads
 /// (`0` = one per host core).
@@ -101,7 +92,6 @@ fn serve(workers: usize, requests: u64, n: i64) -> ServingRow {
         backend,
         ServeConfig {
             workers,
-            bind_work_counter: Some(Arc::new(bind_work)),
             ..ServeConfig::default()
         },
     );

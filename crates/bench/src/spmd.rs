@@ -162,10 +162,7 @@ impl OracleCase {
         let mut inputs = BTreeMap::new();
         inputs.insert("B".to_string(), deterministic_data((n * n) as usize, 11));
         inputs.insert("C".to_string(), deterministic_data((n * n) as usize, 13));
-        let mut dims = BTreeMap::new();
-        for t in ["A", "B", "C"] {
-            dims.insert(t.to_string(), vec![n, n]);
-        }
+        let dims = ["A", "B", "C"].map(|t| (t.to_string(), vec![n, n])).into();
         let assignment = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
         let want = oracle::evaluate(&assignment, &dims, &inputs).unwrap();
         OracleCase { inputs, want }
@@ -233,10 +230,9 @@ fn spmd_bench(gx: i64, gy: i64, n: i64, threads: usize) -> (Vec<SpmdBenchRow>, V
             program.collective_depth()
         };
         let sequential = program.execute(&case.inputs).ok();
-        let verified = sequential.as_ref().is_some_and(|result| {
-            let close = |(g, w): (&f64, &f64)| (g - w).abs() < 1e-9 * (1.0 + w.abs());
-            result.output.iter().zip(&case.want).all(close)
-        });
+        let verified = sequential
+            .as_ref()
+            .is_some_and(|result| oracle::compare(&result.output, &case.want, 1e-9).is_ok());
         let makespan_s = program.cost(&AlphaBeta::default()).makespan_s;
         let threaded = program
             .execute_with(&case.inputs, &Transport::threaded_with(threads))

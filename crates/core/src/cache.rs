@@ -660,17 +660,17 @@ mod tests {
         let p = problem(8);
         let s = Schedule::summa(2, 2, 4);
         let barrier = Barrier::new(THREADS);
-        // `compile_count` is thread-local: summing each thread's delta
+        // `lowering_count` is thread-local: summing each thread's delta
         // across the stampede counts every lowering wherever it ran.
         let lowered: u64 = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     scope.spawn(|| {
-                        let before = crate::lower::compile_count();
+                        let before = crate::lowering_count();
                         barrier.wait();
                         let plan = cache.get_or_plan(&backend, &p, &s).unwrap();
                         assert_eq!(plan.backend(), "runtime");
-                        crate::lower::compile_count() - before
+                        crate::lowering_count() - before
                     })
                 })
                 .collect();

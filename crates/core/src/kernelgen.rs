@@ -6,7 +6,7 @@
 //! with the schedule's `substitute` command, so the command means the same
 //! on every backend: `LeafKind::Interpreter` runs the reference
 //! [`InterpreterKernel`], `LeafKind::Gemm` insists on a matmul-shaped
-//! statement, and the automatic choice [`specialize`]s the request.
+//! statement, and the automatic choice specializes the request.
 //!
 //! Three layers of specialization, tried in order:
 //!
@@ -117,9 +117,10 @@
 //!
 //! A plan holds the kernel it was specialized to, so a plan bound many
 //! times pays for kernel generation once; the plan cache does the same
-//! for many requests over one statement. [`specialize_count`] counts the
-//! kernels built on the calling thread; `tests/plan_reuse.rs` asserts it
-//! stays flat across `bind`/`run` of an existing plan.
+//! for many requests over one statement. Only [`leaf_for`] builds kernels,
+//! and inside a plan only the two lowerings call it (the `kernels` bench
+//! calls it outside any plan), so [`crate::lowering_count`] staying flat
+//! across `bind`/`run` (`tests/plan_reuse.rs`) means none was built.
 
 use crate::error::CompileError;
 use crate::kernels::{is_matmul, is_sddmm, is_spmv, rhs_is_access_product, InterpreterKernel};
@@ -134,22 +135,10 @@ mod sparse;
 #[doc(hidden)]
 pub use gemm::{gemm_variants, MicroKernel};
 
-thread_local! {
-    /// Per-thread count of specializations. Binding or running an
-    /// already-planned statement must leave this untouched — the
-    /// plan-reuse analogue of `lower::compile_count`.
-    static SPECIALIZATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many leaf kernels were generated on the calling thread.
-pub fn specialize_count() -> u64 {
-    SPECIALIZATIONS.with(|c| c.get())
-}
-
 /// One leaf statement to specialize: the inputs to kernel generation that
 /// change what code should run.
 #[derive(Clone, Debug)]
-pub struct LeafRequest {
+pub(crate) struct LeafRequest {
     /// The statement the leaf executes.
     pub assignment: Assignment,
     /// Per right-hand-side access (in access order): is that operand
@@ -167,9 +156,10 @@ pub struct LeafRequest {
     pub skip_zero: bool,
 }
 
+#[cfg(test)]
 impl LeafRequest {
     /// A dense, non-skipping request for `assignment`.
-    pub fn dense(assignment: Assignment, accumulate: bool) -> Self {
+    pub(crate) fn dense(assignment: Assignment, accumulate: bool) -> Self {
         let n = assignment.input_accesses().len();
         LeafRequest {
             assignment,
@@ -185,9 +175,10 @@ impl LeafRequest {
 /// leaves) — at plan time; `bind` never reaches it.
 ///
 /// `compressed` flags the right-hand-side operands stored in a compressed
-/// level format, `accumulate` and `skip_zero` are the executing backend's
-/// discipline (see [`LeafRequest`]). Without a command, or with
-/// `LeafKind::Auto`, the request is [`specialize`]d. `LeafKind::Gemm` asks
+/// level format; `accumulate` (add into the output) and `skip_zero` (skip
+/// points where a compressed operand holds a zero bit pattern) are the
+/// executing backend's discipline. Without a command, or with
+/// `LeafKind::Auto`, the request is specialized. `LeafKind::Gemm` asks
 /// for the optimized leaf of a matmul; compression still routes it to the
 /// CSR-specialized SpMM when the stored operand admits one (a strictly
 /// better "vendor kernel"). `LeafKind::Interpreter` runs the per-point
@@ -228,14 +219,9 @@ pub fn leaf_for(
     }))
 }
 
-/// Specializes a leaf request into a kernel.
-pub fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
-    SPECIALIZATIONS.with(|c| c.set(c.get() + 1));
-    build(req)
-}
-
-/// Shape dispatch per the module docs.
-fn build(req: &LeafRequest) -> Arc<dyn Kernel> {
+/// Specializes a leaf request into a kernel: shape dispatch per the module
+/// docs.
+pub(crate) fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
     let a = &req.assignment;
     let pure = rhs_is_access_product(a);
     let first_only = req.compressed.first().copied().unwrap_or(false)
@@ -757,27 +743,27 @@ mod tests {
     fn dispatch_picks_expected_variants() {
         let mm = distal_ir::expr::kernels::matmul();
         assert_eq!(
-            build(&LeafRequest::dense(mm.clone(), true)).name(),
+            specialize(&LeafRequest::dense(mm.clone(), true)).name(),
             "gemm.gen"
         );
         let mut sp = LeafRequest::dense(mm.clone(), true);
         sp.compressed = vec![true, false];
-        assert_eq!(build(&sp).name(), "spmm.gen");
+        assert_eq!(specialize(&sp).name(), "spmm.gen");
         let spmv = Assignment::parse("a(i) = B(i,j) * c(j)").unwrap();
         let mut r = LeafRequest::dense(spmv, true);
         r.compressed = vec![true, false];
-        assert_eq!(build(&r).name(), "spmv.gen");
+        assert_eq!(specialize(&r).name(), "spmv.gen");
         let sddmm = Assignment::parse("A(i,j) = B(i,j) * C(i,k) * D(k,j)").unwrap();
         let mut r = LeafRequest::dense(sddmm, true);
         r.compressed = vec![true, false, false];
-        assert_eq!(build(&r).name(), "sddmm.gen");
+        assert_eq!(specialize(&r).name(), "sddmm.gen");
         // Compression beyond the first operand with skipping: tape.
         let mut both = LeafRequest::dense(mm.clone(), true);
         both.compressed = vec![true, true];
         both.skip_zero = true;
-        assert_eq!(build(&both).name(), "tape");
+        assert_eq!(specialize(&both).name(), "tape");
         // Literal factor: never a specialized product kernel.
         let lit = Assignment::parse("A(i,j) = B(i,k) * C(k,j) * 2.0").unwrap();
-        assert_eq!(build(&LeafRequest::dense(lit, true)).name(), "tape");
+        assert_eq!(specialize(&LeafRequest::dense(lit, true)).name(), "tape");
     }
 }

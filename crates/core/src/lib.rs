@@ -92,6 +92,7 @@ pub use lint::{admit, lint_schedule, Lint, LintConfig, LintLevel};
 pub use lower::{compile, CompileOptions, CompiledKernel};
 pub use machine::DistalMachine;
 pub use mapper::GridMapper;
+pub use nest::lowering_count;
 pub use plan::{init_nnz, Bindings, Instance, Plan};
 pub use problem::{random_data, sparse_random_data, Problem, TensorInit, TensorSpec};
 pub use report::{Provenance, Report};

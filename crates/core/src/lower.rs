@@ -39,21 +39,6 @@ use distal_runtime::topology::PhysicalMachine;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-thread_local! {
-    /// Per-thread count of [`compile`] invocations (schedule application
-    /// + lowering). The plan/bind split's observable invariant: binding
-    /// an already-compiled plan leaves this counter untouched.
-    /// Thread-local so concurrent tests/requests don't perturb each
-    /// other's readings.
-    static COMPILATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many times the runtime lowering ([`compile`]) ran on the calling
-/// thread.
-pub fn compile_count() -> u64 {
-    COMPILATIONS.with(|c| c.get())
-}
-
 /// A tensor bound to a region with a format.
 #[derive(Clone, Debug)]
 pub struct TensorBinding {
@@ -158,7 +143,6 @@ pub fn compile(
     schedule: &Schedule,
     options: &CompileOptions,
 ) -> Result<CompiledKernel, CompileError> {
-    COMPILATIONS.with(|c| c.set(c.get() + 1));
     // The nest analysis resolves and arity-checks every access.
     let dims = tensors
         .iter()

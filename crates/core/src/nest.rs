@@ -10,6 +10,11 @@
 //! [`crate::lower::compile`] onto the dynamic runtime and `distal-spmd`'s
 //! static per-rank programs — iterate `seq_rect()` × `domain_rect()` over
 //! one [`Nest`], so they agree on the split by construction.
+//! Each builds exactly one, nothing outside a lowering applies a
+//! schedule, and inside a plan nothing else builds a leaf kernel (the
+//! `kernels` bench calls `leaf_for` outside any plan), so
+//! [`lowering_count`] witnesses all plan-time work: one per plan on every
+//! backend, none per request.
 
 use crate::error::CompileError;
 use crate::schedule::Schedule;
@@ -17,6 +22,18 @@ use distal_ir::cin::ConcreteNotation;
 use distal_ir::expr::{Assignment, IndexVar};
 use distal_machine::geom::{Point, Rect};
 use std::collections::{BTreeMap, BTreeSet};
+
+thread_local! {
+    /// [`Nest::new`] calls on this thread: a plan lowers on the caller's
+    /// thread, so concurrent plans never perturb each other's readings.
+    static LOWERINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many lowerings started on the calling thread, failed ones
+/// included: every [`Nest::new`] call.
+pub fn lowering_count() -> u64 {
+    LOWERINGS.with(std::cell::Cell::get)
+}
 
 /// The loop-variable environment of one (sequential step, launch point).
 pub type Env = BTreeMap<IndexVar, i64>;
@@ -61,6 +78,7 @@ impl Nest {
         dims: &BTreeMap<String, Vec<i64>>,
         schedule: &Schedule,
     ) -> Result<Nest, CompileError> {
+        LOWERINGS.with(|c| c.set(c.get() + 1));
         for acc in assignment.accesses() {
             let d = dims
                 .get(&acc.tensor)
@@ -251,6 +269,7 @@ mod tests {
 
     #[test]
     fn mis_ranked_access_is_a_typed_arity_error() {
+        let before = lowering_count();
         let mut dims = square(8);
         dims.insert("B".into(), vec![8]); // B(i,k) accessed 2-d
         let err = Nest::new(&matmul(), &dims, &Schedule::new()).unwrap_err();
@@ -264,5 +283,7 @@ mod tests {
             Nest::new(&matmul(), &dims, &Schedule::new()),
             Err(CompileError::UnknownTensor(t)) if t == "B"
         ));
+        // A failed analysis is a (failed) lowering: it counts.
+        assert_eq!(lowering_count(), before + 2);
     }
 }

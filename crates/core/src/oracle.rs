@@ -1,6 +1,6 @@
 //! A sequential reference evaluator — the correctness oracle for tests.
 
-use distal_ir::expr::{Assignment, Expr};
+use distal_ir::expr::{Assignment, Expr, IndexVar};
 use std::collections::BTreeMap;
 
 /// Evaluates a tensor index notation statement sequentially.
@@ -24,7 +24,19 @@ pub fn evaluate(
     let vars = assignment.all_vars();
     let var_extents: Vec<i64> = vars.iter().map(|v| extents[v]).collect();
 
-    // Validate input sizes.
+    let positions = |indices: &[IndexVar]| -> Vec<usize> {
+        let at = |v: &IndexVar| vars.iter().position(|x| x == v).unwrap();
+        indices.iter().map(at).collect()
+    };
+
+    // Validate input sizes and precompute access metadata: variable
+    // positions and strides.
+    struct AccessInfo<'a> {
+        var_pos: Vec<usize>,
+        strides: Vec<i64>,
+        data: &'a [f64],
+    }
+    let mut infos: Vec<AccessInfo> = Vec::new();
     for acc in assignment.input_accesses() {
         let d = dims
             .get(&acc.tensor)
@@ -34,13 +46,14 @@ pub fn evaluate(
             .get(&acc.tensor)
             .ok_or(format!("missing data for {}", acc.tensor))?;
         if data.len() as i64 != expect {
-            return Err(format!(
-                "tensor {} has {} elements, expected {}",
-                acc.tensor,
-                data.len(),
-                expect
-            ));
+            let (t, len) = (&acc.tensor, data.len());
+            return Err(format!("tensor {t} has {len} elements, expected {expect}"));
         }
+        infos.push(AccessInfo {
+            var_pos: positions(&acc.indices),
+            strides: row_major_strides(d),
+            data,
+        });
     }
 
     let out_dims = dims
@@ -48,40 +61,8 @@ pub fn evaluate(
         .ok_or(format!("missing dims for {}", assignment.lhs.tensor))?;
     let out_len: i64 = out_dims.iter().product::<i64>().max(1);
     let mut out = vec![0.0; out_len as usize];
-
-    // Precompute access metadata: variable positions and strides.
-    struct AccessInfo<'a> {
-        var_pos: Vec<usize>,
-        strides: Vec<i64>,
-        data: &'a [f64],
-    }
-    let mut infos: Vec<AccessInfo> = Vec::new();
-    for acc in assignment.input_accesses() {
-        let d = &dims[&acc.tensor];
-        let mut strides = vec![1i64; d.len()];
-        for i in (0..d.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * d[i + 1];
-        }
-        infos.push(AccessInfo {
-            var_pos: acc
-                .indices
-                .iter()
-                .map(|v| vars.iter().position(|x| x == v).unwrap())
-                .collect(),
-            strides,
-            data: &inputs[&acc.tensor],
-        });
-    }
-    let mut out_strides = vec![1i64; out_dims.len()];
-    for i in (0..out_dims.len().saturating_sub(1)).rev() {
-        out_strides[i] = out_strides[i + 1] * out_dims[i + 1];
-    }
-    let out_pos: Vec<usize> = assignment
-        .lhs
-        .indices
-        .iter()
-        .map(|v| vars.iter().position(|x| x == v).unwrap())
-        .collect();
+    let out_strides = row_major_strides(out_dims);
+    let out_pos = positions(&assignment.lhs.indices);
 
     let mut point = vec![0i64; vars.len()];
     if var_extents.contains(&0) {
@@ -119,27 +100,63 @@ pub fn evaluate(
                 break;
             }
             point[d] = 0;
-            if d == 0 {
-                return Ok(out);
-            }
         }
     }
+}
+
+/// Evaluates the oracle on `inputs` and [`compare`]s `got` with it.
+///
+/// # Errors
+///
+/// The oracle's own error, or [`compare`]'s prefixed with the statement.
+pub fn check(
+    assignment: &Assignment,
+    dims: &BTreeMap<String, Vec<i64>>,
+    inputs: &BTreeMap<String, Vec<f64>>,
+    got: &[f64],
+    tol: f64,
+) -> Result<(), String> {
+    let want = evaluate(assignment, dims, inputs)?;
+    compare(got, &want, tol).map_err(|e| format!("{assignment}: {e}"))
+}
+
+/// Compares `got` with an oracle answer `want` already evaluated (for
+/// callers that check many results against one answer): equal lengths,
+/// and `|g − w| < tol · (1 + |w|)` at every index.
+///
+/// # Errors
+///
+/// A length mismatch, or the first index whose values differ by too much,
+/// with both values.
+pub fn compare(got: &[f64], want: &[f64], tol: f64) -> Result<(), String> {
+    if got.len() != want.len() {
+        let (g, w) = (got.len(), want.len());
+        return Err(format!("{g} elements, the oracle has {w}"));
+    }
+    // "Not close" rather than "far apart": a NaN on either side mismatches.
+    let close = |(g, w): (&f64, &f64)| (g - w).abs() < tol * (1.0 + w.abs());
+    match got.iter().zip(want).position(|pair| !close(pair)) {
+        None => Ok(()),
+        Some(i) => Err(format!("mismatch at {i}: {} vs {}", got[i], want[i])),
+    }
+}
+
+/// Row-major strides of a tensor with extents `dims`.
+fn row_major_strides(dims: &[i64]) -> Vec<i64> {
+    let mut strides = vec![1i64; dims.len()];
+    for i in (0..dims.len().saturating_sub(1)).rev() {
+        strides[i] = strides[i + 1] * dims[i + 1];
+    }
+    strides
 }
 
 fn eval_expr(e: &Expr, values: &mut impl Iterator<Item = f64>) -> f64 {
     match e {
         Expr::Access(_) => values.next().expect("missing value"),
         Expr::Literal(c) => *c,
-        Expr::Add(l, r) => {
-            let a = eval_expr(l, values);
-            let b = eval_expr(r, values);
-            a + b
-        }
-        Expr::Mul(l, r) => {
-            let a = eval_expr(l, values);
-            let b = eval_expr(r, values);
-            a * b
-        }
+        // Operands evaluate left to right, taking `values` in access order.
+        Expr::Add(l, r) => eval_expr(l, values) + eval_expr(r, values),
+        Expr::Mul(l, r) => eval_expr(l, values) * eval_expr(r, values),
     }
 }
 
@@ -206,6 +223,20 @@ mod tests {
         inputs.insert("D".into(), vec![1.0; 4]);
         let out = evaluate(&kernels::mttkrp(), &dims, &inputs).unwrap();
         assert_eq!(out, vec![4.0; 4]);
+    }
+
+    #[test]
+    fn check_names_the_first_mismatch() {
+        let dims = dims_of(&[("A", &[3]), ("B", &[3])]);
+        let inputs = BTreeMap::from([("B".to_string(), vec![1.0, 2.0, 3.0])]);
+        let a = distal_ir::expr::Assignment::parse("A(i) = B(i)").unwrap();
+        assert_eq!(check(&a, &dims, &inputs, &[1.0, 2.0, 3.0], 1e-12), Ok(()));
+        let err = |got: &[f64]| check(&a, &dims, &inputs, got, 1e-12).unwrap_err();
+        assert!(err(&[1.0, 2.5, f64::NAN]).contains("mismatch at 1: 2.5 vs 2"));
+        assert!(err(&[1.0, 2.0, f64::NAN]).contains("mismatch at 2: NaN vs 3"));
+        assert!(err(&[1.0, 2.0]).contains("2 elements, the oracle has 3"));
+        assert!(err(&[0.0, 2.0, 3.0]).starts_with("A(i) = B(i): mismatch at 0"));
+        assert_eq!(compare(&[1.0, 2.0], &[1.0, 2.0], 1e-12), Ok(()));
     }
 
     #[test]

@@ -225,9 +225,9 @@ pub fn init_nnz(init: &TensorInit, dims: &[i64]) -> u64 {
 /// A plan holds everything the lowering produced — launch domain, runtime
 /// programs or SPMD rank programs, static cost model — and **no operand
 /// values**. [`Plan::bind`] attaches per-request data cheaply: it never
-/// re-applies the schedule or re-lowers (see
-/// `distal_core::lower::compile_count` and the SPMD lowering counter for
-/// the enforced invariant).
+/// re-applies the schedule or re-lowers ([`crate::lowering_count`] stays
+/// flat across `bind` and `run` on every backend — the enforced
+/// invariant).
 pub trait Plan: Send + Sync {
     /// The producing backend's name (`"runtime"`, `"spmd"`).
     fn backend(&self) -> &str;

@@ -23,21 +23,6 @@ use distal_ir::expr::IndexVar;
 use distal_ir::transform::ScheduleError;
 use std::fmt;
 
-thread_local! {
-    /// Per-thread count of [`Schedule::apply`] invocations. Together with
-    /// `crate::lower::compile_count` this is the observable "no
-    /// re-lowering" invariant of the plan/bind split: binding a compiled
-    /// plan must leave this counter untouched. Thread-local (compilation
-    /// runs on the caller's thread) so concurrent tests/requests don't
-    /// perturb each other's readings.
-    static APPLICATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many times [`Schedule::apply`] ran on the calling thread.
-pub fn apply_count() -> u64 {
-    APPLICATIONS.with(|c| c.get())
-}
-
 /// One scheduling command.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SchedCmd {
@@ -282,7 +267,6 @@ impl Schedule {
     /// [`ScheduleError::AtCommand`] with the command's index and stable
     /// `Display` so late failures name their schedule location.
     pub fn apply(&self, cin: &mut ConcreteNotation) -> Result<(), ScheduleError> {
-        APPLICATIONS.with(|c| c.set(c.get() + 1));
         for (idx, cmd) in self.cmds.iter().enumerate() {
             Self::apply_cmd(cin, cmd)
                 .map_err(|e| ScheduleError::at_command(idx, cmd.to_string(), e))?;
@@ -597,14 +581,6 @@ mod tests {
             assert!(text.contains(needle), "missing `{needle}` in `{text}`");
         }
         assert_eq!(Schedule::new().to_string(), "(empty)");
-    }
-
-    #[test]
-    fn apply_bumps_the_process_counter() {
-        let before = apply_count();
-        let mut cin = matmul_cin(16);
-        Schedule::summa(2, 2, 4).apply(&mut cin).unwrap();
-        assert!(apply_count() > before);
     }
 
     #[test]

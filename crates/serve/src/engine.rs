@@ -14,24 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-/// A per-request work counter sampled around the bind/execute path of
-/// every batch (thread-local counters work here because the whole batch
-/// runs on one worker thread). The engine's default counts the core
-/// compile/schedule/kernel-specialization counters; callers serving
-/// backends with extra lowering counters (the SPMD rank lowering) extend
-/// it via [`ServeConfig::bind_work_counter`].
-pub type WorkCounter = Arc<dyn Fn() -> u64 + Send + Sync>;
-
-fn default_bind_work() -> WorkCounter {
-    Arc::new(|| {
-        distal_core::lower::compile_count()
-            + distal_core::schedule::apply_count()
-            + distal_core::kernelgen::specialize_count()
-    })
-}
-
 /// Configuration for a [`ServingEngine`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads draining the queue (0 = size to the host via
     /// `host_worker_count`, i.e. `DISTAL_THREADS` or one per core).
@@ -46,8 +30,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Shard count of the plan cache.
     pub cache_shards: usize,
-    /// Override for the bind-path work counter (see [`WorkCounter`]).
-    pub bind_work_counter: Option<WorkCounter>,
 }
 
 impl Default for ServeConfig {
@@ -58,21 +40,7 @@ impl Default for ServeConfig {
             max_batch: 8,
             cache_capacity: 64,
             cache_shards: 8,
-            bind_work_counter: None,
         }
-    }
-}
-
-impl fmt::Debug for ServeConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServeConfig")
-            .field("workers", &self.workers)
-            .field("queue_capacity", &self.queue_capacity)
-            .field("max_batch", &self.max_batch)
-            .field("cache_capacity", &self.cache_capacity)
-            .field("cache_shards", &self.cache_shards)
-            .field("bind_work_counter", &self.bind_work_counter.is_some())
-            .finish()
     }
 }
 
@@ -143,10 +111,10 @@ pub struct EngineStats {
     pub batches: u64,
     /// Largest single batch served.
     pub peak_batch: u64,
-    /// Bind-path work units (lowerings/schedule applications/kernel
-    /// specializations) observed while serving — stays 0 when every
-    /// request rides a cached plan, which is the compile-once invariant
-    /// the bench gates on.
+    /// Lowerings ([`distal_core::lowering_count`]) that started while
+    /// batches were bound and run, plan look-ups excluded — stays 0 when
+    /// every request rides its batch's plan, which is the compile-once
+    /// invariant the bench gates on.
     pub bind_lowerings: u64,
     /// Plan-cache counters (`hits + misses == requests()`).
     pub cache: CacheStats,
@@ -181,7 +149,6 @@ struct WorkerCtx {
     cache: Arc<ShardedPlanCache>,
     queue: Arc<JobQueue<Job>>,
     counters: Arc<Counters>,
-    bind_work: WorkCounter,
     max_batch: usize,
     /// Host-worker budget each serving worker passes down to the pools
     /// its plans create (parallel executor, threaded rank transport).
@@ -233,7 +200,6 @@ impl ServingEngine {
         let cache = Arc::new(ShardedPlanCache::new(cfg.cache_capacity, cfg.cache_shards));
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         let counters = Arc::new(Counters::default());
-        let bind_work = cfg.bind_work_counter.unwrap_or_else(default_bind_work);
         let handles = (0..workers)
             .map(|w| {
                 let ctx = WorkerCtx {
@@ -241,7 +207,6 @@ impl ServingEngine {
                     cache: Arc::clone(&cache),
                     queue: Arc::clone(&queue),
                     counters: Arc::clone(&counters),
-                    bind_work: Arc::clone(&bind_work),
                     max_batch: cfg.max_batch,
                     budget,
                 };
@@ -371,7 +336,9 @@ fn serve_batch(ctx: &WorkerCtx, batch: Vec<Keyed<Job>>) {
             return;
         }
     };
-    let before = (ctx.bind_work)();
+    // The whole batch runs on this thread, so the thread-local counter
+    // sees every lowering its requests start.
+    let before = distal_core::lowering_count();
     for entry in batch {
         let result = catch_unwind(AssertUnwindSafe(|| {
             serve_one(ctx, plan.as_ref(), &entry.job)
@@ -391,7 +358,7 @@ fn serve_batch(ctx: &WorkerCtx, batch: Vec<Keyed<Job>>) {
     }
     ctx.counters
         .bind_lowerings
-        .fetch_add((ctx.bind_work)() - before, Ordering::Relaxed);
+        .fetch_add(distal_core::lowering_count() - before, Ordering::Relaxed);
 }
 
 fn serve_one(ctx: &WorkerCtx, plan: &dyn Plan, job: &Job) -> Result<ServeResponse, BackendError> {

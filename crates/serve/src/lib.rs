@@ -30,7 +30,10 @@
 //!    a per-worker thread budget
 //!    ([`with_thread_budget`](distal_runtime::executor::with_thread_budget)),
 //!    so nested executor/rank pools divide the host instead of
-//!    multiplying against it.
+//!    multiplying against it. [`EngineStats::bind_lowerings`] is how
+//!    many lowerings ([`distal_core::lowering_count`], the one witness of
+//!    plan-time work on every backend) those binds and runs started:
+//!    none, by the compile-once contract.
 //!
 //! Results come back through [`Ticket::wait`] as [`ServeResponse`]s —
 //! per-request [`Report`](distal_core::Report)s (with coherent cache
@@ -84,6 +87,4 @@
 mod engine;
 mod queue;
 
-pub use engine::{
-    EngineStats, ServeConfig, ServeRequest, ServeResponse, ServingEngine, Ticket, WorkCounter,
-};
+pub use engine::{EngineStats, ServeConfig, ServeRequest, ServeResponse, ServingEngine, Ticket};

@@ -165,9 +165,6 @@ fn parity_case(
             ServeConfig {
                 workers: 2,
                 max_batch,
-                bind_work_counter: Some(Arc::new(|| {
-                    distal_core::lower::compile_count() + distal_spmd::lower_count()
-                })),
                 ..ServeConfig::default()
             },
         );

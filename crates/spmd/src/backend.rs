@@ -58,38 +58,36 @@ use distal_core::plan::{init_nnz, Bindings, Instance, Plan};
 use distal_core::{
     Diagnostic, LintConfig, Problem, Provenance, Report, Schedule, TensorInit, TensorSpec,
 };
+use distal_ir::expr::Assignment;
 use distal_machine::geom::Rect;
 use distal_runtime::Mode;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// Derives the SPMD tensor descriptions from a problem's registry,
-/// including each initialized tensor's nnz (the input to nnz-sized
-/// message accounting for compressed level formats).
-fn problem_tensors(problem: &Problem) -> Vec<SpmdTensor> {
-    let mut tensors = problem_tensor_shapes(problem);
-    for t in &mut tensors {
-        t.nnz = problem.nnz_of(&t.name);
-    }
-    tensors
-}
-
-/// The *data-independent* SPMD tensor descriptions of a problem's
-/// registry: shapes + formats, nnz unknown. This is what plans lower
-/// against — binding attaches each request's nnz afterwards.
-fn problem_tensor_shapes(problem: &Problem) -> Vec<SpmdTensor> {
-    problem
+/// Lowers `assignment` over the *data-independent* SPMD tensor
+/// descriptions of a problem's registry (shapes + formats, nnz unknown)
+/// onto the machine's flattened grid. nnz never shapes the lowering, only
+/// the pricing: binding attaches each request's nnz afterwards.
+fn lower_shapes(
+    problem: &Problem,
+    assignment: &Assignment,
+    schedule: &Schedule,
+    collectives: &CollectiveConfig,
+) -> Result<SpmdProgram, SpmdError> {
+    let tensors: Vec<SpmdTensor> = problem
         .tensors()
         .values()
         .map(|s| SpmdTensor::new(s.name.clone(), s.dims.clone(), s.format.clone()))
-        .collect()
+        .collect();
+    let grid = problem.machine().grid();
+    lower_with(assignment, &tensors, &grid, schedule, collectives)
 }
 
 /// Lowers a problem's statement for a schedule onto the problem machine's
 /// (flattened) grid, with explicit collective configuration. The shared
 /// registry path every test/bench should use instead of hand-building
-/// [`SpmdTensor`] lists. (Unlike the plan path, this bakes the problem's
-/// own initializer nnz into the program's static accounting.)
+/// [`SpmdTensor`] lists. It is the plan's lowering with the problem's own
+/// initializer nnz attached to the program's static accounting.
 ///
 /// # Errors
 ///
@@ -106,13 +104,11 @@ pub fn lower_problem(
     let assignment = problem
         .assignment()
         .ok_or_else(|| SpmdError::Schedule("problem has no statement".into()))?;
-    lower_with(
-        assignment,
-        &problem_tensors(problem),
-        &problem.machine().grid(),
-        schedule,
-        collectives,
-    )
+    let mut program = lower_shapes(problem, assignment, schedule, collectives)?;
+    for name in problem.tensors().keys() {
+        program.set_tensor_nnz(name, problem.nnz_of(name));
+    }
+    Ok(program)
 }
 
 fn backend_err(e: SpmdError) -> BackendError {
@@ -125,8 +121,8 @@ fn backend_err(e: SpmdError) -> BackendError {
     }
 }
 
-/// The plan-side lowering: the problem's statement over its
-/// *data-independent* tensor shapes on the machine's flattened grid.
+/// The plan-side lowering: [`lower_shapes`] of the problem's statement,
+/// with this backend's error mapping.
 fn plan_program(
     problem: &Problem,
     schedule: &Schedule,
@@ -137,14 +133,7 @@ fn plan_program(
             "problem has no statement".into(),
         ))
     })?;
-    lower_with(
-        assignment,
-        &problem_tensor_shapes(problem),
-        &problem.machine().grid(),
-        schedule,
-        collectives,
-    )
-    .map_err(backend_err)
+    lower_shapes(problem, assignment, schedule, collectives).map_err(backend_err)
 }
 
 /// Rejects output initializers the rank VM would silently drop: it
@@ -304,7 +293,7 @@ impl Priced {
     }
 }
 
-/// What an [`SpmdPlan`] works out on its first `execute` and every later
+/// What an `SpmdPlan` works out on its first `execute` and every later
 /// request on it reuses: the program resolved for the rank VM (functional
 /// mode; nothing runs in model mode), and — when every tensor is dense, so
 /// no binding's nnz can move a byte — its prices and static
@@ -457,7 +446,7 @@ impl Backend for SpmdBackend {
 /// the program is never re-lowered. The first `execute` of any of its
 /// instances resolves the program for the rank VM and prices its report;
 /// every later one replays both.
-pub struct SpmdPlan {
+pub(crate) struct SpmdPlan {
     mode: Mode,
     tensors: BTreeMap<String, TensorSpec>,
     // Shared with every all-dense instance; compressed bindings get a
@@ -469,24 +458,6 @@ pub struct SpmdPlan {
     transport: Transport,
     // Warning-severity verifier findings (errors rejected the plan).
     diagnostics: Vec<Diagnostic>,
-}
-
-impl std::fmt::Debug for SpmdPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpmdPlan")
-            .field("mode", &self.mode)
-            .field("tensors", &self.tensors.keys().collect::<Vec<_>>())
-            .field("ranks", &self.program.ranks())
-            .field("diagnostics", &self.diagnostics.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl SpmdPlan {
-    /// The shared lowered program (messages, collectives, cost).
-    pub fn program(&self) -> &SpmdProgram {
-        &self.program
-    }
 }
 
 impl Plan for SpmdPlan {
@@ -537,7 +508,7 @@ impl Plan for SpmdPlan {
 /// A bound SPMD program plus its inputs — tiled into the ranks' home
 /// pieces, which executions only read — and (after execution) output. In
 /// model mode it holds the program alone.
-pub struct SpmdInstance {
+pub(crate) struct SpmdInstance {
     mode: Mode,
     program: Arc<SpmdProgram>,
     /// The plan's program itself: no binding's nnz can move its bytes.
@@ -551,25 +522,7 @@ pub struct SpmdInstance {
     output: Option<Vec<f64>>,
 }
 
-impl std::fmt::Debug for SpmdInstance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inputs = self.homes.seeded().map(|t| &self.program.tensors[t].name);
-        f.debug_struct("SpmdInstance")
-            .field("mode", &self.mode)
-            .field("ranks", &self.program.ranks())
-            .field("inputs", &inputs.collect::<Vec<_>>())
-            .field("executed", &self.output.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
 impl SpmdInstance {
-    /// The lowered per-rank program (messages, collectives, cost), with
-    /// this binding's nnz accounting applied.
-    pub fn program(&self) -> &SpmdProgram {
-        &self.program
-    }
-
     /// What the plan worked out on its first execute.
     fn memo(&self) -> &Memo {
         self.memo
@@ -725,7 +678,7 @@ mod tests {
         let plan = SpmdBackend::new()
             .plan(&p, &Schedule::summa(2, 2, 4))
             .unwrap();
-        let lowerings = crate::lower::lower_count();
+        let lowerings = distal_core::lowering_count();
         let mut outputs = Vec::new();
         for seed in [3u64, 4u64] {
             let mut b = Bindings::new();
@@ -734,7 +687,7 @@ mod tests {
             inst.run().unwrap();
             outputs.push(inst.read("A").unwrap());
         }
-        assert_eq!(crate::lower::lower_count(), lowerings);
+        assert_eq!(distal_core::lowering_count(), lowerings);
         assert_ne!(outputs[0], outputs[1]);
     }
 
@@ -822,17 +775,12 @@ mod tests {
             // The output's initializer is not checked: nothing runs.
             p.fill("A", 1.0).unwrap();
             let plan = CostBackend::alpha_beta(model).plan(&p, &schedule).unwrap();
-            let lowerings = crate::lower::lower_count();
+            let lowerings = distal_core::lowering_count();
             let mut inst = plan.bind(&p.bindings()).unwrap();
-            assert_eq!(crate::lower::lower_count(), lowerings, "bind lowered");
+            assert_eq!(distal_core::lowering_count(), lowerings, "bind lowered");
 
             // The plan's program with this binding's nnz, priced.
-            let mut program = plan_program(&p, &schedule, &CollectiveConfig::default()).unwrap();
-            if p.tensors().values().any(|s| s.format.has_compressed()) {
-                for name in p.tensors().keys() {
-                    program.set_tensor_nnz(name, p.nnz_of(name));
-                }
-            }
+            let program = lower_problem(&p, &schedule, &CollectiveConfig::default()).unwrap();
             let (stats, cost) = (program.stats(), program.cost(&model));
             assert_eq!(inst.place().unwrap().provenance, Provenance::Modeled);
             let report = inst.execute().unwrap();
@@ -858,12 +806,7 @@ mod tests {
         let model = AlphaBeta::default();
         let schedule = Schedule::summa(2, 2, 4);
         for p in [matmul_problem(8), csr_matmul_problem(8, 0.25)] {
-            let mut program = plan_program(&p, &schedule, &CollectiveConfig::default()).unwrap();
-            if p.tensors().values().any(|s| s.format.has_compressed()) {
-                for name in p.tensors().keys() {
-                    program.set_tensor_nnz(name, p.nnz_of(name));
-                }
-            }
+            let program = lower_problem(&p, &schedule, &CollectiveConfig::default()).unwrap();
             let inputs = ["B", "C"].map(|t| (t.to_string(), p.initial_data(t).unwrap()));
             let fresh = program.execute(&inputs.into_iter().collect()).unwrap();
             let cost = program.cost(&model);

@@ -99,10 +99,10 @@ pub mod transport;
 pub mod verify;
 mod vm;
 
-pub use backend::{lower_problem, CostBackend, SpmdBackend, SpmdInstance, SpmdPlan};
+pub use backend::{lower_problem, CostBackend, SpmdBackend};
 pub use collective::{Collective, CollectiveConfig, CollectiveKind};
 pub use cost::{AlphaBeta, CostReport};
-pub use lower::{lower_count, SpmdError, SpmdTensor};
+pub use lower::{SpmdError, SpmdTensor};
 pub use ops::{Message, SpmdOp};
 pub use program::{MeasuredRun, SpmdProgram, SpmdResult};
 pub use resolve::resolve_count;

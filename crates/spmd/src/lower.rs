@@ -72,20 +72,6 @@ impl SpmdTensor {
     }
 }
 
-thread_local! {
-    /// Per-thread count of [`lower_with`] invocations (schedule
-    /// application + static communication solving). The plan/bind split's
-    /// observable invariant on this backend: binding an already-lowered
-    /// plan leaves this counter untouched. Thread-local so concurrent
-    /// tests/requests don't perturb each other's readings.
-    static LOWERINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many times the SPMD lowering ran on the calling thread.
-pub fn lower_count() -> u64 {
-    LOWERINGS.with(|c| c.get())
-}
-
 /// Errors from SPMD lowering and execution.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpmdError {
@@ -447,7 +433,6 @@ pub(crate) fn lower_with(
     schedule: &Schedule,
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
-    LOWERINGS.with(|c| c.set(c.get() + 1));
     let by_name: BTreeMap<&str, &SpmdTensor> =
         tensors.iter().map(|t| (t.name.as_str(), t)).collect();
     let dims = tensors

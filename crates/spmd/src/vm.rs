@@ -96,11 +96,6 @@ impl Homes {
         self.0.get(tensor).is_some_and(Option::is_some)
     }
 
-    /// The tensors seeded so far.
-    pub(crate) fn seeded(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.0.len()).filter(|&t| self.holds(t))
-    }
-
     /// `tensor` (shaped `rect`) put back together from its pieces; `None`
     /// when it was never seeded.
     pub(crate) fn assemble(&self, tensor: usize, rect: &Rect) -> Option<Vec<f64>> {
@@ -666,7 +661,6 @@ mod tests {
         assert!(!homes.holds(1));
         homes.seed(1, &whole, &data, &pieces);
         assert!(homes.holds(1) && !homes.holds(0));
-        assert_eq!(homes.seeded().collect::<Vec<_>>(), [1]);
         assert_eq!(homes.piece(1, 0, 0).unwrap().rect, left);
         assert_eq!(homes.piece(1, 0, 0).unwrap().data, [0.0, 1.0, 4.0, 5.0]);
         assert_eq!(homes.piece(1, 1, 0).unwrap().data, [2.0, 3.0, 6.0, 7.0]);

@@ -7,7 +7,6 @@ use distal_algs::matmul::MatmulAlgorithm;
 use distal_core::oracle;
 use distal_core::{DistalMachine, Instance, Problem, RuntimeBackend, Schedule, TensorSpec};
 use distal_format::Format;
-use distal_ir::expr::Assignment;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_spmd::{lower_problem, CollectiveConfig, SpmdOp};
@@ -41,14 +40,12 @@ fn matmul_problem(grid: &Grid, formats: &[Format], n: i64) -> Problem {
 // these oracle comparisons on exactly the inputs the backends would seed.
 use distal_core::random_data;
 
-fn assert_close(got: &[f64], want: &[f64], ctx: &str) {
-    assert_eq!(got.len(), want.len(), "{ctx}: length");
-    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!(
-            (g - w).abs() < 1e-9 * (1.0 + w.abs()),
-            "{ctx}: index {i}: {g} vs {w}"
-        );
-    }
+/// Asserts `got` is the sequential oracle's answer to `problem`'s
+/// statement on `inputs`.
+fn assert_oracle(problem: &Problem, inputs: &BTreeMap<String, Vec<f64>>, got: &[f64], ctx: &str) {
+    let assignment = problem.assignment().unwrap();
+    oracle::check(assignment, &problem.dims_map(), inputs, got, 1e-9)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
 }
 
 /// Runs one matmul algorithm through the SPMD backend and checks the
@@ -67,9 +64,7 @@ fn verify_matmul(alg: MatmulAlgorithm, p: i64, n: i64) -> distal_spmd::SpmdProgr
         .execute(&inputs)
         .unwrap_or_else(|e| panic!("{alg:?}: {e}"));
 
-    let want =
-        oracle::evaluate(problem.assignment().unwrap(), &problem.dims_map(), &inputs).unwrap();
-    assert_close(&result.output, &want, &format!("{alg:?}"));
+    assert_oracle(&problem, &inputs, &result.output, &format!("{alg:?}"));
     program
 }
 
@@ -211,14 +206,15 @@ fn summa_volume_matches_dynamic_runtime() {
     );
 
     // Both backends produce the oracle answer on the same inputs.
-    let b = dynamic.read("B").unwrap();
-    let c = dynamic.read("C").unwrap();
-    let a_dynamic = dynamic.read("A").unwrap();
-    let mut inputs = BTreeMap::new();
-    inputs.insert("B".to_string(), b);
-    inputs.insert("C".to_string(), c);
+    let inputs: BTreeMap<String, Vec<f64>> = ["B", "C"]
+        .map(|t| (t.to_string(), dynamic.read(t).unwrap()))
+        .into();
+    let want =
+        oracle::evaluate(problem.assignment().unwrap(), &problem.dims_map(), &inputs).unwrap();
     let a_static = program.execute(&inputs).unwrap().output;
-    assert_close(&a_static, &a_dynamic, "cross-backend numerics");
+    oracle::compare(&a_static, &want, 1e-9).unwrap_or_else(|e| panic!("static: {e}"));
+    let a_dynamic = dynamic.read("A").unwrap();
+    oracle::compare(&a_dynamic, &want, 1e-9).unwrap_or_else(|e| panic!("dynamic: {e}"));
 }
 
 #[test]
@@ -238,14 +234,11 @@ fn higher_order_kernels_match_oracle() {
             .map(|((name, dims), f)| (*name, dims.clone(), f.clone()))
             .collect();
         let problem = make_problem(&grid, &tensors, kernel.expression());
-        let assignment = Assignment::parse(kernel.expression()).unwrap();
         let program = lower_problem(&problem, &kernel.schedule(p), &CollectiveConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
 
         let mut inputs = BTreeMap::new();
-        let mut dims = BTreeMap::new();
         for (i, (name, shape)) in shapes.iter().enumerate() {
-            dims.insert(name.to_string(), shape.clone());
             if i > 0 {
                 let len = shape.iter().product::<i64>() as usize;
                 inputs.insert(name.to_string(), random_data(len, 17 + i as u64));
@@ -254,8 +247,7 @@ fn higher_order_kernels_match_oracle() {
         let result = program
             .execute(&inputs)
             .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
-        let want = oracle::evaluate(&assignment, &dims, &inputs).unwrap();
-        assert_close(&result.output, &want, kernel.name());
+        assert_oracle(&problem, &inputs, &result.output, kernel.name());
     }
 }
 
@@ -297,7 +289,6 @@ fn innerprod_reduces_through_a_binomial_tree() {
         .map(|((name, dims), f)| (*name, dims.clone(), f.clone()))
         .collect();
     let problem = make_problem(&kernel.grid(p), &tensors, kernel.expression());
-    let assignment = Assignment::parse(kernel.expression()).unwrap();
     let program =
         lower_problem(&problem, &kernel.schedule(p), &CollectiveConfig::default()).unwrap();
     let stats = program.stats();
@@ -323,17 +314,14 @@ fn innerprod_reduces_through_a_binomial_tree() {
         .any(|op| matches!(op, SpmdOp::ReduceSend(_))));
     // Relayed folds produce the same scalar as the oracle.
     let mut inputs = BTreeMap::new();
-    let mut dims = BTreeMap::new();
     for (i, (name, shape)) in shapes.iter().enumerate() {
-        dims.insert(name.to_string(), shape.clone());
         if i > 0 {
             let len = shape.iter().product::<i64>() as usize;
             inputs.insert(name.to_string(), random_data(len, 31 + i as u64));
         }
     }
     let result = program.execute(&inputs).unwrap();
-    let want = oracle::evaluate(&assignment, &dims, &inputs).unwrap();
-    assert_close(&result.output, &want, "tree-reduced innerprod");
+    assert_oracle(&problem, &inputs, &result.output, "tree-reduced innerprod");
 }
 
 /// The acceptance-criterion test: on a 4×4 grid, SUMMA's per-owner row
@@ -448,7 +436,6 @@ fn replicating_inputs_on_a_line_becomes_a_ring_allgather() {
     let grid = Grid::line(p);
     let rows = Format::parse("xy->x", MemKind::Sys).unwrap();
     let problem = matmul_problem(&grid, &[rows.clone(), rows.clone(), rows], n);
-    let assignment = problem.assignment().unwrap().clone();
     let schedule = Schedule::new()
         .divide("i", "io", "ii", p)
         .reorder(&["io", "ii"])
@@ -472,13 +459,8 @@ fn replicating_inputs_on_a_line_becomes_a_ring_allgather() {
     let mut inputs = BTreeMap::new();
     inputs.insert("B".to_string(), random_data((n * n) as usize, 21));
     inputs.insert("C".to_string(), random_data((n * n) as usize, 22));
-    let mut dims = BTreeMap::new();
-    for t in ["A", "B", "C"] {
-        dims.insert(t.to_string(), vec![n, n]);
-    }
-    let want = oracle::evaluate(&assignment, &dims, &inputs).unwrap();
     let got_ring = ring.execute(&inputs).unwrap().output;
-    assert_close(&got_ring, &want, "allgather");
+    assert_oracle(&problem, &inputs, &got_ring, "allgather");
     let got_naive = naive.execute(&inputs).unwrap().output;
     for (x, y) in got_naive.iter().zip(&got_ring) {
         assert_eq!(x.to_bits(), y.to_bits(), "allgather lowering is exact");
@@ -519,7 +501,6 @@ fn spmd_handles_cyclic_input_layouts() {
     let tiled = Format::parse("xy->xy", MemKind::Sys).unwrap();
     let cyclic = Format::parse("xy->xy @cyclic", MemKind::Sys).unwrap();
     let problem = matmul_problem(&Grid::grid2(2, 2), &[tiled, cyclic.clone(), cyclic], n);
-    let assignment = problem.assignment().unwrap().clone();
     let program = lower_problem(
         &problem,
         &Schedule::summa(2, 2, 4),
@@ -530,12 +511,7 @@ fn spmd_handles_cyclic_input_layouts() {
     inputs.insert("B".to_string(), random_data(64, 3));
     inputs.insert("C".to_string(), random_data(64, 5));
     let result = program.execute(&inputs).unwrap();
-    let mut dims = BTreeMap::new();
-    for t in ["A", "B", "C"] {
-        dims.insert(t.to_string(), vec![n, n]);
-    }
-    let want = oracle::evaluate(&assignment, &dims, &inputs).unwrap();
-    assert_close(&result.output, &want, "cyclic SUMMA");
+    assert_oracle(&problem, &inputs, &result.output, "cyclic SUMMA");
     // Cyclic holdings force strictly more traffic than matching tiles.
     assert!(program.stats().messages > 0);
 }

@@ -98,11 +98,10 @@ proptest! {
         inputs.insert("C".to_string(), random_data((n * n) as usize, seed + 1));
         let result = program.execute(&inputs).unwrap();
 
-        let want =
-            oracle::evaluate(problem.assignment().unwrap(), &problem.dims_map(), &inputs).unwrap();
-        for (g, w) in result.output.iter().zip(want.iter()) {
-            prop_assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "{g} vs {w}");
-        }
+        let checked = oracle::check(
+            problem.assignment().unwrap(), &problem.dims_map(), &inputs, &result.output, 1e-9,
+        );
+        prop_assert!(checked.is_ok(), "{checked:?}");
     }
 
     /// Rectangular matmuls (m x k times k x n) through a row-distributed
@@ -136,11 +135,10 @@ proptest! {
         inputs.insert("B".to_string(), random_data((m * k) as usize, seed));
         inputs.insert("C".to_string(), random_data((k * n) as usize, seed + 7));
         let result = program.execute(&inputs).unwrap();
-        let want =
-            oracle::evaluate(problem.assignment().unwrap(), &problem.dims_map(), &inputs).unwrap();
-        for (g, w) in result.output.iter().zip(want.iter()) {
-            prop_assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()));
-        }
+        let checked = oracle::check(
+            problem.assignment().unwrap(), &problem.dims_map(), &inputs, &result.output, 1e-9,
+        );
+        prop_assert!(checked.is_ok(), "{checked:?}");
     }
 
     /// Collective lowering is a pure re-scheduling: for random einsum
@@ -214,9 +212,8 @@ proptest! {
             oracle::evaluate(problem.assignment().unwrap(), &problem.dims_map(), &inputs).unwrap();
         for (lowered, name) in [(&tree, "tree"), (&ring, "ring")] {
             let got = lowered.execute(&inputs).unwrap();
-            for (g, w) in got.output.iter().zip(want.iter()) {
-                prop_assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "{name}: {g} vs {w}");
-            }
+            let checked = oracle::compare(&got.output, &want, 1e-9);
+            prop_assert!(checked.is_ok(), "{name}: {checked:?}");
             // Broadcast/all-gather lowering never re-associates a fold, so
             // unless a Reduce was recognized the outputs are bit-identical.
             let reassociates = lowered

@@ -17,7 +17,8 @@
 //! binding one held plan, going through a keyed `ShardedPlanCache`, and
 //! submitting to a multi-worker `ServingEngine` — and verifies all four
 //! produce bit-identical answers while the plan paths do zero
-//! re-lowering.
+//! re-lowering. `distal::core::lowering_count()` is the witness: it counts
+//! every lowering started on the calling thread, on every backend.
 //!
 //! Run with `cargo run --release --example serving`.
 
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Path 1: hold one plan, bind per request. -----------------------
     let plan = backend.plan(&problem, &schedule)?;
-    let lowerings_before = distal::core::lower::compile_count();
+    let lowerings_before = distal::core::lowering_count();
     let mut held_outputs = Vec::new();
     for r in 0..requests {
         let mut bindings = Bindings::new();
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         held_outputs.push(instance.read("A")?);
     }
     assert_eq!(
-        distal::core::lower::compile_count(),
+        distal::core::lowering_count(),
         lowerings_before,
         "binding must never re-lower"
     );
@@ -60,6 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Path 2: a keyed cache, as a multi-workload server would use. ---
     let cache = ShardedPlanCache::new(16, 1);
+    let lowerings_before = distal::core::lowering_count();
     let mut cached_outputs = Vec::new();
     for r in 0..requests {
         // Every request re-derives its key from the problem — the cache
@@ -78,6 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("plan cache    : {stats}");
     assert_eq!(stats.misses, 1, "one compile serves the whole stream");
     assert_eq!(stats.hits, requests - 1);
+    assert_eq!(distal::core::lowering_count(), lowerings_before + 1);
 
     // --- Path 3: the one-shot shim, for reference. ----------------------
     for (r, cached) in cached_outputs.iter().enumerate() {

@@ -31,15 +31,9 @@ pub fn run_against_oracle(
         .iter()
         .map(|acc| (acc.tensor.clone(), instance.read(&acc.tensor).unwrap()))
         .collect();
-    let want = distal::core::oracle::evaluate(assignment, &problem.dims_map(), &inputs).unwrap();
     let got = instance.read(&assignment.lhs.tensor).unwrap();
-    assert_eq!(got.len(), want.len(), "{assignment}");
-    for (idx, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!(
-            (g - w).abs() <= tol * (1.0 + w.abs()),
-            "{assignment}: mismatch at {idx}: {g} vs {w}"
-        );
-    }
+    distal::core::oracle::check(assignment, &problem.dims_map(), &inputs, &got, tol)
+        .unwrap_or_else(|e| panic!("{e}"));
     (instance, place, compute)
 }
 

@@ -3,9 +3,13 @@
 //! bit-identical results to a fresh `Problem::compile` with the same
 //! data, and (c) recompute nnz-derived byte accounting per instance —
 //! never inherit an earlier binding's sparsity.
+//!
+//! Plan-time work has one witness, `distal_core::lowering_count()`: one
+//! `Backend::plan` is exactly one count on every backend and mode.
 
 use distal_core::{
-    Backend, Bindings, DistalMachine, Plan, Problem, RuntimeBackend, Schedule, TensorSpec,
+    lowering_count, Backend, Bindings, DistalMachine, LeafKind, LintConfig, Plan, Problem,
+    RuntimeBackend, Schedule, TensorSpec,
 };
 use distal_format::Format;
 use distal_machine::grid::Grid;
@@ -84,33 +88,17 @@ fn runtime_plan_rebinds_match_fresh_compiles() {
 
     let seeds = [(11u64, 12u64), (21u64, 22u64), (31u64, 32u64)];
     for (round, (b_seed, c_seed)) in seeds.into_iter().enumerate() {
-        let lowerings = distal_core::lower::compile_count();
-        let applications = distal_core::schedule::apply_count();
-        let specializations = distal_core::kernelgen::specialize_count();
+        let lowerings = lowering_count();
         let mut inst = plan.bind(&seeded_bindings(b_seed, c_seed)).unwrap();
         inst.run().unwrap();
         // Nor any dependence analysis after the first binding's: place
         // and execute each replay what that one recorded.
         assert_eq!(traces(), (2, 2 * round as u64), "bind #{round}");
-        // Binding + running performs no lowering, no schedule
-        // application, and no leaf-kernel specialization, on every
+        // Binding + running performs no lowering — hence no schedule
+        // application and no leaf-kernel specialization — on every
         // binding (the second is the acceptance gate; the first already
         // holds because planning did the work).
-        assert_eq!(
-            distal_core::lower::compile_count(),
-            lowerings,
-            "bind #{round} re-lowered"
-        );
-        assert_eq!(
-            distal_core::schedule::apply_count(),
-            applications,
-            "bind #{round} re-applied the schedule"
-        );
-        assert_eq!(
-            distal_core::kernelgen::specialize_count(),
-            specializations,
-            "bind #{round} re-specialized a leaf kernel"
-        );
+        assert_eq!(lowering_count(), lowerings, "bind #{round} re-lowered");
 
         // Bit-identical to the one-shot path with the same data.
         assert_eq!(
@@ -128,19 +116,13 @@ fn spmd_plan_rebinds_match_fresh_compiles() {
     let plan = backend.plan(&shapes, &schedule).unwrap();
 
     for (b_seed, c_seed) in [(31u64, 32u64), (41u64, 42u64)] {
-        let lowerings = distal_spmd::lower_count();
-        let specializations = distal_core::kernelgen::specialize_count();
+        let lowerings = lowering_count();
         let mut inst = plan.bind(&seeded_bindings(b_seed, c_seed)).unwrap();
         inst.run().unwrap();
         assert_eq!(
-            distal_spmd::lower_count(),
+            lowering_count(),
             lowerings,
             "binding an SPMD plan re-lowered"
-        );
-        assert_eq!(
-            distal_core::kernelgen::specialize_count(),
-            specializations,
-            "binding an SPMD plan re-specialized a leaf kernel"
         );
 
         assert_eq!(
@@ -306,13 +288,67 @@ fn cost_plan_static_pricing_follows_each_binding() {
     assert!(bytes[0] < bytes[1]);
 }
 
-/// Lowering work the calling thread has done so far: runtime compilations,
-/// leaf specializations and SPMD rank lowerings (monotone per-thread
-/// counters, so an unchanged sum means none of them moved).
-fn thread_lowerings() -> u64 {
-    distal_core::lower::compile_count()
-        + distal_core::kernelgen::specialize_count()
-        + distal_spmd::lower_count()
+/// The four backend modes — runtime functional and model, SPMD on the
+/// sequential rank VM and priced under α-β — admitting under `lint`.
+fn backend_modes(lint: &LintConfig) -> [Box<dyn Backend>; 4] {
+    [
+        Box::new(RuntimeBackend::functional().with_lints(lint.clone())),
+        Box::new(RuntimeBackend::model().with_lints(lint.clone())),
+        Box::new(SpmdBackend::new().with_lints(lint.clone())),
+        Box::new(CostBackend::alpha_beta(AlphaBeta::default()).with_lints(lint.clone())),
+    ]
+}
+
+#[test]
+fn a_plan_is_one_lowering_and_a_request_none_on_every_backend_mode() {
+    // The counting contract, per backend mode and leaf choice: one
+    // `plan` is exactly +1, `bind` plus `run` +0, a plan admission
+    // denies +0, and a plan that fails inside its lowering +1 (the
+    // autoscheduler's failed lowering attempt).
+    let (shapes, summa) = matmul_shapes(8);
+    // A 4x4 launch domain on the 2x2 machine: admission denies it as a
+    // grid mismatch; with the lints allowed, the runtime lowering refuses
+    // a domain larger than the machine and the SPMD lowering one that
+    // differs from its grid.
+    let oversized = Schedule::summa(4, 4, 2);
+    let admitting = backend_modes(&LintConfig::default());
+    let permissive = backend_modes(&LintConfig::allow_all());
+    for (backend, unchecked) in admitting.iter().zip(&permissive) {
+        for leaf in [None, Some(LeafKind::Interpreter)] {
+            let leafed = |s: &Schedule| match leaf {
+                Some(kind) => s.clone().substitute(&["ii"], kind),
+                None => s.clone(),
+            };
+            let what = format!(
+                "{} {:?}, leaf {leaf:?}",
+                backend.name(),
+                backend.config_fingerprint()
+            );
+
+            let before = lowering_count();
+            let plan = backend.plan(&shapes, &leafed(&summa)).unwrap();
+            assert_eq!(lowering_count(), before + 1, "{what}: plan");
+
+            let before = lowering_count();
+            plan.bind(&seeded_bindings(1, 2)).unwrap().run().unwrap();
+            assert_eq!(lowering_count(), before, "{what}: bind + run");
+
+            let before = lowering_count();
+            let denied = backend.plan(&shapes, &leafed(&oversized));
+            assert!(
+                matches!(denied, Err(distal_core::BackendError::Verification(_))),
+                "{what}: admission let the oversized domain through"
+            );
+            assert_eq!(lowering_count(), before, "{what}: denied plan");
+
+            let before = lowering_count();
+            assert!(
+                unchecked.plan(&shapes, &leafed(&oversized)).is_err(),
+                "{what}"
+            );
+            assert_eq!(lowering_count(), before + 1, "{what}: failed lowering");
+        }
+    }
 }
 
 #[test]
@@ -327,13 +363,12 @@ fn plan_cache_serves_identical_results() {
         let name = backend.name();
         let cache = distal_core::ShardedPlanCache::new(4, 1);
         for r in 0..8u64 {
-            let before = thread_lowerings();
+            let before = lowering_count();
             let plan = cache.get_or_plan(backend, &shapes, &schedule).unwrap();
             let mut inst = plan.bind(&seeded_bindings(2 * r + 1, 2 * r + 2)).unwrap();
             let mut report = inst.run().unwrap();
-            if r > 0 {
-                assert_eq!(thread_lowerings(), before, "{name}: request {r} lowered");
-            }
+            let lowered = u64::from(r == 0);
+            assert_eq!(lowering_count(), before + lowered, "{name}: request {r}");
 
             assert_eq!(
                 bits(&inst.read("A").unwrap()),
@@ -353,19 +388,13 @@ fn plan_cache_serves_identical_results() {
 fn cold_stampede_plans_each_key_once() {
     // 16 threads race 3 keys through a cold cache, each thread asking for
     // every key in its own rotation. Single-flight: one miss and one
-    // plan's worth of lowering per key, however the race interleaves.
+    // lowering per key, however the race interleaves.
     const THREADS: usize = 16;
     let (shapes, _) = matmul_shapes(8);
     let schedules = [1, 2, 4].map(|chunk| Schedule::summa(2, 2, chunk));
     let backends: [&(dyn Backend + Sync); 2] = [&RuntimeBackend::functional(), &SpmdBackend::new()];
     for backend in backends {
         let name = backend.name();
-        // One plan's lowering work, on a key outside the raced set.
-        let before = thread_lowerings();
-        backend.plan(&shapes, &Schedule::summa(2, 2, 8)).unwrap();
-        let per_plan = thread_lowerings() - before;
-        assert!(per_plan > 0, "{name}: planning lowered nothing");
-
         // Capacity for every key in one shard: an eviction would re-miss.
         let cache = distal_core::ShardedPlanCache::new(schedules.len() * 8, 8);
         let barrier = std::sync::Barrier::new(THREADS);
@@ -375,13 +404,13 @@ fn cold_stampede_plans_each_key_once() {
                     let (cache, shapes, schedules, barrier) =
                         (&cache, &shapes, &schedules, &barrier);
                     s.spawn(move || {
-                        let before = thread_lowerings();
+                        let before = lowering_count();
                         barrier.wait();
                         for k in 0..schedules.len() {
                             let schedule = &schedules[(k + t) % schedules.len()];
                             cache.get_or_plan(backend, shapes, schedule).unwrap();
                         }
-                        thread_lowerings() - before
+                        lowering_count() - before
                     })
                 })
                 .collect();
@@ -391,6 +420,6 @@ fn cold_stampede_plans_each_key_once() {
         assert_eq!(stats.misses, schedules.len() as u64, "{name}: {stats}");
         assert_eq!(stats.requests(), (THREADS * schedules.len()) as u64);
         assert_eq!(stats.hits + stats.misses, stats.requests(), "{name}");
-        assert_eq!(lowered, per_plan * schedules.len() as u64, "{name}");
+        assert_eq!(lowered, schedules.len() as u64, "{name}");
     }
 }

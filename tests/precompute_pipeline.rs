@@ -49,16 +49,17 @@ fn run_staged(
     (second.read(output).unwrap(), flops)
 }
 
-/// The oracle's answer for the fused statement on the problem's own
-/// initial data.
-fn fused_oracle(fused: &Problem) -> Vec<f64> {
+/// Asserts `got` is the oracle's answer for the fused statement on the
+/// problem's own initial data.
+fn assert_fused_oracle(fused: &Problem, got: &[f64], what: &str) {
     let assignment = fused.assignment().unwrap();
     let inputs: BTreeMap<String, Vec<f64>> = assignment
         .input_accesses()
         .iter()
         .map(|acc| (acc.tensor.clone(), fused.initial_data(&acc.tensor).unwrap()))
         .collect();
-    oracle::evaluate(assignment, &fused.dims_map(), &inputs).unwrap()
+    oracle::check(assignment, &fused.dims_map(), &inputs, got, 1e-9)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
 }
 
 #[test]
@@ -77,8 +78,6 @@ fn triple_product_precompute_matches_oracle_and_saves_flops() {
         ],
         3,
     );
-    let want = fused_oracle(&fused);
-
     // Fused reference (for the flops comparison).
     let mut reference = fused
         .compile(&RuntimeBackend::functional(), &dist_1d(p))
@@ -101,9 +100,7 @@ fn triple_product_precompute_matches_oracle_and_saves_flops() {
             "{}: staged {staged_flops} vs fused {fused_flops}",
             backend.name()
         );
-        for (g, w) in got.iter().zip(want.iter()) {
-            assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "{g} vs {w}");
-        }
+        assert_fused_oracle(&fused, &got, backend.name());
     }
 }
 
@@ -131,9 +128,7 @@ fn mttkrp_workspace_formulation_matches_fused() {
         "T(i, j, l) = B(i, j, k) * D(k, l)"
     );
     let (got, _) = run_staged(&RuntimeBackend::functional(), stages, &dist_1d(p));
-    for (g, w) in got.iter().zip(fused_oracle(&fused).iter()) {
-        assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "{g} vs {w}");
-    }
+    assert_fused_oracle(&fused, &got, "runtime");
 }
 
 #[test]

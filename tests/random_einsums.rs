@@ -71,14 +71,9 @@ fn random_einsums_match_oracle_on_both_backends() {
                 .run()
                 .unwrap_or_else(|e| panic!("{} [{}]: {e}", case.expr, backend.name()));
             let got = artifact.read(&case.out).unwrap();
-            for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                assert!(
-                    (g - w).abs() < 1e-9 * (1.0 + w.abs()),
-                    "round {round} '{}' [{}] idx {i}: {g} vs {w}",
-                    case.expr,
-                    backend.name()
-                );
-            }
+            oracle::compare(&got, &want, 1e-9).unwrap_or_else(|e| {
+                panic!("round {round} '{}' [{}]: {e}", case.expr, backend.name())
+            });
         }
         checked += 1;
         let _ = &case.extents;

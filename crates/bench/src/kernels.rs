@@ -300,7 +300,7 @@ fn dense_arg(rect: Rect, data: ArgData<'_>) -> KernelArg<'_> {
 fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
     let matmul = distal_ir::expr::kernels::matmul();
     let kernel =
-        leaf_for(&matmul, &Schedule::new(), vec![false; 2], true, false).expect("the matmul leaf");
+        leaf_for(&matmul, &Schedule::new(), vec![false; 2], true).expect("the matmul leaf");
     assert_eq!(kernel.name(), "gemm.gen");
     let variants = gemm_variants();
     let mut rows = Vec::new();
@@ -412,8 +412,8 @@ fn triad_gbs(len: usize) -> f64 {
 /// problem.
 fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow {
     let statement = Assignment::parse("a(i) = B(i,j) * c(j)").expect("the SpMV statement");
-    let kernel = leaf_for(&statement, &Schedule::new(), vec![true, false], true, false)
-        .expect("the SpMV leaf");
+    let kernel =
+        leaf_for(&statement, &Schedule::new(), vec![true, false], true).expect("the SpMV leaf");
     assert_eq!(kernel.name(), "spmv.gen");
     let volume = (n * n) as usize;
     let image = SparseBuffer::from_dense(&[n, n], &sparse_random_data(volume, 0xB, density));

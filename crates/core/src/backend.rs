@@ -129,21 +129,15 @@ impl From<RuntimeError> for BackendError {
 /// A compilation target: lowers a [`Problem`] + [`Schedule`] to a
 /// data-independent [`Plan`], which [`Bindings`] turn into executable
 /// [`Instance`]s. See the [module docs](self).
-pub trait Backend {
+///
+/// A backend's `Debug` form is its plan identity:
+/// [`crate::cache::PlanKey`] hashes it, so every field of the value — a
+/// mode, an option, a lint level, a transport's watchdog — splits cache
+/// keys without being listed anywhere.
+pub trait Backend: fmt::Debug {
     /// Short stable name (`"runtime"`, `"spmd"`), used in
     /// [`Report::backend`], [`crate::cache::PlanKey`]s, and diagnostics.
     fn name(&self) -> &str;
-
-    /// A stable textual form of every knob that changes what
-    /// [`Backend::plan`] produces (mode, compile options, collective
-    /// configuration, cost-model parameters, …). [`crate::cache::PlanKey`]
-    /// hashes it alongside [`Backend::name`], so two differently-configured
-    /// instances of one backend never share cached plans. The default
-    /// (empty) is only right for backends without compile-relevant
-    /// configuration.
-    fn config_fingerprint(&self) -> String {
-        String::new()
-    }
 
     /// Compiles the problem's *data-independent* part for this target:
     /// schedule application, lowering, launch-domain construction — no
@@ -288,20 +282,6 @@ impl Backend for RuntimeBackend {
         "runtime"
     }
 
-    fn config_fingerprint(&self) -> String {
-        // Mode decides functional vs model plans, the executor is baked
-        // into bound instances, and the options steer the lowering — all
-        // plan-relevant. The lint fingerprint keeps differently-configured
-        // admissions from aliasing in the plan cache.
-        format!(
-            "{:?};{:?};{:?};lint={}",
-            self.mode,
-            self.executor,
-            self.options,
-            self.lint.fingerprint()
-        )
-    }
-
     fn plan(&self, problem: &Problem, schedule: &Schedule) -> Result<Box<dyn Plan>, BackendError> {
         Ok(Box::new(self.plan_typed(problem, schedule)?))
     }
@@ -415,10 +395,6 @@ impl RuntimePlan {
 }
 
 impl Plan for RuntimePlan {
-    fn backend(&self) -> &str {
-        "runtime"
-    }
-
     fn tensors(&self) -> &BTreeMap<String, TensorSpec> {
         &self.tensors
     }
@@ -516,10 +492,6 @@ impl RuntimeInstance {
 }
 
 impl Instance for RuntimeInstance {
-    fn backend(&self) -> &str {
-        "runtime"
-    }
-
     fn place(&mut self) -> Result<Report, BackendError> {
         self.timed(Self::place_stats)
     }
@@ -705,7 +677,6 @@ mod tests {
         let p = matmul_problem(8);
         let backend = RuntimeBackend::functional();
         let plan = backend.plan(&p, &Schedule::summa(2, 2, 4)).unwrap();
-        assert_eq!(plan.backend(), "runtime");
         assert_eq!(plan.tensors().len(), 3);
 
         let lowerings = crate::lowering_count();
@@ -714,7 +685,7 @@ mod tests {
             let mut b = Bindings::new();
             b.fill_random("B", seed).fill_random("C", seed + 50);
             let mut inst = plan.bind(&b).unwrap();
-            inst.run().unwrap();
+            assert_eq!(inst.run().unwrap().backend, backend.name());
             outputs.push(inst.read("A").unwrap());
         }
         // Binding performed zero schedule-application / lowering work.

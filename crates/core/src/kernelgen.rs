@@ -109,11 +109,17 @@
 //!    stride 1.
 //!
 //! Every generated kernel is **bit-identical** to
-//! [`InterpreterKernel`] over the same request: fast
+//! [`InterpreterKernel`] over the same request on finite data: fast
 //! paths reorder only independent output elements, never the
 //! accumulation order within one output element, and visiting only
 //! stored entries follows the `±0.0` argument documented in
-//! `distal-sparse`.
+//! `distal-sparse`. Only the CSR leaves skip anything; `gemm.gen` and the
+//! tape visit every point of a compressed operand's dense form, as the
+//! interpreter does. The request carries no backend-specific discipline
+//! beyond `accumulate`, so both lowerings get the same leaf for the same
+//! statement and agree bit for bit even where an operand holds Inf or
+//! NaN opposite an unstored entry (where a CSR leaf and the interpreter
+//! may not).
 //!
 //! A plan holds the kernel it was specialized to, so a plan bound many
 //! times pays for kernel generation once; the plan cache does the same
@@ -142,32 +148,12 @@ pub(crate) struct LeafRequest {
     /// The statement the leaf executes.
     pub assignment: Assignment,
     /// Per right-hand-side access (in access order): is that operand
-    /// stored in a compressed level format? Drives sparse fast paths and
-    /// zero-skipping.
+    /// stored in a compressed level format? Drives the CSR fast paths.
     pub compressed: Vec<bool>,
     /// `true` when the kernel must *add* into the output (reductions, and
     /// the SPMD rank VM which always accumulates into a zeroed buffer);
     /// `false` when it overwrites.
     pub accumulate: bool,
-    /// `true` when points where any compressed operand's gathered value
-    /// has a zero bit pattern must be skipped entirely (the SPMD VM's
-    /// pruning discipline for pure-product statements over dense tiles of
-    /// compressed tensors). Dense-path requests leave this `false`.
-    pub skip_zero: bool,
-}
-
-#[cfg(test)]
-impl LeafRequest {
-    /// A dense, non-skipping request for `assignment`.
-    pub(crate) fn dense(assignment: Assignment, accumulate: bool) -> Self {
-        let n = assignment.input_accesses().len();
-        LeafRequest {
-            assignment,
-            compressed: vec![false; n],
-            accumulate,
-            skip_zero: false,
-        }
-    }
 }
 
 /// Chooses the leaf kernel of `assignment` under `schedule`'s
@@ -175,15 +161,19 @@ impl LeafRequest {
 /// leaves) — at plan time; `bind` never reaches it.
 ///
 /// `compressed` flags the right-hand-side operands stored in a compressed
-/// level format; `accumulate` (add into the output) and `skip_zero` (skip
-/// points where a compressed operand holds a zero bit pattern) are the
-/// executing backend's discipline. Without a command, or with
-/// `LeafKind::Auto`, the request is specialized. `LeafKind::Gemm` asks
-/// for the optimized leaf of a matmul; compression still routes it to the
-/// CSR-specialized SpMM when the stored operand admits one (a strictly
-/// better "vendor kernel"). `LeafKind::Interpreter` runs the per-point
-/// reference, which never skips: over finite data that is bit-identical to
-/// a skipping kernel (the `±0.0` argument in `distal-sparse`).
+/// level format; `accumulate` (add into the output) is the executing
+/// backend's discipline. Without a command, or with `LeafKind::Auto`, the
+/// request is specialized. `LeafKind::Gemm` asks for the optimized leaf of
+/// a matmul; compression still routes it to the CSR-specialized SpMM when
+/// the stored operand admits one (a strictly better "vendor kernel").
+/// `LeafKind::Interpreter` runs the per-point reference.
+///
+/// Only the CSR leaves skip anything — the entries their operand does not
+/// store — and every other leaf, like the interpreter, visits every point.
+/// Over finite data the two are bit-identical (the `±0.0` argument in
+/// `distal-sparse`). Both backends get the same leaf for the same
+/// statement, so they agree on non-finite data too; outside the CSR
+/// shapes that is also what the interpreter computes.
 ///
 /// # Errors
 ///
@@ -194,7 +184,6 @@ pub fn leaf_for(
     schedule: &Schedule,
     compressed: Vec<bool>,
     accumulate: bool,
-    skip_zero: bool,
 ) -> Result<Arc<dyn Kernel>, CompileError> {
     match schedule.leaf_choice().map(|(_, kind)| kind) {
         Some(LeafKind::Interpreter) => {
@@ -215,7 +204,6 @@ pub fn leaf_for(
         assignment: assignment.clone(),
         compressed,
         accumulate,
-        skip_zero,
     }))
 }
 
@@ -232,11 +220,9 @@ pub(crate) fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
         .input_accesses()
         .first()
         .is_some_and(|first| first.tensor != a.lhs.tensor);
-    // The CSR paths visit exactly the first operand's stored entries,
-    // which is both the runtime's canonical sparse-leaf behaviour and the
-    // SPMD VM's pruning discipline when only that operand is compressed.
-    // This is the one place CSR-vs-dense is decided: the chosen leaf says
-    // so through `Kernel::sparse_arg`, and both lowerings read it there.
+    // The CSR paths visit exactly the first operand's stored entries. This
+    // is the one place CSR-vs-dense is decided: the chosen leaf says so
+    // through `Kernel::sparse_arg`, and both lowerings read it there.
     if pure && first_only && read_only && req.accumulate {
         if is_spmv(a) {
             return Arc::new(sparse::SpmvGenLeaf);
@@ -248,11 +234,8 @@ pub(crate) fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
             return Arc::new(sparse::SddmmGenLeaf);
         }
     }
-    // The dense GEMM never skips, so it is only valid when no skipping
-    // was requested (compressed operands outside the canonical shapes
-    // execute densely in the runtime, where skip_zero is false).
-    let skip_needed = req.skip_zero && req.compressed.contains(&true);
-    if pure && req.accumulate && !skip_needed && is_matmul(a) {
+    // Compressed operands outside the CSR shapes execute densely.
+    if pure && req.accumulate && is_matmul(a) {
         return Arc::new(GemmGenKernel);
     }
     Arc::new(TapeKernel::new(req))
@@ -324,10 +307,6 @@ pub(crate) struct TapeKernel {
     maps: Vec<Vec<usize>>,
     n_vars: usize,
     accumulate: bool,
-    /// Per input access: prune points where this operand's value has a
-    /// zero bit pattern (the SPMD VM's compressed-operand discipline).
-    skip: Vec<bool>,
-    any_skip: bool,
 }
 
 impl TapeKernel {
@@ -364,12 +343,6 @@ impl TapeKernel {
                     .enumerate()
                     .all(|(d, &vi)| vi != n_vars - 1 || d == m.len() - 1)
             });
-        let skip = if req.skip_zero {
-            req.compressed.clone()
-        } else {
-            vec![false; maps.len() - 1]
-        };
-        let any_skip = skip.iter().any(|&s| s);
         TapeKernel {
             name: if stride1 { "tape.s1" } else { "tape" },
             tape,
@@ -377,8 +350,6 @@ impl TapeKernel {
             maps,
             n_vars,
             accumulate: req.accumulate,
-            skip,
-            any_skip,
         }
     }
 }
@@ -397,20 +368,15 @@ impl Kernel for TapeKernel {
         let mut vals = vec![0.0f64; n_inputs];
         if nv == 0 {
             // Scalar statement: a single point, every access 0-d.
-            let mut pruned = false;
             for (ii, val) in vals.iter_mut().enumerate() {
-                let v = ctx.args[ii + 1].at(&[]);
-                *val = v;
-                pruned |= self.skip[ii] && v.to_bits() == 0;
+                *val = ctx.args[ii + 1].at(&[]);
             }
-            if !pruned {
-                let v = eval_tape(&self.tape, &vals, &mut stack);
-                let out = &mut ctx.args[0];
-                if self.accumulate {
-                    out.add(&[], v);
-                } else {
-                    out.set(&[], v);
-                }
+            let v = eval_tape(&self.tape, &vals, &mut stack);
+            let out = &mut ctx.args[0];
+            if self.accumulate {
+                out.add(&[], v);
+            } else {
+                out.set(&[], v);
             }
             return;
         }
@@ -454,16 +420,10 @@ impl Kernel for TapeKernel {
                 offs[ai] = o;
             }
             for step in 0..n_inner as i64 {
-                let mut pruned = false;
                 for (ii, val) in vals.iter_mut().enumerate() {
                     let ai = ii + 1;
                     let off = offs[ai] + step * strides[ai * nv + inner];
-                    let v = ctx.args[ai].data[off as usize];
-                    *val = v;
-                    pruned |= self.any_skip && self.skip[ii] && v.to_bits() == 0;
-                }
-                if pruned {
-                    continue;
+                    *val = ctx.args[ai].data[off as usize];
                 }
                 let v = eval_tape(&self.tape, &vals, &mut stack);
                 let oo = (offs[0] + step * strides[inner]) as usize;
@@ -597,6 +557,18 @@ mod tests {
     use super::*;
     use distal_machine::geom::Rect;
 
+    impl LeafRequest {
+        /// A request for `assignment` over dense operands.
+        fn dense(assignment: Assignment, accumulate: bool) -> Self {
+            let n = assignment.input_accesses().len();
+            LeafRequest {
+                assignment,
+                compressed: vec![false; n],
+                accumulate,
+            }
+        }
+    }
+
     fn data(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
         (0..n)
@@ -688,7 +660,7 @@ mod tests {
     fn leaf_for_honours_the_substitute_command() {
         let leaf = |a: &Assignment, kind: Option<LeafKind>, compressed: [bool; 2]| {
             let s = kind.map_or_else(Schedule::new, |k| Schedule::new().substitute(&["i"], k));
-            leaf_for(a, &s, compressed.to_vec(), true, true).map(|k| k.name().to_string())
+            leaf_for(a, &s, compressed.to_vec(), true).map(|k| k.name().to_string())
         };
         let mm = distal_ir::expr::kernels::matmul();
         let (dense, csr) = ([false, false], [true, false]);
@@ -716,27 +688,7 @@ mod tests {
         let a = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
         let req = LeafRequest::dense(a, true);
         assert_eq!(req.compressed, vec![false, false]);
-        assert!(req.accumulate && !req.skip_zero);
-    }
-
-    #[test]
-    fn tape_skip_zero_prunes_flagged_operands() {
-        let a = Assignment::parse("A(i) = B(i) * C(i)").unwrap();
-        let mut req = LeafRequest::dense(a, true);
-        req.compressed = vec![true, false];
-        req.skip_zero = true;
-        let tape = TapeKernel::new(&req);
-        let r = Rect::sized(&[3]);
-        let mut args = [
-            OwnedArg::dense(r, vec![0.0; 3]),
-            OwnedArg::dense(r, vec![0.0, -0.0, 2.0]),
-            OwnedArg::dense(r, vec![5.0, 5.0, 5.0]),
-        ];
-        run_on(&mut args, &[0, 2], |ctx| tape.execute(ctx));
-        // +0.0 pruned; -0.0 is a *stored* entry (nonzero bits) and
-        // computes -0.0 * 5.0 = -0.0 added into +0.0 -> +0.0.
-        assert_eq!(args[0].data, vec![0.0, 0.0, 10.0]);
-        assert_eq!(args[0].data[1].to_bits(), 0.0f64.to_bits());
+        assert!(req.accumulate);
     }
 
     #[test]
@@ -757,11 +709,11 @@ mod tests {
         let mut r = LeafRequest::dense(sddmm, true);
         r.compressed = vec![true, false, false];
         assert_eq!(specialize(&r).name(), "sddmm.gen");
-        // Compression beyond the first operand with skipping: tape.
+        // Compression beyond the first operand: no CSR shape, so the
+        // operands execute densely through the GEMM.
         let mut both = LeafRequest::dense(mm.clone(), true);
         both.compressed = vec![true, true];
-        both.skip_zero = true;
-        assert_eq!(specialize(&both).name(), "tape");
+        assert_eq!(specialize(&both).name(), "gemm.gen");
         // Literal factor: never a specialized product kernel.
         let lit = Assignment::parse("A(i,j) = B(i,k) * C(k,j) * 2.0").unwrap();
         assert_eq!(specialize(&LeafRequest::dense(lit, true)).name(), "tape");

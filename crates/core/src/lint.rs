@@ -24,12 +24,12 @@
 //! Severity is configured per lint through [`LintConfig`], rustc-style
 //! (`-A`/`-W`/`-D`): denied lints fail `plan` with
 //! [`BackendError::Verification`]; warned lints ride on the plan's
-//! diagnostics into [`crate::report::Report::diagnostics`]. The config's
-//! [`LintConfig::fingerprint`] is part of every backend's
-//! `config_fingerprint`, so differently-configured plans never alias in
-//! the [`crate::cache::ShardedPlanCache`]. The autoscheduler runs the same
-//! analysis as a pre-cost pruner: candidates with denied findings are
-//! dropped before any lowering or α-β costing.
+//! diagnostics into [`crate::report::Report::diagnostics`]. The config is
+//! a field of every backend, so it is part of the backend's `Debug` form
+//! that [`crate::cache::PlanKey`] hashes: differently-configured plans
+//! never alias in the [`crate::cache::ShardedPlanCache`]. The
+//! autoscheduler runs the same analysis as a pre-cost pruner: candidates
+//! with denied findings are dropped before any lowering or α-β costing.
 
 use crate::backend::BackendError;
 use crate::diagnostic::{Diagnostic, DiagnosticKind};
@@ -103,7 +103,7 @@ pub enum Lint {
 }
 
 impl Lint {
-    /// Every lint, in the stable order fingerprints and docs use.
+    /// Every lint, in the stable order configs and docs use.
     pub fn all() -> [Lint; 12] {
         [
             Lint::UnknownLoopVar,
@@ -172,10 +172,11 @@ impl fmt::Display for Lint {
 /// Per-lint severity configuration, rustc-style (`-A`/`-W`/`-D` per
 /// lint), plus the byte thresholds the performance lints compare against.
 ///
-/// The config participates in plan identity: every backend appends
-/// [`LintConfig::fingerprint`] to its `config_fingerprint`, so plans
-/// admitted under different configurations never alias in the
-/// [`crate::cache::ShardedPlanCache`].
+/// The config participates in plan identity through its `Debug` form,
+/// which [`crate::cache::PlanKey`] hashes with the backend holding it. It
+/// stores every lint's effective level, so two configs that behave alike
+/// — say [`LintConfig::new`] and `LintConfig::new().deny(Lint::GridMismatch)`
+/// — print, compare and key alike.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LintConfig {
     levels: BTreeMap<Lint, LintLevel>,
@@ -197,29 +198,26 @@ impl LintConfig {
     /// The default configuration: legality lints deny, performance lints
     /// warn, 1 MiB thresholds.
     pub fn new() -> Self {
-        LintConfig {
-            levels: BTreeMap::new(),
-            replication_threshold_bytes: 1 << 20,
-            undistributed_threshold_bytes: 1 << 20,
-        }
+        LintConfig::every(Lint::default_level)
     }
 
     /// Every lint at [`LintLevel::Deny`] (warnings become errors).
     pub fn deny_all() -> Self {
-        let mut c = LintConfig::new();
-        for l in Lint::all() {
-            c.levels.insert(l, LintLevel::Deny);
-        }
-        c
+        LintConfig::every(|_| LintLevel::Deny)
     }
 
     /// Every lint at [`LintLevel::Allow`] (admission is a no-op).
     pub fn allow_all() -> Self {
-        let mut c = LintConfig::new();
-        for l in Lint::all() {
-            c.levels.insert(l, LintLevel::Allow);
+        LintConfig::every(|_| LintLevel::Allow)
+    }
+
+    /// Each lint at `level(lint)`, 1 MiB thresholds.
+    fn every(level: impl Fn(Lint) -> LintLevel) -> Self {
+        LintConfig {
+            levels: Lint::all().into_iter().map(|l| (l, level(l))).collect(),
+            replication_threshold_bytes: 1 << 20,
+            undistributed_threshold_bytes: 1 << 20,
         }
-        c
     }
 
     /// Sets one lint to [`LintLevel::Deny`].
@@ -243,32 +241,9 @@ impl LintConfig {
         self
     }
 
-    /// The effective level of a lint (explicit setting or the lint's
-    /// default).
+    /// The effective level of a lint.
     pub fn level(&self, lint: Lint) -> LintLevel {
-        self.levels
-            .get(&lint)
-            .copied()
-            .unwrap_or_else(|| lint.default_level())
-    }
-
-    /// A stable textual identity of the whole configuration: every lint's
-    /// effective level (in [`Lint::all`] order) plus the byte thresholds.
-    /// Backends append this to their `config_fingerprint` so the plan
-    /// cache never aliases differently-configured plans.
-    pub fn fingerprint(&self) -> String {
-        let mut s = String::new();
-        for l in Lint::all() {
-            if !s.is_empty() {
-                s.push(',');
-            }
-            s.push_str(&format!("{l}={}", self.level(l)));
-        }
-        s.push_str(&format!(
-            ";rep={};undist={}",
-            self.replication_threshold_bytes, self.undistributed_threshold_bytes
-        ));
-        s
+        self.levels[&lint]
     }
 }
 
@@ -988,20 +963,20 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_stable_and_config_sensitive() {
+    fn configs_that_behave_alike_print_alike() {
         let a = LintConfig::new();
-        let b = LintConfig::new();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), LintConfig::deny_all().fingerprint());
-        assert_ne!(
-            a.fingerprint(),
-            LintConfig::new().allow(Lint::GridMismatch).fingerprint()
-        );
+        // Restating a default changes nothing, in behaviour or in print.
+        let restated = LintConfig::new().deny(Lint::GridMismatch);
+        assert_eq!(a, restated);
+        assert_eq!(format!("{a:?}"), format!("{restated:?}"));
+        assert_ne!(a, LintConfig::deny_all());
+        assert_ne!(a, LintConfig::new().allow(Lint::GridMismatch));
         let mut thick = LintConfig::new();
         thick.replication_threshold_bytes = 42;
-        assert_ne!(a.fingerprint(), thick.fingerprint());
-        assert!(a.fingerprint().contains("grid-mismatch=deny"));
-        assert!(a.fingerprint().contains("load-imbalance=warn"));
+        assert_ne!(format!("{a:?}"), format!("{thick:?}"));
+        let shown = format!("{a:?}");
+        assert!(shown.contains("GridMismatch: Deny"), "{shown}");
+        assert!(shown.contains("LoadImbalance: Warn"), "{shown}");
     }
 
     #[test]

@@ -200,7 +200,7 @@ pub fn compile(
     }
     // Leaf kernel, chosen once at plan time (a cached plan re-binds
     // without re-specializing): the runtime's leaves accumulate only for
-    // reductions and never prune compressed operands' unstored points.
+    // reductions.
     let inputs = assignment.input_accesses();
     let mut compressed_inputs: Vec<bool> = Vec::new();
     for acc in &inputs {
@@ -211,7 +211,6 @@ pub fn compile(
         schedule,
         compressed_inputs,
         assignment.is_reduction(),
-        false,
     )?;
     // Kernel arguments are the destination, then the inputs in order.
     let csr_operand = leaf_kernel

@@ -229,9 +229,6 @@ pub fn init_nnz(init: &TensorInit, dims: &[i64]) -> u64 {
 /// flat across `bind` and `run` on every backend — the enforced
 /// invariant).
 pub trait Plan: Send + Sync {
-    /// The producing backend's name (`"runtime"`, `"spmd"`).
-    fn backend(&self) -> &str;
-
     /// The tensors the plan was compiled against (shapes + formats fixed
     /// for the plan's lifetime).
     fn tensors(&self) -> &BTreeMap<String, TensorSpec>;
@@ -265,9 +262,6 @@ pub trait Plan: Send + Sync {
 /// be `Sync` — each request owns its instance exclusively, and all
 /// sharing happens one level up at the `Arc<dyn Plan>`.
 pub trait Instance: Send {
-    /// The producing backend's name.
-    fn backend(&self) -> &str;
-
     /// Moves tensors into their formats' distributions (a no-op report on
     /// backends whose data starts at rest).
     ///

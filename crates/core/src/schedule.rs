@@ -122,10 +122,6 @@ pub struct Schedule {
     cmds: Vec<SchedCmd>,
 }
 
-fn ivs(names: &[&str]) -> Vec<IndexVar> {
-    names.iter().map(|n| IndexVar::new(*n)).collect()
-}
-
 fn ivs_owned(names: &[String]) -> Vec<IndexVar> {
     names.iter().map(IndexVar::new).collect()
 }
@@ -358,20 +354,10 @@ impl Schedule {
         Ok(())
     }
 
-    /// The stable textual form of the schedule (see the [`fmt::Display`]
-    /// impls): the canonical identity [`crate::cache::PlanKey`] hashes.
-    /// Identically-built schedules render identically; any parameter
-    /// change (chunk sizes, grids, orders, leaf kinds) renders
-    /// differently.
-    pub fn canonical(&self) -> String {
-        self.to_string()
-    }
-
     /// The SUMMA schedule of Figure 2 for `A(i,j) = B(i,k) * C(k,j)` on a
     /// `gx × gy` grid, stepping `k` in chunks of `chunk` — including the
     /// line-40 substitution of the optimized GEMM at the leaves.
     pub fn summa(gx: i64, gy: i64, chunk: i64) -> Self {
-        let _ = ivs(&[]); // keep helper referenced for symmetric style
         Schedule::new()
             .distribute_onto(&["i", "j"], &["io", "jo"], &["ii", "ji"], &[gx, gy])
             .split("k", "ko", "ki", chunk)
@@ -542,7 +528,6 @@ mod tests {
         let a = Schedule::summa(2, 2, 16);
         let b = Schedule::summa(2, 2, 16);
         assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.canonical(), b.to_string());
         // Different chunk sizes render differently.
         let c = Schedule::summa(2, 2, 8);
         assert_ne!(a.to_string(), c.to_string());

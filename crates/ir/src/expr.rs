@@ -533,11 +533,6 @@ pub mod kernels {
         Assignment::parse("A(i,j) = B(i,j,k) * c(k)").unwrap()
     }
 
-    /// Tensor-times-matrix: `A(i,j,l) = B(i,j,k) * C(k,l)`.
-    pub fn ttm() -> Assignment {
-        Assignment::parse("A(i,j,l) = B(i,j,k) * C(k,l)").unwrap()
-    }
-
     /// Inner product: `a = B(i,j,k) * C(i,j,k)`.
     pub fn innerprod() -> Assignment {
         Assignment::parse("a = B(i,j,k) * C(i,j,k)").unwrap()

@@ -128,17 +128,6 @@ impl Grid {
         }
         Grid::grid2(best.0, best.1)
     }
-
-    /// The exact cube root of `p` when `p` is a perfect cube.
-    pub fn perfect_cube_3d(p: i64) -> Option<Grid> {
-        let c = (p as f64).cbrt().round() as i64;
-        for cand in [c - 1, c, c + 1] {
-            if cand > 0 && cand * cand * cand == p {
-                return Some(Grid::grid3(cand, cand, cand));
-            }
-        }
-        None
-    }
 }
 
 /// A hierarchical machine: a stack of grids where each processor of level
@@ -264,14 +253,6 @@ mod tests {
         assert_eq!(Grid::near_square_2d(7), Grid::grid2(1, 7));
         assert_eq!(Grid::near_square_2d(1), Grid::grid2(1, 1));
         assert_eq!(Grid::near_square_2d(12), Grid::grid2(3, 4));
-    }
-
-    #[test]
-    fn perfect_cubes() {
-        assert_eq!(Grid::perfect_cube_3d(27), Some(Grid::grid3(3, 3, 3)));
-        assert_eq!(Grid::perfect_cube_3d(64), Some(Grid::grid3(4, 4, 4)));
-        assert_eq!(Grid::perfect_cube_3d(12), None);
-        assert_eq!(Grid::perfect_cube_3d(1), Some(Grid::grid3(1, 1, 1)));
     }
 
     #[test]

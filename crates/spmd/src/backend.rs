@@ -56,24 +56,26 @@ use crate::vm::Homes;
 use distal_core::backend::{Backend, BackendError};
 use distal_core::plan::{init_nnz, Bindings, Instance, Plan};
 use distal_core::{
-    Diagnostic, LintConfig, Problem, Provenance, Report, Schedule, TensorInit, TensorSpec,
+    CompileError, Diagnostic, LintConfig, Problem, Provenance, Report, Schedule, TensorInit,
+    TensorSpec,
 };
-use distal_ir::expr::Assignment;
 use distal_machine::geom::Rect;
 use distal_runtime::Mode;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// Lowers `assignment` over the *data-independent* SPMD tensor
-/// descriptions of a problem's registry (shapes + formats, nnz unknown)
-/// onto the machine's flattened grid. nnz never shapes the lowering, only
-/// the pricing: binding attaches each request's nnz afterwards.
+/// Lowers a problem's statement over the *data-independent* SPMD tensor
+/// descriptions of its registry (shapes + formats, nnz unknown) onto the
+/// machine's flattened grid. nnz never shapes the lowering, only the
+/// pricing: binding attaches each request's nnz afterwards.
 fn lower_shapes(
     problem: &Problem,
-    assignment: &Assignment,
     schedule: &Schedule,
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
+    let assignment = problem.assignment().ok_or_else(|| {
+        SpmdError::Compile(CompileError::Expression("problem has no statement".into()))
+    })?;
     let tensors: Vec<SpmdTensor> = problem
         .tensors()
         .values()
@@ -91,9 +93,9 @@ fn lower_shapes(
 ///
 /// # Errors
 ///
-/// [`SpmdError::Schedule`] when the problem has no statement,
-/// [`SpmdError::UnknownTensor`] when a statement tensor is unregistered,
-/// [`SpmdError::InconsistentExtents`] when tensor shapes disagree,
+/// [`SpmdError::Compile`] with the [`CompileError`] the runtime backend
+/// reports for the same problem and schedule (no statement, an
+/// unregistered tensor, disagreeing shapes, a failing command, …), and
 /// [`SpmdError::Unsupported`] for hierarchical formats or a launch domain
 /// that does not match the machine grid.
 pub fn lower_problem(
@@ -101,10 +103,7 @@ pub fn lower_problem(
     schedule: &Schedule,
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
-    let assignment = problem
-        .assignment()
-        .ok_or_else(|| SpmdError::Schedule("problem has no statement".into()))?;
-    let mut program = lower_shapes(problem, assignment, schedule, collectives)?;
+    let mut program = lower_shapes(problem, schedule, collectives)?;
     for name in problem.tensors().keys() {
         program.set_tensor_nnz(name, problem.nnz_of(name));
     }
@@ -113,27 +112,12 @@ pub fn lower_problem(
 
 fn backend_err(e: SpmdError) -> BackendError {
     match e {
+        SpmdError::Compile(e) => e.into(),
         SpmdError::UnknownTensor(t) => BackendError::UnknownTensor(t),
         SpmdError::Unsupported(m) => BackendError::Unsupported(m),
-        SpmdError::Leaf(e) => BackendError::Compile(e),
         SpmdError::Data(m) => BackendError::Backend(format!("data error: {m}")),
         other => BackendError::Backend(other.to_string()),
     }
-}
-
-/// The plan-side lowering: [`lower_shapes`] of the problem's statement,
-/// with this backend's error mapping.
-fn plan_program(
-    problem: &Problem,
-    schedule: &Schedule,
-    collectives: &CollectiveConfig,
-) -> Result<SpmdProgram, BackendError> {
-    let assignment = problem.assignment().ok_or_else(|| {
-        BackendError::Compile(distal_core::CompileError::Expression(
-            "problem has no statement".into(),
-        ))
-    })?;
-    lower_shapes(problem, assignment, schedule, collectives).map_err(backend_err)
 }
 
 /// Rejects output initializers the rank VM would silently drop: it
@@ -341,8 +325,9 @@ fn verify_plan_program(program: &SpmdProgram) -> Result<Vec<Diagnostic>, Backend
 /// the runtime's simulator is the other model (`RuntimeBackend::model()`).
 #[derive(Clone, Debug, Default)]
 pub struct SpmdBackend {
-    /// Run on the rank VM, or price the lowered program only. Part of
-    /// [`Backend::config_fingerprint`], so the two never share a plan.
+    /// Run on the rank VM, or price the lowered program only. Like every
+    /// field, part of the `Debug` form a plan key hashes, so the two never
+    /// share a plan.
     pub mode: Mode,
     /// Collective recognition/lowering configuration.
     pub collectives: CollectiveConfig,
@@ -407,26 +392,11 @@ impl Backend for SpmdBackend {
         "spmd"
     }
 
-    fn config_fingerprint(&self) -> String {
-        // The mode decides what an instance does; collectives shape the
-        // lowered message schedule; the α-β model prices every bound
-        // instance's reports; the transport — every field of it, the
-        // plan keeps the whole value — changes how a bound instance runs.
-        format!(
-            "{:?};{:?};{:?};{:?};lint={}",
-            self.mode,
-            self.collectives,
-            self.model,
-            self.transport,
-            self.lint.fingerprint()
-        )
-    }
-
     fn plan(&self, problem: &Problem, schedule: &Schedule) -> Result<Box<dyn Plan>, BackendError> {
         // Schedule admission first: denied findings reject the plan
         // before any lowering happens.
         let mut diagnostics = distal_core::lint::admit(problem, schedule, &self.lint)?;
-        let program = plan_program(problem, schedule, &self.collectives)?;
+        let program = lower_shapes(problem, schedule, &self.collectives).map_err(backend_err)?;
         diagnostics.extend(verify_plan_program(&program)?);
         Ok(Box::new(SpmdPlan {
             mode: self.mode,
@@ -461,10 +431,6 @@ pub(crate) struct SpmdPlan {
 }
 
 impl Plan for SpmdPlan {
-    fn backend(&self) -> &str {
-        "spmd"
-    }
-
     fn tensors(&self) -> &BTreeMap<String, TensorSpec> {
         &self.tensors
     }
@@ -554,10 +520,6 @@ impl Drop for SpmdInstance {
 }
 
 impl Instance for SpmdInstance {
-    fn backend(&self) -> &str {
-        "spmd"
-    }
-
     fn place(&mut self) -> Result<Report, BackendError> {
         // Data starts at rest in its distribution: home pieces are
         // installed directly from the initializers, so placement is free.
@@ -635,7 +597,7 @@ impl Instance for SpmdInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distal_core::{DistalMachine, RuntimeBackend, TensorSpec};
+    use distal_core::{DistalMachine, Lint, RuntimeBackend, TensorSpec};
     use distal_format::Format;
     use distal_machine::grid::Grid;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
@@ -693,48 +655,76 @@ mod tests {
 
     #[test]
     fn differently_configured_backends_never_share_cached_plans() {
-        // Same backend *name*, different collective configuration: the
-        // cache must miss twice and serve each caller its own lowering
-        // (the point-to-point program keeps the naive owner fans).
+        // Nothing lists what a plan key covers: changing any one field of
+        // either backend — a mode, a collective topology, one α-β
+        // parameter, a transport's watchdog, a lint level — splits it, so
+        // every caller is served its own lowering.
         let p = matmul_problem(8);
         let schedule = Schedule::summa(2, 2, 4);
-        let tree = SpmdBackend::new();
-        let naive = SpmdBackend::new().with_collectives(CollectiveConfig::point_to_point());
-        let cache = distal_core::ShardedPlanCache::new(8, 1);
-        cache.get_or_plan(&tree, &p, &schedule).unwrap();
-        cache.get_or_plan(&naive, &p, &schedule).unwrap();
-        assert_eq!(cache.stats().misses, 2, "configs must split keys");
-        assert_eq!(cache.stats().hits, 0);
-        // Threaded transports that differ only in their watchdog: the plan
-        // keeps the whole transport, so each needs its own.
-        let threaded = |secs| {
-            let config = crate::ThreadedConfig {
-                threads: 2,
-                watchdog: std::time::Duration::from_secs(secs),
-            };
-            SpmdBackend::new().with_transport(Transport::Threaded(config))
+        let key = |b: &dyn Backend| distal_core::PlanKey::new(b, &p, &schedule);
+        let lints = |lint| LintConfig::new().allow(lint);
+        let mut thresholds = LintConfig::new();
+        thresholds.undistributed_threshold_bytes += 1;
+        let rt = RuntimeBackend::functional;
+        let options = |edit: fn(&mut distal_core::CompileOptions)| {
+            let mut options = distal_core::CompileOptions::default();
+            edit(&mut options);
+            rt().with_options(options)
         };
-        let cache = distal_core::ShardedPlanCache::new(8, 1);
-        cache.get_or_plan(&threaded(60), &p, &schedule).unwrap();
-        cache.get_or_plan(&threaded(1), &p, &schedule).unwrap();
-        assert_eq!(cache.stats().misses, 2, "watchdogs must split keys");
-        // Executing and pricing under one α-β model: the mode splits keys.
-        let cache = distal_core::ShardedPlanCache::new(8, 1);
-        cache
-            .get_or_plan(&SpmdBackend::new(), &p, &schedule)
-            .unwrap();
-        let priced = CostBackend::alpha_beta(AlphaBeta::default());
-        cache.get_or_plan(&priced, &p, &schedule).unwrap();
-        assert_eq!(cache.stats().misses, 2, "modes must split keys");
-        // And runtime functional vs model likewise.
-        let cache = distal_core::ShardedPlanCache::new(8, 1);
-        cache
-            .get_or_plan(&RuntimeBackend::functional(), &p, &schedule)
-            .unwrap();
-        cache
-            .get_or_plan(&RuntimeBackend::model(), &p, &schedule)
-            .unwrap();
-        assert_eq!(cache.stats().misses, 2);
+        let model = |edit: fn(&mut AlphaBeta)| {
+            let mut model = AlphaBeta::default();
+            edit(&mut model);
+            SpmdBackend {
+                model,
+                ..SpmdBackend::new()
+            }
+        };
+        let watchdog = crate::ThreadedConfig {
+            watchdog: std::time::Duration::from_secs(1),
+            ..crate::ThreadedConfig::default()
+        };
+        let backends: Vec<Box<dyn Backend>> = vec![
+            Box::new(rt()),
+            Box::new(RuntimeBackend::model()),
+            Box::new(rt().with_executor(distal_runtime::ExecutorKind::Serial)),
+            Box::new(options(|o| o.leaf_efficiency = Some(0.5))),
+            Box::new(options(|o| o.fill_output = Some(false))),
+            Box::new(options(|o| o.compute_mem = Some(MemKind::Fb))),
+            Box::new(rt().with_lints(lints(Lint::GridMismatch))),
+            Box::new(rt().with_lints(thresholds.clone())),
+            Box::new(SpmdBackend::new()),
+            Box::new(SpmdBackend {
+                mode: Mode::Model,
+                ..SpmdBackend::new()
+            }),
+            Box::new(SpmdBackend::new().with_collectives(CollectiveConfig::point_to_point())),
+            Box::new(SpmdBackend::new().with_collectives(CollectiveConfig::rings())),
+            Box::new(model(|m| m.alpha_s *= 2.0)),
+            Box::new(model(|m| m.beta_bytes_per_s *= 2.0)),
+            Box::new(model(|m| m.flops_per_s *= 2.0)),
+            Box::new(SpmdBackend::new().with_transport(Transport::threaded())),
+            Box::new(SpmdBackend::new().with_transport(Transport::threaded_with(2))),
+            Box::new(SpmdBackend::new().with_transport(Transport::Threaded(watchdog))),
+            Box::new(SpmdBackend::new().with_lints(lints(Lint::LoadImbalance))),
+            Box::new(SpmdBackend::new().with_lints(thresholds)),
+        ];
+        let keys: Vec<_> = backends.iter().map(|b| key(b.as_ref())).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (b, other) in backends.iter().zip(&keys).skip(i + 1) {
+                assert_ne!(a, other, "{:?} and {b:?} share a key", backends[i]);
+            }
+        }
+        let cache = distal_core::ShardedPlanCache::new(backends.len(), 1);
+        for backend in &backends {
+            cache.get_or_plan(backend.as_ref(), &p, &schedule).unwrap();
+        }
+        assert_eq!(cache.stats().misses, backends.len() as u64);
+        // ...and configurations that behave alike share one: restating a
+        // lint's default level is no change.
+        let restated = LintConfig::new().deny(Lint::GridMismatch);
+        assert_eq!(key(&rt().with_lints(restated.clone())), key(&rt()));
+        let spmd = SpmdBackend::new();
+        assert_eq!(key(&spmd.clone().with_lints(restated)), key(&spmd));
     }
 
     #[test]

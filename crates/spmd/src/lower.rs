@@ -21,6 +21,13 @@
 //!   home pieces are indexed once per tensor and scratch holdings once per
 //!   sequential step in a [`RectIndex`], so a need only ever sees the
 //!   holders that overlap it (`Holdings::supply`).
+//!
+//! What the two lowerings share they also decide identically: the nest
+//! analysis and the leaf (`distal_core::kernelgen::leaf_for`, asked with
+//! the same compressed flags as the runtime's lowering — only the
+//! accumulation discipline differs), and a rejection by either arrives
+//! unchanged as [`SpmdError::Compile`], so a bad schedule is the same
+//! `BackendError` on both backends.
 
 use crate::collective::{self, CollectiveConfig};
 use crate::ops::{Message, SpmdOp};
@@ -28,7 +35,7 @@ use crate::program::SpmdProgram;
 use distal_core::nest::{Env, Nest};
 use distal_core::{CompileError, Schedule};
 use distal_format::Format;
-use distal_ir::expr::{Access, Assignment, Expr};
+use distal_ir::expr::{Access, Assignment};
 use distal_machine::geom::{Point, Rect, RectIndex, RectSet};
 use distal_machine::grid::Grid;
 use std::collections::{BTreeMap, BTreeSet};
@@ -75,16 +82,15 @@ impl SpmdTensor {
 /// Errors from SPMD lowering and execution.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpmdError {
-    /// A tensor in the expression has no description.
+    /// The lowering rejected the problem or schedule for a reason both
+    /// backends share — a missing statement, an unknown tensor, a
+    /// mis-ranked access, inconsistent extents, a failing scheduling
+    /// command, an index space past the coordinate cap, a refused
+    /// `substitute` — carrying the very [`CompileError`] the runtime
+    /// backend reports for it.
+    Compile(CompileError),
+    /// A program names a tensor it has no description of.
     UnknownTensor(String),
-    /// Tensor shapes disagree about a variable's extent.
-    InconsistentExtents,
-    /// A scheduling command failed.
-    Schedule(String),
-    /// The shared leaf selection (`distal_core::kernelgen::leaf_for`)
-    /// refused the schedule's `substitute` command — the same typed error
-    /// the runtime backend reports.
-    Leaf(CompileError),
     /// The schedule/machine combination is outside this backend's scope.
     Unsupported(String),
     /// Input data missing or mis-sized at execution time.
@@ -114,10 +120,8 @@ pub enum SpmdError {
 impl fmt::Display for SpmdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SpmdError::Compile(e) => write!(f, "{e}"),
             SpmdError::UnknownTensor(t) => write!(f, "unknown tensor '{t}'"),
-            SpmdError::InconsistentExtents => write!(f, "inconsistent index extents"),
-            SpmdError::Schedule(m) => write!(f, "schedule error: {m}"),
-            SpmdError::Leaf(e) => write!(f, "{e}"),
             SpmdError::Unsupported(m) => write!(f, "unsupported by the SPMD backend: {m}"),
             SpmdError::Data(m) => write!(f, "data error: {m}"),
             SpmdError::Timeout(m) => write!(f, "threaded transport watchdog: {m}"),
@@ -198,7 +202,12 @@ fn ownership(tensor: &SpmdTensor, grid: &Grid) -> Result<Ownership, SpmdError> {
     }
     let dist = &tensor.format.distributions[0];
     dist.check_arity(tensor.dims.len(), grid.dim())
-        .map_err(|e| SpmdError::Schedule(format!("tensor '{}': {e}", tensor.name)))?;
+        .map_err(|e| {
+            SpmdError::Compile(CompileError::Format(format!(
+                "tensor '{}': {e}",
+                tensor.name
+            )))
+        })?;
     for point in grid.points() {
         let rank = grid.linearize(&point) as usize;
         pieces[rank] = dist.pieces_of(&rect, grid, &point);
@@ -217,31 +226,6 @@ pub fn torus_distance(grid: &Grid, a: &Point, b: &Point) -> i64 {
             diff.min(e - diff)
         })
         .sum()
-}
-
-/// Maps the shared nest analysis' errors onto this backend's. A mis-ranked
-/// access reports as before the analysis moved: a shape disagreement.
-fn nest_err(e: CompileError) -> SpmdError {
-    match e {
-        CompileError::UnknownTensor(t) => SpmdError::UnknownTensor(t),
-        CompileError::InconsistentExtents | CompileError::Format(_) => {
-            SpmdError::InconsistentExtents
-        }
-        CompileError::Expression(m) => SpmdError::Schedule(m),
-        CompileError::Schedule(e) => SpmdError::Schedule(e.to_string()),
-        other => SpmdError::Schedule(other.to_string()),
-    }
-}
-
-/// True for expressions that are pure products of accesses/literals — the
-/// precondition for pruning iteration points where a compressed operand
-/// stores no entry (a zero factor annihilates the whole term).
-fn is_pure_product(e: &Expr) -> bool {
-    match e {
-        Expr::Access(_) | Expr::Literal(_) => true,
-        Expr::Mul(l, r) => is_pure_product(l) && is_pure_product(r),
-        Expr::Add(_, _) => false,
-    }
 }
 
 /// A candidate supplier's place in the order [`Holdings::supply`] visits
@@ -421,9 +405,9 @@ impl<'a> Holdings<'a> {
 ///
 /// # Errors
 ///
-/// * [`SpmdError::UnknownTensor`] / [`SpmdError::InconsistentExtents`] for
-///   malformed inputs;
-/// * [`SpmdError::Schedule`] when a scheduling command fails;
+/// * [`SpmdError::Compile`] with the shared nest analysis' or leaf
+///   selection's [`CompileError`] — the runtime backend's lowering starts
+///   with the same two calls and reports the same error;
 /// * [`SpmdError::Unsupported`] for hierarchical formats or schedules whose
 ///   distributed launch domain does not match the machine grid.
 pub(crate) fn lower_with(
@@ -439,7 +423,7 @@ pub(crate) fn lower_with(
         .iter()
         .map(|t| (t.name.clone(), t.dims.clone()))
         .collect();
-    let nest = Nest::new(assignment, &dims, schedule).map_err(nest_err)?;
+    let nest = Nest::new(assignment, &dims, schedule).map_err(SpmdError::Compile)?;
     // The tensors the statement touches (every per-tensor table below is
     // keyed by these).
     let accessed: BTreeSet<&str> = assignment
@@ -571,21 +555,14 @@ pub(crate) fn lower_with(
     }
 
     // Choose the leaf kernel now, at lowering (= plan) time: the rank VM
-    // always *adds* into a zeroed accumulator, and prunes compressed
-    // operands' unstored points only for pure-product statements.
+    // always *adds* into a zeroed accumulator.
     let leaf_compressed: Vec<bool> = assignment
         .input_accesses()
         .iter()
         .map(|acc| by_name[acc.tensor.as_str()].format.has_compressed())
         .collect();
-    let leaf = distal_core::kernelgen::leaf_for(
-        assignment,
-        schedule,
-        leaf_compressed,
-        true,
-        is_pure_product(&assignment.rhs),
-    )
-    .map_err(SpmdError::Leaf)?;
+    let leaf = distal_core::kernelgen::leaf_for(assignment, schedule, leaf_compressed, true)
+        .map_err(SpmdError::Compile)?;
     let mut program = SpmdProgram {
         assignment: assignment.clone(),
         grid: grid.clone(),
@@ -710,7 +687,10 @@ mod tests {
     fn unknown_tensor_rejected() {
         let a = Assignment::parse("Z(i,j) = B(i,k) * C(k,j)").unwrap();
         let err = lower(&a, &tiled_tensors(8), &Grid::grid2(2, 2), &Schedule::new()).unwrap_err();
-        assert_eq!(err, SpmdError::UnknownTensor("Z".into()));
+        assert_eq!(
+            err,
+            SpmdError::Compile(CompileError::UnknownTensor("Z".into()))
+        );
     }
 
     #[test]

@@ -1,0 +1,151 @@
+//! What `distal-core` decides once, both backends report alike: a problem
+//! or schedule the shared lowering refuses is one typed `CompileError` on
+//! the runtime backend and on the SPMD backend (executing or pricing), and
+//! both run the same leaf for the same statement, so they agree with each
+//! other and the interpreter even on operands holding Inf or NaN.
+
+use distal::prelude::*;
+
+/// `A(i,j) = B(i,k) * C(k,j)` on a 2x2 machine with `A` and `B` 8x8 and
+/// `C` of shape `c_dims`, every tensor tiled over the grid's two axes.
+fn matmul_with_c(c_dims: Vec<i64>) -> Problem {
+    let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
+    for (name, dims) in [("A", vec![8, 8]), ("B", vec![8, 8]), ("C", c_dims)] {
+        let notation = if dims.len() == 3 { "xyz->xy" } else { "xy->xy" };
+        let tiles = Format::parse(notation, MemKind::Sys).unwrap();
+        problem.tensor(TensorSpec::new(name, dims, tiles)).unwrap();
+    }
+    problem
+}
+
+/// TTV `A(i,j) = B(i,j,k) * c(k)` on a 2-rank line, `B` compressed
+/// (`dds`) with a +0.0 at (0, 0, 1) and `c = [0.5, Inf, -1.5, 2.0]`, rows
+/// of `i` distributed.
+fn ttv_with_an_inf() -> (Problem, Schedule) {
+    let n = 4;
+    let machine = DistalMachine::flat(Grid::line(2), ProcKind::Cpu);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem.statement("A(i,j) = B(i,j,k) * c(k)").unwrap();
+    let rows = Format::parse("xy->x", MemKind::Sys).unwrap();
+    let csr = Format::parse_levels("xyz->x", "dds", MemKind::Sys).unwrap();
+    let whole = Format::undistributed_in(MemKind::Global);
+    for (name, dims, format) in [
+        ("A", vec![n, n], rows),
+        ("B", vec![n, n, n], csr),
+        ("c", vec![n], whole),
+    ] {
+        problem.tensor(TensorSpec::new(name, dims, format)).unwrap();
+    }
+    let mut b = distal::core::random_data((n * n * n) as usize, 0xB);
+    b[1] = 0.0;
+    problem.set_data("B", b).unwrap();
+    let c = vec![0.5, f64::INFINITY, -1.5, 2.0];
+    problem.set_data("c", c).unwrap();
+    let schedule = Schedule::new()
+        .divide("i", "io", "ii", 2)
+        .reorder(&["io", "ii"])
+        .distribute(&["io"]);
+    (problem, schedule)
+}
+
+#[test]
+fn every_lowering_error_is_one_typed_error_on_both_backends() {
+    // With admission out of the way, whatever the shared nest analysis or
+    // leaf choice refuses is the same `BackendError::Compile` from the
+    // runtime backend and from the SPMD backend, executing or pricing.
+    let summa = Schedule::summa(2, 2, 4);
+    // One more sequential loop than a coordinate holds.
+    let depth = distal::machine::geom::MAX_DIM + 1;
+    let (mut deep, mut rest) = (Schedule::new(), "i".to_string());
+    for level in 1..=depth {
+        let inner = format!("r{level}");
+        deep = deep.divide(&rest, &format!("i{level}"), &inner, 1);
+        rest = inner;
+    }
+    let deep = deep.communicate(&["B"], &format!("i{depth}"));
+    let (ttv, ttv_schedule) = ttv_with_an_inf();
+    let cases = [
+        (
+            "unknown loop variable",
+            matmul_with_c(vec![8, 8]),
+            Schedule::new().divide("z", "zo", "zi", 2),
+        ),
+        (
+            "mis-ranked access",
+            matmul_with_c(vec![8, 8, 8]),
+            summa.clone(),
+        ),
+        ("inconsistent extents", matmul_with_c(vec![6, 8]), summa),
+        ("over-deep sequential band", matmul_with_c(vec![8, 8]), deep),
+        (
+            "GEMM substitution on a non-matmul",
+            ttv,
+            ttv_schedule.substitute(&["ii"], LeafKind::Gemm),
+        ),
+    ];
+    let lints = LintConfig::allow_all();
+    let backends: [(&str, Box<dyn Backend>); 3] = [
+        (
+            "runtime",
+            Box::new(RuntimeBackend::functional().with_lints(lints.clone())),
+        ),
+        (
+            "spmd",
+            Box::new(SpmdBackend::new().with_lints(lints.clone())),
+        ),
+        (
+            "spmd model",
+            Box::new(CostBackend::alpha_beta(AlphaBeta::default()).with_lints(lints)),
+        ),
+    ];
+    for (what, problem, schedule) in cases {
+        let errors: Vec<CompileError> = backends
+            .iter()
+            .map(|(which, backend)| match backend.plan(&problem, &schedule) {
+                Err(BackendError::Compile(e)) => e,
+                other => panic!("{what} on {which}: {:?}", other.err()),
+            })
+            .collect();
+        assert!(errors.iter().all(|e| *e == errors[0]), "{what}: {errors:?}");
+        let named = match &errors[0] {
+            CompileError::Schedule(_) => "unknown loop variable",
+            CompileError::Format(_) => "mis-ranked access",
+            CompileError::InconsistentExtents => "inconsistent extents",
+            CompileError::TooManyDims { .. } => "over-deep sequential band",
+            CompileError::BadSubstitution(_) => "GEMM substitution on a non-matmul",
+            other => panic!("{what}: unexpected {other:?}"),
+        };
+        assert_eq!(what, named, "{:?}", errors[0]);
+    }
+}
+
+#[test]
+fn non_finite_operands_agree_with_the_interpreter_on_every_backend() {
+    // 0 · Inf is NaN, so `A(0, 0)` is NaN for any leaf that visits the
+    // point where `B` holds +0.0 opposite `c`'s Inf. TTV has no CSR leaf,
+    // so no backend's leaf skips that point: every execution is the
+    // interpreter's, bit for bit.
+    let (problem, schedule) = ttv_with_an_inf();
+    let interpreted = schedule.clone().substitute(&["ii"], LeafKind::Interpreter);
+    let read = |backend: &dyn Backend, schedule: &Schedule| {
+        let mut instance = problem.compile(backend, schedule).unwrap();
+        instance.run().unwrap();
+        instance.read("A").unwrap()
+    };
+    let want = read(&RuntimeBackend::functional(), &interpreted);
+    assert!(want[0].is_nan(), "A(0, 0) = {}", want[0]);
+    let threaded = SpmdBackend::new().with_transport(Transport::threaded_with(2));
+    for (which, got) in [
+        ("runtime", read(&RuntimeBackend::functional(), &schedule)),
+        ("spmd", read(&SpmdBackend::new(), &schedule)),
+        ("spmd threaded", read(&threaded, &schedule)),
+        ("spmd interpreter", read(&SpmdBackend::new(), &interpreted)),
+    ] {
+        assert_eq!(want.len(), got.len(), "{which}: lengths");
+        for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{which} idx {i}: {x} vs {y}");
+        }
+    }
+}

@@ -319,11 +319,7 @@ fn a_plan_is_one_lowering_and_a_request_none_on_every_backend_mode() {
                 Some(kind) => s.clone().substitute(&["ii"], kind),
                 None => s.clone(),
             };
-            let what = format!(
-                "{} {:?}, leaf {leaf:?}",
-                backend.name(),
-                backend.config_fingerprint()
-            );
+            let what = format!("{} {backend:?}, leaf {leaf:?}", backend.name());
 
             let before = lowering_count();
             let plan = backend.plan(&shapes, &leafed(&summa)).unwrap();

@@ -644,7 +644,8 @@ impl Linter<'_> {
                     );
                 }
                 if is_divide {
-                    outer_extent = Some(count.min(e));
+                    // Every part is a launch point, empty or not.
+                    outer_extent = Some(count);
                     inner_extent = Some(ceil_div(e, count.max(1)));
                 } else {
                     outer_extent = Some(ceil_div(e, count.max(1)));

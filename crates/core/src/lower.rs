@@ -78,7 +78,7 @@ pub struct CompileOptions {
     /// selects 0.95 for matmul-shaped leaves and 0.85 otherwise.
     pub leaf_efficiency: Option<f64>,
     /// Zero-fill the output before computing. `None` = automatic (filled
-    /// when the statement accumulates).
+    /// when the leaf accumulates, unless a `+=` adds to the bound output).
     pub fill_output: Option<bool>,
     /// Memory kind compute tasks materialize data in, overriding the
     /// tensors' format memory. COSMA's out-of-core GPU mode keeps tensors in
@@ -149,15 +149,8 @@ pub fn compile(
         .map(|(name, b)| (name.clone(), b.dims.clone()))
         .collect();
     let nest = Nest::new(assignment, &dims, schedule)?;
-
+    let launch_points = nest.launch_points(machine.size())?;
     let mapper = GridMapper::new(machine, phys)?;
-    let domain_size: i64 = nest.launch_domain.iter().product::<i64>().max(1);
-    if domain_size > mapper.len() as i64 {
-        return Err(CompileError::GridTooLarge {
-            required: domain_size,
-            available: mapper.len() as i64,
-        });
-    }
 
     // Output privilege.
     let leaf_reduces = assignment.is_reduction();
@@ -168,10 +161,11 @@ pub fn compile(
     } else {
         Privilege::Write
     };
-    // Zero-fill whenever the leaf accumulates into pre-existing values.
+    // Zero-fill whenever the leaf accumulates into pre-existing values,
+    // unless those are the bound output a `+=` adds to.
     let fill_output = options
         .fill_output
-        .unwrap_or(leaf_reduces && out_priv != Privilege::Write);
+        .unwrap_or(leaf_reduces && out_priv != Privilege::Write && !assignment.increment);
 
     let efficiency =
         options
@@ -206,12 +200,8 @@ pub fn compile(
     for acc in &inputs {
         compressed_inputs.push(binding(tensors, &acc.tensor)?.format.has_compressed());
     }
-    let leaf_kernel = crate::kernelgen::leaf_for(
-        assignment,
-        schedule,
-        compressed_inputs,
-        assignment.is_reduction(),
-    )?;
+    let leaf_kernel =
+        crate::kernelgen::leaf_for(assignment, schedule, compressed_inputs, leaf_reduces)?;
     // Kernel arguments are the destination, then the inputs in order.
     let csr_operand = leaf_kernel
         .sparse_arg()
@@ -230,7 +220,6 @@ pub fn compile(
             });
         }
     };
-    let domain_rect = nest.domain_rect();
     let mut total_flops = 0.0;
     let mut env = Env::new();
     for seq_point in nest.seq_rect().points() {
@@ -240,9 +229,9 @@ pub fn compile(
         // their neighbours' buffers (Figure 12) rather than the owners.
         retire_scratch(&mut compute);
         let mut tasks = Vec::new();
-        for point in domain_rect.points() {
+        for point in launch_points.points() {
             nest.bind_env(&mut env, &seq_point, &point);
-            let rank = domain_rect.linearize(&point) as i64;
+            let rank = launch_points.linearize(&point) as i64;
             // Leaf bounds per original variable, flattened to `[lo, hi]`
             // scalar pairs.
             let Some((bounds, iter_points)) = nest.leaf_bounds(&env) else {
@@ -508,22 +497,21 @@ mod tests {
     }
 
     #[test]
-    fn oversized_grid_rejected() {
-        let machine = DistalMachine::flat(Grid::grid2(8, 8), ProcKind::Cpu);
-        let phys = PhysicalMachine::new(MachineSpec::small(2)); // 4 sockets
+    fn launch_domain_larger_than_the_machine_rejected() {
+        // SUMMA's 4x4 launch on a 2x2 machine: more points than the
+        // abstract machine has, though the physical one has 16 sockets.
+        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
+        let phys = PhysicalMachine::new(MachineSpec::small(8));
         let a = distal_ir::expr::kernels::matmul();
-        let err = compile(
-            &a,
-            &bindings(64),
-            &machine,
-            &phys,
-            &Schedule::summa(8, 8, 8),
-            &CompileOptions::default(),
-        )
-        .unwrap_err();
+        let summa = Schedule::summa(4, 4, 2);
+        let options = CompileOptions::default();
+        let err = compile(&a, &bindings(8), &machine, &phys, &summa, &options);
         assert!(matches!(
             err,
-            CompileError::GridTooLarge { required: 64, .. }
+            Err(CompileError::GridTooLarge {
+                required: 16,
+                available: 4
+            })
         ));
     }
 

@@ -85,16 +85,6 @@ impl GridMapper {
             (ProcKind::Cpu, _) => local,
         }
     }
-
-    /// Number of abstract processors in use.
-    pub fn len(&self) -> usize {
-        self.procs.len()
-    }
-
-    /// True when the mapper controls no processors (never for valid grids).
-    pub fn is_empty(&self) -> bool {
-        self.procs.is_empty()
-    }
 }
 
 #[cfg(test)]

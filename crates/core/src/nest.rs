@@ -8,8 +8,9 @@
 //! tensors are re-fetched), and the leaf below the cut, whose per-point
 //! bounds come from [`distal_ir::provenance`]. Both lowerings —
 //! [`crate::lower::compile`] onto the dynamic runtime and `distal-spmd`'s
-//! static per-rank programs — iterate `seq_rect()` × `domain_rect()` over
-//! one [`Nest`], so they agree on the split by construction.
+//! static per-rank programs — iterate `seq_rect()` × `launch_points(..)`
+//! over one [`Nest`], so they agree on the split, and on the rank each
+//! launch point runs on, by construction.
 //! Each builds exactly one, nothing outside a lowering applies a
 //! schedule, and inside a plan nothing else builds a leaf kernel (the
 //! `kernels` bench calls `leaf_for` outside any plan), so
@@ -141,9 +142,24 @@ impl Nest {
         })
     }
 
-    /// The launch points (a single point when nothing is distributed).
-    pub fn domain_rect(&self) -> Rect {
-        sized_or_unit(&self.launch_domain)
+    /// The launch points (a single point when nothing is distributed) on a
+    /// machine of `processors` abstract processors: the point of row-major
+    /// index `r` runs on rank `r`, on every backend.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::GridTooLarge`] when there are more points than
+    /// processors.
+    pub fn launch_points(&self, processors: i64) -> Result<Rect, CompileError> {
+        let points = sized_or_unit(&self.launch_domain);
+        let required = points.volume();
+        if required > processors {
+            return Err(CompileError::GridTooLarge {
+                required,
+                available: processors,
+            });
+        }
+        Ok(points)
     }
 
     /// The sequential steps (a single step when no loop communicates).
@@ -233,6 +249,7 @@ mod tests {
         let (n, chunk) = (16, 4);
         let nest = Nest::new(&matmul(), &square(n), &Schedule::summa(2, 2, chunk)).unwrap();
         assert_eq!(nest.launch_domain, vec![2, 2]);
+        assert_eq!(nest.launch_points(4), Ok(Rect::sized(&[2, 2])));
         assert_eq!(nest.seq_extents, vec![n / chunk]);
         assert!(!nest.dist_reduces && nest.seq_reduces);
         assert_eq!(nest.seq_communicated().collect::<Vec<_>>(), ["B", "C"]);

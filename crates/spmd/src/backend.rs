@@ -3,12 +3,17 @@
 //! lowered program under its α-β model in [`Mode::Model`]
 //! ([`SpmdBackend::alpha_beta`]; [`CostBackend`] is its old name).
 //!
-//! It derives its [`SpmdTensor`] lists and machine grid from the shared
-//! [`Problem`] registry — callers never hand-build tensor descriptions or
-//! rebuild grids. Together with `distal_core::RuntimeBackend` it closes
-//! the paper's portability claim: the same `Problem` + `Schedule` compiles
-//! onto the dynamic runtime or the static MPI-style program, each run or
-//! modelled, all behind one [`Plan`]/[`Instance`] surface.
+//! It derives its [`SpmdTensor`] lists and machine hierarchy from the
+//! shared [`Problem`] registry — callers never hand-build tensor
+//! descriptions or rebuild grids. Together with `distal_core::RuntimeBackend`
+//! it closes the paper's portability claim: the same `Problem` + `Schedule`
+//! compiles onto the dynamic runtime or the static MPI-style program, each
+//! run or modelled, all behind one [`Plan`]/[`Instance`] surface. The two
+//! place alike — a rank's home pieces are what runtime placement gives its
+//! machine point, hierarchical formats included, and a launch point runs
+//! on the rank of its row-major index — so what plans on one plans on the
+//! other. The one binding only the runtime honours is a nonzero output
+//! initializer under `+=` (the rank VM starts outputs at zero).
 //!
 //! The plan/bind split maps exactly onto this backend's structure: the
 //! lowered [`SpmdProgram`] — message schedule, collectives, per-rank
@@ -59,6 +64,7 @@ use distal_core::{
     CompileError, Diagnostic, LintConfig, Problem, Provenance, Report, Schedule, TensorInit,
     TensorSpec,
 };
+use distal_ir::expr::Assignment;
 use distal_machine::geom::Rect;
 use distal_runtime::Mode;
 use std::collections::BTreeMap;
@@ -66,8 +72,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Lowers a problem's statement over the *data-independent* SPMD tensor
 /// descriptions of its registry (shapes + formats, nnz unknown) onto the
-/// machine's flattened grid. nnz never shapes the lowering, only the
-/// pricing: binding attaches each request's nnz afterwards.
+/// machine's hierarchy, one rank per point of its flattened grid. nnz never
+/// shapes the lowering, only the pricing: binding attaches each request's
+/// nnz afterwards.
 fn lower_shapes(
     problem: &Problem,
     schedule: &Schedule,
@@ -81,8 +88,8 @@ fn lower_shapes(
         .values()
         .map(|s| SpmdTensor::new(s.name.clone(), s.dims.clone(), s.format.clone()))
         .collect();
-    let grid = problem.machine().grid();
-    lower_with(assignment, &tensors, &grid, schedule, collectives)
+    let machine = &problem.machine().hierarchy;
+    lower_with(assignment, &tensors, machine, schedule, collectives)
 }
 
 /// Lowers a problem's statement for a schedule onto the problem machine's
@@ -94,10 +101,10 @@ fn lower_shapes(
 /// # Errors
 ///
 /// [`SpmdError::Compile`] with the [`CompileError`] the runtime backend
-/// reports for the same problem and schedule (no statement, an
-/// unregistered tensor, disagreeing shapes, a failing command, …), and
-/// [`SpmdError::Unsupported`] for hierarchical formats or a launch domain
-/// that does not match the machine grid.
+/// reports for the same problem and schedule: no statement, an
+/// unregistered tensor, disagreeing shapes, a failing command, a launch
+/// domain with more points than the machine
+/// ([`CompileError::GridTooLarge`]), a refused `substitute`, ….
 pub fn lower_problem(
     problem: &Problem,
     schedule: &Schedule,
@@ -114,23 +121,24 @@ fn backend_err(e: SpmdError) -> BackendError {
     match e {
         SpmdError::Compile(e) => e.into(),
         SpmdError::UnknownTensor(t) => BackendError::UnknownTensor(t),
-        SpmdError::Unsupported(m) => BackendError::Unsupported(m),
         SpmdError::Data(m) => BackendError::Backend(format!("data error: {m}")),
         other => BackendError::Backend(other.to_string()),
     }
 }
 
-/// Rejects output initializers the rank VM would silently drop: it
-/// always starts output accumulators and home pieces at zero, so only an
+/// Rejects the one output initializer the rank VM would silently drop: it
+/// starts output accumulators and home pieces at zero, which `=` means on
+/// both backends, but a `+=` adds to the bound output, so there only an
 /// absent initializer or an explicit zero fill is faithful.
-fn check_output_binding(out: &str, bindings: &Bindings) -> Result<(), BackendError> {
-    match bindings.get(out) {
+fn check_output_binding(assignment: &Assignment, bindings: &Bindings) -> Result<(), BackendError> {
+    let out = &assignment.lhs.tensor;
+    match bindings.get(out).filter(|_| assignment.increment) {
         None => Ok(()),
         // A zero fill matches the VM's starting state exactly.
         Some(TensorInit::Value(v)) if *v == 0.0 => Ok(()),
         Some(init) => Err(BackendError::Unsupported(format!(
-            "the SPMD backend starts output '{out}' at zero; its initializer \
-             ({init:?}) would be ignored"
+            "the SPMD backend starts output '{out}' at zero; the initializer \
+             ({init:?}) its `+=` adds to would be ignored"
         ))),
     }
 }
@@ -446,7 +454,7 @@ impl Plan for SpmdPlan {
             // initializer cannot be dropped.
             Mode::Model => SeededInputs::default(),
             Mode::Functional => {
-                check_output_binding(&self.program.assignment.lhs.tensor, bindings)?;
+                check_output_binding(&self.program.assignment, bindings)?;
                 seed_inputs(&self.tensors, &self.program, bindings)?
             }
         };
@@ -909,19 +917,21 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_output_initializer_rejected() {
-        // The VM starts outputs at zero; a nonzero initializer would be
-        // silently dropped, so binding refuses it (a zero fill is fine).
+    fn a_nonzero_output_initializer_is_refused_only_under_increment() {
+        // The VM starts outputs at zero, which is what `=` means; a `+=`
+        // would silently drop a nonzero initializer, so binding refuses it
+        // (a zero fill is fine).
+        let summa = Schedule::summa(2, 2, 4);
         let mut p = matmul_problem(8);
-        p.fill("A", 0.0).unwrap();
-        assert!(p
-            .compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))
-            .is_ok());
         p.fill("A", 1.0).unwrap();
+        assert!(p.compile(&SpmdBackend::new(), &summa).is_ok());
+        p.statement("A(i,j) += B(i,k) * C(k,j)").unwrap();
         assert!(matches!(
-            p.compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4)),
-            Err(BackendError::Unsupported(_))
+            p.compile(&SpmdBackend::new(), &summa),
+            Err(BackendError::Unsupported(m)) if m.contains("'A'")
         ));
+        p.fill("A", 0.0).unwrap();
+        assert!(p.compile(&SpmdBackend::new(), &summa).is_ok());
     }
 
     #[test]
@@ -950,13 +960,5 @@ mod tests {
             Err(other) => panic!("expected an admission rejection, got {other:?}"),
             Ok(_) => panic!("expected an admission rejection, got a plan"),
         }
-        // With the lint allowed, the lowering's own guard still refuses.
-        assert!(matches!(
-            p.compile(
-                &SpmdBackend::new().with_lints(LintConfig::allow_all()),
-                &Schedule::summa(2, 2, 4)
-            ),
-            Err(BackendError::Unsupported(_))
-        ));
     }
 }

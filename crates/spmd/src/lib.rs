@@ -40,7 +40,7 @@
 //! 5. [`backend`] plugs all of it into the unified compile pipeline:
 //!    [`SpmdBackend`] compiles a `distal_core::Problem` to an SPMD plan
 //!    behind the shared `Backend`/`Plan`/`Instance` traits (deriving
-//!    tensors and grid from the problem registry); in model mode
+//!    tensors and machine from the problem registry); in model mode
 //!    ([`SpmdBackend::alpha_beta`]) it prices candidates under the α-β
 //!    model without numerics.
 //!

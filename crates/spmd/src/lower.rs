@@ -6,12 +6,17 @@
 //! backend; but instead of emitting region requirements for a dynamic
 //! runtime to analyze, this lowering *solves* the communication statically:
 //!
+//! * Ranks are the points of the machine's flattened hierarchy, row-major;
+//!   launch point `r` (row-major over the launch domain, which may be
+//!   smaller than the machine) runs on rank `r`, and ranks past the launch
+//!   domain own data but compute nothing.
 //! * The bounds analysis of [`distal_ir::provenance`] gives the exact
 //!   rectangle of each tensor every rank touches at every sequential step.
 //! * A holdings dataflow tracks which ranks hold valid copies of which
-//!   rectangles at each step: home pieces (from the tensor's distribution
-//!   notation) are always valid; received scratch is valid for the next
-//!   step only (double buffering).
+//!   rectangles at each step: home pieces (the runtime's placement of the
+//!   tensor's format, one distribution per machine level,
+//!   `distal_format::semantics::hierarchical_pieces`) are always valid;
+//!   received scratch is valid for the next step only (double buffering).
 //! * Each needed rectangle is sourced from the *nearest* rank holding a
 //!   valid copy (torus distance, ties by rank id), falling back to home
 //!   owners — this is the policy under which systolic schedules generate
@@ -23,21 +28,23 @@
 //!   holders that overlap it (`Holdings::supply`).
 //!
 //! What the two lowerings share they also decide identically: the nest
-//! analysis and the leaf (`distal_core::kernelgen::leaf_for`, asked with
-//! the same compressed flags as the runtime's lowering — only the
-//! accumulation discipline differs), and a rejection by either arrives
-//! unchanged as [`SpmdError::Compile`], so a bad schedule is the same
-//! `BackendError` on both backends.
+//! analysis, the rank of every launch point (`Nest::launch_points`), the
+//! home pieces, and the leaf (`distal_core::kernelgen::leaf_for`, asked
+//! with the same compressed flags as the runtime's lowering — only the
+//! accumulation discipline differs), and a rejection by any of them
+//! arrives unchanged as [`SpmdError::Compile`], so a bad schedule is the
+//! same `BackendError` on both backends.
 
 use crate::collective::{self, CollectiveConfig};
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
 use distal_core::nest::{Env, Nest};
 use distal_core::{CompileError, Schedule};
+use distal_format::semantics::hierarchical_pieces;
 use distal_format::Format;
 use distal_ir::expr::{Access, Assignment};
 use distal_machine::geom::{Point, Rect, RectIndex, RectSet};
-use distal_machine::grid::Grid;
+use distal_machine::grid::{Grid, MachineHierarchy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -50,7 +57,7 @@ pub struct SpmdTensor {
     pub name: String,
     /// Dimension sizes.
     pub dims: Vec<i64>,
-    /// Distribution (single-level) + level formats + memory kind.
+    /// Distributions (one per machine level) + level formats + memory kind.
     pub format: Format,
     /// Stored entries of the tensor's data, when known (set by
     /// `lower_problem` from the problem's initializer). `None` means
@@ -91,8 +98,6 @@ pub enum SpmdError {
     Compile(CompileError),
     /// A program names a tensor it has no description of.
     UnknownTensor(String),
-    /// The schedule/machine combination is outside this backend's scope.
-    Unsupported(String),
     /// Input data missing or mis-sized at execution time.
     Data(String),
     /// The threaded transport's watchdog fired: some rank blocked on a
@@ -122,7 +127,6 @@ impl fmt::Display for SpmdError {
         match self {
             SpmdError::Compile(e) => write!(f, "{e}"),
             SpmdError::UnknownTensor(t) => write!(f, "unknown tensor '{t}'"),
-            SpmdError::Unsupported(m) => write!(f, "unsupported by the SPMD backend: {m}"),
             SpmdError::Data(m) => write!(f, "data error: {m}"),
             SpmdError::Timeout(m) => write!(f, "threaded transport watchdog: {m}"),
             SpmdError::Uncovered {
@@ -175,44 +179,21 @@ impl Ownership {
     }
 }
 
-/// Builds the home-piece table of a tensor: distributed formats follow
-/// their distribution notation; undistributed tensors live whole on rank 0.
-fn ownership(tensor: &SpmdTensor, grid: &Grid) -> Result<Ownership, SpmdError> {
-    let ranks = grid.size() as usize;
+/// Builds the home-piece table of a tensor: rank `r` (the machine point
+/// `points[r]` of the flattened hierarchy) holds the pieces the runtime's
+/// placement gives that point, one distribution per machine level;
+/// undistributed tensors live whole on rank 0.
+fn ownership(tensor: &SpmdTensor, machine: &MachineHierarchy, points: &[Point]) -> Ownership {
     let rect = Rect::sized(&tensor.dims);
-    let mut pieces = vec![Vec::new(); ranks];
     if !tensor.format.is_distributed() {
+        let mut pieces = vec![Vec::new(); points.len()];
         pieces[0].push(rect);
-        return Ok(Ownership::new(pieces));
+        return Ownership::new(pieces);
     }
-    if tensor.format.distributions.len() != 1 {
-        return Err(SpmdError::Unsupported(format!(
-            "tensor '{}' has a hierarchical format with {} levels ({}); \
-             the SPMD backend targets flat machines",
-            tensor.name,
-            tensor.format.distributions.len(),
-            tensor
-                .format
-                .distributions
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )));
-    }
-    let dist = &tensor.format.distributions[0];
-    dist.check_arity(tensor.dims.len(), grid.dim())
-        .map_err(|e| {
-            SpmdError::Compile(CompileError::Format(format!(
-                "tensor '{}': {e}",
-                tensor.name
-            )))
-        })?;
-    for point in grid.points() {
-        let rank = grid.linearize(&point) as usize;
-        pieces[rank] = dist.pieces_of(&rect, grid, &point);
-    }
-    Ok(Ownership::new(pieces))
+    let pieces = points
+        .iter()
+        .map(|point| hierarchical_pieces(&tensor.format.distributions, &rect, machine, point));
+    Ownership::new(pieces.collect())
 }
 
 /// Torus hop distance between two grid coordinates (systolic machines wrap
@@ -405,15 +386,13 @@ impl<'a> Holdings<'a> {
 ///
 /// # Errors
 ///
-/// * [`SpmdError::Compile`] with the shared nest analysis' or leaf
-///   selection's [`CompileError`] — the runtime backend's lowering starts
-///   with the same two calls and reports the same error;
-/// * [`SpmdError::Unsupported`] for hierarchical formats or schedules whose
-///   distributed launch domain does not match the machine grid.
+/// [`SpmdError::Compile`] with the shared nest analysis', launch check's or
+/// leaf selection's [`CompileError`] — the runtime backend's lowering
+/// starts with the same calls and reports the same error.
 pub(crate) fn lower_with(
     assignment: &Assignment,
     tensors: &[SpmdTensor],
-    grid: &Grid,
+    machine: &MachineHierarchy,
     schedule: &Schedule,
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
@@ -424,6 +403,10 @@ pub(crate) fn lower_with(
         .map(|t| (t.name.clone(), t.dims.clone()))
         .collect();
     let nest = Nest::new(assignment, &dims, schedule).map_err(SpmdError::Compile)?;
+    let grid = machine.flat_grid();
+    let launch_points = nest
+        .launch_points(grid.size())
+        .map_err(SpmdError::Compile)?;
     // The tensors the statement touches (every per-tensor table below is
     // keyed by these).
     let accessed: BTreeSet<&str> = assignment
@@ -431,27 +414,18 @@ pub(crate) fn lower_with(
         .iter()
         .map(|acc| acc.tensor.as_str())
         .collect();
-
-    if !nest.launch_domain.is_empty() && nest.launch_domain != grid.dims() {
-        return Err(SpmdError::Unsupported(format!(
-            "distributed launch domain {:?} must match the machine grid {:?} \
-             (the SPMD backend identifies ranks with grid points)",
-            nest.launch_domain,
-            grid.dims()
-        )));
-    }
     let ranks = grid.size() as usize;
 
-    // Ownership tables.
+    // Ownership tables, over every rank's point of the flattened machine.
+    let points: Vec<Point> = grid.points().collect();
     let mut owners: BTreeMap<String, Ownership> = BTreeMap::new();
     for name in &accessed {
-        owners.insert(name.to_string(), ownership(by_name[name], grid)?);
+        owners.insert(name.to_string(), ownership(by_name[name], machine, &points));
     }
 
     let flops_per_point = assignment.flops_per_point();
     let out_name = assignment.lhs.tensor.clone();
     let out_dims = &by_name[out_name.as_str()].dims;
-    let domain_rect = nest.domain_rect();
 
     // The one copy of every op: the global `(rank, op)` stream, filed
     // into the per-rank lists once the collective pass has rewritten it.
@@ -460,10 +434,9 @@ pub(crate) fn lower_with(
 
     // One holdings dataflow per accessed tensor; every input access is
     // resolved to its tensor's description and dataflow here, once.
-    let points: Vec<Point> = grid.points().collect();
     let mut holdings: Vec<Holdings> = owners
         .iter()
-        .map(|(name, home)| Holdings::new(name, grid, &points, home))
+        .map(|(name, home)| Holdings::new(name, &grid, &points, home))
         .collect();
     let inputs: Vec<(&Access, &SpmdTensor, usize)> = assignment
         .input_accesses()
@@ -479,10 +452,10 @@ pub(crate) fn lower_with(
     let mut env = Env::new();
 
     for (step, seq_point) in nest.seq_rect().points().enumerate() {
-        for point in domain_rect.points() {
-            // The launch domain is the grid (checked above) or the single
-            // point 0, so a point's row-major index is its rank.
-            let rank = domain_rect.linearize(&point);
+        for point in launch_points.points() {
+            // A launch point runs on the rank of its row-major index, as
+            // the runtime's `GridMapper::proc_for_rank` runs it.
+            let rank = launch_points.linearize(&point);
             nest.bind_env(&mut env, &seq_point, &point);
             let Some((bounds, iter_points)) = nest.leaf_bounds(&env) else {
                 continue;
@@ -565,7 +538,7 @@ pub(crate) fn lower_with(
         .map_err(SpmdError::Compile)?;
     let mut program = SpmdProgram {
         assignment: assignment.clone(),
-        grid: grid.clone(),
+        grid,
         tensors: tensors.to_vec(),
         programs: vec![Vec::new(); ranks],
         order: Vec::new(),
@@ -593,13 +566,9 @@ mod tests {
         grid: &Grid,
         schedule: &Schedule,
     ) -> Result<SpmdProgram, SpmdError> {
-        lower_with(
-            assignment,
-            tensors,
-            grid,
-            schedule,
-            &CollectiveConfig::default(),
-        )
+        let machine = MachineHierarchy::flat(grid.clone());
+        let collectives = CollectiveConfig::default();
+        lower_with(assignment, tensors, &machine, schedule, &collectives)
     }
 
     fn tiled_tensors(n: i64) -> Vec<SpmdTensor> {
@@ -647,40 +616,43 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_format_rejected_with_tensor_and_format() {
+    fn launch_points_run_on_the_ranks_of_their_row_major_indices() {
+        // SUMMA's 2x2 launch on a 4x1 machine: point (x, y) runs on rank
+        // 2x + y; ranks past a smaller launch domain own data but compute
+        // nothing; a larger one is the runtime's typed error.
         let a = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
-        let mut tensors = tiled_tensors(8);
-        tensors[1].format = Format::hierarchical(
-            vec![
-                distal_format::TensorDistribution::parse("xy->xy").unwrap(),
-                distal_format::TensorDistribution::parse("xy->x").unwrap(),
-            ],
-            MemKind::Sys,
-        );
-        let err = lower(&a, &tensors, &Grid::grid2(2, 2), &Schedule::summa(2, 2, 4)).unwrap_err();
-        let SpmdError::Unsupported(msg) = &err else {
-            panic!("expected Unsupported, got {err:?}");
+        let computes = |grid: &Grid, schedule: &Schedule| {
+            let mut tensors = tiled_tensors(8);
+            if grid.dim() == 1 {
+                let rows = Format::parse("xy->x", MemKind::Sys).unwrap();
+                tensors.iter_mut().for_each(|t| t.format = rows.clone());
+            }
+            let p = lower(&a, &tensors, grid, schedule)?;
+            let leaves = |r| {
+                p.rank_ops(r)
+                    .iter()
+                    .filter(|o| matches!(o, SpmdOp::Compute { .. }))
+            };
+            Ok::<_, SpmdError>(
+                (0..p.ranks())
+                    .map(|r| leaves(r).count())
+                    .collect::<Vec<_>>(),
+            )
         };
-        // The diagnostic names the offending tensor AND its format.
-        assert!(msg.contains("'B'"), "missing tensor name: {msg}");
-        assert!(msg.contains("2 levels"), "missing level count: {msg}");
-        assert!(
-            msg.contains("xy ↦ xy") && msg.contains("xy ↦ x"),
-            "missing offending distributions: {msg}"
+        assert_eq!(
+            computes(&Grid::grid2(4, 1), &Schedule::summa(2, 2, 4)),
+            Ok(vec![2; 4])
         );
-    }
-
-    #[test]
-    fn mismatched_grid_rejected() {
-        let a = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
-        let err = lower(
-            &a,
-            &tiled_tensors(8),
-            &Grid::grid2(4, 1),
-            &Schedule::summa(2, 2, 4),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SpmdError::Unsupported(_)));
+        let halves = Schedule::new()
+            .divide("i", "io", "ii", 2)
+            .distribute(&["io"]);
+        assert_eq!(computes(&Grid::line(4), &halves), Ok(vec![1, 1, 0, 0]));
+        let too_large = CompileError::GridTooLarge {
+            required: 16,
+            available: 4,
+        };
+        let err = computes(&Grid::grid2(2, 2), &Schedule::summa(4, 4, 2));
+        assert_eq!(err, Err(SpmdError::Compile(too_large)));
     }
 
     #[test]
@@ -801,8 +773,8 @@ mod tests {
                 None => Format::undistributed(),
             };
             let tensor = SpmdTensor::new("T", vec![dims.0, dims.1], format);
-            let home = ownership(&tensor, &grid).unwrap();
             let points: Vec<Point> = grid.points().collect();
+            let home = ownership(&tensor, &MachineHierarchy::flat(grid.clone()), &points);
             let mut holdings = Holdings::new("T", &grid, &points, &home);
             // Needs: (start, length) per dimension, clipped to the tensor;
             // length 0 is an empty need.

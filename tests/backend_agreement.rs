@@ -2,7 +2,9 @@
 //! or schedule the shared lowering refuses is one typed `CompileError` on
 //! the runtime backend and on the SPMD backend (executing or pricing), and
 //! both run the same leaf for the same statement, so they agree with each
-//! other and the interpreter even on operands holding Inf or NaN.
+//! other and the interpreter even on operands holding Inf or NaN. A bound
+//! output means one thing too: `=` ignores it on every backend, and a
+//! `+=` adds to it whatever the schedule.
 
 use distal::prelude::*;
 
@@ -52,9 +54,10 @@ fn ttv_with_an_inf() -> (Problem, Schedule) {
 
 #[test]
 fn every_lowering_error_is_one_typed_error_on_both_backends() {
-    // With admission out of the way, whatever the shared nest analysis or
-    // leaf choice refuses is the same `BackendError::Compile` from the
-    // runtime backend and from the SPMD backend, executing or pricing.
+    // With admission out of the way, whatever the shared nest analysis,
+    // launch check or leaf choice refuses is the same
+    // `BackendError::Compile` from the runtime backend and from the SPMD
+    // backend, each executing or pricing.
     let summa = Schedule::summa(2, 2, 4);
     // One more sequential loop than a coordinate holds.
     let depth = distal::machine::geom::MAX_DIM + 1;
@@ -84,12 +87,21 @@ fn every_lowering_error_is_one_typed_error_on_both_backends() {
             ttv,
             ttv_schedule.substitute(&["ii"], LeafKind::Gemm),
         ),
+        (
+            "launch domain larger than the machine",
+            matmul_with_c(vec![8, 8]),
+            Schedule::summa(4, 4, 2),
+        ),
     ];
     let lints = LintConfig::allow_all();
-    let backends: [(&str, Box<dyn Backend>); 3] = [
+    let backends: [(&str, Box<dyn Backend>); 4] = [
         (
             "runtime",
             Box::new(RuntimeBackend::functional().with_lints(lints.clone())),
+        ),
+        (
+            "runtime model",
+            Box::new(RuntimeBackend::model().with_lints(lints.clone())),
         ),
         (
             "spmd",
@@ -115,9 +127,93 @@ fn every_lowering_error_is_one_typed_error_on_both_backends() {
             CompileError::InconsistentExtents => "inconsistent extents",
             CompileError::TooManyDims { .. } => "over-deep sequential band",
             CompileError::BadSubstitution(_) => "GEMM substitution on a non-matmul",
+            // The 4x4 launch needs 16 of the 2x2 machine's 4 processors.
+            CompileError::GridTooLarge {
+                required: 16,
+                available: 4,
+            } => "launch domain larger than the machine",
             other => panic!("{what}: unexpected {other:?}"),
         };
         assert_eq!(what, named, "{:?}", errors[0]);
+    }
+}
+
+/// The two matmul schedules a 2x2 machine runs: SUMMA (`k` stepped, the
+/// output accumulated across steps) and owner-computes (`k` whole in the
+/// leaf, the output written once).
+fn matmul_schedules() -> [(&'static str, Schedule); 2] {
+    let owner_computes = Schedule::new()
+        .distribute_onto(&["i", "j"], &["io", "jo"], &["ii", "ji"], &[2, 2])
+        .reorder(&["io", "jo", "ii", "ji", "k"])
+        .communicate(&["A", "B", "C"], "jo");
+    [
+        ("summa", Schedule::summa(2, 2, 4)),
+        ("owner-computes", owner_computes),
+    ]
+}
+
+/// Compiles and runs `problem` under `schedule` on `backend`, reading `A`.
+fn read_a(
+    problem: &Problem,
+    backend: &dyn Backend,
+    schedule: &Schedule,
+) -> Result<Vec<f64>, BackendError> {
+    let mut instance = problem.compile(backend, schedule)?;
+    instance.run()?;
+    instance.read("A")
+}
+
+/// `statement`, a matmul into `A`, over 8x8 tiled tensors with `B` and `C`
+/// seeded, beside `B·C` by the sequential oracle.
+fn seeded_matmul(statement: &str) -> (Problem, Vec<f64>) {
+    let mut problem = matmul_with_c(vec![8, 8]);
+    problem.statement(statement).unwrap();
+    problem.fill_random("B", 1).unwrap();
+    problem.fill_random("C", 2).unwrap();
+    let inputs = ["B", "C"].map(|t| (t.to_string(), problem.initial_data(t).unwrap()));
+    let (assignment, dims) = (problem.assignment().unwrap(), problem.dims_map());
+    let product = distal::core::oracle::evaluate(assignment, &dims, &inputs.into()).unwrap();
+    (problem, product)
+}
+
+#[test]
+fn an_assignment_overwrites_a_bound_output_on_every_backend() {
+    // `A = B*C` with `A` bound to 1.0: every backend ignores the
+    // initializer, bit for bit, under either schedule.
+    let (mut problem, product) = seeded_matmul("A(i,j) = B(i,k) * C(k,j)");
+    problem.fill("A", 1.0).unwrap();
+    let threaded = SpmdBackend::new().with_transport(Transport::threaded_with(2));
+    for (name, schedule) in matmul_schedules() {
+        let want = read_a(&problem, &RuntimeBackend::functional(), &schedule).unwrap();
+        distal::core::oracle::compare(&want, &product, 1e-9).unwrap();
+        for (which, backend) in [("spmd", &SpmdBackend::new()), ("spmd threaded", &threaded)] {
+            let got = read_a(&problem, backend, &schedule).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(&got), "{name} on {which}");
+        }
+    }
+}
+
+#[test]
+fn an_increment_adds_to_its_bound_output_under_every_schedule() {
+    // `A += B*C` with `A` bound to 1.0 is 1 + B·C whether the schedule
+    // accumulates across steps or not: no automatic zero fill overwrites
+    // the placed output.
+    let (mut problem, product) = seeded_matmul("A(i,j) += B(i,k) * C(k,j)");
+    let runtime = RuntimeBackend::functional();
+    // Unbound, the output has nothing to add to: one typed error, or one
+    // result, whatever the schedule.
+    let unbound: Vec<_> = matmul_schedules()
+        .iter()
+        .map(|(_, schedule)| read_a(&problem, &runtime, schedule))
+        .collect();
+    assert_eq!(unbound[0], unbound[1]);
+    problem.fill("A", 1.0).unwrap();
+    let plus_one: Vec<f64> = product.iter().map(|x| 1.0 + x).collect();
+    for (name, schedule) in matmul_schedules() {
+        let got = read_a(&problem, &runtime, &schedule).unwrap();
+        distal::core::oracle::compare(&got, &plus_one, 1e-9)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 

@@ -2,7 +2,8 @@
 //! `RuntimeBackend` (dynamic runtime, functional numerics) and
 //! `SpmdBackend` (static MPI-style lowering + rank VM), must produce
 //! bit-identical tensor reads and consistent normalized reports — the
-//! paper's portability claim (§3, §8) as an executable test.
+//! paper's portability claim (§3, §8) as an executable test, on flat and
+//! hierarchical machines, over launch domains of any admitted shape.
 
 use distal::algs::matmul::MatmulAlgorithm;
 use distal::algs::setup::{matmul_problem, RunConfig};
@@ -142,6 +143,65 @@ fn both_backends_match_the_oracle() {
             assert!((g - w).abs() < 1e-9, "{which}: {g} vs {w}");
         }
     }
+}
+
+/// `A(i,j) = B(i,k) * C(k,j)` with `n x n` tensors in format `notation`
+/// on a flat `grid`, `B` and `C` seeded.
+fn matmul_on(grid: Grid, notation: &str, n: i64) -> Problem {
+    let machine = DistalMachine::flat(grid, ProcKind::Cpu);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
+    let format = Format::parse(notation, MemKind::Sys).unwrap();
+    for name in ["A", "B", "C"] {
+        let spec = TensorSpec::new(name, vec![n, n], format.clone());
+        problem.tensor(spec).unwrap();
+    }
+    problem.fill_random("B", 0xB).unwrap();
+    problem.fill_random("C", 0xC).unwrap();
+    problem
+}
+
+#[test]
+fn two_level_machine_bit_identical_on_every_executor() {
+    // Node tiles column-split across each node's GPUs: ranks own the
+    // pieces runtime placement gives their point of the hierarchy.
+    let (problem, schedule) = common::two_level_matmul(16, "xy->y");
+    common::assert_every_executor_agrees(&problem, &schedule, &LintConfig::new(), "A");
+}
+
+#[test]
+fn launch_domain_smaller_than_the_machine_bit_identical_on_every_executor() {
+    // Two launch points on four ranks: ranks 2 and 3 own rows of every
+    // tensor and compute nothing. Default admission accepts it.
+    let problem = matmul_on(Grid::line(4), "xy->x", 8);
+    let schedule = Schedule::new()
+        .divide("i", "io", "ii", 2)
+        .distribute(&["io"])
+        .communicate(&["A", "B", "C"], "io");
+    common::assert_every_executor_agrees(&problem, &schedule, &LintConfig::new(), "A");
+}
+
+#[test]
+fn summa_on_a_differently_shaped_machine_bit_identical_on_every_executor() {
+    // SUMMA's 2x2 launch on a 4x1 machine: point (x, y) runs on rank
+    // 2x + y. Admission denies the shape mismatch by default.
+    let problem = matmul_on(Grid::grid2(4, 1), "xy->xy", 8);
+    let schedule = Schedule::summa(2, 2, 4);
+    assert!(problem.plan(&SpmdBackend::new(), &schedule).is_err());
+    common::assert_every_executor_agrees(&problem, &schedule, &LintConfig::allow_all(), "A");
+}
+
+#[test]
+fn assignment_ignores_its_output_initializer_on_every_executor() {
+    // `=` overwrites the output on both backends, so a nonzero initializer
+    // changes no bit of the result.
+    let mut problem = matmul_on(Grid::grid2(2, 2), "xy->xy", 8);
+    let schedule = Schedule::summa(2, 2, 4);
+    let lints = LintConfig::new();
+    let unbound = common::assert_every_executor_agrees(&problem, &schedule, &lints, "A");
+    problem.fill("A", 1.0).unwrap();
+    let bound = common::assert_every_executor_agrees(&problem, &schedule, &lints, "A");
+    assert_eq!(unbound, bound);
 }
 
 #[test]

@@ -3,12 +3,109 @@
 //! (`random_einsums.rs`) and the executor parity suite
 //! (`executor_parity.rs`), so the two validate the same case
 //! distribution and cannot drift apart. Plus the one oracle check every
-//! runtime-backend suite shares.
+//! runtime-backend suite shares, the one every-executor parity check, and
+//! the two-level machine problem both the hierarchy and the parity suites
+//! run.
 #![allow(dead_code)] // each test binary uses a subset
 
 use distal::prelude::*;
+use distal::spmd::{lower_problem, verify_program, CollectiveConfig};
 use distal_format::notation::{DimName, TensorDistribution};
 use std::collections::BTreeMap;
+
+/// Runs `problem` under `schedule`, admitted under `lints`, on every
+/// executor: the runtime backend with the `Serial` and the `Parallel`
+/// executor, and the SPMD backend on the sequential and the threaded
+/// transport under point-to-point, tree and ring collectives. Asserts that
+/// each read of `out` is bit for bit the serial runtime's, and that each
+/// SPMD lowering passes the static verifier without a finding. Returns the
+/// agreed read.
+pub fn assert_every_executor_agrees(
+    problem: &Problem,
+    schedule: &Schedule,
+    lints: &LintConfig,
+    out: &str,
+) -> Vec<f64> {
+    let runtime = RuntimeBackend::functional().with_lints(lints.clone());
+    let mut backends: Vec<(String, Box<dyn Backend>)> =
+        [ExecutorKind::Serial, ExecutorKind::Parallel]
+            .map(|executor| {
+                let backend = runtime.clone().with_executor(executor);
+                (
+                    format!("runtime {executor:?}"),
+                    Box::new(backend) as Box<dyn Backend>,
+                )
+            })
+            .into();
+    let configs = [
+        CollectiveConfig::point_to_point(),
+        CollectiveConfig::trees(),
+        CollectiveConfig::rings(),
+    ];
+    for collectives in configs {
+        let program = lower_problem(problem, schedule, &collectives).unwrap();
+        let findings = verify_program(&program);
+        assert!(findings.is_empty(), "{collectives:?}: {findings:?}");
+        for transport in [Transport::Sequential, Transport::threaded_with(4)] {
+            let which = format!("spmd {collectives:?} {transport:?}");
+            let spmd = SpmdBackend::new()
+                .with_lints(lints.clone())
+                .with_collectives(collectives)
+                .with_transport(transport);
+            backends.push((which, Box::new(spmd)));
+        }
+    }
+    let reads: Vec<(String, Vec<f64>)> = backends
+        .into_iter()
+        .map(|(which, backend)| {
+            let mut instance = problem
+                .compile(backend.as_ref(), schedule)
+                .unwrap_or_else(|e| panic!("{which}: {e}"));
+            instance.run().unwrap_or_else(|e| panic!("{which}: {e}"));
+            (which, instance.read(out).unwrap())
+        })
+        .collect();
+    let want = &reads[0].1;
+    for (which, got) in &reads[1..] {
+        assert_eq!(want.len(), got.len(), "{which}: lengths");
+        for (i, (x, y)) in want.iter().zip(got).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{which} idx {i}: {x} vs {y}");
+        }
+    }
+    reads[0].1.clone()
+}
+
+/// `A(i,j) = B(i,k) * C(k,j)` with `n x n` tensors on 4 nodes in a 2x2
+/// grid of 4 GPUs each (2x2x4 flattened), every tensor 2-D tiled across
+/// the nodes and each node tile split across its GPUs by `inner` (the
+/// paper's Lassen modelling), `B` and `C` seeded. The schedule
+/// distributes `i` by 2x4 and `j` by 2 over the flattened grid, mirroring
+/// the hierarchical tiling.
+pub fn two_level_matmul(n: i64, inner: &str) -> (Problem, Schedule) {
+    let machine =
+        DistalMachine::hierarchical(vec![Grid::grid2(2, 2), Grid::line(4)], ProcKind::Gpu);
+    let mut problem = Problem::new(MachineSpec::small(4), machine);
+    problem.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
+    let levels = ["xy->xy", inner].map(|d| TensorDistribution::parse(d).unwrap());
+    let format = Format::hierarchical(levels.to_vec(), MemKind::Fb);
+    for name in ["A", "B", "C"] {
+        problem
+            .tensor(TensorSpec::new(name, vec![n, n], format.clone()))
+            .unwrap();
+    }
+    problem.fill_random("B", 21).unwrap();
+    problem.fill_random("C", 22).unwrap();
+    // `i` is distributed twice, once per machine level, which admission
+    // accepts on a two-level machine.
+    let schedule = Schedule::new()
+        .divide("i", "ino", "ii", 2)
+        .divide("ii", "ig", "il", 4)
+        .divide("j", "jo", "ji", 2)
+        .reorder(&["ino", "jo", "ig", "il", "ji", "k"])
+        .distribute(&["ino", "jo", "ig"])
+        .communicate(&["A", "B", "C"], "ig");
+    (problem, schedule)
+}
 
 /// Runs `problem` under `schedule` on a functional runtime backend and
 /// asserts its output agrees with the sequential oracle (evaluated on the

@@ -144,6 +144,27 @@ fn overpartitioned_divide_warns_load_imbalance() {
 }
 
 #[test]
+fn overpartitioned_distributed_divide_launches_every_part() {
+    // Five parts of an extent of four are five launch points, empty or
+    // not — one more than the machine's four processors.
+    let p = matmul_on(4, Grid::line(4), ["xy->x", "xy->x", "xy->x"]);
+    let s = Schedule::new()
+        .divide("i", "io", "ii", 5)
+        .distribute(&["io"]);
+    let diags = reject(&p, &s, &LintConfig::new());
+    let errors: Vec<&Diagnostic> = diags.iter().filter(|d| d.is_error()).collect();
+    assert_eq!(errors.len(), 1, "{diags:?}");
+    let d = errors[0];
+    assert_eq!(d.kind, DiagnosticKind::GridMismatch);
+    assert_eq!(d.command, Some(1));
+    assert_eq!(
+        d.message,
+        "distributing io launches 5 tasks but the machine has 4 processors"
+    );
+    assert_eq!(d.fixit.as_deref(), Some("distribute at most 4 iterations"));
+}
+
+#[test]
 fn nonpositive_split_is_a_bad_chunk() {
     let s = Schedule::new().split("k", "ko", "ki", 0);
     let diags = reject(&matmul(), &s, &LintConfig::new());

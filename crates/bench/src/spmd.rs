@@ -281,7 +281,7 @@ fn cannon_steady_stats(program: &SpmdProgram) -> CommStats {
         .flatten()
         .collect();
     let refs: Vec<&Message> = steady.iter().collect();
-    CommStats::from_messages(&program.grid, program.ranks(), &refs)
+    CommStats::from_messages(program, &refs)
 }
 
 /// Execute wall time of one SUMMA on the two executable backends (the

@@ -94,6 +94,6 @@ pub use machine::DistalMachine;
 pub use mapper::GridMapper;
 pub use nest::lowering_count;
 pub use plan::{init_nnz, Bindings, Instance, Plan};
-pub use problem::{random_data, sparse_random_data, Problem, TensorInit, TensorSpec};
+pub use problem::{random_data, sparse_random_data, Problem, TensorId, TensorInit, TensorSpec};
 pub use report::{Provenance, Report};
 pub use schedule::{LeafKind, SchedCmd, Schedule};

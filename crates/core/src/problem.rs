@@ -110,6 +110,22 @@ impl TensorSpec {
     }
 }
 
+/// A registered tensor's identity below admission: its position in the
+/// problem's name-sorted registry ([`Problem::tensors`]), the index a fresh
+/// runtime's `RegionId` carries. The SPMD ops and the verifier's events
+/// carry it, and every per-tensor table there is indexed by it; a name is
+/// read back from the program's table only to render an op or a
+/// diagnostic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TensorId(pub u32);
+
+impl TensorId {
+    /// The registry position, for indexing a per-tensor table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// How a registered tensor's initial contents are defined.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TensorInit {

@@ -3,9 +3,9 @@
 //! lowered program under its α-β model in [`Mode::Model`]
 //! ([`SpmdBackend::alpha_beta`]; [`CostBackend`] is its old name).
 //!
-//! It derives its [`SpmdTensor`] lists and machine hierarchy from the
-//! shared [`Problem`] registry — callers never hand-build tensor
-//! descriptions or rebuild grids. Together with `distal_core::RuntimeBackend`
+//! It lowers over the shared [`Problem`] registry's tensors and machine
+//! hierarchy — callers never hand-build tensor descriptions or rebuild
+//! grids. Together with `distal_core::RuntimeBackend`
 //! it closes the paper's portability claim: the same `Problem` + `Schedule`
 //! compiles onto the dynamic runtime or the static MPI-style program, each
 //! run or modelled, all behind one [`Plan`]/[`Instance`] surface. The two
@@ -21,8 +21,7 @@
 //! and [`Plan::bind`] only tiles the bound inputs into the ranks' home
 //! pieces (the one copy of an input element on its way to a leaf; an
 //! instance executes against them as often as asked) and recomputes each
-//! binding's nnz-derived byte accounting
-//! ([`SpmdProgram::set_tensor_nnz`]); the message schedule is shared,
+//! binding's nnz-derived byte accounting; the message schedule is shared,
 //! never re-lowered.
 //!
 //! ```
@@ -51,7 +50,7 @@
 
 use crate::collective::CollectiveConfig;
 use crate::cost::{AlphaBeta, CostReport};
-use crate::lower::{lower_with, SpmdError, SpmdTensor};
+use crate::lower::{lower_with, SpmdError};
 use crate::ops::SpmdOp;
 use crate::program::SpmdProgram;
 use crate::resolve::Resolved;
@@ -70,8 +69,8 @@ use distal_runtime::Mode;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// Lowers a problem's statement over the *data-independent* SPMD tensor
-/// descriptions of its registry (shapes + formats, nnz unknown) onto the
+/// Lowers a problem's statement over its registry's *data-independent*
+/// tensor specs (shapes + formats, in registry order, nnz unknown) onto the
 /// machine's hierarchy, one rank per point of its flattened grid. nnz never
 /// shapes the lowering, only the pricing: binding attaches each request's
 /// nnz afterwards.
@@ -83,20 +82,16 @@ fn lower_shapes(
     let assignment = problem.assignment().ok_or_else(|| {
         SpmdError::Compile(CompileError::Expression("problem has no statement".into()))
     })?;
-    let tensors: Vec<SpmdTensor> = problem
-        .tensors()
-        .values()
-        .map(|s| SpmdTensor::new(s.name.clone(), s.dims.clone(), s.format.clone()))
-        .collect();
+    let tensors: Vec<TensorSpec> = problem.tensors().values().cloned().collect();
     let machine = &problem.machine().hierarchy;
     lower_with(assignment, &tensors, machine, schedule, collectives)
 }
 
 /// Lowers a problem's statement for a schedule onto the problem machine's
 /// (flattened) grid, with explicit collective configuration. The shared
-/// registry path every test/bench should use instead of hand-building
-/// [`SpmdTensor`] lists. It is the plan's lowering with the problem's own
-/// initializer nnz attached to the program's static accounting.
+/// registry path every test/bench lowers through. It is the plan's
+/// lowering with the problem's own initializer nnz attached to the
+/// program's static accounting.
 ///
 /// # Errors
 ///
@@ -111,16 +106,14 @@ pub fn lower_problem(
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
     let mut program = lower_shapes(problem, schedule, collectives)?;
-    for name in problem.tensors().keys() {
-        program.set_tensor_nnz(name, problem.nnz_of(name));
-    }
+    let names = problem.tensors().keys();
+    program.nnz = names.map(|name| problem.nnz_of(name)).collect();
     Ok(program)
 }
 
 fn backend_err(e: SpmdError) -> BackendError {
     match e {
         SpmdError::Compile(e) => e.into(),
-        SpmdError::UnknownTensor(t) => BackendError::UnknownTensor(t),
         SpmdError::Data(m) => BackendError::Backend(format!("data error: {m}")),
         other => BackendError::Backend(other.to_string()),
     }
@@ -147,25 +140,23 @@ fn check_output_binding(assignment: &Assignment, bindings: &Bindings) -> Result<
 /// program as-is when every tensor is dense (nnz cannot affect message
 /// pricing then), otherwise a copy carrying this binding's exact
 /// per-tensor stored-entry counts — bound tensors get their request's
-/// nnz (via `nnz_of`, so callers that already materialized the data can
-/// count from the buffer instead of regenerating the stream), unbound
-/// tensors keep the dense assumption. Purely an accounting update; never
-/// re-lowers, and never mutates the shared plan. (The copy is
-/// O(program); a per-instance sparsity overlay consulted by the pricing
-/// paths would make this O(tensors), at the cost of threading the
-/// overlay through `message_bytes`/`stats`/`cost`.)
+/// nnz (via `nnz_of`, asked per tensor id, so callers that already
+/// materialized the data can count from the buffer instead of
+/// regenerating the stream), unbound tensors keep the dense assumption.
+/// Purely an accounting update; never re-lowers, and never mutates the
+/// shared plan. (The copy is O(program); a per-instance sparsity overlay
+/// consulted by the pricing paths would make this O(tensors), at the cost
+/// of threading the overlay through `message_bytes`/`stats`/`cost`.)
 fn bound_program(
     shared: &Arc<SpmdProgram>,
-    tensors: &BTreeMap<String, TensorSpec>,
-    nnz_of: impl Fn(&str, &TensorSpec) -> Option<u64>,
+    nnz_of: impl Fn(usize, &TensorSpec) -> Option<u64>,
 ) -> Arc<SpmdProgram> {
-    if !tensors.values().any(|s| s.format.has_compressed()) {
+    if !shared.tensors.iter().any(|s| s.format.has_compressed()) {
         return Arc::clone(shared);
     }
     let mut program = (**shared).clone();
-    for (name, spec) in tensors {
-        program.set_tensor_nnz(name, nnz_of(name, spec));
-    }
+    let specs = shared.tensors.iter().enumerate();
+    program.nnz = specs.map(|(t, spec)| nnz_of(t, spec)).collect();
     Arc::new(program)
 }
 
@@ -181,34 +172,28 @@ fn bound_program(
 #[derive(Default)]
 struct SeededInputs {
     homes: Homes,
-    nnz: BTreeMap<String, u64>,
+    /// Per tensor id, the stored entries counted while seeding.
+    nnz: Vec<Option<u64>>,
     missing: Vec<String>,
 }
 
-fn seed_inputs(
-    tensors: &BTreeMap<String, TensorSpec>,
-    program: &SpmdProgram,
-    bindings: &Bindings,
-) -> Result<SeededInputs, BackendError> {
+fn seed_inputs(program: &SpmdProgram, bindings: &Bindings) -> Result<SeededInputs, BackendError> {
     let mut seeded = SeededInputs {
         homes: Homes::new(program.tensors.len()),
-        nnz: BTreeMap::new(),
+        nnz: vec![None; program.tensors.len()],
         missing: Vec::new(),
     };
-    let count_nnz = tensors.values().any(|s| s.format.has_compressed());
-    for acc in program.assignment.input_accesses() {
-        let name = &acc.tensor;
-        let seeded_already = program
-            .tensor_index(name)
-            .is_ok_and(|t| seeded.homes.holds(t));
-        let done = seeded_already
-            || seeded.missing.contains(name)
-            || *name == program.assignment.lhs.tensor;
-        let Some(spec) = tensors.get(name).filter(|_| !done) else {
+    let count_nnz = program.tensors.iter().any(|s| s.format.has_compressed());
+    for &id in &program.accessed[1..] {
+        let spec = &program.tensors[id.index()];
+        let done = id == program.output()
+            || seeded.homes.holds(id.index())
+            || seeded.missing.contains(&spec.name);
+        if done {
             continue;
-        };
-        let Some(init) = bindings.get(name) else {
-            seeded.missing.push(name.clone());
+        }
+        let Some(init) = bindings.get(&spec.name) else {
+            seeded.missing.push(spec.name.clone());
             continue;
         };
         let materialized;
@@ -220,11 +205,10 @@ fn seed_inputs(
             }
         };
         program
-            .seed(&mut seeded.homes, name, data)
+            .seed(&mut seeded.homes, id, data)
             .map_err(backend_err)?;
         if count_nnz {
-            let stored = distal_sparse::stored_entries(data);
-            seeded.nnz.insert(name.clone(), stored);
+            seeded.nnz[id.index()] = Some(distal_sparse::stored_entries(data));
         }
     }
     Ok(seeded)
@@ -455,14 +439,18 @@ impl Plan for SpmdPlan {
             Mode::Model => SeededInputs::default(),
             Mode::Functional => {
                 check_output_binding(&self.program.assignment, bindings)?;
-                seed_inputs(&self.tensors, &self.program, bindings)?
+                seed_inputs(&self.program, bindings)?
             }
         };
         // Seeded inputs were counted where they lay — a RandomSparse
         // stream materializes once, not twice.
-        let program = bound_program(&self.program, &self.tensors, |name, spec| {
-            let counted = seeded.nnz.get(name).copied();
-            counted.or_else(|| bindings.get(name).map(|init| init_nnz(init, &spec.dims)))
+        let program = bound_program(&self.program, |t, spec| {
+            let counted = seeded.nnz.get(t).copied().flatten();
+            counted.or_else(|| {
+                bindings
+                    .get(&spec.name)
+                    .map(|init| init_nnz(init, &spec.dims))
+            })
         });
         Ok(Box::new(SpmdInstance {
             mode: self.mode,
@@ -581,7 +569,7 @@ impl Instance for SpmdInstance {
     }
 
     fn read(&self, tensor: &str) -> Result<Vec<f64>, BackendError> {
-        let Ok(index) = self.program.tensor_index(tensor) else {
+        let Some(t) = self.program.tensors.iter().position(|t| t.name == tensor) else {
             return Err(BackendError::UnknownTensor(tensor.into()));
         };
         if self.mode == Mode::Model {
@@ -589,13 +577,13 @@ impl Instance for SpmdInstance {
                 "model-mode instances hold no numerics; '{tensor}' cannot be read"
             )));
         }
-        if *tensor == self.program.assignment.lhs.tensor {
+        if t == self.program.output().index() {
             return self.output.clone().ok_or_else(|| {
                 BackendError::NoData(format!("'{tensor}' is unavailable before execute()"))
             });
         }
-        let whole = Rect::sized(&self.program.tensors[index].dims);
-        self.homes.assemble(index, &whole).ok_or_else(|| {
+        let whole = Rect::sized(&self.program.tensors[t].dims);
+        self.homes.assemble(t, &whole).ok_or_else(|| {
             // Registered but neither the output nor a seeded input.
             BackendError::NoData(format!("'{tensor}' has no initializer on this instance"))
         })

@@ -37,8 +37,9 @@
 //! ([`crate::cost`]) — changes: a `g`-member broadcast drops from `g-1`
 //! serialized root sends to `⌈log₂ g⌉` rounds.
 
-use crate::ops::{Message, SpmdOp};
+use crate::ops::{Message, Named, SpmdOp};
 use crate::program::SpmdProgram;
+use distal_core::TensorId;
 use distal_machine::geom::Rect;
 use distal_machine::grid::Grid;
 use std::collections::hash_map::{Entry, HashMap};
@@ -125,7 +126,7 @@ pub struct Collective {
     /// The pattern.
     pub kind: CollectiveKind,
     /// The tensor moved.
-    pub tensor: String,
+    pub tensor: TensorId,
     /// The payload rectangle (for all-gathers: the bounding box of the
     /// members' pieces).
     pub rect: Rect,
@@ -151,19 +152,20 @@ pub struct Collective {
 
 // Rendered into the op-stream digests the lowering fingerprint suite
 // commits: the text, doubled brackets included, must not change.
-impl fmt::Display for Collective {
+impl fmt::Display for Named<'_, Collective> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = self.item;
         write!(
             f,
             "{} {}[{}] root {} over {:?} (step {}, depth {} vs naive {})",
-            self.kind,
-            self.tensor,
-            self.rect,
-            self.root,
-            self.members,
-            self.step,
-            self.depth,
-            self.naive_depth
+            c.kind,
+            self.program.tensor_name(c.tensor),
+            c.rect,
+            c.root,
+            c.members,
+            c.step,
+            c.depth,
+            c.naive_depth
         )
     }
 }
@@ -176,7 +178,7 @@ struct Fan {
     reduce: bool,
     step: usize,
     root: usize,
-    tensor: String,
+    tensor: TensorId,
     rect: Rect,
     /// Destinations (broadcast) or sources (reduce), in program order.
     peers: Vec<usize>,
@@ -191,7 +193,7 @@ enum Plan {
     Single(Fan),
     AllGather {
         step: usize,
-        tensor: String,
+        tensor: TensorId,
         /// Members in ring order; `pieces[i]` are the home rects member
         /// `i` contributes.
         members: Vec<usize>,
@@ -339,7 +341,7 @@ fn find_fans<'a>(
     program: &SpmdProgram,
     ops: impl Iterator<Item = (usize, &'a SpmdOp)>,
 ) -> Vec<Fan> {
-    let out_name = program.assignment.lhs.tensor.as_str();
+    let out = program.output();
     let mut segments = Segments::new(program.ranks());
     // Per payload identity — (segment, reduce, root, tensor, rectangle),
     // borrowed from the stream — its first send, until a second one makes
@@ -348,19 +350,19 @@ fn find_fans<'a>(
         Once { idx: usize, peer: usize, tag: u64 },
         Fan(usize),
     }
-    let mut seen: HashMap<(usize, bool, usize, &str, Rect), Seen> =
+    let mut seen: HashMap<(usize, bool, usize, TensorId, Rect), Seen> =
         HashMap::with_capacity(ops.size_hint().0 / 2);
     let mut fans: Vec<Fan> = Vec::new();
     for (idx, (_, op)) in ops.enumerate() {
         let step = segments.of(op);
         let (m, reduce) = match op {
-            SpmdOp::Send(m) if m.tensor != out_name => (m, false),
+            SpmdOp::Send(m) if m.tensor != out => (m, false),
             SpmdOp::ReduceSend(m) => (m, true),
             _ => continue,
         };
         let root = if reduce { m.to } else { m.from };
         let peer = if reduce { m.from } else { m.to };
-        match seen.entry((step, reduce, root, m.tensor.as_str(), m.rect)) {
+        match seen.entry((step, reduce, root, m.tensor, m.rect)) {
             Entry::Vacant(first) => {
                 first.insert(Seen::Once {
                     idx,
@@ -383,7 +385,7 @@ fn find_fans<'a>(
                         reduce,
                         step,
                         root,
-                        tensor: m.tensor.clone(),
+                        tensor: m.tensor,
                         rect: m.rect,
                         peers: vec![first, peer],
                         tags: vec![tag, m.tag],
@@ -396,12 +398,14 @@ fn find_fans<'a>(
     // In the order of their first sends.
     fans.sort_unstable_by_key(|f| f.first_idx);
     fans.retain(|f| {
-        !f.reduce
-            || f.peers.iter().all(|&p| {
-                program.owners[&f.tensor].pieces()[p]
-                    .iter()
-                    .all(|piece| piece.intersection(&f.rect).is_empty())
-            })
+        let Some(homes) = program.owners(f.tensor).filter(|_| f.reduce) else {
+            return true;
+        };
+        f.peers.iter().all(|&p| {
+            homes.pieces()[p]
+                .iter()
+                .all(|piece| piece.intersection(&f.rect).is_empty())
+        })
     });
     fans
 }
@@ -426,7 +430,7 @@ fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
         .collect();
     // Broadcast fans grouped on (segment, tensor, members); the stable sort
     // keeps each group in fan order.
-    let key = |i: &usize| (fans[*i].step, fans[*i].tensor.as_str(), &members[*i][..]);
+    let key = |i: &usize| (fans[*i].step, fans[*i].tensor, &members[*i][..]);
     let mut broadcasts: Vec<usize> = (0..fans.len()).filter(|&i| !fans[i].reduce).collect();
     broadcasts.sort_by(|a, b| key(a).cmp(&key(b)));
     let mut gathered = vec![false; fans.len()];
@@ -459,7 +463,7 @@ fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
         }
         plans.push(Plan::AllGather {
             step,
-            tensor: tensor.to_string(),
+            tensor,
             members: members.to_vec(),
             pieces,
             tags,
@@ -506,7 +510,7 @@ fn describe(
                 } else {
                     CollectiveKind::Broadcast
                 },
-                tensor: f.tensor.clone(),
+                tensor: f.tensor,
                 rect: f.rect,
                 root: f.root,
                 members,
@@ -528,7 +532,7 @@ fn describe(
             let naive = members.len() - 1;
             Collective {
                 kind: CollectiveKind::AllGather,
-                tensor: tensor.clone(),
+                tensor: *tensor,
                 rect,
                 root: members[0],
                 members,
@@ -611,20 +615,20 @@ fn expand(
     next_tag: &mut u64,
     out: &mut Vec<(usize, SpmdOp)>,
 ) -> Collective {
-    let mut emit = |from: usize, to: usize, tensor: &str, rect: &Rect, reduce: bool| {
+    let mut emit = |from: usize, to: usize, tensor: TensorId, rect: &Rect, reduce: bool| {
         let msg = Message {
             tag: *next_tag,
             from,
             to,
-            tensor: tensor.to_string(),
+            tensor,
             rect: *rect,
         };
         *next_tag += 1;
         if reduce {
-            out.push((from, SpmdOp::ReduceSend(msg.clone())));
+            out.push((from, SpmdOp::ReduceSend(msg)));
             out.push((to, SpmdOp::ReduceRecv(msg)));
         } else {
-            out.push((from, SpmdOp::Send(msg.clone())));
+            out.push((from, SpmdOp::Send(msg)));
             out.push((to, SpmdOp::Recv(msg)));
         }
     };
@@ -638,13 +642,13 @@ fn expand(
                 // root's inbound edge comes last.
                 for r in (0..depth).rev() {
                     for (parent, child) in round(topology, g, r) {
-                        emit(members[child], members[parent], &f.tensor, &f.rect, true);
+                        emit(members[child], members[parent], f.tensor, &f.rect, true);
                     }
                 }
             } else {
                 for r in 0..depth {
                     for (from, to) in round(topology, g, r) {
-                        emit(members[from], members[to], &f.tensor, &f.rect, false);
+                        emit(members[from], members[to], f.tensor, &f.rect, false);
                     }
                 }
             }
@@ -662,7 +666,7 @@ fn expand(
                     let origin = members[(i + g - r) % g];
                     let pos = sorted.binary_search(&origin).expect("origin is member");
                     for rect in &pieces[pos] {
-                        emit(members[i], members[(i + 1) % g], tensor, rect, false);
+                        emit(members[i], members[(i + 1) % g], *tensor, rect, false);
                     }
                 }
             }

@@ -102,8 +102,8 @@ mod vm;
 pub use backend::{lower_problem, CostBackend, SpmdBackend};
 pub use collective::{Collective, CollectiveConfig, CollectiveKind};
 pub use cost::{AlphaBeta, CostReport};
-pub use lower::{SpmdError, SpmdTensor};
-pub use ops::{Message, SpmdOp};
+pub use lower::SpmdError;
+pub use ops::{Message, Named, SpmdOp};
 pub use program::{MeasuredRun, SpmdProgram, SpmdResult};
 pub use resolve::resolve_count;
 pub use stats::CommStats;

@@ -39,52 +39,12 @@ use crate::collective::{self, CollectiveConfig};
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
 use distal_core::nest::{Env, Nest};
-use distal_core::{CompileError, Schedule};
+use distal_core::{CompileError, Schedule, TensorId, TensorSpec};
 use distal_format::semantics::hierarchical_pieces;
-use distal_format::Format;
-use distal_ir::expr::{Access, Assignment};
+use distal_ir::expr::Assignment;
 use distal_machine::geom::{Point, Rect, RectIndex, RectSet};
 use distal_machine::grid::{Grid, MachineHierarchy};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// A tensor visible to the SPMD backend: name, shape, format, and (for
-/// compressed level formats) the stored-entry count driving nnz-sized
-/// message accounting.
-#[derive(Clone, Debug)]
-pub struct SpmdTensor {
-    /// Name used in expressions.
-    pub name: String,
-    /// Dimension sizes.
-    pub dims: Vec<i64>,
-    /// Distributions (one per machine level) + level formats + memory kind.
-    pub format: Format,
-    /// Stored entries of the tensor's data, when known (set by
-    /// `lower_problem` from the problem's initializer). `None` means
-    /// "assume dense" — compressed formats then price messages at full
-    /// volume plus compression overhead.
-    pub nnz: Option<u64>,
-}
-
-impl SpmdTensor {
-    /// Creates a tensor description (nnz unknown).
-    pub fn new(name: impl Into<String>, dims: Vec<i64>, format: Format) -> Self {
-        SpmdTensor {
-            name: name.into(),
-            dims,
-            format,
-            nnz: None,
-        }
-    }
-
-    /// Fraction of stored entries (1 while `nnz` is unknown) — what the
-    /// static message-byte and cost accounting prices compressed operand
-    /// tiles by, instead of dense volume.
-    pub(crate) fn density(&self) -> f64 {
-        let volume = self.dims.iter().product::<i64>().max(1) as u64;
-        self.nnz.unwrap_or(volume).min(volume) as f64 / volume as f64
-    }
-}
 
 /// Errors from SPMD lowering and execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -96,8 +56,6 @@ pub enum SpmdError {
     /// `substitute` — carrying the very [`CompileError`] the runtime
     /// backend reports for it.
     Compile(CompileError),
-    /// A program names a tensor it has no description of.
-    UnknownTensor(String),
     /// Input data missing or mis-sized at execution time.
     Data(String),
     /// The threaded transport's watchdog fired: some rank blocked on a
@@ -126,7 +84,6 @@ impl fmt::Display for SpmdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpmdError::Compile(e) => write!(f, "{e}"),
-            SpmdError::UnknownTensor(t) => write!(f, "unknown tensor '{t}'"),
             SpmdError::Data(m) => write!(f, "data error: {m}"),
             SpmdError::Timeout(m) => write!(f, "threaded transport watchdog: {m}"),
             SpmdError::Uncovered {
@@ -183,7 +140,7 @@ impl Ownership {
 /// `points[r]` of the flattened hierarchy) holds the pieces the runtime's
 /// placement gives that point, one distribution per machine level;
 /// undistributed tensors live whole on rank 0.
-fn ownership(tensor: &SpmdTensor, machine: &MachineHierarchy, points: &[Point]) -> Ownership {
+fn ownership(tensor: &TensorSpec, machine: &MachineHierarchy, points: &[Point]) -> Ownership {
     let rect = Rect::sized(&tensor.dims);
     if !tensor.format.is_distributed() {
         let mut pieces = vec![Vec::new(); points.len()];
@@ -391,13 +348,11 @@ impl<'a> Holdings<'a> {
 /// starts with the same calls and reports the same error.
 pub(crate) fn lower_with(
     assignment: &Assignment,
-    tensors: &[SpmdTensor],
+    tensors: &[TensorSpec],
     machine: &MachineHierarchy,
     schedule: &Schedule,
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
-    let by_name: BTreeMap<&str, &SpmdTensor> =
-        tensors.iter().map(|t| (t.name.as_str(), t)).collect();
     let dims = tensors
         .iter()
         .map(|t| (t.name.clone(), t.dims.clone()))
@@ -407,45 +362,46 @@ pub(crate) fn lower_with(
     let launch_points = nest
         .launch_points(grid.size())
         .map_err(SpmdError::Compile)?;
-    // The tensors the statement touches (every per-tensor table below is
-    // keyed by these).
-    let accessed: BTreeSet<&str> = assignment
+    // The tensor of every access, destination first: the one look-up by
+    // name (the nest analysis found each of them registered).
+    let accessed: Vec<TensorId> = assignment
         .accesses()
         .iter()
-        .map(|acc| acc.tensor.as_str())
+        .map(|acc| {
+            let position = tensors.iter().position(|t| t.name == acc.tensor);
+            TensorId(position.expect("the nest analysis checked every access") as u32)
+        })
         .collect();
     let ranks = grid.size() as usize;
 
-    // Ownership tables, over every rank's point of the flattened machine.
+    // Ownership tables of the tensors the statement touches, by id, over
+    // every rank's point of the flattened machine.
     let points: Vec<Point> = grid.points().collect();
-    let mut owners: BTreeMap<String, Ownership> = BTreeMap::new();
-    for name in &accessed {
-        owners.insert(name.to_string(), ownership(by_name[name], machine, &points));
+    let mut owners: Vec<Option<Ownership>> = vec![None; tensors.len()];
+    for id in &accessed {
+        let t = &tensors[id.index()];
+        owners[id.index()].get_or_insert_with(|| ownership(t, machine, &points));
     }
 
     let flops_per_point = assignment.flops_per_point();
-    let out_name = assignment.lhs.tensor.clone();
-    let out_dims = &by_name[out_name.as_str()].dims;
+    let out = accessed[0];
+    let out_dims = &tensors[out.index()].dims;
 
     // The one copy of every op: the global `(rank, op)` stream, filed
     // into the per-rank lists once the collective pass has rewritten it.
     let mut stream: Vec<(usize, SpmdOp)> = Vec::new();
     let mut tag = 0u64;
 
-    // One holdings dataflow per accessed tensor; every input access is
-    // resolved to its tensor's description and dataflow here, once.
-    let mut holdings: Vec<Holdings> = owners
+    // One holdings dataflow per accessed tensor, by id.
+    let mut holdings: Vec<Option<Holdings>> = owners
         .iter()
-        .map(|(name, home)| Holdings::new(name, &grid, &points, home))
+        .zip(tensors)
+        .map(|(home, t)| Some(Holdings::new(&t.name, &grid, &points, home.as_ref()?)))
         .collect();
-    let inputs: Vec<(&Access, &SpmdTensor, usize)> = assignment
+    let inputs: Vec<_> = assignment
         .input_accesses()
         .into_iter()
-        .map(|acc| {
-            let flow = holdings.iter().position(|h| h.tensor == acc.tensor);
-            let flow = flow.expect("every accessed tensor has holdings");
-            (acc, by_name[acc.tensor.as_str()], flow)
-        })
+        .zip(&accessed[1..])
         .collect();
     let mut out_written: Vec<RectSet> = vec![RectSet::new(); ranks];
     let mut total_flops = 0.0f64;
@@ -462,18 +418,20 @@ pub(crate) fn lower_with(
             };
 
             // Source every input rectangle not already held locally.
-            for &(acc, t, flow) in &inputs {
-                let need = nest.access_rect(&acc.indices, &env, &t.dims);
-                for &(from, rect) in holdings[flow].supply(rank, step, &need)? {
+            for &(acc, &tensor) in &inputs {
+                let need = nest.access_rect(&acc.indices, &env, &tensors[tensor.index()].dims);
+                let flow = holdings[tensor.index()].as_mut();
+                let flow = flow.expect("every accessed tensor has holdings");
+                for &(from, rect) in flow.supply(rank, step, &need)? {
                     let msg = Message {
                         tag,
                         from,
                         to: rank,
-                        tensor: acc.tensor.clone(),
+                        tensor,
                         rect,
                     };
                     tag += 1;
-                    stream.push((from, SpmdOp::Send(msg.clone())));
+                    stream.push((from, SpmdOp::Send(msg)));
                     stream.push((rank, SpmdOp::Recv(msg)));
                 }
             }
@@ -494,14 +452,15 @@ pub(crate) fn lower_with(
                 stream.push((rank, SpmdOp::RetireScratch { keep: 1 }));
             }
         }
-        holdings.iter_mut().for_each(Holdings::advance);
+        holdings.iter_mut().flatten().for_each(Holdings::advance);
     }
     drop(holdings);
 
     // Final gather: move computed output to its home owners. Distributed
     // reductions fold (Johnson's "sum reduces A_ijk to P_ij0"); others
     // overwrite. Local contributions fold without messages.
-    let out_owners = &owners[&out_name];
+    let out_owners = owners[out.index()].as_ref();
+    let out_owners = out_owners.expect("the destination is accessed");
     for (rank, written) in out_written.iter().enumerate() {
         for rect in written.rects() {
             for (owner, piece) in out_owners.owners_of(rect) {
@@ -512,15 +471,15 @@ pub(crate) fn lower_with(
                     tag,
                     from: rank,
                     to: owner,
-                    tensor: out_name.clone(),
+                    tensor: out,
                     rect: piece,
                 };
                 tag += 1;
                 if nest.dist_reduces {
-                    stream.push((rank, SpmdOp::ReduceSend(msg.clone())));
+                    stream.push((rank, SpmdOp::ReduceSend(msg)));
                     stream.push((owner, SpmdOp::ReduceRecv(msg)));
                 } else {
-                    stream.push((rank, SpmdOp::Send(msg.clone())));
+                    stream.push((rank, SpmdOp::Send(msg)));
                     stream.push((owner, SpmdOp::Recv(msg)));
                 }
             }
@@ -529,10 +488,9 @@ pub(crate) fn lower_with(
 
     // Choose the leaf kernel now, at lowering (= plan) time: the rank VM
     // always *adds* into a zeroed accumulator.
-    let leaf_compressed: Vec<bool> = assignment
-        .input_accesses()
+    let leaf_compressed: Vec<bool> = accessed[1..]
         .iter()
-        .map(|acc| by_name[acc.tensor.as_str()].format.has_compressed())
+        .map(|id| tensors[id.index()].format.has_compressed())
         .collect();
     let leaf = distal_core::kernelgen::leaf_for(assignment, schedule, leaf_compressed, true)
         .map_err(SpmdError::Compile)?;
@@ -540,9 +498,11 @@ pub(crate) fn lower_with(
         assignment: assignment.clone(),
         grid,
         tensors: tensors.to_vec(),
+        nnz: vec![None; tensors.len()],
+        accessed,
         programs: vec![Vec::new(); ranks],
         order: Vec::new(),
-        owners: owners.into_iter().collect(),
+        owners,
         all_vars: assignment.all_vars(),
         total_flops,
         dist_reduces: nest.dist_reduces,
@@ -555,14 +515,15 @@ pub(crate) fn lower_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use distal_format::Format;
     use distal_machine::spec::MemKind;
     use proptest::prelude::*;
 
-    fn lower(
+    pub(crate) fn lower(
         assignment: &Assignment,
-        tensors: &[SpmdTensor],
+        tensors: &[TensorSpec],
         grid: &Grid,
         schedule: &Schedule,
     ) -> Result<SpmdProgram, SpmdError> {
@@ -571,12 +532,18 @@ mod tests {
         lower_with(assignment, tensors, &machine, schedule, &collectives)
     }
 
-    fn tiled_tensors(n: i64) -> Vec<SpmdTensor> {
+    pub(crate) fn tiled_tensors(n: i64) -> Vec<TensorSpec> {
         let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
         ["A", "B", "C"]
             .iter()
-            .map(|name| SpmdTensor::new(*name, vec![n, n], f.clone()))
+            .map(|name| TensorSpec::new(*name, vec![n, n], f.clone()))
             .collect()
+    }
+
+    /// An unscheduled matmul over `tiled_tensors(4)` on a 2x2 grid.
+    pub(crate) fn matmul_2x2() -> SpmdProgram {
+        let a = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
+        lower(&a, &tiled_tensors(4), &Grid::grid2(2, 2), &Schedule::new()).unwrap()
     }
 
     #[test]
@@ -611,7 +578,16 @@ mod tests {
             assert_eq!(computes, 2);
         }
         // A is stationary (communicate(A, jo)): no messages carry A.
-        assert!(p.messages().iter().all(|m| m.tensor != "A"));
+        assert!(p.messages().iter().all(|m| m.tensor != p.output()));
+        // An op renders with its tensor's name.
+        let shown: Vec<String> = p
+            .in_order()
+            .map(|(_, op)| p.named(op).to_string())
+            .collect();
+        for tensor in [" B[", " C["] {
+            let sent = |op: &String| op.starts_with("send #") && op.contains(tensor);
+            assert!(shown.iter().any(sent), "{shown:?}");
+        }
         assert!((p.total_flops - 2.0 * 8.0f64.powi(3)).abs() < 1.0);
     }
 
@@ -682,7 +658,7 @@ mod tests {
         // B and C tiles held by ranks 1-3 flow to rank 0; computed A tiles
         // flow back out to their owners.
         let msgs = p.messages();
-        assert!(msgs.iter().all(|m| if m.tensor == "A" {
+        assert!(msgs.iter().all(|m| if m.tensor == p.output() {
             m.from == 0
         } else {
             m.to == 0
@@ -772,7 +748,7 @@ mod tests {
                     .unwrap(),
                 None => Format::undistributed(),
             };
-            let tensor = SpmdTensor::new("T", vec![dims.0, dims.1], format);
+            let tensor = TensorSpec::new("T", vec![dims.0, dims.1], format);
             let points: Vec<Point> = grid.points().collect();
             let home = ownership(&tensor, &MachineHierarchy::flat(grid.clone()), &points);
             let mut holdings = Holdings::new("T", &grid, &points, &home);

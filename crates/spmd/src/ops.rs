@@ -12,13 +12,19 @@
 //! both transports then address the payload by that receive's mailbox
 //! slot, so a receiver files early arrivals and blocks on exactly the
 //! receive its program order demands next (see [`crate::transport`]).
+//!
+//! An op names its tensor by [`TensorId`], its registry position; the
+//! names are the program's ([`SpmdProgram::tensors`]), and an op renders
+//! through it ([`SpmdProgram::named`]).
 
+use crate::program::SpmdProgram;
+use distal_core::TensorId;
 use distal_machine::geom::Rect;
 use distal_machine::ELEM_BYTES;
 use std::fmt;
 
 /// The identity of one point-to-point transfer.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Message {
     /// Globally unique tag (generation order). This is the only key a
     /// send is matched to its receive by: the send feeds the first receive
@@ -30,7 +36,7 @@ pub struct Message {
     /// Destination rank.
     pub to: usize,
     /// The tensor being moved.
-    pub tensor: String,
+    pub tensor: TensorId,
     /// The rectangle of the tensor being moved.
     pub rect: Rect,
 }
@@ -43,15 +49,21 @@ impl Message {
     }
 }
 
+/// An op, a message or a collective rendered with its tensor's name, read
+/// from the program's table ([`SpmdProgram::named`]).
+#[derive(Debug)]
+pub struct Named<'p, T> {
+    pub(crate) program: &'p SpmdProgram,
+    pub(crate) item: &'p T,
+}
+
 // Rendered into the op-stream digests the lowering fingerprint suite
 // commits: the text, doubled brackets included, must not change.
-impl fmt::Display for Message {
+impl fmt::Display for Named<'_, Message> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "#{} {}[{}] {} -> {}",
-            self.tag, self.tensor, self.rect, self.from, self.to
-        )
+        let m = self.item;
+        let tensor = self.program.tensor_name(m.tensor);
+        write!(f, "#{} {tensor}[{}] {} -> {}", m.tag, m.rect, m.from, m.to)
     }
 }
 
@@ -103,13 +115,14 @@ impl SpmdOp {
     }
 }
 
-impl fmt::Display for SpmdOp {
+impl fmt::Display for Named<'_, SpmdOp> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpmdOp::Send(m) => write!(f, "send {m}"),
-            SpmdOp::Recv(m) => write!(f, "recv {m}"),
-            SpmdOp::ReduceSend(m) => write!(f, "reduce-send {m}"),
-            SpmdOp::ReduceRecv(m) => write!(f, "reduce-recv {m}"),
+        let m = |item| self.program.named(item);
+        match self.item {
+            SpmdOp::Send(msg) => write!(f, "send {}", m(msg)),
+            SpmdOp::Recv(msg) => write!(f, "recv {}", m(msg)),
+            SpmdOp::ReduceSend(msg) => write!(f, "reduce-send {}", m(msg)),
+            SpmdOp::ReduceRecv(msg) => write!(f, "reduce-recv {}", m(msg)),
             SpmdOp::Compute { bounds, flops, .. } => {
                 write!(f, "compute {bounds:?} ({flops:.0} flops)")
             }
@@ -128,7 +141,7 @@ mod tests {
             tag: 7,
             from: 0,
             to: 2,
-            tensor: "B".into(),
+            tensor: TensorId(1),
             rect: Rect::sized(&[4, 4]),
         }
     }
@@ -149,7 +162,10 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert!(format!("{}", SpmdOp::Send(msg())).starts_with("send #7 B"));
-        assert!(format!("{}", SpmdOp::RetireScratch { keep: 1 }).contains("keep=1"));
+        let p = crate::lower::tests::matmul_2x2();
+        let send = p.named(&SpmdOp::Send(msg())).to_string();
+        assert!(send.starts_with("send #7 B"), "{send}");
+        let retire = SpmdOp::RetireScratch { keep: 1 };
+        assert_eq!(p.named(&retire).to_string(), "retire-scratch keep=1");
     }
 }

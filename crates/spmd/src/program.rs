@@ -1,17 +1,23 @@
 //! The compiled SPMD program and its deterministic execution.
+//!
+//! Its ops and per-tensor tables carry a [`TensorId`], an index into the
+//! one name table, [`SpmdProgram::tensors`]; a name is looked up only
+//! where it arrives (binding, reading).
 
 use crate::collective::{Collective, Segments};
 use crate::cost::{AlphaBeta, CostReport};
-use crate::lower::{Ownership, SpmdError, SpmdTensor};
-use crate::ops::{Message, SpmdOp};
+use crate::lower::{Ownership, SpmdError};
+use crate::ops::{Message, Named, SpmdOp};
 use crate::resolve::Resolved;
 use crate::stats::CommStats;
 use crate::transport::Transport;
 use crate::vm::{Homes, Run};
+use distal_core::{TensorId, TensorSpec};
 use distal_ir::expr::{Access, Assignment, IndexVar};
 use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use distal_runtime::kernel::Kernel;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -48,15 +54,24 @@ pub struct SpmdProgram {
     pub assignment: Assignment,
     /// The machine grid (ranks are its linearized points).
     pub grid: Grid,
-    /// Tensor descriptions.
-    pub tensors: Vec<SpmdTensor>,
+    /// The problem registry's tensors in registry order: `tensors[id]` is
+    /// tensor `id`'s name, shape and format.
+    pub tensors: Vec<TensorSpec>,
+    /// Per tensor id, its stored-entry count when known (the problem's or
+    /// a binding's); `None` prices it dense.
+    pub(crate) nnz: Vec<Option<u64>>,
+    /// The tensor of each of the statement's [`Assignment::accesses`]: the
+    /// destination first, then the right-hand side in order.
+    pub(crate) accessed: Vec<TensorId>,
     /// Per-rank operation lists (the "MPI program" of each rank).
     pub(crate) programs: Vec<Vec<SpmdOp>>,
     /// The global execution order as a rank sequence: its `k`-th occurrence
     /// of rank `r` stands for `programs[r][k]`. Compile-time determinism
     /// makes deadlock impossible.
     pub(crate) order: Vec<usize>,
-    pub(crate) owners: BTreeMap<String, Ownership>,
+    /// Per tensor id, its home pieces; `None` for a tensor the statement
+    /// does not touch.
+    pub(crate) owners: Vec<Option<Ownership>>,
     /// Original statement variables, in leaf-bounds order.
     pub all_vars: Vec<IndexVar>,
     /// Total floating-point work.
@@ -153,6 +168,35 @@ impl SpmdProgram {
         self.install(stream);
     }
 
+    /// `item` rendered with its tensor's name: `format!("{}",
+    /// program.named(op))` prints an op, a message or a collective.
+    pub fn named<'p, T>(&'p self, item: &'p T) -> Named<'p, T> {
+        Named {
+            program: self,
+            item,
+        }
+    }
+
+    /// The name of tensor `id`; an id past [`SpmdProgram::tensors`] (which
+    /// only a corrupted program carries) renders as the id.
+    pub fn tensor_name(&self, id: TensorId) -> Cow<'_, str> {
+        match self.tensors.get(id.index()) {
+            Some(spec) => Cow::Borrowed(&spec.name),
+            None => Cow::Owned(format!("{id:?}")),
+        }
+    }
+
+    /// The statement's destination tensor.
+    pub fn output(&self) -> TensorId {
+        self.accessed[0]
+    }
+
+    /// The home pieces of tensor `id`, `None` for a tensor the statement
+    /// does not touch.
+    pub(crate) fn owners(&self, id: TensorId) -> Option<&Ownership> {
+        self.owners.get(id.index())?.as_ref()
+    }
+
     /// All messages, in global execution order (each transfer counted
     /// once). Tags are monotonic in naive programs but not after
     /// collective lowering, which splices fresh-tagged tree/ring
@@ -166,19 +210,22 @@ impl SpmdProgram {
 
     /// Wire bytes of one message. Tiles of compressed *operand* tensors
     /// ship CSR `pos`/`crd`/`vals` payloads sized by the tensor's global
-    /// density (the static estimate; [`SpmdProgram::execute`] refines it
-    /// to the exact per-tile nnz). Output-tensor messages are partial
-    /// sums — dense regardless of the output's at-rest format — and
-    /// dense tensors ship flat tiles.
+    /// density, 1 while its nnz is unknown (the static estimate;
+    /// [`SpmdProgram::execute`] refines it to the exact per-tile nnz).
+    /// Output-tensor messages are partial sums — dense regardless of the
+    /// output's at-rest format — and dense tensors ship flat tiles.
     pub fn message_bytes(&self, m: &Message) -> u64 {
-        if m.tensor == self.assignment.lhs.tensor {
+        if m.tensor == self.output() {
             return m.bytes();
         }
-        match self.tensor_index(&m.tensor).map(|t| &self.tensors[t]) {
-            Ok(t) if t.format.has_compressed() => {
+        match self.tensors.get(m.tensor.index()) {
+            Some(t) if t.format.has_compressed() => {
                 let volume = m.rect.volume().max(0) as u64;
                 let rows = volume / rect_inner_extent(&m.rect);
-                distal_sparse::estimated_payload_bytes(volume, rows, t.density())
+                let dense = t.dims.iter().product::<i64>().max(1) as u64;
+                let nnz = self.nnz[m.tensor.index()].unwrap_or(dense).min(dense);
+                let density = nnz as f64 / dense as f64;
+                distal_sparse::estimated_payload_bytes(volume, rows, density)
             }
             _ => m.bytes(),
         }
@@ -192,7 +239,7 @@ impl SpmdProgram {
             .into_iter()
             .map(|m| (m, self.message_bytes(m)))
             .collect();
-        CommStats::from_weighted(&self.grid, self.ranks(), &weighted)
+        CommStats::from_weighted(self, &weighted)
     }
 
     /// Prices the program under an α-β model (per-rank timeline and
@@ -222,29 +269,10 @@ impl SpmdProgram {
                 steps.resize_with(step + 1, Vec::new);
             }
             if op.is_send() {
-                steps[step].push(op.message().expect("send carries a message").clone());
+                steps[step].push(*op.message().expect("send carries a message"));
             }
         }
         steps
-    }
-
-    /// Overrides one tensor's stored-entry count (`None` restores the
-    /// dense assumption). This is how plan binding attaches *per-instance*
-    /// nnz-derived byte accounting to a shared, data-independent lowered
-    /// program: the message schedule is untouched (nnz never shapes the
-    /// lowering, only the pricing), so no re-lowering happens.
-    pub fn set_tensor_nnz(&mut self, name: &str, nnz: Option<u64>) {
-        if let Some(t) = self.tensors.iter_mut().find(|t| t.name == name) {
-            t.nnz = nnz;
-        }
-    }
-
-    /// The index of tensor `name` in [`SpmdProgram::tensors`].
-    pub(crate) fn tensor_index(&self, name: &str) -> Result<usize, SpmdError> {
-        self.tensors
-            .iter()
-            .position(|t| t.name == name)
-            .ok_or_else(|| SpmdError::UnknownTensor(name.to_string()))
     }
 
     /// Executes the program on the rank VM over the sequential transport
@@ -275,12 +303,12 @@ impl SpmdProgram {
         transport: &Transport,
     ) -> Result<SpmdResult, SpmdError> {
         let mut homes = Homes::new(self.tensors.len());
-        let out_name = &self.assignment.lhs.tensor;
-        for t in self.tensors.iter().filter(|t| &t.name != out_name) {
+        let out = self.output().index();
+        for (t, spec) in self.tensors.iter().enumerate().filter(|&(t, _)| t != out) {
             let data = inputs
-                .get(&t.name)
-                .ok_or_else(|| SpmdError::Data(format!("missing input '{}'", t.name)))?;
-            self.seed(&mut homes, &t.name, data)?;
+                .get(&spec.name)
+                .ok_or_else(|| SpmdError::Data(format!("missing input '{}'", spec.name)))?;
+            self.seed(&mut homes, TensorId(t as u32), data)?;
         }
         let resolved = Resolved::new(self);
         let run = self.run(&resolved, &homes, transport)?;
@@ -292,26 +320,27 @@ impl SpmdProgram {
         })
     }
 
-    /// Seeds `homes` with `tensor`'s home pieces on every rank, tiled out
-    /// of `data` (row-major over the whole tensor): data starts "at rest"
-    /// in its distribution — placement is free in the SPMD model.
+    /// Seeds `homes` with tensor `id`'s home pieces on every rank, tiled
+    /// out of `data` (row-major over the whole tensor): data starts "at
+    /// rest" in its distribution — placement is free in the SPMD model.
     pub(crate) fn seed(
         &self,
         homes: &mut Homes,
-        tensor: &str,
+        id: TensorId,
         data: &[f64],
     ) -> Result<(), SpmdError> {
-        let index = self.tensor_index(tensor)?;
-        let rect = Rect::sized(&self.tensors[index].dims);
+        let spec = &self.tensors[id.index()];
+        let rect = Rect::sized(&spec.dims);
         if data.len() as i64 != rect.volume() {
             return Err(SpmdError::Data(format!(
-                "input '{tensor}' has {} values, expected {}",
+                "input '{}' has {} values, expected {}",
+                spec.name,
                 data.len(),
                 rect.volume()
             )));
         }
-        if let Some(owners) = self.owners.get(tensor) {
-            homes.seed(index, &rect, data, owners.pieces());
+        if let Some(owners) = self.owners(id) {
+            homes.seed(id.index(), &rect, data, owners.pieces());
         }
         Ok(())
     }

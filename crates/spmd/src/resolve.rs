@@ -45,6 +45,7 @@
 
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
+use distal_core::TensorId;
 use distal_machine::geom::Rect;
 use distal_machine::ELEM_BYTES;
 use std::cell::Cell;
@@ -185,7 +186,7 @@ pub(crate) struct RankPlan {
     /// [`Step::Fail`], which the walk never passes.
     pub(crate) steps: Vec<Step>,
     /// View slots `0..homes.len()`: `(tensor, piece)` of the rank's home
-    /// pieces (tensors indexed as in `SpmdProgram::tensors`).
+    /// pieces (a tensor by its id's index).
     pub(crate) homes: Vec<(usize, usize)>,
     /// View slots in all: the home pieces, then one per input receive.
     pub(crate) views: usize,
@@ -225,37 +226,28 @@ impl Resolved {
     pub(crate) fn new(program: &SpmdProgram) -> Self {
         RESOLUTIONS.with(|c| c.set(c.get() + 1));
         let ranks = program.ranks();
-        // Tensors by index: the program's own first (the order its homes
-        // are seeded in), then any other name a message carries.
-        let mut names: Vec<&str> = program.tensors.iter().map(|t| t.name.as_str()).collect();
         // Every receive gets the next slot of its rank's mailbox; a send
         // feeds the first receive of its tag at its destination.
         let mut mailbox = vec![0usize; ranks];
         let mut receives: HashMap<(usize, u64), usize> = HashMap::new();
         for (rank, slots) in mailbox.iter_mut().enumerate() {
-            for op in program.rank_ops(rank) {
+            for op in program.rank_ops(rank).iter().filter(|op| !op.is_send()) {
                 let Some(m) = op.message() else { continue };
-                if !names.contains(&m.tensor.as_str()) {
-                    names.push(&m.tensor);
-                }
-                if !op.is_send() {
-                    receives.entry((rank, m.tag)).or_insert(*slots);
-                    *slots += 1;
-                }
+                receives.entry((rank, m.tag)).or_insert(*slots);
+                *slots += 1;
             }
         }
         let mut plans: Vec<Ranked> = (0..ranks)
-            .map(|rank| resolve_rank(program, rank, &names, &receives, &mut mailbox))
+            .map(|rank| resolve_rank(program, rank, &receives, &mut mailbox))
             .collect();
         for (ranked, slots) in plans.iter_mut().zip(mailbox) {
             ranked.plan.mailbox = slots;
         }
         let peak_scratch_bytes = plans.iter().map(|p| p.peak).max().unwrap_or(0);
-        let out = &program.assignment.lhs.tensor;
-        let output = program.tensors.iter().find(|t| t.name == *out);
+        let output = &program.tensors[program.output().index()];
         Resolved {
             ranks: plans.into_iter().map(|p| p.plan).collect(),
-            output: Rect::sized(&output.expect("the output is a program tensor").dims),
+            output: Rect::sized(&output.dims),
             peak_scratch_bytes,
         }
     }
@@ -323,9 +315,9 @@ fn gather<'s>(bufs: impl IntoIterator<Item = &'s Sym>, rect: &Rect) -> Result<Ve
 struct Store<'p> {
     out: usize,
     out_pieces: &'p [Rect],
-    /// Per tensor: the rank's home pieces.
+    /// Per tensor id: the rank's home pieces.
     home: Vec<Vec<Sym>>,
-    /// Per tensor: scratch generations, newest first — `None` until the
+    /// Per tensor id: scratch generations, newest first — `None` until the
     /// tensor's first receive, so a retire opens generations only for
     /// tensors that have received.
     scratch: Vec<Option<VecDeque<Vec<Sym>>>>,
@@ -428,11 +420,12 @@ impl<'p> Store<'p> {
         freed
     }
 
-    /// How a send of `m`, a message of `tensor`, makes its payload. An
-    /// output partial sum is copied out of the accumulators, which later
-    /// leaves and folds still write; an input rectangle one buffer holds
-    /// is lent.
-    fn payload(&mut self, tensor: usize, m: &Message) -> Result<Payload, String> {
+    /// How a send of `m` makes its payload. An output partial sum is
+    /// copied out of the accumulators, which later leaves and folds still
+    /// write; an input rectangle one buffer holds is lent. `Err` holds the
+    /// first part of `m`'s rectangle no buffer holds.
+    fn payload(&mut self, m: &Message) -> Result<Payload, Rect> {
+        let tensor = m.tensor.index();
         let parts = if tensor == self.out {
             gather(&self.acc, &m.rect)
         } else if let Some(Src::View(view)) = self.lend(tensor, &m.rect) {
@@ -440,37 +433,35 @@ impl<'p> Store<'p> {
         } else {
             gather(self.bufs(tensor), &m.rect)
         };
-        let parts =
-            parts.map_err(|missing| format!("send of {m}: no valid local copy of {missing}"))?;
+        let parts = parts?;
         Ok(Payload::Copy {
             into: self.new_owned(&m.rect),
             parts,
         })
     }
 
-    /// The leaf over `bounds`, whose accesses touch `rects` — the
-    /// destination's, then one per operand of tensor `operands[i]`;
+    /// The leaf over `bounds` of `program`, whose accesses touch `rects` —
+    /// the destination's, then one per operand of tensor `operands[i]`;
     /// `csr_arg` is the argument the leaf reads as CSR.
     fn leaf(
         &mut self,
+        program: &SpmdProgram,
         bounds: &[(i64, i64)],
         mut rects: impl Iterator<Item = Rect>,
-        operands: &[usize],
+        operands: &[TensorId],
         csr_arg: Option<usize>,
-        names: &[&str],
     ) -> Result<Leaf, String> {
         let out = rects.next().expect("the destination access");
         let acc = self.accumulator(&out);
         let mut faces = Vec::with_capacity(operands.len());
-        for (i, (rect, &t)) in rects.zip(operands).enumerate() {
+        for (i, (rect, &id)) in rects.zip(operands).enumerate() {
             let csr = csr_arg == Some(i + 1);
+            let t = id.index();
             let read = match self.lend(t, &rect) {
                 Some(src) => FaceRead::Lend(src),
                 None => FaceRead::Gather(gather(self.bufs(t), &rect).map_err(|missing| {
-                    format!(
-                        "compute reads {}{missing} with no valid local copy",
-                        names[t]
-                    )
+                    let tensor = program.tensor_name(id);
+                    format!("compute reads {tensor}{missing} with no valid local copy")
                 })?),
             };
             if csr || matches!(read, FaceRead::Gather(_)) {
@@ -589,52 +580,41 @@ struct Ranked {
 fn resolve_rank(
     program: &SpmdProgram,
     rank: usize,
-    names: &[&str],
     receives: &HashMap<(usize, u64), usize>,
     mailbox: &mut [usize],
 ) -> Ranked {
-    let index = |name: &str| {
-        names
-            .iter()
-            .position(|n| *n == name)
-            .expect("a known tensor")
-    };
-    let assignment = &program.assignment;
-    let out = index(&assignment.lhs.tensor);
-    let out_pieces = &program.owners[&assignment.lhs.tensor].pieces()[rank];
-    let mut s = Store::new(names.len(), out, out_pieces);
-    for (t, tensor) in program.tensors.iter().enumerate() {
-        let Some(owners) = program.owners.get(&tensor.name).filter(|_| t != out) else {
-            continue;
-        };
-        for (piece, rect) in owners.pieces()[rank].iter().enumerate() {
+    let out = program.output();
+    let homes = |id| program.owners(id).map_or(&[][..], |o| &o.pieces()[rank]);
+    let tensors = program.tensors.len();
+    let mut s = Store::new(tensors, out.index(), homes(out));
+    for t in (0..tensors).filter(|&t| t != out.index()) {
+        for (piece, rect) in homes(TensorId(t as u32)).iter().enumerate() {
             s.add_home(t, piece, rect);
         }
     }
-    let accesses = assignment.accesses();
-    let inputs = &accesses[1..];
-    if inputs.iter().any(|acc| acc.tensor == assignment.lhs.tensor) {
+    let accesses = program.assignment.accesses();
+    let operands = &program.accessed[1..];
+    if operands.contains(&out) {
         s.add_output_homes();
     }
-    s.plan.faces = vec![0; inputs.len()];
-    let operands: Vec<usize> = inputs.iter().map(|acc| index(&acc.tensor)).collect();
+    s.plan.faces = vec![0; operands.len()];
     let csr_arg = program.leaf.0.sparse_arg();
-    let compressed = |t: usize| {
-        t != out
-            && program
-                .tensors
-                .get(t)
-                .is_some_and(|t| t.format.has_compressed())
-    };
+    let compressed = |t: usize| t != out.index() && program.tensors[t].format.has_compressed();
 
     let mut receive = 0..;
     for op in program.rank_ops(rank) {
         let step = match op {
+            // Only a corrupted program names a tensor it does not have.
+            _ if op.message().is_some_and(|m| m.tensor.index() >= tensors) => {
+                Step::Fail(format!("{}: no such tensor", program.named(op)))
+            }
             SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
-                let t = index(&m.tensor);
                 let payload = match m.to < mailbox.len() {
-                    true => s.payload(t, m),
-                    false => Err(format!("send of {m}: no rank {}", m.to)),
+                    true => s.payload(m).map_err(|missing| {
+                        let m = program.named(m);
+                        format!("send of {m}: no valid local copy of {missing}")
+                    }),
+                    false => Err(format!("send of {}: no rank {}", program.named(m), m.to)),
                 };
                 match payload {
                     Ok(payload) => {
@@ -646,24 +626,23 @@ fn resolve_rank(
                             to: m.to,
                             ordinal,
                             payload,
-                            csr: compressed(t),
+                            csr: compressed(m.tensor.index()),
                         }
                     }
                     Err(fail) => Step::Fail(fail),
                 }
             }
             SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => {
-                let t = index(&m.tensor);
-                let landing = match t == out {
+                let landing = match m.tensor == out {
                     true => Landing::Fold(s.fold(&m.rect)),
-                    false => Landing::View(s.receive(t, &m.rect)),
+                    false => Landing::View(s.receive(m.tensor.index(), &m.rect)),
                 };
                 let ordinal = receive.next().expect("an unbounded range");
                 Step::Recv { ordinal, landing }
             }
             SpmdOp::Compute { bounds, .. } => {
                 let leaf = program.leaf_rects(&accesses, bounds).map(|rects| {
-                    let leaf = s.leaf(bounds, rects, &operands, csr_arg, names);
+                    let leaf = s.leaf(program, bounds, rects, operands, csr_arg);
                     leaf.map(Box::new)
                 });
                 s.peak = s.peak.max(s.scratch_bytes);

@@ -15,7 +15,8 @@
 
 use crate::lower::torus_distance;
 use crate::ops::Message;
-use distal_machine::grid::Grid;
+use crate::program::SpmdProgram;
+use distal_core::TensorId;
 use std::collections::BTreeMap;
 
 /// Aggregate communication statistics.
@@ -34,21 +35,25 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Builds statistics from a message list, each message charged its
-    /// flat dense payload ([`Message::bytes`]).
-    pub fn from_messages(grid: &Grid, ranks: usize, messages: &[&Message]) -> Self {
+    /// Builds statistics from a message list of `program` (its grid, rank
+    /// count and tensor names), each message charged its flat dense
+    /// payload ([`Message::bytes`]).
+    pub fn from_messages(program: &SpmdProgram, messages: &[&Message]) -> Self {
         let weighted: Vec<(&Message, u64)> = messages.iter().map(|m| (*m, m.bytes())).collect();
-        CommStats::from_weighted(grid, ranks, &weighted)
+        CommStats::from_weighted(program, &weighted)
     }
 
     /// Builds statistics from messages with explicit per-message wire
     /// bytes — how compressed (CSR-payload) tensors are accounted, where
-    /// the rectangle's dense volume overstates the wire size.
-    pub fn from_weighted(grid: &Grid, ranks: usize, messages: &[(&Message, u64)]) -> Self {
+    /// the rectangle's dense volume overstates the wire size. Bytes are
+    /// summed per tensor id; each tensor is named once, at the end.
+    pub(crate) fn from_weighted(program: &SpmdProgram, messages: &[(&Message, u64)]) -> Self {
+        let (grid, ranks) = (&program.grid, program.ranks());
         let mut s = CommStats {
             matrix: vec![vec![0; ranks]; ranks],
             ..CommStats::default()
         };
+        let mut by_tensor: BTreeMap<TensorId, u64> = BTreeMap::new();
         for (m, bytes) in messages {
             let bytes = *bytes;
             s.messages += 1;
@@ -60,8 +65,10 @@ impl CommStats {
                 &grid.delinearize(m.to as i64),
             );
             *s.bytes_by_distance.entry(d).or_insert(0) += bytes;
-            *s.bytes_by_tensor.entry(m.tensor.clone()).or_insert(0) += bytes;
+            *by_tensor.entry(m.tensor).or_insert(0) += bytes;
         }
+        let name = |(t, bytes): (TensorId, u64)| (program.tensor_name(t).into_owned(), bytes);
+        s.bytes_by_tensor = by_tensor.into_iter().map(name).collect();
         s
     }
 
@@ -84,6 +91,7 @@ impl CommStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::tests::matmul_2x2;
     use distal_machine::geom::Rect;
 
     fn msg(tag: u64, from: usize, to: usize, vol: i64) -> Message {
@@ -91,17 +99,16 @@ mod tests {
             tag,
             from,
             to,
-            tensor: "B".into(),
+            tensor: TensorId(1),
             rect: Rect::sized(&[vol]),
         }
     }
 
     #[test]
     fn aggregates() {
-        let grid = Grid::grid2(2, 2);
         let m0 = msg(0, 0, 1, 4); // distance 1
         let m1 = msg(1, 0, 3, 2); // distance 2
-        let s = CommStats::from_messages(&grid, 4, &[&m0, &m1]);
+        let s = CommStats::from_messages(&matmul_2x2(), &[&m0, &m1]);
         assert_eq!(s.messages, 2);
         assert_eq!(s.bytes, 48);
         assert_eq!(s.matrix[0][1], 32);
@@ -114,7 +121,7 @@ mod tests {
 
     #[test]
     fn silent_program_is_vacuously_systolic() {
-        let s = CommStats::from_messages(&Grid::line(2), 2, &[]);
+        let s = CommStats::from_messages(&matmul_2x2(), &[]);
         assert_eq!(s.neighbor_fraction(), 1.0);
         assert_eq!(s.max_distance(), 0);
     }

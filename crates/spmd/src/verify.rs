@@ -13,6 +13,8 @@
 //!   projection the rank VM reads operand faces through.
 //! * `RetireScratch` becomes a `Fence`: landings before it are retired,
 //!   so the hazard pass's overlap window resets.
+//! * Events carry the ops' tensor ids, and the IR borrows the program's
+//!   names ([`VerifyProgram::tensors`]): the adapter copies no string.
 //!
 //! [`verify_program`] is what `SpmdBackend::plan` calls, in either mode —
 //! once per plan, cached with it, free on every subsequent bind.
@@ -24,15 +26,15 @@ use distal_machine::geom::Rect;
 use distal_verify::{Access, Event, Msg, VerifyProgram};
 
 /// Lowers an [`SpmdProgram`] into the verifier's event IR.
-pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
-    let out_name = &program.assignment.lhs.tensor;
+pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram<'_> {
+    let out = program.output();
     let msg = |m: &Message, peer: usize, reduce: bool| Msg {
         tag: m.tag,
         peer,
-        tensor: m.tensor.clone(),
+        tensor: m.tensor,
         rect: m.rect,
         bytes: program.message_bytes(m),
-        fold: reduce || m.tensor == *out_name,
+        fold: reduce || m.tensor == out,
     };
     let accesses = program.assignment.accesses();
 
@@ -59,7 +61,7 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram {
         tensors: program
             .tensors
             .iter()
-            .map(|t| (t.name.clone(), Rect::sized(&t.dims)))
+            .map(|t| (t.name.as_str(), Rect::sized(&t.dims)))
             .collect(),
         ranks,
         reduces: program.dist_reduces,
@@ -78,12 +80,13 @@ fn task_accesses(
     let Some(rects) = program.leaf_rects(accesses, bounds) else {
         return Vec::new();
     };
-    accesses
+    program
+        .accessed
         .iter()
         .zip(rects)
         .enumerate()
-        .map(|(i, (acc, rect))| Access {
-            tensor: acc.tensor.clone(),
+        .map(|(i, (&tensor, rect))| Access {
+            tensor,
             rect,
             write: i == 0,
         })

@@ -612,7 +612,7 @@ impl Run {
                 }
             }
         }
-        CommStats::from_weighted(&program.grid, program.ranks(), &sent)
+        CommStats::from_weighted(program, &sent)
     }
 }
 
@@ -634,6 +634,7 @@ pub(crate) fn run_sequential(
             let run = &mut runs[rank];
             if !run.step(leaf, &mut post)? {
                 let m = run.at().0.message().expect("only receives wait");
+                let m = program.named(m);
                 return Err(SpmdError::Data(format!("recv before send: {m}")));
             }
         }

@@ -113,6 +113,7 @@ fn cannon_steady_state_is_neighbor_only() {
                 &grid.delinearize(m.from as i64),
                 &grid.delinearize(m.to as i64),
             );
+            let m = program.named(m);
             assert_eq!(d, 1, "step {s}: {m} has distance {d}");
         }
     }
@@ -148,7 +149,9 @@ fn figure12_cannon_pattern_is_derived_statically() {
         for m in msgs {
             let to = grid.delinearize(m.to as i64);
             let from = grid.delinearize(m.from as i64);
-            match m.tensor.as_str() {
+            let tensor = program.tensor_name(m.tensor);
+            let m = program.named(m);
+            match &*tensor {
                 "B" => {
                     assert_eq!(from[0], to[0], "step {s}: {m}");
                     assert_eq!(from[1], (to[1] + 1) % 3, "step {s}: {m}");
@@ -392,7 +395,7 @@ fn summa_4x4_broadcast_depth_drops_to_log() {
         .flatten()
         .collect();
     let refs: Vec<&distal_spmd::Message> = steady.iter().collect();
-    let steady_stats = distal_spmd::CommStats::from_messages(&grid, cannon.ranks(), &refs);
+    let steady_stats = distal_spmd::CommStats::from_messages(&cannon, &refs);
     assert!(steady_stats.bytes > 0);
     assert_eq!(steady_stats.neighbor_fraction(), 1.0);
     assert_eq!(steady_stats.max_distance(), 1);
@@ -418,7 +421,7 @@ fn johnson_4x4x4_recognizes_plane_broadcasts_and_reduce_trees() {
     assert!(!bcasts.is_empty(), "input replication fans out");
     assert_eq!(reduces.len(), 16, "one z-fold per (x, y) column");
     for c in &reduces {
-        assert_eq!(c.tensor, "A");
+        assert_eq!(program.tensor_name(c.tensor), "A");
         assert_eq!(c.members.len(), 4);
         assert_eq!(c.naive_depth, 3);
         assert_eq!(c.depth, 2);
@@ -446,7 +449,7 @@ fn replicating_inputs_on_a_line_becomes_a_ring_allgather() {
     assert_eq!(ring.collectives.len(), 1);
     let c = &ring.collectives[0];
     assert_eq!(c.kind, distal_spmd::CollectiveKind::AllGather);
-    assert_eq!(c.tensor, "C");
+    assert_eq!(ring.tensor_name(c.tensor), "C");
     assert_eq!(c.members.len(), p as usize);
     assert_eq!(c.depth, (p - 1) as usize);
     // Ring traffic is all nearest-neighbour; the naive fans reach across
@@ -477,13 +480,13 @@ fn johnson_folds_distributed_reduction() {
     let reduce_msgs: Vec<_> = program
         .in_order()
         .filter_map(|(_, op)| match op {
-            SpmdOp::ReduceSend(m) => Some(m.clone()),
+            SpmdOp::ReduceSend(m) => Some(*m),
             _ => None,
         })
         .collect();
     assert_eq!(reduce_msgs.len(), 4, "one fold per z=1 rank");
     for m in &reduce_msgs {
-        assert_eq!(m.tensor, "A");
+        assert_eq!(program.tensor_name(m.tensor), "A");
         let from = grid.delinearize(m.from as i64);
         let to = grid.delinearize(m.to as i64);
         assert_eq!(from[2], 1);
@@ -599,14 +602,14 @@ fn executing_an_instance_twice_repeats_its_bits_and_its_report() {
 /// keeping the newest `keep` and opening a fresh one for every tensor
 /// that has received. Output payloads fold and take no scratch.
 fn replayed_peak_scratch(program: &distal_spmd::SpmdProgram) -> u64 {
-    let out = &program.assignment.lhs.tensor;
+    let out = program.output();
     let rank_peak = |rank: usize| {
-        let mut gens: BTreeMap<&str, std::collections::VecDeque<u64>> = BTreeMap::new();
+        let mut gens: BTreeMap<_, std::collections::VecDeque<u64>> = BTreeMap::new();
         let mut peak = 0;
         for op in program.rank_ops(rank) {
             match op {
-                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) if m.tensor != *out => {
-                    let tensor = gens.entry(m.tensor.as_str()).or_default();
+                SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) if m.tensor != out => {
+                    let tensor = gens.entry(m.tensor).or_default();
                     if tensor.is_empty() {
                         tensor.push_front(0);
                     }

@@ -113,7 +113,7 @@ const GOLDEN_DIGESTS: &[(&str, u64)] = &[
 fn lines(program: &SpmdProgram) -> Vec<String> {
     let mut out: Vec<String> = program
         .in_order()
-        .map(|(rank, op)| format!("{rank}: {op}"))
+        .map(|(rank, op)| format!("{rank}: {}", program.named(op)))
         .collect();
     let counts: Vec<usize> = (0..program.ranks())
         .map(|r| program.rank_ops(r).len())
@@ -123,7 +123,7 @@ fn lines(program: &SpmdProgram) -> Vec<String> {
         program
             .collectives
             .iter()
-            .map(|c| format!("collective {c}")),
+            .map(|c| format!("collective {}", program.named(c))),
     );
     out
 }

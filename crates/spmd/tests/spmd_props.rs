@@ -191,7 +191,7 @@ proptest! {
             prop_assert_eq!(naive.stats().messages, lowered.stats().messages);
             // No collective is deeper than the serialized fan it replaced.
             for c in &lowered.collectives {
-                prop_assert!(c.depth <= c.naive_depth, "{c}");
+                prop_assert!(c.depth <= c.naive_depth, "{}", lowered.named(c));
                 prop_assert!(c.members.len() >= 3);
             }
         }

@@ -10,11 +10,13 @@
 
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
-use distal_core::Problem;
+use distal_core::{DiagnosticKind, Problem, TensorId};
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::kernel::{Kernel, KernelCtx};
 use distal_spmd::collective::CollectiveConfig;
-use distal_spmd::{lower_problem, SpmdError, SpmdOp, SpmdProgram, ThreadedConfig, Transport};
+use distal_spmd::{
+    lower_problem, verify_program, SpmdError, SpmdOp, SpmdProgram, ThreadedConfig, Transport,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
@@ -189,7 +191,7 @@ fn a_payload_nobody_receives_is_a_typed_error_on_both_transports() {
     for alg in MatmulAlgorithm::all(8) {
         let (mut program, inputs) = lowered(alg, 8, 16);
         let lost = program.in_order().find_map(|(_, op)| match op {
-            SpmdOp::ReduceRecv(m) => Some(m.clone()),
+            SpmdOp::ReduceRecv(m) => Some(*m),
             _ => None,
         });
         let Some(lost) = lost else {
@@ -215,6 +217,50 @@ fn a_payload_nobody_receives_is_a_typed_error_on_both_transports() {
     }
     // Johnson's, Solomonik's and COSMA reduce over ranks.
     assert_eq!(reducing.len(), 3, "{reducing:?}");
+}
+
+#[test]
+fn a_message_of_a_tensor_past_the_table_is_refused_without_a_panic() {
+    // Point one message, its send and its receive, at a tensor id the
+    // program's table does not reach. The verifier reports both endpoints
+    // malformed, and both transports refuse the run with a typed error:
+    // no pass and no resolver step indexes a table with it.
+    let (mut program, inputs) = lowered(MatmulAlgorithm::Summa, 4, 8);
+    let stray = TensorId(program.tensors.len() as u32);
+    let tag = program.messages()[0].tag;
+    program.rewrite(|stream| {
+        for (_, op) in stream {
+            match op {
+                SpmdOp::Send(m)
+                | SpmdOp::Recv(m)
+                | SpmdOp::ReduceSend(m)
+                | SpmdOp::ReduceRecv(m)
+                    if m.tag == tag =>
+                {
+                    m.tensor = stray
+                }
+                _ => {}
+            }
+        }
+    });
+    let diags = verify_program(&program);
+    let malformed: Vec<_> = diags
+        .iter()
+        .filter(|d| d.kind == DiagnosticKind::Malformed)
+        .collect();
+    assert_eq!(malformed.len(), 2, "{diags:?}");
+    for d in malformed {
+        assert!(d.message.contains("undeclared tensor"), "{d}");
+        assert_eq!(d.tag, Some(tag));
+    }
+    for transport in [Transport::Sequential, watchdog(3)] {
+        match program.execute_with(&inputs, &transport) {
+            Err(SpmdError::Data(msg)) => {
+                assert!(msg.contains("no such tensor"), "{transport:?}: {msg}")
+            }
+            other => panic!("{transport:?}: expected a data error, got {other:?}"),
+        }
+    }
 }
 
 /// The program's own leaf until `fuse` counts down to zero; the leaf run

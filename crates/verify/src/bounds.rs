@@ -9,16 +9,15 @@
 //! conservation holds per tensor across all three lowerings — an
 //! imbalance means a re-lowering forged or swallowed a payload.
 
-use crate::{Event, Msg, VerifyProgram};
-use distal_core::{Diagnostic, DiagnosticKind};
-use std::collections::BTreeMap;
+use crate::{entry, Event, Msg, VerifyProgram};
+use distal_core::{Diagnostic, DiagnosticKind, TensorId};
 
 /// Checks peers against the launch domain, rectangles against tensor
 /// extents, and per-tensor byte conservation.
-pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
+pub fn check(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    // sent/received bytes per tensor.
-    let mut flow: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    // sent/received bytes per tensor id.
+    let mut flow: Vec<(u64, u64)> = vec![(0, 0); program.tensors.len()];
 
     for (rank, events) in program.ranks.iter().enumerate() {
         for ev in events {
@@ -29,7 +28,7 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                     } else {
                         "receive"
                     };
-                    if m.peer >= program.rank_count() {
+                    if m.peer >= program.ranks.len() {
                         diags.push(
                             Diagnostic::error(
                                 DiagnosticKind::OutOfBounds,
@@ -37,16 +36,16 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                                     "{dir} on rank {rank} names peer rank {} but the launch \
                                      domain has {} ranks",
                                     m.peer,
-                                    program.rank_count()
+                                    program.ranks.len()
                                 ),
                             )
                             .with_rank(rank)
-                            .with_tensor(&m.tensor)
+                            .with_tensor(program.name(m.tensor))
                             .with_tag(m.tag),
                         );
                     }
-                    diags.extend(check_rect(program, rank, &m.tensor, &m.rect, dir, Some(m)));
-                    let f = flow.entry(m.tensor.as_str()).or_default();
+                    diags.extend(check_rect(program, rank, m.tensor, &m.rect, dir, Some(m)));
+                    let f = entry(&mut flow, m.tensor);
                     match ev {
                         Event::Send(_) => f.0 += m.bytes,
                         _ => f.1 += m.bytes,
@@ -58,7 +57,7 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                             continue; // clamped-away leaf: legal, touches nothing
                         }
                         let what = if a.write { "task write" } else { "task read" };
-                        diags.extend(check_rect(program, rank, &a.tensor, &a.rect, what, None));
+                        diags.extend(check_rect(program, rank, a.tensor, &a.rect, what, None));
                     }
                 }
                 Event::Fence => {}
@@ -66,8 +65,9 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
         }
     }
 
-    for (tensor, (sent, recvd)) in flow {
+    for (t, (sent, recvd)) in flow.into_iter().enumerate() {
         if sent != recvd {
+            let tensor = program.name(TensorId(t as u32));
             diags.push(
                 Diagnostic::error(
                     DiagnosticKind::ByteImbalance,
@@ -85,22 +85,23 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
 
 /// One rectangle against its tensor's declared extents.
 fn check_rect(
-    program: &VerifyProgram,
+    program: &VerifyProgram<'_>,
     rank: usize,
-    tensor: &str,
+    id: TensorId,
     rect: &distal_machine::geom::Rect,
     what: &str,
     msg: Option<&Msg>,
 ) -> Vec<Diagnostic> {
     let tag = msg.map(|m| m.tag);
+    let tensor = program.name(id);
     let attach = |d: Diagnostic| {
-        let d = d.with_rank(rank).with_tensor(tensor);
+        let d = d.with_rank(rank).with_tensor(tensor.as_ref());
         match tag {
             Some(t) => d.with_tag(t),
             None => d,
         }
     };
-    let Some(extent) = program.tensors.get(tensor) else {
+    let Some((_, extent)) = program.tensors.get(id.index()) else {
         return vec![attach(Diagnostic::error(
             DiagnosticKind::Malformed,
             format!("{what} on rank {rank} touches undeclared tensor '{tensor}'"),
@@ -131,7 +132,7 @@ fn check_rect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{clean_pair, msg, rect2};
+    use crate::fixtures::{clean_pair, msg, rect2, Z};
 
     #[test]
     fn clean_pair_is_in_bounds() {
@@ -171,8 +172,8 @@ mod tests {
     #[test]
     fn undeclared_tensor_is_malformed() {
         let mut p = clean_pair();
-        p.ranks[0].push(Event::Send(msg(9, 1, "Z", rect2((0, 0), (0, 0)))));
-        p.ranks[1].push(Event::Recv(msg(9, 0, "Z", rect2((0, 0), (0, 0)))));
+        p.ranks[0].push(Event::Send(msg(9, 1, Z, rect2((0, 0), (0, 0)))));
+        p.ranks[1].push(Event::Recv(msg(9, 0, Z, rect2((0, 0), (0, 0)))));
         let diags = check(&p);
         assert_eq!(diags.len(), 2);
         assert!(diags.iter().all(|d| d.kind == DiagnosticKind::Malformed));

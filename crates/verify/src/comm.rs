@@ -25,7 +25,7 @@ struct Endpoint<'p> {
 /// Runs as a merge walk over two tag-sorted endpoint vectors rather than
 /// per-tag maps: this pass sits on the plan path of every `Backend::plan`
 /// call, so it stays allocation-light.
-pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
+pub fn check(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
     let mut sends: Vec<Endpoint<'_>> = Vec::new();
     let mut recvs: Vec<Endpoint<'_>> = Vec::new();
     for (rank, events) in program.ranks.iter().enumerate() {
@@ -72,33 +72,35 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                 // The watchdog case, caught statically: the receiver
                 // blocks forever on a payload nobody injects.
                 let e = &r[0];
+                let tensor = program.name(e.msg.tensor);
                 diags.push(
                     Diagnostic::error(
                         DiagnosticKind::LostMessage,
                         format!(
-                            "receive of {}{} on rank {} (from rank {}) has no matching send; \
-                             the receiver blocks forever",
-                            e.msg.tensor, e.msg.rect, e.rank, e.msg.peer
+                            "receive of {tensor}{} on rank {} (from rank {}) has no matching \
+                             send; the receiver blocks forever",
+                            e.msg.rect, e.rank, e.msg.peer
                         ),
                     )
                     .with_rank(e.rank)
-                    .with_tensor(&e.msg.tensor)
+                    .with_tensor(tensor)
                     .with_tag(tag),
                 );
             }
             (_, 0) => {
                 let e = &s[0];
+                let tensor = program.name(e.msg.tensor);
                 diags.push(
                     Diagnostic::error(
                         DiagnosticKind::OrphanMessage,
                         format!(
-                            "send of {}{} from rank {} (to rank {}) has no matching receive; \
-                             the payload leaks",
-                            e.msg.tensor, e.msg.rect, e.rank, e.msg.peer
+                            "send of {tensor}{} from rank {} (to rank {}) has no matching \
+                             receive; the payload leaks",
+                            e.msg.rect, e.rank, e.msg.peer
                         ),
                     )
                     .with_rank(e.rank)
-                    .with_tensor(&e.msg.tensor)
+                    .with_tensor(tensor)
                     .with_tag(tag),
                 );
             }
@@ -111,25 +113,25 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                 } else {
                     r.iter().map(|e| e.rank).collect()
                 };
+                let tensor = program.name(first.msg.tensor);
                 diags.push(
                     Diagnostic::error(
                         DiagnosticKind::DuplicateMessage,
                         format!(
-                            "{} {}s share tag {tag} on tensor '{}' (ranks {ranks:?}); a send \
-                             feeds only the first receive of its tag",
+                            "{} {}s share tag {tag} on tensor '{tensor}' (ranks {ranks:?}); a \
+                             send feeds only the first receive of its tag",
                             ranks.len(),
                             if ns > 1 { "send" } else { "receive" },
-                            first.msg.tensor,
                         ),
                     )
                     .with_rank(first.rank)
-                    .with_tensor(&first.msg.tensor)
+                    .with_tensor(tensor)
                     .with_tag(tag),
                 );
             }
             _ => {
                 let (se, re) = (&s[0], &r[0]);
-                if let Some(why) = pair_mismatch(se, re) {
+                if let Some(why) = pair_mismatch(program, se, re) {
                     diags.push(
                         Diagnostic::error(
                             DiagnosticKind::MessageMismatch,
@@ -140,7 +142,7 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                             ),
                         )
                         .with_rank(re.rank)
-                        .with_tensor(&se.msg.tensor)
+                        .with_tensor(program.name(se.msg.tensor))
                         .with_tag(tag),
                     );
                 }
@@ -151,7 +153,7 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
 }
 
 /// Why a matched send/receive pair disagrees, if it does.
-fn pair_mismatch(s: &Endpoint<'_>, r: &Endpoint<'_>) -> Option<String> {
+fn pair_mismatch(p: &VerifyProgram<'_>, s: &Endpoint<'_>, r: &Endpoint<'_>) -> Option<String> {
     if s.msg.peer != r.rank || r.msg.peer != s.rank {
         return Some(format!(
             "endpoints: send targets rank {} but the receive sits on rank {} expecting rank {}",
@@ -161,7 +163,8 @@ fn pair_mismatch(s: &Endpoint<'_>, r: &Endpoint<'_>) -> Option<String> {
     if s.msg.tensor != r.msg.tensor {
         return Some(format!(
             "the tensor: '{}' sent, '{}' expected",
-            s.msg.tensor, r.msg.tensor
+            p.name(s.msg.tensor),
+            p.name(r.msg.tensor)
         ));
     }
     if s.msg.rect != r.msg.rect {
@@ -185,7 +188,7 @@ fn pair_mismatch(s: &Endpoint<'_>, r: &Endpoint<'_>) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{clean_pair, msg, rect2};
+    use crate::fixtures::{clean_pair, msg, rect2, B};
 
     #[test]
     fn clean_pair_matches() {
@@ -217,7 +220,7 @@ mod tests {
     #[test]
     fn duplicate_tag_flagged() {
         let mut p = clean_pair();
-        let dup = Event::Send(msg(1, 1, "B", rect2((0, 0), (1, 3))));
+        let dup = Event::Send(msg(1, 1, B, rect2((0, 0), (1, 3))));
         p.ranks[0].insert(0, dup);
         let diags = check(&p);
         assert_eq!(diags.len(), 1);

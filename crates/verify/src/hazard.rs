@@ -17,31 +17,31 @@
 //!   rectangle a task already read in the same generation; legal under
 //!   per-rank program order, but a refactoring hazard worth surfacing.
 
-use crate::{Event, VerifyProgram};
-use distal_core::{Diagnostic, DiagnosticKind};
+use crate::{entry, Event, VerifyProgram};
+use distal_core::{Diagnostic, DiagnosticKind, TensorId};
 use distal_machine::geom::Rect;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Checks for write-write and unordered read-write overlaps. See the
 /// module docs for the three conditions.
-pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
+pub fn check(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
     let mut diags = cross_rank_writes(program);
     diags.extend(landings(program));
     diags
 }
 
-/// All task-write rectangles, grouped by tensor as `(rank, rect)` pairs.
-/// A rank re-writing the identical rectangle across steps (the common
-/// steady-state shape — SUMMA accumulates into one output tile every
-/// step) is recorded once.
-fn write_sets(program: &VerifyProgram) -> BTreeMap<&str, Vec<(usize, &Rect)>> {
-    let mut by_tensor: BTreeMap<&str, Vec<(usize, &Rect)>> = BTreeMap::new();
+/// All task-write rectangles, grouped by tensor id as `(rank, rect)`
+/// pairs. A rank re-writing the identical rectangle across steps (the
+/// common steady-state shape — SUMMA accumulates into one output tile
+/// every step) is recorded once.
+fn write_sets<'p>(program: &'p VerifyProgram<'_>) -> Vec<Vec<(usize, &'p Rect)>> {
+    let mut by_tensor: Vec<Vec<(usize, &Rect)>> = vec![Vec::new(); program.tensors.len()];
     for (rank, events) in program.ranks.iter().enumerate() {
         for ev in events {
             if let Event::Task { accesses } = ev {
                 for a in accesses.iter().filter(|a| a.write) {
                     if a.rect.volume() > 0 {
-                        let rects = by_tensor.entry(a.tensor.as_str()).or_default();
+                        let rects = entry(&mut by_tensor, a.tensor);
                         let dup = rects
                             .iter()
                             .rev()
@@ -68,7 +68,7 @@ fn write_sets(program: &VerifyProgram) -> BTreeMap<&str, Vec<(usize, &Rect)>> {
 /// (the overwhelmingly common case on the plan path) costs
 /// `O(R log R + neighbours)` per tensor instead of the naive
 /// `O(p² · R²)` pairwise scan.
-fn cross_rank_writes(program: &VerifyProgram) -> Vec<Diagnostic> {
+fn cross_rank_writes(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
     if program.reduces {
         // Distributed reductions fold every contribution; overlapping
         // output writes are the algorithm, not a hazard.
@@ -76,7 +76,7 @@ fn cross_rank_writes(program: &VerifyProgram) -> Vec<Diagnostic> {
     }
     let mut diags = Vec::new();
     let mut reported: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (tensor, mut rects) in write_sets(program) {
+    for (t, mut rects) in write_sets(program).into_iter().enumerate() {
         reported.clear();
         rects.sort_by_key(|(_, r)| r.lo()[0]);
         for i in 0..rects.len() {
@@ -92,6 +92,7 @@ fn cross_rank_writes(program: &VerifyProgram) -> Vec<Diagnostic> {
                 if !reported.insert((a, b)) {
                     continue;
                 }
+                let tensor = program.name(TensorId(t as u32));
                 diags.push(
                     Diagnostic::error(
                         DiagnosticKind::WriteHazard,
@@ -113,67 +114,61 @@ fn cross_rank_writes(program: &VerifyProgram) -> Vec<Diagnostic> {
 
 /// Unordered landings and landing-over-read shadows, per rank, per
 /// scratch generation.
-fn landings(program: &VerifyProgram) -> Vec<Diagnostic> {
+fn landings(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    // Landings and task reads of the current generation, by tensor id:
+    // emptied, not dropped, at every rank and fence.
+    let tensors = program.tensors.len();
+    let mut landed: Vec<Vec<(u64, &Rect)>> = vec![Vec::new(); tensors];
+    let mut read: Vec<Vec<&Rect>> = vec![Vec::new(); tensors];
     for (rank, events) in program.ranks.iter().enumerate() {
-        // Landings and task reads of the current generation, by tensor.
-        let mut landed: BTreeMap<&str, Vec<(u64, &Rect)>> = BTreeMap::new();
-        let mut read: BTreeMap<&str, Vec<&Rect>> = BTreeMap::new();
-        for ev in events {
+        for ev in std::iter::once(&Event::Fence).chain(events) {
             match ev {
                 Event::Fence => {
-                    // Emptied, not dropped: the next generation reuses them.
-                    landed.values_mut().for_each(Vec::clear);
-                    read.values_mut().for_each(Vec::clear);
+                    landed.iter_mut().for_each(Vec::clear);
+                    read.iter_mut().for_each(Vec::clear);
                 }
                 Event::Recv(m) if !m.fold => {
-                    if let Some(prev) = landed
-                        .get(m.tensor.as_str())
-                        .and_then(|v| v.iter().find(|(_, r)| r.overlaps(&m.rect)))
-                    {
+                    let (tensor, rect, tag) = (program.name(m.tensor), &m.rect, m.tag);
+                    let t = m.tensor.index();
+                    let mut landings = landed.get(t).into_iter().flatten();
+                    if let Some((prev_tag, prev)) = landings.find(|(_, r)| r.overlaps(rect)) {
                         diags.push(
                             Diagnostic::error(
                                 DiagnosticKind::WriteHazard,
                                 format!(
-                                    "rank {rank} receives {}{} (tag {}) overlapping the \
-                                     {} landed by tag {} in the same scratch generation; \
-                                     lookups become arrival-order dependent",
-                                    m.tensor, m.rect, m.tag, prev.1, prev.0
+                                    "rank {rank} receives {tensor}{rect} (tag {tag}) overlapping \
+                                     the {prev} landed by tag {prev_tag} in the same scratch \
+                                     generation; lookups become arrival-order dependent"
                                 ),
                             )
                             .with_rank(rank)
-                            .with_tensor(&m.tensor)
-                            .with_tag(m.tag),
+                            .with_tensor(tensor.as_ref())
+                            .with_tag(tag),
                         );
                     }
-                    if let Some(shadowed) = read
-                        .get(m.tensor.as_str())
-                        .and_then(|v| v.iter().find(|r| r.overlaps(&m.rect)))
-                    {
+                    let mut reads = read.get(t).into_iter().flatten();
+                    if let Some(shadowed) = reads.find(|r| r.overlaps(rect)) {
                         diags.push(
                             Diagnostic::warning(
                                 DiagnosticKind::ReadHazard,
                                 format!(
-                                    "rank {rank} receives {}{} (tag {}) over the {shadowed} \
-                                     a task already read this generation; later reads see \
-                                     different data",
-                                    m.tensor, m.rect, m.tag
+                                    "rank {rank} receives {tensor}{rect} (tag {tag}) over the \
+                                     {shadowed} a task already read this generation; later \
+                                     reads see different data"
                                 ),
                             )
                             .with_rank(rank)
-                            .with_tensor(&m.tensor)
-                            .with_tag(m.tag),
+                            .with_tensor(tensor)
+                            .with_tag(tag),
                         );
                     }
-                    landed
-                        .entry(m.tensor.as_str())
-                        .or_default()
-                        .push((m.tag, &m.rect));
+                    entry(&mut landed, m.tensor).push((tag, rect));
                 }
                 Event::Task { accesses } => {
                     for a in accesses.iter().filter(|a| !a.write) {
                         if a.rect.volume() > 0 {
-                            read.entry(a.tensor.as_str()).or_default().push(&a.rect);
+                            entry(&mut read, a.tensor).push(&a.rect);
                         }
                     }
                 }
@@ -187,7 +182,7 @@ fn landings(program: &VerifyProgram) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{clean_pair, msg, rect2};
+    use crate::fixtures::{clean_pair, msg, rect2, A, B};
     use crate::Access;
 
     #[test]
@@ -219,7 +214,7 @@ mod tests {
     #[test]
     fn overlapping_landings_in_one_generation_flagged() {
         let mut p = clean_pair();
-        let extra = Event::Recv(msg(7, 0, "B", rect2((1, 0), (2, 3))));
+        let extra = Event::Recv(msg(7, 0, B, rect2((1, 0), (2, 3))));
         p.ranks[1].insert(1, extra);
         let diags = check(&p);
         assert!(
@@ -230,7 +225,7 @@ mod tests {
         );
         // A fence between the two landings retires the first: no hazard.
         let mut fenced = clean_pair();
-        fenced.ranks[1].insert(1, Event::Recv(msg(7, 0, "B", rect2((1, 0), (2, 3)))));
+        fenced.ranks[1].insert(1, Event::Recv(msg(7, 0, B, rect2((1, 0), (2, 3)))));
         fenced.ranks[1].insert(1, Event::Fence);
         assert!(check(&fenced)
             .iter()
@@ -242,15 +237,15 @@ mod tests {
         let mut p = clean_pair();
         // Rank 1: task reads B, then a payload lands over the same rect.
         p.ranks[1] = vec![
-            Event::Recv(msg(1, 0, "B", rect2((0, 0), (1, 3)))),
+            Event::Recv(msg(1, 0, B, rect2((0, 0), (1, 3)))),
             Event::Task {
                 accesses: vec![Access {
-                    tensor: "B".into(),
+                    tensor: B,
                     rect: rect2((0, 0), (1, 3)),
                     write: false,
                 }],
             },
-            Event::Recv(msg(8, 0, "B", rect2((0, 0), (1, 3)))),
+            Event::Recv(msg(8, 0, B, rect2((0, 0), (1, 3)))),
             Event::Fence,
         ];
         let diags = check(&p);
@@ -264,8 +259,8 @@ mod tests {
     #[test]
     fn fold_receives_may_overlap() {
         let mut p = clean_pair();
-        let mut m1 = msg(7, 0, "A", rect2((0, 0), (1, 3)));
-        let mut m2 = msg(8, 0, "A", rect2((0, 0), (1, 3)));
+        let mut m1 = msg(7, 0, A, rect2((0, 0), (1, 3)));
+        let mut m2 = msg(8, 0, A, rect2((0, 0), (1, 3)));
         m1.fold = true;
         m2.fold = true;
         p.ranks[1].push(Event::Recv(m1));

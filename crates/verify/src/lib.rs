@@ -25,8 +25,9 @@
 //! The verifier is deliberately independent of `distal-spmd` (which
 //! calls it from `SpmdBackend::plan`): it analyzes a generic event IR
 //! ([`VerifyProgram`]) that any message-passing lowering can adapt to.
-//! Findings surface as structured [`Diagnostic`]s naming the offending
-//! rank/tensor/tag.
+//! Events name a tensor by [`TensorId`], the index of every per-tensor
+//! table; its name, in [`VerifyProgram::tensors`], only words findings:
+//! structured [`Diagnostic`]s naming the offending rank/tensor/tag.
 
 #![forbid(unsafe_code)]
 
@@ -35,14 +36,14 @@ pub mod comm;
 pub mod hazard;
 pub mod order;
 
-use distal_core::Diagnostic;
+use distal_core::{Diagnostic, TensorId};
 use distal_machine::geom::Rect;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 pub use distal_core::{verified_clean, DiagnosticKind, Severity};
 
 /// The identity of one tagged transfer, as seen from one endpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Msg {
     /// The matching key: globally unique per transfer in a well-formed
     /// program.
@@ -50,8 +51,9 @@ pub struct Msg {
     /// The other endpoint: destination rank for sends, source rank for
     /// receives.
     pub peer: usize,
-    /// The tensor whose cells travel.
-    pub tensor: String,
+    /// The tensor whose cells travel: an index into
+    /// [`VerifyProgram::tensors`].
+    pub tensor: TensorId,
     /// The rectangle of the tensor being moved.
     pub rect: Rect,
     /// Wire bytes of the payload.
@@ -63,10 +65,10 @@ pub struct Msg {
 }
 
 /// One tensor access of a leaf task.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Access {
-    /// The tensor accessed.
-    pub tensor: String,
+    /// The tensor accessed: an index into [`VerifyProgram::tensors`].
+    pub tensor: TensorId,
     /// The rectangle touched.
     pub rect: Rect,
     /// True for writes (the task's output), false for reads.
@@ -90,22 +92,13 @@ pub enum Event {
     Fence,
 }
 
-impl Event {
-    /// The message carried by communication events.
-    pub fn msg(&self) -> Option<&Msg> {
-        match self {
-            Event::Send(m) | Event::Recv(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
 /// A whole program in the verifier's event IR: per-rank event lists plus
-/// the tensor extents they operate over.
+/// the tensors they operate over, whose names it borrows.
 #[derive(Clone, Debug)]
-pub struct VerifyProgram {
-    /// Full extent rectangle of every tensor (`Rect::sized(dims)`).
-    pub tensors: BTreeMap<String, Rect>,
+pub struct VerifyProgram<'n> {
+    /// Per tensor id, the tensor's name and full extent rectangle
+    /// (`Rect::sized(dims)`): the program's one name table.
+    pub tensors: Vec<(&'n str, Rect)>,
     /// One event list per rank, in program order. The launch domain is
     /// `0..ranks.len()`.
     pub ranks: Vec<Vec<Event>>,
@@ -114,11 +107,25 @@ pub struct VerifyProgram {
     pub reduces: bool,
 }
 
-impl VerifyProgram {
-    /// Number of ranks (the launch domain).
-    pub fn rank_count(&self) -> usize {
-        self.ranks.len()
+impl VerifyProgram<'_> {
+    /// The name of tensor `id`, for a finding; an undeclared id renders as
+    /// the id.
+    pub(crate) fn name(&self, id: TensorId) -> Cow<'_, str> {
+        match self.tensors.get(id.index()) {
+            Some((name, _)) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("{id:?}")),
+        }
     }
+}
+
+/// The entry of `table` for tensor `id`, growing the table to reach it:
+/// a pass's per-tensor tables are sized by the declared tensors, and an
+/// undeclared id (already a finding of [`bounds`]) must not panic.
+pub(crate) fn entry<T: Default>(table: &mut Vec<T>, id: TensorId) -> &mut T {
+    if table.len() <= id.index() {
+        table.resize_with(id.index() + 1, T::default);
+    }
+    &mut table[id.index()]
 }
 
 /// Runs all four verification passes over `program`, returning every
@@ -128,7 +135,7 @@ impl VerifyProgram {
 /// An empty result proves the program well-formed under this crate's
 /// model; any error-severity finding means executing it would hang,
 /// corrupt data, or touch memory out of bounds.
-pub fn verify(program: &VerifyProgram) -> Vec<Diagnostic> {
+pub fn verify(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
     let mut diags = bounds::check(program);
     diags.extend(comm::check(program));
     diags.extend(order::check(program));
@@ -145,12 +152,17 @@ pub(crate) mod fixtures {
         Rect::new(Point::new(vec![lo.0, lo.1]), Point::new(vec![hi.0, hi.1]))
     }
 
-    pub fn msg(tag: u64, peer: usize, tensor: &str, rect: Rect) -> Msg {
+    // The ids of `clean_pair`'s tensors, and of one it does not declare.
+    pub(crate) const A: TensorId = TensorId(0);
+    pub(crate) const B: TensorId = TensorId(1);
+    pub(crate) const Z: TensorId = TensorId(2);
+
+    pub fn msg(tag: u64, peer: usize, tensor: TensorId, rect: Rect) -> Msg {
         let bytes = rect.volume().max(0) as u64 * 8;
         Msg {
             tag,
             peer,
-            tensor: tensor.into(),
+            tensor,
             rect,
             bytes,
             fold: false,
@@ -160,26 +172,23 @@ pub(crate) mod fixtures {
     /// A minimal clean two-rank program over one 4×4 tensor `B` and an
     /// output `A`: rank 0 sends its half of `B` to rank 1, both compute
     /// disjoint halves of `A`.
-    pub fn clean_pair() -> VerifyProgram {
+    pub fn clean_pair() -> VerifyProgram<'static> {
         let b_full = rect2((0, 0), (3, 3));
         let a_full = rect2((0, 0), (3, 3));
         let b_lo = rect2((0, 0), (1, 3));
         let a_lo = rect2((0, 0), (1, 3));
         let a_hi = rect2((2, 0), (3, 3));
-        let mut tensors = BTreeMap::new();
-        tensors.insert("B".to_string(), b_full);
-        tensors.insert("A".to_string(), a_full);
         let r0 = vec![
-            Event::Send(msg(1, 1, "B", b_lo)),
+            Event::Send(msg(1, 1, B, b_lo)),
             Event::Task {
                 accesses: vec![
                     Access {
-                        tensor: "A".into(),
+                        tensor: A,
                         rect: a_lo,
                         write: true,
                     },
                     Access {
-                        tensor: "B".into(),
+                        tensor: B,
                         rect: b_lo,
                         write: false,
                     },
@@ -188,16 +197,16 @@ pub(crate) mod fixtures {
             Event::Fence,
         ];
         let r1 = vec![
-            Event::Recv(msg(1, 0, "B", b_lo)),
+            Event::Recv(msg(1, 0, B, b_lo)),
             Event::Task {
                 accesses: vec![
                     Access {
-                        tensor: "A".into(),
+                        tensor: A,
                         rect: a_hi,
                         write: true,
                     },
                     Access {
-                        tensor: "B".into(),
+                        tensor: B,
                         rect: b_lo,
                         write: false,
                     },
@@ -206,7 +215,7 @@ pub(crate) mod fixtures {
             Event::Fence,
         ];
         VerifyProgram {
-            tensors,
+            tensors: vec![("A", a_full), ("B", b_full)],
             ranks: vec![r0, r1],
             reduces: false,
         }
@@ -227,7 +236,7 @@ mod tests {
     #[test]
     fn empty_program_is_fine() {
         let p = VerifyProgram {
-            tensors: BTreeMap::new(),
+            tensors: Vec::new(),
             ranks: vec![Vec::new(); 4],
             reduces: false,
         };

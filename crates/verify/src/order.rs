@@ -20,7 +20,7 @@ use distal_core::{Diagnostic, DiagnosticKind};
 /// Tags that failed 1:1 matching contribute no cross edge — their
 /// diagnostics come from [`crate::comm`]; this pass still orders the
 /// events around them.
-pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
+pub fn check(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
     // Node ids: events of rank r start at base[r].
     let mut base = Vec::with_capacity(program.ranks.len());
     let mut total = 0usize;
@@ -138,7 +138,7 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
                     ),
                 )
                 .with_rank(rank)
-                .with_tensor(&m.tensor)
+                .with_tensor(program.name(m.tensor))
                 .with_tag(m.tag),
             );
         }
@@ -161,7 +161,7 @@ pub fn check(program: &VerifyProgram) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{clean_pair, msg, rect2};
+    use crate::fixtures::{clean_pair, msg, rect2, B};
 
     #[test]
     fn clean_pair_is_acyclic() {
@@ -174,14 +174,8 @@ mod tests {
         // rank 1: recv(t1 from 0); send(t2 to 0)  -> classic 2-cycle.
         let mut p = clean_pair();
         let r = rect2((0, 0), (1, 3));
-        p.ranks[0] = vec![
-            Event::Recv(msg(2, 1, "B", r)),
-            Event::Send(msg(1, 1, "B", r)),
-        ];
-        p.ranks[1] = vec![
-            Event::Recv(msg(1, 0, "B", r)),
-            Event::Send(msg(2, 0, "B", r)),
-        ];
+        p.ranks[0] = vec![Event::Recv(msg(2, 1, B, r)), Event::Send(msg(1, 1, B, r))];
+        p.ranks[1] = vec![Event::Recv(msg(1, 0, B, r)), Event::Send(msg(2, 0, B, r))];
         let diags = check(&p);
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert!(diags.iter().all(|d| d.kind == DiagnosticKind::Deadlock));
@@ -197,14 +191,8 @@ mod tests {
         // for a tag it would itself send two ops later.
         let mut p = clean_pair();
         let r = rect2((0, 0), (1, 3));
-        p.ranks[0] = vec![
-            Event::Recv(msg(9, 1, "B", r)),
-            Event::Send(msg(1, 1, "B", r)),
-        ];
-        p.ranks[1] = vec![
-            Event::Recv(msg(1, 0, "B", r)),
-            Event::Send(msg(9, 0, "B", r)),
-        ];
+        p.ranks[0] = vec![Event::Recv(msg(9, 1, B, r)), Event::Send(msg(1, 1, B, r))];
+        p.ranks[1] = vec![Event::Recv(msg(1, 0, B, r)), Event::Send(msg(9, 0, B, r))];
         // This *is* the crossed wait again seen from the tag's side;
         // sanity-check that matching alone would pass it.
         assert!(crate::comm::check(&p).is_empty());

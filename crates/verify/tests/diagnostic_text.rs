@@ -25,7 +25,7 @@ fn a_lost_message_prints_its_rectangle_once() {
     let lost = program
         .messages()
         .into_iter()
-        .find(|m| m.tensor == "B")
+        .find(|m| program.tensor_name(m.tensor) == "B")
         .unwrap()
         .tag;
     program.rewrite(|stream| {

@@ -151,7 +151,7 @@ fn sparse_programs_verify_clean_under_all_lowerings() {
 #[test]
 fn mutation_dropped_send_is_a_lost_message() {
     let mut program = figure9(MatmulAlgorithm::Summa, 4, 8, &CollectiveConfig::trees());
-    let lost = program.messages().first().map(|m| (**m).clone()).unwrap();
+    let lost = program.messages().first().map(|m| **m).unwrap();
     let drop_it = |op: &SpmdOp| op.is_send() && op.message().is_some_and(|m| m.tag == lost.tag);
     program.rewrite(|stream| stream.retain(|(_, op)| !drop_it(op)));
 
@@ -163,7 +163,10 @@ fn mutation_dropped_send_is_a_lost_message() {
         .unwrap_or_else(|| panic!("expected a lost-message diagnostic: {diags:?}"));
     assert_eq!(d.rank, Some(lost.to), "must name the blocked receiver");
     assert_eq!(d.tag, Some(lost.tag));
-    assert_eq!(d.tensor.as_deref(), Some(lost.tensor.as_str()));
+    assert_eq!(
+        d.tensor.as_deref(),
+        Some(&*program.tensor_name(lost.tensor))
+    );
 }
 
 /// Mutation 2 — duplicate a send: one of the two payloads is never
@@ -194,7 +197,7 @@ fn mutation_swapped_tags_are_a_mismatch() {
     let mut program = figure9(MatmulAlgorithm::Summa, 4, 8, &CollectiveConfig::trees());
     let (tag_a, tag_b) = {
         let msgs = program.messages();
-        let first = msgs[0].clone();
+        let first = *msgs[0];
         let other = msgs
             .iter()
             .find(|m| m.rect != first.rect)
@@ -240,7 +243,7 @@ fn mutation_out_of_bounds_rect_rejected() {
     edit_messages(&mut program, |_, m| {
         if m.tag == bad_tag {
             m.rect = shift(&m.rect, 1000);
-            skewed = Some((m.tensor.clone(), m.tag));
+            skewed = Some((m.tensor, m.tag));
         }
     });
     let (tensor, tag) = skewed.expect("found the transfer to skew");
@@ -249,7 +252,7 @@ fn mutation_out_of_bounds_rect_rejected() {
         .iter()
         .find(|d| d.kind == DiagnosticKind::OutOfBounds)
         .unwrap_or_else(|| panic!("expected out-of-bounds: {diags:?}"));
-    assert_eq!(d.tensor.as_deref(), Some(tensor.as_str()));
+    assert_eq!(d.tensor.as_deref(), Some(&*program.tensor_name(tensor)));
     assert_eq!(d.tag, Some(tag));
     assert!(d.rank.is_some());
 }
@@ -297,7 +300,7 @@ fn mutation_cyclic_wait_is_a_deadlock() {
         .find_map(|m1| {
             msgs.iter()
                 .find(|m2| m1.from != m1.to && m2.from == m1.to && m2.to == m1.from)
-                .map(|m2| (m1.clone(), m2.clone()))
+                .map(|m2| (*m1, *m2))
         })
         .expect("Cannon shifts in both directions");
     // On each endpoint rank, move the receive of the opposing message to

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("== {} on {:?} ==", alg.name(), grid.dims());
         println!("rank 0 program:");
         for op in program.rank_ops(0) {
-            println!("    {op}");
+            println!("    {}", program.named(op));
         }
         let stats = program.stats();
         println!(
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             println!("  collectives ({}):", program.collectives.len());
             for c in program.collectives.iter().take(4) {
-                println!("    {c}");
+                println!("    {}", program.named(c));
             }
             if program.collectives.len() > 4 {
                 println!("    … and {} more", program.collectives.len() - 4);

@@ -49,17 +49,20 @@
 //! at a time (2-core host).
 //!
 //! `--assert-plan-scaling RATIO` is the plan-time gate over
-//! [`plan_scaling`], independent of host speed: Cannon and SUMMA at the
-//! pipeline benchmark's shape (n = 512, chunk 128, trees; fixed, whatever
-//! `gx gy n` say) are planned at p = 64 and p = 256, fastest of five, and
-//! `SpmdBackend::plan` time *per rank op* at p = 256 may be at most
-//! `RATIO` × the p = 64 figure. Linear-time planning scores 1; the
+//! [`plan_scaling`], independent of host speed: Cannon, PUMMA and SUMMA
+//! at the pipeline benchmark's shape (n = 512, chunk 128, trees; fixed,
+//! whatever `gx gy n` say) are planned at p = 64 and p = 256, fastest of
+//! five, and `SpmdBackend::plan` time *per rank op* at p = 256 may be at
+//! most `RATIO` × the p = 64 figure. Linear-time planning scores 1; the
 //! per-need scan over all ranks that the rectangle index replaced scored
-//! 3.5 (Cannon) and 2.9 (SUMMA).
+//! 3.5 (Cannon) and 2.9 (SUMMA). The table splits each plan into its
+//! phases and prints, in the `bounds` column, the nest walk both
+//! lowerings share on its own ([`bounds_walk`]).
 
 use crate::args::Args;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
+use distal_core::nest::{Env, Nest};
 use distal_core::{oracle, Backend, Bindings, Problem, RuntimeBackend, Schedule};
 use distal_ir::expr::Assignment;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
@@ -375,6 +378,8 @@ struct PlanScaling {
     pub collectives_s: f64,
     /// The static verifier on the tree-lowered program.
     pub verify_s: f64,
+    /// The nest walk both lowerings share, alone ([`bounds_walk`]).
+    pub bounds_s: f64,
 }
 
 impl PlanScaling {
@@ -394,18 +399,6 @@ impl PlanScaling {
 /// measurement).
 fn plan_scaling(alg: MatmulAlgorithm, p: i64) -> PlanScaling {
     let (problem, schedule) = figure9_problem(alg, p, 512);
-    fn fastest<T>(mut run: impl FnMut() -> T) -> (f64, T) {
-        let mut best: Option<(f64, T)> = None;
-        for _ in 0..5 {
-            let start = std::time::Instant::now();
-            let out = run();
-            let s = start.elapsed().as_secs_f64();
-            if best.as_ref().is_none_or(|(b, _)| s < *b) {
-                best = Some((s, out));
-            }
-        }
-        best.expect("five runs")
-    }
     let lower = |config: CollectiveConfig| {
         lower_problem(&problem, &schedule, &config).unwrap_or_else(|e| panic!("{alg:?} p={p}: {e}"))
     };
@@ -418,6 +411,7 @@ fn plan_scaling(alg: MatmulAlgorithm, p: i64) -> PlanScaling {
     let (lower_s, _) = fastest(|| lower(CollectiveConfig::point_to_point()));
     let (trees_s, program) = fastest(|| lower(CollectiveConfig::trees()));
     let (verify_s, _) = fastest(|| distal_spmd::verify_program(&program));
+    let (bounds_s, _) = bounds_walk(&problem, &schedule);
     PlanScaling {
         algorithm: alg.name(),
         ranks: program.ranks(),
@@ -428,7 +422,61 @@ fn plan_scaling(alg: MatmulAlgorithm, p: i64) -> PlanScaling {
         lower_s,
         collectives_s: (trees_s - lower_s).max(0.0),
         verify_s,
+        bounds_s,
     }
+}
+
+/// The fastest of five runs of `run`, in seconds, with its result.
+fn fastest<T>(mut run: impl FnMut() -> T) -> (f64, T) {
+    let mut best: Option<(f64, T)> = None;
+    for _ in 0..5 {
+        let start = std::time::Instant::now();
+        let out = run();
+        let s = start.elapsed().as_secs_f64();
+        if best.as_ref().is_none_or(|(b, _)| s < *b) {
+            best = Some((s, out));
+        }
+    }
+    best.expect("five runs")
+}
+
+/// The nest walk alone, as both lowerings run it: at every (sequential
+/// step, launch point), `Nest::bind_env`, `Nest::leaf_bounds` and, for a
+/// non-empty leaf, every access's `Nest::access_rect`. The fastest of
+/// five, with the total volume of the rectangles (which keeps the work
+/// observable).
+///
+/// # Panics
+///
+/// Panics when the nest analysis fails (a bench-harness bug).
+fn bounds_walk(problem: &Problem, schedule: &Schedule) -> (f64, i64) {
+    let assignment = problem.assignment().expect("a matmul statement");
+    let dims = problem.dims_map();
+    let nest = Nest::new(assignment, &dims, schedule).unwrap_or_else(|e| panic!("{e}"));
+    let points = nest.launch_points(problem.machine().size());
+    let points = points.unwrap_or_else(|e| panic!("{e}"));
+    let access_dims: Vec<&[i64]> = assignment
+        .accesses()
+        .iter()
+        .map(|acc| dims[&acc.tensor].as_slice())
+        .collect();
+    fastest(|| {
+        let mut env = Env::new();
+        let mut volume = 0;
+        for seq_point in nest.seq_rect().points() {
+            for point in points.points() {
+                nest.bind_env(&mut env, &seq_point, &point);
+                let Some(leaf) = nest.leaf_bounds(&env) else {
+                    continue;
+                };
+                std::hint::black_box(leaf);
+                for (a, dims) in access_dims.iter().enumerate() {
+                    volume += nest.access_rect(a, &env, dims).volume();
+                }
+            }
+        }
+        volume
+    })
 }
 
 /// `4x4` for a `[4, 4]` grid.
@@ -633,14 +681,26 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
     }
     if let Some(bound) = assert_plan_scaling {
         println!(
-            "{:<12} {:>5} {:>9} {:>10} {:>10} {:>12} {:>10} {:>10}",
-            "algorithm", "p", "rank ops", "plan", "lower", "collectives", "verify", "plan/op"
+            "{:<12} {:>5} {:>9} {:>10} {:>10} {:>12} {:>10} {:>10} {:>10}",
+            "algorithm",
+            "p",
+            "rank ops",
+            "plan",
+            "lower",
+            "collectives",
+            "verify",
+            "bounds",
+            "plan/op"
         );
-        for alg in [MatmulAlgorithm::Cannon, MatmulAlgorithm::Summa] {
+        for alg in [
+            MatmulAlgorithm::Cannon,
+            MatmulAlgorithm::Pumma,
+            MatmulAlgorithm::Summa,
+        ] {
             let [small, large] = [64, 256].map(|p| {
                 let s = plan_scaling(alg, p);
                 println!(
-                    "{:<12} {:>5} {:>9} {:>8.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>8.2}us",
+                    "{:<12} {:>5} {:>9} {:>8.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>8.2}ms {:>8.2}us",
                     s.algorithm,
                     s.ranks,
                     s.rank_ops,
@@ -648,6 +708,7 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
                     s.lower_s * 1e3,
                     s.collectives_s * 1e3,
                     s.verify_s * 1e3,
+                    s.bounds_s * 1e3,
                     s.plan_us_per_op()
                 );
                 s

@@ -131,7 +131,7 @@
 use crate::error::CompileError;
 use crate::kernels::{is_matmul, is_sddmm, is_spmv, rhs_is_access_product, InterpreterKernel};
 use crate::schedule::{LeafKind, Schedule};
-use distal_ir::expr::{Assignment, Expr, IndexVar};
+use distal_ir::expr::{Assignment, Expr};
 use distal_runtime::kernel::{Kernel, KernelCtx};
 use std::sync::Arc;
 
@@ -313,13 +313,7 @@ impl TapeKernel {
     /// Compiles a request's statement into a tape kernel.
     pub(crate) fn new(req: &LeafRequest) -> Self {
         let a = &req.assignment;
-        let vars: Vec<IndexVar> = a.all_vars();
-        let pos = |v: &IndexVar| vars.iter().position(|x| x == v).expect("unknown var");
-        let mut maps: Vec<Vec<usize>> = Vec::new();
-        maps.push(a.lhs.indices.iter().map(pos).collect());
-        for acc in a.input_accesses() {
-            maps.push(acc.indices.iter().map(pos).collect());
-        }
+        let maps = a.access_positions();
         let mut tape = Vec::new();
         let mut next = 0usize;
         flatten(&a.rhs, &mut next, &mut tape);
@@ -336,7 +330,7 @@ impl TapeKernel {
         // Stride-1 innermost loop: the last statement variable only ever
         // appears as the *final* index of an access, so every operand
         // that moves in the inner loop moves contiguously.
-        let n_vars = vars.len();
+        let n_vars = a.all_vars().len();
         let stride1 = n_vars > 0
             && maps.iter().all(|m| {
                 m.iter()

@@ -56,12 +56,7 @@ impl InterpreterKernel {
     /// always accumulates into a zeroed buffer) and overwrites it otherwise.
     pub fn new(assignment: Assignment, accumulate: bool) -> Self {
         let vars = assignment.all_vars();
-        let pos = |v: &IndexVar| vars.iter().position(|x| x == v).expect("unknown var");
-        let mut access_maps: Vec<Vec<usize>> = Vec::new();
-        access_maps.push(assignment.lhs.indices.iter().map(pos).collect());
-        for acc in assignment.input_accesses() {
-            access_maps.push(acc.indices.iter().map(pos).collect());
-        }
+        let access_maps = assignment.access_positions();
         let mut coord_starts = Vec::with_capacity(access_maps.len() + 1);
         let mut total = 0usize;
         for m in &access_maps {

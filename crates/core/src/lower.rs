@@ -242,9 +242,10 @@ pub fn compile(
             let mut reqs = Vec::new();
             let mut bytes = 0.0f64;
             let reads = inputs.iter().map(|acc| (*acc, Privilege::Read));
-            for (acc, privilege) in std::iter::once((&assignment.lhs, out_priv)).chain(reads) {
+            let accesses = std::iter::once((&assignment.lhs, out_priv)).chain(reads);
+            for (a, (acc, privilege)) in accesses.enumerate() {
                 let b = binding(tensors, &acc.tensor)?;
-                let rect = nest.access_rect(&acc.indices, &env, &b.dims);
+                let rect = nest.access_rect(a, &env, &b.dims);
                 bytes += rect.volume() as f64 * 8.0;
                 let mem_kind = options.compute_mem.unwrap_or(b.format.mem);
                 let mem = mapper.mem_for(rank, mem_kind);

@@ -16,11 +16,21 @@
 //! `kernels` bench calls `leaf_for` outside any plan), so
 //! [`lowering_count`] witnesses all plan-time work: one per plan on every
 //! backend, none per request.
+//!
+//! Ids below the schedule, names at the edge: the schedule names index
+//! variables, and [`Nest::new`] resolves, once, the solver ids of the
+//! distributed and sequential loops and of the statement's variables, and
+//! every access's indices as positions among the latter. Per (step,
+//! point), [`Nest::bind_env`] writes the loops' slots and evaluates each
+//! statement variable's interval once, by id; the leaf bounds and every
+//! access rectangle read those intervals. No name is looked up, and no
+//! interval is evaluated twice.
 
 use crate::error::CompileError;
 use crate::schedule::Schedule;
 use distal_ir::cin::ConcreteNotation;
 use distal_ir::expr::{Assignment, IndexVar};
+use distal_ir::provenance::{Interval, VarId};
 use distal_machine::geom::{Point, Rect};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,8 +46,23 @@ pub fn lowering_count() -> u64 {
     LOWERINGS.with(std::cell::Cell::get)
 }
 
-/// The loop-variable environment of one (sequential step, launch point).
-pub type Env = BTreeMap<IndexVar, i64>;
+/// The loop-variable environment of one (sequential step, launch point),
+/// written by [`Nest::bind_env`]: the loop variables' slots, and the
+/// interval each statement variable spans under them. A walk over every
+/// (step, point) reuses one, so it allocates once.
+#[derive(Clone, Debug, Default)]
+pub struct Env {
+    slots: distal_ir::provenance::Env,
+    /// Per statement variable, in [`Assignment::all_vars`] order.
+    leaf: Vec<Interval>,
+}
+
+impl Env {
+    /// An environment that binds nothing (bind it with [`Nest::bind_env`]).
+    pub fn new() -> Self {
+        Env::default()
+    }
+}
 
 /// A scheduled statement's loop nest, split into launch domain,
 /// sequential steps and leaf. See the [module docs](self).
@@ -56,8 +81,13 @@ pub struct Nest {
     /// each point accumulates across steps.
     pub seq_reduces: bool,
     n_dist: usize,
-    seq_loops: Vec<IndexVar>,
-    all_vars: Vec<IndexVar>,
+    /// The distributed loops' ids, then the sequential loops'.
+    loop_ids: Vec<VarId>,
+    /// The statement's variables, in [`Assignment::all_vars`] order.
+    all_vars: Vec<VarId>,
+    /// [`Assignment::access_positions`]: every access's indices, as
+    /// positions in `all_vars`.
+    accesses: Vec<Vec<usize>>,
 }
 
 impl Nest {
@@ -114,12 +144,12 @@ impl Nest {
             .iter()
             .rposition(|l| !l.communicate.is_empty())
             .map_or(n_dist, |pos| n_dist.max(pos + 1));
-        let seq_loops: Vec<IndexVar> = cin.loops[n_dist..cut]
-            .iter()
-            .map(|l| l.var.clone())
-            .collect();
+        let seq_loops = &cin.loops[n_dist..cut];
         CompileError::check_dims(|| "the sequential loop band".into(), seq_loops.len())?;
-        let seq_extents = seq_loops.iter().map(|v| cin.solver.extent(v)).collect();
+        let seq_extents = seq_loops
+            .iter()
+            .map(|l| cin.solver.extent(&l.var))
+            .collect();
 
         let reduction_roots: BTreeSet<IndexVar> = assignment.reduction_vars().into_iter().collect();
         let reduces = |v: &IndexVar| {
@@ -129,15 +159,25 @@ impl Nest {
                 .any(|r| reduction_roots.contains(r))
         };
         let dist_reduces = cin.loops[..n_dist].iter().any(|l| reduces(&l.var));
-        let seq_reduces = seq_loops.iter().any(reduces);
+        let seq_reduces = seq_loops.iter().any(|l| reduces(&l.var));
+        // Every loop variable and every statement variable is the solver's.
+        let id = |v: &IndexVar| {
+            cin.solver
+                .id(v)
+                .expect("a variable of the scheduled statement")
+        };
+        let loop_ids = cin.loops[..cut].iter().map(|l| id(&l.var)).collect();
+        let all_vars = assignment.all_vars().iter().map(id).collect();
+        let accesses = assignment.access_positions();
         Ok(Nest {
             launch_domain,
             seq_extents,
             dist_reduces,
             seq_reduces,
             n_dist,
-            seq_loops,
-            all_vars: assignment.all_vars(),
+            loop_ids,
+            all_vars,
+            accesses,
             cin,
         })
     }
@@ -170,28 +210,30 @@ impl Nest {
     /// Tensors tagged `communicate` at a sequential step loop: re-fetched
     /// every step. A tag may name a tensor the statement never accesses.
     pub fn seq_communicated(&self) -> impl Iterator<Item = &String> {
-        self.cin.loops[self.n_dist..self.n_dist + self.seq_loops.len()]
+        self.cin.loops[self.n_dist..self.loop_ids.len()]
             .iter()
             .flat_map(|l| &l.communicate)
     }
 
     /// Binds the distributed and sequential loop variables of `env` at one
-    /// (sequential step, launch point). A walk over every (step, point)
-    /// passes the same `env` each time: only the first call inserts keys,
-    /// later ones overwrite values in place.
+    /// (sequential step, launch point), and evaluates the interval every
+    /// statement variable spans there. A walk over every (step, point)
+    /// passes the same `env` each time: every call overwrites it.
     pub fn bind_env(&self, env: &mut Env, seq_point: &Point, point: &Point) {
-        let dist = self.cin.loops[..self.n_dist].iter().map(|l| &l.var);
-        let bound = dist
-            .zip(point.coords())
-            .chain(self.seq_loops.iter().zip(seq_point.coords()));
-        for (var, &value) in bound {
-            match env.get_mut(var) {
-                Some(slot) => *slot = value,
-                None => {
-                    env.insert(var.clone(), value);
-                }
-            }
+        // A launch domain or sequential band without loops still has one
+        // point of one coordinate, which binds nothing.
+        let (dist, seq) = self.loop_ids.split_at(self.n_dist);
+        let bound = dist.iter().zip(point.coords());
+        for (&var, &value) in bound.chain(seq.iter().zip(seq_point.coords())) {
+            env.slots.bind(var, value);
         }
+        let solver = &self.cin.solver;
+        env.leaf.clear();
+        let leaf = self
+            .all_vars
+            .iter()
+            .map(|&v| solver.interval(v, &env.slots));
+        env.leaf.extend(leaf);
     }
 
     /// The leaf's inclusive `(lo, hi)` bounds per original variable (in
@@ -199,25 +241,22 @@ impl Nest {
     /// `None` when the leaf is empty under `env` (an over-decomposed
     /// launch point).
     pub fn leaf_bounds(&self, env: &Env) -> Option<(Vec<(i64, i64)>, f64)> {
-        let mut bounds = Vec::with_capacity(self.all_vars.len());
-        let mut iter_points = 1.0f64;
-        for v in &self.all_vars {
-            let iv = self.cin.solver.interval(v, env);
-            if iv.is_empty() {
-                return None;
-            }
-            bounds.push((iv.lo, iv.hi));
-            iter_points *= iv.len() as f64;
+        if env.leaf.iter().any(Interval::is_empty) {
+            return None;
         }
+        let bounds = env.leaf.iter().map(|iv| (iv.lo, iv.hi)).collect();
+        let iter_points = env.leaf.iter().map(|iv| iv.len() as f64).product();
         Some((bounds, iter_points))
     }
 
-    /// The rectangle an access with these `indices` touches under `env`,
-    /// clamped to the tensor's `dims`.
-    pub fn access_rect(&self, indices: &[IndexVar], env: &Env, dims: &[i64]) -> Rect {
-        let (mut lo, mut hi) = (Point::zeros(indices.len()), Point::zeros(indices.len()));
-        for (d, v) in indices.iter().enumerate() {
-            let iv = self.cin.solver.interval(v, env).clamp_extent(dims[d]);
+    /// The rectangle access `access` — a position in
+    /// [`Assignment::accesses`]: 0 is the destination, then the right-hand
+    /// side in order — touches under `env`, clamped to the tensor's `dims`.
+    pub fn access_rect(&self, access: usize, env: &Env, dims: &[i64]) -> Rect {
+        let positions = &self.accesses[access];
+        let (mut lo, mut hi) = (Point::zeros(positions.len()), Point::zeros(positions.len()));
+        for (d, &v) in positions.iter().enumerate() {
+            let iv = env.leaf[v].clamp_extent(dims[d]);
             (lo[d], hi[d]) = (iv.lo, iv.hi);
         }
         Rect::new(lo, hi)
@@ -261,8 +300,8 @@ mod tests {
         let (bounds, points) = nest.leaf_bounds(&env).unwrap();
         assert_eq!(bounds, vec![(8, 15), (0, 7), (8, 11)]);
         assert_eq!(points, 8.0 * 8.0 * 4.0);
-        let b = &matmul().input_accesses()[0].indices.clone();
-        let rect = nest.access_rect(b, &env, &[n, n]);
+        // Access 1 is B(i, k).
+        let rect = nest.access_rect(1, &env, &[n, n]);
         assert_eq!(
             rect,
             Rect::new(Point::new(vec![8, 8]), Point::new(vec![15, 11]))

@@ -11,6 +11,7 @@
 
 use crate::cin::ConcreteNotation;
 use crate::expr::IndexVar;
+use crate::provenance::{Env, VarId};
 use std::collections::BTreeMap;
 
 /// One executed iteration-space point.
@@ -49,28 +50,29 @@ pub fn execution_space(cin: &ConcreteNotation) -> Vec<ExecPoint> {
     let seq_vars: Vec<IndexVar> = cin.loops[n_dist..].iter().map(|l| l.var.clone()).collect();
     let dist_extents: Vec<i64> = dist_vars.iter().map(|v| cin.solver.extent(v)).collect();
     let seq_extents: Vec<i64> = seq_vars.iter().map(|v| cin.solver.extent(v)).collect();
-
-    // Original variables referenced by the body.
-    let originals: Vec<IndexVar> = cin
+    // Loop variables and the originals the body references, by id: every
+    // one of them is the solver's.
+    let id = |v: &IndexVar| cin.solver.id(v).expect("a variable of the statement");
+    let dist_ids: Vec<VarId> = dist_vars.iter().map(id).collect();
+    let seq_ids: Vec<VarId> = seq_vars.iter().map(id).collect();
+    let originals: Vec<(&IndexVar, VarId)> = cin
         .body
         .accesses()
-        .iter()
-        .flat_map(|a| a.indices.clone())
+        .into_iter()
+        .flat_map(|a| &a.indices)
+        .map(|v| (v, id(v)))
         .collect();
     let mut out = Vec::new();
+    let mut env = Env::new();
     for_each_point(&dist_extents, &mut |proc| {
         for_each_point(&seq_extents, &mut |seq| {
-            let mut env: BTreeMap<IndexVar, i64> = BTreeMap::new();
-            for (v, &x) in dist_vars.iter().zip(proc.iter()) {
-                env.insert(v.clone(), x);
-            }
-            for (v, &x) in seq_vars.iter().zip(seq.iter()) {
-                env.insert(v.clone(), x);
+            for (&v, &x) in dist_ids.iter().zip(proc).chain(seq_ids.iter().zip(seq)) {
+                env.bind(v, x);
             }
             let mut iter = BTreeMap::new();
-            for v in &originals {
+            for &(name, v) in &originals {
                 if let Some(x) = cin.solver.value(v, &env) {
-                    iter.insert(v.clone(), x);
+                    iter.insert(name.clone(), x);
                 }
             }
             let time = linearize(seq, &seq_extents);

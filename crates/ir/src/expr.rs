@@ -323,6 +323,23 @@ impl Assignment {
         out
     }
 
+    /// Per access, in [`Assignment::accesses`] order (the destination,
+    /// then the right-hand side), the position in
+    /// [`Assignment::all_vars`] of each of its index variables: how leaf
+    /// bounds, which come in `all_vars` order, project onto an access.
+    pub fn access_positions(&self) -> Vec<Vec<usize>> {
+        let vars = self.all_vars();
+        let pos = |v: &IndexVar| {
+            vars.iter()
+                .position(|x| x == v)
+                .expect("a statement variable")
+        };
+        self.accesses()
+            .iter()
+            .map(|acc| acc.indices.iter().map(pos).collect())
+            .collect()
+    }
+
     /// True when the statement reduces (has reduction variables or is an
     /// explicit increment).
     pub fn is_reduction(&self) -> bool {

@@ -394,10 +394,25 @@ mod tests {
     use super::*;
     use crate::cin::ConcreteNotation;
     use crate::expr::{kernels, Assignment};
+    use crate::provenance::{Env, VarId};
     use std::collections::BTreeMap;
 
     fn iv(s: &str) -> IndexVar {
         IndexVar::new(s)
+    }
+
+    /// The solver id of a variable of `cin`.
+    fn id(cin: &ConcreteNotation, name: &str) -> VarId {
+        cin.solver.id(&iv(name)).expect("a known variable")
+    }
+
+    /// An environment binding the named variables of `cin`.
+    fn env(cin: &ConcreteNotation, bound: &[(&str, i64)]) -> Env {
+        let mut env = Env::new();
+        for &(name, value) in bound {
+            env.bind(id(cin, name), value);
+        }
+        env
     }
 
     fn matmul_cin(n: i64) -> ConcreteNotation {
@@ -433,12 +448,10 @@ mod tests {
         assert!(shown.contains("communicate({B, C}, ko)"));
         // Bounds: at (io, jo, ko) = (1, 0, 2), i spans the second half and
         // k spans the third chunk.
-        let mut env = BTreeMap::new();
-        env.insert(iv("io"), 1);
-        env.insert(iv("ko"), 2);
-        assert_eq!(cin.solver.interval(&iv("i"), &env).lo, 32);
-        assert_eq!(cin.solver.interval(&iv("k"), &env).lo, 32);
-        assert_eq!(cin.solver.interval(&iv("k"), &env).hi, 47);
+        let env = env(&cin, &[("io", 1), ("ko", 2)]);
+        assert_eq!(cin.solver.interval(id(&cin, "i"), &env).lo, 32);
+        assert_eq!(cin.solver.interval(id(&cin, "k"), &env).lo, 32);
+        assert_eq!(cin.solver.interval(id(&cin, "k"), &env).hi, 47);
     }
 
     #[test]
@@ -461,11 +474,8 @@ mod tests {
             vec![iv("io"), iv("jo"), iv("kos"), iv("ii"), iv("ji"), iv("ki")]
         );
         // ko is now derived: at (io,jo,kos)=(1,2,0), ko=(0+1+2)%3=0.
-        let mut env = BTreeMap::new();
-        env.insert(iv("io"), 1);
-        env.insert(iv("jo"), 2);
-        env.insert(iv("kos"), 0);
-        assert_eq!(cin.solver.value(&iv("ko"), &env), Some(0));
+        let env = env(&cin, &[("io", 1), ("jo", 2), ("kos", 0)]);
+        assert_eq!(cin.solver.value(id(&cin, "ko"), &env), Some(0));
     }
 
     #[test]
@@ -475,10 +485,9 @@ mod tests {
         assert_eq!(cin.loop_vars(), vec![iv("f"), iv("k")]);
         assert_eq!(cin.solver.extent(&iv("f")), 36);
         // Values recover through the fused variable.
-        let mut env = BTreeMap::new();
-        env.insert(iv("f"), 13);
-        assert_eq!(cin.solver.value(&iv("i"), &env), Some(2));
-        assert_eq!(cin.solver.value(&iv("j"), &env), Some(1));
+        let env = env(&cin, &[("f", 13)]);
+        assert_eq!(cin.solver.value(id(&cin, "i"), &env), Some(2));
+        assert_eq!(cin.solver.value(id(&cin, "j"), &env), Some(1));
         // Non-adjacent loops are rejected.
         let mut cin = matmul_cin(6);
         assert!(matches!(

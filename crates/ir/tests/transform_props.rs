@@ -4,12 +4,26 @@
 
 use distal_ir::cin::ConcreteNotation;
 use distal_ir::expr::{kernels, IndexVar};
-use distal_ir::provenance::VarSolver;
+use distal_ir::provenance::{Env, VarId, VarSolver};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 fn iv(s: &str) -> IndexVar {
     IndexVar::new(s)
+}
+
+/// The id of a variable `s` knows.
+fn id(s: &VarSolver, name: &str) -> VarId {
+    s.id(&iv(name)).expect("a known variable")
+}
+
+/// An environment binding the named variables of `s`.
+fn env(s: &VarSolver, bound: &[(&str, i64)]) -> Env {
+    let mut env = Env::new();
+    for &(name, value) in bound {
+        env.bind(id(s, name), value);
+    }
+    env
 }
 
 proptest! {
@@ -23,9 +37,7 @@ proptest! {
         let mut covered = 0;
         let mut prev_hi = -1;
         for o in 0..s.extent(&iv("io")) {
-            let mut env = BTreeMap::new();
-            env.insert(iv("io"), o);
-            let r = s.interval(&iv("i"), &env);
+            let r = s.interval(id(&s, "i"), &env(&s, &[("io", o)]));
             if r.is_empty() {
                 continue; // trailing empty blocks allowed
             }
@@ -46,9 +58,7 @@ proptest! {
         s.split(&iv("k"), iv("ko"), iv("ki"), chunk).unwrap();
         let mut covered = 0;
         for o in 0..s.extent(&iv("ko")) {
-            let mut env = BTreeMap::new();
-            env.insert(iv("ko"), o);
-            let r = s.interval(&iv("k"), &env);
+            let r = s.interval(id(&s, "k"), &env(&s, &[("ko", o)]));
             prop_assert!(!r.is_empty());
             prop_assert!(r.len() <= chunk);
             covered += r.len();
@@ -68,11 +78,8 @@ proptest! {
         s.rotate(&iv("ko"), vec![iv("io"), iv("jo")], iv("kos")).unwrap();
         let mut seen = vec![false; extent as usize];
         for kos in 0..extent {
-            let mut env = BTreeMap::new();
-            env.insert(iv("kos"), kos);
-            env.insert(iv("io"), io);
-            env.insert(iv("jo"), jo);
-            let k = s.value(&iv("ko"), &env).expect("concrete env");
+            let env = env(&s, &[("kos", kos), ("io", io), ("jo", jo)]);
+            let k = s.value(id(&s, "ko"), &env).expect("concrete env");
             prop_assert!((0..extent).contains(&k));
             prop_assert!(!seen[k as usize], "duplicate {k}");
             seen[k as usize] = true;
@@ -91,15 +98,11 @@ proptest! {
         s.define_leaf(iv("io"), 48);
         s.rotate(&iv("ko"), vec![iv("io")], iv("kos")).unwrap();
         for kos in 0..extent {
-            let mut env_a = BTreeMap::new();
-            env_a.insert(iv("kos"), kos);
-            env_a.insert(iv("io"), a);
-            let mut env_b = BTreeMap::new();
-            env_b.insert(iv("kos"), kos);
-            env_b.insert(iv("io"), b);
+            let env_a = env(&s, &[("kos", kos), ("io", a)]);
+            let env_b = env(&s, &[("kos", kos), ("io", b)]);
             prop_assert_ne!(
-                s.value(&iv("ko"), &env_a),
-                s.value(&iv("ko"), &env_b)
+                s.value(id(&s, "ko"), &env_a),
+                s.value(id(&s, "ko"), &env_b)
             );
         }
     }
@@ -114,10 +117,9 @@ proptest! {
         s.collapse(&iv("a"), &iv("b"), iv("f")).unwrap();
         let mut seen = vec![false; (ea * eb) as usize];
         for f in 0..ea * eb {
-            let mut env = BTreeMap::new();
-            env.insert(iv("f"), f);
-            let a = s.value(&iv("a"), &env).unwrap();
-            let b = s.value(&iv("b"), &env).unwrap();
+            let env = env(&s, &[("f", f)]);
+            let a = s.value(id(&s, "a"), &env).unwrap();
+            let b = s.value(id(&s, "b"), &env).unwrap();
             prop_assert!((0..ea).contains(&a));
             prop_assert!((0..eb).contains(&b));
             let idx = (a * eb + b) as usize;

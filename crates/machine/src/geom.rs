@@ -71,6 +71,7 @@ impl Point {
     /// Panics when `coords` holds more than [`MAX_DIM`] values. Every
     /// index space the compiler admits is checked against the cap first
     /// (`CompileError::TooManyDims`), so only a hand-built point can.
+    #[inline]
     pub fn from_slice(coords: &[i64]) -> Self {
         let mut p = Point::zeros(coords.len());
         p.coords[..coords.len()].copy_from_slice(coords);
@@ -82,6 +83,7 @@ impl Point {
     /// # Panics
     ///
     /// Panics when `dim` exceeds [`MAX_DIM`].
+    #[inline]
     pub fn zeros(dim: usize) -> Self {
         assert!(
             dim <= MAX_DIM,
@@ -103,11 +105,13 @@ impl Point {
     }
 
     /// Number of dimensions.
+    #[inline]
     pub fn dim(&self) -> usize {
         self.dim
     }
 
     /// Coordinates as a slice.
+    #[inline]
     pub fn coords(&self) -> &[i64] {
         &self.coords[..self.dim]
     }
@@ -177,12 +181,14 @@ impl fmt::Display for Point {
 
 impl std::ops::Index<usize> for Point {
     type Output = i64;
+    #[inline]
     fn index(&self, i: usize) -> &i64 {
         &self.coords()[i]
     }
 }
 
 impl std::ops::IndexMut<usize> for Point {
+    #[inline]
     fn index_mut(&mut self, i: usize) -> &mut i64 {
         &mut self.coords[..self.dim][i]
     }
@@ -232,6 +238,7 @@ impl Rect {
     /// # Panics
     ///
     /// Panics if `lo` and `hi` have different dimensionality.
+    #[inline]
     pub fn new(lo: Point, hi: Point) -> Self {
         assert_eq!(lo.dim(), hi.dim(), "rect bounds must share dimensionality");
         Rect { lo, hi }

@@ -398,11 +398,6 @@ pub(crate) fn lower_with(
         .zip(tensors)
         .map(|(home, t)| Some(Holdings::new(&t.name, &grid, &points, home.as_ref()?)))
         .collect();
-    let inputs: Vec<_> = assignment
-        .input_accesses()
-        .into_iter()
-        .zip(&accessed[1..])
-        .collect();
     let mut out_written: Vec<RectSet> = vec![RectSet::new(); ranks];
     let mut total_flops = 0.0f64;
     let mut env = Env::new();
@@ -418,8 +413,8 @@ pub(crate) fn lower_with(
             };
 
             // Source every input rectangle not already held locally.
-            for &(acc, &tensor) in &inputs {
-                let need = nest.access_rect(&acc.indices, &env, &tensors[tensor.index()].dims);
+            for (a, &tensor) in accessed.iter().enumerate().skip(1) {
+                let need = nest.access_rect(a, &env, &tensors[tensor.index()].dims);
                 let flow = holdings[tensor.index()].as_mut();
                 let flow = flow.expect("every accessed tensor has holdings");
                 for &(from, rect) in flow.supply(rank, step, &need)? {
@@ -437,7 +432,7 @@ pub(crate) fn lower_with(
             }
 
             // Record output coverage and emit the leaf.
-            let out_rect = nest.access_rect(&assignment.lhs.indices, &env, out_dims);
+            let out_rect = nest.access_rect(0, &env, out_dims);
             if !out_rect.is_empty() {
                 out_written[rank].add(out_rect);
             }
@@ -503,7 +498,7 @@ pub(crate) fn lower_with(
         programs: vec![Vec::new(); ranks],
         order: Vec::new(),
         owners,
-        all_vars: assignment.all_vars(),
+        access_positions: assignment.access_positions(),
         total_flops,
         dist_reduces: nest.dist_reduces,
         collectives: Vec::new(),

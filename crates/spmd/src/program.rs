@@ -13,7 +13,7 @@ use crate::stats::CommStats;
 use crate::transport::Transport;
 use crate::vm::{Homes, Run};
 use distal_core::{TensorId, TensorSpec};
-use distal_ir::expr::{Access, Assignment, IndexVar};
+use distal_ir::expr::Assignment;
 use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use distal_runtime::kernel::Kernel;
@@ -72,8 +72,9 @@ pub struct SpmdProgram {
     /// Per tensor id, its home pieces; `None` for a tensor the statement
     /// does not touch.
     pub(crate) owners: Vec<Option<Ownership>>,
-    /// Original statement variables, in leaf-bounds order.
-    pub all_vars: Vec<IndexVar>,
+    /// Per access, in `accessed` order, the position in a `Compute`'s
+    /// bounds of each of its indices ([`Assignment::access_positions`]).
+    pub(crate) access_positions: Vec<Vec<usize>>,
     /// Total floating-point work.
     pub total_flops: f64,
     /// True when distributed loops reduce (the final gather folds).
@@ -140,6 +141,14 @@ impl SpmdProgram {
     pub(crate) fn install(&mut self, stream: Vec<(usize, SpmdOp)>) {
         debug_assert!(self.programs.iter().all(Vec::is_empty));
         self.order = stream.iter().map(|(rank, _)| *rank).collect();
+        // Each list is sized once: one counting pass, then no regrowth.
+        let mut lengths = vec![0usize; self.programs.len()];
+        for &rank in &self.order {
+            lengths[rank] += 1;
+        }
+        for (list, length) in self.programs.iter_mut().zip(lengths) {
+            list.reserve_exact(length);
+        }
         for (rank, op) in stream {
             self.programs[rank].push(op);
         }
@@ -361,28 +370,23 @@ impl SpmdProgram {
         }
     }
 
-    /// The tensor rectangle each of `accesses` — the statement's
-    /// [`Assignment::accesses`]: the destination first, then the
-    /// right-hand side in order — touches in a leaf over `bounds`: the
-    /// bounds projected through the access's index variables. `None` for
-    /// clamped-away leaves (some `hi < lo`), which touch nothing.
+    /// The tensor rectangle each of the statement's accesses (in
+    /// `accessed` order: the destination first, then the right-hand side)
+    /// touches in a leaf over `bounds`: the bounds projected through the
+    /// access's index variables. `None` for clamped-away leaves (some
+    /// `hi < lo`), which touch nothing.
     pub(crate) fn leaf_rects<'s>(
         &'s self,
-        accesses: &'s [&'s Access],
         bounds: &'s [(i64, i64)],
     ) -> Option<impl Iterator<Item = Rect> + 's> {
         if bounds.iter().any(|(lo, hi)| hi < lo) {
             return None;
         }
-        let bound_of = |v: &IndexVar| {
-            let pos = self.all_vars.iter().position(|x| x == v);
-            bounds[pos.expect("a statement variable")]
-        };
-        Some(accesses.iter().map(move |acc| {
-            let order = acc.indices.len();
+        Some(self.access_positions.iter().map(move |positions| {
+            let order = positions.len();
             let (mut lo, mut hi) = (Point::zeros(order), Point::zeros(order));
-            for (d, v) in acc.indices.iter().enumerate() {
-                (lo[d], hi[d]) = bound_of(v);
+            for (d, &v) in positions.iter().enumerate() {
+                (lo[d], hi[d]) = bounds[v];
             }
             Rect::new(lo, hi)
         }))

@@ -592,7 +592,6 @@ fn resolve_rank(
             s.add_home(t, piece, rect);
         }
     }
-    let accesses = program.assignment.accesses();
     let operands = &program.accessed[1..];
     if operands.contains(&out) {
         s.add_output_homes();
@@ -641,7 +640,7 @@ fn resolve_rank(
                 Step::Recv { ordinal, landing }
             }
             SpmdOp::Compute { bounds, .. } => {
-                let leaf = program.leaf_rects(&accesses, bounds).map(|rects| {
+                let leaf = program.leaf_rects(bounds).map(|rects| {
                     let leaf = s.leaf(program, bounds, rects, operands, csr_arg);
                     leaf.map(Box::new)
                 });

@@ -36,8 +36,6 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram<'_> {
         bytes: program.message_bytes(m),
         fold: reduce || m.tensor == out,
     };
-    let accesses = program.assignment.accesses();
-
     let ranks = (0..program.ranks())
         .map(|rank| {
             program
@@ -49,7 +47,7 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram<'_> {
                     SpmdOp::ReduceSend(m) => Event::Send(msg(m, m.to, true)),
                     SpmdOp::ReduceRecv(m) => Event::Recv(msg(m, m.from, true)),
                     SpmdOp::Compute { bounds, .. } => Event::Task {
-                        accesses: task_accesses(program, &accesses, bounds),
+                        accesses: task_accesses(program, bounds),
                     },
                     SpmdOp::RetireScratch { .. } => Event::Fence,
                 })
@@ -72,12 +70,8 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram<'_> {
 /// the projection the rank VM reads operand faces through — the
 /// destination as a write, the operands as reads; none for a leaf clamped
 /// to nothing.
-fn task_accesses(
-    program: &SpmdProgram,
-    accesses: &[&distal_ir::expr::Access],
-    bounds: &[(i64, i64)],
-) -> Vec<Access> {
-    let Some(rects) = program.leaf_rects(accesses, bounds) else {
+fn task_accesses(program: &SpmdProgram, bounds: &[(i64, i64)]) -> Vec<Access> {
+    let Some(rects) = program.leaf_rects(bounds) else {
         return Vec::new();
     };
     program

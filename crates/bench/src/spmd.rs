@@ -374,7 +374,8 @@ struct PlanScaling {
     /// The point-to-point lowering alone (`spmd::lower_with`'s
     /// communication solving).
     pub lower_s: f64,
-    /// What recognizing and tree-lowering the collectives adds to it.
+    /// What emitting the collectives as trees adds to it (the tree
+    /// lowering minus the point-to-point one).
     pub collectives_s: f64,
     /// The static verifier on the tree-lowered program.
     pub verify_s: f64,

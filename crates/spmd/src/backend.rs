@@ -303,7 +303,7 @@ fn verify_plan_program(program: &SpmdProgram) -> Result<Vec<Diagnostic>, Backend
 
 /// The static SPMD target (§8's "MPI-based backend for DISTAL"): lowers to
 /// explicit per-rank send/recv programs with compile-time-exact
-/// communication, recognizes and tree/ring-lowers collectives per
+/// communication, emits its collectives as trees or rings per
 /// [`CollectiveConfig`], statically verifies every lowered plan
 /// (communication matching, deadlock freedom, buffer hazards, bounds),
 /// executes on the deterministic rank VM, and prices the critical path
@@ -321,7 +321,7 @@ pub struct SpmdBackend {
     /// field, part of the `Debug` form a plan key hashes, so the two never
     /// share a plan.
     pub mode: Mode,
-    /// Collective recognition/lowering configuration.
+    /// How the lowering emits the collectives it records.
     pub collectives: CollectiveConfig,
     /// The α-β model pricing [`Report::critical_path_s`] (sequential
     /// transport) or [`Report::modeled_s`] (threaded transport, where the

@@ -1,4 +1,4 @@
-//! Static collective recognition and lowering for the SPMD backend.
+//! Static collectives for the SPMD backend.
 //!
 //! The Legion-style backend gets broadcast trees for free from the
 //! runtime's dynamic copy analysis (§6). The static backend lowers the
@@ -6,29 +6,29 @@
 //! broadcast then shows up as one home owner serially fanning the same
 //! `(tensor, rect)` payload to every rank of its grid row: an O(p)
 //! critical path. This module is the "orthogonal analysis pass for an
-//! MPI-based backend" the paper's §8 points at:
+//! MPI-based backend" the paper's §8 points at. It runs inside the
+//! lowering ([`crate::lower_problem`]), not after it:
 //!
-//! 1. **Recognition** ([`recognize`]) scans the lowered global op stream,
-//!    one sequential step at a time, and groups matching transfers into
-//!    collectives:
-//!    * one root sending the *same* `(tensor, rect)` to ≥ 2 destinations
-//!      becomes a [`CollectiveKind::Broadcast`] (SUMMA rows/columns,
-//!      Johnson's replication planes);
-//!    * ≥ 2 sources reduce-sending the same `(tensor, rect)` into one
-//!      root becomes a [`CollectiveKind::Reduce`] (Johnson's `z`-fold,
+//! 1. **Recording.** The lowering groups transfers into fans at the
+//!    moment it sources them, one sequential step at a time:
+//!    * one holder supplying the *same* part of one input tensor to ≥ 2
+//!      ranks within one step is a [`CollectiveKind::Broadcast`] (SUMMA
+//!      rows/columns, Johnson's replication planes);
+//!    * ≥ 2 ranks folding the same output piece into one owner in the
+//!      final gather is a [`CollectiveKind::Reduce`] (Johnson's `z`-fold,
 //!      inner-product scalar folds);
 //!    * a family of broadcasts over one member set in which *every*
-//!      member is a root becomes a [`CollectiveKind::AllGather`].
-//! 2. **Lowering** (run by [`crate::lower_problem`]) replaces each
-//!    recognized group's messages
-//!    with a binomial-tree or ring schedule of fresh point-to-point
-//!    messages over the torus. The expansion stays inside the existing
-//!    two-sided, compile-time-ordered execution model — every `Send`
-//!    still has exactly one tag-matched `Recv`, emitted in dependency
-//!    order, so both transports ([`crate::transport::Transport`]) run
-//!    the result unchanged and deadlock remains impossible; on the
-//!    threaded transport the tree rounds genuinely overlap across
-//!    subtree threads.
+//!      member is a root is a [`CollectiveKind::AllGather`].
+//! 2. **Emission.** When a step closes, each collective's schedule
+//!    takes the place of its first send, as [`CollectiveConfig`] asks:
+//!    the naive fan as sourced, or a binomial-tree or ring schedule of
+//!    fresh point-to-point messages over the torus. No later pass
+//!    re-finds, moves or drops an op ([`recognize`] reads the record).
+//!    Every `Send` still has exactly one tag-matched `Recv`, emitted in
+//!    dependency order, so both transports
+//!    ([`crate::transport::Transport`]) run the result unchanged and
+//!    deadlock remains impossible; on the threaded transport the tree
+//!    rounds genuinely overlap across subtree threads.
 //!
 //! Tree and ring expansions move exactly the bytes of the naive fan
 //! (each non-root member receives the payload once), so total volume and
@@ -37,6 +37,7 @@
 //! ([`crate::cost`]) — changes: a `g`-member broadcast drops from `g-1`
 //! serialized root sends to `⌈log₂ g⌉` rounds.
 
+use crate::lower::torus_distance;
 use crate::ops::{Message, Named, SpmdOp};
 use crate::program::SpmdProgram;
 use distal_core::TensorId;
@@ -44,8 +45,9 @@ use distal_machine::geom::Rect;
 use distal_machine::grid::Grid;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::ops::Range;
 
-/// The collective patterns the recognizer knows.
+/// The collective patterns the lowering records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CollectiveKind {
     /// One root fans one payload to every other member.
@@ -66,7 +68,7 @@ impl fmt::Display for CollectiveKind {
     }
 }
 
-/// How a recognized broadcast or reduction is expanded into
+/// How a recorded broadcast or reduction is expanded into
 /// point-to-point messages (all-gathers are always rings).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Topology {
@@ -98,7 +100,7 @@ impl Default for CollectiveConfig {
 }
 
 impl CollectiveConfig {
-    /// Disable recognition entirely: the naive point-to-point program.
+    /// Fans recorded, none expanded: the naive point-to-point program.
     pub fn point_to_point() -> Self {
         CollectiveConfig { fans: None }
     }
@@ -119,8 +121,8 @@ impl CollectiveConfig {
     }
 }
 
-/// One recognized (and, once lowering runs, expanded) collective
-/// operation.
+/// One recorded (and, unless the program is point-to-point, expanded)
+/// collective operation.
 #[derive(Clone, Debug)]
 pub struct Collective {
     /// The pattern.
@@ -135,18 +137,22 @@ pub struct Collective {
     pub root: usize,
     /// All participating ranks in schedule order, root first.
     pub members: Vec<usize>,
-    /// Sequential-step segment the collective lives in.
+    /// The sequential step the collective lives in, numbered as
+    /// [`SpmdProgram::messages_by_step`] numbers them. A reduce lives in
+    /// the final gather: step `S` after a nest's `S ≥ 1` sequential steps,
+    /// and step 0, shared with the one step, when the nest has no
+    /// sequential loops.
     pub step: usize,
     /// The grid axis the members vary along, when they form a line
     /// (a SUMMA row/column); `None` for planes or irregular groups.
     pub axis: Option<usize>,
-    /// Critical-path message depth of the naive serialized fan this
-    /// collective replaced (`g - 1` for a `g`-member group).
+    /// Critical-path message depth of the naive serialized fan
+    /// (`g - 1` for a `g`-member group).
     pub naive_depth: usize,
-    /// Critical-path message depth of the lowered schedule (rounds on
+    /// Critical-path message depth of the emitted schedule (rounds on
     /// the longest dependent-message chain): `⌈log₂ g⌉` for binomial
-    /// trees, `g - 1` for rings. Equal to [`Collective::naive_depth`]
-    /// until the lowering pass rewrites the schedule.
+    /// trees, `g - 1` for rings, and [`Collective::naive_depth`] for the
+    /// naive fan.
     pub depth: usize,
 }
 
@@ -170,52 +176,48 @@ impl fmt::Display for Named<'_, Collective> {
     }
 }
 
-/// One fan of identical payloads found in a step segment: a broadcast
-/// candidate (root sends to `peers`) or a reduce candidate (`peers`
-/// reduce-send to root).
-#[derive(Clone, Debug)]
+/// A fan of identical payloads recorded within one step: a broadcast
+/// candidate (`root` sends to `peers`) or a reduce candidate (`peers`
+/// reduce-send to `root`).
 struct Fan {
     reduce: bool,
-    step: usize,
     root: usize,
     tensor: TensorId,
     rect: Rect,
-    /// Destinations (broadcast) or sources (reduce), in program order.
+    /// Destinations (broadcast) or sources (reduce), in emission order.
     peers: Vec<usize>,
-    /// Tags of the replaced point-to-point messages.
-    tags: Vec<u64>,
-    /// Index into the global op stream of the fan's first send.
-    first_idx: usize,
+    /// The stream positions of the fan's sends, ascending; each send's
+    /// receive is emitted right after it.
+    sends: Vec<usize>,
 }
 
-/// A lowering unit: a single fan or a merged all-gather family.
+/// One `(root, tensor, rectangle)` of the open step: the send position
+/// and peer of its first transfer, until a second one makes it a fan.
+enum Seen {
+    Once(usize, usize),
+    Fan(usize),
+}
+
+/// An emission unit: a single fan or a merged all-gather family.
 enum Plan {
     Single(Fan),
     AllGather {
-        step: usize,
         tensor: TensorId,
-        /// Members in ring order; `pieces[i]` are the home rects member
-        /// `i` contributes.
+        /// Members, sorted; `pieces[i]` are the home rects member `i`
+        /// contributes.
         members: Vec<usize>,
         pieces: Vec<Vec<Rect>>,
-        tags: Vec<u64>,
-        first_idx: usize,
+        /// The stream positions of the family's sends, ascending.
+        sends: Vec<usize>,
     },
 }
 
 impl Plan {
-    fn first_idx(&self) -> usize {
+    /// The stream positions of the sends the plan stands for, ascending.
+    fn sends(&self) -> &[usize] {
         match self {
-            Plan::Single(f) => f.first_idx,
-            Plan::AllGather { first_idx, .. } => *first_idx,
-        }
-    }
-
-    /// Tags of the point-to-point messages the plan replaces.
-    fn tags(&self) -> &[u64] {
-        match self {
-            Plan::Single(f) => &f.tags,
-            Plan::AllGather { tags, .. } => tags,
+            Plan::Single(f) => &f.sends,
+            Plan::AllGather { sends, .. } => sends,
         }
     }
 
@@ -233,13 +235,19 @@ impl Plan {
     }
 }
 
+/// Coordinate `d` of `rank`'s point, as [`Grid::delinearize`] gives it.
+fn coord(grid: &Grid, rank: usize, d: usize) -> i64 {
+    let stride: i64 = grid.dims()[d + 1..].iter().product();
+    (rank as i64 / stride) % grid.extent(d)
+}
+
 /// The grid axis along which `members` form a line, if any. Member order
 /// does not matter.
 fn line_axis(grid: &Grid, members: &[usize]) -> Option<usize> {
-    let first = grid.delinearize(*members.first()? as i64);
+    let first = *members.first()?;
     let varies = |d: &usize| {
-        let coord = |&r: &usize| grid.delinearize(r as i64)[*d];
-        members.iter().any(|r| coord(r) != first[*d])
+        let at = coord(grid, first, *d);
+        members.iter().any(|&r| coord(grid, r, *d) != at)
     };
     let mut varying = (0..grid.dim()).filter(varies);
     match (varying.next(), varying.next()) {
@@ -258,12 +266,16 @@ fn order_members(grid: &Grid, root: usize, peers: &[usize]) -> (Vec<usize>, Opti
     ordered.extend_from_slice(peers);
     let axis = line_axis(grid, &ordered);
     let root_p = grid.delinearize(root as i64);
-    ordered[1..].sort_by_key(|&r| {
-        let p = grid.delinearize(r as i64);
-        match axis {
-            Some(d) => ((p[d] - root_p[d]).rem_euclid(grid.extent(d)), r),
-            None => (crate::lower::torus_distance(grid, &root_p, &p), r),
-        }
+    // Unique keys but for repeated peers: an unstable sort is deterministic.
+    ordered[1..].sort_unstable_by_key(|&r| match axis {
+        Some(d) => (
+            (coord(grid, r, d) - root_p[d]).rem_euclid(grid.extent(d)),
+            r,
+        ),
+        None => (
+            torus_distance(grid, &root_p, &grid.delinearize(r as i64)),
+            r,
+        ),
     });
     // Drop repeated peers; the root stays first whatever it equals.
     let mut peers = ordered.split_off(1);
@@ -294,126 +306,11 @@ fn round(topology: Topology, g: usize, r: usize) -> impl Iterator<Item = (usize,
         .map(move |i| (i, i + reach))
 }
 
-/// Splits a global op stream into sequential-step segments as it is
-/// walked (each step ends with one `RetireScratch` per rank; the final
-/// gather shares the last segment). Shared with
-/// [`crate::program::SpmdProgram::messages_by_step`] so the two can never
-/// disagree about step boundaries.
-pub(crate) struct Segments {
-    ranks: usize,
-    segment: usize,
-    retires: usize,
-}
-
-impl Segments {
-    pub(crate) fn new(ranks: usize) -> Self {
-        Segments {
-            ranks,
-            segment: 0,
-            retires: 0,
-        }
-    }
-
-    /// The segment of `op`, the next op of the stream.
-    pub(crate) fn of(&mut self, op: &SpmdOp) -> usize {
-        let segment = self.segment;
-        if matches!(op, SpmdOp::RetireScratch { .. }) {
-            self.retires += 1;
-            if self.retires == self.ranks {
-                self.segment += 1;
-                self.retires = 0;
-            }
-        }
-        segment
-    }
-}
-
-/// Finds all fan candidates in `ops` — a global-order op stream of
-/// `program`, whose metadata (output tensor, ownership) decides what may
-/// fan — segment by segment.
-///
-/// Broadcast fans exclude the output tensor (its non-reduce gather
-/// messages are per-owner writes, not shared payloads); reduce fans
-/// additionally require that no non-root member owns home data
-/// intersecting the payload, so that relay ranks of a reduce tree fold
-/// into their accumulator rather than corrupting a home piece.
-fn find_fans<'a>(
-    program: &SpmdProgram,
-    ops: impl Iterator<Item = (usize, &'a SpmdOp)>,
-) -> Vec<Fan> {
-    let out = program.output();
-    let mut segments = Segments::new(program.ranks());
-    // Per payload identity — (segment, reduce, root, tensor, rectangle),
-    // borrowed from the stream — its first send, until a second one makes
-    // it a fan.
-    enum Seen {
-        Once { idx: usize, peer: usize, tag: u64 },
-        Fan(usize),
-    }
-    let mut seen: HashMap<(usize, bool, usize, TensorId, Rect), Seen> =
-        HashMap::with_capacity(ops.size_hint().0 / 2);
-    let mut fans: Vec<Fan> = Vec::new();
-    for (idx, (_, op)) in ops.enumerate() {
-        let step = segments.of(op);
-        let (m, reduce) = match op {
-            SpmdOp::Send(m) if m.tensor != out => (m, false),
-            SpmdOp::ReduceSend(m) => (m, true),
-            _ => continue,
-        };
-        let root = if reduce { m.to } else { m.from };
-        let peer = if reduce { m.from } else { m.to };
-        match seen.entry((step, reduce, root, m.tensor, m.rect)) {
-            Entry::Vacant(first) => {
-                first.insert(Seen::Once {
-                    idx,
-                    peer,
-                    tag: m.tag,
-                });
-            }
-            Entry::Occupied(mut known) => match *known.get() {
-                Seen::Fan(i) => {
-                    fans[i].peers.push(peer);
-                    fans[i].tags.push(m.tag);
-                }
-                Seen::Once {
-                    idx: first_idx,
-                    peer: first,
-                    tag,
-                } => {
-                    known.insert(Seen::Fan(fans.len()));
-                    fans.push(Fan {
-                        reduce,
-                        step,
-                        root,
-                        tensor: m.tensor,
-                        rect: m.rect,
-                        peers: vec![first, peer],
-                        tags: vec![tag, m.tag],
-                        first_idx,
-                    });
-                }
-            },
-        }
-    }
-    // In the order of their first sends.
-    fans.sort_unstable_by_key(|f| f.first_idx);
-    fans.retain(|f| {
-        let Some(homes) = program.owners(f.tensor).filter(|_| f.reduce) else {
-            return true;
-        };
-        f.peers.iter().all(|&p| {
-            homes.pieces()[p]
-                .iter()
-                .all(|piece| piece.intersection(&f.rect).is_empty())
-        })
-    });
-    fans
-}
-
-/// Merges broadcast fans into all-gathers where possible: within one
-/// segment and tensor, a family of broadcasts whose member sets agree
-/// and whose roots cover the whole member set is one all-gather.
-fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
+/// Merges one step's broadcast fans into all-gathers where possible: a
+/// family of broadcasts of one tensor whose member sets agree and whose
+/// roots cover the whole member set is one all-gather. Drains `fans` and
+/// returns the plans in the order of their first sends.
+fn merge_allgathers(fans: &mut Vec<Fan>) -> Vec<Plan> {
     // Every broadcast fan's members (peers and root), sorted and distinct.
     let members: Vec<Vec<usize>> = fans
         .iter()
@@ -428,15 +325,15 @@ fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
             members
         })
         .collect();
-    // Broadcast fans grouped on (segment, tensor, members); the stable sort
-    // keeps each group in fan order.
-    let key = |i: &usize| (fans[*i].step, fans[*i].tensor, &members[*i][..]);
+    // Broadcast fans grouped on (tensor, members); the stable sort keeps
+    // each group in fan order.
+    let key = |i: &usize| (fans[*i].tensor, &members[*i][..]);
     let mut broadcasts: Vec<usize> = (0..fans.len()).filter(|&i| !fans[i].reduce).collect();
     broadcasts.sort_by(|a, b| key(a).cmp(&key(b)));
     let mut gathered = vec![false; fans.len()];
     let mut plans: Vec<Plan> = Vec::new();
     for group in broadcasts.chunk_by(|a, b| key(a) == key(b)) {
-        let (step, tensor, members) = key(&group[0]);
+        let (tensor, members) = key(&group[0]);
         let mut roots: Vec<usize> = group.iter().map(|&i| fans[i].root).collect();
         roots.sort_unstable();
         roots.dedup();
@@ -450,98 +347,88 @@ fn merge_allgathers(fans: Vec<Fan>) -> Vec<Plan> {
             continue;
         }
         let mut pieces: Vec<Vec<Rect>> = vec![Vec::new(); members.len()];
-        let mut tags = Vec::new();
-        let mut first_idx = usize::MAX;
+        let mut sends = Vec::new();
         for &i in group {
             let pos = members
                 .binary_search(&fans[i].root)
                 .expect("root is member");
             pieces[pos].push(fans[i].rect);
-            tags.extend_from_slice(&fans[i].tags);
-            first_idx = first_idx.min(fans[i].first_idx);
+            sends.extend_from_slice(&fans[i].sends);
             gathered[i] = true;
         }
+        sends.sort_unstable();
         plans.push(Plan::AllGather {
-            step,
             tensor,
             members: members.to_vec(),
             pieces,
-            tags,
-            first_idx,
+            sends,
         });
     }
-    let singles = fans.into_iter().zip(gathered).filter(|(_, g)| !g);
+    let singles = fans.drain(..).zip(gathered).filter(|(_, g)| !g);
     plans.extend(singles.map(|(f, _)| Plan::Single(f)));
-    plans.sort_by_key(Plan::first_idx);
+    plans.sort_by_key(|plan| plan.sends()[0]);
     plans
 }
 
-/// Recognizes collectives in a lowered program without rewriting it.
-///
-/// The returned records describe the naive program: `depth` equals
-/// `naive_depth` (the serialized fan). The lowering pass inside
-/// [`crate::lower_problem`] performs the same recognition and then rewrites
-/// the message schedule.
+/// The collectives the lowering recorded in `program`, in the order of
+/// their first sends, described as naive fans (`depth == naive_depth`).
+/// Nothing is rescanned.
 pub fn recognize(program: &SpmdProgram) -> Vec<Collective> {
-    merge_allgathers(find_fans(program, program.in_order()))
-        .iter()
-        .map(|plan| {
-            let (members, axis) = plan.order(&program.grid);
-            describe(plan, members, axis, None)
-        })
-        .collect()
+    let expanded = program.collectives.iter().map(|c| Collective {
+        depth: c.naive_depth,
+        ..c.clone()
+    });
+    program.unexpanded.iter().cloned().chain(expanded).collect()
 }
 
-/// Builds the `Collective` record for a plan whose members are in
-/// schedule order; `depth` comes from the lowered schedule when one
-/// exists, else from the naive fan.
+/// Builds the `Collective` record of a plan of sequential step `step`
+/// whose members are in schedule order; `depth` comes from the expanded
+/// schedule when there is one, else from the naive fan.
 fn describe(
     plan: &Plan,
+    step: usize,
     members: Vec<usize>,
     axis: Option<usize>,
-    lowered_depth: Option<usize>,
+    expanded_depth: Option<usize>,
 ) -> Collective {
-    match plan {
-        Plan::Single(f) => {
-            let naive = f.peers.len();
-            Collective {
-                kind: if f.reduce {
-                    CollectiveKind::Reduce
-                } else {
-                    CollectiveKind::Broadcast
-                },
-                tensor: f.tensor,
-                rect: f.rect,
-                root: f.root,
-                members,
-                step: f.step,
-                axis,
-                naive_depth: naive,
-                depth: lowered_depth.unwrap_or(naive),
-            }
-        }
-        Plan::AllGather {
-            step,
-            tensor,
-            pieces,
-            ..
-        } => {
+    let (kind, tensor, rect, root, naive_depth) = match plan {
+        Plan::Single(f) if f.reduce => (
+            CollectiveKind::Reduce,
+            f.tensor,
+            f.rect,
+            f.root,
+            f.peers.len(),
+        ),
+        Plan::Single(f) => (
+            CollectiveKind::Broadcast,
+            f.tensor,
+            f.rect,
+            f.root,
+            f.peers.len(),
+        ),
+        Plan::AllGather { tensor, pieces, .. } => {
             let mut all = pieces.iter().flatten();
             let first = *all.next().expect("allgather has pieces");
             let rect = all.fold(first, |bb, r| bb.union_bb(r));
-            let naive = members.len() - 1;
-            Collective {
-                kind: CollectiveKind::AllGather,
-                tensor: *tensor,
+            (
+                CollectiveKind::AllGather,
+                *tensor,
                 rect,
-                root: members[0],
-                members,
-                step: *step,
-                axis,
-                naive_depth: naive,
-                depth: lowered_depth.unwrap_or(naive),
-            }
+                members[0],
+                members.len() - 1,
+            )
         }
+    };
+    Collective {
+        kind,
+        tensor,
+        rect,
+        root,
+        members,
+        step,
+        axis,
+        naive_depth,
+        depth: expanded_depth.unwrap_or(naive_depth),
     }
 }
 
@@ -551,59 +438,150 @@ fn describe(
 fn ring_order(grid: &Grid, members: &[usize], axis: Option<usize>) -> Vec<usize> {
     let mut ordered = members.to_vec();
     if let Some(d) = axis {
-        ordered.sort_by_key(|&r| grid.delinearize(r as i64)[d]);
+        ordered.sort_by_key(|&r| coord(grid, r, d));
     }
     ordered
 }
 
-/// Recognizes collectives in `stream` — the freshly lowered global
-/// `(rank, op)` stream of `program`, not yet filed into it — and rewrites
-/// its message schedule according to `config`, recording the lowered
-/// collectives on the program. Returns the stream to install; unchanged
-/// under [`CollectiveConfig::point_to_point`] or when nothing matches.
-pub(crate) fn apply(
-    program: &mut SpmdProgram,
-    stream: Vec<(usize, SpmdOp)>,
-    config: &CollectiveConfig,
-) -> Vec<(usize, SpmdOp)> {
-    let Some(topology) = config.fans else {
-        return stream;
-    };
-    let ops = stream.iter().map(|(rank, op)| (*rank, op));
-    let plans = merge_allgathers(find_fans(program, ops));
-    if plans.is_empty() {
-        return stream;
-    }
-    let mut next_tag = stream
-        .iter()
-        .filter_map(|(_, op)| op.message().map(|m| m.tag))
-        .max()
-        .map_or(0, |t| t + 1);
-    // The lowering's tags are below `next_tag`.
-    let mut replaced = vec![false; next_tag as usize];
-    for tag in plans.iter().flat_map(Plan::tags) {
-        replaced[*tag as usize] = true;
+/// The lowering's record of fans, the crate's one fan-grouping site. The
+/// lowering hands it each transfer as it sources it ([`Fans::record`])
+/// and each step as it ends ([`Fans::close`]), which emits the step in
+/// its final form.
+#[derive(Default)]
+pub(crate) struct Fans {
+    /// The expansion of broadcasts and reductions; `None` leaves every
+    /// fan as sourced.
+    topology: Option<Topology>,
+    seen: HashMap<(usize, TensorId, Rect), Seen>,
+    /// The open step's fans.
+    fans: Vec<Fan>,
+    /// The closed steps' collectives, in the order of their first sends.
+    records: Vec<Collective>,
+    /// The provisional tag of the next collective message. Collective
+    /// messages are tagged after the lowering's last point-to-point tag,
+    /// in emission order; [`Fans::finish`] adds that offset.
+    next_tag: u64,
+    /// Where each expansion stands in the stream.
+    expanded: Vec<Range<usize>>,
+}
+
+impl Fans {
+    /// An empty record; `config` decides how [`Fans::close`] emits fans.
+    pub(crate) fn new(config: &CollectiveConfig) -> Self {
+        Fans {
+            topology: config.fans,
+            ..Fans::default()
+        }
     }
 
-    // One pass rebuilds the stream: each collective's schedule is spliced
-    // in at the position of its first replaced send (all producer
-    // computes precede it; consumer receives only move earlier within
-    // their step), and the replaced point-to-point messages are dropped.
-    // Plans are in position order, so fresh tags run in plan order.
-    let grid = &program.grid;
-    let mut records: Vec<Collective> = Vec::with_capacity(plans.len());
-    let mut rewritten: Vec<(usize, SpmdOp)> = Vec::with_capacity(stream.len());
-    let mut pending = plans.iter().peekable();
-    for (idx, (rank, op)) in stream.into_iter().enumerate() {
-        while let Some(plan) = pending.next_if(|plan| plan.first_idx() == idx) {
-            records.push(expand(grid, plan, topology, &mut next_tag, &mut rewritten));
-        }
-        if !op.message().is_some_and(|m| replaced[m.tag as usize]) {
-            rewritten.push((rank, op));
+    /// Records `msg`, whose send the lowering is about to emit at stream
+    /// position `at`: a broadcast candidate rooted at its sender, or with
+    /// `reduce` a fold into its receiver.
+    pub(crate) fn record(&mut self, at: usize, msg: &Message, reduce: bool) {
+        let (root, peer) = if reduce {
+            (msg.to, msg.from)
+        } else {
+            (msg.from, msg.to)
+        };
+        match self.seen.entry((root, msg.tensor, msg.rect)) {
+            Entry::Vacant(first) => {
+                first.insert(Seen::Once(at, peer));
+            }
+            Entry::Occupied(mut known) => match *known.get() {
+                Seen::Fan(i) => {
+                    self.fans[i].peers.push(peer);
+                    self.fans[i].sends.push(at);
+                }
+                Seen::Once(first_at, first) => {
+                    known.insert(Seen::Fan(self.fans.len()));
+                    self.fans.push(Fan {
+                        reduce,
+                        root,
+                        tensor: msg.tensor,
+                        rect: msg.rect,
+                        peers: vec![first, peer],
+                        sends: vec![first_at, at],
+                    });
+                }
+            },
         }
     }
-    program.collectives = records;
-    rewritten
+
+    /// Closes sequential step `step`, just emitted onto `stream`, and
+    /// records its collectives: under trees or rings each one's schedule
+    /// takes the place of its first send and its point-to-point messages
+    /// go. `homes` are the output's home pieces on `grid`.
+    pub(crate) fn close(
+        &mut self,
+        grid: &Grid,
+        homes: &[Vec<Rect>],
+        stream: &mut Vec<(usize, SpmdOp)>,
+        step: usize,
+    ) {
+        self.seen.clear();
+        // A relay rank of a reduce tree folds into its accumulator, so no
+        // non-root member may own home data the payload intersects.
+        self.fans.retain(|f| {
+            let home = |&p: &usize| homes[p].iter().all(|piece| !piece.overlaps(&f.rect));
+            !f.reduce || f.peers.iter().all(home)
+        });
+        self.fans.sort_unstable_by_key(|f| f.sends[0]);
+        let plans = merge_allgathers(&mut self.fans);
+        let Some(topology) = self.topology else {
+            self.records.extend(plans.iter().map(|plan| {
+                let (members, axis) = plan.order(grid);
+                describe(plan, step, members, axis, None)
+            }));
+            return;
+        };
+        let Some(start) = plans.first().map(|plan| plan.sends()[0]) else {
+            return;
+        };
+        let mut replaced = vec![false; stream.len() - start];
+        for at in plans.iter().flat_map(Plan::sends) {
+            // The send and, right after it, its receive.
+            replaced[at - start] = true;
+            replaced[at - start + 1] = true;
+        }
+        let mut pending = plans.iter().peekable();
+        for (i, entry) in stream.split_off(start).into_iter().enumerate() {
+            if let Some(plan) = pending.next_if(|plan| plan.sends()[0] == start + i) {
+                let at = stream.len();
+                let tag = &mut self.next_tag;
+                let record = expand(grid, plan, step, topology, tag, stream);
+                self.records.push(record);
+                self.expanded.push(at..stream.len());
+            }
+            if !replaced[i] {
+                stream.push(entry);
+            }
+        }
+    }
+
+    /// Tags the expanded collective messages of `stream` from `first_tag`,
+    /// one past the last point-to-point tag, on. Returns the records as
+    /// `(expanded, unexpanded)`, the latter a point-to-point program's.
+    pub(crate) fn finish(
+        self,
+        stream: &mut [(usize, SpmdOp)],
+        first_tag: u64,
+    ) -> (Vec<Collective>, Vec<Collective>) {
+        for at in self.expanded {
+            for (_, op) in &mut stream[at] {
+                if let SpmdOp::Send(m)
+                | SpmdOp::Recv(m)
+                | SpmdOp::ReduceSend(m)
+                | SpmdOp::ReduceRecv(m) = op
+                {
+                    m.tag += first_tag;
+                }
+            }
+        }
+        match self.topology {
+            Some(_) => (self.records, Vec::new()),
+            None => (Vec::new(), self.records),
+        }
+    }
 }
 
 /// Appends `plan`'s point-to-point schedule under `topology` to `out`,
@@ -611,6 +589,7 @@ pub(crate) fn apply(
 fn expand(
     grid: &Grid,
     plan: &Plan,
+    step: usize,
     topology: Topology,
     next_tag: &mut u64,
     out: &mut Vec<(usize, SpmdOp)>,
@@ -673,12 +652,15 @@ fn expand(
             g - 1
         }
     };
-    describe(plan, members, axis, Some(depth))
+    describe(plan, step, members, axis, Some(depth))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distal_algs::matmul::MatmulAlgorithm;
+    use distal_algs::setup::matmul_problem_on;
+    use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 
     fn binomial_rounds(g: usize) -> Vec<Vec<(usize, usize)>> {
         let tree = Topology::BinomialTree;
@@ -736,5 +718,38 @@ mod tests {
         assert_eq!(axis, Some(1));
         // Offsets along the row from column 2: 7 -> +1, 4 -> +2, 5 -> +3.
         assert_eq!(members, vec![6, 7, 4, 5]);
+    }
+
+    #[test]
+    fn the_final_gather_is_its_own_step_after_sequential_loops() {
+        // Johnson's nest has no sequential loops, so no `RetireScratch`:
+        // its one step and the final gather are both step 0. Solomonik's
+        // at p = 64 has one sequential step, which closes with a
+        // `RetireScratch` per rank, so the gather is step 1.
+        let (p, n) = (64, 16);
+        let solomonik = MatmulAlgorithm::all(p)
+            .into_iter()
+            .find(|alg| matches!(alg, MatmulAlgorithm::Solomonik { .. }))
+            .expect("a Figure 9 algorithm");
+        for (alg, gather) in [(MatmulAlgorithm::Johnson, 0), (solomonik, 1)] {
+            let spec = MachineSpec::small(p as usize);
+            let (problem, schedule) =
+                matmul_problem_on(alg, spec, ProcKind::Cpu, MemKind::Sys, p, n, 4).unwrap();
+            let trees = CollectiveConfig::trees();
+            let program = crate::lower_problem(&problem, &schedule, &trees).unwrap();
+            let steps = program.messages_by_step();
+            assert_eq!(steps.len(), gather + 1, "{}", alg.name());
+            // Every output message, and only those, is in the gather.
+            let out = program.output();
+            assert!(steps[gather].iter().any(|m| m.tensor == out));
+            assert!(steps[..gather].iter().flatten().all(|m| m.tensor != out));
+            let reduces: Vec<&Collective> = program
+                .collectives
+                .iter()
+                .filter(|c| c.kind == CollectiveKind::Reduce)
+                .collect();
+            assert!(!reduces.is_empty(), "{}", alg.name());
+            assert!(reduces.iter().all(|c| c.step == gather), "{}", alg.name());
+        }
     }
 }

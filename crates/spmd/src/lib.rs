@@ -16,16 +16,16 @@
 //!    time, a per-rank program of explicit [`Send`]/[`Recv`]
 //!    pairs, leaf [`Compute`] blocks, and reduction folds. Communication
 //!    partners are exact (Bondhugula-style), not over-approximated.
-//! 2. [`collective`] recognizes collective patterns in the lowered
-//!    point-to-point program — one root fanning the same `(tensor, rect)`
-//!    to a grid row/column/plane becomes a `Broadcast`, fan-ins of
-//!    partial results become a `Reduce`, complete broadcast families
-//!    become an `AllGather` — and re-lowers each into a binomial-tree or
-//!    ring schedule over the torus, turning SUMMA's O(p) serialized
-//!    owner fan-outs into O(log p) critical paths at identical byte
-//!    volume. This runs by default; [`lower_problem`] with
+//! 2. [`collective`] patterns are recorded by that lowering as it
+//!    sources each transfer — one root fanning the same `(tensor, rect)`
+//!    to a grid row/column/plane is a `Broadcast`, fan-ins of partial
+//!    results a `Reduce`, complete broadcast families an `AllGather` —
+//!    and each step is emitted in its final form, every collective as a
+//!    binomial-tree or ring schedule over the torus: SUMMA's O(p)
+//!    serialized owner fan-outs become O(log p) critical paths at
+//!    identical byte volume. [`lower_problem`] with
 //!    [`CollectiveConfig::point_to_point`](collective::CollectiveConfig::point_to_point)
-//!    keeps the naive program.
+//!    records the fans and keeps the naive program.
 //! 3. [`cost`] prices any of these programs under an α-β model
 //!    (`α · hops + bytes/β` per message, serialized injection per rank),
 //!    producing per-rank timelines and a makespan so tree vs. naive vs.

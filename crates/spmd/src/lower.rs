@@ -35,7 +35,7 @@
 //! arrives unchanged as [`SpmdError::Compile`], so a bad schedule is the
 //! same `BackendError` on both backends.
 
-use crate::collective::{self, CollectiveConfig};
+use crate::collective::{CollectiveConfig, Fans};
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
 use distal_core::nest::{Env, Nest};
@@ -335,11 +335,11 @@ impl<'a> Holdings<'a> {
 }
 
 /// Lowers a scheduled statement to an [`SpmdProgram`] with statically
-/// resolved communication, then recognizes and lowers collectives as
-/// `collectives` says. `CollectiveConfig::point_to_point()` keeps the
-/// naive per-owner fan-out program (the baseline the recognizer is
-/// verified against); other configurations choose tree or ring expansions
-/// per collective kind.
+/// resolved communication, recording fans as it sources their transfers
+/// and emitting each step in its final form: collectives expanded as
+/// `collectives` says ([`crate::collective`]), or under
+/// `CollectiveConfig::point_to_point()` the naive per-owner fan-out
+/// program the expansions are verified against.
 ///
 /// # Errors
 ///
@@ -386,11 +386,14 @@ pub(crate) fn lower_with(
     let flops_per_point = assignment.flops_per_point();
     let out = accessed[0];
     let out_dims = &tensors[out.index()].dims;
+    let out_owners = owners[out.index()].as_ref();
+    let out_owners = out_owners.expect("the destination is accessed");
 
-    // The one copy of every op: the global `(rank, op)` stream, filed
-    // into the per-rank lists once the collective pass has rewritten it.
+    // The one copy of every op: the global `(rank, op)` stream, each step
+    // closed in its final form, filed into the per-rank lists at the end.
     let mut stream: Vec<(usize, SpmdOp)> = Vec::new();
     let mut tag = 0u64;
+    let mut fans = Fans::new(collectives);
 
     // One holdings dataflow per accessed tensor, by id.
     let mut holdings: Vec<Option<Holdings>> = owners
@@ -402,6 +405,8 @@ pub(crate) fn lower_with(
     let mut total_flops = 0.0f64;
     let mut env = Env::new();
 
+    // Steps closed by a `RetireScratch` per rank: the final gather's step.
+    let mut retired = 0;
     for (step, seq_point) in nest.seq_rect().points().enumerate() {
         for point in launch_points.points() {
             // A launch point runs on the rank of its row-major index, as
@@ -426,6 +431,10 @@ pub(crate) fn lower_with(
                         rect,
                     };
                     tag += 1;
+                    // An output message is a per-owner write, not a payload.
+                    if tensor != out {
+                        fans.record(stream.len(), &msg, false);
+                    }
                     stream.push((from, SpmdOp::Send(msg)));
                     stream.push((rank, SpmdOp::Recv(msg)));
                 }
@@ -441,11 +450,14 @@ pub(crate) fn lower_with(
             stream.push((rank, SpmdOp::Compute { bounds, flops }));
         }
 
+        fans.close(&grid, out_owners.pieces(), &mut stream, step);
+
         // Step boundary: retire old scratch, promote this step's receives.
         if !nest.seq_extents.is_empty() {
             for rank in 0..ranks {
                 stream.push((rank, SpmdOp::RetireScratch { keep: 1 }));
             }
+            retired += 1;
         }
         holdings.iter_mut().flatten().for_each(Holdings::advance);
     }
@@ -454,8 +466,6 @@ pub(crate) fn lower_with(
     // Final gather: move computed output to its home owners. Distributed
     // reductions fold (Johnson's "sum reduces A_ijk to P_ij0"); others
     // overwrite. Local contributions fold without messages.
-    let out_owners = owners[out.index()].as_ref();
-    let out_owners = out_owners.expect("the destination is accessed");
     for (rank, written) in out_written.iter().enumerate() {
         for rect in written.rects() {
             for (owner, piece) in out_owners.owners_of(rect) {
@@ -471,6 +481,7 @@ pub(crate) fn lower_with(
                 };
                 tag += 1;
                 if nest.dist_reduces {
+                    fans.record(stream.len(), &msg, true);
                     stream.push((rank, SpmdOp::ReduceSend(msg)));
                     stream.push((owner, SpmdOp::ReduceRecv(msg)));
                 } else {
@@ -480,6 +491,9 @@ pub(crate) fn lower_with(
             }
         }
     }
+
+    fans.close(&grid, out_owners.pieces(), &mut stream, retired);
+    let (collectives, unexpanded) = fans.finish(&mut stream, tag);
 
     // Choose the leaf kernel now, at lowering (= plan) time: the rank VM
     // always *adds* into a zeroed accumulator.
@@ -501,10 +515,10 @@ pub(crate) fn lower_with(
         access_positions: assignment.access_positions(),
         total_flops,
         dist_reduces: nest.dist_reduces,
-        collectives: Vec::new(),
+        collectives,
+        unexpanded,
         leaf: crate::program::LeafKernel(leaf),
     };
-    let stream = collective::apply(&mut program, stream, collectives);
     program.install(stream);
     Ok(program)
 }

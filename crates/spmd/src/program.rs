@@ -4,7 +4,7 @@
 //! one name table, [`SpmdProgram::tensors`]; a name is looked up only
 //! where it arrives (binding, reading).
 
-use crate::collective::{Collective, Segments};
+use crate::collective::Collective;
 use crate::cost::{AlphaBeta, CostReport};
 use crate::lower::{Ownership, SpmdError};
 use crate::ops::{Message, Named, SpmdOp};
@@ -79,9 +79,12 @@ pub struct SpmdProgram {
     pub total_flops: f64,
     /// True when distributed loops reduce (the final gather folds).
     pub dist_reduces: bool,
-    /// Collectives recognized and lowered into the message schedule
-    /// (empty for point-to-point programs).
+    /// Collectives the lowering recorded and expanded into the message
+    /// schedule (empty for point-to-point programs).
     pub collectives: Vec<Collective>,
+    /// The fans a point-to-point lowering recorded and left as sourced,
+    /// described naively; [`crate::collective::recognize`] reads both.
+    pub(crate) unexpanded: Vec<Collective>,
     /// The leaf kernel every `Compute` op runs (chosen once, at lowering
     /// time, by `distal_core::kernelgen::leaf_for`).
     pub leaf: LeafKernel,
@@ -258,27 +261,28 @@ impl SpmdProgram {
     }
 
     /// The worst critical-path message depth over all lowered
-    /// collectives (0 when none were recognized): `⌈log₂ g⌉` per
+    /// collectives (0 when none were expanded): `⌈log₂ g⌉` per
     /// `g`-member binomial tree versus the `g - 1` serialized sends of
     /// the naive fan it replaced.
     pub fn collective_depth(&self) -> usize {
         self.collectives.iter().map(|c| c.depth).max().unwrap_or(0)
     }
 
-    /// Messages grouped by sequential step, using the same segmentation
-    /// as the collective recognizer (each step ends with one
-    /// `RetireScratch` per rank; the final gather shares the last
-    /// segment).
+    /// Messages grouped by sequential step as [`Collective::step`] numbers
+    /// them: each step ends with one `RetireScratch` per rank, so after
+    /// `S ≥ 1` sequential steps the final gather is step `S`; without
+    /// sequential loops there are none, and the gather shares step 0.
     pub fn messages_by_step(&self) -> Vec<Vec<Message>> {
-        let mut segments = Segments::new(self.ranks());
-        let mut steps = vec![Vec::new()];
+        let (mut steps, mut retires) = (vec![Vec::new()], 0);
         for (_, op) in self.in_order() {
-            let step = segments.of(op);
-            if steps.len() <= step {
-                steps.resize_with(step + 1, Vec::new);
+            if retires == self.ranks() {
+                steps.push(Vec::new());
+                retires = 0;
             }
-            if op.is_send() {
-                steps[step].push(*op.message().expect("send carries a message"));
+            match op {
+                SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => steps.last_mut().unwrap().push(*m),
+                SpmdOp::RetireScratch { .. } => retires += 1,
+                _ => {}
             }
         }
         steps

@@ -57,7 +57,14 @@
 //! per-need scan over all ranks that the rectangle index replaced scored
 //! 3.5 (Cannon) and 2.9 (SUMMA). The table splits each plan into its
 //! phases and prints, in the `bounds` column, the nest walk both
-//! lowerings share on its own ([`bounds_walk`]).
+//! lowerings share on its own ([`bounds_walk`]). The same gate holds the
+//! verifier alone to linear time over a larger range: each algorithm is
+//! also lowered once at p = 1 024, and `verify_program`'s time *per
+//! event* there may be at most `RATIO` × its p = 256 figure, the two
+//! timed in turn, fastest of five each ([`verify_scaling`]). The
+//! verifier that copied the program into an event IR and walked the copy
+//! five times scored 1.75–2.7; one walk over the rank lists in place
+//! 1.0–1.3.
 
 use crate::args::Args;
 use distal_algs::matmul::MatmulAlgorithm;
@@ -427,6 +434,39 @@ fn plan_scaling(alg: MatmulAlgorithm, p: i64) -> PlanScaling {
     }
 }
 
+/// `verify_program` alone on `alg` lowered over 256 and over 1 024 ranks
+/// at the `plan_scale` shape: seconds per event for each, the fastest of
+/// five rounds that time the two in turn, so that a host changing speed
+/// between them moves both.
+///
+/// # Panics
+///
+/// Panics when lowering fails (a bench-harness bug, not a measurement).
+fn verify_scaling(alg: MatmulAlgorithm) -> [f64; 2] {
+    let programs = [256, 1024].map(|p| {
+        let (problem, schedule) = figure9_problem(alg, p, 512);
+        lower_problem(&problem, &schedule, &CollectiveConfig::trees())
+            .unwrap_or_else(|e| panic!("{alg:?} p={p}: {e}"))
+    });
+    let mut best = [f64::MAX; 2];
+    for _ in 0..5 {
+        for (best, program) in best.iter_mut().zip(&programs) {
+            let start = std::time::Instant::now();
+            std::hint::black_box(distal_spmd::verify_program(program));
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    let events = |program: &SpmdProgram| {
+        (0..program.ranks())
+            .map(|r| program.rank_ops(r).len())
+            .sum::<usize>() as f64
+    };
+    [
+        best[0] / events(&programs[0]),
+        best[1] / events(&programs[1]),
+    ]
+}
+
 /// The fastest of five runs of `run`, in seconds, with its result.
 fn fastest<T>(mut run: impl FnMut() -> T) -> (f64, T) {
     let mut best: Option<(f64, T)> = None;
@@ -731,6 +771,26 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
                  (bound {bound}x)",
                 large.algorithm
             );
+            let [per_event, largest] = verify_scaling(alg);
+            let ratio = largest / per_event;
+            println!(
+                "{:<12} {:>5} verify {:.0}ns per event against {:.0}ns at p=256: {ratio:.2}x",
+                large.algorithm,
+                1024,
+                largest * 1e9,
+                per_event * 1e9
+            );
+            if ratio > bound {
+                fail(&format!(
+                    "{} verifies at {:.0}ns per event on 1024 ranks against {:.0}ns on {} — \
+                     {ratio:.2}x, over the {bound}x bound: verification is super-linear in \
+                     the program",
+                    large.algorithm,
+                    largest * 1e9,
+                    per_event * 1e9,
+                    large.ranks
+                ));
+            }
         }
     }
     let Some(depth_bound) = assert_depth else {

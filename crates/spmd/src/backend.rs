@@ -289,7 +289,8 @@ impl Memo {
     }
 }
 
-/// Runs the static verifier over a freshly lowered plan program.
+/// Runs the static verifier over a freshly lowered plan program, reading
+/// its rank lists in place.
 /// Error-severity findings reject the plan — executing it would hang,
 /// corrupt data, or index out of bounds — and warnings ride along on the
 /// plan for reports to surface.

@@ -45,6 +45,7 @@ use distal_machine::geom::Rect;
 use distal_machine::grid::Grid;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// The collective patterns the lowering records.
@@ -452,7 +453,7 @@ pub(crate) struct Fans {
     /// The expansion of broadcasts and reductions; `None` leaves every
     /// fan as sourced.
     topology: Option<Topology>,
-    seen: HashMap<(usize, TensorId, Rect), Seen>,
+    seen: HashMap<(usize, TensorId, Rect), Seen, BuildHasherDefault<FanHasher>>,
     /// The open step's fans.
     fans: Vec<Fan>,
     /// The closed steps' collectives, in the order of their first sends.
@@ -463,6 +464,39 @@ pub(crate) struct Fans {
     next_tag: u64,
     /// Where each expansion stands in the stream.
     expanded: Vec<Range<usize>>,
+}
+
+/// A multiply-rotate hasher (the Fx step) for [`Fans`]' keys. They are
+/// the lowering's own ranks, tensor ids and rectangles, which no input
+/// chooses, so SipHash's resistance to chosen keys buys nothing, and it
+/// costs a hash per transfer.
+#[derive(Default)]
+struct FanHasher(u64);
+
+impl Hasher for FanHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Fans {

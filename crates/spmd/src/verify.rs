@@ -1,8 +1,9 @@
-//! Adapter from [`SpmdProgram`] to the [`distal_verify`] event IR.
+//! [`SpmdProgram`] as the [`distal_verify`] verifier reads it.
 //!
-//! The verifier is deliberately ignorant of this crate (it analyzes a
-//! generic message-passing IR), so the mapping lives here, next to the
-//! lowering whose invariants it encodes:
+//! The verifier is deliberately ignorant of this crate (it reads any
+//! message-passing program through its [`Events`] view), so the mapping
+//! lives here, next to the lowering whose invariants it encodes. Each op
+//! is mapped as the verifier reads it:
 //!
 //! * `Send`/`Recv` map directly; `ReduceSend`/`ReduceRecv` map with the
 //!   `fold` flag set. Messages of the *output* tensor also fold — the
@@ -12,49 +13,94 @@
 //!   bounds through each access's index variables, exactly the
 //!   projection the rank VM reads operand faces through.
 //! * `RetireScratch` becomes a `Fence`: landings before it are retired,
-//!   so the hazard pass's overlap window resets.
-//! * Events carry the ops' tensor ids, and the IR borrows the program's
-//!   names ([`VerifyProgram::tensors`]): the adapter copies no string.
+//!   so the hazard check's overlap window resets.
+//! * Events carry the ops' tensor ids, and the verifier reads the names
+//!   from the program's table: the view copies no string.
 //!
 //! [`verify_program`] is what `SpmdBackend::plan` calls, in either mode —
-//! once per plan, cached with it, free on every subsequent bind.
+//! once per plan, cached with it, free on every subsequent bind. It reads
+//! the rank lists in place. [`to_verify_ir`] copies the same events into
+//! the verifier's event IR, for a caller that wants them held.
 
 use crate::ops::{Message, SpmdOp};
 use crate::program::SpmdProgram;
-use distal_core::Diagnostic;
+use distal_core::{Diagnostic, TensorId};
 use distal_machine::geom::Rect;
-use distal_verify::{Access, Event, Msg, VerifyProgram};
+use distal_verify::{Access, Event, Events, Msg, VerifyProgram};
 
-/// Lowers an [`SpmdProgram`] into the verifier's event IR.
+impl Events for SpmdProgram {
+    fn ranks(&self) -> usize {
+        self.programs.len()
+    }
+
+    fn events(&self, rank: usize) -> usize {
+        self.programs[rank].len()
+    }
+
+    fn event(&self, rank: usize, i: usize) -> Event<impl Iterator<Item = Access> + '_> {
+        let msg = |m: &Message, peer: usize, reduce: bool| Msg {
+            tag: m.tag,
+            peer,
+            tensor: m.tensor,
+            rect: m.rect,
+            bytes: self.message_bytes(m),
+            fold: reduce || m.tensor == self.output(),
+        };
+        match &self.programs[rank][i] {
+            SpmdOp::Send(m) => Event::Send(msg(m, m.to, false)),
+            SpmdOp::Recv(m) => Event::Recv(msg(m, m.from, false)),
+            SpmdOp::ReduceSend(m) => Event::Send(msg(m, m.to, true)),
+            SpmdOp::ReduceRecv(m) => Event::Recv(msg(m, m.from, true)),
+            // The tensor rectangles one leaf touches — the destination as
+            // a write, the operands as reads; none for a leaf clamped to
+            // nothing.
+            SpmdOp::Compute { bounds, .. } => Event::Task {
+                accesses: self
+                    .leaf_rects(bounds)
+                    .into_iter()
+                    .flatten()
+                    .zip(&self.accessed)
+                    .enumerate()
+                    .map(|(i, (rect, &tensor))| Access {
+                        tensor,
+                        rect,
+                        write: i == 0,
+                    }),
+            },
+            SpmdOp::RetireScratch { .. } => Event::Fence,
+        }
+    }
+
+    fn tensor_count(&self) -> usize {
+        self.tensors.len()
+    }
+
+    fn tensor(&self, id: TensorId) -> Option<(&str, Rect)> {
+        let spec = self.tensors.get(id.index())?;
+        Some((&spec.name, Rect::sized(&spec.dims)))
+    }
+
+    fn reduces(&self) -> bool {
+        self.dist_reduces
+    }
+}
+
+/// Copies an [`SpmdProgram`]'s events into the verifier's event IR.
 pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram<'_> {
-    let out = program.output();
-    let msg = |m: &Message, peer: usize, reduce: bool| Msg {
-        tag: m.tag,
-        peer,
-        tensor: m.tensor,
-        rect: m.rect,
-        bytes: program.message_bytes(m),
-        fold: reduce || m.tensor == out,
-    };
     let ranks = (0..program.ranks())
         .map(|rank| {
-            program
-                .rank_ops(rank)
-                .iter()
-                .map(|op| match op {
-                    SpmdOp::Send(m) => Event::Send(msg(m, m.to, false)),
-                    SpmdOp::Recv(m) => Event::Recv(msg(m, m.from, false)),
-                    SpmdOp::ReduceSend(m) => Event::Send(msg(m, m.to, true)),
-                    SpmdOp::ReduceRecv(m) => Event::Recv(msg(m, m.from, true)),
-                    SpmdOp::Compute { bounds, .. } => Event::Task {
-                        accesses: task_accesses(program, bounds),
+            (0..program.rank_ops(rank).len())
+                .map(|i| match program.event(rank, i) {
+                    Event::Send(m) => Event::Send(m),
+                    Event::Recv(m) => Event::Recv(m),
+                    Event::Task { accesses } => Event::Task {
+                        accesses: accesses.collect(),
                     },
-                    SpmdOp::RetireScratch { .. } => Event::Fence,
+                    Event::Fence => Event::Fence,
                 })
                 .collect()
         })
         .collect();
-
     VerifyProgram {
         tensors: program
             .tensors
@@ -66,30 +112,10 @@ pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram<'_> {
     }
 }
 
-/// The tensor rectangles one leaf touches — [`SpmdProgram::leaf_rects`],
-/// the projection the rank VM reads operand faces through — the
-/// destination as a write, the operands as reads; none for a leaf clamped
-/// to nothing.
-fn task_accesses(program: &SpmdProgram, bounds: &[(i64, i64)]) -> Vec<Access> {
-    let Some(rects) = program.leaf_rects(bounds) else {
-        return Vec::new();
-    };
-    program
-        .accessed
-        .iter()
-        .zip(rects)
-        .enumerate()
-        .map(|(i, (&tensor, rect))| Access {
-            tensor,
-            rect,
-            write: i == 0,
-        })
-        .collect()
-}
-
-/// Runs all four static verification passes over a lowered program. An
-/// empty result proves it well-formed; error-severity findings mean
-/// executing it would hang, corrupt data, or index out of bounds.
+/// Runs the static verifier over a lowered program, reading its rank
+/// lists in place. An empty result proves it well-formed; error-severity
+/// findings mean executing it would hang, corrupt data, or index out of
+/// bounds.
 pub fn verify_program(program: &SpmdProgram) -> Vec<Diagnostic> {
-    distal_verify::verify(&to_verify_ir(program))
+    distal_verify::verify(program)
 }

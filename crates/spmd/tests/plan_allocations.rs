@@ -6,10 +6,12 @@
 //! benchmark's `plan_scale` shape (p = 256, n = 512, chunk 128, tree
 //! collectives) for Cannon, PUMMA and SUMMA and bounds
 //!
-//! * `lower_problem` + `verify_program` per rank op of the program, and
+//! * `lower_problem` + `verify_program` per rank op of the program,
+//! * `verify_program` alone per event it reads: it reads the rank lists in
+//!   place, so it allocates per table, never per event, and
 //! * `to_verify_ir` per event of the IR it builds.
 //!
-//! An op names its tensor by id, so neither copies a tensor name per op.
+//! An op names its tensor by id, so none copies a tensor name per op.
 //! This file holds the test binary's own `unsafe impl GlobalAlloc`; the
 //! product code keeps its one `unsafe` block. There is one `#[test]`, so
 //! no other test allocates while it counts.
@@ -89,16 +91,23 @@ fn the_plan_path_allocates_less_than_twice_per_rank_op() {
             .map(|r| program.rank_ops(r).len())
             .sum();
         let per_op = (lowering + verifying) as f64 / rank_ops as f64;
+        let verifying_per_event = verifying as f64 / events as f64;
         let per_event = adapting as f64 / events as f64;
         println!(
             "{} p={p}: lower_problem {lowering} + verify_program {verifying} allocations \
-             over {rank_ops} rank ops = {per_op:.2} per op; to_verify_ir {adapting} over \
-             {events} events = {per_event:.3} per event",
+             over {rank_ops} rank ops = {per_op:.2} per op; verify_program \
+             {verifying_per_event:.4} per event; to_verify_ir {adapting} over {events} \
+             events = {per_event:.3} per event",
             alg.name()
         );
         assert!(
             per_op <= 2.0,
             "{}: {per_op:.2} per rank op{MOVED}",
+            alg.name()
+        );
+        assert!(
+            verifying_per_event <= 0.01,
+            "{}: verify_program {verifying_per_event:.4} per event{MOVED}",
             alg.name()
         );
         assert!(

@@ -1,4 +1,4 @@
-//! Pass 3 — buffer-hazard detection.
+//! Buffer-hazard detection.
 //!
 //! Ranks share no memory, so the hazards here are *semantic* races over
 //! the logical tensor state, the exact conditions under which the
@@ -17,49 +17,133 @@
 //!   rectangle a task already read in the same generation; legal under
 //!   per-rank program order, but a refactoring hazard worth surfacing.
 
-use crate::{entry, Event, VerifyProgram};
+use crate::{entry, name, Access, Events, Msg};
 use distal_core::{Diagnostic, DiagnosticKind, TensorId};
 use distal_machine::geom::Rect;
 use std::collections::BTreeSet;
 
-/// Checks for write-write and unordered read-write overlaps. See the
-/// module docs for the three conditions.
-pub fn check(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
-    let mut diags = cross_rank_writes(program);
-    diags.extend(landings(program));
-    diags
+/// Write-write and unordered read-write overlaps, fed event by event by
+/// the walk. See the module docs for the three conditions.
+pub(crate) struct Hazards {
+    /// True when distributed loops reduce: overlapping output writes are
+    /// then the algorithm, not a hazard, and none are kept.
+    reduces: bool,
+    /// Per tensor id, every task-write rectangle as `(rank, rect)`. A rank
+    /// re-writing the identical rectangle across steps (the common
+    /// steady-state shape — SUMMA accumulates into one output tile every
+    /// step) is kept once.
+    writes: Vec<Vec<(usize, Rect)>>,
+    /// Per tensor id, the current rank's landings of the current scratch
+    /// generation, with their tags: emptied, not dropped, at every rank
+    /// and fence.
+    landed: Vec<Vec<(u64, Rect)>>,
+    /// Per tensor id, the current generation's task reads.
+    read: Vec<Vec<Rect>>,
+    /// Landing findings, in walk order.
+    landings: Vec<Diagnostic>,
 }
 
-/// All task-write rectangles, grouped by tensor id as `(rank, rect)`
-/// pairs. A rank re-writing the identical rectangle across steps (the
-/// common steady-state shape — SUMMA accumulates into one output tile
-/// every step) is recorded once.
-fn write_sets<'p>(program: &'p VerifyProgram<'_>) -> Vec<Vec<(usize, &'p Rect)>> {
-    let mut by_tensor: Vec<Vec<(usize, &Rect)>> = vec![Vec::new(); program.tensors.len()];
-    for (rank, events) in program.ranks.iter().enumerate() {
-        for ev in events {
-            if let Event::Task { accesses } = ev {
-                for a in accesses.iter().filter(|a| a.write) {
-                    if a.rect.volume() > 0 {
-                        let rects = entry(&mut by_tensor, a.tensor);
-                        let dup = rects
-                            .iter()
-                            .rev()
-                            .take_while(|(r, _)| *r == rank)
-                            .any(|(_, rect)| *rect == &a.rect);
-                        if !dup {
-                            rects.push((rank, &a.rect));
-                        }
-                    }
-                }
+impl Hazards {
+    pub(crate) fn new<P: Events + ?Sized>(program: &P) -> Self {
+        let tensors = program.tensor_count();
+        Hazards {
+            reduces: program.reduces(),
+            writes: vec![Vec::new(); tensors],
+            landed: vec![Vec::new(); tensors],
+            read: vec![Vec::new(); tensors],
+            landings: Vec::new(),
+        }
+    }
+
+    /// A rank's start or a scratch fence: the landings and reads before it
+    /// are retired.
+    pub(crate) fn fence(&mut self) {
+        self.landed.iter_mut().for_each(Vec::clear);
+        self.read.iter_mut().for_each(Vec::clear);
+    }
+
+    /// A receive of `m` on `rank`: a landing unless it folds.
+    pub(crate) fn land<P: Events + ?Sized>(&mut self, program: &P, rank: usize, m: &Msg) {
+        if m.fold {
+            return;
+        }
+        let (rect, tag) = (&m.rect, m.tag);
+        let t = m.tensor.index();
+        let mut landings = self.landed.get(t).into_iter().flatten();
+        if let Some((prev_tag, prev)) = landings.find(|(_, r)| meets(r, rect)) {
+            let tensor = name(program, m.tensor);
+            self.landings.push(
+                Diagnostic::error(
+                    DiagnosticKind::WriteHazard,
+                    format!(
+                        "rank {rank} receives {tensor}{rect} (tag {tag}) overlapping \
+                         the {prev} landed by tag {prev_tag} in the same scratch \
+                         generation; lookups become arrival-order dependent"
+                    ),
+                )
+                .with_rank(rank)
+                .with_tensor(tensor.as_ref())
+                .with_tag(tag),
+            );
+        }
+        let mut reads = self.read.get(t).into_iter().flatten();
+        if let Some(shadowed) = reads.find(|r| meets(r, rect)) {
+            let tensor = name(program, m.tensor);
+            self.landings.push(
+                Diagnostic::warning(
+                    DiagnosticKind::ReadHazard,
+                    format!(
+                        "rank {rank} receives {tensor}{rect} (tag {tag}) over the \
+                         {shadowed} a task already read this generation; later \
+                         reads see different data"
+                    ),
+                )
+                .with_rank(rank)
+                .with_tensor(tensor)
+                .with_tag(tag),
+            );
+        }
+        entry(&mut self.landed, m.tensor).push((tag, *rect));
+    }
+
+    /// One access of a task on `rank`.
+    pub(crate) fn access(&mut self, rank: usize, a: &Access) {
+        if a.rect.volume() <= 0 {
+            return;
+        }
+        if !a.write {
+            entry(&mut self.read, a.tensor).push(a.rect);
+        } else if !self.reduces {
+            let rects = entry(&mut self.writes, a.tensor);
+            let dup = rects
+                .iter()
+                .rev()
+                .take_while(|(r, _)| *r == rank)
+                .any(|(_, rect)| *rect == a.rect);
+            if !dup {
+                rects.push((rank, a.rect));
             }
         }
     }
-    by_tensor
+
+    /// The findings: the cross-rank write overlaps, then the landings'.
+    pub(crate) fn finish<P: Events + ?Sized>(self, program: &P) -> Vec<Diagnostic> {
+        let mut diags = cross_rank_writes(program, self.writes);
+        diags.extend(self.landings);
+        diags
+    }
 }
 
-/// Write-write: overlapping task writes on different ranks without
-/// reduction semantics. One diagnostic per (rank pair, tensor), on the
+/// True when `a` and `b` share a point. Rectangles of different
+/// dimensionality never do: [`crate::bounds`] reports the one that does
+/// not fit its tensor as malformed.
+pub(crate) fn meets(a: &Rect, b: &Rect) -> bool {
+    a.dim() == b.dim() && a.overlaps(b)
+}
+
+/// Write-write: overlapping task writes on different ranks, given per
+/// tensor id (none when the program reduces: distributed reductions fold
+/// every contribution). One diagnostic per (rank pair, tensor), on the
 /// first overlap found.
 ///
 /// Runs as a plane sweep along dimension 0 per tensor: rectangles are
@@ -68,31 +152,29 @@ fn write_sets<'p>(program: &'p VerifyProgram<'_>) -> Vec<Vec<(usize, &'p Rect)>>
 /// (the overwhelmingly common case on the plan path) costs
 /// `O(R log R + neighbours)` per tensor instead of the naive
 /// `O(p² · R²)` pairwise scan.
-fn cross_rank_writes(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
-    if program.reduces {
-        // Distributed reductions fold every contribution; overlapping
-        // output writes are the algorithm, not a hazard.
-        return Vec::new();
-    }
+fn cross_rank_writes<P: Events + ?Sized>(
+    program: &P,
+    writes: Vec<Vec<(usize, Rect)>>,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut reported: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (t, mut rects) in write_sets(program).into_iter().enumerate() {
+    for (t, mut rects) in writes.into_iter().enumerate() {
         reported.clear();
         rects.sort_by_key(|(_, r)| r.lo()[0]);
         for i in 0..rects.len() {
-            let (rank_a, ra) = rects[i];
-            for &(rank_b, rb) in &rects[i + 1..] {
+            let (rank_a, ra) = &rects[i];
+            for (rank_b, rb) in &rects[i + 1..] {
                 if rb.lo()[0] > ra.hi()[0] {
                     break;
                 }
-                if rank_a == rank_b || !ra.overlaps(rb) {
+                if rank_a == rank_b || !meets(ra, rb) {
                     continue;
                 }
-                let (a, b) = (rank_a.min(rank_b), rank_a.max(rank_b));
+                let (a, b) = (*rank_a.min(rank_b), *rank_a.max(rank_b));
                 if !reported.insert((a, b)) {
                     continue;
                 }
-                let tensor = program.name(TensorId(t as u32));
+                let tensor = name(program, TensorId(t as u32));
                 diags.push(
                     Diagnostic::error(
                         DiagnosticKind::WriteHazard,
@@ -112,82 +194,16 @@ fn cross_rank_writes(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
     diags
 }
 
-/// Unordered landings and landing-over-read shadows, per rank, per
-/// scratch generation.
-fn landings(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    // Landings and task reads of the current generation, by tensor id:
-    // emptied, not dropped, at every rank and fence.
-    let tensors = program.tensors.len();
-    let mut landed: Vec<Vec<(u64, &Rect)>> = vec![Vec::new(); tensors];
-    let mut read: Vec<Vec<&Rect>> = vec![Vec::new(); tensors];
-    for (rank, events) in program.ranks.iter().enumerate() {
-        for ev in std::iter::once(&Event::Fence).chain(events) {
-            match ev {
-                Event::Fence => {
-                    landed.iter_mut().for_each(Vec::clear);
-                    read.iter_mut().for_each(Vec::clear);
-                }
-                Event::Recv(m) if !m.fold => {
-                    let (tensor, rect, tag) = (program.name(m.tensor), &m.rect, m.tag);
-                    let t = m.tensor.index();
-                    let mut landings = landed.get(t).into_iter().flatten();
-                    if let Some((prev_tag, prev)) = landings.find(|(_, r)| r.overlaps(rect)) {
-                        diags.push(
-                            Diagnostic::error(
-                                DiagnosticKind::WriteHazard,
-                                format!(
-                                    "rank {rank} receives {tensor}{rect} (tag {tag}) overlapping \
-                                     the {prev} landed by tag {prev_tag} in the same scratch \
-                                     generation; lookups become arrival-order dependent"
-                                ),
-                            )
-                            .with_rank(rank)
-                            .with_tensor(tensor.as_ref())
-                            .with_tag(tag),
-                        );
-                    }
-                    let mut reads = read.get(t).into_iter().flatten();
-                    if let Some(shadowed) = reads.find(|r| r.overlaps(rect)) {
-                        diags.push(
-                            Diagnostic::warning(
-                                DiagnosticKind::ReadHazard,
-                                format!(
-                                    "rank {rank} receives {tensor}{rect} (tag {tag}) over the \
-                                     {shadowed} a task already read this generation; later \
-                                     reads see different data"
-                                ),
-                            )
-                            .with_rank(rank)
-                            .with_tensor(tensor)
-                            .with_tag(tag),
-                        );
-                    }
-                    entry(&mut landed, m.tensor).push((tag, rect));
-                }
-                Event::Task { accesses } => {
-                    for a in accesses.iter().filter(|a| !a.write) {
-                        if a.rect.volume() > 0 {
-                            entry(&mut read, a.tensor).push(&a.rect);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    diags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{clean_pair, msg, rect2, A, B};
     use crate::Access;
+    use crate::{walk, Event};
 
     #[test]
     fn clean_pair_has_no_hazards() {
-        assert!(check(&clean_pair()).is_empty());
+        assert!(walk(&clean_pair()).hazard.is_empty());
     }
 
     #[test]
@@ -201,14 +217,14 @@ mod tests {
                 }
             }
         }
-        let diags = check(&p);
+        let diags = walk(&p).hazard;
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].kind, DiagnosticKind::WriteHazard);
         assert_eq!(diags[0].tensor.as_deref(), Some("A"));
 
         // The same overlap under reduction semantics is the algorithm.
         p.reduces = true;
-        assert!(check(&p).is_empty());
+        assert!(walk(&p).hazard.is_empty());
     }
 
     #[test]
@@ -216,7 +232,7 @@ mod tests {
         let mut p = clean_pair();
         let extra = Event::Recv(msg(7, 0, B, rect2((1, 0), (2, 3))));
         p.ranks[1].insert(1, extra);
-        let diags = check(&p);
+        let diags = walk(&p).hazard;
         assert!(
             diags
                 .iter()
@@ -227,7 +243,8 @@ mod tests {
         let mut fenced = clean_pair();
         fenced.ranks[1].insert(1, Event::Recv(msg(7, 0, B, rect2((1, 0), (2, 3)))));
         fenced.ranks[1].insert(1, Event::Fence);
-        assert!(check(&fenced)
+        assert!(walk(&fenced)
+            .hazard
             .iter()
             .all(|d| d.kind != DiagnosticKind::WriteHazard));
     }
@@ -248,7 +265,7 @@ mod tests {
             Event::Recv(msg(8, 0, B, rect2((0, 0), (1, 3)))),
             Event::Fence,
         ];
-        let diags = check(&p);
+        let diags = walk(&p).hazard;
         // Tag 8 overlaps both the earlier landing (error) and the read
         // (warning).
         assert!(diags
@@ -265,6 +282,6 @@ mod tests {
         m2.fold = true;
         p.ranks[1].push(Event::Recv(m1));
         p.ranks[1].push(Event::Recv(m2));
-        assert!(check(&p).is_empty());
+        assert!(walk(&p).hazard.is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Pass 2 — deadlock freedom.
+//! Deadlock freedom.
 //!
 //! Sends never block (channels are unbounded), so a rank can only wait on
 //! a receive. Execution therefore deadlocks exactly when the cross-rank
@@ -6,154 +6,91 @@
 //! every send to its matching receive — contains a cycle: each rank in
 //! the cycle sits on a receive whose sender sits behind a receive of its
 //! own. A well-formed lowering emits a global linearization of this
-//! graph, so its existence proves acyclicity; this pass re-proves it from
-//! the per-rank programs alone (a Kahn topological sort), without
+//! graph, so its existence proves acyclicity; this check re-proves it
+//! from the per-rank programs alone (a topological sort), without
 //! trusting the lowering.
 
-use crate::{Event, VerifyProgram};
+use crate::comm::Tags;
+use crate::{name, Event, Events};
 use distal_core::{Diagnostic, DiagnosticKind};
+
+/// A tag's state in the sort: its send not yet run, and no rank waiting.
+const IDLE: u32 = 0;
+/// A tag's state in the sort: its send has run.
+const SENT: u32 = u32::MAX - 1;
+/// A tag's state in the sort: not 1:1 matched, so it orders nothing.
+const FREE: u32 = u32::MAX;
 
 /// Checks the happens-before graph for cycles. On a cycle, reports one
 /// [`DiagnosticKind::Deadlock`] per blocked rank, naming the tag its
 /// earliest stuck receive waits on.
 ///
+/// The sort runs every rank forward over its endpoints in `tags`, in
+/// program order, as far as it can: a receive of a matched tag waits for
+/// that tag's send, and the send wakes it. Every other event has only its
+/// predecessor in the rank to wait for, so the sort never reads it. The
+/// graph is acyclic exactly when every rank runs to its end.
+///
 /// Tags that failed 1:1 matching contribute no cross edge — their
-/// diagnostics come from [`crate::comm`]; this pass still orders the
+/// diagnostics come from [`crate::comm`]; this check still orders the
 /// events around them.
-pub fn check(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
-    // Node ids: events of rank r start at base[r].
-    let mut base = Vec::with_capacity(program.ranks.len());
-    let mut total = 0usize;
-    for events in &program.ranks {
-        base.push(total);
-        total += events.len();
-    }
-    if total == 0 {
-        return Vec::new();
-    }
-
-    // The graph is almost a disjoint union of chains: within a rank the
-    // successor of node `n` is `n + 1` (implicit — no adjacency list
-    // needed), and a cleanly 1:1-matched tag adds exactly one cross edge
-    // from its send node to its recv node. Both fit flat arrays, keeping
-    // this pass allocation-light on the plan path.
-    let mut last_in_rank = vec![false; total];
-    for (rank, events) in program.ranks.iter().enumerate() {
-        if !events.is_empty() {
-            last_in_rank[base[rank] + events.len() - 1] = true;
-        }
-    }
-
-    // tag -> (multiplicity, node) per side; sorted merge finds the 1:1
-    // matches (only those add the cross edge).
-    let mut send_node: Vec<(u64, usize)> = Vec::new();
-    let mut recv_node: Vec<(u64, usize)> = Vec::new();
-    for (rank, events) in program.ranks.iter().enumerate() {
-        for (i, ev) in events.iter().enumerate() {
-            let node = base[rank] + i;
-            match ev {
-                Event::Send(m) => send_node.push((m.tag, node)),
-                Event::Recv(m) => recv_node.push((m.tag, node)),
-                _ => {}
+pub(crate) fn check<P: Events + ?Sized>(program: &P, tags: &Tags) -> Vec<Diagnostic> {
+    let ranks = program.ranks();
+    // Per slot: FREE, IDLE, SENT, or the rank waiting for the send, plus
+    // one.
+    let mut state: Vec<u32> = tags
+        .pairs()
+        .iter()
+        .map(|pair| if pair.matched() { IDLE } else { FREE })
+        .collect();
+    // Per rank, how many of its endpoints have run.
+    let mut done = vec![0usize; ranks];
+    let mut ready: Vec<usize> = (0..ranks).rev().collect();
+    while let Some(rank) = ready.pop() {
+        for (slot, send) in tags.endpoints(rank, done[rank]) {
+            let s = &mut state[slot as usize];
+            match *s {
+                FREE => {}
+                _ if send => {
+                    if *s != IDLE {
+                        ready.push(*s as usize - 1);
+                    }
+                    *s = SENT;
+                }
+                SENT => {}
+                _ => {
+                    *s = rank as u32 + 1;
+                    break;
+                }
             }
+            done[rank] += 1;
         }
-    }
-    send_node.sort_unstable();
-    recv_node.sort_unstable();
-
-    let mut cross = vec![usize::MAX; total]; // send node -> matched recv node
-    let mut indeg: Vec<usize> = vec![0; total];
-    for (rank, events) in program.ranks.iter().enumerate() {
-        for i in 1..events.len() {
-            indeg[base[rank] + i] = 1;
-        }
-    }
-    let (mut si, mut ri) = (0usize, 0usize);
-    while si < send_node.len() && ri < recv_node.len() {
-        let (stag, rtag) = (send_node[si].0, recv_node[ri].0);
-        if stag < rtag {
-            si += 1;
-            continue;
-        }
-        if rtag < stag {
-            ri += 1;
-            continue;
-        }
-        let sn = send_node[si..]
-            .iter()
-            .take_while(|(t, _)| *t == stag)
-            .count();
-        let rn = recv_node[ri..]
-            .iter()
-            .take_while(|(t, _)| *t == rtag)
-            .count();
-        if sn == 1 && rn == 1 {
-            cross[send_node[si].1] = recv_node[ri].1;
-            indeg[recv_node[ri].1] += 1;
-        }
-        si += sn;
-        ri += rn;
     }
 
-    // Kahn's algorithm: if every node retires, the graph is acyclic.
-    let mut queue: Vec<usize> = (0..total).filter(|&n| indeg[n] == 0).collect();
-    let mut retired = 0usize;
-    while let Some(n) = queue.pop() {
-        retired += 1;
-        if !last_in_rank[n] {
-            let s = n + 1;
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push(s);
-            }
-        }
-        if cross[n] != usize::MAX {
-            let s = cross[n];
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    if retired == total {
-        return Vec::new();
-    }
-
-    // A cycle. Name each blocked rank's earliest unretired receive: that
-    // is the op the rank would visibly hang on.
+    // A cycle blocks each rank on it at a receive: the op the rank would
+    // visibly hang on.
     let mut diags = Vec::new();
-    for (rank, events) in program.ranks.iter().enumerate() {
-        let stuck = events
-            .iter()
-            .enumerate()
-            .find(|(i, ev)| indeg[base[rank] + i] > 0 && matches!(ev, Event::Recv(_)));
-        if let Some((i, Event::Recv(m))) = stuck {
-            diags.push(
-                Diagnostic::error(
-                    DiagnosticKind::Deadlock,
-                    format!(
-                        "cyclic wait: rank {rank} blocks at op {i} on tag {} from rank {}, \
-                         which transitively waits on rank {rank}",
-                        m.tag, m.peer
-                    ),
-                )
-                .with_rank(rank)
-                .with_tensor(program.name(m.tensor))
-                .with_tag(m.tag),
-            );
-        }
-    }
-    if diags.is_empty() {
-        // Unreachable in practice (a cycle must pass through a cross
-        // edge, whose head is a receive), but never report nothing when
-        // the sort failed.
-        diags.push(Diagnostic::error(
-            DiagnosticKind::Deadlock,
-            format!(
-                "happens-before graph has a cycle ({} events unordered)",
-                total - retired
-            ),
-        ));
+    for (rank, &done) in done.iter().enumerate() {
+        let Some((slot, _)) = tags.endpoints(rank, done).next() else {
+            continue;
+        };
+        let at = tags.pairs()[slot as usize].recv;
+        let (i, Event::Recv(m)) = (at.index, program.event(rank, at.index as usize)) else {
+            unreachable!("a rank blocks only at a receive");
+        };
+        diags.push(
+            Diagnostic::error(
+                DiagnosticKind::Deadlock,
+                format!(
+                    "cyclic wait: rank {rank} blocks at op {i} on tag {} from rank {}, \
+                     which transitively waits on rank {rank}",
+                    m.tag, m.peer
+                ),
+            )
+            .with_rank(rank)
+            .with_tensor(name(program, m.tensor))
+            .with_tag(m.tag),
+        );
     }
     diags
 }
@@ -162,10 +99,11 @@ pub fn check(program: &VerifyProgram<'_>) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use crate::fixtures::{clean_pair, msg, rect2, B};
+    use crate::{walk, Event};
 
     #[test]
     fn clean_pair_is_acyclic() {
-        assert!(check(&clean_pair()).is_empty());
+        assert!(walk(&clean_pair()).order.is_empty());
     }
 
     #[test]
@@ -176,7 +114,7 @@ mod tests {
         let r = rect2((0, 0), (1, 3));
         p.ranks[0] = vec![Event::Recv(msg(2, 1, B, r)), Event::Send(msg(1, 1, B, r))];
         p.ranks[1] = vec![Event::Recv(msg(1, 0, B, r)), Event::Send(msg(2, 0, B, r))];
-        let diags = check(&p);
+        let diags = walk(&p).order;
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert!(diags.iter().all(|d| d.kind == DiagnosticKind::Deadlock));
         assert_eq!(diags[0].rank, Some(0));
@@ -195,7 +133,7 @@ mod tests {
         p.ranks[1] = vec![Event::Recv(msg(1, 0, B, r)), Event::Send(msg(9, 0, B, r))];
         // This *is* the crossed wait again seen from the tag's side;
         // sanity-check that matching alone would pass it.
-        assert!(crate::comm::check(&p).is_empty());
-        assert!(!check(&p).is_empty());
+        assert!(walk(&p).comm.is_empty());
+        assert!(!walk(&p).order.is_empty());
     }
 }

@@ -511,8 +511,9 @@ fn leaf_overhead(core_gflops: f64) -> LeafOverhead {
 /// Cannon request (p = 64, n = 256 in 32² tiles) run by
 /// `SpmdProgram::execute` on the sequential transport with every leaf a
 /// no-op, fastest of five. What is left is everything the VM does around
-/// its leaves: seeding the homes, resolving the program, moving payloads,
-/// building arguments and assembling the output. Seconds.
+/// its leaves: seeding the homes, moving payloads, building arguments and
+/// assembling the output. The first pass resolves the program, which keeps
+/// the result, so the fastest pass replays it. Seconds.
 fn noop_leaf_pass() -> f64 {
     use distal_algs::matmul::MatmulAlgorithm;
     use distal_algs::setup::matmul_problem_on;
@@ -758,7 +759,7 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
         );
         println!(
             "no-op-leaf VM pass: the plan_scale Cannon request (p = 64, n = 256) executed \
-             with every leaf a no-op, seeding and resolution included: {:.2} ms",
+             with every leaf a no-op, seeding included, resolution replayed: {:.2} ms",
             noop_leaf_pass() * 1e3
         );
         if v.ratio() > threshold {

@@ -20,9 +20,9 @@
 //! programs — is data-independent, so [`SpmdBackend::plan`] lowers once
 //! and [`Plan::bind`] only tiles the bound inputs into the ranks' home
 //! pieces (the one copy of an input element on its way to a leaf; an
-//! instance executes against them as often as asked) and recomputes each
-//! binding's nnz-derived byte accounting; the message schedule is shared,
-//! never re-lowered.
+//! instance executes against them as often as asked) and counts each
+//! binding's nnz for its byte accounting; the program is shared, never
+//! re-lowered or copied.
 //!
 //! ```
 //! use distal_core::{DistalMachine, Problem, Schedule, TensorSpec};
@@ -51,9 +51,7 @@
 use crate::collective::CollectiveConfig;
 use crate::cost::{AlphaBeta, CostReport};
 use crate::lower::{lower_with, SpmdError};
-use crate::ops::SpmdOp;
 use crate::program::SpmdProgram;
-use crate::resolve::Resolved;
 use crate::stats::CommStats;
 use crate::transport::Transport;
 use crate::vm::Homes;
@@ -67,7 +65,7 @@ use distal_ir::expr::Assignment;
 use distal_machine::geom::Rect;
 use distal_runtime::Mode;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Lowers a problem's statement over its registry's *data-independent*
 /// tensor specs (shapes + formats, in registry order, nnz unknown) onto the
@@ -136,30 +134,6 @@ fn check_output_binding(assignment: &Assignment, bindings: &Bindings) -> Result<
     }
 }
 
-/// The program a binding executes and prices against: the plan's shared
-/// program as-is when every tensor is dense (nnz cannot affect message
-/// pricing then), otherwise a copy carrying this binding's exact
-/// per-tensor stored-entry counts — bound tensors get their request's
-/// nnz (via `nnz_of`, asked per tensor id, so callers that already
-/// materialized the data can count from the buffer instead of
-/// regenerating the stream), unbound tensors keep the dense assumption.
-/// Purely an accounting update; never re-lowers, and never mutates the
-/// shared plan. (The copy is O(program); a per-instance sparsity overlay
-/// consulted by the pricing paths would make this O(tensors), at the cost
-/// of threading the overlay through `message_bytes`/`stats`/`cost`.)
-fn bound_program(
-    shared: &Arc<SpmdProgram>,
-    nnz_of: impl Fn(usize, &TensorSpec) -> Option<u64>,
-) -> Arc<SpmdProgram> {
-    if !shared.tensors.iter().any(|s| s.format.has_compressed()) {
-        return Arc::clone(shared);
-    }
-    let mut program = (**shared).clone();
-    let specs = shared.tensors.iter().enumerate();
-    program.nnz = specs.map(|(t, spec)| nnz_of(t, spec)).collect();
-    Arc::new(program)
-}
-
 /// A binding's inputs, seeded: every right-hand-side tensor tiled into
 /// the ranks' home pieces straight out of the borrowed
 /// [`TensorInit::Data`] slice (any other initializer materializes once and
@@ -183,7 +157,7 @@ fn seed_inputs(program: &SpmdProgram, bindings: &Bindings) -> Result<SeededInput
         nnz: vec![None; program.tensors.len()],
         missing: Vec::new(),
     };
-    let count_nnz = program.tensors.iter().any(|s| s.format.has_compressed());
+    let count_nnz = program.compressed();
     for &id in &program.accessed[1..] {
         let spec = &program.tensors[id.index()];
         let done = id == program.output()
@@ -214,78 +188,34 @@ fn seed_inputs(program: &SpmdProgram, bindings: &Bindings) -> Result<SeededInput
     Ok(seeded)
 }
 
-fn count_tasks(program: &SpmdProgram) -> u64 {
-    program
-        .in_order()
-        .filter(|(_, op)| matches!(op, SpmdOp::Compute { .. }))
-        .count() as u64
-}
-
-/// The report fields a program fixes before it runs: its α-β pricing and
-/// its leaf count.
-#[derive(Debug)]
-struct Priced {
-    cost: CostReport,
-    tasks: u64,
-}
-
-impl Priced {
-    fn of(program: &SpmdProgram, model: &AlphaBeta) -> Self {
-        Priced {
-            cost: program.cost(model),
-            tasks: count_tasks(program),
-        }
+/// A modeled report of `program`: its α-β prices (`cost`) beside
+/// message/byte counts (`stats`: the static nnz-density estimate, or a run's
+/// exact statistics) and the peak scratch.
+fn report(program: &SpmdProgram, cost: &CostReport, stats: &CommStats, peak_bytes: u64) -> Report {
+    let mut kernel_classes = BTreeMap::new();
+    if program.tasks > 0 {
+        kernel_classes.insert(
+            program.leaf.0.name().to_string(),
+            distal_runtime::stats::KernelClassStats {
+                tasks: program.tasks,
+                flops: program.total_flops,
+                busy_s: cost.compute_s,
+            },
+        );
     }
-
-    /// A modeled report of `program`: these prices beside message/byte
-    /// counts (`stats`: the static nnz-density estimate, or a run's exact
-    /// statistics) and the peak scratch.
-    fn report(&self, program: &SpmdProgram, stats: &CommStats, peak_bytes: u64) -> Report {
-        let mut kernel_classes = BTreeMap::new();
-        if self.tasks > 0 {
-            kernel_classes.insert(
-                program.leaf.0.name().to_string(),
-                distal_runtime::stats::KernelClassStats {
-                    tasks: self.tasks,
-                    flops: program.total_flops,
-                    busy_s: self.cost.compute_s,
-                },
-            );
-        }
-        Report {
-            backend: "spmd".into(),
-            provenance: Provenance::Modeled,
-            bytes_moved: stats.bytes,
-            messages: stats.messages,
-            critical_path_s: self.cost.makespan_s,
-            modeled_s: None,
-            flops: program.total_flops,
-            tasks: self.tasks,
-            peak_bytes,
-            cache: None,
-            kernel_classes,
-            diagnostics: Vec::new(),
-        }
-    }
-}
-
-/// What an `SpmdPlan` works out on its first `execute` and every later
-/// request on it reuses: the program resolved for the rank VM (functional
-/// mode; nothing runs in model mode), and — when every tensor is dense, so
-/// no binding's nnz can move a byte — its prices and static
-/// [`CommStats`], which then equal every run's exact ones.
-#[derive(Debug)]
-struct Memo {
-    resolved: Option<Resolved>,
-    dense: Option<(Priced, CommStats)>,
-}
-
-impl Memo {
-    fn new(program: &SpmdProgram, mode: Mode, model: &AlphaBeta, dense: bool) -> Self {
-        Memo {
-            resolved: (mode == Mode::Functional).then(|| Resolved::new(program)),
-            dense: dense.then(|| (Priced::of(program, model), program.stats())),
-        }
+    Report {
+        backend: "spmd".into(),
+        provenance: Provenance::Modeled,
+        bytes_moved: stats.bytes,
+        messages: stats.messages,
+        critical_path_s: cost.makespan_s,
+        modeled_s: None,
+        flops: program.total_flops,
+        tasks: program.tasks,
+        peak_bytes,
+        cache: None,
+        kernel_classes,
+        diagnostics: Vec::new(),
     }
 }
 
@@ -395,7 +325,6 @@ impl Backend for SpmdBackend {
             mode: self.mode,
             tensors: problem.tensors().clone(),
             program: Arc::new(program),
-            memo: Arc::default(),
             model: self.model,
             transport: self.transport.clone(),
             diagnostics,
@@ -405,18 +334,15 @@ impl Backend for SpmdBackend {
 
 /// A data-independent SPMD plan: the lowered per-rank message schedule +
 /// the registry it was lowered against. Binding seeds the ranks' input
-/// homes (functional mode only) and attaches per-request nnz accounting —
-/// the program is never re-lowered. The first `execute` of any of its
-/// instances resolves the program for the rank VM and prices its report;
-/// every later one replays both.
+/// homes (functional mode only) and counts the request's nnz; every
+/// instance shares the one program, never re-lowered or copied. What the
+/// program derives from itself — its resolution for the rank VM and, with
+/// no compressed tensor, its prices — it works out on the first `execute`
+/// of any instance and keeps (the runtime's `TracedProgram` shape).
 pub(crate) struct SpmdPlan {
     mode: Mode,
     tensors: BTreeMap<String, TensorSpec>,
-    // Shared with every all-dense instance; compressed bindings get a
-    // per-instance copy carrying their nnz (see `bound_program`).
     program: Arc<SpmdProgram>,
-    // Filled by the first execute, shared with every instance.
-    memo: Arc<OnceLock<Memo>>,
     model: AlphaBeta,
     transport: Transport,
     // Warning-severity verifier findings (errors rejected the plan).
@@ -443,21 +369,20 @@ impl Plan for SpmdPlan {
                 seed_inputs(&self.program, bindings)?
             }
         };
-        // Seeded inputs were counted where they lay — a RandomSparse
-        // stream materializes once, not twice.
-        let program = bound_program(&self.program, |t, spec| {
+        // Bound tensors get their request's nnz, unbound ones stay dense;
+        // seeded inputs were counted where they lay, so a RandomSparse
+        // stream materializes once. Only a compressed plan counts any.
+        let compressed = self.program.compressed();
+        let specs = self.program.tensors.iter().enumerate();
+        let nnz = specs.filter(|_| compressed).map(|(t, spec)| {
             let counted = seeded.nnz.get(t).copied().flatten();
-            counted.or_else(|| {
-                bindings
-                    .get(&spec.name)
-                    .map(|init| init_nnz(init, &spec.dims))
-            })
+            counted.or_else(|| bindings.get(&spec.name).map(|i| init_nnz(i, &spec.dims)))
         });
+        let nnz = nnz.collect();
         Ok(Box::new(SpmdInstance {
             mode: self.mode,
-            dense: Arc::ptr_eq(&program, &self.program),
-            program,
-            memo: Arc::clone(&self.memo),
+            program: Arc::clone(&self.program),
+            nnz,
             homes: seeded.homes,
             missing_inputs: seeded.missing,
             model: self.model,
@@ -468,15 +393,15 @@ impl Plan for SpmdPlan {
     }
 }
 
-/// A bound SPMD program plus its inputs — tiled into the ranks' home
-/// pieces, which executions only read — and (after execution) output. In
-/// model mode it holds the program alone.
+/// A binding of the plan's shared program: its inputs — tiled into the
+/// ranks' home pieces, which executions only read — its per-tensor nnz,
+/// and (after execution) its output. In model mode it holds no data.
 pub(crate) struct SpmdInstance {
     mode: Mode,
     program: Arc<SpmdProgram>,
-    /// The plan's program itself: no binding's nnz can move its bytes.
-    dense: bool,
-    memo: Arc<OnceLock<Memo>>,
+    /// Per tensor id, this binding's stored entries (`None`: priced
+    /// dense); empty for a plan with no compressed tensor.
+    nnz: Vec<Option<u64>>,
     homes: Homes,
     missing_inputs: Vec<String>,
     model: AlphaBeta,
@@ -486,18 +411,19 @@ pub(crate) struct SpmdInstance {
 }
 
 impl SpmdInstance {
-    /// What the plan worked out on its first execute.
-    fn memo(&self) -> &Memo {
-        self.memo
-            .get_or_init(|| Memo::new(&self.program, self.mode, &self.model, self.dense))
-    }
-
-    /// The report of this binding: the one the plan priced when every
-    /// tensor is dense, else priced now beside `stats()`.
-    fn report(&self, memo: &Memo, stats: impl FnOnce() -> CommStats, peak: u64) -> Report {
-        match &memo.dense {
-            Some((priced, dense)) => priced.report(&self.program, dense, peak),
-            None => Priced::of(&self.program, &self.model).report(&self.program, &stats(), peak),
+    /// The report of this binding: the prices the program keeps when every
+    /// tensor is dense, else this binding's nnz priced now beside
+    /// `stats()`.
+    fn report(&self, stats: impl FnOnce() -> CommStats, peak: u64) -> Report {
+        let program = &self.program;
+        match program.dense_prices(&self.model) {
+            Some((cost, dense)) => report(program, cost, dense, peak),
+            None => report(
+                program,
+                &program.cost_with(&self.model, &self.nnz),
+                &stats(),
+                peak,
+            ),
         }
     }
 
@@ -530,7 +456,7 @@ impl Instance for SpmdInstance {
     fn execute(&mut self) -> Result<Report, BackendError> {
         if self.mode == Mode::Model {
             // The static nnz-density estimate of the bound program.
-            return Ok(self.report(self.memo(), || self.program.stats(), 0));
+            return Ok(self.report(|| self.program.stats_with(&self.nnz), 0));
         }
         if let Some(name) = self.missing_inputs.first() {
             // Same failure point as the dynamic runtime's uninitialized
@@ -539,8 +465,7 @@ impl Instance for SpmdInstance {
                 "input '{name}' has no initializer on the problem"
             )));
         }
-        let memo = self.memo();
-        let resolved = memo.resolved.as_ref().expect("functional plans resolve");
+        let resolved = self.program.resolved();
         let run = self
             .program
             .run(resolved, &self.homes, &self.transport)
@@ -548,7 +473,7 @@ impl Instance for SpmdInstance {
         // Bytes, messages, flops, and the numerics behind `read` are
         // exact properties of the executed program — compressed operand
         // tiles are charged their actual per-tile pos/crd/vals payloads;
-        // dense ones are what the plan priced on its first execute.
+        // dense ones are what the program priced on its first execute.
         // On the sequential transport the headline `critical_path_s`
         // comes from the α-β model (whose serialized-injection assumption
         // matches that transport exactly), so the phase reports as
@@ -557,7 +482,7 @@ impl Instance for SpmdInstance {
         // moves to `modeled_s`, and `Report::modeled_vs_measured` exposes
         // the calibration ratio.
         let exact = || run.stats(&self.program, resolved);
-        let mut report = self.report(memo, exact, resolved.peak_scratch_bytes);
+        let mut report = self.report(exact, resolved.peak_scratch_bytes);
         if let Some(m) = &run.measured {
             report.modeled_s = Some(report.critical_path_s);
             report.critical_path_s = m.wall_s;
@@ -594,10 +519,19 @@ impl Instance for SpmdInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::SpmdOp;
     use distal_core::{DistalMachine, Lint, RuntimeBackend, TensorSpec};
     use distal_format::Format;
     use distal_machine::grid::Grid;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
+
+    /// The leaves of `program`, counted over its ops.
+    fn count_tasks(program: &SpmdProgram) -> u64 {
+        let computes = program
+            .in_order()
+            .filter(|(_, op)| matches!(op, SpmdOp::Compute { .. }));
+        computes.count() as u64
+    }
 
     fn matmul_problem(n: i64) -> Problem {
         let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);

@@ -104,7 +104,8 @@ pub struct CostReport {
     pub critical_messages: usize,
 }
 
-/// Replays `program`'s global op stream against the model.
+/// Replays `program`'s global op stream against the model, compressed
+/// operand tiles sized by `nnz` ([`SpmdProgram::message_bytes_with`]).
 ///
 /// Per-rank clocks advance through compute blocks; a send occupies the
 /// sender for the full message time (serialized injection), and the
@@ -112,7 +113,11 @@ pub struct CostReport {
 /// *depth* is carried along the same recursion: a message's chain length
 /// is one more than the longest chain already ending at its sender, and
 /// receivers inherit the maximum.
-pub fn evaluate(program: &SpmdProgram, model: &AlphaBeta) -> CostReport {
+pub(crate) fn evaluate(
+    program: &SpmdProgram,
+    model: &AlphaBeta,
+    nnz: &[Option<u64>],
+) -> CostReport {
     let ranks = program.ranks();
     let grid = &program.grid;
     let mut clock = vec![0.0f64; ranks];
@@ -125,7 +130,7 @@ pub fn evaluate(program: &SpmdProgram, model: &AlphaBeta) -> CostReport {
                 // nnz-sized payloads for compressed operand tiles: this is
                 // where the α-β model ranks the same schedule differently
                 // at 1% vs 50% density.
-                let wire = model.transfer_s(grid, m.from, m.to, program.message_bytes(m));
+                let wire = model.transfer_s(grid, m.from, m.to, program.message_bytes_with(m, nnz));
                 let arrival = clock[rank] + wire;
                 clock[rank] += wire;
                 chain[rank] += 1;

@@ -518,6 +518,8 @@ pub(crate) fn lower_with(
         collectives,
         unexpanded,
         leaf: crate::program::LeafKernel(leaf),
+        tasks: 0,
+        derived: Default::default(),
     };
     program.install(stream);
     Ok(program)

@@ -20,7 +20,7 @@ use distal_runtime::kernel::Kernel;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The rank VM's leaf kernel, shared (via `Arc`) across every clone and
 /// binding of the lowered program — chosen once at plan time, never
@@ -88,6 +88,18 @@ pub struct SpmdProgram {
     /// The leaf kernel every `Compute` op runs (chosen once, at lowering
     /// time, by `distal_core::kernelgen::leaf_for`).
     pub leaf: LeafKernel,
+    /// How many `Compute` ops the rank lists hold, counted by `install`.
+    pub(crate) tasks: u64,
+    /// What the program works out about itself on first use and keeps, as
+    /// the runtime's `TracedProgram` does. Clones share it (none of it
+    /// reads `nnz`); `install` starts a fresh one.
+    pub(crate) derived: Arc<Derived>,
+}
+
+#[derive(Debug, Default)]
+pub(crate) struct Derived {
+    resolved: OnceLock<Resolved>,
+    dense: OnceLock<(CostReport, CommStats)>,
 }
 
 /// The result of executing an SPMD program.
@@ -141,9 +153,15 @@ impl SpmdProgram {
 
     /// Files a global `(rank, op)` stream into the still empty per-rank
     /// lists (each op moved, none copied) and records its order.
+    /// What the program derived from its old ops is dropped with them.
     pub(crate) fn install(&mut self, stream: Vec<(usize, SpmdOp)>) {
         debug_assert!(self.programs.iter().all(Vec::is_empty));
         self.order = stream.iter().map(|(rank, _)| *rank).collect();
+        let computes = stream
+            .iter()
+            .filter(|(_, op)| matches!(op, SpmdOp::Compute { .. }));
+        self.tasks = computes.count() as u64;
+        self.derived = Arc::default();
         // Each list is sized once: one counting pass, then no regrowth.
         let mut lengths = vec![0usize; self.programs.len()];
         for &rank in &self.order {
@@ -161,7 +179,8 @@ impl SpmdProgram {
     /// move out in global order, `edit` changes the stream, and the result
     /// is filed back — so the rank lists and the global order cannot
     /// disagree, whatever was dropped, added, moved or edited in place.
-    /// (How the mutation suites corrupt programs.)
+    /// The next execution resolves what the program now says. (How the
+    /// mutation suites corrupt programs.)
     ///
     /// # Panics
     ///
@@ -227,6 +246,12 @@ impl SpmdProgram {
     /// Output-tensor messages are partial sums — dense regardless of the
     /// output's at-rest format — and dense tensors ship flat tiles.
     pub fn message_bytes(&self, m: &Message) -> u64 {
+        self.message_bytes_with(m, &self.nnz)
+    }
+
+    /// [`SpmdProgram::message_bytes`] under a binding's per-tensor `nnz`
+    /// (one entry per tensor when any tensor is compressed).
+    pub(crate) fn message_bytes_with(&self, m: &Message, nnz: &[Option<u64>]) -> u64 {
         if m.tensor == self.output() {
             return m.bytes();
         }
@@ -235,7 +260,7 @@ impl SpmdProgram {
                 let volume = m.rect.volume().max(0) as u64;
                 let rows = volume / rect_inner_extent(&m.rect);
                 let dense = t.dims.iter().product::<i64>().max(1) as u64;
-                let nnz = self.nnz[m.tensor.index()].unwrap_or(dense).min(dense);
+                let nnz = nnz[m.tensor.index()].unwrap_or(dense).min(dense);
                 let density = nnz as f64 / dense as f64;
                 distal_sparse::estimated_payload_bytes(volume, rows, density)
             }
@@ -246,10 +271,15 @@ impl SpmdProgram {
     /// Communication statistics of the static program (nnz-sized bytes
     /// for compressed operand tiles; see [`SpmdProgram::message_bytes`]).
     pub fn stats(&self) -> CommStats {
+        self.stats_with(&self.nnz)
+    }
+
+    /// [`SpmdProgram::stats`] under a binding's per-tensor `nnz`.
+    pub(crate) fn stats_with(&self, nnz: &[Option<u64>]) -> CommStats {
         let weighted: Vec<(&Message, u64)> = self
             .messages()
             .into_iter()
-            .map(|m| (m, self.message_bytes(m)))
+            .map(|m| (m, self.message_bytes_with(m, nnz)))
             .collect();
         CommStats::from_weighted(self, &weighted)
     }
@@ -257,7 +287,30 @@ impl SpmdProgram {
     /// Prices the program under an α-β model (per-rank timeline and
     /// makespan) — see [`crate::cost`].
     pub fn cost(&self, model: &AlphaBeta) -> CostReport {
-        crate::cost::evaluate(self, model)
+        self.cost_with(model, &self.nnz)
+    }
+
+    /// [`SpmdProgram::cost`] under a binding's per-tensor `nnz`.
+    pub(crate) fn cost_with(&self, model: &AlphaBeta, nnz: &[Option<u64>]) -> CostReport {
+        crate::cost::evaluate(self, model, nnz)
+    }
+
+    /// True when a tensor is stored compressed, so nnz moves its bytes.
+    pub(crate) fn compressed(&self) -> bool {
+        self.tensors.iter().any(|s| s.format.has_compressed())
+    }
+
+    /// A program with no compressed tensor's α-β prices under `model` (its
+    /// plan's, the only one it is priced under) and static statistics,
+    /// which every run's exact ones equal: worked out once and kept.
+    pub(crate) fn dense_prices(&self, model: &AlphaBeta) -> Option<&(CostReport, CommStats)> {
+        let priced = || (self.cost(model), self.stats());
+        (!self.compressed()).then(|| self.derived.dense.get_or_init(priced))
+    }
+
+    /// The program resolved for the rank VM, by its first execution.
+    pub(crate) fn resolved(&self) -> &Resolved {
+        self.derived.resolved.get_or_init(|| Resolved::new(self))
     }
 
     /// The worst critical-path message depth over all lowered
@@ -307,9 +360,9 @@ impl SpmdProgram {
     /// single-loop simulation, or real rank threads exchanging messages
     /// over channels. Both produce bit-identical outputs and statistics;
     /// only the threaded path reports wall-clock timings in
-    /// [`SpmdResult::measured`]. Every call resolves the program for the
-    /// rank VM afresh and keeps nothing (a bound `SpmdPlan` resolves once
-    /// and replays).
+    /// [`SpmdResult::measured`]. The first execution of a program resolves
+    /// it for the rank VM and keeps the result, which its clones share and
+    /// a [`SpmdProgram::rewrite`] drops.
     pub fn execute_with(
         &self,
         inputs: &BTreeMap<String, Vec<f64>>,
@@ -323,10 +376,10 @@ impl SpmdProgram {
                 .ok_or_else(|| SpmdError::Data(format!("missing input '{}'", spec.name)))?;
             self.seed(&mut homes, TensorId(t as u32), data)?;
         }
-        let resolved = Resolved::new(self);
-        let run = self.run(&resolved, &homes, transport)?;
+        let resolved = self.resolved();
+        let run = self.run(resolved, &homes, transport)?;
         Ok(SpmdResult {
-            stats: run.stats(self, &resolved),
+            stats: run.stats(self, resolved),
             peak_scratch_bytes: resolved.peak_scratch_bytes,
             output: run.output,
             measured: run.measured,

@@ -12,8 +12,9 @@
 //! answers as one [`Step`] per op: slot indices and fixed copy recipes.
 //! Executing is then an index walk over those steps ([`crate::vm`]), the
 //! way Legion's dynamic tracing (Lee et al., SC'18) analyses a trace once
-//! and replays it. A bound `SpmdPlan` resolves on its first `execute` and
-//! keeps the result; [`SpmdProgram::execute_with`] resolves on every call.
+//! and replays it. A program resolves on its first execution and keeps the
+//! result beside its ops, so every binding of a plan and every later
+//! [`SpmdProgram::execute_with`] replays it.
 //!
 //! A rank's store, as this pass models it:
 //!
@@ -53,13 +54,14 @@ use std::collections::{HashMap, VecDeque};
 
 thread_local! {
     /// Per-thread count of [`Resolved::new`] calls — how plan reuse shows
-    /// that a plan resolves once, not once per request.
+    /// that a program resolves once, not once per request.
     static RESOLUTIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// How many times a program was resolved for the rank VM on the calling
-/// thread: once per `SpmdPlan` (on its first functional `execute`), and on
-/// every [`SpmdProgram::execute_with`] call.
+/// thread: once per program, on its first execution — whether through a
+/// plan's instances or [`SpmdProgram::execute_with`] — and once more after
+/// each [`SpmdProgram::rewrite`].
 pub fn resolve_count() -> u64 {
     RESOLUTIONS.with(Cell::get)
 }

@@ -11,6 +11,11 @@
 //!   place, so it allocates per table, never per event, and
 //! * `to_verify_ir` per event of the IR it builds.
 //!
+//! It then binds a request with a compressed operand to a p = 64 SUMMA
+//! plan and bounds the bind per tensor and home piece: every binding
+//! shares the plan's program, so binding allocates the seeded home pieces
+//! and a few per-tensor tables, never per rank op.
+//!
 //! An op names its tensor by id, so none copies a tensor name per op.
 //! This file holds the test binary's own `unsafe impl GlobalAlloc`; the
 //! product code keeps its one `unsafe` block. There is one `#[test]`, so
@@ -18,8 +23,10 @@
 
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
+use distal_core::{Backend, Bindings, TensorSpec};
+use distal_format::LevelFormat;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
-use distal_spmd::{lower_problem, to_verify_ir, verify_program, CollectiveConfig};
+use distal_spmd::{lower_problem, to_verify_ir, verify_program, CollectiveConfig, SpmdBackend};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,4 +123,43 @@ fn the_plan_path_allocates_less_than_twice_per_rank_op() {
             alg.name()
         );
     }
+    binding_allocates_per_home_piece_not_per_rank_op();
+}
+
+/// SUMMA at p = 64 (n = 256, chunk 32) with `B` stored CSR.
+fn binding_allocates_per_home_piece_not_per_rank_op() {
+    let (p, n, chunk) = (64, 256, 32);
+    let spec = MachineSpec::small(p as usize / 2);
+    let summa = MatmulAlgorithm::Summa;
+    let (mut problem, schedule) =
+        matmul_problem_on(summa, spec, ProcKind::Cpu, MemKind::Sys, p, n, chunk).unwrap();
+    let b = &problem.tensors()["B"];
+    let csr = b.format.clone();
+    let csr = csr.with_levels(vec![LevelFormat::Dense, LevelFormat::Compressed]);
+    problem
+        .tensor(TensorSpec::new("B", vec![n, n], csr))
+        .unwrap();
+    let plan = SpmdBackend::new().plan(&problem, &schedule).unwrap();
+    let mut bindings = Bindings::new();
+    let volume = (n * n) as usize;
+    let sparse = (0..volume).map(|i| if i % 7 == 0 { 1.0 } else { 0.0 });
+    bindings.set_data("B", sparse.collect());
+    bindings.set_data("C", vec![1.0; volume]);
+    let (instance, binding) = counted(|| plan.bind(&bindings).unwrap());
+    drop(instance);
+    let program = lower_problem(&problem, &schedule, &CollectiveConfig::default()).unwrap();
+    let rank_ops: usize = (0..program.ranks())
+        .map(|r| program.rank_ops(r).len())
+        .sum();
+    // Every rank holds one tile of each of the two inputs.
+    let (tensors, pieces) = (program.tensors.len(), 2 * program.ranks());
+    let per_piece = binding as f64 / (tensors + pieces) as f64;
+    println!(
+        "SUMMA p=64, B compressed: bind {binding} allocations over {tensors} tensors + \
+         {pieces} home pieces = {per_piece:.2} each ({rank_ops} rank ops)"
+    );
+    assert!(
+        per_piece <= 2.5,
+        "binding: {per_piece:.2} per tensor and home piece{MOVED}"
+    );
 }

@@ -47,9 +47,6 @@ pub mod comm;
 pub mod hazard;
 pub mod order;
 
-#[cfg(test)]
-mod oracle;
-
 use distal_core::{Diagnostic, TensorId};
 use distal_machine::geom::Rect;
 use std::borrow::Cow;
@@ -356,7 +353,6 @@ pub(crate) mod fixtures {
 mod tests {
     use super::fixtures::clean_pair;
     use super::*;
-    use distal_machine::geom::Point;
 
     #[test]
     fn clean_program_verifies_clean() {
@@ -372,171 +368,5 @@ mod tests {
             reduces: false,
         };
         assert!(verify(&p).is_empty());
-    }
-
-    /// xorshift64*, the generator the sibling suites use.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        /// True one time in `n`.
-        fn one_in(&mut self, n: u64) -> bool {
-            self.below(n) == 0
-        }
-
-        /// A rectangle of `dim` dimensions with corners in `-1..=5`: mostly
-        /// inside a 4×4 or 6-long tensor, sometimes past it, empty, or far
-        /// past any 32-bit coordinate.
-        fn rect(&mut self, dim: usize) -> Rect {
-            let mut corner = || {
-                let far = if self.one_in(40) { 1 << 40 } else { 0 };
-                let lo = self.below(5) as i64 - i64::from(self.one_in(8)) + far;
-                (lo, lo + self.below(3) as i64 - i64::from(self.one_in(10)))
-            };
-            let (lo, hi): (Vec<i64>, Vec<i64>) = (0..dim).map(|_| corner()).unzip();
-            Rect::new(Point::new(lo), Point::new(hi))
-        }
-    }
-
-    /// A random small program, mostly ill-formed: transfers whose two
-    /// endpoints land at random places of their ranks' lists (so waits can
-    /// cross), one side sometimes edited, dropped or repeated; tags mostly
-    /// few (so they collide), sometimes far past the dense range; tasks
-    /// over random rectangles; fences.
-    fn random_program(rng: &mut Rng) -> VerifyProgram<'static> {
-        const NAMES: [&str; 3] = ["A", "B", "c"];
-        let tensors: Vec<(&str, Rect)> = (0..1 + rng.below(3) as usize)
-            .map(|t| match t {
-                2 => (NAMES[t], Rect::sized(&[6])),
-                _ => (NAMES[t], Rect::sized(&[4, 4])),
-            })
-            .collect();
-        let ranks = 1 + rng.below(4) as usize;
-        let mut lists: Vec<Vec<Event>> = vec![Vec::new(); ranks];
-        let tensor = |rng: &mut Rng| {
-            let undeclared = u64::from(rng.one_in(10));
-            let t = rng.below(tensors.len() as u64 + undeclared);
-            let dim = tensors.get(t as usize).map_or(2, |(_, r)| r.dim());
-            let dim = if rng.one_in(16) { 3 - dim } else { dim };
-            (TensorId(t as u32), dim)
-        };
-        let insert = |rng: &mut Rng, list: &mut Vec<Event>, ev: Event| {
-            let at = rng.below(list.len() as u64 + 1) as usize;
-            list.insert(at, ev);
-        };
-        for _ in 0..rng.below(8) {
-            let tag = match rng.below(12) {
-                0 => 1_000 + rng.below(3),
-                1 => u64::MAX - rng.below(2),
-                _ => rng.below(10),
-            };
-            let (from, to) = (
-                rng.below(ranks as u64) as usize,
-                rng.below(ranks as u64) as usize,
-            );
-            let (id, dim) = tensor(rng);
-            let rect = rng.rect(dim);
-            let sent = Msg {
-                tag,
-                peer: to,
-                tensor: id,
-                rect,
-                bytes: rect.volume().max(0) as u64 * 8,
-                fold: rng.one_in(4),
-            };
-            let mut received = Msg { peer: from, ..sent };
-            match rng.below(16) {
-                0 => received.peer = rng.below(ranks as u64 + 1) as usize,
-                1 => received.tag = rng.below(10),
-                2 => received.rect = rng.rect(dim),
-                3 => received.bytes += 8,
-                4 => received.fold = !received.fold,
-                5 => received.tensor = tensor(rng).0,
-                _ => {}
-            }
-            if !rng.one_in(10) {
-                insert(rng, &mut lists[from], Event::Send(sent));
-            }
-            if !rng.one_in(10) {
-                insert(rng, &mut lists[to], Event::Recv(received));
-            }
-            if rng.one_in(12) {
-                insert(rng, &mut lists[from], Event::Send(sent));
-            }
-            if rng.one_in(12) {
-                insert(rng, &mut lists[to], Event::Recv(received));
-            }
-        }
-        for list in &mut lists {
-            for _ in 0..rng.below(4) {
-                let accesses = (0..rng.below(4))
-                    .map(|_| {
-                        let (id, dim) = tensor(rng);
-                        Access {
-                            tensor: id,
-                            rect: rng.rect(dim),
-                            write: rng.one_in(2),
-                        }
-                    })
-                    .collect();
-                insert(rng, list, Event::Task { accesses });
-            }
-            if rng.one_in(3) {
-                insert(rng, list, Event::Fence);
-            }
-        }
-        VerifyProgram {
-            tensors,
-            ranks: lists,
-            reduces: rng.one_in(4),
-        }
-    }
-
-    /// The one walk finds exactly what the four passes did, each walking
-    /// the program on its own: the same findings, in the same order, word
-    /// for word. The draws reach every finding the verifier makes, and
-    /// clean programs too.
-    #[test]
-    fn the_walk_finds_what_the_four_passes_found() {
-        let mut rng = Rng(0x5EED_F00D);
-        let mut kinds = Vec::new();
-        let mut clean = 0;
-        for case in 0..6_000 {
-            let program = random_program(&mut rng);
-            let found = verify(&program);
-            assert_eq!(found, oracle::verify(&program), "case {case}: {program:#?}");
-            clean += usize::from(found.is_empty());
-            for d in found {
-                if !kinds.contains(&d.kind) {
-                    kinds.push(d.kind);
-                }
-            }
-        }
-        assert!(clean >= 100, "{clean} clean programs");
-        use DiagnosticKind::*;
-        for kind in [
-            OutOfBounds,
-            Malformed,
-            ByteImbalance,
-            LostMessage,
-            OrphanMessage,
-            DuplicateMessage,
-            MessageMismatch,
-            Deadlock,
-            WriteHazard,
-            ReadHazard,
-        ] {
-            assert!(kinds.contains(&kind), "no draw found {kind:?}");
-        }
     }
 }

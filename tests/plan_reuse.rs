@@ -133,11 +133,12 @@ fn spmd_plan_rebinds_match_fresh_compiles() {
 }
 
 #[test]
-fn an_spmd_plan_resolves_once_and_a_program_on_every_execute() {
-    // A plan resolves its program for the rank VM on its first request
-    // and every later request replays that; nothing resolves in model
-    // mode, where nothing runs. A program executed outside a plan keeps
-    // nothing, so a rewritten one runs what it now says.
+fn an_spmd_program_resolves_once_for_every_binding_and_execute() {
+    // A program resolves for the rank VM on its first execution and keeps
+    // the result: every later request on its plan replays it, whatever
+    // each binding's nnz, and so does a program executed outside a plan.
+    // Nothing resolves in model mode, where nothing runs. A rewrite drops
+    // the resolution, so a rewritten program runs what it now says.
     let (shapes, schedule) = matmul_shapes(8);
     let seeds = [(51u64, 52u64), (61, 62), (71, 72), (81, 82)];
     let fresh: Vec<Vec<u64>> = seeds
@@ -161,6 +162,20 @@ fn an_spmd_plan_resolves_once_and_a_program_on_every_execute() {
         "model mode resolved"
     );
 
+    // A binding whose compressed operand is full and one whose operand is
+    // sparse share one resolution of their plan's program.
+    let (sparse_shapes, _) = sparse_matmul_shapes(8);
+    let plan = SpmdBackend::new().plan(&sparse_shapes, &schedule).unwrap();
+    let mut sparse = Bindings::new();
+    sparse
+        .fill_random_sparse("B", 0xB, 0.25)
+        .fill_random("C", 0xC);
+    let resolved = distal_spmd::resolve_count();
+    for bindings in [seeded_bindings(91, 92), sparse] {
+        plan.bind(&bindings).unwrap().run().unwrap();
+    }
+    assert_eq!(distal_spmd::resolve_count(), resolved + 1);
+
     let mut problem = shapes.clone();
     problem
         .fill_random("B", 3)
@@ -173,9 +188,10 @@ fn an_spmd_plan_resolves_once_and_a_program_on_every_execute() {
         .map(|t| (t.to_string(), problem.initial_data(t).unwrap()))
         .into_iter()
         .collect();
+    let resolved = distal_spmd::resolve_count();
     let whole = program.execute(&inputs).unwrap().output;
     assert_eq!(program.execute(&inputs).unwrap().output, whole);
-    assert_eq!(distal_spmd::resolve_count(), before + 3);
+    assert_eq!(distal_spmd::resolve_count(), resolved + 1);
     // Without rank 0's last leaf, its part of the output is missing.
     let dropped = program
         .rank_ops(0)
@@ -191,7 +207,8 @@ fn an_spmd_plan_resolves_once_and_a_program_on_every_execute() {
         })
     });
     let rewritten = program.execute(&inputs).unwrap().output;
-    assert_eq!(distal_spmd::resolve_count(), before + 4);
+    assert_eq!(program.execute(&inputs).unwrap().output, rewritten);
+    assert_eq!(distal_spmd::resolve_count(), resolved + 2);
     assert_ne!(bits(&rewritten), bits(&whole));
 }
 

@@ -50,6 +50,7 @@ use crate::diagnostic::Diagnostic;
 use crate::error::CompileError;
 use crate::lint::LintConfig;
 use crate::lower::{registry_bindings, CompileOptions, CompiledKernel};
+use crate::nest::Nest;
 use crate::plan::{init_nnz, Bindings, Instance, Plan};
 use crate::problem::{Problem, TensorSpec};
 use crate::report::{Provenance, Report};
@@ -225,9 +226,10 @@ impl RuntimeBackend {
         self
     }
 
-    /// [`Backend::plan`] with the concrete plan type: admission, then one
-    /// lowering against bindings whose region ids are registry positions
-    /// — no runtime exists yet.
+    /// [`Backend::plan`] with the concrete plan type: admission, which
+    /// applies the schedule, then one lowering of the notation it applied
+    /// against bindings whose region ids are registry positions — no
+    /// runtime exists yet.
     ///
     /// # Errors
     ///
@@ -240,10 +242,12 @@ impl RuntimeBackend {
         let assignment = problem.assignment().ok_or_else(|| {
             BackendError::Compile(CompileError::Expression("problem has no statement".into()))
         })?;
-        // Schedule admission: denied findings reject the plan before any
-        // lowering; warned findings ride on the plan and its reports.
-        let diagnostics = crate::lint::admit(problem, schedule, &self.lint)?;
-        let kernel = crate::lower::compile(
+        // Schedule admission applies the schedule: denied findings and
+        // rejected commands fail the plan before any lowering; warned
+        // findings ride on the plan and its reports.
+        let (cin, diagnostics) = crate::lint::admit(problem, schedule, &self.lint)?;
+        let kernel = crate::lower::lower_nest(
+            Nest::from_cin(cin)?,
             assignment,
             &registry_bindings(problem.tensors()),
             problem.machine(),

@@ -2,15 +2,24 @@
 //! `(Problem, Schedule, Format, Machine)`, run in every `Backend::plan`
 //! *before* lowering (pipeline layer 1½ — see `ARCHITECTURE.md`).
 //!
+//! Admission is the compiler's own interpretation of the schedule: it
+//! applies each command to the statement's concrete index notation with
+//! the rewrite [`Schedule::apply`] runs and lints it against the notation
+//! (the solver's extents, distributed flags and roots) before and after.
+//! It stops at the first command the compiler rejects, so an admitted
+//! schedule applies by construction, and the plan's lowering starts from
+//! the notation admission applied ([`crate::nest::Nest::from_cin`]).
+//!
 //! Two pass families, both emitting the [`crate::diagnostic`] machinery
 //! with the offending command index, loop variable, tensor, and a fix-it
 //! hint:
 //!
 //! * **legality** — schedules that cannot lower or would execute wrongly:
-//!   unknown/duplicated loop variables, `distribute_onto` grids that
-//!   disagree with the machine shape, non-positive chunk/part counts,
-//!   `communicate` at a nonexistent loop level, and re-distribution of
-//!   an already-distributed dimension;
+//!   the compiler's own rejections, each as the lint that owns it
+//!   (unknown/duplicated loop variables, non-positive chunk/part counts,
+//!   `communicate` at a nonexistent loop, `distribute_onto` lists that
+//!   disagree), `distribute_onto` grids that disagree with the machine
+//!   shape, and re-distribution of an already-distributed dimension;
 //! * **performance** — schedules that lower but waste the machine: load
 //!   imbalance from non-dividing or overpartitioned part counts (with
 //!   the computed imbalance ratio), coordinate-range distribution over a
@@ -33,9 +42,15 @@
 
 use crate::backend::BackendError;
 use crate::diagnostic::{Diagnostic, DiagnosticKind};
+use crate::error::CompileError;
+use crate::nest::statement_cin;
 use crate::problem::Problem;
 use crate::schedule::{SchedCmd, Schedule};
 use distal_format::{DimName, Format, LevelFormat, PartitionKind};
+use distal_ir::cin::ConcreteNotation;
+use distal_ir::expr::IndexVar;
+use distal_ir::provenance::SolverError;
+use distal_ir::transform::ScheduleError;
 use distal_machine::ELEM_BYTES;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -249,50 +264,64 @@ impl LintConfig {
 
 /// Runs every configured pass and returns the findings (errors and
 /// warnings, in schedule order then format order). Allowed lints are
-/// dropped.
+/// dropped. The schedule's passes stop at the first command the compiler
+/// rejects (see [`admit`]).
 pub fn lint_schedule(
     problem: &Problem,
     schedule: &Schedule,
     config: &LintConfig,
 ) -> Vec<Diagnostic> {
-    let mut linter = Linter {
-        config,
-        diags: Vec::new(),
-    };
-    linter.walk_schedule(problem, schedule);
-    linter.lint_formats(problem);
-    linter.diags
+    lint(problem, schedule, config).0
 }
 
-/// The admission gate every `Backend::plan` calls before lowering.
+/// The admission gate every `Backend::plan` calls before lowering. It
+/// applies the schedule to the statement's concrete index notation with
+/// the compiler's own rewrites, one command at a time, and lints each
+/// command against the notation before and after it applies. The walk
+/// stops at the first command the compiler rejects; that command's
+/// finding, if a lint owns the failure, is the walk's last.
 ///
 /// # Errors
 ///
-/// [`BackendError::Verification`] carrying *all* findings when any denied
-/// lint fired; otherwise `Ok` with the warnings (to ride on the plan).
+/// [`BackendError::Verification`] carrying the findings when any denied
+/// lint fired. Otherwise the compiler's error when it rejects the
+/// statement, or a command: [`BackendError::Compile`] with the
+/// [`CompileError::Schedule`] the lowering would report.
+///
+/// On success, the notation with the schedule applied — the plan's
+/// lowering starts from it ([`crate::nest::Nest::from_cin`]) — and the
+/// warnings, to ride on the plan.
 pub fn admit(
     problem: &Problem,
     schedule: &Schedule,
     config: &LintConfig,
-) -> Result<Vec<Diagnostic>, BackendError> {
-    let diags = lint_schedule(problem, schedule, config);
+) -> Result<(ConcreteNotation, Vec<Diagnostic>), BackendError> {
+    let (diags, applied) = lint(problem, schedule, config);
     if diags.iter().any(Diagnostic::is_error) {
         return Err(BackendError::Verification(diags));
     }
-    Ok(diags)
+    Ok((applied?, diags))
 }
 
-/// What the linter knows about one live loop variable while walking the
-/// schedule.
-#[derive(Clone, Debug)]
-struct VarState {
-    /// Iteration count, when the statement's extents determine it.
-    extent: Option<i64>,
-    /// Whether the loop is distributed (directly or inherited from the
-    /// variable it derives from).
-    distributed: bool,
-    /// The original statement variables this loop derives from.
-    roots: BTreeSet<String>,
+/// The one walk behind [`lint_schedule`] and [`admit`]: the findings,
+/// and the statement's notation under the schedule or the compiler's
+/// reason there is none.
+fn lint(
+    problem: &Problem,
+    schedule: &Schedule,
+    config: &LintConfig,
+) -> (Vec<Diagnostic>, Result<ConcreteNotation, CompileError>) {
+    let mut linter = Linter {
+        config,
+        diags: Vec::new(),
+    };
+    let applied = problem
+        .assignment()
+        .ok_or_else(|| CompileError::Expression("problem has no statement".into()))
+        .and_then(|assignment| statement_cin(assignment, &problem.dims_map()))
+        .and_then(|cin| linter.apply(problem, schedule, cin));
+    linter.lint_formats(problem);
+    (linter.diags, applied)
 }
 
 struct Linter<'a> {
@@ -315,436 +344,295 @@ impl Linter<'_> {
         self.diags.push(decorate(d));
     }
 
-    /// The legality/performance walk over the schedule's commands,
-    /// simulating the loop-variable environment the commands build up.
-    fn walk_schedule(&mut self, problem: &Problem, schedule: &Schedule) {
-        let Some(assignment) = problem.assignment() else {
-            return; // nothing to check; planning reports the missing statement
-        };
-        let extents = assignment.infer_extents(&problem.dims_map());
-        let mut vars: BTreeMap<String, VarState> = BTreeMap::new();
-        for v in assignment.all_vars() {
-            vars.insert(
-                v.0.clone(),
-                VarState {
-                    extent: extents.as_ref().and_then(|e| e.get(&v).copied()),
-                    distributed: false,
-                    roots: BTreeSet::from([v.0.clone()]),
-                },
-            );
-        }
-        let statement_tensors: BTreeSet<String> = assignment
-            .accesses()
-            .iter()
-            .map(|a| a.tensor.clone())
-            .collect();
-        let machine_dims: Vec<i64> = problem.machine().grid().dims().to_vec();
-        let machine_size = problem.machine().size();
-        let machine_levels = problem.machine().hierarchy.levels().len();
-
+    /// Applies the schedule's commands to `cin` with the rewrite
+    /// [`Schedule::apply`] runs, linting each before and after it
+    /// applies; stops at the first the compiler rejects.
+    fn apply(
+        &mut self,
+        problem: &Problem,
+        schedule: &Schedule,
+        mut cin: ConcreteNotation,
+    ) -> Result<ConcreteNotation, CompileError> {
         for (idx, cmd) in schedule.commands().iter().enumerate() {
-            match cmd {
-                SchedCmd::Divide {
-                    var,
-                    outer,
-                    inner,
-                    parts,
-                } => {
-                    self.check_derive(&mut vars, idx, var, outer, inner, *parts, true);
-                }
-                SchedCmd::Split {
-                    var,
-                    outer,
-                    inner,
-                    chunk,
-                } => {
-                    self.check_derive(&mut vars, idx, var, outer, inner, *chunk, false);
-                }
-                SchedCmd::Reorder(order) => {
-                    let mut seen = BTreeSet::new();
-                    for v in order {
-                        if !seen.insert(v.clone()) {
-                            self.emit(
-                                Lint::DuplicateLoopVar,
-                                format!("reorder lists '{v}' more than once"),
-                                |d| {
-                                    d.with_command(idx)
-                                        .with_var(v.clone())
-                                        .with_fixit("list each variable once")
-                                },
-                            );
-                        } else if !vars.contains_key(v) {
-                            self.unknown_var(&vars, idx, v);
-                        }
-                    }
-                }
-                SchedCmd::Distribute(list) => {
-                    for v in list {
-                        if !vars.contains_key(v) {
-                            self.unknown_var(&vars, idx, v);
-                            continue;
-                        }
-                        self.check_redistribution(&vars, idx, v, machine_levels);
-                        vars.get_mut(v).expect("checked above").distributed = true;
-                    }
-                    self.check_distributed_volume(&vars, idx, machine_size);
-                }
-                SchedCmd::DistributeOnto {
-                    targets,
-                    dist,
-                    local,
-                    dims,
-                } => {
-                    if targets.len() != dist.len()
-                        || targets.len() != local.len()
-                        || targets.len() != dims.len()
-                    {
-                        self.emit(
-                            Lint::GridMismatch,
-                            format!(
-                                "distribute_onto argument lists disagree: {} targets, {} dist, \
-                                 {} local, {} grid dims",
-                                targets.len(),
-                                dist.len(),
-                                local.len(),
-                                dims.len()
-                            ),
-                            |d| {
-                                d.with_command(idx).with_fixit(
-                                    "give each target one dist var, one local var, and one grid dim",
-                                )
-                            },
-                        );
-                        continue;
-                    }
-                    if dims.as_slice() != machine_dims.as_slice() {
-                        let grid = |ds: &[i64]| {
-                            ds.iter()
-                                .map(|d| d.to_string())
-                                .collect::<Vec<_>>()
-                                .join("x")
-                        };
-                        let (want, got) = (grid(&machine_dims), grid(dims));
-                        self.emit(
-                            Lint::GridMismatch,
-                            format!(
-                                "schedule distributes onto a {got} grid but the machine \
-                                 grid is {want}"
-                            ),
-                            |d| {
-                                d.with_command(idx).with_fixit(format!(
-                                    "distribute onto {want} (the machine grid)"
-                                ))
-                            },
-                        );
-                    }
-                    for i in 0..targets.len() {
-                        if vars.contains_key(&targets[i]) {
-                            self.check_redistribution(&vars, idx, &targets[i], machine_levels);
-                        }
-                        self.check_derive(
-                            &mut vars,
-                            idx,
-                            &targets[i],
-                            &dist[i],
-                            &local[i],
-                            dims[i],
-                            true,
-                        );
-                        if let Some(s) = vars.get_mut(&dist[i]) {
-                            s.distributed = true;
-                        }
-                    }
-                    self.check_distributed_volume(&vars, idx, machine_size);
-                }
-                SchedCmd::Communicate { tensors, var } => {
-                    if !vars.contains_key(var) {
-                        let available = live_vars(&vars);
-                        self.emit(
-                            Lint::BadCommunicate,
-                            format!("communicate at '{var}', which is not a loop of the schedule"),
-                            |d| {
-                                d.with_command(idx)
-                                    .with_var(var.clone())
-                                    .with_fixit(format!("aggregate at one of: {available}"))
-                            },
-                        );
-                    }
-                    for t in tensors {
-                        if !statement_tensors.contains(t) {
-                            let known = statement_tensors
-                                .iter()
-                                .cloned()
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            self.emit(
-                                Lint::BadCommunicate,
-                                format!("communicate of '{t}', which the statement never accesses"),
-                                |d| {
-                                    d.with_command(idx)
-                                        .with_tensor(t.clone())
-                                        .with_fixit(format!("communicate one of: {known}"))
-                                },
-                            );
-                        } else if let Some(spec) = problem.tensor_spec(t) {
-                            self.check_fan(idx, t, var, &spec.format);
-                        }
-                    }
-                }
-                SchedCmd::Rotate {
-                    target,
-                    over,
-                    result,
-                } => {
-                    for v in std::iter::once(target).chain(over.iter()) {
-                        if !vars.contains_key(v) {
-                            self.unknown_var(&vars, idx, v);
-                        }
-                    }
-                    if vars.contains_key(result) {
-                        self.duplicate_var(idx, result);
-                    } else if let Some(state) = vars.remove(target) {
-                        vars.insert(result.clone(), state);
-                    }
-                }
-                SchedCmd::Parallelize(var) => {
-                    if !vars.contains_key(var) {
-                        self.unknown_var(&vars, idx, var);
-                    }
-                }
-                SchedCmd::Collapse { a, b, fused } => {
-                    for v in [a, b] {
-                        if !vars.contains_key(v) {
-                            self.unknown_var(&vars, idx, v);
-                        }
-                    }
-                    if vars.contains_key(fused) {
-                        self.duplicate_var(idx, fused);
-                        continue;
-                    }
-                    let sa = vars.remove(a);
-                    let sb = vars.remove(b);
-                    if let (Some(sa), Some(sb)) = (sa, sb) {
-                        let mut roots = sa.roots;
-                        roots.extend(sb.roots);
-                        vars.insert(
-                            fused.clone(),
-                            VarState {
-                                extent: sa.extent.zip(sb.extent).map(|(x, y)| x * y),
-                                distributed: sa.distributed || sb.distributed,
-                                roots,
-                            },
-                        );
-                    }
-                }
-                SchedCmd::Substitute {
-                    vars: leaf_vars, ..
-                } => {
-                    for v in leaf_vars {
-                        if !vars.contains_key(v) {
-                            self.unknown_var(&vars, idx, v);
-                        }
-                    }
-                }
+            self.before(problem, &cin, idx, cmd);
+            if let Err(e) = Schedule::apply_command(&mut cin, idx, cmd) {
+                self.rejected(&cin, idx, cmd, e.root());
+                return Err(e.into());
             }
+            self.after(problem, &cin, idx, cmd);
+        }
+        Ok(cin)
+    }
+
+    /// The checks a command's arguments and the loops it starts from
+    /// decide: lists that disagree, a grid that is not the machine's, a
+    /// loop distributed twice.
+    fn before(&mut self, problem: &Problem, cin: &ConcreteNotation, idx: usize, cmd: &SchedCmd) {
+        let levels = problem.machine().hierarchy.levels().len();
+        match cmd {
+            SchedCmd::Distribute(vars) => {
+                self.check_redistribution(cin, idx, vars.iter().zip(vars), levels);
+            }
+            SchedCmd::DistributeOnto {
+                targets,
+                dist,
+                local,
+                dims,
+            } => {
+                let [nt, nd, nl, ng] = [targets.len(), dist.len(), local.len(), dims.len()];
+                if [nd, nl, ng] != [nt; 3] {
+                    // The compiler rejects the command; this is its finding.
+                    let message = format!(
+                        "distribute_onto argument lists disagree: {nt} targets, {nd} dist, \
+                         {nl} local, {ng} grid dims"
+                    );
+                    let fixit = "give each target one dist var, one local var, and one grid dim";
+                    self.emit(Lint::GridMismatch, message, |d| {
+                        d.with_command(idx).with_fixit(fixit)
+                    });
+                    return;
+                }
+                let (want, got) = (grid(problem.machine().grid().dims()), grid(dims));
+                if want != got {
+                    let message = format!(
+                        "schedule distributes onto a {got} grid but the machine grid is {want}"
+                    );
+                    let fixit = format!("distribute onto {want} (the machine grid)");
+                    self.emit(Lint::GridMismatch, message, |d| {
+                        d.with_command(idx).with_fixit(fixit)
+                    });
+                }
+                self.check_redistribution(cin, idx, targets.iter().zip(dist), levels);
+            }
+            _ => {}
         }
     }
 
-    /// Shared `divide`/`split` checks + state update. `count` is the part
-    /// count (divide) or chunk size (split).
-    #[allow(clippy::too_many_arguments)]
-    fn check_derive(
+    /// The checks the loops a command leaves decide: tile balance, the
+    /// launch domain's size, communication fans.
+    fn after(&mut self, problem: &Problem, cin: &ConcreteNotation, idx: usize, cmd: &SchedCmd) {
+        let machine_size = problem.machine().size();
+        match cmd {
+            SchedCmd::Divide { var, parts, .. } => self.check_extent(cin, idx, var, *parts, true),
+            SchedCmd::Split { var, chunk, .. } => self.check_extent(cin, idx, var, *chunk, false),
+            SchedCmd::Distribute(_) => self.check_launch_volume(cin, idx, machine_size),
+            SchedCmd::DistributeOnto { targets, dims, .. } => {
+                for (target, &parts) in targets.iter().zip(dims) {
+                    self.check_extent(cin, idx, target, parts, true);
+                }
+                self.check_launch_volume(cin, idx, machine_size);
+            }
+            SchedCmd::Communicate { tensors, var } => {
+                for t in tensors {
+                    if let Some(spec) = problem.tensor_spec(t) {
+                        self.check_fan(idx, t, var, &spec.format);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// A finding at command `idx` that names loop variable `var`.
+    fn emit_var(&mut self, lint: Lint, idx: usize, var: &str, message: String, fixit: String) {
+        self.emit(lint, message, |d| {
+            d.with_command(idx).with_var(var).with_fixit(fixit)
+        });
+    }
+
+    /// The finding of the lint that owns the compiler's rejection of
+    /// `cmd`, if one does (a `distribute_onto` whose lists disagree got
+    /// its finding before it applied). A distribution that leaves
+    /// distributed loops apart and a collapse of loops that are not
+    /// adjacent are the compiler's alone.
+    fn rejected(&mut self, cin: &ConcreteNotation, idx: usize, cmd: &SchedCmd, e: &ScheduleError) {
+        let (lint, var, message, fixit) = match (e, cmd) {
+            (ScheduleError::UnknownLoopVar(v), SchedCmd::Communicate { .. }) => (
+                Lint::BadCommunicate,
+                v,
+                format!("communicate at '{v}', which is not a loop of the schedule"),
+                format!("aggregate at one of: {}", live_vars(cin)),
+            ),
+            (ScheduleError::UnknownLoopVar(v), _) => (
+                Lint::UnknownLoopVar,
+                v,
+                format!("'{v}' is not a loop variable at this point in the schedule"),
+                format!("available loop variables: {}", live_vars(cin)),
+            ),
+            (ScheduleError::Solver(SolverError::Redefinition(v)), _) => (
+                Lint::DuplicateLoopVar,
+                v,
+                format!("'{v}' already names a loop"),
+                format!("pick a fresh name for '{v}'"),
+            ),
+            (ScheduleError::BadReorder(_), SchedCmd::Reorder(order)) => {
+                let mut twice = (1..order.len()).filter(|&i| order[..i].contains(&order[i]));
+                let Some(v) = twice.next().map(|i| &order[i]) else {
+                    return;
+                };
+                let message = format!("reorder lists '{v}' more than once");
+                let fixit = "list each variable once".to_string();
+                (Lint::DuplicateLoopVar, v, message, fixit)
+            }
+            (ScheduleError::Solver(SolverError::NonPositiveFactor(count)), _) => {
+                let (what, var) = match cmd {
+                    SchedCmd::Split { var, .. } => ("chunk", var),
+                    SchedCmd::Divide { var, .. } => ("part count", var),
+                    SchedCmd::DistributeOnto { targets, dims, .. } => {
+                        let bad = targets.iter().zip(dims).find(|(_, parts)| **parts <= 0);
+                        let Some((target, _)) = bad else { return };
+                        ("part count", target)
+                    }
+                    _ => return,
+                };
+                let message = format!("{what} {count} is not positive");
+                (Lint::BadChunk, var, message, "use a positive count".into())
+            }
+            (ScheduleError::UnknownTensor(t), _) => {
+                let known = cin.body.accesses().into_iter().map(|a| a.tensor.as_str());
+                let known = known
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect::<Vec<_>>();
+                let message = format!("communicate of '{t}', which the statement never accesses");
+                let fixit = format!("communicate one of: {}", known.join(", "));
+                self.emit(Lint::BadCommunicate, message, |d| {
+                    d.with_command(idx)
+                        .with_tensor(t.as_str())
+                        .with_fixit(fixit)
+                });
+                return;
+            }
+            _ => return,
+        };
+        self.emit_var(lint, idx, var, message, fixit);
+    }
+
+    /// [`Lint::LoadImbalance`] and [`Lint::PlanCardinality`] of a divide
+    /// of `var` into `count` parts, or a split of it into chunks of
+    /// `count`, read from the solver after the rewrite.
+    fn check_extent(
         &mut self,
-        vars: &mut BTreeMap<String, VarState>,
+        cin: &ConcreteNotation,
         idx: usize,
         var: &str,
-        outer: &str,
-        inner: &str,
         count: i64,
         is_divide: bool,
     ) {
         let what = if is_divide { "part count" } else { "chunk" };
-        if count <= 0 {
-            self.emit(
-                Lint::BadChunk,
-                format!("{what} {count} is not positive"),
-                |d| {
-                    d.with_command(idx)
-                        .with_var(var.to_string())
-                        .with_fixit("use a positive count")
-                },
-            );
-        }
-        let Some(state) = vars.remove(var) else {
-            self.unknown_var(vars, idx, var);
-            // Keep walking with unknown-extent halves to avoid cascades.
-            for v in [outer, inner] {
-                vars.entry(v.to_string()).or_insert(VarState {
-                    extent: None,
-                    distributed: false,
-                    roots: BTreeSet::from([var.to_string()]),
-                });
-            }
+        let e = cin.solver.extent(&IndexVar::new(var));
+        let (lint, message, fixit) = if is_divide && count > e {
+            // Empty parts lower fine (they become zero-iteration tiles),
+            // so this is the extreme of load imbalance — some processors
+            // get no work at all — not a legality violation.
+            (
+                Lint::LoadImbalance,
+                format!("divide of '{var}' (extent {e}) into {count} parts leaves empty parts"),
+                format!("reduce the part count to at most {e}"),
+            )
+        } else if !is_divide && count >= e && e > 1 {
+            (
+                Lint::PlanCardinality,
+                format!(
+                    "chunk {count} covers the whole extent {e}: the schedule is specialized \
+                     to this shape, so serving over varied shapes compiles a fresh plan per \
+                     shape (unbounded PlanKey cardinality)"
+                ),
+                format!("use a chunk smaller than the extent {e}"),
+            )
+        } else if e % count != 0 {
+            let parts = if is_divide { count } else { ceil_div(e, count) };
+            let tile = ceil_div(e, parts);
+            let ratio = (tile * parts) as f64 / e as f64;
+            (
+                Lint::LoadImbalance,
+                format!(
+                    "{what} {count} does not divide extent {e} of '{var}': the largest tile \
+                     does {ratio:.2}x the work of a balanced one"
+                ),
+                format!("use a count dividing {e}"),
+            )
+        } else {
             return;
         };
-        for (i, v) in [outer, inner].into_iter().enumerate() {
-            if vars.contains_key(v) || (i == 1 && outer == inner) {
-                self.duplicate_var(idx, v);
-            }
-        }
-        let mut outer_extent = None;
-        let mut inner_extent = None;
-        if count > 0 {
-            if let Some(e) = state.extent {
-                if is_divide && count > e {
-                    // Empty parts lower fine (they become zero-iteration
-                    // tiles), so this is the extreme of load imbalance —
-                    // some processors get no work at all — not a legality
-                    // violation.
-                    self.emit(
-                        Lint::LoadImbalance,
-                        format!(
-                            "divide of '{var}' (extent {e}) into {count} parts leaves empty parts"
-                        ),
-                        |d| {
-                            d.with_command(idx)
-                                .with_var(var.to_string())
-                                .with_fixit(format!("reduce the part count to at most {e}"))
-                        },
-                    );
-                } else if !is_divide && count >= e && e > 1 {
-                    self.emit(
-                        Lint::PlanCardinality,
-                        format!(
-                            "chunk {count} covers the whole extent {e}: the schedule is \
-                             specialized to this shape, so serving over varied shapes compiles \
-                             a fresh plan per shape (unbounded PlanKey cardinality)"
-                        ),
-                        |d| {
-                            d.with_command(idx)
-                                .with_var(var.to_string())
-                                .with_fixit(format!("use a chunk smaller than the extent {e}"))
-                        },
-                    );
-                } else if e % count != 0 {
-                    let parts = if is_divide { count } else { ceil_div(e, count) };
-                    let tile = ceil_div(e, parts);
-                    let ratio = (tile * parts) as f64 / e as f64;
-                    self.emit(
-                        Lint::LoadImbalance,
-                        format!(
-                            "{what} {count} does not divide extent {e} of '{var}': the largest \
-                             tile does {ratio:.2}x the work of a balanced one"
-                        ),
-                        |d| {
-                            d.with_command(idx)
-                                .with_var(var.to_string())
-                                .with_fixit(format!("use a count dividing {e}"))
-                        },
-                    );
-                }
-                if is_divide {
-                    // Every part is a launch point, empty or not.
-                    outer_extent = Some(count);
-                    inner_extent = Some(ceil_div(e, count.max(1)));
-                } else {
-                    outer_extent = Some(ceil_div(e, count.max(1)));
-                    inner_extent = Some(count.min(e));
-                }
-            } else if is_divide {
-                outer_extent = Some(count);
-            } else {
-                inner_extent = Some(count);
-            }
-        }
-        // Mirror the rewrite: the outer half inherits the distributed tag.
-        vars.insert(
-            outer.to_string(),
-            VarState {
-                extent: outer_extent,
-                distributed: state.distributed,
-                roots: state.roots.clone(),
-            },
-        );
-        vars.insert(
-            inner.to_string(),
-            VarState {
-                extent: inner_extent,
-                distributed: false,
-                roots: state.roots,
-            },
-        );
+        self.emit_var(lint, idx, var, message, fixit);
     }
 
-    fn check_redistribution(
+    /// [`Lint::Redistribution`] for each `(loop, distributed as)` pair a
+    /// distribute marks, in order, against the loops `cin` distributes
+    /// and those marked before it: a loop already distributed, or one
+    /// more distributed loop over a statement dimension than the machine
+    /// has levels (a dimension may be distributed once per level: nodes,
+    /// then the GPUs of a node). Loops the compiler will reject are left
+    /// to it.
+    fn check_redistribution<'a>(
         &mut self,
-        vars: &BTreeMap<String, VarState>,
+        cin: &'a ConcreteNotation,
         idx: usize,
-        v: &str,
-        machine_levels: usize,
+        marked: impl Iterator<Item = (&'a String, &'a String)>,
+        levels: usize,
     ) {
-        let Some(state) = vars.get(v) else { return };
-        if state.distributed {
-            let root = state.roots.iter().cloned().collect::<Vec<_>>().join(",");
-            self.emit(
-                Lint::Redistribution,
-                format!("'{v}' is already distributed"),
-                |d| {
-                    d.with_command(idx)
-                        .with_var(v.to_string())
-                        .with_fixit(format!("distribute '{root}' once"))
-                },
-            );
-            return;
-        }
-        // Sibling loops derived from the same statement dimension that are
-        // already distributed. A dimension may be distributed once per
-        // machine level (nodes, then the GPUs of a node); one more would
-        // distribute it twice over the same level.
-        let mut siblings = vars.iter().filter(|(other, o)| {
-            *other != v && o.distributed && o.roots.intersection(&state.roots).next().is_some()
-        });
-        if let Some((other, _)) = siblings.next() {
-            if 1 + siblings.count() < machine_levels {
-                return;
+        let roots = |v: &str| {
+            let mut roots = cin.solver.roots_of(&IndexVar::new(v));
+            roots.sort_unstable();
+            roots
+        };
+        // The distributed loops, by name, with the statement variables
+        // each derives from.
+        let mut distributed: BTreeMap<&str, Vec<IndexVar>> = cin
+            .loops
+            .iter()
+            .filter(|l| l.distributed)
+            .map(|l| (l.var.name(), roots(l.var.name())))
+            .collect();
+        for (v, distributed_as) in marked {
+            if cin.position(&IndexVar::new(v.as_str())).is_none() {
+                continue;
             }
-            let root = state.roots.iter().cloned().collect::<Vec<_>>().join(",");
-            self.emit(
-                Lint::Redistribution,
-                format!("'{v}' derives from '{root}', which '{other}' already distributes"),
-                |d| {
-                    d.with_command(idx)
-                        .with_var(v.to_string())
-                        .with_fixit(format!("distribute '{root}' once"))
-                },
-            );
+            let own = roots(v);
+            let root = own.iter().map(IndexVar::name).collect::<Vec<_>>().join(",");
+            let mut siblings = distributed
+                .iter()
+                .filter(|(other, o)| **other != v && o.iter().any(|r| own.contains(r)));
+            let message = if distributed.contains_key(v.as_str()) {
+                Some(format!("'{v}' is already distributed"))
+            } else {
+                let first = siblings.next().map(|(other, _)| *other);
+                first
+                    .filter(|_| 1 + siblings.count() >= levels)
+                    .map(|other| {
+                        format!("'{v}' derives from '{root}', which '{other}' already distributes")
+                    })
+            };
+            if let Some(message) = message {
+                let fixit = format!("distribute '{root}' once");
+                self.emit_var(Lint::Redistribution, idx, v, message, fixit);
+            }
+            distributed.remove(v.as_str());
+            distributed.insert(distributed_as, own);
         }
     }
 
     /// After a distribute, the launch domain (product of distributed loop
     /// extents) must fit the machine.
-    fn check_distributed_volume(
-        &mut self,
-        vars: &BTreeMap<String, VarState>,
-        idx: usize,
-        machine_size: i64,
-    ) {
-        let mut product: i64 = 1;
-        let mut named = Vec::new();
-        for (v, s) in vars {
-            if s.distributed {
-                let Some(e) = s.extent else { return }; // unknown: stay conservative
-                product = product.saturating_mul(e);
-                named.push(v.clone());
-            }
-        }
+    fn check_launch_volume(&mut self, cin: &ConcreteNotation, idx: usize, machine_size: i64) {
+        let mut named: Vec<&IndexVar> = cin
+            .loops
+            .iter()
+            .filter(|l| l.distributed)
+            .map(|l| &l.var)
+            .collect();
+        named.sort_unstable();
+        let product = named
+            .iter()
+            .fold(1i64, |p, v| p.saturating_mul(cin.solver.extent(v)));
         if product > machine_size {
+            let named = named.iter().map(|v| v.name()).collect::<Vec<_>>().join(",");
             self.emit(
                 Lint::GridMismatch,
                 format!(
-                    "distributing {} launches {product} tasks but the machine has \
-                     {machine_size} processors",
-                    named.join(",")
+                    "distributing {named} launches {product} tasks but the machine has \
+                     {machine_size} processors"
                 ),
                 |d| {
                     d.with_command(idx)
@@ -858,39 +746,25 @@ impl Linter<'_> {
             }
         }
     }
+}
 
-    fn unknown_var(&mut self, vars: &BTreeMap<String, VarState>, idx: usize, v: &str) {
-        let available = live_vars(vars);
-        self.emit(
-            Lint::UnknownLoopVar,
-            format!("'{v}' is not a loop variable at this point in the schedule"),
-            |d| {
-                d.with_command(idx)
-                    .with_var(v.to_string())
-                    .with_fixit(format!("available loop variables: {available}"))
-            },
-        );
-    }
-
-    fn duplicate_var(&mut self, idx: usize, v: &str) {
-        self.emit(
-            Lint::DuplicateLoopVar,
-            format!("'{v}' already names a loop"),
-            |d| {
-                d.with_command(idx)
-                    .with_var(v.to_string())
-                    .with_fixit(format!("pick a fresh name for '{v}'"))
-            },
-        );
-    }
+/// A grid's extents as the diagnostics print them, e.g. `4x2`.
+fn grid(dims: &[i64]) -> String {
+    dims.iter()
+        .map(i64::to_string)
+        .collect::<Vec<_>>()
+        .join("x")
 }
 
 fn ceil_div(a: i64, b: i64) -> i64 {
     (a + b - 1) / b
 }
 
-fn live_vars(vars: &BTreeMap<String, VarState>) -> String {
-    vars.keys().cloned().collect::<Vec<_>>().join(", ")
+/// The loops of `cin`, by name.
+fn live_vars(cin: &ConcreteNotation) -> String {
+    let mut names: Vec<&str> = cin.loops.iter().map(|l| l.var.name()).collect();
+    names.sort_unstable();
+    names.join(", ")
 }
 
 #[cfg(test)]

@@ -149,6 +149,21 @@ pub fn compile(
         .map(|(name, b)| (name.clone(), b.dims.clone()))
         .collect();
     let nest = Nest::new(assignment, &dims, schedule)?;
+    lower_nest(nest, assignment, tensors, machine, phys, schedule, options)
+}
+
+/// [`compile`] past the nest analysis: lowers `nest` — `assignment` under
+/// `schedule` — against the bindings. A plan hands it the nest of the
+/// notation admission applied.
+pub(crate) fn lower_nest(
+    nest: Nest,
+    assignment: &Assignment,
+    tensors: &BTreeMap<String, TensorBinding>,
+    machine: &DistalMachine,
+    phys: &PhysicalMachine,
+    schedule: &Schedule,
+    options: &CompileOptions,
+) -> Result<CompiledKernel, CompileError> {
     let launch_points = nest.launch_points(machine.size())?;
     let mapper = GridMapper::new(machine, phys)?;
 

@@ -11,14 +11,18 @@
 //! static per-rank programs — iterate `seq_rect()` × `launch_points(..)`
 //! over one [`Nest`], so they agree on the split, and on the rank each
 //! launch point runs on, by construction.
-//! Each builds exactly one, nothing outside a lowering applies a
-//! schedule, and inside a plan nothing else builds a leaf kernel (the
-//! `kernels` bench calls `leaf_for` outside any plan), so
-//! [`lowering_count`] witnesses all plan-time work: one per plan on every
-//! backend, none per request.
+//! Each builds exactly one. A plan applies its schedule once: admission
+//! ([`crate::lint::admit`]) applies it to the statement's concrete index
+//! notation, and the plan's lowering starts from that notation
+//! ([`Nest::from_cin`]); a statement or schedule the compiler rejects
+//! fails in admission, before any nest. Outside a plan, [`Nest::new`]
+//! applies the schedule itself, then builds the same nest. Inside a plan
+//! nothing else builds a leaf kernel (the `kernels` bench calls
+//! `leaf_for` outside any plan), so [`lowering_count`] witnesses all
+//! plan-time work: one per plan on every backend, none per request.
 //!
 //! Ids below the schedule, names at the edge: the schedule names index
-//! variables, and [`Nest::new`] resolves, once, the solver ids of the
+//! variables, and the nest resolves, once, the solver ids of the
 //! distributed and sequential loops and of the statement's variables, and
 //! every access's indices as positions among the latter. Per (step,
 //! point), [`Nest::bind_env`] writes the loops' slots and evaluates each
@@ -35,15 +39,58 @@ use distal_machine::geom::{Point, Rect};
 use std::collections::{BTreeMap, BTreeSet};
 
 thread_local! {
-    /// [`Nest::new`] calls on this thread: a plan lowers on the caller's
-    /// thread, so concurrent plans never perturb each other's readings.
+    /// [`Nest::new`] and [`Nest::from_cin`] calls on this thread: a plan
+    /// lowers on the caller's thread, so concurrent plans never perturb
+    /// each other's readings.
     static LOWERINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// How many lowerings started on the calling thread, failed ones
-/// included: every [`Nest::new`] call.
+/// included: every [`Nest::new`] and [`Nest::from_cin`] call. A plan
+/// whose statement or schedule the compiler rejects fails in admission
+/// and starts none.
 pub fn lowering_count() -> u64 {
     LOWERINGS.with(std::cell::Cell::get)
+}
+
+fn count_lowering() {
+    LOWERINGS.with(|c| c.set(c.get() + 1));
+}
+
+/// The statement's concrete index notation over tensors of the given
+/// shapes, before any schedule: every access resolved and arity-checked,
+/// every extent inferred. Admission and [`Nest::new`] both start here.
+///
+/// # Errors
+///
+/// [`CompileError::UnknownTensor`] for an accessed tensor without a
+/// shape, [`CompileError::TooManyDims`] for one past the coordinate cap,
+/// [`CompileError::Format`] for an access whose arity differs from its
+/// tensor's order, [`CompileError::InconsistentExtents`], and
+/// [`CompileError::Expression`] when the statement has no concrete form.
+pub(crate) fn statement_cin(
+    assignment: &Assignment,
+    dims: &BTreeMap<String, Vec<i64>>,
+) -> Result<ConcreteNotation, CompileError> {
+    for acc in assignment.accesses() {
+        let d = dims
+            .get(&acc.tensor)
+            .ok_or_else(|| CompileError::UnknownTensor(acc.tensor.clone()))?;
+        CompileError::check_dims(|| format!("tensor '{}'", acc.tensor), d.len())?;
+        if acc.indices.len() != d.len() {
+            return Err(CompileError::Format(format!(
+                "tensor '{}' is {}-dimensional but accessed with {} indices",
+                acc.tensor,
+                d.len(),
+                acc.indices.len()
+            )));
+        }
+    }
+    let extents = assignment
+        .infer_extents(dims)
+        .ok_or(CompileError::InconsistentExtents)?;
+    ConcreteNotation::from_assignment(assignment.clone(), &extents)
+        .map_err(|e| CompileError::Expression(e.to_string()))
 }
 
 /// The loop-variable environment of one (sequential step, launch point),
@@ -92,8 +139,9 @@ pub struct Nest {
 
 impl Nest {
     /// Analyses `assignment` over tensors of the given shapes under
-    /// `schedule`. `dims` may hold more tensors than the statement
-    /// accesses.
+    /// `schedule`: applies the schedule, then builds the nest
+    /// [`Nest::from_cin`] builds. `dims` may hold more tensors than the
+    /// statement accesses.
     ///
     /// # Errors
     ///
@@ -109,28 +157,27 @@ impl Nest {
         dims: &BTreeMap<String, Vec<i64>>,
         schedule: &Schedule,
     ) -> Result<Nest, CompileError> {
-        LOWERINGS.with(|c| c.set(c.get() + 1));
-        for acc in assignment.accesses() {
-            let d = dims
-                .get(&acc.tensor)
-                .ok_or_else(|| CompileError::UnknownTensor(acc.tensor.clone()))?;
-            CompileError::check_dims(|| format!("tensor '{}'", acc.tensor), d.len())?;
-            if acc.indices.len() != d.len() {
-                return Err(CompileError::Format(format!(
-                    "tensor '{}' is {}-dimensional but accessed with {} indices",
-                    acc.tensor,
-                    d.len(),
-                    acc.indices.len()
-                )));
-            }
-        }
-        let extents = assignment
-            .infer_extents(dims)
-            .ok_or(CompileError::InconsistentExtents)?;
-        let mut cin = ConcreteNotation::from_assignment(assignment.clone(), &extents)
-            .map_err(|e| CompileError::Expression(e.to_string()))?;
+        count_lowering();
+        let mut cin = statement_cin(assignment, dims)?;
         schedule.apply(&mut cin)?;
+        Nest::build(cin)
+    }
 
+    /// The nest of a statement's concrete index notation whose schedule
+    /// is already applied: what admission ([`crate::lint::admit`]) hands
+    /// a plan's lowering, so the plan applies its schedule once.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::TooManyDims`] for a launch domain or sequential
+    /// loop band past the coordinate cap.
+    pub fn from_cin(cin: ConcreteNotation) -> Result<Nest, CompileError> {
+        count_lowering();
+        Nest::build(cin)
+    }
+
+    /// Cuts an applied notation into launch domain, steps and leaf.
+    fn build(cin: ConcreteNotation) -> Result<Nest, CompileError> {
         let n_dist = cin.distributed_prefix().map_or(0, |p| p.len());
         CompileError::check_dims(|| "the launch domain".into(), n_dist)?;
         let launch_domain = cin.loops[..n_dist]
@@ -151,7 +198,8 @@ impl Nest {
             .map(|l| cin.solver.extent(&l.var))
             .collect();
 
-        let reduction_roots: BTreeSet<IndexVar> = assignment.reduction_vars().into_iter().collect();
+        let statement = &cin.body;
+        let reduction_roots: BTreeSet<IndexVar> = statement.reduction_vars().into_iter().collect();
         let reduces = |v: &IndexVar| {
             cin.solver
                 .roots_of(v)
@@ -167,8 +215,8 @@ impl Nest {
                 .expect("a variable of the scheduled statement")
         };
         let loop_ids = cin.loops[..cut].iter().map(|l| id(&l.var)).collect();
-        let all_vars = assignment.all_vars().iter().map(id).collect();
-        let accesses = assignment.access_positions();
+        let all_vars = statement.all_vars().iter().map(id).collect();
+        let accesses = statement.access_positions();
         Ok(Nest {
             launch_domain,
             seq_extents,

@@ -264,13 +264,24 @@ impl Schedule {
     /// `Display` so late failures name their schedule location.
     pub fn apply(&self, cin: &mut ConcreteNotation) -> Result<(), ScheduleError> {
         for (idx, cmd) in self.cmds.iter().enumerate() {
-            Self::apply_cmd(cin, cmd)
-                .map_err(|e| ScheduleError::at_command(idx, cmd.to_string(), e))?;
+            Self::apply_command(cin, idx, cmd)?;
         }
         Ok(())
     }
 
-    /// Applies one command (no location wrapping; `apply` adds it).
+    /// Applies `cmd`, a schedule's command `idx`, with its failure located
+    /// as [`Schedule::apply`] locates it. Admission (`crate::lint`) walks
+    /// a schedule through this one command at a time, so it applies
+    /// exactly what the compiler applies.
+    pub(crate) fn apply_command(
+        cin: &mut ConcreteNotation,
+        idx: usize,
+        cmd: &SchedCmd,
+    ) -> Result<(), ScheduleError> {
+        Self::apply_cmd(cin, cmd).map_err(|e| ScheduleError::at_command(idx, cmd.to_string(), e))
+    }
+
+    /// Applies one command (no location wrapping; `apply_command` adds it).
     fn apply_cmd(cin: &mut ConcreteNotation, cmd: &SchedCmd) -> Result<(), ScheduleError> {
         match cmd {
             SchedCmd::Divide {

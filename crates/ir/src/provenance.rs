@@ -360,6 +360,9 @@ impl VarSolver {
     ) -> Result<(), SolverError> {
         self.fresh(&outer)?;
         self.fresh(&inner)?;
+        if inner == outer {
+            return Err(SolverError::Redefinition(inner.0));
+        }
         let outer = self.define_leaf(outer, outer_extent);
         let inner = self.define_leaf(inner, inner_extent);
         let def = VarDef::Divided {
@@ -719,6 +722,11 @@ mod tests {
         assert_eq!(
             s.divide(&iv("i"), iv("i"), iv("b"), 2),
             Err(SolverError::Redefinition("i".into()))
+        );
+        // One name for both halves would define it twice.
+        assert_eq!(
+            s.divide(&iv("i"), iv("a"), iv("a"), 2),
+            Err(SolverError::Redefinition("a".into()))
         );
         assert_eq!(
             s.split(&iv("i"), iv("a"), iv("b"), 0),

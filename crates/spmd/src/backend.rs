@@ -56,6 +56,7 @@ use crate::stats::CommStats;
 use crate::transport::Transport;
 use crate::vm::Homes;
 use distal_core::backend::{Backend, BackendError};
+use distal_core::nest::Nest;
 use distal_core::plan::{init_nnz, Bindings, Instance, Plan};
 use distal_core::{
     CompileError, Diagnostic, LintConfig, Problem, Provenance, Report, Schedule, TensorInit,
@@ -67,29 +68,37 @@ use distal_runtime::Mode;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Lowers a problem's statement over its registry's *data-independent*
-/// tensor specs (shapes + formats, in registry order, nnz unknown) onto the
-/// machine's hierarchy, one rank per point of its flattened grid. nnz never
-/// shapes the lowering, only the pricing: binding attaches each request's
-/// nnz afterwards.
+/// The problem's statement, or the error both backends report without one.
+fn statement(problem: &Problem) -> Result<&Assignment, CompileError> {
+    problem
+        .assignment()
+        .ok_or_else(|| CompileError::Expression("problem has no statement".into()))
+}
+
+/// Lowers `nest` — `assignment`, the problem's statement, under
+/// `schedule` — over the registry's *data-independent* tensor specs
+/// (shapes + formats, in registry order, nnz unknown) onto the machine's
+/// hierarchy, one rank per point of its flattened grid. nnz never shapes
+/// the lowering, only the pricing: binding attaches each request's nnz
+/// afterwards.
 fn lower_shapes(
     problem: &Problem,
+    assignment: &Assignment,
+    nest: Nest,
     schedule: &Schedule,
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
-    let assignment = problem.assignment().ok_or_else(|| {
-        SpmdError::Compile(CompileError::Expression("problem has no statement".into()))
-    })?;
     let tensors: Vec<TensorSpec> = problem.tensors().values().cloned().collect();
     let machine = &problem.machine().hierarchy;
-    lower_with(assignment, &tensors, machine, schedule, collectives)
+    lower_with(nest, assignment, &tensors, machine, schedule, collectives)
 }
 
 /// Lowers a problem's statement for a schedule onto the problem machine's
 /// (flattened) grid, with explicit collective configuration. The shared
 /// registry path every test/bench lowers through. It is the plan's
-/// lowering with the problem's own initializer nnz attached to the
-/// program's static accounting.
+/// lowering, applying the schedule itself ([`Nest::new`]) where a plan
+/// starts from the notation admission applied, with the problem's own
+/// initializer nnz attached to the program's static accounting.
 ///
 /// # Errors
 ///
@@ -103,7 +112,9 @@ pub fn lower_problem(
     schedule: &Schedule,
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
-    let mut program = lower_shapes(problem, schedule, collectives)?;
+    let assignment = statement(problem).map_err(SpmdError::Compile)?;
+    let nest = Nest::new(assignment, &problem.dims_map(), schedule).map_err(SpmdError::Compile)?;
+    let mut program = lower_shapes(problem, assignment, nest, schedule, collectives)?;
     let names = problem.tensors().keys();
     program.nnz = names.map(|name| problem.nnz_of(name)).collect();
     Ok(program)
@@ -316,10 +327,19 @@ impl Backend for SpmdBackend {
     }
 
     fn plan(&self, problem: &Problem, schedule: &Schedule) -> Result<Box<dyn Plan>, BackendError> {
-        // Schedule admission first: denied findings reject the plan
-        // before any lowering happens.
-        let mut diagnostics = distal_core::lint::admit(problem, schedule, &self.lint)?;
-        let program = lower_shapes(problem, schedule, &self.collectives).map_err(backend_err)?;
+        let assignment = statement(problem)?;
+        // Schedule admission first, which applies the schedule: denied
+        // findings and rejected commands fail the plan before any
+        // lowering happens, and the lowering starts from its notation.
+        let (cin, mut diagnostics) = distal_core::lint::admit(problem, schedule, &self.lint)?;
+        let program = lower_shapes(
+            problem,
+            assignment,
+            Nest::from_cin(cin)?,
+            schedule,
+            &self.collectives,
+        )
+        .map_err(backend_err)?;
         diagnostics.extend(verify_plan_program(&program)?);
         Ok(Box::new(SpmdPlan {
             mode: self.mode,

@@ -334,30 +334,27 @@ impl<'a> Holdings<'a> {
     }
 }
 
-/// Lowers a scheduled statement to an [`SpmdProgram`] with statically
-/// resolved communication, recording fans as it sources their transfers
-/// and emitting each step in its final form: collectives expanded as
-/// `collectives` says ([`crate::collective`]), or under
-/// `CollectiveConfig::point_to_point()` the naive per-owner fan-out
-/// program the expansions are verified against.
+/// Lowers `nest` — `assignment` under `schedule`, over `tensors` — to an
+/// [`SpmdProgram`] with statically resolved communication, recording fans
+/// as it sources their transfers and emitting each step in its final
+/// form: collectives expanded as `collectives` says
+/// ([`crate::collective`]), or under `CollectiveConfig::point_to_point()`
+/// the naive per-owner fan-out program the expansions are verified
+/// against.
 ///
 /// # Errors
 ///
-/// [`SpmdError::Compile`] with the shared nest analysis', launch check's or
-/// leaf selection's [`CompileError`] — the runtime backend's lowering
-/// starts with the same calls and reports the same error.
+/// [`SpmdError::Compile`] with the launch check's or leaf selection's
+/// [`CompileError`] — the runtime backend's lowering makes the same calls
+/// on the same nest and reports the same error.
 pub(crate) fn lower_with(
+    nest: Nest,
     assignment: &Assignment,
     tensors: &[TensorSpec],
     machine: &MachineHierarchy,
     schedule: &Schedule,
     collectives: &CollectiveConfig,
 ) -> Result<SpmdProgram, SpmdError> {
-    let dims = tensors
-        .iter()
-        .map(|t| (t.name.clone(), t.dims.clone()))
-        .collect();
-    let nest = Nest::new(assignment, &dims, schedule).map_err(SpmdError::Compile)?;
     let grid = machine.flat_grid();
     let launch_points = nest
         .launch_points(grid.size())
@@ -540,7 +537,12 @@ pub(crate) mod tests {
     ) -> Result<SpmdProgram, SpmdError> {
         let machine = MachineHierarchy::flat(grid.clone());
         let collectives = CollectiveConfig::default();
-        lower_with(assignment, tensors, &machine, schedule, &collectives)
+        let dims = tensors
+            .iter()
+            .map(|t| (t.name.clone(), t.dims.clone()))
+            .collect();
+        let nest = Nest::new(assignment, &dims, schedule).map_err(SpmdError::Compile)?;
+        lower_with(nest, assignment, tensors, &machine, schedule, &collectives)
     }
 
     pub(crate) fn tiled_tensors(n: i64) -> Vec<TensorSpec> {

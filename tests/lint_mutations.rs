@@ -1,15 +1,21 @@
 //! The mutation suite: start from schedules that admit cleanly, break one
 //! thing, and pin the *exact* diagnostic — kind, offending command index,
-//! and fix-it text. The last two tests run the other direction: every
-//! Figure 9 algorithm and the sparse SpMV suite must stay lint-clean even
-//! with every lint promoted to an error.
+//! and fix-it text. Two tests run the other direction: every Figure 9
+//! algorithm and the sparse SpMV suite must stay lint-clean even with
+//! every lint promoted to an error. The last ones hold admission to the
+//! compiler it shares its rewrites with: a schedule the compiler rejects
+//! fails in admission with the compiler's error, admission succeeds
+//! exactly when the schedule applies, and the notation admission hands a
+//! plan is the one `Nest::new` builds.
 
 use distal_core::lint::{admit, lint_schedule, LintConfig};
+use distal_core::nest::Nest;
 use distal_core::{
-    BackendError, CompileError, Diagnostic, DiagnosticKind, DistalMachine, Problem, Schedule,
-    TensorSpec,
+    lowering_count, Backend, BackendError, CompileError, Diagnostic, DiagnosticKind, DistalMachine,
+    Problem, SchedCmd, Schedule, TensorSpec,
 };
 use distal_format::{Format, LevelFormat, TensorDistribution};
+use distal_ir::cin::ConcreteNotation;
 use distal_machine::geom::MAX_DIM;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
@@ -37,7 +43,7 @@ fn reject(p: &Problem, s: &Schedule, config: &LintConfig) -> Vec<Diagnostic> {
     match admit(p, s, config) {
         Err(BackendError::Verification(diags)) => diags,
         Err(other) => panic!("expected a verification rejection, got {other}"),
-        Ok(diags) => panic!("expected a rejection, admitted with {diags:?}"),
+        Ok((_, diags)) => panic!("expected a rejection, admitted with {diags:?}"),
     }
 }
 
@@ -492,4 +498,246 @@ fn sparse_spmv_schedule_is_lint_clean_under_deny_all() {
         .reorder(&["io", "ii"])
         .distribute(&["io"]);
     assert!(admit(&p, &schedule, &LintConfig::deny_all()).is_ok());
+}
+
+#[test]
+fn schedules_the_compiler_rejects_fail_admission_with_its_error() {
+    // No lint owns these failures: a distribution whose loops are not
+    // outermost and adjacent, and a collapse of loops that are not nested
+    // directly. Admission stops there with the lowering's own error, and
+    // a plan starts no lowering.
+    let apart = Schedule::new()
+        .divide("i", "io", "ii", 4)
+        .divide("j", "jo", "ji", 2)
+        .distribute(&["io", "jo"]);
+    let collapse = Schedule::new().collapse("i", "k", "ik");
+    let cases = [
+        (
+            apart,
+            "compile error: schedule error: command 2 `distribute(io,jo)`: distributed loops \
+             must be outermost and contiguous",
+        ),
+        (
+            collapse,
+            "compile error: schedule error: command 0 `collapse(i,k -> ik)`: invalid reorder: \
+             collapse requires 'i' directly above 'k'",
+        ),
+    ];
+    let p = matmul();
+    let backends: [&dyn Backend; 2] = [
+        &distal_core::RuntimeBackend::functional(),
+        &distal_spmd::SpmdBackend::new(),
+    ];
+    for (s, text) in cases {
+        let err = admit(&p, &s, &LintConfig::new()).expect_err("rejected");
+        assert!(
+            matches!(err, BackendError::Compile(CompileError::Schedule(_))),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), text);
+        // The lowering, applying the schedule itself, prints the same.
+        let lowered = Nest::new(p.assignment().unwrap(), &p.dims_map(), &s).unwrap_err();
+        assert_eq!(BackendError::from(lowered), err);
+        assert_eq!(
+            admit(&p, &s, &LintConfig::allow_all()).err(),
+            Some(err.clone())
+        );
+        for backend in backends {
+            let before = lowering_count();
+            assert_eq!(
+                p.plan(backend, &s).err(),
+                Some(err.clone()),
+                "{}",
+                backend.name()
+            );
+            assert_eq!(lowering_count(), before, "{}: lowered", backend.name());
+        }
+    }
+}
+
+#[test]
+fn a_split_inner_loop_has_the_solvers_extent() {
+    // `split(k, 32)` of an extent of 16: the solver gives `ki` the chunk
+    // as its extent, 32, and the lints read the solver.
+    let s = Schedule::new()
+        .split("k", "ko", "ki", 32)
+        .divide("ki", "kio", "kii", 3);
+    let diags = lint_schedule(&matmul(), &s, &LintConfig::new());
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert_eq!(diags[0].kind, DiagnosticKind::PlanCardinality);
+    let d = &diags[1];
+    assert_eq!(d.kind, DiagnosticKind::LoadImbalance);
+    assert_eq!((d.command, d.var.as_deref()), (Some(1), Some("ki")));
+    assert_eq!(
+        d.message,
+        "part count 3 does not divide extent 32 of 'ki': the largest tile does 1.03x the work \
+         of a balanced one"
+    );
+    assert_eq!(d.fixit.as_deref(), Some("use a count dividing 32"));
+}
+
+fn names(v: &[String]) -> Vec<&str> {
+    v.iter().map(String::as_str).collect()
+}
+
+/// `cmds` as a schedule, through the builder.
+fn schedule_of(cmds: &[SchedCmd]) -> Schedule {
+    cmds.iter().fold(Schedule::new(), |s, cmd| match cmd {
+        SchedCmd::Divide {
+            var,
+            outer,
+            inner,
+            parts,
+        } => s.divide(var, outer, inner, *parts),
+        SchedCmd::Split {
+            var,
+            outer,
+            inner,
+            chunk,
+        } => s.split(var, outer, inner, *chunk),
+        SchedCmd::Reorder(order) => s.reorder(&names(order)),
+        SchedCmd::Distribute(vars) => s.distribute(&names(vars)),
+        SchedCmd::DistributeOnto {
+            targets,
+            dist,
+            local,
+            dims,
+        } => s.distribute_onto(&names(targets), &names(dist), &names(local), dims),
+        SchedCmd::Communicate { tensors, var } => s.communicate(&names(tensors), var),
+        SchedCmd::Rotate {
+            target,
+            over,
+            result,
+        } => s.rotate(target, &names(over), result),
+        SchedCmd::Parallelize(var) => s.parallelize(var),
+        SchedCmd::Collapse { a, b, fused } => s.collapse(a, b, fused),
+        SchedCmd::Substitute { vars, leaf } => s.substitute(&names(vars), *leaf),
+    })
+}
+
+/// `schedule`, each schedule with one of its commands dropped, and each
+/// with two adjacent commands swapped.
+fn mutants(schedule: &Schedule) -> Vec<Schedule> {
+    let cmds = schedule.commands();
+    let mut out = vec![schedule.clone()];
+    for i in 0..cmds.len() {
+        let mut dropped = cmds.to_vec();
+        dropped.remove(i);
+        out.push(schedule_of(&dropped));
+        if i + 1 < cmds.len() {
+            let mut swapped = cmds.to_vec();
+            swapped.swap(i, i + 1);
+            out.push(schedule_of(&swapped));
+        }
+    }
+    out
+}
+
+/// Admission under every lint allowed succeeds exactly when the compiler
+/// applies the schedule to a fresh notation of the problem's statement.
+fn assert_admission_agrees(problem: &Problem, schedule: &Schedule, what: &str) -> bool {
+    let assignment = problem.assignment().unwrap();
+    let extents = assignment.infer_extents(&problem.dims_map()).unwrap();
+    let mut cin = ConcreteNotation::from_assignment(assignment.clone(), &extents).unwrap();
+    let applies = schedule.apply(&mut cin);
+    let admitted = admit(problem, schedule, &LintConfig::allow_all());
+    assert_eq!(
+        admitted.is_ok(),
+        applies.is_ok(),
+        "{what}: `{schedule}`: admission {:?}, compiler {applies:?}",
+        admitted.err()
+    );
+    applies.is_ok()
+}
+
+#[test]
+fn admission_succeeds_exactly_when_the_schedule_applies() {
+    use distal_algs::matmul::MatmulAlgorithm;
+    use distal_algs::setup::matmul_problem_on;
+    use distal_autosched::{enumerate_candidates, SpaceOptions};
+    let (mut applied, mut rejected) = (0, 0);
+    let mut tally = |ok: bool| if ok { applied += 1 } else { rejected += 1 };
+    // Matmul and TTM, every tensor of side 8.
+    let statements = [
+        ("A(i,j) = B(i,k) * C(k,j)", [("A", 2), ("B", 2), ("C", 2)]),
+        (
+            "A(i,j,l) = B(i,j,k) * C(k,l)",
+            [("A", 3), ("B", 3), ("C", 2)],
+        ),
+    ];
+    for (expr, orders) in statements {
+        let dims: std::collections::BTreeMap<String, Vec<i64>> = orders
+            .iter()
+            .map(|&(t, order)| (t.to_string(), vec![8; order]))
+            .collect();
+        for p in [4, 8] {
+            let options = SpaceOptions::new(MemKind::Sys);
+            let (_, candidates) = enumerate_candidates(expr, &dims, p, &options).unwrap();
+            for candidate in candidates {
+                let machine = DistalMachine::flat(candidate.grid.clone(), ProcKind::Cpu);
+                let mut problem = Problem::new(MachineSpec::small(4), machine);
+                problem.statement(expr).unwrap();
+                for (name, shape) in &dims {
+                    let format = candidate.formats[name].clone();
+                    problem
+                        .tensor(TensorSpec::new(name.clone(), shape.clone(), format))
+                        .unwrap();
+                }
+                for s in mutants(&candidate.schedule) {
+                    tally(assert_admission_agrees(&problem, &s, &candidate.name));
+                }
+            }
+        }
+    }
+    for p in [4, 8] {
+        for alg in MatmulAlgorithm::all(p) {
+            let spec = MachineSpec::small(4);
+            let (problem, schedule) =
+                matmul_problem_on(alg, spec, ProcKind::Cpu, MemKind::Sys, p, 16, 4).unwrap();
+            for s in mutants(&schedule) {
+                tally(assert_admission_agrees(&problem, &s, &alg.name()));
+            }
+        }
+    }
+    // Both outcomes occur, so the agreement is not vacuous.
+    assert!(
+        applied > 0 && rejected > 0,
+        "{applied} applied, {rejected} rejected"
+    );
+}
+
+#[test]
+fn a_plan_lowers_the_notation_admission_applied() {
+    // What `Backend::plan` hands its lowering — the nest of admission's
+    // notation — is the nest `Nest::new` builds by applying the schedule
+    // itself, for every Figure 9 and higher-order schedule.
+    use distal_algs::higher_order::HigherOrderKernel;
+    use distal_algs::matmul::MatmulAlgorithm;
+    use distal_algs::setup::{higher_order_problem, matmul_problem_on, RunConfig};
+    let mut cases = Vec::new();
+    for alg in MatmulAlgorithm::all(8) {
+        let spec = MachineSpec::small(4);
+        let case = matmul_problem_on(alg, spec, ProcKind::Cpu, MemKind::Sys, 8, 16, 4).unwrap();
+        cases.push((alg.name(), case));
+    }
+    let config = RunConfig::cpu(2, distal_runtime::Mode::Model);
+    for kernel in HigherOrderKernel::all() {
+        let case = higher_order_problem(kernel, &config, 8).unwrap();
+        cases.push((kernel.name().to_string(), case));
+    }
+    for (name, (problem, schedule)) in cases {
+        let (cin, _) = admit(&problem, &schedule, &LintConfig::new()).unwrap();
+        let admitted = Nest::from_cin(cin).unwrap();
+        let applied = Nest::new(
+            problem.assignment().unwrap(),
+            &problem.dims_map(),
+            &schedule,
+        );
+        let applied = applied.unwrap();
+        assert_eq!(admitted.cin.to_string(), applied.cin.to_string(), "{name}");
+        assert_eq!(admitted.launch_domain, applied.launch_domain, "{name}");
+        assert_eq!(admitted.seq_extents, applied.seq_extents, "{name}");
+        let reduces = |n: &Nest| (n.dist_reduces, n.seq_reduces);
+        assert_eq!(reduces(&admitted), reduces(&applied), "{name}");
+    }
 }

@@ -26,7 +26,7 @@
 //! taken in one process, so host speed cancels.
 //!
 //! `--assert-spmv-stream S` is the same kind of gate for the sparse leaf:
-//! it exits nonzero unless `spmv.gen` standing alone (2048², density
+//! it exits nonzero unless `csr.gen` standing alone on SpMV (2048², density
 //! 0.01) moves its computed bytes at `S`× the rate of a stream-triad
 //! probe run beside it (a leaf that scanned the dense tile scored
 //! ≈ 0.001). `--assert-leaf-overhead R` holds the sequential rank VM to
@@ -343,7 +343,7 @@ fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
     rows
 }
 
-/// The `spmv.gen` leaf standing alone beside a stream-triad probe run in
+/// The `csr.gen` leaf on SpMV standing alone beside a stream-triad probe run in
 /// the same process.
 #[derive(Clone, Debug)]
 struct SpmvStreamRow {
@@ -404,7 +404,7 @@ fn triad_gbs(len: usize) -> f64 {
     best
 }
 
-/// The `spmv.gen` leaf alone over an `n × n` matrix at `density`: a
+/// The `csr.gen` leaf on SpMV alone over an `n × n` matrix at `density`: a
 /// [`KernelCtx`] built directly over the specialized leaf and one CSR
 /// image (no compile, bind, placement or graph in the timed region),
 /// beside the triad probe (over `triad_len`-element arrays;
@@ -414,7 +414,7 @@ fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow {
     let statement = Assignment::parse("a(i) = B(i,j) * c(j)").expect("the SpMV statement");
     let kernel =
         leaf_for(&statement, &Schedule::new(), vec![true, false], true).expect("the SpMV leaf");
-    assert_eq!(kernel.name(), "spmv.gen");
+    assert_eq!(kernel.name(), "csr.gen");
     let volume = (n * n) as usize;
     let image = SparseBuffer::from_dense(&[n, n], &sparse_random_data(volume, 0xB, density));
     let nnz = image.nnz();
@@ -651,12 +651,12 @@ fn render(
     }
     let _ = writeln!(
         out,
-        "\npure kernel (spmv.gen alone, {n}x{n}, {} stored, fastest of 5)\n\
+        "\npure kernel (csr.gen on SpMV alone, {n}x{n}, {} stored, fastest of 5)\n\
          {:<16} {:>12.3} ms {:>9.3} GB/s {:>9.3} GFLOP/s\n\
          {:<16} {:>12.3} ms\n\
-         {:<16} {:>25.3} GB/s   spmv.gen / triad = {:.2}",
+         {:<16} {:>25.3} GB/s   csr.gen / triad = {:.2}",
         spmv.nnz,
-        "spmv.gen",
+        "csr.gen",
         spmv.kernel_s * 1e3,
         spmv.kernel_gbs(),
         2.0 * spmv.nnz as f64 / spmv.kernel_s / 1e9,
@@ -738,7 +738,7 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
         let share = spmv.stream_share();
         if share < threshold {
             eprintln!(
-                "sparse-leaf regression: spmv.gen moves {:.2} GB/s, {share:.3} of the {:.2} GB/s \
+                "sparse-leaf regression: csr.gen on SpMV moves {:.2} GB/s, {share:.3} of the {:.2} GB/s \
                  stream triad, required {threshold:.2}",
                 spmv.kernel_gbs(),
                 spmv.triad_gbs
@@ -791,7 +791,7 @@ mod tests {
         }
         assert_eq!(rows[0].variant, "gemm.gen");
         assert!(rows[1].variant.starts_with("tape"), "{}", rows[1].variant);
-        assert_eq!(rows[2].variant, "spmv.gen");
+        assert_eq!(rows[2].variant, "csr.gen");
     }
 
     #[test]
@@ -830,6 +830,6 @@ mod tests {
         let spmv = pure_spmv_bench(64, 0.1, 1 << 12);
         assert!(spmv.nnz > 0 && spmv.kernel_s > 0.0 && spmv.pipeline_s > spmv.kernel_s);
         assert!(spmv.stream_share() > 0.0);
-        assert!(render(&rows, &pure, &spmv, &cal).contains("spmv.gen / triad"));
+        assert!(render(&rows, &pure, &spmv, &cal).contains("csr.gen / triad"));
     }
 }

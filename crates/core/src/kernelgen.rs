@@ -10,43 +10,40 @@
 //!
 //! Three layers of specialization, tried in order:
 //!
-//! 1. **CSR leaves** (`spmv.gen` / `spmm.gen` / `sddmm.gen`, in the
-//!    private `sparse` module) for the SpDISTAL shapes whose first input —
-//!    and only that one — is compressed, on an accumulating statement that
-//!    does not also write that tensor.
+//! 1. **The sparse leaf** (`csr.gen`, the private `sparse` module) for a
+//!    pure access product, associated from the left, whose first operand
+//!    `B` — and only that one — is compressed, on an accumulating
+//!    statement that does not also write `B`: SpMV, SpMM, SDDMM, TTV,
+//!    MTTKRP, TTM and the inner product alike, with no shape dispatch.
 //!
-//!    *The operand is CSR from `bind` to leaf.* The chosen leaf names the
-//!    argument it reads compressed (`Kernel::sparse_arg`); that is the
-//!    one place CSR-vs-dense is decided. `lower::compile` records the
-//!    tensor on the plan (`CompiledKernel::csr_operand`), `bind` builds
-//!    one `SparseBuffer` for it — a single pass over borrowed `Data`,
-//!    straight from the value stream of `RandomSparse`, or the caller's
-//!    own image through `Bindings::set_sparse` — and hangs it off the
-//!    runtime region. Every task then receives that one shared image
-//!    (`KernelArg::sparse`, `data` empty, `alloc` the rectangle it
-//!    covers) and walks the row slab `pos[ilo] .. pos[ihi + 1]` of it:
-//!    SpDISTAL's row partition, computed on `pos`.
+//!    *`B` is CSR from `bind` to leaf.* The leaf names the argument it
+//!    reads compressed (`Kernel::sparse_arg`), the one place CSR-vs-dense
+//!    is decided. `lower::compile` records the tensor on the plan
+//!    (`CompiledKernel::csr_operand`); `bind` builds one `SparseBuffer`
+//!    for it (one pass over borrowed `Data`, the value stream of
+//!    `RandomSparse`, or the caller's image through `Bindings::set_sparse`)
+//!    and every task receives that image (`KernelArg::sparse`, `data`
+//!    empty, `alloc` the rectangle it covers). The SPMD rank VM compresses
+//!    `B`'s face, of any order, with `SparseBuffer::from_dense`. Under
+//!    `substitute(.., Interpreter)` every tensor binds dense.
 //!
-//!    *The column-restriction rule.* When the tile does not span every
-//!    column the image covers, each row's stored entries are cut to
-//!    `[lo, hi]` by two `partition_point`s on the row's ascending `crd`;
-//!    a tile that does span them pays nothing.
+//!    *The walk.* The dense-linearized outer levels of `B` are the
+//!    buffer's rows (`pos`): a task visits the rows its tile spans,
+//!    SpDISTAL's row partition. The compressed last level is each row's
+//!    ascending `crd`, cut to the tile by two `partition_point`s unless
+//!    the tile spans every column the buffer covers. That binds `B`'s
+//!    variables; the others run densely, the last innermost, and the
+//!    product keeps the statement's association (`(B·C)·D`).
 //!
-//!    *The parity rule.* The leaves visit the same stored entries, in the
-//!    same ascending-column order, with the same product association, as
-//!    a left-to-right scan of the dense tile that skips `+0.0` bit
-//!    patterns — what they did before they were handed CSR, kept as a
-//!    `#[cfg(test)]` oracle, not as a second path. Hence they are
-//!    bit-identical to it, and by the `±0.0` argument in `distal-sparse`
-//!    to [`InterpreterKernel`] and the dense leaves; a 512-case property
-//!    per leaf holds them to both.
-//!
-//!    *The SPMD rank VM* keeps dense rank stores. It compresses the face
-//!    of the operand with `SparseBuffer::from_dense` — the one scan of
-//!    the face, where the buffer holding it lies when that is one
-//!    contiguous run, otherwise in the gathered copy — and passes it with
-//!    `alloc` = the face rectangle. Under `substitute(.., Interpreter)`
-//!    no leaf reads CSR and every tensor binds dense.
+//!    *The order rule.* The leaf takes a statement only when that walk
+//!    visits each output element's terms in the interpreter's order: `B`
+//!    indexes distinct variables, its reduction variables a prefix, in its
+//!    own order, of `Assignment::reduction_vars` (as a first operand's
+//!    always are). Anything else runs on the tape. The leaf is then
+//!    bit-identical to a scan of the dense iteration space that skips the
+//!    points where `B` holds `+0.0` (a `#[cfg(test)]` oracle), and by the
+//!    `±0.0` argument in `distal-sparse` to [`InterpreterKernel`]; a
+//!    512-case property per statement holds it to both.
 //! 2. **Generated dense GEMM** (`gemm.gen`) for matmul-shaped pure
 //!    access products: one register-blocked, panel-packed driver in the
 //!    private `gemm` module. `k` runs in ascending blocks of `KC = 256`;
@@ -113,13 +110,13 @@
 //! paths reorder only independent output elements, never the
 //! accumulation order within one output element, and visiting only
 //! stored entries follows the `±0.0` argument documented in
-//! `distal-sparse`. Only the CSR leaves skip anything; `gemm.gen` and the
-//! tape visit every point of a compressed operand's dense form, as the
+//! `distal-sparse`. Only the sparse leaf skips anything; `gemm.gen` and
+//! the tape visit every point of a compressed operand's dense form, as the
 //! interpreter does. The request carries no backend-specific discipline
 //! beyond `accumulate`, so both lowerings get the same leaf for the same
-//! statement and agree bit for bit even where an operand holds Inf or
-//! NaN opposite an unstored entry (where a CSR leaf and the interpreter
-//! may not).
+//! statement and agree bit for bit even where an operand holds Inf or NaN
+//! opposite an entry `B` does not store (where the sparse leaf and the
+//! interpreter may not).
 //!
 //! A plan holds the kernel it was specialized to, so a plan bound many
 //! times pays for kernel generation once; the plan cache does the same
@@ -129,9 +126,10 @@
 //! across `bind`/`run` (`tests/plan_reuse.rs`) means none was built.
 
 use crate::error::CompileError;
-use crate::kernels::{is_matmul, is_sddmm, is_spmv, rhs_is_access_product, InterpreterKernel};
+use crate::kernels::{is_matmul, rhs_is_access_product, InterpreterKernel};
 use crate::schedule::{LeafKind, Schedule};
 use distal_ir::expr::{Assignment, Expr};
+use distal_machine::geom::Rect;
 use distal_runtime::kernel::{Kernel, KernelCtx};
 use std::sync::Arc;
 
@@ -148,7 +146,7 @@ pub(crate) struct LeafRequest {
     /// The statement the leaf executes.
     pub assignment: Assignment,
     /// Per right-hand-side access (in access order): is that operand
-    /// stored in a compressed level format? Drives the CSR fast paths.
+    /// stored in a compressed level format? Drives the sparse leaf.
     pub compressed: Vec<bool>,
     /// `true` when the kernel must *add* into the output (reductions, and
     /// the SPMD rank VM which always accumulates into a zeroed buffer);
@@ -164,16 +162,16 @@ pub(crate) struct LeafRequest {
 /// level format; `accumulate` (add into the output) is the executing
 /// backend's discipline. Without a command, or with `LeafKind::Auto`, the
 /// request is specialized. `LeafKind::Gemm` asks for the optimized leaf of
-/// a matmul; compression still routes it to the CSR-specialized SpMM when
-/// the stored operand admits one (a strictly better "vendor kernel").
+/// a matmul; compression still routes it to the sparse leaf when that
+/// takes the statement (a strictly better "vendor kernel").
 /// `LeafKind::Interpreter` runs the per-point reference.
 ///
-/// Only the CSR leaves skip anything — the entries their operand does not
+/// Only the sparse leaf skips anything — the entries its operand does not
 /// store — and every other leaf, like the interpreter, visits every point.
 /// Over finite data the two are bit-identical (the `±0.0` argument in
 /// `distal-sparse`). Both backends get the same leaf for the same
-/// statement, so they agree on non-finite data too; outside the CSR
-/// shapes that is also what the interpreter computes.
+/// statement, so they agree on non-finite data too; off the sparse leaf
+/// that is also what the interpreter computes.
 ///
 /// # Errors
 ///
@@ -214,27 +212,21 @@ pub(crate) fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
     let pure = rhs_is_access_product(a);
     let first_only = req.compressed.first().copied().unwrap_or(false)
         && req.compressed.iter().skip(1).all(|c| !c);
-    // A CSR leaf is handed its first operand as one read-only image, so
+    // The sparse leaf is handed its first operand as one read-only image, so
     // that tensor must not also be the one written.
     let read_only = a
         .input_accesses()
         .first()
         .is_some_and(|first| first.tensor != a.lhs.tensor);
-    // The CSR paths visit exactly the first operand's stored entries. This
-    // is the one place CSR-vs-dense is decided: the chosen leaf says so
-    // through `Kernel::sparse_arg`, and both lowerings read it there.
+    // The sparse leaf visits exactly the first operand's stored entries.
+    // This is the one place CSR-vs-dense is decided: the chosen leaf says
+    // so through `Kernel::sparse_arg`, and both lowerings read it there.
     if pure && first_only && read_only && req.accumulate {
-        if is_spmv(a) {
-            return Arc::new(sparse::SpmvGenLeaf);
-        }
-        if is_matmul(a) {
-            return Arc::new(sparse::SpmmGenLeaf);
-        }
-        if is_sddmm(a) {
-            return Arc::new(sparse::SddmmGenLeaf);
+        if let Some(leaf) = sparse::CsrLeaf::new(a) {
+            return Arc::new(leaf);
         }
     }
-    // Compressed operands outside the CSR shapes execute densely.
+    // A compressed operand the sparse leaf does not take executes densely.
     if pure && req.accumulate && is_matmul(a) {
         return Arc::new(GemmGenKernel);
     }
@@ -374,45 +366,23 @@ impl Kernel for TapeKernel {
             }
             return;
         }
-        let mut lo = vec![0i64; nv];
-        let mut hi = vec![0i64; nv];
-        for v in 0..nv {
-            lo[v] = ctx.scalars[2 * v];
-            hi[v] = ctx.scalars[2 * v + 1];
-            if hi[v] < lo[v] {
-                return; // empty leaf (over-decomposed launch point)
-            }
+        let (lo, hi): (Vec<i64>, Vec<i64>) = ctx.scalars.chunks(2).map(|s| (s[0], s[1])).unzip();
+        if lo.iter().zip(&hi).any(|(l, h)| h < l) {
+            return; // empty leaf (over-decomposed launch point)
         }
-        // Per access: row-major base offset at the `lo` corner and the
-        // linear stride of each statement variable (repeated variables
-        // within one access sum their dimension strides).
-        let mut base = vec![0i64; na];
+        // Per access: the offset at the walk's point (the inner variable
+        // at its lower bound) and the stride of each statement variable.
         let mut strides = vec![0i64; na * nv];
-        let mut coords: Vec<i64> = Vec::with_capacity(nv);
-        for (ai, map) in self.maps.iter().enumerate() {
-            let arg = &ctx.args[ai];
-            coords.clear();
-            coords.extend(map.iter().map(|&vi| lo[vi]));
-            base[ai] = arg.offset(&coords) as i64;
-            let mut s = 1i64;
-            for d in (0..map.len()).rev() {
-                strides[ai * nv + map[d]] += s;
-                s *= arg.alloc.extent(d);
-            }
-        }
+        let args = self.maps.iter().zip(&ctx.args);
+        let mut offs: Vec<i64> = args
+            .zip(strides.chunks_exact_mut(nv))
+            .map(|((map, arg), s)| layout(&arg.alloc, map, &lo, s))
+            .collect();
         let inner = nv - 1;
+        let outer: Vec<usize> = (0..inner).collect();
         let n_inner = (hi[inner] - lo[inner]) as usize + 1;
         let mut point = lo.clone();
-        let mut offs = vec![0i64; na];
         loop {
-            // Offsets for this row (inner variable at its lower bound).
-            for ai in 0..na {
-                let mut o = base[ai];
-                for v in 0..inner {
-                    o += strides[ai * nv + v] * (point[v] - lo[v]);
-                }
-                offs[ai] = o;
-            }
             for step in 0..n_inner as i64 {
                 for (ii, val) in vals.iter_mut().enumerate() {
                     let ai = ii + 1;
@@ -427,27 +397,53 @@ impl Kernel for TapeKernel {
                     ctx.args[0].data[oo] = v;
                 }
             }
-            // Advance the outer odometer (variables before the inner one).
-            if inner == 0 {
+            if !advance(&mut point, &outer, (&lo, &hi), &mut offs, &strides) {
                 return;
-            }
-            let mut d = inner;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                point[d] += 1;
-                if point[d] <= hi[d] {
-                    break;
-                }
-                point[d] = lo[d];
-                if d == 0 {
-                    return;
-                }
             }
         }
     }
+}
+
+/// The signed row-major offset in `alloc` of `map`'s `lo` corner (`map`
+/// holds, per dimension, a statement variable); adds each variable's
+/// stride to `strides` (a repeated variable sums its dimensions').
+fn layout(alloc: &Rect, map: &[usize], lo: &[i64], strides: &mut [i64]) -> i64 {
+    let (mut base, mut step) = (0, 1);
+    for (d, &v) in map.iter().enumerate().rev() {
+        base += (lo[v] - alloc.lo()[d]) * step;
+        strides[v] += step;
+        step *= alloc.extent(d);
+    }
+    base
+}
+
+/// Steps `point` to the next point of the box `lo ..= hi` over `vars`, the
+/// last fastest, moving each access's offset with it (`strides[a · nv +
+/// v]`, `nv` the point's length); `false` once every point was visited.
+#[inline(always)]
+fn advance(
+    point: &mut [i64],
+    vars: &[usize],
+    (lo, hi): (&[i64], &[i64]),
+    offs: &mut [i64],
+    strides: &[i64],
+) -> bool {
+    let nv = point.len();
+    for &v in vars.iter().rev() {
+        let step = if point[v] < hi[v] {
+            1
+        } else {
+            lo[v] - point[v]
+        };
+        point[v] += step;
+        for (a, off) in offs.iter_mut().enumerate() {
+            *off += step * strides[a * nv + v];
+        }
+        if step == 1 {
+            return true;
+        }
+    }
+    false
 }
 
 impl std::fmt::Debug for TapeKernel {
@@ -662,8 +658,8 @@ mod tests {
             (None, dense, "gemm.gen"),
             (Some(LeafKind::Auto), dense, "gemm.gen"),
             (Some(LeafKind::Gemm), dense, "gemm.gen"),
-            // Compression routes the GEMM substitution to the CSR SpMM.
-            (Some(LeafKind::Gemm), csr, "spmm.gen"),
+            // Compression routes the GEMM substitution to the sparse leaf.
+            (Some(LeafKind::Gemm), csr, "csr.gen"),
             (Some(LeafKind::Interpreter), csr, "interpreter"),
         ] {
             assert_eq!(leaf(&mm, kind, compressed).unwrap(), want, "{kind:?}");
@@ -687,29 +683,38 @@ mod tests {
 
     #[test]
     fn dispatch_picks_expected_variants() {
-        let mm = distal_ir::expr::kernels::matmul();
-        assert_eq!(
-            specialize(&LeafRequest::dense(mm.clone(), true)).name(),
-            "gemm.gen"
-        );
-        let mut sp = LeafRequest::dense(mm.clone(), true);
-        sp.compressed = vec![true, false];
-        assert_eq!(specialize(&sp).name(), "spmm.gen");
-        let spmv = Assignment::parse("a(i) = B(i,j) * c(j)").unwrap();
-        let mut r = LeafRequest::dense(spmv, true);
-        r.compressed = vec![true, false];
-        assert_eq!(specialize(&r).name(), "spmv.gen");
-        let sddmm = Assignment::parse("A(i,j) = B(i,j) * C(i,k) * D(k,j)").unwrap();
-        let mut r = LeafRequest::dense(sddmm, true);
-        r.compressed = vec![true, false, false];
-        assert_eq!(specialize(&r).name(), "sddmm.gen");
-        // Compression beyond the first operand: no CSR shape, so the
-        // operands execute densely through the GEMM.
-        let mut both = LeafRequest::dense(mm.clone(), true);
-        both.compressed = vec![true, true];
-        assert_eq!(specialize(&both).name(), "gemm.gen");
-        // Literal factor: never a specialized product kernel.
-        let lit = Assignment::parse("A(i,j) = B(i,k) * C(k,j) * 2.0").unwrap();
-        assert_eq!(specialize(&LeafRequest::dense(lit, true)).name(), "tape");
+        let leaf = |stmt: &str, compressed: &[bool]| {
+            let mut r = LeafRequest::dense(Assignment::parse(stmt).unwrap(), true);
+            if !compressed.is_empty() {
+                r.compressed = compressed.to_vec();
+            }
+            specialize(&r).name().to_string()
+        };
+        let mm = "A(i,j) = B(i,k) * C(k,j)";
+        assert_eq!(leaf(mm, &[]), "gemm.gen");
+        // A compressed first operand: the sparse leaf, whatever the shape.
+        for stmt in [
+            mm,
+            "a(i) = B(i,j) * c(j)",
+            "A(i,j) = B(i,j) * C(i,k) * D(k,j)",
+            "A(i,j) = B(i,j,k) * c(k)",
+            "A(i,l) = B(i,j,k) * C(j,l) * D(k,l)",
+            "A(i,j,l) = B(i,j,k) * C(k,l)",
+            "a = B(i,j,k) * C(i,j,k)",
+        ] {
+            let n = Assignment::parse(stmt).unwrap().input_accesses().len();
+            let mut compressed = vec![false; n];
+            compressed[0] = true;
+            assert_eq!(leaf(stmt, &compressed), "csr.gen", "{stmt}");
+        }
+        // Compression beyond the first operand: the operands execute
+        // densely through the GEMM.
+        assert_eq!(leaf(mm, &[true, true]), "gemm.gen");
+        // A repeated variable in the compressed access, a literal factor:
+        // never the sparse leaf.
+        assert_eq!(leaf("a(i) = B(i,j,j) * c(j)", &[true, false]), "tape");
+        let lit = "A(i,j) = B(i,k) * C(k,j) * 2.0";
+        assert_eq!(leaf(lit, &[true, false]), "tape");
+        assert_eq!(leaf(lit, &[]), "tape");
     }
 }

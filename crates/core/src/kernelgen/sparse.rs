@@ -1,220 +1,265 @@
-//! The CSR leaves `spmv.gen`, `spmm.gen` and `sddmm.gen` (layer 1 of the
-//! parent module's docs).
-//!
-//! Each leaf reads its first right-hand-side operand through
-//! [`KernelArg::sparse`] — one shared, immutable [`SparseBuffer`] — and
-//! walks the row slab `pos[ilo] .. pos[ihi + 1]` of it, so a task costs
-//! its stored entries, not the cells of its tile. When the tile does not
-//! span every column the buffer covers, each row's stored entries are cut
-//! to `[lo, hi]` by two `partition_point`s on the row's ascending `crd`.
-//!
-//! The leaves visit the same stored entries, in the same ascending-column
-//! order and with the same product association, as a left-to-right scan
-//! of the dense tile that skips `+0.0` bit patterns (what these leaves did
-//! before they were handed CSR, kept below as a test oracle) and as the
-//! reference functions in `distal_sparse::kernels`; the `±0.0` argument
-//! there makes them bit-identical to the interpreter and the dense leaves
-//! too.
+//! The one sparse leaf, `csr.gen`: layer 1 of the parent module's docs,
+//! which say which statements it takes and why its walk visits each output
+//! element's terms in the interpreter's order.
 
+use super::{advance, layout};
+use distal_ir::expr::{Assignment, Expr};
 use distal_runtime::csr::SparseBuffer;
-use distal_runtime::kernel::{Kernel, KernelArg, KernelCtx};
+use distal_runtime::kernel::{Kernel, KernelCtx};
 
-/// A leaf's compressed operand: the image plus the global coordinates of
-/// its first row and column.
-struct Slab<'a> {
-    csr: &'a SparseBuffer,
-    row0: i64,
-    col0: i64,
+/// The sparse leaf of one statement: `out += B · F1 · … · Fk` over the
+/// stored entries of `B`. Task scalars carry `[lo, hi]` per variable in
+/// [`Assignment::all_vars`] order; args are `out`, `B`, then the `Fi`.
+#[derive(Debug)]
+pub(crate) struct CsrLeaf {
+    /// Per access (destination first): the position in `all_vars` of each
+    /// of its index variables.
+    maps: Vec<Vec<usize>>,
+    /// The variables `B` does not index, in `all_vars` order.
+    dense: Vec<usize>,
+    n_vars: usize,
 }
 
-impl<'a> Slab<'a> {
-    /// The CSR form of a 2-D argument.
-    ///
+impl CsrLeaf {
+    /// The driver for a statement whose first operand `B` is the one
+    /// compressed, or `None` unless the right-hand side is a product of
+    /// accesses associated from the left and `B` indexes distinct
+    /// variables, its reduction variables a prefix, in its own order, of
+    /// [`Assignment::reduction_vars`].
+    pub(crate) fn new(a: &Assignment) -> Option<Self> {
+        let maps = a.access_positions();
+        let b = maps.get(1).filter(|b| !b.is_empty())?;
+        if !left_chain(&a.rhs) || !interpreter_order(b, a.lhs.indices.len()) {
+            return None;
+        }
+        // Every statement variable indexes some access.
+        let n_vars = maps.iter().flatten().max().map_or(0, |&v| v + 1);
+        let dense = (0..n_vars).filter(|v| !b.contains(v)).collect();
+        Some(CsrLeaf {
+            maps,
+            dense,
+            n_vars,
+        })
+    }
+}
+
+/// `((A1 · A2) · A3) · …`: a product of accesses associated from the left.
+fn left_chain(e: &Expr) -> bool {
+    match e {
+        Expr::Access(_) => true,
+        Expr::Mul(l, r) => left_chain(l) && matches!(**r, Expr::Access(_)),
+        Expr::Literal(_) | Expr::Add(..) => false,
+    }
+}
+
+/// Whether `B` (positions `b` into `all_vars`, whose first `n_free` are the
+/// output's) indexes distinct variables, its reduction variables first, in
+/// its order, among the statement's.
+fn interpreter_order(b: &[usize], n_free: usize) -> bool {
+    let distinct = b.iter().enumerate().all(|(d, v)| !b[..d].contains(v));
+    let reduction = b.iter().filter(|&&v| v >= n_free);
+    distinct && reduction.zip(n_free..).all(|(&v, want)| v == want)
+}
+
+/// A dense factor along one run: its element at run position `p` sits at
+/// `off + p · stride`.
+struct Run<'a> {
+    data: &'a [f64],
+    off: i64,
+    stride: i64,
+}
+
+impl<'a> Run<'a> {
+    #[inline(always)]
+    fn at(&self, p: i64) -> f64 {
+        self.data[(self.off + p * self.stride) as usize]
+    }
+
+    /// The run's first `n` elements as a slice, when they are adjacent.
+    fn contiguous(&self, n: usize) -> Option<&'a [f64]> {
+        (self.stride == 1).then(|| &self.data[self.off as usize..][..n])
+    }
+}
+
+/// The output along one run: `(buffer, offset, stride)`.
+type Out<'o> = (&'o mut [f64], i64, i64);
+
+/// `out[off + p · stride] += t` for each `(p, t)`, in order; an output that
+/// stays put along the run (`stride` 0) sums in a register.
+#[inline(always)]
+fn add(terms: impl Iterator<Item = (i64, f64)>, (out, off, stride): Out) {
+    if stride == 0 {
+        let acc = &mut out[off as usize];
+        *acc = terms.fold(*acc, |acc, (_, t)| acc + t);
+    } else {
+        terms.for_each(|(p, t)| out[(off + p * stride) as usize] += t);
+    }
+}
+
+/// Row `r`'s stored entries, cut to the buffer-local columns `window`.
+#[inline(always)]
+fn entries(csr: &SparseBuffer, r: i64, window: Option<(i64, i64)>) -> (&[i64], &[f64]) {
+    let (start, end) = csr.row_range(r as usize);
+    let (crd, vals) = (&csr.crd[start..end], &csr.vals[start..end]);
+    match window {
+        None => (crd, vals),
+        Some((lo, hi)) => {
+            let from = crd.partition_point(|&c| c < lo);
+            let to = from + crd[from..].partition_point(|&c| c <= hi);
+            (&crd[from..to], &vals[from..to])
+        }
+    }
+}
+
+/// For each row `k` in `0..rows` of a walk where `B` indexes every
+/// variable, with access `a` at `offs[a] + k · steps[a]`: one run along
+/// `crd`, `l · f1 · … · fk` for each stored `(c, l)`. Out of line, so the
+/// leaf's hottest loop keeps its registers; one factor — SpMV, TTV, an
+/// inner product — is a slice walk, more are folded per entry.
+#[inline(never)]
+fn crd_rows(
+    csr: &SparseBuffer,
+    window: Option<(i64, i64)>,
+    (rows, offs, steps): (i64, &[i64], &[i64]),
+    factors: &mut [Run],
+    (out, stride): (&mut [f64], i64),
+) {
+    for k in 0..rows {
+        let row = |a: usize| offs[a] + k * steps[a];
+        let (crd, vals) = entries(csr, row(1), window);
+        for (f, a) in factors.iter_mut().zip(2..) {
+            f.off = row(a);
+        }
+        let entries = crd.iter().copied().zip(vals.iter().copied());
+        let out = (&mut *out, row(0), stride);
+        match &*factors {
+            [f] => add(entries.map(|(c, l)| (c, l * f.at(c))), out),
+            fs => add(
+                entries.map(|(c, l)| (c, fs.iter().fold(l, |p, f| p * f.at(c)))),
+                out,
+            ),
+        }
+    }
+}
+
+/// A run of `n` points along a dense variable for one stored value `l`:
+/// `tmp` takes `l · f1 · … · fk` a factor at a time, over slices where the
+/// factor is contiguous, and is added into `out` in order.
+fn dense_run(n: usize, l: f64, factors: &[Run], (out, off, stride): Out, tmp: &mut Vec<f64>) {
+    if let ([f], 1) = (factors, stride) {
+        if let Some(x) = f.contiguous(n) {
+            // One contiguous factor into a contiguous output: no `tmp`.
+            for (o, x) in out[off as usize..][..n].iter_mut().zip(x) {
+                *o += l * x;
+            }
+            return;
+        }
+    }
+    tmp.clear();
+    tmp.resize(n, l);
+    for f in factors {
+        match f.contiguous(n) {
+            Some(x) => tmp.iter_mut().zip(x).for_each(|(t, x)| *t *= x),
+            None => tmp.iter_mut().zip(0..).for_each(|(t, p)| *t *= f.at(p)),
+        }
+    }
+    let terms = tmp.iter().zip(0..).map(|(&t, p)| (p, t));
+    add(terms, (out, off, stride));
+}
+
+impl Kernel for CsrLeaf {
+    fn name(&self) -> &str {
+        "csr.gen"
+    }
+
+    fn sparse_arg(&self) -> Option<usize> {
+        Some(1)
+    }
+
     /// # Panics
     ///
-    /// Panics when the argument arrived dense: whoever runs a kernel that
-    /// declares [`Kernel::sparse_arg`] owes it the compressed form.
-    fn of(arg: &'a KernelArg, kernel: &str) -> Self {
-        let csr = arg
-            .sparse
-            .as_deref()
-            .unwrap_or_else(|| panic!("{kernel} reads its compressed operand as CSR"));
-        Slab {
-            csr,
-            row0: arg.alloc.lo()[0],
-            col0: arg.alloc.lo()[1],
-        }
-    }
-
-    /// The buffer-local column window of global columns `[lo, hi]`, or
-    /// `None` when that spans every column the buffer covers.
-    fn window(&self, lo: i64, hi: i64) -> Option<(i64, i64)> {
-        let (lo, hi) = (lo - self.col0, hi - self.col0);
-        (lo > 0 || hi < self.csr.inner_extent() - 1).then_some((lo, hi))
-    }
-
-    /// The stored entries of global row `i` inside `window`, as
-    /// buffer-local columns and values, ascending.
-    #[inline]
-    fn row(&self, i: i64, window: Option<(i64, i64)>) -> (&'a [i64], &'a [f64]) {
-        let (start, end) = self.csr.row_range((i - self.row0) as usize);
-        let (crd, vals) = (&self.csr.crd[start..end], &self.csr.vals[start..end]);
-        match window {
-            None => (crd, vals),
-            Some((lo, hi)) => {
-                let from = crd.partition_point(|&c| c < lo);
-                let to = from + crd[from..].partition_point(|&c| c <= hi);
-                (&crd[from..to], &vals[from..to])
-            }
-        }
-    }
-}
-
-/// Signed row-major offset of `(row, col)` in a 2-D argument. Unlike
-/// [`KernelArg::offset`] the point may lie outside the allocation: the
-/// leaves use it for where buffer-local column 0 *would* sit, and only
-/// ever add a stored column that lands back inside.
-fn signed_offset(arg: &KernelArg, row: i64, col: i64) -> i64 {
-    (row - arg.alloc.lo()[0]) * arg.alloc.extent(1) + (col - arg.alloc.lo()[1])
-}
-
-/// Generated SpMV leaf for `a(i) = B(i,j) * c(j)` with B compressed:
-/// `a(i) += B(i,j) · c(j)` over B's stored entries of rows `[ilo, ihi]`
-/// and columns `[jlo, jhi]`.
-///
-/// Task scalars carry `[ilo, ihi, jlo, jhi]`; args are `[a, B, c]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SpmvGenLeaf;
-
-impl Kernel for SpmvGenLeaf {
-    fn name(&self) -> &str {
-        "spmv.gen"
-    }
-
-    fn sparse_arg(&self) -> Option<usize> {
-        Some(1)
-    }
-
+    /// Panics when `B` arrived dense: whoever runs a kernel that declares
+    /// [`Kernel::sparse_arg`] owes it the compressed form.
     fn execute(&self, ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 4, "spmv bounds mismatch");
-        let (ilo, ihi, jlo, jhi) = (s[0], s[1], s[2], s[3]);
-        if ihi < ilo || jhi < jlo {
+        let nv = self.n_vars;
+        assert_eq!(ctx.scalars.len(), 2 * nv, "csr.gen bounds mismatch");
+        let (lo, hi): (Vec<i64>, Vec<i64>) = ctx.scalars.chunks(2).map(|s| (s[0], s[1])).unzip();
+        if lo.iter().zip(&hi).any(|(l, h)| h < l) {
             return;
         }
-        let (y_arg, rest) = ctx.args.split_at_mut(1);
-        let (y, b, x) = (&mut y_arg[0], Slab::of(&rest[0], "spmv.gen"), &rest[1]);
-        let window = b.window(jlo, jhi);
-        // `x` index of buffer-local column 0.
-        let x_base = b.col0 - x.alloc.lo()[0];
-        let y_base = y.offset(&[ilo]);
-        for (r, i) in (ilo..=ihi).enumerate() {
-            let (crd, vals) = b.row(i, window);
-            let mut acc = y.data[y_base + r];
-            for (&c, &bv) in crd.iter().zip(vals) {
-                acc += bv * x.data[(x_base + c) as usize];
-            }
-            y.data[y_base + r] = acc;
-        }
-    }
-}
+        let (out, rest) = ctx.args.split_at_mut(1);
+        let (out, b, inputs) = (&mut out[0], &rest[0], &rest[1..]);
+        let csr = b.sparse.as_deref().expect("csr.gen reads B as CSR");
 
-/// Generated SpMM leaf for matmul-shaped statements
-/// `A(i,j) = B(i,k) * C(k,j)` with B compressed. Loop order
-/// `(i, stored k, j)` over contiguous row slices of `A` and `C`.
-///
-/// Task scalars carry `[ilo, ihi, jlo, jhi, klo, khi]`; args `[A, B, C]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SpmmGenLeaf;
+        // `B`'s outer variables pick a row of the buffer, linearized over
+        // the rectangle it covers; its last is `crd`, from column `col0`.
+        let (outer, cv) = self.maps[1].split_at(self.maps[1].len() - 1);
+        let (cv, col0) = (cv[0], b.alloc.lo()[b.alloc.dim() - 1]);
+        let (wlo, whi) = (lo[cv] - col0, hi[cv] - col0);
+        let window = (wlo > 0 || whi < csr.inner_extent() - 1).then_some((wlo, whi));
+        // Per access, the offset at the walk's point and `crd` column 0
+        // (for `B`, the row), and each variable's stride, `strides[a * nv
+        // + v]`; `steps(v)` is every access's stride along `v`.
+        let mut strides = vec![0; self.maps.len() * nv];
+        let allocs = [&out.alloc, &b.alloc].into_iter();
+        let allocs = allocs.chain(inputs.iter().map(|f| &f.alloc));
+        let maps = self.maps.iter().enumerate();
+        let maps = maps.map(|(a, m)| if a == 1 { outer } else { m });
+        let mut offs: Vec<i64> = (allocs.zip(maps).zip(strides.chunks_exact_mut(nv)))
+            .map(|((alloc, map), s)| layout(alloc, map, &lo, s) + s[cv] * (col0 - lo[cv]))
+            .collect();
+        let steps = |v: usize| -> Vec<i64> { strides.chunks_exact(nv).map(|s| s[v]).collect() };
 
-impl Kernel for SpmmGenLeaf {
-    fn name(&self) -> &str {
-        "spmm.gen"
-    }
-
-    fn sparse_arg(&self) -> Option<usize> {
-        Some(1)
-    }
-
-    fn execute(&self, ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 6, "spmm bounds mismatch");
-        let (ilo, ihi, jlo, jhi, klo, khi) = (s[0], s[1], s[2], s[3], s[4], s[5]);
-        if ihi < ilo || jhi < jlo || khi < klo {
-            return;
-        }
-        let nj = (jhi - jlo + 1) as usize;
-        let (a_arg, rest) = ctx.args.split_at_mut(1);
-        let (a, b, c) = (&mut a_arg[0], Slab::of(&rest[0], "spmm.gen"), &rest[1]);
-        let window = b.window(klo, khi);
-        let a_cols = a.alloc.extent(1) as usize;
-        let c_cols = c.alloc.extent(1);
-        let a_base = a.offset(&[ilo, jlo]);
-        // Offset of `C(k, jlo)` for buffer-local column `k` = 0.
-        let c_base = signed_offset(c, b.col0, jlo);
-        for (r, i) in (ilo..=ihi).enumerate() {
-            let (crd, vals) = b.row(i, window);
-            let a_row = &mut a.data[a_base + r * a_cols..a_base + r * a_cols + nj];
-            for (&k, &bv) in crd.iter().zip(vals) {
-                let c_off = (c_base + k * c_cols) as usize;
-                for (av, &cv) in a_row.iter_mut().zip(&c.data[c_off..c_off + nj]) {
-                    *av += bv * cv;
+        // Runs go along `crd` when `B` indexes every variable, else along
+        // the last of the others, once per stored entry. The last outer
+        // variable counts rows; those before it step through `advance`.
+        let (dense_outer, along) = match self.dense.split_last() {
+            Some((&v, dense_outer)) => (dense_outer, v),
+            None => (&[][..], cv),
+        };
+        let run_steps = steps(along);
+        let runs = inputs.iter().zip(&run_steps[2..]);
+        let mut runs: Vec<Run> = runs
+            .map(|(f, &stride)| Run {
+                data: &f.data,
+                off: 0,
+                stride,
+            })
+            .collect();
+        let (outer, rows, row_steps) = match outer.split_last() {
+            Some((&v, outer)) => (outer, hi[v] - lo[v] + 1, steps(v)),
+            None => (outer, 1, vec![0; offs.len()]),
+        };
+        let out: &mut [f64] = &mut out.data;
+        let (mut tmp, mut at, mut point) = (Vec::new(), offs.clone(), lo.clone());
+        loop {
+            if let Some(&inner) = self.dense.last() {
+                let n = (hi[inner] - lo[inner] + 1) as usize;
+                for k in 0..rows {
+                    let row = |a: usize| offs[a] + k * row_steps[a];
+                    let (crd, vals) = entries(csr, row(1), window);
+                    for (&c, &l) in crd.iter().zip(vals) {
+                        for (a, at) in at.iter_mut().enumerate() {
+                            *at = row(a) + strides[a * nv + cv] * c;
+                        }
+                        loop {
+                            for (r, &off) in runs.iter_mut().zip(&at[2..]) {
+                                r.off = off;
+                            }
+                            let out = (&mut *out, at[0], run_steps[0]);
+                            dense_run(n, l, &runs, out, &mut tmp);
+                            if !advance(&mut point, dense_outer, (&lo, &hi), &mut at, &strides) {
+                                break;
+                            }
+                        }
+                    }
                 }
+            } else {
+                let rows = (rows, &offs[..], &row_steps[..]);
+                crd_rows(csr, window, rows, &mut runs, (&mut *out, run_steps[0]));
             }
-        }
-    }
-}
-
-/// Generated SDDMM leaf for `A(i,j) = B(i,j) * C(i,k) * D(k,j)` with B
-/// compressed (the sampled dense-dense matrix multiply). Iterates B's
-/// stored `(i,j)` entries with left-associated products, hoisting the
-/// output element and C's row out of the `k` loop.
-///
-/// Task scalars carry `[ilo, ihi, jlo, jhi, klo, khi]`; args
-/// `[A, B, C, D]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SddmmGenLeaf;
-
-impl Kernel for SddmmGenLeaf {
-    fn name(&self) -> &str {
-        "sddmm.gen"
-    }
-
-    fn sparse_arg(&self) -> Option<usize> {
-        Some(1)
-    }
-
-    fn execute(&self, ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 6, "sddmm bounds mismatch");
-        let (ilo, ihi, jlo, jhi, klo, khi) = (s[0], s[1], s[2], s[3], s[4], s[5]);
-        if ihi < ilo || jhi < jlo || khi < klo {
-            return;
-        }
-        let nk = (khi - klo + 1) as usize;
-        let (a_arg, rest) = ctx.args.split_at_mut(1);
-        let (a, b) = (&mut a_arg[0], Slab::of(&rest[0], "sddmm.gen"));
-        let (c, d) = (&rest[1], &rest[2]);
-        let window = b.window(jlo, jhi);
-        let a_cols = a.alloc.extent(1) as usize;
-        let c_cols = c.alloc.extent(1) as usize;
-        let d_cols = d.alloc.extent(1) as usize;
-        // Offsets of `A(ilo, j)` and `D(klo, j)` for buffer-local column
-        // `j` = 0.
-        let a_base = signed_offset(a, ilo, b.col0);
-        let d_base = signed_offset(d, klo, b.col0);
-        let c_base = c.offset(&[ilo, klo]);
-        for (r, i) in (ilo..=ihi).enumerate() {
-            let (crd, vals) = b.row(i, window);
-            let c_row = &c.data[c_base + r * c_cols..c_base + r * c_cols + nk];
-            for (&j, &bv) in crd.iter().zip(vals) {
-                let a_off = (a_base + j) as usize + r * a_cols;
-                let d_off = (d_base + j) as usize;
-                let mut acc = a.data[a_off];
-                for (k, &cv) in c_row.iter().enumerate() {
-                    acc += (bv * cv) * d.data[d_off + k * d_cols];
-                }
-                a.data[a_off] = acc;
+            if !advance(&mut point, outer, (&lo, &hi), &mut offs, &strides) {
+                return;
             }
         }
     }
@@ -225,104 +270,43 @@ mod tests {
     use super::*;
     use crate::kernelgen::testing::{run_on, OwnedArg};
     use crate::kernels::InterpreterKernel;
-    use distal_ir::expr::Assignment;
+    use distal_ir::expr::{Access, IndexVar};
     use distal_machine::geom::{copy_rect, Point, Rect};
     use distal_runtime::program::Privilege;
     use distal_sparse::kernels::{sddmm, spmm, spmv};
     use std::sync::Arc;
 
-    // What the three leaves ran while their compressed operand still
-    // arrived as a dense tile: each tile row scanned left to right,
-    // skipping `+0.0` bit patterns. Kept as the second parity oracle.
-
-    fn scan_spmv(ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 4, "spmv bounds mismatch");
-        let (ilo, ihi, jlo, jhi) = (s[0], s[1], s[2], s[3]);
-        if ihi < ilo || jhi < jlo {
-            return;
-        }
-        let nj = (jhi - jlo + 1) as usize;
-        let (y_arg, rest) = ctx.args.split_at_mut(1);
-        let (y, b, x) = (&mut y_arg[0], &rest[0], &rest[1]);
-        let b_cols = b.alloc.extent(1) as usize;
-        let b_base = b.offset(&[ilo, jlo]);
-        let x_base = x.offset(&[jlo]);
-        let y_base = y.offset(&[ilo]);
-        for r in 0..=(ihi - ilo) as usize {
-            let row = &b.data[b_base + r * b_cols..b_base + r * b_cols + nj];
-            let acc = &mut y.data[y_base + r];
-            for (e, &bv) in row.iter().enumerate() {
-                if bv.to_bits() == 0 {
-                    continue;
-                }
-                *acc += bv * x.data[x_base + e];
-            }
-        }
+    /// The sparse leaf of `statement`.
+    fn leaf(statement: &str) -> CsrLeaf {
+        CsrLeaf::new(&Assignment::parse(statement).unwrap()).expect("a sparse-leaf statement")
     }
 
-    fn scan_spmm(ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 6, "spmm bounds mismatch");
-        let (ilo, ihi, jlo, jhi, klo, khi) = (s[0], s[1], s[2], s[3], s[4], s[5]);
-        if ihi < ilo || jhi < jlo || khi < klo {
+    /// The second parity oracle: the dense iteration space in `all_vars`
+    /// order, skipping the points where `B` (argument 1, dense) holds the
+    /// `+0.0` bit pattern — what the sparse leaf computes, one point at a
+    /// time.
+    fn scan(statement: &Assignment, ctx: &mut KernelCtx) {
+        let maps = statement.access_positions();
+        let (lo, hi): (Vec<i64>, Vec<i64>) = ctx.scalars.chunks(2).map(|s| (s[0], s[1])).unzip();
+        if lo.iter().zip(&hi).any(|(l, h)| h < l) {
             return;
         }
-        let (nj, nk) = ((jhi - jlo + 1) as usize, (khi - klo + 1) as usize);
-        let (a_arg, rest) = ctx.args.split_at_mut(1);
-        let (a, b, c) = (&mut a_arg[0], &rest[0], &rest[1]);
-        let a_cols = a.alloc.extent(1) as usize;
-        let b_cols = b.alloc.extent(1) as usize;
-        let c_cols = c.alloc.extent(1) as usize;
-        let a_base = a.offset(&[ilo, jlo]);
-        let b_base = b.offset(&[ilo, klo]);
-        let c_base = c.offset(&[klo, jlo]);
-        for i in 0..=(ihi - ilo) as usize {
-            let b_row = &b.data[b_base + i * b_cols..b_base + i * b_cols + nk];
-            let a_row = &mut a.data[a_base + i * a_cols..a_base + i * a_cols + nj];
-            for (e, &bv) in b_row.iter().enumerate() {
-                if bv.to_bits() == 0 {
-                    continue;
-                }
-                let c_row = &c.data[c_base + e * c_cols..c_base + e * c_cols + nj];
-                for (av, &cv) in a_row.iter_mut().zip(c_row) {
-                    *av += bv * cv;
+        let vars: Vec<usize> = (0..lo.len()).collect();
+        let mut point = lo.clone();
+        let mut coords: Vec<Vec<i64>> = maps.iter().map(|m| vec![0; m.len()]).collect();
+        loop {
+            for (c, map) in coords.iter_mut().zip(&maps) {
+                for (c, &v) in c.iter_mut().zip(map) {
+                    *c = point[v];
                 }
             }
-        }
-    }
-
-    fn scan_sddmm(ctx: &mut KernelCtx) {
-        let s = &ctx.scalars;
-        assert_eq!(s.len(), 6, "sddmm bounds mismatch");
-        let (ilo, ihi, jlo, jhi, klo, khi) = (s[0], s[1], s[2], s[3], s[4], s[5]);
-        if ihi < ilo || jhi < jlo || khi < klo {
-            return;
-        }
-        let (nj, nk) = ((jhi - jlo + 1) as usize, (khi - klo + 1) as usize);
-        let (a_arg, rest) = ctx.args.split_at_mut(1);
-        let (a, b, c, d) = (&mut a_arg[0], &rest[0], &rest[1], &rest[2]);
-        let a_cols = a.alloc.extent(1) as usize;
-        let b_cols = b.alloc.extent(1) as usize;
-        let c_cols = c.alloc.extent(1) as usize;
-        let d_cols = d.alloc.extent(1) as usize;
-        let a_base = a.offset(&[ilo, jlo]);
-        let b_base = b.offset(&[ilo, jlo]);
-        let c_base = c.offset(&[ilo, klo]);
-        let d_base = d.offset(&[klo, jlo]);
-        for i in 0..=(ihi - ilo) as usize {
-            let b_row = &b.data[b_base + i * b_cols..b_base + i * b_cols + nj];
-            let c_row = &c.data[c_base + i * c_cols..c_base + i * c_cols + nk];
-            for (e, &bv) in b_row.iter().enumerate() {
-                if bv.to_bits() == 0 {
-                    continue;
-                }
-                let a_off = a_base + i * a_cols + e;
-                let mut acc = a.data[a_off];
-                for (k, &cv) in c_row.iter().enumerate() {
-                    acc += (bv * cv) * d.data[d_base + k * d_cols + e];
-                }
-                a.data[a_off] = acc;
+            let b = ctx.args[1].at(&coords[1]);
+            if b.to_bits() != 0 {
+                let v = (2..maps.len()).fold(b, |p, a| p * ctx.args[a].at(&coords[a]));
+                ctx.args[0].add(&coords[0], v);
+            }
+            if !advance(&mut point, &vars, (&lo, &hi), &mut [], &[]) {
+                return;
             }
         }
     }
@@ -344,10 +328,10 @@ mod tests {
         }
     }
 
-    /// Runs a leaf over arguments built dense: the compressed operand is
-    /// handed over as CSR, as its executors do.
-    fn run(leaf: &dyn Kernel, args: &mut [OwnedArg], scalars: &[i64]) {
-        let b = leaf.sparse_arg().expect("a CSR leaf");
+    /// Runs the leaf over arguments built dense: `B` is handed over as
+    /// CSR, as its executors do.
+    fn run(leaf: &CsrLeaf, args: &mut [OwnedArg], scalars: &[i64]) {
+        let b = leaf.sparse_arg().expect("the sparse leaf");
         args[b] = compressed(&args[b], args[b].alloc);
         run_on(args, scalars, |ctx| leaf.execute(ctx));
     }
@@ -375,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn spmm_leaf_partial_bounds() {
+    fn spmm_partial_bounds() {
         // Only the [1,2]x[1,2]x[0,2] sub-block, like the dense leaf test.
         let sq = Rect::sized(&[4, 4]);
         let mut b_data = vec![1.0; 16];
@@ -385,7 +369,11 @@ mod tests {
             arg(sq, b_data),
             arg(sq, vec![1.0; 16]),
         ];
-        run(&SpmmGenLeaf, &mut args, &[1, 2, 1, 2, 0, 2]);
+        run(
+            &leaf("A(i,j) = B(i,k) * C(k,j)"),
+            &mut args,
+            &[1, 2, 1, 2, 0, 2],
+        );
         let a = &args[0].data;
         assert_eq!(a[5], 2.0); // (1,1): k=0..2 minus the pruned (1,1) entry
         assert_eq!(a[10], 3.0); // (2,2): all three k
@@ -393,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn spmv_leaf_accumulates_rows() {
+    fn spmv_accumulates_rows() {
         let mat = Rect::sized(&[3, 4]);
         let vec4 = Rect::sized(&[4]);
         let vec3 = Rect::sized(&[3]);
@@ -408,12 +396,12 @@ mod tests {
             arg(mat, b),
             arg(vec4, vec![1.0, 10.0, 100.0, 1000.0]),
         ];
-        run(&SpmvGenLeaf, &mut args, &[0, 2, 0, 3]);
+        run(&leaf("a(i) = B(i,j) * c(j)"), &mut args, &[0, 2, 0, 3]);
         assert_eq!(args[0].data, vec![2001.0, 0.0, 30.0]);
     }
 
-    /// Tile-shaped arguments over dense data for a statement with `n_args`
-    /// square 2-D operands plus vectors where noted by `shapes`.
+    /// Tile-shaped arguments over dense data, one per shape; seed 0 is
+    /// all zeros.
     fn args_from(shapes: &[&[i64]], seeds: &[u64], density: f64) -> Vec<OwnedArg> {
         shapes
             .iter()
@@ -454,8 +442,8 @@ mod tests {
     }
 
     #[test]
-    fn generated_leaves_match_csr_leaves_bitwise() {
-        // Each generated leaf against the reference function over a CSR
+    fn the_leaf_matches_the_reference_kernels_bitwise() {
+        // SpMV, SpMM and SDDMM against the reference functions over a CSR
         // view of the same tile.
         for density in [0.05, 0.5, 1.0] {
             // SpMV over a partial tile.
@@ -465,7 +453,11 @@ mod tests {
             let b = SparseBuffer::from_dense(&[4, 6], &tile(&gen[1], i, Some(j)));
             let mut want = vec![0.0; 4];
             spmv(&mut want, &b, &tile(&gen[2], j, None));
-            run(&SpmvGenLeaf, &mut gen, &[i.0, i.1, j.0, j.1]);
+            run(
+                &leaf("a(i) = B(i,j) * c(j)"),
+                &mut gen,
+                &[i.0, i.1, j.0, j.1],
+            );
             assert_tile(&gen[0], i, None, &want);
             // SpMM over a partial tile.
             let shapes: &[&[i64]] = &[&[5, 6], &[5, 7], &[7, 6]];
@@ -475,7 +467,7 @@ mod tests {
             let b = SparseBuffer::from_dense(&[3, 5], &tile(&gen[1], i, Some(k)));
             let mut want = vec![0.0; 3 * 6];
             spmm(&mut want, &b, &tile(&gen[2], k, Some(j)), 6);
-            run(&SpmmGenLeaf, &mut gen, &scalars);
+            run(&leaf("A(i,j) = B(i,k) * C(k,j)"), &mut gen, &scalars);
             assert_tile(&gen[0], i, Some(j), &want);
             // SDDMM over a partial tile.
             let shapes: &[&[i64]] = &[&[5, 6], &[5, 6], &[5, 4], &[4, 6]];
@@ -486,21 +478,68 @@ mod tests {
             let mut want = vec![0.0; 5 * 5];
             let c = tile(&gen[2], i, Some(k));
             sddmm(&mut want, &b, &c, &tile(&gen[3], k, Some(j)), 4);
-            run(&SddmmGenLeaf, &mut gen, &scalars);
+            run(
+                &leaf("A(i,j) = B(i,j) * C(i,k) * D(k,j)"),
+                &mut gen,
+                &scalars,
+            );
             assert_tile(&gen[0], i, Some(j), &want);
         }
     }
 
     #[test]
-    fn generated_leaves_ignore_empty_bounds() {
+    fn the_leaf_ignores_empty_bounds() {
         let sq = Rect::sized(&[2, 2]);
         let mut args = [
             arg(sq, vec![0.0; 4]),
             arg(sq, vec![1.0; 4]),
             arg(sq, vec![1.0; 4]),
         ];
-        run(&SpmmGenLeaf, &mut args, &[0, 1, 0, 1, 1, 0]);
+        run(
+            &leaf("A(i,j) = B(i,k) * C(k,j)"),
+            &mut args,
+            &[0, 1, 0, 1, 1, 0],
+        );
         assert_eq!(args[0].data, vec![0.0; 4]);
+    }
+
+    /// `A(i,j) = B(i,j) * (C(i,k) * D(k,j))`, which the parser, reading
+    /// products from the left, cannot write.
+    fn right_associated_sddmm() -> Assignment {
+        let access = |t: &str, vars: &[&str]| {
+            let vars = vars.iter().map(|&v| IndexVar::new(v)).collect();
+            Box::new(Expr::Access(Access::new(t, vars)))
+        };
+        let cd = Box::new(Expr::Mul(
+            access("C", &["i", "k"]),
+            access("D", &["k", "j"]),
+        ));
+        let lhs = Access::new("A", vec![IndexVar::new("i"), IndexVar::new("j")]);
+        Assignment::new(lhs, Expr::Mul(access("B", &["i", "j"]), cd), false).unwrap()
+    }
+
+    #[test]
+    fn statements_whose_walk_reorders_terms_stay_off_the_leaf() {
+        let refused = |s: &str| CsrLeaf::new(&Assignment::parse(s).unwrap()).is_none();
+        // A repeated variable: the walk would visit the diagonal's terms
+        // once per stored entry of a row, not once per point.
+        assert!(refused("a(i) = B(i,j,j) * c(j)"));
+        assert!(refused("A(i,j) = B(i,i) * C(i,j)"));
+        // Not associated from the left, or not a pure product.
+        assert!(CsrLeaf::new(&right_associated_sddmm()).is_none());
+        assert!(refused("a(i) = B(i,j) * c(j) * 2.0"));
+        // A compressed access that comes first lists its reduction
+        // variables first, so no statement reaches the order rule's other
+        // half; the rule itself, over positions into `all_vars` (two free
+        // variables, then the reduction variables 2, 3, 4):
+        assert!(interpreter_order(&[0, 2, 3], 2));
+        assert!(interpreter_order(&[2, 0, 3], 2));
+        assert!(
+            !interpreter_order(&[0, 3, 2], 2),
+            "reduction variables out of order"
+        );
+        assert!(!interpreter_order(&[0, 3], 2), "not a prefix");
+        assert!(!interpreter_order(&[0, 2, 2], 2), "repeated");
     }
 
     /// xorshift64*, the generator the sibling tests use.
@@ -545,12 +584,12 @@ mod tests {
             }
         }
 
-        /// An extent in `1..=40`, biased towards one and the primes.
-        fn extent(&mut self) -> i64 {
+        /// An extent in `1..=max`, biased towards one and the primes.
+        fn extent(&mut self, max: i64) -> i64 {
             const PRIMES: [i64; 13] = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
             match self.below(3) {
-                0 => PRIMES[self.below(13) as usize],
-                _ => 1 + self.below(40),
+                0 => PRIMES[self.below(13) as usize].min(max),
+                _ => 1 + self.below(max as u64),
             }
         }
     }
@@ -593,38 +632,23 @@ mod tests {
         data.iter().map(bits).collect()
     }
 
-    /// One leaf of the property: its statement, the dense-tile scan it
-    /// replaced, and per argument (destination first) the statement
-    /// variables indexing it.
-    struct Subject {
-        leaf: &'static dyn Kernel,
-        scan: fn(&mut KernelCtx),
-        statement: &'static str,
-        accesses: &'static [&'static [usize]],
-    }
-
-    const SUBJECTS: [Subject; 3] = [
-        Subject {
-            leaf: &SpmvGenLeaf,
-            scan: scan_spmv,
-            statement: "a(i) = B(i,j) * c(j)",
-            accesses: &[&[0], &[0, 1], &[1]],
-        },
-        Subject {
-            leaf: &SpmmGenLeaf,
-            scan: scan_spmm,
-            statement: "A(i,j) = B(i,k) * C(k,j)",
-            accesses: &[&[0, 1], &[0, 2], &[2, 1]],
-        },
-        Subject {
-            leaf: &SddmmGenLeaf,
-            scan: scan_sddmm,
-            statement: "A(i,j) = B(i,j) * C(i,k) * D(k,j)",
-            accesses: &[&[0, 1], &[0, 1], &[0, 2], &[2, 1]],
-        },
+    /// The statements of the property — SpMV, SpMM, SDDMM, TTV, MTTKRP,
+    /// TTM, an inner product and a Hadamard product — with `B` compressed
+    /// (`ds`, or `dds` for the order-3 ones), and the largest extent a
+    /// variable draws: the iteration space of a four-variable statement
+    /// stays near that of a three-variable one.
+    const SUBJECTS: [(&str, i64); 8] = [
+        ("a(i) = B(i,j) * c(j)", 40),
+        ("A(i,j) = B(i,k) * C(k,j)", 40),
+        ("A(i,j) = B(i,j) * C(i,k) * D(k,j)", 40),
+        ("A(i,j) = B(i,j,k) * c(k)", 40),
+        ("A(i,l) = B(i,j,k) * C(j,l) * D(k,l)", 16),
+        ("A(i,j,l) = B(i,j,k) * C(k,l)", 16),
+        ("a = B(i,j,k) * C(i,j,k)", 40),
+        ("A(i,j) = B(i,j) * C(i,j) * D(i,j)", 40),
     ];
 
-    /// 512 seeded cases per leaf against both oracles, bit for bit.
+    /// 512 seeded cases per statement against both oracles, bit for bit.
     ///
     /// The scan oracle visits the same stored entries in the same order,
     /// so it must agree on *any* data. The interpreter visits every point:
@@ -634,21 +658,17 @@ mod tests {
     /// compressed operand holds NaN payloads, `-0.0`, subnormals and
     /// `±1e300` either way.
     #[test]
-    fn csr_leaves_match_the_scan_and_the_interpreter_bit_for_bit() {
-        for (which, subject) in SUBJECTS.iter().enumerate() {
-            let interpreter =
-                InterpreterKernel::new(Assignment::parse(subject.statement).unwrap(), true);
-            let n_vars = subject
-                .accesses
-                .iter()
-                .flat_map(|a| a.iter())
-                .max()
-                .unwrap()
-                + 1;
+    fn the_leaf_matches_the_scan_and_the_interpreter_bit_for_bit() {
+        for (which, &(statement, max_extent)) in SUBJECTS.iter().enumerate() {
+            let assignment = Assignment::parse(statement).unwrap();
+            let leaf = CsrLeaf::new(&assignment).expect("a sparse-leaf statement");
+            let interpreter = InterpreterKernel::new(assignment.clone(), true);
+            let accesses = assignment.access_positions();
+            let n_vars = assignment.all_vars().len();
             let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (which as u64 + 1));
             let (mut strict, mut face_local, mut clamped_away) = (0, 0, 0);
             for case in 0..512 {
-                let extents: Vec<i64> = (0..n_vars).map(|_| rng.extent()).collect();
+                let extents: Vec<i64> = (0..n_vars).map(|_| rng.extent(max_extent)).collect();
                 // Leaf bounds per variable: the whole extent, or a
                 // sub-range that is strict at both ends where the extent
                 // has room for one.
@@ -672,8 +692,8 @@ mod tests {
                 let tile = |access: &[usize]| rect_over(access.iter().map(|&v| bounds[v]));
                 let whole =
                     |access: &[usize]| rect_over(access.iter().map(|&v| (0, extents[v] - 1)));
-                let b_vars = subject.accesses[1];
-                let col = b_vars[1];
+                let b_vars = &accesses[1];
+                let col = b_vars[b_vars.len() - 1];
                 if bounds[col].0 > 0 && bounds[col].1 < extents[col] - 1 && !clamped {
                     strict += 1;
                 }
@@ -721,11 +741,11 @@ mod tests {
                 // stored values inside it.
                 let wild = case % 4 == 3;
                 let dense_value = if wild { Rng::any } else { Rng::finite };
-                let others: Vec<OwnedArg> = subject.accesses[2..]
+                let others: Vec<OwnedArg> = accesses[2..]
                     .iter()
                     .map(|access| wide_arg(&mut rng, tile(access), dense_value))
                     .collect();
-                let mut out = wide_arg(&mut rng, tile(subject.accesses[0]), |_| f64::NAN);
+                let mut out = wide_arg(&mut rng, tile(&accesses[0]), |_| f64::NAN);
                 for p in out.rect.clone().points() {
                     let v = rng.finite();
                     let keep_negative_zero = wild || v.to_bits() != (-0.0f64).to_bits();
@@ -739,13 +759,13 @@ mod tests {
                     run_on(&mut args, &scalars, kernel);
                     bits(&args[0].data)
                 };
-                let got = run(&|ctx| subject.leaf.execute(ctx), &b_csr);
+                let got = run(&|ctx| leaf.execute(ctx), &b_csr);
                 let what = format!(
-                    "{} case {case}: extents {extents:?} bounds {bounds:?} density {density} \
-                     form {form}",
-                    subject.leaf.name()
+                    "`{statement}` case {case}: extents {extents:?} bounds {bounds:?} \
+                     density {density} form {form}"
                 );
-                assert!(got == run(&subject.scan, &b_dense), "{what}: vs the scan");
+                let scanned = run(&|ctx| scan(&assignment, ctx), &b_dense);
+                assert!(got == scanned, "{what}: vs the scan");
                 if !wild {
                     let want = run(&|ctx| interpreter.execute(ctx), &b_dense);
                     assert!(got == want, "{what}: vs the interpreter");
@@ -755,12 +775,8 @@ mod tests {
                 }
             }
             // The generator reaches what the property is for.
-            assert!(
-                strict >= 64,
-                "{}: {strict} strict tiles",
-                subject.leaf.name()
-            );
-            assert!(face_local >= 64, "{}: {face_local}", subject.leaf.name());
+            assert!(strict >= 64, "`{statement}`: {strict} strict tiles");
+            assert!(face_local >= 64, "`{statement}`: {face_local}");
             assert_eq!(clamped_away, 32);
         }
     }

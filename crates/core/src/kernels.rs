@@ -167,11 +167,11 @@ fn eval_expr(e: &Expr, values: &mut impl Iterator<Item = f64>) -> f64 {
 }
 
 /// True when the right-hand side is a product of *accesses only* — no
-/// literal factors, no sums. The shape guards (`is_matmul`, `is_spmv`,
-/// `is_sddmm`) only inspect the access list, so a statement like
-/// `A(i,j) = B(i,k) * C(k,j) * 3.0` matches them; the specialized leaves
-/// (GEMM, sparse SpMV/SpMM/SDDMM) compute only the access product and
-/// would silently drop the literal — this check keeps them honest.
+/// literal factors, no sums. The shape guard `is_matmul` only inspects the
+/// access list, so a statement like `A(i,j) = B(i,k) * C(k,j) * 3.0`
+/// matches it; the specialized leaves (GEMM, the sparse leaf) compute only
+/// the access product and would silently drop the literal — this check
+/// keeps them honest.
 pub(crate) fn rhs_is_access_product(a: &Assignment) -> bool {
     fn pure(e: &Expr) -> bool {
         match e {
@@ -200,54 +200,6 @@ pub(crate) fn is_matmul(a: &Assignment) -> bool {
     let k = &red[0];
     inputs[0].indices == vec![i.clone(), k.clone()]
         && inputs[1].indices == vec![k.clone(), j.clone()]
-}
-
-/// True for `a(i) = B(i,j) * c(j)`-shaped statements (any var names): the
-/// matrix-vector product, SpMV when B is compressed.
-pub(crate) fn is_spmv(a: &Assignment) -> bool {
-    if a.lhs.indices.len() != 1 {
-        return false;
-    }
-    let inputs = a.input_accesses();
-    if inputs.len() != 2 || !matches!(a.rhs, Expr::Mul(_, _)) {
-        return false;
-    }
-    let i = &a.lhs.indices[0];
-    let red = a.reduction_vars();
-    if red.len() != 1 {
-        return false;
-    }
-    let j = &red[0];
-    inputs[0].indices == vec![i.clone(), j.clone()] && inputs[1].indices == vec![j.clone()]
-}
-
-/// True for `A(i,j) = B(i,j) * C(i,k) * D(k,j)`-shaped statements (any var
-/// names): the sampled dense-dense matrix multiply, SDDMM when B is
-/// compressed.
-pub(crate) fn is_sddmm(a: &Assignment) -> bool {
-    if a.lhs.indices.len() != 2 {
-        return false;
-    }
-    let inputs = a.input_accesses();
-    if inputs.len() != 3 {
-        return false;
-    }
-    // A left-leaning pure product of the three accesses.
-    let Expr::Mul(outer, _) = &a.rhs else {
-        return false;
-    };
-    if !matches!(outer.as_ref(), Expr::Mul(_, _)) {
-        return false;
-    }
-    let (i, j) = (&a.lhs.indices[0], &a.lhs.indices[1]);
-    let red = a.reduction_vars();
-    if red.len() != 1 {
-        return false;
-    }
-    let k = &red[0];
-    inputs[0].indices == vec![i.clone(), j.clone()]
-        && inputs[1].indices == vec![i.clone(), k.clone()]
-        && inputs[2].indices == vec![k.clone(), j.clone()]
 }
 
 /// True when an expression is bandwidth-bound at the leaves (element-wise
@@ -334,20 +286,13 @@ mod tests {
         assert!(!is_matmul(&distal_ir::expr::kernels::innerprod()));
         // Same shape, different names, still a matmul.
         assert!(is_matmul(&parse("X(p,q) = Y(p,r) * Z(r,q)")));
-        assert!(is_spmv(&parse("a(i) = B(i,j) * c(j)")) && !is_spmv(&matmul));
-        assert!(is_sddmm(&parse("A(i,j) = B(i,j) * C(i,k) * D(k,j)")) && !is_sddmm(&matmul));
-        // The guards only look at the access list, so a trailing literal
-        // factor still matches them — `rhs_is_access_product` is what
-        // keeps the specialized leaves (which compute only the access
-        // product) from silently dropping it.
-        for with_literal in [
-            "a(i) = B(i,j) * c(j) * 3.0",
-            "A(i,j) = B(i,k) * C(k,j) * 2.0",
-        ] {
-            let a = parse(with_literal);
-            assert!(is_spmv(&a) || is_matmul(&a), "shape guard still matches");
-            assert!(!rhs_is_access_product(&a));
-        }
+        // The guard only looks at the access list, so a trailing literal
+        // factor still matches it — `rhs_is_access_product` is what keeps
+        // the specialized leaves (which compute only the access product)
+        // from silently dropping it.
+        let with_literal = parse("A(i,j) = B(i,k) * C(k,j) * 2.0");
+        assert!(is_matmul(&with_literal), "shape guard still matches");
+        assert!(!rhs_is_access_product(&with_literal));
         assert!(rhs_is_access_product(&matmul));
     }
 

@@ -35,12 +35,12 @@ use std::sync::Arc;
 /// ([`crate::region::LogicalRegion::csr`]), or a face the SPMD rank VM
 /// has just compressed: `sparse` is the image, `data` is empty (the
 /// element accessors below must not be used) and `alloc` is the rectangle
-/// the image covers — its row `r` is outer coordinate `alloc.lo()[0] + r`
-/// and a stored `crd` value `c` is innermost coordinate
-/// `alloc.lo()[dim - 1] + c`. The image is shared and immutable; `rect`
-/// is still the part of it the task may read, so a task's slab is
-/// `pos[ilo - alloc.lo()[0]] .. pos[ihi - alloc.lo()[0] + 1]` of the
-/// shared arrays. Only a kernel that names the argument in
+/// the image covers — its row `r` is the row-major linearization of the
+/// outer coordinates over `alloc`'s outer dimensions (for a matrix,
+/// `alloc.lo()[0] + r`), and a stored `crd` value `c` is innermost
+/// coordinate `alloc.lo()[dim - 1] + c`. The image is shared and
+/// immutable; `rect` is still the part of it the task may read, so a
+/// task walks only the rows `rect` spans of the shared arrays. Only a kernel that names the argument in
 /// [`Kernel::sparse_arg`] is handed this form by a compiled plan.
 #[derive(Debug)]
 pub struct KernelArg<'a> {

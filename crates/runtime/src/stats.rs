@@ -31,7 +31,7 @@ pub enum CopyKind {
 }
 
 /// Per-kernel-variant execution totals: how much work ran under each
-/// generated-leaf class (`interpreter`, `tape`, `gemm.gen`, `spmv.gen`,
+/// generated-leaf class (`interpreter`, `tape`, `gemm.gen`, `csr.gen`,
 /// …). Accumulated in the shared timing pass, so the totals are identical
 /// on any number of workers by construction.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -117,7 +117,7 @@ pub struct RunStats {
     /// Busy seconds per processor (indexed by `ProcId.0`).
     pub proc_busy_s: Vec<f64>,
     /// Work executed per kernel variant (`interpreter`, `tape`,
-    /// `gemm.gen`, `spmv.gen`, …).
+    /// `gemm.gen`, `csr.gen`, …).
     pub task_classes: BTreeMap<String, KernelClassStats>,
     /// Copy log (only when requested).
     pub copy_log: Option<Vec<CopyLogEntry>>,

@@ -2,9 +2,9 @@
 //! [`SparseBuffer`]s.
 //!
 //! Pure functions ([`spmv`], [`spmm`], [`sddmm`]) used by tests and benches
-//! as the oracle for the generated leaves `spmv.gen` / `spmm.gen` /
-//! `sddmm.gen`, which live in `distal_core::kernelgen` and walk the same
-//! stored entries, in the same order, over row slabs of a shared buffer.
+//! as an oracle for the sparse leaf `csr.gen`, which lives in
+//! `distal_core::kernelgen` and, on these three statements, walks the same
+//! stored entries, in the same order, over the rows of a shared buffer.
 //!
 //! # Bit-parity with the dense leaves
 //!

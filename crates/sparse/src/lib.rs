@@ -20,12 +20,12 @@
 //!   holds one as its data image, and re-exported here under the paths
 //!   it has always had;
 //! * [`kernels`] — SpMV, SpMM and SDDMM as pure functions over whole
-//!   [`SparseBuffer`]s: the reference the generated leaves are tested
-//!   against, with the `±0.0` argument for why iterating only stored
-//!   coordinates is bit-identical to the dense leaves on the same data.
-//!   The generated leaves themselves (`spmv.gen`, `spmm.gen`,
-//!   `sddmm.gen`) belong to `distal_core::kernelgen`, which chooses them
-//!   and decides — once, at plan time — which tensor they read as CSR;
+//!   [`SparseBuffer`]s: a reference the sparse leaf is tested against,
+//!   with the `±0.0` argument for why iterating only stored coordinates
+//!   is bit-identical to the dense leaves on the same data. The leaf
+//!   itself, `csr.gen`, one driver for every statement it takes, lives in
+//!   `distal_core::kernelgen`, which decides — once, at plan time — which
+//!   tensor it reads as CSR;
 //! * accounting helpers ([`stored_entries`], [`csr_payload_bytes`],
 //!   [`estimated_payload_bytes`], [`csr_payload_scale`]) shared by the
 //!   runtime's copy accounting and the SPMD backend's nnz-sized messages.

@@ -2,7 +2,8 @@
 //! or schedule the shared lowering refuses is one typed `CompileError` on
 //! the runtime backend and on the SPMD backend (executing or pricing), and
 //! both run the same leaf for the same statement, so they agree with each
-//! other and the interpreter even on operands holding Inf or NaN. A bound
+//! other even on operands holding Inf or NaN — and with the interpreter
+//! too, unless the sparse leaf skips an unstored entry opposite one. A bound
 //! output means one thing too: `=` ignores it on every backend, and a
 //! `+=` adds to it whatever the schedule.
 
@@ -22,27 +23,34 @@ fn matmul_with_c(c_dims: Vec<i64>) -> Problem {
     problem
 }
 
-/// TTV `A(i,j) = B(i,j,k) * c(k)` on a 2-rank line, `B` compressed
-/// (`dds`) with a +0.0 at (0, 0, 1) and `c = [0.5, Inf, -1.5, 2.0]`, rows
-/// of `i` distributed.
-fn ttv_with_an_inf() -> (Problem, Schedule) {
+/// TTV `A(i,j) = B(i,j,k) * c(k)` on a 2-rank line with a +0.0 at
+/// `B(0, 0, 1)` and `c = [0.5, Inf, -1.5, 2.0]`, rows of `i` distributed;
+/// `compressed` names the operand stored compressed (`B` as `dds`, `c` as
+/// `s`), the other is dense.
+fn ttv_with_an_inf(compressed: &str) -> (Problem, Schedule) {
     let n = 4;
     let machine = DistalMachine::flat(Grid::line(2), ProcKind::Cpu);
     let mut problem = Problem::new(MachineSpec::small(2), machine);
     problem.statement("A(i,j) = B(i,j,k) * c(k)").unwrap();
     let rows = Format::parse("xy->x", MemKind::Sys).unwrap();
-    let csr = Format::parse_levels("xyz->x", "dds", MemKind::Sys).unwrap();
-    let whole = Format::undistributed_in(MemKind::Global);
+    let (b, c) = match compressed {
+        "B" => (
+            Format::parse_levels("xyz->x", "dds", MemKind::Sys).unwrap(),
+            Format::undistributed(),
+        ),
+        _ => (
+            Format::parse("xyz->x", MemKind::Sys).unwrap(),
+            Format::undistributed().with_levels(vec![LevelFormat::Compressed]),
+        ),
+    };
     for (name, dims, format) in [
         ("A", vec![n, n], rows),
-        ("B", vec![n, n, n], csr),
-        ("c", vec![n], whole),
+        ("B", vec![n, n, n], b),
+        ("c", vec![n], c),
     ] {
         problem.tensor(TensorSpec::new(name, dims, format)).unwrap();
     }
-    let mut b = distal::core::random_data((n * n * n) as usize, 0xB);
-    b[1] = 0.0;
-    problem.set_data("B", b).unwrap();
+    problem.set_data("B", ttv_b(n)).unwrap();
     let c = vec![0.5, f64::INFINITY, -1.5, 2.0];
     problem.set_data("c", c).unwrap();
     let schedule = Schedule::new()
@@ -50,6 +58,13 @@ fn ttv_with_an_inf() -> (Problem, Schedule) {
         .reorder(&["io", "ii"])
         .distribute(&["io"]);
     (problem, schedule)
+}
+
+/// The `B` of [`ttv_with_an_inf`], `n³` row-major.
+fn ttv_b(n: i64) -> Vec<f64> {
+    let mut b = distal::core::random_data((n * n * n) as usize, 0xB);
+    b[1] = 0.0;
+    b
 }
 
 #[test]
@@ -68,7 +83,7 @@ fn every_lowering_error_is_one_typed_error_on_both_backends() {
         rest = inner;
     }
     let deep = deep.communicate(&["B"], &format!("i{depth}"));
-    let (ttv, ttv_schedule) = ttv_with_an_inf();
+    let (ttv, ttv_schedule) = ttv_with_an_inf("B");
     let cases = [
         (
             "unknown loop variable",
@@ -217,31 +232,68 @@ fn an_increment_adds_to_its_bound_output_under_every_schedule() {
     }
 }
 
+fn assert_bits(want: &[f64], got: &[f64], which: &str) {
+    assert_eq!(want.len(), got.len(), "{which}: lengths");
+    for (i, (x, y)) in want.iter().zip(got).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{which} idx {i}: {x} vs {y}");
+    }
+}
+
 #[test]
 fn non_finite_operands_agree_with_the_interpreter_on_every_backend() {
     // 0 · Inf is NaN, so `A(0, 0)` is NaN for any leaf that visits the
-    // point where `B` holds +0.0 opposite `c`'s Inf. TTV has no CSR leaf,
-    // so no backend's leaf skips that point: every execution is the
-    // interpreter's, bit for bit.
-    let (problem, schedule) = ttv_with_an_inf();
+    // point where `B` holds +0.0 opposite `c`'s Inf. With `c` the
+    // compressed operand no leaf takes it compressed, so no backend's leaf
+    // skips that point: every execution is the interpreter's, bit for bit.
+    let (problem, schedule) = ttv_with_an_inf("c");
     let interpreted = schedule.clone().substitute(&["ii"], LeafKind::Interpreter);
-    let read = |backend: &dyn Backend, schedule: &Schedule| {
-        let mut instance = problem.compile(backend, schedule).unwrap();
-        instance.run().unwrap();
-        instance.read("A").unwrap()
-    };
-    let want = read(&RuntimeBackend::functional(), &interpreted);
+    let want = read_a(&problem, &RuntimeBackend::functional(), &interpreted).unwrap();
     assert!(want[0].is_nan(), "A(0, 0) = {}", want[0]);
     let threaded = SpmdBackend::new().with_transport(Transport::threaded_with(2));
-    for (which, got) in [
-        ("runtime", read(&RuntimeBackend::functional(), &schedule)),
-        ("spmd", read(&SpmdBackend::new(), &schedule)),
-        ("spmd threaded", read(&threaded, &schedule)),
-        ("spmd interpreter", read(&SpmdBackend::new(), &interpreted)),
+    for (which, backend, schedule) in [
+        (
+            "runtime",
+            &RuntimeBackend::functional() as &dyn Backend,
+            &schedule,
+        ),
+        ("spmd", &SpmdBackend::new(), &schedule),
+        ("spmd threaded", &threaded, &schedule),
+        ("spmd interpreter", &SpmdBackend::new(), &interpreted),
     ] {
-        assert_eq!(want.len(), got.len(), "{which}: lengths");
-        for (i, (x, y)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{which} idx {i}: {x} vs {y}");
+        assert_bits(&want, &read_a(&problem, backend, schedule).unwrap(), which);
+    }
+}
+
+#[test]
+fn a_compressed_operand_skips_its_unstored_entries_on_every_backend() {
+    // With `B` compressed every backend runs the sparse leaf, which never
+    // visits the +0.0 `B` does not store: `A(0, 0)` stays finite, and the
+    // three executions agree with each other and with a zero-skipping
+    // scan. The interpreter visits every point, so its runs agree with
+    // each other on a NaN there — the documented non-finite exception.
+    let n = 4;
+    let (problem, schedule) = ttv_with_an_inf("B");
+    let (b, c) = (ttv_b(n), [0.5, f64::INFINITY, -1.5, 2.0]);
+    let mut want = vec![0.0; (n * n) as usize];
+    for (a, row) in want.iter_mut().zip(b.chunks(n as usize)) {
+        for (&b, &c) in row.iter().zip(&c) {
+            if b.to_bits() != 0 {
+                *a += b * c;
+            }
         }
     }
+    assert!(want[0].is_finite(), "A(0, 0) = {}", want[0]);
+    let threaded = SpmdBackend::new().with_transport(Transport::threaded_with(2));
+    for (which, backend) in [
+        ("runtime", &RuntimeBackend::functional() as &dyn Backend),
+        ("spmd", &SpmdBackend::new()),
+        ("spmd threaded", &threaded),
+    ] {
+        assert_bits(&want, &read_a(&problem, backend, &schedule).unwrap(), which);
+    }
+    let interpreted = schedule.substitute(&["ii"], LeafKind::Interpreter);
+    let runtime = read_a(&problem, &RuntimeBackend::functional(), &interpreted).unwrap();
+    assert!(runtime[0].is_nan(), "A(0, 0) = {}", runtime[0]);
+    let spmd = read_a(&problem, &SpmdBackend::new(), &interpreted).unwrap();
+    assert_bits(&runtime, &spmd, "spmd interpreter");
 }

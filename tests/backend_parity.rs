@@ -562,7 +562,7 @@ fn generated_sparse_kernels_match_interpreter_at_both_densities() {
             );
             if compressed {
                 assert!(
-                    report.kernel_classes.contains_key("spmv.gen"),
+                    report.kernel_classes.contains_key("csr.gen"),
                     "spmv d={density}: dispatched {:?}",
                     report.kernel_classes.keys().collect::<Vec<_>>()
                 );
@@ -581,7 +581,7 @@ fn generated_sparse_kernels_match_interpreter_at_both_densities() {
             );
             if compressed {
                 assert!(
-                    report.kernel_classes.contains_key("spmm.gen"),
+                    report.kernel_classes.contains_key("csr.gen"),
                     "spmm d={density}: dispatched {:?}",
                     report.kernel_classes.keys().collect::<Vec<_>>()
                 );
@@ -600,7 +600,7 @@ fn generated_sparse_kernels_match_interpreter_at_both_densities() {
             );
             if compressed {
                 assert!(
-                    report.kernel_classes.contains_key("sddmm.gen"),
+                    report.kernel_classes.contains_key("csr.gen"),
                     "sddmm d={density}: dispatched {:?}",
                     report.kernel_classes.keys().collect::<Vec<_>>()
                 );
@@ -643,6 +643,103 @@ fn sddmm_problem(n: i64, density: f64, compressed: bool) -> (Problem, Schedule) 
         .reorder(&["io", "jo", "ii", "ji", "k"])
         .communicate(&["A", "B", "C", "D"], "jo");
     (problem, schedule)
+}
+
+/// TTV or MTTKRP with rows of `i` distributed over a 2-rank line, every
+/// variable of extent `n`, and `B` stored `dds` or dense — the same data
+/// either way; the other inputs sit whole in staging memory.
+fn higher_order_problem(
+    statement: &str,
+    n: i64,
+    density: f64,
+    compressed: bool,
+) -> (Problem, Schedule) {
+    let machine = DistalMachine::flat(Grid::line(2), ProcKind::Cpu);
+    let mut problem = Problem::new(MachineSpec::small(2), machine);
+    problem.statement(statement).unwrap();
+    let assignment = problem.assignment().unwrap().clone();
+    let b_fmt = match compressed {
+        true => Format::parse_levels("xyz->x", "dds", MemKind::Sys).unwrap(),
+        false => Format::parse("xyz->x", MemKind::Sys).unwrap(),
+    };
+    let rows = Format::parse("xy->x", MemKind::Sys).unwrap();
+    for (position, access) in assignment.accesses().into_iter().enumerate() {
+        let format = match position {
+            0 => rows.clone(),
+            1 => b_fmt.clone(),
+            _ => Format::undistributed(),
+        };
+        let dims = vec![n; access.indices.len()];
+        let spec = TensorSpec::new(access.tensor.clone(), dims, format);
+        problem.tensor(spec).unwrap();
+        if position > 1 {
+            problem
+                .fill_random(&access.tensor, position as u64)
+                .unwrap();
+        }
+    }
+    problem.fill_random_sparse("B", 0xB, density).unwrap();
+    let schedule = Schedule::new()
+        .divide("i", "io", "ii", 2)
+        .reorder(&["io", "ii"])
+        .distribute(&["io"]);
+    (problem, schedule)
+}
+
+#[test]
+fn compressed_ttv_and_mttkrp_run_the_sparse_leaf_on_every_backend() {
+    let n: i64 = 6;
+    let threaded = SpmdBackend::new().with_transport(Transport::threaded_with(2));
+    let backends: [(&str, &dyn Backend); 3] = [
+        ("runtime", &RuntimeBackend::functional()),
+        ("spmd", &SpmdBackend::new()),
+        ("spmd threaded", &threaded),
+    ];
+    // Arithmetic per point of the statement, and the points it spans.
+    for (statement, flops_per_point, points) in [
+        ("A(i,j) = B(i,j,k) * c(k)", 2.0, n.pow(3)),
+        ("A(i,l) = B(i,j,k) * C(j,l) * D(k,l)", 3.0, n.pow(4)),
+    ] {
+        for density in [0.01, 0.5] {
+            let (dense, schedule) = higher_order_problem(statement, n, density, false);
+            let (sparse, _) = higher_order_problem(statement, n, density, true);
+            let label = format!("`{statement}` at density {density}");
+            let run = |problem: &Problem, backend: &dyn Backend| {
+                let mut instance = problem.compile(backend, &schedule).unwrap();
+                let report = instance.run().unwrap();
+                (instance.read("A").unwrap(), report)
+            };
+            let (want, dense_report) = run(&dense, &RuntimeBackend::functional());
+            assert!(!dense_report.kernel_classes.contains_key("csr.gen"));
+            for (which, backend) in backends {
+                let (got, report) = run(&sparse, backend);
+                assert!(
+                    report.kernel_classes.contains_key("csr.gen"),
+                    "{label} [{which}]: dispatched {:?}",
+                    report.kernel_classes.keys().collect::<Vec<_>>()
+                );
+                assert_eq!(want.len(), got.len(), "{label} [{which}]");
+                for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{label} [{which}] idx {i}");
+                }
+            }
+            // The runtime charges the leaf the share of the iteration
+            // space `B` stores, as it does SpMV's.
+            let nnz = sparse.nnz_of("B").unwrap() as f64;
+            let (_, report) = run(&sparse, &RuntimeBackend::functional());
+            let want_flops = flops_per_point * points as f64 * nnz / n.pow(3) as f64;
+            assert!(
+                (report.flops - want_flops).abs() < 1e-6 * want_flops.max(1.0),
+                "{label}: {} flops, want {want_flops}",
+                report.flops
+            );
+            assert_eq!(
+                dense_report.flops,
+                flops_per_point * points as f64,
+                "{label}"
+            );
+        }
+    }
 }
 
 #[test]

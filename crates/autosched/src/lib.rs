@@ -31,6 +31,10 @@
 //!    memory (the 3D algorithms at scale, §7.1.2) are reported infeasible
 //!    rather than silently dropped.
 //!
+//! Both steps report a malformed input — an expression that does not
+//! parse, a tensor without a shape, shapes that disagree on an extent —
+//! as the [`distal_core::CompileError`] compiling it would give.
+//!
 //! The search therefore *rediscovers* the classic algorithms from the
 //! machine description: square grids favour the 2D family, cubes with
 //! spare memory favour the 3D family, and tight framebuffers knock the 3D
@@ -62,4 +66,4 @@ pub mod search;
 pub mod space;
 
 pub use search::{AutoScheduler, Evaluation, SearchConfig, SearchResult};
-pub use space::{enumerate_candidates, AutoschedError, Candidate, SpaceOptions};
+pub use space::{enumerate_candidates, Candidate, SpaceOptions};

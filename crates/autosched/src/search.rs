@@ -7,11 +7,13 @@
 //! makespan (`distal_spmd::CostBackend::alpha_beta`), or even functional
 //! execution. Each candidate becomes one [`Problem`] (its grid + formats)
 //! compiled through the shared pipeline; whatever the backend's
-//! [`Report`](distal_core::Report) says is the score.
+//! [`Report`](distal_core::Report) says is the score. A search fails only
+//! where its input does, with the compiler's own [`CompileError`]; a
+//! candidate that fails to plan or run is scored infeasible instead.
 
-use crate::space::{enumerate_candidates, AutoschedError, Candidate, SpaceOptions};
+use crate::space::{enumerate_candidates, Candidate, SpaceOptions};
 use distal_core::{
-    Backend, CacheStats, DistalMachine, Lint, LintConfig, Problem, RuntimeBackend,
+    Backend, CacheStats, CompileError, DistalMachine, Lint, LintConfig, Problem, RuntimeBackend,
     ShardedPlanCache, TensorSpec,
 };
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
@@ -181,13 +183,15 @@ impl AutoScheduler {
     ///
     /// # Errors
     ///
-    /// Propagates enumeration errors ([`AutoschedError`]); evaluation
-    /// failures are per-candidate infeasibility, not errors.
+    /// Enumeration errors ([`enumerate_candidates`]): a
+    /// [`CompileError`] for an expression that does not parse, a tensor
+    /// without a shape, or shapes that disagree. Evaluation failures are
+    /// per-candidate infeasibility, not errors.
     pub fn search(
         &self,
         expr: &str,
         dims: &BTreeMap<String, Vec<i64>>,
-    ) -> Result<SearchResult, AutoschedError> {
+    ) -> Result<SearchResult, CompileError> {
         self.search_with(&RuntimeBackend::model(), expr, dims)
     }
 
@@ -197,13 +201,13 @@ impl AutoScheduler {
     ///
     /// # Errors
     ///
-    /// Propagates enumeration errors ([`AutoschedError`]).
+    /// Enumeration errors, as [`AutoScheduler::search`].
     pub fn search_with(
         &self,
         backend: &dyn Backend,
         expr: &str,
         dims: &BTreeMap<String, Vec<i64>>,
-    ) -> Result<SearchResult, AutoschedError> {
+    ) -> Result<SearchResult, CompileError> {
         let p = self.config.processors();
         let (_, candidates) = enumerate_candidates(expr, dims, p, &self.config.space)?;
         let mut evaluations: Vec<Evaluation> = candidates

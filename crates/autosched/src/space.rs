@@ -1,36 +1,12 @@
 //! Candidate enumeration: the joint (grid, formats, schedule) search space.
 
-use distal_core::Schedule;
+use distal_core::{CompileError, Schedule};
 use distal_format::notation::{DimName, TensorDistribution};
 use distal_format::Format;
 use distal_ir::expr::{Assignment, IndexVar};
 use distal_machine::grid::Grid;
 use distal_machine::spec::MemKind;
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// Errors from candidate enumeration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AutoschedError {
-    /// The expression failed to parse.
-    Expression(String),
-    /// A tensor in the expression has no dimension information.
-    MissingDims(String),
-    /// Tensor shapes disagree about a variable's extent.
-    InconsistentExtents,
-}
-
-impl fmt::Display for AutoschedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AutoschedError::Expression(e) => write!(f, "expression error: {e}"),
-            AutoschedError::MissingDims(t) => write!(f, "missing dims for tensor '{t}'"),
-            AutoschedError::InconsistentExtents => write!(f, "inconsistent index extents"),
-        }
-    }
-}
-
-impl std::error::Error for AutoschedError {}
 
 /// One point of the search space: a machine organization, a format per
 /// tensor, and a schedule — the three things Figure 1 asks the user for.
@@ -271,23 +247,26 @@ fn distribute_prefix(
 ///
 /// # Errors
 ///
-/// Propagates parse/extent failures as [`AutoschedError`].
+/// [`CompileError::Expression`] when `expr` does not parse,
+/// [`CompileError::UnknownTensor`] for a tensor `dims` has no shape for,
+/// and [`CompileError::InconsistentExtents`] when the shapes disagree on
+/// an index variable's extent.
 pub fn enumerate_candidates(
     expr: &str,
     dims: &BTreeMap<String, Vec<i64>>,
     p: i64,
     options: &SpaceOptions,
-) -> Result<(Assignment, Vec<Candidate>), AutoschedError> {
+) -> Result<(Assignment, Vec<Candidate>), CompileError> {
     let assignment =
-        Assignment::parse(expr).map_err(|e| AutoschedError::Expression(e.to_string()))?;
+        Assignment::parse(expr).map_err(|e| CompileError::Expression(e.to_string()))?;
     for acc in assignment.accesses() {
         if !dims.contains_key(&acc.tensor) {
-            return Err(AutoschedError::MissingDims(acc.tensor.clone()));
+            return Err(CompileError::UnknownTensor(acc.tensor.clone()));
         }
     }
     let extents = assignment
         .infer_extents(dims)
-        .ok_or(AutoschedError::InconsistentExtents)?;
+        .ok_or(CompileError::InconsistentExtents)?;
     let free = assignment.free_vars();
     let reductions = assignment.reduction_vars();
     // The reduction variable streamed sequentially: the largest one.
@@ -669,11 +648,11 @@ mod tests {
         let opts = SpaceOptions::new(MemKind::Sys);
         assert!(matches!(
             enumerate_candidates("not an expression", &BTreeMap::new(), 4, &opts),
-            Err(AutoschedError::Expression(_))
+            Err(CompileError::Expression(_))
         ));
         assert!(matches!(
             enumerate_candidates("A(i,j) = B(i,k) * C(k,j)", &BTreeMap::new(), 4, &opts),
-            Err(AutoschedError::MissingDims(_))
+            Err(CompileError::UnknownTensor(t)) if t == "A"
         ));
         let mut bad = BTreeMap::new();
         bad.insert("A".to_string(), vec![4, 4]);
@@ -681,7 +660,7 @@ mod tests {
         bad.insert("C".to_string(), vec![4, 4]);
         assert!(matches!(
             enumerate_candidates("A(i,j) = B(i,k) * C(k,j)", &bad, 4, &opts),
-            Err(AutoschedError::InconsistentExtents)
+            Err(CompileError::InconsistentExtents)
         ));
     }
 }

@@ -487,7 +487,7 @@ fn leaf_overhead(core_gflops: f64) -> LeafOverhead {
     .expect("the SUMMA problem");
     problem.fill_random("B", 0xB).unwrap();
     problem.fill_random("C", 0xC).unwrap();
-    let bindings = distal_core::Bindings::from_problem(&problem);
+    let bindings = problem.bindings();
     let plan = distal_spmd::SpmdBackend::new()
         .plan(&problem, &schedule)
         .expect("the SUMMA plan");

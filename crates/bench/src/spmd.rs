@@ -70,7 +70,7 @@ use crate::args::Args;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
 use distal_core::nest::{Env, Nest};
-use distal_core::{oracle, Backend, Bindings, Problem, RuntimeBackend, Schedule};
+use distal_core::{oracle, Backend, Problem, RuntimeBackend, Schedule};
 use distal_ir::expr::Assignment;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_spmd::{
@@ -328,7 +328,7 @@ fn vm_overhead(p: i64, n: i64, threads: usize) -> VmOverhead {
     let (mut problem, schedule) = figure9_problem(MatmulAlgorithm::Summa, p, n);
     problem.fill_random("B", 11).unwrap();
     problem.fill_random("C", 13).unwrap();
-    let bindings = Bindings::from_problem(&problem);
+    let bindings = problem.bindings();
 
     let fastest_execute = |backend: &dyn Backend| -> (f64, Vec<f64>) {
         let name = backend.name().to_string();

@@ -162,8 +162,7 @@ pub trait Backend: fmt::Debug {
         problem: &Problem,
         schedule: &Schedule,
     ) -> Result<Box<dyn Instance>, BackendError> {
-        self.plan(problem, schedule)?
-            .bind(&Bindings::from_problem(problem))
+        self.plan(problem, schedule)?.bind(&problem.bindings())
     }
 }
 

@@ -67,7 +67,7 @@
 use crate::backend::BackendError;
 use crate::error::CompileError;
 use crate::problem::TensorSpec;
-use crate::problem::{sparse_random_values, Problem, TensorInit};
+use crate::problem::{sparse_random_values, TensorInit};
 use crate::report::Report;
 use distal_sparse::{stored_entries, SparseBuffer};
 use std::collections::BTreeMap;
@@ -86,15 +86,6 @@ impl Bindings {
     /// Empty bindings (every tensor unseeded).
     pub fn new() -> Self {
         Bindings::default()
-    }
-
-    /// The bindings a [`Problem`]'s own initializers describe — what
-    /// [`Problem::compile`] binds, making `compile` exactly
-    /// `plan(...)` + `bind(problem bindings)`.
-    pub fn from_problem(problem: &Problem) -> Self {
-        Bindings {
-            init: problem.inits().clone(),
-        }
     }
 
     /// Seeds a tensor with explicit row-major data (validated against the
@@ -487,6 +478,7 @@ mod tests {
     #[test]
     fn from_problem_mirrors_inits() {
         use crate::machine::DistalMachine;
+        use crate::problem::Problem;
         use distal_machine::grid::Grid;
         use distal_machine::spec::{MachineSpec, ProcKind};
         let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
@@ -494,7 +486,7 @@ mod tests {
         let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
         p.tensor(TensorSpec::new("B", vec![2, 2], f)).unwrap();
         p.fill_random("B", 9).unwrap();
-        let b = Bindings::from_problem(&p);
+        let b = p.bindings();
         assert_eq!(b.get("B"), Some(&TensorInit::Random(9)));
         assert!(Bindings::new().is_empty());
     }

@@ -204,13 +204,16 @@ impl TensorInit {
 
 /// A statement + registered tensors + abstract machine, ready to compile
 /// onto any backend. See the [module docs](self) and the crate example.
+///
+/// Its tensors' initial data are held as [`Bindings`], the form a request
+/// binds to a plan; [`Problem::compile`] binds exactly those.
 #[derive(Clone, Debug)]
 pub struct Problem {
     spec: MachineSpec,
     machine: DistalMachine,
     statement: Option<Assignment>,
     tensors: BTreeMap<String, TensorSpec>,
-    init: BTreeMap<String, TensorInit>,
+    data: Bindings,
 }
 
 impl Problem {
@@ -221,7 +224,7 @@ impl Problem {
             machine,
             statement: None,
             tensors: BTreeMap::new(),
-            init: BTreeMap::new(),
+            data: Bindings::new(),
         }
     }
 
@@ -296,17 +299,7 @@ impl Problem {
     ///
     /// Unknown tensors and size mismatches.
     pub fn set_data(&mut self, name: &str, data: Vec<f64>) -> Result<&mut Self, CompileError> {
-        let spec = self
-            .tensors
-            .get(name)
-            .ok_or_else(|| CompileError::UnknownTensor(name.into()))?;
-        let init = TensorInit::Data(Arc::new(data));
-        // The typed length check: a mis-sized `Data` initializer would
-        // otherwise materialize silently (`d.clone()` regardless of the
-        // registered shape) and fail much later, inside a backend.
-        init.validate(name, &spec.dims)?;
-        self.init.insert(name.into(), init);
-        Ok(self)
+        self.bind(name, TensorInit::Data(Arc::new(data)))
     }
 
     /// Fills a tensor with a constant.
@@ -315,9 +308,7 @@ impl Problem {
     ///
     /// Unknown tensor names.
     pub fn fill(&mut self, name: &str, value: f64) -> Result<&mut Self, CompileError> {
-        self.require(name)?;
-        self.init.insert(name.into(), TensorInit::Value(value));
-        Ok(self)
+        self.bind(name, TensorInit::Value(value))
     }
 
     /// Seeds a tensor with deterministic pseudo-random values in `[-1, 1)`
@@ -327,9 +318,7 @@ impl Problem {
     ///
     /// Unknown tensor names.
     pub fn fill_random(&mut self, name: &str, seed: u64) -> Result<&mut Self, CompileError> {
-        self.require(name)?;
-        self.init.insert(name.into(), TensorInit::Random(seed));
-        Ok(self)
+        self.bind(name, TensorInit::Random(seed))
     }
 
     /// Seeds a tensor with deterministic pseudo-random values thinned to
@@ -352,13 +341,20 @@ impl Problem {
         seed: u64,
         density: f64,
     ) -> Result<&mut Self, CompileError> {
+        self.bind(name, TensorInit::RandomSparse { seed, density })
+    }
+
+    /// The one door of every setter: `init` is checked against the
+    /// tensor's registered shape by [`TensorInit::validate`], the check
+    /// [`Plan::bind`] makes, so a bad initializer is the same error here
+    /// as there — never one that surfaces later, inside a backend.
+    fn bind(&mut self, name: &str, init: TensorInit) -> Result<&mut Self, CompileError> {
         let spec = self
             .tensors
             .get(name)
             .ok_or_else(|| CompileError::UnknownTensor(name.into()))?;
-        let init = TensorInit::RandomSparse { seed, density };
         init.validate(name, &spec.dims)?;
-        self.init.insert(name.into(), init);
+        self.data.set_init(name, init);
         Ok(self)
     }
 
@@ -376,19 +372,14 @@ impl Problem {
     /// stream to count the surviving entries exactly.
     pub fn nnz_of(&self, name: &str) -> Option<u64> {
         let spec = self.tensors.get(name)?;
-        Some(crate::plan::init_nnz(self.init.get(name)?, &spec.dims))
-    }
-
-    /// All declared initializers.
-    pub fn inits(&self) -> &BTreeMap<String, TensorInit> {
-        &self.init
+        Some(crate::plan::init_nnz(self.data.get(name)?, &spec.dims))
     }
 
     /// Materializes a tensor's initial contents (`None` when the tensor is
     /// unknown or has no initializer).
     pub fn initial_data(&self, name: &str) -> Option<Vec<f64>> {
         let spec = self.tensors.get(name)?;
-        Some(self.init.get(name)?.materialize(&spec.dims))
+        Some(self.data.get(name)?.materialize(&spec.dims))
     }
 
     fn require(&self, name: &str) -> Result<(), CompileError> {
@@ -478,8 +469,8 @@ impl Problem {
             for acc in stmt.accesses() {
                 let spec = self.tensors.get(&acc.tensor).unwrap_or(&ws_spec);
                 stage.tensor(spec.clone())?;
-                if let Some(init) = self.init.get(&acc.tensor) {
-                    stage.init.insert(acc.tensor.clone(), init.clone());
+                if let Some(init) = self.data.get(&acc.tensor) {
+                    stage.data.set_init(acc.tensor.clone(), init.clone());
                 }
             }
             stage.statement = Some(stmt);
@@ -488,10 +479,10 @@ impl Problem {
         Ok((stage(ws_stmt)?, stage(rest_stmt)?))
     }
 
-    /// The bindings this problem's own initializers describe — what
-    /// [`Problem::compile`] attaches to the plan it builds.
+    /// The bindings this problem holds, its setters' initializers — what
+    /// [`Problem::compile`] binds to the plan it builds.
     pub fn bindings(&self) -> Bindings {
-        Bindings::from_problem(self)
+        self.data.clone()
     }
 
     /// Compiles this problem's data-independent part for a schedule onto

@@ -25,6 +25,12 @@
 //! (`"xy->xy @cyclic"`), or ScaLAPACK-style block-cyclic (`"xy->xy @bc64"`)
 //! — see [`notation::PartitionKind`].
 //!
+//! * [`notation`] — the syntax and validity of the notation (Figure 4);
+//! * [`semantics`] — `P` and `F`, and the per-level pieces
+//!   ([`semantics::hierarchical_pieces`]) both backends place data with;
+//! * [`mod@format`] — a tensor's per-level distributions, memory kind and
+//!   level formats (dense or compressed).
+//!
 //! # Example
 //!
 //! ```
@@ -43,7 +49,6 @@
 #![forbid(unsafe_code)]
 
 pub mod format;
-pub mod lower;
 pub mod notation;
 pub mod semantics;
 

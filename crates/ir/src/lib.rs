@@ -16,14 +16,16 @@
 //!   `reorder`, `distribute`, `communicate`, `rotate`;
 //! * [`precompute`] — the `precompute` transformation (§2): hoist a
 //!   subexpression into a workspace tensor, factoring one statement into
-//!   two;
-//! * [`execspace`] — the execution-space model of §3.3 (Figures 6–8), used
-//!   to test `distribute` and `rotate` semantics against the paper exactly.
+//!   two.
+//!
+//! The execution space of `distribute` and `rotate` (§3.3, Figures 6–8) has
+//! no enumerator of its own: a loop nest's points are evaluated through
+//! [`VarSolver::value`], the evaluator both lowerings bind their loop
+//! environments with.
 
 #![forbid(unsafe_code)]
 
 pub mod cin;
-pub mod execspace;
 pub mod expr;
 pub mod precompute;
 pub mod provenance;

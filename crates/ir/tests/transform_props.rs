@@ -183,3 +183,57 @@ fn reorder_rejects_unknown_and_duplicates() {
     assert!(cin.reorder(&[iv("i"), iv("i")]).is_err());
     assert!(cin.reorder(&[iv("nope")]).is_err());
 }
+
+/// The running example of §3.3: `∀i ∀j a(i) = b(j)`, |a| = |b| = |M| = 3.
+fn running_example() -> ConcreteNotation {
+    let extents: BTreeMap<IndexVar, i64> = [(iv("i"), 3), (iv("j"), 3)].into_iter().collect();
+    let a = distal_ir::expr::Assignment::parse("a(i) = b(j)").unwrap();
+    ConcreteNotation::from_assignment(a, &extents).unwrap()
+}
+
+/// The original `j` each processor runs at each time step of `cin`, whose
+/// loops are the distributed processor loop then the one time loop — the
+/// values `Nest::bind_env` hands both lowerings.
+fn execution_table(cin: &ConcreteNotation) -> Vec<Vec<i64>> {
+    let [proc, time] = &cin.loops[..] else {
+        panic!("two loops expected: {:?}", cin.loops)
+    };
+    assert!(proc.distributed && !time.distributed);
+    let s = &cin.solver;
+    let known = |v: &IndexVar| s.id(v).expect("a loop variable");
+    let (p, t, i, j) = (known(&proc.var), known(&time.var), id(s, "i"), id(s, "j"));
+    (0..s.extent(&proc.var))
+        .map(|at| {
+            (0..s.extent(&time.var))
+                .map(|step| {
+                    let mut env = Env::new();
+                    env.bind(p, at);
+                    env.bind(t, step);
+                    assert_eq!(s.value(i, &env), Some(at), "processor = i");
+                    s.value(j, &env).expect("j is a point")
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn figure6_distribute_puts_i_on_processors_and_j_in_time() {
+    let mut cin = running_example();
+    cin.distribute(&[iv("i")]).unwrap();
+    // Every processor walks j in time order: at time t, all run j = t.
+    assert_eq!(execution_table(&cin), vec![vec![0, 1, 2]; 3]);
+}
+
+#[test]
+fn figure8b_rotation_table() {
+    let mut cin = running_example();
+    cin.distribute(&[iv("i")]).unwrap();
+    cin.rotate(&iv("j"), &[iv("i")], iv("js")).unwrap();
+    // P0: 0,1,2; P1: 1,2,0; P2: 2,0,1 — no two processors read one b(j)
+    // at the same time.
+    assert_eq!(
+        execution_table(&cin),
+        vec![vec![0, 1, 2], vec![1, 2, 0], vec![2, 0, 1]]
+    );
+}

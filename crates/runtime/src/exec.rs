@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn writing_a_shared_staging_buffer_copies_it_first() {
-        use crate::program::{Op, Privilege, RegionReq, TaskDesc};
+        use crate::program::{one_task, Privilege, RegionReq, TaskDesc};
         use distal_machine::geom::Point;
         // Large enough for the pool: a buffer this store does not own
         // alone must not be handed to it when the store drops.
@@ -588,12 +588,7 @@ mod tests {
         let proc = rt.machine().cpu_proc(0, 0);
         let global = rt.machine().global_mem();
         let req = RegionReq::new(r, rect, Privilege::ReadWrite, global);
-        p.push(Op::SingleTask(TaskDesc::new(
-            k,
-            proc,
-            Point::zeros(1),
-            vec![req],
-        )));
+        p.push(one_task(TaskDesc::new(k, proc, Point::zeros(1), vec![req])));
         rt.run(&p).unwrap();
         assert_eq!(rt.read_region(r).unwrap(), vec![7.0; n]);
         assert_eq!(*caller, vec![1.0; n], "the caller's data was written");

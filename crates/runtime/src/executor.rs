@@ -458,7 +458,7 @@ mod tests {
     use super::*;
     use crate::exec::{Mode, Runtime};
     use crate::kernel::NoopKernel;
-    use crate::program::{IndexLaunch, Op, Privilege, Program, RegionReq, TaskDesc};
+    use crate::program::{one_task, IndexLaunch, Op, Privilege, Program, RegionReq, TaskDesc};
     use crate::stats::RunStats;
     use crate::topology::PhysicalMachine;
     use distal_machine::geom::{Point, Rect};
@@ -496,7 +496,7 @@ mod tests {
         let k = p.register_kernel(Arc::new(ScaleKernel(2.0)));
         let proc = rt.machine().cpu_proc(0, 0);
         let mem = rt.machine().proc(proc).local_mem;
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             proc,
             Point::zeros(1),
@@ -611,7 +611,7 @@ mod tests {
         let overlap = Arc::new(OverlapKernel::default());
         let k = p.register_kernel(Arc::clone(&overlap) as Arc<dyn Kernel>);
         let read = |rect: Rect| vec![RegionReq::new(r, rect, Privilege::Read, mem)];
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             noop,
             proc,
             Point::zeros(1),
@@ -679,12 +679,7 @@ mod tests {
                 let k = p.register_kernel(Arc::new(DoubleFromAliasKernel { write, read }));
                 let mut reqs = vec![RegionReq::new(r, rect, Privilege::Read, mem); 2];
                 reqs[write].privilege = Privilege::ReadWrite;
-                p.push(Op::SingleTask(TaskDesc::new(
-                    k,
-                    proc,
-                    Point::zeros(1),
-                    reqs,
-                )));
+                p.push(one_task(TaskDesc::new(k, proc, Point::zeros(1), reqs)));
                 rt.run(&p).unwrap();
                 let what = format!("{workers} worker(s) with the write at {write}");
                 assert_eq!(rt.read_region(r).unwrap(), [2.0, 4.0, 6.0, 8.0], "{what}");
@@ -797,12 +792,7 @@ mod tests {
             let proc = rt.machine().cpu_proc(0, 0);
             let mem = rt.machine().proc(proc).local_mem;
             let req = RegionReq::new(b, Rect::sized(&[2, 2]), privilege, mem);
-            p.push(Op::SingleTask(TaskDesc::new(
-                k,
-                proc,
-                Point::zeros(1),
-                vec![req],
-            )));
+            p.push(one_task(TaskDesc::new(k, proc, Point::zeros(1), vec![req])));
             assert_eq!(rt.run(&p).map(|_| ()), refused, "{privilege:?}");
         }
         let mut fill = Program::new();
@@ -853,12 +843,7 @@ mod tests {
                 let mut p = Program::new();
                 let k = p.register_kernel(kernel);
                 let req = RegionReq::new(b, Rect::sized(&[2, 2]), Privilege::ReadWrite, mem);
-                p.push(Op::SingleTask(TaskDesc::new(
-                    k,
-                    proc,
-                    Point::zeros(2),
-                    vec![req],
-                )));
+                p.push(one_task(TaskDesc::new(k, proc, Point::zeros(2), vec![req])));
                 let panic = std::panic::catch_unwind(AssertUnwindSafe(|| rt.run(&p)))
                     .expect_err("a missing buffer went unnoticed");
                 let message = panic.downcast_ref::<String>().expect("a formatted panic");
@@ -913,7 +898,7 @@ mod tests {
         let k = p.register_kernel(Arc::new(PanicKernel));
         let proc = rt.machine().cpu_proc(0, 0);
         let mem = rt.machine().proc(proc).local_mem;
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             proc,
             Point::zeros(1),
@@ -964,7 +949,7 @@ mod tests {
         for (region, kernel, node) in [(r0, kp, 0), (r1, ks, 1)] {
             let proc = rt.machine().cpu_proc(node, 0);
             let mem = rt.machine().proc(proc).local_mem;
-            p.push(Op::SingleTask(TaskDesc::new(
+            p.push(one_task(TaskDesc::new(
                 kernel,
                 proc,
                 Point::zeros(1),
@@ -1036,7 +1021,7 @@ mod tests {
                 )],
             );
             t.flops = flops;
-            p2.push(Op::SingleTask(t));
+            p2.push(one_task(t));
         }
         let serial = rt2.run(&p2).unwrap();
         assert!(
@@ -1071,7 +1056,7 @@ mod tests {
                     )],
                 );
                 t.flops = 1e9;
-                p.push(Op::SingleTask(t));
+                p.push(one_task(t));
                 if with_barrier {
                     p.push(Op::Barrier);
                 }
@@ -1101,7 +1086,7 @@ mod tests {
         let k = p.register_kernel(Arc::new(NoopKernel));
         let p1 = rt.machine().cpu_proc(1, 0);
         let m1 = rt.machine().proc(p1).local_mem;
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             p1,
             Point::zeros(1),

@@ -227,9 +227,6 @@ impl<'a> GraphBuilder<'a> {
         for op in &program.ops {
             match op {
                 Op::Fill { region, value } => b.process_fill(*region, *value)?,
-                Op::SingleTask(t) => {
-                    b.process_task(t)?;
-                }
                 Op::IndexLaunch(IndexLaunch { tasks, .. }) => {
                     for t in tasks {
                         b.process_task(t)?;
@@ -911,7 +908,7 @@ impl<'a> GraphBuilder<'a> {
 mod tests {
     use super::*;
     use crate::exec::{Mode, Runtime};
-    use crate::program::{Op, Program, RegionReq, TaskDesc};
+    use crate::program::{one_task, Op, Program, RegionReq, TaskDesc};
     use crate::topology::PhysicalMachine;
     use distal_machine::spec::MachineSpec;
     use std::sync::Arc;
@@ -933,18 +930,13 @@ mod tests {
         let mem = rt.machine().proc(proc).local_mem;
         let req = RegionReq::new(r, Rect::sized(&[8]), Privilege::Read, mem);
         // Two identical tasks: the second must not copy again.
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             proc,
             Point::zeros(1),
             vec![req.clone()],
         )));
-        p.push(Op::SingleTask(TaskDesc::new(
-            k,
-            proc,
-            Point::zeros(1),
-            vec![req],
-        )));
+        p.push(one_task(TaskDesc::new(k, proc, Point::zeros(1), vec![req])));
         let stats = rt.run(&p).unwrap();
         assert_eq!(stats.tasks, 2);
         // One staging copy; staging copies are not counted in `copies`.
@@ -968,19 +960,19 @@ mod tests {
         // Reader on node 0 pulls a copy; writer on node 1 invalidates it;
         // a second reader on node 0 must re-fetch across the network.
         let rect = Rect::sized(&[4]);
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             p0,
             Point::zeros(1),
             vec![RegionReq::new(r, rect, Privilege::Read, m0)],
         )));
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             p1,
             Point::zeros(1),
             vec![RegionReq::new(r, rect, Privilege::ReadWrite, m1)],
         )));
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             p0,
             Point::zeros(1),
@@ -1003,7 +995,7 @@ mod tests {
         let k = p.register_kernel(Arc::new(crate::kernel::NoopKernel));
         let proc = rt.machine().cpu_proc(0, 0);
         let mem = rt.machine().proc(proc).local_mem;
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             proc,
             Point::zeros(1),
@@ -1024,7 +1016,7 @@ mod tests {
         let k = p.register_kernel(Arc::new(crate::kernel::NoopKernel));
         let proc = rt.machine().cpu_proc(0, 0);
         let mem = rt.machine().proc(proc).local_mem;
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             proc,
             Point::zeros(1),
@@ -1048,7 +1040,7 @@ mod tests {
         let k = p.register_kernel(Arc::new(crate::kernel::NoopKernel));
         let proc = rt.machine().gpu_proc(0, 0);
         let mem = rt.machine().proc(proc).local_mem;
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             proc,
             Point::zeros(1),
@@ -1072,7 +1064,7 @@ mod tests {
         let k = p.register_kernel(Arc::new(crate::kernel::NoopKernel));
         let proc = rt.machine().cpu_proc(0, 0);
         let mem = rt.machine().proc(proc).local_mem;
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             proc,
             Point::zeros(1),

@@ -1,8 +1,8 @@
 //! Programs: the instruction stream the compiler hands to the runtime.
 //!
 //! A [`Program`] is an ordered list of operations, mirroring a Legion
-//! program: fills, single tasks, index task launches (the parallel-for
-//! construct of §6.1), barriers (used by baselines that do not overlap
+//! program: fills, index task launches (the parallel-for construct of
+//! §6.1; one task is a one-point launch), barriers (used by baselines that do not overlap
 //! communication with computation), and scratch-discard hints that model
 //! Legion instance reclamation for systolic double-buffering.
 //!
@@ -126,8 +126,6 @@ pub enum Op {
     /// Initialize an entire region to a constant (creates a valid staging
     /// instance; placement tasks then move it where formats dictate).
     Fill { region: RegionId, value: f64 },
-    /// Run one task.
-    SingleTask(TaskDesc),
     /// Run a set of independent point tasks.
     IndexLaunch(IndexLaunch),
     /// Execution barrier: everything before completes before anything after
@@ -160,14 +158,6 @@ impl fmt::Debug for Program {
         for (i, op) in self.ops.iter().enumerate() {
             match op {
                 Op::Fill { region, value } => writeln!(f, "  [{i}] fill {region:?} = {value}")?,
-                Op::SingleTask(t) => writeln!(
-                    f,
-                    "  [{i}] task k{} on {:?} point {:?} ({} reqs)",
-                    t.kernel.0,
-                    t.proc,
-                    t.point,
-                    t.reqs.len()
-                )?,
                 Op::IndexLaunch(l) => writeln!(
                     f,
                     "  [{i}] index launch '{}' with {} point tasks",
@@ -207,30 +197,20 @@ impl Program {
         self.ops
             .iter()
             .map(|op| match op {
-                Op::SingleTask(_) => 1,
                 Op::IndexLaunch(l) => l.tasks.len(),
                 _ => 0,
             })
             .sum()
     }
+}
 
-    /// Appends all operations of `other` (kernel ids are remapped).
-    pub fn extend(&mut self, other: Program) {
-        let offset = self.kernels.len() as u32;
-        self.kernels.extend(other.kernels);
-        for mut op in other.ops {
-            match &mut op {
-                Op::SingleTask(t) => t.kernel.0 += offset,
-                Op::IndexLaunch(l) => {
-                    for t in &mut l.tasks {
-                        t.kernel.0 += offset;
-                    }
-                }
-                _ => {}
-            }
-            self.ops.push(op);
-        }
-    }
+/// A launch of the one task `task`: how the crate's tests run a task.
+#[cfg(test)]
+pub(crate) fn one_task(task: TaskDesc) -> Op {
+    Op::IndexLaunch(IndexLaunch {
+        name: "task".into(),
+        tasks: vec![task],
+    })
 }
 
 #[cfg(test)]
@@ -247,7 +227,7 @@ mod tests {
             region: RegionId(0),
             value: 0.0,
         });
-        p.push(Op::SingleTask(TaskDesc::new(
+        p.push(one_task(TaskDesc::new(
             k,
             ProcId(0),
             Point::zeros(1),
@@ -263,25 +243,6 @@ mod tests {
         assert_eq!(p.task_count(), 3);
         let dbg = format!("{p:?}");
         assert!(dbg.contains("index launch 'l'"));
-    }
-
-    #[test]
-    fn extend_remaps_kernels() {
-        let mut a = Program::new();
-        a.register_kernel(Arc::new(NoopKernel));
-        let mut b = Program::new();
-        let kb = b.register_kernel(Arc::new(NoopKernel));
-        b.push(Op::SingleTask(TaskDesc::new(
-            kb,
-            ProcId(0),
-            Point::zeros(1),
-            vec![],
-        )));
-        a.extend(b);
-        match &a.ops[0] {
-            Op::SingleTask(t) => assert_eq!(t.kernel, KernelId(1)),
-            _ => panic!("expected task"),
-        }
     }
 
     #[test]

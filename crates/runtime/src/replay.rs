@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use crate::exec::{Mode, Runtime};
     use crate::kernel::NoopKernel;
-    use crate::program::{Op, Privilege, RegionReq, TaskDesc};
+    use crate::program::{one_task, Op, Privilege, RegionReq, TaskDesc};
     use crate::region::RegionId;
     use distal_machine::geom::{Point, Rect};
     use distal_machine::spec::MachineSpec;
@@ -242,12 +242,7 @@ mod tests {
             let proc = rt.machine().cpu_proc(node, 0);
             let mem = rt.machine().proc(proc).local_mem;
             let req = RegionReq::new(r, Rect::sized(&[extent]), privilege, mem);
-            p.push(Op::SingleTask(TaskDesc::new(
-                k,
-                proc,
-                Point::zeros(1),
-                vec![req],
-            )));
+            p.push(one_task(TaskDesc::new(k, proc, Point::zeros(1), vec![req])));
         }
         p.into()
     }

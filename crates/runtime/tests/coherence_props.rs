@@ -5,11 +5,19 @@
 use distal_machine::geom::{Point, Rect};
 use distal_machine::spec::MachineSpec;
 use distal_runtime::kernel::{Kernel, KernelCtx};
-use distal_runtime::program::{Op, Privilege, Program, RegionReq, TaskDesc};
+use distal_runtime::program::{IndexLaunch, Op, Privilege, Program, RegionReq, TaskDesc};
 use distal_runtime::topology::PhysicalMachine;
 use distal_runtime::{Mode, Runtime};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// A launch of the one task `task`.
+fn one_task(task: TaskDesc) -> Op {
+    Op::IndexLaunch(IndexLaunch {
+        name: "task".into(),
+        tasks: vec![task],
+    })
+}
 
 /// Adds a constant over the requirement rect (ReadWrite) — order matters,
 /// so hazards must be exact.
@@ -69,7 +77,7 @@ proptest! {
             let proc = procs[step.proc_idx];
             let mem = rt.machine().proc(proc).local_mem;
             let rect = Rect::new(Point::new(vec![step.lo]), Point::new(vec![step.hi]));
-            program.push(Op::SingleTask(TaskDesc::new(
+            program.push(one_task(TaskDesc::new(
                 k,
                 proc,
                 Point::new(vec![step.proc_idx as i64]),
@@ -105,7 +113,7 @@ proptest! {
             let proc = procs[step.proc_idx];
             let mem = rt.machine().proc(proc).local_mem;
             let rect = Rect::new(Point::new(vec![step.lo]), Point::new(vec![step.hi]));
-            program.push(Op::SingleTask(TaskDesc::new(
+            program.push(one_task(TaskDesc::new(
                 k,
                 proc,
                 Point::new(vec![step.proc_idx as i64]),

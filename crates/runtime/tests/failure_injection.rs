@@ -12,6 +12,14 @@ use distal_runtime::program::{IndexLaunch, Op, Privilege, Program, RegionReq, Ta
 use distal_runtime::topology::PhysicalMachine;
 use std::sync::Arc;
 
+/// A launch of the one task `task`.
+fn one_task(task: TaskDesc) -> Op {
+    Op::IndexLaunch(IndexLaunch {
+        name: "task".into(),
+        tasks: vec![task],
+    })
+}
+
 /// A machine with one node and framebuffers shrunk to `fb_bytes`.
 fn tiny_machine(fb_bytes: u64) -> PhysicalMachine {
     let mut spec = MachineSpec::small(1);
@@ -37,7 +45,7 @@ fn oversized_instance_reports_oom_with_accounting() {
 
     let mut program = Program::new();
     let k = program.register_kernel(Arc::new(NoopKernel));
-    program.push(Op::SingleTask(TaskDesc::new(
+    program.push(one_task(TaskDesc::new(
         k,
         gpu,
         Point::zeros(1),
@@ -78,7 +86,7 @@ fn oom_is_cumulative_not_per_instance() {
     let mut program = Program::new();
     let k = program.register_kernel(Arc::new(NoopKernel));
     for r in [r1, r2] {
-        program.push(Op::SingleTask(TaskDesc::new(
+        program.push(one_task(TaskDesc::new(
             k,
             gpu,
             Point::zeros(1),
@@ -120,7 +128,7 @@ fn scratch_discard_frees_memory_for_systolic_reuse() {
             Point::new(vec![step, 0, 0]),
             Point::new(vec![step, 511, 511]),
         );
-        program.push(Op::SingleTask(TaskDesc::new(
+        program.push(one_task(TaskDesc::new(
             k,
             gpu,
             Point::new(vec![step]),
@@ -146,7 +154,7 @@ fn scratch_discard_frees_memory_for_systolic_reuse() {
             Point::new(vec![step, 0, 0]),
             Point::new(vec![step, 511, 511]),
         );
-        program2.push(Op::SingleTask(TaskDesc::new(
+        program2.push(one_task(TaskDesc::new(
             k2,
             gpu2,
             Point::new(vec![step]),
@@ -169,7 +177,7 @@ fn reading_uninitialized_region_fails() {
     // No fill / set_region_data: a read must fail.
     let mut program = Program::new();
     let k = program.register_kernel(Arc::new(NoopKernel));
-    program.push(Op::SingleTask(TaskDesc::new(
+    program.push(one_task(TaskDesc::new(
         k,
         gpu,
         Point::zeros(1),
@@ -196,7 +204,7 @@ fn requirement_outside_region_rejected() {
     rt.fill_region(region, 0.0).unwrap();
     let mut program = Program::new();
     let k = program.register_kernel(Arc::new(NoopKernel));
-    program.push(Op::SingleTask(TaskDesc::new(
+    program.push(one_task(TaskDesc::new(
         k,
         gpu,
         Point::zeros(1),
@@ -272,7 +280,7 @@ fn barrier_serializes_phases() {
             );
             task.flops = 1e9; // ~3 ms of work per task
             task.efficiency = 1.0;
-            program.push(Op::SingleTask(task));
+            program.push(one_task(task));
         }
         rt.run(&program).unwrap().makespan_s
     };

@@ -1,6 +1,7 @@
 //! A compressed operand bound as CSR is the same request as the same data
 //! bound dense: same reads, same bytes, same modelled time on every
-//! backend — and `Report::flops` counts what the CSR leaf does.
+//! backend — and `Report::flops` counts what the CSR leaf does. A bad
+//! initializer is one error whichever door it comes through.
 
 use distal::prelude::*;
 use std::sync::Arc;
@@ -153,4 +154,69 @@ fn report_flops_count_the_stored_entries_the_leaf_visits() {
         .set_data("c", c.clone());
     let report = plan.bind_typed(&bindings).unwrap().run().unwrap();
     assert_eq!(report.flops, 2.0 * (n * n) as f64);
+}
+
+#[test]
+fn a_bad_initializer_is_one_error_through_both_doors() {
+    let n = 8;
+    let (problem, schedule) = spmv_problem(n, 4);
+    let wrong_shape = Arc::new(SparseBuffer::from_dense(
+        &[n, n + 1],
+        &vec![1.0; (n * (n + 1)) as usize],
+    ));
+    type Setter = fn(&mut Problem) -> Result<&mut Problem, CompileError>;
+    // Each row: the initializer, what it must be refused with, and the
+    // `Problem` setter that takes it. A problem holds no compressed
+    // image, so the last row has the binding door only.
+    let rows: [(TensorInit, CompileError, Option<Setter>); 3] = [
+        (
+            TensorInit::Data(Arc::new(vec![1.0; 3])),
+            CompileError::DataSize {
+                tensor: "B".into(),
+                expected: (n * n) as usize,
+                got: 3,
+            },
+            Some(|p| p.set_data("B", vec![1.0; 3])),
+        ),
+        (
+            TensorInit::RandomSparse {
+                seed: 1,
+                density: 1.5,
+            },
+            CompileError::Density {
+                tensor: "B".into(),
+                density: 1.5,
+            },
+            Some(|p| p.fill_random_sparse("B", 1, 1.5)),
+        ),
+        (
+            TensorInit::Sparse(wrong_shape),
+            CompileError::Format(format!(
+                "tensor 'B' has shape [{n}, {n}], its CSR binding [{n}, {}]",
+                n + 1
+            )),
+            None,
+        ),
+    ];
+    let backends: [Box<dyn Backend>; 2] = [
+        Box::new(RuntimeBackend::functional()),
+        Box::new(SpmdBackend::new()),
+    ];
+    let plans = backends.map(|backend| backend.plan(&problem, &schedule).unwrap());
+    for (init, expected, setter) in rows {
+        if let Some(set) = setter {
+            let mut seeded = problem.clone();
+            assert_eq!(set(&mut seeded).err(), Some(expected.clone()), "{init:?}");
+            assert_eq!(seeded.bindings(), problem.bindings(), "refused, not held");
+        }
+        let mut bindings = Bindings::new();
+        bindings.set_init("B", init.clone());
+        for plan in &plans {
+            assert_eq!(
+                plan.bind(&bindings).err(),
+                Some(BackendError::Compile(expected.clone())),
+                "{init:?}"
+            );
+        }
+    }
 }

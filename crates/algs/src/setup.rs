@@ -93,7 +93,8 @@ pub fn matmul_problem_on(
 /// Builds the target-agnostic [`Problem`] + [`Schedule`] of a Figure 9
 /// matmul algorithm on `n × n` matrices: grid, formats, statement, and
 /// deterministic random inputs (seeds `0xB`/`0xC`; model-mode backends
-/// only mark them valid), ready for `Problem::compile` on any backend —
+/// only mark them valid), ready for
+/// [`Backend::compile`](distal_core::Backend::compile) on any backend —
 /// [`RunConfig::backend`] is the one the configuration describes.
 ///
 /// # Errors
@@ -147,13 +148,13 @@ pub fn higher_order_problem(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distal_core::oracle;
+    use distal_core::{oracle, Backend};
     use std::collections::BTreeMap;
 
     /// Runs a problem on the configuration's backend and checks its
     /// output against the sequential oracle.
     fn check(config: &RunConfig, problem: &Problem, schedule: &Schedule, tol: f64, what: &str) {
-        let mut instance = problem.compile(&config.backend(), schedule).unwrap();
+        let mut instance = config.backend().compile(problem, schedule).unwrap();
         instance.run().unwrap();
         let assignment = problem.assignment().unwrap();
         let got = instance.read(&assignment.lhs.tensor).unwrap();

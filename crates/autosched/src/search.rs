@@ -20,7 +20,9 @@ use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// What machine the search targets and how it scores candidates.
+/// What machine the search targets, which candidates it enumerates, and
+/// which it prunes before costing. Every candidate is scored by its
+/// compute phase alone (see [`AutoScheduler::score_with`]).
 #[derive(Clone, Debug)]
 pub struct SearchConfig {
     /// The physical machine model.
@@ -29,9 +31,6 @@ pub struct SearchConfig {
     pub proc_kind: ProcKind,
     /// Enumeration knobs.
     pub space: SpaceOptions,
-    /// Score placement traffic too (off by default: the paper's framing is
-    /// that data is already distributed and computation shapes to it).
-    pub include_placement: bool,
     /// Schedule-admission lints (`distal_core::lint`) used as a pre-cost
     /// pruner: candidates with denied findings are rejected before any
     /// lowering or cost modelling is spent on them. The stock configs
@@ -48,7 +47,6 @@ impl SearchConfig {
             spec,
             proc_kind: ProcKind::Cpu,
             space: SpaceOptions::new(MemKind::Sys),
-            include_placement: false,
             lint: LintConfig::new().deny(Lint::LoadImbalance),
         }
     }
@@ -60,7 +58,6 @@ impl SearchConfig {
             spec,
             proc_kind: ProcKind::Gpu,
             space: SpaceOptions::new(MemKind::Fb),
-            include_placement: false,
             lint: LintConfig::new().deny(Lint::LoadImbalance),
         }
     }
@@ -222,22 +219,13 @@ impl AutoScheduler {
         Ok(SearchResult { evaluations })
     }
 
-    /// Scores one candidate by playing it through the default cost-model
-    /// simulator.
-    pub fn evaluate(
-        &self,
-        expr: &str,
-        dims: &BTreeMap<String, Vec<i64>>,
-        candidate: Candidate,
-    ) -> Evaluation {
-        self.score_with(&RuntimeBackend::model(), expr, dims, candidate)
-    }
-
     /// Scores one candidate on an explicit backend: builds the candidate's
     /// [`Problem`] (its grid + formats over the shared spec), fetches its
     /// plan from the internal [`ShardedPlanCache`] (planning only on the
     /// first encounter of the key), binds the problem's data, and reads
-    /// the score off the backend's normalized report.
+    /// the score off the backend's normalized report of the compute
+    /// phase. Placement runs but is not scored: the paper's framing is
+    /// that data is already distributed and computation shapes to it.
     pub fn score_with(
         &self,
         backend: &dyn Backend,
@@ -301,17 +289,13 @@ impl AutoScheduler {
             .get_or_plan(backend, &problem, &candidate.schedule)
             .map_err(failed)?;
         let mut instance = plan.bind(&problem.bindings()).map_err(failed)?;
-        let placement = instance
+        instance
             .place()
             .map_err(|e| failed(format!("placement: {e}")))?;
         let compute = instance
             .execute()
             .map_err(|e| failed(format!("compute: {e}")))?;
-        let mut makespan = compute.critical_path_s;
-        if self.config.include_placement {
-            makespan += placement.critical_path_s;
-        }
-        Ok((makespan, compute.bytes_moved))
+        Ok((compute.critical_path_s, compute.bytes_moved))
     }
 }
 

@@ -22,7 +22,16 @@ pub struct Candidate {
     pub schedule: Schedule,
 }
 
-/// Knobs bounding the enumeration.
+/// Maximum number of distributed free variables.
+const MAX_DIMS: usize = 3;
+
+/// Chunk sizes tried for streaming the sequential reduction loop (`0`
+/// means "one chunk per grid row", SUMMA's natural granularity).
+const CHUNKS: [i64; 2] = [0, 256];
+
+/// Knobs bounding the enumeration. The rest is fixed: at most three
+/// distributed free variables, and a streamed reduction in chunks of one
+/// per grid row or of 256.
 #[derive(Clone, Debug)]
 pub struct SpaceOptions {
     /// Memory kind tensor tiles live in.
@@ -30,21 +39,14 @@ pub struct SpaceOptions {
     /// Enumerate every grid factorization instead of only the balanced one
     /// (COSMA-style grid exploration; exhaustive for small `p`).
     pub exhaustive_grids: bool,
-    /// Maximum number of distributed dimensions (1..=3).
-    pub max_dims: usize,
-    /// Chunk sizes to try for streaming the sequential reduction loop
-    /// (`0` means "one chunk per grid row", SUMMA's natural granularity).
-    pub chunks: Vec<i64>,
 }
 
 impl SpaceOptions {
-    /// Defaults: balanced grids, up to 3 distributed dims, natural chunks.
+    /// Defaults: balanced grids.
     pub fn new(mem: MemKind) -> Self {
         SpaceOptions {
             mem,
             exhaustive_grids: false,
-            max_dims: 3,
-            chunks: vec![0, 256],
         }
     }
 }
@@ -289,7 +291,7 @@ pub fn enumerate_candidates(
     }
 
     // Owner-computes and systolic families over subsets of free variables.
-    for ds in 1..=options.max_dims.min(free.len()) {
+    for ds in 1..=MAX_DIMS.min(free.len()) {
         for subset in subsequences(&free, ds) {
             let grids = if options.exhaustive_grids {
                 factorizations(p, ds)
@@ -413,7 +415,7 @@ fn owner_computes_family(
         Some(r) => {
             let extent = extents[r];
             let last_out = outs.last().expect("ds >= 1").clone();
-            for &chunk in &options.chunks {
+            for chunk in CHUNKS {
                 let chunk = if chunk == 0 {
                     (extent / gdims[0]).max(1)
                 } else if chunk >= extent {

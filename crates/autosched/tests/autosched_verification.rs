@@ -5,7 +5,7 @@
 //! heavy candidates go infeasible on small framebuffers).
 
 use distal_autosched::{AutoScheduler, Candidate, SearchConfig};
-use distal_core::{oracle, DistalMachine, Problem, RuntimeBackend, TensorSpec};
+use distal_core::{oracle, Backend, DistalMachine, Problem, RuntimeBackend, TensorSpec};
 use distal_machine::spec::{MachineSpec, ProcKind};
 use std::collections::BTreeMap;
 
@@ -39,8 +39,8 @@ fn run_functional(
             problem.fill_random(name, 0xAB + name.len() as u64).unwrap();
         }
     }
-    let mut instance = problem
-        .compile(&RuntimeBackend::functional(), &candidate.schedule)
+    let mut instance = RuntimeBackend::functional()
+        .compile(&problem, &candidate.schedule)
         .unwrap();
     instance.run().unwrap();
     let got = instance.read(out).unwrap();
@@ -138,7 +138,12 @@ fn auto_is_at_least_as_good_as_hand_summa() {
             .collect(),
         schedule: distal_core::Schedule::summa(grid.extent(0), grid.extent(1), n / grid.extent(0)),
     };
-    let hand_eval = scheduler.evaluate("A(i,j) = B(i,k) * C(k,j)", &dims, hand);
+    let hand_eval = scheduler.score_with(
+        &RuntimeBackend::model(),
+        "A(i,j) = B(i,k) * C(k,j)",
+        &dims,
+        hand,
+    );
     assert!(hand_eval.feasible(), "{:?}", hand_eval.infeasible);
     assert!(
         best.makespan_s <= hand_eval.makespan_s * 1.001,

@@ -42,7 +42,9 @@
 use crate::args::Args;
 use distal_core::kernelgen::{gemm_variants, leaf_for, MicroKernel};
 use distal_core::problem::{random_data, sparse_random_data};
-use distal_core::{DistalMachine, LeafKind, Problem, Report, RuntimeBackend, Schedule, TensorSpec};
+use distal_core::{
+    Backend, DistalMachine, LeafKind, Problem, Report, RuntimeBackend, Schedule, TensorSpec,
+};
 use distal_format::Format;
 use distal_ir::expr::Assignment;
 use distal_machine::geom::{Point, Rect};
@@ -204,7 +206,7 @@ fn timed(
     let mut data = Vec::new();
     let mut report = None;
     for _ in 0..reps.max(1) {
-        let mut art = problem.compile(&backend, schedule).expect("bench compile");
+        let mut art = backend.compile(problem, schedule).expect("bench compile");
         art.place().expect("bench placement");
         let t0 = Instant::now();
         let r = art.execute().expect("bench execute");
@@ -582,8 +584,8 @@ fn calibrate(measured_core_gflops: f64) -> Calibration {
         for t in ["B", "C"] {
             problem.fill(t, 0.0).unwrap();
         }
-        let mut art = problem
-            .compile(&RuntimeBackend::model(), &schedule)
+        let mut art = RuntimeBackend::model()
+            .compile(&problem, &schedule)
             .expect("cost compile");
         art.run().expect("cost run").critical_path_s
     };

@@ -70,7 +70,7 @@ use crate::args::Args;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
 use distal_core::nest::{Env, Nest};
-use distal_core::{oracle, Backend, Problem, RuntimeBackend, Schedule};
+use distal_core::{oracle, random_data, Backend, Problem, RuntimeBackend, Schedule};
 use distal_ir::expr::Assignment;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_spmd::{
@@ -130,18 +130,6 @@ struct SpmdBenchRow {
     pub parity: bool,
 }
 
-fn deterministic_data(n: usize, seed: u64) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-    (0..n)
-        .map(|_| {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        })
-        .collect()
-}
-
 /// The `n × n` matmul problem and Figure 9 schedule of `alg` over `p` ranks
 /// (chunk `n / 4`) that every measurement in this module plans.
 fn figure9_problem(alg: MatmulAlgorithm, p: i64, n: i64) -> (Problem, Schedule) {
@@ -170,8 +158,8 @@ impl OracleCase {
     /// the sequential oracle on them.
     fn matmul(n: i64) -> Self {
         let mut inputs = BTreeMap::new();
-        inputs.insert("B".to_string(), deterministic_data((n * n) as usize, 11));
-        inputs.insert("C".to_string(), deterministic_data((n * n) as usize, 13));
+        inputs.insert("B".to_string(), random_data((n * n) as usize, 11));
+        inputs.insert("C".to_string(), random_data((n * n) as usize, 13));
         let dims = ["A", "B", "C"].map(|t| (t.to_string(), vec![n, n])).into();
         let assignment = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
         let want = oracle::evaluate(&assignment, &dims, &inputs).unwrap();

@@ -20,11 +20,11 @@
 //!   `execute`, `read`, [`Report`]s), so callers never special-case the
 //!   backend they run on.
 //!
-//! [`Backend::compile`] (and [`Problem::compile`]) is the one-shot shim:
-//! exactly `plan(...)` then `bind(problem's own initializers)`.
+//! [`Backend::compile`] is the one-shot shim: exactly `plan(...)` then
+//! `bind(problem's own initializers)`.
 //!
 //! ```
-//! use distal_core::{DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec};
+//! use distal_core::{Backend, DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec};
 //! use distal_format::Format;
 //! use distal_machine::{Grid, spec::{MachineSpec, MemKind, ProcKind}};
 //!
@@ -38,7 +38,7 @@
 //! }
 //! problem.fill_random("B", 1)?.fill_random("C", 2)?;
 //!
-//! let mut instance = problem.compile(&RuntimeBackend::functional(), &Schedule::summa(2, 2, 4))?;
+//! let mut instance = RuntimeBackend::functional().compile(&problem, &Schedule::summa(2, 2, 4))?;
 //! let report = instance.run()?;
 //! assert_eq!(instance.read("A")?.len(), 64);
 //! assert!(report.flops > 0.0);
@@ -364,7 +364,7 @@ impl RuntimePlan {
                 Mode::Functional => {
                     let data = init.share(&spec.dims);
                     let nnz = compressed.then(|| distal_sparse::stored_entries(&data));
-                    runtime.set_region_shared(region, data)?;
+                    runtime.set_region_data(region, data)?;
                     nnz
                 }
                 // Model mode holds no data; filling marks regions valid.
@@ -543,8 +543,8 @@ mod tests {
     #[test]
     fn functional_instance_runs_reads_and_matches_oracle() {
         let p = matmul_problem(8);
-        let mut inst = p
-            .compile(&RuntimeBackend::functional(), &Schedule::summa(2, 2, 4))
+        let mut inst = RuntimeBackend::functional()
+            .compile(&p, &Schedule::summa(2, 2, 4))
             .unwrap();
         let start = Instant::now();
         let report = inst.run().unwrap();
@@ -555,8 +555,8 @@ mod tests {
         // makespan — what a model-mode run of the same plan reports — sits
         // beside it.
         assert!(report.critical_path_s > 0.0 && report.critical_path_s <= wall_s);
-        let modeled = p
-            .compile(&RuntimeBackend::model(), &Schedule::summa(2, 2, 4))
+        let modeled = RuntimeBackend::model()
+            .compile(&p, &Schedule::summa(2, 2, 4))
             .and_then(|mut model| model.run())
             .unwrap();
         assert_eq!(report.modeled_s, Some(modeled.critical_path_s));
@@ -578,8 +578,8 @@ mod tests {
     #[test]
     fn model_instance_reports_but_holds_no_data() {
         let p = matmul_problem(16);
-        let mut inst = p
-            .compile(&RuntimeBackend::model(), &Schedule::summa(2, 2, 8))
+        let mut inst = RuntimeBackend::model()
+            .compile(&p, &Schedule::summa(2, 2, 8))
             .unwrap();
         let report = inst.run().unwrap();
         assert_eq!(report.provenance, Provenance::Modeled);
@@ -670,7 +670,7 @@ mod tests {
         let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
         let p = Problem::new(MachineSpec::small(2), machine);
         assert!(matches!(
-            p.compile(&RuntimeBackend::functional(), &Schedule::new()),
+            RuntimeBackend::functional().compile(&p, &Schedule::new()),
             Err(BackendError::Compile(_))
         ));
     }

@@ -539,6 +539,62 @@ pub(crate) mod testing {
         };
         kernel(&mut ctx);
     }
+
+    /// xorshift64*, the generator the leaf properties draw cases from.
+    pub(crate) struct Rng(pub u64);
+
+    impl Rng {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> i64 {
+            (self.next() % n) as i64
+        }
+
+        pub(crate) fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Mostly values in ±0.5; now and then a signed zero, a
+        /// subnormal, or ±1e300 (whose products overflow to ±inf, and
+        /// whose sums of opposite infinities are NaN on every path alike).
+        pub(crate) fn finite(&mut self) -> f64 {
+            let sign = if self.next() & 1 == 0 { 1.0 } else { -1.0 };
+            match self.next() % 16 {
+                0 => sign * 0.0,
+                1 => sign * f64::from_bits(1 + self.next() % 1000),
+                2 => sign * 1e300,
+                _ => self.unit() - 0.5,
+            }
+        }
+    }
+
+    /// An argument whose allocation is wider than `rect` by a random
+    /// margin on every side, so the row stride exceeds the extent.
+    pub(crate) fn wide_arg(rng: &mut Rng, rect: Rect, fill: impl Fn(&mut Rng) -> f64) -> OwnedArg {
+        let lo: Vec<i64> = rect
+            .lo()
+            .coords()
+            .iter()
+            .map(|&l| l - rng.below(4))
+            .collect();
+        let hi: Vec<i64> = rect
+            .hi()
+            .coords()
+            .iter()
+            .map(|&h| h + rng.below(4))
+            .collect();
+        let alloc = Rect::new(Point::new(lo), Point::new(hi));
+        let data = (0..alloc.volume()).map(|_| fill(rng)).collect();
+        OwnedArg {
+            rect,
+            ..OwnedArg::dense(alloc, data)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -559,18 +615,6 @@ mod tests {
         }
     }
 
-    fn data(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-        (0..n)
-            .map(|_| {
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-            })
-            .collect()
-    }
-
     /// Runs `kernel` over dense args shaped for `a`, with each variable
     /// spanning `0..n`.
     fn run(kernel: &dyn Kernel, a: &Assignment, n: i64, seed: u64) -> Vec<f64> {
@@ -583,7 +627,7 @@ mod tests {
             let d = if idx == 0 {
                 vec![0.0; vol]
             } else {
-                data(vol, seed + idx as u64)
+                crate::random_data(vol, seed + idx as u64)
             };
             args.push(OwnedArg::dense(rect, d));
         }

@@ -283,7 +283,7 @@ fn micro<const MR: usize, const NR: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernelgen::testing::{run_on, OwnedArg};
+    use crate::kernelgen::testing::{run_on, wide_arg, Rng};
     use crate::kernels::InterpreterKernel;
     use distal_machine::geom::{Point, Rect};
     use distal_runtime::kernel::Kernel;
@@ -314,58 +314,6 @@ mod tests {
         }
     }
 
-    /// xorshift64*, the generator the sibling tests use.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn below(&mut self, n: u64) -> i64 {
-            (self.next() % n) as i64
-        }
-
-        /// Mostly values in ±0.5; now and then a signed zero, a
-        /// subnormal, or ±1e300 (whose products overflow to ±inf, and
-        /// whose sums of opposite infinities are NaN on every path alike).
-        fn value(&mut self) -> f64 {
-            let sign = if self.next() & 1 == 0 { 1.0 } else { -1.0 };
-            match self.next() % 16 {
-                0 => sign * 0.0,
-                1 => sign * f64::from_bits(1 + self.next() % 1000),
-                2 => sign * 1e300,
-                _ => (self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
-            }
-        }
-    }
-
-    /// An argument whose allocation is wider than `rect` by a random
-    /// margin on every side, so the row stride exceeds the extent.
-    fn wide_arg(rng: &mut Rng, rect: Rect, fill: impl Fn(&mut Rng) -> f64) -> OwnedArg {
-        let lo: Vec<i64> = rect
-            .lo()
-            .coords()
-            .iter()
-            .map(|&l| l - rng.below(4))
-            .collect();
-        let hi: Vec<i64> = rect
-            .hi()
-            .coords()
-            .iter()
-            .map(|&h| h + rng.below(4))
-            .collect();
-        let alloc = Rect::new(Point::new(lo), Point::new(hi));
-        let data = (0..alloc.volume()).map(|_| fill(rng)).collect();
-        OwnedArg {
-            rect,
-            ..OwnedArg::dense(alloc, data)
-        }
-    }
-
     fn span(lo: [i64; 2], extent: [i64; 2]) -> Rect {
         Rect::new(
             Point::from_slice(&lo),
@@ -385,14 +333,14 @@ mod tests {
                 _ => 1 + rng.below(70),
             };
             let (ilo, jlo, klo) = (rng.below(9), rng.below(9), rng.below(9));
-            let c = wide_arg(&mut rng, span([klo, jlo], [nk, nj]), Rng::value);
-            let b = wide_arg(&mut rng, span([ilo, klo], [ni, nk]), Rng::value);
+            let c = wide_arg(&mut rng, span([klo, jlo], [nk, nj]), Rng::finite);
+            let b = wide_arg(&mut rng, span([ilo, klo], [ni, nk]), Rng::finite);
             // `A` starts from stored values inside the leaf rectangle and
             // from NaN outside it.
             let mut a = wide_arg(&mut rng, span([ilo, jlo], [ni, nj]), |_| f64::NAN);
             for i in ilo..ilo + ni {
                 for j in jlo..jlo + nj {
-                    a.set(&[i, j], rng.value());
+                    a.set(&[i, j], rng.finite());
                 }
             }
             let scalars = vec![ilo, ilo + ni - 1, jlo, jlo + nj - 1, klo, klo + nk - 1];

@@ -268,7 +268,7 @@ impl Kernel for CsrLeaf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernelgen::testing::{run_on, OwnedArg};
+    use crate::kernelgen::testing::{run_on, wide_arg, OwnedArg, Rng};
     use crate::kernels::InterpreterKernel;
     use distal_ir::expr::{Access, IndexVar};
     use distal_machine::geom::{copy_rect, Point, Rect};
@@ -336,28 +336,6 @@ mod tests {
         run_on(args, scalars, |ctx| leaf.execute(ctx));
     }
 
-    /// Deterministic data with explicit zeros at the given density.
-    fn sparse_data(n: usize, seed: u64, density: f64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-        };
-        (0..n)
-            .map(|_| {
-                let keep = next() < density;
-                let v = next() * 2.0 - 1.0;
-                if keep {
-                    v
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
     #[test]
     fn spmm_partial_bounds() {
         // Only the [1,2]x[1,2]x[0,2] sub-block, like the dense leaf test.
@@ -412,7 +390,7 @@ mod tests {
                 let data = if seed == 0 {
                     vec![0.0; vol]
                 } else {
-                    sparse_data(vol, seed, density)
+                    crate::sparse_random_data(vol, seed, density)
                 };
                 arg(rect, data)
             })
@@ -542,38 +520,7 @@ mod tests {
         assert!(!interpreter_order(&[0, 2, 2], 2), "repeated");
     }
 
-    /// xorshift64*, the generator the sibling tests use.
-    struct Rng(u64);
-
     impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn below(&mut self, n: u64) -> i64 {
-            (self.next() % n) as i64
-        }
-
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        /// Mostly values in ±0.5; now and then a signed zero, a
-        /// subnormal, or ±1e300 (whose products overflow to ±inf, and
-        /// whose sums of opposite infinities are NaN on every path alike).
-        fn finite(&mut self) -> f64 {
-            let sign = if self.next() & 1 == 0 { 1.0 } else { -1.0 };
-            match self.next() % 16 {
-                0 => sign * 0.0,
-                1 => sign * f64::from_bits(1 + self.next() % 1000),
-                2 => sign * 1e300,
-                _ => self.unit() - 0.5,
-            }
-        }
-
         /// [`Rng::finite`], or now and then a NaN with a payload or an
         /// infinity.
         fn any(&mut self) -> f64 {
@@ -591,29 +538,6 @@ mod tests {
                 0 => PRIMES[self.below(13) as usize].min(max),
                 _ => 1 + self.below(max as u64),
             }
-        }
-    }
-
-    /// An argument whose allocation is wider than `rect` by a random
-    /// margin on every side, so the row stride exceeds the extent.
-    fn wide_arg(rng: &mut Rng, rect: Rect, fill: impl Fn(&mut Rng) -> f64) -> OwnedArg {
-        let lo: Vec<i64> = rect
-            .lo()
-            .coords()
-            .iter()
-            .map(|&l| l - rng.below(4))
-            .collect();
-        let hi: Vec<i64> = rect
-            .hi()
-            .coords()
-            .iter()
-            .map(|&h| h + rng.below(4))
-            .collect();
-        let alloc = Rect::new(Point::new(lo), Point::new(hi));
-        let data = (0..alloc.volume()).map(|_| fill(rng)).collect();
-        OwnedArg {
-            rect,
-            ..OwnedArg::dense(alloc, data)
         }
     }
 

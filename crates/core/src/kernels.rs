@@ -5,7 +5,9 @@
 //! single-node lowering; Figure 2 substitutes a vendor GEMM at the leaves).
 //! This module holds the *reference* leaf the generated kernels of
 //! [`crate::kernelgen`] are checked against — a generic dense-loop
-//! interpreter able to execute any tensor index notation statement — plus
+//! interpreter able to execute any tensor index notation statement, which
+//! evaluates the right-hand side with [`Expr::eval`] and which
+//! [`crate::oracle::evaluate`] runs over a whole iteration space — plus
 //! the statement-shape guards lowering and kernel generation dispatch on.
 
 use distal_ir::expr::{Assignment, Expr, IndexVar};
@@ -117,7 +119,7 @@ impl Kernel for InterpreterKernel {
                     values[ai - 1] = ctx.args[ai].at(c);
                 }
                 let mut it = values.iter().copied();
-                let v = eval_expr(&self.assignment.rhs, &mut it);
+                let v = self.assignment.rhs.eval(&mut it);
                 let c = &mut coords[self.coord_starts[0]..self.coord_starts[1]];
                 for (d, &vi) in self.access_maps[0].iter().enumerate() {
                     c[d] = point[vi];
@@ -146,23 +148,6 @@ impl Kernel for InterpreterKernel {
                 }
             }
         })
-    }
-}
-
-fn eval_expr(e: &Expr, values: &mut impl Iterator<Item = f64>) -> f64 {
-    match e {
-        Expr::Access(_) => values.next().expect("missing value"),
-        Expr::Literal(c) => *c,
-        Expr::Add(l, r) => {
-            let a = eval_expr(l, values);
-            let b = eval_expr(r, values);
-            a + b
-        }
-        Expr::Mul(l, r) => {
-            let a = eval_expr(l, values);
-            let b = eval_expr(r, values);
-            a * b
-        }
     }
 }
 

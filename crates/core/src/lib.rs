@@ -37,7 +37,7 @@
 //! # Example: Figure 2 (SUMMA on a 2×2 grid), on the unified pipeline
 //!
 //! ```
-//! use distal_core::{DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec};
+//! use distal_core::{Backend, DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec};
 //! use distal_format::Format;
 //! use distal_machine::{Grid, spec::{MachineSpec, MemKind, ProcKind}};
 //!
@@ -53,7 +53,7 @@
 //! problem.fill_random("B", 1)?.fill_random("C", 2)?;
 //!
 //! let schedule = Schedule::summa(2, 2, 4);
-//! let mut instance = problem.compile(&RuntimeBackend::functional(), &schedule)?;
+//! let mut instance = RuntimeBackend::functional().compile(&problem, &schedule)?;
 //! let report = instance.run()?;
 //! let a = instance.read("A")?;
 //! assert_eq!(a.len(), 64);

@@ -24,7 +24,7 @@
 //!   imbalance from non-dividing or overpartitioned part counts (with
 //!   the computed imbalance ratio), coordinate-range distribution over a
 //!   `Compressed` level (data-dependent positions land uneven nonzero
-//!   counts), replication blowup past a byte threshold, communication
+//!   counts), replication blowup past 1 MiB, communication
 //!   fans the collective recognizer provably cannot rewrite, large
 //!   tensors left undistributed on a multi-processor machine, and shape-
 //!   specialized chunks that make the serving `PlanKey` cardinality
@@ -102,15 +102,15 @@ pub enum Lint {
     /// when the count exceeds the extent, with no work at all
     /// (performance).
     LoadImbalance,
-    /// A broadcast machine dimension replicates a tensor past
-    /// [`LintConfig::replication_threshold_bytes`] (performance).
+    /// Broadcast machine dimensions replicate a tensor to more than 1 MiB
+    /// in all (performance).
     ReplicationBlowup,
     /// A communication fan whose per-destination payloads provably differ,
     /// so the collective recognizer cannot rewrite it into a tree or ring
     /// (performance).
     UnrewritableFan,
-    /// A large tensor left undistributed on a multi-processor machine
-    /// (performance).
+    /// A tensor of more than 1 MiB left undistributed on a
+    /// multi-processor machine (performance).
     UndistributedTensor,
     /// A schedule parameter tied to the data shape makes the serving
     /// `PlanKey` cardinality unbounded (performance).
@@ -184,8 +184,16 @@ impl fmt::Display for Lint {
     }
 }
 
+/// Bytes past which a broadcast machine dimension's replication of a
+/// tensor fires [`Lint::ReplicationBlowup`].
+const REPLICATION_THRESHOLD_BYTES: u64 = 1 << 20;
+
+/// Bytes past which an undistributed tensor on a multi-processor machine
+/// fires [`Lint::UndistributedTensor`].
+const UNDISTRIBUTED_THRESHOLD_BYTES: u64 = 1 << 20;
+
 /// Per-lint severity configuration, rustc-style (`-A`/`-W`/`-D` per
-/// lint), plus the byte thresholds the performance lints compare against.
+/// lint).
 ///
 /// The config participates in plan identity through its `Debug` form,
 /// which [`crate::cache::PlanKey`] hashes with the backend holding it. It
@@ -195,12 +203,6 @@ impl fmt::Display for Lint {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LintConfig {
     levels: BTreeMap<Lint, LintLevel>,
-    /// Bytes past which a broadcast machine dimension's replication of a
-    /// tensor fires [`Lint::ReplicationBlowup`].
-    pub replication_threshold_bytes: u64,
-    /// Bytes past which an undistributed tensor on a multi-processor
-    /// machine fires [`Lint::UndistributedTensor`].
-    pub undistributed_threshold_bytes: u64,
 }
 
 impl Default for LintConfig {
@@ -211,7 +213,7 @@ impl Default for LintConfig {
 
 impl LintConfig {
     /// The default configuration: legality lints deny, performance lints
-    /// warn, 1 MiB thresholds.
+    /// warn.
     pub fn new() -> Self {
         LintConfig::every(Lint::default_level)
     }
@@ -226,12 +228,10 @@ impl LintConfig {
         LintConfig::every(|_| LintLevel::Allow)
     }
 
-    /// Each lint at `level(lint)`, 1 MiB thresholds.
+    /// Each lint at `level(lint)`.
     fn every(level: impl Fn(Lint) -> LintLevel) -> Self {
         LintConfig {
             levels: Lint::all().into_iter().map(|l| (l, level(l))).collect(),
-            replication_threshold_bytes: 1 << 20,
-            undistributed_threshold_bytes: 1 << 20,
         }
     }
 
@@ -711,7 +711,7 @@ impl Linter<'_> {
                     }
                 }
                 let replicated = volume_bytes.saturating_mul(factor.unsigned_abs());
-                if factor > 1 && replicated > self.config.replication_threshold_bytes {
+                if factor > 1 && replicated > REPLICATION_THRESHOLD_BYTES {
                     self.emit(
                         Lint::ReplicationBlowup,
                         format!(
@@ -719,17 +719,15 @@ impl Linter<'_> {
                              by broadcast machine dimensions ({replicated} bytes total)"
                         ),
                         |d| {
-                            d.with_tensor(name.clone()).with_fixit(
-                                "partition the broadcast machine dimension or raise \
-                                 replication_threshold_bytes",
-                            )
+                            d.with_tensor(name.clone())
+                                .with_fixit("partition the broadcast machine dimension")
                         },
                     );
                 }
             }
             if machine_size > 1
                 && !spec.format.is_distributed()
-                && volume_bytes > self.config.undistributed_threshold_bytes
+                && volume_bytes > UNDISTRIBUTED_THRESHOLD_BYTES
             {
                 self.emit(
                     Lint::UndistributedTensor,
@@ -846,9 +844,6 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{restated:?}"));
         assert_ne!(a, LintConfig::deny_all());
         assert_ne!(a, LintConfig::new().allow(Lint::GridMismatch));
-        let mut thick = LintConfig::new();
-        thick.replication_threshold_bytes = 42;
-        assert_ne!(format!("{a:?}"), format!("{thick:?}"));
         let shown = format!("{a:?}");
         assert!(shown.contains("GridMismatch: Deny"), "{shown}");
         assert!(shown.contains("LoadImbalance: Warn"), "{shown}");

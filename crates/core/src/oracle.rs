@@ -1,13 +1,23 @@
 //! A sequential reference evaluator — the correctness oracle for tests.
+//!
+//! The oracle is the reference leaf, [`InterpreterKernel`], run once over
+//! the whole iteration space: a statement has one meaning, and the
+//! generated leaves are held to that same interpreter bit for bit.
 
-use distal_ir::expr::{Assignment, Expr, IndexVar};
+use crate::kernels::InterpreterKernel;
+use distal_ir::expr::Assignment;
+use distal_machine::geom::{Point, Rect};
+use distal_runtime::kernel::{ArgData, Kernel, KernelArg, KernelCtx};
+use distal_runtime::program::Privilege;
 use std::collections::BTreeMap;
 
 /// Evaluates a tensor index notation statement sequentially.
 ///
 /// `dims` gives each tensor's dimension sizes; `inputs` gives row-major
 /// data for every right-hand-side tensor. Returns the output tensor's
-/// row-major data.
+/// row-major data: one [`InterpreterKernel`] leaf, bounded by every
+/// variable's full extent, run into a fresh zeroed output that it adds
+/// into exactly when the statement [`Assignment::is_reduction`].
 ///
 /// # Errors
 ///
@@ -21,26 +31,19 @@ pub fn evaluate(
     let extents = assignment
         .infer_extents(dims)
         .ok_or_else(|| "missing tensor dims or inconsistent extents".to_string())?;
-    let vars = assignment.all_vars();
-    let var_extents: Vec<i64> = vars.iter().map(|v| extents[v]).collect();
-
-    let positions = |indices: &[IndexVar]| -> Vec<usize> {
-        let at = |v: &IndexVar| vars.iter().position(|x| x == v).unwrap();
-        indices.iter().map(at).collect()
-    };
-
-    // Validate input sizes and precompute access metadata: variable
-    // positions and strides.
-    struct AccessInfo<'a> {
-        var_pos: Vec<usize>,
-        strides: Vec<i64>,
-        data: &'a [f64],
-    }
-    let mut infos: Vec<AccessInfo> = Vec::new();
+    // `infer_extents` has found dims for every access.
+    let out_dims = &dims[&assignment.lhs.tensor];
+    let mut out = vec![0.0; out_dims.iter().product::<i64>().max(1) as usize];
+    let rect = Rect::sized(out_dims);
+    let mut args = vec![KernelArg {
+        privilege: Privilege::ReadWrite,
+        rect,
+        alloc: rect,
+        data: ArgData::Write(&mut out),
+        sparse: None,
+    }];
     for acc in assignment.input_accesses() {
-        let d = dims
-            .get(&acc.tensor)
-            .ok_or(format!("missing dims for {}", acc.tensor))?;
+        let d = &dims[&acc.tensor];
         let expect: i64 = d.iter().product();
         let data = inputs
             .get(&acc.tensor)
@@ -49,59 +52,25 @@ pub fn evaluate(
             let (t, len) = (&acc.tensor, data.len());
             return Err(format!("tensor {t} has {len} elements, expected {expect}"));
         }
-        infos.push(AccessInfo {
-            var_pos: positions(&acc.indices),
-            strides: row_major_strides(d),
-            data,
+        let rect = Rect::sized(d);
+        args.push(KernelArg {
+            privilege: Privilege::Read,
+            rect,
+            alloc: rect,
+            data: ArgData::Read(data),
+            sparse: None,
         });
     }
-
-    let out_dims = dims
-        .get(&assignment.lhs.tensor)
-        .ok_or(format!("missing dims for {}", assignment.lhs.tensor))?;
-    let out_len: i64 = out_dims.iter().product::<i64>().max(1);
-    let mut out = vec![0.0; out_len as usize];
-    let out_strides = row_major_strides(out_dims);
-    let out_pos = positions(&assignment.lhs.indices);
-
-    let mut point = vec![0i64; vars.len()];
-    if var_extents.contains(&0) {
-        return Ok(out);
-    }
-    let mut values = vec![0.0f64; infos.len()];
-    loop {
-        for (vi, info) in infos.iter().enumerate() {
-            let mut idx = 0;
-            for (d, &p) in info.var_pos.iter().enumerate() {
-                idx += point[p] * info.strides[d];
-            }
-            values[vi] = info.data[idx as usize];
-        }
-        let mut it = values.iter().copied();
-        let v = eval_expr(&assignment.rhs, &mut it);
-        let mut idx = 0;
-        for (d, &p) in out_pos.iter().enumerate() {
-            idx += point[p] * out_strides[d];
-        }
-        if assignment.is_reduction() {
-            out[idx as usize] += v;
-        } else {
-            out[idx as usize] = v;
-        }
-        // Odometer.
-        let mut d = vars.len();
-        loop {
-            if d == 0 {
-                return Ok(out);
-            }
-            d -= 1;
-            point[d] += 1;
-            if point[d] < var_extents[d] {
-                break;
-            }
-            point[d] = 0;
-        }
-    }
+    // Bounds `[0, extent - 1]` per variable, in `all_vars` order.
+    let vars = assignment.all_vars();
+    let scalars = vars.iter().flat_map(|v| [0, extents[v] - 1]).collect();
+    let leaf = InterpreterKernel::new(assignment.clone(), assignment.is_reduction());
+    leaf.execute(&mut KernelCtx {
+        args,
+        point: Point::zeros(0),
+        scalars,
+    });
+    Ok(out)
 }
 
 /// Evaluates the oracle on `inputs` and [`compare`]s `got` with it.
@@ -138,25 +107,6 @@ pub fn compare(got: &[f64], want: &[f64], tol: f64) -> Result<(), String> {
     match got.iter().zip(want).position(|pair| !close(pair)) {
         None => Ok(()),
         Some(i) => Err(format!("mismatch at {i}: {} vs {}", got[i], want[i])),
-    }
-}
-
-/// Row-major strides of a tensor with extents `dims`.
-fn row_major_strides(dims: &[i64]) -> Vec<i64> {
-    let mut strides = vec![1i64; dims.len()];
-    for i in (0..dims.len().saturating_sub(1)).rev() {
-        strides[i] = strides[i + 1] * dims[i + 1];
-    }
-    strides
-}
-
-fn eval_expr(e: &Expr, values: &mut impl Iterator<Item = f64>) -> f64 {
-    match e {
-        Expr::Access(_) => values.next().expect("missing value"),
-        Expr::Literal(c) => *c,
-        // Operands evaluate left to right, taking `values` in access order.
-        Expr::Add(l, r) => eval_expr(l, values) + eval_expr(r, values),
-        Expr::Mul(l, r) => eval_expr(l, values) * eval_expr(r, values),
     }
 }
 
@@ -237,6 +187,32 @@ mod tests {
         assert!(err(&[1.0, 2.0]).contains("2 elements, the oracle has 3"));
         assert!(err(&[0.0, 2.0, 3.0]).starts_with("A(i) = B(i): mismatch at 0"));
         assert_eq!(compare(&[1.0, 2.0], &[1.0, 2.0], 1e-12), Ok(()));
+    }
+
+    #[test]
+    fn a_zero_extent_variable_leaves_the_output_zeroed() {
+        // k has extent 0: the sum over it is empty, so every A(i) is +0.0.
+        let dims = dims_of(&[("A", &[3]), ("B", &[3, 0]), ("c", &[0])]);
+        let inputs = BTreeMap::from([("B".into(), vec![]), ("c".into(), vec![])]);
+        let a = distal_ir::expr::Assignment::parse("A(i) = B(i,k) * c(k)").unwrap();
+        let out = evaluate(&a, &dims, &inputs).unwrap();
+        assert_eq!(out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), [0; 3]);
+    }
+
+    #[test]
+    fn literals_sums_and_products_match_a_hand_loop_bit_for_bit() {
+        let dims = dims_of(&[("A", &[3, 5]), ("B", &[3, 5]), ("C", &[3, 5])]);
+        let (b, c) = (crate::random_data(15, 7), crate::random_data(15, 8));
+        let inputs = BTreeMap::from([("B".into(), b.clone()), ("C".into(), c.clone())]);
+        let a = distal_ir::expr::Assignment::parse("A(i,j) = B(i,j) * 2.0 + C(i,j)").unwrap();
+        let mut want = vec![0.0; 15];
+        for i in 0..3 {
+            for j in 0..5 {
+                want[i * 5 + j] = b[i * 5 + j] * 2.0 + c[i * 5 + j];
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&evaluate(&a, &dims, &inputs).unwrap()), bits(&want));
     }
 
     #[test]

@@ -5,16 +5,15 @@
 //! statement, the registered tensors (shape + distribution format, with
 //! optional initial data), the abstract machine grid, and the physical
 //! machine model. The same `Problem` then compiles against any
-//! [`Backend`] — the dynamic runtime, the static
-//! SPMD lowering, or a pure cost model — via
-//! [`Problem::compile`]; schedules stay separate so an autoscheduler can
-//! sweep them over one immutable problem.
+//! [`Backend`](crate::Backend) — the dynamic runtime, the static SPMD
+//! lowering, or a pure cost model — via
+//! [`Backend::plan`](crate::Backend::plan) or
+//! [`Backend::compile`](crate::Backend::compile); schedules stay separate
+//! so an autoscheduler can sweep them over one immutable problem.
 
-use crate::backend::{Backend, BackendError};
 use crate::error::CompileError;
 use crate::machine::DistalMachine;
-use crate::plan::{Bindings, Instance, Plan};
-use crate::schedule::Schedule;
+use crate::plan::Bindings;
 use distal_format::Format;
 use distal_ir::expr::Assignment;
 use distal_machine::spec::MachineSpec;
@@ -206,7 +205,8 @@ impl TensorInit {
 /// onto any backend. See the [module docs](self) and the crate example.
 ///
 /// Its tensors' initial data are held as [`Bindings`], the form a request
-/// binds to a plan; [`Problem::compile`] binds exactly those.
+/// binds to a plan; [`Backend::compile`](crate::Backend::compile) binds
+/// exactly those.
 #[derive(Clone, Debug)]
 pub struct Problem {
     spec: MachineSpec,
@@ -346,8 +346,9 @@ impl Problem {
 
     /// The one door of every setter: `init` is checked against the
     /// tensor's registered shape by [`TensorInit::validate`], the check
-    /// [`Plan::bind`] makes, so a bad initializer is the same error here
-    /// as there — never one that surfaces later, inside a backend.
+    /// [`Plan::bind`](crate::Plan::bind) makes, so a bad initializer is
+    /// the same error here as there — never one that surfaces later,
+    /// inside a backend.
     fn bind(&mut self, name: &str, init: TensorInit) -> Result<&mut Self, CompileError> {
         let spec = self
             .tensors
@@ -412,7 +413,7 @@ impl Problem {
     /// through a workspace:
     ///
     /// ```
-    /// # use distal_core::{DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec};
+    /// # use distal_core::{Backend, DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec};
     /// # use distal_format::Format;
     /// # use distal_machine::{Grid, spec::{MachineSpec, MemKind, ProcKind}};
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -430,10 +431,10 @@ impl Problem {
     ///     .reorder(&["io", "ii"])
     ///     .distribute(&["io"]);
     /// let backend = RuntimeBackend::functional();
-    /// let mut first = ws.compile(&backend, &dist)?;
+    /// let mut first = backend.compile(&ws, &dist)?;
     /// let mut flops = first.run()?.flops;
     /// rest.set_data("T", first.read("T")?)?;
-    /// let mut second = rest.compile(&backend, &dist)?;
+    /// let mut second = backend.compile(&rest, &dist)?;
     /// flops += second.run()?.flops;
     /// assert!(flops < 2.0 * 8f64.powi(4));
     /// assert_eq!(second.read("A")?.len(), 64);
@@ -480,44 +481,10 @@ impl Problem {
     }
 
     /// The bindings this problem holds, its setters' initializers — what
-    /// [`Problem::compile`] binds to the plan it builds.
+    /// [`Backend::compile`](crate::Backend::compile) binds to the plan it
+    /// builds.
     pub fn bindings(&self) -> Bindings {
         self.data.clone()
-    }
-
-    /// Compiles this problem's data-independent part for a schedule onto
-    /// a target backend, producing a reusable [`Plan`] (see
-    /// [`Backend::plan`] and [`crate::cache::ShardedPlanCache`]).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::Compile`] when no statement was set, plus whatever
-    /// the target's lowering rejects.
-    pub fn plan(
-        &self,
-        target: &dyn Backend,
-        schedule: &Schedule,
-    ) -> Result<Box<dyn Plan>, BackendError> {
-        target.plan(self, schedule)
-    }
-
-    /// Compiles this problem for a schedule onto a target backend,
-    /// producing an executable [`Instance`]. This is the single-shot
-    /// front door — exactly [`Problem::plan`] followed by [`Plan::bind`]
-    /// on [`Problem::bindings`]; serving paths that reuse shapes should
-    /// hold the plan (or a [`crate::cache::ShardedPlanCache`]) and bind
-    /// per-request data instead.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::Compile`] when no statement was set, plus whatever
-    /// the target's lowering rejects.
-    pub fn compile(
-        &self,
-        target: &dyn Backend,
-        schedule: &Schedule,
-    ) -> Result<Box<dyn Instance>, BackendError> {
-        target.compile(self, schedule)
     }
 }
 

@@ -146,7 +146,9 @@ impl Expr {
     }
 
     /// Evaluates the expression given per-access scalar values, in access
-    /// order (used by the generic leaf interpreter).
+    /// order, operands left to right: the one evaluator of the notation,
+    /// which the reference leaf interpreter (and through it the
+    /// sequential oracle) calls at every point.
     pub fn eval(&self, values: &mut impl Iterator<Item = f64>) -> f64 {
         match self {
             Expr::Access(_) => values.next().expect("missing access value"),

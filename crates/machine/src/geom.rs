@@ -115,23 +115,6 @@ impl Point {
     pub fn coords(&self) -> &[i64] {
         &self.coords[..self.dim]
     }
-
-    /// Returns a new point with `value` appended as a trailing coordinate.
-    pub fn extended(&self, value: i64) -> Point {
-        let mut p = Point::zeros(self.dim + 1);
-        p.coords[..self.dim].copy_from_slice(self.coords());
-        p.coords[self.dim] = value;
-        p
-    }
-
-    /// Concatenates two points (used to flatten hierarchical machine
-    /// coordinates).
-    pub fn concat(&self, other: &Point) -> Point {
-        let mut p = Point::zeros(self.dim + other.dim);
-        p.coords[..self.dim].copy_from_slice(self.coords());
-        p.coords[self.dim..p.dim].copy_from_slice(other.coords());
-        p
-    }
 }
 
 impl PartialEq for Point {
@@ -934,8 +917,6 @@ mod tests {
         let p = Point::new(vec![3, 4]);
         assert_eq!(p.dim(), 2);
         assert_eq!(p[0], 3);
-        assert_eq!(p.extended(5).coords(), &[3, 4, 5]);
-        assert_eq!(p.concat(&Point::new(vec![7])).coords(), &[3, 4, 7]);
         assert_eq!(format!("{p}"), "(3, 4)");
     }
 

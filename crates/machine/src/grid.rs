@@ -144,7 +144,7 @@ impl Grid {
 /// assert_eq!(h.total_processors(), 16);
 /// assert_eq!(h.levels().len(), 2);
 /// // Flattened coordinate (node-x, node-y, gpu) -> global rank.
-/// let rank = h.flat_linearize(&vec![1, 0, 3].into());
+/// let rank = h.flat_grid().linearize(&vec![1, 0, 3].into());
 /// assert_eq!(rank, 1 * 2 * 4 + 0 * 4 + 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -197,11 +197,6 @@ impl MachineHierarchy {
             .flat_map(|g| g.dims().iter().copied())
             .collect();
         Grid::new(dims)
-    }
-
-    /// Global rank of a flattened coordinate.
-    pub fn flat_linearize(&self, p: &Point) -> i64 {
-        self.flat_grid().linearize(p)
     }
 
     /// Splits a flattened coordinate into per-level coordinates.
@@ -261,7 +256,7 @@ mod tests {
         assert_eq!(h.total_processors(), 16);
         assert_eq!(h.flat_dim(), 3);
         let p = Point::new(vec![1, 1, 2]);
-        assert_eq!(h.flat_linearize(&p), (2 + 1) * 4 + 2);
+        assert_eq!(h.flat_grid().linearize(&p), (2 + 1) * 4 + 2);
         let split = h.split_coord(&p);
         assert_eq!(split[0], Point::new(vec![1, 1]));
         assert_eq!(split[1], Point::new(vec![2]));

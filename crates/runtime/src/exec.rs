@@ -305,7 +305,9 @@ impl Runtime {
     }
 
     /// Seeds a region with row-major data in the staging memory
-    /// (functional mode only).
+    /// (functional mode only). The staging instance shares `data` with the
+    /// caller when it arrives as an `Arc` (a `Vec` is handed over), and
+    /// whatever writes it copies it first.
     ///
     /// # Errors
     ///
@@ -313,23 +315,9 @@ impl Runtime {
     pub fn set_region_data(
         &mut self,
         region: RegionId,
-        data: Vec<f64>,
+        data: impl Into<Arc<Vec<f64>>>,
     ) -> Result<(), RuntimeError> {
-        self.set_region_shared(region, Arc::new(data))
-    }
-
-    /// [`Runtime::set_region_data`] without the hand-over: the staging
-    /// instance shares `data` with the caller, and whatever writes it
-    /// copies it first.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::set_region_data`].
-    pub fn set_region_shared(
-        &mut self,
-        region: RegionId,
-        data: Arc<Vec<f64>>,
-    ) -> Result<(), RuntimeError> {
+        let data = data.into();
         if self.mode != Mode::Functional {
             return Err(RuntimeError::NotFunctional);
         }
@@ -579,7 +567,7 @@ mod tests {
         let caller = Arc::new(vec![1.0; n]);
         let mut rt = rt();
         let r = rt.create_region("A", rect);
-        rt.set_region_shared(r, Arc::clone(&caller)).unwrap();
+        rt.set_region_data(r, Arc::clone(&caller)).unwrap();
         assert_eq!(Arc::strong_count(&caller), 2, "bound without a copy");
 
         // A task that writes the staging instance itself (global memory).
@@ -597,7 +585,7 @@ mod tests {
         // A shared buffer is the caller's to keep when the store drops.
         let mut rt = self::rt();
         let r = rt.create_region("A", Rect::sized(&[n as i64]));
-        rt.set_region_shared(r, Arc::clone(&caller)).unwrap();
+        rt.set_region_data(r, Arc::clone(&caller)).unwrap();
         drop(rt);
         assert_eq!(*caller, vec![1.0; n]);
     }

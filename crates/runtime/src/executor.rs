@@ -530,7 +530,7 @@ mod tests {
             let mut rt = functional(MachineSpec::small(2), workers);
             let r = rt.create_region("A", Rect::sized(&[16]));
             let acc = rt.create_region("S", Rect::sized(&[16]));
-            rt.set_region_data(r, (0..16).map(|x| x as f64).collect())
+            rt.set_region_data(r, (0..16).map(|x| x as f64).collect::<Vec<f64>>())
                 .unwrap();
             rt.set_region_data(acc, vec![0.0; 16]).unwrap();
             let mut p = Program::new();
@@ -602,7 +602,7 @@ mod tests {
         let mut rt = functional(MachineSpec::small(1), 4);
         let whole = Rect::sized(&[64]);
         let r = rt.create_region("A", whole);
-        rt.set_region_data(r, (0..64).map(f64::from).collect())
+        rt.set_region_data(r, (0..64).map(f64::from).collect::<Vec<f64>>())
             .unwrap();
         let proc = rt.machine().cpu_proc(0, 0);
         let mem = rt.machine().proc(proc).local_mem;

@@ -134,7 +134,7 @@ pub struct Instance {
 /// that guarantee checkable by the type system.
 ///
 /// The buffer sits behind an `Arc` because a staging instance shares the
-/// vector its caller bound ([`crate::Runtime::set_region_shared`]): every
+/// vector its caller bound ([`crate::Runtime::set_region_data`]): every
 /// write goes through [`Arc::make_mut`], which copies a shared vector
 /// first and costs a uniquely owned one nothing.
 pub type DataCell = std::sync::RwLock<Option<Arc<Vec<f64>>>>;

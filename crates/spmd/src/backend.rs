@@ -25,7 +25,7 @@
 //! re-lowered or copied.
 //!
 //! ```
-//! use distal_core::{DistalMachine, Problem, Schedule, TensorSpec};
+//! use distal_core::{Backend, DistalMachine, Problem, Schedule, TensorSpec};
 //! use distal_format::Format;
 //! use distal_machine::{Grid, spec::{MachineSpec, MemKind, ProcKind}};
 //! use distal_spmd::SpmdBackend;
@@ -40,7 +40,7 @@
 //! }
 //! problem.fill("B", 1.0)?.fill("C", 2.0)?;
 //!
-//! let mut instance = problem.compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))?;
+//! let mut instance = SpmdBackend::new().compile(&problem, &Schedule::summa(2, 2, 4))?;
 //! let report = instance.run()?;
 //! assert!(instance.read("A")?.iter().all(|&v| (v - 16.0).abs() < 1e-9));
 //! assert!(report.messages > 0);
@@ -569,8 +569,8 @@ mod tests {
     #[test]
     fn spmd_instance_executes_and_reads() {
         let p = matmul_problem(8);
-        let mut inst = p
-            .compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))
+        let mut inst = SpmdBackend::new()
+            .compile(&p, &Schedule::summa(2, 2, 4))
             .unwrap();
         assert!(matches!(inst.read("A"), Err(BackendError::NoData(_))));
         let report = inst.run().unwrap();
@@ -614,8 +614,6 @@ mod tests {
         let schedule = Schedule::summa(2, 2, 4);
         let key = |b: &dyn Backend| distal_core::PlanKey::new(b, &p, &schedule);
         let lints = |lint| LintConfig::new().allow(lint);
-        let mut thresholds = LintConfig::new();
-        thresholds.undistributed_threshold_bytes += 1;
         let rt = RuntimeBackend::functional;
         let options = |edit: fn(&mut distal_core::CompileOptions)| {
             let mut options = distal_core::CompileOptions::default();
@@ -642,7 +640,6 @@ mod tests {
             Box::new(options(|o| o.fill_output = Some(false))),
             Box::new(options(|o| o.compute_mem = Some(MemKind::Fb))),
             Box::new(rt().with_lints(lints(Lint::GridMismatch))),
-            Box::new(rt().with_lints(thresholds.clone())),
             Box::new(SpmdBackend::new()),
             Box::new(SpmdBackend {
                 mode: Mode::Model,
@@ -657,7 +654,6 @@ mod tests {
             Box::new(SpmdBackend::new().with_transport(Transport::threaded_with(2))),
             Box::new(SpmdBackend::new().with_transport(Transport::Threaded(watchdog))),
             Box::new(SpmdBackend::new().with_lints(lints(Lint::LoadImbalance))),
-            Box::new(SpmdBackend::new().with_lints(thresholds)),
         ];
         let keys: Vec<_> = backends.iter().map(|b| key(b.as_ref())).collect();
         for (i, a) in keys.iter().enumerate() {
@@ -685,7 +681,7 @@ mod tests {
         let sim = RuntimeBackend::model();
         let alpha_beta = CostBackend::alpha_beta(AlphaBeta::default());
         for backend in [&sim as &dyn Backend, &alpha_beta] {
-            let mut inst = p.compile(backend, &schedule).unwrap();
+            let mut inst = backend.compile(&p, &schedule).unwrap();
             let report = inst.run().unwrap();
             assert_eq!(report.backend, backend.name());
             assert_eq!(report.provenance, Provenance::Modeled);
@@ -834,8 +830,8 @@ mod tests {
             .plan(&p, &Schedule::summa(2, 2, 4))
             .unwrap();
         assert!(plan.diagnostics().is_empty());
-        let mut inst = p
-            .compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))
+        let mut inst = SpmdBackend::new()
+            .compile(&p, &Schedule::summa(2, 2, 4))
             .unwrap();
         let report = inst.run().unwrap();
         assert!(distal_core::verified_clean(&report.diagnostics));
@@ -853,8 +849,8 @@ mod tests {
             p.tensor(TensorSpec::new(t, vec![8, 8], f.clone())).unwrap();
         }
         p.fill_random("B", 1).unwrap(); // C left uninitialized
-        let mut inst = p
-            .compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))
+        let mut inst = SpmdBackend::new()
+            .compile(&p, &Schedule::summa(2, 2, 4))
             .unwrap();
         assert!(matches!(inst.execute(), Err(BackendError::NoData(m)) if m.contains("'C'")));
     }
@@ -867,14 +863,14 @@ mod tests {
         let summa = Schedule::summa(2, 2, 4);
         let mut p = matmul_problem(8);
         p.fill("A", 1.0).unwrap();
-        assert!(p.compile(&SpmdBackend::new(), &summa).is_ok());
+        assert!(SpmdBackend::new().compile(&p, &summa).is_ok());
         p.statement("A(i,j) += B(i,k) * C(k,j)").unwrap();
         assert!(matches!(
-            p.compile(&SpmdBackend::new(), &summa),
+            SpmdBackend::new().compile(&p, &summa),
             Err(BackendError::Unsupported(m)) if m.contains("'A'")
         ));
         p.fill("A", 0.0).unwrap();
-        assert!(p.compile(&SpmdBackend::new(), &summa).is_ok());
+        assert!(SpmdBackend::new().compile(&p, &summa).is_ok());
     }
 
     #[test]
@@ -888,7 +884,7 @@ mod tests {
         }
         // Admission rejects the mismatched grid before lowering, with a
         // structured fix-it naming the machine shape.
-        match p.compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4)) {
+        match SpmdBackend::new().compile(&p, &Schedule::summa(2, 2, 4)) {
             Err(BackendError::Verification(diags)) => {
                 let d = diags
                     .iter()

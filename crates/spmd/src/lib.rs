@@ -61,7 +61,7 @@
 //! The same `Problem` that runs on the dynamic runtime compiles here:
 //!
 //! ```
-//! use distal_core::{DistalMachine, Problem, Schedule, TensorSpec};
+//! use distal_core::{Backend, DistalMachine, Problem, Schedule, TensorSpec};
 //! use distal_format::Format;
 //! use distal_machine::grid::Grid;
 //! use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
@@ -77,7 +77,7 @@
 //! }
 //! problem.fill("B", 1.0)?.fill("C", 2.0)?;
 //!
-//! let mut instance = problem.compile(&SpmdBackend::new(), &Schedule::summa(2, 2, 4))?;
+//! let mut instance = SpmdBackend::new().compile(&problem, &Schedule::summa(2, 2, 4))?;
 //! let report = instance.run()?;
 //! assert!(instance.read("A")?.iter().all(|&v| (v - 16.0).abs() < 1e-9));
 //! assert!(report.messages > 0);

@@ -255,7 +255,8 @@ impl Resolved {
     }
 }
 
-fn volume(rect: &Rect) -> usize {
+/// Elements of `rect`, zero when it is empty.
+pub(crate) fn volume(rect: &Rect) -> usize {
     rect.volume().max(0) as usize
 }
 

@@ -36,8 +36,8 @@
 use crate::lower::SpmdError;
 use crate::ops::SpmdOp;
 use crate::program::{rect_inner_extent, MeasuredRun, SpmdProgram};
+use crate::resolve::{volume, Src, Step};
 use crate::resolve::{Base, Face, FaceRead, Landing, Leaf, Part, Payload, RankPlan, Resolved};
-use crate::resolve::{Src, Step};
 use crate::stats::CommStats;
 use distal_machine::geom::{copy_rect, fill_rect, Point, Rect};
 use distal_runtime::kernel::{ArgData, Kernel, KernelArg, KernelCtx};
@@ -45,10 +45,6 @@ use distal_runtime::pool;
 use distal_runtime::program::Privilege;
 use distal_sparse::{csr_payload_bytes, stored_entries, SparseBuffer};
 use std::sync::Arc;
-
-fn volume(rect: &Rect) -> usize {
-    rect.volume().max(0) as usize
-}
 
 /// A rectangular buffer: `rect` in tensor space, row-major `data`.
 #[derive(Debug)]

@@ -5,7 +5,9 @@
 use distal_algs::higher_order::HigherOrderKernel;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_core::oracle;
-use distal_core::{DistalMachine, Instance, Problem, RuntimeBackend, Schedule, TensorSpec};
+use distal_core::{
+    Backend, DistalMachine, Instance, Problem, RuntimeBackend, Schedule, TensorSpec,
+};
 use distal_format::Format;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
@@ -572,7 +574,7 @@ fn executing_an_instance_twice_repeats_its_bits_and_its_report() {
         for transport in [Transport::Sequential, Transport::threaded_with(2)] {
             let what = format!("{name} on {transport:?}");
             let backend = SpmdBackend::new().with_transport(transport);
-            let mut instance = problem.compile(&backend, &schedule).unwrap();
+            let mut instance = backend.compile(&problem, &schedule).unwrap();
             let mut runs = Vec::new();
             for _ in 0..2 {
                 let mut report = instance.execute().unwrap();

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let strict = RuntimeBackend::functional().with_lints(LintConfig::deny_all());
     println!("planning the broken schedule...");
-    let Err(BackendError::Verification(diags)) = problem.plan(&strict, &broken) else {
+    let Err(BackendError::Verification(diags)) = strict.plan(&problem, &broken) else {
         panic!("the broken schedule must be rejected at admission");
     };
     println!("rejected with {} findings:", diags.len());
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the textbook SUMMA schedule.
     println!("\napplying the fix-its and re-planning...");
     let fixed = Schedule::summa(2, 2, 16);
-    let mut artifact = problem.compile(&strict, &fixed)?;
+    let mut artifact = strict.compile(&problem, &fixed)?;
     let report = artifact.run()?;
     println!("admitted clean under deny-all and ran: {report}");
     assert!(report.diagnostics.is_empty());

@@ -56,13 +56,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if std::env::var("DISTAL_EXECUTOR").as_deref() == Ok("serial") {
         runtime = runtime.with_executor(ExecutorKind::Serial);
     }
-    let mut dynamic = problem.compile(&runtime, &schedule)?;
+    let mut dynamic = runtime.compile(&problem, &schedule)?;
     let report = dynamic.run()?;
     println!("dynamic runtime:  {report}");
 
     // Backend 2: the static SPMD backend (explicit per-rank send/recv) —
     // the *only* change is the backend passed to compile().
-    let mut statik = problem.compile(&SpmdBackend::new(), &schedule)?;
+    let mut statik = SpmdBackend::new().compile(&problem, &schedule)?;
     let report = statik.run()?;
     println!("static SPMD:      {report}");
 

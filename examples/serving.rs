@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fresh
             .fill_random("B", 2 * r as u64 + 1)?
             .fill_random("C", 2 * r as u64 + 2)?;
-        let mut artifact = fresh.compile(&backend, &schedule)?;
+        let mut artifact = backend.compile(&fresh, &schedule)?;
         artifact.run()?;
         let want = artifact.read("A")?;
         assert_eq!(&held_outputs[r], cached);

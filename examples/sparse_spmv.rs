@@ -82,13 +82,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bindings.set_sparse("B", std::sync::Arc::new(image));
         let mut runtime = plan.bind(&bindings)?;
         let rt_report = runtime.run()?;
-        let mut spmd = sparse.compile(&SpmdBackend::new(), &schedule)?;
+        let mut spmd = SpmdBackend::new().compile(&sparse, &schedule)?;
         let sp_report = spmd.run()?;
         println!("  runtime (sparse): {rt_report}");
         println!("  spmd    (sparse): {sp_report}");
 
         // The dense registration of the same data, for the byte contrast.
-        let mut spmd_dense = dense.compile(&SpmdBackend::new(), &schedule)?;
+        let mut spmd_dense = SpmdBackend::new().compile(&dense, &schedule)?;
         let dense_report = spmd_dense.run()?;
         println!("  spmd    (dense):  {dense_report}");
         // Compression pays off when the data is actually sparse; at 50%

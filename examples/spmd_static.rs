@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         // Execute through the shared Instance surface and verify.
-        let mut artifact = problem.compile(&SpmdBackend::new(), &schedule)?;
+        let mut artifact = SpmdBackend::new().compile(&problem, &schedule)?;
         let report = artifact.run()?;
         let got = artifact.read("A")?;
         let mut inputs = BTreeMap::new();

@@ -47,11 +47,11 @@
 //! // The SUMMA schedule of Figure 2, lines 23-40, on the dynamic
 //! // runtime...
 //! let schedule = Schedule::summa(2, 2, 16);
-//! let mut dynamic = problem.compile(&RuntimeBackend::functional(), &schedule)?;
+//! let mut dynamic = RuntimeBackend::functional().compile(&problem, &schedule)?;
 //! dynamic.run()?;
 //!
 //! // ...and the *same problem* on the static SPMD (MPI-style) backend.
-//! let mut statik = problem.compile(&SpmdBackend::new(), &schedule)?;
+//! let mut statik = SpmdBackend::new().compile(&problem, &schedule)?;
 //! statik.run()?;
 //! assert_eq!(dynamic.read("A")?, statik.read("A")?);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -173,7 +173,7 @@ fn read_a(
     backend: &dyn Backend,
     schedule: &Schedule,
 ) -> Result<Vec<f64>, BackendError> {
-    let mut instance = problem.compile(backend, schedule)?;
+    let mut instance = backend.compile(problem, schedule)?;
     instance.run()?;
     instance.read("A")
 }

@@ -39,12 +39,12 @@ fn run_both_tensor(
     runtime: &RuntimeBackend,
     out: &str,
 ) -> ((Vec<f64>, Report), (Vec<f64>, Report)) {
-    let mut rt = problem.compile(runtime, schedule).unwrap();
+    let mut rt = runtime.compile(problem, schedule).unwrap();
     rt.place().unwrap();
     let rt_report = rt.execute().unwrap();
     let rt_a = rt.read(out).unwrap();
 
-    let mut sp = problem.compile(&SpmdBackend::new(), schedule).unwrap();
+    let mut sp = SpmdBackend::new().compile(problem, schedule).unwrap();
     sp.place().unwrap();
     let sp_report = sp.execute().unwrap();
     let sp_a = sp.read(out).unwrap();
@@ -187,7 +187,7 @@ fn summa_on_a_differently_shaped_machine_bit_identical_on_every_executor() {
     // 2x + y. Admission denies the shape mismatch by default.
     let problem = matmul_on(Grid::grid2(4, 1), "xy->xy", 8);
     let schedule = Schedule::summa(2, 2, 4);
-    assert!(problem.plan(&SpmdBackend::new(), &schedule).is_err());
+    assert!(SpmdBackend::new().plan(&problem, &schedule).is_err());
     common::assert_every_executor_agrees(&problem, &schedule, &LintConfig::allow_all(), "A");
 }
 
@@ -210,21 +210,21 @@ fn artifact_error_surface_is_uniform() {
 
     // Unknown tensors are unknown-tensor errors on every backend (the
     // runtime used to misreport them as a mode error).
-    let mut rt = problem
-        .compile(&RuntimeBackend::functional(), &schedule)
+    let mut rt = RuntimeBackend::functional()
+        .compile(&problem, &schedule)
         .unwrap();
     rt.run().unwrap();
     assert!(matches!(rt.read("Z"), Err(BackendError::UnknownTensor(t)) if t == "Z"));
 
-    let mut sp = problem.compile(&SpmdBackend::new(), &schedule).unwrap();
+    let mut sp = SpmdBackend::new().compile(&problem, &schedule).unwrap();
     // Reading the output before execute() is a no-data error, not junk.
     assert!(matches!(sp.read("A"), Err(BackendError::NoData(_))));
     sp.run().unwrap();
     assert!(matches!(sp.read("Z"), Err(BackendError::UnknownTensor(t)) if t == "Z"));
 
     // Model-mode artifacts hold no numerics.
-    let mut model = problem
-        .compile(&RuntimeBackend::model(), &schedule)
+    let mut model = RuntimeBackend::model()
+        .compile(&problem, &schedule)
         .unwrap();
     model.run().unwrap();
     assert!(matches!(model.read("A"), Err(BackendError::NoData(_))));
@@ -368,8 +368,8 @@ fn cost_backend_prices_density() {
     let schedule = spmm_problem(16, 1.0, false).1;
     let makespan = |density: f64, compressed: bool| {
         let (p, _) = spmm_problem(16, density, compressed);
-        let mut art = p
-            .compile(&CostBackend::alpha_beta(AlphaBeta::default()), &schedule)
+        let mut art = CostBackend::alpha_beta(AlphaBeta::default())
+            .compile(&p, &schedule)
             .unwrap();
         art.run().unwrap().critical_path_s
     };
@@ -402,8 +402,8 @@ fn assert_generated_matches_interpreter(
     label: &str,
 ) -> Report {
     let run = |backend: &dyn Backend, schedule: &Schedule| {
-        let mut art = problem
-            .compile(backend, schedule)
+        let mut art = backend
+            .compile(problem, schedule)
             .unwrap_or_else(|e| panic!("{label} [{}]: {e}", backend.name()));
         let report = art
             .run()
@@ -705,7 +705,7 @@ fn compressed_ttv_and_mttkrp_run_the_sparse_leaf_on_every_backend() {
             let (sparse, _) = higher_order_problem(statement, n, density, true);
             let label = format!("`{statement}` at density {density}");
             let run = |problem: &Problem, backend: &dyn Backend| {
-                let mut instance = problem.compile(backend, &schedule).unwrap();
+                let mut instance = backend.compile(problem, &schedule).unwrap();
                 let report = instance.run().unwrap();
                 (instance.read("A").unwrap(), report)
             };
@@ -757,14 +757,14 @@ fn uninitialized_inputs_fail_on_both_backends() {
     }
     fresh.fill_random("B", 0xB).unwrap(); // C left uninitialized
 
-    let mut rt = fresh
-        .compile(&RuntimeBackend::functional(), &schedule)
+    let mut rt = RuntimeBackend::functional()
+        .compile(&fresh, &schedule)
         .unwrap();
     // The runtime hits the uninitialized region as soon as placement
     // pulls C; run() covers both phases.
     assert!(rt.run().is_err(), "runtime must reject uninitialized C");
 
-    let mut sp = fresh.compile(&SpmdBackend::new(), &schedule).unwrap();
+    let mut sp = SpmdBackend::new().compile(&fresh, &schedule).unwrap();
     sp.place().unwrap();
     assert!(
         matches!(sp.execute(), Err(BackendError::NoData(m)) if m.contains("'C'")),
@@ -781,12 +781,12 @@ fn assert_threaded_matches_sequential(
     out: &str,
     label: &str,
 ) -> Report {
-    let mut seq = problem.compile(&SpmdBackend::new(), schedule).unwrap();
+    let mut seq = SpmdBackend::new().compile(problem, schedule).unwrap();
     seq.run().unwrap();
     let seq_out = seq.read(out).unwrap();
 
     let threaded_backend = SpmdBackend::new().with_transport(Transport::threaded_with(4));
-    let mut thr = problem.compile(&threaded_backend, schedule).unwrap();
+    let mut thr = threaded_backend.compile(problem, schedule).unwrap();
     thr.place().unwrap();
     let thr_report = thr.execute().unwrap();
     let thr_out = thr.read(out).unwrap();
@@ -840,7 +840,7 @@ fn sequential_transport_reports_stay_modeled() {
     // headline stays the α-β makespan, flagged as modeled, with no
     // modeled-vs-measured ratio.
     let (problem, schedule) = problem_for(MatmulAlgorithm::Summa, 2, 8);
-    let mut seq = problem.compile(&SpmdBackend::new(), &schedule).unwrap();
+    let mut seq = SpmdBackend::new().compile(&problem, &schedule).unwrap();
     seq.place().unwrap();
     let report = seq.execute().unwrap();
     assert_eq!(report.provenance, Provenance::Modeled);

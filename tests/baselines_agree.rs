@@ -17,7 +17,7 @@ fn config(nodes: usize) -> RunConfig {
 /// DISTAL's own answer: the problem's output on the configuration's
 /// runtime backend.
 fn ours(cfg: &RunConfig, (problem, schedule): (Problem, Schedule)) -> Vec<f64> {
-    let mut instance = problem.compile(&cfg.backend(), &schedule).unwrap();
+    let mut instance = cfg.backend().compile(&problem, &schedule).unwrap();
     instance.run().unwrap();
     instance
         .read(&problem.assignment().unwrap().lhs.tensor)

@@ -58,8 +58,9 @@ pub fn assert_every_executor_agrees(
     let reads: Vec<(String, Vec<f64>)> = backends
         .into_iter()
         .map(|(which, backend)| {
-            let mut instance = problem
-                .compile(backend.as_ref(), schedule)
+            let mut instance = backend
+                .as_ref()
+                .compile(problem, schedule)
                 .unwrap_or_else(|e| panic!("{which}: {e}"));
             instance.run().unwrap_or_else(|e| panic!("{which}: {e}"));
             (which, instance.read(out).unwrap())

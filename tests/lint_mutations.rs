@@ -38,6 +38,24 @@ fn matmul() -> Problem {
     matmul_on(16, Grid::grid2(4, 2), ["xy->xy", "xy->xy", "xy->xy"])
 }
 
+/// The `kind` findings of `Schedule::summa(4, 2, 4)` on a 4x2 machine when
+/// B is `rows` x 256 in format `b`; A (`rows` x 256) and C (256 x 256) are
+/// tiled.
+fn findings_with_b(rows: i64, b: &Format, kind: DiagnosticKind) -> usize {
+    let machine = DistalMachine::flat(Grid::grid2(4, 2), ProcKind::Cpu);
+    let mut p = Problem::new(MachineSpec::small(4), machine);
+    p.statement("A(i,j) = B(i,k) * C(k,j)").unwrap();
+    let tiles = Format::parse("xy->xy", MemKind::Sys).unwrap();
+    for (t, dims, f) in [("A", [rows, 256], &tiles), ("B", [rows, 256], b)] {
+        p.tensor(TensorSpec::new(t, dims.to_vec(), f.clone()))
+            .unwrap();
+    }
+    p.tensor(TensorSpec::new("C", vec![256, 256], tiles))
+        .unwrap();
+    let diags = lint_schedule(&p, &Schedule::summa(4, 2, 4), &LintConfig::new());
+    diags.iter().filter(|d| d.kind == kind).count()
+}
+
 /// Admission must reject; returns the findings for inspection.
 fn reject(p: &Problem, s: &Schedule, config: &LintConfig) -> Vec<Diagnostic> {
     match admit(p, s, config) {
@@ -337,12 +355,14 @@ fn broadcast_replication_blowup_warns_past_threshold() {
     assert!(d.message.contains("replicated 2x"), "{}", d.message);
     assert_eq!(
         d.fixit.as_deref(),
-        Some("partition the broadcast machine dimension or raise replication_threshold_bytes")
+        Some("partition the broadcast machine dimension")
     );
-    // Raising the threshold silences it.
-    let mut roomy = LintConfig::new();
-    roomy.replication_threshold_bytes = 1 << 30;
-    assert!(lint_schedule(&p, &Schedule::summa(4, 2, 4), &roomy).is_empty());
+    // The threshold is exclusive: B at 256 rows of 256 doubles, replicated
+    // 2x, is exactly 1 MiB and stays silent; one row more fires.
+    let b = Format::parse("xy->x*", MemKind::Sys).unwrap();
+    let kind = DiagnosticKind::ReplicationBlowup;
+    assert_eq!(findings_with_b(256, &b, kind), 0);
+    assert_eq!(findings_with_b(257, &b, kind), 1);
 }
 
 #[test]
@@ -371,6 +391,16 @@ fn large_undistributed_tensor_warns_on_multinode() {
         d.fixit.as_deref(),
         Some("distribute 'B' across the machine")
     );
+}
+
+#[test]
+fn an_undistributed_tensor_warns_only_past_one_mib() {
+    // An undistributed B of 512 rows of 256 doubles is exactly 1 MiB and
+    // stays silent; one row more fires.
+    let b = Format::undistributed_in(MemKind::Sys);
+    let kind = DiagnosticKind::UndistributedTensor;
+    assert_eq!(findings_with_b(512, &b, kind), 0);
+    assert_eq!(findings_with_b(513, &b, kind), 1);
 }
 
 #[test]
@@ -440,7 +470,7 @@ fn index_spaces_past_the_coordinate_cap_are_typed_errors() {
         &distal_spmd::SpmdBackend::new(),
     ];
     for backend in backends {
-        let err = matmul().plan(backend, &s).err().expect("refused");
+        let err = backend.plan(&matmul(), &s).err().expect("refused");
         assert!(
             err.to_string()
                 .contains(&format!("the sequential loop band has {deep} dimensions")),
@@ -545,7 +575,7 @@ fn schedules_the_compiler_rejects_fail_admission_with_its_error() {
         for backend in backends {
             let before = lowering_count();
             assert_eq!(
-                p.plan(backend, &s).err(),
+                backend.plan(&p, &s).err(),
                 Some(err.clone()),
                 "{}",
                 backend.name()

@@ -1,6 +1,6 @@
 //! Compile-once / execute-many: one plan bound repeatedly must (a) do
 //! zero schedule-application / lowering work per binding, (b) produce
-//! bit-identical results to a fresh `Problem::compile` with the same
+//! bit-identical results to a fresh `Backend::compile` with the same
 //! data, and (c) recompute nnz-derived byte accounting per instance —
 //! never inherit an earlier binding's sparsity.
 //!
@@ -55,7 +55,7 @@ fn bits(data: &[f64]) -> Vec<u64> {
     data.iter().map(|v| v.to_bits()).collect()
 }
 
-/// `A` of the one-shot path: a fresh `Problem::compile` of `shapes` with
+/// `A` of the one-shot path: a fresh `Backend::compile` of `shapes` with
 /// the data `seeded_bindings(b_seed, c_seed)` binds.
 fn fresh_output(
     shapes: &Problem,
@@ -67,7 +67,7 @@ fn fresh_output(
     let mut problem = shapes.clone();
     problem.fill_random("B", b_seed).unwrap();
     problem.fill_random("C", c_seed).unwrap();
-    let mut fresh = problem.compile(backend, schedule).unwrap();
+    let mut fresh = backend.compile(&problem, schedule).unwrap();
     fresh.run().unwrap();
     bits(&fresh.read("A").unwrap())
 }
@@ -252,7 +252,7 @@ fn sparse_bindings_recompute_nnz_bytes_per_instance() {
         let mut fresh_problem = shapes.clone();
         fresh_problem.fill_random_sparse("B", 0xB, density).unwrap();
         fresh_problem.fill_random("C", 0xC).unwrap();
-        let mut fresh = fresh_problem.compile(&backend, &schedule).unwrap();
+        let mut fresh = backend.compile(&fresh_problem, &schedule).unwrap();
         let fresh_report = fresh.run().unwrap();
         assert_eq!(report.bytes_moved, fresh_report.bytes_moved, "d={density}");
         assert_eq!(report.messages, fresh_report.messages, "d={density}");
@@ -294,8 +294,8 @@ fn cost_plan_static_pricing_follows_each_binding() {
         let mut fresh_problem = shapes.clone();
         fresh_problem.fill_random_sparse("B", 0xB, density).unwrap();
         fresh_problem.fill_random("C", 0xC).unwrap();
-        let fresh_report = fresh_problem
-            .compile(&backend, &schedule)
+        let fresh_report = backend
+            .compile(&fresh_problem, &schedule)
             .unwrap()
             .run()
             .unwrap();
@@ -369,7 +369,7 @@ fn plan_cache_serves_identical_results() {
     // The cache front door, on both executable backends: 8 fresh-data
     // requests over fixed shapes are 1 miss and 7 hits, a hit request
     // (look-up, bind, run) lowers nothing, and every output is the one a
-    // fresh `Problem::compile` of the same bindings produces.
+    // fresh `Backend::compile` of the same bindings produces.
     let (shapes, schedule) = matmul_shapes(8);
     let backends: [&dyn Backend; 2] = [&RuntimeBackend::functional(), &SpmdBackend::new()];
     for backend in backends {

@@ -39,11 +39,11 @@ fn run_staged(
     schedule: &Schedule,
 ) -> (Vec<f64>, f64) {
     let workspace = ws.assignment().unwrap().lhs.tensor.clone();
-    let mut first = ws.compile(backend, schedule).unwrap();
+    let mut first = backend.compile(&ws, schedule).unwrap();
     let mut flops = first.run().unwrap().flops;
     rest.set_data(&workspace, first.read(&workspace).unwrap())
         .unwrap();
-    let mut second = rest.compile(backend, schedule).unwrap();
+    let mut second = backend.compile(&rest, schedule).unwrap();
     flops += second.run().unwrap().flops;
     let output = &rest.assignment().unwrap().lhs.tensor;
     (second.read(output).unwrap(), flops)
@@ -79,8 +79,8 @@ fn triple_product_precompute_matches_oracle_and_saves_flops() {
         3,
     );
     // Fused reference (for the flops comparison).
-    let mut reference = fused
-        .compile(&RuntimeBackend::functional(), &dist_1d(p))
+    let mut reference = RuntimeBackend::functional()
+        .compile(&fused, &dist_1d(p))
         .unwrap();
     let fused_flops = reference.run().unwrap().flops;
 

@@ -116,7 +116,7 @@ proptest! {
                 .communicate(&["A"], "jo")
                 .communicate(&["B", "C"], "ko")
                 .substitute(&["ii", "ji", "ki"], leaf);
-            let mut instance = p.compile(&RuntimeBackend::functional(), &schedule).unwrap();
+            let mut instance = RuntimeBackend::functional().compile(&p, &schedule).unwrap();
             instance.run().unwrap();
             instance.read("A").unwrap()
         };

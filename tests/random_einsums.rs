@@ -64,7 +64,7 @@ fn random_einsums_match_oracle_on_both_backends() {
             &RuntimeBackend::functional() as &dyn Backend,
             &SpmdBackend::new(),
         ] {
-            let mut artifact = problem.compile(backend, &schedule).unwrap_or_else(|e| {
+            let mut artifact = backend.compile(&problem, &schedule).unwrap_or_else(|e| {
                 panic!("{} [{}] (dist {dist_var}): {e}", case.expr, backend.name())
             });
             artifact

@@ -1,262 +1,219 @@
-//! Shared baseline machinery: the workspace the baselines hand-build
-//! their programs against, phased runs, and barrier insertion.
+//! Shared baseline machinery: a baseline is a sequence of stages, each a
+//! `(Problem, Schedule)` planned on the runtime backend, and a run binds
+//! each stage's inputs to what earlier stages produced.
 
 use distal_algs::matmul::MatmulAlgorithm;
-use distal_algs::setup::RunConfig;
-use distal_core::lower::{compile, placement_program, CompileOptions, TensorBinding};
+use distal_algs::setup::{matmul_problem, RunConfig};
+use distal_core::kernels::peak_fraction;
+use distal_core::{BackendError, Instance};
 use distal_core::{
-    random_data, BackendError, CompileError, CompiledKernel, DistalMachine, Schedule,
+    Bindings, CompileError, CompileOptions, Plan, Problem, RuntimeInstance, RuntimePlan, Schedule,
 };
-use distal_format::Format;
 use distal_ir::expr::Assignment;
-use distal_machine::geom::Rect;
-use distal_machine::spec::MachineSpec;
-use distal_runtime::program::{Op, Program};
+use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::stats::RunStats;
-use distal_runtime::topology::PhysicalMachine;
-use distal_runtime::{Mode, Runtime, RuntimeError};
-use std::collections::BTreeMap;
+use distal_runtime::{Mode, RuntimeError};
 
-/// The comparison systems of §7.1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BaselineSystem {
-    /// ScaLAPACK's SUMMA (bulk-synchronous).
-    ScaLapack,
-    /// Cyclops Tensor Framework (2.5D GEMM; matricized higher-order ops).
-    Ctf,
-    /// COSMA (communication-optimal grid, full overlap, 40 cores).
-    Cosma,
-    /// COSMA restricted to DISTAL's 36 worker cores (Figure 15a).
-    CosmaRestrictedCpus,
+/// How one system runs a stage, beyond its schedule.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct System {
+    /// Fraction of peak its leaf reaches.
+    pub(crate) efficiency: f64,
+    /// No overlap of communication and computation (MPI codes).
+    pub(crate) bulk_synchronous: bool,
+    /// The memory compute tasks stage their data in, when it is not the
+    /// tensors' own (COSMA's out-of-core GPU GEMM).
+    pub(crate) compute_mem: Option<MemKind>,
 }
 
-impl BaselineSystem {
-    /// Figure legend name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BaselineSystem::ScaLapack => "SCALAPACK",
-            BaselineSystem::Ctf => "CTF",
-            BaselineSystem::Cosma => "COSMA",
-            BaselineSystem::CosmaRestrictedCpus => "COSMA (Restricted CPUs)",
+impl System {
+    /// The machine this system runs `statement` on: `config`'s, with the
+    /// processors' peak scaled so that the lowering's price for the leaf
+    /// ([`peak_fraction`]) times the peak is the system's own rate.
+    pub(crate) fn spec(&self, config: &RunConfig, statement: &Assignment) -> MachineSpec {
+        let mut spec = config.spec.clone();
+        let scale = self.efficiency / peak_fraction(statement);
+        match config.proc_kind {
+            ProcKind::Cpu => spec.node.cpu_socket_gflops *= scale,
+            ProcKind::Gpu => spec.node.gpu_gflops *= scale,
+        }
+        spec
+    }
+
+    /// The compile options of this system's stage.
+    pub(crate) fn options(&self) -> CompileOptions {
+        CompileOptions {
+            bulk_synchronous: self.bulk_synchronous,
+            compute_mem: self.compute_mem,
+            ..CompileOptions::default()
         }
     }
 }
 
-/// One phase of a multi-phase baseline run.
-#[allow(clippy::large_enum_variant)] // kernels dominate; phases are few
-pub enum Phase {
-    /// A compiled kernel: placement then compute.
-    Kernel(CompiledKernel),
-    /// A raw runtime program (redistributions/reshapes).
-    Raw(Program),
-    /// A raw program whose time is excluded from the measured total (input
-    /// staging that the paper's timers also exclude).
-    Untimed(Program),
-}
-
-impl std::fmt::Debug for Phase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Phase::Kernel(_) => f.write_str("Phase::Kernel"),
-            Phase::Raw(_) => f.write_str("Phase::Raw"),
-            Phase::Untimed(_) => f.write_str("Phase::Untimed"),
-        }
-    }
-}
-
-/// What the baselines build on instead of the compiler's front door: one
-/// raw runtime whose regions several hand-built (and hand-mutated)
-/// programs share, plus the bindings those programs are compiled against.
-/// Tensors may live on different abstract machines over the same
-/// physical one (CTF's matricized tensors sit on per-contraction grids).
+/// One planned stage and the data its own problem binds (user inputs at
+/// rest); every other input is an earlier stage's output.
 #[derive(Debug)]
-pub(crate) struct Workspace {
-    runtime: Runtime,
-    tensors: BTreeMap<String, TensorBinding>,
+struct Stage {
+    plan: RuntimePlan,
+    bindings: Bindings,
 }
 
-impl Workspace {
-    pub(crate) fn new(spec: MachineSpec, mode: Mode) -> Self {
-        Workspace {
-            runtime: Runtime::new(PhysicalMachine::new(spec), mode),
-            tensors: BTreeMap::new(),
-        }
-    }
-
-    pub(crate) fn phys(&self) -> &PhysicalMachine {
-        self.runtime.machine()
-    }
-
-    /// Registers a tensor over a fresh region.
-    pub(crate) fn tensor(&mut self, name: &str, dims: Vec<i64>, format: Format) {
-        let region = self.runtime.create_region(name, Rect::sized(&dims));
-        let binding = TensorBinding {
-            dims,
-            format,
-            region,
-        };
-        self.tensors.insert(name.to_string(), binding);
-    }
-
-    /// Seeds an input: deterministic pseudo-random data in functional
-    /// mode (the values `Problem::fill_random` gives the same seed), a
-    /// validity mark in model mode.
-    pub(crate) fn seed(&mut self, name: &str, seed: u64) -> Result<(), BackendError> {
-        let b = self.binding(name)?;
-        let (region, len) = (b.region, Rect::sized(&b.dims).volume() as usize);
-        match self.runtime.mode() {
-            Mode::Functional => self
-                .runtime
-                .set_region_data(region, random_data(len, seed))?,
-            Mode::Model => self.runtime.fill_region(region, 0.0)?,
-        }
-        Ok(())
-    }
-
-    pub(crate) fn binding(&self, name: &str) -> Result<&TensorBinding, CompileError> {
-        self.tensors
-            .get(name)
-            .ok_or_else(|| CompileError::UnknownTensor(name.into()))
-    }
-
-    /// Compiles a statement against the registered tensors on `machine`.
-    pub(crate) fn compile(
-        &self,
-        machine: &DistalMachine,
-        expr: &str,
-        schedule: &Schedule,
-        options: &CompileOptions,
-    ) -> Result<CompiledKernel, CompileError> {
-        let assignment =
-            Assignment::parse(expr).map_err(|e| CompileError::Expression(e.to_string()))?;
-        compile(
-            &assignment,
-            &self.tensors,
-            machine,
-            self.phys(),
-            schedule,
-            options,
-        )
-    }
-
-    /// A program moving the named tensors (`true` marks inputs) into
-    /// their formats' distributions on `machine`.
-    pub(crate) fn placement(
-        &self,
-        names: &[(&str, bool)],
-        machine: &DistalMachine,
-    ) -> Result<Program, CompileError> {
-        placement_program(&self.tensors, names, machine, self.phys())
-    }
-}
-
-/// A baseline ready to run: its workspace plus an ordered list of phases.
+/// A baseline ready to run: its stages, in order.
 #[derive(Debug)]
 pub struct PhasedRun {
-    workspace: Workspace,
-    /// Phases, run in order.
-    pub phases: Vec<Phase>,
+    stages: Vec<Stage>,
+    /// The instances of the last run, one per stage.
+    instances: Vec<RuntimeInstance>,
     /// Name of the output tensor (for correctness checks).
     pub output: String,
 }
 
 impl PhasedRun {
-    pub(crate) fn new(workspace: Workspace, phases: Vec<Phase>, output: &str) -> Self {
+    /// A run with no stages yet.
+    pub(crate) fn new(output: &str) -> Self {
         PhasedRun {
-            workspace,
-            phases,
+            stages: Vec::new(),
+            instances: Vec::new(),
             output: output.to_string(),
         }
     }
 
+    /// Plans `problem` under `schedule` on `config`'s backend with
+    /// `options` and appends it as the next stage.
+    ///
+    /// # Errors
+    ///
+    /// Admission and lowering errors.
+    pub(crate) fn stage(
+        &mut self,
+        config: &RunConfig,
+        options: CompileOptions,
+        problem: &Problem,
+        schedule: &Schedule,
+    ) -> Result<(), BackendError> {
+        let plan = config
+            .backend()
+            .with_options(options)
+            .plan_typed(problem, schedule)?;
+        self.stages.push(Stage {
+            plan,
+            bindings: problem.bindings(),
+        });
+        Ok(())
+    }
+
     /// A distributed GEMM baseline: `A(i,j) = B(i,k) * C(k,j)` on `alg`'s
-    /// grid and formats, inputs seeded `0xB`/`0xC` like
-    /// `distal_algs::setup::matmul_problem`, the schedule lowered under
-    /// the system's own `options` and, for the MPI-style systems, made
-    /// bulk-synchronous. Placement is input staging the paper's timers
-    /// exclude, so [`PhasedRun::run`] reports the compute program alone.
+    /// grid and formats, inputs seeded like
+    /// `distal_algs::setup::matmul_problem`, run by `system` under
+    /// `schedule`, in one stage.
     pub(crate) fn gemm(
         config: &RunConfig,
         alg: MatmulAlgorithm,
         n: i64,
         schedule: &Schedule,
-        options: &CompileOptions,
-        bulk_synchronous: bool,
+        system: System,
     ) -> Result<PhasedRun, BackendError> {
-        let machine = DistalMachine::flat(alg.grid(config.processors()), config.proc_kind);
-        let mut workspace = Workspace::new(config.spec.clone(), config.mode);
-        for (name, format) in ["A", "B", "C"].into_iter().zip(alg.formats(config.mem)) {
-            workspace.tensor(name, vec![n, n], format);
-        }
-        workspace.seed("B", 0xB)?;
-        workspace.seed("C", 0xC)?;
-        let mut kernel =
-            workspace.compile(&machine, "A(i,j) = B(i,k) * C(k,j)", schedule, options)?;
-        if bulk_synchronous {
-            make_bulk_synchronous(kernel.compute.program_mut());
-        }
-        let phases = vec![
-            Phase::Untimed(kernel.placement.into_program()),
-            Phase::Raw(kernel.compute.into_program()),
-        ];
-        Ok(PhasedRun::new(workspace, phases, "A"))
+        let mut staged = config.clone();
+        staged.spec = system.spec(config, &distal_ir::expr::kernels::matmul());
+        let (problem, _) = matmul_problem(alg, &staged, n, 1)?;
+        let mut run = PhasedRun::new("A");
+        run.stage(config, system.options(), &problem, schedule)?;
+        Ok(run)
     }
 
-    /// Runs all phases, summing the measured statistics.
+    /// Runs every stage in order, summing the statistics of their compute
+    /// programs: each stage binds its own inputs and the outputs of
+    /// earlier stages, then places them untimed (input staging the
+    /// paper's timers exclude; a handed-off tensor's every element is
+    /// already on the rank its next stage places it) and executes timed.
     ///
     /// # Errors
     ///
-    /// Propagates runtime errors from any phase.
-    pub fn run(&mut self) -> Result<RunStats, RuntimeError> {
-        let runtime = &mut self.workspace.runtime;
+    /// Runtime errors from any stage, and a handed-off buffer whose length
+    /// disagrees with the tensor of the stage it binds.
+    fn run_stages(&mut self) -> Result<RunStats, BackendError> {
+        self.instances.clear();
         let mut total = RunStats::default();
-        for phase in &self.phases {
-            match phase {
-                Phase::Kernel(k) => {
-                    total.merge(&runtime.run(&k.placement)?);
-                    total.merge(&runtime.run(&k.compute)?);
+        for stage in &self.stages {
+            let mut bindings = stage.bindings.clone();
+            for earlier in &self.instances {
+                let handed = &earlier.kernel().output;
+                if !stage.plan.tensors().contains_key(handed) {
+                    continue;
                 }
-                Phase::Raw(p) => total.merge(&runtime.run(p)?),
-                Phase::Untimed(p) => {
-                    runtime.run(p)?;
-                }
+                match earlier.runtime().mode() {
+                    Mode::Functional => bindings.set_data(handed.clone(), earlier.read(handed)?),
+                    // Model mode holds no numerics: binding marks it valid.
+                    Mode::Model => bindings.fill(handed.clone(), 0.0),
+                };
             }
+            let mut instance = stage.plan.bind_typed(&bindings)?;
+            instance.place_stats()?;
+            total.merge(&instance.execute_stats()?);
+            self.instances.push(instance);
         }
         Ok(total)
     }
 
-    /// Reads a tensor's current contents (functional mode).
+    /// Runs all stages, summing the measured statistics.
     ///
     /// # Errors
     ///
-    /// Unknown tensors and runtime read errors (model mode, unwritten
-    /// data).
+    /// Propagates runtime errors from any stage; a hand-off of the wrong
+    /// length is [`RuntimeError::DataSizeMismatch`].
+    pub fn run(&mut self) -> Result<RunStats, RuntimeError> {
+        self.run_stages().map_err(|e| match e {
+            BackendError::Runtime(e) => e,
+            BackendError::Compile(CompileError::DataSize { expected, got, .. }) => {
+                RuntimeError::DataSizeMismatch { expected, got }
+            }
+            // Stages are planned when the run is built and bind only
+            // their own tensors.
+            other => unreachable!("a planned stage failed to bind: {other}"),
+        })
+    }
+
+    /// The stages' plans, in order.
+    #[cfg(test)]
+    pub(crate) fn plans(&self) -> impl Iterator<Item = &RuntimePlan> {
+        self.stages.iter().map(|stage| &stage.plan)
+    }
+
+    /// The instance of stage `i` of the last run.
+    #[cfg(test)]
+    pub(crate) fn instance(&self, i: usize) -> &RuntimeInstance {
+        &self.instances[i]
+    }
+
+    /// Reads a tensor's contents after a run (functional mode), from the
+    /// last stage that holds it.
+    ///
+    /// # Errors
+    ///
+    /// Unknown tensors and runtime read errors (model mode).
     pub fn read(&self, name: &str) -> Result<Vec<f64>, BackendError> {
-        let region = self.workspace.binding(name)?.region;
-        Ok(self.workspace.runtime.read_region(region)?)
+        self.instances
+            .iter()
+            .rev()
+            .find(|instance| instance.region(name).is_some())
+            .ok_or_else(|| BackendError::UnknownTensor(name.into()))?
+            .read(name)
     }
 }
 
-/// Inserts a barrier after every index launch: the bulk-synchronous
-/// execution style of ScaLAPACK and CTF (§7.1.1 — they cannot hide
-/// communication behind computation).
-pub fn make_bulk_synchronous(program: &mut Program) {
-    let mut ops = Vec::with_capacity(program.ops.len() * 2);
-    for op in program.ops.drain(..) {
-        let is_launch = matches!(op, Op::IndexLaunch(_));
-        ops.push(op);
-        if is_launch {
-            ops.push(Op::Barrier);
-        }
-    }
-    program.ops = ops;
+/// A functional configuration on `nodes` small nodes.
+#[cfg(test)]
+pub(crate) fn functional(nodes: usize) -> RunConfig {
+    let mut config = RunConfig::cpu(nodes, Mode::Functional);
+    config.spec = MachineSpec::small(nodes);
+    config
 }
 
 /// Checks a GEMM baseline's functional output against the oracle.
 #[cfg(test)]
 pub(crate) fn assert_gemm_matches_oracle(run: &mut PhasedRun, n: i64) {
     run.run().unwrap();
-    let assignment = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
+    let assignment = distal_ir::expr::kernels::matmul();
     let dims = ["A", "B", "C"].map(|t| (t.to_string(), vec![n, n])).into();
     let inputs = ["B", "C"]
         .map(|t| (t.to_string(), run.read(t).unwrap()))
@@ -270,29 +227,52 @@ pub(crate) fn assert_gemm_matches_oracle(run: &mut PhasedRun, n: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distal_core::{DistalMachine, TensorSpec};
+    use distal_format::Format;
+    use distal_machine::grid::Grid;
+    use distal_machine::spec::MemKind;
 
     #[test]
-    fn barrier_insertion() {
-        let mut p = Program::new();
-        p.push(Op::IndexLaunch(distal_runtime::program::IndexLaunch {
-            name: "l".into(),
-            tasks: vec![],
-        }));
-        p.push(Op::Fill {
-            region: distal_runtime::RegionId(0),
-            value: 0.0,
-        });
-        make_bulk_synchronous(&mut p);
-        assert_eq!(p.ops.len(), 3);
-        assert!(matches!(p.ops[1], Op::Barrier));
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(BaselineSystem::Ctf.name(), "CTF");
+    fn a_hand_off_of_the_wrong_length_is_a_typed_error() {
+        let config = functional(1);
+        let stage = |expr: &str, dims: [(&str, i64); 2]| {
+            let machine = DistalMachine::flat(Grid::line(2), ProcKind::Cpu);
+            let mut problem = Problem::new(config.spec.clone(), machine);
+            problem.statement(expr).unwrap();
+            let rows = Format::parse("x->x", MemKind::Sys).unwrap();
+            for (name, n) in dims {
+                problem
+                    .tensor(TensorSpec::new(name, vec![n], rows.clone()))
+                    .unwrap();
+            }
+            problem
+        };
+        let schedule = Schedule::new()
+            .divide("i", "io", "ii", 2)
+            .distribute(&["io"]);
+        let mut first = stage("T(i) = B(i)", [("T", 8), ("B", 8)]);
+        first.fill_random("B", 1).unwrap();
+        // The next stage declares `T` with another extent.
+        let second = stage("A(i) = T(i)", [("A", 6), ("T", 6)]);
+        let mut run = PhasedRun::new("A");
+        for problem in [&first, &second] {
+            run.stage(&config, CompileOptions::default(), problem, &schedule)
+                .unwrap();
+        }
         assert_eq!(
-            BaselineSystem::CosmaRestrictedCpus.name(),
-            "COSMA (Restricted CPUs)"
+            run.run_stages().unwrap_err(),
+            BackendError::Compile(CompileError::DataSize {
+                tensor: "T".into(),
+                expected: 6,
+                got: 8
+            })
+        );
+        assert_eq!(
+            run.run().unwrap_err(),
+            RuntimeError::DataSizeMismatch {
+                expected: 6,
+                got: 8
+            }
         );
     }
 }

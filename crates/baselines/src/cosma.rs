@@ -15,10 +15,9 @@
 //!   costs DISTAL ~15% at 256 nodes. It also never exhausts the 16 GB
 //!   framebuffer, unlike replication-heavy 3D algorithms.
 
-use crate::common::PhasedRun;
+use crate::common::{PhasedRun, System};
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::RunConfig;
-use distal_core::lower::CompileOptions;
 use distal_core::BackendError;
 use distal_machine::spec::{MemKind, ProcKind};
 
@@ -43,13 +42,13 @@ pub fn gemm(config: &RunConfig, n: i64, restricted_cpus: bool) -> Result<PhasedR
     if out_of_core {
         config.mem = MemKind::Sys;
     }
-    let options = CompileOptions {
+    let system = System {
         // The out-of-core GEMM (Tiled-MM) achieves roughly half of cuBLAS
         // peak — the 2x single-node gap of Figure 15b. CPU COSMA runs at
         // full leaf efficiency.
-        leaf_efficiency: Some(if out_of_core { 0.5 } else { 0.95 }),
+        efficiency: if out_of_core { 0.5 } else { 0.95 },
+        bulk_synchronous: false,
         compute_mem: out_of_core.then_some(MemKind::Fb),
-        ..CompileOptions::default()
     };
     // COSMA sequentializes the local k range so the staged working set fits
     // in the framebuffer (its "sequential steps"); it therefore never runs
@@ -63,20 +62,19 @@ pub fn gemm(config: &RunConfig, n: i64, restricted_cpus: bool) -> Result<PhasedR
         1
     };
     let schedule = distal_algs::matmul::cosma_schedule(gx, gy, gz, steps.max(1));
-    PhasedRun::gemm(&config, alg, n, &schedule, &options, false)
+    PhasedRun::gemm(&config, alg, n, &schedule, system)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distal_machine::spec::MachineSpec;
+    use crate::common::functional;
     use distal_runtime::Mode;
 
     #[test]
     fn cosma_gemm_correct() {
-        let mut config = RunConfig::cpu(2, Mode::Functional);
-        config.spec = MachineSpec::small(2);
-        crate::common::assert_gemm_matches_oracle(&mut gemm(&config, 8, false).unwrap(), 8);
+        let run = gemm(&functional(2), 8, false);
+        crate::common::assert_gemm_matches_oracle(&mut run.unwrap(), 8);
     }
 
     #[test]

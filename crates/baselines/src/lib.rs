@@ -7,6 +7,12 @@
 //! ScaLAPACK, the Cyclops Tensor Framework (CTF), and COSMA — each running
 //! on the same simulated substrate as DISTAL so that the comparison isolates
 //! the *distribution strategy*, which is exactly what the paper evaluates.
+//! A distribution strategy is a format plus a schedule, so a system here is
+//! a sequence of `(Problem, Schedule)` stages planned through the one front
+//! door, [`distal_core::RuntimeBackend`] ([`PhasedRun`]); what is specific
+//! to a system is a parameter of its stages — its leaf rate the stage
+//! machine's peak, its cores per node `cpu_worker_fraction`, no overlap
+//! [`distal_core::CompileOptions::bulk_synchronous`].
 //!
 //! Per the paper's own analysis, the baselines differ from DISTAL in:
 //!
@@ -28,9 +34,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod common;
+mod common;
 pub mod cosma;
 pub mod ctf;
 pub mod scalapack;
 
-pub use common::{BaselineSystem, Phase, PhasedRun};
+pub use common::PhasedRun;

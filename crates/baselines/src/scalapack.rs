@@ -5,10 +5,9 @@
 //! is not hidden behind computation — the paper measures it at ≤80% of
 //! DISTAL/COSMA at 256 nodes, with variability on non-square grids.
 
-use crate::common::PhasedRun;
+use crate::common::{PhasedRun, System};
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::RunConfig;
-use distal_core::lower::CompileOptions;
 use distal_core::BackendError;
 
 /// Builds a bulk-synchronous SUMMA GEMM run (ScaLAPACK's algorithm).
@@ -18,39 +17,37 @@ use distal_core::BackendError;
 /// Propagates compile and seeding errors.
 pub fn gemm(config: &RunConfig, n: i64, chunk: i64) -> Result<PhasedRun, BackendError> {
     let alg = MatmulAlgorithm::Summa;
-    let options = CompileOptions {
+    let system = System {
         // MPI ranks use the full node (no cores reserved for a runtime), but
         // the rank-per-socket decomposition costs a little leaf efficiency.
-        leaf_efficiency: Some(0.92),
-        ..CompileOptions::default()
+        efficiency: 0.92,
+        bulk_synchronous: true,
+        compute_mem: None,
     };
     let schedule = alg.schedule(config.processors(), n, chunk);
-    PhasedRun::gemm(config, alg, n, &schedule, &options, true)
+    PhasedRun::gemm(config, alg, n, &schedule, system)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::Phase;
-    use distal_machine::spec::MachineSpec;
+    use crate::common::functional;
     use distal_runtime::program::Op;
     use distal_runtime::Mode;
 
     #[test]
     fn scalapack_gemm_is_correct_and_synchronous() {
-        let mut config = RunConfig::cpu(2, Mode::Functional);
-        config.spec = MachineSpec::small(2);
-        let mut run = gemm(&config, 8, 4).unwrap();
-        let Some(Phase::Raw(compute)) = run.phases.last() else {
-            panic!("expected the compute program last, got {:?}", run.phases);
-        };
-        let barriers = compute
+        let mut run = gemm(&functional(2), 8, 4).unwrap();
+        crate::common::assert_gemm_matches_oracle(&mut run, 8);
+        let barriers = run
+            .instance(0)
+            .kernel()
+            .compute
             .ops
             .iter()
             .filter(|o| matches!(o, Op::Barrier))
             .count();
         assert!(barriers >= 2, "expected per-step barriers, got {barriers}");
-        crate::common::assert_gemm_matches_oracle(&mut run, 8);
     }
 
     #[test]

@@ -19,9 +19,8 @@
 use crate::args::Args;
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::{matmul_problem, RunConfig};
-use distal_baselines::common::make_bulk_synchronous;
-use distal_core::{Problem, RuntimeInstance, Schedule};
-use distal_runtime::{Mode, Program, RunStats};
+use distal_core::{CompileOptions, Problem, RuntimeBackend, RuntimeInstance, Schedule};
+use distal_runtime::{Mode, RunStats};
 use std::fmt::Write as _;
 
 /// One ablation measurement.
@@ -45,12 +44,9 @@ impl Ablation {
     }
 }
 
-/// Binds a problem on the configuration's backend and places its tensors.
-fn placed(config: &RunConfig, problem: &Problem, schedule: &Schedule) -> RuntimeInstance {
-    let mut instance = config
-        .backend()
-        .compile_typed(problem, schedule)
-        .expect("compile");
+/// Binds a problem on `backend` and places its tensors.
+fn placed(backend: RuntimeBackend, problem: &Problem, schedule: &Schedule) -> RuntimeInstance {
+    let mut instance = backend.compile_typed(problem, schedule).expect("compile");
     instance.place_stats().expect("place");
     instance
 }
@@ -58,7 +54,7 @@ fn placed(config: &RunConfig, problem: &Problem, schedule: &Schedule) -> Runtime
 /// The compute-phase statistics of a Figure 9 algorithm's own schedule.
 fn matmul_stats(alg: MatmulAlgorithm, config: &RunConfig, n: i64, chunk: i64) -> RunStats {
     let (problem, schedule) = matmul_problem(alg, config, n, chunk).expect("setup");
-    placed(config, &problem, &schedule)
+    placed(config.backend(), &problem, &schedule)
         .execute_stats()
         .expect("execute")
 }
@@ -86,7 +82,7 @@ fn ablate_rotate(nodes: usize, n: i64) -> Vec<Ablation> {
         ("Cannon minus rotate", without_rotate),
     ] {
         let (problem, _) = matmul_problem(MatmulAlgorithm::Cannon, &config, n, 1).expect("setup");
-        let stats = placed(&config, &problem, &schedule)
+        let stats = placed(config.backend(), &problem, &schedule)
             .execute_stats()
             .expect("execute");
         out.push(Ablation::new(label, &stats));
@@ -108,22 +104,25 @@ fn ablate_communicate_granularity(nodes: usize, n: i64) -> Vec<Ablation> {
     out
 }
 
-/// Overlap ablation: the same SUMMA schedule executed with Legion-style
-/// deferred execution vs bulk-synchronous barriers (the ScaLAPACK/CTF
-/// handicap of §7.1.1).
+/// Overlap ablation: the same SUMMA schedule planned for Legion-style
+/// deferred execution and for bulk-synchronous barriers
+/// ([`CompileOptions::bulk_synchronous`], the ScaLAPACK/CTF handicap of
+/// §7.1.1).
 fn ablate_overlap(nodes: usize, n: i64) -> Vec<Ablation> {
     let config = RunConfig::gpu(nodes, Mode::Model);
+    let (problem, schedule) =
+        matmul_problem(MatmulAlgorithm::Summa, &config, n, (n / 16).max(1)).expect("setup");
     let mut out = Vec::new();
-    for barriers in [false, true] {
-        let (problem, schedule) =
-            matmul_problem(MatmulAlgorithm::Summa, &config, n, (n / 16).max(1)).expect("setup");
-        let mut instance = placed(&config, &problem, &schedule);
-        let mut compute = Program::clone(&instance.kernel().compute);
-        if barriers {
-            make_bulk_synchronous(&mut compute);
-        }
-        let stats = instance.runtime_mut().run(&compute).expect("execute");
-        let label = if barriers {
+    for bulk_synchronous in [false, true] {
+        let options = CompileOptions {
+            bulk_synchronous,
+            ..CompileOptions::default()
+        };
+        let backend = config.backend().with_options(options);
+        let stats = placed(backend, &problem, &schedule)
+            .execute_stats()
+            .expect("execute");
+        let label = if bulk_synchronous {
             "SUMMA bulk-synchronous"
         } else {
             "SUMMA overlapped"
@@ -178,7 +177,7 @@ fn ablate_data_layout(nodes: usize, n: i64) -> Vec<Ablation> {
             problem.fill(t, 0.0).expect("fill");
         }
         let schedule = MatmulAlgorithm::Summa.schedule(p, n, (n / gx.max(gy)).max(1));
-        let stats = placed(&config, &problem, &schedule)
+        let stats = placed(config.backend(), &problem, &schedule)
             .execute_stats()
             .expect("execute");
         out.push(Ablation::new(label, &stats));

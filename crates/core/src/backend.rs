@@ -49,7 +49,7 @@
 use crate::diagnostic::Diagnostic;
 use crate::error::CompileError;
 use crate::lint::LintConfig;
-use crate::lower::{registry_bindings, CompileOptions, CompiledKernel};
+use crate::lower::{CompileOptions, CompiledKernel};
 use crate::nest::Nest;
 use crate::plan::{init_nnz, Bindings, Instance, Plan};
 use crate::problem::{Problem, TensorSpec};
@@ -248,7 +248,7 @@ impl RuntimeBackend {
         let kernel = crate::lower::lower_nest(
             Nest::from_cin(cin)?,
             assignment,
-            &registry_bindings(problem.tensors()),
+            problem.tensors(),
             problem.machine(),
             &PhysicalMachine::new(problem.spec().clone()),
             schedule,
@@ -334,7 +334,7 @@ impl RuntimePlan {
         let mut regions = BTreeMap::new();
         for (position, (name, spec)) in self.tensors.iter().enumerate() {
             let region = runtime.create_region(name.clone(), Rect::sized(&spec.dims));
-            // Guard the invariant `registry_bindings` states rather than
+            // Guard the invariant `lower::binding` states rather than
             // assuming it.
             if region != RegionId(position as u32) {
                 return Err(BackendError::Backend(format!(
@@ -443,7 +443,7 @@ impl RuntimeInstance {
     }
 
     /// The underlying runtime, mutably (copy logging, executor threads,
-    /// running hand-modified programs against the bound regions).
+    /// running another program against the bound regions).
     pub fn runtime_mut(&mut self) -> &mut Runtime {
         &mut self.runtime
     }
@@ -662,6 +662,43 @@ mod tests {
             assert!(random > 0);
             assert_eq!(random, sparse, "{:?}", backend.mode);
             assert_eq!(random, data, "{:?}", backend.mode);
+        }
+    }
+
+    #[test]
+    fn a_bulk_synchronous_plan_ends_every_compute_launch_with_a_barrier() {
+        use distal_runtime::program::Op;
+        let p = matmul_problem(8);
+        // SUMMA's steps, and the reduce-gather of a distributed `k`.
+        let k_distributed = Schedule::new()
+            .distribute_onto(&["i", "k"], &["io", "ko"], &["ii", "ki"], &[2, 2])
+            .communicate(&["A", "B", "C"], "ko");
+        for (schedule, gathers) in [(Schedule::summa(2, 2, 4), false), (k_distributed, true)] {
+            let ops = |bulk_synchronous| {
+                let options = CompileOptions {
+                    bulk_synchronous,
+                    ..CompileOptions::default()
+                };
+                let backend = RuntimeBackend::model().with_options(options);
+                let plan = backend.plan_typed(&p, &schedule).unwrap();
+                plan.kernel().compute.ops.clone()
+            };
+            let (free, bulk) = (ops(false), ops(true));
+            let gather = free
+                .iter()
+                .any(|op| matches!(op, Op::IndexLaunch(l) if l.name == "reduce-gather"));
+            assert_eq!(gather, gathers);
+            // The default plan, op for op, with a barrier after each launch.
+            let mut want = Vec::new();
+            for op in &free {
+                assert!(!matches!(op, Op::Barrier));
+                want.push(format!("{op:?}"));
+                if matches!(op, Op::IndexLaunch(_)) {
+                    want.push(format!("{:?}", Op::Barrier));
+                }
+            }
+            let bulk: Vec<_> = bulk.iter().map(|op| format!("{op:?}")).collect();
+            assert_eq!(bulk, want);
         }
     }
 

@@ -2,7 +2,7 @@
 //! monomorphized leaf kernels at plan time.
 //!
 //! [`leaf_for`] is the one place a leaf kernel is chosen. Both lowerings
-//! (`crate::lower::compile` and the SPMD backend's `lower_with`) call it
+//! (the runtime plan's `lower_nest` and the SPMD backend's `lower_with`) call it
 //! with the schedule's `substitute` command, so the command means the same
 //! on every backend: `LeafKind::Interpreter` runs the reference
 //! [`InterpreterKernel`], `LeafKind::Gemm` insists on a matmul-shaped
@@ -18,7 +18,7 @@
 //!
 //!    *`B` is CSR from `bind` to leaf.* The leaf names the argument it
 //!    reads compressed (`Kernel::sparse_arg`), the one place CSR-vs-dense
-//!    is decided. `lower::compile` records the tensor on the plan
+//!    is decided. `lower_nest` records the tensor on the plan
 //!    (`CompiledKernel::csr_operand`); `bind` builds one `SparseBuffer`
 //!    for it (one pass over borrowed `Data`, the value stream of
 //!    `RandomSparse`, or the caller's image through `Bindings::set_sparse`)

@@ -31,8 +31,8 @@
 //!   `place`/`execute`/`read`/[`Report`] surface;
 //! * [`Schedule`] — the chainable scheduling language of Figure 2
 //!   (`divide`, `split`, `reorder`, `distribute`, `communicate`, `rotate`);
-//! * [`compile`] — lowers a scheduled statement to placement + compute
-//!   [`distal_runtime::Program`]s.
+//! * [`CompiledKernel`] — what a [`RuntimePlan`] lowers a scheduled
+//!   statement to: placement + compute [`distal_runtime::Program`]s.
 //!
 //! # Example: Figure 2 (SUMMA on a 2×2 grid), on the unified pipeline
 //!
@@ -76,7 +76,7 @@ pub mod kernels;
 pub mod lint;
 pub mod lower;
 pub mod machine;
-pub mod mapper;
+pub(crate) mod mapper;
 pub mod nest;
 pub mod oracle;
 pub mod plan;
@@ -89,9 +89,8 @@ pub use cache::{CacheStats, PlanKey, ShardedPlanCache};
 pub use diagnostic::{verified_clean, Diagnostic, DiagnosticKind, Severity};
 pub use error::CompileError;
 pub use lint::{admit, lint_schedule, Lint, LintConfig, LintLevel};
-pub use lower::{compile, CompileOptions, CompiledKernel};
+pub use lower::{CompileOptions, CompiledKernel};
 pub use machine::DistalMachine;
-pub use mapper::GridMapper;
 pub use nest::lowering_count;
 pub use plan::{init_nnz, Bindings, Instance, Plan};
 pub use problem::{random_data, sparse_random_data, Problem, TensorId, TensorInit, TensorSpec};

@@ -20,14 +20,13 @@
 //! `ReadWrite` accumulation; pure element-wise statements use `Write`.
 
 use crate::error::CompileError;
-use crate::kernels::{is_matmul, is_streaming};
+use crate::kernels::{is_streaming, peak_fraction};
 use crate::machine::DistalMachine;
 use crate::mapper::GridMapper;
 use crate::nest::{Env, Nest};
 use crate::problem::TensorSpec;
 use crate::schedule::Schedule;
 use distal_format::semantics::hierarchical_pieces;
-use distal_format::Format;
 use distal_ir::cin::ConcreteNotation;
 use distal_ir::expr::Assignment;
 use distal_machine::geom::{Point, Rect};
@@ -39,44 +38,20 @@ use distal_runtime::topology::PhysicalMachine;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A tensor bound to a region with a format.
-#[derive(Clone, Debug)]
-pub struct TensorBinding {
-    /// Dimension sizes.
-    pub dims: Vec<i64>,
-    /// Distribution + memory kind.
-    pub format: Format,
-    /// The backing runtime region.
-    pub region: RegionId,
-}
-
-/// The bindings a tensor registry compiles against before any runtime
-/// exists: every tensor's [`RegionId`] is its position in the registry's
-/// (name-sorted) order, which is the id a fresh runtime hands out when
-/// the regions are created in that order.
-pub(crate) fn registry_bindings(
-    tensors: &BTreeMap<String, TensorSpec>,
-) -> BTreeMap<String, TensorBinding> {
-    tensors
-        .iter()
-        .enumerate()
-        .map(|(position, (name, spec))| {
-            let binding = TensorBinding {
-                dims: spec.dims.clone(),
-                format: spec.format.clone(),
-                region: RegionId(position as u32),
-            };
-            (name.clone(), binding)
-        })
-        .collect()
-}
-
 /// Compile-time options.
+///
+/// A leaf's rate is not an option: the lowering prices it at
+/// [`peak_fraction`] of the machine's peak, and a system that reaches
+/// another fraction is a machine with another peak
+/// ([`MachineSpec`](distal_machine::spec::MachineSpec)'s
+/// `cpu_socket_gflops`/`gpu_gflops`).
 #[derive(Clone, Debug, Default)]
 pub struct CompileOptions {
-    /// Fraction of peak the leaf kernel achieves (model mode). `None`
-    /// selects 0.95 for matmul-shaped leaves and 0.85 otherwise.
-    pub leaf_efficiency: Option<f64>,
+    /// End every compute launch, and the reduce-gather, with a barrier:
+    /// the bulk-synchronous execution of MPI codes such as ScaLAPACK and
+    /// CTF, which cannot overlap one step's communication with another's
+    /// computation (§7.1.1). Off by default: the runtime overlaps freely.
+    pub bulk_synchronous: bool,
     /// Zero-fill the output before computing. `None` = automatic (filled
     /// when the leaf accumulates, unless a `+=` adds to the bound output).
     pub fill_output: Option<bool>,
@@ -94,7 +69,6 @@ pub struct CompileOptions {
 /// same coherence state, so the dependence analysis of a program is paid
 /// by the plan's first request and replayed by the rest. Nothing is
 /// recorded at plan time.
-#[derive(Clone)]
 pub struct CompiledKernel {
     /// The scheduled concrete index notation (inspect with `Display`).
     pub cin: ConcreteNotation,
@@ -129,36 +103,16 @@ impl std::fmt::Debug for CompiledKernel {
     }
 }
 
-/// Compiles a scheduled statement against tensor bindings and a machine.
+/// Lowers `nest` — `assignment` under `schedule` — against the bindings.
+/// A plan hands it the nest of the notation admission applied.
 ///
 /// # Errors
 ///
-/// Reports unknown tensors, inconsistent extents, failing schedule
-/// commands, and launch domains larger than the machine.
-pub fn compile(
-    assignment: &Assignment,
-    tensors: &BTreeMap<String, TensorBinding>,
-    machine: &DistalMachine,
-    phys: &PhysicalMachine,
-    schedule: &Schedule,
-    options: &CompileOptions,
-) -> Result<CompiledKernel, CompileError> {
-    // The nest analysis resolves and arity-checks every access.
-    let dims = tensors
-        .iter()
-        .map(|(name, b)| (name.clone(), b.dims.clone()))
-        .collect();
-    let nest = Nest::new(assignment, &dims, schedule)?;
-    lower_nest(nest, assignment, tensors, machine, phys, schedule, options)
-}
-
-/// [`compile`] past the nest analysis: lowers `nest` — `assignment` under
-/// `schedule` — against the bindings. A plan hands it the nest of the
-/// notation admission applied.
+/// Reports unknown tensors and launch domains larger than the machine.
 pub(crate) fn lower_nest(
     nest: Nest,
     assignment: &Assignment,
-    tensors: &BTreeMap<String, TensorBinding>,
+    tensors: &BTreeMap<String, TensorSpec>,
     machine: &DistalMachine,
     phys: &PhysicalMachine,
     schedule: &Schedule,
@@ -182,10 +136,7 @@ pub(crate) fn lower_nest(
         .fill_output
         .unwrap_or(leaf_reduces && out_priv != Privilege::Write && !assignment.increment);
 
-    let efficiency =
-        options
-            .leaf_efficiency
-            .unwrap_or(if is_matmul(assignment) { 0.95 } else { 0.85 });
+    let efficiency = peak_fraction(assignment);
     let streaming = is_streaming(assignment);
 
     // Tensors discarded per sequential iteration: those communicated at a
@@ -194,27 +145,33 @@ pub(crate) fn lower_nest(
     let mut seq_comm_regions: BTreeMap<String, RegionId> = BTreeMap::new();
     for t in nest.seq_communicated() {
         if *t != assignment.lhs.tensor {
-            seq_comm_regions.insert(t.clone(), binding(tensors, t)?.region);
+            seq_comm_regions.insert(t.clone(), binding(tensors, t)?.0);
         }
     }
 
     // ---- Compute program ----
     let mut compute = Program::new();
-    let out_binding = binding(tensors, &assignment.lhs.tensor)?;
+    let (out_region, out_spec) = binding(tensors, &assignment.lhs.tensor)?;
     if fill_output {
         compute.push(Op::Fill {
-            region: out_binding.region,
+            region: out_region,
             value: 0.0,
         });
+    }
+    // Every access a task requires, destination first, then the inputs.
+    let inputs = assignment.input_accesses();
+    let mut accessed = vec![(out_region, out_spec, out_priv)];
+    for acc in &inputs {
+        let (region, spec) = binding(tensors, &acc.tensor)?;
+        accessed.push((region, spec, Privilege::Read));
     }
     // Leaf kernel, chosen once at plan time (a cached plan re-binds
     // without re-specializing): the runtime's leaves accumulate only for
     // reductions.
-    let inputs = assignment.input_accesses();
-    let mut compressed_inputs: Vec<bool> = Vec::new();
-    for acc in &inputs {
-        compressed_inputs.push(binding(tensors, &acc.tensor)?.format.has_compressed());
-    }
+    let compressed_inputs = accessed[1..]
+        .iter()
+        .map(|(_, spec, _)| spec.format.has_compressed())
+        .collect();
     let leaf_kernel =
         crate::kernelgen::leaf_for(assignment, schedule, compressed_inputs, leaf_reduces)?;
     // Kernel arguments are the destination, then the inputs in order.
@@ -253,18 +210,14 @@ pub(crate) fn lower_nest(
                 continue;
             };
             let scalars = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
-            // Region requirements: destination first, then inputs.
             let mut reqs = Vec::new();
             let mut bytes = 0.0f64;
-            let reads = inputs.iter().map(|acc| (*acc, Privilege::Read));
-            let accesses = std::iter::once((&assignment.lhs, out_priv)).chain(reads);
-            for (a, (acc, privilege)) in accesses.enumerate() {
-                let b = binding(tensors, &acc.tensor)?;
-                let rect = nest.access_rect(a, &env, &b.dims);
+            for (a, &(region, spec, privilege)) in accessed.iter().enumerate() {
+                let rect = nest.access_rect(a, &env, &spec.dims);
                 bytes += rect.volume() as f64 * 8.0;
-                let mem_kind = options.compute_mem.unwrap_or(b.format.mem);
+                let mem_kind = options.compute_mem.unwrap_or(spec.format.mem);
                 let mem = mapper.mem_for(rank, mem_kind);
-                reqs.push(RegionReq::new(b.region, rect, privilege, mem));
+                reqs.push(RegionReq::new(region, rect, privilege, mem));
             }
             let flops = flops_per_point * iter_points;
             total_flops += flops;
@@ -280,6 +233,9 @@ pub(crate) fn lower_nest(
                 name: format!("compute{:?}", seq_point),
                 tasks,
             }));
+            if options.bulk_synchronous {
+                compute.push(Op::Barrier);
+            }
         }
     }
     // Retire the final iteration's buffers.
@@ -289,16 +245,22 @@ pub(crate) fn lower_nest(
     // tiles (Johnson's "sum reduces A_ijk to P_ij0").
     if out_priv == Privilege::Reduce {
         let gather = compute.register_kernel(Arc::new(NoopKernel));
-        let tasks = if out_binding.format.is_distributed() {
-            placement_tasks(gather, out_binding, machine, &mapper, Privilege::Read)
+        let tasks = if out_spec.format.is_distributed() {
+            placement_tasks(
+                gather,
+                (out_region, out_spec),
+                machine,
+                &mapper,
+                Privilege::Read,
+            )
         } else {
             // Undistributed (e.g. scalar) output: a single owner on rank 0
             // folds all reduction contributions.
             let mut req = RegionReq::new(
-                out_binding.region,
-                Rect::sized(&out_binding.dims),
+                out_region,
+                Rect::sized(&out_spec.dims),
                 Privilege::Read,
-                mapper.mem_for(0, out_binding.format.mem),
+                mapper.mem_for(0, out_spec.format.mem),
             );
             req.pin = true;
             vec![TaskDesc::new(
@@ -313,23 +275,44 @@ pub(crate) fn lower_nest(
                 name: "reduce-gather".into(),
                 tasks,
             }));
+            if options.bulk_synchronous {
+                compute.push(Op::Barrier);
+            }
         }
     }
 
     // ---- Placement program ----
-    // Each tensor is placed once. Output-only tensors are placed with
-    // Write (no data to move); inputs (and increment outputs) are pulled
-    // with pinned reads.
-    let mut names: Vec<(&str, bool)> = Vec::new();
+    // One `place-<tensor>` launch per distributed tensor, each placed
+    // once. Output-only tensors are placed with Write (no data to move);
+    // inputs (and increment outputs) are pulled with pinned reads.
+    let mut placement = Program::new();
+    let noop = placement.register_kernel(Arc::new(NoopKernel));
+    let mut placed: Vec<&str> = Vec::new();
     for acc in assignment.accesses() {
         let name = acc.tensor.as_str();
-        if names.iter().all(|(placed, _)| *placed != name) {
-            let is_input = inputs.iter().any(|a| a.tensor == name)
-                || (name == assignment.lhs.tensor && assignment.increment);
-            names.push((name, is_input));
+        if placed.contains(&name) {
+            continue;
+        }
+        placed.push(name);
+        let (region, spec) = binding(tensors, name)?;
+        if !spec.format.is_distributed() {
+            continue;
+        }
+        let privilege = if inputs.iter().any(|a| a.tensor == name)
+            || (name == assignment.lhs.tensor && assignment.increment)
+        {
+            Privilege::Read
+        } else {
+            Privilege::Write
+        };
+        let tasks = placement_tasks(noop, (region, spec), machine, &mapper, privilege);
+        if !tasks.is_empty() {
+            placement.push(Op::IndexLaunch(IndexLaunch {
+                name: format!("place-{name}"),
+                tasks,
+            }));
         }
     }
-    let placement = place_tensors(tensors, &names, machine, &mapper)?;
 
     Ok(CompiledKernel {
         cin: nest.cin,
@@ -343,63 +326,20 @@ pub(crate) fn lower_nest(
     })
 }
 
-/// Looks a tensor binding up by name, as a typed error instead of a map
-/// indexing panic.
+/// A registered tensor and its region, as a typed error instead of a map
+/// indexing panic. A plan lowers before any runtime exists, so the region
+/// is the tensor's position in the registry's (name-sorted) order: the id
+/// a fresh runtime hands out when the regions are created in that order.
 fn binding<'a>(
-    tensors: &'a BTreeMap<String, TensorBinding>,
+    tensors: &'a BTreeMap<String, TensorSpec>,
     name: &str,
-) -> Result<&'a TensorBinding, CompileError> {
-    tensors
-        .get(name)
-        .ok_or_else(|| CompileError::UnknownTensor(name.to_string()))
-}
-
-/// Builds a standalone placement program for a set of tensors: inputs are
-/// pulled into their format's distribution with pinned reads, outputs are
-/// established with writes. Used by baselines whose pipelines place user
-/// data before their own redistribution phases.
-///
-/// # Errors
-///
-/// Unknown tensors and mapper construction failures (oversized grids).
-pub fn placement_program(
-    tensors: &BTreeMap<String, TensorBinding>,
-    names: &[(&str, bool)],
-    machine: &DistalMachine,
-    phys: &PhysicalMachine,
-) -> Result<Program, CompileError> {
-    place_tensors(tensors, names, machine, &GridMapper::new(machine, phys)?)
-}
-
-/// One `place-<tensor>` launch per distributed tensor of `names`
-/// (`(tensor, is_input)` pairs).
-fn place_tensors(
-    tensors: &BTreeMap<String, TensorBinding>,
-    names: &[(&str, bool)],
-    machine: &DistalMachine,
-    mapper: &GridMapper,
-) -> Result<Program, CompileError> {
-    let mut program = Program::new();
-    let kernel = program.register_kernel(Arc::new(NoopKernel));
-    for (name, is_input) in names {
-        let b = binding(tensors, name)?;
-        if !b.format.is_distributed() {
-            continue;
-        }
-        let privilege = if *is_input {
-            Privilege::Read
-        } else {
-            Privilege::Write
-        };
-        let tasks = placement_tasks(kernel, b, machine, mapper, privilege);
-        if !tasks.is_empty() {
-            program.push(Op::IndexLaunch(IndexLaunch {
-                name: format!("place-{name}"),
-                tasks,
-            }));
-        }
-    }
-    Ok(program)
+) -> Result<(RegionId, &'a TensorSpec), CompileError> {
+    let (position, (_, spec)) = tensors
+        .iter()
+        .enumerate()
+        .find(|(_, (registered, _))| *registered == name)
+        .ok_or_else(|| CompileError::UnknownTensor(name.to_string()))?;
+    Ok((RegionId(position as u32), spec))
 }
 
 /// One placement/gather task per owning grid point of a tensor's format,
@@ -407,16 +347,17 @@ fn place_tensors(
 /// single tile; cyclic and block-cyclic formats own a set of stripes).
 fn placement_tasks(
     kernel: distal_runtime::program::KernelId,
-    binding: &TensorBinding,
+    (region, spec): (RegionId, &TensorSpec),
     machine: &DistalMachine,
     mapper: &GridMapper,
     privilege: Privilege,
 ) -> Vec<TaskDesc> {
-    let rect = Rect::sized(&binding.dims);
+    let rect = Rect::sized(&spec.dims);
     let mut tasks = Vec::new();
-    for point in machine.grid().points() {
+    let grid = machine.grid();
+    for point in grid.points() {
         let pieces = hierarchical_pieces(
-            &binding.format.distributions,
+            &spec.format.distributions,
             &rect,
             &machine.hierarchy,
             &point,
@@ -424,12 +365,13 @@ fn placement_tasks(
         if pieces.is_empty() {
             continue;
         }
-        let rank = mapper.rank(&point);
-        let mem = mapper.mem_for(rank, binding.format.mem);
+        // A point's rank is its row-major index.
+        let rank = grid.linearize(&point);
+        let mem = mapper.mem_for(rank, spec.format.mem);
         let reqs = pieces
             .into_iter()
             .map(|piece| {
-                let mut req = RegionReq::new(binding.region, piece, privilege, mem);
+                let mut req = RegionReq::new(region, piece, privilege, mem);
                 req.pin = true;
                 req
             })
@@ -447,41 +389,43 @@ fn placement_tasks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{BackendError, RuntimeBackend, RuntimePlan};
+    use crate::lint::{Lint, LintConfig};
+    use crate::problem::Problem;
+    use distal_format::Format;
     use distal_machine::grid::Grid;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 
-    fn bindings(n: i64) -> BTreeMap<String, TensorBinding> {
-        let f = Format::parse("xy->xy", MemKind::Sys).unwrap();
-        ["A", "B", "C"]
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                (
-                    name.to_string(),
-                    TensorBinding {
-                        dims: vec![n, n],
-                        format: f.clone(),
-                        region: RegionId(i as u32),
-                    },
-                )
-            })
-            .collect()
+    /// `statement` over tiled `n × n` matrices A, B, C of a `grid` machine
+    /// on `nodes` nodes, planned under `schedule` (launch-volume lints
+    /// allowed, so the lowering's own check speaks).
+    fn plan(
+        statement: &str,
+        nodes: usize,
+        grid: Grid,
+        n: i64,
+        schedule: &Schedule,
+    ) -> Result<RuntimePlan, BackendError> {
+        let machine = DistalMachine::flat(grid, ProcKind::Cpu);
+        let mut p = Problem::new(MachineSpec::small(nodes), machine);
+        p.statement(statement).unwrap();
+        let tiles = Format::parse("xy->xy", MemKind::Sys).unwrap();
+        for t in ["A", "B", "C"] {
+            p.tensor(TensorSpec::new(t, vec![n, n], tiles.clone()))
+                .unwrap();
+        }
+        let lints = LintConfig::new().allow(Lint::GridMismatch);
+        RuntimeBackend::model()
+            .with_lints(lints)
+            .plan_typed(&p, schedule)
     }
+
+    const MATMUL: &str = "A(i,j) = B(i,k) * C(k,j)";
 
     #[test]
     fn summa_compiles_to_expected_structure() {
-        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let phys = PhysicalMachine::new(MachineSpec::small(2));
-        let a = distal_ir::expr::kernels::matmul();
-        let k = compile(
-            &a,
-            &bindings(16),
-            &machine,
-            &phys,
-            &Schedule::summa(2, 2, 8),
-            &CompileOptions::default(),
-        )
-        .unwrap();
+        let plan = plan(MATMUL, 2, Grid::grid2(2, 2), 16, &Schedule::summa(2, 2, 8)).unwrap();
+        let k = plan.kernel();
         assert_eq!(k.launch_domain, vec![2, 2]);
         // k=16 in chunks of 8: two sequential iterations x 4 point tasks,
         // plus the fill.
@@ -503,49 +447,34 @@ mod tests {
 
     #[test]
     fn unknown_tensor_rejected() {
-        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let phys = PhysicalMachine::new(MachineSpec::small(2));
-        let a = distal_ir::expr::Assignment::parse("Z(i,j) = B(i,k) * C(k,j)").unwrap();
-        assert!(matches!(
-            compile(&a, &bindings(8), &machine, &phys, &Schedule::new(), &CompileOptions::default()),
-            Err(CompileError::UnknownTensor(t)) if t == "Z"
-        ));
+        let err = plan(
+            "Z(i,j) = B(i,k) * C(k,j)",
+            2,
+            Grid::grid2(2, 2),
+            8,
+            &Schedule::new(),
+        );
+        assert!(matches!(err, Err(BackendError::UnknownTensor(t)) if t == "Z"));
     }
 
     #[test]
     fn launch_domain_larger_than_the_machine_rejected() {
         // SUMMA's 4x4 launch on a 2x2 machine: more points than the
         // abstract machine has, though the physical one has 16 sockets.
-        let machine = DistalMachine::flat(Grid::grid2(2, 2), ProcKind::Cpu);
-        let phys = PhysicalMachine::new(MachineSpec::small(8));
-        let a = distal_ir::expr::kernels::matmul();
-        let summa = Schedule::summa(4, 4, 2);
-        let options = CompileOptions::default();
-        let err = compile(&a, &bindings(8), &machine, &phys, &summa, &options);
+        let err = plan(MATMUL, 8, Grid::grid2(2, 2), 8, &Schedule::summa(4, 4, 2));
         assert!(matches!(
             err,
-            Err(CompileError::GridTooLarge {
+            Err(BackendError::Compile(CompileError::GridTooLarge {
                 required: 16,
                 available: 4
-            })
+            }))
         ));
     }
 
     #[test]
     fn unscheduled_statement_is_single_task() {
-        let machine = DistalMachine::flat(Grid::grid2(1, 1), ProcKind::Cpu);
-        let phys = PhysicalMachine::new(MachineSpec::small(1));
-        let a = distal_ir::expr::kernels::matmul();
-        let k = compile(
-            &a,
-            &bindings(8),
-            &machine,
-            &phys,
-            &Schedule::new(),
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        assert!(k.launch_domain.is_empty());
-        assert_eq!(k.compute.task_count(), 1);
+        let plan = plan(MATMUL, 1, Grid::grid2(1, 1), 8, &Schedule::new()).unwrap();
+        assert!(plan.kernel().launch_domain.is_empty());
+        assert_eq!(plan.kernel().compute.task_count(), 1);
     }
 }

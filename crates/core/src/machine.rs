@@ -7,7 +7,7 @@ use distal_machine::spec::ProcKind;
 /// abstract processors of one kind (paper §3.1).
 ///
 /// Schedules distribute loops over the *flattened* grid; formats may
-/// distribute tensors per hierarchy level. The [`crate::GridMapper`] binds
+/// distribute tensors per hierarchy level. The crate's grid mapper binds
 /// abstract grid points to physical processors, filling the role of the
 /// paper's custom Legion mapper.
 #[derive(Clone, Debug)]

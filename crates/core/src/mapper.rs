@@ -11,15 +11,13 @@
 
 use crate::error::CompileError;
 use crate::machine::DistalMachine;
-use distal_machine::geom::Point;
 use distal_machine::spec::{MemKind, ProcKind};
 use distal_runtime::topology::{MemId, PhysicalMachine, ProcId};
 
 /// Maps abstract machine grid points onto physical processors.
 #[derive(Clone, Debug)]
-pub struct GridMapper {
+pub(crate) struct GridMapper {
     procs: Vec<ProcId>,
-    grid_dims: Vec<i64>,
     proc_kind: ProcKind,
     /// For each node, its socket-0 system memory (host staging for GPUs).
     node_sysmem: Vec<MemId>,
@@ -34,7 +32,10 @@ impl GridMapper {
     ///
     /// Fails when the abstract grid needs more processors of the requested
     /// kind than the physical machine has.
-    pub fn new(machine: &DistalMachine, phys: &PhysicalMachine) -> Result<Self, CompileError> {
+    pub(crate) fn new(
+        machine: &DistalMachine,
+        phys: &PhysicalMachine,
+    ) -> Result<Self, CompileError> {
         let procs = phys.procs_of_kind(machine.proc_kind);
         let required = machine.size();
         if required > procs.len() as i64 {
@@ -50,7 +51,6 @@ impl GridMapper {
         let nodes_of = procs.iter().map(|p| phys.proc(*p).node).collect();
         Ok(GridMapper {
             procs,
-            grid_dims: machine.grid().dims().to_vec(),
             proc_kind: machine.proc_kind,
             node_sysmem,
             local_mems,
@@ -58,17 +58,8 @@ impl GridMapper {
         })
     }
 
-    /// The rank of an abstract grid point (row-major).
-    pub fn rank(&self, point: &Point) -> i64 {
-        let mut idx = 0;
-        for (d, &e) in self.grid_dims.iter().enumerate() {
-            idx = idx * e + point[d];
-        }
-        idx
-    }
-
     /// Physical processor for a rank.
-    pub fn proc_for_rank(&self, rank: i64) -> ProcId {
+    pub(crate) fn proc_for_rank(&self, rank: i64) -> ProcId {
         self.procs[rank as usize]
     }
 
@@ -77,7 +68,7 @@ impl GridMapper {
     /// GPUs asking for `Sys` memory get their node's host memory (the COSMA
     /// out-of-core staging pattern); CPUs asking for `Fb` fall back to their
     /// own system memory.
-    pub fn mem_for(&self, rank: i64, kind: MemKind) -> MemId {
+    pub(crate) fn mem_for(&self, rank: i64, kind: MemKind) -> MemId {
         let local = self.local_mems[rank as usize];
         match (self.proc_kind, kind) {
             (ProcKind::Gpu, MemKind::Fb) | (ProcKind::Cpu, MemKind::Sys) => local,
@@ -90,6 +81,7 @@ impl GridMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distal_machine::geom::Point;
     use distal_machine::grid::Grid;
     use distal_machine::spec::MachineSpec;
 
@@ -99,8 +91,9 @@ mod tests {
         let phys = PhysicalMachine::new(MachineSpec::lassen(2));
         let m = DistalMachine::flat(Grid::grid2(2, 4), ProcKind::Gpu);
         let mapper = GridMapper::new(&m, &phys).unwrap();
+        let grid = m.grid();
         let proc_at =
-            |point: Vec<i64>| phys.proc(mapper.proc_for_rank(mapper.rank(&Point::new(point))));
+            |point: Vec<i64>| phys.proc(mapper.proc_for_rank(grid.linearize(&Point::new(point))));
         assert_eq!(proc_at(vec![0, 3]).node, 0);
         assert_eq!(proc_at(vec![1, 0]).node, 1);
         let p = proc_at(vec![1, 2]);

@@ -7,7 +7,7 @@
 //! carrying a `communicate` tag (program-level steps at which tagged
 //! tensors are re-fetched), and the leaf below the cut, whose per-point
 //! bounds come from [`distal_ir::provenance`]. Both lowerings —
-//! [`crate::lower::compile`] onto the dynamic runtime and `distal-spmd`'s
+//! the runtime plan's lowering onto the dynamic runtime and `distal-spmd`'s
 //! static per-rank programs — iterate `seq_rect()` × `launch_points(..)`
 //! over one [`Nest`], so they agree on the split, and on the rank each
 //! launch point runs on, by construction.

@@ -10,7 +10,7 @@
 //!   setting fixed dimensions to their constant and enumerating broadcast
 //!   dimensions.
 
-use crate::notation::{DimName, PartitionKind, TensorDistribution};
+use crate::notation::{DimName, TensorDistribution};
 use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::{Grid, MachineHierarchy};
 
@@ -19,10 +19,11 @@ impl TensorDistribution {
     /// machine dimensions, in machine-dimension order.
     ///
     /// All partitioning kinds share one formula: with block width `b`
-    /// ([`PartitionKind::block_width`]), coordinate `x` lies in block
-    /// `⌊(x - lo) / b⌋` and colors to `block mod parts`. For the blocked
-    /// kind the quotient is already below `parts`, so the modulus is the
-    /// identity and this reduces to the paper's contiguous coloring.
+    /// ([`crate::notation::PartitionKind::block_width`]), coordinate `x`
+    /// lies in block `⌊(x - lo) / b⌋` and colors to `block mod parts`. For
+    /// the blocked kind the quotient is already below `parts`, so the
+    /// modulus is the identity and this reduces to the paper's contiguous
+    /// coloring.
     ///
     /// # Panics
     ///
@@ -83,43 +84,6 @@ impl TensorDistribution {
         self.expand_color(machine, &color)
     }
 
-    /// The sub-rectangle of the tensor held by machine coordinate `proc`;
-    /// empty when the processor holds nothing (e.g. off the fixed face).
-    ///
-    /// Partitioned tensor dimensions take their block; unpartitioned tensor
-    /// dimensions span their full extent (Figure 5b/5f).
-    ///
-    /// Only meaningful for [`PartitionKind::Blocked`] distributions, whose
-    /// per-processor holdings are single rectangles; cyclic and block-cyclic
-    /// holdings are unions of stripes — use [`TensorDistribution::pieces_of`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when dimensionalities disagree with the notation, or when the
-    /// distribution's partitioning function is not blocked.
-    pub fn tile_of(&self, tensor_rect: &Rect, machine: &Grid, proc: &Point) -> Rect {
-        assert_eq!(
-            self.partition,
-            PartitionKind::Blocked,
-            "tile_of is only defined for blocked partitions; use pieces_of"
-        );
-        assert_eq!(proc.dim(), self.machine_dim());
-        assert_eq!(tensor_rect.dim(), self.tensor_dim());
-        // Off-face processors hold nothing.
-        for (mi, name) in self.machine_dims.iter().enumerate() {
-            if let DimName::Const(c) = name {
-                if proc[mi] != *c {
-                    return Rect::empty(tensor_rect.dim());
-                }
-            }
-        }
-        let mut tile = *tensor_rect;
-        for (ti, mi) in self.partitioned_pairs() {
-            tile = tile.block(ti, machine.extent(mi), proc[mi]);
-        }
-        tile
-    }
-
     /// The per-dimension index segments `proc` owns in tensor dimension
     /// `ti`, partitioned `parts` ways: blocks `j ≡ q (mod parts)` of width
     /// `b`, clipped to the dimension's extent.
@@ -142,12 +106,14 @@ impl TensorDistribution {
     }
 
     /// The set of sub-rectangles of the tensor held by machine coordinate
-    /// `proc` — the general form of [`TensorDistribution::tile_of`] that is
-    /// defined for every [`PartitionKind`].
+    /// `proc`; empty when the processor holds nothing (e.g. off a fixed
+    /// face).
     ///
-    /// For blocked partitions this is at most one rectangle (the tile); for
-    /// cyclic and block-cyclic partitions it is the Cartesian product of the
-    /// stripes owned in each partitioned dimension.
+    /// Partitioned tensor dimensions take their blocks; unpartitioned
+    /// tensor dimensions span their full extent (Figure 5b/5f). For blocked
+    /// partitions this is at most one rectangle (the tile); for cyclic and
+    /// block-cyclic partitions it is the Cartesian product of the stripes
+    /// owned in each partitioned dimension.
     ///
     /// # Panics
     ///
@@ -201,38 +167,10 @@ impl TensorDistribution {
     }
 }
 
-/// The tile of a *hierarchical* distribution (paper §3.2 "Hierarchy"): one
-/// distribution per machine level; level `l+1` redistributes the tile that
-/// level `l` assigned.
-///
-/// `proc` is the flattened machine coordinate (all levels concatenated).
-///
-/// # Panics
-///
-/// Panics when the number of distributions differs from the number of
-/// machine levels, or dimensionalities disagree.
-pub fn hierarchical_tile(
-    distributions: &[TensorDistribution],
-    tensor_rect: &Rect,
-    machine: &MachineHierarchy,
-    proc: &Point,
-) -> Rect {
-    assert_eq!(distributions.len(), machine.levels().len());
-    let coords = machine.split_coord(proc);
-    let mut tile = *tensor_rect;
-    for (level, dist) in distributions.iter().enumerate() {
-        if tile.is_empty() {
-            return tile;
-        }
-        tile = dist.tile_of(&tile, &machine.levels()[level], &coords[level]);
-    }
-    tile
-}
-
-/// The pieces of a *hierarchical* distribution — the general form of
-/// [`hierarchical_tile`] defined for every [`PartitionKind`]: level `l+1`
-/// redistributes each piece that level `l` assigned, so cyclic levels fan
-/// each piece out into stripes.
+/// The pieces of a *hierarchical* distribution (paper §3.2 "Hierarchy"):
+/// one distribution per machine level, and level `l+1` redistributes each
+/// piece that level `l` assigned, so cyclic levels fan each piece out into
+/// stripes.
 ///
 /// `proc` is the flattened machine coordinate (all levels concatenated).
 ///
@@ -270,6 +208,17 @@ mod tests {
         Point::from_slice(coords)
     }
 
+    /// The one piece a blocked distribution gives `proc` (empty when it
+    /// holds nothing).
+    fn held(d: &TensorDistribution, t: &Rect, m: &Grid, proc: &Point) -> Rect {
+        let pieces = d.pieces_of(t, m, proc);
+        assert!(pieces.len() <= 1, "{pieces:?}");
+        pieces
+            .first()
+            .copied()
+            .unwrap_or_else(|| Rect::empty(t.dim()))
+    }
+
     #[test]
     fn blocked_vector_figure5a() {
         // 100 elements over 10 processors: 10 components each.
@@ -277,7 +226,7 @@ mod tests {
         let t = Rect::sized(&[100]);
         let m = Grid::line(10);
         for p in 0..10 {
-            let tile = d.tile_of(&t, &m, &pt(&[p]));
+            let tile = held(&d, &t, &m, &pt(&[p]));
             assert_eq!(tile.volume(), 10);
             assert_eq!(tile.lo()[0], p * 10);
         }
@@ -289,12 +238,12 @@ mod tests {
         let t = Rect::sized(&[8, 6]);
         let m = Grid::line(4);
         let rows = TensorDistribution::parse("xy->x").unwrap();
-        let tile = rows.tile_of(&t, &m, &pt(&[2]));
+        let tile = held(&rows, &t, &m, &pt(&[2]));
         // Rows 4-5, all columns.
         assert_eq!(tile.lo().coords(), &[4, 0]);
         assert_eq!(tile.hi().coords(), &[5, 5]);
         let cols = TensorDistribution::parse("xy->y").unwrap();
-        let tile = cols.tile_of(&t, &m, &pt(&[2]));
+        let tile = held(&cols, &t, &m, &pt(&[2]));
         // All rows, columns 3-4 (ceil(6/4) = 2).
         assert_eq!(tile.lo().coords(), &[0, 4]);
         assert_eq!(tile.hi().coords(), &[7, 5]);
@@ -305,7 +254,7 @@ mod tests {
         let t = Rect::sized(&[4, 4]);
         let m = Grid::grid2(2, 2);
         let d = TensorDistribution::parse("xy->xy").unwrap();
-        let tile = d.tile_of(&t, &m, &pt(&[1, 0]));
+        let tile = held(&d, &t, &m, &pt(&[1, 0]));
         assert_eq!(tile.lo().coords(), &[2, 0]);
         assert_eq!(tile.hi().coords(), &[3, 1]);
         // Every coordinate has exactly one owner.
@@ -320,8 +269,8 @@ mod tests {
         let m = Grid::grid3(2, 2, 2);
         let d = TensorDistribution::parse("xy->xy0").unwrap();
         // Processors on face z=0 hold tiles; z=1 hold nothing.
-        assert!(!d.tile_of(&t, &m, &pt(&[0, 1, 0])).is_empty());
-        assert!(d.tile_of(&t, &m, &pt(&[0, 1, 1])).is_empty());
+        assert!(!held(&d, &t, &m, &pt(&[0, 1, 0])).is_empty());
+        assert!(held(&d, &t, &m, &pt(&[0, 1, 1])).is_empty());
         assert_eq!(d.placement(&t, &m).len(), 4);
     }
 
@@ -348,7 +297,7 @@ mod tests {
         let t = Rect::sized(&[4, 4, 4]);
         let m = Grid::grid2(2, 2);
         let d = TensorDistribution::parse("xyz->xy").unwrap();
-        let tile = d.tile_of(&t, &m, &pt(&[1, 1]));
+        let tile = held(&d, &t, &m, &pt(&[1, 1]));
         // z spans its full extent.
         assert_eq!(tile.lo().coords(), &[2, 2, 0]);
         assert_eq!(tile.hi().coords(), &[3, 3, 3]);
@@ -365,14 +314,13 @@ mod tests {
             TensorDistribution::parse("xy->x").unwrap(),
         ];
         // Node (1,0), GPU 2: node tile rows 4-7 cols 0-3; GPU 2 gets row 6.
-        let tile = hierarchical_tile(&dists, &t, &m, &pt(&[1, 0, 2]));
-        assert_eq!(tile.lo().coords(), &[6, 0]);
-        assert_eq!(tile.hi().coords(), &[6, 3]);
+        let tile = hierarchical_pieces(&dists, &t, &m, &pt(&[1, 0, 2]));
+        assert_eq!(tile, vec![Rect::new(pt(&[6, 0]), pt(&[6, 3]))]);
         // Tiles across all leaf processors partition the tensor.
         let total: i64 = m
             .flat_grid()
             .points()
-            .map(|p| hierarchical_tile(&dists, &t, &m, &p).volume())
+            .map(|p| hierarchical_pieces(&dists, &t, &m, &p)[0].volume())
             .sum();
         assert_eq!(total, 64);
     }
@@ -382,7 +330,7 @@ mod tests {
         let t = Rect::sized(&[7, 5]);
         let m = Grid::grid2(2, 3);
         let d = TensorDistribution::parse("xy->xy").unwrap();
-        let total: i64 = m.points().map(|p| d.tile_of(&t, &m, &p).volume()).sum();
+        let total: i64 = m.points().map(|p| held(&d, &t, &m, &p).volume()).sum();
         assert_eq!(total, 35);
         for c in t.points() {
             assert_eq!(d.owners_of(&t, &m, &c).len(), 1);
@@ -445,17 +393,6 @@ mod tests {
                 }
             }
             assert_eq!(total, 56, "{kind}");
-        }
-    }
-
-    #[test]
-    fn blocked_pieces_equal_tile() {
-        let d = TensorDistribution::parse("xy->xy").unwrap();
-        let t = Rect::sized(&[8, 8]);
-        let m = Grid::grid2(2, 2);
-        for p in m.points() {
-            let pieces = d.pieces_of(&t, &m, &p);
-            assert_eq!(pieces, vec![d.tile_of(&t, &m, &p)]);
         }
     }
 
@@ -529,19 +466,5 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 64);
-        // Blocked-only hierarchies agree with hierarchical_tile.
-        let blocked = vec![
-            TensorDistribution::parse("xy->xy").unwrap(),
-            TensorDistribution::parse("xy->x").unwrap(),
-        ];
-        for p in m.flat_grid().points() {
-            let pieces = hierarchical_pieces(&blocked, &t, &m, &p);
-            let tile = hierarchical_tile(&blocked, &t, &m, &p);
-            if tile.is_empty() {
-                assert!(pieces.is_empty());
-            } else {
-                assert_eq!(pieces, vec![tile]);
-            }
-        }
     }
 }

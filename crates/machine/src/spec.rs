@@ -66,7 +66,9 @@ pub struct NodeSpec {
     pub cores_per_socket: usize,
     /// GPUs per node.
     pub gpus: usize,
-    /// Peak double-precision GFLOP/s of one CPU socket (all its cores).
+    /// Peak double-precision GFLOP/s of one CPU socket (all its cores). A
+    /// task runs at the peak times its leaf's efficiency, so a system whose
+    /// leaves reach another fraction is a machine with the peaks scaled.
     pub cpu_socket_gflops: f64,
     /// Peak double-precision GFLOP/s of one GPU.
     pub gpu_gflops: f64,

@@ -2,8 +2,9 @@
 //!
 //! A [`Program`] is an ordered list of operations, mirroring a Legion
 //! program: fills, index task launches (the parallel-for construct of
-//! §6.1; one task is a one-point launch), barriers (used by baselines that do not overlap
-//! communication with computation), and scratch-discard hints that model
+//! §6.1; one task is a one-point launch), barriers (a bulk-synchronous
+//! lowering's, for systems that do not overlap communication with
+//! computation), and scratch-discard hints that model
 //! Legion instance reclamation for systolic double-buffering.
 //!
 //! Tasks name the *rectangles* of the regions they touch and the privilege
@@ -129,7 +130,8 @@ pub enum Op {
     /// Run a set of independent point tasks.
     IndexLaunch(IndexLaunch),
     /// Execution barrier: everything before completes before anything after
-    /// starts. Used by the ScaLAPACK/CTF baselines, which do not overlap
+    /// starts. A bulk-synchronous lowering ends every compute launch with
+    /// one: the ScaLAPACK/CTF baselines, which do not overlap
     /// communication with computation (§7.1.1).
     Barrier,
     /// Retire scratch (fetched) instances of `region` older than the

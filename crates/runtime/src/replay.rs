@@ -117,9 +117,8 @@ pub struct TraceCounters {
 ///
 /// The two are paired behind private fields because the trace is only
 /// valid for the program it was recorded from: the program can be read
-/// freely (through `Deref`), and every way to change it or take it out
-/// ([`TracedProgram::program_mut`], [`TracedProgram::into_program`])
-/// drops the trace.
+/// freely (through `Deref`) and never changed — a different program is a
+/// new `TracedProgram` with an empty slot.
 #[derive(Debug, Default)]
 pub struct TracedProgram {
     program: Program,
@@ -130,25 +129,6 @@ pub struct TracedProgram {
 }
 
 impl TracedProgram {
-    /// Pairs `program` with an empty trace slot.
-    pub fn new(program: Program) -> Self {
-        TracedProgram {
-            program,
-            ..TracedProgram::default()
-        }
-    }
-
-    /// The program, to modify: whatever was recorded is dropped.
-    pub fn program_mut(&mut self) -> &mut Program {
-        self.slot = OnceLock::new();
-        &mut self.program
-    }
-
-    /// Takes the program out, dropping the trace.
-    pub fn into_program(self) -> Program {
-        self.program
-    }
-
     /// How this program's runs went so far.
     pub fn counters(&self) -> TraceCounters {
         TraceCounters {
@@ -192,17 +172,13 @@ impl TracedProgram {
     }
 }
 
-impl Clone for TracedProgram {
-    /// The program with an empty slot: a trace is not shared between
-    /// copies that can be modified apart.
-    fn clone(&self) -> Self {
-        TracedProgram::new(self.program.clone())
-    }
-}
-
 impl From<Program> for TracedProgram {
+    /// Pairs `program` with an empty trace slot.
     fn from(program: Program) -> Self {
-        TracedProgram::new(program)
+        TracedProgram {
+            program,
+            ..TracedProgram::default()
+        }
     }
 }
 
@@ -219,7 +195,7 @@ mod tests {
     use super::*;
     use crate::exec::{Mode, Runtime};
     use crate::kernel::NoopKernel;
-    use crate::program::{one_task, Op, Privilege, RegionReq, TaskDesc};
+    use crate::program::{one_task, Privilege, RegionReq, TaskDesc};
     use crate::region::RegionId;
     use distal_machine::geom::{Point, Rect};
     use distal_machine::spec::MachineSpec;
@@ -299,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_analysis_and_a_changed_program_hold_no_trace() {
+    fn a_failed_analysis_holds_no_trace() {
         let (mut rt, r) = seeded(Mode::Model, 1.0);
         let before = rt.coherence().clone();
         let mut program = fan(&rt, r, 9);
@@ -314,15 +290,5 @@ mod tests {
         program = fan(&rt, r, 8);
         rt.run_traced(&program).unwrap();
         assert_eq!(counters(&program), (1, 0, 0));
-
-        // Whoever takes the program to change it drops what was recorded
-        // from the old one.
-        program.program_mut().push(Op::Barrier);
-        let (mut fresh, _) = seeded(Mode::Model, 1.0);
-        let (mut untraced, _) = seeded(Mode::Model, 1.0);
-        let stats = fresh.run_traced(&program).unwrap();
-        assert_eq!(counters(&program), (2, 0, 0));
-        assert_eq!(stats, untraced.run(&program).unwrap());
-        assert_eq!(program.clone().counters(), TraceCounters::default());
     }
 }

@@ -636,7 +636,7 @@ mod tests {
             Box::new(rt()),
             Box::new(RuntimeBackend::model()),
             Box::new(rt().with_executor(distal_runtime::ExecutorKind::Serial)),
-            Box::new(options(|o| o.leaf_efficiency = Some(0.5))),
+            Box::new(options(|o| o.bulk_synchronous = true)),
             Box::new(options(|o| o.fill_output = Some(false))),
             Box::new(options(|o| o.compute_mem = Some(MemKind::Fb))),
             Box::new(rt().with_lints(lints(Lint::GridMismatch))),

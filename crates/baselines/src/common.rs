@@ -7,12 +7,12 @@ use distal_algs::setup::{matmul_problem, RunConfig};
 use distal_core::kernels::peak_fraction;
 use distal_core::{BackendError, Instance};
 use distal_core::{
-    Bindings, CompileError, CompileOptions, Plan, Problem, RuntimeInstance, RuntimePlan, Schedule,
+    Bindings, CompileOptions, Plan, Problem, RuntimeInstance, RuntimePlan, Schedule,
 };
 use distal_ir::expr::Assignment;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::stats::RunStats;
-use distal_runtime::{Mode, RuntimeError};
+use distal_runtime::Mode;
 
 /// How one system runs a stage, beyond its schedule.
 #[derive(Clone, Copy, Debug)]
@@ -129,9 +129,10 @@ impl PhasedRun {
     ///
     /// # Errors
     ///
-    /// Runtime errors from any stage, and a handed-off buffer whose length
-    /// disagrees with the tensor of the stage it binds.
-    fn run_stages(&mut self) -> Result<RunStats, BackendError> {
+    /// Runtime errors from any stage as [`BackendError::Runtime`], and a
+    /// handed-off buffer whose length disagrees with the tensor of the
+    /// stage it binds as a `CompileError::DataSize` naming that tensor.
+    pub fn run(&mut self) -> Result<RunStats, BackendError> {
         self.instances.clear();
         let mut total = RunStats::default();
         for stage in &self.stages {
@@ -153,24 +154,6 @@ impl PhasedRun {
             self.instances.push(instance);
         }
         Ok(total)
-    }
-
-    /// Runs all stages, summing the measured statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors from any stage; a hand-off of the wrong
-    /// length is [`RuntimeError::DataSizeMismatch`].
-    pub fn run(&mut self) -> Result<RunStats, RuntimeError> {
-        self.run_stages().map_err(|e| match e {
-            BackendError::Runtime(e) => e,
-            BackendError::Compile(CompileError::DataSize { expected, got, .. }) => {
-                RuntimeError::DataSizeMismatch { expected, got }
-            }
-            // Stages are planned when the run is built and bind only
-            // their own tensors.
-            other => unreachable!("a planned stage failed to bind: {other}"),
-        })
     }
 
     /// The stages' plans, in order.
@@ -227,7 +210,7 @@ pub(crate) fn assert_gemm_matches_oracle(run: &mut PhasedRun, n: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distal_core::{DistalMachine, TensorSpec};
+    use distal_core::{CompileError, DistalMachine, TensorSpec};
     use distal_format::Format;
     use distal_machine::grid::Grid;
     use distal_machine::spec::MemKind;
@@ -260,19 +243,12 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            run.run_stages().unwrap_err(),
+            run.run().unwrap_err(),
             BackendError::Compile(CompileError::DataSize {
                 tensor: "T".into(),
                 expected: 6,
                 got: 8
             })
-        );
-        assert_eq!(
-            run.run().unwrap_err(),
-            RuntimeError::DataSizeMismatch {
-                expected: 6,
-                got: 8
-            }
         );
     }
 }

@@ -111,7 +111,7 @@ pub(crate) fn figure15(panel: Panel, max_nodes: usize, base_n: i64) -> FigureDat
                 .run()
             {
                 Ok(stats) => SamplePoint::Value(stats.gflops_per_node(nodes)),
-                Err(RuntimeError::OutOfMemory { .. }) => SamplePoint::Oom,
+                Err(BackendError::Runtime(RuntimeError::OutOfMemory { .. })) => SamplePoint::Oom,
                 Err(e) => panic!("{what} run failed: {e}"),
             };
             cosma_s.push(nodes, sample(cosma::gemm(&config, n, false), "COSMA"));

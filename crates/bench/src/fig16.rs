@@ -11,6 +11,7 @@ use crate::series::{paper_node_counts, weak_scale_3d, FigureData, SamplePoint, S
 use distal_algs::higher_order::HigherOrderKernel;
 use distal_algs::setup::{higher_order_problem, RunConfig};
 use distal_baselines::ctf;
+use distal_core::BackendError;
 use distal_runtime::{Mode, RuntimeError};
 
 /// Hardware panel.
@@ -101,7 +102,9 @@ pub(crate) fn figure16(
             let sample = match ctf::higher_order(kernel, &config, n) {
                 Ok(mut run) => match run.run() {
                     Ok(stats) => SamplePoint::Value(metric(kernel, &stats, n, nodes)),
-                    Err(RuntimeError::OutOfMemory { .. }) => SamplePoint::Oom,
+                    Err(BackendError::Runtime(RuntimeError::OutOfMemory { .. })) => {
+                        SamplePoint::Oom
+                    }
                     Err(e) => panic!("ctf {kernel:?} @{nodes}: {e}"),
                 },
                 Err(e) => panic!("compile ctf {kernel:?} @{nodes}: {e}"),

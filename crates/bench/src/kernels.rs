@@ -23,7 +23,9 @@
 //! per-core throughput instead of the Lassen constant.
 //! `--assert-roofline S` exits nonzero unless the dispatched `gemm.gen`
 //! reaches `S`× that peak at both 160³ and 512³ — a ratio of two rates
-//! taken in one process, so host speed cancels.
+//! taken in one process, so host speed cancels — and also when any
+//! variant reads above 1.0 of its peak, which only a probe that does not
+//! measure a peak allows.
 //!
 //! `--assert-spmv-stream S` is the same kind of gate for the sparse leaf:
 //! it exits nonzero unless `csr.gen` standing alone on SpMV (2048², density
@@ -274,13 +276,14 @@ fn fastest_of_5(flops_per_call: f64, mut run: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One variant's multiply-then-add peak, GFLOP/s (64 flops a step).
+/// One variant's multiply-then-add peak, GFLOP/s.
 fn peak_gflops(variant: &MicroKernel) -> f64 {
     const STEPS: usize = 1_000_000;
-    let secs = fastest_of_5(64.0 * STEPS as f64, || {
+    let flops = variant.peak_chain(STEPS);
+    let secs = fastest_of_5(flops, || {
         std::hint::black_box(variant.peak_chain(std::hint::black_box(STEPS)));
     });
-    64.0 * STEPS as f64 / secs / 1e9
+    flops / secs / 1e9
 }
 
 /// A kernel argument over a buffer allocated exactly over `rect`.
@@ -734,6 +737,16 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
                 "roofline assertion passed: {} at {}^3 is {share:.2} of peak >= {threshold:.2}",
                 r.variant, r.n
             );
+        }
+        // A kernel cannot outrun its own instruction set: a share above
+        // 1.0 means the probe no longer measures a peak.
+        if let Some(r) = pure.iter().find(|r| r.roofline_share() > 1.0) {
+            eprintln!(
+                "roofline probe regression: {} at {}^3 runs {:.2} GFLOP/s, above the {:.2} GFLOP/s \
+                 its multiply+add probe reads",
+                r.variant, r.n, r.gflops, r.peak_gflops
+            );
+            std::process::exit(4);
         }
     }
     if let Some(threshold) = assert_spmv_stream {

@@ -58,36 +58,46 @@
 //!    run }` descriptor names one instantiation of the driver; the source
 //!    has no SIMD intrinsics (fixed-size accumulator arrays that LLVM
 //!    vectorises), so the same function serves every instruction set.
-//!    x86-64 has exactly two: `baseline 2x8`, compiled for the build's
-//!    target (SSE2), and `avx2 4x8` under `#[target_feature(enable =
-//!    "avx2")]`; every other architecture has the baseline alone.
+//!    x86-64 has exactly three: `baseline 2x8`, compiled for the build's
+//!    target (SSE2), `avx2 4x8` under `#[target_feature(enable =
+//!    "avx2")]` and `avx512 8x16` under `#[target_feature(enable =
+//!    "avx512f")]`, all three through one checked entry; every other
+//!    architecture has the baseline alone. The `8x16` tile (16 of the 32
+//!    `zmm` registers accumulate) was picked end to end on a 2-vCPU Xeon:
+//!    in one spell of runs a `dense_runtime` request took 12.2–14.9 ms
+//!    through it and 13.0–15.0 through `4x16`, a `dense_spmd` one
+//!    13.0–14.0 and 13.2–14.9, where `avx2 4x8` took 21.7–22.6 for
+//!    both. Standing alone at 160³, `4x16` and `6x16` ran as fast (29–37
+//!    GFLOP/s) and `8x8`, `12x16`, `8x24` and `4x32` slower (18–32).
 //!
 //!    *The dispatch rule.* The variant is chosen by
-//!    `is_x86_feature_detected!("avx2")` on the first leaf execution —
-//!    never in `plan`, `bind` or set-up — and there is nothing to select
-//!    it with: no option, environment variable or cargo feature. Plan
-//!    keys and both lowerings see one kernel named `gemm.gen`.
+//!    `is_x86_feature_detected!("avx512f")` (and the `avx2`, `fma` and
+//!    `f16c` rustc implies by it), then `("avx2")`, on the first leaf
+//!    execution — never in `plan`, `bind` or set-up — and there is
+//!    nothing to select it with: no option, environment variable or cargo
+//!    feature. Plan keys and both lowerings see one kernel named
+//!    `gemm.gen`.
 //!
 //!    *The parity rule.* Per output element the sum starts from the
 //!    stored `A` value and adds `B(i,k)·C(k,j)` for ascending `k`, each a
 //!    separately rounded multiply and add. The driver keeps that: it
-//!    enables `avx2` but never `fma` and never calls `f64::mul_add` (a
-//!    fused multiply–add rounds once; without the target feature the
-//!    intrinsic is a libm call), storing and reloading the tile between
-//!    `k` blocks is exact, blocking reorders only independent output
-//!    elements, and padded lanes are computed and discarded. Hence it is
-//!    bit-identical to [`InterpreterKernel`], to the row-at-a-time
-//!    `(i, k, j)` loop it replaced (kept as a test oracle) and across
-//!    instruction sets; a property test holds every variant the host can
-//!    run to both oracles.
+//!    never calls `f64::mul_add` (a fused multiply–add rounds once;
+//!    without the target feature the intrinsic is a libm call), storing
+//!    and reloading the tile between `k` blocks is exact, blocking
+//!    reorders only independent output elements, and padded lanes are
+//!    computed and discarded. The `avx2` body enables `avx2` but never
+//!    `fma`; rustc's `avx512f` implies `fma`, so for that body parity
+//!    rests on rustc never letting LLVM contract a multiply and an add on
+//!    its own (it emits no contraction flag), not on the instruction being
+//!    unavailable — the built binaries hold no `vfmadd` outside
+//!    `compiler_builtins`. Hence the driver is bit-identical to
+//!    [`InterpreterKernel`], to the row-at-a-time `(i, k, j)` loop it
+//!    replaced (kept as a test oracle) and across instruction sets; a
+//!    property test holds every variant the host can run to both oracles
+//!    and prints their names, so a host without AVX-512 shows what it
+//!    could not check.
 //!
-//!    *Measured and left out.* An AVX-512 `8x16` instantiation: on the
-//!    development host it runs 40–45 GFLOP/s standing alone where `avx2
-//!    4x8` runs 28–33, and takes a `dense_runtime` request from 14.9 to
-//!    12.3 ms — but it would be a third body to hold bit-identical, on an
-//!    instruction set CI runners need not have; the rule stays at most
-//!    two instantiations per architecture until that variant can be
-//!    tested where it merges. A packed `B`: the `MR` rows of `B` a strip
+//!    *Measured and left out.* A packed `B`: the `MR` rows of `B` a strip
 //!    reads are already unit-stride streams, and packing them measured
 //!    −40 % at 32³, −4 % at 160³ (the tiles the workloads run) against
 //!    +4–6 % at 512³ and 640³. Packing `C` stays: it costs nothing at

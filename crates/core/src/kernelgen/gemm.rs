@@ -8,18 +8,14 @@
 //! has a compile-time trip count, and LLVM keeps it in vector registers
 //! of whatever width the enclosing function's target features allow. This
 //! module holds the workspace's only `unsafe` block: the call from the
-//! checked entry [`avx2`] into the `#[target_feature]` function.
+//! checked entry [`x86`] into a `#[target_feature]` function.
 
 use distal_runtime::kernel::KernelCtx;
 
-/// Depth of one `k` block: a packed `KC × NR` panel of `C` (16 KiB at
-/// `NR = 8`) plus the `MR` rows of `B` it meets stay in L1.
+/// Depth of one `k` block: a packed `KC × NR` panel of `C` (32 KiB at
+/// `NR = 16`, 16 KiB at `NR = 8`) stays in a 48 KiB L1d while the `MR`
+/// rows of `B` it meets stream past it.
 const KC: usize = 256;
-
-/// Independent accumulators of the peak probe — the shape of the pipeline
-/// benchmark's host probe: enough chains to cover the latency of a
-/// dependent multiply and add on every vector unit.
-const LANES: usize = 32;
 
 /// One instantiation of the GEMM driver: the shape of its register tile
 /// and the instruction set its code was compiled for.
@@ -43,9 +39,10 @@ pub struct MicroKernel {
 #[derive(Debug)]
 enum Job<'a> {
     Gemm(Operands<'a>),
+    /// `steps` rounds of the probe; the flops it executed land in `flops`.
     Peak {
         steps: usize,
-        lanes: &'a mut [f64; LANES],
+        flops: &'a mut f64,
     },
 }
 
@@ -91,16 +88,16 @@ impl MicroKernel {
     }
 
     /// The roofline probe: `steps` rounds of a separately rounded multiply
-    /// then add on 32 independent accumulators (64 flops a round),
-    /// compiled for this variant's instruction set. Returns the
-    /// accumulators' sum so the work cannot be discarded.
+    /// then add on a register file's worth of independent accumulators
+    /// at this variant's width, compiled for its instruction set. Returns
+    /// the flops it executed.
     pub fn peak_chain(&self, steps: usize) -> f64 {
-        let mut lanes = [1.0f64; LANES];
+        let mut flops = 0.0;
         (self.run)(Job::Peak {
             steps,
-            lanes: &mut lanes,
+            flops: &mut flops,
         });
-        lanes.iter().sum()
+        flops
     }
 }
 
@@ -111,12 +108,9 @@ impl MicroKernel {
 pub fn gemm_variants() -> &'static [MicroKernel] {
     #[cfg(target_arch = "x86_64")]
     {
-        static X86_64: [MicroKernel; 2] = [BASELINE, AVX2];
-        if std::arch::is_x86_feature_detected!("avx2") {
-            &X86_64
-        } else {
-            &X86_64[..1]
-        }
+        static X86_64: [MicroKernel; 3] = [BASELINE, AVX2, AVX512];
+        let wider = [Isa::Avx2, Isa::Avx512];
+        &X86_64[..1 + wider.iter().take_while(|isa| isa.detected()).count()]
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -137,7 +131,7 @@ const BASELINE: MicroKernel = MicroKernel {
     mr: 2,
     nr: 8,
     kc: KC,
-    run: work::<2, 8>,
+    run: work::<2, 8, 28>,
 };
 
 /// Eight 256-bit accumulators, two loads of `C` and one broadcast of `B`
@@ -148,22 +142,62 @@ const AVX2: MicroKernel = MicroKernel {
     mr: 4,
     nr: 8,
     kc: KC,
-    run: avx2,
+    run: |job| x86(Isa::Avx2, job),
 };
 
-/// The checked entry into the AVX2 instantiation, and the only `unsafe`
-/// in the workspace.
+/// Sixteen 512-bit accumulators, two loads of `C` and one broadcast of
+/// `B` live at a time: 19 of the 32 `zmm` registers.
+#[cfg(target_arch = "x86_64")]
+const AVX512: MicroKernel = MicroKernel {
+    name: "avx512 8x16",
+    mr: 8,
+    nr: 16,
+    kc: KC,
+    run: |job| x86(Isa::Avx512, job),
+};
+
+/// The instruction sets an x86-64 instantiation is compiled for beyond
+/// the build's own.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+enum Isa {
+    Avx2,
+    Avx512,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Isa {
+    /// Whether this CPU has every feature the body compiled for `self`
+    /// enables, those rustc implies by it included.
+    fn detected(self) -> bool {
+        use std::arch::is_x86_feature_detected as has;
+        match self {
+            Isa::Avx2 => has!("avx2"),
+            // rustc's `avx512f` implies `avx2`, `fma` and `f16c`.
+            Isa::Avx512 => has!("avx512f") && has!("avx2") && has!("fma") && has!("f16c"),
+        }
+    }
+}
+
+/// The checked entry into the x86-64 instantiations, and the only
+/// `unsafe` in the workspace.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-fn avx2(job: Job<'_>) {
+fn x86(isa: Isa, job: Job<'_>) {
     assert!(
-        std::arch::is_x86_feature_detected!("avx2"),
-        "the avx2 micro-kernel was entered on a host without AVX2"
+        isa.detected(),
+        "the {isa:?} micro-kernel was entered on a host without that instruction set"
     );
-    // SAFETY: `avx2_body` is an ordinary safe function but for its
-    // `#[target_feature(enable = "avx2")]`; executing it requires a CPU
-    // with AVX2, which the assertion above has just established.
-    unsafe { avx2_body(job) }
+    // SAFETY: each body is an ordinary safe function but for its
+    // `#[target_feature]`; executing it requires a CPU with the features
+    // that enables, which the assertion above has just established for
+    // `isa`.
+    unsafe {
+        match isa {
+            Isa::Avx2 => avx2_body(job),
+            Isa::Avx512 => avx512_body(job),
+        }
+    }
 }
 
 /// `avx2` only, never `fma`: a fused multiply–add rounds once and would
@@ -171,24 +205,42 @@ fn avx2(job: Job<'_>) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn avx2_body(job: Job<'_>) {
-    work::<4, 8>(job);
+    work::<4, 8, 56>(job);
+}
+
+/// `avx512f` implies the `fma` target feature, so here parity rests on
+/// the source never asking for a fused multiply–add (no `mul_add`) and
+/// rustc never letting LLVM contract a multiply and an add on its own.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512_body(job: Job<'_>) {
+    work::<8, 16, 240>(job);
 }
 
 /// Inlined into each entry, so it is compiled once per instruction set.
+/// `LANES` is the peak probe's chain count: every vector register at the
+/// entry's width but the two that hold the probe's constants (14 of 16
+/// for SSE2 and AVX2, 30 of 32 for AVX-512). Fewer chains leave the
+/// vector units waiting on a dependent multiply and add; more spill to
+/// the stack. Either way the probe reads below the peak.
 #[inline(always)]
-fn work<const MR: usize, const NR: usize>(job: Job<'_>) {
+fn work<const MR: usize, const NR: usize, const LANES: usize>(job: Job<'_>) {
     match job {
         Job::Gemm(operands) => drive::<MR, NR>(operands),
-        Job::Peak { steps, lanes } => {
+        Job::Peak { steps, flops } => {
             let (a, b) = (
                 std::hint::black_box(0.999_999_9f64),
                 std::hint::black_box(1e-9f64),
             );
+            // A local array, so LLVM can keep every chain in a register.
+            let mut lanes = [1.0f64; LANES];
             for _ in 0..steps {
                 for v in lanes.iter_mut() {
                     *v = *v * a + b;
                 }
             }
+            std::hint::black_box(lanes);
+            *flops = (2 * LANES * steps) as f64;
         }
     }
 }
@@ -323,6 +375,8 @@ mod tests {
 
     #[test]
     fn every_variant_matches_both_oracles_bit_for_bit() {
+        let names: Vec<&str> = gemm_variants().iter().map(|v| v.name).collect();
+        println!("gemm.gen variants on this host: {}", names.join(", "));
         let interpreter = InterpreterKernel::new(distal_ir::expr::kernels::matmul(), true);
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
         for case in 0..512 {
@@ -369,14 +423,25 @@ mod tests {
     fn variants_are_the_documented_shapes() {
         let variants = gemm_variants();
         assert_eq!(variants[0].name, "baseline 2x8");
-        assert!(variants.len() <= 2, "at most two instantiations");
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert!(variants.len() <= 3, "at most three instantiations");
+            let avx512 = variants.iter().position(|v| v.name.starts_with("avx512"));
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                assert_eq!(avx512, Some(variants.len() - 1), "avx512 runs, and last");
+            } else {
+                assert_eq!(avx512, None, "no avx512 without avx512f");
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(variants.len(), 1, "the baseline alone");
         for v in variants {
             assert_eq!(v.kc, KC);
             assert_eq!(
                 v.name.split(' ').nth(1),
                 Some(&*format!("{}x{}", v.mr, v.nr))
             );
-            assert!(v.peak_chain(10).is_finite());
+            assert!(v.peak_chain(10) > 0.0);
         }
         assert_eq!(dispatched().name, variants.last().unwrap().name);
     }

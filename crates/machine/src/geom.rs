@@ -193,7 +193,7 @@ impl From<Vec<i64>> for Point {
 /// use distal_machine::geom::Rect;
 /// let r = Rect::sized(&[4, 4]);
 /// assert_eq!(r.volume(), 16);
-/// let tile = r.block(0, 2, 1); // second of two row blocks
+/// let tile = r.restrict(0, 2, 3); // rows 2 and 3
 /// assert_eq!(tile.lo().coords(), &[2, 0]);
 /// assert_eq!(tile.hi().coords(), &[3, 3]);
 /// ```
@@ -368,29 +368,6 @@ impl Rect {
             rect: *self,
             next: if self.is_empty() { None } else { Some(self.lo) },
         }
-    }
-
-    /// The `index`-th of `parts` equal-sized contiguous blocks along
-    /// dimension `d` — the paper's blocked partitioning function.
-    ///
-    /// Block sizes are `ceil(extent / parts)`; trailing blocks may be smaller
-    /// or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts == 0` or `index >= parts`.
-    pub fn block(&self, d: usize, parts: i64, index: i64) -> Rect {
-        assert!(parts > 0, "cannot split into zero parts");
-        assert!(
-            (0..parts).contains(&index),
-            "block index {index} out of range for {parts} parts"
-        );
-        let extent = self.extent(d);
-        let size = div_ceil(extent, parts);
-        let mut r = *self;
-        r.lo[d] = self.lo[d] + index * size;
-        r.hi[d] = (self.lo[d] + (index + 1) * size - 1).min(self.hi[d]);
-        r
     }
 
     /// Restricts dimension `d` to the inclusive range `[lo, hi]`, clipping to
@@ -763,11 +740,11 @@ impl RectSet {
 /// # Example
 ///
 /// ```
-/// use distal_machine::geom::{Rect, RectIndex};
-/// let whole = Rect::sized(&[4, 4]);
-/// // Four row blocks, owned by ranks 0..4.
-/// let index = RectIndex::new((0..4).map(|r| (whole.block(0, 4, r), r)).collect());
-/// let rows_1_to_2 = whole.restrict(0, 1, 2);
+/// use distal_machine::geom::{Point, Rect, RectIndex};
+/// let row = |lo: i64, hi: i64| Rect::new(Point::new(vec![lo, 0]), Point::new(vec![hi, 3]));
+/// // The four rows of a 4 x 4 matrix, owned by ranks 0..4.
+/// let index = RectIndex::new((0..4).map(|r| (row(r, r), r)).collect());
+/// let rows_1_to_2 = row(1, 2);
 /// let owners: Vec<i64> = index.query(&rows_1_to_2).map(|(_, _, r)| *r).collect();
 /// assert_eq!(owners, [1, 2]);
 /// ```
@@ -996,25 +973,6 @@ mod tests {
             ]
         );
         assert_eq!(Rect::empty(2).points().count(), 0);
-    }
-
-    #[test]
-    fn rect_blocking_matches_paper() {
-        // 100 elements over 10 processors: 10 components each (paper §3.2).
-        let r = Rect::sized(&[100]);
-        for i in 0..10 {
-            let b = r.block(0, 10, i);
-            assert_eq!(b.volume(), 10);
-            assert_eq!(b.lo()[0], i * 10);
-        }
-        // Uneven split: ceil sizes with a short tail.
-        let r = Rect::sized(&[10]);
-        assert_eq!(r.block(0, 3, 0).volume(), 4);
-        assert_eq!(r.block(0, 3, 1).volume(), 4);
-        assert_eq!(r.block(0, 3, 2).volume(), 2);
-        // Over-decomposition yields empty trailing blocks.
-        let r = Rect::sized(&[2]);
-        assert!(r.block(0, 3, 2).is_empty());
     }
 
     #[test]

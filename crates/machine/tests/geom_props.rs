@@ -319,23 +319,6 @@ proptest! {
         }
     }
 
-    /// Blocked partitioning covers the rect exactly, in order, disjointly.
-    #[test]
-    fn blocks_tile_exactly(extent in 1i64..40, parts in 1i64..10) {
-        let r = Rect::sized(&[extent]);
-        let mut total = 0;
-        let mut next_lo = 0;
-        for i in 0..parts {
-            let b = r.block(0, parts, i);
-            total += b.volume();
-            if !b.is_empty() {
-                prop_assert_eq!(b.lo()[0], next_lo);
-                next_lo = b.hi()[0] + 1;
-            }
-        }
-        prop_assert_eq!(total, extent);
-    }
-
     /// RectSet add/subtract maintains exact coverage volume.
     #[test]
     fn rectset_volume_is_exact(

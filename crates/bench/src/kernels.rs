@@ -37,7 +37,12 @@
 //! what its 64 `gemm.gen` leaves take at the 160³ pure-kernel rate this
 //! run has just measured — again one process, two rates — and prints the
 //! same VM's pass over the `plan_scale` Cannon request with a no-op leaf,
-//! which is everything the VM does around its leaves. `--gemm`,
+//! which is everything the VM does around its leaves. The `from_dense`
+//! rows time the dense→CSR conversion over the same 2048² image at one
+//! worker and at the host budget, beside the time the triad probe's rate
+//! reads its bytes in; they are printed, not gated. Every standalone
+//! timing is the fastest of five passes, each repeating its call for at
+//! least 20 ms. `--gemm`,
 //! `--einsum`, `--spmv` and `--reps` size the pipeline rows (96, 16, 384,
 //! 3 by default).
 
@@ -53,6 +58,7 @@ use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_runtime::csr::SparseBuffer;
+use distal_runtime::executor::{host_worker_count, with_thread_budget};
 use distal_runtime::kernel::{ArgData, KernelArg, KernelCtx, NoopKernel};
 use distal_runtime::program::Privilege;
 use std::collections::BTreeMap;
@@ -260,18 +266,26 @@ fn kernels_bench(gemm_n: i64, einsum_n: i64, spmv_n: i64, reps: usize) -> Vec<Ke
     ]
 }
 
+/// Wall time every timed pass of [`fastest_of_5`] covers at least. Passes
+/// of ≈ 1.5 ms swung by ±25 % between runs on a 2-vCPU host.
+const MIN_PASS_S: f64 = 0.02;
+
 /// Fastest of five timings of `run`, in seconds per call; each timing
-/// spans enough calls to cover 40 MFLOP, so a 32³ tile is not timed at
-/// clock resolution.
-fn fastest_of_5(flops_per_call: f64, mut run: impl FnMut()) -> f64 {
-    let calls = (4e7 / flops_per_call).ceil().max(1.0) as usize;
+/// repeats the call until it covers [`MIN_PASS_S`], so neither a 32³ tile
+/// nor one preempted call decides a row.
+fn fastest_of_5(mut run: impl FnMut()) -> f64 {
     (0..5)
         .map(|_| {
             let t0 = Instant::now();
-            for _ in 0..calls {
+            let mut calls = 0u32;
+            loop {
                 run();
+                calls += 1;
+                let secs = t0.elapsed().as_secs_f64();
+                if secs >= MIN_PASS_S {
+                    break secs / calls as f64;
+                }
             }
-            t0.elapsed().as_secs_f64() / calls as f64
         })
         .fold(f64::INFINITY, f64::min)
 }
@@ -280,7 +294,7 @@ fn fastest_of_5(flops_per_call: f64, mut run: impl FnMut()) -> f64 {
 fn peak_gflops(variant: &MicroKernel) -> f64 {
     const STEPS: usize = 1_000_000;
     let flops = variant.peak_chain(STEPS);
-    let secs = fastest_of_5(flops, || {
+    let secs = fastest_of_5(|| {
         std::hint::black_box(variant.peak_chain(std::hint::black_box(STEPS)));
     });
     flops / secs / 1e9
@@ -328,7 +342,7 @@ fn pure_gemm_bench(tiles: &[i64]) -> Vec<PureKernelRow> {
                 scalars: vec![0, n - 1, 0, n - 1, 0, n - 1],
             };
             let flops = 2.0 * (n * n * n) as f64;
-            let secs = fastest_of_5(flops, || {
+            let secs = fastest_of_5(|| {
                 if dispatched {
                     kernel.execute(&mut ctx);
                 } else {
@@ -435,7 +449,7 @@ fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow {
         point: Point::zeros(1),
         scalars: vec![0, n - 1, 0, n - 1],
     };
-    let kernel_s = fastest_of_5(2.0 * nnz as f64, || kernel.execute(&mut ctx));
+    let kernel_s = fastest_of_5(|| kernel.execute(&mut ctx));
     std::hint::black_box(&ctx.args[0].data);
     let (pipeline_s, _, _) = timed(&spmv_problem(n, density), &Schedule::new(), "a", 3);
     SpmvStreamRow {
@@ -444,6 +458,42 @@ fn pure_spmv_bench(n: i64, density: f64, triad_len: usize) -> SpmvStreamRow {
         kernel_s,
         pipeline_s,
         triad_gbs: triad_gbs(triad_len),
+    }
+}
+
+/// `SparseBuffer::from_dense` over an image shaped like the `sparse_spmv`
+/// workload's, at one worker and at every worker this thread is granted,
+/// beside the time the triad probe's rate reads the same bytes in. Printed,
+/// not gated: it shows on each runner what the conversion's row split buys.
+#[derive(Clone, Debug)]
+struct ConversionRow {
+    /// Matrix side length.
+    pub n: i64,
+    /// The workers `host_worker_count(0)` grants: the slabs at the host
+    /// budget.
+    pub workers: usize,
+    /// Fastest of five timings under `with_thread_budget(1)`, seconds per
+    /// conversion.
+    pub serial_s: f64,
+    /// Fastest of five timings at the host budget, seconds per conversion.
+    pub split_s: f64,
+    /// The image's bytes over the triad probe's rate, seconds.
+    pub read_s: f64,
+}
+
+/// Times [`ConversionRow`] over an `n × n` image at `density`.
+fn conversion_bench(n: i64, density: f64, triad_gbs: f64) -> ConversionRow {
+    let dims = [n, n];
+    let image = sparse_random_data((n * n) as usize, 0xB, density);
+    let convert = || {
+        std::hint::black_box(SparseBuffer::from_dense(&dims, &image));
+    };
+    ConversionRow {
+        n,
+        workers: host_worker_count(0),
+        serial_s: with_thread_budget(1, || fastest_of_5(convert)),
+        split_s: fastest_of_5(convert),
+        read_s: (image.len() * std::mem::size_of::<f64>()) as f64 / (triad_gbs.max(1e-12) * 1e9),
     }
 }
 
@@ -606,6 +656,7 @@ fn render(
     rows: &[KernelBenchRow],
     pure: &[PureKernelRow],
     spmv: &SpmvStreamRow,
+    conversion: &ConversionRow,
     calibration: &Calibration,
 ) -> String {
     let mut out = String::new();
@@ -674,6 +725,20 @@ fn render(
     );
     let _ = writeln!(
         out,
+        "\nfrom_dense ({n}x{n}, density 0.01, fastest of 5)\n\
+         {:<16} {:>12.3} ms\n\
+         {:<16} {:>12.3} ms\n\
+         {:<16} {:>12.3} ms   the image's bytes at the triad rate",
+        "1 worker",
+        conversion.serial_s * 1e3,
+        format!("{} workers", conversion.workers),
+        conversion.split_s * 1e3,
+        "triad read",
+        conversion.read_s * 1e3,
+        n = conversion.n,
+    );
+    let _ = writeln!(
+        out,
         "calibration: measured {:.3} GFLOP/s/core -> socket {:.1} (default {:.1}); \
          SUMMA n=64 p=4 makespan {:.3e}s -> {:.3e}s",
         calibration.measured_core_gflops,
@@ -700,8 +765,9 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
     let rows = kernels_bench(gemm_n, einsum_n, spmv_n, reps);
     let pure = pure_gemm_bench(&PURE_TILES);
     let spmv = pure_spmv_bench(2048, 0.01, TRIAD_LEN);
+    let conversion = conversion_bench(2048, 0.01, spmv.triad_gbs);
     let calibration = calibrate(calibration_rate(&pure).max(1e-3));
-    print!("{}", render(&rows, &pure, &spmv, &calibration));
+    print!("{}", render(&rows, &pure, &spmv, &conversion, &calibration));
 
     if rows.iter().any(|r| !r.verified) {
         eprintln!("generated kernels diverged from the interpreter; see table");
@@ -845,6 +911,9 @@ mod tests {
         let spmv = pure_spmv_bench(64, 0.1, 1 << 12);
         assert!(spmv.nnz > 0 && spmv.kernel_s > 0.0 && spmv.pipeline_s > spmv.kernel_s);
         assert!(spmv.stream_share() > 0.0);
-        assert!(render(&rows, &pure, &spmv, &cal).contains("csr.gen / triad"));
+        let conversion = conversion_bench(64, 0.1, spmv.triad_gbs);
+        assert!(conversion.serial_s > 0.0 && conversion.split_s > 0.0 && conversion.read_s > 0.0);
+        let table = render(&rows, &pure, &spmv, &conversion, &cal);
+        assert!(table.contains("csr.gen / triad") && table.contains("from_dense (64x64"));
     }
 }

@@ -265,7 +265,9 @@ fn drive<const MR: usize, const NR: usize>(operands: Operands<'_>) {
         nj,
         nk,
     } = operands;
-    let mut packed = [[0.0f64; NR]; KC];
+    // Only the rows a `k` block packs: 4 KiB of a 32-deep leaf rather
+    // than the whole 32 KiB `KC × 16` panel.
+    let mut packed = vec![[0.0f64; NR]; KC.min(nk)];
     for k0 in (0..nk).step_by(KC) {
         let kc = KC.min(nk - k0);
         let panel = &mut packed[..kc];

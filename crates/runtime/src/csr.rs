@@ -29,14 +29,22 @@ pub const CRD_BYTES: u64 = 8;
 /// Width of the groups [`SparseBuffer::from_dense`] tests with one OR.
 const SKIP_GROUP: usize = 16;
 
-/// Rows [`SparseBuffer::from_dense`] scans side by side. One sequential
-/// pass keeps a single hardware prefetch stream busy, which a core
-/// out-runs as soon as the image comes from memory rather than the
-/// last-level cache (2048², density 0.01: 2.4 ms cached, 4.4 ms not);
-/// eight rows are eight streams in eight pages (2.3 ms and 3.1 ms), so
-/// what a bind costs depends less on where the caller's image happens to
-/// sit. Four lanes gain less; sixteen gain nothing more.
+/// Rows [`SparseBuffer::from_dense`] scans side by side in each slab:
+/// eight rows are eight prefetch streams in eight pages where one
+/// sequential pass keeps a single stream busy. On a 2-vCPU Xeon (2048²,
+/// density 0.01, p50 of 150 interleaved calls, two runs) one slab took
+/// 4.31–4.66 ms at four lanes, 3.90–4.32 at eight and 3.82–4.42 at
+/// sixteen; two slabs took 2.47–3.22, 2.23–2.99 and 2.30–3.16 ms.
 const SCAN_LANES: usize = 8;
+
+/// Dense elements below which [`SparseBuffer::from_dense`] scans on the
+/// calling thread alone. On a 2-vCPU Xeon a scoped spawn and join costs
+/// 35–44 µs at the median and the scan 0.6–0.96 ns an element, so handing
+/// half an image to the second core would pay from ≈ 100 k elements; the
+/// idle core's wake-up and cold caches move the measured break-even to
+/// 330–410 k. From 2¹⁹ (a 4 MiB image) two slabs won by 10–15 %, and by
+/// 17–20 % at 2²⁰.
+const SPLIT_FLOOR: usize = 1 << 19;
 
 /// A compressed rectangular buffer: dense-linearized outer dimensions
 /// ("rows") over a compressed innermost dimension.
@@ -57,24 +65,72 @@ impl SparseBuffer {
     /// (including `-0.0`) is stored, which is what makes the round-trip
     /// lossless.
     ///
+    /// An image of at least `SPLIT_FLOOR` elements is scanned in one row
+    /// slab per worker [`host_worker_count`](crate::executor::host_worker_count)
+    /// grants the calling thread, so `DISTAL_THREADS` and
+    /// [`with_thread_budget`](crate::executor::with_thread_budget) cap the
+    /// conversion as they cap the executor's pool. The result does not
+    /// depend on the slab count.
+    ///
     /// # Panics
     ///
     /// Panics when `data` does not have `dims.iter().product()` elements.
     pub fn from_dense(dims: &[i64], data: &[f64]) -> Self {
+        let slabs = match data.len() {
+            n if n < SPLIT_FLOOR => 1,
+            _ => crate::executor::host_worker_count(0),
+        };
+        SparseBuffer::from_dense_in(dims, data, slabs)
+    }
+
+    /// [`SparseBuffer::from_dense`] over `slabs` row slabs, each a whole
+    /// number of `SCAN_LANES` row blocks: the first is scanned on the
+    /// calling thread, every other on a scoped one, and the slabs are
+    /// filed in order, so the result is the same for any `slabs`.
+    pub(crate) fn from_dense_in(dims: &[i64], data: &[f64], slabs: usize) -> Self {
         let (rows, inner) = rows_and_inner(dims);
         assert_eq!(
             data.len() as i64,
             volume_of(dims),
             "dense data does not match dims {dims:?}"
         );
+        let slab_rows = rows.div_ceil(SCAN_LANES).div_ceil(slabs.max(1)).max(1) * SCAN_LANES;
+        let mut images = data[..rows * inner].chunks(slab_rows * inner);
         // Room for ≈ 1.5 % density without regrowing; denser data doubles
         // its way up from there.
         let mut buf = SparseBuffer::with_rows(dims, rows, data.len() / 64);
+        std::thread::scope(|scope| {
+            let first = images.next().unwrap_or_default();
+            let rest: Vec<_> = images
+                .map(|slab| {
+                    scope.spawn(move || {
+                        // A slab's own rows, its `pos` counted from zero.
+                        let mut part =
+                            SparseBuffer::with_rows(&[], slab.len() / inner, slab.len() / 64);
+                        part.scan(slab, inner);
+                        part
+                    })
+                })
+                .collect();
+            buf.scan(first, inner);
+            for slab in rest {
+                let part = slab.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                let filed = buf.crd.len() as u64;
+                buf.pos.extend(part.pos[1..].iter().map(|end| filed + end));
+                buf.crd.extend_from_slice(&part.crd);
+                buf.vals.extend_from_slice(&part.vals);
+            }
+        });
+        buf
+    }
+
+    /// Appends the rows of `data`, `inner` elements each, to this buffer.
+    fn scan(&mut self, data: &[f64], inner: usize) {
         // `SCAN_LANES` rows are walked side by side, each into its own
         // staging pair, and filed in row order once the block is done.
         let mut lanes: [(Vec<i64>, Vec<f64>); SCAN_LANES] = Default::default();
         let whole = inner - inner % SKIP_GROUP;
-        for block in data[..rows * inner].chunks(inner * SCAN_LANES) {
+        for block in data.chunks(inner * SCAN_LANES) {
             for base in (0..whole).step_by(SKIP_GROUP) {
                 for (row, (crd, vals)) in block.chunks_exact(inner).zip(&mut lanes) {
                     // Most groups of a sparse row are all `+0.0`: one OR over
@@ -88,12 +144,11 @@ impl SparseBuffer {
             }
             for (row, (crd, vals)) in block.chunks_exact(inner).zip(&mut lanes) {
                 push_stored(crd, vals, whole, &row[whole..]);
-                buf.crd.append(crd);
-                buf.vals.append(vals);
-                buf.pos.push(buf.crd.len() as u64);
+                self.crd.append(crd);
+                self.vals.append(vals);
+                self.pos.push(self.crd.len() as u64);
             }
         }
-        buf
     }
 
     /// [`SparseBuffer::from_dense`] over a row-major value *stream*: the
@@ -348,6 +403,91 @@ mod tests {
                     assert_eq!(scanned.to_dense(), data, "{rows}x{inner} every {every}");
                 }
             }
+        }
+    }
+
+    /// Whether two buffers hold the same bits: `PartialEq` calls a stored
+    /// NaN unequal to itself.
+    fn same_bits(a: &SparseBuffer, b: &SparseBuffer) -> bool {
+        a.dims == b.dims
+            && a.pos == b.pos
+            && a.crd == b.crd
+            && a.vals
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(b.vals.iter().map(|v| v.to_bits()))
+    }
+
+    /// `rows × inner` elements, about one in `every` stored, the stored
+    /// ones cycling through `-0.0`, NaNs with distinct payloads and plain
+    /// values.
+    fn payloads(rows: usize, inner: usize, every: u64, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..rows * inner)
+            .map(|at| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                match (state % every, at % 3) {
+                    (0, 0) => -0.0,
+                    (0, 1) => f64::from_bits(0x7FF8_0000_0000_0000 | at as u64),
+                    (0, _) => at as f64 - 0.5,
+                    _ => 0.0,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Every slab count files what the element-by-element oracle does,
+        /// at row counts on either side of a lane block and of a slab
+        /// boundary, a single row, and with one slab left all `+0.0`.
+        #[test]
+        fn every_slab_count_files_what_the_value_stream_does(
+            slabs in 1usize..5,
+            shape in 0usize..5,
+            inner in 1usize..40,
+            every in 1u64..6,
+            blank in 0usize..5,
+            seed in 0u64..1_000_000,
+        ) {
+            let rows = match shape {
+                0 => 1 + seed as usize % (SCAN_LANES - 1),
+                1 => SCAN_LANES * slabs - 1,
+                2 => SCAN_LANES * slabs + 1,
+                3 => 1,
+                _ => 3 * SCAN_LANES * slabs + 5,
+            };
+            let mut data = payloads(rows, inner, every, seed);
+            // The slab `from_dense_in` will cut as number `blank`, if any.
+            let slab = rows.div_ceil(SCAN_LANES).div_ceil(slabs) * SCAN_LANES * inner;
+            if let Some(zeros) = data.chunks_mut(slab).nth(blank) {
+                zeros.fill(0.0);
+            }
+            let dims = [rows as i64, inner as i64];
+            let scanned = SparseBuffer::from_dense_in(&dims, &data, slabs);
+            let oracle = SparseBuffer::from_values(&dims, data.iter().copied());
+            proptest::prop_assert!(
+                same_bits(&scanned, &oracle),
+                "{rows}x{inner} in {slabs} slabs, slab {blank} blank"
+            );
+        }
+    }
+
+    #[test]
+    fn the_thread_budget_does_not_change_the_bits() {
+        let (rows, inner) = (1030, 520);
+        assert!(rows * inner >= SPLIT_FLOOR, "the split path is reached");
+        let data = payloads(rows, inner, 4, 7);
+        let dims = [rows as i64, inner as i64];
+        let oracle = SparseBuffer::from_values(&dims, data.iter().copied());
+        for budget in [1, 3] {
+            let scanned = crate::executor::with_thread_budget(budget, || {
+                SparseBuffer::from_dense(&dims, &data)
+            });
+            assert!(same_bits(&scanned, &oracle), "budget {budget}");
         }
     }
 }

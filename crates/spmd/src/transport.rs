@@ -57,6 +57,7 @@ use crate::program::{MeasuredRun, SpmdProgram};
 use crate::resolve::Resolved;
 use crate::vm::Tables;
 use crate::vm::{check_delivered, with_arenas, Homes, Mailboxes, Packet, Post, RankRun, Run};
+use distal_runtime::executor::{host_worker_count, with_thread_budget};
 use distal_runtime::kernel::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -372,9 +373,11 @@ pub(crate) fn execute_threaded(
     cfg: &ThreadedConfig,
 ) -> Result<Run, SpmdError> {
     let ranks = program.ranks();
-    let workers = distal_runtime::executor::host_worker_count(cfg.threads)
-        .min(ranks)
-        .max(1);
+    let workers = host_worker_count(cfg.threads).min(ranks).max(1);
+    // Each rank worker owns its share of the host, the rule the serving
+    // engine applies to its workers: what a rank fans out itself (a CSR
+    // face's conversion) stays inside that share.
+    let budget = (host_worker_count(0) / workers).max(1);
     with_arenas(resolved, |arenas| {
         let mut tables = Tables::new(resolved, homes, arenas);
 
@@ -410,7 +413,9 @@ pub(crate) fn execute_threaded(
                     let slots = tasks.iter().map(|t| t.run.plan.mailbox);
                     let inbox = Inbox::new(rx, workers, slots.collect::<Vec<_>>());
                     let shared = &shared;
-                    scope.spawn(move || run_worker(shared, &senders, tasks, inbox))
+                    scope.spawn(move || {
+                        with_thread_budget(budget, || run_worker(shared, &senders, tasks, inbox))
+                    })
                 })
                 .collect();
             handles

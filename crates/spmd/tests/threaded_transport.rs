@@ -6,12 +6,14 @@
 //! caught by the watchdog instead of hanging the suite, one receive
 //! deleted is a typed error naming the payload nobody took, and a leaf
 //! that panics mid-kernel is a typed error naming its rank and message
-//! that leaves the next request on the same program untouched.
+//! that leaves the next request on the same program untouched. A rank
+//! worker's own pools get its `host / workers` share of the threads.
 
 use distal_algs::matmul::MatmulAlgorithm;
 use distal_algs::setup::matmul_problem_on;
 use distal_core::{DiagnosticKind, Problem, TensorId};
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
+use distal_runtime::executor::host_worker_count;
 use distal_runtime::kernel::{Kernel, KernelCtx};
 use distal_spmd::collective::CollectiveConfig;
 use distal_spmd::{
@@ -19,7 +21,7 @@ use distal_spmd::{
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One Figure 9 problem on `p` processors, lowered with default
@@ -260,6 +262,52 @@ fn a_message_of_a_tensor_past_the_table_is_refused_without_a_panic() {
             }
             other => panic!("{transport:?}: expected a data error, got {other:?}"),
         }
+    }
+}
+
+/// The program's own leaf, noting per run how many workers a pool its
+/// thread sized would get: unasked (`host_worker_count(0)`) and asked for 8.
+struct BudgetProbe {
+    inner: Arc<dyn Kernel>,
+    seen: Mutex<Vec<(usize, usize)>>,
+}
+
+impl Kernel for BudgetProbe {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn execute(&self, ctx: &mut KernelCtx) {
+        let grant = (host_worker_count(0), host_worker_count(8));
+        self.seen.lock().unwrap().push(grant);
+        self.inner.execute(ctx);
+    }
+}
+
+#[test]
+fn a_rank_worker_fans_out_only_within_its_share_of_the_host() {
+    // A leaf that converts a CSR face, or sizes any pool, runs inside the
+    // rank pool; it gets `host / workers` threads, as a serving worker
+    // does, not the whole host again.
+    let (mut program, inputs) = lowered(MatmulAlgorithm::Summa, 4, 12);
+    let probe = Arc::new(BudgetProbe {
+        inner: Arc::clone(&program.leaf.0),
+        seen: Mutex::new(Vec::new()),
+    });
+    program.leaf.0 = Arc::clone(&probe) as Arc<dyn Kernel>;
+    let seq = program.execute(&inputs).unwrap();
+    let host = host_worker_count(0);
+    for threads in [1usize, 2, 4] {
+        probe.seen.lock().unwrap().clear();
+        let thr = program.execute_with(&inputs, &watchdog(threads)).unwrap();
+        assert_bits_equal(&format!("{threads} workers"), &seq.output, &thr.output);
+        let share = (host / host_worker_count(threads).min(4)).max(1);
+        let seen = std::mem::take(&mut *probe.seen.lock().unwrap());
+        assert!(!seen.is_empty());
+        assert!(
+            seen.iter().all(|&grant| grant == (share, share.min(8))),
+            "{threads} workers on a {host}-worker host: {seen:?}"
+        );
     }
 }
 

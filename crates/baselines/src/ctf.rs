@@ -218,6 +218,11 @@ pub fn higher_order(
             // Pipeline over at most 16 chunks: barriered micro-steps would
             // be latency-bound on row-aligned (p, 1) grids.
             let chunk = (n / gx.min(16)).max(1);
+            // Rows in blocks of Am's and Bm's home width n·bx, so each grid
+            // row writes the rows it holds (blocks of ⌈n²/gx⌉ rows do not
+            // when gx does not divide n). Launch point (io, jo) is rank
+            // io·gy + jo, its grid position, even when fewer than gx
+            // blocks cover the rows.
             stage(
                 "Am(i,j) = Bm(i,k) * Cm(k,j)",
                 &[
@@ -226,9 +231,11 @@ pub fn higher_order(
                     ("Cm", vec![n, cols], &cm),
                 ],
                 Schedule::new()
-                    .distribute_onto(&["i", "j"], &["io", "jo"], &["ii", "ji"], &[gx, gy])
+                    .split("i", "io", "ii", n * bx)
+                    .divide("j", "jo", "ji", gy)
                     .split("k", "ko", "ki", chunk)
                     .reorder(&["io", "jo", "ko", "ii", "ji", "ki"])
+                    .distribute(&["io", "jo"])
                     .communicate(&["Am"], "jo")
                     .communicate(&["Bm", "Cm"], "ko"),
             )?;
@@ -276,8 +283,10 @@ pub fn higher_order(
                     ("Bm", vec![n * n * n], &folded),
                     ("Cm", vec![n * n * n], &folded),
                 ],
+                // Blocks of the home width n²·w, launch point r on rank r.
                 Schedule::new()
-                    .distribute_onto(&["k"], &["ko"], &["ki"], &[p])
+                    .split("k", "ko", "ki", n * n * w)
+                    .distribute(&["ko"])
                     .communicate(&["a", "Bm", "Cm"], "ko"),
             )?;
         }
@@ -339,7 +348,7 @@ mod tests {
     use distal_core::{oracle, Plan};
     use distal_format::semantics::hierarchical_pieces;
     use distal_machine::geom::Rect;
-    use distal_runtime::Mode;
+    use distal_runtime::{Mode, Op, Privilege};
     use std::collections::BTreeMap;
 
     fn check_ctf(kernel: HigherOrderKernel, nodes: usize, n: i64) {
@@ -406,6 +415,46 @@ mod tests {
             .collect()
     }
 
+    /// Every element of `tensor` that a compute task of stage `s` of
+    /// `run` accesses with a privilege `accessed` admits is homed on the
+    /// rank of the task's launch point.
+    fn assert_accesses_stay_home(
+        context: &str,
+        machine: &DistalMachine,
+        run: &PhasedRun,
+        s: usize,
+        tensor: &str,
+        accessed: fn(Privilege) -> bool,
+    ) {
+        let compiled = run.instance(s).kernel();
+        let spec = &run.plans().nth(s).unwrap().tensors()[tensor];
+        let full = Rect::sized(&spec.dims);
+        let homes = homes(machine, &spec.dims, &spec.format);
+        let region = run.instance(s).region(tensor);
+        let launch = Rect::sized(&compiled.launch_domain);
+        let tasks = compiled.compute.ops.iter().flat_map(|op| match op {
+            Op::IndexLaunch(launch) => launch.tasks.as_slice(),
+            _ => &[],
+        });
+        for task in tasks {
+            let rank = launch.linearize(&task.point);
+            let reqs = task.reqs.iter();
+            for req in reqs.filter(|r| Some(r.region) == region && accessed(r.privilege)) {
+                let stray = req.rect.points().find(|q| {
+                    let at = full.linearize(q) as i64;
+                    homes[rank].binary_search(&at).is_err()
+                });
+                assert!(
+                    stray.is_none(),
+                    "{context}, stage {s}: '{tensor}' {:?} accessed at launch point {:?} (rank {rank}) \
+                     is homed elsewhere",
+                    stray.unwrap(),
+                    task.point,
+                );
+            }
+        }
+    }
+
     #[test]
     fn every_hand_off_keeps_each_element_on_its_rank() {
         for kernel in HigherOrderKernel::all() {
@@ -418,7 +467,8 @@ mod tests {
                         lines.iter().map(|&g| Grid::line(g)).collect(),
                         config.proc_kind,
                     );
-                    let run = higher_order(kernel, &config, n).unwrap();
+                    let mut run = higher_order(kernel, &config, n).unwrap();
+                    run.run().unwrap();
                     let plans: Vec<_> = run.plans().collect();
                     let mut handed = 0;
                     for (s, producer) in plans.iter().enumerate() {
@@ -440,6 +490,32 @@ mod tests {
                         }
                     }
                     assert!(handed >= 1, "{kernel:?} hands nothing off");
+                    // Each stage writes its output where the next stage
+                    // finds it (a split contraction's partial sums reduce
+                    // into it from elsewhere), and the dot reads its
+                    // operands where the copies left them.
+                    let context = format!("{kernel:?} p = {} n = {n}", config.processors());
+                    for (s, plan) in plans.iter().enumerate() {
+                        let output = &plan.kernel().output;
+                        if !plan.tensors()[output].format.distributions.is_empty() {
+                            assert_accesses_stay_home(&context, &machine, &run, s, output, |p| {
+                                matches!(p, Privilege::Write | Privilege::ReadWrite)
+                            });
+                        }
+                    }
+                    if kernel == HigherOrderKernel::Innerprod {
+                        let dot = plans.len() - 1;
+                        for operand in ["Bm", "Cm"] {
+                            assert_accesses_stay_home(
+                                &context,
+                                &machine,
+                                &run,
+                                dot,
+                                operand,
+                                |p| p == Privilege::Read,
+                            );
+                        }
+                    }
                     if n == 7 {
                         check_ctf(kernel, nodes, n);
                     }

@@ -8,8 +8,8 @@
 //! The one number kept is requests per second, because the one gate
 //! (`--assert-scaling`) is a ratio of two of them: req/s with `--threads`
 //! workers must reach 1.5× the single-worker run (skipped with a note when
-//! `--threads` < 2 or the host has < 2 cores). Latency percentiles, batch
-//! sizes and cache counters of a served stream are the pipeline
+//! `--threads` < 2 or the host has < 2 cores). Latency percentiles, worker
+//! turns and cache counters of a served stream are the pipeline
 //! benchmark's `serve.engine.*` / `core.cache.*` metrics; the plan cache's
 //! hit, zero-lowering and single-flight properties are cases of
 //! `tests/plan_reuse.rs`.
@@ -45,8 +45,8 @@ fn request_bindings(r: u64) -> Bindings {
 }
 
 /// Distinct binding seeds cycled through the request stream — small
-/// enough to precompute references, large enough that batching can't
-/// trivially collapse the stream into one request.
+/// enough to precompute references, large enough that one stale output
+/// cannot pass for every response.
 const SEEDS: u64 = 4;
 
 /// One closed-loop serving measurement: `clients` loops of submit→wait

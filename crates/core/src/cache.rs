@@ -378,7 +378,7 @@ impl ShardedPlanCache {
 
     /// [`ShardedPlanCache::get_or_plan`] with a caller-computed key and
     /// planning closure — the serving engine's entry point, where the key
-    /// is computed once at admission and reused across a batch.
+    /// is computed once, at admission.
     pub fn get_or_plan_keyed(
         &self,
         key: &PlanKey,

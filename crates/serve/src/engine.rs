@@ -1,7 +1,6 @@
-//! [`ServingEngine`]: worker threads draining a bounded queue through a
-//! sharded plan cache, batching same-key requests onto one `Arc<dyn Plan>`.
+//! [`ServingEngine`]: worker threads taking one request at a time from a
+//! bounded channel, each resolving its plan through a sharded plan cache.
 
-use crate::queue::{JobQueue, Keyed};
 use distal_core::{
     Backend, BackendError, Bindings, CacheStats, Plan, PlanKey, Problem, Report, Schedule,
     ShardedPlanCache,
@@ -11,24 +10,23 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Configuration for a [`ServingEngine`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads draining the queue (0 = size to the host via
+    /// Worker threads taking requests (0 = size to the host via
     /// `host_worker_count`, i.e. `DISTAL_THREADS` or one per core).
     pub workers: usize,
-    /// Bound on queued-but-unclaimed requests; full queues block
+    /// Bound on queued-but-unclaimed requests; a full queue blocks
     /// [`ServingEngine::submit`] (backpressure, not unbounded backlog).
     pub queue_capacity: usize,
-    /// Most requests one worker claims per same-key batch (1 disables
-    /// micro-batching).
-    pub max_batch: usize,
     /// Total plans the sharded cache retains.
     pub cache_capacity: usize,
-    /// Shard count of the plan cache.
+    /// Shard count of the plan cache (1: one LRU over the whole
+    /// capacity, so a key's survival does not depend on which other keys
+    /// share its shard).
     pub cache_shards: usize,
 }
 
@@ -37,9 +35,8 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_capacity: 64,
-            max_batch: 8,
             cache_capacity: 64,
-            cache_shards: 8,
+            cache_shards: 1,
         }
     }
 }
@@ -71,10 +68,12 @@ pub struct ServeResponse {
     pub outputs: BTreeMap<String, Vec<f64>>,
 }
 
+type Reply = Result<ServeResponse, BackendError>;
+
 /// The receipt for a submitted request; redeem with [`Ticket::wait`].
 #[derive(Debug)]
 pub struct Ticket {
-    rx: mpsc::Receiver<Result<ServeResponse, BackendError>>,
+    rx: mpsc::Receiver<Reply>,
 }
 
 impl Ticket {
@@ -83,8 +82,8 @@ impl Ticket {
     /// # Errors
     ///
     /// Whatever the serving path produced — plan, bind, or execution
-    /// errors — or a synthesized [`BackendError::Backend`] when the
-    /// engine shut down (or a worker died) before replying.
+    /// errors — or a synthesized [`BackendError::Backend`] when no
+    /// worker was left to serve the request.
     pub fn wait(self) -> Result<ServeResponse, BackendError> {
         self.rx.recv().unwrap_or_else(|_| {
             Err(BackendError::Backend(
@@ -103,18 +102,19 @@ pub struct EngineStats {
     pub submitted: u64,
     /// Requests that completed successfully.
     pub completed: u64,
-    /// Requests that failed (plan/bind/execute errors, panics, shutdown
-    /// rejections).
+    /// Requests that failed (plan/bind/execute errors, panics, requests
+    /// no worker was left to take).
     pub failed: u64,
-    /// Batches claimed from the queue (`submitted / batches` ≥ 1 is the
-    /// realized batching factor).
+    /// Worker turns: a worker takes one request per turn, so this is the
+    /// number of requests workers took.
     pub batches: u64,
-    /// Largest single batch served.
+    /// Most requests one worker turn served: 1 once any request was
+    /// taken, 0 before.
     pub peak_batch: u64,
     /// Lowerings ([`distal_core::lowering_count`]) that started while
-    /// batches were bound and run, plan look-ups excluded — stays 0 when
-    /// every request rides its batch's plan, which is the compile-once
-    /// invariant the bench gates on.
+    /// requests were bound and run, plan look-ups excluded — stays 0
+    /// when every request rides its key's cached plan, which is the
+    /// compile-once invariant the bench gates on.
     pub bind_lowerings: u64,
     /// Plan-cache counters (`hits + misses == requests()`).
     pub cache: CacheStats,
@@ -125,31 +125,21 @@ struct Counters {
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    batches: AtomicU64,
-    peak_batch: AtomicU64,
+    turns: AtomicU64,
     bind_lowerings: AtomicU64,
 }
 
 struct Job {
-    problem: Arc<Problem>,
-    schedule: Schedule,
-    bindings: Bindings,
-    read: Vec<String>,
-    reply: mpsc::Sender<Result<ServeResponse, BackendError>>,
-}
-
-impl fmt::Debug for Job {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Job").field("read", &self.read).finish()
-    }
+    key: PlanKey,
+    request: ServeRequest,
+    reply: mpsc::Sender<Reply>,
 }
 
 struct WorkerCtx {
     backend: Arc<dyn Backend + Send + Sync>,
     cache: Arc<ShardedPlanCache>,
-    queue: Arc<JobQueue<Job>>,
+    jobs: Arc<Mutex<mpsc::Receiver<Job>>>,
     counters: Arc<Counters>,
-    max_batch: usize,
     /// Host-worker budget each serving worker passes down to the pools
     /// its plans create (parallel executor, threaded rank transport).
     budget: usize,
@@ -159,27 +149,29 @@ struct WorkerCtx {
 /// key*, execute many *per second*.
 ///
 /// ```text
-///  submit() ──► bounded queue ──► worker threads (W = host_worker_count)
-///                 (backpressure)     │  pop_batch: same-PlanKey sweep
-///                                    ▼
-///                          ShardedPlanCache::get_or_plan_keyed
-///                             (single-flight per shard)
-///                                    │ one Arc<dyn Plan>
-///                                    ▼
-///                          bind(bindings) per request   ──► Ticket
-///                          (under with_thread_budget)
+///  submit() ──► sync_channel ──► worker threads (W = host_worker_count)
+///                (backpressure)    │  one request per turn
+///                                  ▼
+///                        ShardedPlanCache::get_or_plan_keyed
+///                           (single-flight per shard)
+///                                  │ the key's Arc<dyn Plan>
+///                                  ▼
+///                        bind(bindings), run, read   ──► Ticket
+///                        (under with_thread_budget)
 /// ```
 ///
-/// Each worker claims the oldest request plus every queued request with
-/// the same [`PlanKey`] (micro-batching), resolves the plan once through
-/// the sharded single-flight cache, then binds and runs each request's
-/// [`Bindings`] against that shared plan. Nested pools the bound
+/// Each worker takes the oldest queued request, resolves its plan
+/// through the sharded single-flight cache, then binds and runs the
+/// request's [`Bindings`] against that shared plan. Two requests never
+/// wait behind each other while a worker is free. Nested pools the bound
 /// instances spawn are capped by a per-worker thread budget so W serving
 /// workers never oversubscribe the host.
 pub struct ServingEngine {
     backend: Arc<dyn Backend + Send + Sync>,
     cache: Arc<ShardedPlanCache>,
-    queue: Arc<JobQueue<Job>>,
+    /// The only sender: dropping it (shutdown, drop) lets the workers
+    /// drain what is queued and exit.
+    jobs: Option<mpsc::SyncSender<Job>>,
     counters: Arc<Counters>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
@@ -198,16 +190,16 @@ impl ServingEngine {
         let host = host_worker_count(0);
         let budget = (host / workers).max(1);
         let cache = Arc::new(ShardedPlanCache::new(cfg.cache_capacity, cfg.cache_shards));
-        let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
+        let (sender, receiver) = mpsc::sync_channel(cfg.queue_capacity.max(1));
+        let receiver = Arc::new(Mutex::new(receiver));
         let counters = Arc::new(Counters::default());
         let handles = (0..workers)
             .map(|w| {
                 let ctx = WorkerCtx {
                     backend: Arc::clone(&backend),
                     cache: Arc::clone(&cache),
-                    queue: Arc::clone(&queue),
+                    jobs: Arc::clone(&receiver),
                     counters: Arc::clone(&counters),
-                    max_batch: cfg.max_batch,
                     budget,
                 };
                 std::thread::Builder::new()
@@ -219,7 +211,7 @@ impl ServingEngine {
         ServingEngine {
             backend,
             cache,
-            queue,
+            jobs: Some(sender),
             counters,
             workers: handles,
             worker_count: workers,
@@ -227,27 +219,21 @@ impl ServingEngine {
     }
 
     /// Submits a request, returning a [`Ticket`] immediately. Blocks only
-    /// when the queue is at capacity (backpressure). Submitting to a
-    /// shut-down engine yields a ticket that fails on
-    /// [`Ticket::wait`].
+    /// when the queue is at capacity (backpressure). When every worker
+    /// has exited, the ticket fails on [`Ticket::wait`].
     pub fn submit(&self, request: ServeRequest) -> Ticket {
         let key = PlanKey::new(self.backend.as_ref(), &request.problem, &request.schedule);
         let (reply, rx) = mpsc::channel();
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let entry = Keyed {
+        let jobs = self.jobs.as_ref().expect("the sender lives until shutdown");
+        if let Err(mpsc::SendError(job)) = jobs.send(Job {
             key,
-            job: Job {
-                problem: request.problem,
-                schedule: request.schedule,
-                bindings: request.bindings,
-                read: request.read,
-                reply,
-            },
-        };
-        if let Err(rejected) = self.queue.push(entry) {
+            request,
+            reply,
+        }) {
             self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = rejected.job.reply.send(Err(BackendError::Backend(
-                "serving engine is shut down".to_string(),
+            let _ = job.reply.send(Err(BackendError::Backend(
+                "serving engine has no workers left".to_string(),
             )));
         }
         Ticket { rx }
@@ -255,13 +241,14 @@ impl ServingEngine {
 
     /// The engine's counters plus a coherent cache snapshot.
     pub fn stats(&self) -> EngineStats {
+        let turns = self.counters.turns.load(Ordering::Relaxed);
         EngineStats {
             workers: self.worker_count,
             submitted: self.counters.submitted.load(Ordering::Relaxed),
             completed: self.counters.completed.load(Ordering::Relaxed),
             failed: self.counters.failed.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            peak_batch: self.counters.peak_batch.load(Ordering::Relaxed),
+            batches: turns,
+            peak_batch: turns.min(1),
             bind_lowerings: self.counters.bind_lowerings.load(Ordering::Relaxed),
             cache: self.cache.stats(),
         }
@@ -273,18 +260,18 @@ impl ServingEngine {
     }
 
     /// Drains and stops the engine: already-queued requests are served,
-    /// new submissions are rejected, workers are joined. Returns the
-    /// final stats.
+    /// workers are joined. Returns the final stats.
     pub fn shutdown(mut self) -> EngineStats {
         self.close_and_join();
         self.stats()
     }
 
     fn close_and_join(&mut self) {
-        self.queue.close();
+        self.jobs = None;
         for handle in self.workers.drain(..) {
-            // A worker that panicked already failed its in-flight batch
-            // tickets; surfacing the panic here would torpedo shutdown.
+            // A worker that panicked already dropped its request's reply,
+            // which fails that ticket; surfacing the panic here would
+            // torpedo shutdown.
             let _ = handle.join();
         }
     }
@@ -306,47 +293,23 @@ impl fmt::Debug for ServingEngine {
 }
 
 fn worker_loop(ctx: &WorkerCtx) {
-    while let Some(batch) = ctx.queue.pop_batch(ctx.max_batch) {
-        ctx.counters.batches.fetch_add(1, Ordering::Relaxed);
-        ctx.counters
-            .peak_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
+    loop {
+        // The lock is held only while waiting for the next job (the guard
+        // drops at the end of this statement); `recv` fails once the
+        // sender is gone and the queue is drained.
+        let Ok(job) = ctx.jobs.lock().expect("poisoned job receiver").recv() else {
+            return;
+        };
+        ctx.counters.turns.fetch_add(1, Ordering::Relaxed);
         // Everything a request does on this thread — planning on a cache
         // miss, binding, nested executor/transport pools — lives under
         // the worker's share of the host.
-        with_thread_budget(ctx.budget, || serve_batch(ctx, batch));
-    }
-}
-
-fn serve_batch(ctx: &WorkerCtx, batch: Vec<Keyed<Job>>) {
-    let head = &batch[0];
-    let planned = ctx.cache.get_or_plan_keyed(&head.key, || {
-        ctx.backend
-            .plan(&head.job.problem, &head.job.schedule)
-            .map(Arc::from)
-    });
-    let plan = match planned {
-        Ok(plan) => plan,
-        Err(err) => {
-            // The whole batch shares the key, so it shares the failure.
-            for entry in batch {
-                ctx.counters.failed.fetch_add(1, Ordering::Relaxed);
-                let _ = entry.job.reply.send(Err(err.clone()));
-            }
-            return;
-        }
-    };
-    // The whole batch runs on this thread, so the thread-local counter
-    // sees every lowering its requests start.
-    let before = distal_core::lowering_count();
-    for entry in batch {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            serve_one(ctx, plan.as_ref(), &entry.job)
-        }))
-        .unwrap_or_else(|_| {
-            Err(BackendError::Backend(
-                "serving request panicked mid-execution".to_string(),
-            ))
+        let result = with_thread_budget(ctx.budget, || {
+            catch_unwind(AssertUnwindSafe(|| serve(ctx, &job))).unwrap_or_else(|_| {
+                Err(BackendError::Backend(
+                    "serving request panicked mid-execution".to_string(),
+                ))
+            })
         });
         let counter = if result.is_ok() {
             &ctx.counters.completed
@@ -354,19 +317,33 @@ fn serve_batch(ctx: &WorkerCtx, batch: Vec<Keyed<Job>>) {
             &ctx.counters.failed
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        let _ = entry.job.reply.send(result);
+        let _ = job.reply.send(result);
     }
+}
+
+fn serve(ctx: &WorkerCtx, job: &Job) -> Reply {
+    let request = &job.request;
+    let plan = ctx.cache.get_or_plan_keyed(&job.key, || {
+        ctx.backend
+            .plan(&request.problem, &request.schedule)
+            .map(Arc::from)
+    })?;
+    // The request runs on this thread, so the thread-local counter sees
+    // every lowering its bind and run start.
+    let before = distal_core::lowering_count();
+    let served = bind_and_run(ctx, plan.as_ref(), request);
     ctx.counters
         .bind_lowerings
         .fetch_add(distal_core::lowering_count() - before, Ordering::Relaxed);
+    served
 }
 
-fn serve_one(ctx: &WorkerCtx, plan: &dyn Plan, job: &Job) -> Result<ServeResponse, BackendError> {
-    let mut instance = plan.bind(&job.bindings)?;
+fn bind_and_run(ctx: &WorkerCtx, plan: &dyn Plan, request: &ServeRequest) -> Reply {
+    let mut instance = plan.bind(&request.bindings)?;
     let mut report = instance.run()?;
     ctx.cache.annotate(&mut report);
     let mut outputs = BTreeMap::new();
-    for name in &job.read {
+    for name in &request.read {
         outputs.insert(name.clone(), instance.read(name)?);
     }
     Ok(ServeResponse { report, outputs })

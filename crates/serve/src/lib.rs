@@ -11,17 +11,17 @@
 //! thread. This crate is the production-shaped front:
 //!
 //! 1. [`ServingEngine::submit`] computes the request's
-//!    [`PlanKey`](distal_core::PlanKey) and enqueues it on a **bounded
-//!    queue** — a full queue blocks submitters (backpressure) instead of
-//!    growing an unbounded backlog.
+//!    [`PlanKey`](distal_core::PlanKey) and sends it on a **bounded
+//!    channel** (`std::sync::mpsc::sync_channel`) — a full channel blocks
+//!    submitters (backpressure) instead of growing an unbounded backlog.
 //! 2. Worker threads (sized by
 //!    [`host_worker_count`](distal_runtime::executor::host_worker_count))
-//!    drain the queue, claiming the oldest request **plus every queued
-//!    request with the same key** (micro-batching, capped by
-//!    [`ServeConfig::max_batch`]).
-//! 3. The batch's plan resolves through a
-//!    [`ShardedPlanCache`](distal_core::ShardedPlanCache): per-shard
-//!    locks keep distinct keys contention-free, and single-flight
+//!    share the channel's receiver and take **one request per turn**, so
+//!    no request waits behind another while a worker is free.
+//! 3. The request's plan resolves through a
+//!    [`ShardedPlanCache`](distal_core::ShardedPlanCache) (one LRU
+//!    shard by default; a look-up holds its lock for well under a
+//!    microsecond and never while planning), and single-flight
 //!    guarantees a cold-key stampede runs
 //!    [`Backend::plan`](distal_core::Backend::plan) exactly once.
 //! 4. Each request [`bind`](distal_core::Plan::bind)s its own
@@ -85,6 +85,5 @@
 #![forbid(unsafe_code)]
 
 mod engine;
-mod queue;
 
 pub use engine::{EngineStats, ServeConfig, ServeRequest, ServeResponse, ServingEngine, Ticket};

@@ -1,17 +1,21 @@
-//! Engine-level gates: single-flight under stampede, batched-vs-unbatched
+//! Engine-level gates: single-flight under stampede, served-vs-reference
 //! bit-parity on dense SUMMA + sparse SpMV across both executable
-//! backends, bounded eviction under concurrent inserts, backpressure, and
+//! backends, same-key requests spreading over free workers, one LRU by
+//! default, bounded eviction under concurrent inserts, backpressure, and
 //! drain-on-shutdown.
 
 use distal_core::{
-    Backend, BackendError, Bindings, DistalMachine, Problem, RuntimeBackend, Schedule, TensorSpec,
+    Backend, BackendError, Bindings, DistalMachine, Instance, Plan, Problem, Provenance, Report,
+    RuntimeBackend, Schedule, TensorSpec,
 };
 use distal_format::Format;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_serve::{ServeConfig, ServeRequest, ServingEngine, Ticket};
 use distal_spmd::SpmdBackend;
-use std::sync::{Arc, Barrier};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::time::Duration;
 
 /// Dense SUMMA matmul on a 2×2 grid.
 fn summa_problem(n: i64) -> (Arc<Problem>, Schedule) {
@@ -149,53 +153,51 @@ fn stampede_cold_engine_plans_one_key_once() {
     assert!(stats.batches >= 1 && stats.peak_batch >= 1);
 }
 
-/// One backend+problem combination, served batched and unbatched, checked
+/// One backend+problem combination, served by two workers and checked
 /// bit-for-bit against the single-threaded reference.
 fn parity_case(
-    backend: impl Backend + Send + Sync + Clone + 'static,
+    backend: impl Backend + Send + Sync + 'static,
     problem: Arc<Problem>,
     schedule: Schedule,
     bindings: Vec<Bindings>,
     output: &str,
 ) {
-    let expected = reference_outputs(&backend.clone(), &problem, &schedule, &bindings, output);
-    for max_batch in [8, 1] {
-        let engine = ServingEngine::new(
-            backend.clone(),
-            ServeConfig {
-                workers: 2,
-                max_batch,
-                ..ServeConfig::default()
-            },
-        );
-        let tickets: Vec<Ticket> = bindings
-            .iter()
-            .map(|b| {
-                engine.submit(ServeRequest {
-                    problem: Arc::clone(&problem),
-                    schedule: schedule.clone(),
-                    bindings: b.clone(),
-                    read: vec![output.to_string()],
-                })
+    let expected = reference_outputs(&backend, &problem, &schedule, &bindings, output);
+    let engine = ServingEngine::new(
+        backend,
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let tickets: Vec<Ticket> = bindings
+        .iter()
+        .map(|b| {
+            engine.submit(ServeRequest {
+                problem: Arc::clone(&problem),
+                schedule: schedule.clone(),
+                bindings: b.clone(),
+                read: vec![output.to_string()],
             })
-            .collect();
-        for (ticket, want) in tickets.into_iter().zip(&expected) {
-            let got = ticket.wait().unwrap();
-            assert_eq!(
-                &got.outputs[output], want,
-                "serving outputs must be bit-identical (max_batch={max_batch})"
-            );
-            let report = got.report.cache.expect("report carries cache stats");
-            assert_eq!(report.hits + report.misses, report.requests());
-        }
-        let stats = engine.shutdown();
-        assert_eq!(stats.cache.misses, 1);
-        assert_eq!(stats.bind_lowerings, 0);
+        })
+        .collect();
+    for (ticket, want) in tickets.into_iter().zip(&expected) {
+        let got = ticket.wait().unwrap();
+        assert_eq!(
+            &got.outputs[output], want,
+            "serving outputs must be bit-identical to the reference"
+        );
+        let report = got.report.cache.expect("report carries cache stats");
+        assert_eq!(report.hits + report.misses, report.requests());
     }
+    let stats = engine.shutdown();
+    assert_eq!(stats.cache.misses, 1);
+    assert_eq!(stats.bind_lowerings, 0);
+    assert_eq!((stats.batches, stats.peak_batch), (6, 1));
 }
 
 #[test]
-fn batched_matches_unbatched_summa_runtime() {
+fn served_matches_reference_summa_runtime() {
     let (problem, schedule) = summa_problem(8);
     let bindings: Vec<Bindings> = (0..6).map(summa_bindings).collect();
     parity_case(
@@ -208,14 +210,14 @@ fn batched_matches_unbatched_summa_runtime() {
 }
 
 #[test]
-fn batched_matches_unbatched_summa_spmd() {
+fn served_matches_reference_summa_spmd() {
     let (problem, schedule) = summa_problem(8);
     let bindings: Vec<Bindings> = (0..6).map(summa_bindings).collect();
     parity_case(SpmdBackend::new(), problem, schedule, bindings, "A");
 }
 
 #[test]
-fn batched_matches_unbatched_spmv_runtime() {
+fn served_matches_reference_spmv_runtime() {
     let (problem, schedule) = spmv_problem(16);
     let bindings: Vec<Bindings> = (0..6).map(spmv_bindings).collect();
     parity_case(
@@ -228,7 +230,7 @@ fn batched_matches_unbatched_spmv_runtime() {
 }
 
 #[test]
-fn batched_matches_unbatched_spmv_spmd() {
+fn served_matches_reference_spmv_spmd() {
     let (problem, schedule) = spmv_problem(16);
     let bindings: Vec<Bindings> = (0..6).map(spmv_bindings).collect();
     parity_case(SpmdBackend::new(), problem, schedule, bindings, "a");
@@ -288,7 +290,6 @@ fn backpressure_bounds_the_queue_and_loses_nothing() {
         ServeConfig {
             workers: 1,
             queue_capacity: 2,
-            max_batch: 1,
             ..ServeConfig::default()
         },
     );
@@ -367,7 +368,6 @@ fn shutdown_drains_queued_requests() {
         RuntimeBackend::functional(),
         ServeConfig {
             workers: 1,
-            max_batch: 1,
             ..ServeConfig::default()
         },
     );
@@ -387,4 +387,201 @@ fn shutdown_drains_queued_requests() {
         // Already-queued work is served before the workers exit.
         assert_eq!(ticket.wait().unwrap().outputs["A"].len(), 64);
     }
+}
+
+/// A backend whose plans run nothing but hold their `execute` at one of
+/// two meeting points: requests of `A(i) = G(i)` wait for `open_gate`,
+/// and requests of `A(i) = R(i)` wait, at most `RENDEZVOUS`, for a second
+/// `R` request to arrive.
+#[derive(Clone, Debug, Default)]
+struct Meeting {
+    state: Arc<(Mutex<MeetingState>, Condvar)>,
+}
+
+#[derive(Debug, Default)]
+struct MeetingState {
+    gated: usize,
+    open: bool,
+    arrived: usize,
+}
+
+const RENDEZVOUS: Duration = Duration::from_secs(3);
+
+impl Meeting {
+    fn problem(input: &str) -> Arc<Problem> {
+        let machine = DistalMachine::flat(Grid::line(1), ProcKind::Cpu);
+        let mut problem = Problem::new(MachineSpec::small(1), machine);
+        problem.statement(&format!("A(i) = {input}(i)")).unwrap();
+        Arc::new(problem)
+    }
+
+    fn request(input: &str) -> ServeRequest {
+        ServeRequest {
+            problem: Meeting::problem(input),
+            schedule: Schedule::new(),
+            bindings: Bindings::new(),
+            read: Vec::new(),
+        }
+    }
+
+    /// Waits until `count` requests are held at the gate.
+    fn await_gated(&self, count: usize) {
+        let (lock, cvar) = &*self.state;
+        let guard = lock.lock().unwrap();
+        let (guard, timeout) = cvar
+            .wait_timeout_while(guard, Duration::from_secs(10), |s| s.gated < count)
+            .unwrap();
+        assert!(!timeout.timed_out(), "{} of {count} gated", guard.gated);
+    }
+
+    fn open_gate(&self) {
+        let (lock, cvar) = &*self.state;
+        lock.lock().unwrap().open = true;
+        cvar.notify_all();
+    }
+
+    fn meet(&self, gated: bool) -> Result<Report, BackendError> {
+        let (lock, cvar) = &*self.state;
+        let mut guard = lock.lock().unwrap();
+        let (wait, parties): (Duration, fn(&MeetingState) -> bool) = if gated {
+            guard.gated += 1;
+            (Duration::from_secs(10), |s| !s.open)
+        } else {
+            guard.arrived += 1;
+            (RENDEZVOUS, |s| s.arrived < 2)
+        };
+        cvar.notify_all();
+        let (_guard, timeout) = cvar
+            .wait_timeout_while(guard, wait, |s| parties(s))
+            .unwrap();
+        if timeout.timed_out() {
+            return Err(BackendError::Backend(format!(
+                "nobody came within {wait:?} (gated: {gated})"
+            )));
+        }
+        Ok(Report::empty("meeting", Provenance::Measured))
+    }
+}
+
+struct MeetingPlan {
+    meeting: Meeting,
+    gated: bool,
+    tensors: BTreeMap<String, TensorSpec>,
+}
+
+struct MeetingInstance {
+    meeting: Meeting,
+    gated: bool,
+}
+
+impl Backend for Meeting {
+    fn name(&self) -> &str {
+        "meeting"
+    }
+
+    fn plan(&self, problem: &Problem, _: &Schedule) -> Result<Box<dyn Plan>, BackendError> {
+        let statement = problem.assignment().expect("a statement").to_string();
+        Ok(Box::new(MeetingPlan {
+            meeting: self.clone(),
+            gated: statement.contains('G'),
+            tensors: BTreeMap::new(),
+        }))
+    }
+}
+
+impl Plan for MeetingPlan {
+    fn tensors(&self) -> &BTreeMap<String, TensorSpec> {
+        &self.tensors
+    }
+
+    fn bind(&self, _: &Bindings) -> Result<Box<dyn Instance>, BackendError> {
+        Ok(Box::new(MeetingInstance {
+            meeting: self.meeting.clone(),
+            gated: self.gated,
+        }))
+    }
+}
+
+impl Instance for MeetingInstance {
+    fn place(&mut self) -> Result<Report, BackendError> {
+        Ok(Report::empty("meeting", Provenance::Measured))
+    }
+
+    fn execute(&mut self) -> Result<Report, BackendError> {
+        self.meeting.meet(self.gated)
+    }
+
+    fn read(&self, tensor: &str) -> Result<Vec<f64>, BackendError> {
+        Err(BackendError::UnknownTensor(tensor.to_string()))
+    }
+}
+
+#[test]
+fn same_key_requests_never_wait_behind_each_other_while_a_worker_is_free() {
+    let meeting = Meeting::default();
+    let engine = ServingEngine::new(
+        meeting.clone(),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    );
+    // Both workers busy on the gated key, one request each.
+    let gated: Vec<Ticket> = (1..=2)
+        .map(|count| {
+            let ticket = engine.submit(Meeting::request("G"));
+            meeting.await_gated(count);
+            ticket
+        })
+        .collect();
+    // Two requests on one other key queue up behind them; each finishes
+    // only when the other runs at the same time, which a worker that took
+    // both would never do.
+    let met: Vec<Ticket> = (0..2)
+        .map(|_| engine.submit(Meeting::request("R")))
+        .collect();
+    meeting.open_gate();
+    for ticket in gated.into_iter().chain(met) {
+        ticket.wait().unwrap();
+    }
+    let stats = engine.shutdown();
+    assert_eq!((stats.completed, stats.failed), (4, 0));
+    assert_eq!((stats.batches, stats.peak_batch), (4, 1));
+}
+
+#[test]
+fn the_default_cache_is_one_lru() {
+    // Sixteen distinct keys: SUMMA chunks 1..=16. Over eight shards of
+    // two plans each, chunk 1 shares its shard with chunks 9 and 12 and
+    // is evicted before it comes back.
+    let (problem, _) = summa_problem(16);
+    let engine = ServingEngine::new(
+        RuntimeBackend::model(),
+        ServeConfig {
+            workers: 1,
+            cache_capacity: 16,
+            ..ServeConfig::default()
+        },
+    );
+    let again = 1;
+    let others = (1..=16).filter(|&chunk| chunk != again);
+    for chunk in std::iter::once(again).chain(others).chain([again]) {
+        let mut bindings = Bindings::new();
+        bindings.fill("B", 1.0).fill("C", 2.0);
+        engine
+            .submit(ServeRequest {
+                problem: Arc::clone(&problem),
+                schedule: Schedule::summa(2, 2, chunk),
+                bindings,
+                read: Vec::new(),
+            })
+            .wait()
+            .unwrap();
+    }
+    let stats = engine.shutdown();
+    assert_eq!(
+        (stats.cache.hits, stats.cache.misses, stats.cache.evictions),
+        (1, 16, 0),
+        "a key requested again after 15 others must still hit: {stats:?}"
+    );
 }

@@ -100,9 +100,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("recompile path: bit-identical to both plan paths across {requests} requests");
 
     // --- Path 4: the concurrent serving engine. -------------------------
-    // Workers drain a bounded queue, micro-batch same-key requests, and
-    // resolve plans through a sharded single-flight cache; each request
-    // binds its own data against the one shared plan.
+    // Workers take one request at a time from a bounded channel and
+    // resolve its plan through a single-flight cache; each request binds
+    // its own data against the one shared plan.
     let problem = std::sync::Arc::new(problem);
     let engine = ServingEngine::new(backend, ServeConfig::default());
     let tickets: Vec<_> = (0..requests)
@@ -133,8 +133,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the engine's bind path never lowers"
     );
     println!(
-        "serving engine: {} workers served {} requests in {} batches ({})",
-        stats.workers, stats.completed, stats.batches, stats.cache
+        "serving engine: {} workers served {} requests ({})",
+        stats.workers, stats.completed, stats.cache
     );
     Ok(())
 }

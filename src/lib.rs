@@ -20,7 +20,7 @@
 //! | [`baselines`] | `distal-baselines` | ScaLAPACK / CTF / COSMA re-implementations |
 //! | [`spmd`] | `distal-spmd` | static SPMD/MPI-style backend with compile-time communication (§8) |
 //! | [`autosched`] | `distal-autosched` | automatic schedule + format selection (§9) |
-//! | [`serve`] | `distal-serve` | concurrent serving engine: sharded plan cache + batched admission |
+//! | [`serve`] | `distal-serve` | concurrent serving engine: single-flight plan cache + bounded admission |
 //!
 //! # Quickstart (Figure 2)
 //!

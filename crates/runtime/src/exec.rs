@@ -5,7 +5,7 @@ use crate::executor::{apply, host_worker_count, ExecutorKind};
 use crate::pool;
 use crate::program::Program;
 use crate::region::{
-    Coherence, DataCell, Instance, InstanceId, InstanceRole, LogicalRegion, RegionId,
+    Buffer, Coherence, DataCell, Instance, InstanceId, InstanceRole, LogicalRegion, RegionId,
 };
 use crate::replay::{analyse, Trace, TracedProgram};
 use crate::stats::RunStats;
@@ -148,36 +148,27 @@ impl Store {
     }
 
     /// Step 2 of a run: takes the state `trace` leaves behind and gives
-    /// every instance the trace created its buffer — none outside
-    /// functional mode and none for a CSR-held region, whose image is its
-    /// data. Scratch instances exist to be filled by copies over their
-    /// whole rectangle before anything reads them; every other role
-    /// starts from zeros (outputs, reduction buffers).
-    fn adopt(&mut self, trace: &Trace, functional: bool) {
+    /// every instance the trace created an empty buffer cell. An instance
+    /// gets its data when a copy lends it a buffer or when it is first
+    /// written, zeroed then ([`Buffer::writable`]); an instance of a
+    /// CSR-held region, whose image is its data, never does.
+    fn adopt(&mut self, trace: &Trace) {
         self.coherence = trace.exit.clone();
-        for inst in &self.coherence.instances[self.buffers.len()..] {
-            let buffered = functional && self.images[inst.region.0 as usize].is_none();
-            let data = buffered.then(|| {
-                Arc::new(match inst.role {
-                    InstanceRole::Scratch => pool::take(inst.rect.volume() as usize),
-                    _ => pool::take_zeroed(inst.rect.volume() as usize),
-                })
-            });
-            self.buffers.push(RwLock::new(data));
-        }
+        let new = self.coherence.instances.len() - self.buffers.len();
+        self.buffers.extend((0..new).map(|_| RwLock::new(None)));
     }
 }
 
 impl Drop for Store {
     /// Instance buffers go back to the pool the next store takes them
-    /// from — those this store alone owns; one shared with the caller that
-    /// bound it is the caller's.
+    /// from, each once its last instance lets go; one shared with the
+    /// caller that bound it is the caller's.
     fn drop(&mut self) {
         pool::give_all(
             self.buffers
                 .drain(..)
                 .filter_map(|cell| cell.into_inner().ok().flatten())
-                .filter_map(|data| Arc::try_unwrap(data).ok()),
+                .filter_map(|buf| Arc::try_unwrap(buf.data).ok()),
         );
     }
 }
@@ -362,7 +353,8 @@ impl Runtime {
         let id =
             coherence.create_instance(&self.machine, region, global, rect, InstanceRole::Home)?;
         coherence.instance_mut(id).valid = RectSet::from_rect(rect);
-        self.store.buffers.push(RwLock::new(data));
+        let buffer = data.map(|data| Buffer::new(rect, data));
+        self.store.buffers.push(RwLock::new(buffer));
         Ok(())
     }
 
@@ -401,7 +393,7 @@ impl Runtime {
             (Mode::Functional, ExecutorKind::Serial) => 1,
             (Mode::Functional, ExecutorKind::Parallel) => host_worker_count(self.executor_threads),
         };
-        self.store.adopt(trace, self.mode == Mode::Functional);
+        self.store.adopt(trace);
         apply(&self.store, &program.kernels, trace, workers);
         trace.stats(&self.machine, self.record_copies)
     }
@@ -434,8 +426,8 @@ impl Runtime {
                     fresh.subtract(c);
                 }
                 for piece in fresh.rects() {
-                    if let Some(data) = cell.as_ref() {
-                        copy_rect(&inst.rect, data, rect, &mut out, piece, false);
+                    if let Some(buf) = cell.as_ref() {
+                        copy_rect(&buf.alloc, &buf.data, rect, &mut out, piece, false);
                     }
                     covered.add(*piece);
                 }
@@ -451,8 +443,8 @@ impl Runtime {
         for id in &self.store.coherence.reductions_by_region[region.0 as usize] {
             let inst = self.store.instance(*id);
             let cell = self.store.buffer(*id).read().expect("poisoned buffer lock");
-            if let Some(data) = cell.as_ref() {
-                copy_rect(&inst.rect, data, rect, &mut out, &inst.rect, true);
+            if let Some(buf) = cell.as_ref() {
+                copy_rect(&buf.alloc, &buf.data, rect, &mut out, &inst.rect, true);
             }
         }
         Ok(out)

@@ -38,7 +38,7 @@ use crate::exec::Store;
 use crate::graph::{CopyNode, GNode, GNodeKind, Graph, TaskNode};
 use crate::kernel::{ArgData, Kernel, KernelArg, KernelCtx};
 use crate::program::Privilege;
-use crate::region::InstanceId;
+use crate::region::{Buffer, InstanceId};
 use crate::replay::Trace;
 use distal_machine::geom::{copy_rect, fill_rect, Rect};
 use std::collections::VecDeque;
@@ -259,9 +259,9 @@ fn apply_effect(store: &Store, kernels: &[Arc<dyn Kernel>], node: &GNode) {
     }
 }
 
-/// In functional mode every instance has a buffer unless its region is
-/// held as a CSR image. One found without is a bug in adoption, and
-/// skipping its effect would turn that bug into wrong numbers.
+/// In functional mode every instance that holds valid data has a buffer
+/// unless its region is held as a CSR image. One read without is a bug,
+/// and skipping its effect would turn that bug into wrong numbers.
 fn no_buffer(store: &Store, inst: InstanceId, doing: std::fmt::Arguments<'_>) -> ! {
     let instance = store.instance(inst);
     let region = &store.region(instance.region).name;
@@ -270,19 +270,22 @@ fn no_buffer(store: &Store, inst: InstanceId, doing: std::fmt::Arguments<'_>) ->
 }
 
 fn apply_fill(store: &Store, inst: InstanceId, value: f64) {
-    let mut guard = lock_buffer(store, inst, true);
-    match guard.data_mut() {
-        Some(data) => data.fill(value),
-        None => no_buffer(store, inst, format_args!("fill with {value}")),
-    }
+    let mut cell = store.buffer(inst).write().expect("poisoned buffer lock");
+    Buffer::writable(&mut cell, &store.instance(inst).rect).fill(value);
 }
 
 /// A held per-instance buffer lock.
 enum BufGuard<'a> {
-    Read(RwLockReadGuard<'a, Option<Arc<Vec<f64>>>>),
-    Write(RwLockWriteGuard<'a, Option<Arc<Vec<f64>>>>),
+    Read(RwLockReadGuard<'a, Option<Buffer>>),
+    Write(RwLockWriteGuard<'a, Option<Buffer>>),
 }
 
+/// Applies one copy. A plain copy over the whole of its destination lends
+/// the source's buffer instead of moving bytes, as Legion hands a task
+/// the instance that already holds its data; a copy over part of its
+/// destination, and a reduction fold, write through the destination's
+/// copy-on-write step. To the graph and its statistics a lent copy is a
+/// copy all the same.
 fn apply_copy(store: &Store, c: &CopyNode) {
     assert_ne!(c.src, c.dst, "copy source and destination must differ");
     // A CSR-held region's image is its data: copies between its
@@ -290,8 +293,7 @@ fn apply_copy(store: &Store, c: &CopyNode) {
     if store.image(c.region).is_some() {
         return;
     }
-    let src_alloc = &store.instance(c.src).rect;
-    let dst_alloc = &store.instance(c.dst).rect;
+    let dst_rect = &store.instance(c.dst).rect;
     // Lock in instance-id order (deadlock avoidance). The source needs a
     // write lock only when folding, which zeroes the folded part of the
     // reduction buffer so partial folds never double-count contributions.
@@ -304,36 +306,37 @@ fn apply_copy(store: &Store, c: &CopyNode) {
         let s = lock_buffer(store, c.src, c.reduce);
         (s, d)
     };
-    let doing = format_args!("copy of {:?} from {:?} to {:?}", c.rect, c.src, c.dst);
-    let Some(src_data) = src_guard.data() else {
+    let Some(src) = src_guard.buffer() else {
+        let doing = format_args!("copy of {:?} from {:?} to {:?}", c.rect, c.src, c.dst);
         no_buffer(store, c.src, doing)
     };
-    let Some(dst_data) = dst_guard.data_mut() else {
-        no_buffer(store, c.dst, doing)
-    };
-    copy_rect(src_alloc, src_data, dst_alloc, dst_data, &c.rect, c.reduce);
+    if !c.reduce && c.rect == *dst_rect {
+        Buffer::lend(dst_guard.cell(), src);
+        return;
+    }
+    let dst = Buffer::writable(dst_guard.cell(), dst_rect);
+    copy_rect(&src.alloc, &src.data, dst_rect, dst, &c.rect, c.reduce);
     if c.reduce {
-        let src_data = src_guard.data_mut().expect("present above");
-        fill_rect(src_alloc, src_data, &c.rect, 0.0);
+        let src_rect = &store.instance(c.src).rect;
+        let folded = Buffer::writable(src_guard.cell(), src_rect);
+        fill_rect(src_rect, folded, &c.rect, 0.0);
     }
 }
 
 impl BufGuard<'_> {
     /// The buffer behind the guard.
-    fn data(&self) -> Option<&[f64]> {
-        let cell = match self {
-            BufGuard::Read(g) => &**g,
-            BufGuard::Write(g) => &**g,
-        };
-        cell.as_deref().map(Vec::as_slice)
+    fn buffer(&self) -> Option<&Buffer> {
+        match self {
+            BufGuard::Read(g) => g.as_ref(),
+            BufGuard::Write(g) => g.as_ref(),
+        }
     }
 
-    /// Mutable access, copying first a buffer shared with the caller that
-    /// bound it; panics on a read guard.
-    fn data_mut(&mut self) -> Option<&mut [f64]> {
+    /// The cell behind a write guard; panics on a read guard.
+    fn cell(&mut self) -> &mut Option<Buffer> {
         match self {
             BufGuard::Read(_) => panic!("mutable access through a read lock"),
-            BufGuard::Write(g) => g.as_mut().map(|data| Arc::make_mut(data).as_mut_slice()),
+            BufGuard::Write(g) => g,
         }
     }
 }
@@ -354,36 +357,51 @@ fn sparse_image(store: &Store, inst: InstanceId) -> Option<(&Arc<SparseBuffer>, 
     store.image(region.id).map(|image| (image, &region.rect))
 }
 
-/// What a held guard has to lend: its shared slice as often as asked, its
-/// exclusive one once.
+/// What a held guard has to lend: its shared buffer as often as asked,
+/// its exclusive slice (laid out over the instance) once.
 enum Lent<'a> {
-    Shared(&'a [f64]),
+    Shared(&'a Buffer),
     Exclusive(Option<&'a mut [f64]>),
 }
 
 fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
     // Lock plan: one guard per distinct instance that has a buffer — a
     // write guard iff any requirement on it writes — acquired in ascending
-    // instance-id order and held for the task's lifetime. A CSR-held
-    // region's argument is the shared image itself: nothing to lock.
+    // instance-id order and held for the task's lifetime, and whether any
+    // requirement reads it. A CSR-held region's argument is the shared
+    // image itself: nothing to lock.
     let buffered = |inst: InstanceId| inst.0 != u32::MAX && sparse_image(store, inst).is_none();
-    let mut plan: Vec<(InstanceId, bool)> = Vec::with_capacity(task.args.len());
+    let mut plan: Vec<(InstanceId, bool, bool)> = Vec::with_capacity(task.args.len());
     for (inst, privilege, _) in task.args.iter().filter(|(inst, ..)| buffered(*inst)) {
         let write = !matches!(privilege, Privilege::Read);
-        match plan.iter_mut().find(|(i, _)| i == inst) {
-            Some((_, w)) => *w |= write,
-            None => plan.push((*inst, write)),
+        let read = matches!(privilege, Privilege::Read | Privilege::ReadWrite);
+        match plan.iter_mut().find(|(i, ..)| i == inst) {
+            Some((_, w, r)) => (*w, *r) = (*w || write, *r || read),
+            None => plan.push((*inst, write, read)),
         }
     }
-    plan.sort_unstable_by_key(|(i, _)| *i);
+    plan.sort_unstable_by_key(|(i, ..)| *i);
     let mut guards: Vec<BufGuard<'_>> = plan
         .iter()
-        .map(|(i, w)| lock_buffer(store, *i, *w))
+        .map(|(i, w, _)| lock_buffer(store, *i, *w))
         .collect();
     let slot_of = |inst: InstanceId| {
-        plan.binary_search_by_key(&inst, |(i, _)| *i)
+        plan.binary_search_by_key(&inst, |(i, ..)| *i)
             .expect("instance missing from lock plan")
     };
+    let own = |inst: InstanceId| &store.instance(inst).rect;
+
+    // What the task reads must be there; what it only writes or reduces
+    // into starts from zeros. A written instance makes its buffer its own
+    // before anything reads it.
+    for (guard, (inst, write, read)) in guards.iter_mut().zip(&plan) {
+        if *read && guard.buffer().is_none() {
+            no_buffer(store, *inst, format_args!("task argument"))
+        }
+        if *write {
+            Buffer::writable(guard.cell(), own(*inst));
+        }
+    }
 
     // The one copy left: a `Read` requirement on an instance this task
     // also writes reads the instance as it was before the task started.
@@ -395,23 +413,21 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
                 return None;
             }
             match &guards[slot_of(*inst)] {
-                guard @ BufGuard::Write(_) => guard.data().map(<[f64]>::to_vec),
+                guard @ BufGuard::Write(_) => guard.buffer().map(|buf| buf.data.to_vec()),
                 BufGuard::Read(_) => None,
             }
         })
         .collect();
 
-    // Every other argument borrows the instance where it lies, under its
-    // guard: `alloc` is the instance rectangle, `rect` the part to touch.
+    // Every other argument borrows the instance's buffer where it lies,
+    // under its guard: `alloc` is the rectangle the buffer is laid out
+    // over, `rect` the part to touch.
     let mut lent: Vec<Lent<'_>> = guards
         .iter_mut()
         .zip(&plan)
-        .map(|(guard, (inst, _))| {
-            let lent = match guard {
-                BufGuard::Read(_) => guard.data().map(Lent::Shared),
-                BufGuard::Write(_) => guard.data_mut().map(|data| Lent::Exclusive(Some(data))),
-            };
-            lent.unwrap_or_else(|| no_buffer(store, *inst, format_args!("task argument")))
+        .map(|(guard, (inst, write, _))| match write {
+            true => Lent::Exclusive(Some(Buffer::writable(guard.cell(), own(*inst)))),
+            false => Lent::Shared(guard.buffer().expect("a read instance holds data")),
         })
         .collect();
     let args = task.args.iter().zip(&before);
@@ -426,15 +442,18 @@ fn apply_task(store: &Store, kernels: &[Arc<dyn Kernel>], task: &TaskNode) {
         } else if let Some((image, covered)) = sparse_image(store, *inst) {
             (*covered, ArgData::Read(&[]), Some(Arc::clone(image)))
         } else {
-            let data = match (before, &mut lent[slot_of(*inst)]) {
-                (Some(copy), _) => ArgData::Read(copy),
-                (None, Lent::Shared(data)) => ArgData::Read(data),
-                (None, Lent::Exclusive(data)) => ArgData::Write(
-                    data.take()
-                        .expect("aliased writable requirements are not supported"),
+            let (alloc, data) = match (before, &mut lent[slot_of(*inst)]) {
+                (Some(copy), _) => (*own(*inst), ArgData::Read(copy)),
+                (None, Lent::Shared(buf)) => (buf.alloc, ArgData::Read(&buf.data)),
+                (None, Lent::Exclusive(data)) => (
+                    *own(*inst),
+                    ArgData::Write(
+                        data.take()
+                            .expect("aliased writable requirements are not supported"),
+                    ),
                 ),
             };
-            (store.instance(*inst).rect, data, None)
+            (alloc, data, None)
         };
         KernelArg {
             privilege: *privilege,
@@ -459,6 +478,7 @@ mod tests {
     use crate::exec::{Mode, Runtime};
     use crate::kernel::NoopKernel;
     use crate::program::{one_task, IndexLaunch, Op, Privilege, Program, RegionReq, TaskDesc};
+    use crate::region::RegionId;
     use crate::stats::RunStats;
     use crate::topology::PhysicalMachine;
     use distal_machine::geom::{Point, Rect};
@@ -852,6 +872,234 @@ mod tests {
                 assert!(message.contains("region 'B'"), "{what}: {message}");
                 assert!(message.contains("has no buffer"), "{what}: {message}");
             }
+        }
+    }
+
+    /// Adds a constant to every element of its first argument.
+    struct AddKernel(f64);
+    impl Kernel for AddKernel {
+        fn name(&self) -> &str {
+            "add"
+        }
+        fn execute(&self, ctx: &mut KernelCtx<'_>) {
+            let arg = &mut ctx.args[0];
+            for p in arg.rect.points() {
+                arg.add(p.coords(), self.0);
+            }
+        }
+    }
+
+    /// Runs one `kernel` task on processor (0, 0) over `reqs`.
+    fn run_task(rt: &mut Runtime, kernel: Arc<dyn Kernel>, reqs: Vec<RegionReq>) -> RunStats {
+        let mut p = Program::new();
+        let k = p.register_kernel(kernel);
+        let proc = rt.machine().cpu_proc(0, 0);
+        p.push(one_task(TaskDesc::new(k, proc, Point::zeros(1), reqs)));
+        rt.run(&p).unwrap()
+    }
+
+    /// Processor (0, 0)'s local memory and the global one.
+    fn mems(rt: &Runtime) -> (crate::topology::MemId, crate::topology::MemId) {
+        let proc = rt.machine().cpu_proc(0, 0);
+        (rt.machine().proc(proc).local_mem, rt.machine().global_mem())
+    }
+
+    /// The latest instance of region `r` in `mem`.
+    fn instance_in(rt: &Runtime, r: RegionId, mem: crate::topology::MemId) -> InstanceId {
+        let instances = &rt.store.coherence.instances;
+        let mut there = instances.iter().filter(|i| i.region == r && i.mem == mem);
+        there.next_back().expect("an instance in that memory").id
+    }
+
+    fn buffer_of(rt: &Runtime, inst: InstanceId) -> Buffer {
+        let cell = rt.store.buffer(inst).read().unwrap();
+        cell.clone().expect("the instance holds a buffer")
+    }
+
+    /// What an instance's buffer holds over the instance's own rectangle.
+    fn held(rt: &Runtime, inst: InstanceId) -> Vec<f64> {
+        let (buf, own) = (buffer_of(rt, inst), rt.store.instance(inst).rect);
+        let mut out = vec![0.0; own.volume() as usize];
+        copy_rect(&buf.alloc, &buf.data, &own, &mut out, &own, false);
+        out
+    }
+
+    const LENT: [i64; 2] = [4, 8];
+
+    /// Region `A` seeded with 0..32 in global memory, then read whole into
+    /// processor (0, 0)'s memory: the staging instance and the one the
+    /// copy lent its buffer to.
+    fn lent(workers: usize) -> (Runtime, RegionId, InstanceId, InstanceId) {
+        let mut rt = functional(MachineSpec::small(1), workers);
+        let r = rt.create_region("A", Rect::sized(&LENT));
+        rt.set_region_data(r, (0..32).map(f64::from).collect::<Vec<f64>>())
+            .unwrap();
+        let (local, global) = mems(&rt);
+        let read = RegionReq::new(r, Rect::sized(&LENT), Privilege::Read, local);
+        run_task(&mut rt, Arc::new(NoopKernel), vec![read]);
+        let (src, dst) = (instance_in(&rt, r, global), instance_in(&rt, r, local));
+        let (s, d) = (buffer_of(&rt, src), buffer_of(&rt, dst));
+        assert!(Arc::ptr_eq(&s.data, &d.data));
+        (rt, r, src, dst)
+    }
+
+    #[test]
+    fn a_whole_instance_copy_lends_the_source_buffer_over_its_rectangle() {
+        for workers in [1, 2] {
+            let mut rt = functional(MachineSpec::small(1), workers);
+            rt.record_copies(true);
+            let whole = Rect::sized(&LENT);
+            let r = rt.create_region("A", whole);
+            rt.set_region_data(r, (0..32).map(f64::from).collect::<Vec<f64>>())
+                .unwrap();
+            let (local, global) = mems(&rt);
+            let rows = Rect::new(Point::new(vec![1, 0]), Point::new(vec![2, 7]));
+            let read = RegionReq::new(r, rows, Privilege::Read, local);
+            let stats = run_task(&mut rt, Arc::new(NoopKernel), vec![read]);
+            let (src, dst) = (instance_in(&rt, r, global), instance_in(&rt, r, local));
+            let (s, d) = (buffer_of(&rt, src), buffer_of(&rt, dst));
+            let what = format!("{workers} worker(s)");
+            assert!(
+                Arc::ptr_eq(&s.data, &d.data),
+                "{what}: the copy moved bytes"
+            );
+            assert_eq!(
+                (d.alloc, rt.store.instance(dst).rect),
+                (whole, rows),
+                "{what}"
+            );
+            let want: Vec<f64> = (8..24).map(f64::from).collect();
+            assert_eq!(held(&rt, dst), want, "{what}");
+            // To the model a lent copy is a copy all the same.
+            let log = stats.copy_log.as_ref().unwrap();
+            assert_eq!((log.len(), log[0].bytes), (1, 16 * 8), "{what}");
+        }
+    }
+
+    #[test]
+    fn writing_either_side_of_a_lend_leaves_the_other_as_it_was() {
+        let before: Vec<f64> = (0..32).map(f64::from).collect();
+        let times = |k: f64| before.iter().map(|v| v * k).collect::<Vec<f64>>();
+        let whole = Rect::sized(&LENT);
+        for workers in [1, 2] {
+            let what = format!("{workers} worker(s)");
+            // A task writes the source where it lies.
+            let (mut rt, r, src, dst) = lent(workers);
+            let global = mems(&rt).1;
+            let write = RegionReq::new(r, whole, Privilege::ReadWrite, global);
+            run_task(&mut rt, Arc::new(ScaleKernel(2.0)), vec![write]);
+            assert_eq!(
+                held(&rt, dst),
+                before,
+                "{what}: writing the source reached the lend"
+            );
+            assert_eq!(held(&rt, src), times(2.0), "{what}");
+            assert_eq!(rt.read_region(r).unwrap(), times(2.0), "{what}");
+
+            // A fill writes the source.
+            let (rt, _, src, dst) = lent(workers);
+            apply_fill(&rt.store, src, 9.0);
+            assert_eq!(
+                held(&rt, dst),
+                before,
+                "{what}: filling the source reached the lend"
+            );
+            assert_eq!(held(&rt, src), vec![9.0; 32], "{what}");
+
+            // A task writes the destination.
+            let (mut rt, r, src, dst) = lent(workers);
+            let local = mems(&rt).0;
+            let write = RegionReq::new(r, whole, Privilege::ReadWrite, local);
+            run_task(&mut rt, Arc::new(ScaleKernel(3.0)), vec![write]);
+            assert_eq!(
+                held(&rt, src),
+                before,
+                "{what}: writing the lend reached its source"
+            );
+            assert_eq!(held(&rt, dst), times(3.0), "{what}");
+            assert_eq!(rt.read_region(r).unwrap(), times(3.0), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_copy_over_part_of_its_destination_and_a_fold_still_copy() {
+        let whole = Rect::sized(&LENT);
+        let top = Rect::new(Point::new(vec![0, 0]), Point::new(vec![1, 7]));
+        for workers in [1, 2] {
+            let what = format!("{workers} worker(s)");
+            // Half the source is rewritten; reading the whole again copies
+            // that half into the lent instance, which keeps the rest.
+            let (mut rt, r, src, dst) = lent(workers);
+            let (local, global) = mems(&rt);
+            let write = RegionReq::new(r, top, Privilege::ReadWrite, global);
+            run_task(&mut rt, Arc::new(ScaleKernel(2.0)), vec![write]);
+            let read = RegionReq::new(r, whole, Privilege::Read, local);
+            run_task(&mut rt, Arc::new(NoopKernel), vec![read]);
+            let (s, d) = (buffer_of(&rt, src), buffer_of(&rt, dst));
+            assert!(
+                !Arc::ptr_eq(&s.data, &d.data),
+                "{what}: a partial copy lent"
+            );
+            let scale = |v: i32| if v < 16 { 2.0 } else { 1.0 };
+            let want: Vec<f64> = (0..32).map(|v| f64::from(v) * scale(v)).collect();
+            assert_eq!(held(&rt, dst), want, "{what}");
+            assert_eq!(rt.read_region(r).unwrap(), want, "{what}");
+
+            // A `+=` into a reduction buffer, folded into the instance a
+            // later reader uses: the fold adds, where a lend would replace.
+            let mut rt = functional(MachineSpec::small(1), workers);
+            rt.record_copies(true);
+            let r = rt.create_region("A", whole);
+            rt.set_region_data(r, vec![1.0; 32]).unwrap();
+            let (local, _) = mems(&rt);
+            let reduce = RegionReq::new(r, whole, Privilege::Reduce, local);
+            run_task(&mut rt, Arc::new(AddKernel(1.5)), vec![reduce]);
+            let read = RegionReq::new(r, whole, Privilege::Read, local);
+            let stats = run_task(&mut rt, Arc::new(NoopKernel), vec![read]);
+            let log = stats.copy_log.as_ref().unwrap();
+            let folds = log
+                .iter()
+                .filter(|c| c.kind == crate::stats::CopyKind::ReduceApply);
+            assert_eq!(folds.count(), 1, "{what}");
+            assert_eq!(
+                held(&rt, instance_in(&rt, r, local)),
+                vec![2.5; 32],
+                "{what}"
+            );
+            assert_eq!(rt.read_region(r).unwrap(), vec![2.5; 32], "{what}");
+        }
+    }
+
+    #[test]
+    fn an_output_nothing_has_written_starts_from_zeros() {
+        // A buffer of the output's length that its last owner left dirty
+        // waits in the pool: a first write must not see it.
+        let n = crate::pool::MIN_POOLED as i64 + 37;
+        let whole = Rect::sized(&[n]);
+        for workers in [1, 2] {
+            let what = format!("{workers} worker(s)");
+            crate::pool::give(vec![f64::NAN; n as usize]);
+            let mut rt = functional(MachineSpec::small(1), workers);
+            let out = rt.create_region("O", whole);
+            let local = mems(&rt).0;
+            let write = RegionReq::new(out, whole, Privilege::Write, local);
+            run_task(&mut rt, Arc::new(AddKernel(1.5)), vec![write]);
+            assert_eq!(
+                rt.read_region(out).unwrap(),
+                vec![1.5; n as usize],
+                "{what}"
+            );
+
+            // A reduction buffer starts from zeros too.
+            crate::pool::give(vec![f64::NAN; n as usize]);
+            rt.set_region_data(out, vec![2.0; n as usize]).unwrap();
+            let reduce = RegionReq::new(out, whole, Privilege::Reduce, local);
+            run_task(&mut rt, Arc::new(AddKernel(1.5)), vec![reduce]);
+            assert_eq!(
+                rt.read_region(out).unwrap(),
+                vec![3.5; n as usize],
+                "{what}"
+            );
         }
     }
 

@@ -7,8 +7,9 @@
 //! current data.
 
 use crate::exec::RuntimeError;
+use crate::pool;
 use crate::topology::{MemId, PhysicalMachine};
-use distal_machine::geom::{Rect, RectSet};
+use distal_machine::geom::{copy_rect, Rect, RectSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -124,20 +125,82 @@ pub struct Instance {
     pub depth: u32,
 }
 
-/// The interior-mutable backing buffer of one instance (functional mode;
-/// `None` in model mode, and for instances of a CSR-held region).
+/// The interior-mutable backing buffer of one instance: `None` in model
+/// mode, for instances of a CSR-held region, and for an instance nothing
+/// has written or lent a buffer to yet.
 ///
 /// Buffers live in [`crate::exec::Store`] *beside* the instance metadata —
 /// rather than inside [`Instance`] — so that the workers applying a trace
 /// can share the store immutably across threads while mutating buffers under per-instance
 /// locks. The dependence DAG serializes conflicting accesses; the locks make
 /// that guarantee checkable by the type system.
+pub(crate) type DataCell = std::sync::RwLock<Option<Buffer>>;
+
+/// The data of one instance: a vector laid out row-major over `alloc`,
+/// which contains the instance's rectangle.
 ///
-/// The buffer sits behind an `Arc` because a staging instance shares the
-/// vector its caller bound ([`crate::Runtime::set_region_data`]): every
-/// write goes through [`Arc::make_mut`], which copies a shared vector
-/// first and costs a uniquely owned one nothing.
-pub type DataCell = std::sync::RwLock<Option<Arc<Vec<f64>>>>;
+/// The vector sits behind an `Arc` because instances share it. A staging
+/// instance shares the one its caller bound
+/// ([`crate::Runtime::set_region_data`]), and a copy over the whole of
+/// its destination lends the source's buffer ([`Buffer::lend`]) — as
+/// Legion hands a task the instance that already holds its data — so
+/// `alloc` is then the source's rectangle. Every write goes through
+/// [`Buffer::writable`], which lays a shared or lent vector out afresh
+/// over the instance's own rectangle first.
+#[derive(Clone, Debug)]
+pub(crate) struct Buffer {
+    /// The rectangle `data` is laid out over.
+    pub(crate) alloc: Rect,
+    /// Row-major values over `alloc`.
+    pub(crate) data: Arc<Vec<f64>>,
+}
+
+impl Buffer {
+    /// A buffer over `alloc` holding `data`.
+    pub(crate) fn new(alloc: Rect, data: Arc<Vec<f64>>) -> Self {
+        Buffer { alloc, data }
+    }
+
+    /// The copy-on-write step: the cell's data made the instance's own,
+    /// laid out over `own`, for writing. An empty cell gets zeros (outputs
+    /// and reduction buffers start from them); a buffer shared with another
+    /// instance or with the caller, or lent over a larger rectangle, is
+    /// copied over `own` first; one the instance owns alone costs nothing.
+    pub(crate) fn writable<'c>(cell: &'c mut Option<Buffer>, own: &Rect) -> &'c mut [f64] {
+        let len = own.volume() as usize;
+        let owned = match cell.take() {
+            None => Buffer::new(*own, Arc::new(pool::take_zeroed(len))),
+            // Alone with the `Arc`, nothing can clone it from under us.
+            Some(buf) if buf.alloc == *own && Arc::strong_count(&buf.data) == 1 => buf,
+            Some(old) => {
+                let mut data = pool::take(len);
+                copy_rect(&old.alloc, &old.data, own, &mut data, own, false);
+                old.release();
+                Buffer::new(*own, Arc::new(data))
+            }
+        };
+        let buf = cell.insert(owned);
+        Arc::get_mut(&mut buf.data)
+            .expect("the instance owns its buffer")
+            .as_mut_slice()
+    }
+
+    /// Makes `cell` share `src`'s data instead of copying it; the buffer
+    /// it held goes back to the pool.
+    pub(crate) fn lend(cell: &mut Option<Buffer>, src: &Buffer) {
+        if let Some(old) = cell.replace(src.clone()) {
+            old.release();
+        }
+    }
+
+    /// Drops this share of the data; the last one returns the vector to
+    /// the pool.
+    pub(crate) fn release(self) {
+        if let Some(data) = Arc::into_inner(self.data) {
+            pool::give(data);
+        }
+    }
+}
 
 /// Everything the dependence analysis reads and writes: regions,
 /// instances and their valid sets, the per-region indexes, scratch
@@ -186,7 +249,8 @@ impl Coherence {
     }
 
     /// Registers an instance, enforcing memory capacity. Its buffer, if it
-    /// is to have one, is the store's to allocate (`exec::Store::adopt`).
+    /// is to have one, comes from the effect that first writes or lends
+    /// to it ([`Buffer`]).
     pub(crate) fn create_instance(
         &mut self,
         machine: &PhysicalMachine,

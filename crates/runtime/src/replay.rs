@@ -15,8 +15,8 @@
 //!    the only caller of the timing pass. It reads and writes coherence
 //!    state alone and allocates no buffer.
 //! 2. **adopt** (`exec::Store::adopt`) — the store takes the
-//!    trace's exit state and allocates a buffer for every instance the
-//!    trace created.
+//!    trace's exit state and an empty buffer cell for every instance the
+//!    trace created; effects give the instances their buffers.
 //! 3. **apply** (`executor::apply`) — node effects run over the trace's
 //!    graph on the run's workers (functional mode; see [`crate::executor`]).
 //!

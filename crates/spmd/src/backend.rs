@@ -183,15 +183,20 @@ fn seed_inputs(program: &SpmdProgram, bindings: &Bindings) -> Result<SeededInput
         };
         let materialized;
         let data: &[f64] = match init {
-            TensorInit::Data(data) => data,
+            TensorInit::Data(data) => {
+                program
+                    .lend(&mut seeded.homes, id, data)
+                    .map_err(backend_err)?;
+                data
+            }
             other => {
                 materialized = other.materialize(&spec.dims);
+                program
+                    .seed(&mut seeded.homes, id, &materialized)
+                    .map_err(backend_err)?;
                 &materialized
             }
         };
-        program
-            .seed(&mut seeded.homes, id, data)
-            .map_err(backend_err)?;
         if count_nnz {
             seeded.nnz[id.index()] = Some(distal_sparse::stored_entries(data));
         }

@@ -395,6 +395,34 @@ impl SpmdProgram {
         id: TensorId,
         data: &[f64],
     ) -> Result<(), SpmdError> {
+        if let Some((rect, owners)) = self.home_of(id, data)? {
+            homes.seed(id.index(), &rect, data, owners.pieces());
+        }
+        Ok(())
+    }
+
+    /// [`SpmdProgram::seed`] for data the caller shares: lent whole as
+    /// every rank's view of its home pieces instead of tiled, when the
+    /// tensor is dense. A compressed tensor keeps its tiles, whose faces
+    /// a leaf compresses in one contiguous run.
+    pub(crate) fn lend(
+        &self,
+        homes: &mut Homes,
+        id: TensorId,
+        data: &Arc<Vec<f64>>,
+    ) -> Result<(), SpmdError> {
+        if self.tensors[id.index()].format.has_compressed() {
+            return self.seed(homes, id, data);
+        }
+        if let Some((rect, _)) = self.home_of(id, data)? {
+            homes.lend(id.index(), &rect, Arc::clone(data));
+        }
+        Ok(())
+    }
+
+    /// Tensor `id`'s shape and home pieces, once `data` is found to hold
+    /// exactly its elements; `None` for a tensor without home pieces.
+    fn home_of(&self, id: TensorId, data: &[f64]) -> Result<Option<(Rect, &Ownership)>, SpmdError> {
         let spec = &self.tensors[id.index()];
         let rect = Rect::sized(&spec.dims);
         if data.len() as i64 != rect.volume() {
@@ -405,10 +433,7 @@ impl SpmdProgram {
                 rect.volume()
             )));
         }
-        if let Some(owners) = self.owners(id) {
-            homes.seed(id.index(), &rect, data, owners.pieces());
-        }
-        Ok(())
+        Ok(self.owners(id).map(|owners| (rect, owners)))
     }
 
     /// Executes the resolved program against seeded input homes, which it

@@ -16,10 +16,13 @@
 //!   run: the rank's home pieces of the input tensors (seeded once per
 //!   binding, "data at rest": placement is free in the SPMD model — a
 //!   binding executes again and again without being seeded again), then
-//!   every input payload it receives. A payload is a view too: an input
-//!   send whose rectangle lies in one buffer lends that buffer's `(alloc,
-//!   data)`, a relay forwards the view it received, and the receiver files
-//!   it as is, so a broadcast tile or a Cannon shift is never copied;
+//!   every input payload it receives. A bound dense operand's home pieces
+//!   are all one view of the caller's data, `alloc` the whole tensor
+//!   ([`Homes::lend`]); any other input's are its tiles. A payload is a
+//!   view too: an input send whose rectangle lies in one buffer lends that
+//!   buffer's `(alloc, data)`, a relay forwards the view it received, and
+//!   the receiver files it as is, so a broadcast tile or a Cannon shift is
+//!   never copied;
 //! * *owned buffers*, carved per rank out of one zeroed arena sized at
 //!   resolution ([`with_arenas`]): accumulators, the output home pieces
 //!   folds land in, and the copies a send makes when no single buffer
@@ -57,9 +60,20 @@ pub(crate) struct Buf {
 
 /// Every rank's home pieces of the input tensors — what a binding seeds
 /// once and its executions borrow — indexed by tensor (in
-/// `SpmdProgram::tensors` order), then rank, then piece.
+/// `SpmdProgram::tensors` order): a bound dense operand lent whole, any
+/// other input tiled.
 #[derive(Debug, Default)]
-pub(crate) struct Homes(Vec<Option<Vec<Vec<Buf>>>>);
+pub(crate) struct Homes(Vec<Option<Pieces>>);
+
+/// How one input tensor's home pieces are held.
+#[derive(Debug)]
+enum Pieces {
+    /// Tiled, by rank, then piece.
+    Tiled(Vec<Vec<Buf>>),
+    /// The caller's data, row-major over the whole tensor `rect`, lent as
+    /// every rank's view of each of its home pieces.
+    Lent { rect: Rect, data: Arc<Vec<f64>> },
+}
 
 impl Homes {
     /// Nothing seeded yet, for a program of `tensors` tensors.
@@ -68,8 +82,8 @@ impl Homes {
     }
 
     /// Tiles `data` (row-major over `rect`) into `pieces[rank]` for every
-    /// rank — the one copy of an input element between its caller and a
-    /// leaf.
+    /// rank — for an input that is not lent, the one copy of an element
+    /// between its caller and a leaf.
     pub(crate) fn seed(&mut self, tensor: usize, rect: &Rect, data: &[f64], pieces: &[Vec<Rect>]) {
         let tile = |piece: &Rect| {
             let mut tile = pool::take(volume(piece));
@@ -79,12 +93,14 @@ impl Homes {
                 data: tile,
             }
         };
-        self.0[tensor] = Some(
-            pieces
-                .iter()
-                .map(|p| p.iter().map(tile).collect())
-                .collect(),
-        );
+        let tiles = pieces.iter().map(|p| p.iter().map(tile).collect());
+        self.0[tensor] = Some(Pieces::Tiled(tiles.collect()));
+    }
+
+    /// Lends `data` (row-major over `rect`, the whole tensor) as every
+    /// rank's home pieces: no element is copied.
+    pub(crate) fn lend(&mut self, tensor: usize, rect: &Rect, data: Arc<Vec<f64>>) {
+        self.0[tensor] = Some(Pieces::Lent { rect: *rect, data });
     }
 
     /// Whether `tensor` was seeded.
@@ -95,7 +111,10 @@ impl Homes {
     /// `tensor` (shaped `rect`) put back together from its pieces; `None`
     /// when it was never seeded.
     pub(crate) fn assemble(&self, tensor: usize, rect: &Rect) -> Option<Vec<f64>> {
-        let ranks = self.0.get(tensor)?.as_ref()?;
+        let ranks = match self.0.get(tensor)?.as_ref()? {
+            Pieces::Tiled(ranks) => ranks,
+            Pieces::Lent { data, .. } => return Some(data.to_vec()),
+        };
         let mut data = vec![0.0; rect.volume().max(1) as usize];
         for buf in ranks.iter().flatten() {
             copy_rect(&buf.rect, &buf.data, rect, &mut data, &buf.rect, false);
@@ -103,16 +122,28 @@ impl Homes {
         Some(data)
     }
 
-    fn piece(&self, tensor: usize, rank: usize, piece: usize) -> Option<&Buf> {
-        self.0.get(tensor)?.as_ref()?.get(rank)?.get(piece)
+    /// The view of `rank`'s home piece `piece` of `tensor`.
+    fn piece(&self, tensor: usize, rank: usize, piece: usize) -> Option<View<'_>> {
+        match self.0.get(tensor)?.as_ref()? {
+            Pieces::Tiled(ranks) => {
+                let buf = ranks.get(rank)?.get(piece)?;
+                Some((&buf.rect, &buf.data))
+            }
+            Pieces::Lent { rect, data } => Some((rect, data)),
+        }
     }
 }
 
 impl Drop for Homes {
-    /// Every tile goes back to the pool the next binding takes them from.
+    /// Every tile goes back to the pool the next binding takes them from;
+    /// lent data is the caller's.
     fn drop(&mut self) {
-        let tensors = std::mem::take(&mut self.0).into_iter().flatten();
-        pool::give_all(tensors.flatten().flatten().map(|b| b.data));
+        let tiles = std::mem::take(&mut self.0).into_iter().flatten();
+        let tiles = tiles.filter_map(|pieces| match pieces {
+            Pieces::Tiled(ranks) => Some(ranks),
+            Pieces::Lent { .. } => None,
+        });
+        pool::give_all(tiles.flatten().flatten().map(|b| b.data));
     }
 }
 
@@ -247,10 +278,8 @@ impl<'a> Tables<'a> {
         let mut views = Vec::new();
         let mut buffers = Vec::new();
         for ((rank, plan), arena) in resolved.ranks.iter().enumerate().zip(arenas) {
-            views.extend(plan.homes.iter().map(|&(tensor, piece)| {
-                let buf = homes.piece(tensor, rank, piece)?;
-                Some((&buf.rect, &buf.data[..]))
-            }));
+            let pieces = plan.homes.iter();
+            views.extend(pieces.map(|&(tensor, piece)| homes.piece(tensor, rank, piece)));
             views.resize(views.len() + plan.views - plan.homes.len(), None);
             let lens = plan
                 .owned
@@ -658,12 +687,21 @@ mod tests {
         assert!(!homes.holds(1));
         homes.seed(1, &whole, &data, &pieces);
         assert!(homes.holds(1) && !homes.holds(0));
-        assert_eq!(homes.piece(1, 0, 0).unwrap().rect, left);
-        assert_eq!(homes.piece(1, 0, 0).unwrap().data, [0.0, 1.0, 4.0, 5.0]);
-        assert_eq!(homes.piece(1, 1, 0).unwrap().data, [2.0, 3.0, 6.0, 7.0]);
+        assert_eq!(
+            homes.piece(1, 0, 0).unwrap(),
+            (&left, &[0.0, 1.0, 4.0, 5.0][..])
+        );
+        assert_eq!(homes.piece(1, 1, 0).unwrap().1, [2.0, 3.0, 6.0, 7.0]);
         assert!(homes.piece(1, 1, 1).is_none() && homes.piece(0, 0, 0).is_none());
-        assert_eq!(homes.assemble(1, &whole), Some(data));
+        assert_eq!(homes.assemble(1, &whole), Some(data.clone()));
         assert_eq!(homes.assemble(0, &whole), None);
+        // Lent, every piece is a view of the whole tensor.
+        let shared = Arc::new(data);
+        homes.lend(0, &whole, Arc::clone(&shared));
+        assert_eq!(homes.piece(0, 1, 0).unwrap(), (&whole, &shared[..]));
+        assert_eq!(homes.assemble(0, &whole).as_ref(), Some(&*shared));
+        drop(homes);
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]

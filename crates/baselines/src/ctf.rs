@@ -417,7 +417,8 @@ mod tests {
 
     /// Every element of `tensor` that a compute task of stage `s` of
     /// `run` accesses with a privilege `accessed` admits is homed on the
-    /// rank of the task's launch point.
+    /// rank of the task's launch point. Returns how many accesses it
+    /// checked.
     fn assert_accesses_stay_home(
         context: &str,
         machine: &DistalMachine,
@@ -425,21 +426,36 @@ mod tests {
         s: usize,
         tensor: &str,
         accessed: fn(Privilege) -> bool,
-    ) {
+    ) -> usize {
         let compiled = run.instance(s).kernel();
         let spec = &run.plans().nth(s).unwrap().tensors()[tensor];
         let full = Rect::sized(&spec.dims);
         let homes = homes(machine, &spec.dims, &spec.format);
         let region = run.instance(s).region(tensor);
-        let launch = Rect::sized(&compiled.launch_domain);
+        // A compute task stands at a point of the launch domain (one point
+        // of one coordinate when the domain is empty) and runs on the rank
+        // of its row-major index there. The reduce-gather's tasks stand at
+        // machine points instead; they only read the output, so the filter
+        // below passes none of them.
+        let launch = match compiled.launch_domain.as_slice() {
+            [] => Rect::sized(&[1]),
+            dims => Rect::sized(dims),
+        };
         let tasks = compiled.compute.ops.iter().flat_map(|op| match op {
             Op::IndexLaunch(launch) => launch.tasks.as_slice(),
             _ => &[],
         });
+        let mut checked = 0;
         for task in tasks {
-            let rank = launch.linearize(&task.point);
             let reqs = task.reqs.iter();
             for req in reqs.filter(|r| Some(r.region) == region && accessed(r.privilege)) {
+                assert!(
+                    launch.contains_point(&task.point),
+                    "{context}, stage {s}: '{tensor}' accessed at {:?}, outside the launch domain \
+                     {launch:?}",
+                    task.point,
+                );
+                let rank = launch.linearize(&task.point);
                 let stray = req.rect.points().find(|q| {
                     let at = full.linearize(q) as i64;
                     homes[rank].binary_search(&at).is_err()
@@ -451,8 +467,10 @@ mod tests {
                     stray.unwrap(),
                     task.point,
                 );
+                checked += 1;
             }
         }
+        checked
     }
 
     #[test]
@@ -495,25 +513,27 @@ mod tests {
                     // into it from elsewhere), and the dot reads its
                     // operands where the copies left them.
                     let context = format!("{kernel:?} p = {} n = {n}", config.processors());
+                    let mut written = 0;
                     for (s, plan) in plans.iter().enumerate() {
                         let output = &plan.kernel().output;
                         if !plan.tensors()[output].format.distributions.is_empty() {
-                            assert_accesses_stay_home(&context, &machine, &run, s, output, |p| {
-                                matches!(p, Privilege::Write | Privilege::ReadWrite)
-                            });
+                            let write = |p| matches!(p, Privilege::Write | Privilege::ReadWrite);
+                            written += assert_accesses_stay_home(
+                                &context, &machine, &run, s, output, write,
+                            );
                         }
                     }
+                    // A stage whose partial sums reduce writes nothing itself,
+                    // but some stage of every kernel does.
+                    assert!(written > 0, "{context}: no output write was checked");
                     if kernel == HigherOrderKernel::Innerprod {
                         let dot = plans.len() - 1;
                         for operand in ["Bm", "Cm"] {
-                            assert_accesses_stay_home(
-                                &context,
-                                &machine,
-                                &run,
-                                dot,
-                                operand,
-                                |p| p == Privilege::Read,
+                            let read = |p| p == Privilege::Read;
+                            let checked = assert_accesses_stay_home(
+                                &context, &machine, &run, dot, operand, read,
                             );
+                            assert!(checked > 0, "{context}: no read of '{operand}' was checked");
                         }
                     }
                     if n == 7 {

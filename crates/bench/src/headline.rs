@@ -79,13 +79,18 @@ pub(crate) fn headlines(max_nodes: usize, gemm_base_n: i64, tensor_base_n: i64) 
     rows
 }
 
-/// Renders the headline table.
-pub(crate) fn render(rows: &[Headline]) -> String {
+/// Renders the headline table computed at `nodes` nodes, under a line
+/// saying where its values come from.
+pub(crate) fn render(rows: &[Headline], nodes: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
+        "modelled: ratios of model-mode Figures 15a (CPU) and 16 at {nodes} nodes, not wall clock"
+    );
+    let _ = writeln!(
+        out,
         "{:<34} {:>10} {:>16}",
-        "comparison", "measured", "paper"
+        "comparison", "modelled", "paper"
     );
     for r in rows {
         let _ = writeln!(out, "{:<34} {:>9.2}x {:>16}", r.label, r.speedup, r.paper);
@@ -97,7 +102,7 @@ pub(crate) fn render(rows: &[Headline]) -> String {
 pub(crate) fn run(mut args: Args) -> Result<(), String> {
     let max_nodes = args.positional()?.unwrap_or(64);
     args.finish()?;
-    print!("{}", render(&headlines(max_nodes, 8192, 1024)));
+    print!("{}", render(&headlines(max_nodes, 8192, 1024), max_nodes));
     Ok(())
 }
 

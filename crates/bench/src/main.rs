@@ -151,7 +151,10 @@ fn all(mut args: Args) -> Result<(), String> {
     );
     print!(
         "{}",
-        headline::render(&headline::headlines(64.min(max_nodes), 8192, 1024))
+        headline::render(
+            &headline::headlines(64.min(max_nodes), 8192, 1024),
+            64.min(max_nodes)
+        )
     );
     Ok(())
 }

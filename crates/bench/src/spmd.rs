@@ -495,10 +495,13 @@ fn bounds_walk(problem: &Problem, schedule: &Schedule) -> (f64, i64) {
         for seq_point in nest.seq_rect().points() {
             for point in points.points() {
                 nest.bind_env(&mut env, &seq_point, &point);
-                let Some(leaf) = nest.leaf_bounds(&env) else {
+                let Some((bounds, points)) = nest.leaf_bounds(&env) else {
                     continue;
                 };
-                std::hint::black_box(leaf);
+                bounds.for_each(|b| {
+                    std::hint::black_box(b);
+                });
+                std::hint::black_box(points);
                 for (a, dims) in access_dims.iter().enumerate() {
                     volume += nest.access_rect(a, &env, dims).volume();
                 }

@@ -209,7 +209,7 @@ pub(crate) fn lower_nest(
             let Some((bounds, iter_points)) = nest.leaf_bounds(&env) else {
                 continue;
             };
-            let scalars = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+            let scalars = bounds.flat_map(|(lo, hi)| [lo, hi]).collect();
             let mut reqs = Vec::new();
             let mut bytes = 0.0f64;
             for (a, &(region, spec, privilege)) in accessed.iter().enumerate() {

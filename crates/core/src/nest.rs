@@ -285,14 +285,17 @@ impl Nest {
     }
 
     /// The leaf's inclusive `(lo, hi)` bounds per original variable (in
-    /// [`Assignment::all_vars`] order) and its iteration-point count, or
-    /// `None` when the leaf is empty under `env` (an over-decomposed
-    /// launch point).
-    pub fn leaf_bounds(&self, env: &Env) -> Option<(Vec<(i64, i64)>, f64)> {
+    /// [`Assignment::all_vars`] order), read out of `env` as they are
+    /// consumed, and its iteration-point count, or `None` when the leaf is
+    /// empty under `env` (an over-decomposed launch point).
+    pub fn leaf_bounds<'e>(
+        &self,
+        env: &'e Env,
+    ) -> Option<(impl ExactSizeIterator<Item = (i64, i64)> + 'e, f64)> {
         if env.leaf.iter().any(Interval::is_empty) {
             return None;
         }
-        let bounds = env.leaf.iter().map(|iv| (iv.lo, iv.hi)).collect();
+        let bounds = env.leaf.iter().map(|iv| (iv.lo, iv.hi));
         let iter_points = env.leaf.iter().map(|iv| iv.len() as f64).product();
         Some((bounds, iter_points))
     }
@@ -346,7 +349,7 @@ mod tests {
         // Rebinding overwrites every loop variable.
         nest.bind_env(&mut env, &Point::new(vec![2]), &Point::new(vec![1, 0]));
         let (bounds, points) = nest.leaf_bounds(&env).unwrap();
-        assert_eq!(bounds, vec![(8, 15), (0, 7), (8, 11)]);
+        assert_eq!(bounds.collect::<Vec<_>>(), [(8, 15), (0, 7), (8, 11)]);
         assert_eq!(points, 8.0 * 8.0 * 4.0);
         // Access 1 is B(i, k).
         let rect = nest.access_rect(1, &env, &[n, n]);

@@ -294,15 +294,16 @@ impl TensorDistribution {
     /// The partitioned dimension pairs `(tensor_dim_index, machine_dim_index)`
     /// — the set `p = X ∩ Y` of the paper, with positions.
     pub fn partitioned_pairs(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (mi, d) in self.machine_dims.iter().enumerate() {
-            if let DimName::Var(v) = d {
-                if let Some(ti) = self.tensor_dims.iter().position(|t| t == v) {
-                    out.push((ti, mi));
-                }
-            }
-        }
-        out
+        self.pairs().collect()
+    }
+
+    /// [`TensorDistribution::partitioned_pairs`], as they are found.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let machine = self.machine_dims.iter().enumerate();
+        machine.filter_map(|(mi, d)| match d {
+            DimName::Var(v) => Some((self.tensor_dims.iter().position(|t| t == v)?, mi)),
+            _ => None,
+        })
     }
 
     /// Checks the statement against concrete tensor/machine dimensionality.

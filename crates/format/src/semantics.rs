@@ -11,7 +11,7 @@
 //!   dimensions.
 
 use crate::notation::{DimName, TensorDistribution};
-use distal_machine::geom::{Point, Rect};
+use distal_machine::geom::{Point, Rect, MAX_DIM};
 use distal_machine::grid::{Grid, MachineHierarchy};
 
 impl TensorDistribution {
@@ -87,22 +87,20 @@ impl TensorDistribution {
     /// The per-dimension index segments `proc` owns in tensor dimension
     /// `ti`, partitioned `parts` ways: blocks `j ≡ q (mod parts)` of width
     /// `b`, clipped to the dimension's extent.
-    fn segments(&self, tensor_rect: &Rect, ti: usize, parts: i64, q: i64) -> Vec<(i64, i64)> {
+    fn segments(
+        &self,
+        tensor_rect: &Rect,
+        ti: usize,
+        parts: i64,
+        q: i64,
+    ) -> impl Iterator<Item = (i64, i64)> + Clone {
         let lo = tensor_rect.lo()[ti];
         let extent = tensor_rect.extent(ti);
         let b = self.partition.block_width(extent, parts);
         let blocks = distal_machine::geom::div_ceil(extent, b);
-        let mut out = Vec::new();
-        let mut j = q;
-        while j < blocks {
-            let s_lo = lo + j * b;
-            let s_hi = (lo + (j + 1) * b - 1).min(lo + extent - 1);
-            if s_lo <= s_hi {
-                out.push((s_lo, s_hi));
-            }
-            j += parts;
-        }
-        out
+        let segment = move |j: i64| (lo + j * b, (lo + (j + 1) * b - 1).min(lo + extent - 1));
+        let blocks = (q..blocks).step_by(parts as usize).map(segment);
+        blocks.filter(|(s_lo, s_hi)| s_lo <= s_hi)
     }
 
     /// The set of sub-rectangles of the tensor held by machine coordinate
@@ -119,38 +117,56 @@ impl TensorDistribution {
     ///
     /// Panics when dimensionalities disagree with the notation.
     pub fn pieces_of(&self, tensor_rect: &Rect, machine: &Grid, proc: &Point) -> Vec<Rect> {
+        let mut out = Vec::new();
+        self.pieces_into(tensor_rect, machine, proc, &mut out);
+        out
+    }
+
+    /// [`TensorDistribution::pieces_of`], appended to `out`.
+    fn pieces_into(&self, tensor_rect: &Rect, machine: &Grid, proc: &Point, out: &mut Vec<Rect>) {
         assert_eq!(proc.dim(), self.machine_dim());
         assert_eq!(tensor_rect.dim(), self.tensor_dim());
         if tensor_rect.is_empty() {
-            return Vec::new();
+            return;
         }
         for (mi, name) in self.machine_dims.iter().enumerate() {
             if let DimName::Const(c) = name {
                 if proc[mi] != *c {
-                    return Vec::new();
+                    return;
                 }
             }
         }
-        // Per tensor dimension: the list of owned segments (full extent for
-        // unpartitioned dimensions).
-        let mut per_dim: Vec<Vec<(i64, i64)>> = (0..self.tensor_dim())
-            .map(|ti| vec![(tensor_rect.lo()[ti], tensor_rect.hi()[ti])])
-            .collect();
-        for (ti, mi) in self.partitioned_pairs() {
-            per_dim[ti] = self.segments(tensor_rect, ti, machine.extent(mi), proc[mi]);
+        // Per tensor dimension, the machine dimension partitioning it, if
+        // any (the last one naming it); an unpartitioned dimension keeps
+        // its full extent.
+        let mut partitioned = [None; MAX_DIM];
+        for (ti, mi) in self.pairs() {
+            partitioned[ti] = Some(mi);
         }
-        // Cartesian product of segments into rectangles: every segment lies
-        // inside the tensor, so restricting the tensor to it is exact.
-        let mut out = vec![*tensor_rect];
-        for (ti, segs) in per_dim.iter().enumerate() {
-            let mut next = Vec::with_capacity(out.len() * segs.len());
-            for rect in &out {
-                next.extend(segs.iter().map(|&(lo, hi)| rect.restrict(ti, lo, hi)));
+        // Cartesian product of the owned segments into rectangles, the
+        // first dimension outermost: every segment lies inside the tensor,
+        // so restricting the tensor to it is exact.
+        let start = out.len();
+        out.push(*tensor_rect);
+        for (ti, mi) in partitioned.iter().enumerate() {
+            let Some(mi) = *mi else { continue };
+            let segs = self.segments(tensor_rect, ti, machine.extent(mi), proc[mi]);
+            let prefixes = start..out.len();
+            for k in prefixes.clone() {
+                let rect = out[k];
+                out.extend(segs.clone().map(|(lo, hi)| rect.restrict(ti, lo, hi)));
             }
-            out = next;
+            out.drain(prefixes);
         }
-        out.retain(|r| !r.is_empty());
-        out
+        // Keep the non-empty pieces, in order.
+        let mut kept = start;
+        for i in start..out.len() {
+            if !out[i].is_empty() {
+                out.swap(kept, i);
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 
     /// All `(processor, piece)` pairs with non-empty pieces — the placement
@@ -185,17 +201,21 @@ pub fn hierarchical_pieces(
     proc: &Point,
 ) -> Vec<Rect> {
     assert_eq!(distributions.len(), machine.levels().len());
-    let coords = machine.split_coord(proc);
-    let mut pieces = vec![*tensor_rect];
-    for (level, dist) in distributions.iter().enumerate() {
-        let mut next = Vec::with_capacity(pieces.len());
+    assert_eq!(proc.dim(), machine.flat_dim());
+    let (mut pieces, mut next) = (vec![*tensor_rect], Vec::new());
+    let mut at = 0;
+    for (dist, level) in distributions.iter().zip(machine.levels()) {
+        // This level's part of the flattened coordinate.
+        let coord = Point::from_slice(&proc.coords()[at..at + level.dim()]);
+        at += level.dim();
+        next.clear();
         for piece in &pieces {
-            next.extend(dist.pieces_of(piece, &machine.levels()[level], &coords[level]));
+            dist.pieces_into(piece, level, &coord, &mut next);
         }
         if next.is_empty() {
             return next;
         }
-        pieces = next;
+        std::mem::swap(&mut pieces, &mut next);
     }
     pieces
 }

@@ -21,8 +21,9 @@
 //! intersecting, clipping or storing a rectangle never touches the heap.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The most dimensions a [`Point`] — and so a [`Rect`] — holds.
 ///
@@ -119,7 +120,8 @@ impl Point {
 
 impl PartialEq for Point {
     fn eq(&self, other: &Point) -> bool {
-        self.coords() == other.coords()
+        // Coordinates past `dim` are zero in every point.
+        self.dim == other.dim && self.coords == other.coords
     }
 }
 
@@ -139,7 +141,8 @@ impl Ord for Point {
 
 impl Hash for Point {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.coords().hash(state);
+        state.write_usize(self.dim);
+        self.coords().iter().for_each(|&c| state.write_i64(c));
     }
 }
 
@@ -331,17 +334,23 @@ impl Rect {
     /// sub-rectangles from an instance's valid set. Produces at most `2·dim`
     /// pieces via axis-by-axis guillotine cuts.
     pub fn difference(&self, other: &Rect) -> Vec<Rect> {
+        let mut pieces = Vec::new();
+        self.difference_into(other, &mut pieces);
+        pieces
+    }
+
+    /// [`Rect::difference`], appended to `pieces`.
+    fn difference_into(&self, other: &Rect, pieces: &mut Vec<Rect>) {
         if self.is_empty() {
-            return vec![];
+            return;
         }
         let inter = self.intersection(other);
         if inter.is_empty() {
-            return vec![*self];
+            return pieces.push(*self);
         }
         if inter == *self {
-            return vec![];
+            return;
         }
-        let mut pieces = Vec::new();
         let mut remaining = *self;
         for d in 0..self.dim() {
             // Piece below the intersection along dimension d.
@@ -359,7 +368,6 @@ impl Rect {
                 remaining.hi[d] = inter.hi[d];
             }
         }
-        pieces
     }
 
     /// Lexicographic iteration over all points (last dimension fastest).
@@ -676,6 +684,7 @@ impl RectSet {
 
     /// Removes a rectangle from the set. Each member `r` meets is replaced
     /// in place by what is left of it, so the order of the rest holds.
+    /// Nothing is allocated but the set's own growth.
     pub fn subtract(&mut self, r: &Rect) {
         let mut i = 0;
         while i < self.rects.len() {
@@ -683,9 +692,13 @@ impl RectSet {
                 i += 1;
                 continue;
             }
-            let rest = self.rects[i].difference(r);
-            let kept = rest.len();
-            self.rects.splice(i..=i, rest);
+            // What is left is appended, then rotated into member `i`'s place.
+            let end = self.rects.len();
+            let member = self.rects[i];
+            member.difference_into(r, &mut self.rects);
+            let kept = self.rects.len() - end;
+            self.rects[i..].rotate_right(kept);
+            self.rects.remove(i + kept);
             i += kept;
         }
     }
@@ -720,6 +733,65 @@ impl RectSet {
     }
 }
 
+/// A table of distinct rectangles, each named by its position: interning
+/// a rectangle returns the position it already has, or appends it.
+///
+/// # Example
+///
+/// ```
+/// use distal_machine::geom::{Rect, RectTable};
+/// let mut table = RectTable::default();
+/// let tile = table.intern(Rect::sized(&[4, 4]));
+/// assert_eq!(table.intern(Rect::sized(&[2])), 1);
+/// assert_eq!(table.intern(Rect::sized(&[4, 4])), tile);
+/// assert_eq!(table.rects()[tile as usize], Rect::sized(&[4, 4]));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct RectTable {
+    rects: Vec<Rect>,
+    ids: HashMap<Rect, u32, BuildHasherDefault<FxHasher>>,
+}
+
+impl RectTable {
+    /// The position of `rect`, appended when new.
+    pub fn intern(&mut self, rect: Rect) -> u32 {
+        let next = self.rects.len() as u32;
+        *self.ids.entry(rect).or_insert_with(|| {
+            self.rects.push(rect);
+            next
+        })
+    }
+
+    /// The rectangles, by position.
+    pub fn rects(&self) -> &[Rect] {
+        &self.rects
+    }
+}
+
+/// The Fx multiply-rotate hash step. A [`RectTable`]'s keys are a
+/// program's own rectangles, which no input chooses, so SipHash's
+/// resistance to chosen keys buys nothing, and it costs a hash per look-up.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// An immutable index from rectangles to values: which `(Rect, T)` entries
 /// overlap a query rectangle, in the order they were inserted.
 ///
@@ -745,15 +817,15 @@ impl RectSet {
 /// // The four rows of a 4 x 4 matrix, owned by ranks 0..4.
 /// let index = RectIndex::new((0..4).map(|r| (row(r, r), r)).collect());
 /// let rows_1_to_2 = row(1, 2);
-/// let owners: Vec<i64> = index.query(&rows_1_to_2).map(|(_, _, r)| *r).collect();
+/// let mut hits = Vec::new();
+/// let owners: Vec<i64> = index.query(&rows_1_to_2, &mut hits).map(|(_, _, r)| *r).collect();
 /// assert_eq!(owners, [1, 2]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RectIndex<T> {
     entries: Vec<(Rect, T)>,
-    /// Per dimension, the sorted coordinates at which a slab starts (the
-    /// first slab also takes everything below its cut).
-    cuts: Vec<Vec<i64>>,
+    /// Per dimension, the coordinates at which a slab starts.
+    cuts: Vec<Cuts>,
     /// Per dimension, the most slabs any one entry reaches across.
     reach: Vec<usize>,
     /// Cells are numbered row-major over the slabs; the entries filed in
@@ -768,9 +840,33 @@ impl<T> Default for RectIndex<T> {
     }
 }
 
-/// The slab of `cuts` that coordinate `x` falls in.
-fn slab(cuts: &[i64], x: i64) -> usize {
-    cuts.partition_point(|&c| c <= x).saturating_sub(1)
+/// One dimension's cut points, ascending, and their spacing when it is
+/// even — as blocked and cyclic tilings make it — so that a coordinate
+/// finds its slab by a division rather than a search.
+#[derive(Clone, Debug)]
+struct Cuts {
+    at: Vec<i64>,
+    step: Option<i64>,
+}
+
+impl Cuts {
+    fn new(at: Vec<i64>) -> Self {
+        let step = (at.len() >= 2).then(|| at[1] - at[0]);
+        let step = step.filter(|&s| at.windows(2).all(|w| w[1] - w[0] == s));
+        Cuts { at, step }
+    }
+
+    /// The slab coordinate `x` falls in (the first slab also takes
+    /// everything below its cut).
+    fn slab(&self, x: i64) -> usize {
+        match self.step {
+            Some(step) => {
+                let last = self.at.len() as i64 - 1;
+                (x - self.at[0]).div_euclid(step).clamp(0, last) as usize
+            }
+            None => self.at.partition_point(|&c| c <= x).saturating_sub(1),
+        }
+    }
 }
 
 impl<T> RectIndex<T> {
@@ -804,29 +900,36 @@ impl<T> RectIndex<T> {
             let finest = cuts.iter_mut().max_by_key(|c| c.len()).expect("dim > 0");
             *finest = finest.iter().copied().step_by(2).collect();
         }
+        let cell_count = cells(&cuts);
+        let cuts: Vec<Cuts> = cuts.into_iter().map(Cuts::new).collect();
 
-        let cell_of =
-            |r: &Rect| (0..dim).fold(0, |cell, d| cell * cuts[d].len() + slab(&cuts[d], r.lo[d]));
+        // Every live entry's cell, the one its `lo` corner falls in, and
+        // how many slabs it reaches across.
         let mut reach = vec![1usize; dim];
-        let mut cell_start = vec![0usize; cells(&cuts) + 1];
-        for &i in &live {
-            let r = &entries[i].0;
-            for (d, reach) in reach.iter_mut().enumerate() {
-                let across = slab(&cuts[d], r.hi[d]) - slab(&cuts[d], r.lo[d]) + 1;
-                *reach = (*reach).max(across);
-            }
-            cell_start[cell_of(r) + 1] += 1;
-        }
+        let mut cell_start = vec![0usize; cell_count + 1];
+        let cell_of: Vec<usize> = live
+            .iter()
+            .map(|&i| {
+                let r = &entries[i].0;
+                let mut cell = 0;
+                for (d, (cuts, reach)) in cuts.iter().zip(&mut reach).enumerate() {
+                    let lo = cuts.slab(r.lo[d]);
+                    *reach = (*reach).max(cuts.slab(r.hi[d]) - lo + 1);
+                    cell = cell * cuts.at.len() + lo;
+                }
+                cell_start[cell + 1] += 1;
+                cell
+            })
+            .collect();
         for c in 1..cell_start.len() {
             cell_start[c] += cell_start[c - 1];
         }
         // File in sequence order, so every cell's list is ascending.
         let mut next = cell_start.clone();
         let mut filed = vec![0usize; live.len()];
-        for &i in &live {
-            let slot = &mut next[cell_of(&entries[i].0)];
-            filed[*slot] = i;
-            *slot += 1;
+        for (&i, &cell) in live.iter().zip(&cell_of) {
+            filed[next[cell]] = i;
+            next[cell] += 1;
         }
         RectIndex {
             entries,
@@ -839,20 +942,27 @@ impl<T> RectIndex<T> {
 
     /// The entries overlapping `rect`, as `(sequence number, rectangle,
     /// value)` in ascending sequence — insertion — order. An empty query
-    /// meets nothing.
+    /// meets nothing. The sequence numbers are collected in `hits`, which
+    /// the caller keeps from query to query, so a query allocates only
+    /// while `hits` grows.
     ///
     /// # Panics
     ///
     /// Panics when `rect`'s dimensionality differs from the entries'.
-    pub fn query<'a>(&'a self, rect: &Rect) -> impl Iterator<Item = (usize, &'a Rect, &'a T)> + 'a {
-        let mut hits = Vec::new();
+    pub fn query<'a>(
+        &'a self,
+        rect: &Rect,
+        hits: &'a mut Vec<usize>,
+    ) -> impl Iterator<Item = (usize, &'a Rect, &'a T)> + 'a {
+        hits.clear();
         if !rect.is_empty() && !self.filed.is_empty() {
             assert_eq!(rect.dim(), self.cuts.len());
             // Per dimension, the slabs an overlapping entry can be filed in.
             let mut slabs = [(0, 0); MAX_DIM];
             for (d, slabs) in slabs.iter_mut().enumerate().take(rect.dim()) {
-                let first = slab(&self.cuts[d], rect.lo[d]).saturating_sub(self.reach[d] - 1);
-                *slabs = (first, slab(&self.cuts[d], rect.hi[d]));
+                let cuts = &self.cuts[d];
+                let first = cuts.slab(rect.lo[d]).saturating_sub(self.reach[d] - 1);
+                *slabs = (first, cuts.slab(rect.hi[d]));
             }
             self.visit(&slabs[..rect.dim()], 0, 0, &mut |i| {
                 if self.entries[i].0.overlaps(rect) {
@@ -861,7 +971,7 @@ impl<T> RectIndex<T> {
             });
             hits.sort_unstable();
         }
-        hits.into_iter().map(move |i| {
+        hits.iter().map(move |&i| {
             let (r, t) = &self.entries[i];
             (i, r, t)
         })
@@ -873,7 +983,7 @@ impl<T> RectIndex<T> {
     /// are walked as one run.
     fn visit(&self, slabs: &[(usize, usize)], d: usize, base: usize, f: &mut impl FnMut(usize)) {
         let (first, last) = slabs.get(d).copied().unwrap_or((0, 0));
-        let base = base * self.cuts.get(d).map_or(1, Vec::len);
+        let base = base * self.cuts.get(d).map_or(1, |cuts| cuts.at.len());
         if d + 1 >= slabs.len() {
             let run = self.cell_start[base + first]..self.cell_start[base + last + 1];
             self.filed[run].iter().copied().for_each(f);

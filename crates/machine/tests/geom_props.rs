@@ -243,10 +243,13 @@ proptest! {
     #[test]
     fn rect_index_matches_linear_filter((entries, queries) in index_case()) {
         let index = RectIndex::new(entries.iter().cloned().enumerate().map(|(i, r)| (r, i)).collect());
+        // One buffer for every query: a query starts from whatever the last
+        // one left in it.
+        let mut hits = Vec::new();
         for q in &queries {
             let want: Vec<usize> = (0..entries.len()).filter(|&i| entries[i].overlaps(q)).collect();
             let got: Vec<usize> = index
-                .query(q)
+                .query(q, &mut hits)
                 .map(|(seq, r, value)| {
                     assert_eq!(r, &entries[seq]);
                     assert_eq!(*value, seq);

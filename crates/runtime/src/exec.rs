@@ -106,7 +106,7 @@ impl std::error::Error for RuntimeError {}
 ///
 /// The [`Coherence`] half — regions, instance bounds and valid sets,
 /// accounting — is all the dependence analysis reads and writes. The
-/// *data* lies beside it: per-instance [`DataCell`] locks, so the workers
+/// *data* lies beside it: per-instance `DataCell` locks, so the workers
 /// applying a trace can share `&Store` across threads and mutate buffers
 /// concurrently where the dependence DAG allows it, and the CSR images of
 /// the regions held compressed.

@@ -9,8 +9,9 @@
 //! MPI-based backend" the paper's §8 points at. It runs inside the
 //! lowering ([`crate::lower_problem`]), not after it:
 //!
-//! 1. **Recording.** The lowering groups transfers into fans at the
-//!    moment it sources them, one sequential step at a time:
+//! 1. **Recording.** The lowering records each transfer as it sources
+//!    it, and groups a step's transfers into fans by `(root, tensor,
+//!    rectangle id)` when the step closes:
 //!    * one holder supplying the *same* part of one input tensor to ≥ 2
 //!      ranks within one step is a [`CollectiveKind::Broadcast`] (SUMMA
 //!      rows/columns, Johnson's replication planes);
@@ -38,14 +39,12 @@
 //! serialized root sends to `⌈log₂ g⌉` rounds.
 
 use crate::lower::torus_distance;
-use crate::ops::{Message, Named, SpmdOp};
+use crate::ops::{Message, Named, RectId, SpmdOp};
 use crate::program::SpmdProgram;
 use distal_core::TensorId;
 use distal_machine::geom::Rect;
 use distal_machine::grid::Grid;
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// The collective patterns the lowering records.
@@ -184,7 +183,7 @@ struct Fan {
     reduce: bool,
     root: usize,
     tensor: TensorId,
-    rect: Rect,
+    rect: RectId,
     /// Destinations (broadcast) or sources (reduce), in emission order.
     peers: Vec<usize>,
     /// The stream positions of the fan's sends, ascending; each send's
@@ -192,12 +191,8 @@ struct Fan {
     sends: Vec<usize>,
 }
 
-/// One `(root, tensor, rectangle)` of the open step: the send position
-/// and peer of its first transfer, until a second one makes it a fan.
-enum Seen {
-    Once(usize, usize),
-    Fan(usize),
-}
+/// A recorded transfer: `(root, tensor, rectangle)`, peer, send position, fold.
+type Sent = ((usize, TensorId, RectId), usize, usize, bool);
 
 /// An emission unit: a single fan or a merged all-gather family.
 enum Plan {
@@ -207,7 +202,7 @@ enum Plan {
         /// Members, sorted; `pieces[i]` are the home rects member `i`
         /// contributes.
         members: Vec<usize>,
-        pieces: Vec<Vec<Rect>>,
+        pieces: Vec<Vec<RectId>>,
         /// The stream positions of the family's sends, ascending.
         sends: Vec<usize>,
     },
@@ -267,8 +262,8 @@ fn order_members(grid: &Grid, root: usize, peers: &[usize]) -> (Vec<usize>, Opti
     ordered.extend_from_slice(peers);
     let axis = line_axis(grid, &ordered);
     let root_p = grid.delinearize(root as i64);
-    // Unique keys but for repeated peers: an unstable sort is deterministic.
-    ordered[1..].sort_unstable_by_key(|&r| match axis {
+    // Unique keys but for repeated peers, each worked out once.
+    ordered[1..].sort_by_cached_key(|&r| match axis {
         Some(d) => (
             (coord(grid, r, d) - root_p[d]).rem_euclid(grid.extent(d)),
             r,
@@ -347,7 +342,7 @@ fn merge_allgathers(fans: &mut Vec<Fan>) -> Vec<Plan> {
         if !complete {
             continue;
         }
-        let mut pieces: Vec<Vec<Rect>> = vec![Vec::new(); members.len()];
+        let mut pieces: Vec<Vec<RectId>> = vec![Vec::new(); members.len()];
         let mut sends = Vec::new();
         for &i in group {
             let pos = members
@@ -383,32 +378,30 @@ pub fn recognize(program: &SpmdProgram) -> Vec<Collective> {
 }
 
 /// Builds the `Collective` record of a plan of sequential step `step`
-/// whose members are in schedule order; `depth` comes from the expanded
-/// schedule when there is one, else from the naive fan.
+/// whose members are in schedule order, its rectangles read from `rects`;
+/// `depth` comes from the expanded schedule when there is one, else from
+/// the naive fan.
 fn describe(
     plan: &Plan,
+    rects: &[Rect],
     step: usize,
     members: Vec<usize>,
     axis: Option<usize>,
     expanded_depth: Option<usize>,
 ) -> Collective {
     let (kind, tensor, rect, root, naive_depth) = match plan {
-        Plan::Single(f) if f.reduce => (
-            CollectiveKind::Reduce,
-            f.tensor,
-            f.rect,
-            f.root,
-            f.peers.len(),
-        ),
         Plan::Single(f) => (
-            CollectiveKind::Broadcast,
+            match f.reduce {
+                true => CollectiveKind::Reduce,
+                false => CollectiveKind::Broadcast,
+            },
             f.tensor,
-            f.rect,
+            rects[f.rect.0 as usize],
             f.root,
             f.peers.len(),
         ),
         Plan::AllGather { tensor, pieces, .. } => {
-            let mut all = pieces.iter().flatten();
+            let mut all = pieces.iter().flatten().map(|id| &rects[id.0 as usize]);
             let first = *all.next().expect("allgather has pieces");
             let rect = all.fold(first, |bb, r| bb.union_bb(r));
             (
@@ -453,9 +446,8 @@ pub(crate) struct Fans {
     /// The expansion of broadcasts and reductions; `None` leaves every
     /// fan as sourced.
     topology: Option<Topology>,
-    seen: HashMap<(usize, TensorId, Rect), Seen, BuildHasherDefault<FanHasher>>,
-    /// The open step's fans.
-    fans: Vec<Fan>,
+    /// The open step's transfers, in emission order.
+    sent: Vec<Sent>,
     /// The closed steps' collectives, in the order of their first sends.
     records: Vec<Collective>,
     /// The provisional tag of the next collective message. Collective
@@ -464,39 +456,6 @@ pub(crate) struct Fans {
     next_tag: u64,
     /// Where each expansion stands in the stream.
     expanded: Vec<Range<usize>>,
-}
-
-/// A multiply-rotate hasher (the Fx step) for [`Fans`]' keys. They are
-/// the lowering's own ranks, tensor ids and rectangles, which no input
-/// chooses, so SipHash's resistance to chosen keys buys nothing, and it
-/// costs a hash per transfer.
-#[derive(Default)]
-struct FanHasher(u64);
-
-impl Hasher for FanHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n.into());
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 impl Fans {
@@ -512,59 +471,54 @@ impl Fans {
     /// position `at`: a broadcast candidate rooted at its sender, or with
     /// `reduce` a fold into its receiver.
     pub(crate) fn record(&mut self, at: usize, msg: &Message, reduce: bool) {
-        let (root, peer) = if reduce {
-            (msg.to, msg.from)
-        } else {
-            (msg.from, msg.to)
-        };
-        match self.seen.entry((root, msg.tensor, msg.rect)) {
-            Entry::Vacant(first) => {
-                first.insert(Seen::Once(at, peer));
-            }
-            Entry::Occupied(mut known) => match *known.get() {
-                Seen::Fan(i) => {
-                    self.fans[i].peers.push(peer);
-                    self.fans[i].sends.push(at);
-                }
-                Seen::Once(first_at, first) => {
-                    known.insert(Seen::Fan(self.fans.len()));
-                    self.fans.push(Fan {
-                        reduce,
-                        root,
-                        tensor: msg.tensor,
-                        rect: msg.rect,
-                        peers: vec![first, peer],
-                        sends: vec![first_at, at],
-                    });
-                }
-            },
-        }
+        let (from, to) = (msg.from as usize, msg.to as usize);
+        let (root, peer) = if reduce { (to, from) } else { (from, to) };
+        self.sent
+            .push(((root, msg.tensor, msg.rect), peer, at, reduce));
     }
 
     /// Closes sequential step `step`, just emitted onto `stream`, and
     /// records its collectives: under trees or rings each one's schedule
     /// takes the place of its first send and its point-to-point messages
-    /// go. `homes` are the output's home pieces on `grid`.
+    /// go. `homes` are the output's home pieces on `grid`, `rects` the
+    /// table the messages' rectangle ids index.
     pub(crate) fn close(
         &mut self,
         grid: &Grid,
         homes: &[Vec<Rect>],
+        rects: &[Rect],
         stream: &mut Vec<(usize, SpmdOp)>,
         step: usize,
     ) {
-        self.seen.clear();
-        // A relay rank of a reduce tree folds into its accumulator, so no
-        // non-root member may own home data the payload intersects.
-        self.fans.retain(|f| {
-            let home = |&p: &usize| homes[p].iter().all(|piece| !piece.overlaps(&f.rect));
-            !f.reduce || f.peers.iter().all(home)
-        });
-        self.fans.sort_unstable_by_key(|f| f.sends[0]);
-        let plans = merge_allgathers(&mut self.fans);
+        // Two or more transfers of one `(root, tensor, rectangle)` are a
+        // fan; sorting on the send position too keeps each in emission order.
+        self.sent.sort_unstable_by_key(|&(key, _, at, _)| (key, at));
+        let groups = self.sent.chunk_by(|a, b| a.0 == b.0);
+        let mut fans: Vec<Fan> = groups
+            .filter(|sent| sent.len() > 1)
+            .map(|sent| Fan {
+                reduce: sent[0].3,
+                root: sent[0].0 .0,
+                tensor: sent[0].0 .1,
+                rect: sent[0].0 .2,
+                peers: sent.iter().map(|s| s.1).collect(),
+                sends: sent.iter().map(|s| s.2).collect(),
+            })
+            // A relay rank of a reduce tree folds into its accumulator, so
+            // no non-root member may own home data the payload intersects.
+            .filter(|f| {
+                let rect = &rects[f.rect.0 as usize];
+                let home = |&p: &usize| homes[p].iter().all(|piece| !piece.overlaps(rect));
+                !f.reduce || f.peers.iter().all(home)
+            })
+            .collect();
+        self.sent.clear();
+        fans.sort_unstable_by_key(|f| f.sends[0]);
+        let plans = merge_allgathers(&mut fans);
         let Some(topology) = self.topology else {
             self.records.extend(plans.iter().map(|plan| {
                 let (members, axis) = plan.order(grid);
-                describe(plan, step, members, axis, None)
+                describe(plan, rects, step, members, axis, None)
             }));
             return;
         };
@@ -582,7 +536,7 @@ impl Fans {
             if let Some(plan) = pending.next_if(|plan| plan.sends()[0] == start + i) {
                 let at = stream.len();
                 let tag = &mut self.next_tag;
-                let record = expand(grid, plan, step, topology, tag, stream);
+                let record = expand(grid, plan, rects, step, topology, tag, stream);
                 self.records.push(record);
                 self.expanded.push(at..stream.len());
             }
@@ -623,27 +577,15 @@ impl Fans {
 fn expand(
     grid: &Grid,
     plan: &Plan,
+    rects: &[Rect],
     step: usize,
     topology: Topology,
     next_tag: &mut u64,
     out: &mut Vec<(usize, SpmdOp)>,
 ) -> Collective {
-    let mut emit = |from: usize, to: usize, tensor: TensorId, rect: &Rect, reduce: bool| {
-        let msg = Message {
-            tag: *next_tag,
-            from,
-            to,
-            tensor,
-            rect: *rect,
-        };
+    let mut emit = |from: usize, to: usize, tensor: TensorId, rect: RectId, reduce: bool| {
+        out.extend(Message::new(*next_tag, from, to, tensor, rect).ops(reduce));
         *next_tag += 1;
-        if reduce {
-            out.push((from, SpmdOp::ReduceSend(msg)));
-            out.push((to, SpmdOp::ReduceRecv(msg)));
-        } else {
-            out.push((from, SpmdOp::Send(msg)));
-            out.push((to, SpmdOp::Recv(msg)));
-        }
     };
     let (members, axis) = plan.order(grid);
     let g = members.len();
@@ -655,13 +597,13 @@ fn expand(
                 // root's inbound edge comes last.
                 for r in (0..depth).rev() {
                     for (parent, child) in round(topology, g, r) {
-                        emit(members[child], members[parent], f.tensor, &f.rect, true);
+                        emit(members[child], members[parent], f.tensor, f.rect, true);
                     }
                 }
             } else {
                 for r in 0..depth {
                     for (from, to) in round(topology, g, r) {
-                        emit(members[from], members[to], f.tensor, &f.rect, false);
+                        emit(members[from], members[to], f.tensor, f.rect, false);
                     }
                 }
             }
@@ -678,7 +620,7 @@ fn expand(
                 for i in 0..g {
                     let origin = members[(i + g - r) % g];
                     let pos = sorted.binary_search(&origin).expect("origin is member");
-                    for rect in &pieces[pos] {
+                    for &rect in &pieces[pos] {
                         emit(members[i], members[(i + 1) % g], *tensor, rect, false);
                     }
                 }
@@ -686,7 +628,7 @@ fn expand(
             g - 1
         }
     };
-    describe(plan, step, members, axis, Some(depth))
+    describe(plan, rects, step, members, axis, Some(depth))
 }
 
 #[cfg(test)]

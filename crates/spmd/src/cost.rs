@@ -130,7 +130,8 @@ pub(crate) fn evaluate(
                 // nnz-sized payloads for compressed operand tiles: this is
                 // where the α-β model ranks the same schedule differently
                 // at 1% vs 50% density.
-                let wire = model.transfer_s(grid, m.from, m.to, program.message_bytes_with(m, nnz));
+                let bytes = program.message_bytes_with(m, nnz);
+                let wire = model.transfer_s(grid, m.from as usize, m.to as usize, bytes);
                 let arrival = clock[rank] + wire;
                 clock[rank] += wire;
                 chain[rank] += 1;

@@ -36,13 +36,13 @@
 //! same `BackendError` on both backends.
 
 use crate::collective::{CollectiveConfig, Fans};
-use crate::ops::{Message, SpmdOp};
+use crate::ops::{BoundsSpan, Message, RectId, SpmdOp};
 use crate::program::SpmdProgram;
 use distal_core::nest::{Env, Nest};
 use distal_core::{CompileError, Schedule, TensorId, TensorSpec};
 use distal_format::semantics::hierarchical_pieces;
 use distal_ir::expr::Assignment;
-use distal_machine::geom::{Point, Rect, RectIndex, RectSet};
+use distal_machine::geom::{Point, Rect, RectIndex, RectSet, RectTable};
 use distal_machine::grid::{Grid, MachineHierarchy};
 use std::fmt;
 
@@ -130,7 +130,7 @@ impl Ownership {
     /// `(rank, piece)` order.
     pub fn owners_of(&self, rect: &Rect) -> Vec<(usize, Rect)> {
         self.index
-            .query(rect)
+            .query(rect, &mut Vec::new())
             .map(|(_, piece, &rank)| (rank, piece.intersection(rect)))
             .collect()
     }
@@ -190,10 +190,12 @@ struct Holdings<'a> {
     /// `received[rank]` = what `rank` has received during this step.
     received: Vec<Vec<Rect>>,
     /// Reused by every [`Holdings::supply`]: the disjoint parts of the need
-    /// still missing, the candidate suppliers, and the transfers chosen.
+    /// still missing, the two index queries' hits, the candidate
+    /// suppliers, and the transfers chosen.
     missing: RectSet,
+    hits: (Vec<usize>, Vec<usize>),
     suppliers: Vec<(SupplierKey, Rect)>,
-    transfers: Vec<(usize, Rect)>,
+    transfers: Vec<(usize, RectId)>,
 }
 
 impl<'a> Holdings<'a> {
@@ -207,6 +209,7 @@ impl<'a> Holdings<'a> {
             scratch_index: RectIndex::default(),
             received: vec![Vec::new(); points.len()],
             missing: RectSet::new(),
+            hits: Default::default(),
             suppliers: Vec::new(),
             transfers: Vec::new(),
         }
@@ -214,8 +217,8 @@ impl<'a> Holdings<'a> {
 
     /// Sources the part of `need` that `rank` does not already hold (as a
     /// home piece or as scratch) at sequential step `step`: the
-    /// `(supplier, rectangle)` transfers in emission order, recorded as
-    /// received by `rank`.
+    /// `(supplier, rectangle)` transfers in emission order, interned in
+    /// `rects`, recorded as received by `rank`.
     ///
     /// The candidate suppliers are the other ranks' scratch rectangles and
     /// home pieces that overlap `need`, visited in ascending
@@ -234,13 +237,15 @@ impl<'a> Holdings<'a> {
         rank: usize,
         step: usize,
         need: &Rect,
-    ) -> Result<&[(usize, Rect)], SpmdError> {
+        rects: &mut RectTable,
+    ) -> Result<&[(usize, RectId)], SpmdError> {
         self.missing.clear();
         self.suppliers.clear();
         self.transfers.clear();
         self.missing.add(*need);
-        let home = self.home.index.query(need).map(|hit| (1, hit));
-        let scratch = self.scratch_index.query(need).map(|hit| (0, hit));
+        let home = self.home.index.query(need, &mut self.hits.0);
+        let scratch = self.scratch_index.query(need, &mut self.hits.1);
+        let (home, scratch) = (home.map(|hit| (1, hit)), scratch.map(|hit| (0, hit)));
         for (class, (seq, held, &holder)) in home.chain(scratch) {
             if holder == rank {
                 self.missing.subtract(held);
@@ -255,18 +260,19 @@ impl<'a> Holdings<'a> {
                 break;
             }
             // `held` supplies its intersection with each missing part.
-            let first = self.transfers.len();
+            let first = self.received[rank].len();
             let missing = self.missing.rects().iter();
             let parts = missing.filter(|missing| held.overlaps(missing));
-            let parts = parts.map(|missing| (holder, held.intersection(missing)));
-            self.transfers.extend(parts);
+            self.received[rank].extend(parts.map(|missing| held.intersection(missing)));
+            let parts = self.received[rank][first..].iter();
+            let first = self.transfers.len();
+            let interned = parts.map(|&part| (holder, RectId(rects.intern(part))));
+            self.transfers.extend(interned);
             if self.transfers.len() == first {
                 continue;
             }
             // Removes exactly those parts: the missing rectangles are disjoint.
             self.missing.subtract(&held);
-            let parts = self.transfers[first..].iter().map(|&(_, part)| part);
-            self.received[rank].extend(parts);
         }
         match self.missing.rects().first() {
             None => Ok(&self.transfers),
@@ -283,10 +289,8 @@ impl<'a> Holdings<'a> {
     /// the scratch of the step before retires.
     fn advance(&mut self) {
         for (set, rects) in self.scratch.iter_mut().zip(&mut self.received) {
-            *set = RectSet::new();
-            for r in rects.drain(..) {
-                set.add(r);
-            }
+            set.clear();
+            rects.drain(..).for_each(|r| set.add(r));
         }
         let by_rank = self.scratch.iter().enumerate();
         self.scratch_index = RectIndex::new(
@@ -385,10 +389,13 @@ pub(crate) fn lower_with(
     let out_dims = &tensors[out.index()].dims;
     let out_owners = owners[out.index()].as_ref();
     let out_owners = out_owners.expect("the destination is accessed");
+    let homes = out_owners.pieces();
 
-    // The one copy of every op: the global `(rank, op)` stream, each step
-    // closed in its final form, filed into the per-rank lists at the end.
+    // The global `(rank, op)` stream, each step closed in its final form,
+    // filed into the per-rank lists at the end, and the tables it names.
     let mut stream: Vec<(usize, SpmdOp)> = Vec::new();
+    let mut rects = RectTable::default();
+    let mut arena: Vec<(i64, i64)> = Vec::new();
     let mut tag = 0u64;
     let mut fans = Fans::new(collectives);
 
@@ -419,21 +426,14 @@ pub(crate) fn lower_with(
                 let need = nest.access_rect(a, &env, &tensors[tensor.index()].dims);
                 let flow = holdings[tensor.index()].as_mut();
                 let flow = flow.expect("every accessed tensor has holdings");
-                for &(from, rect) in flow.supply(rank, step, &need)? {
-                    let msg = Message {
-                        tag,
-                        from,
-                        to: rank,
-                        tensor,
-                        rect,
-                    };
+                for &(from, rect) in flow.supply(rank, step, &need, &mut rects)? {
+                    let msg = Message::new(tag, from, rank, tensor, rect);
                     tag += 1;
                     // An output message is a per-owner write, not a payload.
                     if tensor != out {
                         fans.record(stream.len(), &msg, false);
                     }
-                    stream.push((from, SpmdOp::Send(msg)));
-                    stream.push((rank, SpmdOp::Recv(msg)));
+                    stream.extend(msg.ops(false));
                 }
             }
 
@@ -444,10 +444,11 @@ pub(crate) fn lower_with(
             }
             let flops = flops_per_point * iter_points;
             total_flops += flops;
+            let bounds = BoundsSpan::push(&mut arena, bounds);
             stream.push((rank, SpmdOp::Compute { bounds, flops }));
         }
 
-        fans.close(&grid, out_owners.pieces(), &mut stream, step);
+        fans.close(&grid, homes, rects.rects(), &mut stream, step);
 
         // Step boundary: retire old scratch, promote this step's receives.
         if !nest.seq_extents.is_empty() {
@@ -469,27 +470,17 @@ pub(crate) fn lower_with(
                 if owner == rank {
                     continue;
                 }
-                let msg = Message {
-                    tag,
-                    from: rank,
-                    to: owner,
-                    tensor: out,
-                    rect: piece,
-                };
+                let msg = Message::new(tag, rank, owner, out, RectId(rects.intern(piece)));
                 tag += 1;
                 if nest.dist_reduces {
                     fans.record(stream.len(), &msg, true);
-                    stream.push((rank, SpmdOp::ReduceSend(msg)));
-                    stream.push((owner, SpmdOp::ReduceRecv(msg)));
-                } else {
-                    stream.push((rank, SpmdOp::Send(msg)));
-                    stream.push((owner, SpmdOp::Recv(msg)));
                 }
+                stream.extend(msg.ops(nest.dist_reduces));
             }
         }
     }
 
-    fans.close(&grid, out_owners.pieces(), &mut stream, retired);
+    fans.close(&grid, homes, rects.rects(), &mut stream, retired);
     let (collectives, unexpanded) = fans.finish(&mut stream, tag);
 
     // Choose the leaf kernel now, at lowering (= plan) time: the rank VM
@@ -506,7 +497,10 @@ pub(crate) fn lower_with(
         tensors: tensors.to_vec(),
         nnz: vec![None; tensors.len()],
         accessed,
-        programs: vec![Vec::new(); ranks],
+        ops: Vec::new(),
+        starts: vec![0; ranks + 1],
+        rects,
+        bounds: arena,
         order: Vec::new(),
         owners,
         access_positions: assignment.access_positions(),
@@ -518,7 +512,7 @@ pub(crate) fn lower_with(
         tasks: 0,
         derived: Default::default(),
     };
-    program.install(stream);
+    program.install(&stream);
     Ok(program)
 }
 
@@ -535,14 +529,24 @@ pub(crate) mod tests {
         grid: &Grid,
         schedule: &Schedule,
     ) -> Result<SpmdProgram, SpmdError> {
+        let trees = CollectiveConfig::default();
+        lower_under(assignment, tensors, grid, schedule, &trees)
+    }
+
+    pub(crate) fn lower_under(
+        assignment: &Assignment,
+        tensors: &[TensorSpec],
+        grid: &Grid,
+        schedule: &Schedule,
+        collectives: &CollectiveConfig,
+    ) -> Result<SpmdProgram, SpmdError> {
         let machine = MachineHierarchy::flat(grid.clone());
-        let collectives = CollectiveConfig::default();
         let dims = tensors
             .iter()
             .map(|t| (t.name.clone(), t.dims.clone()))
             .collect();
         let nest = Nest::new(assignment, &dims, schedule).map_err(SpmdError::Compile)?;
-        lower_with(nest, assignment, tensors, &machine, schedule, &collectives)
+        lower_with(nest, assignment, tensors, &machine, schedule, collectives)
     }
 
     pub(crate) fn tiled_tensors(n: i64) -> Vec<TensorSpec> {
@@ -692,14 +696,14 @@ pub(crate) mod tests {
             vec![whole.restrict(0, 2, 2)],
         ]);
         let mut holdings = Holdings::new("B", &grid, &points, &home);
+        let mut rects = RectTable::default();
         // What is held is still found...
         let rows = whole.restrict(0, 1, 2);
-        assert_eq!(
-            holdings.supply(0, 0, &rows).unwrap(),
-            vec![(1, whole.restrict(0, 2, 2))]
-        );
+        let got = holdings.supply(0, 0, &rows, &mut rects).unwrap().to_vec();
+        let part = RectId(rects.intern(whole.restrict(0, 2, 2)));
+        assert_eq!(got, vec![(1, part)]);
         // ...and the hole is named, not lowered past.
-        let err = holdings.supply(0, 3, &whole).unwrap_err();
+        let err = holdings.supply(0, 3, &whole, &mut rects).unwrap_err();
         assert_eq!(
             err,
             SpmdError::Uncovered {
@@ -765,6 +769,7 @@ pub(crate) mod tests {
             let points: Vec<Point> = grid.points().collect();
             let home = ownership(&tensor, &MachineHierarchy::flat(grid.clone()), &points);
             let mut holdings = Holdings::new("T", &grid, &points, &home);
+            let mut rects = RectTable::default();
             // Needs: (start, length) per dimension, clipped to the tensor;
             // length 0 is an empty need.
             let mut needs = needs.iter().map(|&((r0, rn), (c0, cn))| {
@@ -779,7 +784,8 @@ pub(crate) mod tests {
                     // Two accesses per rank and step.
                     for need in needs.by_ref().take(2) {
                         let want = holdings.supply_by_scan(rank, &need);
-                        let got = holdings.supply(rank, step, &need).unwrap().to_vec();
+                        let got = holdings.supply(rank, step, &need, &mut rects).unwrap().to_vec();
+                        let got: Vec<_> = got.iter().map(|&(from, id)| (from, rects.rects()[id.0 as usize])).collect();
                         prop_assert_eq!(&got, &want, "rank {} step {} needs {}", rank, step, need);
                     }
                 }

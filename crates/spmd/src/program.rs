@@ -2,20 +2,22 @@
 //!
 //! Its ops and per-tensor tables carry a [`TensorId`], an index into the
 //! one name table, [`SpmdProgram::tensors`]; a name is looked up only
-//! where it arrives (binding, reading).
+//! where it arrives (binding, reading). Rectangles and leaf bounds are
+//! read the same way ([`SpmdProgram::rect`], [`SpmdProgram::bounds`]).
 
 use crate::collective::Collective;
 use crate::cost::{AlphaBeta, CostReport};
 use crate::lower::{Ownership, SpmdError};
-use crate::ops::{Message, Named, SpmdOp};
+use crate::ops::{BoundsSpan, Message, Named, RectId, SpmdOp};
 use crate::resolve::Resolved;
 use crate::stats::CommStats;
 use crate::transport::Transport;
 use crate::vm::{Homes, Run};
 use distal_core::{TensorId, TensorSpec};
 use distal_ir::expr::Assignment;
-use distal_machine::geom::{Point, Rect};
+use distal_machine::geom::{Point, Rect, RectTable};
 use distal_machine::grid::Grid;
+use distal_machine::ELEM_BYTES;
 use distal_runtime::kernel::Kernel;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -63,8 +65,15 @@ pub struct SpmdProgram {
     /// The tensor of each of the statement's [`Assignment::accesses`]: the
     /// destination first, then the right-hand side in order.
     pub(crate) accessed: Vec<TensorId>,
-    /// Per-rank operation lists (the "MPI program" of each rank).
-    pub(crate) programs: Vec<Vec<SpmdOp>>,
+    /// Every rank's operation list (the "MPI program" of each rank), rank
+    /// after rank: rank `r`'s is `ops[starts[r]..starts[r + 1]]`.
+    pub(crate) ops: Vec<SpmdOp>,
+    pub(crate) starts: Vec<usize>,
+    /// The rectangles messages name ([`SpmdProgram::rect`]), each once.
+    pub(crate) rects: RectTable,
+    /// The arena `Compute` ops name their bounds in
+    /// ([`SpmdProgram::bounds`]).
+    pub(crate) bounds: Vec<(i64, i64)>,
     /// The global execution order as a rank sequence: its `k`-th occurrence
     /// of rank `r` stands for `programs[r][k]`. Compile-time determinism
     /// makes deadlock impossible.
@@ -131,72 +140,89 @@ pub struct MeasuredRun {
 impl SpmdProgram {
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
-        self.programs.len()
+        self.starts.len() - 1
     }
 
     /// One rank's operations.
     pub fn rank_ops(&self, rank: usize) -> &[SpmdOp] {
-        &self.programs[rank]
+        &self.ops[self.starts[rank]..self.starts[rank + 1]]
+    }
+
+    /// The rectangle `id` names.
+    pub fn rect(&self, id: RectId) -> &Rect {
+        &self.rects.rects()[id.0 as usize]
+    }
+
+    /// The leaf bounds `span` names.
+    pub fn bounds(&self, span: BoundsSpan) -> &[(i64, i64)] {
+        let start = span.start as usize;
+        &self.bounds[start..start + span.len as usize]
+    }
+
+    /// The id of `rect`, added to the table when new: how an edit gives a
+    /// message a rectangle the lowering never emitted.
+    pub fn intern(&mut self, rect: Rect) -> RectId {
+        RectId(self.rects.intern(rect))
+    }
+
+    /// `bounds`, added to the arena: how an edit gives a leaf bounds the
+    /// lowering never emitted.
+    pub fn intern_bounds(&mut self, bounds: &[(i64, i64)]) -> BoundsSpan {
+        BoundsSpan::push(&mut self.bounds, bounds.iter().copied())
     }
 
     /// Every `(rank, op)` in global execution order — a linearization in
     /// which each send precedes its matching receive and every rank's ops
     /// appear in that rank's program order.
     pub fn in_order(&self) -> impl Iterator<Item = (usize, &SpmdOp)> {
-        let mut next = vec![0usize; self.ranks()];
+        let mut next = self.starts.clone();
         self.order.iter().map(move |&rank| {
-            let op = &self.programs[rank][next[rank]];
             next[rank] += 1;
-            (rank, op)
+            (rank, &self.ops[next[rank] - 1])
         })
     }
 
-    /// Files a global `(rank, op)` stream into the still empty per-rank
-    /// lists (each op moved, none copied) and records its order.
-    /// What the program derived from its old ops is dropped with them.
-    pub(crate) fn install(&mut self, stream: Vec<(usize, SpmdOp)>) {
-        debug_assert!(self.programs.iter().all(Vec::is_empty));
+    /// Files a global `(rank, op)` stream rank after rank, each rank's ops
+    /// in stream order, and records its order. What the program derived
+    /// from its old ops is dropped with them.
+    pub(crate) fn install(&mut self, stream: &[(usize, SpmdOp)]) {
         self.order = stream.iter().map(|(rank, _)| *rank).collect();
-        let computes = stream
-            .iter()
-            .filter(|(_, op)| matches!(op, SpmdOp::Compute { .. }));
-        self.tasks = computes.count() as u64;
         self.derived = Arc::default();
-        // Each list is sized once: one counting pass, then no regrowth.
-        let mut lengths = vec![0usize; self.programs.len()];
-        for &rank in &self.order {
-            lengths[rank] += 1;
-        }
-        for (list, length) in self.programs.iter_mut().zip(lengths) {
-            list.reserve_exact(length);
-        }
+        // A counting sort by rank: count, sum, then file each op (the
+        // filler is overwritten everywhere).
+        self.starts.fill(0);
+        self.tasks = 0;
         for (rank, op) in stream {
-            self.programs[rank].push(op);
+            self.starts[rank + 1] += 1;
+            self.tasks += u64::from(matches!(op, SpmdOp::Compute { .. }));
+        }
+        for r in 1..self.starts.len() {
+            self.starts[r] += self.starts[r - 1];
+        }
+        let mut next = self.starts.clone();
+        self.ops = vec![SpmdOp::RetireScratch { keep: 0 }; stream.len()];
+        for &(rank, op) in stream {
+            self.ops[next[rank]] = op;
+            next[rank] += 1;
         }
     }
 
     /// Rewrites the program through its global `(rank, op)` stream: the ops
-    /// move out in global order, `edit` changes the stream, and the result
-    /// is filed back — so the rank lists and the global order cannot
+    /// are read out in global order, `edit` changes the stream, and the
+    /// result is filed back — so the rank lists and the global order cannot
     /// disagree, whatever was dropped, added, moved or edited in place.
     /// The next execution resolves what the program now says. (How the
-    /// mutation suites corrupt programs.)
+    /// mutation suites corrupt programs; a new rectangle or new bounds
+    /// come from [`SpmdProgram::intern`] and
+    /// [`SpmdProgram::intern_bounds`].)
     ///
     /// # Panics
     ///
     /// Panics when `edit` names a rank outside the program.
     pub fn rewrite(&mut self, edit: impl FnOnce(&mut Vec<(usize, SpmdOp)>)) {
-        let mut lists: Vec<_> = std::mem::take(&mut self.programs)
-            .into_iter()
-            .map(Vec::into_iter)
-            .collect();
-        self.programs = vec![Vec::new(); lists.len()];
-        let mut stream = std::mem::take(&mut self.order)
-            .into_iter()
-            .map(|rank| (rank, lists[rank].next().expect("order covers every op")))
-            .collect();
+        let mut stream = self.in_order().map(|(rank, op)| (rank, *op)).collect();
         edit(&mut stream);
-        self.install(stream);
+        self.install(&stream);
     }
 
     /// `item` rendered with its tensor's name: `format!("{}",
@@ -239,6 +265,12 @@ impl SpmdProgram {
             .collect()
     }
 
+    /// Bytes of `m`'s rectangle as a flat dense tile ([`ELEM_BYTES`]-sized
+    /// elements, shared with the dynamic runtime's region accounting).
+    pub fn dense_bytes(&self, m: &Message) -> u64 {
+        self.rect(m.rect).volume() as u64 * ELEM_BYTES
+    }
+
     /// Wire bytes of one message. Tiles of compressed *operand* tensors
     /// ship CSR `pos`/`crd`/`vals` payloads sized by the tensor's global
     /// density, 1 while its nnz is unknown (the static estimate;
@@ -253,18 +285,19 @@ impl SpmdProgram {
     /// (one entry per tensor when any tensor is compressed).
     pub(crate) fn message_bytes_with(&self, m: &Message, nnz: &[Option<u64>]) -> u64 {
         if m.tensor == self.output() {
-            return m.bytes();
+            return self.dense_bytes(m);
         }
         match self.tensors.get(m.tensor.index()) {
             Some(t) if t.format.has_compressed() => {
-                let volume = m.rect.volume().max(0) as u64;
-                let rows = volume / rect_inner_extent(&m.rect);
+                let rect = self.rect(m.rect);
+                let volume = rect.volume().max(0) as u64;
+                let rows = volume / rect_inner_extent(rect);
                 let dense = t.dims.iter().product::<i64>().max(1) as u64;
                 let nnz = nnz[m.tensor.index()].unwrap_or(dense).min(dense);
                 let density = nnz as f64 / dense as f64;
                 distal_sparse::estimated_payload_bytes(volume, rows, density)
             }
-            _ => m.bytes(),
+            _ => self.dense_bytes(m),
         }
     }
 

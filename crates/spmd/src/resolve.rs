@@ -44,7 +44,7 @@
 //! the gather recipe; a part nobody holds becomes a [`Step::Fail`] naming
 //! it, raised when the walk reaches that op.
 
-use crate::ops::{Message, SpmdOp};
+use crate::ops::SpmdOp;
 use crate::program::SpmdProgram;
 use distal_core::TensorId;
 use distal_machine::geom::Rect;
@@ -423,22 +423,21 @@ impl<'p> Store<'p> {
         freed
     }
 
-    /// How a send of `m` makes its payload. An output partial sum is
-    /// copied out of the accumulators, which later leaves and folds still
-    /// write; an input rectangle one buffer holds is lent. `Err` holds the
-    /// first part of `m`'s rectangle no buffer holds.
-    fn payload(&mut self, m: &Message) -> Result<Payload, Rect> {
-        let tensor = m.tensor.index();
+    /// How a send of `rect` of tensor `tensor` makes its payload. An
+    /// output partial sum is copied out of the accumulators, which later
+    /// leaves and folds still write; an input rectangle one buffer holds is
+    /// lent. `Err` holds the first part of `rect` no buffer holds.
+    fn payload(&mut self, tensor: usize, rect: &Rect) -> Result<Payload, Rect> {
         let parts = if tensor == self.out {
-            gather(&self.acc, &m.rect)
-        } else if let Some(Src::View(view)) = self.lend(tensor, &m.rect) {
+            gather(&self.acc, rect)
+        } else if let Some(Src::View(view)) = self.lend(tensor, rect) {
             return Ok(Payload::Lend(view));
         } else {
-            gather(self.bufs(tensor), &m.rect)
+            gather(self.bufs(tensor), rect)
         };
         let parts = parts?;
         Ok(Payload::Copy {
-            into: self.new_owned(&m.rect),
+            into: self.new_owned(rect),
             parts,
         })
     }
@@ -611,8 +610,9 @@ fn resolve_rank(
                 Step::Fail(format!("{}: no such tensor", program.named(op)))
             }
             SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
-                let payload = match m.to < mailbox.len() {
-                    true => s.payload(m).map_err(|missing| {
+                let (to, rect) = (m.to as usize, program.rect(m.rect));
+                let payload = match to < mailbox.len() {
+                    true => s.payload(m.tensor.index(), rect).map_err(|missing| {
                         let m = program.named(m);
                         format!("send of {m}: no valid local copy of {missing}")
                     }),
@@ -620,12 +620,12 @@ fn resolve_rank(
                 };
                 match payload {
                     Ok(payload) => {
-                        let ordinal = receives.get(&(m.to, m.tag)).copied().unwrap_or_else(|| {
-                            mailbox[m.to] += 1;
-                            mailbox[m.to] - 1
+                        let ordinal = receives.get(&(to, m.tag)).copied().unwrap_or_else(|| {
+                            mailbox[to] += 1;
+                            mailbox[to] - 1
                         });
                         Step::Send {
-                            to: m.to,
+                            to,
                             ordinal,
                             payload,
                             csr: compressed(m.tensor.index()),
@@ -636,13 +636,14 @@ fn resolve_rank(
             }
             SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => {
                 let landing = match m.tensor == out {
-                    true => Landing::Fold(s.fold(&m.rect)),
-                    false => Landing::View(s.receive(m.tensor.index(), &m.rect)),
+                    true => Landing::Fold(s.fold(program.rect(m.rect))),
+                    false => Landing::View(s.receive(m.tensor.index(), program.rect(m.rect))),
                 };
                 let ordinal = receive.next().expect("an unbounded range");
                 Step::Recv { ordinal, landing }
             }
             SpmdOp::Compute { bounds, .. } => {
+                let bounds = program.bounds(*bounds);
                 let leaf = program.leaf_rects(bounds).map(|rects| {
                     let leaf = s.leaf(program, bounds, rects, operands, csr_arg);
                     leaf.map(Box::new)

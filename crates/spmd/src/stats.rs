@@ -36,11 +36,11 @@ pub struct CommStats {
 
 impl CommStats {
     /// Builds statistics from a message list of `program` (its grid, rank
-    /// count and tensor names), each message charged its flat dense
-    /// payload ([`Message::bytes`]).
+    /// count, rectangles and tensor names), each message charged its flat
+    /// dense payload ([`SpmdProgram::dense_bytes`]).
     pub fn from_messages(program: &SpmdProgram, messages: &[&Message]) -> Self {
-        let weighted: Vec<(&Message, u64)> = messages.iter().map(|m| (*m, m.bytes())).collect();
-        CommStats::from_weighted(program, &weighted)
+        let dense = messages.iter().map(|&m| (m, program.dense_bytes(m)));
+        CommStats::from_weighted(program, &dense.collect::<Vec<_>>())
     }
 
     /// Builds statistics from messages with explicit per-message wire
@@ -58,7 +58,7 @@ impl CommStats {
             let bytes = *bytes;
             s.messages += 1;
             s.bytes += bytes;
-            s.matrix[m.from][m.to] += bytes;
+            s.matrix[m.from as usize][m.to as usize] += bytes;
             let d = torus_distance(
                 grid,
                 &grid.delinearize(m.from as i64),
@@ -94,21 +94,22 @@ mod tests {
     use crate::lower::tests::matmul_2x2;
     use distal_machine::geom::Rect;
 
-    fn msg(tag: u64, from: usize, to: usize, vol: i64) -> Message {
+    fn msg(program: &mut SpmdProgram, tag: u64, from: u32, to: u32, vol: i64) -> Message {
         Message {
             tag,
             from,
             to,
             tensor: TensorId(1),
-            rect: Rect::sized(&[vol]),
+            rect: program.intern(Rect::sized(&[vol])),
         }
     }
 
     #[test]
     fn aggregates() {
-        let m0 = msg(0, 0, 1, 4); // distance 1
-        let m1 = msg(1, 0, 3, 2); // distance 2
-        let s = CommStats::from_messages(&matmul_2x2(), &[&m0, &m1]);
+        let mut p = matmul_2x2();
+        let m0 = msg(&mut p, 0, 0, 1, 4); // distance 1
+        let m1 = msg(&mut p, 1, 0, 3, 2); // distance 2
+        let s = CommStats::from_messages(&p, &[&m0, &m1]);
         assert_eq!(s.messages, 2);
         assert_eq!(s.bytes, 48);
         assert_eq!(s.matrix[0][1], 32);

@@ -15,7 +15,9 @@
 //! * `RetireScratch` becomes a `Fence`: landings before it are retired,
 //!   so the hazard check's overlap window resets.
 //! * Events carry the ops' tensor ids, and the verifier reads the names
-//!   from the program's table: the view copies no string.
+//!   from the program's table: the view copies no string. A message's
+//!   rectangle and a leaf's bounds are read from the program's rectangle
+//!   table and bounds arena as the event is made.
 //!
 //! [`verify_program`] is what `SpmdBackend::plan` calls, in either mode —
 //! once per plan, cached with it, free on every subsequent bind. It reads
@@ -30,23 +32,23 @@ use distal_verify::{Access, Event, Events, Msg, VerifyProgram};
 
 impl Events for SpmdProgram {
     fn ranks(&self) -> usize {
-        self.programs.len()
+        self.starts.len() - 1
     }
 
     fn events(&self, rank: usize) -> usize {
-        self.programs[rank].len()
+        self.rank_ops(rank).len()
     }
 
     fn event(&self, rank: usize, i: usize) -> Event<impl Iterator<Item = Access> + '_> {
-        let msg = |m: &Message, peer: usize, reduce: bool| Msg {
+        let msg = |m: &Message, peer: u32, reduce: bool| Msg {
             tag: m.tag,
-            peer,
+            peer: peer as usize,
             tensor: m.tensor,
-            rect: m.rect,
+            rect: *self.rect(m.rect),
             bytes: self.message_bytes(m),
             fold: reduce || m.tensor == self.output(),
         };
-        match &self.programs[rank][i] {
+        match &self.rank_ops(rank)[i] {
             SpmdOp::Send(m) => Event::Send(msg(m, m.to, false)),
             SpmdOp::Recv(m) => Event::Recv(msg(m, m.from, false)),
             SpmdOp::ReduceSend(m) => Event::Send(msg(m, m.to, true)),
@@ -56,7 +58,7 @@ impl Events for SpmdProgram {
             // nothing.
             SpmdOp::Compute { bounds, .. } => Event::Task {
                 accesses: self
-                    .leaf_rects(bounds)
+                    .leaf_rects(self.bounds(*bounds))
                     .into_iter()
                     .flatten()
                     .zip(&self.accessed)
@@ -87,29 +89,7 @@ impl Events for SpmdProgram {
 
 /// Copies an [`SpmdProgram`]'s events into the verifier's event IR.
 pub fn to_verify_ir(program: &SpmdProgram) -> VerifyProgram<'_> {
-    let ranks = (0..program.ranks())
-        .map(|rank| {
-            (0..program.rank_ops(rank).len())
-                .map(|i| match program.event(rank, i) {
-                    Event::Send(m) => Event::Send(m),
-                    Event::Recv(m) => Event::Recv(m),
-                    Event::Task { accesses } => Event::Task {
-                        accesses: accesses.collect(),
-                    },
-                    Event::Fence => Event::Fence,
-                })
-                .collect()
-        })
-        .collect();
-    VerifyProgram {
-        tensors: program
-            .tensors
-            .iter()
-            .map(|t| (t.name.as_str(), Rect::sized(&t.dims)))
-            .collect(),
-        ranks,
-        reduces: program.dist_reduces,
-    }
+    VerifyProgram::from_events(program)
 }
 
 /// Runs the static verifier over a lowered program, reading its rank

@@ -312,6 +312,7 @@ impl<'a> Tables<'a> {
                 RankRun {
                     rank,
                     plan,
+                    program,
                     ops: program.rank_ops(rank),
                     pc: 0,
                     views,
@@ -329,6 +330,7 @@ impl<'a> Tables<'a> {
 pub(crate) struct RankRun<'r, 'a> {
     pub(crate) rank: usize,
     pub(crate) plan: &'a RankPlan,
+    program: &'a SpmdProgram,
     ops: &'a [SpmdOp],
     pc: usize,
     views: &'r mut [Option<View<'a>>],
@@ -379,7 +381,8 @@ impl<'a> RankRun<'_, 'a> {
                     }
                 };
                 if *csr {
-                    self.csr_bytes.push(exact_bytes(alloc, data, &m.rect));
+                    let bytes = exact_bytes(alloc, data, self.program.rect(m.rect));
+                    self.csr_bytes.push(bytes);
                 }
                 post.send(Packet {
                     to: *to,
@@ -631,7 +634,7 @@ impl Run {
                 if let (Step::Send { csr, .. }, Some(m)) = (step, op.message()) {
                     let bytes = match csr {
                         true => *exact.next().expect("one count per compressed send"),
-                        false => m.bytes(),
+                        false => program.dense_bytes(m),
                     };
                     sent.push((m, bytes));
                 }

@@ -494,7 +494,7 @@ fn johnson_folds_distributed_reduction() {
         assert_eq!(from[2], 1);
         assert_eq!(to[2], 0);
         assert_eq!((from[0], from[1]), (to[0], to[1]));
-        assert_eq!(m.rect.volume(), 16); // (8/2)^2 tiles
+        assert_eq!(program.rect(m.rect).volume(), 16); // (8/2)^2 tiles
     }
 }
 
@@ -615,7 +615,7 @@ fn replayed_peak_scratch(program: &distal_spmd::SpmdProgram) -> u64 {
                     if tensor.is_empty() {
                         tensor.push_front(0);
                     }
-                    tensor[0] += m.bytes();
+                    tensor[0] += program.dense_bytes(m);
                 }
                 SpmdOp::RetireScratch { keep } => {
                     for tensor in gens.values_mut() {

@@ -75,8 +75,12 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, CALLS.load(Ordering::Relaxed) - before)
 }
 
+/// `lower_problem` + `verify_program` allocator calls per rank op: 0.20,
+/// 0.30 and 0.46 for Cannon, PUMMA and SUMMA when this bound was set.
+const PER_RANK_OP: f64 = 0.55;
+
 #[test]
-fn the_plan_path_allocates_less_than_twice_per_rank_op() {
+fn the_plan_path_allocates_about_once_per_two_rank_ops() {
     let (p, n, chunk) = (256, 512, 128);
     for alg in [
         MatmulAlgorithm::Cannon,
@@ -108,7 +112,7 @@ fn the_plan_path_allocates_less_than_twice_per_rank_op() {
             alg.name()
         );
         assert!(
-            per_op <= 2.0,
+            per_op <= PER_RANK_OP,
             "{}: {per_op:.2} per rank op{MOVED}",
             alg.name()
         );

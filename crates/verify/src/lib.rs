@@ -148,6 +148,34 @@ pub struct VerifyProgram<'n> {
     pub reduces: bool,
 }
 
+impl<'n> VerifyProgram<'n> {
+    /// Copies `program`, read through its [`Events`] view, into the IR.
+    pub fn from_events(program: &'n impl Events) -> Self {
+        let ranks = (0..program.ranks())
+            .map(|rank| {
+                (0..program.events(rank))
+                    .map(|i| match program.event(rank, i) {
+                        Event::Send(m) => Event::Send(m),
+                        Event::Recv(m) => Event::Recv(m),
+                        Event::Task { accesses } => Event::Task {
+                            accesses: accesses.collect(),
+                        },
+                        Event::Fence => Event::Fence,
+                    })
+                    .collect()
+            })
+            .collect();
+        let tensors = (0..program.tensor_count() as u32)
+            .map(|t| program.tensor(TensorId(t)).expect("a declared tensor"))
+            .collect();
+        VerifyProgram {
+            tensors,
+            ranks,
+            reduces: program.reduces(),
+        }
+    }
+}
+
 impl Events for VerifyProgram<'_> {
     fn ranks(&self) -> usize {
         self.ranks.len()

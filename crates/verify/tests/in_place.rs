@@ -75,10 +75,12 @@ fn shift(r: &Rect, d: i64) -> Rect {
     Rect::new(moved(r.lo()), moved(r.hi()))
 }
 
-/// One random corruption of `stream`: drop an op, duplicate it, re-tag a
-/// message, shift a rectangle or a leaf's bounds, or move an op elsewhere
-/// in the stream, possibly onto another rank.
-fn corrupt(rng: &mut Rng, stream: &mut Vec<(usize, SpmdOp)>, ranks: usize) {
+/// One random corruption of `stream`, the op stream of `program`: drop an
+/// op, duplicate it, re-tag a message, shift a rectangle or a leaf's
+/// bounds (interned in `program`), or move an op elsewhere in the stream,
+/// possibly onto another rank.
+fn corrupt(rng: &mut Rng, program: &mut SpmdProgram, stream: &mut Vec<(usize, SpmdOp)>) {
+    let ranks = program.ranks();
     if stream.is_empty() {
         return;
     }
@@ -89,7 +91,7 @@ fn corrupt(rng: &mut Rng, stream: &mut Vec<(usize, SpmdOp)>, ranks: usize) {
             stream.remove(at);
         }
         1 => {
-            let copy = stream[at].clone();
+            let copy = stream[at];
             stream.insert(rng.below(stream.len() + 1), copy);
         }
         2 => {
@@ -100,13 +102,13 @@ fn corrupt(rng: &mut Rng, stream: &mut Vec<(usize, SpmdOp)>, ranks: usize) {
         }
         3 => match &mut stream[at].1 {
             SpmdOp::Compute { bounds, .. } => {
-                for (lo, hi) in bounds.iter_mut() {
-                    (*lo, *hi) = (*lo + d, *hi + d);
-                }
+                let shifted = program.bounds(*bounds).iter();
+                let shifted: Vec<_> = shifted.map(|&(lo, hi)| (lo + d, hi + d)).collect();
+                *bounds = program.intern_bounds(&shifted);
             }
             op => {
                 if let Some(m) = message_mut(op) {
-                    m.rect = shift(&m.rect, d);
+                    m.rect = program.intern(shift(program.rect(m.rect), d));
                 }
             }
         },
@@ -149,12 +151,11 @@ fn verifying_in_place_finds_what_verifying_the_copy_finds() {
         assert_eq!(clean, distal_verify::verify(&to_verify_ir(program)));
         for _ in 0..40 {
             let mut corrupted = program.clone();
-            let ranks = corrupted.ranks();
-            corrupted.rewrite(|stream| {
-                for _ in 0..1 + rng.below(3) {
-                    corrupt(&mut rng, stream, ranks);
-                }
-            });
+            let mut stream: Vec<_> = corrupted.in_order().map(|(r, op)| (r, *op)).collect();
+            for _ in 0..1 + rng.below(3) {
+                corrupt(&mut rng, &mut corrupted, &mut stream);
+            }
+            corrupted.rewrite(|s| *s = stream);
             let in_place = verify_program(&corrupted);
             let copied = distal_verify::verify(&to_verify_ir(&corrupted));
             assert_eq!(in_place, copied, "{corrupted:#?}");

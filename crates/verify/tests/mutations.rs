@@ -161,7 +161,11 @@ fn mutation_dropped_send_is_a_lost_message() {
         .iter()
         .find(|d| d.kind == DiagnosticKind::LostMessage)
         .unwrap_or_else(|| panic!("expected a lost-message diagnostic: {diags:?}"));
-    assert_eq!(d.rank, Some(lost.to), "must name the blocked receiver");
+    assert_eq!(
+        d.rank,
+        Some(lost.to as usize),
+        "must name the blocked receiver"
+    );
     assert_eq!(d.tag, Some(lost.tag));
     assert_eq!(
         d.tensor.as_deref(),
@@ -238,11 +242,13 @@ fn shift(r: &distal_machine::geom::Rect, d: i64) -> distal_machine::geom::Rect {
 #[test]
 fn mutation_out_of_bounds_rect_rejected() {
     let mut program = figure9(MatmulAlgorithm::Summa, 4, 8, &CollectiveConfig::trees());
-    let bad_tag = program.messages().first().map(|m| m.tag).unwrap();
+    let bad = program.messages().first().map(|m| **m).unwrap();
+    let (bad_tag, shifted) = (bad.tag, shift(program.rect(bad.rect), 1000));
+    let shifted = program.intern(shifted);
     let mut skewed = None;
     edit_messages(&mut program, |_, m| {
         if m.tag == bad_tag {
-            m.rect = shift(&m.rect, 1000);
+            m.rect = shifted;
             skewed = Some((m.tensor, m.tag));
         }
     });
@@ -306,7 +312,7 @@ fn mutation_cyclic_wait_is_a_deadlock() {
     // On each endpoint rank, move the receive of the opposing message to
     // the very front of its program — before its own send.
     program.rewrite(|stream| {
-        for (rank, recv_tag) in [(m1.from, m2.tag), (m2.from, m1.tag)] {
+        for (rank, recv_tag) in [(m1.from as usize, m2.tag), (m2.from as usize, m1.tag)] {
             let pos = stream
                 .iter()
                 .position(|(r, op)| {

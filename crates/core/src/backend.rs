@@ -257,7 +257,7 @@ impl RuntimeBackend {
         Ok(RuntimePlan {
             backend: self.clone(),
             spec: problem.spec().clone(),
-            tensors: problem.tensors().clone(),
+            tensors: problem.shared_tensors(),
             kernel: Arc::new(kernel),
             diagnostics,
         })
@@ -297,7 +297,7 @@ impl Backend for RuntimeBackend {
 pub struct RuntimePlan {
     backend: RuntimeBackend,
     spec: MachineSpec,
-    tensors: BTreeMap<String, TensorSpec>,
+    tensors: Arc<BTreeMap<String, TensorSpec>>,
     // Shared with every instance the plan binds — binding never copies
     // the lowered programs.
     kernel: Arc<CompiledKernel>,

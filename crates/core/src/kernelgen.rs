@@ -152,9 +152,9 @@ pub use gemm::{gemm_variants, MicroKernel};
 /// One leaf statement to specialize: the inputs to kernel generation that
 /// change what code should run.
 #[derive(Clone, Debug)]
-pub(crate) struct LeafRequest {
+pub(crate) struct LeafRequest<'a> {
     /// The statement the leaf executes.
-    pub assignment: Assignment,
+    pub assignment: &'a Assignment,
     /// Per right-hand-side access (in access order): is that operand
     /// stored in a compressed level format? Drives the sparse leaf.
     pub compressed: Vec<bool>,
@@ -209,7 +209,7 @@ pub fn leaf_for(
         Some(LeafKind::Gemm | LeafKind::Auto) | None => {}
     }
     Ok(specialize(&LeafRequest {
-        assignment: assignment.clone(),
+        assignment,
         compressed,
         accumulate,
     }))
@@ -218,7 +218,7 @@ pub fn leaf_for(
 /// Specializes a leaf request into a kernel: shape dispatch per the module
 /// docs.
 pub(crate) fn specialize(req: &LeafRequest) -> Arc<dyn Kernel> {
-    let a = &req.assignment;
+    let a = req.assignment;
     let pure = rhs_is_access_product(a);
     let first_only = req.compressed.first().copied().unwrap_or(false)
         && req.compressed.iter().skip(1).all(|c| !c);
@@ -314,7 +314,7 @@ pub(crate) struct TapeKernel {
 impl TapeKernel {
     /// Compiles a request's statement into a tape kernel.
     pub(crate) fn new(req: &LeafRequest) -> Self {
-        let a = &req.assignment;
+        let a = req.assignment;
         let maps = a.access_positions();
         let mut tape = Vec::new();
         let mut next = 0usize;
@@ -613,9 +613,9 @@ mod tests {
     use super::*;
     use distal_machine::geom::Rect;
 
-    impl LeafRequest {
+    impl<'a> LeafRequest<'a> {
         /// A request for `assignment` over dense operands.
-        fn dense(assignment: Assignment, accumulate: bool) -> Self {
+        fn dense(assignment: &'a Assignment, accumulate: bool) -> Self {
             let n = assignment.input_accesses().len();
             LeafRequest {
                 assignment,
@@ -663,7 +663,7 @@ mod tests {
         ] {
             let a = Assignment::parse(stmt).unwrap();
             let interp = InterpreterKernel::new(a.clone(), a.is_reduction());
-            let req = LeafRequest::dense(a.clone(), a.is_reduction());
+            let req = LeafRequest::dense(&a, a.is_reduction());
             let tape = TapeKernel::new(&req);
             let want = run(&interp, &a, 5, 11);
             let got = run(&tape, &a, 5, 11);
@@ -679,13 +679,13 @@ mod tests {
         // Last var `k` is the final index of B and c: stride-1.
         let ttv = Assignment::parse("A(i,j) = B(i,j,k) * c(k)").unwrap();
         assert_eq!(
-            TapeKernel::new(&LeafRequest::dense(ttv, true)).name(),
+            TapeKernel::new(&LeafRequest::dense(&ttv, true)).name(),
             "tape.s1"
         );
         // Matmul's last var `k` is B's *first* index: strided.
         let mm = distal_ir::expr::kernels::matmul();
         assert_eq!(
-            TapeKernel::new(&LeafRequest::dense(mm, true)).name(),
+            TapeKernel::new(&LeafRequest::dense(&mm, true)).name(),
             "tape"
         );
     }
@@ -730,7 +730,7 @@ mod tests {
     #[test]
     fn dense_request_shape() {
         let a = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
-        let req = LeafRequest::dense(a, true);
+        let req = LeafRequest::dense(&a, true);
         assert_eq!(req.compressed, vec![false, false]);
         assert!(req.accumulate);
     }
@@ -738,7 +738,8 @@ mod tests {
     #[test]
     fn dispatch_picks_expected_variants() {
         let leaf = |stmt: &str, compressed: &[bool]| {
-            let mut r = LeafRequest::dense(Assignment::parse(stmt).unwrap(), true);
+            let a = Assignment::parse(stmt).unwrap();
+            let mut r = LeafRequest::dense(&a, true);
             if !compressed.is_empty() {
                 r.compressed = compressed.to_vec();
             }

@@ -572,8 +572,8 @@ impl Linter<'_> {
         marked: impl Iterator<Item = (&'a String, &'a String)>,
         levels: usize,
     ) {
-        let roots = |v: &str| {
-            let mut roots = cin.solver.roots_of(&IndexVar::new(v));
+        let roots = |v: &IndexVar| {
+            let mut roots = cin.solver.roots_of(v);
             roots.sort_unstable();
             roots
         };
@@ -583,14 +583,15 @@ impl Linter<'_> {
             .loops
             .iter()
             .filter(|l| l.distributed)
-            .map(|l| (l.var.name(), roots(l.var.name())))
+            .map(|l| (l.var.name(), roots(&l.var)))
             .collect();
         for (v, distributed_as) in marked {
-            if cin.position(&IndexVar::new(v.as_str())).is_none() {
+            let var = IndexVar::new(v.as_str());
+            if cin.position(&var).is_none() {
                 continue;
             }
-            let own = roots(v);
-            let root = own.iter().map(IndexVar::name).collect::<Vec<_>>().join(",");
+            let own = roots(&var);
+            let root = || own.iter().map(IndexVar::name).collect::<Vec<_>>().join(",");
             let mut siblings = distributed
                 .iter()
                 .filter(|(other, o)| **other != v && o.iter().any(|r| own.contains(r)));
@@ -601,11 +602,12 @@ impl Linter<'_> {
                 first
                     .filter(|_| 1 + siblings.count() >= levels)
                     .map(|other| {
+                        let root = root();
                         format!("'{v}' derives from '{root}', which '{other}' already distributes")
                     })
             };
             if let Some(message) = message {
-                let fixit = format!("distribute '{root}' once");
+                let fixit = format!("distribute '{}' once", root());
                 self.emit_var(Lint::Redistribution, idx, v, message, fixit);
             }
             distributed.remove(v.as_str());

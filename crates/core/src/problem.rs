@@ -212,7 +212,9 @@ pub struct Problem {
     spec: MachineSpec,
     machine: DistalMachine,
     statement: Option<Assignment>,
-    tensors: BTreeMap<String, TensorSpec>,
+    /// Shared with the plans made of this problem, and copied only when a
+    /// problem that shares it registers another tensor.
+    tensors: Arc<BTreeMap<String, TensorSpec>>,
     data: Bindings,
 }
 
@@ -223,7 +225,7 @@ impl Problem {
             spec,
             machine,
             statement: None,
-            tensors: BTreeMap::new(),
+            tensors: Arc::default(),
             data: Bindings::new(),
         }
     }
@@ -271,13 +273,18 @@ impl Problem {
     /// hierarchy is deeper.
     pub fn tensor(&mut self, spec: TensorSpec) -> Result<&mut Self, CompileError> {
         validate_format(&spec, &self.machine)?;
-        self.tensors.insert(spec.name.clone(), spec);
+        Arc::make_mut(&mut self.tensors).insert(spec.name.clone(), spec);
         Ok(self)
     }
 
     /// The registered tensors, by name.
     pub fn tensors(&self) -> &BTreeMap<String, TensorSpec> {
         &self.tensors
+    }
+
+    /// [`Problem::tensors`], shared rather than copied.
+    pub(crate) fn shared_tensors(&self) -> Arc<BTreeMap<String, TensorSpec>> {
+        Arc::clone(&self.tensors)
     }
 
     /// The registered spec of one tensor.

@@ -116,33 +116,40 @@ impl Expr {
     /// All accesses in the expression, left to right.
     pub fn accesses(&self) -> Vec<&Access> {
         let mut out = Vec::new();
-        self.collect_accesses(&mut out);
+        self.for_each_access(&mut |a| out.push(a));
         out
     }
 
-    fn collect_accesses<'a>(&'a self, out: &mut Vec<&'a Access>) {
+    /// Calls `f` on every access in the expression, left to right.
+    fn for_each_access<'a>(&'a self, f: &mut impl FnMut(&'a Access)) {
         match self {
-            Expr::Access(a) => out.push(a),
+            Expr::Access(a) => f(a),
             Expr::Literal(_) => {}
             Expr::Add(l, r) | Expr::Mul(l, r) => {
-                l.collect_accesses(out);
-                r.collect_accesses(out);
+                l.for_each_access(f);
+                r.for_each_access(f);
             }
         }
     }
 
     /// Variables in order of first appearance.
     pub fn vars(&self) -> Vec<IndexVar> {
-        let mut seen = BTreeSet::new();
         let mut out = Vec::new();
-        for a in self.accesses() {
+        self.push_new_vars(&mut out);
+        out.into_iter().cloned().collect()
+    }
+
+    /// Appends to `vars` each variable not yet in it, in order of first
+    /// appearance. A statement has a handful of variables, so a scan
+    /// beats a set.
+    fn push_new_vars<'a>(&'a self, vars: &mut Vec<&'a IndexVar>) {
+        self.for_each_access(&mut |a| {
             for v in &a.indices {
-                if seen.insert(v.clone()) {
-                    out.push(v.clone());
+                if !vars.contains(&v) {
+                    vars.push(v);
                 }
             }
-        }
-        out
+        });
     }
 
     /// Evaluates the expression given per-access scalar values, in access
@@ -309,20 +316,25 @@ impl Assignment {
     /// Reduction variables: right-hand-side variables not on the left, in
     /// order of first appearance.
     pub fn reduction_vars(&self) -> Vec<IndexVar> {
-        let free: BTreeSet<_> = self.lhs.indices.iter().cloned().collect();
-        self.rhs
-            .vars()
+        let free = self.lhs.indices.len();
+        self.var_refs()
+            .split_off(free)
             .into_iter()
-            .filter(|v| !free.contains(v))
+            .cloned()
             .collect()
     }
 
     /// Free then reduction variables — the default loop order (§5.1:
     /// "constructing a loop nest based on a left-to-right traversal").
     pub fn all_vars(&self) -> Vec<IndexVar> {
-        let mut out = self.free_vars();
-        out.extend(self.reduction_vars());
-        out
+        self.var_refs().into_iter().cloned().collect()
+    }
+
+    /// [`Assignment::all_vars`], borrowed from the statement.
+    fn var_refs(&self) -> Vec<&IndexVar> {
+        let mut vars = self.lhs.indices.iter().collect();
+        self.rhs.push_new_vars(&mut vars);
+        vars
     }
 
     /// Per access, in [`Assignment::accesses`] order (the destination,
@@ -330,22 +342,26 @@ impl Assignment {
     /// [`Assignment::all_vars`] of each of its index variables: how leaf
     /// bounds, which come in `all_vars` order, project onto an access.
     pub fn access_positions(&self) -> Vec<Vec<usize>> {
-        let vars = self.all_vars();
+        let vars = self.var_refs();
         let pos = |v: &IndexVar| {
             vars.iter()
-                .position(|x| x == v)
+                .position(|&x| x == v)
                 .expect("a statement variable")
         };
-        self.accesses()
-            .iter()
-            .map(|acc| acc.indices.iter().map(pos).collect())
-            .collect()
+        let mut out = vec![self.lhs.indices.iter().map(pos).collect()];
+        self.rhs
+            .for_each_access(&mut |acc| out.push(acc.indices.iter().map(pos).collect()));
+        out
     }
 
     /// True when the statement reduces (has reduction variables or is an
     /// explicit increment).
     pub fn is_reduction(&self) -> bool {
-        self.increment || !self.reduction_vars().is_empty()
+        let mut reduces = self.increment;
+        self.rhs.for_each_access(&mut |acc| {
+            reduces |= acc.indices.iter().any(|v| !self.lhs.indices.contains(v));
+        });
+        reduces
     }
 
     /// Arithmetic operations per iteration point, counting the accumulation

@@ -207,8 +207,8 @@ impl ConcreteNotation {
     ///
     /// The listed variables must be distinct loop variables.
     pub fn reorder(&mut self, order: &[IndexVar]) -> Result<&mut Self, ScheduleError> {
-        let set: BTreeSet<_> = order.iter().cloned().collect();
-        if set.len() != order.len() {
+        // A loop nest is a handful of loops: scans, not sets.
+        if (1..order.len()).any(|k| order[..k].contains(&order[k])) {
             return Err(ScheduleError::BadReorder("duplicate variables".into()));
         }
         for v in order {
@@ -220,7 +220,7 @@ impl ConcreteNotation {
             .loops
             .iter()
             .enumerate()
-            .filter_map(|(p, l)| set.contains(&l.var).then_some(p))
+            .filter_map(|(p, l)| order.contains(&l.var).then_some(p))
             .collect();
         let mut listed: Vec<Loop> = Vec::with_capacity(order.len());
         for v in order {
@@ -230,14 +230,7 @@ impl ConcreteNotation {
         for (slot, l) in slots.into_iter().zip(listed) {
             self.loops[slot] = l;
         }
-        self.note(format!(
-            "reorder({})",
-            order
-                .iter()
-                .map(|v| v.0.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        self.note(format!("reorder({})", join(order)));
         Ok(self)
     }
 
@@ -258,13 +251,7 @@ impl ConcreteNotation {
         if self.distributed_prefix().is_none() {
             return Err(ScheduleError::NonContiguousDistribution);
         }
-        self.note(format!(
-            "distribute({})",
-            vars.iter()
-                .map(|v| v.0.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        self.note(format!("distribute({})", join(vars)));
         Ok(self)
     }
 
@@ -320,13 +307,7 @@ impl ConcreteNotation {
             }
         }
         self.solver.rotate(t, over.to_vec(), result.clone())?;
-        self.note(format!(
-            "rotate({t}, {{{}}}, {result})",
-            over.iter()
-                .map(|v| v.0.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        self.note(format!("rotate({t}, {{{}}}, {result})", join(over)));
         let old = std::mem::replace(&mut self.loops[pos], Loop::new(result));
         self.loops[pos].distributed = old.distributed;
         self.loops[pos].communicate = old.communicate;
@@ -387,6 +368,21 @@ impl ConcreteNotation {
         self.distribute(dist)?;
         Ok(self)
     }
+}
+
+/// `vars` written as a comma-separated list, for a relation note.
+fn join(vars: &[IndexVar]) -> impl fmt::Display + '_ {
+    struct Joined<'a>(&'a [IndexVar]);
+    impl fmt::Display for Joined<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            for (k, v) in self.0.iter().enumerate() {
+                let sep = if k == 0 { "" } else { ", " };
+                write!(f, "{sep}{v}")?;
+            }
+            Ok(())
+        }
+    }
+    Joined(vars)
 }
 
 #[cfg(test)]

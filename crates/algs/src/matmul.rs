@@ -68,7 +68,7 @@ impl MatmulAlgorithm {
     /// 2D algorithms use the near-square `gx × gy` factorization; Johnson's
     /// uses the largest cube with at most `p` processors; the 2.5D algorithm
     /// uses `√(p/c) × √(p/c) × c`; COSMA picks its own grid via
-    /// [`cosma_grid`] (square-matrix default).
+    /// `cosma_grid` (square-matrix default).
     pub fn grid(&self, p: i64) -> Grid {
         match self {
             MatmulAlgorithm::Cannon | MatmulAlgorithm::Pumma | MatmulAlgorithm::Summa => {
@@ -257,7 +257,7 @@ pub fn best_c(p: i64) -> i64 {
 ///
 /// Communication per processor for block sizes `(bm, bn, bk)` is
 /// `bm·bk + bk·bn` words fetched plus `bm·bn` reduced when `gz > 1`.
-pub fn cosma_grid(p: i64, mem_limit_bytes: u64) -> (i64, i64, i64, i64) {
+pub(crate) fn cosma_grid(p: i64, mem_limit_bytes: u64) -> (i64, i64, i64, i64) {
     let mut best: Option<((i64, i64, i64), f64)> = None;
     let unit = 1.0 / p as f64; // normalized matrix side per grid cell
     let mut gx = 1;

@@ -9,9 +9,9 @@
 //! high performance". This crate builds that framework on top of the
 //! reproduction's compiler and cost-model simulator:
 //!
-//! 1. [`space`] enumerates *candidates* — joint (machine grid, tensor
-//!    formats, schedule) choices — from three generic families that span
-//!    the paper's design space:
+//! 1. [`enumerate_candidates`] lists *candidates* — joint (machine grid,
+//!    tensor formats, schedule) choices — from three generic families that
+//!    span the paper's design space:
 //!    * **owner-computes** (2D-style): distribute a subset of the output's
 //!      free variables, keep the output stationary, and stream reduction
 //!      chunks (SUMMA's shape, Figure 2);
@@ -20,7 +20,7 @@
 //!    * **reduction-distributed** (3D/Johnson-style): also distribute a
 //!      reduction variable, fixing tensors to faces of the processor grid
 //!      and folding partial outputs at the end.
-//! 2. [`search`] compiles every candidate through the unified
+//! 2. [`AutoScheduler`] compiles every candidate through the unified
 //!    `Problem` → `Backend` → `Plan` → `Instance` pipeline and scores the backend's
 //!    normalized report. The default backend is the runtime's cost-model
 //!    simulator (`Mode::Model`); [`AutoScheduler::search_with`] /
@@ -62,8 +62,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod search;
-pub mod space;
+mod search;
+mod space;
 
 pub use search::{AutoScheduler, Evaluation, SearchConfig, SearchResult};
 pub use space::{enumerate_candidates, Candidate, SpaceOptions};

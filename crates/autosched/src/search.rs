@@ -123,11 +123,6 @@ impl SearchResult {
         self.evaluations.first().filter(|e| e.feasible())
     }
 
-    /// The evaluation of the named candidate.
-    pub fn named(&self, name: &str) -> Option<&Evaluation> {
-        self.evaluations.iter().find(|e| e.candidate.name == name)
-    }
-
     /// How many candidates the admission linter pruned before costing
     /// (the `search` stat the benches report and CI gates).
     pub fn pruned_candidates(&self) -> usize {
@@ -338,7 +333,11 @@ mod tests {
             .search("A(i,j) = B(i,k) * C(k,j)", &matmul_dims(512))
             .unwrap();
         let best = result.best().unwrap();
-        let sequential = result.named("sequential").unwrap();
+        let sequential = result
+            .evaluations
+            .iter()
+            .find(|e| e.candidate.name == "sequential")
+            .unwrap();
         assert_ne!(best.candidate.name, "sequential");
         assert!(best.makespan_s < sequential.makespan_s / 2.0);
     }
@@ -370,7 +369,11 @@ mod tests {
             .search("A(i,j) = B(i,k) * C(k,j)", &matmul_dims(64))
             .unwrap();
         for e in result.evaluations.iter().filter(|e| e.feasible()) {
-            let other = sim.named(&e.candidate.name).unwrap();
+            let other = sim
+                .evaluations
+                .iter()
+                .find(|o| o.candidate.name == e.candidate.name)
+                .unwrap();
             assert!(
                 other.feasible(),
                 "{} feasible under α-β but not the simulator",

@@ -45,7 +45,6 @@ impl System {
         CompileOptions {
             bulk_synchronous: self.bulk_synchronous,
             compute_mem: self.compute_mem,
-            ..CompileOptions::default()
         }
     }
 }

@@ -599,7 +599,8 @@ mod tests {
             .unwrap();
         p.tensor(TensorSpec::new("A", vec![8, 8], f.clone()))
             .unwrap();
-        p.tensor(TensorSpec::scalar("a")).unwrap();
+        p.tensor(TensorSpec::new("a", vec![], Format::undistributed()))
+            .unwrap();
         p.tensor(TensorSpec::new("B", vec![8, 8], f)).unwrap();
         p.fill_random("B", 1).unwrap();
         p.fill_random("C", 2).unwrap();

@@ -95,17 +95,12 @@ impl PlanKey {
         }
     }
 
-    /// The full canonical text (diagnostics; equality is defined on it).
-    pub fn canonical(&self) -> &str {
-        &self.canonical
-    }
-
     /// The 64-bit FNV-1a digest of the canonical text — the same in every
     /// run of one build (unlike `DefaultHasher`), which is all an
     /// in-process cache needs. Not a persistent identifier: the text
     /// embeds the backend's `Debug` form, which a toolchain or a field
     /// added to the backend may print differently.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         self.digest
     }
 }
@@ -167,7 +162,7 @@ impl CacheStats {
     }
 
     /// Hits per lookup (0.0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         if self.requests() == 0 {
             return 0.0;
         }
@@ -281,7 +276,7 @@ impl Shard {
 /// (keys embed the backend name and configuration, so they never
 /// collide).
 ///
-/// Keys land on one of N shards by [`PlanKey::digest`]; each shard is an
+/// Keys land on one of N shards by their 64-bit digest; each shard is an
 /// independent bounded LRU behind its own mutex, so lookups of unrelated
 /// keys never contend (`new(capacity, 1)` is the strict single-LRU case).
 /// The counters sit behind one more mutex, taken inside a shard lock
@@ -331,13 +326,8 @@ impl ShardedPlanCache {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total capacity actually enforced (`shards * per-shard bound`).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.per_shard_capacity * self.shards.len()
     }
 
@@ -431,27 +421,6 @@ impl ShardedPlanCache {
     pub fn annotate(&self, report: &mut Report) {
         report.cache = Some(self.stats());
     }
-
-    /// Plans currently cached across all shards.
-    pub fn len(&self) -> usize {
-        self.stats().len
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached plan (counters keep accumulating). In-flight
-    /// plannings are unaffected and will insert on landing.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("poisoned cache shard");
-            let dropped = s.entries.len() as i64;
-            s.entries.clear();
-            self.record(0, 0, 0, -dropped);
-        }
-    }
 }
 
 impl fmt::Debug for ShardedPlanCache {
@@ -539,14 +508,13 @@ mod tests {
     /// sharded one.
     const SHAPES: [(usize, usize); 2] = [(8, 1), (8, 4)];
 
-    /// Holds after every case that never calls `clear`: snapshots are
-    /// coherent, the bound is respected, and every miss either still sits
-    /// in the cache or was evicted.
+    /// Holds after every case: snapshots are coherent, the bound is
+    /// respected, and every miss either still sits in the cache or was
+    /// evicted.
     fn check_invariants(cache: &ShardedPlanCache) {
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, stats.requests());
         assert_eq!(stats.misses, stats.evictions + stats.len as u64);
-        assert_eq!(stats.len, cache.len());
         assert!(stats.len <= cache.capacity());
     }
 
@@ -624,7 +592,7 @@ mod tests {
             for chunk in 1..=16 {
                 let s = Schedule::summa(2, 2, chunk);
                 let digest = PlanKey::new(&backend, &p, &s).digest();
-                if digest.is_multiple_of(cache.shards() as u64) {
+                if digest.is_multiple_of(cache.shards.len() as u64) {
                     same_shard.push(s);
                 }
             }
@@ -638,7 +606,7 @@ mod tests {
             cache.get_or_plan(&backend, &p, c).unwrap();
             let stats = cache.stats();
             assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 3, 1));
-            assert_eq!(cache.len(), 2);
+            assert_eq!(cache.stats().len, 2);
             check_invariants(&cache);
             // `a` survived, `b` did not.
             cache.get_or_plan(&backend, &p, a).unwrap();
@@ -646,8 +614,6 @@ mod tests {
             cache.get_or_plan(&backend, &p, b).unwrap();
             assert_eq!(cache.stats().misses, 4);
             check_invariants(&cache);
-            cache.clear();
-            assert!(cache.is_empty());
         }
     }
 
@@ -689,9 +655,9 @@ mod tests {
         // `shards - 1`; asking for more shards than plans clamps.
         for (capacity, shards) in [(4, 8), (4, 3), (5, 2), (1, 4), (0, 0)] {
             let cache = ShardedPlanCache::new(capacity, shards);
-            assert!(cache.shards() <= capacity.max(1));
+            assert!(cache.shards.len() <= capacity.max(1));
             assert!(cache.capacity() >= capacity);
-            assert!(cache.capacity() < capacity.max(1) + cache.shards());
+            assert!(cache.capacity() < capacity.max(1) + cache.shards.len());
         }
         assert_eq!(ShardedPlanCache::new(4, 8).capacity(), 4);
 
@@ -715,9 +681,6 @@ mod tests {
         assert!(stats.len <= 4);
         assert_eq!(stats.requests(), 48);
         check_invariants(&cache);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().evictions, stats.evictions);
     }
 
     #[test]
@@ -746,7 +709,7 @@ mod tests {
             let stats = cache.stats();
             assert_eq!((stats.hits, stats.misses, stats.requests()), (0, 0, 0));
             assert_eq!(stats.hit_rate(), 0.0);
-            assert!(cache.is_empty());
+            assert_eq!(cache.stats().len, 0);
             // `requests` counts hits plus misses, never the failures.
             for _ in 0..3 {
                 cache.get_or_plan(&backend, &problem(8), &s).unwrap();

@@ -208,21 +208,21 @@ impl Diagnostic {
 
     /// Attributes the finding to a schedule command (zero-based index).
     #[must_use]
-    pub fn with_command(mut self, command: usize) -> Self {
+    pub(crate) fn with_command(mut self, command: usize) -> Self {
         self.command = Some(command);
         self
     }
 
     /// Attributes the finding to a loop variable.
     #[must_use]
-    pub fn with_var(mut self, var: impl Into<String>) -> Self {
+    pub(crate) fn with_var(mut self, var: impl Into<String>) -> Self {
         self.var = Some(var.into());
         self
     }
 
     /// Attaches a fix-it hint.
     #[must_use]
-    pub fn with_fixit(mut self, fixit: impl Into<String>) -> Self {
+    pub(crate) fn with_fixit(mut self, fixit: impl Into<String>) -> Self {
         self.fixit = Some(fixit.into());
         self
     }

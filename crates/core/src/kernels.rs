@@ -56,7 +56,7 @@ impl InterpreterKernel {
     /// Builds an interpreter for a statement that *adds* into the output
     /// when `accumulate` is set (reductions, and the SPMD rank VM, which
     /// always accumulates into a zeroed buffer) and overwrites it otherwise.
-    pub fn new(assignment: Assignment, accumulate: bool) -> Self {
+    pub(crate) fn new(assignment: Assignment, accumulate: bool) -> Self {
         let vars = assignment.all_vars();
         let access_maps = assignment.access_positions();
         let mut coord_starts = Vec::with_capacity(access_maps.len() + 1);

@@ -68,21 +68,21 @@
 #![deny(unsafe_code)]
 
 pub mod backend;
-pub mod cache;
-pub mod diagnostic;
-pub mod error;
+mod cache;
+mod diagnostic;
+mod error;
 pub mod kernelgen;
 pub mod kernels;
 pub mod lint;
 pub mod lower;
-pub mod machine;
+mod machine;
 pub(crate) mod mapper;
 pub mod nest;
 pub mod oracle;
 pub mod plan;
 pub mod problem;
-pub mod report;
-pub mod schedule;
+mod report;
+mod schedule;
 
 pub use backend::{Backend, BackendError, RuntimeBackend, RuntimeInstance, RuntimePlan};
 pub use cache::{CacheStats, PlanKey, ShardedPlanCache};

@@ -10,7 +10,7 @@
 //! schedule applies by construction, and the plan's lowering starts from
 //! the notation admission applied ([`crate::nest::Nest::from_cin`]).
 //!
-//! Two pass families, both emitting the [`crate::diagnostic`] machinery
+//! Two pass families, both emitting the [`crate::Diagnostic`] machinery
 //! with the offending command index, loop variable, tensor, and a fix-it
 //! hint:
 //!
@@ -119,7 +119,7 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in the stable order configs and docs use.
-    pub fn all() -> [Lint; 12] {
+    pub(crate) fn all() -> [Lint; 12] {
         [
             Lint::UnknownLoopVar,
             Lint::DuplicateLoopVar,
@@ -137,7 +137,7 @@ impl Lint {
     }
 
     /// The diagnostic kind this lint emits.
-    pub fn kind(self) -> DiagnosticKind {
+    pub(crate) fn kind(self) -> DiagnosticKind {
         match self {
             Lint::UnknownLoopVar => DiagnosticKind::UnknownLoopVar,
             Lint::DuplicateLoopVar => DiagnosticKind::DuplicateLoopVar,
@@ -156,7 +156,7 @@ impl Lint {
 
     /// True for the legality family (schedules that cannot lower or would
     /// execute wrongly); false for performance lints.
-    pub fn is_legality(self) -> bool {
+    pub(crate) fn is_legality(self) -> bool {
         matches!(
             self,
             Lint::UnknownLoopVar
@@ -169,7 +169,7 @@ impl Lint {
     }
 
     /// The out-of-the-box level: legality denies, performance warns.
-    pub fn default_level(self) -> LintLevel {
+    pub(crate) fn default_level(self) -> LintLevel {
         if self.is_legality() {
             LintLevel::Deny
         } else {
@@ -257,7 +257,7 @@ impl LintConfig {
     }
 
     /// The effective level of a lint.
-    pub fn level(&self, lint: Lint) -> LintLevel {
+    pub(crate) fn level(&self, lint: Lint) -> LintLevel {
         self.levels[&lint]
     }
 }

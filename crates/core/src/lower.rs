@@ -52,9 +52,6 @@ pub struct CompileOptions {
     /// CTF, which cannot overlap one step's communication with another's
     /// computation (§7.1.1). Off by default: the runtime overlaps freely.
     pub bulk_synchronous: bool,
-    /// Zero-fill the output before computing. `None` = automatic (filled
-    /// when the leaf accumulates, unless a `+=` adds to the bound output).
-    pub fill_output: Option<bool>,
     /// Memory kind compute tasks materialize data in, overriding the
     /// tensors' format memory. COSMA's out-of-core GPU mode keeps tensors in
     /// host memory (`Sys` formats) and stages chunks into `Fb` per task
@@ -132,9 +129,7 @@ pub(crate) fn lower_nest(
     };
     // Zero-fill whenever the leaf accumulates into pre-existing values,
     // unless those are the bound output a `+=` adds to.
-    let fill_output = options
-        .fill_output
-        .unwrap_or(leaf_reduces && out_priv != Privilege::Write && !assignment.increment);
+    let fill_output = leaf_reduces && out_priv != Privilege::Write && !assignment.increment;
 
     let efficiency = peak_fraction(assignment);
     let streaming = is_streaming(assignment);

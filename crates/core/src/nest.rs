@@ -257,7 +257,7 @@ impl Nest {
 
     /// Tensors tagged `communicate` at a sequential step loop: re-fetched
     /// every step. A tag may name a tensor the statement never accesses.
-    pub fn seq_communicated(&self) -> impl Iterator<Item = &String> {
+    pub(crate) fn seq_communicated(&self) -> impl Iterator<Item = &String> {
         self.cin.loops[self.n_dist..self.loop_ids.len()]
             .iter()
             .flat_map(|l| &l.communicate)

@@ -149,13 +149,8 @@ impl Bindings {
     }
 
     /// All bound initializers, by name.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &TensorInit)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&String, &TensorInit)> {
         self.init.iter()
-    }
-
-    /// True when no tensor is bound.
-    pub fn is_empty(&self) -> bool {
-        self.init.is_empty()
     }
 
     /// Validates every binding against a plan's registered tensors:
@@ -300,7 +295,7 @@ impl TensorInit {
     /// [`CompileError::Density`] for out-of-range densities;
     /// [`CompileError::Format`] for a [`TensorInit::Sparse`] image of
     /// another shape.
-    pub fn validate(&self, name: &str, dims: &[i64]) -> Result<(), CompileError> {
+    pub(crate) fn validate(&self, name: &str, dims: &[i64]) -> Result<(), CompileError> {
         match self {
             TensorInit::Data(d) => {
                 let expected = dims.iter().product::<i64>().max(1) as usize;
@@ -488,6 +483,6 @@ mod tests {
         p.fill_random("B", 9).unwrap();
         let b = p.bindings();
         assert_eq!(b.get("B"), Some(&TensorInit::Random(9)));
-        assert!(Bindings::new().is_empty());
+        assert_eq!(Bindings::new().iter().count(), 0);
     }
 }

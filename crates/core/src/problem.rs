@@ -98,15 +98,6 @@ impl TensorSpec {
             format,
         }
     }
-
-    /// A scalar tensor (order 0), undistributed.
-    pub fn scalar(name: impl Into<String>) -> Self {
-        TensorSpec {
-            name: name.into(),
-            dims: Vec::new(),
-            format: Format::undistributed(),
-        }
-    }
 }
 
 /// A registered tensor's identity below admission: its position in the
@@ -288,7 +279,7 @@ impl Problem {
     }
 
     /// The registered spec of one tensor.
-    pub fn tensor_spec(&self, name: &str) -> Option<&TensorSpec> {
+    pub(crate) fn tensor_spec(&self, name: &str) -> Option<&TensorSpec> {
         self.tensors.get(name)
     }
 

@@ -85,7 +85,7 @@ impl Report {
     }
 
     /// Normalizes the dynamic runtime's statistics.
-    pub fn from_run_stats(
+    pub(crate) fn from_run_stats(
         backend: impl Into<String>,
         provenance: Provenance,
         s: &RunStats,
@@ -157,14 +157,6 @@ impl Report {
             _ => None,
         }
     }
-
-    /// Achieved (or modeled) GFLOP/s over the critical path.
-    pub fn gflops(&self) -> f64 {
-        if self.critical_path_s <= 0.0 {
-            return 0.0;
-        }
-        self.flops / self.critical_path_s / 1e9
-    }
 }
 
 impl fmt::Display for Report {
@@ -213,7 +205,6 @@ mod tests {
         assert_eq!(r.messages, 4);
         assert_eq!(r.tasks, 4);
         assert_eq!(r.peak_bytes, 64);
-        assert!((r.gflops() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -236,7 +227,6 @@ mod tests {
     fn empty_is_silent() {
         let r = Report::empty("spmd", Provenance::Measured);
         assert_eq!(r.bytes_moved, 0);
-        assert_eq!(r.gflops(), 0.0);
         assert!(format!("{r}").contains("spmd"));
     }
 }

@@ -248,7 +248,7 @@ impl Schedule {
     }
 
     /// The leaf kernel chosen by the last `substitute` command, if any.
-    pub fn leaf_choice(&self) -> Option<(&[String], LeafKind)> {
+    pub(crate) fn leaf_choice(&self) -> Option<(&[String], LeafKind)> {
         self.cmds.iter().rev().find_map(|c| match c {
             SchedCmd::Substitute { vars, leaf } => Some((vars.as_slice(), *leaf)),
             _ => None,

@@ -31,7 +31,7 @@ impl LevelFormat {
     /// # Errors
     ///
     /// [`NotationError::Parse`] for any other character.
-    pub fn parse_char(c: char) -> Result<Self, NotationError> {
+    pub(crate) fn parse_char(c: char) -> Result<Self, NotationError> {
         match c {
             'd' => Ok(LevelFormat::Dense),
             's' | 'c' => Ok(LevelFormat::Compressed),

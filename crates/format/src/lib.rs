@@ -28,7 +28,7 @@
 //! * [`notation`] — the syntax and validity of the notation (Figure 4);
 //! * [`semantics`] — `P` and `F`, and the per-level pieces
 //!   ([`semantics::hierarchical_pieces`]) both backends place data with;
-//! * [`mod@format`] — a tensor's per-level distributions, memory kind and
+//! * [`Format`] — a tensor's per-level distributions, memory kind and
 //!   level formats (dense or compressed).
 //!
 //! # Example
@@ -48,7 +48,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod format;
+mod format;
 pub mod notation;
 pub mod semantics;
 

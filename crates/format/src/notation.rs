@@ -282,12 +282,12 @@ impl TensorDistribution {
     }
 
     /// Tensor dimensionality the notation expects.
-    pub fn tensor_dim(&self) -> usize {
+    pub(crate) fn tensor_dim(&self) -> usize {
         self.tensor_dims.len()
     }
 
     /// Machine dimensionality the notation expects.
-    pub fn machine_dim(&self) -> usize {
+    pub(crate) fn machine_dim(&self) -> usize {
         self.machine_dims.len()
     }
 

@@ -48,7 +48,7 @@ impl TensorDistribution {
     ///
     /// Panics when the color's dimensionality doesn't match the number of
     /// partitioned dimensions.
-    pub fn expand_color(&self, machine: &Grid, color: &Point) -> Vec<Point> {
+    pub(crate) fn expand_color(&self, machine: &Grid, color: &Point) -> Vec<Point> {
         let pairs = self.partitioned_pairs();
         assert_eq!(color.dim(), pairs.len());
         let mut dims: Vec<Vec<i64>> = Vec::with_capacity(machine.dim());

@@ -49,7 +49,7 @@ pub struct Loop {
 
 impl Loop {
     /// A plain sequential loop.
-    pub fn new(var: IndexVar) -> Self {
+    pub(crate) fn new(var: IndexVar) -> Self {
         Loop {
             var,
             distributed: false,

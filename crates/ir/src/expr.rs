@@ -52,15 +52,6 @@ impl From<&str> for IndexVar {
     }
 }
 
-/// A named tensor of a given order (dimensionality).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TensorRef {
-    /// The tensor's name.
-    pub name: String,
-    /// Number of dimensions.
-    pub order: usize,
-}
-
 /// An access `T(i, j, ...)`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Access {
@@ -114,7 +105,7 @@ pub enum Expr {
 
 impl Expr {
     /// All accesses in the expression, left to right.
-    pub fn accesses(&self) -> Vec<&Access> {
+    pub(crate) fn accesses(&self) -> Vec<&Access> {
         let mut out = Vec::new();
         self.for_each_access(&mut |a| out.push(a));
         out
@@ -130,13 +121,6 @@ impl Expr {
                 r.for_each_access(f);
             }
         }
-    }
-
-    /// Variables in order of first appearance.
-    pub fn vars(&self) -> Vec<IndexVar> {
-        let mut out = Vec::new();
-        self.push_new_vars(&mut out);
-        out.into_iter().cloned().collect()
     }
 
     /// Appends to `vars` each variable not yet in it, in order of first
@@ -166,7 +150,7 @@ impl Expr {
     }
 
     /// Number of arithmetic operations per iteration-space point.
-    pub fn flops_per_point(&self) -> f64 {
+    pub(crate) fn flops_per_point(&self) -> f64 {
         match self {
             Expr::Access(_) | Expr::Literal(_) => 0.0,
             Expr::Add(l, r) | Expr::Mul(l, r) => 1.0 + l.flops_per_point() + r.flops_per_point(),

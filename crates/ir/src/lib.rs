@@ -32,7 +32,7 @@ pub mod provenance;
 pub mod transform;
 
 pub use cin::{ConcreteNotation, Loop};
-pub use expr::{Access, Assignment, Expr, IndexVar, TensorRef};
+pub use expr::{Access, Assignment, Expr, IndexVar};
 pub use precompute::{precompute_product, PrecomputeError};
-pub use provenance::{Interval, VarDef, VarSolver};
+pub use provenance::{Interval, VarSolver};
 pub use transform::ScheduleError;

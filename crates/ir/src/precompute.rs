@@ -88,7 +88,7 @@ impl std::error::Error for PrecomputeError {}
 
 /// Flattens a pure product into its access factors; `None` when the
 /// expression contains additions or literals.
-pub fn product_factors(e: &Expr) -> Option<Vec<Access>> {
+pub(crate) fn product_factors(e: &Expr) -> Option<Vec<Access>> {
     match e {
         Expr::Access(a) => Some(vec![a.clone()]),
         Expr::Mul(l, r) => {

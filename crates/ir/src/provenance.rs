@@ -42,19 +42,19 @@ impl fmt::Debug for Interval {
 impl Interval {
     /// A single-point interval.
     #[inline]
-    pub fn point(v: i64) -> Self {
+    pub(crate) fn point(v: i64) -> Self {
         Interval { lo: v, hi: v }
     }
 
     /// The interval `[lo, hi]`.
     #[inline]
-    pub fn new(lo: i64, hi: i64) -> Self {
+    pub(crate) fn new(lo: i64, hi: i64) -> Self {
         Interval { lo, hi }
     }
 
     /// True when the interval contains exactly one value.
     #[inline]
-    pub fn is_point(&self) -> bool {
+    pub(crate) fn is_point(&self) -> bool {
         self.lo == self.hi
     }
 
@@ -133,7 +133,7 @@ impl Env {
 
 /// How a variable is defined in terms of others (by id).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum VarDef {
+pub(crate) enum VarDef {
     /// An original iteration-space variable with a known extent.
     Leaf {
         /// Domain size.

@@ -371,7 +371,7 @@ impl Rect {
     }
 
     /// Lexicographic iteration over all points (last dimension fastest).
-    pub fn points(&self) -> PointIter {
+    pub fn points(&self) -> impl Iterator<Item = Point> {
         PointIter {
             rect: *self,
             next: if self.is_empty() { None } else { Some(self.lo) },
@@ -567,7 +567,7 @@ pub fn fill_rect(alloc: &Rect, data: &mut [f64], rect: &Rect, value: f64) {
 
 /// Iterator over the points of a [`Rect`] in lexicographic order.
 #[derive(Debug)]
-pub struct PointIter {
+struct PointIter {
     rect: Rect,
     next: Option<Point>,
 }
@@ -720,11 +720,6 @@ impl RectSet {
             }
         }
         false
-    }
-
-    /// True when the set covers at least one point of `r`.
-    pub fn overlaps(&self, r: &Rect) -> bool {
-        self.rects.iter().any(|e| e.overlaps(r))
     }
 
     /// Total covered volume.
@@ -1175,12 +1170,5 @@ mod tests {
         assert!(!s.covers(&Rect::sized(&[2, 2])));
         assert!(!s.covers(&Rect::sized(&[4, 4])));
         assert!(s.covers(&Rect::new(Point::new(vec![4, 4]), Point::new(vec![5, 5]))));
-    }
-
-    #[test]
-    fn rectset_overlap() {
-        let s = RectSet::from_rect(Rect::sized(&[3, 3]));
-        assert!(s.overlaps(&Rect::new(Point::new(vec![2, 2]), Point::new(vec![8, 8]))));
-        assert!(!s.overlaps(&Rect::new(Point::new(vec![5, 5]), Point::new(vec![8, 8]))));
     }
 }

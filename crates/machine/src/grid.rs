@@ -94,7 +94,7 @@ impl Grid {
     }
 
     /// The grid as a rectangle `[0, dims[d]-1]`.
-    pub fn rect(&self) -> Rect {
+    pub(crate) fn rect(&self) -> Rect {
         Rect::sized(&self.dims)
     }
 
@@ -173,11 +173,6 @@ impl MachineHierarchy {
         &self.levels
     }
 
-    /// The outermost grid (node level).
-    pub fn outer(&self) -> &Grid {
-        &self.levels[0]
-    }
-
     /// Total number of leaf processors.
     pub fn total_processors(&self) -> i64 {
         self.levels.iter().map(Grid::size).product()
@@ -197,18 +192,6 @@ impl MachineHierarchy {
             .flat_map(|g| g.dims().iter().copied())
             .collect();
         Grid::new(dims)
-    }
-
-    /// Splits a flattened coordinate into per-level coordinates.
-    pub fn split_coord(&self, p: &Point) -> Vec<Point> {
-        assert_eq!(p.dim(), self.flat_dim());
-        let mut out = Vec::with_capacity(self.levels.len());
-        let mut off = 0;
-        for g in &self.levels {
-            out.push(Point::from_slice(&p.coords()[off..off + g.dim()]));
-            off += g.dim();
-        }
-        out
     }
 }
 
@@ -257,8 +240,5 @@ mod tests {
         assert_eq!(h.flat_dim(), 3);
         let p = Point::new(vec![1, 1, 2]);
         assert_eq!(h.flat_grid().linearize(&p), (2 + 1) * 4 + 2);
-        let split = h.split_coord(&p);
-        assert_eq!(split[0], Point::new(vec![1, 1]));
-        assert_eq!(split[1], Point::new(vec![2]));
     }
 }

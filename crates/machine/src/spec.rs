@@ -114,7 +114,7 @@ pub struct MachineSpec {
 
 impl NodeSpec {
     /// A Lassen node: dual-socket Power9 (40 available cores), 4 × V100.
-    pub fn lassen() -> Self {
+    pub(crate) fn lassen() -> Self {
         NodeSpec {
             cpu_sockets: 2,
             cores_per_socket: 20,

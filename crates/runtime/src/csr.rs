@@ -1,7 +1,7 @@
 //! CSR-style compressed buffers with lossless dense↔sparse conversion.
 //!
 //! The one compressed storage type of the workspace. It lives in this
-//! crate because a [`crate::region::LogicalRegion`] can hold one as its
+//! crate because a logical region can hold one as its
 //! data image; `distal-sparse` re-exports it under its historical paths
 //! beside the reference kernels.
 //!
@@ -231,24 +231,14 @@ impl SparseBuffer {
     }
 
     /// Dense element count.
-    pub fn volume(&self) -> i64 {
+    pub(crate) fn volume(&self) -> i64 {
         volume_of(&self.dims)
-    }
-
-    /// Fraction of stored entries (`1.0` for an empty-volume buffer).
-    pub fn density(&self) -> f64 {
-        self.nnz() as f64 / self.volume() as f64
     }
 
     /// Exact wire/storage size of the compressed representation:
     /// `pos` + `crd` + `vals`.
     pub fn payload_bytes(&self) -> u64 {
         csr_payload_bytes(self.rows() as u64, self.nnz())
-    }
-
-    /// Size of the equivalent flat dense buffer.
-    pub fn dense_bytes(&self) -> u64 {
-        self.volume() as u64 * ELEM_BYTES
     }
 }
 
@@ -330,7 +320,6 @@ mod tests {
         assert_eq!(s.crd, vec![0, 3, 1, 2]);
         assert_eq!(s.vals, vec![1.0, 2.0, 3.5, -4.0]);
         assert_eq!(s.to_dense(), data);
-        assert!((s.density() - 4.0 / 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -365,7 +354,6 @@ mod tests {
         let s = SparseBuffer::from_dense(&[2, 4], &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]);
         // pos: 3 entries, 2 stored (crd + val).
         assert_eq!(s.payload_bytes(), 3 * POS_BYTES + 2 * (CRD_BYTES + 8));
-        assert_eq!(s.dense_bytes(), 8 * 8);
         assert_eq!(estimated_payload_bytes(8, 2, 0.25), csr_payload_bytes(2, 2));
         // Density estimates never exceed the dense volume.
         assert_eq!(estimated_payload_bytes(8, 2, 5.0), csr_payload_bytes(2, 8));

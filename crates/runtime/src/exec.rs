@@ -251,7 +251,7 @@ impl Runtime {
     }
 
     /// Sets a region's wire-payload scale (compressed-format byte
-    /// accounting; see [`LogicalRegion::payload_scale`]). Values are
+    /// accounting; see `LogicalRegion::payload_scale`). Values are
     /// clamped to be positive; `1.0` restores flat dense accounting.
     pub fn set_region_payload_scale(&mut self, region: RegionId, scale: f64) {
         self.store.coherence.regions[region.0 as usize].payload_scale =
@@ -259,7 +259,7 @@ impl Runtime {
     }
 
     /// Sets the fraction of their nominal flops tasks reading this region
-    /// perform (see [`LogicalRegion::flops_scale`]), clamped to `[0, 1]`.
+    /// perform (see `LogicalRegion::flops_scale`), clamped to `[0, 1]`.
     pub fn set_region_flops_scale(&mut self, region: RegionId, scale: f64) {
         self.store.coherence.regions[region.0 as usize].flops_scale = scale.clamp(0.0, 1.0);
     }
@@ -267,8 +267,7 @@ impl Runtime {
     /// Seeds a region with a CSR image in global coordinates (functional
     /// mode only): the image *is* the region's data until
     /// [`Runtime::set_region_data`] or [`Runtime::fill_region`] replaces
-    /// it. See [`LogicalRegion::csr`] for what changes and what does
-    /// not.
+    /// it. See `LogicalRegion::csr` for what changes and what does not.
     ///
     /// # Errors
     ///

@@ -745,7 +745,7 @@ mod tests {
             let y = rt.create_region("y", Rect::sized(&[4]));
             let image = Arc::new(SparseBuffer::from_dense(&[4, 3], &dense));
             rt.set_region_sparse(b, Arc::clone(&image)).unwrap();
-            rt.set_region_flops_scale(b, image.density());
+            rt.set_region_flops_scale(b, image.nnz() as f64 / 12.0);
             let mut p = Program::new();
             let k = p.register_kernel(Arc::new(RowSumKernel));
             let mut tasks = Vec::new();

@@ -23,7 +23,7 @@ use distal_machine::geom::{Point, Rect};
 
 /// A node of the execution DAG.
 #[derive(Debug)]
-pub struct GNode {
+pub(crate) struct GNode {
     /// What the node does.
     pub kind: GNodeKind,
     /// Duration in simulated seconds.
@@ -39,7 +39,7 @@ pub struct GNode {
 
 /// What a DAG node does.
 #[derive(Debug)]
-pub enum GNodeKind {
+pub(crate) enum GNodeKind {
     /// Run a kernel on a processor.
     Task(TaskNode),
     /// Move (or fold) a rectangle between instances.
@@ -52,7 +52,7 @@ pub enum GNodeKind {
 
 /// Payload of a task node.
 #[derive(Debug)]
-pub struct TaskNode {
+pub(crate) struct TaskNode {
     /// Kernel to run.
     pub kernel: crate::program::KernelId,
     /// Resolved kernel variant name (`tape`, `gemm.gen`, `interpreter`, …)
@@ -72,7 +72,7 @@ pub struct TaskNode {
 
 /// Payload of a copy node.
 #[derive(Debug)]
-pub struct CopyNode {
+pub(crate) struct CopyNode {
     /// Region being moved.
     pub region: RegionId,
     /// Source instance.
@@ -95,11 +95,11 @@ pub struct CopyNode {
 
 /// A schedulable resource: processors and per-memory in/out ports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResourceId(pub u32);
+pub(crate) struct ResourceId(pub u32);
 
 /// Resource-id layout helper.
 #[derive(Debug)]
-pub struct ResourceMap {
+pub(crate) struct ResourceMap {
     procs: u32,
     mems: u32,
     nodes: u32,
@@ -107,7 +107,7 @@ pub struct ResourceMap {
 
 impl ResourceMap {
     /// Builds the layout for a machine.
-    pub fn new(machine: &PhysicalMachine) -> Self {
+    pub(crate) fn new(machine: &PhysicalMachine) -> Self {
         ResourceMap {
             procs: machine.procs().len() as u32,
             mems: machine.mems().len() as u32,
@@ -116,45 +116,40 @@ impl ResourceMap {
     }
 
     /// Total number of resources.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         (self.procs + 2 * self.mems + 2 * self.nodes) as usize
     }
 
-    /// True when there are no resources (never in practice).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The resource of a processor.
-    pub fn proc(&self, p: ProcId) -> ResourceId {
+    pub(crate) fn proc(&self, p: ProcId) -> ResourceId {
         ResourceId(p.0)
     }
 
     /// The inbound port of a memory.
-    pub fn mem_in(&self, m: MemId) -> ResourceId {
+    pub(crate) fn mem_in(&self, m: MemId) -> ResourceId {
         ResourceId(self.procs + m.0)
     }
 
     /// The outbound port of a memory.
-    pub fn mem_out(&self, m: MemId) -> ResourceId {
+    pub(crate) fn mem_out(&self, m: MemId) -> ResourceId {
         ResourceId(self.procs + self.mems + m.0)
     }
 
     /// The inbound NIC port of a node: all inter-node traffic into a node
     /// shares it, so a node's processors contend for network bandwidth.
-    pub fn node_in(&self, node: usize) -> ResourceId {
+    pub(crate) fn node_in(&self, node: usize) -> ResourceId {
         ResourceId(self.procs + 2 * self.mems + node as u32)
     }
 
     /// The outbound NIC port of a node.
-    pub fn node_out(&self, node: usize) -> ResourceId {
+    pub(crate) fn node_out(&self, node: usize) -> ResourceId {
         ResourceId(self.procs + 2 * self.mems + self.nodes + node as u32)
     }
 }
 
 /// The built DAG.
 #[derive(Debug, Default)]
-pub struct Graph {
+pub(crate) struct Graph {
     /// Nodes in creation (program) order.
     pub nodes: Vec<GNode>,
 }
@@ -204,7 +199,7 @@ pub(crate) struct GraphBuilder<'a> {
 impl<'a> GraphBuilder<'a> {
     /// Runs the dependence analysis for `program`, advancing `coherence`
     /// to the state the program leaves behind, and returns the DAG.
-    pub fn build(
+    pub(crate) fn build(
         machine: &'a PhysicalMachine,
         coherence: &'a mut Coherence,
         program: &Program,

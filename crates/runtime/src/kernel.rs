@@ -32,7 +32,7 @@ use std::sync::Arc;
 ///
 /// An argument arrives in one of two forms. Dense: `data` is the buffer
 /// and `sparse` is `None`. Compressed — a region held as CSR
-/// ([`crate::region::LogicalRegion::csr`]), or a face the SPMD rank VM
+/// ([`crate::Runtime::set_region_sparse`]), or a face the SPMD rank VM
 /// has just compressed: `sparse` is the image, `data` is empty (the
 /// element accessors below must not be used) and `alloc` is the rectangle
 /// the image covers — its row `r` is the row-major linearization of the

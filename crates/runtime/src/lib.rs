@@ -10,7 +10,7 @@
 //! placement of data and computation. No Legion equivalent exists in Rust, so
 //! this crate implements the same *programming model* as a simulator:
 //!
-//! * **Logical regions** ([`region::LogicalRegion`]) are multi-dimensional
+//! * **Logical regions** are multi-dimensional
 //!   arrays of `f64` identified by [`region::RegionId`].
 //! * **Physical instances** hold (sub-)region data in a specific memory and
 //!   track which sub-rectangles are currently valid (coherence).
@@ -51,7 +51,7 @@
 pub mod csr;
 pub mod exec;
 pub mod executor;
-pub mod graph;
+mod graph;
 pub mod kernel;
 pub mod pool;
 pub mod program;
@@ -67,6 +67,6 @@ pub use executor::ExecutorKind;
 pub use kernel::{ArgData, Kernel, KernelArg, KernelCtx};
 pub use program::{IndexLaunch, KernelId, Op, Privilege, Program, RegionReq, TaskDesc};
 pub use region::{Coherence, RegionId};
-pub use replay::{TraceCounters, TracedProgram};
-pub use stats::{ChannelClass, CopyKind, CopyLogEntry, RunStats};
+pub use replay::TracedProgram;
+pub use stats::{ChannelClass, CopyKind, RunStats};
 pub use topology::{MemId, PhysicalMachine, ProcId};

@@ -13,13 +13,13 @@
 //! taken here and given back when their owner drops keep a steady request
 //! stream off the system allocator.
 //!
-//! Only buffers of [`MIN_POOLED`] to [`MAX_POOLED`] elements are kept.
+//! Only buffers of [`MIN_POOLED`] to `MAX_POOLED` elements are kept.
 //! Below that the allocator neither maps nor trims. Above it a buffer is
 //! a whole tensor rather than one of the tiles that make up a request
 //! (the dense staging copy of a bound 2048² operand is 32 MiB): keeping
 //! two or three of those would spend the whole budget and evict every
 //! tile, so they stay with the system allocator. At most
-//! [`MAX_POOLED_BYTES`] are retained in total; past that the least
+//! `MAX_POOLED_BYTES` are retained in total; past that the least
 //! recently used length is released.
 
 use std::collections::BTreeMap;
@@ -28,9 +28,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Buffers shorter than this many elements (32 KiB) are never pooled.
 pub const MIN_POOLED: usize = 4096;
 /// Buffers longer than this many elements (4 MiB) are never pooled.
-pub const MAX_POOLED: usize = 512 * 1024;
+pub(crate) const MAX_POOLED: usize = 512 * 1024;
 /// Upper bound on the bytes the pool retains.
-pub const MAX_POOLED_BYTES: usize = 128 << 20;
+pub(crate) const MAX_POOLED_BYTES: usize = 128 << 20;
 
 const ELEM: usize = std::mem::size_of::<f64>();
 

@@ -36,13 +36,6 @@ pub enum Privilege {
     Reduce,
 }
 
-impl Privilege {
-    /// True for privileges that produce new data.
-    pub fn writes(self) -> bool {
-        !matches!(self, Privilege::Read)
-    }
-}
-
 /// One region requirement of a task.
 #[derive(Clone, Debug)]
 pub struct RegionReq {
@@ -245,12 +238,5 @@ mod tests {
         assert_eq!(p.task_count(), 3);
         let dbg = format!("{p:?}");
         assert!(dbg.contains("index launch 'l'"));
-    }
-
-    #[test]
-    fn privilege_classification() {
-        assert!(Privilege::Write.writes());
-        assert!(Privilege::Reduce.writes());
-        assert!(!Privilege::Read.writes());
     }
 }

@@ -25,7 +25,7 @@ impl fmt::Debug for RegionId {
 
 /// Identifier of a physical instance.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct InstanceId(pub u32);
+pub(crate) struct InstanceId(pub u32);
 
 impl fmt::Debug for InstanceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -35,7 +35,7 @@ impl fmt::Debug for InstanceId {
 
 /// A logical region: a named, dense, `f64`-element index space.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LogicalRegion {
+pub(crate) struct LogicalRegion {
     /// This region's id.
     pub id: RegionId,
     /// Debug name (usually the tensor name).
@@ -70,14 +70,9 @@ pub struct LogicalRegion {
 pub use distal_machine::ELEM_BYTES;
 
 impl LogicalRegion {
-    /// Size of the full region in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.rect.volume() as u64 * ELEM_BYTES
-    }
-
     /// Wire bytes of moving `volume` elements of this region: dense bytes
     /// scaled by [`LogicalRegion::payload_scale`], rounded up.
-    pub fn payload_bytes(&self, volume: i64) -> u64 {
+    pub(crate) fn payload_bytes(&self, volume: i64) -> u64 {
         let dense = volume.max(0) as u64 * ELEM_BYTES;
         if self.payload_scale == 1.0 {
             dense
@@ -90,7 +85,7 @@ impl LogicalRegion {
 /// How an instance came to exist; home instances are pinned, scratch
 /// instances may be discarded by [`crate::program::Op::DiscardScratch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InstanceRole {
+pub(crate) enum InstanceRole {
     /// Created by a write-privilege task (data placement); never discarded.
     Home,
     /// Created to satisfy a read requirement; discardable.
@@ -102,7 +97,7 @@ pub enum InstanceRole {
 /// A physical instance: storage for a sub-rectangle of a region in one
 /// memory.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Instance {
+pub(crate) struct Instance {
     /// This instance's id.
     pub id: InstanceId,
     /// The region this instance caches.
@@ -308,7 +303,7 @@ impl Coherence {
 
 impl Instance {
     /// Allocation size in bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.rect.volume() as u64 * ELEM_BYTES
     }
 }

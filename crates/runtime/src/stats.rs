@@ -44,16 +44,6 @@ pub struct KernelClassStats {
     pub busy_s: f64,
 }
 
-impl KernelClassStats {
-    /// Modeled GFLOP/s of this variant (0 when no busy time).
-    pub fn gflops(&self) -> f64 {
-        if self.busy_s <= 0.0 {
-            return 0.0;
-        }
-        self.flops / self.busy_s / 1e9
-    }
-}
-
 /// One logged task execution (recorded when `record_copies` is enabled,
 /// which turns on the full event log).
 #[derive(Clone, Debug, PartialEq)]

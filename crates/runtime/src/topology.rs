@@ -125,7 +125,7 @@ impl PhysicalMachine {
     }
 
     /// All processors.
-    pub fn procs(&self) -> &[Processor] {
+    pub(crate) fn procs(&self) -> &[Processor] {
         &self.procs
     }
 
@@ -145,7 +145,7 @@ impl PhysicalMachine {
     }
 
     /// The unbounded staging memory.
-    pub fn global_mem(&self) -> MemId {
+    pub(crate) fn global_mem(&self) -> MemId {
         self.global_mem
     }
 
@@ -186,7 +186,7 @@ impl PhysicalMachine {
     }
 
     /// Transfer duration in seconds of `bytes` between two memories.
-    pub fn copy_time_s(&self, src: MemId, dst: MemId, bytes: u64) -> f64 {
+    pub(crate) fn copy_time_s(&self, src: MemId, dst: MemId, bytes: u64) -> f64 {
         let (s, d) = (self.mem(src), self.mem(dst));
         let same_node = s.node == d.node;
         let gbs = self.spec.channel_gbs(s.kind, d.kind, same_node);
@@ -198,7 +198,7 @@ impl PhysicalMachine {
     }
 
     /// Classifies a copy for the statistics report.
-    pub fn channel_class(&self, src: MemId, dst: MemId) -> crate::stats::ChannelClass {
+    pub(crate) fn channel_class(&self, src: MemId, dst: MemId) -> crate::stats::ChannelClass {
         use crate::stats::ChannelClass;
         let (s, d) = (self.mem(src), self.mem(dst));
         if s.kind == MemKind::Global || d.kind == MemKind::Global {
@@ -216,7 +216,7 @@ impl PhysicalMachine {
 
     /// Model-mode duration of a leaf task: fixed runtime overhead plus a
     /// roofline term over the processor's compute and memory throughput.
-    pub fn task_time_s(&self, proc: ProcId, flops: f64, bytes: f64, efficiency: f64) -> f64 {
+    pub(crate) fn task_time_s(&self, proc: ProcId, flops: f64, bytes: f64, efficiency: f64) -> f64 {
         let kind = self.proc(proc).kind;
         let gflops = self.spec.proc_gflops(kind) * efficiency;
         let membw = match kind {

@@ -254,11 +254,6 @@ impl ServingEngine {
         }
     }
 
-    /// A coherent snapshot of just the plan-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Drains and stops the engine: already-queued requests are served,
     /// workers are joined. Returns the final stats.
     pub fn shutdown(mut self) -> EngineStats {

@@ -276,7 +276,7 @@ pub struct SpmdBackend {
     pub model: AlphaBeta,
     /// How bound instances run the rank programs: the sequential
     /// simulation (default) or real rank threads (see
-    /// [`crate::transport`]).
+    /// [`Transport`]).
     pub transport: Transport,
     /// Schedule-admission lint configuration (`distal_core::lint`):
     /// denied findings reject the plan before lowering, warned findings
@@ -642,7 +642,6 @@ mod tests {
             Box::new(RuntimeBackend::model()),
             Box::new(rt().with_executor(distal_runtime::ExecutorKind::Serial)),
             Box::new(options(|o| o.bulk_synchronous = true)),
-            Box::new(options(|o| o.fill_output = Some(false))),
             Box::new(options(|o| o.compute_mem = Some(MemKind::Fb))),
             Box::new(rt().with_lints(lints(Lint::GridMismatch))),
             Box::new(SpmdBackend::new()),

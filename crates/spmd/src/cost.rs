@@ -39,7 +39,6 @@ use crate::lower::torus_distance;
 use crate::ops::SpmdOp;
 use crate::program::SpmdProgram;
 use distal_machine::grid::Grid;
-use distal_machine::spec::MachineSpec;
 use std::collections::BTreeMap;
 
 /// The model parameters: per-message latency `α` (scaled by hop
@@ -67,19 +66,9 @@ impl Default for AlphaBeta {
 }
 
 impl AlphaBeta {
-    /// Derives parameters from a physical machine description: inter-node
-    /// latency and bandwidth, CPU-socket leaf rate.
-    pub fn from_spec(spec: &MachineSpec) -> Self {
-        AlphaBeta {
-            alpha_s: spec.internode_latency_s,
-            beta_bytes_per_s: spec.internode_gbs * 1e9,
-            flops_per_s: spec.proc_gflops(distal_machine::spec::ProcKind::Cpu) * 1e9,
-        }
-    }
-
     /// The wire time of moving `bytes` between two ranks:
     /// `α · d + bytes / β`.
-    pub fn transfer_s(&self, grid: &Grid, from: usize, to: usize, bytes: u64) -> f64 {
+    pub(crate) fn transfer_s(&self, grid: &Grid, from: usize, to: usize, bytes: u64) -> f64 {
         let d = torus_distance(
             grid,
             &grid.delinearize(from as i64),
@@ -181,14 +170,5 @@ mod tests {
         // 16 bytes = 2 s of bandwidth time; rank 10 is (2,2): 4 hops.
         assert!((model.transfer_s(&grid, 0, 1, 16) - 3.0).abs() < 1e-12);
         assert!((model.transfer_s(&grid, 0, 10, 16) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_spec_uses_internode_channel() {
-        let spec = MachineSpec::small(4);
-        let model = AlphaBeta::from_spec(&spec);
-        assert!(model.alpha_s > 0.0);
-        assert!(model.beta_bytes_per_s > 0.0);
-        assert!(model.flops_per_s > 0.0);
     }
 }

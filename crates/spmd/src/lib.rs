@@ -33,11 +33,11 @@
 //!    [`CommStats`].
 //! 4. [`SpmdProgram::execute_with`](program::SpmdProgram::execute_with)
 //!    runs the per-rank programs on a deterministic rank virtual machine
-//!    with real numerics, over either [`transport`]: the sequential
+//!    with real numerics, over either [`Transport`]: the sequential
 //!    simulation (the oracle the parity suites trust) or real rank
 //!    threads exchanging tagged messages over channels, which measures
 //!    wall-clock makespans the α-β model can be validated against.
-//! 5. [`backend`] plugs all of it into the unified compile pipeline:
+//! 5. The backend plugs all of it into the unified compile pipeline:
 //!    [`SpmdBackend`] compiles a `distal_core::Problem` to an SPMD plan
 //!    behind the shared `Backend`/`Plan`/`Instance` traits (deriving
 //!    tensors and machine from the problem registry); in model mode
@@ -87,15 +87,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod backend;
+mod backend;
 pub mod collective;
 pub mod cost;
 pub mod lower;
-pub mod ops;
+mod ops;
 pub mod program;
 mod resolve;
-pub mod stats;
-pub mod transport;
+mod stats;
+mod transport;
 pub mod verify;
 mod vm;
 
@@ -104,7 +104,7 @@ pub use collective::{Collective, CollectiveConfig, CollectiveKind};
 pub use cost::{AlphaBeta, CostReport};
 pub use lower::SpmdError;
 pub use ops::{Message, Named, SpmdOp};
-pub use program::{MeasuredRun, SpmdProgram, SpmdResult};
+pub use program::{SpmdProgram, SpmdResult};
 pub use resolve::resolve_count;
 pub use stats::CommStats;
 pub use transport::{ThreadedConfig, Transport};

@@ -60,7 +60,7 @@ pub enum SpmdError {
     Data(String),
     /// The threaded transport's watchdog fired: some rank blocked on a
     /// receive past the deadline (a lowering bug — a well-formed program
-    /// cannot deadlock; see [`crate::transport`]).
+    /// cannot deadlock; see [`crate::Transport`]).
     Timeout(String),
     /// No rank holds a valid copy of part of an input rectangle (a
     /// lowering bug — a format's home pieces cover its whole tensor). A
@@ -122,13 +122,13 @@ impl Ownership {
     }
 
     /// `pieces()[rank]` = the home rectangles `rank` holds.
-    pub fn pieces(&self) -> &[Vec<Rect>] {
+    pub(crate) fn pieces(&self) -> &[Vec<Rect>] {
         &self.pieces
     }
 
     /// Home owners intersecting `rect`, with the owned sub-rectangles, in
     /// `(rank, piece)` order.
-    pub fn owners_of(&self, rect: &Rect) -> Vec<(usize, Rect)> {
+    pub(crate) fn owners_of(&self, rect: &Rect) -> Vec<(usize, Rect)> {
         self.index
             .query(rect, &mut Vec::new())
             .map(|(_, piece, &rank)| (rank, piece.intersection(rect)))

@@ -277,7 +277,7 @@ impl SpmdProgram {
     /// [`SpmdProgram::execute`] refines it to the exact per-tile nnz).
     /// Output-tensor messages are partial sums — dense regardless of the
     /// output's at-rest format — and dense tensors ship flat tiles.
-    pub fn message_bytes(&self, m: &Message) -> u64 {
+    pub(crate) fn message_bytes(&self, m: &Message) -> u64 {
         self.message_bytes_with(m, &self.nnz)
     }
 
@@ -301,8 +301,10 @@ impl SpmdProgram {
         }
     }
 
-    /// Communication statistics of the static program (nnz-sized bytes
-    /// for compressed operand tiles; see [`SpmdProgram::message_bytes`]).
+    /// Communication statistics of the static program. A tile of a
+    /// compressed operand counts the bytes of its CSR payload, sized by
+    /// the tensor's global density; every other message counts its dense
+    /// bytes.
     pub fn stats(&self) -> CommStats {
         self.stats_with(&self.nnz)
     }

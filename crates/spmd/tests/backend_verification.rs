@@ -186,19 +186,17 @@ fn summa_volume_matches_dynamic_runtime() {
     let program = lower_problem(&problem, &schedule, &CollectiveConfig::default()).unwrap();
     let static_bytes = program.stats().bytes;
 
-    // Dynamic runtime (placement separate; compute phase only). Skip the
-    // output pre-fill: the SPMD model starts accumulators at zero locally,
-    // and the dynamic fill would otherwise invalidate the placed A tiles
-    // and re-fetch them from the staging fill instance.
+    // Dynamic runtime (placement separate; compute phase only), as a `+=`
+    // over an `A` bound to zero: that skips the output pre-fill. The SPMD
+    // model starts accumulators at zero locally, and the dynamic fill
+    // would otherwise invalidate the placed A tiles and re-fetch them from
+    // the staging fill instance.
     let mut problem = problem;
     problem.fill_random("B", 1).unwrap();
     problem.fill_random("C", 2).unwrap();
-    let options = distal_core::CompileOptions {
-        fill_output: Some(false),
-        ..Default::default()
-    };
+    problem.statement("A(i,j) += B(i,k) * C(k,j)").unwrap();
+    problem.fill("A", 0.0).unwrap();
     let mut dynamic = RuntimeBackend::functional()
-        .with_options(options)
         .compile_typed(&problem, &schedule)
         .unwrap();
     dynamic.place_stats().unwrap();

@@ -9,24 +9,24 @@
 //! seconds. This crate makes the invariant (and three more) *checkable at
 //! plan time*, once per plan-cache entry, free per bind:
 //!
-//! 1. **Communication matching** ([`comm`]) — every tagged receive has
+//! 1. **Communication matching** (`comm`) — every tagged receive has
 //!    exactly one matching send with identical (tensor, rect, endpoints,
 //!    bytes, fold semantics); no orphan sends, no duplicate tags.
-//! 2. **Deadlock freedom** ([`order`]) — the cross-rank happens-before
+//! 2. **Deadlock freedom** (`order`) — the cross-rank happens-before
 //!    graph (per-rank program order plus send→receive edges) is acyclic.
-//! 3. **Buffer hazards** ([`hazard`]) — no write-write overlaps on
+//! 3. **Buffer hazards** (`hazard`) — no write-write overlaps on
 //!    intersecting rectangles of the same tensor across ranks (unless
 //!    the program reduces), and no unordered landings within a scratch
 //!    generation.
-//! 4. **Shape/bounds legality** ([`bounds`]) — message rectangles and
+//! 4. **Shape/bounds legality** (`bounds`) — message rectangles and
 //!    task accesses fit their tensors' extents, peers fit the launch
 //!    domain, and per-tensor bytes are conserved (sent == received).
 //!
 //! [`verify`] walks the program once, rank by rank and event by event,
-//! and feeds every check from that walk: [`bounds`] and [`hazard`] keep
-//! per-tensor state, and [`comm`]'s tag table — the send and receive of
+//! and feeds every check from that walk: `bounds` and `hazard` keep
+//! per-tensor state, and `comm`'s tag table — the send and receive of
 //! every tag, found as the walk meets them — serves both matching and
-//! [`order`]'s happens-before sort. The findings come out grouped by
+//! `order`'s happens-before sort. The findings come out grouped by
 //! check in the order above: shape legality, matching, deadlock freedom,
 //! hazards.
 //!
@@ -42,10 +42,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bounds;
-pub mod comm;
-pub mod hazard;
-pub mod order;
+mod bounds;
+mod comm;
+mod hazard;
+mod order;
 
 use distal_core::{Diagnostic, TensorId};
 use distal_machine::geom::Rect;
@@ -220,7 +220,7 @@ pub(crate) fn name<P: Events + ?Sized>(program: &P, id: TensorId) -> Cow<'_, str
 
 /// The entry of `table` for tensor `id`, growing the table to reach it:
 /// a check's per-tensor tables are sized by the declared tensors, and an
-/// undeclared id (already a finding of [`bounds`]) must not panic.
+/// undeclared id (already a finding of `bounds`) must not panic.
 pub(crate) fn entry<T: Default>(table: &mut Vec<T>, id: TensorId) -> &mut T {
     if table.len() <= id.index() {
         table.resize_with(id.index() + 1, T::default);
@@ -303,7 +303,7 @@ pub(crate) mod fixtures {
     use super::*;
     use distal_machine::geom::{Point, Rect};
 
-    pub fn rect2(lo: (i64, i64), hi: (i64, i64)) -> Rect {
+    pub(crate) fn rect2(lo: (i64, i64), hi: (i64, i64)) -> Rect {
         Rect::new(Point::new(vec![lo.0, lo.1]), Point::new(vec![hi.0, hi.1]))
     }
 
@@ -312,7 +312,7 @@ pub(crate) mod fixtures {
     pub(crate) const B: TensorId = TensorId(1);
     pub(crate) const Z: TensorId = TensorId(2);
 
-    pub fn msg(tag: u64, peer: usize, tensor: TensorId, rect: Rect) -> Msg {
+    pub(crate) fn msg(tag: u64, peer: usize, tensor: TensorId, rect: Rect) -> Msg {
         let bytes = rect.volume().max(0) as u64 * 8;
         Msg {
             tag,
@@ -327,7 +327,7 @@ pub(crate) mod fixtures {
     /// A minimal clean two-rank program over one 4×4 tensor `B` and an
     /// output `A`: rank 0 sends its half of `B` to rank 1, both compute
     /// disjoint halves of `A`.
-    pub fn clean_pair() -> VerifyProgram<'static> {
+    pub(crate) fn clean_pair() -> VerifyProgram<'static> {
         let b_full = rect2((0, 0), (3, 3));
         let a_full = rect2((0, 0), (3, 3));
         let b_lo = rect2((0, 0), (1, 3));

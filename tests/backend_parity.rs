@@ -7,7 +7,7 @@
 
 use distal::algs::matmul::MatmulAlgorithm;
 use distal::algs::setup::{matmul_problem, RunConfig};
-use distal::core::{BackendError, CompileOptions, Problem, RuntimeBackend, Schedule};
+use distal::core::{BackendError, Problem, RuntimeBackend, Schedule};
 use distal::prelude::*;
 use distal::spmd::SpmdBackend;
 
@@ -20,6 +20,17 @@ fn problem_for(alg: MatmulAlgorithm, nodes: usize, n: i64) -> (Problem, Schedule
     let mut config = RunConfig::cpu(nodes, Mode::Functional);
     config.spec = MachineSpec::small(nodes);
     matmul_problem(alg, &config, n, (n / 2).max(1)).unwrap()
+}
+
+/// [`problem_for`] as `A += B * C` over an `A` bound to zero: the same
+/// numbers, and a program without the output pre-fill, since a `+=` adds
+/// to its bound output instead of zero-filling it (the SPMD model starts
+/// accumulators at zero).
+fn unfilled_problem_for(alg: MatmulAlgorithm, nodes: usize, n: i64) -> (Problem, Schedule) {
+    let (mut problem, schedule) = problem_for(alg, nodes, n);
+    problem.statement("A(i,j) += B(i,k) * C(k,j)").unwrap();
+    problem.fill("A", 0.0).unwrap();
+    (problem, schedule)
 }
 
 /// Compiles + runs the problem on both executable backends, returning the
@@ -65,16 +76,12 @@ fn assert_bit_identical(alg: MatmulAlgorithm, a: &[f64], b: &[f64]) {
 #[test]
 fn summa_and_cannon_bit_identical_and_same_bytes() {
     // The dynamic runtime's coherence analysis and the static lowering
-    // discover the *same* communication; without the output pre-fill
-    // (the SPMD model starts accumulators at zero) the byte totals are
-    // equal, not merely close.
-    let no_fill = RuntimeBackend::functional().with_options(CompileOptions {
-        fill_output: Some(false),
-        ..Default::default()
-    });
+    // discover the *same* communication; without the output pre-fill the
+    // byte totals are equal, not merely close.
     for alg in [MatmulAlgorithm::Summa, MatmulAlgorithm::Cannon] {
-        let (problem, schedule) = problem_for(alg, 2, 12);
-        let ((rt_a, rt_report), (sp_a, sp_report)) = run_both(&problem, &schedule, &no_fill);
+        let (problem, schedule) = unfilled_problem_for(alg, 2, 12);
+        let ((rt_a, rt_report), (sp_a, sp_report)) =
+            run_both(&problem, &schedule, &RuntimeBackend::functional());
         assert_bit_identical(alg, &rt_a, &sp_a);
         assert_eq!(
             rt_report.bytes_moved, sp_report.bytes_moved,
@@ -95,12 +102,9 @@ fn johnson_bit_identical_with_consistent_bytes() {
     // reduce-tree messages; the numerics are still bit-identical and the
     // byte totals agree within the reduction-accounting factor of 2.
     let alg = MatmulAlgorithm::Johnson;
-    let (problem, schedule) = problem_for(alg, 4, 12);
-    let no_fill = RuntimeBackend::functional().with_options(CompileOptions {
-        fill_output: Some(false),
-        ..Default::default()
-    });
-    let ((rt_a, rt_report), (sp_a, sp_report)) = run_both(&problem, &schedule, &no_fill);
+    let (problem, schedule) = unfilled_problem_for(alg, 4, 12);
+    let ((rt_a, rt_report), (sp_a, sp_report)) =
+        run_both(&problem, &schedule, &RuntimeBackend::functional());
     assert_bit_identical(alg, &rt_a, &sp_a);
     assert!(rt_report.bytes_moved > 0 && sp_report.bytes_moved > 0);
     let ratio = rt_report.bytes_moved as f64 / sp_report.bytes_moved as f64;

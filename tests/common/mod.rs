@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 /// each read of `out` is bit for bit the serial runtime's, and that each
 /// SPMD lowering passes the static verifier without a finding. Returns the
 /// agreed read.
-pub fn assert_every_executor_agrees(
+pub(crate) fn assert_every_executor_agrees(
     problem: &Problem,
     schedule: &Schedule,
     lints: &LintConfig,
@@ -82,7 +82,7 @@ pub fn assert_every_executor_agrees(
 /// paper's Lassen modelling), `B` and `C` seeded. The schedule
 /// distributes `i` by 2x4 and `j` by 2 over the flattened grid, mirroring
 /// the hierarchical tiling.
-pub fn two_level_matmul(n: i64, inner: &str) -> (Problem, Schedule) {
+pub(crate) fn two_level_matmul(n: i64, inner: &str) -> (Problem, Schedule) {
     let machine =
         DistalMachine::hierarchical(vec![Grid::grid2(2, 2), Grid::line(4)], ProcKind::Gpu);
     let mut problem = Problem::new(MachineSpec::small(4), machine);
@@ -112,7 +112,7 @@ pub fn two_level_matmul(n: i64, inner: &str) -> (Problem, Schedule) {
 /// asserts its output agrees with the sequential oracle (evaluated on the
 /// inputs the instance itself holds) to `tol`, relative to magnitude.
 /// Returns the executed instance and its (placement, compute) statistics.
-pub fn run_against_oracle(
+pub(crate) fn run_against_oracle(
     backend: &RuntimeBackend,
     problem: &Problem,
     schedule: &Schedule,
@@ -136,31 +136,31 @@ pub fn run_against_oracle(
 }
 
 /// Small deterministic xorshift64* generator.
-pub struct Rng(pub u64);
+pub(crate) struct Rng(pub u64);
 
 impl Rng {
-    pub fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 ^= self.0 >> 12;
         self.0 ^= self.0 << 25;
         self.0 ^= self.0 >> 27;
         self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
 
-    pub fn data(&mut self, n: usize) -> Vec<f64> {
+    pub(crate) fn data(&mut self, n: usize) -> Vec<f64> {
         (0..n)
             .map(|_| (self.next() % 17) as f64 / 8.0 - 1.0)
             .collect()
     }
 }
 
-pub const VARS: [&str; 4] = ["i", "j", "k", "l"];
+pub(crate) const VARS: [&str; 4] = ["i", "j", "k", "l"];
 
 /// One random statement: expression string, tensor dims, distributed var.
-pub struct Case {
+pub(crate) struct Case {
     pub expr: String,
     pub dims: BTreeMap<String, Vec<i64>>,
     pub extents: BTreeMap<String, i64>,
@@ -169,7 +169,7 @@ pub struct Case {
     pub input_vars: Vec<Vec<String>>,
 }
 
-pub fn generate(rng: &mut Rng) -> Case {
+pub(crate) fn generate(rng: &mut Rng) -> Case {
     let extents: BTreeMap<String, i64> = VARS
         .iter()
         .map(|v| (v.to_string(), 2 + rng.below(4) as i64))
@@ -241,7 +241,7 @@ pub fn generate(rng: &mut Rng) -> Case {
 
 /// Distribution of a tensor on a 1-D machine: partition by `dist_var` when
 /// the tensor has it, otherwise replicate.
-pub fn format_1d(vars: &[String], dist_var: &str) -> Format {
+pub(crate) fn format_1d(vars: &[String], dist_var: &str) -> Format {
     let names: Vec<String> = (0..vars.len())
         .map(|q| char::from(b'a' + q as u8).to_string())
         .collect();
@@ -257,7 +257,7 @@ pub fn format_1d(vars: &[String], dist_var: &str) -> Format {
 
 /// The generic 1-D schedule: distribute `dist_var`, communicate everything
 /// at the distributed loop. Non-prefix variables need the full reorder.
-pub fn schedule_1d(case: &Case, all_vars: &[String], dist_var: &str, p: i64) -> Schedule {
+pub(crate) fn schedule_1d(case: &Case, all_vars: &[String], dist_var: &str, p: i64) -> Schedule {
     let tensors: Vec<String> = case.dims.keys().cloned().collect();
     let trefs: Vec<&str> = tensors.iter().map(String::as_str).collect();
     let mut order: Vec<String> = vec![format!("{dist_var}_o")];
@@ -284,7 +284,7 @@ pub fn schedule_1d(case: &Case, all_vars: &[String], dist_var: &str, p: i64) -> 
 /// A generated case as a problem on a `p`-processor line machine, inputs
 /// seeded per case, under [`schedule_1d`] over the first output variable
 /// (or the statement's first variable, for a scalar output).
-pub fn case_problem(case: &Case, p: i64) -> (Problem, Schedule) {
+pub(crate) fn case_problem(case: &Case, p: i64) -> (Problem, Schedule) {
     let machine = DistalMachine::flat(Grid::line(p), ProcKind::Cpu);
     let mut problem = Problem::new(MachineSpec::small(2), machine);
     problem

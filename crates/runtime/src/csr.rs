@@ -16,7 +16,9 @@
 //! Conversion is lossless in both directions: *every* value whose bit
 //! pattern differs from `+0.0` is stored (including `-0.0` and NaN
 //! payloads), so `to_dense(from_dense(x)) == x` bit-for-bit at any
-//! density.
+//! density. A large image is compressed in row slabs side by side,
+//! through [`fork`](crate::executor::fork): the calling thread scans the
+//! first slab, and its part becomes the result.
 
 use distal_machine::ELEM_BYTES;
 
@@ -84,9 +86,9 @@ impl SparseBuffer {
     }
 
     /// [`SparseBuffer::from_dense`] over `slabs` row slabs, each a whole
-    /// number of `SCAN_LANES` row blocks: the first is scanned on the
-    /// calling thread, every other on a scoped one, and the slabs are
-    /// filed in order, so the result is the same for any `slabs`.
+    /// number of `SCAN_LANES` row blocks, scanned through
+    /// [`fork`](crate::executor::fork) (the first on the calling thread)
+    /// and filed in order, so the result is the same for any `slabs`.
     pub(crate) fn from_dense_in(dims: &[i64], data: &[f64], slabs: usize) -> Self {
         let (rows, inner) = rows_and_inner(dims);
         assert_eq!(
@@ -95,32 +97,29 @@ impl SparseBuffer {
             "dense data does not match dims {dims:?}"
         );
         let slab_rows = rows.div_ceil(SCAN_LANES).div_ceil(slabs.max(1)).max(1) * SCAN_LANES;
-        let mut images = data[..rows * inner].chunks(slab_rows * inner);
-        // Room for ≈ 1.5 % density without regrowing; denser data doubles
-        // its way up from there.
-        let mut buf = SparseBuffer::with_rows(dims, rows, data.len() / 64);
-        std::thread::scope(|scope| {
-            let first = images.next().unwrap_or_default();
-            let rest: Vec<_> = images
-                .map(|slab| {
-                    scope.spawn(move || {
-                        // A slab's own rows, its `pos` counted from zero.
-                        let mut part =
-                            SparseBuffer::with_rows(&[], slab.len() / inner, slab.len() / 64);
-                        part.scan(slab, inner);
-                        part
-                    })
-                })
-                .collect();
-            buf.scan(first, inner);
-            for slab in rest {
-                let part = slab.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                let filed = buf.crd.len() as u64;
-                buf.pos.extend(part.pos[1..].iter().map(|end| filed + end));
-                buf.crd.extend_from_slice(&part.crd);
-                buf.vals.extend_from_slice(&part.vals);
-            }
+        let mut images: Vec<&[f64]> = data[..rows * inner].chunks(slab_rows * inner).collect();
+        if images.is_empty() {
+            images.push(&[]);
+        }
+        let parts = crate::executor::fork(images.into_iter().enumerate().collect(), |(k, slab)| {
+            // Part 0 is the result, with room for ≈ 1.5 % density without
+            // regrowing; every other part holds a slab's own rows, its
+            // `pos` counted from zero.
+            let mut part = match k {
+                0 => SparseBuffer::with_rows(dims, rows, data.len() / 64),
+                _ => SparseBuffer::with_rows(&[], slab.len() / inner, slab.len() / 64),
+            };
+            part.scan(slab, inner);
+            part
         });
+        let mut parts = parts.into_iter();
+        let mut buf = parts.next().expect("at least one slab");
+        for part in parts {
+            let filed = buf.crd.len() as u64;
+            buf.pos.extend(part.pos[1..].iter().map(|end| filed + end));
+            buf.crd.extend_from_slice(&part.crd);
+            buf.vals.extend_from_slice(&part.vals);
+        }
         buf
     }
 

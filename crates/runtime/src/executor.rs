@@ -10,11 +10,15 @@
 //! * one (`ExecutorKind::Serial`, or a host that resolves to one worker):
 //!   the effects run one at a time, in the exact order the timing pass
 //!   scheduled them;
-//! * more (`ExecutorKind::Parallel`, the default): a small work-stealing
-//!   pool runs every DAG-ready node at once. This mirrors what the
-//!   simulated machine is modelled to do (overlap of communication and
-//!   computation, §6) on the *host*: a functional-mode SUMMA run executes
-//!   its leaf GEMMs on all host cores.
+//! * more (`ExecutorKind::Parallel`, the default): workers forked by
+//!   [`fork`] run every DAG-ready node at once, taking them from one
+//!   ready queue. This mirrors what the simulated machine is modelled to
+//!   do (overlap of communication and computation, §6) on the *host*: a
+//!   functional-mode SUMMA run executes its leaf GEMMs on all host cores.
+//!
+//! [`fork`] owns the workspace's per-call host threads, for the SPMD rank
+//! pool and the dense→CSR scan too: the caller is worker 0, each worker
+//! gets its share of the host, and a worker's panic reaches the caller.
 //!
 //! The worker count changes nothing a run returns: the [`RunStats`] are
 //! the trace's, and the numerics are identical because the DAG already
@@ -43,9 +47,7 @@ use crate::replay::Trace;
 use distal_machine::geom::{copy_rect, fill_rect, Rect};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
 
 /// How [`crate::Runtime::run`] applies a trace's effects in functional
 /// mode (model mode applies none either way).
@@ -62,7 +64,7 @@ pub enum ExecutorKind {
 
 /// Applies `trace`'s node effects to `store`, which has already adopted
 /// it, on `workers` threads: none (model mode, or an empty graph), one in
-/// scheduled order, or more through the work-stealing pool.
+/// scheduled order, or more through the one-queue pool.
 pub(crate) fn apply(store: &Store, kernels: &[Arc<dyn Kernel>], trace: &Trace, workers: usize) {
     let Trace { graph, order, .. } = trace;
     match workers.min(graph.nodes.len()) {
@@ -133,13 +135,56 @@ pub fn host_worker_count(requested: usize) -> usize {
             return cap(n);
         }
     }
-    cap(std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1))
+    // Asked once: on Linux the answer reads the cgroup files (≈ 14 µs),
+    // and every fork asks.
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    cap(*CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
 }
 
-/// Runs all node effects on `workers` threads — the calling one and
-/// `workers - 1` spawned beside it — honouring DAG edges.
+/// Runs `work` on every item, item 0 on the calling thread and each
+/// other on a scoped thread, and returns the results in item order. Each
+/// worker, the caller included, runs under [`with_thread_budget`] of its
+/// share of the host, `host / items.len()` (at least 1). A panic is
+/// re-raised once every worker has returned; the lowest item's wins.
+pub fn fork<I: Send, T: Send>(items: Vec<I>, work: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let share = (host_worker_count(0) / items.len().max(1)).max(1);
+    let work = &|item| with_thread_budget(share, || work(item));
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = items.map(|item| s.spawn(move || work(item))).collect();
+        let first = catch_unwind(AssertUnwindSafe(|| work(first)));
+        let results: Vec<_> = std::iter::once(first)
+            .chain(spawned.into_iter().map(|h| h.join()))
+            .collect();
+        // Every worker has returned: the first panic, in item order, wins.
+        let results: std::thread::Result<Vec<T>> = results.into_iter().collect();
+        results.unwrap_or_else(|panic| resume_unwind(panic))
+    })
+}
+
+const POISONED: &str = "the ready queue's lock, held by no node's effect, was poisoned";
+
+/// The one ready queue of a parallel run and what its workers decide
+/// by. A worker reads and changes it under its lock only, so no wake-up
+/// falls between a worker finding nothing to do and parking.
+struct Ready {
+    queue: VecDeque<u32>,
+    /// Unmet dependences per node.
+    indeg: Vec<u32>,
+    /// Nodes not yet applied.
+    remaining: usize,
+    /// The first node panic; it stops the run.
+    failure: Option<Box<dyn std::any::Any + Send>>,
+}
+
+/// Runs all node effects on `workers` threads through [`fork`],
+/// honouring DAG edges. Initially ready nodes are queued in scheduled
+/// order, so the first workers start on the critical path; a worker
+/// that makes successors ready runs the first itself and queues the
+/// rest.
 fn parallel_apply(
     store: &Store,
     kernels: &[Arc<dyn Kernel>],
@@ -147,106 +192,51 @@ fn parallel_apply(
     order: &[u32],
     workers: usize,
 ) {
-    let indeg: Vec<AtomicU32> = graph.nodes.iter().map(|g| AtomicU32::new(g.deps)).collect();
-    let remaining = AtomicUsize::new(graph.nodes.len());
-    let failed = AtomicBool::new(false);
-    let queues: Vec<Mutex<VecDeque<u32>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let park = (Mutex::new(()), Condvar::new());
-    let failure: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    // Seed initially-ready nodes round-robin, in scheduled order so early
-    // workers start on the critical path.
-    let mut qi = 0usize;
-    for &i in order {
-        if graph.nodes[i as usize].deps == 0 {
-            queues[qi % workers].lock().unwrap().push_back(i);
-            qi += 1;
-        }
-    }
-
-    // A worker catches its node's panic and parks it in `failure`, so the
-    // calling thread — worker 0, which would otherwise sleep in the scope —
-    // always comes back to rethrow it.
-    let done = || remaining.load(Ordering::Acquire) == 0 || failed.load(Ordering::Acquire);
-    let worker = |wid: usize| {
-        loop {
-            if done() {
-                park.1.notify_all();
-                return;
-            }
-            let Some(i) = pop_node(&queues, wid) else {
-                let guard = park.0.lock().unwrap();
-                if done() {
-                    drop(guard);
-                    park.1.notify_all();
-                    return;
-                }
-                // The timeout bounds any lost-wakeup window; workers
-                // re-check the queues and the exit condition on expiry.
-                let _ = park
-                    .1
-                    .wait_timeout(guard, Duration::from_micros(100))
-                    .unwrap();
+    let ready = Mutex::new(Ready {
+        queue: order
+            .iter()
+            .copied()
+            .filter(|&i| graph.nodes[i as usize].deps == 0)
+            .collect(),
+        indeg: graph.nodes.iter().map(|g| g.deps).collect(),
+        remaining: graph.nodes.len(),
+        failure: None,
+    });
+    let wake = Condvar::new();
+    // A worker catches its node's panic and parks it in `failure`, so
+    // every worker comes back and `fork` returns normally.
+    let worker = |_: usize| {
+        let mut next = None;
+        let mut r = ready.lock().expect(POISONED);
+        while r.remaining > 0 && r.failure.is_none() {
+            let Some(i) = next.take().or_else(|| r.queue.pop_front()) else {
+                r = wake.wait(r).expect(POISONED);
                 continue;
             };
+            drop(r);
             let node = &graph.nodes[i as usize];
-            if let Err(panic) =
-                catch_unwind(AssertUnwindSafe(|| apply_effect(store, kernels, node)))
-            {
-                let mut f = failure.lock().unwrap();
-                if f.is_none() {
-                    *f = Some(panic);
-                }
-                drop(f);
-                // A dedicated flag (not remaining = 0) stops the pool:
-                // workers still mid-node will decrement `remaining`
-                // afterwards, which must not wrap past zero.
-                failed.store(true, Ordering::Release);
-                park.1.notify_all();
-                return;
+            let applied = catch_unwind(AssertUnwindSafe(|| apply_effect(store, kernels, node)));
+            r = ready.lock().expect(POISONED);
+            if let Err(panic) = applied {
+                r.failure.get_or_insert(panic);
+                continue;
             }
-            let mut woke = false;
+            r.remaining -= 1;
+            let Ready { queue, indeg, .. } = &mut *r;
             for &succ in &node.succs {
-                if indeg[succ as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    queues[wid].lock().unwrap().push_back(succ);
-                    woke = true;
+                indeg[succ as usize] -= 1;
+                if indeg[succ as usize] == 0 && *next.get_or_insert(succ) != succ {
+                    queue.push_back(succ);
+                    wake.notify_one();
                 }
             }
-            if woke {
-                park.1.notify_all();
-            }
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                park.1.notify_all();
-                return;
-            }
         }
+        wake.notify_all();
     };
-    std::thread::scope(|s| {
-        for wid in 1..workers {
-            s.spawn(move || worker(wid));
-        }
-        worker(0);
-    });
-
-    if let Some(panic) = failure.into_inner().unwrap() {
+    fork((0..workers).collect(), worker);
+    if let Some(panic) = ready.into_inner().expect(POISONED).failure {
         resume_unwind(panic);
     }
-}
-
-/// Pops from the worker's own queue (LIFO, for cache locality), stealing
-/// from a sibling's queue front (FIFO) when empty.
-fn pop_node(queues: &[Mutex<VecDeque<u32>>], wid: usize) -> Option<u32> {
-    if let Some(i) = queues[wid].lock().unwrap().pop_back() {
-        return Some(i);
-    }
-    let w = queues.len();
-    for k in 1..w {
-        if let Some(i) = queues[(wid + k) % w].lock().unwrap().pop_front() {
-            return Some(i);
-        }
-    }
-    None
 }
 
 /// Applies one node's side effect (functional mode only).
@@ -483,6 +473,8 @@ mod tests {
     use crate::topology::PhysicalMachine;
     use distal_machine::geom::{Point, Rect};
     use distal_machine::spec::MachineSpec;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     /// A functional runtime on `spec` whose runs apply effects on
     /// `workers` threads: 1 is `ExecutorKind::Serial`, more the pool.
@@ -1126,6 +1118,40 @@ mod tests {
                 s.spawn(|| assert_eq!(host_worker_count(4), 4));
             });
         });
+    }
+
+    #[test]
+    fn fork_runs_item_zero_on_the_caller_and_every_item_on_its_share() {
+        let (host, caller) = (host_worker_count(0), std::thread::current().id());
+        for n in [1, 2, 3, host + 1] {
+            // Later items finish first.
+            let seen = fork((0..n).collect(), |k| {
+                std::thread::sleep(Duration::from_millis(5 * (n - k) as u64));
+                (k, std::thread::current().id(), host_worker_count(0))
+            });
+            let share = (host / n).max(1);
+            for (at, (k, thread, budget)) in seen.into_iter().enumerate() {
+                assert_eq!(k, at, "{n} items: out of item order");
+                assert_eq!(thread == caller, k == 0, "{n} items: item {k}'s thread");
+                assert_eq!(budget, share, "{n} items: item {k}'s share");
+            }
+        }
+    }
+
+    #[test]
+    fn fork_reraises_a_panic_once_every_worker_returned() {
+        // Worker 1 panics at once; worker 2 returns 50 ms later.
+        let returned = AtomicUsize::new(0);
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            fork(vec![0, 1, 2], |k| {
+                assert_ne!(k, 1, "worker 1 exploded");
+                std::thread::sleep(Duration::from_millis(25 * k));
+                returned.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        assert!(panic.is_err(), "the panic was swallowed");
+        let returned = returned.load(Ordering::SeqCst);
+        assert_eq!(returned, 2, "re-raised before a sibling returned");
     }
 
     #[test]

@@ -140,9 +140,6 @@ struct WorkerCtx {
     cache: Arc<ShardedPlanCache>,
     jobs: Arc<Mutex<mpsc::Receiver<Job>>>,
     counters: Arc<Counters>,
-    /// Host-worker budget each serving worker passes down to the pools
-    /// its plans create (parallel executor, threaded rank transport).
-    budget: usize,
 }
 
 /// A concurrent serving front for any [`Backend`]: compile once *per
@@ -157,7 +154,7 @@ struct WorkerCtx {
 ///                                  │ the key's Arc<dyn Plan>
 ///                                  ▼
 ///                        bind(bindings), run, read   ──► Ticket
-///                        (under with_thread_budget)
+///            (each worker lives under with_thread_budget)
 /// ```
 ///
 /// Each worker takes the oldest queued request, resolves its plan
@@ -187,8 +184,7 @@ impl ServingEngine {
     /// [`ServingEngine::new`] for an already-shared backend.
     pub fn with_arc(backend: Arc<dyn Backend + Send + Sync>, cfg: ServeConfig) -> Self {
         let workers = host_worker_count(cfg.workers);
-        let host = host_worker_count(0);
-        let budget = (host / workers).max(1);
+        let budget = (host_worker_count(0) / workers).max(1);
         let cache = Arc::new(ShardedPlanCache::new(cfg.cache_capacity, cfg.cache_shards));
         let (sender, receiver) = mpsc::sync_channel(cfg.queue_capacity.max(1));
         let receiver = Arc::new(Mutex::new(receiver));
@@ -200,11 +196,13 @@ impl ServingEngine {
                     cache: Arc::clone(&cache),
                     jobs: Arc::clone(&receiver),
                     counters: Arc::clone(&counters),
-                    budget,
                 };
+                // Everything a request does on this worker — planning on
+                // a cache miss, binding, nested executor and transport
+                // pools — lives under the worker's share of the host.
                 std::thread::Builder::new()
                     .name(format!("distal-serve-{w}"))
-                    .spawn(move || worker_loop(&ctx))
+                    .spawn(move || with_thread_budget(budget, || worker_loop(&ctx)))
                     .expect("spawning serving worker")
             })
             .collect();
@@ -296,15 +294,10 @@ fn worker_loop(ctx: &WorkerCtx) {
             return;
         };
         ctx.counters.turns.fetch_add(1, Ordering::Relaxed);
-        // Everything a request does on this thread — planning on a cache
-        // miss, binding, nested executor/transport pools — lives under
-        // the worker's share of the host.
-        let result = with_thread_budget(ctx.budget, || {
-            catch_unwind(AssertUnwindSafe(|| serve(ctx, &job))).unwrap_or_else(|_| {
-                Err(BackendError::Backend(
-                    "serving request panicked mid-execution".to_string(),
-                ))
-            })
+        let result = catch_unwind(AssertUnwindSafe(|| serve(ctx, &job))).unwrap_or_else(|_| {
+            Err(BackendError::Backend(
+                "serving request panicked mid-execution".to_string(),
+            ))
         });
         let counter = if result.is_ok() {
             &ctx.counters.completed

@@ -13,9 +13,12 @@
 //!   assumption, and the reference the parity suites compare everything
 //!   else against.
 //! * [`Transport::Threaded`] — real concurrency: each rank becomes a
-//!   state machine advanced by a worker thread of a bounded *rank pool*
+//!   state machine advanced by a worker of a bounded *rank pool*
 //!   ([`ThreadedConfig::threads`] workers multiplex the ranks, so `p = 16`
-//!   runs fine on a 2-core host). Every *worker* owns one inbound
+//!   runs fine on a 2-core host). The pool is forked by
+//!   [`distal_runtime::executor::fork`]: the calling thread is worker 0,
+//!   and every worker runs under its share of the host. Every *worker*
+//!   owns one inbound
 //!   [`std::sync::mpsc`] channel; a send is a nonblocking push of a packet
 //!   onto the channel of the worker owning the destination, addressed by
 //!   the receive it feeds — the receiver's mailbox slot, fixed at
@@ -57,7 +60,7 @@ use crate::program::{MeasuredRun, SpmdProgram};
 use crate::resolve::Resolved;
 use crate::vm::Tables;
 use crate::vm::{check_delivered, with_arenas, Homes, Mailboxes, Packet, Post, RankRun, Run};
-use distal_runtime::executor::{host_worker_count, with_thread_budget};
+use distal_runtime::executor::{fork, host_worker_count};
 use distal_runtime::kernel::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -374,16 +377,12 @@ pub(crate) fn execute_threaded(
 ) -> Result<Run, SpmdError> {
     let ranks = program.ranks();
     let workers = host_worker_count(cfg.threads).min(ranks).max(1);
-    // Each rank worker owns its share of the host, the rule the serving
-    // engine applies to its workers: what a rank fans out itself (a CSR
-    // face's conversion) stays inside that share.
-    let budget = (host_worker_count(0) / workers).max(1);
     with_arenas(resolved, |arenas| {
         let mut tables = Tables::new(resolved, homes, arenas);
 
-        // One inbound channel per worker; every worker holds clones of all
-        // the send sides. The originals stay alive in this scope, so a
-        // worker never observes a disconnect while peers are still running.
+        // One inbound channel per worker; every worker sends on all of
+        // them. The send sides live in this scope, so a worker never
+        // observes a disconnect while peers are still running.
         let (senders, receivers): (Vec<Sender<Packet<'_>>>, Vec<Receiver<Packet<'_>>>) =
             (0..workers).map(|_| channel()).unzip();
 
@@ -404,31 +403,13 @@ pub(crate) fn execute_threaded(
             deadline: start + cfg.watchdog,
             abort: AbortCell::new(),
         };
-        let finished: Vec<Option<_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .zip(receivers)
-                .map(|(tasks, rx)| {
-                    let senders = senders.clone();
-                    let slots = tasks.iter().map(|t| t.run.plan.mailbox);
-                    let inbox = Inbox::new(rx, workers, slots.collect::<Vec<_>>());
-                    let shared = &shared;
-                    scope.spawn(move || {
-                        with_thread_budget(budget, || run_worker(shared, &senders, tasks, inbox))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        shared
-                            .abort
-                            .trip(SpmdError::Data("rank worker panicked".into()));
-                        None
-                    })
-                })
-                .collect()
+        // Worker 0 is the calling thread. Each worker owns its share of
+        // the host (`fork`'s rule), so what a rank fans out itself — a
+        // CSR face's conversion — stays inside that share.
+        let pool = partitions.into_iter().zip(receivers).collect();
+        let finished = fork(pool, |(tasks, rx)| {
+            let inbox = Inbox::new(rx, workers, tasks.iter().map(|t| t.run.plan.mailbox));
+            run_worker(&shared, &senders, tasks, inbox)
         });
         // A worker that stopped early stopped because the run aborted; the
         // cell holds the first failure's own error.

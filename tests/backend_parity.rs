@@ -91,6 +91,18 @@ fn summa_and_cannon_bit_identical_and_same_bytes() {
         assert!((rt_report.flops - sp_report.flops).abs() < 1.0, "{alg:?}");
         assert_eq!(rt_report.backend, "runtime");
         assert_eq!(sp_report.backend, "spmd");
+        // `bytes_moved` leaves staging copies out, and a pre-fill's
+        // re-fetch of the placed output tiles is one: the runtime's every
+        // byte class together must match too.
+        let mut rt = RuntimeBackend::functional()
+            .compile_typed(&problem, &schedule)
+            .unwrap();
+        rt.place_stats().unwrap();
+        let staged: u64 = rt.execute_stats().unwrap().bytes_by_class.values().sum();
+        assert_eq!(
+            staged, sp_report.bytes_moved,
+            "{alg:?}: compute-phase bytes, staging included"
+        );
     }
 }
 

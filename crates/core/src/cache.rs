@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A canonical identity for one compilation: the backend (its name and
 /// its `Debug` form), the statement, the tensors (shape, level formats,
@@ -191,48 +191,17 @@ struct Entry {
     last_used: u64,
 }
 
-/// One in-flight planning: the leader publishes its result here and
-/// followers block on the condvar instead of re-running `Backend::plan`.
-struct Flight {
-    result: Mutex<Option<Result<Arc<dyn Plan>, BackendError>>>,
-    ready: Condvar,
-}
+/// What planning one key yields, shared by every caller that asked.
+type Planned = Result<Arc<dyn Plan>, BackendError>;
 
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn publish(&self, result: Result<Arc<dyn Plan>, BackendError>) {
-        let mut slot = self.result.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(result);
-        }
-        drop(slot);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<Arc<dyn Plan>, BackendError> {
-        let mut slot = self.result.lock().expect("poisoned flight slot");
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
-            }
-            slot = self.ready.wait(slot).expect("poisoned flight slot");
-        }
-    }
-}
-
-/// One shard: a bounded LRU plus its in-flight plannings. It keeps no
-/// counters — hits, misses, evictions and len live once, on the cache.
+/// One shard: a bounded LRU plus its in-flight plannings, one
+/// publish-once cell per key being planned. It keeps no counters — hits,
+/// misses, evictions and len live once, on the cache.
 struct Shard {
     entries: HashMap<PlanKey, Entry>,
     tick: u64,
     capacity: usize,
-    inflight: HashMap<PlanKey, Arc<Flight>>,
+    inflight: HashMap<PlanKey, Arc<OnceLock<Planned>>>,
 }
 
 impl Shard {
@@ -286,13 +255,17 @@ impl Shard {
 /// # Single-flight
 ///
 /// A miss stampede — many threads asking for the same cold key — runs
-/// [`Backend::plan`] exactly once: the first thread in (the *leader*)
-/// registers an in-flight entry and plans **outside** the shard lock;
-/// everyone else arriving before the plan lands waits on that entry and
-/// receives the shared `Arc<dyn Plan>` (or the leader's error, cloned).
-/// The leader's lookup counts the one miss; followers count hits, so
-/// after a cold stampede `misses` equals the number of *distinct* keys
-/// requested, regardless of thread count.
+/// [`Backend::plan`] exactly once. A miss takes the key's in-flight
+/// [`OnceLock`] under the shard lock and plans through it **outside**
+/// the lock: the one caller whose planning closure runs (the *leader*)
+/// fills the cell, and everyone else arriving before the plan lands
+/// blocks on it and receives the shared `Arc<dyn Plan>` (or the leader's
+/// error, cloned). The leader's lookup counts the one miss; followers
+/// count hits, so after a cold stampede `misses` equals the number of
+/// *distinct* keys requested, regardless of thread count. A leader that
+/// panics re-raises to its own caller only and leaves the cell empty:
+/// one waiting follower plans in its place, and with nobody waiting the
+/// next request for the key does.
 pub struct ShardedPlanCache {
     shards: Vec<Mutex<Shard>>,
     /// Hits, misses, evictions and len (`capacity` is left at 0 here).
@@ -381,32 +354,28 @@ impl ShardedPlanCache {
                 self.record(1, 0, 0, 0);
                 return Ok(found);
             }
-            match s.inflight.get(key) {
-                Some(flight) => Arc::clone(flight), // follower: wait below
-                None => {
-                    // Leader: register the flight, then plan with the
-                    // shard unlocked so other keys keep flowing.
-                    let flight = Arc::new(Flight::new());
-                    s.inflight.insert(key.clone(), Arc::clone(&flight));
-                    drop(s);
-                    let mut guard = FlightGuard {
-                        cache: self,
-                        shard,
-                        key,
-                        flight: &flight,
-                        landed: false,
-                    };
-                    let result: Result<Arc<dyn Plan>, BackendError> = plan();
-                    guard.land(result.clone());
-                    return result;
-                }
-            }
+            Arc::clone(s.inflight.entry(key.clone()).or_default())
         };
-        let result = flight.wait()?;
-        // The flight succeeded; this lookup is a hit on the shared plan.
-        let _s = shard.lock().expect("poisoned cache shard");
-        self.record(1, 0, 0, 0);
-        Ok(result)
+        // Plan with the shard unlocked, so other keys keep flowing.
+        let mut led = false;
+        let result = flight
+            .get_or_init(|| {
+                led = true;
+                plan()
+            })
+            .clone();
+        let mut s = shard.lock().expect("poisoned cache shard");
+        if led {
+            s.inflight.remove(key);
+            if let Ok(plan) = &result {
+                let (evictions, len_delta) = s.insert(key.clone(), Arc::clone(plan));
+                self.record(0, 1, evictions, len_delta);
+            }
+        } else if result.is_ok() {
+            // A follower of a flight that succeeded: a hit on the shared plan.
+            self.record(1, 0, 0, 0);
+        }
+        result
     }
 
     /// A coherent snapshot of the counters.
@@ -429,47 +398,6 @@ impl fmt::Debug for ShardedPlanCache {
             .field("shards", &self.shards.len())
             .field("stats", &self.stats())
             .finish()
-    }
-}
-
-/// Publishes the leader's planning result exactly once — including when
-/// the planning closure panics, so followers see an error instead of
-/// blocking forever on a flight nobody will land.
-struct FlightGuard<'a> {
-    cache: &'a ShardedPlanCache,
-    shard: &'a Mutex<Shard>,
-    key: &'a PlanKey,
-    flight: &'a Arc<Flight>,
-    landed: bool,
-}
-
-impl FlightGuard<'_> {
-    fn land(&mut self, result: Result<Arc<dyn Plan>, BackendError>) {
-        self.landed = true;
-        let mut s = self.shard.lock().expect("poisoned cache shard");
-        s.inflight.remove(self.key);
-        if let Ok(plan) = &result {
-            let (evictions, len_delta) = s.insert(self.key.clone(), Arc::clone(plan));
-            self.cache.record(0, 1, evictions, len_delta);
-        }
-        drop(s);
-        self.flight.publish(result);
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.landed {
-            return;
-        }
-        // The planning closure panicked. Unregister the flight and fail
-        // the followers; counters stay untouched, as for any failed plan.
-        if let Ok(mut s) = self.shard.lock() {
-            s.inflight.remove(self.key);
-        }
-        self.flight.publish(Err(BackendError::Backend(
-            "planning panicked mid-flight".to_string(),
-        )));
     }
 }
 

@@ -1,8 +1,8 @@
 //! Engine-level gates: single-flight under stampede, served-vs-reference
 //! bit-parity on dense SUMMA + sparse SpMV across both executable
 //! backends, same-key requests spreading over free workers, one LRU by
-//! default, bounded eviction under concurrent inserts, backpressure, and
-//! drain-on-shutdown.
+//! default, bounded eviction under concurrent inserts, backpressure,
+//! drain-on-shutdown, and a panicking plan as a typed error.
 
 use distal_core::{
     Backend, BackendError, Bindings, DistalMachine, Instance, Plan, Problem, Provenance, Report,
@@ -14,6 +14,8 @@ use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_serve::{ServeConfig, ServeRequest, ServingEngine, Ticket};
 use distal_spmd::SpmdBackend;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
@@ -359,6 +361,70 @@ fn failed_plans_fail_every_waiter_and_poison_nothing() {
     let stats = engine.shutdown();
     assert_eq!(stats.failed, 4);
     assert_eq!((stats.cache.hits, stats.cache.misses), (0, 1));
+}
+
+/// The functional runtime backend, except that its first `plan` panics.
+/// `Debug` prints the inner backend only, so spending the fuse does not
+/// change the requests' `PlanKey`.
+struct PanicsOnce {
+    inner: RuntimeBackend,
+    armed: AtomicBool,
+}
+
+impl fmt::Debug for PanicsOnce {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.inner.fmt(f)
+    }
+}
+
+impl Backend for PanicsOnce {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn plan(&self, problem: &Problem, schedule: &Schedule) -> Result<Box<dyn Plan>, BackendError> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("the plan leader exploded");
+        }
+        self.inner.plan(problem, schedule)
+    }
+}
+
+#[test]
+fn a_panicking_plan_is_a_typed_error_and_the_key_plans_again() {
+    // The request whose planning panics fails with a typed error instead
+    // of hanging its ticket; the next request for the same key plans it
+    // afresh and is served.
+    let (problem, schedule) = summa_problem(8);
+    let engine = ServingEngine::new(
+        PanicsOnce {
+            inner: RuntimeBackend::functional(),
+            armed: AtomicBool::new(true),
+        },
+        ServeConfig::default(),
+    );
+    let request = |seed| ServeRequest {
+        problem: Arc::clone(&problem),
+        schedule: schedule.clone(),
+        bindings: summa_bindings(seed),
+        read: vec!["A".to_string()],
+    };
+    assert!(matches!(
+        engine.submit(request(0)).wait(),
+        Err(BackendError::Backend(_))
+    ));
+    let response = engine.submit(request(1)).wait().unwrap();
+    let expected = reference_outputs(
+        &RuntimeBackend::functional(),
+        &problem,
+        &schedule,
+        &[summa_bindings(1)],
+        "A",
+    );
+    assert_eq!(response.outputs["A"], expected[0]);
+    let stats = engine.shutdown();
+    assert_eq!((stats.completed, stats.failed), (1, 1));
+    assert_eq!((stats.cache.hits, stats.cache.misses), (0, 1), "{stats:?}");
 }
 
 #[test]

@@ -63,51 +63,9 @@ use crate::vm::{check_delivered, with_arenas, Homes, Mailboxes, Packet, Post, Ra
 use distal_runtime::executor::{fork, host_worker_count};
 use distal_runtime::kernel::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// The shared abort signal of one threaded execution. The first failing
-/// worker *trips* the cell with the root-cause error; every other worker
-/// that stops because of it, and the caller, report that cause — so a
-/// caller sees *why* the run died, whichever worker's join it reads first.
-struct AbortCell {
-    tripped: AtomicBool,
-    cause: Mutex<Option<SpmdError>>,
-}
-
-impl AbortCell {
-    fn new() -> Self {
-        AbortCell {
-            tripped: AtomicBool::new(false),
-            cause: Mutex::new(None),
-        }
-    }
-
-    /// Records `err` as the root cause (first writer wins) and raises the
-    /// abort flag.
-    fn trip(&self, err: SpmdError) {
-        if let Ok(mut cause) = self.cause.lock() {
-            cause.get_or_insert(err);
-        }
-        self.tripped.store(true, Ordering::Release);
-    }
-
-    fn tripped(&self) -> bool {
-        self.tripped.load(Ordering::Acquire)
-    }
-
-    /// The root cause the cell was tripped with. The fallback covers a
-    /// poisoned mutex (the tripping worker panicked mid-store).
-    fn cause(&self) -> SpmdError {
-        self.cause
-            .lock()
-            .ok()
-            .and_then(|c| c.clone())
-            .unwrap_or_else(|| SpmdError::Timeout("aborted by another rank".into()))
-    }
-}
 
 /// How [`SpmdProgram::execute_with`] runs the lowered rank programs.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -161,7 +119,7 @@ impl Default for ThreadedConfig {
 }
 
 /// How long a worker with every owned rank blocked sleeps on its inbox
-/// before re-checking the abort flag and the watchdog. Packets cut the
+/// before re-checking the abort cell and the watchdog. Packets cut the
 /// sleep short; the slice only bounds how late an abort is noticed.
 const PARK_SLICE: Duration = Duration::from_micros(500);
 
@@ -258,7 +216,11 @@ struct Shared<'p> {
     start: Instant,
     /// The watchdog's deadline.
     deadline: Instant,
-    abort: AbortCell,
+    /// The abort cell: the first failing worker sets it to the root-cause
+    /// error (first writer wins); every other worker that sees it set
+    /// stops, and the caller reports that cause — so a caller sees *why*
+    /// the run died, whichever worker failed first.
+    abort: OnceLock<SpmdError>,
 }
 
 /// One rank's run and when it finished.
@@ -323,7 +285,7 @@ fn run_worker<'r, 'a>(
                 Err(e) => {
                     // Annotate with the failing rank before publishing:
                     // peers and the caller all see who actually died.
-                    abort.trip(match e {
+                    let _ = abort.set(match e {
                         SpmdError::Data(m) => SpmdError::Data(format!("rank {}: {m}", t.run.rank)),
                         other => other,
                     });
@@ -340,7 +302,7 @@ fn run_worker<'r, 'a>(
         }
         // Every owned rank is blocked on a receive that hasn't arrived:
         // park until the next packet for any of them, at most a slice.
-        if abort.tripped() {
+        if abort.get().is_some() {
             return None;
         }
         if Instant::now() >= shared.deadline {
@@ -351,13 +313,13 @@ fn run_worker<'r, 'a>(
             let (op, at, of) = t.run.at();
             let tag = op.message().expect("only receives wait").tag;
             let rank = t.run.rank;
-            abort.trip(SpmdError::Timeout(format!(
+            let _ = abort.set(SpmdError::Timeout(format!(
                 "rank {rank} blocked on tag {tag} at op {at}/{of}"
             )));
             return None;
         }
         if let Err(e) = inbox.park(PARK_SLICE) {
-            abort.trip(e);
+            let _ = abort.set(e);
             return None;
         }
     }
@@ -401,7 +363,7 @@ pub(crate) fn execute_threaded(
             leaf: &*program.leaf.0,
             start,
             deadline: start + cfg.watchdog,
-            abort: AbortCell::new(),
+            abort: OnceLock::new(),
         };
         // Worker 0 is the calling thread. Each worker owns its share of
         // the host (`fork`'s rule), so what a rank fans out itself — a
@@ -414,7 +376,12 @@ pub(crate) fn execute_threaded(
         // A worker that stopped early stopped because the run aborted; the
         // cell holds the first failure's own error.
         let Some(finished) = finished.into_iter().collect::<Option<Vec<_>>>() else {
-            return Err(shared.abort.cause());
+            // invariant: a worker sets the cell before it returns `None`
+            // (`peers_surface_the_root_cause_of_an_abort`).
+            return Err(shared
+                .abort
+                .into_inner()
+                .expect("an aborted run has a cause"));
         };
         let (tasks, inboxes): (Vec<_>, Vec<_>) = finished.into_iter().unzip();
         check_delivered(inboxes.into_iter().flat_map(Inbox::into_left))?;

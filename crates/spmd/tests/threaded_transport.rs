@@ -6,7 +6,8 @@
 //! caught by the watchdog instead of hanging the suite, one receive
 //! deleted is a typed error naming the payload nobody took, and a leaf
 //! that panics mid-kernel is a typed error naming its rank and message
-//! that leaves the next request on the same program untouched. A rank
+//! that leaves the next request on the same program untouched — and when
+//! every rank fails at once, the error still names one of them. A rank
 //! worker's own pools get its `host / workers` share of the threads.
 
 use distal_algs::matmul::MatmulAlgorithm;
@@ -376,6 +377,51 @@ fn a_panicking_leaf_names_its_rank_and_leaves_the_next_request_untouched() {
     assert_eq!(reference.stats, after.stats);
     let sequential = program.execute(&inputs).unwrap();
     assert_bits_equal("sequential after", &reference.output, &sequential.output);
+}
+
+/// A leaf that panics on every call.
+struct DoomedLeaf(Arc<dyn Kernel>);
+
+impl Kernel for DoomedLeaf {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn execute(&self, _: &mut KernelCtx) {
+        panic!("every leaf fails");
+    }
+}
+
+#[test]
+fn when_every_rank_fails_at_once_the_error_names_one_rank() {
+    // 16 ranks on 4 workers, and every leaf panics: the workers race to
+    // set the abort cause, and the caller gets exactly one of them.
+    let (mut program, inputs) = lowered(MatmulAlgorithm::Summa, 16, 16);
+    let leaf = Arc::clone(&program.leaf.0);
+    program.leaf.0 = Arc::new(DoomedLeaf(Arc::clone(&leaf)));
+    match program.execute_with(&inputs, &watchdog(4)) {
+        Err(SpmdError::Data(msg)) => {
+            let named = msg.strip_prefix("rank ").and_then(|m| m.split(':').next());
+            assert!(
+                named.is_some_and(|r| r.parse::<usize>().is_ok_and(|r| r < 16)),
+                "the error should start with the rank that died: {msg}"
+            );
+            assert_eq!(msg.matches("rank").count(), 1, "one rank named: {msg}");
+            assert!(msg.contains("every leaf fails"), "{msg}");
+        }
+        other => panic!("expected one rank's panic as a Data error, got {other:?}"),
+    }
+
+    // The normal leaf back: the same program runs as the reference does.
+    program.leaf.0 = leaf;
+    let threaded = program.execute_with(&inputs, &watchdog(4)).unwrap();
+    let sequential = program.execute(&inputs).unwrap();
+    assert_bits_equal(
+        "after every rank failed",
+        &sequential.output,
+        &threaded.output,
+    );
+    assert_eq!(sequential.stats, threaded.stats);
 }
 
 #[test]

@@ -8,14 +8,17 @@
 //! `Backend::plan` is exactly one count on every backend and mode.
 
 use distal_core::{
-    lowering_count, Backend, Bindings, DistalMachine, LeafKind, LintConfig, Plan, Problem,
-    RuntimeBackend, Schedule, TensorSpec,
+    lowering_count, Backend, BackendError, Bindings, DistalMachine, LeafKind, LintConfig, Plan,
+    PlanKey, Problem, RuntimeBackend, Schedule, TensorSpec,
 };
 use distal_format::Format;
 use distal_machine::grid::Grid;
 use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
 use distal_spmd::{AlphaBeta, CostBackend, SpmdBackend};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A SUMMA matmul problem with *no initializers*: the data arrives per
 /// request through `Bindings`.
@@ -435,4 +438,61 @@ fn cold_stampede_plans_each_key_once() {
         assert_eq!(stats.hits + stats.misses, stats.requests(), "{name}");
         assert_eq!(lowered, schedules.len() as u64, "{name}");
     }
+}
+
+#[test]
+fn a_panicking_plan_leader_hands_the_key_to_one_follower() {
+    // 8 threads race one cold key, and the first planning closure to run
+    // panics. The panic reaches that caller only; one waiting follower
+    // (or, with nobody waiting, the next caller) plans in its place, and
+    // every other caller shares that one plan.
+    const THREADS: usize = 8;
+    let (shapes, schedule) = matmul_shapes(8);
+    let backend = RuntimeBackend::functional();
+    let key = PlanKey::new(&backend, &shapes, &schedule);
+    let cache = distal_core::ShardedPlanCache::new(4, 1);
+    let barrier = std::sync::Barrier::new(THREADS);
+    let exploded = AtomicBool::new(false);
+    type Outcome = std::thread::Result<Result<Arc<dyn Plan>, BackendError>>;
+    let outcomes: Vec<(Outcome, u64)> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    let before = lowering_count();
+                    barrier.wait();
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        cache.get_or_plan_keyed(&key, || {
+                            if !exploded.swap(true, Ordering::SeqCst) {
+                                panic!("the plan leader exploded");
+                            }
+                            backend.plan(&shapes, &schedule).map(Arc::from)
+                        })
+                    }));
+                    (outcome, lowering_count() - before)
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    let lowered: u64 = outcomes.iter().map(|(_, lowered)| lowered).sum();
+    assert_eq!(lowered, 1, "the key is planned once");
+    let (panicked, served): (Vec<_>, Vec<_>) = outcomes
+        .into_iter()
+        .map(|(outcome, _)| outcome)
+        .partition(Result::is_err);
+    assert_eq!(panicked.len(), 1, "only the leader sees its panic");
+    let plans: Vec<Arc<dyn Plan>> = served
+        .into_iter()
+        .map(|outcome| outcome.unwrap().expect("a follower is served a plan"))
+        .collect();
+    assert_eq!(plans.len(), THREADS - 1);
+    assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.hits, stats.len), (1, 6, 1), "{stats}");
+
+    let again = cache
+        .get_or_plan_keyed(&key, || unreachable!("the key is cached"))
+        .unwrap();
+    assert!(Arc::ptr_eq(&again, &plans[0]));
+    assert_eq!(cache.stats().hits, 7);
 }

@@ -57,7 +57,8 @@
 //! per-need scan over all ranks that the rectangle index replaced scored
 //! 3.5 (Cannon) and 2.9 (SUMMA). The table splits each plan into its
 //! phases and prints, in the `bounds` column, the nest walk both
-//! lowerings share on its own ([`bounds_walk`]). The same gate holds the
+//! lowerings share on its own ([`bounds_walk`]), and in `lower/verify`
+//! the tree lowering (lower + collectives) over verify. The same gate holds the
 //! verifier alone to linear time over a larger range: each algorithm is
 //! also lowered once at p = 1 024, and `verify_program`'s time *per
 //! event* there may be at most `RATIO` × its p = 256 figure, the two
@@ -383,6 +384,12 @@ impl PlanScaling {
     /// planning is linear in the program it emits.
     fn plan_us_per_op(&self) -> f64 {
         self.plan_s * 1e6 / self.rank_ops as f64
+    }
+
+    /// The tree lowering (point-to-point lowering plus collectives) over
+    /// the verifier's time on the program it emits.
+    fn lower_over_verify(&self) -> f64 {
+        (self.lower_s + self.collectives_s) / self.verify_s
     }
 }
 
@@ -713,7 +720,7 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
     }
     if let Some(bound) = assert_plan_scaling {
         println!(
-            "{:<12} {:>5} {:>9} {:>10} {:>10} {:>12} {:>10} {:>10} {:>10}",
+            "{:<12} {:>5} {:>9} {:>10} {:>10} {:>12} {:>10} {:>10} {:>10} {:>13}",
             "algorithm",
             "p",
             "rank ops",
@@ -722,7 +729,8 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
             "collectives",
             "verify",
             "bounds",
-            "plan/op"
+            "plan/op",
+            "lower/verify"
         );
         for alg in [
             MatmulAlgorithm::Cannon,
@@ -732,7 +740,7 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
             let [small, large] = [64, 256].map(|p| {
                 let s = plan_scaling(alg, p);
                 println!(
-                    "{:<12} {:>5} {:>9} {:>8.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>8.2}ms {:>8.2}us",
+                    "{:<12} {:>5} {:>9} {:>8.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>8.2}ms {:>8.2}us {:>13.2}",
                     s.algorithm,
                     s.ranks,
                     s.rank_ops,
@@ -741,7 +749,8 @@ pub(crate) fn run(mut args: Args) -> Result<(), String> {
                     s.collectives_s * 1e3,
                     s.verify_s * 1e3,
                     s.bounds_s * 1e3,
-                    s.plan_us_per_op()
+                    s.plan_us_per_op(),
+                    s.lower_over_verify()
                 );
                 s
             });

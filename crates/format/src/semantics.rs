@@ -202,14 +202,19 @@ pub fn hierarchical_pieces(
 ) -> Vec<Rect> {
     assert_eq!(distributions.len(), machine.levels().len());
     assert_eq!(proc.dim(), machine.flat_dim());
-    let (mut pieces, mut next) = (vec![*tensor_rect], Vec::new());
+    let (mut pieces, mut next) = (Vec::new(), Vec::new());
     let mut at = 0;
-    for (dist, level) in distributions.iter().zip(machine.levels()) {
+    for (l, (dist, level)) in distributions.iter().zip(machine.levels()).enumerate() {
         // This level's part of the flattened coordinate.
         let coord = Point::from_slice(&proc.coords()[at..at + level.dim()]);
+        // The first level distributes the whole tensor.
+        let parents = match l {
+            0 => std::slice::from_ref(tensor_rect),
+            _ => &pieces[..],
+        };
         at += level.dim();
         next.clear();
-        for piece in &pieces {
+        for piece in parents {
             dist.pieces_into(piece, level, &coord, &mut next);
         }
         if next.is_empty() {

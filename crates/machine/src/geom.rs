@@ -263,7 +263,9 @@ impl Rect {
 
     /// True when the rectangle contains no points.
     pub fn is_empty(&self) -> bool {
-        (0..self.dim()).any(|d| self.hi[d] < self.lo[d])
+        // Past `dim` both bounds are zero, where `0 < 0` fails: comparing
+        // every slot needs no bounds check.
+        (0..MAX_DIM).any(|d| self.hi.coords[d] < self.lo.coords[d])
     }
 
     /// Extent (number of points) along dimension `d`; zero when empty.
@@ -295,15 +297,24 @@ impl Rect {
         if other.is_empty() {
             return true;
         }
-        (0..self.dim()).all(|d| self.lo[d] <= other.lo[d] && other.hi[d] <= self.hi[d])
+        let (a, b) = (self, other);
+        (0..MAX_DIM).all(|d| a.lo.coords[d] <= b.lo.coords[d] && b.hi.coords[d] <= a.hi.coords[d])
     }
 
     /// Intersection of two rectangles (possibly empty).
     pub fn intersection(&self, other: &Rect) -> Rect {
         assert_eq!(self.dim(), other.dim());
+        // Zero past `dim` in both, so zero past `dim` in the result.
+        let (a, b, dim) = (self, other, self.dim());
         Rect {
-            lo: Point::from_fn(self.dim(), |d| self.lo[d].max(other.lo[d])),
-            hi: Point::from_fn(self.dim(), |d| self.hi[d].min(other.hi[d])),
+            lo: Point {
+                coords: std::array::from_fn(|d| a.lo.coords[d].max(b.lo.coords[d])),
+                dim,
+            },
+            hi: Point {
+                coords: std::array::from_fn(|d| a.hi.coords[d].min(b.hi.coords[d])),
+                dim,
+            },
         }
     }
 
@@ -311,7 +322,11 @@ impl Rect {
     /// either is empty). Compares bounds in place: nothing is allocated.
     pub fn overlaps(&self, other: &Rect) -> bool {
         assert_eq!(self.dim(), other.dim());
-        (0..self.dim()).all(|d| self.lo[d].max(other.lo[d]) <= self.hi[d].min(other.hi[d]))
+        // Past `dim` every bound is zero, where `0 <= 0` holds.
+        let (a, b) = (self, other);
+        let meet =
+            |d: usize| a.lo.coords[d].max(b.lo.coords[d]) <= a.hi.coords[d].min(b.hi.coords[d]);
+        (0..MAX_DIM).fold(true, |all, d| all & meet(d))
     }
 
     /// The smallest rectangle containing both inputs.
@@ -322,9 +337,17 @@ impl Rect {
         if other.is_empty() {
             return *self;
         }
+        // Zero past `dim` in both, so zero past `dim` in the result.
+        let (a, b, dim) = (self, other, self.dim());
         Rect {
-            lo: Point::from_fn(self.dim(), |d| self.lo[d].min(other.lo[d])),
-            hi: Point::from_fn(self.dim(), |d| self.hi[d].max(other.hi[d])),
+            lo: Point {
+                coords: std::array::from_fn(|d| a.lo.coords[d].min(b.lo.coords[d])),
+                dim,
+            },
+            hi: Point {
+                coords: std::array::from_fn(|d| a.hi.coords[d].max(b.hi.coords[d])),
+                dim,
+            },
         }
     }
 
@@ -652,6 +675,9 @@ impl RectSet {
         let Some(first) = self.rects.iter().position(|e| e.overlaps(&r)) else {
             return self.rects.push(r);
         };
+        if self.rects[first].contains_rect(&r) {
+            return;
+        }
         let mut pending = r.difference(&self.rects[first]);
         if pending.is_empty() {
             return;
@@ -690,6 +716,10 @@ impl RectSet {
         while i < self.rects.len() {
             if !self.rects[i].overlaps(r) {
                 i += 1;
+                continue;
+            }
+            if r.contains_rect(&self.rects[i]) {
+                self.rects.remove(i);
                 continue;
             }
             // What is left is appended, then rotated into member `i`'s place.
@@ -835,31 +865,59 @@ impl<T> Default for RectIndex<T> {
     }
 }
 
+/// The dimensionality `entries` share (0 for none).
+///
+/// # Panics
+///
+/// Panics when they differ.
+fn dim_of<T>(entries: &[(Rect, T)]) -> usize {
+    let dim = entries.first().map_or(0, |(r, _)| r.dim());
+    assert!(
+        entries.iter().all(|(r, _)| r.dim() == dim),
+        "indexed rects must share dimensionality"
+    );
+    dim
+}
+
 /// One dimension's cut points, ascending, and their spacing when it is
 /// even — as blocked and cyclic tilings make it — so that a coordinate
 /// finds its slab by a division rather than a search.
 #[derive(Clone, Debug)]
 struct Cuts {
     at: Vec<i64>,
-    step: Option<i64>,
+    /// The spacing, and `⌈2⁶⁴ / spacing⌉` when the spacing fits 32 bits:
+    /// the product of an offset below 2³² with it, shifted right by 64
+    /// bits, is the offset divided by the spacing (Lemire, Kaser and Kurz,
+    /// "Faster remainder by direct computation", 2019) — a multiplication
+    /// where a division costs tens of cycles.
+    step: Option<(i64, Option<u128>)>,
 }
 
 impl Cuts {
     fn new(at: Vec<i64>) -> Self {
         let step = (at.len() >= 2).then(|| at[1] - at[0]);
         let step = step.filter(|&s| at.windows(2).all(|w| w[1] - w[0] == s));
+        let inverse = |s: i64| {
+            u32::try_from(s)
+                .ok()
+                .map(|s| (1u128 << 64).div_ceil(s.into()))
+        };
+        let step = step.map(|s| (s, inverse(s)));
         Cuts { at, step }
     }
 
     /// The slab coordinate `x` falls in (the first slab also takes
     /// everything below its cut).
     fn slab(&self, x: i64) -> usize {
+        let last = self.at.len() - 1;
+        let offset = x - self.at[0];
         match self.step {
-            Some(step) => {
-                let last = self.at.len() as i64 - 1;
-                (x - self.at[0]).div_euclid(step).clamp(0, last) as usize
+            _ if offset < 0 => 0,
+            Some((_, Some(inverse))) if offset <= i64::from(u32::MAX) => {
+                ((((offset as u128) * inverse) >> 64) as usize).min(last)
             }
-            None => self.at.partition_point(|&c| c <= x).saturating_sub(1),
+            Some((step, _)) => (offset / step).min(last as i64) as usize,
+            None => self.at.partition_point(|&c| c <= x) - 1,
         }
     }
 }
@@ -872,17 +930,12 @@ impl<T> RectIndex<T> {
     ///
     /// Panics when the rectangles differ in dimensionality.
     pub fn new(entries: Vec<(Rect, T)>) -> Self {
-        let dim = entries.first().map_or(0, |(r, _)| r.dim());
-        assert!(
-            entries.iter().all(|(r, _)| r.dim() == dim),
-            "indexed rects must share dimensionality"
-        );
-        let live: Vec<usize> = (0..entries.len())
-            .filter(|&i| !entries[i].0.is_empty())
-            .collect();
+        let dim = dim_of(&entries);
+        let live = entries.iter().map(|(r, _)| r).filter(|r| !r.is_empty());
+        let live: Vec<&Rect> = live.collect();
         let mut cuts: Vec<Vec<i64>> = (0..dim)
             .map(|d| {
-                let mut c: Vec<i64> = live.iter().map(|&i| entries[i].0.lo[d]).collect();
+                let mut c: Vec<i64> = live.iter().map(|r| r.lo[d]).collect();
                 c.sort_unstable();
                 c.dedup();
                 c
@@ -895,16 +948,36 @@ impl<T> RectIndex<T> {
             let finest = cuts.iter_mut().max_by_key(|c| c.len()).expect("dim > 0");
             *finest = finest.iter().copied().step_by(2).collect();
         }
-        let cell_count = cells(&cuts);
-        let cuts: Vec<Cuts> = cuts.into_iter().map(Cuts::new).collect();
+        RectIndex::file(entries, cuts.into_iter().map(Cuts::new).collect())
+    }
 
-        // Every live entry's cell, the one its `lo` corner falls in, and
-        // how many slabs it reaches across.
-        let mut reach = vec![1usize; dim];
+    /// [`RectIndex::new`] on the slabs of `like` instead of slabs of its
+    /// own, so nothing is sorted: it answers every query as
+    /// [`RectIndex::new`] would, and as quickly when the entries' lower
+    /// corners fall on `like`'s cuts — as a tiling's sub-tiles fall on the
+    /// tiling's. Without cuts of the same dimensionality in `like`, it is
+    /// [`RectIndex::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the rectangles differ in dimensionality.
+    pub fn new_like<U>(like: &RectIndex<U>, entries: Vec<(Rect, T)>) -> Self {
+        let dim = dim_of(&entries);
+        match dim == like.cuts.len() && like.cuts.iter().all(|c| !c.at.is_empty()) {
+            true => RectIndex::file(entries, like.cuts.clone()),
+            false => RectIndex::new(entries),
+        }
+    }
+
+    /// Files every live entry in the cell of `cuts` its `lo` corner falls
+    /// in, noting per dimension how many slabs any entry reaches across.
+    fn file(entries: Vec<(Rect, T)>, cuts: Vec<Cuts>) -> Self {
+        let cell_count: usize = cuts.iter().map(|c| c.at.len()).product();
+        let mut reach = vec![1usize; cuts.len()];
         let mut cell_start = vec![0usize; cell_count + 1];
-        let cell_of: Vec<usize> = live
-            .iter()
-            .map(|&i| {
+        let live = (0..entries.len()).filter(|&i| !entries[i].0.is_empty());
+        let cell_of: Vec<(usize, usize)> = live
+            .map(|i| {
                 let r = &entries[i].0;
                 let mut cell = 0;
                 for (d, (cuts, reach)) in cuts.iter().zip(&mut reach).enumerate() {
@@ -913,7 +986,7 @@ impl<T> RectIndex<T> {
                     cell = cell * cuts.at.len() + lo;
                 }
                 cell_start[cell + 1] += 1;
-                cell
+                (i, cell)
             })
             .collect();
         for c in 1..cell_start.len() {
@@ -921,8 +994,8 @@ impl<T> RectIndex<T> {
         }
         // File in sequence order, so every cell's list is ascending.
         let mut next = cell_start.clone();
-        let mut filed = vec![0usize; live.len()];
-        for (&i, &cell) in live.iter().zip(&cell_of) {
+        let mut filed = vec![0usize; cell_of.len()];
+        for &(i, cell) in &cell_of {
             filed[next[cell]] = i;
             next[cell] += 1;
         }

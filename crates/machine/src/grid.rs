@@ -88,6 +88,14 @@ impl Grid {
         &self.dims
     }
 
+    /// Hop distance between two points with every dimension wrapping
+    /// around, as on a torus (a systolic shift from the last column back
+    /// to the first is one hop).
+    pub fn torus_distance(&self, a: &Point, b: &Point) -> i64 {
+        let hops = |d| (a[d] - b[d]).abs().min(self.dims[d] - (a[d] - b[d]).abs());
+        (0..self.dim()).map(hops).sum()
+    }
+
     /// Total number of abstract processors.
     pub fn size(&self) -> i64 {
         self.dims.iter().product()
@@ -198,6 +206,17 @@ impl MachineHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn torus_distance_wraps() {
+        let g = Grid::grid2(4, 4);
+        let a = Point::new(vec![0, 0]);
+        let b = Point::new(vec![0, 3]);
+        assert_eq!(g.torus_distance(&a, &b), 1); // wraps around
+        let c = Point::new(vec![2, 2]);
+        assert_eq!(g.torus_distance(&a, &c), 4);
+        assert_eq!(g.torus_distance(&a, &a), 0);
+    }
 
     #[test]
     fn grid_basics() {

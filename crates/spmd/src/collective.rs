@@ -38,11 +38,10 @@
 //! ([`crate::cost`]) — changes: a `g`-member broadcast drops from `g-1`
 //! serialized root sends to `⌈log₂ g⌉` rounds.
 
-use crate::lower::torus_distance;
 use crate::ops::{Message, Named, RectId, SpmdOp};
 use crate::program::SpmdProgram;
 use distal_core::TensorId;
-use distal_machine::geom::Rect;
+use distal_machine::geom::{Point, Rect};
 use distal_machine::grid::Grid;
 use std::fmt;
 use std::ops::Range;
@@ -179,105 +178,57 @@ impl fmt::Display for Named<'_, Collective> {
 /// A fan of identical payloads recorded within one step: a broadcast
 /// candidate (`root` sends to `peers`) or a reduce candidate (`peers`
 /// reduce-send to `root`).
-struct Fan {
+struct Fan<'s> {
     reduce: bool,
     root: usize,
     tensor: TensorId,
     rect: RectId,
     /// Destinations (broadcast) or sources (reduce), in emission order.
-    peers: Vec<usize>,
-    /// The stream positions of the fan's sends, ascending; each send's
-    /// receive is emitted right after it.
-    sends: Vec<usize>,
+    peers: &'s [usize],
+    /// The positions of the fan's sends in its step, ascending; each
+    /// send's receive is emitted right after it.
+    sends: &'s [usize],
 }
 
-/// A recorded transfer: `(root, tensor, rectangle)`, peer, send position, fold.
-type Sent = ((usize, TensorId, RectId), usize, usize, bool);
+/// The open step's transfers of one `(root, tensor, rectangle)`: the first
+/// one's fold flag, `0..count` (then where they lie), and the group opened
+/// before with the same rectangle, or `u32::MAX`.
+type Group = ((usize, TensorId, RectId), bool, Range<usize>, u32);
 
 /// An emission unit: a single fan or a merged all-gather family.
-enum Plan {
-    Single(Fan),
+enum Plan<'s> {
+    Single(Fan<'s>),
     AllGather {
         tensor: TensorId,
         /// Members, sorted; `pieces[i]` are the home rects member `i`
         /// contributes.
         members: Vec<usize>,
         pieces: Vec<Vec<RectId>>,
-        /// The stream positions of the family's sends, ascending.
+        /// The positions of the family's sends in its step, ascending.
         sends: Vec<usize>,
     },
 }
 
-impl Plan {
-    /// The stream positions of the sends the plan stands for, ascending.
+impl Plan<'_> {
+    /// The positions of the sends the plan stands for, ascending.
     fn sends(&self) -> &[usize] {
         match self {
-            Plan::Single(f) => &f.sends,
+            Plan::Single(f) => f.sends,
             Plan::AllGather { sends, .. } => sends,
         }
     }
-
-    /// The members in schedule order and the grid axis they form a line
-    /// along: root first, then peers by torus offset, for a fan; ring
-    /// order for an all-gather.
-    fn order(&self, grid: &Grid) -> (Vec<usize>, Option<usize>) {
-        match self {
-            Plan::Single(f) => order_members(grid, f.root, &f.peers),
-            Plan::AllGather { members, .. } => {
-                let axis = line_axis(grid, members);
-                (ring_order(grid, members, axis), axis)
-            }
-        }
-    }
-}
-
-/// Coordinate `d` of `rank`'s point, as [`Grid::delinearize`] gives it.
-fn coord(grid: &Grid, rank: usize, d: usize) -> i64 {
-    let stride: i64 = grid.dims()[d + 1..].iter().product();
-    (rank as i64 / stride) % grid.extent(d)
 }
 
 /// The grid axis along which `members` form a line, if any. Member order
 /// does not matter.
-fn line_axis(grid: &Grid, members: &[usize]) -> Option<usize> {
-    let first = *members.first()?;
-    let varies = |d: &usize| {
-        let at = coord(grid, first, *d);
-        members.iter().any(|&r| coord(grid, r, *d) != at)
-    };
-    let mut varying = (0..grid.dim()).filter(varies);
+fn line_axis(points: &[Point], members: &[usize]) -> Option<usize> {
+    let first = &points[*members.first()?];
+    let varies = |d: &usize| members.iter().any(|&r| points[r][*d] != first[*d]);
+    let mut varying = (0..first.dim()).filter(varies);
     match (varying.next(), varying.next()) {
         (Some(d), None) => Some(d),
         _ => None,
     }
-}
-
-/// Orders a fan's members for schedule construction: root first, then
-/// peers by torus offset from the root along the line axis (when the
-/// group is a grid line), falling back to torus distance then rank id.
-/// Line ordering makes ring schedules neighbour-only on the torus.
-fn order_members(grid: &Grid, root: usize, peers: &[usize]) -> (Vec<usize>, Option<usize>) {
-    let mut ordered = Vec::with_capacity(peers.len() + 1);
-    ordered.push(root);
-    ordered.extend_from_slice(peers);
-    let axis = line_axis(grid, &ordered);
-    let root_p = grid.delinearize(root as i64);
-    // Unique keys but for repeated peers, each worked out once.
-    ordered[1..].sort_by_cached_key(|&r| match axis {
-        Some(d) => (
-            (coord(grid, r, d) - root_p[d]).rem_euclid(grid.extent(d)),
-            r,
-        ),
-        None => (
-            torus_distance(grid, &root_p, &grid.delinearize(r as i64)),
-            r,
-        ),
-    });
-    // Drop repeated peers; the root stays first whatever it equals.
-    let mut peers = ordered.split_off(1);
-    peers.dedup();
-    ordered.append(&mut peers);
-    (ordered, axis)
 }
 
 /// Rounds of `topology` over `g` ordered members: `⌈log₂ g⌉` for a
@@ -306,18 +257,14 @@ fn round(topology: Topology, g: usize, r: usize) -> impl Iterator<Item = (usize,
 /// family of broadcasts of one tensor whose member sets agree and whose
 /// roots cover the whole member set is one all-gather. Drains `fans` and
 /// returns the plans in the order of their first sends.
-fn merge_allgathers(fans: &mut Vec<Fan>) -> Vec<Plan> {
-    // Every broadcast fan's members (peers and root), sorted and distinct.
+fn merge_allgathers<'s>(fans: &mut Vec<Fan<'s>>) -> Vec<Plan<'s>> {
+    // Every fan's members (peers and root), sorted and distinct.
     let members: Vec<Vec<usize>> = fans
         .iter()
         .map(|f| {
-            let mut members = Vec::new();
-            if !f.reduce {
-                members.extend_from_slice(&f.peers);
-                members.push(f.root);
-                members.sort_unstable();
-                members.dedup();
-            }
+            let mut members = [f.peers, &[f.root]].concat();
+            members.sort_unstable();
+            members.dedup();
             members
         })
         .collect();
@@ -349,7 +296,7 @@ fn merge_allgathers(fans: &mut Vec<Fan>) -> Vec<Plan> {
                 .binary_search(&fans[i].root)
                 .expect("root is member");
             pieces[pos].push(fans[i].rect);
-            sends.extend_from_slice(&fans[i].sends);
+            sends.extend_from_slice(fans[i].sends);
             gathered[i] = true;
         }
         sends.sort_unstable();
@@ -385,56 +332,38 @@ fn describe(
     plan: &Plan,
     rects: &[Rect],
     step: usize,
-    members: Vec<usize>,
-    axis: Option<usize>,
+    (members, axis): (Vec<usize>, Option<usize>),
     expanded_depth: Option<usize>,
 ) -> Collective {
-    let (kind, tensor, rect, root, naive_depth) = match plan {
-        Plan::Single(f) => (
-            match f.reduce {
+    let (kind, tensor, rect, naive_depth) = match plan {
+        Plan::Single(f) => {
+            let kind = match f.reduce {
                 true => CollectiveKind::Reduce,
                 false => CollectiveKind::Broadcast,
-            },
-            f.tensor,
-            rects[f.rect.0 as usize],
-            f.root,
-            f.peers.len(),
-        ),
+            };
+            (kind, f.tensor, rects[f.rect.0 as usize], f.peers.len())
+        }
         Plan::AllGather { tensor, pieces, .. } => {
             let mut all = pieces.iter().flatten().map(|id| &rects[id.0 as usize]);
             let first = *all.next().expect("allgather has pieces");
-            let rect = all.fold(first, |bb, r| bb.union_bb(r));
-            (
+            let (kind, rect) = (
                 CollectiveKind::AllGather,
-                *tensor,
-                rect,
-                members[0],
-                members.len() - 1,
-            )
+                all.fold(first, |bb, r| bb.union_bb(r)),
+            );
+            (kind, *tensor, rect, members.len() - 1)
         }
     };
     Collective {
         kind,
         tensor,
         rect,
-        root,
+        root: members[0],
         members,
         step,
         axis,
         naive_depth,
         depth: expanded_depth.unwrap_or(naive_depth),
     }
-}
-
-/// Orders all-gather members around the ring: by coordinate along the
-/// line axis when the group is a grid line (so every hop, including the
-/// wrap-around, is torus distance 1), else by rank id.
-fn ring_order(grid: &Grid, members: &[usize], axis: Option<usize>) -> Vec<usize> {
-    let mut ordered = members.to_vec();
-    if let Some(d) = axis {
-        ordered.sort_by_key(|&r| coord(grid, r, d));
-    }
-    ordered
 }
 
 /// The lowering's record of fans, the crate's one fan-grouping site. The
@@ -446,8 +375,13 @@ pub(crate) struct Fans {
     /// The expansion of broadcasts and reductions; `None` leaves every
     /// fan as sourced.
     topology: Option<Topology>,
-    /// The open step's transfers, in emission order.
-    sent: Vec<Sent>,
+    /// Every rank's point of the grid.
+    points: Vec<Point>,
+    /// The open step's groups and `(group, peer, send position)`s.
+    groups: Vec<Group>,
+    sent: Vec<(u32, usize, usize)>,
+    /// Per rectangle id, the open step's last group of that rectangle.
+    by_rect: Vec<u32>,
     /// The closed steps' collectives, in the order of their first sends.
     records: Vec<Collective>,
     /// The provisional tag of the next collective message. Collective
@@ -456,53 +390,123 @@ pub(crate) struct Fans {
     next_tag: u64,
     /// Where each expansion stands in the stream.
     expanded: Vec<Range<usize>>,
+    /// Scratch space of [`Fans::order`].
+    keys: Vec<(i64, usize)>,
 }
 
 impl Fans {
-    /// An empty record; `config` decides how [`Fans::close`] emits fans.
-    pub(crate) fn new(config: &CollectiveConfig) -> Self {
+    /// An empty record of fans among the ranks of `grid`; `config`
+    /// decides how [`Fans::close`] emits them.
+    pub(crate) fn new(config: &CollectiveConfig, grid: &Grid) -> Self {
         Fans {
             topology: config.fans,
+            points: grid.points().collect(),
             ..Fans::default()
         }
     }
 
-    /// Records `msg`, whose send the lowering is about to emit at stream
-    /// position `at`: a broadcast candidate rooted at its sender, or with
-    /// `reduce` a fold into its receiver.
+    /// The members of `plan` in schedule order and the axis of `grid` they
+    /// form a line along: a fan's root, then its peers by torus offset
+    /// along the line axis, else by torus distance, then rank id (line
+    /// order keeps rings neighbour-only); an all-gather's ring along the
+    /// line axis (every hop, the wrap-around too, one hop), else by rank.
+    fn order(&mut self, grid: &Grid, plan: &Plan) -> (Vec<usize>, Option<usize>) {
+        let (points, keys) = (&self.points, &mut self.keys);
+        let f = match plan {
+            Plan::Single(f) => f,
+            Plan::AllGather { members, .. } => {
+                let (axis, mut ring) = (line_axis(points, members), members.clone());
+                ring.sort_by_key(|&r| axis.map(|d| points[r][d]));
+                return (ring, axis);
+            }
+        };
+        let mut ordered = Vec::with_capacity(f.peers.len() + 1);
+        ordered.push(f.root);
+        ordered.extend_from_slice(f.peers);
+        let (axis, root) = (line_axis(points, &ordered), &points[f.root]);
+        // Each peer's key is worked out once; repeated peers sort together
+        // and go, the root staying first whatever it equals.
+        keys.clear();
+        keys.extend(f.peers.iter().map(|&r| match axis {
+            Some(d) => ((points[r][d] - root[d]).rem_euclid(grid.extent(d)), r),
+            None => (grid.torus_distance(root, &points[r]), r),
+        }));
+        keys.sort_unstable();
+        keys.dedup();
+        ordered.truncate(1);
+        ordered.extend(keys.iter().map(|&(_, r)| r));
+        (ordered, axis)
+    }
+
+    /// Records `msg`, whose send the lowering is about to emit at position
+    /// `at` of the open step: a broadcast candidate rooted at its sender,
+    /// or with `reduce` a fold into its receiver.
     pub(crate) fn record(&mut self, at: usize, msg: &Message, reduce: bool) {
         let (from, to) = (msg.from as usize, msg.to as usize);
         let (root, peer) = if reduce { (to, from) } else { (from, to) };
-        self.sent
-            .push(((root, msg.tensor, msg.rect), peer, at, reduce));
+        let (key, rect) = ((root, msg.tensor, msg.rect), msg.rect.0 as usize);
+        if rect >= self.by_rect.len() {
+            self.by_rect.resize(rect + 1, u32::MAX);
+        }
+        let mut g = self.by_rect[rect];
+        while g != u32::MAX && self.groups[g as usize].0 != key {
+            g = self.groups[g as usize].3;
+        }
+        if g == u32::MAX {
+            g = self.groups.len() as u32;
+            self.groups.push((key, reduce, 0..0, self.by_rect[rect]));
+            self.by_rect[rect] = g;
+        }
+        self.groups[g as usize].2.end += 1;
+        self.sent.push((g, peer, at));
     }
 
-    /// Closes sequential step `step`, just emitted onto `stream`, and
-    /// records its collectives: under trees or rings each one's schedule
-    /// takes the place of its first send and its point-to-point messages
-    /// go. `homes` are the output's home pieces on `grid`, `rects` the
-    /// table the messages' rectangle ids index.
+    /// Closes the open step's record: its groups in the order of their
+    /// first transfers, each spanning its transfers' `[peers, sends]`.
+    fn group(&mut self) -> (Vec<Group>, [Vec<usize>; 2]) {
+        // A counting sort of the transfers by group.
+        let (mut next, mut total) = (Vec::with_capacity(self.groups.len()), 0);
+        for ((_, _, rect), _, span, _) in &mut self.groups {
+            self.by_rect[rect.0 as usize] = u32::MAX;
+            *span = total..total + span.len();
+            next.push(total);
+            total = span.end;
+        }
+        let [mut peers, mut sends] = [vec![0; total], vec![0; total]];
+        for &(g, peer, at) in &self.sent {
+            let i = &mut next[g as usize];
+            (peers[*i], sends[*i]) = (peer, at);
+            *i += 1;
+        }
+        self.sent.clear();
+        (std::mem::take(&mut self.groups), [peers, sends])
+    }
+
+    /// Closes sequential step `step`, its ops as sourced drained from
+    /// `open` onto `stream` in their final form, and records its
+    /// collectives: under trees or rings each one's schedule takes the
+    /// place of its first send and its point-to-point messages go. `homes`
+    /// are the output's home pieces on `grid`, `rects` the rectangle table.
     pub(crate) fn close(
         &mut self,
         grid: &Grid,
         homes: &[Vec<Rect>],
         rects: &[Rect],
+        open: &mut Vec<(usize, SpmdOp)>,
         stream: &mut Vec<(usize, SpmdOp)>,
         step: usize,
     ) {
-        // Two or more transfers of one `(root, tensor, rectangle)` are a
-        // fan; sorting on the send position too keeps each in emission order.
-        self.sent.sort_unstable_by_key(|&(key, _, at, _)| (key, at));
-        let groups = self.sent.chunk_by(|a, b| a.0 == b.0);
-        let mut fans: Vec<Fan> = groups
-            .filter(|sent| sent.len() > 1)
-            .map(|sent| Fan {
-                reduce: sent[0].3,
-                root: sent[0].0 .0,
-                tensor: sent[0].0 .1,
-                rect: sent[0].0 .2,
-                peers: sent.iter().map(|s| s.1).collect(),
-                sends: sent.iter().map(|s| s.2).collect(),
+        // Two or more transfers of one `(root, tensor, rectangle)` are a fan.
+        let (groups, [peers, sends]) = self.group();
+        let fans = groups.into_iter().filter(|(.., span, _)| span.len() > 1);
+        let mut fans: Vec<Fan> = fans
+            .map(|((root, tensor, rect), reduce, span, _)| Fan {
+                reduce,
+                root,
+                tensor,
+                rect,
+                peers: &peers[span.clone()],
+                sends: &sends[span],
             })
             // A relay rank of a reduce tree folds into its accumulator, so
             // no non-root member may own home data the payload intersects.
@@ -512,38 +516,37 @@ impl Fans {
                 !f.reduce || f.peers.iter().all(home)
             })
             .collect();
-        self.sent.clear();
-        fans.sort_unstable_by_key(|f| f.sends[0]);
         let plans = merge_allgathers(&mut fans);
         let Some(topology) = self.topology else {
-            self.records.extend(plans.iter().map(|plan| {
-                let (members, axis) = plan.order(grid);
-                describe(plan, rects, step, members, axis, None)
-            }));
-            return;
+            for plan in &plans {
+                let order = self.order(grid, plan);
+                self.records.push(describe(plan, rects, step, order, None));
+            }
+            return stream.append(open);
         };
-        let Some(start) = plans.first().map(|plan| plan.sends()[0]) else {
-            return;
-        };
-        let mut replaced = vec![false; stream.len() - start];
-        for at in plans.iter().flat_map(Plan::sends) {
-            // The send and, right after it, its receive.
-            replaced[at - start] = true;
-            replaced[at - start + 1] = true;
+        if plans.is_empty() {
+            return stream.append(open);
+        }
+        // Each plan's sends and, right after each, its receive go.
+        let mut replaced = vec![false; open.len()];
+        for &at in plans.iter().flat_map(Plan::sends) {
+            (replaced[at], replaced[at + 1]) = (true, true);
         }
         let mut pending = plans.iter().peekable();
-        for (i, entry) in stream.split_off(start).into_iter().enumerate() {
-            if let Some(plan) = pending.next_if(|plan| plan.sends()[0] == start + i) {
+        for (i, &entry) in open.iter().enumerate() {
+            if let Some(plan) = pending.next_if(|plan| plan.sends()[0] == i) {
                 let at = stream.len();
-                let tag = &mut self.next_tag;
-                let record = expand(grid, plan, rects, step, topology, tag, stream);
-                self.records.push(record);
+                let order = self.order(grid, plan);
+                let depth = expand(plan, &order.0, topology, &mut self.next_tag, stream);
+                self.records
+                    .push(describe(plan, rects, step, order, Some(depth)));
                 self.expanded.push(at..stream.len());
             }
             if !replaced[i] {
                 stream.push(entry);
             }
         }
+        open.clear();
     }
 
     /// Tags the expanded collective messages of `stream` from `first_tag`,
@@ -572,24 +575,21 @@ impl Fans {
     }
 }
 
-/// Appends `plan`'s point-to-point schedule under `topology` to `out`,
-/// tagging its messages from `next_tag` on, and returns its record.
+/// Appends `plan`'s point-to-point schedule under `topology` over its
+/// ordered `members` to `out`, tagged from `next_tag` on; returns its depth.
 fn expand(
-    grid: &Grid,
     plan: &Plan,
-    rects: &[Rect],
-    step: usize,
+    members: &[usize],
     topology: Topology,
     next_tag: &mut u64,
     out: &mut Vec<(usize, SpmdOp)>,
-) -> Collective {
+) -> usize {
     let mut emit = |from: usize, to: usize, tensor: TensorId, rect: RectId, reduce: bool| {
         out.extend(Message::new(*next_tag, from, to, tensor, rect).ops(reduce));
         *next_tag += 1;
     };
-    let (members, axis) = plan.order(grid);
     let g = members.len();
-    let depth = match plan {
+    match plan {
         Plan::Single(f) => {
             let depth = round_count(topology, g);
             if f.reduce {
@@ -627,8 +627,7 @@ fn expand(
             }
             g - 1
         }
-    };
-    describe(plan, rects, step, members, axis, Some(depth))
+    }
 }
 
 #[cfg(test)]
@@ -637,6 +636,7 @@ mod tests {
     use distal_algs::matmul::MatmulAlgorithm;
     use distal_algs::setup::matmul_problem_on;
     use distal_machine::spec::{MachineSpec, MemKind, ProcKind};
+    use proptest::prelude::*;
 
     fn binomial_rounds(g: usize) -> Vec<Vec<(usize, usize)>> {
         let tree = Topology::BinomialTree;
@@ -649,6 +649,56 @@ mod tests {
         (0..round_count(Topology::Ring, g))
             .map(|r| round(Topology::Ring, g, r).collect())
             .collect()
+    }
+
+    /// A fan as the grouping oracle compares it: fold flag, root, tensor,
+    /// rectangle, peers, send positions.
+    type Grouping = (bool, usize, TensorId, RectId, Vec<usize>, Vec<usize>);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Grouping transfers as they are recorded is the sort it replaced:
+        /// sorting `(root, tensor, rectangle, position)` and cutting runs
+        /// of one key, runs of two or more are fans — each with its first
+        /// transfer's fold flag and its transfers in emission order — in
+        /// the order of their first sends. Keys repeat, roots arrive out
+        /// of order, and reduces mix with broadcasts.
+        #[test]
+        fn recording_groups_fans_as_the_sort_did(
+            transfers in prop::collection::vec((0usize..6, 0u32..3, 0u32..5, 0usize..6, any::<bool>()), 0..60),
+            steps in 1usize..3,
+        ) {
+            let mut fans = Fans::new(&CollectiveConfig::trees(), &Grid::line(6));
+            for _ in 0..steps {
+                let mut sorted = Vec::new();
+                for (i, &(root, tensor, rect, peer, reduce)) in transfers.iter().enumerate() {
+                    let (from, to) = if reduce { (peer, root) } else { (root, peer) };
+                    let (tensor, rect) = (TensorId(tensor), RectId(rect));
+                    fans.record(2 * i, &Message::new(0, from, to, tensor, rect), reduce);
+                    sorted.push(((root, tensor, rect), 2 * i, peer, reduce));
+                }
+                sorted.sort_by_key(|&(key, at, ..)| (key, at));
+                let runs = sorted.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() > 1);
+                let mut want: Vec<Grouping> = runs
+                    .map(|run| {
+                        let ((root, tensor, rect), _, _, reduce) = run[0];
+                        let peers = run.iter().map(|t| t.2).collect();
+                        (reduce, root, tensor, rect, peers, run.iter().map(|t| t.1).collect())
+                    })
+                    .collect();
+                want.sort_by_key(|fan| fan.5[0]);
+                let (groups, [peers, sends]) = fans.group();
+                let fans_of = groups.into_iter().filter(|(.., span, _)| span.len() > 1);
+                let got: Vec<Grouping> = fans_of
+                    .map(|((root, tensor, rect), reduce, span, _)| {
+                        let (p, s) = (peers[span.clone()].to_vec(), sends[span].to_vec());
+                        (reduce, root, tensor, rect, p, s)
+                    })
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]
@@ -676,7 +726,7 @@ mod tests {
 
     #[test]
     fn line_axis_detects_rows_and_planes() {
-        let g = Grid::grid2(2, 4);
+        let g: Vec<Point> = Grid::grid2(2, 4).points().collect();
         // Row 1 = ranks 4..8 varies along axis 1.
         assert_eq!(line_axis(&g, &[4, 5, 6, 7]), Some(1));
         // Column 2 = ranks {2, 6} varies along axis 0.
@@ -690,7 +740,18 @@ mod tests {
     fn member_order_follows_torus_offsets() {
         let g = Grid::grid2(4, 4);
         // Root rank 6 = (1, 2); row peers (1,0), (1,1), (1,3) = 4, 5, 7.
-        let (members, axis) = order_members(&g, 6, &[4, 5, 7]);
+        let mut fans = Fans::new(&CollectiveConfig::trees(), &g);
+        let (peers, sends) = ([4, 5, 7], [0, 2, 4]);
+        let (tensor, rect) = (TensorId(0), RectId(0));
+        let fan = Fan {
+            reduce: false,
+            root: 6,
+            tensor,
+            rect,
+            peers: &peers,
+            sends: &sends,
+        };
+        let (members, axis) = fans.order(&g, &Plan::Single(fan));
         assert_eq!(axis, Some(1));
         // Offsets along the row from column 2: 7 -> +1, 4 -> +2, 5 -> +3.
         assert_eq!(members, vec![6, 7, 4, 5]);

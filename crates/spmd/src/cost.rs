@@ -9,7 +9,7 @@
 //! α · d(from, to)  +  bytes / β
 //! ```
 //!
-//! where `d` is the torus hop distance ([`crate::lower::torus_distance`])
+//! where `d` is the torus hop distance ([`Grid::torus_distance`])
 //! and `β` the per-link bandwidth, and each leaf block `flops / rate`.
 //! Senders serialize their own injections (one NIC per rank), receivers
 //! wait for arrival — exactly the discipline the sequential rank VM
@@ -35,11 +35,9 @@
 //! [`Transport::Sequential`]: crate::transport::Transport::Sequential
 //! [`Transport::Threaded`]: crate::transport::Transport::Threaded
 
-use crate::lower::torus_distance;
 use crate::ops::SpmdOp;
 use crate::program::SpmdProgram;
 use distal_machine::grid::Grid;
-use std::collections::BTreeMap;
 
 /// The model parameters: per-message latency `α` (scaled by hop
 /// distance), per-link bandwidth `β`, and a leaf compute rate.
@@ -69,12 +67,8 @@ impl AlphaBeta {
     /// The wire time of moving `bytes` between two ranks:
     /// `α · d + bytes / β`.
     pub(crate) fn transfer_s(&self, grid: &Grid, from: usize, to: usize, bytes: u64) -> f64 {
-        let d = torus_distance(
-            grid,
-            &grid.delinearize(from as i64),
-            &grid.delinearize(to as i64),
-        )
-        .max(1);
+        let (from, to) = (grid.delinearize(from as i64), grid.delinearize(to as i64));
+        let d = grid.torus_distance(&from, &to).max(1);
         self.alpha_s * d as f64 + bytes as f64 / self.beta_bytes_per_s
     }
 }
@@ -112,7 +106,13 @@ pub(crate) fn evaluate(
     let mut clock = vec![0.0f64; ranks];
     let mut busy = vec![0.0f64; ranks]; // compute seconds per rank
     let mut chain = vec![0usize; ranks];
-    let mut in_flight: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
+    // Per tag any send names (sorted), its arrival and depth in flight.
+    let sent = program.ops.iter().filter(|op| op.is_send());
+    let mut tags: Vec<u64> = sent.filter_map(SpmdOp::message).map(|m| m.tag).collect();
+    tags.sort_unstable();
+    tags.dedup();
+    let mut in_flight: Vec<Option<(f64, usize)>> = vec![None; tags.len()];
+    let slot = |tag: u64| tags.binary_search(&tag).ok();
     for (rank, op) in program.in_order() {
         match op {
             SpmdOp::Send(m) | SpmdOp::ReduceSend(m) => {
@@ -124,11 +124,13 @@ pub(crate) fn evaluate(
                 let arrival = clock[rank] + wire;
                 clock[rank] += wire;
                 chain[rank] += 1;
-                in_flight.insert(m.tag, (arrival, chain[rank]));
+                if let Some(i) = slot(m.tag) {
+                    in_flight[i] = Some((arrival, chain[rank]));
+                }
             }
             SpmdOp::Recv(m) | SpmdOp::ReduceRecv(m) => {
-                let (arrival, depth) = in_flight
-                    .remove(&m.tag)
+                let (arrival, depth) = slot(m.tag)
+                    .and_then(|i| in_flight[i].take())
                     .expect("static programs pair every recv with an earlier send");
                 clock[rank] = clock[rank].max(arrival);
                 chain[rank] = chain[rank].max(depth);

@@ -113,26 +113,14 @@ impl Ownership {
     /// `pieces[rank]` = the home rectangles `rank` holds.
     fn new(pieces: Vec<Vec<Rect>>) -> Self {
         let by_rank = pieces.iter().enumerate();
-        let index = RectIndex::new(
-            by_rank
-                .flat_map(|(rank, held)| held.iter().map(move |p| (*p, rank)))
-                .collect(),
-        );
+        let held = by_rank.flat_map(|(rank, held)| held.iter().map(move |&p| (p, rank)));
+        let index = RectIndex::new(held.collect());
         Ownership { pieces, index }
     }
 
     /// `pieces()[rank]` = the home rectangles `rank` holds.
     pub(crate) fn pieces(&self) -> &[Vec<Rect>] {
         &self.pieces
-    }
-
-    /// Home owners intersecting `rect`, with the owned sub-rectangles, in
-    /// `(rank, piece)` order.
-    pub(crate) fn owners_of(&self, rect: &Rect) -> Vec<(usize, Rect)> {
-        self.index
-            .query(rect, &mut Vec::new())
-            .map(|(_, piece, &rank)| (rank, piece.intersection(rect)))
-            .collect()
     }
 }
 
@@ -153,19 +141,6 @@ fn ownership(tensor: &TensorSpec, machine: &MachineHierarchy, points: &[Point]) 
     Ownership::new(pieces.collect())
 }
 
-/// Torus hop distance between two grid coordinates (systolic machines wrap
-/// around, so Cannon's leftward shift from column 0 to column `g-1` is one
-/// hop).
-pub fn torus_distance(grid: &Grid, a: &Point, b: &Point) -> i64 {
-    (0..grid.dim())
-        .map(|d| {
-            let e = grid.extent(d);
-            let diff = (a[d] - b[d]).abs();
-            diff.min(e - diff)
-        })
-        .sum()
-}
-
 /// A candidate supplier's place in the order [`Holdings::supply`] visits
 /// them in: `(torus distance to the needing rank, 0 for scratch / 1 for a
 /// home piece, supplier rank, sequence among the supplier's rectangles)`.
@@ -182,34 +157,46 @@ struct Holdings<'a> {
     /// Every rank's grid coordinate.
     points: &'a [Point],
     home: &'a Ownership,
-    /// `scratch[rank]` = what `rank` received during the previous step.
-    scratch: Vec<RectSet>,
-    /// Every scratch rectangle with its holder, in `(rank, rectangle)`
-    /// order.
-    scratch_index: RectIndex<usize>,
-    /// `received[rank]` = what `rank` has received during this step.
-    received: Vec<Vec<Rect>>,
+    /// `(rank, rectangle, id)` of every receive of the previous step, in
+    /// order, and a box holding them all.
+    scratch: Vec<(usize, Rect, u32)>,
+    scratch_bounds: Option<Rect>,
+    /// The scratch, a set per rank, with its holders in `(rank,
+    /// rectangle)` order, on the home index's slabs (received parts are
+    /// mostly home pieces or parts of them): built by the step's first
+    /// need in its box.
+    scratch_index: Option<RectIndex<usize>>,
+    /// Per scratch rectangle and per home piece (by sequence number), its
+    /// id once a transfer of all of it was interned, else `u32::MAX`.
+    ids: [Vec<u32>; 2],
+    /// This step's receives, as `scratch` holds the last step's.
+    received: Vec<(usize, Rect, u32)>,
+    received_bounds: Option<Rect>,
     /// Reused by every [`Holdings::supply`]: the disjoint parts of the need
-    /// still missing, the two index queries' hits, the candidate
-    /// suppliers, and the transfers chosen.
+    /// still missing, an index query's hits, the candidate suppliers, and
+    /// the transfers chosen.
     missing: RectSet,
-    hits: (Vec<usize>, Vec<usize>),
+    hits: Vec<usize>,
     suppliers: Vec<(SupplierKey, Rect)>,
     transfers: Vec<(usize, RectId)>,
 }
 
 impl<'a> Holdings<'a> {
     fn new(tensor: &'a str, grid: &'a Grid, points: &'a [Point], home: &'a Ownership) -> Self {
+        let pieces = home.pieces.iter().map(Vec::len).sum();
         Holdings {
             tensor,
             grid,
             points,
             home,
-            scratch: vec![RectSet::new(); points.len()],
-            scratch_index: RectIndex::default(),
-            received: vec![Vec::new(); points.len()],
+            scratch: Vec::new(),
+            scratch_bounds: None,
+            scratch_index: None,
+            ids: [Vec::new(), vec![u32::MAX; pieces]],
+            received: Vec::new(),
+            received_bounds: None,
             missing: RectSet::new(),
-            hits: Default::default(),
+            hits: Vec::new(),
             suppliers: Vec::new(),
             transfers: Vec::new(),
         }
@@ -243,37 +230,41 @@ impl<'a> Holdings<'a> {
         self.suppliers.clear();
         self.transfers.clear();
         self.missing.add(*need);
-        let home = self.home.index.query(need, &mut self.hits.0);
-        let scratch = self.scratch_index.query(need, &mut self.hits.1);
-        let (home, scratch) = (home.map(|hit| (1, hit)), scratch.map(|hit| (0, hit)));
-        for (class, (seq, held, &holder)) in home.chain(scratch) {
-            if holder == rank {
-                self.missing.subtract(held);
-            } else {
-                let d = torus_distance(self.grid, &self.points[holder], &self.points[rank]);
-                self.suppliers.push(((d, class, holder, seq), *held));
+        let (grid, points) = (self.grid, self.points);
+        let hops = |holder: usize| grid.torus_distance(&points[holder], &points[rank]);
+        // What `rank` holds goes first: its home pieces, then its scratch.
+        let own = self.home.pieces[rank].iter();
+        own.for_each(|p| self.missing.subtract(p));
+        if self.scratch_bounds.is_some_and(|b| b.overlaps(need)) {
+            let (scratch, ids, home) = (&mut self.scratch, &mut self.ids[0], &self.home.index);
+            let index = self
+                .scratch_index
+                .get_or_insert_with(|| RectIndex::new_like(home, scratch_sets(scratch, ids)));
+            for (seq, held, &holder) in index.query(need, &mut self.hits) {
+                if holder == rank {
+                    self.missing.subtract(held);
+                } else {
+                    self.suppliers.push(((hops(holder), 0, holder, seq), *held));
+                }
             }
         }
+        // Other ranks' home pieces are a hop away or more, so scratch one hop
+        // away precedes them: the home index is asked for what it leaves.
         self.suppliers.sort_unstable_by_key(|(key, _)| *key);
-        for &((_, _, holder, _), held) in &self.suppliers {
-            if self.missing.is_empty() {
-                break;
+        let near = self.suppliers.partition_point(|((d, ..), _)| *d <= 1);
+        self.take(rank, near, rects);
+        if !self.missing.is_empty() {
+            for (seq, held, &holder) in self.home.index.query(need, &mut self.hits) {
+                if holder != rank {
+                    self.suppliers.push(((hops(holder), 1, holder, seq), *held));
+                }
             }
-            // `held` supplies its intersection with each missing part.
-            let first = self.received[rank].len();
-            let missing = self.missing.rects().iter();
-            let parts = missing.filter(|missing| held.overlaps(missing));
-            self.received[rank].extend(parts.map(|missing| held.intersection(missing)));
-            let parts = self.received[rank][first..].iter();
-            let first = self.transfers.len();
-            let interned = parts.map(|&part| (holder, RectId(rects.intern(part))));
-            self.transfers.extend(interned);
-            if self.transfers.len() == first {
-                continue;
-            }
-            // Removes exactly those parts: the missing rectangles are disjoint.
-            self.missing.subtract(&held);
+            // What was taken overlaps nothing missing: a second pass skips it.
+            self.suppliers[near..].sort_unstable_by_key(|(key, _)| *key);
+            self.take(rank, self.suppliers.len(), rects);
         }
+        let bounds = self.received_bounds.get_or_insert(*need);
+        *bounds = bounds.union_bb(need);
         match self.missing.rects().first() {
             None => Ok(&self.transfers),
             Some(hole) => Err(SpmdError::Uncovered {
@@ -285,57 +276,62 @@ impl<'a> Holdings<'a> {
         }
     }
 
+    /// Lets the first `n` suppliers, in order, supply whatever of `rank`'s
+    /// need is still missing, interning what they send in `rects`.
+    fn take(&mut self, rank: usize, n: usize, rects: &mut RectTable) {
+        for i in 0..n {
+            if self.missing.is_empty() {
+                break;
+            }
+            let ((_, class, holder, seq), held) = self.suppliers[i];
+            // `held` supplies its intersection with each missing part.
+            let first = self.received.len();
+            let missing = self.missing.rects().iter();
+            let parts = missing.filter(|missing| held.overlaps(missing));
+            let parts = parts.map(|missing| (rank, held.intersection(missing), u32::MAX));
+            self.received.extend(parts);
+            if self.received.len() == first {
+                continue;
+            }
+            for (_, part, id) in &mut self.received[first..] {
+                // All of `held` is named by the id it got the first time.
+                let (known, whole) = (&mut self.ids[usize::from(class)][seq], *part == held);
+                if whole && *known == u32::MAX {
+                    *known = rects.intern(*part);
+                }
+                *id = if whole { *known } else { rects.intern(*part) };
+                self.transfers.push((holder, RectId(*id)));
+            }
+            // Removes exactly those parts: the missing rectangles are disjoint.
+            self.missing.subtract(&held);
+        }
+    }
+
     /// Step boundary: this step's receives become the next step's scratch;
     /// the scratch of the step before retires.
     fn advance(&mut self) {
-        for (set, rects) in self.scratch.iter_mut().zip(&mut self.received) {
-            set.clear();
-            rects.drain(..).for_each(|r| set.add(r));
-        }
-        let by_rank = self.scratch.iter().enumerate();
-        self.scratch_index = RectIndex::new(
-            by_rank
-                .flat_map(|(rank, set)| set.rects().iter().map(move |r| (*r, rank)))
-                .collect(),
-        );
+        std::mem::swap(&mut self.scratch, &mut self.received);
+        self.received.clear();
+        self.scratch_bounds = self.received_bounds.take();
+        self.scratch_index = None;
     }
+}
 
-    /// [`Holdings::supply`] without the indexes and without recording the
-    /// receives: every other rank's every rectangle is a candidate, ordered
-    /// by a stable sort on `(distance, class, rank)`. The search the
-    /// indexed one replaced, kept as its oracle.
-    #[cfg(test)]
-    fn supply_by_scan(&self, rank: usize, need: &Rect) -> Vec<(usize, Rect)> {
-        let mut needs = RectSet::from_rect(*need);
-        for home in &self.home.pieces[rank] {
-            needs.subtract(home);
-        }
-        for held in self.scratch[rank].rects() {
-            needs.subtract(held);
-        }
-        let mut supplies: Vec<(i64, u8, usize, &Rect)> = Vec::new();
-        for q in (0..self.points.len()).filter(|q| *q != rank) {
-            let d = torus_distance(self.grid, &self.points[q], &self.points[rank]);
-            for s in self.scratch[q].rects() {
-                supplies.push((d, 0, q, s));
-            }
-            for s in &self.home.pieces[q] {
-                supplies.push((d, 1, q, s));
-            }
-        }
-        supplies.sort_by_key(|a| (a.0, a.1, a.2));
-        let mut transfers = Vec::new();
-        for (_, _, q, s) in supplies {
-            for missing in needs.rects().to_vec() {
-                let part = s.intersection(&missing);
-                if !part.is_empty() {
-                    needs.subtract(&part);
-                    transfers.push((q, part));
-                }
-            }
-        }
-        transfers
+/// Every rank's scratch as `(rectangle, rank)`, rank after rank: what it
+/// `received` in one step, as a set of disjoint rectangles built in the
+/// order received. `ids` gets each one's id, `u32::MAX` for a split part.
+fn scratch_sets(received: &mut [(usize, Rect, u32)], ids: &mut Vec<u32>) -> Vec<(Rect, usize)> {
+    received.sort_by_key(|&(rank, ..)| rank);
+    let (mut held, mut set) = (Vec::new(), RectSet::new());
+    ids.clear();
+    for parts in received.chunk_by(|a, b| a.0 == b.0) {
+        set.clear();
+        parts.iter().for_each(|&(_, part, _)| set.add(part));
+        held.extend(set.rects().iter().map(|&r| (r, parts[0].0)));
+        let id = |r: &Rect| parts.iter().find(|p| p.1 == *r).map_or(u32::MAX, |p| p.2);
+        ids.extend(set.rects().iter().map(id));
     }
+    held
 }
 
 /// Lowers `nest` — `assignment` under `schedule`, over `tensors` — to an
@@ -391,13 +387,13 @@ pub(crate) fn lower_with(
     let out_owners = out_owners.expect("the destination is accessed");
     let homes = out_owners.pieces();
 
-    // The global `(rank, op)` stream, each step closed in its final form,
-    // filed into the per-rank lists at the end, and the tables it names.
-    let mut stream: Vec<(usize, SpmdOp)> = Vec::new();
+    // The global `(rank, op)` stream, each step closed in its final form
+    // (`open` holds it as sourced), filed into per-rank lists at the end.
+    let (mut stream, mut open): (Vec<(usize, SpmdOp)>, Vec<_>) = (Vec::new(), Vec::new());
     let mut rects = RectTable::default();
     let mut arena: Vec<(i64, i64)> = Vec::new();
     let mut tag = 0u64;
-    let mut fans = Fans::new(collectives);
+    let mut fans = Fans::new(collectives, &grid);
 
     // One holdings dataflow per accessed tensor, by id.
     let mut holdings: Vec<Option<Holdings>> = owners
@@ -431,9 +427,9 @@ pub(crate) fn lower_with(
                     tag += 1;
                     // An output message is a per-owner write, not a payload.
                     if tensor != out {
-                        fans.record(stream.len(), &msg, false);
+                        fans.record(open.len(), &msg, false);
                     }
-                    stream.extend(msg.ops(false));
+                    open.extend(msg.ops(false));
                 }
             }
 
@@ -445,10 +441,10 @@ pub(crate) fn lower_with(
             let flops = flops_per_point * iter_points;
             total_flops += flops;
             let bounds = BoundsSpan::push(&mut arena, bounds);
-            stream.push((rank, SpmdOp::Compute { bounds, flops }));
+            open.push((rank, SpmdOp::Compute { bounds, flops }));
         }
 
-        fans.close(&grid, homes, rects.rects(), &mut stream, step);
+        fans.close(&grid, homes, rects.rects(), &mut open, &mut stream, step);
 
         // Step boundary: retire old scratch, promote this step's receives.
         if !nest.seq_extents.is_empty() {
@@ -458,37 +454,41 @@ pub(crate) fn lower_with(
             retired += 1;
         }
         holdings.iter_mut().flatten().for_each(Holdings::advance);
+        // Every step emits about as many ops as the first: grown once.
+        if step == 0 {
+            stream.reserve(stream.len() * nest.seq_rect().volume() as usize);
+        }
     }
     drop(holdings);
 
     // Final gather: move computed output to its home owners. Distributed
     // reductions fold (Johnson's "sum reduces A_ijk to P_ij0"); others
     // overwrite. Local contributions fold without messages.
+    let mut hits = Vec::new();
     for (rank, written) in out_written.iter().enumerate() {
         for rect in written.rects() {
-            for (owner, piece) in out_owners.owners_of(rect) {
+            for (_, piece, &owner) in out_owners.index.query(rect, &mut hits) {
                 if owner == rank {
                     continue;
                 }
-                let msg = Message::new(tag, rank, owner, out, RectId(rects.intern(piece)));
+                let piece = RectId(rects.intern(piece.intersection(rect)));
+                let msg = Message::new(tag, rank, owner, out, piece);
                 tag += 1;
                 if nest.dist_reduces {
-                    fans.record(stream.len(), &msg, true);
+                    fans.record(open.len(), &msg, true);
                 }
-                stream.extend(msg.ops(nest.dist_reduces));
+                open.extend(msg.ops(nest.dist_reduces));
             }
         }
     }
 
-    fans.close(&grid, homes, rects.rects(), &mut stream, retired);
+    fans.close(&grid, homes, rects.rects(), &mut open, &mut stream, retired);
     let (collectives, unexpanded) = fans.finish(&mut stream, tag);
 
     // Choose the leaf kernel now, at lowering (= plan) time: the rank VM
     // always *adds* into a zeroed accumulator.
-    let leaf_compressed: Vec<bool> = accessed[1..]
-        .iter()
-        .map(|id| tensors[id.index()].format.has_compressed())
-        .collect();
+    let compressed = |id: &TensorId| tensors[id.index()].format.has_compressed();
+    let leaf_compressed: Vec<bool> = accessed[1..].iter().map(compressed).collect();
     let leaf = distal_core::kernelgen::leaf_for(assignment, schedule, leaf_compressed, true)
         .map_err(SpmdError::Compile)?;
     let mut program = SpmdProgram {
@@ -561,17 +561,6 @@ pub(crate) mod tests {
     pub(crate) fn matmul_2x2() -> SpmdProgram {
         let a = Assignment::parse("A(i,j) = B(i,k) * C(k,j)").unwrap();
         lower(&a, &tiled_tensors(4), &Grid::grid2(2, 2), &Schedule::new()).unwrap()
-    }
-
-    #[test]
-    fn torus_distance_wraps() {
-        let g = Grid::grid2(4, 4);
-        let a = Point::new(vec![0, 0]);
-        let b = Point::new(vec![0, 3]);
-        assert_eq!(torus_distance(&g, &a, &b), 1); // wraps around
-        let c = Point::new(vec![2, 2]);
-        assert_eq!(torus_distance(&g, &a, &c), 4);
-        assert_eq!(torus_distance(&g, &a, &a), 0);
     }
 
     #[test]
@@ -719,6 +708,44 @@ pub(crate) mod tests {
         );
     }
 
+    /// [`Holdings::supply`] without the indexes and without recording the
+    /// receives: every other rank's every rectangle is a candidate, ordered
+    /// by a stable sort on `(distance, class, rank)`. The search the
+    /// indexed one replaced, kept as its oracle.
+    fn supply_by_scan(h: &Holdings, rank: usize, need: &Rect) -> Vec<(usize, Rect)> {
+        let mut needs = RectSet::from_rect(*need);
+        for home in &h.home.pieces[rank] {
+            needs.subtract(home);
+        }
+        let scratch = scratch_sets(&mut h.scratch.clone(), &mut Vec::new());
+        let held_by = |q: usize| scratch.iter().filter(move |(_, r)| *r == q);
+        for (held, _) in held_by(rank) {
+            needs.subtract(held);
+        }
+        let mut supplies: Vec<(i64, u8, usize, &Rect)> = Vec::new();
+        for q in (0..h.points.len()).filter(|q| *q != rank) {
+            let d = h.grid.torus_distance(&h.points[q], &h.points[rank]);
+            for (s, _) in held_by(q) {
+                supplies.push((d, 0, q, s));
+            }
+            for s in &h.home.pieces[q] {
+                supplies.push((d, 1, q, s));
+            }
+        }
+        supplies.sort_by_key(|a| (a.0, a.1, a.2));
+        let mut transfers = Vec::new();
+        for (_, _, q, s) in supplies {
+            for missing in needs.rects().to_vec() {
+                let part = s.intersection(&missing);
+                if !part.is_empty() {
+                    needs.subtract(&part);
+                    transfers.push((q, part));
+                }
+            }
+        }
+        transfers
+    }
+
     /// Grids (line, prime line, non-square, square, two 3-d) and, per grid
     /// dimensionality, distribution notations for a matrix: tiled,
     /// transposed, replicated (`*`), face-fixed (`0`) and mixtures.
@@ -783,7 +810,7 @@ pub(crate) mod tests {
                 for rank in 0..points.len() {
                     // Two accesses per rank and step.
                     for need in needs.by_ref().take(2) {
-                        let want = holdings.supply_by_scan(rank, &need);
+                        let want = supply_by_scan(&holdings, rank, &need);
                         let got = holdings.supply(rank, step, &need, &mut rects).unwrap().to_vec();
                         let got: Vec<_> = got.iter().map(|&(from, id)| (from, rects.rects()[id.0 as usize])).collect();
                         prop_assert_eq!(&got, &want, "rank {} step {} needs {}", rank, step, need);

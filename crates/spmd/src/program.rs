@@ -188,8 +188,7 @@ impl SpmdProgram {
     pub(crate) fn install(&mut self, stream: &[(usize, SpmdOp)]) {
         self.order = stream.iter().map(|(rank, _)| *rank).collect();
         self.derived = Arc::default();
-        // A counting sort by rank: count, sum, then file each op (the
-        // filler is overwritten everywhere).
+        // A counting sort by rank, gathering each rank's ops from the stream.
         self.starts.fill(0);
         self.tasks = 0;
         for (rank, op) in stream {
@@ -200,11 +199,12 @@ impl SpmdProgram {
             self.starts[r] += self.starts[r - 1];
         }
         let mut next = self.starts.clone();
-        self.ops = vec![SpmdOp::RetireScratch { keep: 0 }; stream.len()];
-        for &(rank, op) in stream {
-            self.ops[next[rank]] = op;
+        let mut from = vec![0; stream.len()];
+        for (i, &rank) in self.order.iter().enumerate() {
+            from[next[rank]] = i;
             next[rank] += 1;
         }
+        self.ops = from.iter().map(|&i| stream[i].1).collect();
     }
 
     /// Rewrites the program through its global `(rank, op)` stream: the ops

@@ -50,7 +50,7 @@ use distal_core::TensorId;
 use distal_machine::geom::Rect;
 use distal_machine::ELEM_BYTES;
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 thread_local! {
     /// Per-thread count of [`Resolved::new`] calls — how plan reuse shows
@@ -231,14 +231,16 @@ impl Resolved {
         // Every receive gets the next slot of its rank's mailbox; a send
         // feeds the first receive of its tag at its destination.
         let mut mailbox = vec![0usize; ranks];
-        let mut receives: HashMap<(usize, u64), usize> = HashMap::new();
+        let mut receives = Vec::new();
         for (rank, slots) in mailbox.iter_mut().enumerate() {
             for op in program.rank_ops(rank).iter().filter(|op| !op.is_send()) {
                 let Some(m) = op.message() else { continue };
-                receives.entry((rank, m.tag)).or_insert(*slots);
+                receives.push((rank, m.tag, *slots));
                 *slots += 1;
             }
         }
+        receives.sort();
+        receives.dedup_by_key(|&mut (rank, tag, _)| (rank, tag));
         let mut plans: Vec<Ranked> = (0..ranks)
             .map(|rank| resolve_rank(program, rank, &receives, &mut mailbox))
             .collect();
@@ -575,14 +577,14 @@ struct Ranked {
     peak: u64,
 }
 
-/// Replays one rank's op list over rectangles. `receives` maps
-/// `(rank, tag)` to the mailbox slot of the first receive of that tag;
+/// Replays one rank's op list over rectangles. `receives` holds, sorted,
+/// `(rank, tag, mailbox slot of the first receive of that tag)`;
 /// `mailbox` counts every rank's slots and grows by one for each send no
 /// receive matches.
 fn resolve_rank(
     program: &SpmdProgram,
     rank: usize,
-    receives: &HashMap<(usize, u64), usize>,
+    receives: &[(usize, u64, usize)],
     mailbox: &mut [usize],
 ) -> Ranked {
     let out = program.output();
@@ -620,7 +622,8 @@ fn resolve_rank(
                 };
                 match payload {
                     Ok(payload) => {
-                        let ordinal = receives.get(&(to, m.tag)).copied().unwrap_or_else(|| {
+                        let first = receives.binary_search_by_key(&(to, m.tag), |r| (r.0, r.1));
+                        let ordinal = first.map(|i| receives[i].2).unwrap_or_else(|_| {
                             mailbox[to] += 1;
                             mailbox[to] - 1
                         });

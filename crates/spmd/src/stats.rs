@@ -13,7 +13,6 @@
 //! per-rank timeline, makespan) are reported alongside by the α-β model
 //! in [`crate::cost`].
 
-use crate::lower::torus_distance;
 use crate::ops::Message;
 use crate::program::SpmdProgram;
 use distal_core::TensorId;
@@ -59,11 +58,8 @@ impl CommStats {
             s.messages += 1;
             s.bytes += bytes;
             s.matrix[m.from as usize][m.to as usize] += bytes;
-            let d = torus_distance(
-                grid,
-                &grid.delinearize(m.from as i64),
-                &grid.delinearize(m.to as i64),
-            );
+            let (from, to) = (m.from as i64, m.to as i64);
+            let d = grid.torus_distance(&grid.delinearize(from), &grid.delinearize(to));
             *s.bytes_by_distance.entry(d).or_insert(0) += bytes;
             *by_tensor.entry(m.tensor).or_insert(0) += bytes;
         }

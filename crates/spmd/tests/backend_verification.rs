@@ -110,11 +110,8 @@ fn cannon_steady_state_is_neighbor_only() {
     assert!(steps.len() >= 4, "expected 4 sequential steps");
     for (s, msgs) in steps.iter().enumerate().skip(1) {
         for m in msgs {
-            let d = distal_spmd::lower::torus_distance(
-                &grid,
-                &grid.delinearize(m.from as i64),
-                &grid.delinearize(m.to as i64),
-            );
+            let (from, to) = (m.from as i64, m.to as i64);
+            let d = grid.torus_distance(&grid.delinearize(from), &grid.delinearize(to));
             let m = program.named(m);
             assert_eq!(d, 1, "step {s}: {m} has distance {d}");
         }

@@ -75,9 +75,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, CALLS.load(Ordering::Relaxed) - before)
 }
 
-/// `lower_problem` + `verify_program` allocator calls per rank op: 0.20,
-/// 0.30 and 0.46 for Cannon, PUMMA and SUMMA when this bound was set.
-const PER_RANK_OP: f64 = 0.55;
+/// `lower_problem` + `verify_program` allocator calls per rank op: 0.13,
+/// 0.17 and 0.21 for Cannon, PUMMA and SUMMA when this bound was set.
+const PER_RANK_OP: f64 = 0.25;
 
 #[test]
 fn the_plan_path_allocates_about_once_per_two_rank_ops() {

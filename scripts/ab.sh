@@ -5,15 +5,18 @@
 #   scripts/ab.sh <rev> <workload> <pairs>
 #   scripts/ab.sh HEAD plan_scale 5
 #
-# Exports <rev> with `git archive` into a fresh directory under $TMPDIR
-# (default /tmp), then runs `benchmark/run.sh --workload <workload>
-# --seconds 20 --trace 0` <pairs> times on each side, alternating them (the
+# Exports <rev> with `git archive` into `base/` of a fresh directory under
+# $TMPDIR (default /tmp), and the working tree -- its tracked files and the
+# untracked ones git does not ignore, as they are on disk -- into `head/`
+# beside it, so both sides build from paths of the same shape. It then
+# runs `benchmark/run.sh --workload <workload> --seconds 20 --trace 0`
+# <pairs> times on each side, alternating them (the
 # side that goes first alternates too, so neither always runs on a warmer
 # host). Prints, per end-to-end metric, each side's median and quartiles
 # over the pairs and in how many pairs the working tree was better, read
 # from the results.json every run writes.
 #
-# An export, not `git worktree`, so the repository's own metadata is left
+# Exports, not `git worktree`, so the repository's own metadata is left
 # alone. Both sides build into their own target directory and write their
 # results under the same temporary directory: nothing under benchmark/ is
 # written. The directory is kept, and named at the end.
@@ -26,15 +29,19 @@ fi
 rev=$1 workload=$2 pairs=$3
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")"
-mkdir "$work/base"
+mkdir "$work/base" "$work/head"
 git -C "$repo" archive --format=tar "$rev" | tar -x -C "$work/base"
 echo "# base: $(git -C "$repo" rev-parse --short "$rev") exported to $work/base" >&2
+# A tracked file deleted from the working tree is listed but not on disk.
+git -C "$repo" ls-files -z --cached --others --exclude-standard |
+    tar -C "$repo" --null --files-from=- --ignore-failed-read -cf - 2>/dev/null |
+    tar -x -C "$work/head"
+echo "# head: the working tree exported to $work/head" >&2
 
 # run <side> <pair>: one benchmark run of side `base` or `head`.
 run() {
-    local side=$1 pair=$2 root
-    if [ "$side" = base ]; then root="$work/base"; else root="$repo"; fi
-    CARGO_TARGET_DIR="$work/target-$side" bash "$root/benchmark/run.sh" \
+    local side=$1 pair=$2
+    CARGO_TARGET_DIR="$work/target-$side" bash "$work/$side/benchmark/run.sh" \
         --workload "$workload" --seconds 20 --trace 0 \
         --out "$work/$side-$pair" >"$work/$side-$pair.log"
     echo "# pair $pair: $side done" >&2

@@ -717,15 +717,20 @@ pub(crate) mod tests {
         for home in &h.home.pieces[rank] {
             needs.subtract(home);
         }
-        let scratch = scratch_sets(&mut h.scratch.clone(), &mut Vec::new());
-        let held_by = |q: usize| scratch.iter().filter(move |(_, r)| *r == q);
-        for (held, _) in held_by(rank) {
+        // Each rank's scratch, the set its receives of the last step make:
+        // built here, not by the `scratch_sets` the index is built from.
+        let mut scratch = vec![RectSet::new(); h.points.len()];
+        for &(q, part, _) in &h.scratch {
+            scratch[q].add(part);
+        }
+        let held_by = |q: usize| scratch[q].rects().iter();
+        for held in held_by(rank) {
             needs.subtract(held);
         }
         let mut supplies: Vec<(i64, u8, usize, &Rect)> = Vec::new();
         for q in (0..h.points.len()).filter(|q| *q != rank) {
             let d = h.grid.torus_distance(&h.points[q], &h.points[rank]);
-            for (s, _) in held_by(q) {
+            for s in held_by(q) {
                 supplies.push((d, 0, q, s));
             }
             for s in &h.home.pieces[q] {

@@ -258,10 +258,13 @@ fn round(topology: Topology, g: usize, r: usize) -> impl Iterator<Item = (usize,
 /// roots cover the whole member set is one all-gather. Drains `fans` and
 /// returns the plans in the order of their first sends.
 fn merge_allgathers<'s>(fans: &mut Vec<Fan<'s>>) -> Vec<Plan<'s>> {
-    // Every fan's members (peers and root), sorted and distinct.
+    // Every broadcast fan's members (peers and root), sorted and distinct.
     let members: Vec<Vec<usize>> = fans
         .iter()
         .map(|f| {
+            if f.reduce {
+                return Vec::new();
+            }
             let mut members = [f.peers, &[f.root]].concat();
             members.sort_unstable();
             members.dedup();
@@ -371,12 +374,12 @@ fn describe(
 /// and each step as it ends ([`Fans::close`]), which emits the step in
 /// its final form.
 #[derive(Default)]
-pub(crate) struct Fans {
+pub(crate) struct Fans<'p> {
     /// The expansion of broadcasts and reductions; `None` leaves every
     /// fan as sourced.
     topology: Option<Topology>,
     /// Every rank's point of the grid.
-    points: Vec<Point>,
+    points: &'p [Point],
     /// The open step's groups and `(group, peer, send position)`s.
     groups: Vec<Group>,
     sent: Vec<(u32, usize, usize)>,
@@ -394,13 +397,13 @@ pub(crate) struct Fans {
     keys: Vec<(i64, usize)>,
 }
 
-impl Fans {
-    /// An empty record of fans among the ranks of `grid`; `config`
-    /// decides how [`Fans::close`] emits them.
-    pub(crate) fn new(config: &CollectiveConfig, grid: &Grid) -> Self {
+impl<'p> Fans<'p> {
+    /// An empty record of fans among the ranks at `points`, every rank's
+    /// point of the grid; `config` decides how [`Fans::close`] emits them.
+    pub(crate) fn new(config: &CollectiveConfig, points: &'p [Point]) -> Self {
         Fans {
             topology: config.fans,
-            points: grid.points().collect(),
+            points,
             ..Fans::default()
         }
     }
@@ -411,7 +414,7 @@ impl Fans {
     /// order keeps rings neighbour-only); an all-gather's ring along the
     /// line axis (every hop, the wrap-around too, one hop), else by rank.
     fn order(&mut self, grid: &Grid, plan: &Plan) -> (Vec<usize>, Option<usize>) {
-        let (points, keys) = (&self.points, &mut self.keys);
+        let (points, keys) = (self.points, &mut self.keys);
         let f = match plan {
             Plan::Single(f) => f,
             Plan::AllGather { members, .. } => {
@@ -669,7 +672,8 @@ mod tests {
             transfers in prop::collection::vec((0usize..6, 0u32..3, 0u32..5, 0usize..6, any::<bool>()), 0..60),
             steps in 1usize..3,
         ) {
-            let mut fans = Fans::new(&CollectiveConfig::trees(), &Grid::line(6));
+            let points: Vec<Point> = Grid::line(6).points().collect();
+            let mut fans = Fans::new(&CollectiveConfig::trees(), &points);
             for _ in 0..steps {
                 let mut sorted = Vec::new();
                 for (i, &(root, tensor, rect, peer, reduce)) in transfers.iter().enumerate() {
@@ -740,7 +744,8 @@ mod tests {
     fn member_order_follows_torus_offsets() {
         let g = Grid::grid2(4, 4);
         // Root rank 6 = (1, 2); row peers (1,0), (1,1), (1,3) = 4, 5, 7.
-        let mut fans = Fans::new(&CollectiveConfig::trees(), &g);
+        let points: Vec<Point> = g.points().collect();
+        let mut fans = Fans::new(&CollectiveConfig::trees(), &points);
         let (peers, sends) = ([4, 5, 7], [0, 2, 4]);
         let (tensor, rect) = (TensorId(0), RectId(0));
         let fan = Fan {

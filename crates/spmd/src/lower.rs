@@ -393,7 +393,7 @@ pub(crate) fn lower_with(
     let mut rects = RectTable::default();
     let mut arena: Vec<(i64, i64)> = Vec::new();
     let mut tag = 0u64;
-    let mut fans = Fans::new(collectives, &grid);
+    let mut fans = Fans::new(collectives, &points);
 
     // One holdings dataflow per accessed tensor, by id.
     let mut holdings: Vec<Option<Holdings>> = owners
@@ -454,10 +454,6 @@ pub(crate) fn lower_with(
             retired += 1;
         }
         holdings.iter_mut().flatten().for_each(Holdings::advance);
-        // Every step emits about as many ops as the first: grown once.
-        if step == 0 {
-            stream.reserve(stream.len() * nest.seq_rect().volume() as usize);
-        }
     }
     drop(holdings);
 

@@ -885,24 +885,13 @@ fn dim_of<T>(entries: &[(Rect, T)]) -> usize {
 #[derive(Clone, Debug)]
 struct Cuts {
     at: Vec<i64>,
-    /// The spacing, and `⌈2⁶⁴ / spacing⌉` when the spacing fits 32 bits:
-    /// the product of an offset below 2³² with it, shifted right by 64
-    /// bits, is the offset divided by the spacing (Lemire, Kaser and Kurz,
-    /// "Faster remainder by direct computation", 2019) — a multiplication
-    /// where a division costs tens of cycles.
-    step: Option<(i64, Option<u128>)>,
+    step: Option<i64>,
 }
 
 impl Cuts {
     fn new(at: Vec<i64>) -> Self {
         let step = (at.len() >= 2).then(|| at[1] - at[0]);
         let step = step.filter(|&s| at.windows(2).all(|w| w[1] - w[0] == s));
-        let inverse = |s: i64| {
-            u32::try_from(s)
-                .ok()
-                .map(|s| (1u128 << 64).div_ceil(s.into()))
-        };
-        let step = step.map(|s| (s, inverse(s)));
         Cuts { at, step }
     }
 
@@ -913,10 +902,7 @@ impl Cuts {
         let offset = x - self.at[0];
         match self.step {
             _ if offset < 0 => 0,
-            Some((_, Some(inverse))) if offset <= i64::from(u32::MAX) => {
-                ((((offset as u128) * inverse) >> 64) as usize).min(last)
-            }
-            Some((step, _)) => (offset / step).min(last as i64) as usize,
+            Some(step) => (offset / step).min(last as i64) as usize,
             None => self.at.partition_point(|&c| c <= x) - 1,
         }
     }

@@ -239,24 +239,42 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// RectIndex::query is a linear `overlaps` filter in insertion order,
-    /// whatever the entries look like.
+    /// whatever the entries look like — indexed on slabs of their own or,
+    /// through `new_like`, on the slabs of an unrelated entry set, which
+    /// the entries' corners fall between, below and beyond. A strictly
+    /// increasing map of every coordinate keeps every overlap, so the
+    /// case is also run stretched past 2^32 and shifted by ±2^40: slab
+    /// spacings and offsets from the first cut then exceed 32 bits.
     #[test]
-    fn rect_index_matches_linear_filter((entries, queries) in index_case()) {
-        let index = RectIndex::new(entries.iter().cloned().enumerate().map(|(i, r)| (r, i)).collect());
-        // One buffer for every query: a query starts from whatever the last
-        // one left in it.
-        let mut hits = Vec::new();
-        for q in &queries {
-            let want: Vec<usize> = (0..entries.len()).filter(|&i| entries[i].overlaps(q)).collect();
-            let got: Vec<usize> = index
-                .query(q, &mut hits)
-                .map(|(seq, r, value)| {
-                    assert_eq!(r, &entries[seq]);
-                    assert_eq!(*value, seq);
-                    seq
-                })
-                .collect();
-            prop_assert_eq!(got, want, "query {} over {:?}", q, entries);
+    fn rect_index_matches_linear_filter(
+        (entries, queries) in index_case(),
+        (like, _) in index_case(),
+        scale in prop_oneof![Just(1i64), Just((1i64 << 32) + 1)],
+        shift in prop_oneof![Just(0i64), Just(1i64 << 40), Just(-(1i64 << 40))],
+    ) {
+        let map = |p: &Point| Point::new((0..p.dim()).map(|d| p[d] * scale + shift).collect());
+        let stretch = |r: &Rect| Rect::new(map(r.lo()), map(r.hi()));
+        let entries: Vec<Rect> = entries.iter().map(stretch).collect();
+        let queries: Vec<Rect> = queries.iter().map(stretch).collect();
+        let numbered = || entries.iter().cloned().enumerate().map(|(i, r)| (r, i)).collect();
+        let like = RectIndex::new(like.into_iter().map(|r| (r, ())).collect());
+        for index in [RectIndex::new(numbered()), RectIndex::new_like(&like, numbered())] {
+            // One buffer for every query: a query starts from whatever the
+            // last one left in it.
+            let mut hits = Vec::new();
+            for q in &queries {
+                let want: Vec<usize> =
+                    (0..entries.len()).filter(|&i| entries[i].overlaps(q)).collect();
+                let got: Vec<usize> = index
+                    .query(q, &mut hits)
+                    .map(|(seq, r, value)| {
+                        assert_eq!(r, &entries[seq]);
+                        assert_eq!(*value, seq);
+                        seq
+                    })
+                    .collect();
+                prop_assert_eq!(got, want, "query {} over {:?}", q, entries);
+            }
         }
     }
 
